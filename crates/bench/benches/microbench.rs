@@ -118,20 +118,29 @@ fn bench_rdf(c: &mut Criterion) {
             .count()
         })
     });
-    g.bench_function("select_eq_zone_scan", |b| {
+    g.bench_function("match_pattern_sp", |b| {
+        let mut i = 0usize;
         b.iter(|| {
-            db.scan_eq_rows(
-                gridvine_rdf::Position::Predicate,
-                black_box("http://www.ebi.ac.uk/embl/schema#organism"),
-            )
-            .count()
+            i = (i + 7919) % entities;
+            db.match_pattern(&gridvine_rdf::TriplePattern::new(
+                gridvine_rdf::PatternTerm::constant(Term::uri(format!(
+                    "http://www.ebi.ac.uk/embl/entry#E{i:06}"
+                ))),
+                gridvine_rdf::PatternTerm::constant(Term::uri(
+                    "http://www.ebi.ac.uk/embl/schema#organism",
+                )),
+                gridvine_rdf::PatternTerm::var("o"),
+            ))
+            .len()
         })
     });
     g.bench_function("select_like_prefix", |b| {
-        b.iter(|| {
-            db.select_like(gridvine_rdf::Position::Object, black_box("Aspergillus%"))
-                .len()
-        })
+        let pattern = gridvine_rdf::TriplePattern::new(
+            gridvine_rdf::PatternTerm::var("s"),
+            gridvine_rdf::PatternTerm::var("p"),
+            gridvine_rdf::PatternTerm::constant(Term::literal("Aspergillus%")),
+        );
+        b.iter(|| db.match_pattern(black_box(&pattern)).len())
     });
     let q = ConjunctiveQuery::new(
         vec!["x".into(), "len".into(), "lab".into()],

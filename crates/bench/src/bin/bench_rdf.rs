@@ -11,27 +11,13 @@
 //! * `select_eq_point` / `select_eq_scan` — exact selections via the
 //!   row-cursor API (row ids collected, terms deferred — the like-for-
 //!   like of the seed's `Vec<&Triple>`);
-//! * `select_eq_cursor` — the zone-mapped columnar scan path (sorted
-//!   runs, no posting list);
-//! * `select_eq_materialize` — the same selection eagerly resolved to
-//!   owned `Triple`s, the wire format a destination peer ships: the
-//!   seed clones three `String`s per row, the new side bumps three
-//!   `Arc<str>`s through the granule-batched dictionary gather;
-//! * `select_eq_granules` — ablation: the same fat posting pulled one
-//!   row at a time vs drained in ≤256-row granule batches
-//!   (`RowCursor::next_block`);
-//! * `scan_full` — analytics over every live row's object, answered by
-//!   the run projection's group walk (`count_where`: one dictionary
-//!   resolve per *distinct* run-local term);
-//! * `scan_full_projected` — ablation: the same count through the
-//!   row-at-a-time cursor + per-row dictionary walk (the pre-projection
-//!   path) vs the group walk;
-//! * `select_like_prefix` — `Aspergillus%` object prefix selection;
+//! * `match_pattern_sp` — what a destination peer runs on the
+//!   bound-join path: `match_pattern` with a subject and a predicate
+//!   constant (shortest posting + residual), bindings materialized;
+//! * `select_like_prefix` — `Aspergillus%` object prefix selection
+//!   through `match_pattern` (prefix range over the sorted key index);
 //! * `conjunctive_join_3` — a 3-pattern conjunctive query (selective
 //!   head, two joined fan-out patterns);
-//! * `merge_join_runs` — ablation: two run-resident fat patterns
-//!   joined on their shared subject via the hash join (build + probe)
-//!   vs the build-free sort-merge join;
 //! * `parallel_ingest_8way` — 8 threads ingesting 8 corpus partitions
 //!   into 8 peer stores through one shared dictionary handle: 8-way
 //!   sharded locks ("new") vs a single global lock ("seed" column);
@@ -48,7 +34,7 @@
 //!   latency of the event-driven session scheduler over an 8-schema
 //!   star federation whose matching data lives in the schemas the
 //!   serial walk reaches last: the "seed" column is `window(1)` (one
-//!   subquery in flight, PR 4's serial pull order), the "new" column
+//!   subquery in flight, the serial pull order), the "new" column
 //!   `window(4)` (independent closure hops pipelined). Both columns
 //!   are simulated milliseconds, deterministic per seed, and identical
 //!   in rows and message counts — only the clock moves.
@@ -114,21 +100,6 @@ mod seed_baseline {
                 object: t.object.lexical().to_string(),
                 object_is_literal: t.object.is_literal(),
             }
-        }
-
-        pub fn object(&self) -> &str {
-            &self.object
-        }
-
-        /// Materialize to the workspace's owned wire-format `Triple`
-        /// (what a destination peer ships): three buffer copies.
-        pub fn to_triple(&self) -> Triple {
-            let object = if self.object_is_literal {
-                Term::literal(self.object.as_str())
-            } else {
-                Term::uri(self.object.as_str())
-            };
-            Triple::new(self.subject.as_str(), self.predicate.as_str(), object)
         }
 
         fn lexical(&self, pos: Position) -> &str {
@@ -866,10 +837,8 @@ fn main() {
     // ("how many rows claim this subject?"). The seed must allocate and
     // fill a `Vec<&Triple>` to answer; the cursor answers from the
     // posting list's length (O(1) on a tombstone-free store) — the
-    // deferral is the optimization. The other cost profiles of the
-    // same selection are measured separately: handle collection in
-    // `select_eq_scan`/`select_eq_cursor`, eager term materialization
-    // in `select_eq_materialize`.
+    // deferral is the optimization. Handle collection is measured
+    // separately in `select_eq_scan`.
     let probes: Vec<String> = (0..entities).step_by(7).map(subject_uri).collect();
     let (base_ns, base_hits) = best_ns(15, || {
         let mut n = 0;
@@ -901,7 +870,7 @@ fn main() {
     });
     let (new_ns, new_hits) = best_ns(15, || {
         db.select_eq_rows(Position::Predicate, P_ORGANISM)
-            .into_vec()
+            .collect::<Vec<u32>>()
             .len()
     });
     assert_eq!(base_hits, new_hits);
@@ -911,112 +880,33 @@ fn main() {
         new_ms: new_ns / 1e6,
     });
 
-    // The same fat-predicate selection through the zone-mapped sorted
-    // runs (granule pruning + in-run equal ranges, no posting list) —
-    // the scan-analytics access path.
-    let (new_ns, cursor_hits) = best_ns(15, || {
-        db.scan_eq_rows(Position::Predicate, P_ORGANISM)
-            .into_vec()
-            .len()
+    // --- match_pattern, subject + predicate constant ------------------
+    // The destination-peer σ of the bound-join path: the executor
+    // substitutes a bound subject into a pattern that already carries
+    // its predicate, and the peer answers with materialized bindings.
+    let sp_patterns: Vec<TriplePattern> = probes
+        .iter()
+        .map(|s| {
+            TriplePattern::new(
+                PatternTerm::constant(Term::uri(s.as_str())),
+                PatternTerm::constant(Term::uri(P_ORGANISM)),
+                PatternTerm::var("o"),
+            )
+        })
+        .collect();
+    let (base_ns, base_rows) = best_ns(5, || {
+        let rows = sp_patterns.iter().map(|p| naive.match_pattern(p));
+        rows.collect::<Vec<_>>()
     });
-    assert_eq!(base_hits, cursor_hits);
+    let (new_ns, new_rows) = best_ns(5, || {
+        let rows = sp_patterns.iter().map(|p| db.match_pattern(p));
+        rows.collect::<Vec<_>>()
+    });
+    assert_eq!(base_rows, new_rows);
+    assert!(new_rows.iter().all(|r| r.len() == 1));
     results.push(Measurement {
-        name: "select_eq_cursor",
+        name: "match_pattern_sp",
         baseline_ms: base_ns / 1e6,
-        new_ms: new_ns / 1e6,
-    });
-
-    // Eager materialization of the same fat selection to the owned
-    // wire format a destination peer ships (one `Triple` per hit):
-    // the seed copies three `String` buffers per row, the new side
-    // bumps three `Arc<str>` refcounts through the granule-batched
-    // dictionary gather (`triples_vec`). Kept in the suite so the
-    // cost of dereferencing through the dictionary stays visible and
-    // guarded, separate from the deferred-handle paths.
-    let (mat_base_ns, mat_base_hits) = best_ns(15, || {
-        let owned: Vec<Triple> = naive
-            .select_eq(Position::Predicate, P_ORGANISM)
-            .into_iter()
-            .map(|t| t.to_triple())
-            .collect();
-        owned.len()
-    });
-    let (new_ns, mat_hits) = best_ns(15, || {
-        db.select_eq_rows(Position::Predicate, P_ORGANISM)
-            .triples_vec()
-            .len()
-    });
-    assert_eq!(mat_base_hits, mat_hits);
-    results.push(Measurement {
-        name: "select_eq_materialize",
-        baseline_ms: mat_base_ns / 1e6,
-        new_ms: new_ns / 1e6,
-    });
-
-    // Granule-batched cursor consumption: the same fat posting pulled
-    // one row at a time ("seed" column) vs drained in ≤256-row batches
-    // via `next_block` — the block-at-a-time read every batch consumer
-    // (gathers, residual filters) sits on.
-    let (row_ns, row_hits) = best_ns(15, || {
-        let mut n = 0usize;
-        for _ in db.select_eq_rows(Position::Predicate, P_ORGANISM) {
-            n += 1;
-        }
-        n
-    });
-    let (blk_ns, blk_hits) = best_ns(15, || {
-        let mut c = db.select_eq_rows(Position::Predicate, P_ORGANISM);
-        let mut buf = Vec::new();
-        let mut n = 0usize;
-        while c.next_block(&mut buf) {
-            n += buf.len();
-        }
-        n
-    });
-    assert_eq!(row_hits, blk_hits);
-    assert_eq!(blk_hits, base_hits);
-    results.push(Measurement {
-        name: "select_eq_granules",
-        baseline_ms: row_ns / 1e6,
-        new_ms: blk_ns / 1e6,
-    });
-
-    // --- full scan ----------------------------------------------------
-    // Analytics over one position: classify every live row's object
-    // content. The seed walks 100k scattered heap `String`s and runs
-    // the predicate on each; the columnar side walks the sealed runs'
-    // key projections group-at-a-time (`count_where`), paying one
-    // dictionary resolve per *distinct* term plus a short log sweep.
-    let (base_ns, base_sum) = best_ns(5, || {
-        naive
-            .iter()
-            .filter(|t| t.object().starts_with("Aspergillus"))
-            .count()
-    });
-    let (new_ns, new_sum) = best_ns(5, || {
-        db.count_where(Position::Object, |o| o.starts_with("Aspergillus"))
-    });
-    assert_eq!(base_sum, new_sum);
-    assert_eq!(new_sum, SELECTIVE);
-    results.push(Measurement {
-        name: "scan_full",
-        baseline_ms: base_ns / 1e6,
-        new_ms: new_ns / 1e6,
-    });
-
-    // Ablation for the same count: the row-at-a-time cursor walk
-    // resolving every object through the dictionary ("seed" column —
-    // exactly what scan_full measured before the run projection
-    // landed) vs the projection group walk.
-    let (row_ns, row_sum) = best_ns(5, || {
-        db.rows()
-            .filter(|&id| db.term_at(id, Position::Object).starts_with("Aspergillus"))
-            .count()
-    });
-    assert_eq!(row_sum, SELECTIVE);
-    results.push(Measurement {
-        name: "scan_full_projected",
-        baseline_ms: row_ns / 1e6,
         new_ms: new_ns / 1e6,
     });
 
@@ -1024,7 +914,12 @@ fn main() {
     let (base_ns, base_hits) = best_ns(5, || {
         naive.select_like(Position::Object, "Aspergillus%").len()
     });
-    let (new_ns, new_hits) = best_ns(5, || db.select_like(Position::Object, "Aspergillus%").len());
+    let like_prefix = TriplePattern::new(
+        PatternTerm::var("s"),
+        PatternTerm::var("p"),
+        PatternTerm::constant(Term::literal("Aspergillus%")),
+    );
+    let (new_ns, new_hits) = best_ns(5, || db.match_pattern(&like_prefix).len());
     assert_eq!(base_hits, new_hits);
     assert_eq!(new_hits, SELECTIVE);
     results.push(Measurement {
@@ -1042,32 +937,6 @@ fn main() {
         name: "conjunctive_join_3",
         baseline_ms: base_ns / 1e6,
         new_ms: new_ns / 1e6,
-    });
-
-    // --- sort-merge join over run-resident sides ----------------------
-    // Ablation: every entity's length and lab rows (two fat patterns,
-    // one shared subject variable, both sides living in sealed runs)
-    // joined through the hash join ("seed" column — build a table over
-    // one side, probe with the other) vs the sort-merge path (two
-    // stable sorts + a linear equal-key merge, no table).
-    let jl = TriplePattern::new(
-        PatternTerm::var("x"),
-        PatternTerm::constant(Term::uri(P_LENGTH)),
-        PatternTerm::var("len"),
-    );
-    let jr = TriplePattern::new(
-        PatternTerm::var("x"),
-        PatternTerm::constant(Term::uri(P_LAB)),
-        PatternTerm::var("lab"),
-    );
-    let (hash_ns, hash_rows) = best_ns(5, || db.join_codes(&jl, &jr).len());
-    let (merge_ns, merge_rows) = best_ns(5, || db.merge_join_codes(&jl, &jr).len());
-    assert_eq!(hash_rows, merge_rows);
-    assert_eq!(merge_rows, entities);
-    results.push(Measurement {
-        name: "merge_join_runs",
-        baseline_ms: hash_ns / 1e6,
-        new_ms: merge_ns / 1e6,
     });
 
     // --- 8-way parallel ingest through a shared dictionary ------------

@@ -24,8 +24,9 @@ fn main() {
     let queries: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(23_000);
     let peers: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(340);
     let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(1);
-    // Calibration overrides (see EXPERIMENTS.md): per-message processing
-    // and node-heterogeneity σ of the 2007 testbed model.
+    // Calibration overrides (see the experiment index in README.md):
+    // per-message processing and node-heterogeneity σ of the 2007
+    // testbed model.
     let processing_ms: Option<u64> = args.next().and_then(|a| a.parse().ok());
     let heterogeneity: Option<f64> = args.next().and_then(|a| a.parse().ok());
 

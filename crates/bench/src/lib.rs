@@ -1,23 +1,9 @@
 //! # gridvine-bench
 //!
 //! Experiment harness for the GridVine reproduction: one binary per
-//! figure/claim of the paper (see `DESIGN.md` for the experiment index
-//! and `EXPERIMENTS.md` for paper-vs-measured results), plus Criterion
-//! micro-benchmarks over the hot paths.
-//!
-//! Binaries (all print aligned text tables to stdout):
-//!
-//! | binary | reproduces |
-//! |---|---|
-//! | `exp_e1_latency_cdf` | §2.3: 340 machines, 17 000 triples, 23 000 queries → latency CDF |
-//! | `exp_e2_routing_cost` | §2.1/2.3: `O(log Π)` messages per Retrieve |
-//! | `exp_e3_connectivity` | §3.1: connectivity indicator vs giant-SCC emergence |
-//! | `exp_e4_recall_growth` | §4: recall rises as mappings are created |
-//! | `exp_e5_deprecation` | §4: erroneous mappings deprecated, recall recovers |
-//! | `exp_e6_iter_vs_rec` | §4: iterative vs recursive reformulation |
-//! | `exp_a1_hash_balance` | ablation: order-preserving vs uniform hash balance |
-//! | `exp_a2_churn` | ablation: availability under churn vs replication |
-//! | `exp_a3_matcher` | ablation: lexical vs instance vs combined matcher |
+//! figure/claim of the paper (the root `README.md` holds the full
+//! experiment index), plus Criterion micro-benchmarks over the hot
+//! paths. All binaries print aligned text tables to stdout.
 
 pub mod table;
 

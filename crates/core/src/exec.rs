@@ -2,40 +2,21 @@
 //! evaluates every logical [`QueryPlan`] by draining a pull-based
 //! [`QuerySession`](super::session::QuerySession).
 //!
-//! ## Migration from the legacy entry points
-//!
-//! The four monolithic `SearchFor` methods (`resolve_pattern`,
-//! `resolve_object_prefix`, `search`, `search_conjunctive`) went
-//! through one deprecation cycle as shims and are now **deleted**;
-//! callers build a plan and either drain it blockingly or pull it
-//! incrementally:
-//!
-//! | Removed entry point | Blocking replacement |
-//! |---|---|
-//! | `sys.resolve_pattern(p, &q)` | `sys.execute(p, &QueryPlan::pattern(q), &QueryOptions::default())` |
-//! | `sys.resolve_object_prefix(p, &q)` | `sys.execute(p, &QueryPlan::object_prefix(q), &QueryOptions::default())` |
-//! | `sys.search(p, &q, strategy)` | `sys.execute(p, &QueryPlan::search(q), &QueryOptions::new().strategy(strategy))` |
-//! | `sys.search_conjunctive(p, &q, strategy, mode)` | `sys.execute(p, &QueryPlan::conjunctive(q), &QueryOptions::new().strategy(strategy).join_mode(mode))` |
-//!
-//! For incremental consumption (first-result latency, early
-//! termination, per-hop provenance) use
-//! [`GridVineSystem::open`](super::session) instead of `execute` — the
+//! Callers build a plan and either drain it blockingly here or pull
+//! it incrementally (first-result latency, early termination, per-hop
+//! provenance) through [`GridVineSystem::open`](super::session) — the
 //! two are equivalent on results and message accounting when the
-//! session is drained; see the [`super::session`] module docs
-//! for the event protocol.
-//!
-//! The legacy per-call outcome types map onto [`QueryOutcome`]:
-//! `SearchOutcome::results` was [`QueryOutcome::terms`] of the
-//! distinguished variable, `ConjunctiveOutcome::bindings` was
-//! [`QueryOutcome::rows`], and all counters live in the shared
-//! [`ExecStats`].
+//! session is drained; see the [`super::session`] module docs for the
+//! event protocol. Every plan shape answers with one [`QueryOutcome`]
+//! ([`QueryOutcome::rows`], or [`QueryOutcome::terms`] of a
+//! distinguished variable) and the shared [`ExecStats`] counters.
 //!
 //! ## Execution model
 //!
 //! Every plan bottoms out in *routed pattern resolutions*: route to
 //! `Hash(routing constant)`, charge the response message, and evaluate
-//! the destination peer's indexed `DB_p` — **streaming** matches off
-//! the store's granule-batched cursor layer
+//! the destination peer's indexed `DB_p` through the store's
+//! granule-batched pattern scan
 //! ([`TripleStore::match_pattern`](gridvine_rdf::TripleStore::match_pattern)),
 //! so a destination materializes exactly the bindings it ships.
 //! Closure plans drive a step-wise

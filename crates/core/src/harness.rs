@@ -14,7 +14,7 @@
 //! logical [`QueryPlan`] whose routed lookups and mapping fetches run
 //! through the asynchronous protocol ([`gridvine_pgrid::proto`]).
 //!
-//! Since PR 5 the driver is **fully event-driven on the netsim clock**:
+//! The driver is **fully event-driven on the netsim clock**:
 //! the network is pumped one event at a time
 //! ([`gridvine_netsim::Network::step_node`]) and every completion is
 //! processed *at its actual simulated completion instant* — a

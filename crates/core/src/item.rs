@@ -9,7 +9,7 @@
 //!   spaces corresponding to both schemas if the mapping is
 //!   bidirectional" (§3); we also place a lightweight record at the
 //!   target of one-way mappings so the target peer can maintain its
-//!   in-degree for the §3.1 statistics (see `DESIGN.md`);
+//!   in-degree for the §3.1 statistics (see the root `README.md`);
 //! * a **connectivity record** at `Hash(Domain)`.
 
 use gridvine_pgrid::{BitString, KeyHasher};

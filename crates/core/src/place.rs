@@ -4,8 +4,8 @@
 //! owner group of its key, so failure injection on an owner turns every
 //! query touching that key into a *recorded failure* — degraded rows,
 //! not degraded latency. This module makes replication a first-class,
-//! policy-driven mechanism layered over the PR 5–8 machinery: extra
-//! replicas are provisioned per placement rule, reads pick the
+//! policy-driven mechanism layered over the scheduler, retry protocol
+//! and session pool: extra replicas are provisioned per placement rule, reads pick the
 //! lowest-expected-latency live holder, the timeout–retry protocol
 //! fails over past dead holders before resolving
 //! [`PeerDown`](super::SystemError::PeerDown), and windowed heat
@@ -15,7 +15,7 @@
 //!
 //! ```text
 //!  PlacementPolicy (GridVineConfig::placement, serde; null = exactly-
-//!        │          owner placement, bit-identical to PR 8)
+//!        │          owner placement, no replica machinery engaged)
 //!        │ rule matches a lexical at insert time
 //!        ▼
 //!  replica registry ──commit_replica──► extra holders beyond σ(key)

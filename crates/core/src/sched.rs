@@ -1,11 +1,10 @@
 //! The session scheduler seam: per-peer execution state on the
 //! simulated clock.
 //!
-//! PR 4's [`QuerySession`](super::session::QuerySession) advanced one
-//! routed subquery per pull and knew nothing about time: the WAN
-//! harness re-simulated latency per chain after the fact. This module
-//! puts the synchronous executor itself on the discrete-event
-//! substrate of [`gridvine_netsim`]: every routed subquery becomes a
+//! A [`QuerySession`](super::session::QuerySession) pull advances
+//! routed subqueries; this module is what gives them time. It puts the
+//! synchronous executor on the discrete-event substrate of
+//! [`gridvine_netsim`]: every routed subquery becomes a
 //! *unit* — a `Subquery` message issued at a send instant, answered by
 //! a `Reply` scheduled on an [`EventQueue`] at `send + latency` — and
 //! one session keeps up to [`QueryOptions::window`](super::exec::QueryOptions::window)
@@ -17,8 +16,8 @@
 //! ## Determinism and equivalence, by construction
 //!
 //! Units are *issued* in one canonical order — the `window = 1` order,
-//! which is exactly PR 4's pull order — and issuing is where all
-//! logical state evolves: routing (and its RNG draws), message
+//! where every pull advances exactly one routed subquery — and issuing
+//! is where all logical state evolves: routing (and its RNG draws), message
 //! charging, row admission and dedup, closure expansion and cache
 //! recording. The window never reorders issues; it only decides how
 //! many replies may be outstanding before the next one must land. The
@@ -39,8 +38,8 @@
 //!
 //! ## The request/response protocol
 //!
-//! Since PR 6 a unit is a *real* request/response exchange riding the
-//! system's fault process ([`GridVineConfig::fault`](super::GridVineConfig)):
+//! A unit is a *real* request/response exchange riding the system's
+//! fault process ([`GridVineConfig::fault`](super::GridVineConfig)):
 //! each routed request may be lost (it times out and is retransmitted
 //! with exponential backoff + jitter, up to
 //! [`QueryOptions::max_retries`](super::exec::QueryOptions::max_retries)),
@@ -123,8 +122,8 @@
 //!
 //! ## Concurrent sessions: the `SessionPool` multiplexer
 //!
-//! Since PR 8 many sessions — typically from many origins — interleave
-//! on the shared per-peer queues under one simulated clock through a
+//! Many sessions — typically from many origins — interleave on the
+//! shared per-peer queues under one simulated clock through a
 //! [`SessionPool`](super::pool::SessionPool). Each queued reply is
 //! tagged with its owning [`SessionId`]; the
 //! pool replenishes every live session's window round-robin (one unit

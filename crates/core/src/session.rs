@@ -13,14 +13,14 @@
 //!
 //! ## The scheduler seam
 //!
-//! Since PR 5 the session is **message-driven** (see
+//! The session is **message-driven** (see
 //! [`crate::system::sched`]): each routed subquery is a unit issued as
 //! a `Subquery` at a send instant and answered by a `Reply` scheduled
 //! on a per-peer [`EventQueue`](gridvine_netsim::EventQueue) at
 //! `send + latency`, with up to [`QueryOptions::window`] units in
 //! flight at once. Units are issued in one canonical order — the
 //! `window = 1` order, where every pull advances exactly one routed
-//! subquery, as PR 4 did — and all logical state (routing and its RNG
+//! subquery — and all logical state (routing and its RNG
 //! draws, message charging, row admission, closure expansion, cache
 //! recording) evolves at issue. The clock models *when* replies land:
 //! event delivery order, simulated first-result latency and the
@@ -51,22 +51,12 @@
 //! a pool holding one session reproduces this module's standalone loop
 //! bit-for-bit.
 //!
-//! ## Migration from the monolithic entry points
-//!
-//! The four legacy `SearchFor` methods (deleted after one deprecation
-//! cycle) map onto plans + sessions:
-//!
-//! | Removed entry point | Plan + session |
-//! |---|---|
-//! | `resolve_pattern(p, &q)` | `open(p, &QueryPlan::pattern(q), &opts)` |
-//! | `resolve_object_prefix(p, &q)` | `open(p, &QueryPlan::object_prefix(q), &opts)` |
-//! | `search(p, &q, strategy)` | `open(p, &QueryPlan::search(q), &opts.strategy(strategy))` |
-//! | `search_conjunctive(p, &q, s, m)` | `open(p, &QueryPlan::conjunctive(q), &opts.strategy(s).join_mode(m))` |
+//! ## Blocking vs incremental
 //!
 //! Draining a session and calling [`GridVineSystem::execute`] are the
 //! same thing — `execute` *is* `open` + drain (+ the canonical result
-//! sort) — so callers that want the old blocking behaviour keep using
-//! `execute` and get identical results and message accounting.
+//! sort) — so callers that want blocking behaviour use `execute` and
+//! get identical results and message accounting.
 //!
 //! ## Events
 //!

@@ -61,7 +61,6 @@ pub mod network;
 pub mod node;
 pub mod rng;
 pub mod stats;
-pub mod trace;
 
 /// Convenient glob-import surface for simulator users.
 pub mod prelude {

@@ -369,17 +369,10 @@ impl TermDict {
         Arc::clone(&self.shards[id.shard()].terms[id.local()])
     }
 
-    /// Resolve a batch of ids into `out` (cleared first): the gather
-    /// primitive of the store's position-major batch materialization —
-    /// one tight sweep per position instead of interleaved per-row
-    /// resolves across all three.
-    pub(crate) fn resolve_many<'a>(&'a self, ids: &[TermId], out: &mut Vec<&'a str>) {
-        out.clear();
-        out.extend(ids.iter().map(|&id| self.resolve(id)));
-    }
-
     /// Batch twin of [`TermDict::shared`]: shared handles for a batch
-    /// of ids, into `out` (cleared first).
+    /// of ids, into `out` (cleared first) — one tight sweep per
+    /// position instead of interleaved per-row resolves across all
+    /// three.
     pub(crate) fn shared_many(&self, ids: &[TermId], out: &mut Vec<Arc<str>>) {
         out.clear();
         out.extend(ids.iter().map(|&id| self.shared(id)));

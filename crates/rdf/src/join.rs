@@ -162,7 +162,7 @@ fn bound_slots(rows: &[Vec<u64>]) -> Vec<usize> {
 
 /// Merge two rows slot-wise, left winning on doubly-bound slots (the
 /// join key slots, where both sides carry the same code).
-pub(crate) fn merge_rows(left: &[u64], right: &[u64]) -> Vec<u64> {
+fn merge_rows(left: &[u64], right: &[u64]) -> Vec<u64> {
     left.iter()
         .zip(right)
         .map(|(&l, &r)| if l != UNBOUND { l } else { r })
@@ -183,8 +183,8 @@ enum Table {
 }
 
 /// A built (inner) side of a hash join, ready to be probed with rows
-/// streamed one at a time — e.g. straight off a
-/// [`crate::TripleStore::match_codes_iter`] cursor — without ever
+/// streamed one at a time — e.g. straight out of
+/// [`crate::TripleStore::for_each_match_row`] — without ever
 /// collecting the probe side.
 ///
 /// The inner rows are hashed once on the slots they share with the

@@ -10,30 +10,36 @@
 //! dependency: it is the "what" of GridVine's data, while
 //! `gridvine-pgrid` is the "where" and `gridvine-core` the "how".
 //!
-//! ## Architecture: interned terms, id indexes, hash joins
+//! ## Architecture: interned terms, one index, one scan, one join
 //!
 //! The storage and query layer is organized around a term dictionary
 //! ([`dict`]): every distinct lexical value entering a [`TripleStore`]
-//! is interned to a dense [`TermId`], and a stored triple is one row of
-//! three ids (plus the object's uri/literal kind). On top of that:
+//! is interned to a dense [`TermId`], and a stored triple is a row id
+//! into three id columns (plus the object's uri/literal kind). On top
+//! of that ([`store`]):
 //!
-//! * **selection** — the three per-position indexes are posting lists
-//!   keyed by id (`HashMap<TermId, Vec<u32>>`); probing a value the
-//!   store has never seen is one hash, no allocation. Each position
-//!   additionally keeps a sorted key index (`BTreeMap<Arc<str>,
-//!   TermId>`, sharing the dictionary's buffers), so `select_like`
-//!   prefix patterns (`abc%`) run as range scans, and suffix/contains
-//!   patterns scan the *distinct terms* of a position rather than its
-//!   rows;
-//! * **join** — conjunctive evaluation runs in the hash-join binding
-//!   engine ([`join`]): solution rows are `Vec<u64>` term codes over the
-//!   query's variable slots ([`join::VarTable`]), merged by hashing the
-//!   shared variables ([`join::hash_join_rows`]) instead of the old
-//!   O(n·m) nested loop over string-keyed maps. The distributed engine
-//!   in `gridvine-core` reuses the same kernel with a query-scoped
-//!   [`join::TermInterner`], since rows arriving from remote peers are
-//!   coded against the origin's interner rather than any one store's
-//!   dictionary;
+//! * **one index** — per position, posting lists directly indexed by
+//!   the dense id: a flat CSR head (offsets + data) over the rows up to
+//!   the last rebuild and a small per-term tail for the rows since.
+//!   Probing a value the store has never seen is one dictionary hash,
+//!   no allocation. Each position additionally keeps a lazily built
+//!   sorted key index (`BTreeMap<Arc<str>, TermId>`, sharing the
+//!   dictionary's buffers), so `abc%` LIKE constants run as range
+//!   scans;
+//! * **one scan (σ, π)** — a pattern is answered by picking an access
+//!   path (the shortest posting list among its exact constants, else a
+//!   prefix range, else every row) and sweeping the residual predicate
+//!   over 256-row granules of row ids. [`TripleStore::match_pattern`],
+//!   [`TripleStore::for_each_match_row`] and [`TripleStore::resolve`]
+//!   are its output formats;
+//! * **one join (⋈)** — conjunctive evaluation runs in the hash-join
+//!   binding engine ([`join`]): solution rows are `Vec<u64>` term codes
+//!   over the query's variable slots ([`join::VarTable`]), merged by
+//!   hashing the shared variables ([`join::hash_join_rows`]). The
+//!   distributed engine in `gridvine-core` reuses the same kernel with
+//!   a query-scoped [`join::TermInterner`], since rows arriving from
+//!   remote peers are coded against the origin's interner rather than
+//!   any one store's dictionary;
 //! * **result boundary** — strings are materialized back into [`Term`]s
 //!   and [`Binding`]s only for rows that survive selection, join and
 //!   projection.
@@ -67,7 +73,7 @@ pub mod prelude {
     pub use crate::guid::Guid;
     pub use crate::parser::{parse_query, parse_single, ParseError};
     pub use crate::query::{ConjunctiveQuery, QueryError, TriplePatternQuery};
-    pub use crate::store::{PatternMatches, RowCursor, TripleRef, TripleStore};
+    pub use crate::store::{RowCursor, TripleRef, TripleStore};
     pub use crate::term::{like_match, LikePattern, Term, Uri};
     pub use crate::triple::{Binding, PatternTerm, Position, Triple, TriplePattern};
 }
@@ -76,6 +82,6 @@ pub use dict::{SharedTermDict, TermDict, TermId};
 pub use guid::Guid;
 pub use parser::{parse_query, parse_single, ParseError};
 pub use query::{ConjunctiveQuery, QueryError, TriplePatternQuery};
-pub use store::{PatternMatches, RowCursor, TripleRef, TripleStore};
+pub use store::{RowCursor, TripleRef, TripleStore};
 pub use term::{like_match, LikePattern, Term, Uri};
 pub use triple::{Binding, PatternTerm, Position, Triple, TriplePattern};

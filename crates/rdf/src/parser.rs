@@ -71,8 +71,10 @@ impl<'a> Cursor<'a> {
 
     fn eat_keyword(&mut self, kw: &str) -> Result<(), ParseError> {
         self.skip_ws();
-        let rest = self.rest();
-        if rest.len() >= kw.len() && rest[..kw.len()].eq_ignore_ascii_case(kw) {
+        // `get`, not a slice: `kw.len()` bytes in may fall inside a
+        // multi-byte character of the input.
+        let head = self.rest().get(..kw.len());
+        if head.is_some_and(|h| h.eq_ignore_ascii_case(kw)) {
             self.pos += kw.len();
             Ok(())
         } else {
@@ -262,6 +264,14 @@ mod tests {
     }
 
     #[test]
+    fn multi_byte_input_at_a_keyword_is_an_error_not_a_panic() {
+        // Both put a multi-byte character across the byte offset where
+        // the expected keyword would end.
+        assert!(parse_query("aééé").is_err());
+        assert!(parse_query("SELECT ?x WHERé (?x, <p>, ?o)").is_err());
+    }
+
+    #[test]
     fn rejects_unterminated_uri_and_literal() {
         assert!(parse_query("SELECT ?x WHERE (?x, <p, ?o)").is_err());
         assert!(parse_query(r#"SELECT ?x WHERE (?x, <p>, "unterminated)"#).is_err());
@@ -323,6 +333,13 @@ mod proptests {
                             Some(pred));
             prop_assert_eq!(q.pattern.object.as_const().map(|t| t.lexical().to_string()),
                             Some(lit));
+        }
+
+        /// No input panics the parser: strings mixing the grammar's
+        /// tokens with multi-byte characters parse or fail cleanly.
+        #[test]
+        fn arbitrary_input_never_panics(src in "[SELCTWHRselctwhr ?<>(),\"é→a-z]{0,40}") {
+            let _ = parse_query(&src);
         }
     }
 }

@@ -3,14 +3,14 @@
 //! A stored triple is a *row id* (its insertion index) into three
 //! parallel id columns plus two bit-packed flag columns (object kind,
 //! tombstone). Row ids are stable for the lifetime of the store — the
-//! posting lists, the sorted runs and every cursor hand them out — so
-//! deletion tombstones instead of compacting in place
+//! posting lists and every cursor hand them out — so deletion
+//! tombstones instead of compacting in place
 //! ([`crate::TripleStore::compact`] rebuilds and renumbers).
 //!
-//! The columnar split is what makes scans cheap: an equality scan over
-//! one position touches one `u32` column (and the zone-mapped sorted
-//! runs prune most of that), not 16-byte row tuples, and term
-//! materialization is deferred until a consumer dereferences a row id.
+//! The columnar split is what makes scans cheap: a residual sweep over
+//! one position touches one `u32` column, not 16-byte row tuples, and
+//! term materialization is deferred until a consumer dereferences a row
+//! id.
 
 use crate::dict::TermId;
 use crate::triple::Position;
@@ -38,27 +38,6 @@ impl std::hash::Hash for Row {
             | ((self.o.0 as u128) << 1)
             | self.o_lit as u128;
         state.write_u128(packed);
-    }
-}
-
-impl Row {
-    #[inline]
-    pub(crate) fn id_at(&self, pos: Position) -> TermId {
-        match pos {
-            Position::Subject => self.s,
-            Position::Predicate => self.p,
-            Position::Object => self.o,
-        }
-    }
-
-    /// Term code at a position: id shifted, low bit = literal kind.
-    #[inline]
-    pub(crate) fn code_at(&self, pos: Position) -> u64 {
-        let lit = match pos {
-            Position::Object => self.o_lit,
-            _ => false,
-        };
-        ((self.id_at(pos).0 as u64) << 1) | lit as u64
     }
 }
 
@@ -115,10 +94,6 @@ impl Columns {
         self.s.len()
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
-        self.s.is_empty()
-    }
-
     pub(crate) fn reserve(&mut self, additional: usize) {
         self.s.reserve(additional);
         self.p.reserve(additional);
@@ -164,10 +139,10 @@ impl Columns {
         self.col(pos)[id as usize]
     }
 
-    /// Term code of one position of a stored row: the columnar twin of
-    /// [`Row::code_at`] that touches only the probed column (plus the
-    /// kind bits for objects) instead of assembling a full [`Row`] —
-    /// what the granule-batch residual filter reads per candidate.
+    /// Term code of one position of a stored row (id shifted, low bit =
+    /// literal kind): touches only the probed column (plus the kind
+    /// bits for objects) instead of assembling a full [`Row`] — what
+    /// the granule-batch residual filter reads per candidate.
     #[inline]
     pub(crate) fn code_at(&self, id: u32, pos: Position) -> u64 {
         let lit = match pos {

@@ -4,34 +4,26 @@
 //! skipping tombstones, and defers all term materialization until the
 //! consumer asks — [`RowCursor::refs`] for borrowed views,
 //! [`RowCursor::triples`] for owned terms, or plain `count()` for
-//! cardinalities, which touches no string at all. This is what the
-//! seed's `Vec<&Triple>` selections deferred implicitly and what the
-//! eager `Vec<TripleRef>` API paid for on every fat posting list.
+//! cardinalities, which touches no string at all.
 //!
-//! Three sources back a cursor:
+//! Two sources back a cursor:
 //!
 //! * **posting** — the probed term's posting rows: the CSR head slice
-//!   plus the unsealed tail slice (point lookups:
-//!   [`crate::TripleStore::select_eq_rows`]) — both ascending, the head
-//!   strictly below the tail, so the concatenation is the ascending
-//!   posting list;
-//! * **zone-mapped scan** — the sorted runs pruned granule-by-granule
-//!   via their zone maps, then the append log linearly
-//!   ([`crate::TripleStore::scan_eq_rows`]) — the scan-analytics path
-//!   that needs no posting list at all;
-//! * **full** — every live row ([`crate::TripleStore::rows`]).
+//!   plus the tail slice ([`crate::TripleStore::select_eq_rows`], and
+//!   the pattern scan's constant access path) — both ascending, the
+//!   head strictly below the tail, so the concatenation is the
+//!   ascending posting list;
+//! * **full** — every live row ([`crate::TripleStore::iter`],
+//!   [`crate::TripleStore::iter_refs`]).
 //!
 //! Besides row-at-a-time iteration, a cursor drains in **granule
-//! batches**: [`RowCursor::next_block`] refills a caller buffer with up
-//! to [`crate::store::GRANULE`] live row ids per call — same ids, same
-//! order as iteration, but with the per-item iterator state machine
-//! amortized over the batch (tight slice loops per source). The
-//! pattern-match pipeline and the batched term gather are built on it.
+//! batches**: `next_block` refills a caller buffer with up to 256 live
+//! row ids per call — same ids, same order as iteration, but with the
+//! per-item iterator state machine amortized over the batch (tight
+//! slice loops per source). The pattern scan is built on it.
 
-use super::runs::Run;
 use super::{TripleRef, TripleStore, GRANULE};
-use crate::dict::TermId;
-use crate::triple::{Position, Triple};
+use crate::triple::Triple;
 
 /// A lazy iterator of live row ids (see the module docs).
 pub struct RowCursor<'a> {
@@ -42,33 +34,15 @@ pub struct RowCursor<'a> {
 enum Source<'a> {
     Empty,
     /// Two ascending slices, every `head` id below every `tail` id:
-    /// the CSR span plus the unsealed spill of one term's posting.
+    /// the CSR span plus the tail spill of one term's posting.
     Posting {
         head: &'a [u32],
         tail: &'a [u32],
         i: usize,
     },
-    Scan(ScanState<'a>),
     Full {
         next: u32,
     },
-}
-
-/// Zone-mapped equality scan: runs first (each contributing its exact
-/// match range, found under the zone map's pruned granules), then the
-/// append log linearly. Runs partition the row-id space in order, so
-/// the concatenation is globally ascending.
-struct ScanState<'a> {
-    pos: Position,
-    id: TermId,
-    runs: &'a [Run],
-    /// Next run to open.
-    run: usize,
-    /// Current run's match range.
-    matches: &'a [u32],
-    mi: usize,
-    /// Next append-log row to test.
-    log_next: u32,
 }
 
 impl<'a> RowCursor<'a> {
@@ -90,21 +64,6 @@ impl<'a> RowCursor<'a> {
         }
     }
 
-    pub(super) fn scan_eq(store: &'a TripleStore, pos: Position, id: TermId) -> RowCursor<'a> {
-        RowCursor {
-            store,
-            src: Source::Scan(ScanState {
-                pos,
-                id,
-                runs: store.runs.runs(),
-                run: 0,
-                matches: &[],
-                mi: 0,
-                log_next: store.runs.sealed_end(),
-            }),
-        }
-    }
-
     pub(super) fn full(store: &'a TripleStore) -> RowCursor<'a> {
         RowCursor {
             store,
@@ -112,62 +71,13 @@ impl<'a> RowCursor<'a> {
         }
     }
 
-    /// Collect the remaining row ids into a `Vec`, using tight
-    /// per-source loops: a tombstone-free posting cursor is one
-    /// `memcpy` per slice, a tombstone-free run scan one
-    /// `extend_from_slice` per run — none of the per-item iterator
-    /// state machine that a generic `collect()` pays.
-    pub fn into_vec(self) -> Vec<u32> {
-        let cols = &self.store.cols;
-        let clean = !cols.any_dead();
-        match self.src {
-            Source::Empty => Vec::new(),
-            Source::Posting { head, tail, i } => {
-                let (h, t) = split_posting(head, tail, i);
-                let mut out = Vec::with_capacity(h.len() + t.len());
-                for part in [h, t] {
-                    if clean {
-                        out.extend_from_slice(part);
-                    } else {
-                        out.extend(part.iter().copied().filter(|&id| !cols.is_dead(id)));
-                    }
-                }
-                out
-            }
-            Source::Scan(mut s) => {
-                let mut out: Vec<u32> = Vec::new();
-                let mut take = |rows: &[u32]| {
-                    if clean {
-                        out.extend_from_slice(rows);
-                    } else {
-                        out.extend(rows.iter().copied().filter(|&id| !cols.is_dead(id)));
-                    }
-                };
-                take(&s.matches[s.mi..]);
-                while s.run < s.runs.len() {
-                    take(s.runs[s.run].eq_rows(s.pos, s.id));
-                    s.run += 1;
-                }
-                out.extend(
-                    (s.log_next..cols.len() as u32)
-                        .filter(|&id| cols.id_at(id, s.pos) == s.id && !cols.is_dead(id)),
-                );
-                out
-            }
-            Source::Full { next } if clean => (next..cols.len() as u32).collect(),
-            Source::Full { next } => (next..cols.len() as u32)
-                .filter(|&id| !cols.is_dead(id))
-                .collect(),
-        }
-    }
-
     /// Refill `out` with the next granule of live row ids — up to
     /// [`GRANULE`] of them, in exactly the order iteration would yield
     /// — returning `false` once the cursor is exhausted and `out` came
-    /// back empty. The granule-at-a-time drain: consumers that filter
-    /// or gather per batch ([`crate::store::PatternMatches`], the term
-    /// gather) amortize the source dispatch over 256 rows.
-    pub fn next_block(&mut self, out: &mut Vec<u32>) -> bool {
+    /// back empty. The granule-at-a-time drain: the pattern scan
+    /// filters per batch and amortizes the source dispatch over 256
+    /// rows.
+    pub(super) fn next_block(&mut self, out: &mut Vec<u32>) -> bool {
         out.clear();
         let cols = &self.store.cols;
         match &mut self.src {
@@ -187,38 +97,6 @@ impl<'a> RowCursor<'a> {
                     } else {
                         out.extend_from_slice(chunk);
                     }
-                }
-            }
-            Source::Scan(s) => {
-                while out.len() < GRANULE {
-                    if s.mi < s.matches.len() {
-                        let part = &s.matches[s.mi..];
-                        let want = (GRANULE - out.len()).min(part.len());
-                        s.mi += want;
-                        if cols.any_dead() {
-                            out.extend(
-                                part[..want].iter().copied().filter(|&id| !cols.is_dead(id)),
-                            );
-                        } else {
-                            out.extend_from_slice(&part[..want]);
-                        }
-                        continue;
-                    }
-                    if s.run < s.runs.len() {
-                        s.matches = s.runs[s.run].eq_rows(s.pos, s.id);
-                        s.mi = 0;
-                        s.run += 1;
-                        continue;
-                    }
-                    let end = cols.len() as u32;
-                    while s.log_next < end && out.len() < GRANULE {
-                        let id = s.log_next;
-                        s.log_next += 1;
-                        if cols.id_at(id, s.pos) == s.id && !cols.is_dead(id) {
-                            out.push(id);
-                        }
-                    }
-                    break;
                 }
             }
             Source::Full { next } => {
@@ -252,27 +130,6 @@ impl<'a> RowCursor<'a> {
     pub fn triples(self) -> impl Iterator<Item = Triple> + 'a {
         let store = self.store;
         self.map(move |id| store.triple_of(id))
-    }
-
-    /// Eagerly materialize every remaining row as an owned [`Triple`]
-    /// via the batched dictionary gather: ids are drained with the
-    /// tight [`RowCursor::into_vec`] loops, then resolved
-    /// position-major a granule at a time
-    /// (`TripleStore::gather_triples`) — the fast twin of
-    /// `.triples().collect()`.
-    pub fn triples_vec(self) -> Vec<Triple> {
-        let store = self.store;
-        let ids = self.into_vec();
-        store.gather_triples(&ids)
-    }
-
-    /// Eagerly materialize every remaining row as a borrowed
-    /// [`TripleRef`] via the batched position-major gather (the fast
-    /// twin of `.refs().collect()`).
-    pub fn refs_vec(self) -> Vec<TripleRef<'a>> {
-        let store = self.store;
-        let ids = self.into_vec();
-        store.gather_refs(&ids)
     }
 }
 
@@ -309,35 +166,6 @@ impl Iterator for RowCursor<'_> {
                     return Some(id);
                 }
             },
-            Source::Scan(s) => {
-                loop {
-                    // Drain the current run's match range.
-                    while s.mi < s.matches.len() {
-                        let id = s.matches[s.mi];
-                        s.mi += 1;
-                        if !cols.is_dead(id) {
-                            return Some(id);
-                        }
-                    }
-                    // Open the next run.
-                    if s.run < s.runs.len() {
-                        s.matches = s.runs[s.run].eq_rows(s.pos, s.id);
-                        s.mi = 0;
-                        s.run += 1;
-                        continue;
-                    }
-                    // Append log: linear column scan.
-                    let end = cols.len() as u32;
-                    while s.log_next < end {
-                        let id = s.log_next;
-                        s.log_next += 1;
-                        if cols.id_at(id, s.pos) == s.id && !cols.is_dead(id) {
-                            return Some(id);
-                        }
-                    }
-                    return None;
-                }
-            }
             Source::Full { next } => {
                 let end = cols.len() as u32;
                 while *next < end {
@@ -355,8 +183,8 @@ impl Iterator for RowCursor<'_> {
     /// Specialized counting: tight per-source loops instead of the
     /// general `next()` state machine — counting a selection touches
     /// only row ids and tombstone bits, never a term. With no
-    /// tombstones in the store, posting and run cardinalities are
-    /// answered from lengths alone, O(1) per list.
+    /// tombstones in the store, cardinalities are answered from
+    /// lengths alone, O(1) per list.
     #[inline]
     fn count(self) -> usize {
         let cols = &self.store.cols;
@@ -370,24 +198,6 @@ impl Iterator for RowCursor<'_> {
                 } else {
                     h.iter().chain(t).filter(|&&id| !cols.is_dead(id)).count()
                 }
-            }
-            Source::Scan(mut s) => {
-                let live = |rows: &[u32]| {
-                    if clean {
-                        rows.len()
-                    } else {
-                        rows.iter().filter(|&&id| !cols.is_dead(id)).count()
-                    }
-                };
-                let mut n = live(&s.matches[s.mi..]);
-                while s.run < s.runs.len() {
-                    n += live(s.runs[s.run].eq_rows(s.pos, s.id));
-                    s.run += 1;
-                }
-                n += (s.log_next..cols.len() as u32)
-                    .filter(|&id| cols.id_at(id, s.pos) == s.id && !cols.is_dead(id))
-                    .count();
-                n
             }
             Source::Full { next } if clean => cols.len() - next as usize,
             Source::Full { next } => (next..cols.len() as u32)
@@ -407,7 +217,6 @@ impl Iterator for RowCursor<'_> {
                 let rem = h.len() + t.len();
                 (if clean { rem } else { 0 }, Some(rem))
             }
-            Source::Scan(_) => (0, Some(self.store.cols.len())),
             Source::Full { next } => {
                 let remaining = self.store.cols.len() - *next as usize;
                 (if clean { remaining } else { 0 }, Some(remaining))

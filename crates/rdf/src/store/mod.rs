@@ -11,71 +11,69 @@
 //!
 //! Every lexical value is interned through a hash-sharded [`TermDict`]
 //! and a stored triple is a *row id* into three per-position `TermId`
-//! columns (`columns.rs`). On top of the columns sit two independent
-//! access structures, both rebuilt around the **seal boundary** — the
-//! first row id not yet covered by a sorted run:
+//! columns (`columns.rs`). One access structure sits on top of the
+//! columns — **posting lists**: per position, term id → row ids,
+//! directly indexed by the dense id and split at `csr_end`, the first
+//! row id the CSR head does not cover:
 //!
-//! * **CSR posting lists** — per position, term id → row ids, directly
-//!   indexed by the dense id. Sealed rows live in one shared
+//! * the **CSR head** holds the rows below `csr_end` in one shared
 //!   *offsets + data* pair (compressed sparse rows: `data` holds every
 //!   posting of the position back to back, `offsets[t]..offsets[t+1]`
-//!   is term `t`'s span), so the whole index is two flat arrays — no
-//!   per-term allocation, and a probe touches sequential memory.
-//!   Rows appended since the last seal spill into a small per-term
-//!   *tail* (up to `INLINE_POSTING` ids inline in the entry).
-//!   Each position additionally keeps a lazily built sorted key index
-//!   (`BTreeMap<Arc<str>, TermId>`, sharing the dictionary's buffers)
-//!   so `select_like` prefix patterns run as range scans;
-//! * **zone-mapped sorted runs** (`runs.rs`) — the row-id space is an
-//!   append log whose tail is periodically sealed into immutable runs:
-//!   per position, a sorted permutation of row ids **plus a key
-//!   projection** — the term id of each permutation entry, stored
-//!   contiguously alongside it — with min/max zone maps per
-//!   [`GRANULE`]-row granule. Runs back the scan-analytics path
-//!   ([`TripleStore::scan_eq_rows`], [`TripleStore::count_where`]) and
-//!   the sort-merge join ([`TripleStore::merge_join`]) and never touch
-//!   a posting list.
+//!   is term `t`'s span), so the head is two flat arrays — no per-term
+//!   allocation, and a probe touches sequential memory;
+//! * rows appended since the last rebuild spill into a small per-term
+//!   **tail** (up to `INLINE_POSTING` ids inline in the entry). When
+//!   the tail reaches `SEAL_MIN` rows the head is rebuilt over
+//!   the whole row space and the tail emptied.
+//!
+//! Each position additionally keeps a lazily built sorted key index
+//! (`BTreeMap<Arc<str>, TermId>`, sharing the dictionary's buffers) so
+//! `abc%` prefix patterns run as range scans.
 //!
 //! ```text
 //!            row-id space ───────────────────────────────▶
-//!            ┌─────────────── sealed ──────────────┬─ append log ─┐
+//!            ┌────────────── below csr_end ────────┬─── above ────┐
 //!  columns   │ s[..] p[..] o[..]  (TermId, row id) │   s p o      │
 //!            └──────────────────────────────────────┴──────────────┘
-//!  postings   CSR head (rebuilt at each seal)        per-term tail
+//!  postings   CSR head (rebuilt at the threshold)    per-term tail
 //!             offsets: [0, 2, 2, 5, …]  ── term t ─┐  t → Inline[≤5]
 //!             data:    [r0 r7 │ r1 r4 r9 │ …]  ◀───┘      or Heap
-//!  runs       Run { perm:  [r1 r4 r9 r0 …]  (sorted by (key, row))
-//!                   keys:  [ 3  3  3  8 …]  (projection of perm)
-//!                   zones: [min..max per 256-row granule] }
 //! ```
 //!
-//! Scans hand out [`RowCursor`]s (`cursor.rs`): lazy row-id iterators
-//! that defer term materialization until the consumer asks, so
-//! counting, ref collection and selection cost what the consumer
-//! actually uses — and drain in [`GRANULE`]-row batches
-//! ([`RowCursor::next_block`]) where a consumer filters or gathers
-//! per block ([`PatternMatches`], `TripleStore::gather_triples`).
-//! Selections and joins compare `u64` term codes; strings are
-//! materialized only at the API boundary, position-major through the
-//! batched dictionary gather.
+//! ## Operators
+//!
+//! * **σ / π — one scan.** `TripleStore::pattern_matches` is the only
+//!   thing that walks rows for a pattern: it picks an access path (the
+//!   shortest posting list among the pattern's exact constants, else a
+//!   prefix range over the sorted key index, else every row), then runs
+//!   the residual predicate (every exact constant by kind-tagged code,
+//!   `LIKE`s, repeated variables) as columnar sweeps over 256-row
+//!   granules. [`TripleStore::match_pattern`],
+//!   [`TripleStore::for_each_match_row`] and [`TripleStore::resolve`]
+//!   are its three output formats.
+//! * **⋈ — one join.** [`TripleStore::join`] hash-joins two patterns'
+//!   match sets on their shared variables ([`crate::join`]).
+//!
+//! [`TripleStore::select_eq_rows`] and [`TripleStore::iter`] /
+//! [`TripleStore::iter_refs`] hand out [`RowCursor`]s (`cursor.rs`):
+//! lazy row-id iterators that defer term materialization until the
+//! consumer asks. Selections and joins compare `u64` term codes;
+//! strings are materialized only at the API boundary.
 
 mod columns;
 mod cursor;
-mod runs;
 
 pub use cursor::RowCursor;
 
-/// Rows per evaluation granule: the zone-map granule width and the
-/// batch size of [`RowCursor::next_block`] / the pattern pipeline.
-pub const GRANULE: usize = runs::BLOCK;
+/// Rows per evaluation granule: the batch size of the pattern scan.
+pub(crate) const GRANULE: usize = 256;
 
 use crate::dict::{TermDict, TermId};
 use crate::fasthash::FxHashSet;
-use crate::join::{hash_join_rows, merge_rows, VarTable, UNBOUND};
+use crate::join::{hash_join_rows, VarTable, UNBOUND};
 use crate::term::{LikePattern, Term};
 use crate::triple::{Binding, PatternTerm, Position, Triple, TriplePattern};
 use columns::{Columns, Row};
-use runs::{RunSet, SEAL_MIN};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -84,10 +82,14 @@ use std::sync::{Arc, OnceLock};
 /// Row ids a tail posting entry holds before spilling to the heap.
 const INLINE_POSTING: usize = 5;
 
+/// Tail length (rows at or above `csr_end`) at which the CSR posting
+/// heads are rebuilt — "sealing" the tail into the head.
+const SEAL_MIN: usize = 32_768;
+
 /// One position's posting index, directly indexed by the dense
 /// [`TermId`] — a probe is an array access, no hashing.
 ///
-/// Split at the seal boundary (see the module diagram):
+/// Split at `csr_end` (see the module diagram):
 ///
 /// * the **CSR head** covers every row below `csr_end`: `data` is all
 ///   postings of the position concatenated in term order (each span
@@ -104,7 +106,7 @@ const INLINE_POSTING: usize = 5;
 struct PostingIndex {
     /// `offsets[t]..offsets[t+1]` is term `t`'s span in `data`.
     offsets: Vec<u32>,
-    /// All sealed postings of the position, term-major, row-ascending.
+    /// All head postings of the position, term-major, row-ascending.
     data: Vec<u32>,
     /// First row id NOT covered by the CSR head.
     csr_end: u32,
@@ -113,7 +115,7 @@ struct PostingIndex {
 }
 
 impl PostingIndex {
-    /// Term `t`'s sealed postings (rows `< csr_end`), ascending.
+    /// Term `t`'s head postings (rows `< csr_end`), ascending.
     #[inline]
     fn head(&self, t: usize) -> &[u32] {
         match self.offsets.get(t..t + 2) {
@@ -122,7 +124,7 @@ impl PostingIndex {
         }
     }
 
-    /// Term `t`'s unsealed postings (rows `>= csr_end`), ascending.
+    /// Term `t`'s tail postings (rows `>= csr_end`), ascending.
     #[inline]
     fn tail_of(&self, t: usize) -> &[u32] {
         self.tail.get(t).map(PostingList::as_slice).unwrap_or(&[])
@@ -251,9 +253,8 @@ fn index_insert(
     posting.push(term, row);
 }
 
-/// A borrowed view of one stored triple: the zero-materialization
-/// counterpart of [`TripleStore::select_eq`] for callers that only need
-/// to look, not own (scans, counting, profile building).
+/// A borrowed view of one stored triple, for callers that only need to
+/// look, not own (scans, counting, profile building).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TripleRef<'a> {
     pub subject: &'a str,
@@ -262,18 +263,13 @@ pub struct TripleRef<'a> {
     pub object_is_literal: bool,
 }
 
-/// A local triple database with interned terms, (s, p, o) posting
-/// indexes and zone-mapped sorted runs (see the module docs).
+/// A local triple database with interned terms and (s, p, o) posting
+/// indexes (see the module docs).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TripleStore {
     dict: TermDict,
     /// The columnar row storage (including tombstone bits).
     cols: Columns,
-    /// Sorted-run structure over the row-id space. A derived
-    /// accelerator: serde-skipped and rebuilt by sealing as the store
-    /// ingests.
-    #[serde(skip)]
-    runs: RunSet,
     /// Posting lists: term id at a position → row ids. Deleted rows
     /// leave tombstones in the columns to keep row ids stable.
     by_subject: PostingIndex,
@@ -364,24 +360,21 @@ impl TripleStore {
         index_insert(&mut self.by_object, &mut self.sorted_object, o, id);
         self.cols.push(row);
         self.live += 1;
-        self.sync_runs_and_postings();
+        if self.tail_rows() >= SEAL_MIN {
+            self.rebuild_posting_csr();
+        }
         true
     }
 
-    /// Seal the append log into a run when it is due, and keep the CSR
-    /// posting heads in lockstep with the seal boundary: whenever the
-    /// boundary moves, the heads are rebuilt over the whole row space
-    /// (one counting pass per position, position-parallel on multicore
-    /// hosts) and the tails emptied.
-    fn sync_runs_and_postings(&mut self) {
-        let before = self.runs.sealed_end();
-        self.runs.note_appended(&self.cols, self.dict.id_bound());
-        if self.runs.sealed_end() != before {
-            self.rebuild_posting_csr();
-        }
+    /// Rows not yet covered by the CSR posting heads (the three
+    /// positions share one `csr_end`).
+    fn tail_rows(&self) -> usize {
+        self.cols.len() - self.by_subject.csr_end as usize
     }
 
-    /// Rebuild all three CSR posting heads from the columns.
+    /// Rebuild all three CSR posting heads over the whole row space
+    /// (one counting pass per position, position-parallel on multicore
+    /// hosts) and empty the tails.
     fn rebuild_posting_csr(&mut self) {
         let bound = self.dict.id_bound();
         let TripleStore {
@@ -415,8 +408,7 @@ impl TripleStore {
     /// thread per shard for large batches ([`TermDict::intern_shared_batch`])
     /// — and fills the posting lists position-parallel, eliminating the
     /// per-row growth and reallocation work that dominates one-at-a-time
-    /// ingest. Newly appended rows are sealed into sorted runs on the
-    /// way out (size-tiered, see `runs.rs`).
+    /// ingest.
     pub fn insert_batch(&mut self, triples: impl IntoIterator<Item = Triple>) -> usize {
         let triples = triples.into_iter();
         let hint = triples.size_hint().0;
@@ -439,13 +431,14 @@ impl TripleStore {
         let added = self.cols.len() - first_new;
         self.live += added;
 
-        // Posting lists: when the batch leaves the log under the seal
-        // threshold, one tail-fill pass per position (the three
+        // Posting lists: when the batch leaves the tail under the
+        // rebuild threshold, one tail-fill pass per position (the three
         // positions are independent; large batches fill them on scoped
-        // threads). When a seal is due, skip the fill entirely — the
-        // CSR rebuild right after sealing indexes the new rows anyway.
-        let will_seal = self.cols.len() as u32 - self.runs.sealed_end() >= SEAL_MIN as u32;
-        if !will_seal {
+        // threads). When a rebuild is due, skip the fill entirely — the
+        // CSR rebuild indexes the new rows anyway.
+        if self.tail_rows() >= SEAL_MIN {
+            self.rebuild_posting_csr();
+        } else {
             let fill = |index: &mut PostingIndex, ids: &[TermId]| {
                 for (offset, tid) in ids.iter().enumerate() {
                     index.push(*tid, (first_new + offset) as u32);
@@ -474,7 +467,6 @@ impl TripleStore {
         self.sorted_subject.take();
         self.sorted_predicate.take();
         self.sorted_object.take();
-        self.sync_runs_and_postings();
         added
     }
 
@@ -549,8 +541,8 @@ impl TripleStore {
     }
 
     /// Remove a triple; returns whether it was present. The row is
-    /// tombstoned in place (row ids stay stable for every index, run
-    /// and cursor); [`TripleStore::compact`] reclaims the space.
+    /// tombstoned in place (row ids stay stable for every index and
+    /// cursor); [`TripleStore::compact`] reclaims the space.
     pub fn remove(&mut self, t: &Triple) -> bool {
         let Some(row) = self.encode(t) else {
             return false;
@@ -600,80 +592,6 @@ impl TripleStore {
         Triple::new(self.dict.shared(row.s), self.dict.shared(row.p), object)
     }
 
-    fn materialize_ids(&self, ids: Vec<u32>) -> Vec<Triple> {
-        self.gather_triples(&ids)
-    }
-
-    /// Materialize a batch of row ids as owned triples through the
-    /// batched dictionary gather: per [`GRANULE`]-sized chunk, each id
-    /// column is gathered and resolved **position-major** in one run
-    /// ([`TermDict::shared_many`]) before the triples are zipped
-    /// together — three sequential resolve sweeps instead of three
-    /// interleaved pointer chases per row.
-    pub(crate) fn gather_triples(&self, ids: &[u32]) -> Vec<Triple> {
-        let mut out = Vec::with_capacity(ids.len());
-        let mut tids: Vec<TermId> = Vec::with_capacity(GRANULE);
-        let mut s_lex: Vec<Arc<str>> = Vec::with_capacity(GRANULE);
-        let mut p_lex: Vec<Arc<str>> = Vec::with_capacity(GRANULE);
-        let mut o_lex: Vec<Arc<str>> = Vec::with_capacity(GRANULE);
-        for chunk in ids.chunks(GRANULE) {
-            for (pos, lex) in [
-                (Position::Subject, &mut s_lex),
-                (Position::Predicate, &mut p_lex),
-                (Position::Object, &mut o_lex),
-            ] {
-                tids.clear();
-                tids.extend(chunk.iter().map(|&r| self.cols.id_at(r, pos)));
-                self.dict.shared_many(&tids, lex);
-            }
-            for (((s, p), o), &r) in s_lex
-                .drain(..)
-                .zip(p_lex.drain(..))
-                .zip(o_lex.drain(..))
-                .zip(chunk)
-            {
-                let object = if self.cols.o_lit_at(r) {
-                    Term::literal(o)
-                } else {
-                    Term::uri(o)
-                };
-                out.push(Triple::new(s, p, object));
-            }
-        }
-        out
-    }
-
-    /// Materialize a batch of row ids as borrowed views through the
-    /// position-major batched gather (the `&str` twin of
-    /// [`TripleStore::gather_triples`]).
-    pub(crate) fn gather_refs(&self, ids: &[u32]) -> Vec<TripleRef<'_>> {
-        let mut out = Vec::with_capacity(ids.len());
-        let mut tids: Vec<TermId> = Vec::with_capacity(GRANULE);
-        let mut s_lex: Vec<&str> = Vec::with_capacity(GRANULE);
-        let mut p_lex: Vec<&str> = Vec::with_capacity(GRANULE);
-        let mut o_lex: Vec<&str> = Vec::with_capacity(GRANULE);
-        for chunk in ids.chunks(GRANULE) {
-            for (pos, lex) in [
-                (Position::Subject, &mut s_lex),
-                (Position::Predicate, &mut p_lex),
-                (Position::Object, &mut o_lex),
-            ] {
-                tids.clear();
-                tids.extend(chunk.iter().map(|&r| self.cols.id_at(r, pos)));
-                self.dict.resolve_many(&tids, lex);
-            }
-            for (k, &r) in chunk.iter().enumerate() {
-                out.push(TripleRef {
-                    subject: s_lex[k],
-                    predicate: p_lex[k],
-                    object: o_lex[k],
-                    object_is_literal: self.cols.o_lit_at(r),
-                });
-            }
-        }
-        out
-    }
-
     fn row_ref(&self, row: &Row) -> TripleRef<'_> {
         TripleRef {
             subject: self.dict.resolve(row.s),
@@ -688,16 +606,6 @@ impl TripleStore {
         self.row_ref(&self.cols.row(id))
     }
 
-    /// The lexical at one position of a stored row id (as handed out by
-    /// a [`RowCursor`]): one column load plus one dictionary resolve —
-    /// the columnar accessor for scans that touch a single position.
-    ///
-    /// # Panics
-    /// Panics if `row` is not a row id of this store.
-    pub fn term_at(&self, row: u32, pos: Position) -> &str {
-        self.dict.resolve(self.cols.id_at(row, pos))
-    }
-
     /// Owned triple of a row id.
     pub(crate) fn triple_of(&self, id: u32) -> Triple {
         self.materialize(&self.cols.row(id))
@@ -708,15 +616,14 @@ impl TripleStore {
     // -----------------------------------------------------------------
 
     /// Cursor over every live row (ascending row id).
-    pub fn rows(&self) -> RowCursor<'_> {
+    pub(crate) fn rows(&self) -> RowCursor<'_> {
         RowCursor::full(self)
     }
 
-    /// σ as a cursor: live rows whose `pos` equals `value`, via the
-    /// posting list — one dictionary probe, then lazy iteration with no
-    /// allocation and no term materialization until the consumer asks
-    /// ([`RowCursor::refs`] / [`RowCursor::triples`]). The point-lookup
-    /// twin of [`TripleStore::scan_eq_rows`].
+    /// σ as a cursor: live rows whose `pos` equals `value` (either
+    /// kind), via the posting list — one dictionary probe, then lazy
+    /// iteration with no allocation and no term materialization until
+    /// the consumer asks ([`RowCursor::refs`] / [`RowCursor::triples`]).
     #[inline]
     pub fn select_eq_rows(&self, pos: Position, value: &str) -> RowCursor<'_> {
         match self.dict.lookup(value) {
@@ -726,60 +633,6 @@ impl TripleStore {
             }
             None => RowCursor::empty(self),
         }
-    }
-
-    /// σ as a columnar scan cursor: live rows whose `pos` equals
-    /// `value`, served by the zone-mapped sorted runs (granule pruning
-    /// plus in-run equal ranges) and a linear pass over the append log,
-    /// with no posting list involved. Same rows, same order as
-    /// [`TripleStore::select_eq_rows`]; this is the access path for
-    /// scan-analytics consumers and the one the zone maps accelerate.
-    pub fn scan_eq_rows(&self, pos: Position, value: &str) -> RowCursor<'_> {
-        match self.dict.lookup(value) {
-            Some(id) => RowCursor::scan_eq(self, pos, id),
-            None => RowCursor::empty(self),
-        }
-    }
-
-    /// Count live rows whose `pos` term satisfies `pred`, evaluating
-    /// the predicate **once per distinct term** instead of once per
-    /// row: sealed runs walk their sorted key projections group by
-    /// group — a matching group's width is credited in O(1) when the
-    /// store has no tombstones — and the append log memoizes the last
-    /// id it tested. Equivalent to
-    /// `rows().filter(|&r| pred(term_at(r, pos))).count()`, at the cost
-    /// of one dictionary resolve per *distinct* run-local term.
-    pub fn count_where(&self, pos: Position, mut pred: impl FnMut(&str) -> bool) -> usize {
-        let cols = &self.cols;
-        let clean = !cols.any_dead();
-        let mut n = 0usize;
-        for run in self.runs.runs() {
-            run.for_each_group(pos, |id, rows| {
-                if pred(self.dict.resolve(id)) {
-                    n += if clean {
-                        rows.len()
-                    } else {
-                        rows.iter().filter(|&&r| !cols.is_dead(r)).count()
-                    };
-                }
-            });
-        }
-        let mut memo: Option<(TermId, bool)> = None;
-        for r in self.runs.sealed_end()..cols.len() as u32 {
-            let id = cols.id_at(r, pos);
-            let pass = match memo {
-                Some((m, p)) if m == id => p,
-                _ => {
-                    let p = pred(self.dict.resolve(id));
-                    memo = Some((id, p));
-                    p
-                }
-            };
-            if pass && !cols.is_dead(r) {
-                n += 1;
-            }
-        }
-        n
     }
 
     /// Iterate over live triples (materialized on the fly).
@@ -809,22 +662,6 @@ impl TripleStore {
         self.index(pos).parts(id.index())
     }
 
-    /// σ: all triples whose `pos` equals `value` exactly. One dictionary
-    /// probe + one posting-list walk, materialized through the batched
-    /// position-major gather; a never-seen value costs a single hash and
-    /// no allocation.
-    pub fn select_eq(&self, pos: Position, value: &str) -> Vec<Triple> {
-        self.select_eq_rows(pos, value).triples_vec()
-    }
-
-    /// σ as eagerly collected borrowed views. Prefer
-    /// [`TripleStore::select_eq_rows`] where the consumer can iterate —
-    /// it defers materialization entirely; this remains for callers
-    /// that want a ready `Vec`.
-    pub fn select_eq_refs(&self, pos: Position, value: &str) -> Vec<TripleRef<'_>> {
-        self.select_eq_rows(pos, value).refs_vec()
-    }
-
     /// Live row ids for every term in `pos` whose lexical starts with
     /// `prefix` — a range scan of the sorted key index.
     fn prefix_row_ids(&self, pos: Position, prefix: &str) -> Vec<u32> {
@@ -838,103 +675,14 @@ impl TripleStore {
         ids
     }
 
-    /// σ with a `%`-wildcard LIKE predicate. Exact patterns use the hash
-    /// index; `abc%` prefixes range-scan the sorted key index; suffix /
-    /// contains patterns scan the *distinct terms* of the position (not
-    /// the rows) and expand matching posting lists.
-    pub fn select_like(&self, pos: Position, pattern: &str) -> Vec<Triple> {
-        match LikePattern::parse(pattern) {
-            LikePattern::Exact(_) => self.select_eq(pos, pattern),
-            LikePattern::Prefix(core) => self.materialize_ids(self.prefix_row_ids(pos, core)),
-            like => {
-                let mut ids: Vec<u32> = self
-                    .sorted(pos)
-                    .iter()
-                    .filter(|(k, _)| like.matches(k))
-                    .flat_map(|(_, &tid)| self.posting(pos, tid))
-                    .collect();
-                ids.sort_unstable();
-                self.materialize_ids(ids)
-            }
-        }
-    }
-
-    /// Row ids (ascending, possibly tombstoned) satisfying **all** of
-    /// the exact constraints at once: per sealed run, each constraint's
-    /// zone-pruned exact match range is read off the run's sorted
-    /// permutation and the ranges are intersected across positions; the
-    /// append log is covered by intersecting the constraints' posting
-    /// tails. Candidate rows are touched only if every per-position
-    /// structure admits them — the multi-constant twin of a single
-    /// posting probe.
-    fn multi_eq_row_ids(&self, constraints: &[(Position, TermId)]) -> Vec<u32> {
-        debug_assert!(constraints.len() >= 2);
-        /// One constraint's candidate rows as two ascending slices,
-        /// every `a` id below every `b` id (a posting's CSR head and
-        /// tail halves; run ranges use `a` alone).
-        struct IdSet<'a> {
-            a: &'a [u32],
-            b: &'a [u32],
-        }
-        impl IdSet<'_> {
-            fn len(&self) -> usize {
-                self.a.len() + self.b.len()
-            }
-            fn contains(&self, row: u32) -> bool {
-                self.a.binary_search(&row).is_ok() || self.b.binary_search(&row).is_ok()
-            }
-        }
-        fn intersect_into(out: &mut Vec<u32>, sets: &mut [IdSet<'_>]) {
-            // Walk the smallest candidate set, membership-test the rest.
-            sets.sort_by_key(IdSet::len);
-            let (first, rest) = sets.split_first().expect("non-empty");
-            'next: for &row in first.a.iter().chain(first.b) {
-                for s in rest.iter() {
-                    if !s.contains(row) {
-                        continue 'next;
-                    }
-                }
-                out.push(row);
-            }
-        }
-        let mut out: Vec<u32> = Vec::new();
-        for run in self.runs.runs() {
-            let mut sets: Vec<IdSet<'_>> = constraints
-                .iter()
-                .map(|&(pos, id)| IdSet {
-                    a: run.eq_rows(pos, id),
-                    b: &[],
-                })
-                .collect();
-            intersect_into(&mut out, &mut sets);
-        }
-        let sealed = self.runs.sealed_end();
-        let mut sets: Vec<IdSet<'_>> = constraints
-            .iter()
-            .map(|&(pos, id)| {
-                // Postings are ascending; the unsealed remainder starts
-                // at the first row id past the seal boundary (tails are
-                // entirely unsealed except right after a deserialize,
-                // when the CSR head covers rows no run does yet).
-                let (head, tail) = self.posting_parts(pos, id);
-                IdSet {
-                    a: &head[head.partition_point(|&r| r < sealed)..],
-                    b: &tail[tail.partition_point(|&r| r < sealed)..],
-                }
-            })
-            .collect();
-        intersect_into(&mut out, &mut sets);
-        out
-    }
-
-    /// Streaming σ over a pattern: lazily yield matching live row ids in
-    /// insertion order. Picks the most selective access path — the
-    /// intersection of every exact constant's zone-pruned run ranges and
-    /// posting tails when the pattern carries several, else the single
-    /// posting list, else a wildcard prefix range scan, else a full scan
-    /// — and applies the residual predicate (remaining constants,
-    /// `LIKE`s, repeated variables) per row as the consumer pulls.
-    pub fn pattern_matches<'a>(&'a self, pattern: &'a TriplePattern) -> PatternMatches<'a> {
+    /// The scan operator: lazily yield the live row ids matching
+    /// `pattern`, in insertion order. Picks the most selective access
+    /// path — the shortest posting list among the pattern's exact
+    /// constants, else a wildcard prefix range scan, else a full scan —
+    /// and applies the residual predicate (every exact constant by
+    /// kind-tagged code, `LIKE`s, repeated variables) a granule at a
+    /// time as the consumer pulls.
+    pub(crate) fn pattern_matches<'a>(&'a self, pattern: &'a TriplePattern) -> PatternMatches<'a> {
         // Compile the constant slots to id-level checks. A constant the
         // dictionary has never seen cannot match any row.
         let mut exact: Vec<(Position, u64)> = Vec::new();
@@ -955,14 +703,11 @@ impl TripleStore {
         }
 
         // Access path.
-        let src: MatchSource<'a> = if exact.len() >= 2 {
-            let constraints: Vec<(Position, TermId)> = exact
-                .iter()
-                .map(|&(pos, code)| (pos, TermId((code >> 1) as u32)))
-                .collect();
-            MatchSource::Materialized(self.multi_eq_row_ids(&constraints), 0)
-        } else if let Some(&(pos, code)) = exact.first() {
-            let (head, tail) = self.posting_parts(pos, TermId((code >> 1) as u32));
+        let shortest_posting = exact
+            .iter()
+            .map(|&(pos, code)| self.posting_parts(pos, TermId((code >> 1) as u32)))
+            .min_by_key(|(head, tail)| head.len() + tail.len());
+        let src: MatchSource<'a> = if let Some((head, tail)) = shortest_posting {
             MatchSource::Cursor(RowCursor::posting(self, head, tail))
         } else if let Some((pos, like)) = likes
             .iter()
@@ -993,46 +738,20 @@ impl TripleStore {
         }
     }
 
-    /// Matching rows as term-code rows over `vars`, streamed lazily (the
-    /// hash-join input format of [`crate::join`]): one row is encoded
-    /// per pull, so a consumer that stops early — or probes a hash table
-    /// as it goes — never materializes the full match set.
-    pub fn match_codes_iter<'a>(
-        &'a self,
-        pattern: &'a TriplePattern,
-        vars: &VarTable,
-    ) -> impl Iterator<Item = Vec<u64>> + 'a {
-        let slots: Vec<(Position, usize)> = Position::ALL
-            .iter()
-            .filter_map(|&pos| match pattern.slot(pos) {
-                PatternTerm::Var(v) => Some((pos, vars.slot(v).expect("pattern var registered"))),
-                PatternTerm::Const(_) => None,
-            })
-            .collect();
-        let width = vars.len();
-        self.pattern_matches(pattern).map(move |id| {
-            let row = self.cols.row(id);
-            let mut out = vec![UNBOUND; width];
-            for &(pos, slot) in &slots {
-                out[slot] = row.code_at(pos);
-            }
-            out
-        })
-    }
-
-    /// Matching rows as term-code rows over `vars` (eagerly collected;
-    /// see [`TripleStore::match_codes_iter`] for the streaming form).
-    pub(crate) fn match_codes(&self, pattern: &TriplePattern, vars: &VarTable) -> Vec<Vec<u64>> {
-        self.match_codes_iter(pattern, vars).collect()
+    /// Matching rows as term-code rows over `vars` (the hash-join input
+    /// format of [`crate::join`]).
+    fn match_codes(&self, pattern: &TriplePattern, vars: &VarTable) -> Vec<Vec<u64>> {
+        let mut out = Vec::new();
+        self.for_each_match_row(pattern, vars, |row| out.push(row.to_vec()));
+        out
     }
 
     /// Stream matching rows as term-code rows over `vars` through one
-    /// reused scratch row — the allocation-free twin of
-    /// [`TripleStore::match_codes_iter`] for consumers that probe or
-    /// copy per row (e.g. [`crate::ConjunctiveQuery::evaluate`]'s
-    /// hash-join probe loop). The slice handed to `f` is valid only for
-    /// the duration of the call; slots the pattern does not bind stay
-    /// [`UNBOUND`], bound slots are overwritten on every match.
+    /// reused scratch row, for consumers that probe or copy per row
+    /// (e.g. [`crate::ConjunctiveQuery::evaluate`]'s hash-join probe
+    /// loop). The slice handed to `f` is valid only for the duration of
+    /// the call; slots the pattern does not bind stay [`UNBOUND`],
+    /// bound slots are overwritten on every match.
     pub fn for_each_match_row(
         &self,
         pattern: &TriplePattern,
@@ -1076,42 +795,12 @@ impl TripleStore {
         b
     }
 
-    /// Evaluate a triple pattern against the local database, streaming
-    /// one [`Binding`] per matching triple: rows come out of
-    /// [`TripleStore::pattern_matches`] lazily and each binding's terms
-    /// are materialized only when the consumer pulls it — a destination
-    /// peer answering a routed subquery pays for exactly the rows it
-    /// ships.
-    pub fn match_pattern_iter<'a>(
-        &'a self,
-        pattern: &'a TriplePattern,
-    ) -> impl Iterator<Item = Binding> + 'a {
-        // Distinct variables only: a repeated variable binds once (the
-        // residual predicate already forced its slots to agree).
-        let mut vars: Vec<(Position, &str)> = Vec::new();
-        for &pos in Position::ALL.iter() {
-            if let PatternTerm::Var(v) = pattern.slot(pos) {
-                if !vars.iter().any(|&(_, n)| n == v.as_str()) {
-                    vars.push((pos, v.as_str()));
-                }
-            }
-        }
-        self.pattern_matches(pattern).map(move |id| {
-            let row = self.cols.row(id);
-            let mut b = Binding::new();
-            for &(pos, name) in &vars {
-                b.bind(name.to_string(), self.term_of_code(row.code_at(pos)));
-            }
-            b
-        })
-    }
-
     /// Evaluate a triple pattern against the local database, returning
-    /// one binding per matching triple (the eager twin of
-    /// [`TripleStore::match_pattern_iter`], same rows, same order).
-    /// Eager lets it gather terms granule-at-a-time: matching row ids
-    /// are collected first, then each bound position is resolved through
-    /// one batched dictionary pass per [`GRANULE`] chunk instead of one
+    /// one binding per matching triple, in insertion order. A literal
+    /// constant containing `%` is a LIKE predicate on its position.
+    /// Terms are gathered granule-at-a-time: matching row ids are
+    /// collected first, then each bound position is resolved through
+    /// one batched dictionary pass per 256-row chunk instead of one
     /// shard hop per binding slot.
     pub fn match_pattern(&self, pattern: &TriplePattern) -> Vec<Binding> {
         let mut vars: Vec<(Position, &str)> = Vec::new();
@@ -1154,12 +843,8 @@ impl TripleStore {
         let Some(slot) = vars.slot(var) else {
             return Vec::new();
         };
-        let mut codes: Vec<u64> = self
-            .match_codes(pattern, &vars)
-            .iter()
-            .map(|row| row[slot])
-            .filter(|&c| c != UNBOUND)
-            .collect();
+        let mut codes: Vec<u64> = Vec::new();
+        self.for_each_match_row(pattern, &vars, |row| codes.push(row[slot]));
         codes.sort_unstable();
         codes.dedup();
         let mut out: Vec<Term> = codes.into_iter().map(|c| self.term_of_code(c)).collect();
@@ -1173,120 +858,19 @@ impl TripleStore {
     /// pattern … and aggregating").
     pub fn join(&self, left: &TriplePattern, right: &TriplePattern) -> Vec<Binding> {
         let vars = VarTable::from_patterns([left, right]);
-        self.join_codes(left, right)
-            .iter()
-            .map(|row| self.decode_row(row, &vars))
-            .collect()
-    }
-
-    /// Hash ⋈ of two patterns at the term-code level: the rows of
-    /// [`TripleStore::join`] before binding decode (and the baseline
-    /// the sort-merge path is measured against).
-    pub fn join_codes(&self, left: &TriplePattern, right: &TriplePattern) -> Vec<Vec<u64>> {
-        let vars = VarTable::from_patterns([left, right]);
         let l = self.match_codes(left, &vars);
         let r = self.match_codes(right, &vars);
         hash_join_rows(&l, &r)
-    }
-
-    /// Sort-merge ⋈ of two patterns on their single shared variable,
-    /// with no hash table built on either side: each match set streams
-    /// off its access path already row-id ascending, gets one stable
-    /// by-key sort, and the two key-ordered sets merge linearly —
-    /// equal-key blocks pair up left-major. Yields exactly the rows of
-    /// [`TripleStore::join_codes`], reordered by (key code, left row,
-    /// right row). Patterns sharing zero or several variables fall
-    /// back to the hash path unchanged.
-    pub fn merge_join_codes(&self, left: &TriplePattern, right: &TriplePattern) -> Vec<Vec<u64>> {
-        let vars = VarTable::from_patterns([left, right]);
-        let shared = shared_variables(left, right);
-        let [key] = shared.as_slice() else {
-            return self.join_codes(left, right);
-        };
-        let k = vars.slot(key).expect("shared var registered");
-        let l = self.match_codes(left, &vars);
-        let r = self.match_codes(right, &vars);
-        // Argsort over packed (key, match index) pairs: a flat 12-byte
-        // comparison sort instead of shuffling the row vectors
-        // themselves, and the index tiebreak makes the unstable sort
-        // stable by key (matches stream out row-ascending).
-        let keyed = |rows: &[Vec<u64>]| -> Vec<(u64, u32)> {
-            let mut v: Vec<(u64, u32)> = rows
-                .iter()
-                .enumerate()
-                .map(|(i, row)| (row[k], i as u32))
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        let lk = keyed(&l);
-        let rk = keyed(&r);
-        let mut out = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        while i < lk.len() && j < rk.len() {
-            let (a, b) = (lk[i].0, rk[j].0);
-            if a < b {
-                i += 1;
-            } else if a > b {
-                j += 1;
-            } else {
-                let ie = i + lk[i..].iter().take_while(|&&(key, _)| key == a).count();
-                let je = j + rk[j..].iter().take_while(|&&(key, _)| key == a).count();
-                for &(_, li) in &lk[i..ie] {
-                    for &(_, ri) in &rk[j..je] {
-                        out.push(merge_rows(&l[li as usize], &r[ri as usize]));
-                    }
-                }
-                i = ie;
-                j = je;
-            }
-        }
-        out
-    }
-
-    /// Self-join ⋈ via the sort-merge path (see
-    /// [`TripleStore::merge_join_codes`]): the same binding multiset as
-    /// [`TripleStore::join`], ordered by (key code, left row, right
-    /// row) instead of left-major probe order.
-    pub fn merge_join(&self, left: &TriplePattern, right: &TriplePattern) -> Vec<Binding> {
-        let vars = VarTable::from_patterns([left, right]);
-        self.merge_join_codes(left, right)
             .iter()
             .map(|row| self.decode_row(row, &vars))
             .collect()
-    }
-
-    /// Distinct predicate values present, lexically sorted (used by
-    /// schema inference and the instance-based matcher).
-    ///
-    /// Served from run metadata: each sorted run records its distinct
-    /// predicate ids, so this walks runs + the append log — not the
-    /// dictionary-sized posting index. With tombstones present, each
-    /// candidate id is additionally checked for a live row.
-    pub fn predicates(&self) -> Vec<&str> {
-        let mut ids: Vec<TermId> = Vec::new();
-        for run in self.runs.runs() {
-            ids.extend_from_slice(run.distinct_predicates());
-        }
-        let log_start = self.runs.sealed_end() as usize;
-        ids.extend_from_slice(&self.cols.p[log_start..]);
-        ids.sort_unstable();
-        ids.dedup();
-        let any_dead = self.cols.any_dead();
-        let mut v: Vec<&str> = ids
-            .into_iter()
-            .filter(|&id| !any_dead || self.posting(Position::Predicate, id).next().is_some())
-            .map(|id| self.dict.resolve(id))
-            .collect();
-        v.sort_unstable();
-        v
     }
 
     /// Compact the store: drop tombstoned rows (rebuilding columns,
     /// dictionary, dedup set and posting lists in one pass over the
     /// live rows — no materialization, no re-hash through the dedup
-    /// path), then fold the entire row space, append log included, into
-    /// a single sorted run with fresh zone maps.
+    /// path), then rebuild the CSR posting heads over the whole row
+    /// space.
     pub fn compact(&mut self) {
         if self.cols.any_dead() {
             let mut dict = TermDict::new();
@@ -1326,44 +910,21 @@ impl TripleStore {
             self.sorted_subject = OnceLock::new();
             self.sorted_predicate = OnceLock::new();
             self.sorted_object = OnceLock::new();
-            self.runs.clear();
         }
-        self.runs.seal_all(&self.cols, self.dict.id_bound());
         self.rebuild_posting_csr();
     }
 
-    /// Test hook: seal the current append log into a run regardless of
-    /// its size, so small stores exercise the run/zone-map machinery
-    /// (and the CSR rebuild that rides every seal).
+    /// Test hook: rebuild the CSR posting heads regardless of the tail
+    /// length, so small stores exercise the head + tail split.
     #[cfg(test)]
     pub(crate) fn seal_log_for_test(&mut self) {
-        self.runs.seal_log(&self.cols, self.dict.id_bound());
         self.rebuild_posting_csr();
     }
-
-    /// Number of sealed runs (merge-schedule observability).
-    #[cfg(test)]
-    pub(crate) fn run_count(&self) -> usize {
-        self.runs.runs().len()
-    }
-}
-
-/// Distinct variable names appearing in both patterns, in left's slot
-/// order (the merge-join key discovery).
-fn shared_variables<'p>(left: &'p TriplePattern, right: &TriplePattern) -> Vec<&'p str> {
-    let rvars = right.variables();
-    let mut out: Vec<&str> = Vec::new();
-    for v in left.variables() {
-        if rvars.contains(&v) && !out.contains(&v) {
-            out.push(v);
-        }
-    }
-    out
 }
 
 /// Row-id source behind a [`PatternMatches`] stream: a lazy cursor
-/// (posting list or full scan) or an already-intersected /
-/// range-collected id list (with a drain offset).
+/// (posting list or full scan) or a range-collected list of live row
+/// ids (with a drain offset).
 enum MatchSource<'a> {
     Cursor(RowCursor<'a>),
     Materialized(Vec<u32>, usize),
@@ -1376,11 +937,11 @@ enum MatchSource<'a> {
 /// (remaining constants, `LIKE`s, repeated variables) runs as columnar
 /// `retain` sweeps over the batch, one constraint at a time, instead of
 /// re-dispatching the whole predicate chain per row.
-pub struct PatternMatches<'a> {
+pub(crate) struct PatternMatches<'a> {
     store: &'a TripleStore,
     src: MatchSource<'a>,
-    /// Remaining exact constraints as kind-tagged codes (also re-checks
-    /// the access-path constant: the index is kind-insensitive).
+    /// Every exact constant as a kind-tagged code (including the
+    /// access-path constant: the index is kind-insensitive).
     exact: Vec<(Position, u64)>,
     likes: Vec<(Position, LikePattern<'a>)>,
     vars: Vec<(Position, &'a str)>,
@@ -1393,7 +954,7 @@ impl<'a> PatternMatches<'a> {
     fn empty(store: &'a TripleStore) -> PatternMatches<'a> {
         PatternMatches {
             store,
-            src: MatchSource::Materialized(Vec::new(), 0),
+            src: MatchSource::Cursor(RowCursor::empty(store)),
             exact: Vec::new(),
             likes: Vec::new(),
             vars: Vec::new(),
@@ -1432,11 +993,8 @@ impl<'a> PatternMatches<'a> {
     fn admit_block(&mut self) {
         let store = self.store;
         let buf = &mut self.buf;
-        // Cursor sources already skip tombstones; materialized id lists
-        // (multi-constant intersections, prefix range scans) have not.
-        if matches!(self.src, MatchSource::Materialized(..)) && store.cols.any_dead() {
-            buf.retain(|&id| !store.cols.is_dead(id));
-        }
+        // Both sources (cursors, prefix range lists) already skip
+        // tombstones.
         for &(pos, code) in &self.exact {
             buf.retain(|&id| store.cols.code_at(id, pos) == code);
         }
@@ -1475,6 +1033,24 @@ impl Iterator for PatternMatches<'_> {
 mod tests {
     use super::*;
     use crate::triple::PatternTerm;
+
+    /// Rows whose `pos` satisfies the LIKE `pattern`, through the scan
+    /// operator: a `%` literal constant at `pos`, variables elsewhere.
+    pub(super) fn like_count(db: &TripleStore, pos: Position, pattern: &str) -> usize {
+        let slot = |p: Position, name: &str| {
+            if p == pos {
+                PatternTerm::constant(Term::literal(pattern))
+            } else {
+                PatternTerm::var(name)
+            }
+        };
+        db.match_pattern(&TriplePattern::new(
+            slot(Position::Subject, "s"),
+            slot(Position::Predicate, "p"),
+            slot(Position::Object, "o"),
+        ))
+        .len()
+    }
 
     fn sample() -> TripleStore {
         let mut db = TripleStore::new();
@@ -1537,8 +1113,8 @@ mod tests {
         assert_eq!(collect(&batched), collect(&one_by_one));
         for pos in Position::ALL {
             assert_eq!(
-                batched.select_eq(pos, "s1").len(),
-                one_by_one.select_eq(pos, "s1").len()
+                batched.select_eq_rows(pos, "s1").count(),
+                one_by_one.select_eq_rows(pos, "s1").count()
             );
         }
         // A second batch over the same data inserts nothing.
@@ -1554,9 +1130,9 @@ mod tests {
 
     #[test]
     fn large_batch_takes_the_parallel_interning_path() {
-        // Past the parallel cutoff and the seal threshold: the sharded
-        // batch-interning path (on multicore hosts) and the sealing
-        // schedule must agree with the memoized path.
+        // Past the parallel cutoff and the CSR rebuild threshold: the
+        // sharded batch-interning path (on multicore hosts) and the
+        // rebuilt posting heads must agree with the columns.
         let triples: Vec<Triple> = (0..40_000)
             .map(|i| {
                 Triple::new(
@@ -1569,14 +1145,18 @@ mod tests {
         let mut db = TripleStore::new();
         assert_eq!(db.insert_batch(triples.iter().cloned()), 40_000);
         assert_eq!(db.len(), 40_000);
-        assert!(db.run_count() >= 1, "batch must have sealed runs");
-        // Spot-check all three access paths against each other.
+        assert_eq!(
+            db.by_subject.csr_end, 40_000,
+            "batch must have rebuilt the CSR heads"
+        );
+        // Spot-check the postings against a column scan.
         for value in ["seq:S00000", "schema#p1", "value 42"] {
+            let id = db.dict.lookup(value).unwrap();
             for pos in Position::ALL {
                 let via_posting: Vec<u32> = db.select_eq_rows(pos, value).collect();
-                let via_scan: Vec<u32> = db.scan_eq_rows(pos, value).collect();
+                let via_scan: Vec<u32> =
+                    db.rows().filter(|&r| db.cols.id_at(r, pos) == id).collect();
                 assert_eq!(via_posting, via_scan, "{pos:?} {value}");
-                assert_eq!(via_posting.len(), db.select_eq(pos, value).len());
             }
         }
     }
@@ -1589,10 +1169,10 @@ mod tests {
         assert_eq!(db.len(), 2);
         // Lexical selection finds both kinds, like the seed's
         // lexically-keyed object index did.
-        assert_eq!(db.select_eq(Position::Object, "x").len(), 2);
+        assert_eq!(db.select_eq_rows(Position::Object, "x").count(), 2);
         assert!(db.remove(&Triple::new("s", "p", Term::uri("x"))));
         assert!(db.contains(&Triple::new("s", "p", Term::literal("x"))));
-        assert_eq!(db.select_eq(Position::Object, "x").len(), 1);
+        assert_eq!(db.select_eq_rows(Position::Object, "x").count(), 1);
     }
 
     #[test]
@@ -1609,20 +1189,24 @@ mod tests {
         assert!(!db.remove(&t));
         assert_eq!(db.len(), 3);
         // Index lookups must not resurface the tombstone.
-        assert_eq!(db.select_eq(Position::Subject, "embl:A78712").len(), 1);
+        assert_eq!(
+            db.select_eq_rows(Position::Subject, "embl:A78712").count(),
+            1
+        );
     }
 
     #[test]
     fn select_eq_uses_each_position() {
         let db = sample();
-        assert_eq!(db.select_eq(Position::Predicate, "EMBL#Organism").len(), 3);
-        assert_eq!(db.select_eq(Position::Subject, "embl:A78712").len(), 2);
-        assert_eq!(db.select_eq(Position::Object, "1042").len(), 1);
-        assert!(db.select_eq(Position::Subject, "nope").is_empty());
+        let count = |pos, value| db.select_eq_rows(pos, value).count();
+        assert_eq!(count(Position::Predicate, "EMBL#Organism"), 3);
+        assert_eq!(count(Position::Subject, "embl:A78712"), 2);
+        assert_eq!(count(Position::Object, "1042"), 1);
+        assert_eq!(count(Position::Subject, "nope"), 0);
     }
 
     #[test]
-    fn cursor_selects_agree_with_eager_select() {
+    fn cursor_selects_agree_with_full_scan() {
         let mut db = sample();
         db.seal_log_for_test();
         db.insert(Triple::new(
@@ -1637,13 +1221,14 @@ mod tests {
             (Position::Object, "1042"),
             (Position::Object, "never seen"),
         ] {
-            let eager = db.select_eq(pos, value);
+            let via_scan: Vec<Triple> = db
+                .iter()
+                .filter(|t| t.get(pos).lexical() == value)
+                .collect();
             let via_cursor: Vec<Triple> = db.select_eq_rows(pos, value).triples().collect();
-            let via_scan: Vec<Triple> = db.scan_eq_rows(pos, value).triples().collect();
-            assert_eq!(eager, via_cursor, "{pos:?} {value}");
-            assert_eq!(eager, via_scan, "{pos:?} {value}");
+            assert_eq!(via_scan, via_cursor, "{pos:?} {value}");
             let refs: Vec<TripleRef<'_>> = db.select_eq_rows(pos, value).refs().collect();
-            assert_eq!(refs.len(), eager.len());
+            assert_eq!(refs.len(), via_scan.len());
         }
     }
 
@@ -1662,95 +1247,19 @@ mod tests {
     }
 
     #[test]
-    fn zone_maps_prune_but_never_drop() {
-        // ~1k rows, multiple granules after sealing: every probed id
-        // must come back exactly as a brute-force column scan says,
-        // and selective probes must actually prune granules.
-        let mut db = TripleStore::new();
-        let n = 1100;
-        let triples: Vec<Triple> = (0..n)
-            .map(|i| {
-                Triple::new(
-                    format!("s{:04}", i),
-                    format!("p{}", i % 5),
-                    Term::literal(format!("o{}", i % 311)),
-                )
-            })
-            .collect();
-        db.insert_batch(triples.iter().cloned());
-        db.seal_log_for_test();
-        assert_eq!(db.run_count(), 1);
-        for value in ["s0000", "s1099", "p3", "o42", "o310"] {
-            for pos in Position::ALL {
-                let brute: Vec<u32> = (0..n as u32)
-                    .filter(|&id| {
-                        db.dict.lookup(value) == Some(db.cols.id_at(id, pos))
-                            && !db.cols.is_dead(id)
-                    })
-                    .collect();
-                let scanned: Vec<u32> = db.scan_eq_rows(pos, value).collect();
-                assert_eq!(scanned, brute, "{pos:?} {value}");
-            }
-        }
-        // Pruning bites: a unique subject survives in at most one
-        // granule of the subject permutation.
-        let sid = db.dict.lookup("s0500").unwrap();
-        let run = &db.runs.runs()[0];
-        let granules = run.pruned_granules(Position::Subject, sid);
-        assert!(
-            granules.end - granules.start <= 2,
-            "unique key hit {} granules",
-            granules.end - granules.start
-        );
-    }
-
-    #[test]
-    fn size_tiered_merge_bounds_run_count() {
-        let mut db = TripleStore::new();
-        // Seal many similarly sized runs; the tiered schedule must keep
-        // folding them instead of accumulating one run per seal.
-        for batch in 0..12 {
-            for i in 0..50 {
-                db.insert(Triple::new(
-                    format!("s{batch}-{i}"),
-                    "p",
-                    Term::literal(format!("o{batch}-{i}")),
-                ));
-            }
-            db.seal_log_for_test();
-        }
-        assert_eq!(db.len(), 600);
-        assert!(
-            db.run_count() <= 4,
-            "tiered merge left {} runs",
-            db.run_count()
-        );
-        // Scans still see everything once, in insertion order.
-        let ids: Vec<u32> = db.scan_eq_rows(Position::Predicate, "p").collect();
-        assert_eq!(ids.len(), 600);
-        assert!(ids.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
     fn select_like_wildcards() {
         let db = sample();
-        let hits = db.select_like(Position::Object, "%Aspergillus%");
-        assert_eq!(hits.len(), 2);
-        let exact = db.select_like(Position::Object, "1042");
-        assert_eq!(exact.len(), 1);
+        assert_eq!(like_count(&db, Position::Object, "%Aspergillus%"), 2);
+        assert_eq!(like_count(&db, Position::Object, "1042"), 1);
     }
 
     #[test]
     fn select_like_prefix_range_scans() {
         let db = sample();
-        let hits = db.select_like(Position::Object, "Aspergillus%");
-        assert_eq!(hits.len(), 2);
-        let subj = db.select_like(Position::Subject, "embl:A78%");
-        assert_eq!(subj.len(), 3);
-        let none = db.select_like(Position::Subject, "zzz%");
-        assert!(none.is_empty());
-        let suffix = db.select_like(Position::Object, "%nidulans");
-        assert_eq!(suffix.len(), 1);
+        assert_eq!(like_count(&db, Position::Object, "Aspergillus%"), 2);
+        assert_eq!(like_count(&db, Position::Subject, "embl:A78%"), 3);
+        assert_eq!(like_count(&db, Position::Subject, "zzz%"), 0);
+        assert_eq!(like_count(&db, Position::Object, "%nidulans"), 1);
     }
 
     #[test]
@@ -1799,10 +1308,10 @@ mod tests {
     }
 
     #[test]
-    fn multi_constant_pattern_intersects_runs_and_log() {
-        // Two exact constants: the match must be served by intersecting
-        // the per-position candidate sets — across sealed runs AND the
-        // append log — and agree with a naive scan.
+    fn multi_constant_pattern_covers_head_and_tail() {
+        // Two exact constants: the shortest posting plus the residual
+        // sweep must cover the CSR head AND the tail, and agree with a
+        // naive scan.
         let mut db = TripleStore::new();
         for i in 0..600 {
             db.insert(Triple::new(
@@ -1819,7 +1328,7 @@ mod tests {
                 Term::literal(format!("o{}", i % 11)),
             ));
         }
-        // Tombstones must not resurface through the intersection.
+        // Tombstones must not resurface.
         db.remove(&Triple::new("s3", "p3", Term::literal("o3")));
         for (s, p) in [("s3", "p3"), ("s0", "p0"), ("s12", "p5"), ("s39", "p6")] {
             let pattern = TriplePattern::new(
@@ -1831,8 +1340,8 @@ mod tests {
             let naive: Vec<u32> = db
                 .rows()
                 .filter(|&id| {
-                    db.term_at(id, Position::Subject) == s
-                        && db.term_at(id, Position::Predicate) == p
+                    let t = db.ref_of(id);
+                    t.subject == s && t.predicate == p
                 })
                 .collect();
             assert_eq!(fast, naive, "({s}, {p}, ?o)");
@@ -1875,24 +1384,6 @@ mod tests {
     }
 
     #[test]
-    fn predicates_lists_distinct_live() {
-        let mut db = sample();
-        assert_eq!(
-            db.predicates(),
-            vec!["EMBL#Organism", "EMBL#SequenceLength"]
-        );
-        db.remove(&Triple::new(
-            "embl:A78712",
-            "EMBL#SequenceLength",
-            Term::literal("1042"),
-        ));
-        assert_eq!(db.predicates(), vec!["EMBL#Organism"]);
-        // Sealed-run metadata serves the same answer.
-        db.seal_log_for_test();
-        assert_eq!(db.predicates(), vec!["EMBL#Organism"]);
-    }
-
-    #[test]
     fn compact_preserves_content() {
         let mut db = sample();
         db.remove(&Triple::new(
@@ -1910,33 +1401,8 @@ mod tests {
         after.sort();
         assert_eq!(before, after);
         assert_eq!(db.len(), 3);
-    }
-
-    #[test]
-    fn compact_folds_log_into_one_sorted_run() {
-        let mut db = sample();
-        db.seal_log_for_test();
-        db.insert(Triple::new("s", "p", Term::literal("late")));
-        db.remove(&Triple::new(
-            "embl:X00001",
-            "EMBL#Organism",
-            Term::literal("Penicillium chrysogenum"),
-        ));
-        db.compact();
-        assert_eq!(db.run_count(), 1, "compaction folds everything");
-        assert_eq!(db.len(), 4);
         // The tombstoned row is physically gone (row ids are dense).
-        assert_eq!(db.rows().count(), 4);
-        assert_eq!(db.rows().last(), Some(3));
-        // Post-compaction scans agree across paths.
-        let a: Vec<u32> = db
-            .select_eq_rows(Position::Predicate, "EMBL#Organism")
-            .collect();
-        let b: Vec<u32> = db
-            .scan_eq_rows(Position::Predicate, "EMBL#Organism")
-            .collect();
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 2);
+        assert_eq!(db.rows().last(), Some(2));
     }
 
     #[test]
@@ -1954,9 +1420,10 @@ mod tests {
             "terms only the removed triple used must be garbage-collected"
         );
         // Post-compaction queries across all access paths still work.
-        assert_eq!(db.select_eq(Position::Predicate, "EMBL#Organism").len(), 2);
-        assert!(db.select_eq(Position::Subject, "embl:X00001").is_empty());
-        assert_eq!(db.select_like(Position::Object, "Aspergillus%").len(), 2);
+        let count = |pos, value| db.select_eq_rows(pos, value).count();
+        assert_eq!(count(Position::Predicate, "EMBL#Organism"), 2);
+        assert_eq!(count(Position::Subject, "embl:X00001"), 0);
+        assert_eq!(like_count(&db, Position::Object, "Aspergillus%"), 2);
         assert!(db.insert(Triple::new("s", "p", Term::literal("new"))));
         assert_eq!(db.len(), 4);
     }
@@ -1964,6 +1431,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::like_count;
     use super::*;
     use crate::triple::PatternTerm;
     use proptest::prelude::*;
@@ -1971,6 +1439,49 @@ mod proptests {
     fn arb_triple() -> impl Strategy<Value = Triple> {
         ("[a-c]{1,2}", "[p-r]{1,2}", "[x-z]{1,2}")
             .prop_map(|(s, p, o)| Triple::new(s.as_str(), p.as_str(), Term::literal(o)))
+    }
+
+    /// Like [`arb_triple`], but the object is a URI or a literal over
+    /// the same lexicals — the two kinds share a posting list.
+    fn arb_mixed_triple() -> impl Strategy<Value = Triple> {
+        ("[a-c]{1,2}", "[p-r]{1,2}", "[x-z]{1,2}", any::<bool>()).prop_map(|(s, p, o, lit)| {
+            let object = if lit { Term::literal(o) } else { Term::uri(o) };
+            Triple::new(s.as_str(), p.as_str(), object)
+        })
+    }
+
+    /// A store built as `first`, an optional CSR rebuild, `removals`
+    /// (tombstones under the head when it was rebuilt), then `second`
+    /// (the tail) — with its live triples in insertion order.
+    fn build(
+        first: &[Triple],
+        seal: bool,
+        removals: &[prop::sample::Index],
+        second: &[Triple],
+    ) -> (TripleStore, Vec<Triple>) {
+        let mut db = TripleStore::new();
+        let mut reference: Vec<Triple> = Vec::new();
+        for t in first {
+            if db.insert(t.clone()) {
+                reference.push(t.clone());
+            }
+        }
+        if seal {
+            db.seal_log_for_test();
+        }
+        for idx in removals {
+            if reference.is_empty() {
+                break;
+            }
+            let t = reference.remove(idx.index(reference.len()));
+            assert!(db.remove(&t));
+        }
+        for t in second {
+            if db.insert(t.clone()) {
+                reference.push(t.clone());
+            }
+        }
+        (db, reference)
     }
 
     /// Drain a cursor granule-at-a-time and concatenate the batches.
@@ -2005,150 +1516,80 @@ mod proptests {
             for pos in Position::ALL {
                 for t in &reference {
                     let value = t.get(pos);
-                    let via_index = db.select_eq(pos, value.lexical());
-                    let via_scan: Vec<&Triple> = reference
+                    let via_index = db.select_eq_rows(pos, value.lexical()).count();
+                    let via_scan = reference
                         .iter()
                         .filter(|r| r.get(pos).lexical() == value.lexical())
-                        .collect();
-                    prop_assert_eq!(via_index.len(), via_scan.len());
+                        .count();
+                    prop_assert_eq!(via_index, via_scan);
                 }
             }
         }
 
-        /// The columnar zone-mapped cursor scan and the posting-list
-        /// cursor agree with eager `select_eq` on random stores with
-        /// interleaved inserts, removals, sealing and re-inserts — same
-        /// rows, same (insertion) order, for every position and value.
-        #[test]
-        fn cursor_scan_matches_select_eq(first in proptest::collection::vec(arb_triple(), 0..40),
-                                         removals in proptest::collection::vec(any::<prop::sample::Index>(), 0..12),
-                                         second in proptest::collection::vec(arb_triple(), 0..20),
-                                         seal_points in 0u8..4) {
-            let mut db = TripleStore::new();
-            let mut reference: Vec<Triple> = Vec::new();
-            for t in &first {
-                if db.insert(t.clone()) {
-                    reference.push(t.clone());
-                }
-            }
-            if seal_points & 1 != 0 {
-                db.seal_log_for_test(); // run + empty log
-            }
-            for idx in &removals {
-                if reference.is_empty() { break; }
-                let t = reference.remove(idx.index(reference.len()));
-                prop_assert!(db.remove(&t));
-            }
-            for t in &second {
-                if db.insert(t.clone()) {
-                    reference.push(t.clone());
-                }
-            }
-            if seal_points & 2 != 0 {
-                db.seal_log_for_test(); // second run, tiered merge
-            }
-            // Every value that ever entered the store, every position.
-            for t in first.iter().chain(&second) {
-                for pos in Position::ALL {
-                    let value = t.get(pos);
-                    let eager: Vec<Triple> = db.select_eq(pos, value.lexical());
-                    let posting: Vec<Triple> =
-                        db.select_eq_rows(pos, value.lexical()).triples().collect();
-                    let scan: Vec<Triple> =
-                        db.scan_eq_rows(pos, value.lexical()).triples().collect();
-                    prop_assert_eq!(&posting, &eager, "posting cursor at {:?}", pos);
-                    prop_assert_eq!(&scan, &eager, "zone scan at {:?}", pos);
-                }
-            }
-            prop_assert_eq!(db.rows().count(), reference.len());
-        }
-
-        /// Zone-map pruning never drops a matching row: the pruned
-        /// granule range of every sealed run covers every occurrence of
-        /// every probed id (checked against a brute-force column scan
-        /// of the whole store).
-        #[test]
-        fn zone_pruning_never_drops(triples in proptest::collection::vec(arb_triple(), 1..60),
-                                    split in any::<prop::sample::Index>()) {
-            let mut db = TripleStore::new();
-            let cut = split.index(triples.len());
-            for t in &triples[..cut] {
-                db.insert(t.clone());
-            }
-            db.seal_log_for_test();
-            for t in &triples[cut..] {
-                db.insert(t.clone());
-            }
-            db.seal_log_for_test();
-            for t in &triples {
-                for pos in Position::ALL {
-                    let value = t.get(pos);
-                    let Some(id) = db.dict.lookup(value.lexical()) else { continue };
-                    let brute: Vec<u32> = (0..db.cols.len() as u32)
-                        .filter(|&r| db.cols.id_at(r, pos) == id && !db.cols.is_dead(r))
-                        .collect();
-                    let scanned: Vec<u32> = db.scan_eq_rows(pos, value.lexical()).collect();
-                    prop_assert_eq!(scanned, brute, "{:?} {:?}", pos, value);
-                }
-            }
-        }
-
-        /// Multi-constant patterns — the zone-pruned run/posting-tail
-        /// intersection path — agree with the naive filter under
-        /// interleaved inserts, removals and sealing.
+        /// Multi-constant patterns — shortest posting plus residual
+        /// sweep — yield exactly the naive matcher's bindings, in
+        /// insertion order, on stores that straddle a CSR rebuild,
+        /// carry tombstones, and hold URIs and literals of equal
+        /// lexical (which share a posting list).
         #[test]
         fn multi_constant_intersection_agrees_with_naive(
-            first in proptest::collection::vec(arb_triple(), 0..40),
+            first in proptest::collection::vec(arb_mixed_triple(), 0..40),
             removals in proptest::collection::vec(any::<prop::sample::Index>(), 0..10),
-            second in proptest::collection::vec(arb_triple(), 0..20),
+            second in proptest::collection::vec(arb_mixed_triple(), 0..20),
             subj in "[a-c]{1,2}",
             pred in "[p-r]{1,2}",
-            seal in any::<bool>(),
+            obj in "[x-z]{1,2}",
+            ops in 0usize..16,
         ) {
-            let mut db = TripleStore::new();
-            let mut reference: Vec<Triple> = Vec::new();
-            for t in &first {
-                if db.insert(t.clone()) { reference.push(t.clone()); }
-            }
-            if seal { db.seal_log_for_test(); }
-            for idx in &removals {
-                if reference.is_empty() { break; }
-                let t = reference.remove(idx.index(reference.len()));
-                prop_assert!(db.remove(&t));
-            }
-            for t in &second {
-                if db.insert(t.clone()) { reference.push(t.clone()); }
-            }
+            let (seal, obj_is_literal) = (ops & 4 != 0, ops & 8 != 0);
+            let (db, reference) = build(&first, seal, &removals, &second);
+            // Which positions carry a constant: sp, so, po, spo.
+            let (cs, cp, co) = [
+                (true, true, false),
+                (true, false, true),
+                (false, true, true),
+                (true, true, true),
+            ][ops & 3];
+            let slot = |on: bool, term: Term, var: &str| {
+                if on { PatternTerm::constant(term) } else { PatternTerm::var(var) }
+            };
+            let object = if obj_is_literal { Term::literal(obj) } else { Term::uri(obj) };
             let pattern = TriplePattern::new(
-                PatternTerm::constant(Term::uri(subj.clone())),
-                PatternTerm::constant(Term::uri(pred.clone())),
-                PatternTerm::var("o"),
+                slot(cs, Term::uri(subj), "s"),
+                slot(cp, Term::uri(pred), "p"),
+                slot(co, object, "o"),
             );
-            let fast = db.match_pattern(&pattern).len();
-            let naive = reference
-                .iter()
-                .filter(|t| *t.subject.as_str() == subj && *t.predicate.as_str() == pred)
-                .count();
-            prop_assert_eq!(fast, naive);
+            let naive: Vec<Binding> =
+                reference.iter().filter_map(|t| pattern.match_triple(t)).collect();
+            prop_assert_eq!(db.match_pattern(&pattern), naive, "{:?}", pattern);
         }
 
-        /// match_pattern with a constant agrees with the naive filter.
+        /// match_pattern with one constant — at the predicate, or at the
+        /// object in either kind — agrees with the naive matcher across
+        /// a CSR rebuild and tombstones.
         #[test]
-        fn match_pattern_agrees_with_naive(triples in proptest::collection::vec(arb_triple(), 0..30),
-                                           pred in "[p-r]{1,2}") {
-            let mut db = TripleStore::new();
-            for t in &triples { db.insert(t.clone()); }
-            let pattern = TriplePattern::new(
-                PatternTerm::var("s"),
-                PatternTerm::constant(Term::uri(pred.clone())),
-                PatternTerm::var("o"),
-            );
-            let fast = db.match_pattern(&pattern).len();
-            let naive = db.iter().filter(|t| t.predicate.as_str() == pred).count();
-            prop_assert_eq!(fast, naive);
+        fn match_pattern_agrees_with_naive(
+            first in proptest::collection::vec(arb_mixed_triple(), 0..30),
+            removals in proptest::collection::vec(any::<prop::sample::Index>(), 0..10),
+            second in proptest::collection::vec(arb_mixed_triple(), 0..15),
+            pred in "[p-r]{1,2}",
+            obj in "[x-z]{1,2}",
+            seal in any::<bool>(),
+            shape in 0usize..3,
+        ) {
+            let (db, reference) = build(&first, seal, &removals, &second);
+            let (p, o) = match shape {
+                0 => (PatternTerm::constant(Term::uri(pred)), PatternTerm::var("o")),
+                1 => (PatternTerm::var("p"), PatternTerm::constant(Term::uri(obj))),
+                _ => (PatternTerm::var("p"), PatternTerm::constant(Term::literal(obj))),
+            };
+            let pattern = TriplePattern::new(PatternTerm::var("s"), p, o);
+            let naive: Vec<Binding> =
+                reference.iter().filter_map(|t| pattern.match_triple(t)).collect();
+            prop_assert_eq!(db.match_pattern(&pattern), naive, "{:?}", pattern);
         }
 
-        /// select_like agrees with a naive scan for every pattern shape
+        /// A LIKE constant agrees with a naive scan for every pattern shape
         /// (exact, prefix range scan, suffix, contains).
         #[test]
         fn select_like_agrees_with_scan(triples in proptest::collection::vec(arb_triple(), 0..30),
@@ -2162,7 +1603,7 @@ mod proptests {
                 2 => format!("%{core}"),
                 _ => format!("%{core}%"),
             };
-            let fast = db.select_like(Position::Object, &pattern).len();
+            let fast = like_count(&db, Position::Object, &pattern);
             let naive = db
                 .iter()
                 .filter(|t| t.get(Position::Object).matches_like(&pattern))
@@ -2228,7 +1669,7 @@ mod proptests {
         }
 
         /// The CSR posting head plus the tail agree with a brute-force
-        /// per-term row list under interleaved insert/remove/seal/compact,
+        /// per-term row list under interleaved insert/remove/rebuild/compact,
         /// and honor the layout invariants: both halves strictly
         /// ascending, every head row below `csr_end`, every tail row at
         /// or above it.
@@ -2239,20 +1680,7 @@ mod proptests {
             second in proptest::collection::vec(arb_triple(), 0..20),
             ops in 0u8..8,
         ) {
-            let mut db = TripleStore::new();
-            let mut reference: Vec<Triple> = Vec::new();
-            for t in &first {
-                if db.insert(t.clone()) { reference.push(t.clone()); }
-            }
-            if ops & 1 != 0 { db.seal_log_for_test(); }
-            for idx in &removals {
-                if reference.is_empty() { break; }
-                let t = reference.remove(idx.index(reference.len()));
-                prop_assert!(db.remove(&t));
-            }
-            for t in &second {
-                if db.insert(t.clone()) { reference.push(t.clone()); }
-            }
+            let (mut db, _) = build(&first, ops & 1 != 0, &removals, &second);
             if ops & 2 != 0 { db.seal_log_for_test(); }
             if ops & 4 != 0 { db.compact(); }
             for pos in Position::ALL {
@@ -2275,80 +1703,11 @@ mod proptests {
             }
         }
 
-        /// Run-local key projections mirror the base columns: for every
-        /// sealed run and position, `keys[i]` is the term id of row
-        /// `perm[i]`, and the group walk covers the whole permutation in
-        /// strictly ascending key order.
-        #[test]
-        fn run_projection_matches_permutation(
-            triples in proptest::collection::vec(arb_triple(), 1..60),
-            split in any::<prop::sample::Index>(),
-        ) {
-            let mut db = TripleStore::new();
-            let cut = split.index(triples.len());
-            for t in &triples[..cut] { db.insert(t.clone()); }
-            db.seal_log_for_test();
-            for t in &triples[cut..] { db.insert(t.clone()); }
-            db.seal_log_for_test();
-            for run in db.runs.runs() {
-                for pos in Position::ALL {
-                    let perm = run.perm(pos);
-                    let keys = run.keys(pos);
-                    prop_assert_eq!(perm.len(), keys.len());
-                    for (&r, &k) in perm.iter().zip(keys) {
-                        prop_assert_eq!(db.cols.id_at(r, pos).index() as u32, k, "{:?}", pos);
-                    }
-                    let mut group_keys: Vec<u32> = Vec::new();
-                    let mut walked: Vec<u32> = Vec::new();
-                    run.for_each_group(pos, |tid, rows| {
-                        group_keys.push(tid.index() as u32);
-                        walked.extend_from_slice(rows);
-                    });
-                    prop_assert!(group_keys.windows(2).all(|w| w[0] < w[1]), "groups ascend");
-                    prop_assert_eq!(&walked[..], perm, "group walk covers the permutation");
-                }
-            }
-        }
-
-        /// `count_where` (the projection-driven full scan) agrees with a
-        /// naive filter over the live triples, at every position, sealed
-        /// or not.
-        #[test]
-        fn count_where_agrees_with_naive(
-            first in proptest::collection::vec(arb_triple(), 0..40),
-            removals in proptest::collection::vec(any::<prop::sample::Index>(), 0..10),
-            second in proptest::collection::vec(arb_triple(), 0..20),
-            needle in "[a-z]",
-            seal in any::<bool>(),
-        ) {
-            let mut db = TripleStore::new();
-            let mut reference: Vec<Triple> = Vec::new();
-            for t in &first {
-                if db.insert(t.clone()) { reference.push(t.clone()); }
-            }
-            if seal { db.seal_log_for_test(); }
-            for idx in &removals {
-                if reference.is_empty() { break; }
-                let t = reference.remove(idx.index(reference.len()));
-                prop_assert!(db.remove(&t));
-            }
-            for t in &second {
-                if db.insert(t.clone()) { reference.push(t.clone()); }
-            }
-            for pos in Position::ALL {
-                let fast = db.count_where(pos, |lex| lex.starts_with(needle.as_str()));
-                let naive = reference
-                    .iter()
-                    .filter(|t| t.get(pos).lexical().starts_with(needle.as_str()))
-                    .count();
-                prop_assert_eq!(fast, naive, "{:?} {:?}", pos, needle);
-            }
-        }
-
         /// Granule batches concatenate to exactly the row-at-a-time
-        /// cursor stream — same rows, same order — for every cursor
-        /// source (posting, zone scan, full scan) under interleaved
-        /// mutation and sealing.
+        /// cursor stream — same rows, same order — for both cursor
+        /// sources (posting, full scan) under interleaved mutation and
+        /// CSR rebuilds, and the posting cursor yields exactly the live
+        /// rows a column scan finds.
         #[test]
         fn next_block_concatenates_to_iteration(
             first in proptest::collection::vec(arb_triple(), 0..40),
@@ -2356,29 +1715,17 @@ mod proptests {
             second in proptest::collection::vec(arb_triple(), 0..20),
             seal_points in 0u8..4,
         ) {
-            let mut db = TripleStore::new();
-            let mut reference: Vec<Triple> = Vec::new();
-            for t in &first {
-                if db.insert(t.clone()) { reference.push(t.clone()); }
-            }
-            if seal_points & 1 != 0 { db.seal_log_for_test(); }
-            for idx in &removals {
-                if reference.is_empty() { break; }
-                let t = reference.remove(idx.index(reference.len()));
-                prop_assert!(db.remove(&t));
-            }
-            for t in &second {
-                if db.insert(t.clone()) { reference.push(t.clone()); }
-            }
+            let (mut db, reference) = build(&first, seal_points & 1 != 0, &removals, &second);
             if seal_points & 2 != 0 { db.seal_log_for_test(); }
             for pos in Position::ALL {
                 for t in first.iter().chain(&second) {
                     let term = t.get(pos);
                     let v = term.lexical();
                     let via_posting: Vec<u32> = db.select_eq_rows(pos, v).collect();
-                    prop_assert_eq!(drain_blocks(db.select_eq_rows(pos, v)), via_posting, "posting {:?}", pos);
-                    let via_scan: Vec<u32> = db.scan_eq_rows(pos, v).collect();
-                    prop_assert_eq!(drain_blocks(db.scan_eq_rows(pos, v)), via_scan, "scan {:?}", pos);
+                    prop_assert_eq!(drain_blocks(db.select_eq_rows(pos, v)), &via_posting[..], "posting {:?}", pos);
+                    let id = db.dict.lookup(v).unwrap();
+                    let via_scan: Vec<u32> = db.rows().filter(|&r| db.cols.id_at(r, pos) == id).collect();
+                    prop_assert_eq!(via_posting, via_scan, "column scan {:?}", pos);
                 }
             }
             let full: Vec<u32> = db.rows().collect();
@@ -2386,79 +1733,9 @@ mod proptests {
             prop_assert_eq!(drain_blocks(db.rows()), full, "full scan");
         }
 
-        /// `merge_join` returns exactly the hash join's bindings as
-        /// multisets (the merge emits (key, left row, right row) order,
-        /// the hash join emits probe order), for the single-shared-var
-        /// merge path and both fallbacks (two shared vars, none).
-        #[test]
-        fn merge_join_agrees_with_hash_join(
-            triples in proptest::collection::vec(arb_triple(), 0..40),
-            p1 in "[p-r]{1,2}",
-            p2 in "[p-r]{1,2}",
-            seal in any::<bool>(),
-            shape in 0usize..3,
-        ) {
-            let mut db = TripleStore::new();
-            for t in &triples { db.insert(t.clone()); }
-            if seal { db.seal_log_for_test(); }
-            let (left, right) = match shape {
-                // One shared variable: the linear merge path.
-                0 => (
-                    TriplePattern::new(
-                        PatternTerm::var("x"),
-                        PatternTerm::constant(Term::uri(p1)),
-                        PatternTerm::var("a"),
-                    ),
-                    TriplePattern::new(
-                        PatternTerm::var("x"),
-                        PatternTerm::constant(Term::uri(p2)),
-                        PatternTerm::var("b"),
-                    ),
-                ),
-                // Two shared variables: falls back to the hash join.
-                1 => (
-                    TriplePattern::new(
-                        PatternTerm::var("x"),
-                        PatternTerm::constant(Term::uri(p1)),
-                        PatternTerm::var("a"),
-                    ),
-                    TriplePattern::new(
-                        PatternTerm::var("x"),
-                        PatternTerm::var("q"),
-                        PatternTerm::var("a"),
-                    ),
-                ),
-                // No shared variable: cartesian fallback.
-                _ => (
-                    TriplePattern::new(
-                        PatternTerm::var("x"),
-                        PatternTerm::constant(Term::uri(p1)),
-                        PatternTerm::var("a"),
-                    ),
-                    TriplePattern::new(
-                        PatternTerm::var("y"),
-                        PatternTerm::constant(Term::uri(p2)),
-                        PatternTerm::var("b"),
-                    ),
-                ),
-            };
-            let sort_key = |b: &Binding| format!("{b}");
-            let mut merged = db.merge_join(&left, &right);
-            let mut hashed = db.join(&left, &right);
-            merged.sort_by_key(sort_key);
-            hashed.sort_by_key(sort_key);
-            prop_assert_eq!(merged, hashed, "shape {}", shape);
-            // Code-level rows agree too (count is enough: decoded
-            // bindings above pin the contents).
-            prop_assert_eq!(
-                db.merge_join_codes(&left, &right).len(),
-                db.join_codes(&left, &right).len()
-            );
-        }
-
         /// Repeated-variable and LIKE-constant patterns run through the
         /// granule-batched residual filter; they agree with the naive
-        /// filter under sealing and compaction.
+        /// filter under CSR rebuilds and compaction.
         #[test]
         fn granule_residuals_agree_with_naive(
             triples in proptest::collection::vec(arb_triple(), 0..50),

@@ -1,7 +1,7 @@
 //! Deterministic semantic-fault injection: stale, corrupted and
 //! Byzantine mappings gossiped into the [`MappingRegistry`].
 //!
-//! PR 6's [`gridvine_netsim`-level fault model] made the *wire*
+//! The [`gridvine_netsim`-level fault model] makes the *wire*
 //! adversarial; this module extends the adversary to the mediation
 //! layer itself. Where a network fault corrupts *delivery*, a semantic
 //! fault corrupts *meaning*: the mapping network accumulates edges that

@@ -15,8 +15,7 @@
 //! * [`core`] — the PDMS itself: `Update`/`SearchFor`, reformulation,
 //!   self-organization, and the asynchronous deployment harness.
 //!
-//! See `README.md` for a tour and `DESIGN.md`/`EXPERIMENTS.md` for the
-//! reproduction methodology.
+//! See `README.md` for a tour and the experiment index.
 
 pub use gridvine_core as core;
 pub use gridvine_netsim as netsim;
