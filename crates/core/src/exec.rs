@@ -15,14 +15,26 @@
 //!
 //! Every plan bottoms out in *routed pattern resolutions*: route to
 //! `Hash(routing constant)`, charge the response message, and evaluate
-//! the destination peer's indexed `DB_p` through the store's
-//! granule-batched pattern scan
-//! ([`TripleStore::match_pattern`](gridvine_rdf::TripleStore::match_pattern)),
-//! so a destination materializes exactly the bindings it ships.
+//! the destination peer's indexed `DB_p` through the store's scan
+//! kernel
+//! ([`TripleStore::match_into`](gridvine_rdf::TripleStore::match_into)),
+//! which appends the matching rows to the caller's columnar
+//! [`BindingBatch`] — variable names once per batch, terms row-major —
+//! so a destination ships exactly the terms it matched and builds no
+//! per-row map. Shipped rows stay in that form up to the result
+//! boundary: all hops of one closure sweep append to one batch (a
+//! reformulation only swaps the predicate constant, so they share its
+//! header), single-pattern plans dedup straight off the batch's
+//! distinguished column, and join plans hand whole batches to
+//! [`TermInterner::encode_batch`](gridvine_rdf::join::TermInterner::encode_batch).
+//! [`Binding`]s are built in one place per plan shape — the session's
+//! row admission — once per admitted *distinct* row, for
+//! [`ResultEvent::Rows`](super::session::ResultEvent) and
+//! [`QueryOutcome::rows`].
 //! Closure plans drive a step-wise
 //! [`ClosureWalk`] over the mapping
 //! network (depth-first, one hop per session pull); join plans
-//! feed the per-pattern binding sets through the
+//! feed the per-pattern row sets through the
 //! [`hash-join engine`](gridvine_rdf::join) in the planner's order.
 //! Repeated iterative closures over an unchanged mapping network replay
 //! the epoch-keyed [`ClosureCache`](gridvine_semantic::ClosureCache)
@@ -56,7 +68,7 @@
 use super::conjunctive::JoinMode;
 use super::*;
 use crate::plan::QueryPlan;
-use gridvine_rdf::{Binding, PatternTerm, TriplePattern, Uri};
+use gridvine_rdf::{Binding, BindingBatch, PatternTerm, TriplePattern, Uri};
 use gridvine_semantic::{CachedHop, ClosureKey, ClosureWalk, Mapping};
 
 /// Physical execution knobs for one [`GridVineSystem::execute`] /
@@ -276,12 +288,14 @@ impl QueryOutcome {
 /// One pattern's traversal of the mapping network (the per-pattern
 /// inner loop of join plans; single-pattern closures run the same hops
 /// through the incremental session state instead).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct NetSweep {
-    pub(crate) bindings: Vec<Binding>,
+    /// Every hop's shipped rows, in hop order, under the pattern's one
+    /// header.
+    pub(crate) batch: BindingBatch,
     /// Per-hop counters accumulated via [`SweepHop::charge`]
     /// (`bindings_shipped` stays 0 here — the sweep level charges it
-    /// from `bindings`).
+    /// from `batch`).
     stats: ExecStats,
 }
 
@@ -292,7 +306,7 @@ impl NetSweep {
         stats.reformulations += self.stats.reformulations;
         stats.schemas_visited += self.stats.schemas_visited;
         stats.failures += self.stats.failures;
-        stats.bindings_shipped += self.bindings.len();
+        stats.bindings_shipped += self.batch.len();
         stats.mapping_fetches += self.stats.mapping_fetches;
         stats.cache_hits += self.stats.cache_hits;
         stats.cache_misses += self.stats.cache_misses;
@@ -392,9 +406,10 @@ pub(crate) struct SweepHop {
     pub(crate) schema: SchemaId,
     pub(crate) depth: usize,
     pub(crate) quality: f64,
-    /// The destination's bindings, or `None` when the resolution
-    /// failed (charged as a failure, the walk continues).
-    pub(crate) bindings: Option<Vec<Binding>>,
+    /// How many rows the destination appended to the caller's batch,
+    /// or `None` when the resolution failed (charged as a failure, the
+    /// walk continues).
+    pub(crate) shipped: Option<usize>,
 }
 
 impl SweepHop {
@@ -409,7 +424,7 @@ impl SweepHop {
         if self.depth > 0 {
             stats.reformulations += 1;
         }
-        if self.bindings.is_none() {
+        if self.shipped.is_none() {
             stats.failures += 1;
         }
     }
@@ -483,14 +498,18 @@ impl ClosureSweep {
         )
     }
 
-    /// Pop and resolve the next hop (expansion deferred to
+    /// Pop and resolve the next hop, appending the destination's rows
+    /// to `out` (expansion deferred to
     /// [`ClosureSweep::expand_pending`], so an early-terminating caller
-    /// never pays for discovery it will not use). Returns `None` once
-    /// the sweep is drained.
+    /// never pays for discovery it will not use). Every hop's pattern
+    /// differs from the sweep's only in its predicate constant, so all
+    /// hops share `out`'s header. Returns `None` once the sweep is
+    /// drained.
     pub(crate) fn resolve_next(
         &mut self,
         sys: &mut GridVineSystem,
         origin: PeerId,
+        out: &mut BindingBatch,
     ) -> Result<Option<SweepHop>, SystemError> {
         match self {
             ClosureSweep::Warm {
@@ -512,12 +531,12 @@ impl ClosureSweep {
                 // also `issuer`); recursive replays from the delegate
                 // peer that memoized the closure.
                 let from = if hop.depth == 0 { origin } else { *issuer };
-                let bindings = sys.resolve_pattern_once(from, &pat).ok();
+                let shipped = sys.resolve_pattern_once(from, &pat, out).ok();
                 Ok(Some(SweepHop {
                     schema: hop.schema,
                     depth: hop.depth,
                     quality: hop.quality,
-                    bindings,
+                    shipped,
                 }))
             }
             ClosureSweep::Cold {
@@ -539,12 +558,12 @@ impl ClosureSweep {
                     depth,
                     quality,
                 });
-                let bindings = sys.resolve_pattern_once(at_peer, &pat).ok();
+                let shipped = sys.resolve_pattern_once(at_peer, &pat, out).ok();
                 let hop = SweepHop {
                     schema: schema.clone(),
                     depth,
                     quality,
-                    bindings,
+                    shipped,
                 };
                 *pending = Some(Box::new(PendingExpand {
                     schema,
@@ -706,14 +725,17 @@ impl GridVineSystem {
         Ok(session.into_outcome())
     }
 
-    /// Route one concrete triple pattern and return every matching
-    /// binding from the destination's `DB_p`, streamed off the cursor
-    /// layer; the response message is charged exactly as a `Retrieve`.
+    /// Route one concrete triple pattern and append every matching row
+    /// of the destination's `DB_p` to `out` (whose header is the
+    /// pattern's variables), returning how many it shipped; the
+    /// response message is charged exactly as a `Retrieve`. Nothing is
+    /// appended on `Err`.
     pub(crate) fn resolve_pattern_once(
         &mut self,
         origin: PeerId,
         pattern: &TriplePattern,
-    ) -> Result<Vec<Binding>, SystemError> {
+        out: &mut BindingBatch,
+    ) -> Result<usize, SystemError> {
         let Some((_, term)) = pattern.routing_constant() else {
             return Err(SystemError::NotRoutable);
         };
@@ -725,16 +747,22 @@ impl GridVineSystem {
         if let Some(resolved) = self.replica_route(origin, term.lexical()) {
             let dest = resolved?;
             let db = &self.local_dbs[dest.index()];
-            return Ok(db.match_pattern(pattern));
+            return Ok(db.match_into(pattern, out));
         }
-        let key = self.key_of(term.lexical());
-        let route = self.overlay.route(origin, &key, &mut self.rng)?;
+        // Consecutive resolutions often route by the same constant (a
+        // bound-join instance routes by its substituted subject at
+        // every hop of its closure): hash it once.
+        if !matches!(&self.routed_key, Some((t, _)) if t == term) {
+            self.routed_key = Some((term.clone(), self.key_of(term.lexical())));
+        }
+        let (_, key) = self.routed_key.as_ref().expect("just memoized");
+        let route = self.overlay.route(origin, key, &mut self.rng)?;
         self.overlay.charge_response(origin, route.destination);
         // The request (and the response charge) went out; the retry
         // protocol decides whether a reply ever comes back.
         self.proto_request(origin, route.destination)?;
         let db = &self.local_dbs[route.destination.index()];
-        Ok(db.match_pattern(pattern))
+        Ok(db.match_into(pattern, out))
     }
 
     /// Fetch the mappings applicable at `schema` per the strategy:
@@ -755,17 +783,12 @@ impl GridVineSystem {
                 let schema_key = self.key_of(schema.as_str());
                 let route = self.overlay.route(at_peer, &schema_key, &mut self.rng)?;
                 self.proto_request(at_peer, route.destination)?;
-                let items = self
+                let maps = self
                     .overlay
                     .store(route.destination)
                     .get(&schema_key)
-                    .to_vec();
-                let maps = items
-                    .into_iter()
-                    .filter_map(|i| match i {
-                        MediationItem::Mapping { mapping, .. } => Some(mapping),
-                        _ => None,
-                    })
+                    .iter()
+                    .filter_map(|i| i.clone().into_mapping())
                     .collect();
                 Ok((route.destination, maps))
             }
@@ -793,11 +816,14 @@ impl GridVineSystem {
         strategy: Strategy,
         ttl: usize,
     ) -> Result<NetSweep, SystemError> {
-        let mut net = NetSweep::default();
+        let mut net = NetSweep {
+            batch: BindingBatch::for_pattern(pattern),
+            stats: ExecStats::default(),
+        };
         let Ok((origin_schema, attr)) = gridvine_semantic::pattern_schema(pattern) else {
             // Un-schema'd pattern: a single routed resolution.
             net.stats.subqueries = 1;
-            net.bindings = self.resolve_pattern_once(origin, pattern)?;
+            self.resolve_pattern_once(origin, pattern, &mut net.batch)?;
             return Ok(net);
         };
         let mut sweep = ClosureSweep::open(
@@ -810,11 +836,8 @@ impl GridVineSystem {
             ttl,
             &mut net.stats,
         );
-        while let Some(hop) = sweep.resolve_next(self, origin)? {
+        while let Some(hop) = sweep.resolve_next(self, origin, &mut net.batch)? {
             hop.charge(&mut net.stats);
-            if let Some(bindings) = hop.bindings {
-                net.bindings.extend(bindings);
-            }
             sweep.expand_pending(self, origin, strategy, ttl, &mut net.stats)?;
         }
         Ok(net)

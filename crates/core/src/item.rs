@@ -32,6 +32,14 @@ pub enum MediationItem {
 }
 
 impl MediationItem {
+    /// The mapping of a mapping copy; `None` for every other item.
+    pub fn into_mapping(self) -> Option<Mapping> {
+        match self {
+            MediationItem::Mapping { mapping, .. } => Some(mapping),
+            _ => None,
+        }
+    }
+
     /// Byte estimate for transfer accounting.
     pub fn approx_size(&self) -> usize {
         match self {

@@ -61,9 +61,12 @@
 //! ## Events
 //!
 //! * [`ResultEvent::Rows`] — fresh **distinct** solution rows
-//!   (projected onto the distinguished variables), in discovery order,
-//!   streamed off the destination stores' cursor layer. A row is never
-//!   repeated across batches.
+//!   (projected onto the distinguished variables), in discovery order.
+//!   A row is never repeated across batches. These are the only
+//!   [`Binding`]s a session builds: destinations ship columnar
+//!   [`BindingBatch`]es, projection and dedup run on their terms (or,
+//!   for joins, on term codes), and a row becomes a `Binding` when —
+//!   and only if — it is admitted here.
 //! * [`ResultEvent::SchemaHop`] — the closure walk resolved the query
 //!   at a schema: mapping-path depth and path quality (the minimum
 //!   mapping quality along the path, the confidence proxy of
@@ -135,7 +138,7 @@ use super::*;
 use crate::plan::{object_prefix_core, QueryPlan};
 use gridvine_netsim::{SimDuration, SimTime};
 use gridvine_rdf::join::{hash_join_rows, TermInterner, VarTable, UNBOUND};
-use gridvine_rdf::{Binding, ConjunctiveQuery};
+use gridvine_rdf::{Binding, BindingBatch, ConjunctiveQuery};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// One increment of a [`QuerySession`] (see the module docs).
@@ -227,9 +230,12 @@ enum State {
         seen: BTreeSet<Term>,
     },
     /// One closure hop (resolution unit + discovery unit) per pull.
+    /// Every hop ships into `shipped`, which is emptied once the hop's
+    /// rows are admitted.
     Closure {
         query: TriplePatternQuery,
         sweep: Box<ClosureSweep>,
+        shipped: BindingBatch,
         seen: BTreeSet<Term>,
     },
     Join(Box<JoinState>),
@@ -431,6 +437,7 @@ impl SessionCore {
                 State::Closure {
                     query: query.clone(),
                     sweep: Box::new(sweep),
+                    shipped: BindingBatch::for_pattern(&query.pattern),
                     seen: BTreeSet::new(),
                 }
             }
@@ -591,7 +598,7 @@ impl SessionCore {
         let mut rows = std::mem::take(&mut self.rows);
         match &self.order_by {
             RowOrder::ByTerm(var) => rows.sort_by(|a, b| a.get(var).cmp(&b.get(var))),
-            RowOrder::ByDisplay => rows.sort_by_key(|b| b.to_string()),
+            RowOrder::ByDisplay => rows.sort_by_cached_key(|b| b.to_string()),
         }
         QueryOutcome {
             rows,
@@ -635,9 +642,12 @@ impl SessionCore {
                 probes,
                 seen,
             } => self.step_prefix(sys, query, probes, seen, &mut out),
-            State::Closure { query, sweep, seen } => {
-                self.step_closure(sys, query, sweep, seen, &mut out)
-            }
+            State::Closure {
+                query,
+                sweep,
+                shipped,
+                seen,
+            } => self.step_closure(sys, query, sweep, shipped, seen, &mut out),
             State::Join(join) => self.step_join(sys, join, &mut out),
         };
         // Fold the unit's counter movement in on success *and* failure
@@ -758,18 +768,22 @@ impl SessionCore {
         self.inflight += 1;
     }
 
-    /// Admit freshly-shipped bindings of a single-pattern plan: project
+    /// Admit the freshly-shipped rows of a single-pattern plan: project
     /// onto the distinguished variable, dedup against `seen`, append to
-    /// the session rows. Returns `(batch, limit_hit)`.
+    /// the session rows — the one place such a plan builds [`Binding`]s,
+    /// one per admitted distinct row. Returns `(batch, limit_hit)`.
     fn admit_terms(
         &mut self,
         seen: &mut BTreeSet<Term>,
         var: &str,
-        bindings: &[Binding],
+        shipped: &BindingBatch,
     ) -> (Vec<Binding>, bool) {
         let mut batch = Vec::new();
-        for b in bindings {
-            let Some(t) = b.get(var) else { continue };
+        let Some(col) = shipped.column(var) else {
+            return (batch, false);
+        };
+        for shipped_row in shipped.rows() {
+            let t = &shipped_row[col];
             if !seen.insert(t.clone()) {
                 continue;
             }
@@ -791,10 +805,11 @@ impl SessionCore {
         out: &mut Vec<ResultEvent>,
     ) -> Result<StepOutcome, SystemError> {
         self.stats.subqueries += 1;
-        let bindings = sys.resolve_pattern_once(self.origin, &query.pattern)?;
-        self.stats.bindings_shipped += bindings.len();
+        let mut shipped = BindingBatch::for_pattern(&query.pattern);
+        self.stats.bindings_shipped +=
+            sys.resolve_pattern_once(self.origin, &query.pattern, &mut shipped)?;
         let mut seen = BTreeSet::new();
-        let (batch, _) = self.admit_terms(&mut seen, &query.distinguished, &bindings);
+        let (batch, _) = self.admit_terms(&mut seen, &query.distinguished, &shipped);
         if !batch.is_empty() {
             out.push(ResultEvent::Rows(batch));
         }
@@ -823,10 +838,10 @@ impl SessionCore {
         let dest = sys.route_retrieve(self.origin, &probe)?;
         sys.proto_request(self.origin, dest)?;
         self.stats.subqueries += 1;
-        let db = &sys.local_dbs[dest.index()];
-        let bindings: Vec<Binding> = db.match_pattern(&query.pattern);
-        self.stats.bindings_shipped += bindings.len();
-        let (batch, limit_hit) = self.admit_terms(seen, &query.distinguished, &bindings);
+        let mut shipped = BindingBatch::for_pattern(&query.pattern);
+        self.stats.bindings_shipped +=
+            sys.local_dbs[dest.index()].match_into(&query.pattern, &mut shipped);
+        let (batch, limit_hit) = self.admit_terms(seen, &query.distinguished, &shipped);
         if !batch.is_empty() {
             out.push(ResultEvent::Rows(batch));
         }
@@ -850,6 +865,7 @@ impl SessionCore {
         sys: &mut GridVineSystem,
         query: &TriplePatternQuery,
         sweep: &mut ClosureSweep,
+        shipped: &mut BindingBatch,
         seen: &mut BTreeSet<Term>,
         out: &mut Vec<ResultEvent>,
     ) -> Result<StepOutcome, SystemError> {
@@ -863,7 +879,7 @@ impl SessionCore {
                 done: sweep.is_exhausted(),
             });
         }
-        let Some(hop) = sweep.resolve_next(sys, self.origin)? else {
+        let Some(hop) = sweep.resolve_next(sys, self.origin, shipped)? else {
             return Ok(StepOutcome::Idle);
         };
         let ready = self
@@ -879,9 +895,10 @@ impl SessionCore {
             quality: hop.quality,
         });
         let mut limit_hit = false;
-        if let Some(bindings) = hop.bindings {
-            self.stats.bindings_shipped += bindings.len();
-            let (batch, hit) = self.admit_terms(seen, &query.distinguished, &bindings);
+        if let Some(n) = hop.shipped {
+            self.stats.bindings_shipped += n;
+            let (batch, hit) = self.admit_terms(seen, &query.distinguished, shipped);
+            shipped.clear();
             limit_hit = hit;
             if !batch.is_empty() {
                 out.push(ResultEvent::Rows(batch));
@@ -970,12 +987,7 @@ impl SessionCore {
             let pattern = &query.patterns[*next_pattern];
             let net = sys.sweep_pattern_network(self.origin, pattern, self.strategy, self.ttl)?;
             net.charge(&mut self.stats);
-            sets.push(
-                net.bindings
-                    .iter()
-                    .map(|b| interner.encode(b, vars))
-                    .collect(),
-            );
+            sets.push(interner.encode_batch(net.batch, vars));
             *next_pattern += 1;
             return Ok(StepOutcome::Unit {
                 ready: self.started_at,
@@ -1065,31 +1077,26 @@ impl SessionCore {
             else {
                 unreachable!("groups just built");
             };
-            g.queue
-                .pop_front()
-                .map(|(rep, members)| (rep, members, g.bound_slots.clone()))
+            g.queue.pop_front().map(|(rep, members)| {
+                let mut seed = Binding::new();
+                for (slot, name) in &g.bound_slots {
+                    seed.bind(
+                        name.clone(),
+                        join.interner.term(join.rows[rep][*slot]).clone(),
+                    );
+                }
+                (pattern.substitute(&seed), members)
+            })
         };
         let mut limit_hit = false;
-        if let Some((rep, members, bound_slots)) = popped {
-            let mut seed = Binding::new();
-            for (slot, name) in &bound_slots {
-                seed.bind(
-                    name.clone(),
-                    join.interner.term(join.rows[rep][*slot]).clone(),
-                );
-            }
-            let sub = pattern.substitute(&seed);
+        if let Some((sub, members)) = popped {
             match sys.sweep_pattern_network(self.origin, &sub, self.strategy, self.ttl) {
                 Ok(net) => {
                     net.charge(&mut self.stats);
                     // The substituted instance's matches bind only the
                     // pattern's remaining variables: merge each into
                     // every member row.
-                    let fragments: Vec<Vec<u64>> = net
-                        .bindings
-                        .iter()
-                        .map(|b| join.interner.encode(b, &join.vars))
-                        .collect();
+                    let fragments = join.interner.encode_batch(net.batch, &join.vars);
                     let mut appended: Vec<Vec<u64>> = Vec::new();
                     for &i in &members {
                         let member = std::slice::from_ref(&join.rows[i]);

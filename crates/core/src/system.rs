@@ -374,6 +374,11 @@ pub struct GridVineSystem {
     /// Monotone session-id allocator shared by standalone sessions and
     /// pools (ids stay unique when both run against one system).
     next_session: u64,
+    /// The last constant a pattern resolution routed by, with its
+    /// overlay key (hasher and key depth are fixed at construction, so
+    /// the key is a pure function of the term) — see
+    /// `resolve_pattern_once`.
+    routed_key: Option<(Term, BitString)>,
     rng: StdRng,
 }
 
@@ -401,6 +406,7 @@ impl GridVineSystem {
                 .build(gridvine_netsim::rng::derive_seed(config.seed, 0x1A7E)),
             place: place::PlacementState::new(config.placement.clone()),
             next_session: 0,
+            routed_key: None,
             topology,
             overlay,
             registry: MappingRegistry::new(),
@@ -431,6 +437,7 @@ impl GridVineSystem {
                 .build(gridvine_netsim::rng::derive_seed(config.seed, 0x1A7E)),
             place: place::PlacementState::new(config.placement.clone()),
             next_session: 0,
+            routed_key: None,
             topology,
             overlay,
             registry: MappingRegistry::new(),
@@ -1229,13 +1236,14 @@ impl GridVineSystem {
         // The retrieve was routed and charged; the retry protocol
         // decides whether the mapping list ever comes back.
         self.proto_request(origin, route.destination)?;
-        Ok(items
-            .into_iter()
-            .filter_map(|i| match i {
-                MediationItem::Mapping { mapping, .. } => Some(mapping),
-                _ => None,
-            })
-            .collect())
+        // Not `into_iter().filter_map().collect()`: that reuses the
+        // item buffer in place and shrinks it to the smaller element
+        // size, and the few bytes split off its end keep the freed
+        // list from ever being handed to the next retrieve — a hole
+        // per mapping discovery.
+        let mut mappings = Vec::with_capacity(items.len());
+        mappings.extend(items.into_iter().filter_map(MediationItem::into_mapping));
+        Ok(mappings)
     }
 
     fn items_at(&self, key: &BitString) -> Vec<MediationItem> {

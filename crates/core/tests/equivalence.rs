@@ -793,6 +793,69 @@ fn limit_k_sends_strictly_fewer_messages() {
     );
 }
 
+/// A `limit` reached in the middle of one destination's shipped batch
+/// stops admission at exactly that row: the kept rows are the first
+/// `k` distinct ones in the destination's scan order, the whole batch
+/// is still charged as shipped, the hop's discovery is never issued,
+/// and the session's counters are those of the unlimited twin's first
+/// unit.
+#[test]
+fn limit_mid_batch_stops_at_the_same_row() {
+    const K: usize = 5;
+    // Twelve entities match at S0 (the first hop's destination ships
+    // all twelve in one batch); S1..S3 hold more behind the mappings.
+    let facts: Vec<(u8, u8, u8)> = (0..12)
+        .map(|e| (e, 0, 0))
+        .chain((0..12).map(|e| (e, 1 + e % 3, 0)))
+        .collect();
+    let query = organism_query();
+    let plan = QueryPlan::search(query.clone());
+
+    let mut sys = build(29, 4, &[], &facts);
+    // What the S0#organism0 destination ships, straight off its store
+    // (every replica holds the same triples in the same order).
+    let shipped: Vec<Binding> = (0..PEERS)
+        .map(|i| sys.peer_db(PeerId(i as u32)).match_pattern(&query.pattern))
+        .find(|rows| !rows.is_empty())
+        .expect("some peer indexes S0#organism0");
+    assert_eq!(shipped.len(), 12, "one batch, well past the cap");
+    let first_k: Vec<Binding> = shipped[..K].iter().map(|b| b.project(&["x"])).collect();
+
+    let mut session = sys
+        .open(PeerId(9), &plan, &QueryOptions::new().limit(K))
+        .unwrap();
+    let mut events = Vec::new();
+    while let Some(ev) = session.next_event().unwrap() {
+        events.push(ev);
+    }
+    let limited = session.into_outcome();
+    assert_eq!(sys.pending_events(), 0);
+    assert_eq!(sys.cached_closures(), 0, "a truncated walk records nothing");
+    assert!(matches!(
+        events.as_slice(),
+        [ResultEvent::SchemaHop { depth: 0, .. }, ResultEvent::Rows(batch), ResultEvent::Stats(_)]
+            if *batch == first_k
+    ));
+    let mut sorted = first_k.clone();
+    sorted.sort_by(|a, b| a.get("x").cmp(&b.get("x")));
+    assert_eq!(limited.rows, sorted);
+    assert_eq!(limited.stats.bindings_shipped, shipped.len());
+    assert_eq!(limited.stats.subqueries, 1);
+    assert_eq!(limited.stats.mapping_fetches, 0);
+
+    // The unlimited twin's first unit did the same work.
+    let mut twin = build(29, 4, &[], &facts);
+    let mut session = twin.open(PeerId(9), &plan, &QueryOptions::new()).unwrap();
+    let first_unit = loop {
+        match session.next_event().unwrap().expect("a first unit") {
+            ResultEvent::Stats(delta) => break delta,
+            ResultEvent::Rows(batch) => assert_eq!(batch.len(), shipped.len()),
+            ResultEvent::SchemaHop { .. } => {}
+        }
+    };
+    assert_eq!(limited.stats, first_unit);
+}
+
 /// The executor honours its options: a TTL override stops the closure,
 /// and TTL is part of the cache key (different TTLs never share an
 /// entry).

@@ -59,6 +59,9 @@ impl Route {
 #[derive(Debug, Clone)]
 pub struct Overlay<V> {
     views: Vec<PeerView>,
+    /// Longest path among `views` (the tree depth). The views are
+    /// built once, in [`Overlay::new`], and never change afterwards.
+    max_path_len: usize,
     stores: Vec<Store<V>>,
     /// Replication degree applied by `update`: the responsible peer plus
     /// its replicas all store the item (the paper's σ(p) duplication).
@@ -74,6 +77,7 @@ impl<V: Clone + PartialEq> Overlay<V> {
             .collect();
         let stores = (0..topology.len()).map(|_| Store::new()).collect();
         Overlay {
+            max_path_len: views.iter().map(|v| v.path.len()).max().unwrap_or(0),
             views,
             stores,
             replicate: true,
@@ -126,7 +130,7 @@ impl<V: Clone + PartialEq> Overlay<V> {
     ) -> Result<Route, RouteError> {
         // Hop budget: the tree depth bounds legal routes; 2× + 8 allows
         // for replica indirection without masking real routing loops.
-        let budget = 2 * self.views.iter().map(|v| v.path.len()).max().unwrap_or(0) + 8;
+        let budget = 2 * self.max_path_len + 8;
         let mut current = origin;
         let mut hops = vec![origin];
         loop {

@@ -368,15 +368,6 @@ impl TermDict {
     pub(crate) fn shared(&self, id: TermId) -> Arc<str> {
         Arc::clone(&self.shards[id.shard()].terms[id.local()])
     }
-
-    /// Batch twin of [`TermDict::shared`]: shared handles for a batch
-    /// of ids, into `out` (cleared first) — one tight sweep per
-    /// position instead of interleaved per-row resolves across all
-    /// three.
-    pub(crate) fn shared_many(&self, ids: &[TermId], out: &mut Vec<Arc<str>>) {
-        out.clear();
-        out.extend(ids.iter().map(|&id| self.shared(id)));
-    }
 }
 
 /// A process-wide, thread-safe string pool: the same hash-sharded

@@ -12,7 +12,9 @@
 //!   yet bound;
 //! * codes come from the store's term dictionary (local evaluation) or a
 //!   query-scoped [`TermInterner`] (distributed evaluation, where every
-//!   peer materializes terms into the wire format);
+//!   peer ships its matches as a columnar [`BindingBatch`] of terms and
+//!   [`TermInterner::encode_batch`] codes a whole batch, resolving each
+//!   column's slot once);
 //! * [`hash_join_rows`] joins two row sets on their shared bound slots
 //!   by hashing the smaller-keyed side, so a k-row ∧ m-row join costs
 //!   O(k + m + output) `u64` comparisons instead of O(k·m) map merges.
@@ -20,9 +22,11 @@
 //! Strings are only touched again when the surviving rows are
 //! materialized back into [`crate::Binding`]s at the result boundary.
 
+use crate::batch::BindingBatch;
 use crate::fasthash::FxHashMap;
 use crate::term::Term;
 use crate::triple::{Binding, TriplePattern};
+use std::collections::hash_map::Entry;
 
 /// Code marking a variable slot not yet bound in a row.
 pub const UNBOUND: u64 = u64::MAX;
@@ -102,15 +106,21 @@ impl TermInterner {
         TermInterner::default()
     }
 
-    pub fn code_of(&mut self, term: &Term) -> u64 {
-        if let Some(&c) = self.codes.get(term) {
-            return c;
+    /// The code of `term`, assigning the next free one on first sight
+    /// — one hash either way, and the term is only cloned when it is
+    /// new (the interner keeps it twice: as map key and for
+    /// [`TermInterner::term`]).
+    pub fn code_of(&mut self, term: Term) -> u64 {
+        match self.codes.entry(term) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let c = self.terms.len() as u64;
+                assert!(c < UNBOUND, "term interner overflow");
+                self.terms.push(e.key().clone());
+                e.insert(c);
+                c
+            }
         }
-        let c = self.terms.len() as u64;
-        assert!(c < UNBOUND, "term interner overflow");
-        self.terms.push(term.clone());
-        self.codes.insert(term.clone(), c);
-        c
     }
 
     /// The term behind a code.
@@ -121,15 +131,26 @@ impl TermInterner {
         &self.terms[code as usize]
     }
 
-    /// Encode a [`Binding`] into a row over `vars`.
-    pub fn encode(&mut self, binding: &Binding, vars: &VarTable) -> Vec<u64> {
-        let mut row = vars.empty_row();
-        for (name, term) in binding.iter() {
-            if let Some(slot) = vars.slot(name) {
-                row[slot] = self.code_of(term);
-            }
-        }
-        row
+    /// Encode a whole [`BindingBatch`] into rows over `vars`, in batch
+    /// order. Each column's slot is looked up once for the batch
+    /// (columns `vars` does not name are skipped); slots the batch does
+    /// not bind stay [`UNBOUND`]. Consumes the batch, so a term seen
+    /// before costs a hash probe and nothing else.
+    pub fn encode_batch(&mut self, batch: BindingBatch, vars: &VarTable) -> Vec<Vec<u64>> {
+        let slots: Vec<Option<usize>> = batch.vars().iter().map(|v| vars.slot(v)).collect();
+        let mut terms = batch.terms.into_iter();
+        (0..batch.rows)
+            .map(|_| {
+                let mut row = vars.empty_row();
+                for slot in &slots {
+                    let term = terms.next().expect("rows * width terms");
+                    if let Some(slot) = *slot {
+                        row[slot] = self.code_of(term);
+                    }
+                }
+                row
+            })
+            .collect()
     }
 
     /// Materialize a row back into a [`Binding`] (unbound slots skipped).
@@ -295,6 +316,7 @@ pub fn hash_join_rows(left: &[Vec<u64>], right: &[Vec<u64>]) -> Vec<Vec<u64>> {
 mod tests {
     use super::*;
     use crate::term::Term;
+    use crate::triple::PatternTerm;
 
     #[test]
     fn var_table_assigns_dense_slots_in_first_seen_order() {
@@ -310,8 +332,9 @@ mod tests {
     #[test]
     fn interner_codes_are_kind_sensitive() {
         let mut i = TermInterner::new();
-        let u = i.code_of(&Term::uri("x"));
-        let l = i.code_of(&Term::literal("x"));
+        let u = i.code_of(Term::uri("x"));
+        let l = i.code_of(Term::literal("x"));
+        assert_eq!(i.code_of(Term::uri("x")), u, "a seen term keeps its code");
         assert_ne!(u, l, "uri and literal with equal lexical must differ");
         assert_eq!(i.term(u), &Term::uri("x"));
         assert_eq!(i.term(l), &Term::literal("x"));
@@ -319,15 +342,52 @@ mod tests {
 
     #[test]
     fn encode_decode_round_trip() {
+        // Query layout [x, y, z]; the batch binds (z, x) — columns land
+        // in their query slots, y stays unbound, and a column the query
+        // does not name is dropped.
         let mut vars = VarTable::new();
         vars.slot_of("x");
         vars.slot_of("y");
+        vars.slot_of("z");
+        let pattern = TriplePattern::new(
+            PatternTerm::var("z"),
+            PatternTerm::var("other"),
+            PatternTerm::var("x"),
+        );
+        let mut batch = BindingBatch::for_pattern(&pattern);
+        for (z, x) in [("a", "u"), ("b", "u")] {
+            batch
+                .terms
+                .extend([Term::uri(z), Term::uri("p"), Term::literal(x)]);
+            batch.rows += 1;
+        }
         let mut i = TermInterner::new();
-        let mut b = Binding::new();
-        b.bind("x".into(), Term::uri("u"));
-        let row = i.encode(&b, &vars);
-        assert_eq!(row[1], UNBOUND);
-        assert_eq!(i.decode(&row, &vars), b);
+        let rows = i.encode_batch(batch.clone(), &vars);
+        assert_eq!(rows.len(), 2);
+        assert!(rows.iter().all(|r| r[1] == UNBOUND));
+        assert_eq!(rows[0][0], rows[1][0], "equal terms share a code");
+        let decoded: Vec<Binding> = rows.iter().map(|r| i.decode(r, &vars)).collect();
+        let expected: Vec<Binding> = batch
+            .into_bindings()
+            .iter()
+            .map(|b| b.project(&["x", "z"]))
+            .collect();
+        assert_eq!(decoded, expected);
+    }
+
+    #[test]
+    fn zero_width_batch_encodes_one_unbound_row_per_match() {
+        let mut vars = VarTable::new();
+        vars.slot_of("x");
+        let ground = TriplePattern::new(
+            PatternTerm::constant(Term::uri("s")),
+            PatternTerm::constant(Term::uri("p")),
+            PatternTerm::constant(Term::uri("o")),
+        );
+        let mut batch = BindingBatch::for_pattern(&ground);
+        batch.rows = 3;
+        let rows = TermInterner::new().encode_batch(batch, &vars);
+        assert_eq!(rows, vec![vec![UNBOUND]; 3]);
     }
 
     #[test]
@@ -428,6 +488,26 @@ mod proptests {
         b
     }
 
+    /// One side as the batch a scan would have shipped: the side's
+    /// bound variables as header (every row of a side binds the same
+    /// ones), rows in order.
+    fn to_batch(bound: [bool; 4], rows: &[Vec<(usize, u8)>]) -> BindingBatch {
+        let mut vars = VarTable::new();
+        for s in (0..4).filter(|&s| bound[s]) {
+            vars.slot_of(VAR_NAMES[s]);
+        }
+        let terms = rows
+            .iter()
+            .flatten()
+            .map(|&(_, v)| Term::literal(format!("v{v}")))
+            .collect();
+        BindingBatch {
+            vars,
+            terms,
+            rows: rows.len(),
+        }
+    }
+
     proptest! {
         /// The hash join agrees with the naive nested loop over
         /// `Binding::join` — same rows, same order — for every
@@ -471,8 +551,11 @@ mod proptests {
                 vars.slot_of(n);
             }
             let mut interner = TermInterner::new();
-            let lrows: Vec<Vec<u64>> = lb.iter().map(|b| interner.encode(b, &vars)).collect();
-            let rrows: Vec<Vec<u64>> = rb.iter().map(|b| interner.encode(b, &vars)).collect();
+            // Each side binds its seed's slots that survive the mask.
+            let lbound = [lvars[0], lvars[1], false, false];
+            let rbound = [false, rvars[1], rvars[2], rvars[3]];
+            let lrows = interner.encode_batch(to_batch(lbound, &left), &vars);
+            let rrows = interner.encode_batch(to_batch(rbound, &right), &vars);
             let joined: Vec<Binding> = hash_join_rows(&lrows, &rrows)
                 .iter()
                 .map(|r| interner.decode(r, &vars))

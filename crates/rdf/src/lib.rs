@@ -29,20 +29,24 @@
 //! * **one scan (σ, π)** — a pattern is answered by picking an access
 //!   path (the shortest posting list among its exact constants, else a
 //!   prefix range, else every row) and sweeping the residual predicate
-//!   over 256-row granules of row ids. [`TripleStore::match_pattern`],
-//!   [`TripleStore::for_each_match_row`] and [`TripleStore::resolve`]
-//!   are its output formats;
+//!   over 256-row granules of row ids. [`TripleStore::match_into`]
+//!   (terms, appended to a columnar [`BindingBatch`]),
+//!   [`TripleStore::for_each_match_row`] (term codes) and
+//!   [`TripleStore::resolve`] are its output formats;
+//!   [`TripleStore::match_pattern`] is `match_into` materialized;
 //! * **one join (⋈)** — conjunctive evaluation runs in the hash-join
 //!   binding engine ([`join`]): solution rows are `Vec<u64>` term codes
 //!   over the query's variable slots ([`join::VarTable`]), merged by
 //!   hashing the shared variables ([`join::hash_join_rows`]). The
 //!   distributed engine in `gridvine-core` reuses the same kernel with
 //!   a query-scoped [`join::TermInterner`], since rows arriving from
-//!   remote peers are coded against the origin's interner rather than
-//!   any one store's dictionary;
-//! * **result boundary** — strings are materialized back into [`Term`]s
-//!   and [`Binding`]s only for rows that survive selection, join and
-//!   projection.
+//!   remote peers — as [`BindingBatch`]es ([`batch`]) — are coded
+//!   against the origin's interner rather than any one store's
+//!   dictionary;
+//! * **result boundary** — a [`Binding`] (one string-keyed map per
+//!   row) is built only for rows that survive selection, join,
+//!   projection and dedup; in between, rows are batches of [`Term`]s or
+//!   vectors of codes.
 //!
 //! ```
 //! use gridvine_rdf::prelude::*;
@@ -57,6 +61,7 @@
 //! assert_eq!(q.evaluate(&db), vec![Term::uri("embl:A78712")]);
 //! ```
 
+pub mod batch;
 pub mod dict;
 pub mod fasthash;
 pub mod guid;
@@ -69,6 +74,7 @@ pub mod triple;
 
 /// Glob-import surface.
 pub mod prelude {
+    pub use crate::batch::BindingBatch;
     pub use crate::dict::{SharedTermDict, TermDict, TermId};
     pub use crate::guid::Guid;
     pub use crate::parser::{parse_query, parse_single, ParseError};
@@ -78,6 +84,7 @@ pub mod prelude {
     pub use crate::triple::{Binding, PatternTerm, Position, Triple, TriplePattern};
 }
 
+pub use batch::BindingBatch;
 pub use dict::{SharedTermDict, TermDict, TermId};
 pub use guid::Guid;
 pub use parser::{parse_query, parse_single, ParseError};

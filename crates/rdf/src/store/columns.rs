@@ -152,12 +152,6 @@ impl Columns {
         ((self.col(pos)[id as usize].0 as u64) << 1) | lit as u64
     }
 
-    /// Whether the object of a row is a literal.
-    #[inline]
-    pub(crate) fn o_lit_at(&self, id: u32) -> bool {
-        self.o_lit.get(id as usize)
-    }
-
     #[inline]
     pub(crate) fn is_dead(&self, id: u32) -> bool {
         self.dead.get(id as usize)

@@ -48,7 +48,8 @@
 //!   prefix range over the sorted key index, else every row), then runs
 //!   the residual predicate (every exact constant by kind-tagged code,
 //!   `LIKE`s, repeated variables) as columnar sweeps over 256-row
-//!   granules. [`TripleStore::match_pattern`],
+//!   granules. [`TripleStore::match_into`] (terms appended to a
+//!   [`BindingBatch`]; [`TripleStore::match_pattern`] materializes it),
 //!   [`TripleStore::for_each_match_row`] and [`TripleStore::resolve`]
 //!   are its three output formats.
 //! * **⋈ — one join.** [`TripleStore::join`] hash-joins two patterns'
@@ -68,6 +69,7 @@ pub use cursor::RowCursor;
 /// Rows per evaluation granule: the batch size of the pattern scan.
 pub(crate) const GRANULE: usize = 256;
 
+use crate::batch::BindingBatch;
 use crate::dict::{TermDict, TermId};
 use crate::fasthash::FxHashSet;
 use crate::join::{hash_join_rows, VarTable, UNBOUND};
@@ -795,44 +797,47 @@ impl TripleStore {
         b
     }
 
+    /// The scan kernel behind every shipped row: append one row per
+    /// triple matching `pattern`, in insertion order, to `out` — whose
+    /// header must be `pattern`'s variables
+    /// ([`BindingBatch::for_pattern`] of it, or of a pattern differing
+    /// only in constants) — and return how many were appended. A
+    /// literal constant containing `%` is a LIKE predicate on its
+    /// position; a repeated variable binds its one column; an
+    /// all-constant pattern appends zero-width rows that still count.
+    ///
+    /// # Panics
+    /// Panics if the header names a variable `pattern` does not have.
+    pub fn match_into(&self, pattern: &TriplePattern, out: &mut BindingBatch) -> usize {
+        debug_assert_eq!(out.vars(), BindingBatch::for_pattern(pattern).vars());
+        // Each column reads the first position holding its variable.
+        let mut cols = [Position::Subject; 3];
+        let width = out.vars.len();
+        for (col, name) in cols.iter_mut().zip(out.vars.names()) {
+            *col = *Position::ALL
+                .iter()
+                .find(|&&pos| matches!(pattern.slot(pos), PatternTerm::Var(v) if v == name))
+                .expect("batch header names a variable of the pattern");
+        }
+        let mut appended = 0;
+        for id in self.pattern_matches(pattern) {
+            for &pos in &cols[..width] {
+                out.terms
+                    .push(self.term_of_code(self.cols.code_at(id, pos)));
+            }
+            appended += 1;
+        }
+        out.rows += appended;
+        appended
+    }
+
     /// Evaluate a triple pattern against the local database, returning
-    /// one binding per matching triple, in insertion order. A literal
-    /// constant containing `%` is a LIKE predicate on its position.
-    /// Terms are gathered granule-at-a-time: matching row ids are
-    /// collected first, then each bound position is resolved through
-    /// one batched dictionary pass per 256-row chunk instead of one
-    /// shard hop per binding slot.
+    /// one binding per matching triple, in insertion order: the rows of
+    /// [`TripleStore::match_into`], materialized.
     pub fn match_pattern(&self, pattern: &TriplePattern) -> Vec<Binding> {
-        let mut vars: Vec<(Position, &str)> = Vec::new();
-        for &pos in Position::ALL.iter() {
-            if let PatternTerm::Var(v) = pattern.slot(pos) {
-                if !vars.iter().any(|&(_, n)| n == v.as_str()) {
-                    vars.push((pos, v.as_str()));
-                }
-            }
-        }
-        let ids: Vec<u32> = self.pattern_matches(pattern).collect();
-        let mut out: Vec<Binding> = Vec::with_capacity(ids.len());
-        out.resize_with(ids.len(), Binding::new);
-        let mut tids: Vec<TermId> = Vec::with_capacity(GRANULE);
-        let mut lex: Vec<Arc<str>> = Vec::with_capacity(GRANULE);
-        for (c, chunk) in ids.chunks(GRANULE).enumerate() {
-            let base = c * GRANULE;
-            for &(pos, name) in &vars {
-                tids.clear();
-                tids.extend(chunk.iter().map(|&r| self.cols.id_at(r, pos)));
-                self.dict.shared_many(&tids, &mut lex);
-                for (k, &r) in chunk.iter().enumerate() {
-                    let term = if pos == Position::Object && self.cols.o_lit_at(r) {
-                        Term::literal(lex[k].clone())
-                    } else {
-                        Term::uri(lex[k].clone())
-                    };
-                    out[base + k].bind(name.to_string(), term);
-                }
-            }
-        }
-        out
+        let mut batch = BindingBatch::for_pattern(pattern);
+        self.match_into(pattern, &mut batch);
+        batch.into_bindings()
     }
 
     /// The destination-peer resolution of §2.3:
@@ -1450,6 +1455,15 @@ mod proptests {
         })
     }
 
+    /// Subject, predicate and object over one two-letter pool (objects
+    /// of either kind), so repeated-variable patterns find matches.
+    fn arb_pooled_triple() -> impl Strategy<Value = Triple> {
+        ("[a-b]{1,2}", "[a-b]{1,2}", "[a-b]{1,2}", any::<bool>()).prop_map(|(s, p, o, lit)| {
+            let object = if lit { Term::literal(o) } else { Term::uri(o) };
+            Triple::new(s.as_str(), p.as_str(), object)
+        })
+    }
+
     /// A store built as `first`, an optional CSR rebuild, `removals`
     /// (tombstones under the head when it was rebuilt), then `second`
     /// (the tail) — with its live triples in insertion order.
@@ -1587,6 +1601,72 @@ mod proptests {
             let naive: Vec<Binding> =
                 reference.iter().filter_map(|t| pattern.match_triple(t)).collect();
             prop_assert_eq!(db.match_pattern(&pattern), naive, "{:?}", pattern);
+        }
+
+        /// The batch kernel, `match_pattern` and the naive matcher agree
+        /// on rows *and* order — across a CSR rebuild and tombstones,
+        /// over one lexical pool for all three positions so repeated
+        /// variables do match — for repeated-variable, all-constant
+        /// (zero-width rows that still count) and `%` patterns; and a
+        /// second scan appends after the first.
+        #[test]
+        fn match_into_agrees_with_match_pattern_and_naive(
+            first in proptest::collection::vec(arb_pooled_triple(), 0..40),
+            removals in proptest::collection::vec(any::<prop::sample::Index>(), 0..10),
+            second in proptest::collection::vec(arb_pooled_triple(), 0..20),
+            probe in arb_pooled_triple(),
+            stored in any::<prop::sample::Index>(),
+            core in "[a-b]{0,2}",
+            seal in any::<bool>(),
+            shape in 0usize..9,
+        ) {
+            let (db, reference) = build(&first, seal, &removals, &second);
+            let var = PatternTerm::var;
+            // Ground patterns take a stored triple when there is one.
+            let ground = if reference.is_empty() || shape % 2 == 0 {
+                probe
+            } else {
+                reference[stored.index(reference.len())].clone()
+            };
+            let pattern = match shape {
+                0 => TriplePattern::new(var("x"), var("p"), var("x")),
+                1 => TriplePattern::new(var("x"), var("x"), var("o")),
+                2 => TriplePattern::new(var("x"), var("x"), var("x")),
+                3 | 4 => TriplePattern::new(
+                    PatternTerm::constant(Term::Uri(ground.subject)),
+                    PatternTerm::constant(Term::Uri(ground.predicate)),
+                    PatternTerm::constant(ground.object),
+                ),
+                5 => TriplePattern::new(
+                    var("s"),
+                    var("p"),
+                    PatternTerm::constant(Term::literal(format!("%{core}%"))),
+                ),
+                6 => TriplePattern::new(
+                    var("s"),
+                    var("s"),
+                    PatternTerm::constant(Term::literal(format!("{core}%"))),
+                ),
+                7 => TriplePattern::new(
+                    var("s"),
+                    PatternTerm::constant(Term::Uri(ground.predicate)),
+                    var("o"),
+                ),
+                _ => TriplePattern::new(var("s"), var("p"), var("o")),
+            };
+            let naive: Vec<Binding> =
+                reference.iter().filter_map(|t| pattern.match_triple(t)).collect();
+            prop_assert_eq!(&db.match_pattern(&pattern), &naive, "{:?}", pattern);
+
+            let mut batch = BindingBatch::for_pattern(&pattern);
+            prop_assert_eq!(db.match_into(&pattern, &mut batch), naive.len(), "{:?}", pattern);
+            prop_assert_eq!(batch.len(), naive.len());
+            prop_assert_eq!(&batch.clone().into_bindings(), &naive, "{:?}", pattern);
+            // Appending: a second scan lands after the first.
+            prop_assert_eq!(db.match_into(&pattern, &mut batch), naive.len());
+            prop_assert_eq!(batch.len(), 2 * naive.len());
+            let twice: Vec<Binding> = naive.iter().chain(&naive).cloned().collect();
+            prop_assert_eq!(batch.into_bindings(), twice, "{:?}", pattern);
         }
 
         /// A LIKE constant agrees with a naive scan for every pattern shape
