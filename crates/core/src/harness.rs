@@ -7,12 +7,25 @@
 //! five seconds."
 //!
 //! The harness builds a P-Grid topology over `n` simulated machines,
-//! preloads triples through the replica-aware stores, then submits a
-//! query workload. All three historical drivers — plain lookups,
-//! reformulated dissemination and conjunctive joins — are projections of
-//! **one plan-driven loop**, [`Deployment::run_plans`]: every query is a
-//! logical [`QueryPlan`] whose routed lookups and mapping fetches run
-//! through the asynchronous protocol ([`gridvine_pgrid::proto`]).
+//! bulk-loads every peer's local triple database `DB_p`, then submits a
+//! query workload. Plain lookups, reformulated dissemination and
+//! conjunctive joins are projections of **one plan-driven loop**,
+//! [`Deployment::run_plans`]: every query is a logical [`QueryPlan`]
+//! whose routed lookups and mapping fetches run through the
+//! asynchronous protocol ([`gridvine_pgrid::proto`]).
+//!
+//! **Where the data lives.** Triples are stored once per responsible
+//! peer, in an indexed [`TripleStore`] ([`Deployment::peer_db`]) — the
+//! same `DB_p` the synchronous [`crate::GridVineSystem`] serves queries
+//! from. A data `Retrieve(key, q)` is routed and answered hop by hop
+//! like any other request, and when its reply lands the driver
+//! resolves `q` against the `DB_p` of the peer that answered
+//! (`Results = π σ (DB_dest)`, §2.3) with the scan kernel both engines
+//! share ([`TripleStore::match_into`], here through
+//! [`TripleStore::match_pattern`]), materialising a [`Binding`] only for
+//! rows that match. Schemas and mappings live in the nodes' overlay
+//! buckets and travel inside the reply, as mapping discovery needs the
+//! items themselves.
 //!
 //! The driver is **fully event-driven on the netsim clock**:
 //! the network is pumped one event at a time
@@ -36,8 +49,10 @@ use crate::system::exec::with_predicate;
 use gridvine_netsim::rng;
 use gridvine_netsim::{Cdf, Network, NetworkConfig, NodeId, SimDuration, SimTime};
 use gridvine_pgrid::proto::{PGridMsg, PGridNode, Status};
-use gridvine_pgrid::{BitString, HashKind, KeyHasher, Topology};
-use gridvine_rdf::{Binding, ConjunctiveQuery, Triple, TriplePattern, TriplePatternQuery};
+use gridvine_pgrid::{BitString, HashKind, KeyHasher, PeerId, Topology};
+use gridvine_rdf::{
+    Binding, ConjunctiveQuery, Triple, TriplePattern, TriplePatternQuery, TripleStore,
+};
 use gridvine_semantic::{CachedHop, ClosureCache, ClosureKey, Mapping, Schema, SchemaId};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -239,6 +254,9 @@ enum WanWork {
         query: usize,
         pattern: usize,
         pat: TriplePattern,
+        /// The key the retrieve was routed by: only a reply from a peer
+        /// responsible for it is resolved against that peer's `DB_p`.
+        key: BitString,
         /// The query's own-vocabulary (depth-0) lookup; its hop count
         /// feeds [`WanBatchReport::mean_hops`].
         initial: bool,
@@ -324,6 +342,9 @@ pub struct Deployment {
     config: DeploymentConfig,
     topology: Topology,
     net: Network<PGridNode<MediationItem>, PGridMsg<MediationItem>>,
+    /// `DB_p` of every peer, indexed like the nodes of `net`: the only
+    /// triple storage (node buckets hold schemas and mappings).
+    dbs: Vec<TripleStore>,
     hasher: Box<dyn KeyHasher + Send + Sync>,
     /// Per-origin bounded LRU closure caches (the WAN twin of the
     /// synchronous system's per-peer caches), keyed on the deployment's
@@ -349,6 +370,7 @@ impl Deployment {
             hasher: config.hash.build(),
             topology,
             net,
+            dbs: vec![TripleStore::new(); config.peers],
             caches: (0..config.peers)
                 .map(|_| ClosureCache::bounded(config.closure_cache_capacity))
                 .collect(),
@@ -381,38 +403,40 @@ impl Deployment {
         &mut self.net
     }
 
+    /// One peer's local triple database `DB_p`.
+    pub fn peer_db(&self, peer: PeerId) -> &TripleStore {
+        &self.dbs[peer.index()]
+    }
+
     fn keyspace(&self) -> KeySpace<'_> {
         KeySpace::new(self.hasher.as_ref(), self.config.key_depth)
     }
 
-    /// Preload triples directly into the responsible peers' stores
-    /// (including replicas), as a completed bulk load would leave them.
-    /// Returns the number of (key, triple) placements.
+    /// Preload triples into the local databases of the peers
+    /// responsible for their three index keys (including σ replicas),
+    /// as completed `Update(t)` operations would leave them. Returns the
+    /// number of (key, triple) placements.
     ///
-    /// Unlike the synchronous system — whose peers serve queries from
-    /// indexed local databases — the WAN nodes keep bucket stores: the
-    /// asynchronous protocol ships stored values back over the wire, and
-    /// the origin filters them against the pattern.
+    /// The triples are staged per responsible peer and every `DB_p` is
+    /// bulk-loaded once ([`TripleStore::insert_batch`]); a peer
+    /// responsible for several keys of one triple stores it once.
+    /// Nothing is written into a node's overlay bucket: a data retrieve
+    /// is answered from the `DB_p` of the peer that replies (see the
+    /// module docs).
     pub fn preload(&mut self, triples: impl IntoIterator<Item = Triple>) -> usize {
+        let ks = self.keyspace();
         let mut placements = 0;
-        let keys: Vec<_> = triples
-            .into_iter()
-            .map(|t| {
-                let ks = self.keyspace();
-                let keys = ks.triple_keys(&t);
-                (t, keys)
-            })
-            .collect();
-        for (t, keys) in keys {
-            for key in keys {
-                for p in self.topology.responsible(&key).to_vec() {
-                    self.net
-                        .node_mut(NodeId::from_index(p.index()))
-                        .store_mut()
-                        .insert(key.clone(), MediationItem::Triple(t.clone()));
+        let mut staged: Vec<Vec<Triple>> = vec![Vec::new(); self.dbs.len()];
+        for t in triples {
+            for key in ks.triple_keys(&t) {
+                for p in self.topology.responsible(&key) {
+                    staged[p.index()].push(t.clone());
                     placements += 1;
                 }
             }
+        }
+        for (db, batch) in self.dbs.iter_mut().zip(staged) {
+            db.insert_batch(batch);
         }
         placements
     }
@@ -475,6 +499,27 @@ impl Deployment {
             .net
             .invoke(node, move |n, ctx| n.start_retrieve(ctx, key));
         pending.insert((origin, req), work);
+    }
+
+    /// The routed data lookup answering `pat` — its key and its driver
+    /// work — or `None` when the pattern has no routable constant.
+    fn data_lookup(
+        &self,
+        query: usize,
+        pattern: usize,
+        pat: TriplePattern,
+        initial: bool,
+    ) -> Option<(BitString, WanWork)> {
+        let (_, term) = pat.routing_constant()?;
+        let key = self.keyspace().key_of(term.lexical());
+        let work = WanWork::Data {
+            query,
+            pattern,
+            pat,
+            key: key.clone(),
+            initial,
+        };
+        Some((key, work))
     }
 
     /// Drive a batch of logical [`QueryPlan`]s over the event-driven
@@ -577,26 +622,17 @@ impl Deployment {
             let mut subs: Vec<(BitString, WanWork)> = Vec::new();
             let qtracks: Vec<WanTrack> = match plan {
                 QueryPlan::Pattern { query } => {
-                    let track = WanTrack::new();
-                    match query.pattern.routing_constant() {
-                        Some((_, term)) => {
+                    match self.data_lookup(qi, 0, query.pattern.clone(), true) {
+                        Some(sub) => {
                             st.data_lookups += 1;
-                            subs.push((
-                                self.keyspace().key_of(term.lexical()),
-                                WanWork::Data {
-                                    query: qi,
-                                    pattern: 0,
-                                    pat: query.pattern.clone(),
-                                    initial: true,
-                                },
-                            ));
+                            subs.push(sub);
                         }
                         None => {
                             st.skipped_flags[qi] = true;
                             st.skipped += 1;
                         }
                     }
-                    vec![track]
+                    vec![WanTrack::new()]
                 }
                 QueryPlan::ObjectPrefix { .. } => {
                     // The asynchronous protocol has no range retrieve;
@@ -641,33 +677,20 @@ impl Deployment {
                                     } else {
                                         with_predicate(&query.pattern, &hop.predicate)
                                     };
-                                    if let Some((_, term)) = pat.routing_constant() {
+                                    if let Some(sub) = self.data_lookup(qi, 0, pat, hop.depth == 0)
+                                    {
                                         st.data_lookups += 1;
-                                        subs.push((
-                                            self.keyspace().key_of(term.lexical()),
-                                            WanWork::Data {
-                                                query: qi,
-                                                pattern: 0,
-                                                pat,
-                                                initial: hop.depth == 0,
-                                            },
-                                        ));
+                                        subs.push(sub);
                                     }
                                 }
                             } else {
                                 // Cold: answer in the query's own
                                 // vocabulary…
-                                if let Some((_, term)) = query.pattern.routing_constant() {
+                                if let Some(sub) =
+                                    self.data_lookup(qi, 0, query.pattern.clone(), true)
+                                {
                                     st.data_lookups += 1;
-                                    subs.push((
-                                        self.keyspace().key_of(term.lexical()),
-                                        WanWork::Data {
-                                            query: qi,
-                                            pattern: 0,
-                                            pat: query.pattern.clone(),
-                                            initial: true,
-                                        },
-                                    ));
+                                    subs.push(sub);
                                 }
                                 // …and start discovering mappings.
                                 if ttl > 0 {
@@ -703,18 +726,10 @@ impl Deployment {
                     let mut qtracks: Vec<WanTrack> =
                         (0..query.patterns.len()).map(|_| WanTrack::new()).collect();
                     for (pi, pat) in query.patterns.iter().enumerate() {
-                        match pat.routing_constant() {
-                            Some((_, term)) => {
+                        match self.data_lookup(qi, pi, pat.clone(), true) {
+                            Some(sub) => {
                                 st.data_lookups += 1;
-                                subs.push((
-                                    self.keyspace().key_of(term.lexical()),
-                                    WanWork::Data {
-                                        query: qi,
-                                        pattern: pi,
-                                        pat: pat.clone(),
-                                        initial: true,
-                                    },
-                                ));
+                                subs.push(sub);
                             }
                             None => st.unroutable += 1,
                         }
@@ -744,17 +759,9 @@ impl Deployment {
                                     for hop in hops.iter().filter(|h| h.depth > 0) {
                                         qtracks[pi].visited.insert(hop.schema.clone());
                                         let rp = with_predicate(pat, &hop.predicate);
-                                        if let Some((_, term)) = rp.routing_constant() {
+                                        if let Some(sub) = self.data_lookup(qi, pi, rp, false) {
                                             st.data_lookups += 1;
-                                            subs.push((
-                                                self.keyspace().key_of(term.lexical()),
-                                                WanWork::Data {
-                                                    query: qi,
-                                                    pattern: pi,
-                                                    pat: rp,
-                                                    initial: false,
-                                                },
-                                            ));
+                                            subs.push(sub);
                                         }
                                     }
                                 } else {
@@ -1004,31 +1011,35 @@ impl Deployment {
                 query,
                 pattern,
                 pat,
+                key,
                 initial,
             } => {
                 let track = &mut st.tracks[query][pattern];
-                // Origin-side filtering with the full pattern.
-                let mut fresh: Vec<Binding> = Vec::new();
-                for item in &o.values {
-                    if let MediationItem::Triple(t) = item {
-                        if let Some(b) = pat.match_triple(t) {
-                            // Distinct tracking only matters to the
-                            // limit check; unlimited batches skip its
-                            // formatting cost.
-                            if options.limit.is_some() {
-                                track.distinct.insert(b.to_string());
-                            }
-                            track.bindings.push(b.clone());
-                            fresh.push(b);
-                        }
-                    }
+                // Destination-side resolution (§2.3): `π σ (DB_p)` on
+                // the peer that answered. A reply from a peer that is
+                // not responsible for the key reports a routing hole,
+                // not an answer: it resolves to no rows.
+                let seen = track.bindings.len();
+                if let Some(dest) = o
+                    .responder
+                    .filter(|r| self.net.node(*r).view().is_responsible(&key))
+                {
+                    track
+                        .bindings
+                        .extend(self.dbs[dest.index()].match_pattern(&pat));
                 }
+                let fresh = &track.bindings[seen..];
                 if !fresh.is_empty() {
+                    // Distinct tracking only matters to the limit
+                    // check; unlimited batches skip its formatting cost.
+                    if options.limit.is_some() {
+                        track.distinct.extend(fresh.iter().map(Binding::to_string));
+                    }
                     track.matched_at = Some(track.matched_at.map_or(now, |m| m.max(now)));
                     sink(WanPartial {
                         query,
                         at: now,
-                        bindings: &fresh,
+                        bindings: fresh,
                     });
                 }
                 if initial {
@@ -1092,20 +1103,9 @@ impl Deployment {
                         });
                     }
                     let origin = st.origins[query];
-                    if let Some((_, term)) = np.routing_constant() {
+                    if let Some((key, work)) = self.data_lookup(query, pattern, np.clone(), false) {
                         st.data_lookups += 1;
-                        let key = self.keyspace().key_of(term.lexical());
-                        self.submit_wan(
-                            origin,
-                            key,
-                            WanWork::Data {
-                                query,
-                                pattern,
-                                pat: np.clone(),
-                                initial: false,
-                            },
-                            &mut st.pending,
-                        );
+                        self.submit_wan(origin, key, work, &mut st.pending);
                     }
                     if depth + 1 < options.ttl {
                         st.mapping_fetches += 1;
@@ -1268,11 +1268,77 @@ mod tests {
     #[test]
     fn preload_places_triples_with_replicas() {
         let (d, w) = small_deployment(1);
-        let total: usize = (0..48)
-            .map(|i| d.network().node(NodeId::from_index(i)).store().len())
-            .sum();
-        // Three index keys per triple, each placed on ≥1 peer.
+        let stored = |i: usize| d.peer_db(PeerId::from_index(i)).len();
+        let total: usize = (0..48).map(stored).sum();
+        // Three index keys per triple, each placed on ≥1 peer (a peer
+        // holding several keys of one triple stores it once).
         assert!(total >= 3 * w.triple_count() / 2, "placed {total}");
+        // σ replicas hold the same rows, and no triple sits in a bucket.
+        for (_, group) in d.topology().groups() {
+            assert!(group
+                .iter()
+                .all(|p| stored(p.index()) == stored(group[0].index())));
+        }
+        assert!((0..48).all(|i| d.network().node(NodeId::from_index(i)).store().is_empty()));
+    }
+
+    #[test]
+    fn a_fail_over_reads_the_replica_that_answered() {
+        let (mut d, w) = small_deployment(13);
+        // A predicate whose σ group has a replica, and all its facts.
+        let (key, group, pat) = w
+            .all_triples()
+            .into_iter()
+            .find_map(|(_, t)| {
+                let key = d.keyspace().key_of(t.predicate.as_str());
+                let group = d.topology.responsible(&key).to_vec();
+                let pat = TriplePattern::new(
+                    gridvine_rdf::PatternTerm::var("x"),
+                    gridvine_rdf::PatternTerm::constant(gridvine_rdf::Term::Uri(t.predicate)),
+                    gridvine_rdf::PatternTerm::var("o"),
+                );
+                (group.len() == 2).then_some((key, group, pat))
+            })
+            .expect("48 peers over 32 leaves replicate half the key space");
+        let [down, replica] = [group[0], group[1]].map(|p| NodeId::from_index(p.index()));
+        let expected = d.peer_db(group[1]).match_pattern(&pat);
+        assert!(!expected.is_empty());
+        // The first holder goes down and its store with it.
+        d.net.crash(down);
+        d.dbs[down.index()] = TripleStore::new();
+        for i in 0..48 {
+            // Attempts routed through the dead peer time out; retry
+            // until a path ends at the live replica.
+            d.net.node_mut(NodeId::from_index(i)).set_retries(12);
+        }
+        let query = TriplePatternQuery::new("x", pat).unwrap();
+        let plans = vec![QueryPlan::pattern(query); 12];
+        let mut replies: Vec<Vec<Binding>> = Vec::new();
+        let rep = d.run_plans_with(
+            &plans,
+            &WanBatchOptions {
+                ttl: 0,
+                mean_interarrival: None,
+                limit: None,
+            },
+            &mut |p| replies.push(p.bindings.to_vec()),
+        );
+        assert_eq!(rep.timed_out, 0, "{rep:?}");
+        // (A lookup submitted at the dead peer itself answers locally,
+        // from nothing.)
+        assert!(rep.answered >= 10, "{rep:?}");
+        assert!(replies.iter().all(|rows| *rows == expected));
+
+        // At the protocol level the outcome names the replica.
+        let origin = (0..48)
+            .map(NodeId::from_index)
+            .find(|n| *n != down && *n != replica)
+            .unwrap();
+        d.net.invoke(origin, |n, ctx| n.start_retrieve(ctx, key));
+        d.net.run_until_quiescent();
+        let done = d.net.node_mut(origin).drain_completed();
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].responder, Some(replica));
     }
 
     #[test]

@@ -20,6 +20,13 @@ use serde::{Deserialize, Serialize};
 /// A value stored in the overlay by the mediation layer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum MediationItem {
+    /// A triple as an overlay value. Neither engine stores it: both
+    /// `GridVineSystem` and the WAN `Deployment` keep triples in the
+    /// responsible peers' indexed `DB_p` only and resolve a data
+    /// retrieve there. The variant remains for callers that push
+    /// triples through the generic-payload overlay — the
+    /// message-level churn tests and examples, and the benchmark's
+    /// `pgrid.update_ns` replay.
     Triple(Triple),
     Schema(Schema),
     /// A mapping stored at one of its schema key spaces; `at_source`

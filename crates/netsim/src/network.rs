@@ -435,9 +435,10 @@ impl<N: Node<M>, M: Clone> Network<N, M> {
     }
 
     fn flush_actions(&mut self, from: NodeId) {
-        // Drain into a local buffer first: enqueue_send needs &mut self.
-        let drained: Vec<Action<M>> = self.actions.drain(..).collect();
-        for a in drained {
+        // Take the buffer (enqueue_send needs &mut self) and hand it
+        // back with its capacity, as the handler entry points do.
+        let mut actions = std::mem::take(&mut self.actions);
+        for a in actions.drain(..) {
             match a {
                 Action::Send { to, msg } => self.enqueue_send(from, to, msg),
                 Action::Timer { after, token } => {
@@ -446,6 +447,7 @@ impl<N: Node<M>, M: Clone> Network<N, M> {
                 }
             }
         }
+        self.actions = actions;
     }
 
     fn enqueue_send(&mut self, from: NodeId, to: NodeId, msg: M) {

@@ -11,7 +11,13 @@
 //!
 //! * `Retrieve { key }` — greedy prefix forwarding hop by hop; the
 //!   responsible peer answers the **origin** directly with the values
-//!   (one response message, as in the paper's `Retrieve(key, q)`).
+//!   in its bucket for `key` (one response message, as in the paper's
+//!   `Retrieve(key, q)`). The origin's [`Outcome`] names the peer that
+//!   answered ([`Outcome::responder`]), so a caller whose answer is
+//!   computed from that peer's state rather than shipped in `values` —
+//!   GridVine resolves `q` on the answering peer's triple database —
+//!   reads the store of the replica that actually replied, also after
+//!   a fail-over.
 //! * `Update { key, value }` — routed the same way; the responsible peer
 //!   applies the write and forwards a copy to each replica in σ(p).
 //! * Origins set a timeout timer per request; a request with no response
@@ -72,6 +78,11 @@ pub struct Outcome<V> {
     pub issued_at: SimTime,
     pub completed_at: SimTime,
     pub hops: u32,
+    /// The peer whose response completed the request: the responsible
+    /// peer (or σ replica) that answered, the peer a routing hole made
+    /// give up with `NotFound`, or the origin itself when it answered
+    /// locally. `None` when the request timed out.
+    pub responder: Option<NodeId>,
     pub values: Vec<V>,
     pub status: Status,
 }
@@ -188,7 +199,7 @@ impl<V: Clone + PartialEq> PGridNode<V> {
             key,
             hops: 0,
         };
-        self.route_or_handle(ctx, msg);
+        self.route_or_handle(ctx, origin, msg);
         id
     }
 
@@ -219,7 +230,7 @@ impl<V: Clone + PartialEq> PGridNode<V> {
             hops: 0,
             replica_copy: false,
         };
-        self.route_or_handle(ctx, msg);
+        self.route_or_handle(ctx, origin, msg);
         id
     }
 
@@ -230,8 +241,9 @@ impl<V: Clone + PartialEq> PGridNode<V> {
     }
 
     /// Apply the greedy forwarding rule to a routed message, or consume
-    /// it locally when this peer is responsible.
-    fn route_or_handle(&mut self, ctx: &mut Ctx<'_, PGridMsg<V>>, msg: PGridMsg<V>) {
+    /// it locally when this peer is responsible. `from` is the peer the
+    /// message came from (this peer itself for a request it starts).
+    fn route_or_handle(&mut self, ctx: &mut Ctx<'_, PGridMsg<V>>, from: NodeId, msg: PGridMsg<V>) {
         match msg {
             PGridMsg::Retrieve {
                 id,
@@ -248,11 +260,7 @@ impl<V: Clone + PartialEq> PGridNode<V> {
                         hops,
                         found,
                     };
-                    if origin == ctx.self_id() {
-                        self.consume_response(ctx.now(), resp);
-                    } else {
-                        ctx.send(origin, resp);
-                    }
+                    self.respond(ctx, origin, resp);
                     return;
                 }
                 match self.pick_next_hop(ctx, &key) {
@@ -272,11 +280,7 @@ impl<V: Clone + PartialEq> PGridNode<V> {
                             hops,
                             found: false,
                         };
-                        if origin == ctx.self_id() {
-                            self.consume_response(ctx.now(), resp);
-                        } else {
-                            ctx.send(origin, resp);
-                        }
+                        self.respond(ctx, origin, resp);
                     }
                 }
             }
@@ -307,12 +311,7 @@ impl<V: Clone + PartialEq> PGridNode<V> {
                                 },
                             );
                         }
-                        let ack = PGridMsg::UpdateAck { id, hops };
-                        if origin == ctx.self_id() {
-                            self.consume_response(ctx.now(), ack);
-                        } else {
-                            ctx.send(origin, ack);
-                        }
+                        self.respond(ctx, origin, PGridMsg::UpdateAck { id, hops });
                     }
                     return;
                 }
@@ -336,8 +335,18 @@ impl<V: Clone + PartialEq> PGridNode<V> {
                 }
             }
             resp @ (PGridMsg::RetrieveResp { .. } | PGridMsg::UpdateAck { .. }) => {
-                self.consume_response(ctx.now(), resp);
+                self.consume_response(ctx.now(), from, resp);
             }
+        }
+    }
+
+    /// Answer `origin`: over the wire, or on the spot when this peer is
+    /// the origin.
+    fn respond(&mut self, ctx: &mut Ctx<'_, PGridMsg<V>>, origin: NodeId, resp: PGridMsg<V>) {
+        if origin == ctx.self_id() {
+            self.consume_response(ctx.now(), origin, resp);
+        } else {
+            ctx.send(origin, resp);
         }
     }
 
@@ -357,7 +366,7 @@ impl<V: Clone + PartialEq> PGridNode<V> {
             .map(|p| NodeId::from_index(p.index()))
     }
 
-    fn consume_response(&mut self, now: SimTime, msg: PGridMsg<V>) {
+    fn consume_response(&mut self, now: SimTime, responder: NodeId, msg: PGridMsg<V>) {
         let (id, values, hops, status) = match msg {
             PGridMsg::RetrieveResp {
                 id,
@@ -379,6 +388,7 @@ impl<V: Clone + PartialEq> PGridNode<V> {
             issued_at: p.issued_at,
             completed_at: now,
             hops,
+            responder: Some(responder),
             values,
             status,
         });
@@ -386,8 +396,8 @@ impl<V: Clone + PartialEq> PGridNode<V> {
 }
 
 impl<V: Clone + PartialEq> Node<PGridMsg<V>> for PGridNode<V> {
-    fn handle_message(&mut self, ctx: &mut Ctx<'_, PGridMsg<V>>, _from: NodeId, msg: PGridMsg<V>) {
-        self.route_or_handle(ctx, msg);
+    fn handle_message(&mut self, ctx: &mut Ctx<'_, PGridMsg<V>>, from: NodeId, msg: PGridMsg<V>) {
+        self.route_or_handle(ctx, from, msg);
     }
 
     fn on_recover(&mut self, ctx: &mut Ctx<'_, PGridMsg<V>>) {
@@ -408,6 +418,7 @@ impl<V: Clone + PartialEq> Node<PGridMsg<V>> for PGridNode<V> {
                 let origin = ctx.self_id();
                 self.route_or_handle(
                     ctx,
+                    origin,
                     PGridMsg::Retrieve {
                         id,
                         origin,
@@ -434,6 +445,7 @@ impl<V: Clone + PartialEq> Node<PGridMsg<V>> for PGridNode<V> {
                 let origin = ctx.self_id();
                 self.route_or_handle(
                     ctx,
+                    origin,
                     PGridMsg::Retrieve {
                         id: token,
                         origin,
@@ -450,6 +462,7 @@ impl<V: Clone + PartialEq> Node<PGridMsg<V>> for PGridNode<V> {
             issued_at: p.issued_at,
             completed_at: ctx.now(),
             hops: 0,
+            responder: None,
             values: Vec::new(),
             status: Status::TimedOut,
         });
@@ -482,7 +495,7 @@ mod tests {
 
     #[test]
     fn update_then_retrieve_over_the_wire() {
-        let (mut net, _) = build(32, NetworkConfig::lan(), 1);
+        let (mut net, topo) = build(32, NetworkConfig::lan(), 1);
         let h = OrderPreservingHash::default();
         let key = h.hash("EMBL#Organism", 24);
         let origin = NodeId::from_index(0);
@@ -502,6 +515,9 @@ mod tests {
         assert_eq!(done[0].status, Status::Ok);
         assert_eq!(done[0].values, vec!["Aspergillus".to_string()]);
         assert!(done[0].latency() > SimDuration::ZERO);
+        let holders = topo.responsible(&key);
+        let responder = done[0].responder.expect("answered, not timed out");
+        assert!(holders.iter().any(|p| p.index() == responder.index()));
     }
 
     #[test]
@@ -580,6 +596,7 @@ mod tests {
         let done = net.node_mut(origin).drain_completed();
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].status, Status::TimedOut);
+        assert_eq!(done[0].responder, None);
         // Initial attempt + one retry, 30 s timeout each.
         assert_eq!(done[0].latency(), SimDuration::from_secs(60));
     }
@@ -614,6 +631,11 @@ mod tests {
             node.start_update(ctx, UpdateOp::Insert, key.clone(), "kept".into())
         });
         net.run_until_quiescent();
+        // The update's own `Ok` must not pass for a retrieve's below.
+        assert_eq!(
+            net.node_mut(NodeId::from_index(0)).drain_completed().len(),
+            1
+        );
         let group = topo.responsible(&key).to_vec();
         assert!(group.len() >= 2);
         net.crash(NodeId::from_index(group[0].index()));
@@ -630,7 +652,9 @@ mod tests {
             net.invoke(origin, |node, ctx| node.start_retrieve(ctx, key.clone()));
             net.run_until_quiescent();
             let done = net.node_mut(origin).drain_completed();
-            if done.iter().any(|o| o.status == Status::Ok) {
+            if let Some(o) = done.iter().find(|o| o.status == Status::Ok) {
+                // The outcome names the replica that answered.
+                assert_eq!(o.responder, Some(NodeId::from_index(group[1].index())));
                 got = true;
                 break;
             }
