@@ -19,10 +19,9 @@
 
 use gridvine_bench::table::f;
 use gridvine_bench::Table;
-use gridvine_core::{Deployment, DeploymentConfig};
+use gridvine_core::{Deployment, DeploymentConfig, QueryPlan, WanBatchOptions};
 use gridvine_pgrid::HashKind;
-use gridvine_rdf::{ConjunctiveQuery, TriplePatternQuery};
-use gridvine_semantic::{MappingKind, MappingRegistry, Provenance};
+use gridvine_rdf::TriplePatternQuery;
 use gridvine_workload::{QueryConfig, QueryGenerator, Workload, WorkloadConfig};
 
 fn main() {
@@ -44,19 +43,7 @@ fn main() {
         seed,
         ..WorkloadConfig::default()
     });
-    let mut registry = MappingRegistry::new();
-    for s in &w.schemas {
-        registry.add_schema(s.clone());
-    }
-    for i in 0..w.schemas.len() - 1 {
-        let a = w.schemas[i].id().clone();
-        let b = w.schemas[i + 1].id().clone();
-        let corrs = w.ground_truth.correct_pairs(&a, &b);
-        if !corrs.is_empty() {
-            registry.add_mapping(a, b, MappingKind::Equivalence, Provenance::Manual, corrs);
-        }
-    }
-    let mappings: Vec<_> = registry.mappings().cloned().collect();
+    let mappings = w.chain_mappings();
 
     let build = |seed: u64| -> Deployment {
         let mut d = Deployment::new(DeploymentConfig {
@@ -108,9 +95,16 @@ fn main() {
         ]);
     }
 
+    // Every batch below is submitted at time zero.
+    let at_once = |ttl| WanBatchOptions {
+        ttl,
+        mean_interarrival: None,
+        limit: None,
+    };
+    let searches: Vec<QueryPlan> = batch.iter().cloned().map(QueryPlan::search).collect();
     for ttl in [1usize, 2, 4, 8] {
         let mut d = build(seed); // fresh network: no leftover load
-        let rep = d.run_reformulated_queries(&batch, ttl);
+        let rep = d.run_plans(&searches, &at_once(ttl));
         let mut lat = rep.latencies.clone();
         table.row(&[
             format!("reformulated ttl={ttl}"),
@@ -128,13 +122,13 @@ fn main() {
     // parallel, joined at the origin — latency is the slower pattern's
     // chain, so it tracks the reformulated single-pattern numbers.
     let mut r2 = gridvine_netsim::rng::seeded(seed ^ 0xC0);
-    let conj: Vec<ConjunctiveQuery> = gen
+    let conj: Vec<QueryPlan> = gen
         .conjunctive_batch(queries / 4, &mut r2)
         .into_iter()
-        .map(|g| g.query)
+        .map(|g| QueryPlan::conjunctive(g.query))
         .collect();
     let mut d = build(seed);
-    let rep = d.run_conjunctive_queries(&conj, 4);
+    let rep = d.run_plans(&conj, &at_once(4));
     let mut lat = rep.latencies.clone();
     table.row(&[
         "conjunctive ttl=4".into(),

@@ -9,7 +9,7 @@
 //! The harness builds a P-Grid topology over `n` simulated machines,
 //! bulk-loads every peer's local triple database `DB_p`, then submits a
 //! query workload. Plain lookups, reformulated dissemination and
-//! conjunctive joins are projections of **one plan-driven loop**,
+//! conjunctive joins all run through **one plan-driven loop**,
 //! [`Deployment::run_plans`]: every query is a logical [`QueryPlan`]
 //! whose routed lookups and mapping fetches run through the
 //! asynchronous protocol ([`gridvine_pgrid::proto`]).
@@ -30,33 +30,46 @@
 //! The driver is **fully event-driven on the netsim clock**:
 //! the network is pumped one event at a time
 //! ([`gridvine_netsim::Network::step_node`]) and every completion is
-//! processed *at its actual simulated completion instant* — a
-//! reformulated lookup is submitted the moment the mapping fetch that
-//! revealed it lands, chains across queries genuinely overlap in
-//! flight, and the latency [`Cdf`] is derived from real completion
-//! times (`completed_at − submitted_at`) instead of per-chain latency
-//! re-aggregation. [`Deployment::run_plans_with`] additionally streams
-//! every matched partial result ([`WanPartial`]) to the caller as it
-//! lands, so consumers see rows trickle in per chain instead of
-//! waiting for the batch report. Closure queries warm a **per-origin
-//! bounded LRU closure cache** ([`DeploymentConfig::closure_cache_capacity`]):
-//! a repeated closure query from the same origin replays its recorded
-//! hops and skips every mapping fetch.
+//! processed *at its actual simulated completion instant*, so chains
+//! across queries genuinely overlap in flight and the latency [`Cdf`]
+//! is derived from real completion times
+//! (`completed_at − submitted_at`). [`Deployment::run_plans_with`]
+//! additionally streams every matched partial result ([`WanPartial`])
+//! to the caller as it lands.
+//!
+//! **Where the closure walk lives.** The reformulation rule is
+//! [`gridvine_semantic::expand_hop`] — the step the synchronous
+//! executor ([`crate::exec`]) and the registry-local
+//! [`reformulations`](gridvine_semantic::reformulations) run too. This
+//! driver adds only *when to send*: a plan is a list of per-pattern
+//! tracks; opening a track sends its own-vocabulary lookup plus, within
+//! the TTL, the fetch of its schema's mapping list; each hop the step
+//! admits is sent — data lookup, and deeper fetch — the moment the
+//! reply carrying the mapping list lands. A walk that completes is
+//! recorded in the origin's **bounded LRU closure cache**
+//! ([`DeploymentConfig::closure_cache_capacity`]); a later track with
+//! the same key from that origin replays the recorded hops
+//! ([`CachedHop::replay`]) and skips every mapping fetch. When the
+//! batch drains, each plan's tracks are folded through
+//! [`gridvine_rdf::join`], as the synchronous engine folds an
+//! independent join's sweeps.
 
 use crate::item::{KeySpace, MediationItem};
 use crate::plan::QueryPlan;
-use crate::system::exec::with_predicate;
 use gridvine_netsim::rng;
 use gridvine_netsim::{Cdf, Network, NetworkConfig, NodeId, SimDuration, SimTime};
 use gridvine_pgrid::proto::{PGridMsg, PGridNode, Status};
 use gridvine_pgrid::{BitString, HashKind, KeyHasher, PeerId, Topology};
-use gridvine_rdf::{
-    Binding, ConjunctiveQuery, Triple, TriplePattern, TriplePatternQuery, TripleStore,
+use gridvine_rdf::join::{hash_join_rows, TermInterner, VarTable};
+use gridvine_rdf::{Binding, Term, Triple, TriplePattern, TriplePatternQuery, TripleStore};
+use gridvine_semantic::{
+    expand_hop, pattern_schema, query_schema, CachedHop, ClosureCache, ClosureKey, Hop, Mapping,
+    Schema, SchemaId,
 };
-use gridvine_semantic::{CachedHop, ClosureCache, ClosureKey, Mapping, Schema, SchemaId};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 /// Deployment parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -116,53 +129,6 @@ pub struct BatchReport {
     pub wall: SimDuration,
 }
 
-/// Result of a reformulated-query batch (a projection of
-/// [`WanBatchReport`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ReformulatedBatchReport {
-    /// End-to-end latency CDF over answered queries. A query's latency
-    /// is the longest reformulation chain it waited for: mapping-fetch
-    /// latencies accumulate along the chain, plus the final data lookup.
-    pub latencies: Cdf,
-    pub submitted: usize,
-    /// Queries with ≥ 1 matching result (across all reformulations).
-    pub answered: usize,
-    /// Queries whose predicate named no schema (not disseminated).
-    pub skipped: usize,
-    /// Total schema-key retrieves (mapping discovery).
-    pub mapping_fetches: usize,
-    /// Total data-key retrieves (original + reformulated patterns).
-    pub data_lookups: usize,
-    /// Requests lost to timeouts across the batch.
-    pub timed_out: usize,
-    /// Mean schemas reached per submitted query.
-    pub mean_schemas: f64,
-    /// Total messages the network carried during the batch.
-    pub messages: u64,
-}
-
-/// Result of a conjunctive-query batch (a projection of
-/// [`WanBatchReport`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ConjunctiveWanReport {
-    /// End-to-end latency CDF over answered queries: the moment the
-    /// last pattern's last reformulated bindings arrived (the join
-    /// itself is local at the origin and charged as free).
-    pub latencies: Cdf,
-    pub submitted: usize,
-    /// Queries whose joined solution set is non-empty.
-    pub answered: usize,
-    /// Mean solution rows per answered query.
-    pub mean_rows: f64,
-    /// Patterns that could not be routed (no constant).
-    pub unroutable_patterns: usize,
-    pub mapping_fetches: usize,
-    pub data_lookups: usize,
-    pub timed_out: usize,
-    /// Total messages the network carried during the batch.
-    pub messages: u64,
-}
-
 /// Knobs for one plan-driven WAN batch ([`Deployment::run_plans`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WanBatchOptions {
@@ -174,22 +140,22 @@ pub struct WanBatchOptions {
     pub mean_interarrival: Option<SimDuration>,
     /// Per-query result cap for [`QueryPlan::Closure`] plans — the WAN
     /// twin of the synchronous session's early termination: once a
-    /// query has collected `limit` **distinct** matched bindings, its
-    /// mapping-fetch
-    /// completions stop expanding (no further reformulated lookups or
-    /// deeper fetches are submitted), so a limited query sends strictly
-    /// fewer messages than an unlimited one whenever dissemination
-    /// remained. Limited closure queries bypass the per-origin closure
-    /// cache (a warm replay submits every recorded hop up front, which
-    /// would defeat the truncation). Join plans ignore the cap
-    /// (dropping a binding could drop the joining row, changing results
-    /// rather than just truncating them); in-flight requests are
-    /// allowed to land.
+    /// query has collected `limit` **distinct answers** (terms of its
+    /// distinguished variable — what the session's cap counts), its
+    /// mapping-fetch completions stop expanding (no further
+    /// reformulated lookups or deeper fetches are submitted), so a
+    /// limited query sends strictly fewer messages than an unlimited
+    /// one whenever dissemination remained. Limited closure queries
+    /// bypass the per-origin closure cache (a warm replay submits every
+    /// recorded hop up front, which would defeat the truncation). Join
+    /// plans ignore the cap (dropping a binding could drop the joining
+    /// row, changing results rather than just truncating them);
+    /// in-flight requests are allowed to land.
     pub limit: Option<usize>,
 }
 
-/// Everything one plan-driven WAN batch measured. The three legacy
-/// report shapes are projections of this.
+/// Everything one plan-driven WAN batch measured ([`BatchReport`] is a
+/// projection of it).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WanBatchReport {
     /// End-to-end latency CDF over answered queries (a query's latency
@@ -249,39 +215,35 @@ pub struct WanPartial<'a> {
 /// Work attached to one in-flight retrieve of the plan driver.
 enum WanWork {
     /// `Retrieve(Hash(routing constant))` — answer one (possibly
-    /// reformulated, possibly bound-substituted) pattern instance.
+    /// reformulated) pattern instance of a track.
     Data {
-        query: usize,
-        pattern: usize,
+        track: usize,
         pat: TriplePattern,
         /// The key the retrieve was routed by: only a reply from a peer
         /// responsible for it is resolved against that peer's `DB_p`.
         key: BitString,
-        /// The query's own-vocabulary (depth-0) lookup; its hop count
+        /// The track's own-vocabulary (depth-0) lookup; its hop count
         /// feeds [`WanBatchReport::mean_hops`].
         initial: bool,
     },
-    /// `Retrieve(Hash(schema))` — mapping discovery for one chain.
-    Schema {
-        query: usize,
-        pattern: usize,
-        schema: SchemaId,
-        pat: TriplePattern,
-        depth: usize,
-        /// Minimum mapping quality along the chain so far (recorded
-        /// into the per-origin closure cache).
-        quality: f64,
-    },
+    /// `Retrieve(Hash(schema))` — the mapping list `hop` is expanded
+    /// with when the reply lands.
+    Schema { track: usize, hop: Hop },
 }
 
-/// Per-(query, pattern) progress of the plan driver.
+/// Progress of one track: one pattern of one plan, disseminated
+/// through the mapping network.
+#[derive(Default)]
 struct WanTrack {
+    /// Index of the plan in the submitted batch, and its origin peer.
+    query: usize,
+    origin: usize,
     visited: BTreeSet<SchemaId>,
     bindings: Vec<Binding>,
-    /// Display forms of the distinct bindings collected so far — what
-    /// [`WanBatchOptions::limit`] counts against (duplicates shipped by
-    /// different schemas must not satisfy the cap early).
-    distinct: BTreeSet<String>,
+    /// Distinct answers collected so far — terms of the distinguished
+    /// variable, as the session's row admission counts them: what
+    /// [`WanBatchOptions::limit`] counts against.
+    distinct: BTreeSet<Term>,
     /// Latest simulated completion instant among matched data replies
     /// — the query's end-to-end latency is `matched_at − submitted_at`.
     matched_at: Option<SimTime>,
@@ -292,43 +254,30 @@ struct WanTrack {
     /// Mapping fetches of this track still in flight (a closure's
     /// expansion is complete — and cacheable — when this reaches 0).
     open_fetches: usize,
-    /// Hop list recorded for the per-origin closure cache (root hop
-    /// first, empty for warm replays). Only committed when the
-    /// expansion completed untruncated.
-    recorded: Vec<CachedHop>,
+    /// A cold walk's cache key and the hops walked so far (root first);
+    /// `None` for plain lookups, TTL 0 and warm replays. Committed to
+    /// the origin's cache only if the expansion completes untruncated.
+    recording: Option<(ClosureKey, Vec<CachedHop>)>,
     /// The limit cap truncated this track's expansion (a partial
     /// closure must never be recorded as complete).
     limited: bool,
 }
 
-impl WanTrack {
-    fn new() -> WanTrack {
-        WanTrack {
-            visited: BTreeSet::new(),
-            bindings: Vec::new(),
-            distinct: BTreeSet::new(),
-            matched_at: None,
-            hops: None,
-            timed_out: false,
-            open_fetches: 0,
-            recorded: Vec::new(),
-            limited: false,
-        }
-    }
+/// One submitted plan of the batch.
+struct WanQuery {
+    submitted_at: SimTime,
+    /// The plan's tracks in [`WanDrive::tracks`], one per pattern; none
+    /// for a plan that was not disseminated
+    /// ([`WanBatchReport::skipped`]).
+    tracks: Range<usize>,
 }
 
 /// Mutable batch state threaded through the event-driven drive loop.
+#[derive(Default)]
 struct WanDrive {
     pending: BTreeMap<(usize, u64), WanWork>,
-    origins: Vec<usize>,
-    /// tracks[query][pattern]
-    tracks: Vec<Vec<WanTrack>>,
-    submitted_at: Vec<SimTime>,
-    /// Cache keys of cold closure expansions, `[query][pattern]`:
-    /// closure plans use pattern 0, join plans one slot per pattern
-    /// (None for non-closure shapes, TTL 0 and warm replays).
-    closure_keys: Vec<Vec<Option<ClosureKey>>>,
-    skipped_flags: Vec<bool>,
+    queries: Vec<WanQuery>,
+    tracks: Vec<WanTrack>,
     skipped: usize,
     unroutable: usize,
     mapping_fetches: usize,
@@ -486,40 +435,106 @@ impl Deployment {
         placements
     }
 
-    /// Submit a retrieve and register its driver work.
-    fn submit_wan(
-        &mut self,
-        origin: usize,
-        key: BitString,
-        work: WanWork,
-        pending: &mut BTreeMap<(usize, u64), WanWork>,
-    ) {
-        let node = NodeId::from_index(origin);
-        let req = self
-            .net
-            .invoke(node, move |n, ctx| n.start_retrieve(ctx, key));
-        pending.insert((origin, req), work);
+    /// Submit a retrieve from the track's origin and register its
+    /// driver work.
+    fn submit_wan(&mut self, st: &mut WanDrive, track: usize, key: BitString, work: WanWork) {
+        let origin = st.tracks[track].origin;
+        let req = self.net.invoke(NodeId::from_index(origin), move |n, ctx| {
+            n.start_retrieve(ctx, key)
+        });
+        st.pending.insert((origin, req), work);
     }
 
-    /// The routed data lookup answering `pat` — its key and its driver
-    /// work — or `None` when the pattern has no routable constant.
-    fn data_lookup(
-        &self,
-        query: usize,
-        pattern: usize,
+    /// Submit the routed data lookup answering `pat` for `track`;
+    /// `false` when the pattern has no routable constant.
+    fn submit_data(
+        &mut self,
+        st: &mut WanDrive,
+        track: usize,
         pat: TriplePattern,
         initial: bool,
-    ) -> Option<(BitString, WanWork)> {
-        let (_, term) = pat.routing_constant()?;
+    ) -> bool {
+        let Some((_, term)) = pat.routing_constant() else {
+            return false;
+        };
         let key = self.keyspace().key_of(term.lexical());
+        st.data_lookups += 1;
         let work = WanWork::Data {
-            query,
-            pattern,
+            track,
             pat,
             key: key.clone(),
             initial,
         };
-        Some((key, work))
+        self.submit_wan(st, track, key, work);
+        true
+    }
+
+    /// Submit the fetch of the mapping list `hop` will be expanded with.
+    fn submit_fetch(&mut self, st: &mut WanDrive, track: usize, hop: Hop) {
+        st.mapping_fetches += 1;
+        st.tracks[track].open_fetches += 1;
+        let key = self.keyspace().key_of(hop.schema.as_str());
+        self.submit_wan(st, track, key, WanWork::Schema { track, hop });
+    }
+
+    /// Open the track disseminating `pat` for plan `query`. `root` is
+    /// the schema (and attribute) its closure walks out of — `None`
+    /// for a plain lookup.
+    ///
+    /// Cold, the track answers in the pattern's own vocabulary and,
+    /// within the TTL, starts discovering mappings; every later send
+    /// happens in [`Deployment::handle_wan_completion`]. Warm — the
+    /// origin's cache holds the closure — it replays the recorded hops:
+    /// data lookups only, zero mapping fetches.
+    fn open_track(
+        &mut self,
+        st: &mut WanDrive,
+        query: usize,
+        origin: usize,
+        pat: &TriplePattern,
+        root: Option<(SchemaId, String)>,
+        options: &WanBatchOptions,
+    ) {
+        let track = st.tracks.len();
+        st.tracks.push(WanTrack {
+            query,
+            origin,
+            ..WanTrack::default()
+        });
+        let closure = root.and_then(|(schema, attr)| {
+            st.tracks[track].visited.insert(schema.clone());
+            (options.ttl > 0).then_some(ClosureKey {
+                schema,
+                attr,
+                ttl: options.ttl,
+            })
+        });
+        // Limited batches bypass the cache: a warm replay submits every
+        // recorded hop's data lookup up front, which would defeat the
+        // limit's strictly-fewer-messages guarantee (the cold walk
+        // stops expanding at k distinct answers).
+        let cached = match &closure {
+            Some(key) if options.limit.is_none() => {
+                self.caches[origin].lookup(self.mediation_epoch, key)
+            }
+            _ => None,
+        };
+        if let Some(hops) = cached {
+            st.cache_hits += 1;
+            for hop in hops.iter() {
+                st.tracks[track].visited.insert(hop.schema.clone());
+                self.submit_data(st, track, hop.replay(pat), hop.depth == 0);
+            }
+            return;
+        }
+        if !self.submit_data(st, track, pat.clone(), true) {
+            st.unroutable += 1;
+        }
+        if let Some(key) = closure {
+            let root = Hop::origin(key.schema.clone(), pat.clone());
+            st.tracks[track].recording = Some((key, vec![CachedHop::record(&root)]));
+            self.submit_fetch(st, track, root);
+        }
     }
 
     /// Drive a batch of logical [`QueryPlan`]s over the event-driven
@@ -528,11 +543,11 @@ impl Deployment {
     /// instant.
     ///
     /// Each plan submits from a uniformly random origin (optionally on a
-    /// Poisson arrival process): pattern plans issue one routed data
-    /// lookup; closure plans additionally fetch their schema's mapping
-    /// list and chase reformulations (iterative strategy, §4) up to the
-    /// TTL; join plans disseminate every pattern like a closure and join
-    /// the binding sets locally at the origin once the batch drains.
+    /// Poisson arrival process) as a list of tracks
+    /// (`open_track`): pattern plans are one plain
+    /// lookup; closure plans one track that chases reformulations
+    /// (iterative strategy, §4) up to the TTL; join plans one such track
+    /// per pattern, joined locally at the origin once the batch drains.
     ///
     /// The network is pumped one event at a time and every completion
     /// is processed when it *happens*: a reformulated lookup goes out
@@ -541,11 +556,6 @@ impl Deployment {
     /// query's reported latency is the real simulated span from its
     /// submission to its last matched data reply (for joins, over all
     /// patterns' chains).
-    ///
-    /// Closure plans consult the origin's bounded closure cache: a
-    /// coherent entry replays the recorded hops (data lookups only —
-    /// zero mapping fetches); a cold closure that expands to completion
-    /// records its hops for the next query from that origin.
     pub fn run_plans_with(
         &mut self,
         plans: &[QueryPlan],
@@ -558,30 +568,7 @@ impl Deployment {
         let rate = options
             .mean_interarrival
             .map(|d| 1.0 / d.as_secs_f64().max(1e-9));
-
-        let mut st = WanDrive {
-            pending: BTreeMap::new(),
-            origins: Vec::with_capacity(plans.len()),
-            tracks: Vec::with_capacity(plans.len()),
-            submitted_at: Vec::with_capacity(plans.len()),
-            closure_keys: plans
-                .iter()
-                .map(|p| {
-                    let patterns = match p {
-                        QueryPlan::Join { query, .. } => query.patterns.len().max(1),
-                        _ => 1,
-                    };
-                    vec![None; patterns]
-                })
-                .collect(),
-            skipped_flags: vec![false; plans.len()],
-            skipped: 0,
-            unroutable: 0,
-            mapping_fetches: 0,
-            data_lookups: 0,
-            timed_out: 0,
-            cache_hits: 0,
-        };
+        let mut st = WanDrive::default();
         let mut submit_at = SimTime::ZERO;
 
         // ---- Submission phase -------------------------------------
@@ -590,221 +577,62 @@ impl Deployment {
         // keep completing (and expanding) underneath.
         for (qi, plan) in plans.iter().enumerate() {
             let origin = self.rng.gen_range(0..self.config.peers);
-            st.origins.push(origin);
             // Whether this plan will issue any request (skipped shapes
-            // never advance the arrival process). Decidable before
-            // building the submissions, so the clock — and with it the
-            // closure-cache lookup — can be advanced to the query's
-            // actual arrival instant first: closures committed by
-            // completions landing before the arrival must be visible.
+            // never advance the arrival process). Decided before any
+            // track opens, so the clock — and with it the closure-cache
+            // lookup — can be advanced to the query's actual arrival
+            // instant first: closures committed by completions landing
+            // before the arrival must be visible.
             let will_submit = match plan {
                 QueryPlan::Pattern { query } => query.pattern.routing_constant().is_some(),
                 QueryPlan::ObjectPrefix { .. } => false,
                 // A schema'd predicate is a constant URI, so closure
                 // plans with a schema always route at least depth 0.
-                QueryPlan::Closure { query } => gridvine_semantic::query_schema(query).is_ok(),
+                QueryPlan::Closure { query } => query_schema(query).is_ok(),
                 QueryPlan::Join { query, .. } => query.patterns.iter().any(|p| {
-                    p.routing_constant().is_some()
-                        || (ttl > 0 && gridvine_semantic::pattern_schema(p).is_ok())
+                    p.routing_constant().is_some() || (ttl > 0 && pattern_schema(p).is_ok())
                 }),
             };
-            if will_submit {
-                if let Some(rate) = rate {
-                    // Pump the simulation to the submission instant —
-                    // completions landing before it are processed at
-                    // their own times — then inject the query.
-                    let gap = rng::exponential(&mut self.rng, rate);
-                    submit_at += SimDuration::from_secs_f64(gap);
-                    let deadline = start + (submit_at - SimTime::ZERO);
-                    self.pump_wan(Some(deadline), &mut st, plans, options, sink);
-                }
+            if let (true, Some(rate)) = (will_submit, rate) {
+                // Pump the simulation to the submission instant —
+                // completions landing before it are processed at their
+                // own times — then inject the query.
+                let gap = rng::exponential(&mut self.rng, rate);
+                submit_at += SimDuration::from_secs_f64(gap);
+                let deadline = start + (submit_at - SimTime::ZERO);
+                self.pump_wan(Some(deadline), &mut st, plans, options, sink);
             }
-            let mut subs: Vec<(BitString, WanWork)> = Vec::new();
-            let qtracks: Vec<WanTrack> = match plan {
-                QueryPlan::Pattern { query } => {
-                    match self.data_lookup(qi, 0, query.pattern.clone(), true) {
-                        Some(sub) => {
-                            st.data_lookups += 1;
-                            subs.push(sub);
-                        }
-                        None => {
-                            st.skipped_flags[qi] = true;
-                            st.skipped += 1;
-                        }
-                    }
-                    vec![WanTrack::new()]
+            let first = st.tracks.len();
+            let in_flight = st.pending.len();
+            match plan {
+                QueryPlan::Pattern { query } if will_submit => {
+                    self.open_track(&mut st, qi, origin, &query.pattern, None, options);
                 }
-                QueryPlan::ObjectPrefix { .. } => {
-                    // The asynchronous protocol has no range retrieve;
-                    // prefix sweeps exist only on the synchronous system.
-                    st.skipped_flags[qi] = true;
-                    st.skipped += 1;
-                    vec![WanTrack::new()]
-                }
-                QueryPlan::Closure { query } => {
-                    let mut track = WanTrack::new();
-                    match gridvine_semantic::query_schema(query) {
-                        Err(_) => {
-                            st.skipped_flags[qi] = true;
-                            st.skipped += 1;
-                        }
-                        Ok((schema, attr)) => {
-                            track.visited.insert(schema.clone());
-                            let key = ClosureKey {
-                                schema: schema.clone(),
-                                attr,
-                                ttl,
-                            };
-                            // Limited queries bypass the cache: a warm
-                            // replay submits every recorded hop's data
-                            // lookup up front, which would defeat the
-                            // limit's strictly-fewer-messages guarantee
-                            // (the cold path stops expanding at k
-                            // distinct bindings).
-                            let cached = (ttl > 0 && options.limit.is_none())
-                                .then(|| self.caches[origin].lookup(self.mediation_epoch, &key))
-                                .flatten();
-                            if let Some(hops) = cached {
-                                // Warm replay: the recorded hops name
-                                // every reachable schema and predicate —
-                                // submit their data lookups directly,
-                                // zero mapping fetches.
-                                st.cache_hits += 1;
-                                for hop in hops.iter() {
-                                    track.visited.insert(hop.schema.clone());
-                                    let pat = if hop.depth == 0 {
-                                        query.pattern.clone()
-                                    } else {
-                                        with_predicate(&query.pattern, &hop.predicate)
-                                    };
-                                    if let Some(sub) = self.data_lookup(qi, 0, pat, hop.depth == 0)
-                                    {
-                                        st.data_lookups += 1;
-                                        subs.push(sub);
-                                    }
-                                }
-                            } else {
-                                // Cold: answer in the query's own
-                                // vocabulary…
-                                if let Some(sub) =
-                                    self.data_lookup(qi, 0, query.pattern.clone(), true)
-                                {
-                                    st.data_lookups += 1;
-                                    subs.push(sub);
-                                }
-                                // …and start discovering mappings.
-                                if ttl > 0 {
-                                    st.closure_keys[qi][0] = Some(key);
-                                    track.recorded.push(CachedHop {
-                                        schema: schema.clone(),
-                                        predicate: crate::system::exec::pattern_predicate(
-                                            &query.pattern,
-                                        ),
-                                        depth: 0,
-                                        quality: 1.0,
-                                    });
-                                    st.mapping_fetches += 1;
-                                    track.open_fetches += 1;
-                                    subs.push((
-                                        self.keyspace().key_of(schema.as_str()),
-                                        WanWork::Schema {
-                                            query: qi,
-                                            pattern: 0,
-                                            schema,
-                                            pat: query.pattern.clone(),
-                                            depth: 0,
-                                            quality: 1.0,
-                                        },
-                                    ));
-                                }
-                            }
-                        }
-                    }
-                    vec![track]
+                QueryPlan::Closure { query } if will_submit => {
+                    let root = query_schema(query).ok();
+                    self.open_track(&mut st, qi, origin, &query.pattern, root, options);
                 }
                 QueryPlan::Join { query, .. } => {
-                    let mut qtracks: Vec<WanTrack> =
-                        (0..query.patterns.len()).map(|_| WanTrack::new()).collect();
-                    for (pi, pat) in query.patterns.iter().enumerate() {
-                        match self.data_lookup(qi, pi, pat.clone(), true) {
-                            Some(sub) => {
-                                st.data_lookups += 1;
-                                subs.push(sub);
-                            }
-                            None => st.unroutable += 1,
-                        }
-                        if ttl > 0 {
-                            if let Ok((schema, attr)) = gridvine_semantic::pattern_schema(pat) {
-                                qtracks[pi].visited.insert(schema.clone());
-                                let key = ClosureKey {
-                                    schema: schema.clone(),
-                                    attr,
-                                    ttl,
-                                };
-                                // Join patterns ride the same per-origin
-                                // closure caches as single-pattern
-                                // closure plans (limited batches bypass
-                                // them for the same strictly-fewer-
-                                // messages reason).
-                                let cached = (options.limit.is_none())
-                                    .then(|| self.caches[origin].lookup(self.mediation_epoch, &key))
-                                    .flatten();
-                                if let Some(hops) = cached {
-                                    // Warm replay: submit the recorded
-                                    // reformulated lookups directly —
-                                    // zero mapping fetches. The depth-0
-                                    // lookup was already submitted
-                                    // above.
-                                    st.cache_hits += 1;
-                                    for hop in hops.iter().filter(|h| h.depth > 0) {
-                                        qtracks[pi].visited.insert(hop.schema.clone());
-                                        let rp = with_predicate(pat, &hop.predicate);
-                                        if let Some(sub) = self.data_lookup(qi, pi, rp, false) {
-                                            st.data_lookups += 1;
-                                            subs.push(sub);
-                                        }
-                                    }
-                                } else {
-                                    st.closure_keys[qi][pi] = Some(key);
-                                    qtracks[pi].recorded.push(CachedHop {
-                                        schema: schema.clone(),
-                                        predicate: crate::system::exec::pattern_predicate(pat),
-                                        depth: 0,
-                                        quality: 1.0,
-                                    });
-                                    st.mapping_fetches += 1;
-                                    qtracks[pi].open_fetches += 1;
-                                    subs.push((
-                                        self.keyspace().key_of(schema.as_str()),
-                                        WanWork::Schema {
-                                            query: qi,
-                                            pattern: pi,
-                                            schema,
-                                            pat: pat.clone(),
-                                            depth: 0,
-                                            quality: 1.0,
-                                        },
-                                    ));
-                                }
-                            }
-                        }
+                    for pat in &query.patterns {
+                        let root = (ttl > 0).then(|| pattern_schema(pat).ok()).flatten();
+                        self.open_track(&mut st, qi, origin, pat, root, options);
                     }
-                    qtracks
                 }
-            };
-            st.tracks.push(qtracks);
+                // Not disseminated: an unroutable lookup, a closure
+                // whose predicate names no schema, a prefix sweep (the
+                // asynchronous protocol has no range retrieve).
+                _ => st.skipped += 1,
+            }
             debug_assert_eq!(
                 will_submit,
-                !subs.is_empty(),
+                st.pending.len() > in_flight,
                 "arrival-process advancement must match actual submission"
             );
-            st.submitted_at.push(self.net.now());
-            let origin = st.origins[qi];
-            let had_subs = !subs.is_empty();
-            for (key, work) in subs {
-                self.submit_wan(origin, key, work, &mut st.pending);
-            }
-            if had_subs {
+            st.queries.push(WanQuery {
+                submitted_at: self.net.now(),
+                tracks: first..st.tracks.len(),
+            });
+            if will_submit {
                 // A request whose origin is itself responsible
                 // completes during submission without any network
                 // event: drain it now, at its actual (current) instant.
@@ -827,67 +655,78 @@ impl Deployment {
         let mut hopped = 0usize;
         let mut schema_sum = 0usize;
         let mut rows_sum = 0usize;
-        for (qi, plan) in plans.iter().enumerate() {
-            if st.skipped_flags[qi] {
-                continue;
+        for (plan, q) in plans.iter().zip(&st.queries) {
+            let tracks = &st.tracks[q.tracks.clone()];
+            if tracks.is_empty() {
+                continue; // skipped
             }
-            let submitted_at = st.submitted_at[qi];
-            match plan {
-                QueryPlan::Pattern { .. }
-                | QueryPlan::ObjectPrefix { .. }
-                | QueryPlan::Closure { .. } => {
-                    let track = &st.tracks[qi][0];
-                    schema_sum += track.visited.len();
-                    if !track.bindings.is_empty() {
-                        answered += 1;
-                        let done = track.matched_at.unwrap_or(submitted_at);
-                        latencies.record_duration(done.saturating_since(submitted_at));
-                        if let Some(h) = track.hops {
-                            hops_sum += h as u64;
-                            hopped += 1;
-                        }
-                    } else if !track.timed_out {
-                        not_found += 1;
-                    }
+            let mut latest = q.submitted_at;
+            let mut fold_in = |track: &WanTrack| {
+                schema_sum += track.visited.len();
+                if let Some(m) = track.matched_at {
+                    latest = latest.max(m);
                 }
+            };
+            let solutions = match plan {
+                // Join locally at the origin: fold the tracks' binding
+                // sets through the hash-join engine and project, as
+                // `SessionCore::step_join_independent` folds its sweeps.
                 QueryPlan::Join { query, .. } => {
-                    // Join locally at the origin.
-                    let mut rows: Vec<Binding> = vec![Binding::new()];
-                    let mut latest = submitted_at;
-                    for (pi, _) in query.patterns.iter().enumerate() {
-                        let track = &st.tracks[qi][pi];
-                        schema_sum += track.visited.len();
-                        if let Some(m) = track.matched_at {
-                            latest = latest.max(m);
-                        }
-                        let mut next = Vec::new();
-                        for row in &rows {
-                            for b in &track.bindings {
-                                if let Some(j) = row.join(b) {
-                                    next.push(j);
+                    let vars = VarTable::from_patterns(&query.patterns);
+                    let mut interner = TermInterner::new();
+                    let mut rows = vec![vars.empty_row()];
+                    for track in tracks {
+                        fold_in(track);
+                        let set: Vec<Vec<u64>> = track
+                            .bindings
+                            .iter()
+                            .map(|b| {
+                                let mut row = vars.empty_row();
+                                for (var, term) in b.iter() {
+                                    let slot = vars.slot(var).expect("a pattern's own variable");
+                                    row[slot] = interner.code_of(term.clone());
                                 }
-                            }
-                        }
-                        rows = next;
+                                row
+                            })
+                            .collect();
+                        rows = hash_join_rows(&rows, &set);
                         if rows.is_empty() {
                             break;
                         }
                     }
-                    let vars: Vec<&str> = query.distinguished.iter().map(String::as_str).collect();
-                    let mut projected: Vec<Binding> =
-                        rows.into_iter().map(|b| b.project(&vars)).collect();
-                    projected.sort_by_key(|b| b.to_string());
-                    projected.dedup();
-                    if !projected.is_empty() {
-                        answered += 1;
-                        rows_sum += projected.len();
-                        latencies.record_duration(latest.saturating_since(submitted_at));
-                    }
+                    let slots: Vec<usize> = (query.distinguished.iter())
+                        .filter_map(|d| vars.slot(d))
+                        .collect();
+                    let distinct: BTreeSet<Vec<u64>> = rows
+                        .iter()
+                        .map(|row| slots.iter().map(|&s| row[s]).collect())
+                        .collect();
+                    distinct.len()
                 }
+                // A single-pattern plan is the one-track join, whose
+                // fold is the identity: nothing is encoded for it.
+                _ => {
+                    fold_in(&tracks[0]);
+                    tracks[0].bindings.len()
+                }
+            };
+            let join = matches!(plan, QueryPlan::Join { .. });
+            if solutions > 0 {
+                answered += 1;
+                latencies.record_duration(latest.saturating_since(q.submitted_at));
+                if join {
+                    rows_sum += solutions;
+                } else if let Some(h) = tracks[0].hops {
+                    hops_sum += h as u64;
+                    hopped += 1;
+                }
+            } else if !join && !tracks[0].timed_out {
+                not_found += 1;
             }
         }
 
         let submitted = plans.len() - st.skipped;
+        let mean = |sum: f64, n: usize| if n > 0 { sum / n as f64 } else { 0.0 };
         WanBatchReport {
             latencies,
             submitted,
@@ -898,21 +737,9 @@ impl Deployment {
             unroutable_patterns: st.unroutable,
             mapping_fetches: st.mapping_fetches,
             data_lookups: st.data_lookups,
-            mean_hops: if hopped > 0 {
-                hops_sum as f64 / hopped as f64
-            } else {
-                0.0
-            },
-            mean_schemas: if submitted > 0 {
-                schema_sum as f64 / submitted as f64
-            } else {
-                0.0
-            },
-            mean_rows: if answered > 0 {
-                rows_sum as f64 / answered as f64
-            } else {
-                0.0
-            },
+            mean_hops: mean(hops_sum as f64, hopped),
+            mean_schemas: mean(schema_sum as f64, submitted),
+            mean_rows: mean(rows_sum as f64, answered),
             cache_hits: st.cache_hits,
             messages: self.net.stats().sent - base_messages,
             wall: self.net.now().saturating_since(start),
@@ -990,31 +817,24 @@ impl Deployment {
             return;
         };
         let now = o.completed_at;
+        let index = match &work {
+            WanWork::Data { track, .. } | WanWork::Schema { track, .. } => *track,
+        };
+        let track = &mut st.tracks[index];
+        if matches!(work, WanWork::Schema { .. }) {
+            track.open_fetches -= 1;
+        }
         if o.status == Status::TimedOut {
+            // (A lost discovery leaves the expansion incomplete: the
+            // flag also keeps the walk from ever being recorded.)
             st.timed_out += 1;
-            match work {
-                WanWork::Data { query, pattern, .. } => {
-                    st.tracks[query][pattern].timed_out = true;
-                }
-                WanWork::Schema { query, pattern, .. } => {
-                    let track = &mut st.tracks[query][pattern];
-                    track.timed_out = true;
-                    // A lost discovery leaves the expansion incomplete:
-                    // never record it.
-                    track.open_fetches = track.open_fetches.saturating_sub(1);
-                }
-            }
+            track.timed_out = true;
             return;
         }
         match work {
             WanWork::Data {
-                query,
-                pattern,
-                pat,
-                key,
-                initial,
+                pat, key, initial, ..
             } => {
-                let track = &mut st.tracks[query][pattern];
                 // Destination-side resolution (§2.3): `π σ (DB_p)` on
                 // the peer that answered. A reply from a peer that is
                 // not responsible for the key reports a routing hole,
@@ -1030,14 +850,17 @@ impl Deployment {
                 }
                 let fresh = &track.bindings[seen..];
                 if !fresh.is_empty() {
-                    // Distinct tracking only matters to the limit
-                    // check; unlimited batches skip its formatting cost.
-                    if options.limit.is_some() {
-                        track.distinct.extend(fresh.iter().map(Binding::to_string));
+                    // Only a limited closure plan reads the distinct
+                    // count; everything else skips its cost.
+                    if let (Some(_), QueryPlan::Closure { query }) =
+                        (options.limit, &plans[track.query])
+                    {
+                        let answers = fresh.iter().filter_map(|b| b.get(&query.distinguished));
+                        track.distinct.extend(answers.cloned());
                     }
                     track.matched_at = Some(track.matched_at.map_or(now, |m| m.max(now)));
                     sink(WanPartial {
-                        query,
+                        query: track.query,
                         at: now,
                         bindings: fresh,
                     });
@@ -1046,105 +869,51 @@ impl Deployment {
                     track.hops = Some(o.hops);
                 }
             }
-            WanWork::Schema {
-                query,
-                pattern,
-                schema,
-                pat,
-                depth,
-                quality,
-            } => {
-                st.tracks[query][pattern].open_fetches -= 1;
+            WanWork::Schema { hop, .. } => {
                 // Early termination: a closure query that has already
                 // collected its result cap stops expanding — the
                 // reformulated lookups and deeper mapping fetches below
                 // are never sent, and the truncated walk records
                 // nothing.
-                if matches!(plans[query], QueryPlan::Closure { .. })
-                    && options
-                        .limit
-                        .is_some_and(|k| st.tracks[query][pattern].distinct.len() >= k)
+                if matches!(plans[track.query], QueryPlan::Closure { .. })
+                    && options.limit.is_some_and(|k| track.distinct.len() >= k)
                 {
-                    st.tracks[query][pattern].limited = true;
+                    track.limited = true;
                     return;
                 }
-                // Mappings stored at this schema's key space; dedupe by
-                // id (bidirectional copies).
-                let mut seen_ids = BTreeSet::new();
-                let mappings: Vec<Mapping> = o
-                    .values
-                    .iter()
-                    .filter_map(|item| match item {
-                        MediationItem::Mapping { mapping, .. } => {
-                            seen_ids.insert(mapping.id).then(|| mapping.clone())
-                        }
-                        _ => None,
-                    })
-                    .collect();
-                for m in mappings {
-                    let Some(dir) = m.applicable_from(&schema) else {
-                        continue;
-                    };
-                    let dest = m.destination(dir).clone();
-                    if st.tracks[query][pattern].visited.contains(&dest) {
-                        continue;
+                // The mappings stored at this schema's key space came
+                // back inside the reply. Each hop the shared step
+                // admits is sent at once: its data lookup and, within
+                // the TTL, the fetch that will expand it in turn.
+                let origin = track.origin;
+                let mut visited = std::mem::take(&mut track.visited);
+                let mappings = o.values.iter().filter_map(|item| match item {
+                    MediationItem::Mapping { mapping, .. } => Some(mapping),
+                    _ => None,
+                });
+                expand_hop(&hop, mappings, &mut visited, |reached, _, _| {
+                    if let Some((_, hops)) = &mut st.tracks[index].recording {
+                        hops.push(CachedHop::record(&reached));
                     }
-                    let Some(np) = gridvine_semantic::reformulate_pattern(&pat, &m, dir) else {
-                        continue;
-                    };
-                    st.tracks[query][pattern].visited.insert(dest.clone());
-                    let chain_quality = quality.min(m.quality);
-                    if st.closure_keys[query][pattern].is_some() {
-                        st.tracks[query][pattern].recorded.push(CachedHop {
-                            schema: dest.clone(),
-                            predicate: crate::system::exec::pattern_predicate(&np),
-                            depth: depth + 1,
-                            quality: chain_quality,
-                        });
+                    self.submit_data(st, index, reached.pattern.clone(), false);
+                    if reached.depth < options.ttl {
+                        self.submit_fetch(st, index, reached);
                     }
-                    let origin = st.origins[query];
-                    if let Some((key, work)) = self.data_lookup(query, pattern, np.clone(), false) {
-                        st.data_lookups += 1;
-                        self.submit_wan(origin, key, work, &mut st.pending);
-                    }
-                    if depth + 1 < options.ttl {
-                        st.mapping_fetches += 1;
-                        st.tracks[query][pattern].open_fetches += 1;
-                        let key = self.keyspace().key_of(dest.as_str());
-                        self.submit_wan(
-                            origin,
-                            key,
-                            WanWork::Schema {
-                                query,
-                                pattern,
-                                schema: dest,
-                                pat: np,
-                                depth: depth + 1,
-                                quality: chain_quality,
-                            },
-                            &mut st.pending,
-                        );
-                    }
-                }
+                });
                 // Expansion complete and untruncated: memoize the hop
-                // list in the origin's bounded cache for the next
-                // closure query sharing this key. (`recorded` empties
-                // on commit, so re-entrant completion handling cannot
-                // commit twice.)
-                let track = &mut st.tracks[query][pattern];
-                if track.open_fetches == 0
-                    && !track.timed_out
-                    && !track.limited
-                    && !track.recorded.is_empty()
-                {
-                    if let Some(key) = st.closure_keys[query][pattern].clone() {
-                        let hops = std::mem::take(&mut track.recorded);
-                        self.caches[st.origins[query]].insert(self.mediation_epoch, key, hops);
+                // list in the origin's bounded cache for the next track
+                // sharing this key. (`recording` empties on commit, so
+                // re-entrant completion handling cannot commit twice.)
+                let track = &mut st.tracks[index];
+                track.visited = visited;
+                if track.open_fetches == 0 && !track.timed_out && !track.limited {
+                    if let Some((key, hops)) = track.recording.take() {
+                        self.caches[origin].insert(self.mediation_epoch, key, hops);
                     }
                 }
                 // Follow-ups whose origin answered locally completed
                 // during submission: drain them at this same instant.
-                self.drain_wan_node(st.origins[query], st, plans, options, sink);
+                self.drain_wan_node(origin, st, plans, options, sink);
             }
         }
     }
@@ -1175,74 +944,6 @@ impl Deployment {
             wall: rep.wall,
         }
     }
-
-    /// Disseminate each query through the mapping network over the
-    /// event-driven deployment, iterative strategy (§4):
-    /// [`QueryPlan::search`] per query. A thin projection of
-    /// [`Deployment::run_plans`].
-    pub fn run_reformulated_queries(
-        &mut self,
-        queries: &[TriplePatternQuery],
-        ttl: usize,
-    ) -> ReformulatedBatchReport {
-        let plans: Vec<QueryPlan> = queries.iter().cloned().map(QueryPlan::search).collect();
-        let rep = self.run_plans(
-            &plans,
-            &WanBatchOptions {
-                ttl,
-                mean_interarrival: None,
-                limit: None,
-            },
-        );
-        ReformulatedBatchReport {
-            latencies: rep.latencies,
-            submitted: rep.submitted,
-            answered: rep.answered,
-            skipped: rep.skipped,
-            mapping_fetches: rep.mapping_fetches,
-            data_lookups: rep.data_lookups,
-            timed_out: rep.timed_out,
-            mean_schemas: rep.mean_schemas,
-            messages: rep.messages,
-        }
-    }
-
-    /// Resolve conjunctive queries over the event-driven deployment
-    /// (§2.3): [`QueryPlan::conjunctive`] per query — every pattern is
-    /// disseminated through the mapping network (iterative, independent
-    /// join: the origin collects each pattern's bindings from all
-    /// reachable schemas, then joins locally). A thin projection of
-    /// [`Deployment::run_plans`].
-    pub fn run_conjunctive_queries(
-        &mut self,
-        queries: &[ConjunctiveQuery],
-        ttl: usize,
-    ) -> ConjunctiveWanReport {
-        let plans: Vec<QueryPlan> = queries
-            .iter()
-            .cloned()
-            .map(QueryPlan::conjunctive)
-            .collect();
-        let rep = self.run_plans(
-            &plans,
-            &WanBatchOptions {
-                ttl,
-                mean_interarrival: None,
-                limit: None,
-            },
-        );
-        ConjunctiveWanReport {
-            latencies: rep.latencies,
-            submitted: queries.len(),
-            answered: rep.answered,
-            mean_rows: rep.mean_rows,
-            unroutable_patterns: rep.unroutable_patterns,
-            mapping_fetches: rep.mapping_fetches,
-            data_lookups: rep.data_lookups,
-            timed_out: rep.timed_out,
-            messages: rep.messages,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1250,19 +951,50 @@ mod tests {
     use super::*;
     use gridvine_workload::{QueryConfig, QueryGenerator, Workload, WorkloadConfig};
 
-    fn small_deployment(seed: u64) -> (Deployment, Workload) {
+    /// 48 machines holding a small workload; `chained` also preloads
+    /// the schemas and the manual mapping chain across them.
+    fn deployment(
+        seed: u64,
+        chained: bool,
+        closure_cache_capacity: usize,
+    ) -> (Deployment, Workload) {
         let w = Workload::generate(WorkloadConfig::small(seed));
         let cfg = DeploymentConfig {
             peers: 48,
             // Homogeneous machines: unit tests should not depend on the
             // heavy-tailed 2007 calibration.
             network: gridvine_netsim::NetworkConfig::planetlab(),
+            closure_cache_capacity,
             ..DeploymentConfig::paper(seed)
         };
         let mut d = Deployment::new(cfg);
         let triples: Vec<Triple> = w.all_triples().into_iter().map(|(_, t)| t).collect();
         d.preload(triples);
+        if chained {
+            d.preload_mediation(w.schemas.clone(), w.chain_mappings().iter());
+        }
         (d, w)
+    }
+
+    fn small_deployment(seed: u64) -> (Deployment, Workload) {
+        deployment(seed, false, 64)
+    }
+
+    fn chained_deployment(seed: u64) -> (Deployment, Workload) {
+        deployment(seed, true, 64)
+    }
+
+    /// The whole batch submitted at time zero, unlimited.
+    fn at_once(ttl: usize) -> WanBatchOptions {
+        WanBatchOptions {
+            ttl,
+            mean_interarrival: None,
+            limit: None,
+        }
+    }
+
+    fn searches(queries: &[TriplePatternQuery]) -> Vec<QueryPlan> {
+        queries.iter().cloned().map(QueryPlan::search).collect()
     }
 
     #[test]
@@ -1412,39 +1144,12 @@ mod tests {
         assert_eq!(rep.messages, 0);
     }
 
-    /// Wire a deployment with a manual mapping chain over the workload
-    /// schemas, preloaded into the DHT.
-    fn chained_deployment(seed: u64) -> (Deployment, Workload) {
-        let (mut d, w) = small_deployment(seed);
-        let mut registry = gridvine_semantic::MappingRegistry::new();
-        for s in &w.schemas {
-            registry.add_schema(s.clone());
-        }
-        for i in 0..w.schemas.len() - 1 {
-            let a = w.schemas[i].id().clone();
-            let b = w.schemas[i + 1].id().clone();
-            let corrs = w.ground_truth.correct_pairs(&a, &b);
-            if !corrs.is_empty() {
-                registry.add_mapping(
-                    a,
-                    b,
-                    gridvine_semantic::MappingKind::Equivalence,
-                    gridvine_semantic::Provenance::Manual,
-                    corrs,
-                );
-            }
-        }
-        let mappings: Vec<Mapping> = registry.mappings().cloned().collect();
-        d.preload_mediation(w.schemas.clone(), mappings.iter());
-        (d, w)
-    }
-
     #[test]
     fn reformulated_queries_reach_other_schemas_over_the_wire() {
         let (mut d, w) = chained_deployment(6);
         let gen = QueryGenerator::new(&w, QueryConfig::default());
         let fig2 = gen.figure2();
-        let report = d.run_reformulated_queries(std::slice::from_ref(&fig2.query), 10);
+        let report = d.run_plans(&searches(std::slice::from_ref(&fig2.query)), &at_once(10));
         assert_eq!(report.submitted, 1);
         assert_eq!(report.answered, 1, "{report:?}");
         assert_eq!(report.timed_out, 0);
@@ -1523,34 +1228,7 @@ mod tests {
         // queries, identical answers.
         let reps = 30usize;
         let run = |capacity: usize| {
-            let (mut d, w) = {
-                let (mut d, w) = small_deployment(6);
-                d.config.closure_cache_capacity = capacity;
-                d.caches = (0..d.config.peers)
-                    .map(|_| ClosureCache::bounded(capacity))
-                    .collect();
-                let mut registry = gridvine_semantic::MappingRegistry::new();
-                for s in &w.schemas {
-                    registry.add_schema(s.clone());
-                }
-                for i in 0..w.schemas.len() - 1 {
-                    let a = w.schemas[i].id().clone();
-                    let b = w.schemas[i + 1].id().clone();
-                    let corrs = w.ground_truth.correct_pairs(&a, &b);
-                    if !corrs.is_empty() {
-                        registry.add_mapping(
-                            a,
-                            b,
-                            gridvine_semantic::MappingKind::Equivalence,
-                            gridvine_semantic::Provenance::Manual,
-                            corrs,
-                        );
-                    }
-                }
-                let mappings: Vec<Mapping> = registry.mappings().cloned().collect();
-                d.preload_mediation(w.schemas.clone(), mappings.iter());
-                (d, w)
-            };
+            let (mut d, w) = deployment(6, true, capacity);
             let gen = QueryGenerator::new(&w, QueryConfig::default());
             let fig2 = gen.figure2();
             let plans: Vec<QueryPlan> = (0..reps)
@@ -1595,11 +1273,7 @@ mod tests {
         // mapping fetches, identical answers.
         let reps = 30usize;
         let run = |capacity: usize| {
-            let (mut d, w) = chained_deployment(6);
-            d.config.closure_cache_capacity = capacity;
-            d.caches = (0..d.config.peers)
-                .map(|_| ClosureCache::bounded(capacity))
-                .collect();
+            let (mut d, w) = deployment(6, true, capacity);
             let gen = QueryGenerator::new(&w, QueryConfig::default());
             let mut r = rng::seeded(5);
             let q = gen.conjunctive(&mut r).query;
@@ -1642,7 +1316,7 @@ mod tests {
         let queries: Vec<TriplePatternQuery> =
             gen.batch(20, &mut r).into_iter().map(|g| g.query).collect();
         let plain = d.run_queries(&queries);
-        let reformulated = d.run_reformulated_queries(&queries, 10);
+        let reformulated = d.run_plans(&searches(&queries), &at_once(10));
         assert!(reformulated.answered >= plain.answered, "{reformulated:?}");
         let mut pl = plain.latencies.clone();
         let mut rl = reformulated.latencies.clone();
@@ -1659,7 +1333,7 @@ mod tests {
         let (mut d, w) = chained_deployment(8);
         let gen = QueryGenerator::new(&w, QueryConfig::default());
         let fig2 = gen.figure2();
-        let report = d.run_reformulated_queries(std::slice::from_ref(&fig2.query), 0);
+        let report = d.run_plans(&searches(std::slice::from_ref(&fig2.query)), &at_once(0));
         assert_eq!(report.mapping_fetches, 0);
         assert_eq!(report.data_lookups, 1);
         assert!(report.mean_schemas <= 1.0);
@@ -1670,12 +1344,12 @@ mod tests {
         let (mut d, w) = chained_deployment(10);
         let gen = QueryGenerator::new(&w, QueryConfig::default());
         let mut r = rng::seeded(5);
-        let queries: Vec<ConjunctiveQuery> = gen
+        let plans: Vec<QueryPlan> = gen
             .conjunctive_batch(12, &mut r)
             .into_iter()
-            .map(|g| g.query)
+            .map(|g| QueryPlan::conjunctive(g.query))
             .collect();
-        let rep = d.run_conjunctive_queries(&queries, 6);
+        let rep = d.run_plans(&plans, &at_once(6));
         assert_eq!(rep.submitted, 12);
         assert!(rep.answered > 4, "{rep:?}");
         assert_eq!(rep.unroutable_patterns, 0);
@@ -1709,21 +1383,16 @@ mod tests {
         for s in &w.schemas {
             sys.insert_triples(p0, w.triples_of(s.id())).unwrap();
         }
-        for i in 0..w.schemas.len() - 1 {
-            let a = w.schemas[i].id().clone();
-            let b = w.schemas[i + 1].id().clone();
-            let corrs = w.ground_truth.correct_pairs(&a, &b);
-            if !corrs.is_empty() {
-                sys.insert_mapping(
-                    p0,
-                    a,
-                    b,
-                    gridvine_semantic::MappingKind::Equivalence,
-                    gridvine_semantic::Provenance::Manual,
-                    corrs,
-                )
-                .unwrap();
-            }
+        for m in w.chain_mappings() {
+            sys.insert_mapping(
+                p0,
+                m.source,
+                m.target,
+                m.kind,
+                m.provenance,
+                m.correspondences,
+            )
+            .unwrap();
         }
         let sync = sys
             .execute(
@@ -1734,7 +1403,7 @@ mod tests {
                     .join_mode(JoinMode::Independent),
             )
             .unwrap();
-        let wan = d.run_conjunctive_queries(std::slice::from_ref(&g.query), 10);
+        let wan = d.run_plans(&[QueryPlan::conjunctive(g.query.clone())], &at_once(10));
         // Row multisets are not directly exposed by the WAN report; the
         // answered flag and row count must agree.
         assert_eq!(wan.answered == 1, !sync.rows.is_empty(), "{}", g.query);
@@ -1756,7 +1425,7 @@ mod tests {
             let mut r = rng::seeded(2);
             let queries: Vec<TriplePatternQuery> =
                 gen.batch(15, &mut r).into_iter().map(|g| g.query).collect();
-            let rep = d.run_reformulated_queries(&queries, 6);
+            let rep = d.run_plans(&searches(&queries), &at_once(6));
             (
                 rep.answered,
                 rep.messages,

@@ -22,10 +22,7 @@
 //! (strategy, join mode, TTL, result limit), returning a uniform
 //! [`exec::QueryOutcome`]. Repeated iterative plans over an unchanged
 //! mapping network replay an epoch-keyed reformulation-closure cache
-//! instead of re-walking the BFS. The four historical entry points
-//! (`resolve_pattern`, `resolve_object_prefix`, `search`,
-//! `search_conjunctive`) completed their deprecation cycle and are
-//! deleted — see [`session`] for the migration table.
+//! instead of re-walking the BFS.
 //!
 //! Two execution modes cover the paper's experiments:
 //!
@@ -80,8 +77,7 @@ pub use system::session;
 /// Glob-import surface.
 pub mod prelude {
     pub use crate::harness::{
-        BatchReport, ConjunctiveWanReport, Deployment, DeploymentConfig, ReformulatedBatchReport,
-        WanBatchOptions, WanBatchReport,
+        BatchReport, Deployment, DeploymentConfig, WanBatchOptions, WanBatchReport,
     };
     pub use crate::item::{KeySpace, MediationItem};
     pub use crate::plan::QueryPlan;
@@ -92,15 +88,11 @@ pub mod prelude {
     pub use crate::system::pool::{PoolEvent, SessionId, SessionPool};
     pub use crate::system::session::{QuerySession, ResultEvent};
     pub use crate::system::{
-        apply_mapping, AssessmentReport, CommitRecovery, GridVineConfig, GridVineSystem, Strategy,
-        SystemError,
+        AssessmentReport, CommitRecovery, GridVineConfig, GridVineSystem, Strategy, SystemError,
     };
 }
 
-pub use harness::{
-    BatchReport, ConjunctiveWanReport, Deployment, DeploymentConfig, ReformulatedBatchReport,
-    WanBatchOptions, WanBatchReport,
-};
+pub use harness::{BatchReport, Deployment, DeploymentConfig, WanBatchOptions, WanBatchReport};
 pub use item::{KeySpace, MediationItem};
 pub use plan::QueryPlan;
 pub use selforg::{RoundReport, SelfOrgConfig};
@@ -110,6 +102,5 @@ pub use system::place::{HeatSpike, PlacementPolicy, PlacementRule, SpikeAction};
 pub use system::pool::{PoolEvent, SessionId, SessionPool};
 pub use system::session::{QuerySession, ResultEvent};
 pub use system::{
-    apply_mapping, AssessmentReport, CommitRecovery, GridVineConfig, GridVineSystem, Strategy,
-    SystemError,
+    AssessmentReport, CommitRecovery, GridVineConfig, GridVineSystem, Strategy, SystemError,
 };

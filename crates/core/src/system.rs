@@ -33,17 +33,11 @@ use std::collections::BTreeSet;
 // Child modules so conjunctive evaluation and the plan executor can
 // reuse the system's private overlay/rng state without widening the
 // public surface.
-#[path = "conjunctive.rs"]
 pub mod conjunctive;
-#[path = "exec.rs"]
 pub mod exec;
-#[path = "place.rs"]
 pub mod place;
-#[path = "pool.rs"]
 pub mod pool;
-#[path = "sched.rs"]
 pub mod sched;
-#[path = "session.rs"]
 pub mod session;
 
 /// System-wide configuration.
@@ -388,37 +382,19 @@ impl GridVineSystem {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let topology = Topology::balanced(config.peers, config.refs_per_level, &mut rng);
         debug_assert!(topology.validate().is_ok());
-        let overlay = Overlay::new(&topology);
-        GridVineSystem {
-            hasher: config.hash.build(),
-            local_dbs: (0..topology.len()).map(|_| TripleStore::new()).collect(),
-            lexicon: SharedTermDict::new(),
-            exec: (0..topology.len())
-                .map(|_| sched::PeerExecState::new(config.closure_cache_capacity))
-                .collect(),
-            crashed: BTreeSet::new(),
-            proto: ProtocolState::new(&config),
-            churn: vec![Vec::new(); topology.len()],
-            adversary: SemanticAdversary::new(config.semantic_fault.clone(), config.seed),
-            commit_crash: None,
-            latency: config
-                .latency
-                .build(gridvine_netsim::rng::derive_seed(config.seed, 0x1A7E)),
-            place: place::PlacementState::new(config.placement.clone()),
-            next_session: 0,
-            routed_key: None,
-            topology,
-            overlay,
-            registry: MappingRegistry::new(),
-            rng,
-            config,
-        }
+        // The routing stream continues where topology construction
+        // left it.
+        GridVineSystem::assemble(config, topology, rng)
     }
 
     /// Build over an explicit topology (e.g. one produced by the
     /// decentralized construction).
     pub fn with_topology(config: GridVineConfig, topology: Topology) -> GridVineSystem {
         let rng = StdRng::seed_from_u64(config.seed);
+        GridVineSystem::assemble(config, topology, rng)
+    }
+
+    fn assemble(config: GridVineConfig, topology: Topology, rng: StdRng) -> GridVineSystem {
         let overlay = Overlay::new(&topology);
         GridVineSystem {
             hasher: config.hash.build(),
@@ -469,16 +445,7 @@ impl GridVineSystem {
     /// before its lazy clear).
     pub fn cached_closures(&self) -> usize {
         let epoch = self.registry.epoch();
-        self.exec
-            .iter()
-            .map(|e| {
-                if e.cache.epoch() == epoch {
-                    e.cache.len()
-                } else {
-                    0
-                }
-            })
-            .sum()
+        self.exec.iter().map(|e| e.cache.coherent_len(epoch)).sum()
     }
 
     /// Lifetime closure-cache hit/miss/eviction counters, summed over
@@ -849,21 +816,14 @@ impl GridVineSystem {
         Ok(())
     }
 
-    /// Mark a mapping deprecated, refreshing its DHT copies.
+    /// Mark a mapping deprecated, refreshing its DHT copies. Returns
+    /// `false` for unknown ids.
     pub fn deprecate_mapping(
         &mut self,
         origin: PeerId,
         id: MappingId,
     ) -> Result<bool, SystemError> {
-        let Some(old) = self.registry.mapping(id).cloned() else {
-            return Ok(false);
-        };
-        if !self.registry.deprecate(id) {
-            return Ok(false);
-        }
-        let new = self.registry.mapping(id).expect("exists").clone();
-        self.replace_mapping_copies(origin, &old, &new)?;
-        Ok(true)
+        self.transition_mapping(origin, id, MappingRegistry::deprecate)
     }
 
     /// Move a mapping to `Quarantined` (reversible containment — see
@@ -874,15 +834,7 @@ impl GridVineSystem {
         origin: PeerId,
         id: MappingId,
     ) -> Result<bool, SystemError> {
-        let Some(old) = self.registry.mapping(id).cloned() else {
-            return Ok(false);
-        };
-        if !self.registry.quarantine(id) {
-            return Ok(false);
-        }
-        let new = self.registry.mapping(id).expect("exists").clone();
-        self.replace_mapping_copies(origin, &old, &new)?;
-        Ok(true)
+        self.transition_mapping(origin, id, MappingRegistry::quarantine)
     }
 
     /// Return a deprecated or quarantined mapping to `Active`,
@@ -892,14 +844,24 @@ impl GridVineSystem {
         origin: PeerId,
         id: MappingId,
     ) -> Result<bool, SystemError> {
+        self.transition_mapping(origin, id, MappingRegistry::reactivate)
+    }
+
+    /// Apply one registry status transition and replace the mapping's
+    /// DHT copies with its new state.
+    fn transition_mapping(
+        &mut self,
+        origin: PeerId,
+        id: MappingId,
+        transition: fn(&mut MappingRegistry, MappingId) -> bool,
+    ) -> Result<bool, SystemError> {
         let Some(old) = self.registry.mapping(id).cloned() else {
             return Ok(false);
         };
-        if !self.registry.reactivate(id) {
+        if !transition(&mut self.registry, id) {
             return Ok(false);
         }
-        let new = self.registry.mapping(id).expect("exists").clone();
-        self.replace_mapping_copies(origin, &old, &new)?;
+        self.refresh_mapping(origin, id, &old)?;
         Ok(true)
     }
 
@@ -1253,37 +1215,6 @@ impl GridVineSystem {
             .map(|p| self.overlay.store(*p).get(key).to_vec())
             .unwrap_or_default()
     }
-
-    // -----------------------------------------------------------------
-    // SearchFor (§2.3, §3, §4) lives behind the logical-plan surface:
-    // [`GridVineSystem::execute`] (blocking drain) and
-    // [`GridVineSystem::open`] (pull-based session) in the [`exec`] and
-    // [`session`] modules. The four historical entry points
-    // (`resolve_pattern`, `resolve_object_prefix`, `search`,
-    // `search_conjunctive`) completed their deprecation cycle and are
-    // gone — see the migration table in [`session`].
-    // -----------------------------------------------------------------
-}
-
-/// Apply one mapping to a query (predicate view unfolding) without a
-/// registry — used on mapping lists fetched from the DHT.
-pub fn apply_mapping(
-    query: &TriplePatternQuery,
-    mapping: &Mapping,
-    dir: gridvine_semantic::Direction,
-) -> Option<TriplePatternQuery> {
-    let (schema, attr) = gridvine_semantic::query_schema(query).ok()?;
-    if mapping.applicable_from(&schema) != Some(dir) {
-        return None;
-    }
-    let new_attr = mapping.translate(&attr, dir)?;
-    let dest = mapping.destination(dir);
-    let pattern = gridvine_rdf::TriplePattern::new(
-        query.pattern.subject.clone(),
-        gridvine_rdf::PatternTerm::constant(Term::uri(format!("{dest}#{new_attr}"))),
-        query.pattern.object.clone(),
-    );
-    TriplePatternQuery::new(query.distinguished.clone(), pattern).ok()
 }
 
 #[cfg(test)]

@@ -31,9 +31,7 @@
 //! Execution lives behind the plan surface: build
 //! [`QueryPlan::conjunctive`](crate::plan::QueryPlan::conjunctive) and
 //! either drain it with [`GridVineSystem::execute`] or pull it
-//! incrementally with [`GridVineSystem::open`] (the legacy
-//! `search_conjunctive` entry point completed its deprecation cycle and
-//! is gone — see the migration table in [`super::session`]).
+//! incrementally with [`GridVineSystem::open`].
 //!
 //! ```
 //! use gridvine_core::{GridVineConfig, GridVineSystem, JoinMode, QueryOptions, QueryPlan, Strategy};

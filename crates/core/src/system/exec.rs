@@ -31,14 +31,24 @@
 //! row admission — once per admitted *distinct* row, for
 //! [`ResultEvent::Rows`](super::session::ResultEvent) and
 //! [`QueryOutcome::rows`].
-//! Closure plans drive a step-wise
-//! [`ClosureWalk`] over the mapping
-//! network (depth-first, one hop per session pull); join plans
-//! feed the per-pattern row sets through the
+//! Join plans feed the per-pattern row sets through the
 //! [`hash-join engine`](gridvine_rdf::join) in the planner's order.
-//! Repeated iterative closures over an unchanged mapping network replay
-//! the epoch-keyed [`ClosureCache`](gridvine_semantic::ClosureCache)
-//! instead of re-walking the BFS (see the session docs).
+//!
+//! ## The closure walk
+//!
+//! The reformulation rule itself — which mappings apply out of a hop,
+//! which schemas they admit, at what path quality — is
+//! [`gridvine_semantic::expand_hop`], shared with the registry-local
+//! [`reformulations`](gridvine_semantic::reformulations) and the WAN
+//! driver ([`crate::harness`]). `ClosureSweep` adds what is this
+//! engine's own: mapping lists are *fetched* (one routed discovery per
+//! expanded hop, iterative or recursive), hops are resolved depth-first,
+//! one per session pull, with discovery deferred so early termination
+//! never pays for it, and a walk that completes is committed to the
+//! per-peer epoch-keyed [`ClosureCache`](gridvine_semantic::ClosureCache)
+//! — the origin's, or the recursive delegate's — from which repeated
+//! closures are replayed ([`CachedHop::replay`]) with no discovery at
+//! all (see the session docs).
 //!
 //! ```
 //! use gridvine_core::{GridVineConfig, GridVineSystem, QueryOptions, QueryPlan, Strategy};
@@ -68,8 +78,8 @@
 use super::conjunctive::JoinMode;
 use super::*;
 use crate::plan::QueryPlan;
-use gridvine_rdf::{Binding, BindingBatch, PatternTerm, TriplePattern, Uri};
-use gridvine_semantic::{CachedHop, ClosureKey, ClosureWalk, Mapping};
+use gridvine_rdf::{Binding, BindingBatch, TriplePattern};
+use gridvine_semantic::{expand_hop, CachedHop, ClosureKey, Hop, Mapping};
 
 /// Physical execution knobs for one [`GridVineSystem::execute`] /
 /// [`GridVineSystem::open`] call: a builder carrying the reformulation
@@ -321,25 +331,6 @@ pub(crate) fn one_var_row(var: &str, term: Term) -> Binding {
     b
 }
 
-/// `pattern` with its predicate constant swapped — how a memoized
-/// closure hop is replayed for any pattern sharing the predicate.
-pub(crate) fn with_predicate(pattern: &TriplePattern, predicate: &Uri) -> TriplePattern {
-    TriplePattern::new(
-        pattern.subject.clone(),
-        PatternTerm::Const(Term::Uri(predicate.clone())),
-        pattern.object.clone(),
-    )
-}
-
-/// The predicate URI of a schema'd pattern (guaranteed by
-/// `pattern_schema` having succeeded on it).
-pub(crate) fn pattern_predicate(pattern: &TriplePattern) -> Uri {
-    match pattern.predicate.as_const() {
-        Some(Term::Uri(u)) => u.clone(),
-        _ => unreachable!("schema'd patterns carry a constant URI predicate"),
-    }
-}
-
 /// Incremental closure expansion of one schema'd pattern — the single
 /// implementation behind both consumers: the session drives it one
 /// [`ClosureSweep::resolve_next`] per pull (with
@@ -350,8 +341,10 @@ pub(crate) fn pattern_predicate(pattern: &TriplePattern) -> Uri {
 pub(crate) enum ClosureSweep {
     /// Live walk over DHT-fetched mapping lists; `record` accumulates
     /// the hop list for the closure cache. `pending` is the hop
-    /// resolved by the last `resolve_next` whose mapping discovery has
-    /// not run yet. `delegate` is the intermediate peer that served
+    /// resolved by the last `resolve_next` (with the peer that issued
+    /// it and, recursively, forwards the discovery) whose mapping
+    /// discovery has not run yet. `delegate` is the intermediate peer
+    /// that served
     /// the first recursive mapping discovery — the peer whose cache a
     /// completed recursive walk warms.
     ///
@@ -361,9 +354,15 @@ pub(crate) enum ClosureSweep {
     /// plan borrow.
     Cold {
         pattern: TriplePattern,
-        walk: ClosureWalk<(TriplePattern, PeerId, f64)>,
+        /// Schemas entered or queued so far (the loop-prevention set of
+        /// [`expand_hop`]).
+        visited: BTreeSet<SchemaId>,
+        /// Admitted hops not yet resolved, each with the peer that will
+        /// issue it; popped from the back (depth-first: each
+        /// reformulation chain is driven to its TTL before siblings).
+        frontier: Vec<(Hop, PeerId)>,
         record: (ClosureKey, Vec<CachedHop>),
-        pending: Option<Box<PendingExpand>>,
+        pending: Option<Box<(Hop, PeerId)>>,
         delegate: Option<PeerId>,
         /// A discovery failed (crashed destination): the walk is
         /// missing a subtree, so the record must never be committed —
@@ -388,17 +387,6 @@ pub(crate) enum ClosureSweep {
 #[derive(Debug, Default)]
 pub(crate) struct Expansion {
     pub(crate) admitted: Vec<SchemaId>,
-}
-
-/// A cold hop between its resolution and its expansion.
-pub(crate) struct PendingExpand {
-    schema: SchemaId,
-    pat: TriplePattern,
-    quality: f64,
-    depth: usize,
-    /// The peer that issued this hop's resolution (and, recursively,
-    /// forwards the discovery).
-    at_peer: PeerId,
 }
 
 /// One resolved hop of a [`ClosureSweep`].
@@ -471,7 +459,8 @@ impl ClosureSweep {
         }
         ClosureSweep::Cold {
             pattern: pattern.clone(),
-            walk: ClosureWalk::new(schema, (pattern.clone(), origin, 1.0)),
+            visited: BTreeSet::from([schema.clone()]),
+            frontier: vec![(Hop::origin(schema, pattern.clone()), origin)],
             record: (key, Vec::new()),
             pending: None,
             delegate: None,
@@ -482,7 +471,9 @@ impl ClosureSweep {
     /// No hops left to resolve or expand.
     pub(crate) fn is_exhausted(&self) -> bool {
         match self {
-            ClosureSweep::Cold { walk, pending, .. } => walk.is_exhausted() && pending.is_none(),
+            ClosureSweep::Cold {
+                frontier, pending, ..
+            } => frontier.is_empty() && pending.is_none(),
             ClosureSweep::Warm { hops, next, .. } => *next >= hops.len(),
         }
     }
@@ -522,11 +513,7 @@ impl ClosureSweep {
                     return Ok(None);
                 };
                 *next += 1;
-                let pat = if hop.depth == 0 {
-                    pattern.clone()
-                } else {
-                    with_predicate(pattern, &hop.predicate)
-                };
+                let pat = hop.replay(pattern);
                 // Iterative replays issue from the origin (which is
                 // also `issuer`); recursive replays from the delegate
                 // peer that memoized the closure.
@@ -540,7 +527,7 @@ impl ClosureSweep {
                 }))
             }
             ClosureSweep::Cold {
-                walk,
+                frontier,
                 record,
                 pending,
                 ..
@@ -549,30 +536,19 @@ impl ClosureSweep {
                     pending.is_none(),
                     "expand or discard the previous hop first"
                 );
-                let Some((schema, (pat, at_peer, quality), depth)) = walk.next_depth_first() else {
+                let Some((hop, at_peer)) = frontier.pop() else {
                     return Ok(None);
                 };
-                record.1.push(CachedHop {
-                    schema: schema.clone(),
-                    predicate: pattern_predicate(&pat),
-                    depth,
-                    quality,
-                });
-                let shipped = sys.resolve_pattern_once(at_peer, &pat, out).ok();
-                let hop = SweepHop {
-                    schema: schema.clone(),
-                    depth,
-                    quality,
+                record.1.push(CachedHop::record(&hop));
+                let shipped = sys.resolve_pattern_once(at_peer, &hop.pattern, out).ok();
+                let resolved = SweepHop {
+                    schema: hop.schema.clone(),
+                    depth: hop.depth,
+                    quality: hop.quality,
                     shipped,
                 };
-                *pending = Some(Box::new(PendingExpand {
-                    schema,
-                    pat,
-                    quality,
-                    depth,
-                    at_peer,
-                }));
-                Ok(Some(hop))
+                *pending = Some(Box::new((hop, at_peer)));
+                Ok(Some(resolved))
             }
         }
     }
@@ -604,7 +580,8 @@ impl ClosureSweep {
     ) -> Result<Expansion, SystemError> {
         let ClosureSweep::Cold {
             pattern,
-            walk,
+            visited,
+            frontier,
             record,
             pending,
             delegate,
@@ -613,14 +590,14 @@ impl ClosureSweep {
         else {
             return Ok(Expansion::default());
         };
-        let Some(hop) = pending.take() else {
+        let Some(resolved) = pending.take() else {
             return Ok(Expansion::default());
         };
-        let hop = *hop;
+        let (hop, at_peer) = *resolved;
         let mut admitted = Vec::new();
         if hop.depth < ttl {
             let (next_peer, mappings) =
-                match sys.discover_mappings(origin, hop.at_peer, &hop.schema, strategy) {
+                match sys.discover_mappings(origin, at_peer, &hop.schema, strategy) {
                     Ok(found) => found,
                     Err(SystemError::PeerDown(_)) => {
                         stats.failures += 1;
@@ -654,27 +631,12 @@ impl ClosureSweep {
                     None => stats.cache_misses += 1,
                 }
             }
-            for m in mappings {
-                let Some(dir) = m.applicable_from(&hop.schema) else {
-                    continue;
-                };
-                if walk.visited(m.destination(dir)) {
-                    continue;
-                }
-                let Some(np) = gridvine_semantic::reformulate_pattern(&hop.pat, &m, dir) else {
-                    continue;
-                };
-                let dest = m.destination(dir).clone();
-                if walk.admit(
-                    dest.clone(),
-                    (np, next_peer, hop.quality.min(m.quality)),
-                    hop.depth + 1,
-                ) {
-                    admitted.push(dest);
-                }
-            }
+            expand_hop(&hop, &mappings, visited, |reached, _, _| {
+                admitted.push(reached.schema.clone());
+                frontier.push((reached, next_peer));
+            });
         }
-        if walk.is_exhausted() && !*tainted {
+        if frontier.is_empty() && !*tainted {
             let key = record.0.clone();
             let hops = std::mem::take(&mut record.1);
             let target = match strategy {

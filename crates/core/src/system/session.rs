@@ -7,9 +7,9 @@
 //! [`GridVineSystem::execute`] drains the whole closure walk before
 //! returning anything. A [`QuerySession`] exposes the walk itself:
 //! [`GridVineSystem::open`] validates the plan and *performs no work*;
-//! [`QuerySession::next_event`] pulls advance the underlying
-//! [`ClosureWalk`](gridvine_semantic::ClosureWalk) (or prefix sweep,
-//! or join pipeline) and yield the [`ResultEvent`]s it produces.
+//! [`QuerySession::next_event`] pulls advance the underlying closure
+//! walk (`ClosureSweep`; or prefix sweep, or join pipeline) and
+//! yield the [`ResultEvent`]s it produces.
 //!
 //! ## The scheduler seam
 //!

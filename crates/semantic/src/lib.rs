@@ -63,8 +63,8 @@ pub mod prelude {
         lexical_similarity, match_profiles, MatcherConfig, SchemaProfile, ScoredCorrespondence,
     };
     pub use crate::reformulate::{
-        pattern_schema, query_schema, reformulate_pattern, reformulate_step, reformulations,
-        CacheCounters, CachedHop, ClosureCache, ClosureKey, ClosureWalk, ReformulateError,
+        expand_hop, pattern_schema, query_schema, reformulate_pattern, reformulate_step,
+        reformulations, CacheCounters, CachedHop, ClosureCache, ClosureKey, Hop, ReformulateError,
         Reformulation, Step,
     };
     pub use crate::schema::{Schema, SchemaId};
@@ -86,8 +86,8 @@ pub use matcher::{
     lexical_similarity, match_profiles, MatcherConfig, SchemaProfile, ScoredCorrespondence,
 };
 pub use reformulate::{
-    pattern_schema, query_schema, reformulate_pattern, reformulate_step, reformulations,
-    CacheCounters, CachedHop, ClosureCache, ClosureKey, ClosureWalk, ReformulateError,
+    expand_hop, pattern_schema, query_schema, reformulate_pattern, reformulate_step,
+    reformulations, CacheCounters, CachedHop, ClosureCache, ClosureKey, Hop, ReformulateError,
     Reformulation, Step,
 };
 pub use schema::{Schema, SchemaId};

@@ -6,19 +6,36 @@
 //! a sequence of schemas at the mediation layer and retrieve all relevant
 //! results, irrespective of their schemas."
 //!
-//! [`reformulations`] expands a triple-pattern query through the active
-//! mapping network breadth-first, producing one reformulated query per
-//! reachable schema (shortest mapping path first), exactly the expansion
-//! the *iterative* strategy executes at the originating peer. The
-//! *recursive* strategy executes the same one-step rule
-//! ([`reformulate_step`]) at each intermediate peer.
+//! ## The one walk
+//!
+//! The reformulation rule — follow active mappings out of a schema,
+//! enter every schema at most once, stop at the TTL — is spelled out
+//! once, in two functions of this module:
+//!
+//! * [`reformulate_pattern`] applies one mapping to one pattern (view
+//!   unfolding of a single predicate correspondence); nothing else in
+//!   the workspace builds a reformulated pattern from a mapping.
+//! * [`expand_hop`] is one step of the closure walk: given a [`Hop`],
+//!   the mapping list fetched at its schema and the visited set, it
+//!   admits the newly reached hops with their path-minimum quality.
+//!
+//! Three drivers call the step and add only *where the mapping list
+//! comes from and when a hop is sent*: [`reformulations`] reads the
+//! local registry and expands breadth-first (the expansion the
+//! *iterative* strategy executes at the originating peer);
+//! `gridvine-core`'s synchronous executor fetches each list from the
+//! DHT and resolves hops depth-first, one per session pull; its WAN
+//! driver expands a hop the moment the reply carrying its mapping list
+//! lands. A finished walk is memoized as [`CachedHop`]s in a
+//! [`ClosureCache`]; [`CachedHop::replay`] turns a recorded hop back
+//! into the pattern to pose, for any pattern sharing the predicate.
 
 use crate::graph::MappingRegistry;
-use crate::mapping::{Direction, MappingId};
+use crate::mapping::{Direction, Mapping, MappingId};
 use crate::schema::{Schema, SchemaId};
 use gridvine_rdf::{PatternTerm, Term, TriplePattern, TriplePatternQuery, Uri};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// One application of a mapping along a reformulation path.
@@ -103,12 +120,14 @@ pub fn query_schema(query: &TriplePatternQuery) -> Result<(SchemaId, String), Re
     pattern_schema(&query.pattern)
 }
 
-/// Apply one mapping step to a bare pattern: replace the predicate
-/// `source#attr` by `dest#attr'`. The mapping-object variant used when
-/// mapping lists come from the DHT rather than a local registry.
+/// Apply one mapping to a pattern: replace the predicate `source#attr`
+/// by `dest#attr'` (view unfolding of a single predicate
+/// correspondence), keeping the subject and object slots. Returns
+/// `None` if the mapping is inactive, does not apply from the
+/// pattern's schema in `direction`, or does not cover the attribute.
 pub fn reformulate_pattern(
     pattern: &TriplePattern,
-    mapping: &crate::mapping::Mapping,
+    mapping: &Mapping,
     direction: Direction,
 ) -> Option<TriplePattern> {
     let (schema, attr) = pattern_schema(pattern).ok()?;
@@ -117,104 +136,95 @@ pub fn reformulate_pattern(
     }
     let new_attr = mapping.translate(&attr, direction)?;
     let dest = mapping.destination(direction);
-    Some(TriplePattern::new(
-        pattern.subject.clone(),
-        PatternTerm::Const(Term::Uri(Uri::new(format!("{dest}#{new_attr}")))),
-        pattern.object.clone(),
+    Some(with_predicate(
+        pattern,
+        Uri::new(format!("{dest}#{new_attr}")),
     ))
 }
 
-/// Apply one mapping step to a query: replace the predicate
-/// `source#attr` by `dest#attr'` (view unfolding of a single predicate
-/// correspondence). Returns `None` if the mapping does not cover the
-/// attribute.
+/// `pattern`'s subject and object slots under another predicate.
+fn with_predicate(pattern: &TriplePattern, predicate: Uri) -> TriplePattern {
+    TriplePattern::new(
+        pattern.subject.clone(),
+        PatternTerm::Const(Term::Uri(predicate)),
+        pattern.object.clone(),
+    )
+}
+
+/// [`reformulate_pattern`] for a registered mapping and a whole query —
+/// the one-step rule the *recursive* strategy executes at each
+/// intermediate peer.
 pub fn reformulate_step(
     registry: &MappingRegistry,
     query: &TriplePatternQuery,
     mapping: MappingId,
     direction: Direction,
 ) -> Option<TriplePatternQuery> {
-    let (schema, attr) = query_schema(query).ok()?;
-    let m = registry.mapping(mapping)?;
-    if !m.is_active() || m.applicable_from(&schema) != Some(direction) {
-        return None;
-    }
-    let new_attr = m.translate(&attr, direction)?;
-    let dest = m.destination(direction);
-    let new_predicate = Uri::new(format!("{dest}#{new_attr}"));
-    let pattern = TriplePattern::new(
-        query.pattern.subject.clone(),
-        PatternTerm::Const(Term::Uri(new_predicate)),
-        query.pattern.object.clone(),
-    );
+    let pattern = reformulate_pattern(&query.pattern, registry.mapping(mapping)?, direction)?;
     TriplePatternQuery::new(query.distinguished.clone(), pattern).ok()
 }
 
-/// Step-wise traversal state for expanding a query through the mapping
-/// network: the visited-schema set plus the expansion frontier, carrying
-/// an arbitrary per-hop payload `P` (a reformulated query, the peer
-/// that will issue it, an index into an output buffer, …).
-///
-/// This is the one loop-prevention rule of the PDMS — every schema is
-/// entered at most once — factored out so each driver only supplies its
-/// mapping source and hop order: the registry-local expansion
-/// ([`reformulations`]) pulls hops breadth-first (shortest mapping path
-/// first), while `gridvine-core`'s streaming executor pulls depth-first
-/// with mapping lists fetched from the DHT, exactly as the legacy
-/// `SearchFor` traversal did.
+/// One hop of a closure walk: `pattern` posed against `schema` — the
+/// schema its predicate names — reached over `depth` mapping
+/// applications whose smallest mapping quality is `quality`.
 #[derive(Debug, Clone)]
-pub struct ClosureWalk<P> {
-    visited: BTreeSet<SchemaId>,
-    /// Pending hops: `(schema, payload, depth)` where `depth` counts
-    /// mapping applications from the origin.
-    frontier: VecDeque<(SchemaId, P, usize)>,
+pub struct Hop {
+    pub schema: SchemaId,
+    pub pattern: TriplePattern,
+    pub depth: usize,
+    pub quality: f64,
 }
 
-impl<P> ClosureWalk<P> {
-    /// Start a walk at the query's own schema (depth 0).
-    pub fn new(origin: SchemaId, payload: P) -> ClosureWalk<P> {
-        let mut visited = BTreeSet::new();
-        visited.insert(origin.clone());
-        let mut frontier = VecDeque::new();
-        frontier.push_back((origin, payload, 0));
-        ClosureWalk { visited, frontier }
-    }
-
-    /// Next hop, breadth-first: non-decreasing mapping-path length.
-    pub fn next_breadth_first(&mut self) -> Option<(SchemaId, P, usize)> {
-        self.frontier.pop_front()
-    }
-
-    /// Next hop, depth-first: the synchronous executor's order (each
-    /// reformulation chain is driven to its TTL before siblings).
-    pub fn next_depth_first(&mut self) -> Option<(SchemaId, P, usize)> {
-        self.frontier.pop_back()
-    }
-
-    /// Has a schema already been entered (or queued)?
-    pub fn visited(&self, schema: &SchemaId) -> bool {
-        self.visited.contains(schema)
-    }
-
-    /// Queue a newly reached schema at `depth` mapping applications;
-    /// returns `false` (and queues nothing) if it was already visited.
-    pub fn admit(&mut self, dest: SchemaId, payload: P, depth: usize) -> bool {
-        if !self.visited.insert(dest.clone()) {
-            return false;
+impl Hop {
+    /// The walk's first hop: the query's own pattern in its own
+    /// schema (as [`pattern_schema`] reads it), depth 0, quality 1.
+    pub fn origin(schema: SchemaId, pattern: TriplePattern) -> Hop {
+        Hop {
+            schema,
+            pattern,
+            depth: 0,
+            quality: 1.0,
         }
-        self.frontier.push_back((dest, payload, depth));
-        true
     }
+}
 
-    /// Schemas entered or queued so far (the traversal's
-    /// `schemas_visited` statistic, origin included).
-    pub fn visited_count(&self) -> usize {
-        self.visited.len()
-    }
-
-    /// No hops left to pull: the closure is fully expanded.
-    pub fn is_exhausted(&self) -> bool {
-        self.frontier.is_empty()
+/// One expansion step of the closure walk (§3–§4), the only such loop
+/// in the workspace: follow every mapping of `mappings` that is active
+/// and applies out of `hop`'s schema, enter each destination schema at
+/// most once (`visited`, which the caller seeds with the origin
+/// schema), and hand each newly admitted hop — translated pattern, one
+/// level deeper, quality the path minimum — to `admit` together with
+/// the mapping that reached it, in list order. A second copy of a
+/// mapping in the list is a no-op: its destination is visited by then.
+///
+/// The TTL is the caller's to enforce *before* fetching a mapping list
+/// (a hop at the TTL is resolved but never expanded), since fetching is
+/// what costs messages.
+pub fn expand_hop<'m>(
+    hop: &Hop,
+    mappings: impl IntoIterator<Item = &'m Mapping>,
+    visited: &mut BTreeSet<SchemaId>,
+    mut admit: impl FnMut(Hop, &'m Mapping, Direction),
+) {
+    for m in mappings {
+        let Some(direction) = m.applicable_from(&hop.schema) else {
+            continue;
+        };
+        let dest = m.destination(direction);
+        if visited.contains(dest) {
+            continue;
+        }
+        let Some(pattern) = reformulate_pattern(&hop.pattern, m, direction) else {
+            continue;
+        };
+        visited.insert(dest.clone());
+        let reached = Hop {
+            schema: dest.clone(),
+            pattern,
+            depth: hop.depth + 1,
+            quality: hop.quality.min(m.quality),
+        };
+        admit(reached, m, direction);
     }
 }
 
@@ -239,6 +249,29 @@ pub struct CachedHop {
     pub depth: usize,
     /// Minimum mapping quality along the path (1.0 at the origin).
     pub quality: f64,
+}
+
+impl CachedHop {
+    /// Record a walked hop: everything but its subject/object slots.
+    pub fn record(hop: &Hop) -> CachedHop {
+        let predicate = match hop.pattern.predicate.as_const() {
+            Some(Term::Uri(u)) => u.clone(),
+            _ => unreachable!("a hop's schema is read off its constant URI predicate"),
+        };
+        CachedHop {
+            schema: hop.schema.clone(),
+            predicate,
+            depth: hop.depth,
+            quality: hop.quality,
+        }
+    }
+
+    /// The pattern to pose at this hop when the closure is replayed
+    /// for `pattern`: its subject/object slots under the recorded
+    /// predicate.
+    pub fn replay(&self, pattern: &TriplePattern) -> TriplePattern {
+        with_predicate(pattern, self.predicate.clone())
+    }
 }
 
 /// Cache key of one closure expansion: where the walk starts and how
@@ -368,11 +401,6 @@ impl ClosureCache {
         self.entries.insert(key, (hops.into(), self.tick));
     }
 
-    /// The epoch the stored entries were computed at.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Number of memoized closures (for tests and introspection).
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -404,45 +432,54 @@ impl ClosureCache {
 /// Returns the original query (depth 0) followed by one reformulation
 /// per newly reached schema, in non-decreasing path length, visiting at
 /// most `ttl` mapping applications deep. Each schema is visited once —
-/// the loop-prevention rule is [`ClosureWalk`]'s.
+/// the loop-prevention rule is [`expand_hop`]'s.
 pub fn reformulations(
     registry: &MappingRegistry,
     query: &TriplePatternQuery,
     ttl: usize,
 ) -> Result<Vec<Reformulation>, ReformulateError> {
     let (origin, _) = query_schema(query)?;
+    let mut visited = BTreeSet::from([origin.clone()]);
     let mut out = vec![Reformulation {
-        schema: origin.clone(),
+        schema: origin,
         query: query.clone(),
         path: Vec::new(),
     }];
-    // Payload: index into `out`, so the frontier never clones a query.
-    let mut walk = ClosureWalk::new(origin, 0usize);
-
-    while let Some((schema, i, depth)) = walk.next_breadth_first() {
-        if depth >= ttl {
+    // `out` is its own breadth-first queue: reformulations are expanded
+    // in the order they were admitted.
+    let mut next = 0;
+    while let Some(from) = out.get(next) {
+        next += 1;
+        if from.depth() >= ttl {
             continue;
         }
-        for (m, dir) in registry.applicable_from(&schema) {
-            let dest = m.destination(dir).clone();
-            if walk.visited(&dest) {
-                continue;
-            }
-            if let Some(q) = reformulate_step(registry, &out[i].query, m.id, dir) {
-                let mut path = out[i].path.clone();
+        let hop = Hop {
+            schema: from.schema.clone(),
+            pattern: from.query.pattern.clone(),
+            depth: from.depth(),
+            quality: 1.0, // not reported: see `Reformulation::path_quality`
+        };
+        let path = from.path.clone();
+        expand_hop(
+            &hop,
+            registry.mappings(),
+            &mut visited,
+            |reached, m, direction| {
+                let mut path = path.clone();
                 path.push(Step {
                     mapping: m.id,
-                    direction: dir,
+                    direction,
                 });
-                let next = out.len();
                 out.push(Reformulation {
-                    schema: dest.clone(),
-                    query: q,
+                    schema: reached.schema,
+                    query: TriplePatternQuery {
+                        distinguished: query.distinguished.clone(),
+                        pattern: reached.pattern,
+                    },
                     path,
                 });
-                walk.admit(dest, next, depth + 1);
-            }
-        }
+            },
+        );
     }
     Ok(out)
 }
@@ -450,7 +487,7 @@ pub fn reformulations(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::{Correspondence, MappingKind, Provenance};
+    use crate::mapping::{Correspondence, MappingKind, MappingStatus, Provenance};
     use crate::schema::Schema;
 
     /// The Figure 2 setup: EMBL#Organism ≡ EMP#SystematicName.
@@ -672,6 +709,120 @@ mod tests {
         ));
     }
 
+    fn hop_at(schema: &str, attr: &str) -> Hop {
+        Hop::origin(
+            SchemaId::new(schema),
+            TriplePattern::new(
+                PatternTerm::var("x"),
+                PatternTerm::constant(Term::uri(format!("{schema}#{attr}"))),
+                PatternTerm::var("o"),
+            ),
+        )
+    }
+
+    fn link(id: u32, source: &str, target: &str, pair: (&str, &str)) -> Mapping {
+        Mapping::new(
+            MappingId(id),
+            source,
+            target,
+            MappingKind::Equivalence,
+            Provenance::Automatic,
+            vec![Correspondence::new(pair.0, pair.1)],
+        )
+    }
+
+    /// Run one expansion step from a fresh visited set holding only
+    /// the hop's schema; the admitted hops and the set afterwards.
+    fn expand(hop: &Hop, mappings: &[Mapping]) -> (Vec<Hop>, BTreeSet<SchemaId>) {
+        let mut visited = BTreeSet::from([hop.schema.clone()]);
+        let mut admitted = Vec::new();
+        expand_hop(hop, mappings, &mut visited, |reached, _, _| {
+            admitted.push(reached)
+        });
+        (admitted, visited)
+    }
+
+    #[test]
+    fn a_mapping_listed_twice_admits_its_destination_once() {
+        // A bidirectional mapping is stored at both schemas' key spaces;
+        // when the two keys share a peer the fetched list holds it twice.
+        let m = link(0, "A", "B", ("x", "y"));
+        let (admitted, visited) = expand(&hop_at("B", "y"), &[m.clone(), m]);
+        assert_eq!(admitted.len(), 1);
+        assert_eq!(admitted[0].schema, SchemaId::new("A"));
+        assert_eq!(admitted[0].depth, 1);
+        assert_eq!(
+            admitted[0].pattern.predicate.as_const(),
+            Some(&Term::uri("A#x"))
+        );
+        assert_eq!(visited.len(), 2);
+    }
+
+    #[test]
+    fn an_inactive_mapping_admits_nothing() {
+        for status in [MappingStatus::Deprecated, MappingStatus::Quarantined] {
+            let mut m = link(0, "A", "B", ("x", "y"));
+            m.status = status;
+            let (admitted, visited) = expand(&hop_at("A", "x"), &[m]);
+            assert!(admitted.is_empty(), "{status:?}");
+            assert_eq!(visited.len(), 1);
+        }
+    }
+
+    #[test]
+    fn admitted_quality_is_the_path_minimum() {
+        let mut weak = link(0, "A", "B", ("x", "y"));
+        weak.quality = 0.6;
+        let strong = link(1, "B", "C", ("y", "z"));
+        let (first, _) = expand(&hop_at("A", "x"), std::slice::from_ref(&weak));
+        assert!((first[0].quality - 0.6).abs() < 1e-12);
+        // The stronger second link cannot raise the path's quality…
+        let (second, _) = expand(&first[0], &[strong]);
+        assert_eq!(second[0].schema, SchemaId::new("C"));
+        assert_eq!(second[0].depth, 2);
+        assert!((second[0].quality - 0.6).abs() < 1e-12);
+        // …and a weaker one lowers it.
+        let mut weaker = link(2, "B", "C", ("y", "z"));
+        weaker.quality = 0.25;
+        let (second, _) = expand(&first[0], &[weaker]);
+        assert!((second[0].quality - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_visited_destination_is_skipped() {
+        // The visited check comes before the translation: a mapping
+        // back into an entered schema costs a set probe, no pattern.
+        let hop = hop_at("B", "y");
+        let mut visited = BTreeSet::from([SchemaId::new("A"), SchemaId::new("B")]);
+        let before = visited.clone();
+        let mut admitted = 0;
+        expand_hop(
+            &hop,
+            &[link(0, "A", "B", ("x", "y")), link(1, "B", "A", ("y", "x"))],
+            &mut visited,
+            |_, _, _| admitted += 1,
+        );
+        assert_eq!(admitted, 0);
+        assert_eq!(visited, before);
+    }
+
+    #[test]
+    fn a_recorded_hop_replays_under_any_pattern_sharing_the_predicate() {
+        let (admitted, _) = expand(&hop_at("A", "x"), &[link(0, "A", "B", ("x", "y"))]);
+        let recorded = CachedHop::record(&admitted[0]);
+        assert_eq!(recorded.predicate, Uri::new("B#y"));
+        assert_eq!((recorded.depth, recorded.quality), (1, 0.9));
+        let bound = TriplePattern::new(
+            PatternTerm::constant(Term::uri("seq:A1")),
+            PatternTerm::constant(Term::uri("A#x")),
+            PatternTerm::var("o"),
+        );
+        let replayed = recorded.replay(&bound);
+        assert_eq!(replayed.subject, bound.subject);
+        assert_eq!(replayed.object, bound.object);
+        assert_eq!(replayed.predicate.as_const(), Some(&Term::uri("B#y")));
+    }
+
     #[test]
     fn epoch_bumps_on_every_mapping_mutation() {
         let mut reg = figure2_registry();
@@ -704,12 +855,7 @@ mod tests {
             attr: "Organism".to_string(),
             ttl: 10,
         };
-        let hops = vec![CachedHop {
-            schema: SchemaId::new("EMBL"),
-            predicate: Uri::new("EMBL#Organism"),
-            depth: 0,
-            quality: 1.0,
-        }];
+        let hops = vec![CachedHop::record(&hop_at("EMBL", "Organism"))];
         let mut cache = ClosureCache::new();
         assert!(cache.lookup(reg.epoch(), &key).is_none());
         cache.insert(reg.epoch(), key.clone(), hops.clone());
@@ -730,12 +876,7 @@ mod tests {
     }
 
     fn hop(schema: &str) -> CachedHop {
-        CachedHop {
-            schema: SchemaId::new(schema),
-            predicate: Uri::new(format!("{schema}#a")),
-            depth: 0,
-            quality: 1.0,
-        }
+        CachedHop::record(&hop_at(schema, "a"))
     }
 
     fn key(schema: &str) -> ClosureKey {

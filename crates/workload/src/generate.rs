@@ -11,7 +11,9 @@
 use crate::vocab::{self, Concept, ConceptId, CONCEPTS, SCHEMA_NAMES};
 use gridvine_netsim::rng;
 use gridvine_rdf::{Term, Triple, Uri};
-use gridvine_semantic::{Correspondence, Schema, SchemaId, SchemaProfile};
+use gridvine_semantic::{
+    Correspondence, Mapping, MappingId, MappingKind, Provenance, Schema, SchemaId, SchemaProfile,
+};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -421,6 +423,29 @@ impl Workload {
             })
             .map(|e| e.accession.clone())
             .collect()
+    }
+
+    /// The manual mapping chain the WAN experiments preload: consecutive
+    /// schemas linked by their ground-truth correspondences as
+    /// equivalences (a pair sharing no concept is left unlinked), with
+    /// ids dense from 0 in chain order, as a fresh registry assigns them.
+    pub fn chain_mappings(&self) -> Vec<Mapping> {
+        let mut chain = Vec::new();
+        for pair in self.schemas.windows(2) {
+            let (a, b) = (pair[0].id(), pair[1].id());
+            let correspondences = self.ground_truth.correct_pairs(a, b);
+            if !correspondences.is_empty() {
+                chain.push(Mapping::new(
+                    MappingId(chain.len() as u32),
+                    a.clone(),
+                    b.clone(),
+                    MappingKind::Equivalence,
+                    Provenance::Manual,
+                    correspondences,
+                ));
+            }
+        }
+        chain
     }
 }
 

@@ -21,7 +21,6 @@
 use gridvine_core::{Deployment, DeploymentConfig, QueryPlan, WanBatchOptions};
 use gridvine_netsim::{rng, NetworkConfig, SimDuration};
 use gridvine_rdf::{Triple, TriplePatternQuery};
-use gridvine_semantic::{Mapping, MappingKind, MappingRegistry, Provenance};
 use gridvine_workload::{QueryConfig, QueryGenerator, Workload, WorkloadConfig};
 
 const SEED: u64 = 2007;
@@ -41,20 +40,7 @@ fn main() {
 
     // 2. A mapping chain across the workload schemas, preloaded into
     //    the DHT as completed Update(Schema Mapping) operations.
-    let mut registry = MappingRegistry::new();
-    for s in &workload.schemas {
-        registry.add_schema(s.clone());
-    }
-    for i in 0..workload.schemas.len() - 1 {
-        let a = workload.schemas[i].id().clone();
-        let b = workload.schemas[i + 1].id().clone();
-        let corrs = workload.ground_truth.correct_pairs(&a, &b);
-        if !corrs.is_empty() {
-            registry.add_mapping(a, b, MappingKind::Equivalence, Provenance::Manual, corrs);
-        }
-    }
-    let mappings: Vec<Mapping> = registry.mappings().cloned().collect();
-    deployment.preload_mediation(workload.schemas.clone(), mappings.iter());
+    deployment.preload_mediation(workload.schemas.clone(), workload.chain_mappings().iter());
 
     // 3. A reformulated-query batch on a Poisson arrival process. The
     //    sink fires at each matched reply's simulated completion

@@ -414,9 +414,7 @@ fn reformulated_dissemination_survives_message_loss() {
     // 5 % message loss on the WAN: the retry machinery must still let
     // reformulated queries reach other schemas, with only a small
     // residue of timed-out chains.
-    use gridvine_core::{Deployment, DeploymentConfig};
-    use gridvine_rdf::TriplePatternQuery;
-    use gridvine_semantic::{MappingKind as MK, MappingRegistry, Provenance as Pv};
+    use gridvine_core::{Deployment, DeploymentConfig, QueryPlan, WanBatchOptions};
     use gridvine_workload::{QueryConfig, QueryGenerator};
 
     let w = Workload::generate(WorkloadConfig::small(31));
@@ -427,20 +425,7 @@ fn reformulated_dissemination_survives_message_loss() {
     });
     let triples: Vec<Triple> = w.all_triples().into_iter().map(|(_, t)| t).collect();
     d.preload(triples);
-    let mut registry = MappingRegistry::new();
-    for s in &w.schemas {
-        registry.add_schema(s.clone());
-    }
-    for i in 0..w.schemas.len() - 1 {
-        let a = w.schemas[i].id().clone();
-        let b = w.schemas[i + 1].id().clone();
-        let corrs = w.ground_truth.correct_pairs(&a, &b);
-        if !corrs.is_empty() {
-            registry.add_mapping(a, b, MK::Equivalence, Pv::Manual, corrs);
-        }
-    }
-    let mappings: Vec<_> = registry.mappings().cloned().collect();
-    d.preload_mediation(w.schemas.clone(), mappings.iter());
+    d.preload_mediation(w.schemas.clone(), w.chain_mappings().iter());
     for i in 0..48 {
         d.network_mut()
             .node_mut(gridvine_netsim::NodeId::from_index(i))
@@ -449,9 +434,19 @@ fn reformulated_dissemination_survives_message_loss() {
 
     let gen = QueryGenerator::new(&w, QueryConfig::default());
     let mut r = gridvine_netsim::rng::seeded(8);
-    let queries: Vec<TriplePatternQuery> =
-        gen.batch(30, &mut r).into_iter().map(|g| g.query).collect();
-    let rep = d.run_reformulated_queries(&queries, 6);
+    let plans: Vec<QueryPlan> = gen
+        .batch(30, &mut r)
+        .into_iter()
+        .map(|g| QueryPlan::search(g.query))
+        .collect();
+    let rep = d.run_plans(
+        &plans,
+        &WanBatchOptions {
+            ttl: 6,
+            mean_interarrival: None,
+            limit: None,
+        },
+    );
     assert!(
         rep.answered > 15,
         "answered {} of 30 under loss",

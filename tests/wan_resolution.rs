@@ -9,7 +9,7 @@ use gridvine_core::{
     Deployment, DeploymentConfig, GridVineConfig, GridVineSystem, JoinMode, KeySpace, QueryOptions,
     QueryPlan, Strategy, WanBatchOptions, WanBatchReport,
 };
-use gridvine_netsim::{NetworkConfig, NodeId, SimDuration};
+use gridvine_netsim::{rng, NetworkConfig, NodeId, SimDuration};
 use gridvine_pgrid::proto::PGridNode;
 use gridvine_pgrid::{BitString, HashKind, PeerId, Topology};
 use gridvine_rdf::{
@@ -18,6 +18,7 @@ use gridvine_rdf::{
 use gridvine_semantic::{
     reformulations, Correspondence, Mapping, MappingKind, MappingRegistry, Provenance, Schema,
 };
+use gridvine_workload::{QueryConfig, QueryGenerator, Workload, WorkloadConfig};
 use proptest::prelude::*;
 
 const TTL: usize = 3;
@@ -434,4 +435,147 @@ fn a_timed_out_retrieve_resolves_nothing() {
     // Only a lookup submitted at the owner itself completes (locally).
     assert_eq!(report.answered + report.timed_out, plans.len());
     assert_eq!(replies.iter().flatten().count(), report.answered);
+}
+
+/// A result cap counts distinct *answers* — terms of the distinguished
+/// variable — on both engines. `seq:A1` has two organisms in `S0`: two
+/// rows, one answer, so under `limit 2` neither walk may stop before
+/// it has looked into `S1` (counting rows, the WAN walk did whenever
+/// the `S0` lookup landed ahead of the `S0` mapping list).
+#[test]
+fn a_limit_counts_distinct_answers_on_both_engines() {
+    let corpus = [
+        ("seq:A1", "S0#organism", "Aspergillus niger"),
+        ("seq:A1", "S0#organism", "Aspergillus oryzae"),
+        ("seq:A2", "S1#species", "Penicillium notatum"),
+    ]
+    .map(|(s, p, o)| Triple::new(s, p, Term::literal(o)));
+    let (mut wan, mut sys) = engines(2, &corpus, &registry([true, false]));
+    let query = TriplePatternQuery::new(
+        "x",
+        TriplePattern::new(
+            PatternTerm::var("x"),
+            PatternTerm::constant(Term::uri("S0#organism")),
+            PatternTerm::var("y"),
+        ),
+    )
+    .unwrap();
+    let plan = QueryPlan::search(query);
+
+    let session = sys
+        .execute(
+            PeerId(0),
+            &plan,
+            &QueryOptions::new()
+                .strategy(Strategy::Iterative)
+                .ttl(TTL)
+                .limit(2),
+        )
+        .unwrap();
+    assert_eq!(
+        session.terms("x"),
+        [Term::uri("seq:A1"), Term::uri("seq:A2")]
+    );
+
+    let mut answers = std::collections::BTreeSet::new();
+    let options = WanBatchOptions {
+        ttl: TTL,
+        mean_interarrival: None,
+        limit: Some(2),
+    };
+    wan.run_plans_with(std::slice::from_ref(&plan), &options, &mut |p| {
+        answers.extend(p.bindings.iter().filter_map(|b| b.get("x").cloned()));
+    });
+    assert_eq!(answers.into_iter().collect::<Vec<_>>(), session.terms("x"));
+}
+
+/// Everything the WAN driver lets a caller observe — both batch reports
+/// and every streamed `(query, at, rows)` — for one mixed batch run
+/// cold and then twice on warming caches, folded into one FNV-1a digest. CI's run-twice
+/// diffs prove the driver deterministic; this proves it *stable*: a
+/// refactor that re-orders a submission, a latency draw or a row moves
+/// the digest.
+#[test]
+fn wan_driver_transcript_is_pinned() {
+    let w = Workload::generate(WorkloadConfig::small(2007));
+    let mut wan = Deployment::new(DeploymentConfig {
+        peers: 48,
+        network: NetworkConfig::planetlab(),
+        ..DeploymentConfig::paper(2007)
+    });
+    wan.preload(w.all_triples().into_iter().map(|(_, t)| t));
+    wan.preload_mediation(w.schemas.clone(), w.chain_mappings().iter());
+
+    // Every plan shape, interleaved: plain lookups, closures, joins,
+    // and the three shapes the driver declines — a prefix sweep, a
+    // closure without a schema, a join pattern without a constant.
+    let gen = QueryGenerator::new(&w, QueryConfig::default());
+    let mut r = rng::seeded(16);
+    let singles = gen.batch(36, &mut r);
+    let mut joins = gen.conjunctive_batch(12, &mut r).into_iter();
+    let mut plans = Vec::new();
+    for (i, g) in singles.into_iter().enumerate() {
+        match i % 3 {
+            0 => plans.push(QueryPlan::pattern(g.query)),
+            1 => plans.push(QueryPlan::search(g.query)),
+            _ => {
+                plans.push(QueryPlan::search(g.query));
+                plans.extend(joins.next().map(|j| QueryPlan::conjunctive(j.query)));
+            }
+        }
+    }
+    let anything = TriplePattern::new(
+        PatternTerm::var("x"),
+        PatternTerm::var("p"),
+        PatternTerm::var("o"),
+    );
+    let prefix = TriplePattern::new(
+        PatternTerm::var("x"),
+        PatternTerm::var("p"),
+        PatternTerm::constant(Term::literal("Aspergillus%")),
+    );
+    plans.insert(7, QueryPlan::object_prefix(single(&prefix).unwrap()));
+    plans.insert(19, QueryPlan::search(single(&anything).unwrap()));
+    let QueryPlan::Join { query, .. } = plans[3].clone() else {
+        panic!("plan 3 is the first join");
+    };
+    let mut patterns = query.patterns;
+    patterns.push(anything);
+    plans.insert(
+        31,
+        QueryPlan::conjunctive(ConjunctiveQuery::new(query.distinguished, patterns).unwrap()),
+    );
+
+    let options = WanBatchOptions {
+        ttl: 5,
+        mean_interarrival: Some(SimDuration::from_millis(400)),
+        limit: None,
+    };
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut fold = |text: String| {
+        for b in text.bytes() {
+            digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    let mut reports = Vec::new();
+    for _ in ["cold", "warm", "warmer"] {
+        let report = wan.run_plans_with(&plans, &options, &mut |p| {
+            let rows: Vec<String> = p.bindings.iter().map(Binding::to_string).collect();
+            fold(format!("{} {:?} {rows:?}\n", p.query, p.at));
+        });
+        reports.push(report);
+    }
+    for report in &reports {
+        fold(format!("{report:?}\n"));
+    }
+    let (cold, warm) = (&reports[0], &reports[2]);
+    // The batch reaches every branch of the driver.
+    assert_eq!(cold.skipped, 2, "{cold:?}");
+    assert_eq!(cold.unroutable_patterns, 1, "{cold:?}");
+    assert!(cold.mapping_fetches > warm.mapping_fetches && warm.cache_hits > 0);
+    assert!(cold.answered > 20 && cold.mean_rows > 0.0, "{cold:?}");
+    assert_eq!(
+        digest, 11_825_070_358_152_575_774,
+        "cold {cold:?}\nwarm {warm:?}"
+    );
 }
