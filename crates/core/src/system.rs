@@ -368,11 +368,6 @@ pub struct GridVineSystem {
     /// Monotone session-id allocator shared by standalone sessions and
     /// pools (ids stay unique when both run against one system).
     next_session: u64,
-    /// The last constant a pattern resolution routed by, with its
-    /// overlay key (hasher and key depth are fixed at construction, so
-    /// the key is a pure function of the term) — see
-    /// `resolve_pattern_once`.
-    routed_key: Option<(Term, BitString)>,
     rng: StdRng,
 }
 
@@ -413,7 +408,6 @@ impl GridVineSystem {
                 .build(gridvine_netsim::rng::derive_seed(config.seed, 0x1A7E)),
             place: place::PlacementState::new(config.placement.clone()),
             next_session: 0,
-            routed_key: None,
             topology,
             overlay,
             registry: MappingRegistry::new(),

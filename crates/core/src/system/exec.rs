@@ -13,19 +13,27 @@
 //!
 //! ## Execution model
 //!
-//! Every plan bottoms out in *routed pattern resolutions*: route to
-//! `Hash(routing constant)`, charge the response message, and evaluate
-//! the destination peer's indexed `DB_p` through the store's scan
-//! kernel
-//! ([`TripleStore::match_into`](gridvine_rdf::TripleStore::match_into)),
-//! which appends the matching rows to the caller's columnar
-//! [`BindingBatch`] — variable names once per batch, terms row-major —
-//! so a destination ships exactly the terms it matched and builds no
-//! per-row map. Shipped rows stay in that form up to the result
-//! boundary: all hops of one closure sweep append to one batch (a
-//! reformulation only swaps the predicate constant, so they share its
-//! header), single-pattern plans dedup straight off the batch's
-//! distinguished column, and join plans hand whole batches to
+//! Every plan bottoms out in *data requests*: a request carries a
+//! **list** of patterns, is routed to `Hash(routing constant)` of the
+//! first, and is charged as one `Retrieve` — one message per forwarding
+//! edge, one response, one exchange through the retry protocol —
+//! whatever the length of the list
+//! (`GridVineSystem::resolve_patterns`). The peer it lands on answers
+//! every listed pattern whose key lies under its own path, one run of
+//! the store's scan kernel
+//! ([`TripleStore::match_into`](gridvine_rdf::TripleStore::match_into))
+//! per answered pattern, each appending the matching rows of the
+//! peer's indexed `DB_p` to the caller's columnar [`BindingBatch`] —
+//! variable names once per batch, terms row-major — so a destination
+//! ships exactly the terms it matched, builds no per-row map, and
+//! replies once. A pattern lookup, a prefix probe and an un-schema'd
+//! join pattern list one pattern; a closure walk lists every hop the
+//! issuer knows and has not had answered (below). Shipped rows stay
+//! columnar up to the result boundary: all hops of one closure sweep
+//! append to one batch (a reformulation only swaps the predicate
+//! constant, so they share its header), single-pattern plans dedup
+//! straight off the batch's distinguished column, and join plans hand
+//! whole batches to
 //! [`TermInterner::encode_batch`](gridvine_rdf::join::TermInterner::encode_batch).
 //! [`Binding`]s are built in one place per plan shape — the session's
 //! row admission — once per admitted *distinct* row, for
@@ -42,13 +50,34 @@
 //! [`reformulations`](gridvine_semantic::reformulations) and the WAN
 //! driver ([`crate::harness`]). `ClosureSweep` adds what is this
 //! engine's own: mapping lists are *fetched* (one routed discovery per
-//! expanded hop, iterative or recursive), hops are resolved depth-first,
+//! expanded hop, iterative or recursive), hops are popped depth-first,
 //! one per session pull, with discovery deferred so early termination
 //! never pays for it, and a walk that completes is committed to the
 //! per-peer epoch-keyed [`ClosureCache`](gridvine_semantic::ClosureCache)
 //! — the origin's, or the recursive delegate's — from which repeated
 //! closures are replayed ([`CachedHop::replay`]) with no discovery at
 //! all (see the session docs).
+//!
+//! **What rides.** The request a popped hop sends lists, after the
+//! hop's own pattern, every hop of the same issuing peer that is
+//! already queued: on a warm replay the rest of the recorded closure,
+//! on a live walk the frontier (a recursive walk changes issuer per
+//! delegate, so only siblings share one). A predicate rewrite leaves a
+//! subject or object constant alone, so hops that route by one keep
+//! their key, and the order-preserving hash puts look-alike predicate
+//! URIs under one leaf: the destination is often responsible for
+//! several of them, answers them in the same reply, and they send
+//! nothing of their own — no route, no routing-RNG draw, no message —
+//! when the walk pops them. Riding moves only *when a hop's rows
+//! arrive*. Which hops the walk reaches, the order it pops, records
+//! and expands them in, and what it commits to the cache are those of
+//! a walk in which nothing rides; so are the rows. A request that
+//! fails (crashed destination, retries exhausted) answers nothing: the
+//! hop it was routed for is the recorded failure, the hops it merely
+//! listed go out on their own at their turn. A pattern whose routing
+//! constant a [`PlacementPolicy`](super::place::PlacementPolicy) rule
+//! covers is served by a replica holder, which need not lie on the
+//! key's path: it neither rides nor carries.
 //!
 //! ```
 //! use gridvine_core::{GridVineConfig, GridVineSystem, QueryOptions, QueryPlan, Strategy};
@@ -78,7 +107,7 @@
 use super::conjunctive::JoinMode;
 use super::*;
 use crate::plan::QueryPlan;
-use gridvine_rdf::{Binding, BindingBatch, TriplePattern};
+use gridvine_rdf::{Binding, BindingBatch, Position, TriplePattern};
 use gridvine_semantic::{expand_hop, CachedHop, ClosureKey, Hop, Mapping};
 
 /// Physical execution knobs for one [`GridVineSystem::execute`] /
@@ -156,8 +185,11 @@ impl QueryOptions {
     /// the remaining remote subqueries are never issued and a limited
     /// query sends strictly fewer messages than an unlimited one
     /// whenever any dissemination remained. The kept rows are the
-    /// first `limit` distinct rows in (deterministic) discovery order,
-    /// returned sorted.
+    /// first `limit` distinct rows in (deterministic) discovery order —
+    /// request by request, and within one reply hop by hop in the order
+    /// the walk pops them — returned sorted. The reply that reaches the
+    /// cap is charged whole (every pattern it answered, every row it
+    /// shipped).
     pub fn limit(mut self, limit: usize) -> QueryOptions {
         self.limit = Some(limit);
         self
@@ -183,9 +215,11 @@ impl QueryOptions {
 pub struct ExecStats {
     /// Overlay messages consumed.
     pub messages: u64,
-    /// Routed pattern resolutions (original patterns, reformulations
-    /// and bound-substituted instances all count; prefix sweeps count
-    /// one per visited region).
+    /// Patterns resolved at a destination (original patterns,
+    /// reformulations and bound-substituted instances all count; prefix
+    /// sweeps count one per visited region) — plus the patterns whose
+    /// own request failed. A request that answers several patterns
+    /// counts each; see [`ExecStats::requests`] for the exchanges.
     pub subqueries: usize,
     /// Mapping applications across the whole plan.
     pub reformulations: usize,
@@ -210,7 +244,22 @@ pub struct ExecStats {
     /// Closure-cache entries displaced by a capacity bound.
     pub cache_evictions: usize,
     /// Routed request/response exchanges driven through the retry
-    /// protocol (see [`crate::system::sched`]); charged at issue.
+    /// protocol (see [`crate::system::sched`]); charged at issue. A
+    /// data request is one exchange however many patterns it answers,
+    /// and a mapping discovery is one: under the null placement policy
+    /// `requests <= subqueries + mapping_fetches` as long as every
+    /// discovery is answered (one that is sent and never answered
+    /// counts in `failures`, not in `mapping_fetches`), with equality
+    /// when nothing rode and nothing failed.
+    ///
+    /// A closure session emits one
+    /// [`ResultEvent::Stats`](super::session::ResultEvent) per unit and
+    /// its units are at most one exchange each — a hop that rode
+    /// another's request has no data unit, and no zero-message unit
+    /// stands in for it — so a drained warm replay emits exactly
+    /// `requests` of them. (A live walk also spends a zero-message unit
+    /// on the discovery of a hop at the TTL, which has nothing to
+    /// fetch.)
     pub requests: usize,
     /// Protocol-level transmissions: first sends plus retransmits
     /// (`sends == requests + retransmits` always holds).
@@ -300,10 +349,10 @@ impl QueryOutcome {
 /// through the incremental session state instead).
 #[derive(Debug, Clone)]
 pub(crate) struct NetSweep {
-    /// Every hop's shipped rows, in hop order, under the pattern's one
-    /// header.
+    /// Every hop's shipped rows, request by request in the order the
+    /// replies answered them, under the pattern's one header.
     pub(crate) batch: BindingBatch,
-    /// Per-hop counters accumulated via [`SweepHop::charge`]
+    /// Per-hop counters accumulated via [`charge_hop`]
     /// (`bindings_shipped` stays 0 here — the sweep level charges it
     /// from `batch`).
     stats: ExecStats,
@@ -331,54 +380,157 @@ pub(crate) fn one_var_row(var: &str, term: Term) -> Binding {
     b
 }
 
+/// A routing constant and the overlay key its data requests route by,
+/// hashed once (hasher and key depth are fixed at construction, so the
+/// key is a pure function of the term).
+pub(crate) struct RoutedBy {
+    term: Term,
+    /// `None` when a [`PlacementPolicy`](super::place::PlacementPolicy)
+    /// rule covers the term: such a pattern is served off the
+    /// replica-aware path (`replica_route`) and neither rides another
+    /// pattern's request nor carries one.
+    key: Option<BitString>,
+}
+
+/// One pattern listed on a data request (see
+/// [`GridVineSystem::resolve_patterns`]).
+pub(crate) struct Listed<'a> {
+    pub(crate) pattern: &'a TriplePattern,
+    pub(crate) routed: &'a RoutedBy,
+}
+
+/// A hop a [`ClosureSweep`] knows and has not popped yet.
+struct Queued {
+    hop: Hop,
+    /// The peer that issues its request: the origin, or — recursively —
+    /// the peer that served the discovery which admitted it.
+    issuer: PeerId,
+    /// Its routing constant, as an index into [`Frontier::keys`].
+    routed: usize,
+    /// An earlier request of the same issuer landed on the peer
+    /// responsible for this hop's key and answered it there: the hop
+    /// sends nothing at its turn.
+    answered: bool,
+}
+
+impl Queued {
+    fn listed<'a>(&'a self, keys: &'a [RoutedBy]) -> Listed<'a> {
+        Listed {
+            pattern: &self.hop.pattern,
+            routed: &keys[self.routed],
+        }
+    }
+}
+
+/// What only a live walk carries, beside the frontier every sweep has.
+struct LiveWalk {
+    /// Schemas entered or queued so far (the loop-prevention set of
+    /// [`expand_hop`]).
+    visited: BTreeSet<SchemaId>,
+    /// The hop list accumulated for the closure cache, in pop order.
+    record: (ClosureKey, Vec<CachedHop>),
+    /// The hop popped by the last `resolve_next` (with the peer that
+    /// issued it and, recursively, forwards the discovery) whose
+    /// mapping discovery has not run yet.
+    pending: Option<(Hop, PeerId)>,
+    /// The intermediate peer that served the first recursive mapping
+    /// discovery — the peer whose cache a completed recursive walk
+    /// warms.
+    delegate: Option<PeerId>,
+    /// A discovery failed (crashed destination): the walk is missing a
+    /// subtree, so the record must never be committed — a partial
+    /// closure replayed as complete would silently drop rows even
+    /// after the peer recovers.
+    tainted: bool,
+}
+
 /// Incremental closure expansion of one schema'd pattern — the single
 /// implementation behind both consumers: the session drives it one
 /// [`ClosureSweep::resolve_next`] per pull (with
 /// [`ClosureSweep::expand_pending`] skipped on early termination), the
 /// bulk join sweep drains it in a loop. Both observe the identical hop
-/// sequence, resolutions and cache interactions, so their accounting
+/// sequence, requests and cache interactions, so their accounting
 /// agrees by construction.
-pub(crate) enum ClosureSweep {
-    /// Live walk over DHT-fetched mapping lists; `record` accumulates
-    /// the hop list for the closure cache. `pending` is the hop
-    /// resolved by the last `resolve_next` (with the peer that issued
-    /// it and, recursively, forwards the discovery) whose mapping
-    /// discovery has not run yet. `delegate` is the intermediate peer
-    /// that served
-    /// the first recursive mapping discovery — the peer whose cache a
-    /// completed recursive walk warms.
-    ///
-    /// The sweep owns its pattern (and the walk's reformulated
-    /// patterns) so session state can live in a
-    /// [`SessionPool`](super::pool::SessionPool) that outlives the
-    /// plan borrow.
-    Cold {
-        pattern: TriplePattern,
-        /// Schemas entered or queued so far (the loop-prevention set of
-        /// [`expand_hop`]).
-        visited: BTreeSet<SchemaId>,
-        /// Admitted hops not yet resolved, each with the peer that will
-        /// issue it; popped from the back (depth-first: each
-        /// reformulation chain is driven to its TTL before siblings).
-        frontier: Vec<(Hop, PeerId)>,
-        record: (ClosureKey, Vec<CachedHop>),
-        pending: Option<Box<(Hop, PeerId)>>,
-        delegate: Option<PeerId>,
-        /// A discovery failed (crashed destination): the walk is
-        /// missing a subtree, so the record must never be committed —
-        /// a partial closure replayed as complete would silently drop
-        /// rows even after the peer recovers.
-        tainted: bool,
-    },
-    /// Replay of a memoized closure: resolve each recorded hop's
-    /// predicate from `issuer` (the origin for iterative replays, the
-    /// delegate peer for recursive ones), no mapping discovery at all.
-    Warm {
-        pattern: TriplePattern,
-        hops: std::sync::Arc<[CachedHop]>,
-        next: usize,
+///
+/// A sweep is a stack of known hops. A **live walk** over DHT-fetched
+/// mapping lists starts from the origin hop, pushes what each expansion
+/// admits (depth-first: each reformulation chain is driven to its TTL
+/// before siblings) and records the hops it pops for the closure cache.
+/// A **warm replay** of a memoized closure starts with every recorded
+/// hop queued, in recorded order, issued by the origin (iterative) or
+/// by the delegate peer that memoized it (recursive), and discovers
+/// nothing. Either way the request a popped hop sends lists every
+/// queued hop of the same issuer, and those the destination answers
+/// send nothing of their own.
+///
+/// The sweep owns its patterns so session state can live in a
+/// [`SessionPool`](super::pool::SessionPool) that outlives the plan
+/// borrow.
+pub(crate) struct ClosureSweep {
+    frontier: Frontier,
+    /// `None` on a warm replay.
+    live: Option<Box<LiveWalk>>,
+}
+
+/// The hops a sweep knows and has not popped, with their routing keys.
+#[derive(Default)]
+struct Frontier {
+    /// Popped from the back.
+    hops: Vec<Queued>,
+    /// One entry per distinct routing constant among the hops queued so
+    /// far — a hop that keeps its subject or object constant across a
+    /// predicate rewrite shares its entry with the hop it came from.
+    keys: Vec<RoutedBy>,
+    /// Per-request scratch, kept for its allocation: what
+    /// [`GridVineSystem::resolve_patterns`] answered.
+    answered: Vec<(usize, usize)>,
+}
+
+impl Frontier {
+    /// Queue `hop`, hashing its routing constant unless a hop queued
+    /// before it routes by the same term.
+    fn push(&mut self, sys: &GridVineSystem, hop: Hop, issuer: PeerId) {
+        let (position, term) = hop
+            .pattern
+            .routing_constant()
+            .expect("a hop's predicate is a constant URI");
+        // A walk enters each schema once, so no two hops share a
+        // predicate: only a subject or object constant is shared.
+        let known = (position != Position::Predicate)
+            .then(|| self.keys.iter().position(|k| k.term == *term))
+            .flatten();
+        let routed = known.unwrap_or_else(|| {
+            self.keys.push(sys.routed_by(term));
+            self.keys.len() - 1
+        });
+        self.hops.push(Queued {
+            hop,
+            issuer,
+            routed,
+            answered: false,
+        });
+    }
+
+    /// Queue a memoized closure for `pattern`, to pop in recorded order.
+    fn replay(
+        &mut self,
+        sys: &GridVineSystem,
+        pattern: &TriplePattern,
+        recorded: &[CachedHop],
         issuer: PeerId,
-    },
+    ) {
+        debug_assert!(self.hops.is_empty());
+        self.hops.reserve(recorded.len());
+        for h in recorded.iter().rev() {
+            let hop = Hop {
+                schema: h.schema.clone(),
+                pattern: h.replay(pattern),
+                depth: h.depth,
+                quality: h.quality,
+            };
+            self.push(sys, hop, issuer);
+        }
+    }
 }
 
 /// What one [`ClosureSweep::expand_pending`] call did: the schemas it
@@ -389,32 +541,20 @@ pub(crate) struct Expansion {
     pub(crate) admitted: Vec<SchemaId>,
 }
 
-/// One resolved hop of a [`ClosureSweep`].
-pub(crate) struct SweepHop {
-    pub(crate) schema: SchemaId,
-    pub(crate) depth: usize,
-    pub(crate) quality: f64,
-    /// How many rows the destination appended to the caller's batch,
-    /// or `None` when the resolution failed (charged as a failure, the
-    /// walk continues).
-    pub(crate) shipped: Option<usize>,
-}
-
-impl SweepHop {
-    /// Fold this hop into the consumer's counters — the one charging
-    /// rule both the session and the bulk sweep apply, so their
-    /// accounting cannot drift. `bindings_shipped` is charged by the
-    /// consumer (it decides whether bindings are shipped per hop or
-    /// aggregated per sweep).
-    pub(crate) fn charge(&self, stats: &mut ExecStats) {
-        stats.subqueries += 1;
-        stats.schemas_visited += 1;
-        if self.depth > 0 {
-            stats.reformulations += 1;
-        }
-        if self.shipped.is_none() {
-            stats.failures += 1;
-        }
+/// Fold one hop a request resolved — at `depth`, shipping `shipped`
+/// rows, or `None` if the request it was routed for failed — into a
+/// consumer's counters: the one charging rule both the session and the
+/// bulk sweep apply, so their accounting cannot drift.
+/// `bindings_shipped` is charged by the consumer (it decides whether
+/// bindings are shipped per hop or aggregated per sweep).
+pub(crate) fn charge_hop(stats: &mut ExecStats, depth: usize, shipped: Option<usize>) {
+    stats.subqueries += 1;
+    stats.schemas_visited += 1;
+    if depth > 0 {
+        stats.reformulations += 1;
+    }
+    if shipped.is_none() {
+        stats.failures += 1;
     }
 }
 
@@ -444,116 +584,119 @@ impl ClosureSweep {
             attr,
             ttl,
         };
+        let mut frontier = Frontier::default();
         if strategy == Strategy::Iterative {
             let epoch = sys.registry.epoch();
             if let Some(hops) = sys.exec_state_mut(origin).cache.lookup(epoch, &key) {
                 stats.cache_hits += 1;
-                return ClosureSweep::Warm {
-                    pattern: pattern.clone(),
-                    hops,
-                    next: 0,
-                    issuer: origin,
+                frontier.replay(sys, pattern, &hops, origin);
+                return ClosureSweep {
+                    frontier,
+                    live: None,
                 };
             }
             stats.cache_misses += 1;
         }
-        ClosureSweep::Cold {
-            pattern: pattern.clone(),
+        let live = Box::new(LiveWalk {
             visited: BTreeSet::from([schema.clone()]),
-            frontier: vec![(Hop::origin(schema, pattern.clone()), origin)],
             record: (key, Vec::new()),
             pending: None,
             delegate: None,
             tainted: false,
+        });
+        frontier.push(sys, Hop::origin(schema, pattern.clone()), origin);
+        ClosureSweep {
+            frontier,
+            live: Some(live),
         }
     }
 
     /// No hops left to resolve or expand.
     pub(crate) fn is_exhausted(&self) -> bool {
-        match self {
-            ClosureSweep::Cold {
-                frontier, pending, ..
-            } => frontier.is_empty() && pending.is_none(),
-            ClosureSweep::Warm { hops, next, .. } => *next >= hops.len(),
-        }
+        self.frontier.hops.is_empty() && self.pending_schema().is_none()
     }
 
-    /// A resolved hop is waiting for its expansion.
-    pub(crate) fn has_pending(&self) -> bool {
-        matches!(
-            self,
-            ClosureSweep::Cold {
-                pending: Some(_),
-                ..
-            }
-        )
+    /// The schema of the popped hop that is waiting for its expansion.
+    pub(crate) fn pending_schema(&self) -> Option<&SchemaId> {
+        let (hop, _) = self.live.as_ref()?.pending.as_ref()?;
+        Some(&hop.schema)
     }
 
-    /// Pop and resolve the next hop, appending the destination's rows
-    /// to `out` (expansion deferred to
+    /// Pop the next hop and — unless an earlier request already
+    /// answered it — send its request, appending the destination's
+    /// rows to `out` (expansion deferred to
     /// [`ClosureSweep::expand_pending`], so an early-terminating caller
-    /// never pays for discovery it will not use). Every hop's pattern
-    /// differs from the sweep's only in its predicate constant, so all
-    /// hops share `out`'s header. Returns `None` once the sweep is
-    /// drained.
+    /// never pays for discovery it will not use). The request lists the
+    /// popped hop and every queued hop of the same issuer; `resolved`
+    /// is told each hop its destination answered and how many rows it
+    /// shipped, in pop order — the order their rows have in `out` — or
+    /// the popped hop alone with `None` if the request failed (the hops
+    /// it merely listed stay queued and go out on their own). It is
+    /// told nothing when the popped hop of a live walk had ridden an
+    /// earlier request: nothing is sent, and its expansion is pending
+    /// as for any other hop. Every hop's pattern differs from the
+    /// sweep's only in its predicate constant, so all hops share
+    /// `out`'s header. Returns `false` once the sweep is drained.
     pub(crate) fn resolve_next(
         &mut self,
         sys: &mut GridVineSystem,
-        origin: PeerId,
         out: &mut BindingBatch,
-    ) -> Result<Option<SweepHop>, SystemError> {
-        match self {
-            ClosureSweep::Warm {
-                pattern,
+        mut resolved: impl FnMut(&Hop, Option<usize>),
+    ) -> bool {
+        let Some(popped) = self.frontier.hops.pop() else {
+            return false;
+        };
+        if let Some(live) = &mut self.live {
+            debug_assert!(
+                live.pending.is_none(),
+                "expand or discard the previous hop first"
+            );
+            live.record.1.push(CachedHop::record(&popped.hop));
+        }
+        if !popped.answered {
+            let Frontier {
                 hops,
-                next,
-                issuer,
-            } => {
-                let Some(hop) = hops.get(*next).cloned() else {
-                    return Ok(None);
-                };
-                *next += 1;
-                let pat = hop.replay(pattern);
-                // Iterative replays issue from the origin (which is
-                // also `issuer`); recursive replays from the delegate
-                // peer that memoized the closure.
-                let from = if hop.depth == 0 { origin } else { *issuer };
-                let shipped = sys.resolve_pattern_once(from, &pat, out).ok();
-                Ok(Some(SweepHop {
-                    schema: hop.schema,
-                    depth: hop.depth,
-                    quality: hop.quality,
-                    shipped,
-                }))
-            }
-            ClosureSweep::Cold {
-                frontier,
-                record,
-                pending,
-                ..
-            } => {
-                debug_assert!(
-                    pending.is_none(),
-                    "expand or discard the previous hop first"
-                );
-                let Some((hop, at_peer)) = frontier.pop() else {
-                    return Ok(None);
-                };
-                record.1.push(CachedHop::record(&hop));
-                let shipped = sys.resolve_pattern_once(at_peer, &hop.pattern, out).ok();
-                let resolved = SweepHop {
-                    schema: hop.schema.clone(),
-                    depth: hop.depth,
-                    quality: hop.quality,
-                    shipped,
-                };
-                *pending = Some(Box::new((hop, at_peer)));
-                Ok(Some(resolved))
+                keys,
+                answered,
+            } = &mut self.frontier;
+            // In pop order: back to front.
+            let rides = |q: &Queued| !q.answered && q.issuer == popped.issuer;
+            let riders = hops.iter().rev().filter(|q| rides(q));
+            let riders = riders.map(|q| q.listed(keys));
+            answered.clear();
+            match sys.resolve_patterns(popped.issuer, popped.listed(keys), riders, out, answered) {
+                Ok(()) => {
+                    // `answered` names positions in the list, rising:
+                    // walk the same riders again beside it.
+                    let mut next = answered.iter().copied().peekable();
+                    if let Some((_, shipped)) = next.next_if(|&(i, _)| i == 0) {
+                        resolved(&popped.hop, Some(shipped));
+                    }
+                    let riders = hops.iter_mut().rev().filter(|q| rides(q));
+                    for (rider, position) in riders.zip(1..) {
+                        if let Some((_, shipped)) = next.next_if(|&(i, _)| i == position) {
+                            rider.answered = true;
+                            resolved(&rider.hop, Some(shipped));
+                        } else if next.peek().is_none() {
+                            break;
+                        }
+                    }
+                    if self.live.is_none() && answered.len() > 1 {
+                        // Nothing is left to do for a replayed hop
+                        // once it is answered.
+                        hops.retain(|q| !q.answered);
+                    }
+                }
+                Err(_) => resolved(&popped.hop, None),
             }
         }
+        if let Some(live) = &mut self.live {
+            live.pending = Some((popped.hop, popped.issuer));
+        }
+        true
     }
 
-    /// Expand the hop the last `resolve_next` produced: discover the
+    /// Expand the hop the last `resolve_next` popped: discover the
     /// mappings applicable at its schema (within the TTL) and admit the
     /// newly reachable schemas (a no-op on warm replays — the recorded
     /// closure already is the expansion). When the walk exhausts here,
@@ -563,8 +706,8 @@ impl ClosureSweep {
     /// [`ClosureSweep::discard_pending`]) never commits a partial walk.
     ///
     /// A recursive walk additionally consults the delegate peer's cache
-    /// at its first discovery: on a coherent entry the sweep switches
-    /// to a warm replay of the remaining recorded hops and every deeper
+    /// at its first discovery: on a coherent entry the sweep becomes a
+    /// warm replay of the remaining recorded hops and every deeper
     /// mapping-list retrieve is skipped.
     ///
     /// A crashed discovery destination ([`SystemError::PeerDown`]) is
@@ -578,22 +721,16 @@ impl ClosureSweep {
         ttl: usize,
         stats: &mut ExecStats,
     ) -> Result<Expansion, SystemError> {
-        let ClosureSweep::Cold {
-            pattern,
-            visited,
+        let ClosureSweep {
             frontier,
-            record,
-            pending,
-            delegate,
-            tainted,
-        } = self
-        else {
+            live: walk,
+        } = self;
+        let Some(live) = walk else {
             return Ok(Expansion::default());
         };
-        let Some(resolved) = pending.take() else {
+        let Some((hop, at_peer)) = live.pending.take() else {
             return Ok(Expansion::default());
         };
-        let (hop, at_peer) = *resolved;
         let mut admitted = Vec::new();
         if hop.depth < ttl {
             let (next_peer, mappings) =
@@ -601,47 +738,46 @@ impl ClosureSweep {
                     Ok(found) => found,
                     Err(SystemError::PeerDown(_)) => {
                         stats.failures += 1;
-                        *tainted = true;
+                        live.tainted = true;
                         return Ok(Expansion { admitted });
                     }
                     Err(e) => return Err(e),
                 };
             stats.mapping_fetches += 1;
             if strategy == Strategy::Recursive && hop.depth == 0 {
-                *delegate = Some(next_peer);
+                live.delegate = Some(next_peer);
                 // The delegate may have memoized this closure from an
                 // earlier recursive walk: replay its tail instead of
                 // chasing deeper mapping lists.
                 let epoch = sys.registry.epoch();
-                let cached = sys.exec_state_mut(next_peer).cache.lookup(epoch, &record.0);
+                let cached = sys
+                    .exec_state_mut(next_peer)
+                    .cache
+                    .lookup(epoch, &live.record.0);
                 match cached {
                     Some(hops) => {
                         stats.cache_hits += 1;
-                        let admitted: Vec<SchemaId> =
-                            hops.iter().skip(1).map(|h| h.schema.clone()).collect();
-                        let pattern = pattern.clone();
-                        *self = ClosureSweep::Warm {
-                            pattern,
-                            hops,
-                            next: 1, // depth 0 was already resolved live
-                            issuer: next_peer,
-                        };
+                        // Depth 0 was already resolved live.
+                        let tail = hops.get(1..).unwrap_or_default();
+                        *walk = None;
+                        frontier.replay(sys, &hop.pattern, tail, next_peer);
+                        let admitted = tail.iter().map(|h| h.schema.clone()).collect();
                         return Ok(Expansion { admitted });
                     }
                     None => stats.cache_misses += 1,
                 }
             }
-            expand_hop(&hop, &mappings, visited, |reached, _, _| {
+            expand_hop(&hop, &mappings, &mut live.visited, |reached, _, _| {
                 admitted.push(reached.schema.clone());
-                frontier.push((reached, next_peer));
+                frontier.push(sys, reached, next_peer);
             });
         }
-        if frontier.is_empty() && !*tainted {
-            let key = record.0.clone();
-            let hops = std::mem::take(&mut record.1);
+        if frontier.hops.is_empty() && !live.tainted {
+            let key = live.record.0.clone();
+            let hops = std::mem::take(&mut live.record.1);
             let target = match strategy {
                 Strategy::Iterative => Some(origin),
-                Strategy::Recursive => *delegate,
+                Strategy::Recursive => live.delegate,
             };
             if let Some(at) = target {
                 let epoch = sys.registry.epoch();
@@ -658,8 +794,8 @@ impl ClosureSweep {
     /// its discovery messages are never sent and no cache entry is
     /// committed).
     pub(crate) fn discard_pending(&mut self) {
-        if let ClosureSweep::Cold { pending, .. } = self {
-            *pending = None;
+        if let Some(live) = &mut self.live {
+            live.pending = None;
         }
     }
 }
@@ -687,44 +823,67 @@ impl GridVineSystem {
         Ok(session.into_outcome())
     }
 
-    /// Route one concrete triple pattern and append every matching row
-    /// of the destination's `DB_p` to `out` (whose header is the
-    /// pattern's variables), returning how many it shipped; the
-    /// response message is charged exactly as a `Retrieve`. Nothing is
-    /// appended on `Err`.
-    pub(crate) fn resolve_pattern_once(
+    /// Hash a routing constant for [`GridVineSystem::resolve_patterns`].
+    pub(crate) fn routed_by(&self, term: &Term) -> RoutedBy {
+        let placed = self.place.policy.rule_for(term.lexical()).is_some();
+        RoutedBy {
+            term: term.clone(),
+            key: (!placed).then(|| self.key_of(term.lexical())),
+        }
+    }
+
+    /// One data `Retrieve` from `origin`, carrying a list of patterns:
+    /// `first`, then `rest`. It is routed by the key of `first` and
+    /// charged as a `Retrieve` is — one message per forwarding edge,
+    /// one response, one exchange through the retry protocol — however
+    /// many patterns it lists. The peer it lands on answers every
+    /// listed pattern whose key lies under its own path, which is all a
+    /// destination knows about its responsibility: one scan of its
+    /// `DB_p` per answered pattern, appended to `out` (whose header is
+    /// the patterns' shared variables) in list order. Appends
+    /// `(position in the list, rows shipped)` per answered pattern to
+    /// `answered`, `first` — position 0 — first. On `Err` nothing was
+    /// answered and nothing is appended.
+    pub(crate) fn resolve_patterns<'a>(
         &mut self,
         origin: PeerId,
-        pattern: &TriplePattern,
+        first: Listed<'a>,
+        rest: impl Iterator<Item = Listed<'a>>,
         out: &mut BindingBatch,
-    ) -> Result<usize, SystemError> {
-        let Some((_, term)) = pattern.routing_constant() else {
-            return Err(SystemError::NotRoutable);
+        answered: &mut Vec<(usize, usize)>,
+    ) -> Result<(), SystemError> {
+        let Some(key) = &first.routed.key else {
+            // Replica-aware path: a placement rule covers this key, so
+            // serve from the lowest-expected-latency live holder and
+            // fail over across the replica set before reporting
+            // PeerDown. The holder need not lie on the key's path, so
+            // nothing else is asked of it.
+            let dest = self
+                .replica_route(origin, first.routed.term.lexical())
+                .expect("a term without a key is covered by a placement rule")?;
+            answered.push((
+                0,
+                self.local_dbs[dest.index()].match_into(first.pattern, out),
+            ));
+            return Ok(());
         };
-        // Replica-aware fast path: if a placement rule covers this
-        // key, serve from the lowest-expected-latency live holder and
-        // fail over across the replica set before reporting PeerDown.
-        // Returns None under the null policy — the classic routed
-        // path below then runs with untouched accounting and RNG.
-        if let Some(resolved) = self.replica_route(origin, term.lexical()) {
-            let dest = resolved?;
-            let db = &self.local_dbs[dest.index()];
-            return Ok(db.match_into(pattern, out));
-        }
-        // Consecutive resolutions often route by the same constant (a
-        // bound-join instance routes by its substituted subject at
-        // every hop of its closure): hash it once.
-        if !matches!(&self.routed_key, Some((t, _)) if t == term) {
-            self.routed_key = Some((term.clone(), self.key_of(term.lexical())));
-        }
-        let (_, key) = self.routed_key.as_ref().expect("just memoized");
         let route = self.overlay.route(origin, key, &mut self.rng)?;
         self.overlay.charge_response(origin, route.destination);
         // The request (and the response charge) went out; the retry
         // protocol decides whether a reply ever comes back.
         self.proto_request(origin, route.destination)?;
         let db = &self.local_dbs[route.destination.index()];
-        Ok(db.match_into(pattern, out))
+        let view = self.overlay.view(route.destination);
+        for (i, l) in std::iter::once(first).chain(rest).enumerate() {
+            if l.routed
+                .key
+                .as_ref()
+                .is_some_and(|k| view.is_responsible(k))
+            {
+                answered.push((i, db.match_into(l.pattern, out)));
+            }
+        }
+        Ok(())
     }
 
     /// Fetch the mappings applicable at `schema` per the strategy:
@@ -783,9 +942,16 @@ impl GridVineSystem {
             stats: ExecStats::default(),
         };
         let Ok((origin_schema, attr)) = gridvine_semantic::pattern_schema(pattern) else {
-            // Un-schema'd pattern: a single routed resolution.
+            // Un-schema'd pattern: a request listing it alone.
             net.stats.subqueries = 1;
-            self.resolve_pattern_once(origin, pattern, &mut net.batch)?;
+            let (_, term) = pattern.routing_constant().ok_or(SystemError::NotRoutable)?;
+            let routed = self.routed_by(term);
+            let alone = Listed {
+                pattern,
+                routed: &routed,
+            };
+            let none = std::iter::empty();
+            self.resolve_patterns(origin, alone, none, &mut net.batch, &mut Vec::new())?;
             return Ok(net);
         };
         let mut sweep = ClosureSweep::open(
@@ -798,10 +964,296 @@ impl GridVineSystem {
             ttl,
             &mut net.stats,
         );
-        while let Some(hop) = sweep.resolve_next(self, origin, &mut net.batch)? {
-            hop.charge(&mut net.stats);
-            sweep.expand_pending(self, origin, strategy, ttl, &mut net.stats)?;
+        let NetSweep { batch, stats } = &mut net;
+        while sweep.resolve_next(self, batch, |hop, n| charge_hop(stats, hop.depth, n)) {
+            sweep.expand_pending(self, origin, strategy, ttl, stats)?;
         }
         Ok(net)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::place::PlacementPolicy;
+    use super::super::pool::SessionPool;
+    use super::super::session::ResultEvent;
+    use super::*;
+    use gridvine_rdf::{PatternTerm, Triple, TriplePatternQuery};
+    use gridvine_semantic::{Correspondence, MappingKind, Provenance, Schema};
+
+    /// Initials far apart, so the order-preserving hash puts the four
+    /// schema keys — and the four `Schema#attr` predicates — under four
+    /// different leaves of a 16-peer trie.
+    const SCHEMAS: [&str; 4] = ["Apple", "Guava", "Mango", "Zebra"];
+    /// Longer than a `Schema#a` predicate, so a pattern holding it
+    /// routes by it under every such predicate; it hashes under
+    /// Mango's leaf.
+    const OBJECT: &str = "Mango smoothie, no ice";
+    /// A Mango attribute long enough to out-score [`OBJECT`].
+    const LONG_ATTR: &str = "a-name-longer-than-the-smoothie";
+    const ORIGIN: PeerId = PeerId(1);
+
+    /// Apple mapped to each other schema, one record per schema with
+    /// [`OBJECT`] as its object. 16 peers: one per leaf, no replicas.
+    fn star(mango_attr: &str, placement: PlacementPolicy) -> GridVineSystem {
+        let mut sys = GridVineSystem::new(GridVineConfig {
+            peers: 16,
+            seed: 11,
+            placement,
+            ..GridVineConfig::default()
+        });
+        let attr = |s: &str| if s == "Mango" { mango_attr } else { "a" };
+        for s in SCHEMAS {
+            sys.insert_schema(ORIGIN, Schema::new(s, [attr(s)]))
+                .unwrap();
+            sys.insert_triple(
+                ORIGIN,
+                Triple::new(
+                    format!("seq:{s}").as_str(),
+                    format!("{s}#{}", attr(s)).as_str(),
+                    Term::literal(OBJECT),
+                ),
+            )
+            .unwrap();
+        }
+        for s in &SCHEMAS[1..] {
+            sys.insert_mapping(
+                ORIGIN,
+                "Apple",
+                *s,
+                MappingKind::Equivalence,
+                Provenance::Manual,
+                vec![Correspondence::new("a", attr(s))],
+            )
+            .unwrap();
+        }
+        sys
+    }
+
+    fn query_of(predicate: &str, object: PatternTerm) -> TriplePatternQuery {
+        let pattern = TriplePattern::new(
+            PatternTerm::var("x"),
+            PatternTerm::constant(Term::uri(predicate)),
+            object,
+        );
+        TriplePatternQuery::new("x", pattern).unwrap()
+    }
+
+    fn closure_of(predicate: &str, object: PatternTerm) -> QueryPlan {
+        QueryPlan::search(query_of(predicate, object))
+    }
+
+    /// Every hop of its closure routes by [`OBJECT`].
+    fn object_query() -> TriplePatternQuery {
+        query_of("Apple#a", PatternTerm::constant(Term::literal(OBJECT)))
+    }
+
+    fn by_object() -> QueryPlan {
+        QueryPlan::search(object_query())
+    }
+
+    fn leaf_of(sys: &GridVineSystem, lexical: &str) -> PeerId {
+        sys.topology().responsible(&sys.key_of(lexical))[0]
+    }
+
+    /// Drain a session into its per-unit event lists (each ends with
+    /// the unit's `Stats`) and its outcome.
+    fn units(
+        sys: &mut GridVineSystem,
+        plan: &QueryPlan,
+        options: &QueryOptions,
+    ) -> (Vec<Vec<ResultEvent>>, QueryOutcome) {
+        let mut session = sys.open(ORIGIN, plan, options).unwrap();
+        let mut units = vec![Vec::new()];
+        while let Some(event) = session.next_event().unwrap() {
+            let closes = matches!(event, ResultEvent::Stats(_));
+            units.last_mut().unwrap().push(event);
+            if closes {
+                units.push(Vec::new());
+            }
+        }
+        assert_eq!(units.pop(), Some(Vec::new()), "a unit ends with its Stats");
+        (units, session.into_outcome())
+    }
+
+    fn schema_hops(unit: &[ResultEvent]) -> usize {
+        unit.iter()
+            .filter(|e| matches!(e, ResultEvent::SchemaHop { .. }))
+            .count()
+    }
+
+    #[test]
+    fn hops_under_one_key_ride_one_request() {
+        let options = QueryOptions::default();
+        let mut sys = star("a", PlacementPolicy::default());
+        let mut twin = star("a", PlacementPolicy::default());
+        let cold = sys.execute(ORIGIN, &by_object(), &options).unwrap();
+        twin.execute(ORIGIN, &by_object(), &options).unwrap();
+        // Live walk: the origin hop alone, then the three it admits on
+        // the request of the first one popped; one discovery per hop.
+        assert_eq!(cold.rows.len(), 4);
+        assert_eq!((cold.stats.subqueries, cold.stats.mapping_fetches), (4, 4));
+        assert_eq!(cold.stats.requests, 2 + 4);
+
+        let (units, warm) = units(&mut sys, &by_object(), &options);
+        assert_eq!(warm.rows, cold.rows);
+        assert_eq!(warm.stats.requests, 1);
+        assert_eq!((warm.stats.subqueries, warm.stats.schemas_visited), (4, 4));
+        assert_eq!(warm.stats.bindings_shipped, 4);
+        // One unit, one `Stats`, every hop's events inside it.
+        assert_eq!(units.len(), warm.stats.requests);
+        assert_eq!(schema_hops(&units[0]), 4);
+        // Charged as the lookup of one pattern is: the twin's routing
+        // RNG is where this system's was, so it walks the same edges.
+        let lookup = QueryPlan::pattern(object_query());
+        let one = twin.execute(ORIGIN, &lookup, &options).unwrap();
+        assert_eq!(one.stats.subqueries, 1);
+        assert!(one.stats.messages > 1, "the origin is not the destination");
+        assert_eq!(warm.stats.messages, one.stats.messages);
+    }
+
+    #[test]
+    fn hops_under_different_paths_are_separate_requests() {
+        let sys = &mut star("a", PlacementPolicy::default());
+        let mut leaves: Vec<PeerId> = SCHEMAS
+            .iter()
+            .map(|s| leaf_of(sys, &format!("{s}#a")))
+            .collect();
+        leaves.dedup();
+        assert_eq!(leaves.len(), 4);
+        let by_predicate = closure_of("Apple#a", PatternTerm::var("o"));
+        let options = QueryOptions::default();
+        let cold = sys.execute(ORIGIN, &by_predicate, &options).unwrap();
+        let (units, warm) = units(sys, &by_predicate, &options);
+        assert_eq!(warm.rows, cold.rows);
+        for stats in [cold.stats, warm.stats] {
+            assert_eq!(stats.subqueries, 4);
+            assert_eq!(stats.requests, stats.subqueries + stats.mapping_fetches);
+        }
+        assert_eq!(units.len(), warm.stats.requests);
+        assert!(units.iter().all(|u| schema_hops(u) == 1));
+    }
+
+    #[test]
+    fn requests_never_exceed_patterns_plus_discoveries() {
+        for strategy in [Strategy::Iterative, Strategy::Recursive] {
+            let options = QueryOptions::new().strategy(strategy);
+            for plan in [by_object(), closure_of("Apple#a", PatternTerm::var("o"))] {
+                let sys = &mut star("a", PlacementPolicy::default());
+                for run in ["cold", "warm"] {
+                    let (units, out) = units(sys, &plan, &options);
+                    let s = out.stats;
+                    assert!(
+                        s.requests <= s.subqueries + s.mapping_fetches,
+                        "{strategy:?} {plan} {run}: {s:?}"
+                    );
+                    assert_eq!((s.subqueries, s.failures), (4, 0));
+                    // A unit is one request, or the discovery of a hop
+                    // at the TTL — there is none at the default TTL.
+                    assert_eq!(units.len(), s.requests, "{strategy:?} {plan} {run}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_request_answers_only_the_hop_it_was_routed_for() {
+        let sys = &mut star("a", PlacementPolicy::default());
+        let down = leaf_of(sys, OBJECT);
+        assert_eq!(down, leaf_of(sys, "Mango"));
+        assert!(!SCHEMAS
+            .iter()
+            .any(|s| *s != "Mango" && leaf_of(sys, s) == down));
+        assert_ne!(down, ORIGIN);
+        sys.crash_peer(down);
+        let options = QueryOptions::default();
+        let (units, out) = units(sys, &by_object(), &options);
+        // Every data request lands on the crashed peer. Zebra's lists
+        // Mango and Guava, which are not failures of that request:
+        // each is sent again at its turn. Mango's discovery lands there
+        // too, which taints the walk.
+        assert!(out.rows.is_empty());
+        assert_eq!(out.stats.subqueries, 4);
+        assert_eq!(out.stats.failures, 4 + 1);
+        assert_eq!(out.stats.mapping_fetches, 3);
+        assert_eq!(out.stats.requests, 4 + 4);
+        assert_eq!(units.len(), out.stats.requests);
+        assert!(units.iter().all(|u| schema_hops(u) <= 1));
+        assert_eq!(sys.cached_closures(), 0, "a tainted walk commits nothing");
+
+        sys.recover_peer(down);
+        let healed = sys.execute(ORIGIN, &by_object(), &options).unwrap();
+        assert_eq!((healed.rows.len(), healed.stats.failures), (4, 0));
+        assert_eq!(sys.cached_closures(), 1);
+    }
+
+    #[test]
+    fn a_placed_pattern_neither_rides_nor_carries() {
+        let from_mango = closure_of(
+            &format!("Mango#{LONG_ATTR}"),
+            PatternTerm::constant(Term::literal(OBJECT)),
+        );
+        let options = QueryOptions::default();
+        // Mango's hop routes by its predicate, to the leaf the object's
+        // key lies under: with no rule it rides (or carries) the rest.
+        let free = &mut star(LONG_ATTR, PlacementPolicy::default());
+        assert_eq!(
+            leaf_of(free, &format!("Mango#{LONG_ATTR}")),
+            leaf_of(free, OBJECT)
+        );
+        let rule = PlacementPolicy::new().replicate("Mango#", 2);
+        let placed = &mut star(LONG_ATTR, rule);
+        for plan in [by_object(), from_mango] {
+            let rows = free.execute(ORIGIN, &plan, &options).unwrap().rows;
+            assert_eq!(rows.len(), 4);
+            let warm = free.execute(ORIGIN, &plan, &options).unwrap();
+            assert_eq!((warm.stats.requests, warm.stats.replica_hits), (1, 0));
+
+            assert_eq!(placed.execute(ORIGIN, &plan, &options).unwrap().rows, rows);
+            let warm = placed.execute(ORIGIN, &plan, &options).unwrap();
+            assert_eq!(warm.rows, rows, "{plan}");
+            // One exchange with a Mango holder, one routed request for
+            // the three hops that route by the object.
+            assert_eq!(warm.stats.requests, 2, "{plan}");
+            assert_eq!((warm.stats.replica_hits, warm.stats.failovers), (1, 0));
+            assert_eq!(warm.stats.subqueries, 4);
+        }
+    }
+
+    #[test]
+    fn riding_is_window_and_pool_invariant() {
+        let plan = by_object();
+        let serial = &mut star("a", PlacementPolicy::default());
+        let expected: Vec<QueryOutcome> = (0..2)
+            .map(|_| {
+                serial
+                    .execute(ORIGIN, &plan, &QueryOptions::default())
+                    .unwrap()
+            })
+            .collect();
+        assert!(expected[1].stats.requests < expected[1].stats.subqueries);
+        for window in [1, 2, 4, 8] {
+            let options = QueryOptions::new().window(window);
+            let solo = &mut star("a", PlacementPolicy::default());
+            let pooled = &mut star("a", PlacementPolicy::default());
+            // Cold, then warm.
+            for expect in &expected {
+                let out = solo.execute(ORIGIN, &plan, &options).unwrap();
+                assert_eq!(out.rows, expect.rows, "window {window}");
+                assert_eq!(out.stats.messages, expect.stats.messages);
+                assert_eq!(out.stats.requests, expect.stats.requests);
+                assert_eq!(out.stats.subqueries, expect.stats.subqueries);
+
+                let mut pool = SessionPool::new();
+                let id = pool.open(pooled, ORIGIN, &plan, &options).unwrap();
+                while pool.step(pooled).is_some() {}
+                let via_pool = pool.take_outcome(id).unwrap();
+                assert_eq!(via_pool.rows, out.rows, "window {window}");
+                assert_eq!(via_pool.stats, out.stats, "window {window}");
+            }
+            for _ in 0..8 {
+                assert_eq!(solo.random_peer(), pooled.random_peer());
+            }
+        }
     }
 }

@@ -2,13 +2,17 @@
 //! simulated clock.
 //!
 //! A [`QuerySession`](super::session::QuerySession) pull advances
-//! routed subqueries; this module is what gives them time. It puts the
+//! routed requests; this module is what gives them time. It puts the
 //! synchronous executor on the discrete-event substrate of
-//! [`gridvine_netsim`]: every routed subquery becomes a
+//! [`gridvine_netsim`]: every routed request becomes a
 //! *unit* — a `Subquery` message issued at a send instant, answered by
 //! a `Reply` scheduled on an [`EventQueue`] at `send + latency` — and
 //! one session keeps up to [`QueryOptions::window`](super::exec::QueryOptions::window)
-//! units in flight. Independent closure hops, prefix probes and
+//! units in flight. A data request carries a pattern list and its
+//! reply answers every listed pattern the destination is responsible
+//! for (see [`super::exec`]), so a unit may resolve several closure
+//! hops; a hop resolved by another hop's unit never becomes a unit of
+//! its own. Independent closure hops, prefix probes and
 //! bound-join groups pipeline; dependent work (a hop's children wait
 //! for its mapping discovery, a bound pattern waits for its
 //! predecessor's rows) is serialized through per-unit ready times.
@@ -16,7 +20,7 @@
 //! ## Determinism and equivalence, by construction
 //!
 //! Units are *issued* in one canonical order — the `window = 1` order,
-//! where every pull advances exactly one routed subquery — and issuing
+//! where every pull advances exactly one routed request — and issuing
 //! is where all logical state evolves: routing (and its RNG draws), message
 //! charging, row admission and dedup, closure expansion and cache
 //! recording. The window never reorders issues; it only decides how
@@ -52,16 +56,19 @@
 //!           issue (logical work runs, counters charge)
 //!             │
 //!             ▼
-//!  ┌──► in flight ───reply───► completed (delivered once; any
-//!  │          │                duplicate reply with the same
-//!  │       timeout             request id is dropped)
-//!  │          ▼
-//!  └── retransmit (backoff RETRY_TIMEOUT·2^k + jitter)
+//!  ┌──► in flight ───reply───► completed (delivered once, with the
+//!  │          │                rows of every listed pattern the
+//!  │       timeout             destination answered; any duplicate
+//!  │          ▼                reply with the same request id is
+//!  └── retransmit              dropped)
+//!      (backoff RETRY_TIMEOUT·2^k + jitter)
 //!             │
 //!      retries exhausted, or destination crashed
 //!             ▼
-//!          failed (recorded in ExecStats::{failures, timeouts};
-//!          the closure walk terminates that branch and continues)
+//!          failed (recorded in ExecStats::{failures, timeouts} for
+//!          the pattern the request was routed for; the patterns it
+//!          merely listed are sent again on their own requests; the
+//!          closure walk terminates that branch and continues)
 //! ```
 //!
 //! The retry loop is resolved *at issue* — the backoff delays it

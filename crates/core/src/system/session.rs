@@ -14,23 +14,35 @@
 //! ## The scheduler seam
 //!
 //! The session is **message-driven** (see
-//! [`crate::system::sched`]): each routed subquery is a unit issued as
+//! [`crate::system::sched`]): each routed request is a unit issued as
 //! a `Subquery` at a send instant and answered by a `Reply` scheduled
 //! on a per-peer [`EventQueue`](gridvine_netsim::EventQueue) at
 //! `send + latency`, with up to [`QueryOptions::window`] units in
 //! flight at once. Units are issued in one canonical order — the
 //! `window = 1` order, where every pull advances exactly one routed
-//! subquery — and all logical state (routing and its RNG
+//! request — and all logical state (routing and its RNG
 //! draws, message charging, row admission, closure expansion, cache
 //! recording) evolves at issue. The clock models *when* replies land:
 //! event delivery order, simulated first-result latency and the
 //! [`ExecStats::max_in_flight`] high-water mark. Row multiset and
 //! message count are therefore identical for every window size, by
 //! construction. Dependencies serialize through per-unit ready times:
-//! a closure hop's subquery can only be sent once the mapping
+//! a closure hop's request can only be sent once the mapping
 //! discovery that revealed it completed; a bound-join pattern's groups
 //! wait for their predecessor pattern's rows; prefix probes and warm
 //! cache replays are fully independent and pipeline `window`-wide.
+//!
+//! A data request is a pattern *list* (see the
+//! [executor docs](crate::system::exec)): the request of the closure
+//! hop being popped also lists every hop the same issuer already has
+//! queued, and its one reply answers all of them that the destination
+//! is responsible for. A hop answered that way is part of that unit —
+//! its `SchemaHop` and `Rows` are among the unit's events, its counters
+//! in the unit's `Stats` — and has no unit of its own later: when the
+//! walk pops it there is nothing to send, and a live walk goes straight
+//! on to its mapping discovery. It was queued, hence ready, no later
+//! than the hop whose request carried it, so the unit's ready time is
+//! that hop's.
 //!
 //! Early termination is structural, not cosmetic: a subquery is only
 //! issued by a pull, so dropping the session — or hitting the
@@ -61,7 +73,8 @@
 //! ## Events
 //!
 //! * [`ResultEvent::Rows`] — fresh **distinct** solution rows
-//!   (projected onto the distinguished variables), in discovery order.
+//!   (projected onto the distinguished variables), in discovery order
+//!   (request by request; within a closure reply, hop by hop).
 //!   A row is never repeated across batches. These are the only
 //!   [`Binding`]s a session builds: destinations ship columnar
 //!   [`BindingBatch`]es, projection and dedup run on their terms (or,
@@ -71,13 +84,17 @@
 //!   at a schema: mapping-path depth and path quality (the minimum
 //!   mapping quality along the path, the confidence proxy of
 //!   [`Reformulation::path_quality`](gridvine_semantic::Reformulation::path_quality)).
-//!   Emitted by single-pattern closure plans; join plans run their
-//!   per-pattern sweeps as whole units and report them via `Stats`.
+//!   Emitted by single-pattern closure plans, one per hop a request
+//!   answered (or failed for), each followed by that hop's `Rows` if
+//!   it had fresh ones — several per unit when hops rode the request;
+//!   join plans run their per-pattern sweeps as whole units and report
+//!   them via `Stats`.
 //! * [`ResultEvent::Stats`] — the [`ExecStats`] *delta* of the unit
 //!   (messages, subqueries, reformulations, …) since the previous
 //!   unit. Summing the deltas of a drained session reproduces
-//!   [`QueryOutcome::stats`]. Every unit emits one, so progress is
-//!   observable even while a hop returns no rows.
+//!   [`QueryOutcome::stats`]. Every unit emits one, last, so progress
+//!   is observable even while a request returns no rows; a closure
+//!   unit is at most one request ([`ExecStats::requests`]).
 //!
 //! ## The reformulation-closure caches
 //!
@@ -131,7 +148,9 @@
 //! ```
 
 use super::conjunctive::JoinMode;
-use super::exec::{one_var_row, ClosureSweep, ExecStats, QueryOptions, QueryOutcome};
+use super::exec::{
+    charge_hop, one_var_row, ClosureSweep, ExecStats, Listed, QueryOptions, QueryOutcome,
+};
 use super::pool::SessionId;
 use super::sched::QueuedReply;
 use super::*;
@@ -229,9 +248,10 @@ enum State {
         probes: std::vec::IntoIter<BitString>,
         seen: BTreeSet<Term>,
     },
-    /// One closure hop (resolution unit + discovery unit) per pull.
-    /// Every hop ships into `shipped`, which is emptied once the hop's
-    /// rows are admitted.
+    /// One request of the closure walk — a data request, answering
+    /// every hop its destination is responsible for, or a mapping
+    /// discovery — per pull. Every request ships into `shipped`, which
+    /// is emptied once its rows are admitted.
     Closure {
         query: TriplePatternQuery,
         sweep: Box<ClosureSweep>,
@@ -239,6 +259,16 @@ enum State {
         seen: BTreeSet<Term>,
     },
     Join(Box<JoinState>),
+}
+
+/// One hop of a closure walk as a request resolved it.
+struct SweepHop {
+    schema: SchemaId,
+    depth: usize,
+    quality: f64,
+    /// Rows its destination shipped, or `None` when the request this
+    /// hop was routed for failed.
+    shipped: Option<usize>,
 }
 
 /// Scheduler metadata of one issued unit.
@@ -319,8 +349,6 @@ pub(crate) struct SessionCore {
     max_completion: SimTime,
     /// Per-schema hop ready times (stamped by discovery completions).
     ready_of: HashMap<SchemaId, SimTime>,
-    /// Ready time of the hop whose expansion unit is pending.
-    hop_ready: SimTime,
 }
 
 /// A lazily-advancing handle on one executing [`QueryPlan`] — see the
@@ -508,7 +536,6 @@ impl SessionCore {
             sim_now: started_at,
             max_completion: started_at,
             ready_of: HashMap::new(),
-            hop_ready: started_at,
         })
     }
 
@@ -768,21 +795,23 @@ impl SessionCore {
         self.inflight += 1;
     }
 
-    /// Admit the freshly-shipped rows of a single-pattern plan: project
-    /// onto the distinguished variable, dedup against `seen`, append to
-    /// the session rows — the one place such a plan builds [`Binding`]s,
-    /// one per admitted distinct row. Returns `(batch, limit_hit)`.
-    fn admit_terms(
+    /// Admit freshly-shipped rows of a single-pattern plan: project
+    /// onto the distinguished variable (`col`, its column in the
+    /// shipped batch), dedup against `seen`, append to the session rows
+    /// — the one place such a plan builds [`Binding`]s, one per
+    /// admitted distinct row. Returns `(batch, limit_hit)`.
+    fn admit_terms<'r>(
         &mut self,
         seen: &mut BTreeSet<Term>,
         var: &str,
-        shipped: &BindingBatch,
+        col: Option<usize>,
+        shipped: impl Iterator<Item = &'r [Term]>,
     ) -> (Vec<Binding>, bool) {
         let mut batch = Vec::new();
-        let Some(col) = shipped.column(var) else {
+        let Some(col) = col else {
             return (batch, false);
         };
-        for shipped_row in shipped.rows() {
+        for shipped_row in shipped {
             let t = &shipped_row[col];
             if !seen.insert(t.clone()) {
                 continue;
@@ -805,11 +834,26 @@ impl SessionCore {
         out: &mut Vec<ResultEvent>,
     ) -> Result<StepOutcome, SystemError> {
         self.stats.subqueries += 1;
+        let (_, term) = query
+            .pattern
+            .routing_constant()
+            .ok_or(SystemError::NotRoutable)?;
+        let routed = sys.routed_by(term);
+        let alone = Listed {
+            pattern: &query.pattern,
+            routed: &routed,
+        };
         let mut shipped = BindingBatch::for_pattern(&query.pattern);
-        self.stats.bindings_shipped +=
-            sys.resolve_pattern_once(self.origin, &query.pattern, &mut shipped)?;
-        let mut seen = BTreeSet::new();
-        let (batch, _) = self.admit_terms(&mut seen, &query.distinguished, &shipped);
+        let none = std::iter::empty();
+        sys.resolve_patterns(self.origin, alone, none, &mut shipped, &mut Vec::new())?;
+        self.stats.bindings_shipped += shipped.len();
+        let var = &query.distinguished;
+        let (batch, _) = self.admit_terms(
+            &mut BTreeSet::new(),
+            var,
+            shipped.column(var),
+            shipped.rows(),
+        );
         if !batch.is_empty() {
             out.push(ResultEvent::Rows(batch));
         }
@@ -841,7 +885,8 @@ impl SessionCore {
         let mut shipped = BindingBatch::for_pattern(&query.pattern);
         self.stats.bindings_shipped +=
             sys.local_dbs[dest.index()].match_into(&query.pattern, &mut shipped);
-        let (batch, limit_hit) = self.admit_terms(seen, &query.distinguished, &shipped);
+        let var = &query.distinguished;
+        let (batch, limit_hit) = self.admit_terms(seen, var, shipped.column(var), shipped.rows());
         if !batch.is_empty() {
             out.push(ResultEvent::Rows(batch));
         }
@@ -852,14 +897,68 @@ impl SessionCore {
         })
     }
 
+    /// Scheduler ready time of `schema`'s hop: the completion instant
+    /// of the discovery that admitted it.
+    fn hop_ready(&self, schema: &SchemaId) -> SimTime {
+        self.ready_of
+            .get(schema)
+            .copied()
+            .unwrap_or(self.started_at)
+    }
+
+    /// Charge and emit the hops one closure reply answered — a
+    /// `SchemaHop` each, then its fresh `Rows` — consuming `shipped`,
+    /// which holds their rows in the same order. Returns whether the
+    /// result limit was reached; past it the reply's remaining hops are
+    /// still charged (they were answered and shipped) but admit
+    /// nothing.
+    fn admit_hops(
+        &mut self,
+        query: &TriplePatternQuery,
+        answered: Vec<SweepHop>,
+        shipped: &mut BindingBatch,
+        seen: &mut BTreeSet<Term>,
+        out: &mut Vec<ResultEvent>,
+    ) -> bool {
+        let var = &query.distinguished;
+        let col = shipped.column(var);
+        let mut rows = shipped.rows();
+        let mut limit_hit = false;
+        for hop in answered {
+            charge_hop(&mut self.stats, hop.depth, hop.shipped);
+            let n = hop.shipped.unwrap_or(0);
+            self.stats.bindings_shipped += n;
+            out.push(ResultEvent::SchemaHop {
+                schema: hop.schema,
+                depth: hop.depth,
+                quality: hop.quality,
+            });
+            if !limit_hit {
+                let (batch, hit) = self.admit_terms(seen, var, col, rows.by_ref().take(n));
+                limit_hit = hit;
+                if !batch.is_empty() {
+                    out.push(ResultEvent::Rows(batch));
+                }
+            }
+        }
+        drop(rows);
+        shipped.clear();
+        limit_hit
+    }
+
     /// [`QueryPlan::Closure`]: one unit of the reformulation closure —
-    /// either resolve the next (possibly reformulated) pattern at its
-    /// destination via the shared [`ClosureSweep`], or run the pending
-    /// hop's mapping discovery. The two units of one hop share a ready
-    /// time (they are independent requests and overlap under a window);
-    /// a discovery's completion stamps the ready times of the hops it
-    /// admits. Early termination skips the discovery outright, so its
-    /// messages are never sent.
+    /// either the next hop's data request via the shared
+    /// [`ClosureSweep`], or the popped hop's mapping discovery. The
+    /// request emits one `SchemaHop` (+ `Rows`) per hop its destination
+    /// answered, the hop it was routed for first and the queued hops
+    /// that rode it after, in the order the walk pops them; a hop that
+    /// rode has no data unit of its own when it is popped, so the same
+    /// step goes on to its discovery. The two units of one hop share a
+    /// ready time (they are independent requests and overlap under a
+    /// window); a discovery's completion stamps the ready times of the
+    /// hops it admits, and a queued hop is never ready later than the
+    /// hop popped before it, whose request it rides. Early termination
+    /// skips the discovery outright, so its messages are never sent.
     fn step_closure(
         &mut self,
         sys: &mut GridVineSystem,
@@ -869,55 +968,44 @@ impl SessionCore {
         seen: &mut BTreeSet<Term>,
         out: &mut Vec<ResultEvent>,
     ) -> Result<StepOutcome, SystemError> {
-        if sweep.has_pending() {
-            // Discovery unit of the previously resolved hop.
-            let expansion =
-                sweep.expand_pending(sys, self.origin, self.strategy, self.ttl, &mut self.stats)?;
-            return Ok(StepOutcome::Unit {
-                ready: self.hop_ready,
-                stamp: Stamp::Schemas(expansion.admitted),
-                done: sweep.is_exhausted(),
+        if sweep.pending_schema().is_none() {
+            let mut answered = Vec::new();
+            let popped = sweep.resolve_next(sys, shipped, |hop, n| {
+                answered.push(SweepHop {
+                    schema: hop.schema.clone(),
+                    depth: hop.depth,
+                    quality: hop.quality,
+                    shipped: n,
+                })
             });
-        }
-        let Some(hop) = sweep.resolve_next(sys, self.origin, shipped)? else {
-            return Ok(StepOutcome::Idle);
-        };
-        let ready = self
-            .ready_of
-            .get(&hop.schema)
-            .copied()
-            .unwrap_or(self.started_at);
-        self.hop_ready = ready;
-        hop.charge(&mut self.stats);
-        out.push(ResultEvent::SchemaHop {
-            schema: hop.schema,
-            depth: hop.depth,
-            quality: hop.quality,
-        });
-        let mut limit_hit = false;
-        if let Some(n) = hop.shipped {
-            self.stats.bindings_shipped += n;
-            let (batch, hit) = self.admit_terms(seen, &query.distinguished, shipped);
-            shipped.clear();
-            limit_hit = hit;
-            if !batch.is_empty() {
-                out.push(ResultEvent::Rows(batch));
+            if !popped {
+                return Ok(StepOutcome::Idle);
+            }
+            if let Some(routed_for) = answered.first() {
+                let ready = self.hop_ready(&routed_for.schema);
+                let limit_hit = self.admit_hops(query, answered, shipped, seen, out);
+                if limit_hit {
+                    // A truncated walk neither expands nor commits to
+                    // the cache.
+                    sweep.discard_pending();
+                }
+                return Ok(StepOutcome::Unit {
+                    ready,
+                    stamp: Stamp::None,
+                    done: limit_hit || sweep.is_exhausted(),
+                });
             }
         }
-        if limit_hit {
-            // A truncated walk neither expands nor commits to the
-            // cache.
-            sweep.discard_pending();
-            return Ok(StepOutcome::Unit {
-                ready,
-                stamp: Stamp::None,
-                done: true,
-            });
-        }
+        // Discovery unit of the popped hop.
+        let ready = sweep
+            .pending_schema()
+            .map_or(self.started_at, |schema| self.hop_ready(schema));
+        let expansion =
+            sweep.expand_pending(sys, self.origin, self.strategy, self.ttl, &mut self.stats)?;
         Ok(StepOutcome::Unit {
             ready,
-            stamp: Stamp::None,
-            done: sweep.is_exhausted() && !sweep.has_pending(),
+            stamp: Stamp::Schemas(expansion.admitted),
+            done: sweep.is_exhausted(),
         })
     }
 

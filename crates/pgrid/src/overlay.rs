@@ -43,15 +43,14 @@ impl std::error::Error for RouteError {}
 pub struct Route {
     /// The responsible peer the route terminated at.
     pub destination: PeerId,
-    /// Peers visited, starting with the originator, ending with the
-    /// destination.
-    pub hops: Vec<PeerId>,
+    /// Forwarding edges walked from the originator to the destination.
+    edges: u64,
 }
 
 impl Route {
     /// Overlay messages consumed by this route (one per forwarding edge).
     pub fn messages(&self) -> u64 {
-        self.hops.len().saturating_sub(1) as u64
+        self.edges
     }
 }
 
@@ -132,14 +131,14 @@ impl<V: Clone + PartialEq> Overlay<V> {
         // for replica indirection without masking real routing loops.
         let budget = 2 * self.max_path_len + 8;
         let mut current = origin;
-        let mut hops = vec![origin];
+        let mut edges = 0;
         loop {
             let view = &self.views[current.index()];
             match view.forwarding_level(key) {
                 None => {
                     return Ok(Route {
                         destination: current,
-                        hops,
+                        edges,
                     });
                 }
                 Some(level) => {
@@ -151,8 +150,8 @@ impl<V: Clone + PartialEq> Overlay<V> {
                         });
                     };
                     self.messages_sent += 1;
-                    hops.push(next);
-                    if hops.len() > budget {
+                    edges += 1;
+                    if edges >= budget as u64 {
                         return Err(RouteError::TooManyHops { budget });
                     }
                     current = next;

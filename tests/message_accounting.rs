@@ -8,7 +8,7 @@
 
 use gridvine_core::{GridVineConfig, GridVineSystem, QueryOptions, QueryPlan, Strategy};
 use gridvine_pgrid::PeerId;
-use gridvine_rdf::{Term, Triple, TriplePatternQuery};
+use gridvine_rdf::{PatternTerm, Term, Triple, TriplePattern, TriplePatternQuery};
 use gridvine_semantic::{Correspondence, MappingKind, Provenance, Schema};
 
 fn sys_with(peers: usize) -> GridVineSystem {
@@ -231,4 +231,81 @@ fn recursive_strategy_never_costs_more_than_iterative_on_chains() {
         iterative_warm < iterative_cold as f64,
         "cached iterative {iterative_warm} must undercut cold {iterative_cold}"
     );
+}
+
+#[test]
+fn a_response_carrying_several_patterns_rows_is_one_message() {
+    // Three schemas, two records each, every record with the same
+    // object — longer than the predicates, so every hop of a closure
+    // over it routes by it and one peer answers them all.
+    const OBJECT: &str = "Aspergillus niger var. awamori";
+    let build = || {
+        let mut sys = sys_with(32);
+        let p0 = PeerId(0);
+        for s in ["EMBL", "EMP", "SP"] {
+            sys.insert_schema(p0, Schema::new(s, ["Organism"])).unwrap();
+            for i in 0..2 {
+                sys.insert_triple(
+                    p0,
+                    Triple::new(
+                        format!("seq:{s}{i}").as_str(),
+                        format!("{s}#Organism").as_str(),
+                        Term::literal(OBJECT),
+                    ),
+                )
+                .unwrap();
+            }
+        }
+        for s in ["EMP", "SP"] {
+            sys.insert_mapping(
+                p0,
+                "EMBL",
+                s,
+                MappingKind::Equivalence,
+                Provenance::Manual,
+                vec![Correspondence::new("Organism", "Organism")],
+            )
+            .unwrap();
+        }
+        sys
+    };
+    let q = TriplePatternQuery::new(
+        "x",
+        TriplePattern::new(
+            PatternTerm::var("x"),
+            PatternTerm::constant(Term::uri("EMBL#Organism")),
+            PatternTerm::constant(Term::literal(OBJECT)),
+        ),
+    )
+    .unwrap();
+    let origin = PeerId(9);
+    let options = QueryOptions::default();
+    let (mut sys, mut twin) = (build(), build());
+    // Warm the origin's closure cache on both (same routing draws).
+    let cold = sys
+        .execute(origin, &QueryPlan::search(q.clone()), &options)
+        .unwrap();
+    twin.execute(origin, &QueryPlan::search(q.clone()), &options)
+        .unwrap();
+    assert_eq!(cold.rows.len(), 6);
+
+    // The replayed closure is one request; the lookup of its first
+    // pattern alone, from the same routing-RNG state, is the same one.
+    let closure = sys
+        .execute(origin, &QueryPlan::search(q.clone()), &options)
+        .unwrap();
+    let lookup = twin
+        .execute(origin, &QueryPlan::pattern(q), &options)
+        .unwrap();
+    assert_eq!((closure.stats.subqueries, lookup.stats.subqueries), (3, 1));
+    assert_eq!(
+        (
+            closure.stats.bindings_shipped,
+            lookup.stats.bindings_shipped
+        ),
+        (6, 2)
+    );
+    assert_eq!((closure.stats.requests, lookup.stats.requests), (1, 1));
+    assert!(lookup.stats.messages >= 2, "a routed edge and the response");
+    assert_eq!(closure.stats.messages, lookup.stats.messages);
 }

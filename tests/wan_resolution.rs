@@ -130,35 +130,45 @@ fn deployment(seed: u64, timeout: SimDuration) -> Deployment {
     })
 }
 
-/// Both engines over the same corpus and mapping chain.
-fn engines(seed: u64, corpus: &[Triple], reg: &MappingRegistry) -> (Deployment, GridVineSystem) {
+/// Both engines over the same corpus and mapping chain: the WAN
+/// deployment, and the synchronous engine twice — on the deployment's
+/// trie, and on 24 peers, where eight leaves hold a σ replica pair and
+/// a request may land on either.
+fn engines(
+    seed: u64,
+    corpus: &[Triple],
+    reg: &MappingRegistry,
+) -> (Deployment, [GridVineSystem; 2]) {
     let mut wan = deployment(seed, SimDuration::from_secs(60));
     wan.preload(corpus.to_vec());
     let mappings: Vec<Mapping> = reg.mappings().cloned().collect();
     wan.preload_mediation(reg.schemas().cloned(), mappings.iter());
 
-    let mut sys = GridVineSystem::new(GridVineConfig {
-        peers: PEERS,
-        seed,
-        ..GridVineConfig::default()
+    let systems = [PEERS, 24].map(|peers| {
+        let mut sys = GridVineSystem::new(GridVineConfig {
+            peers,
+            seed,
+            ..GridVineConfig::default()
+        });
+        let p0 = PeerId(0);
+        for s in reg.schemas() {
+            sys.insert_schema(p0, s.clone()).unwrap();
+        }
+        for m in &mappings {
+            sys.insert_mapping(
+                p0,
+                m.source.clone(),
+                m.target.clone(),
+                m.kind,
+                Provenance::Manual,
+                m.correspondences.clone(),
+            )
+            .unwrap();
+        }
+        sys.insert_triples(p0, corpus.to_vec()).unwrap();
+        sys
     });
-    let p0 = PeerId(0);
-    for s in reg.schemas() {
-        sys.insert_schema(p0, s.clone()).unwrap();
-    }
-    for m in &mappings {
-        sys.insert_mapping(
-            p0,
-            m.source.clone(),
-            m.target.clone(),
-            m.kind,
-            Provenance::Manual,
-            m.correspondences.clone(),
-        )
-        .unwrap();
-    }
-    sys.insert_triples(p0, corpus.to_vec()).unwrap();
-    (wan, sys)
+    (wan, systems)
 }
 
 /// Run one batch; the rows of every reply, `[query][reply][row]`.
@@ -241,20 +251,42 @@ fn projected(replies: &[Vec<Binding>], vars: &[&str]) -> Vec<String> {
     rows
 }
 
-fn executed(sys: &mut GridVineSystem, plan: &QueryPlan) -> Vec<String> {
-    let options = QueryOptions::new()
-        .strategy(Strategy::Iterative)
-        .join_mode(JoinMode::Independent)
-        .ttl(TTL);
-    let mut rows: Vec<String> = sys
-        .execute(PeerId(0), plan, &options)
-        .expect("a routable plan executes")
-        .rows
-        .iter()
-        .map(Binding::to_string)
-        .collect();
-    rows.sort();
-    rows
+/// The synchronous engine's rows for `plan`, which must not depend on
+/// how it is run: either system, either strategy, either join mode, one
+/// request in flight or four, issued from the peer `origin` draws —
+/// cold on a system's first run, replaying its closure caches after.
+fn executed(systems: &mut [GridVineSystem; 2], origin: usize, plan: &QueryPlan) -> Vec<String> {
+    let mut agreed: Option<Vec<String>> = None;
+    for sys in systems {
+        let at = PeerId::from_index(origin % sys.config().peers);
+        for strategy in [Strategy::Iterative, Strategy::Recursive] {
+            for mode in [JoinMode::Independent, JoinMode::BoundSubstitution] {
+                for window in [1, 4] {
+                    let options = QueryOptions::new()
+                        .strategy(strategy)
+                        .join_mode(mode)
+                        .window(window)
+                        .ttl(TTL);
+                    let mut rows: Vec<String> = sys
+                        .execute(at, plan, &options)
+                        .expect("a routable plan executes")
+                        .rows
+                        .iter()
+                        .map(Binding::to_string)
+                        .collect();
+                    rows.sort();
+                    let expected = agreed.get_or_insert_with(|| rows.clone());
+                    assert_eq!(
+                        &rows,
+                        expected,
+                        "{plan} on {} peers from {at}: {strategy:?} {mode:?} window {window}",
+                        sys.config().peers
+                    );
+                }
+            }
+        }
+    }
+    agreed.expect("two systems ran")
 }
 
 proptest! {
@@ -263,7 +295,7 @@ proptest! {
     /// Pattern, closure and join plans over small corpora: every reply
     /// streams exactly the rows, in the order, that filtering the
     /// routed key's bucket at the origin produced, and the plan's rows
-    /// are those of the synchronous engine.
+    /// are those of the synchronous engine however it is run.
     #[test]
     fn streamed_rows_equal_the_bucket_reference_and_the_synchronous_engine(
         seed in 0u64..1000,
@@ -272,6 +304,7 @@ proptest! {
         lookup in (0u8..4, 0u8..8, 0u8..12),
         left in (0u8..6, 0u8..12),
         right in (0u8..6, 0u8..12),
+        origin in 0usize..48,
     ) {
         let corpus: Vec<Triple> = facts.into_iter().map(triple).collect();
         let reg = registry([links.0, links.1]);
@@ -306,14 +339,14 @@ proptest! {
         if routable {
             prop_assert_eq!(
                 projected(&replies[0], &[var.as_str()]),
-                executed(&mut sys, &plans[0]),
+                executed(&mut sys, origin, &plans[0]),
                 "pattern plan {}", &pat
             );
         }
         if schema {
             prop_assert_eq!(
                 projected(&replies[1], &[var.as_str()]),
-                executed(&mut sys, &plans[1]),
+                executed(&mut sys, origin, &plans[1]),
                 "closure plan {}", &pat
             );
         }
@@ -337,7 +370,7 @@ proptest! {
             .collect();
         expected.sort();
         prop_assert_eq!(displayed(&replies[0]), expected, "join {:?}", &patterns);
-        let joined = executed(&mut sys, &join).len();
+        let joined = executed(&mut sys, origin, &join).len();
         prop_assert_eq!(report.answered, (joined > 0) as usize, "join {:?}", &patterns);
         prop_assert_eq!(report.mean_rows, joined as f64, "join {:?}", &patterns);
     }
@@ -450,7 +483,7 @@ fn a_limit_counts_distinct_answers_on_both_engines() {
         ("seq:A2", "S1#species", "Penicillium notatum"),
     ]
     .map(|(s, p, o)| Triple::new(s, p, Term::literal(o)));
-    let (mut wan, mut sys) = engines(2, &corpus, &registry([true, false]));
+    let (mut wan, [mut sys, _]) = engines(2, &corpus, &registry([true, false]));
     let query = TriplePatternQuery::new(
         "x",
         TriplePattern::new(
