@@ -4,21 +4,24 @@
 //! triple pattern contained in the query and aggregating the sets of
 //! results retrieved", without fixing the aggregation policy. This
 //! ablation compares the two classic options on a selective ∧
-//! unselective two-pattern join while the unselective pattern's
-//! extension grows:
+//! unselective two-pattern join:
 //!
 //! * `Independent` — resolve both patterns over the network, join at the
 //!   origin: ships the full extension of the unconstrained pattern.
-//! * `BoundSubstitution` — resolve the selective pattern first, then one
-//!   bound instance of the second pattern per surviving row: more routed
-//!   subqueries, but shipped bindings stay proportional to the join
-//!   result.
+//! * `BoundSubstitution` — resolve the selective pattern first, then
+//!   sweep the second pattern once with the surviving rows' binding
+//!   column on its requests: the same messages as one independent
+//!   sweep, shipped bindings proportional to the join result, and one
+//!   carried seed term per surviving row per request.
 //!
-//! Expected shape: `shipped(Independent)` grows linearly with the corpus
-//! while `shipped(Bound)` stays flat; messages go the other way (bound
-//! mode pays one O(log n) route per row). The crossover in total cost
-//! (modelled as `messages + shipped/batch` with a per-message result
-//! batch factor) moves toward Bound as the corpus grows.
+//! Two axes. While the unselective pattern's extension grows (first
+//! table), `shipped(Independent)` grows linearly with the corpus and
+//! everything about `Bound` stays flat. While the *selective* side
+//! grows at the largest corpus (second table), `Bound`'s messages stay
+//! flat but what its requests carry and its replies ship grows past
+//! what `Independent` ships, and the winner flips. Total cost is
+//! modelled as `messages + (shipped + carried) / batch`, with one batch
+//! factor for terms on a request and rows on a response.
 //!
 //! Usage: `exp_a4_join_mode [selective_matches] [seed]`
 
@@ -89,67 +92,82 @@ fn query() -> ConjunctiveQuery {
     .expect("valid query")
 }
 
+/// One line of either table: both modes on a fresh system.
+fn compare(total: usize, selective: usize, seed: u64) -> Vec<String> {
+    let mut sys = build_system(total, selective, seed);
+    let plan = QueryPlan::conjunctive(query());
+    let mut run = |mode: JoinMode| {
+        let options = QueryOptions::new()
+            .strategy(Strategy::Iterative)
+            .join_mode(mode);
+        sys.execute(PeerId(1), &plan, &options)
+            .expect("both modes resolve")
+    };
+    let ind = run(JoinMode::Independent);
+    let bnd = run(JoinMode::BoundSubstitution);
+    assert_eq!(ind.rows, bnd.rows, "modes must agree");
+    assert_eq!(ind.stats.bindings_carried, 0, "no column, nothing carried");
+    let cost = |s: &gridvine_core::ExecStats| {
+        s.messages as f64 + (s.bindings_shipped + s.bindings_carried) as f64 / BATCH
+    };
+    let (ic, bc) = (cost(&ind.stats), cost(&bnd.stats));
+    vec![
+        format!("{total}"),
+        format!("{selective}"),
+        format!("{}", ind.rows.len()),
+        format!("{}", ind.stats.messages),
+        format!("{}", ind.stats.bindings_shipped),
+        f(ic, 1),
+        format!("{}", bnd.stats.messages),
+        format!("{}", bnd.stats.bindings_shipped),
+        format!("{}", bnd.stats.bindings_carried),
+        f(bc, 1),
+        if ic <= bc { "independent" } else { "bound" }.to_string(),
+    ]
+}
+
 fn main() {
     let mut args = std::env::args().skip(1);
     let selective: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(8);
     let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(1);
-
-    println!(
-        "A4: join-policy ablation — {selective} selective matches, growing corpus \
-         (cost model: messages + shipped/{BATCH})"
-    );
-    let mut table = Table::new(&[
+    const CORPORA: [usize; 4] = [50, 200, 800, 3200];
+    const LARGEST: usize = CORPORA[CORPORA.len() - 1];
+    let columns = [
         "entities",
+        "selective",
         "rows",
         "ind msgs",
         "ind shipped",
         "ind cost",
         "bnd msgs",
         "bnd shipped",
+        "bnd carried",
         "bnd cost",
         "winner",
-    ]);
+    ];
 
-    for total in [50usize, 200, 800, 3200] {
-        let mut sys = build_system(total, selective, seed);
-        let plan = QueryPlan::conjunctive(query());
-        let ind = sys
-            .execute(
-                PeerId(1),
-                &plan,
-                &QueryOptions::new()
-                    .strategy(Strategy::Iterative)
-                    .join_mode(JoinMode::Independent),
-            )
-            .expect("independent mode resolves");
-        let bnd = sys
-            .execute(
-                PeerId(1),
-                &plan,
-                &QueryOptions::new()
-                    .strategy(Strategy::Iterative)
-                    .join_mode(JoinMode::BoundSubstitution),
-            )
-            .expect("bound mode resolves");
-        assert_eq!(ind.rows, bnd.rows, "modes must agree");
-        let cost = |msgs: u64, shipped: usize| msgs as f64 + shipped as f64 / BATCH;
-        let ic = cost(ind.stats.messages, ind.stats.bindings_shipped);
-        let bc = cost(bnd.stats.messages, bnd.stats.bindings_shipped);
-        table.row(&[
-            format!("{total}"),
-            format!("{}", ind.rows.len()),
-            format!("{}", ind.stats.messages),
-            format!("{}", ind.stats.bindings_shipped),
-            f(ic, 1),
-            format!("{}", bnd.stats.messages),
-            format!("{}", bnd.stats.bindings_shipped),
-            f(bc, 1),
-            if ic <= bc { "independent" } else { "bound" }.to_string(),
-        ]);
+    println!(
+        "A4: join-policy ablation — {selective} selective matches, growing corpus \
+         (cost model: messages + (shipped + carried)/{BATCH})"
+    );
+    let mut table = Table::new(&columns);
+    for total in CORPORA {
+        table.row(&compare(total, selective, seed));
     }
     println!("{}", table.render());
     println!(
         "shape check: independent's shipped bindings grow with the corpus; \
-         bound's stay near the join result size."
+         bound's stay near the join result size, at an independent sweep's messages."
+    );
+
+    println!("\nA4: {LARGEST} entities, growing selective side");
+    let mut table = Table::new(&columns);
+    for selective in [8, 80, 800, LARGEST] {
+        table.row(&compare(LARGEST, selective, seed));
+    }
+    println!("{}", table.render());
+    println!(
+        "shape check: bound's messages stay flat while what its requests carry and its \
+         replies ship grows with the selective side, past independent's shipped extension."
     );
 }

@@ -14,19 +14,36 @@
 //!   none of them.
 //!
 //! * [`JoinMode::BoundSubstitution`] — patterns are resolved in
-//!   selectivity order; each partial solution row is substituted into
-//!   the next pattern before that subquery is shipped
-//!   ([`gridvine_rdf::TriplePattern::substitute`]), so the overlay only ever evaluates
-//!   patterns already constrained by earlier answers. This is the
-//!   semi-join/bound-join strategy of distributed query processing: more
-//!   routed subqueries, far fewer irrelevant results on the wire.
+//!   selectivity order; the partial solutions so far are substituted
+//!   into the next pattern *at the data*
+//!   ([`gridvine_rdf::TriplePattern::substitute`]): the pattern is swept
+//!   over the mapping network once, and every request of the sweep
+//!   carries the **binding column** — the distinct substitutions the
+//!   partial solutions make of the pattern's already-bound variables —
+//!   so a destination only ever evaluates, and ships the matches of,
+//!   instances already constrained by earlier answers. This is the
+//!   semi-join/bound-join strategy of distributed query processing: the
+//!   same requests and messages as one independent sweep of the
+//!   pattern, far fewer irrelevant results on the wire — paid for by
+//!   what the requests carry
+//!   ([`ExecStats::bindings_carried`](super::exec::ExecStats::bindings_carried)
+//!   beside `bindings_shipped`; ablation A4 weighs the two).
 //!
-//! Both modes reformulate every (sub)pattern through the mapping network
-//! exactly like a single-pattern closure plan, so a conjunctive query
-//! also benefits from the self-organizing mapping layer of §3 — and from
-//! the epoch-keyed reformulation-closure cache: every bound-substituted
-//! instance of a pattern shares its predicate, so after the first
-//! instance's walk the remaining instances replay the memoized closure.
+//! Both modes reformulate every pattern through the mapping network
+//! exactly like a single-pattern closure plan — one closure walk per
+//! pattern, memoized in the epoch-keyed reformulation-closure cache —
+//! so a conjunctive query also benefits from the self-organizing
+//! mapping layer of §3. They differ on a pattern whose **predicate is
+//! a variable**. An independent sweep has no schema to translate from
+//! and answers such a pattern as written, once, without reformulation.
+//! A bound sweep whose partial solutions *bind* that variable does
+//! have one: the rows are split by the predicate they substitute, each
+//! share is a schema'd pattern with a closure of its own, and each is
+//! swept — so `(?q, M#pred, ?p) ∧ (?s, ?p, "x")` follows the mappings
+//! of whatever `?p` turns out to be under bound substitution, and not
+//! under independent joins. (The modes agree whenever no mapping
+//! applies to the predicates bound; the asymmetry is as old as the two
+//! modes.)
 //!
 //! Execution lives behind the plan surface: build
 //! [`QueryPlan::conjunctive`](crate::plan::QueryPlan::conjunctive) and
@@ -58,10 +75,14 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! Under [`JoinMode::BoundSubstitution`] a subquery instance that ends
-//! up with no routable constant (possible only if the pattern shares no
-//! variable with its predecessors *and* carries no constant) is counted
-//! in [`ExecStats::failures`](super::exec::ExecStats::failures) and its
+//! A bound pattern's requests route by the pattern's own constants. A
+//! pattern that has none (`(?s, ?p, ?o)` with `?s` bound — not routable
+//! at all under [`JoinMode::Independent`]) goes out by its instances
+//! instead, each routed by what its seed put in, those under one leaf
+//! sharing a request. An instance that still has no routable constant
+//! (possible only if the pattern shares no variable with its
+//! predecessors *and* carries no constant) is counted in
+//! [`ExecStats::failures`](super::exec::ExecStats::failures) and its
 //! candidate row is dropped; well-formed conjunctive queries — connected
 //! join graphs with at least one constant per component — never hit
 //! this.
@@ -213,7 +234,7 @@ mod tests {
     }
 
     #[test]
-    fn bound_mode_issues_more_subqueries_but_matches_fewer_rows() {
+    fn bound_mode_resolves_more_instances_on_no_more_requests() {
         let mut sys = federation();
         let q = organism_length_query();
         let ind = conjunctive(
@@ -231,14 +252,16 @@ mod tests {
             JoinMode::BoundSubstitution,
         );
         // Bound substitution resolves one instance per surviving row of
-        // the first pattern (3 organisms) instead of one sweep of the
-        // unconstrained second pattern.
+        // the first pattern (3 organisms) and hop of the second instead
+        // of the unconstrained second pattern — on the same sweep.
         assert!(
             bnd.stats.subqueries >= ind.stats.subqueries,
             "bound {} vs independent {}",
             bnd.stats.subqueries,
             ind.stats.subqueries
         );
+        assert!(bnd.stats.requests <= ind.stats.requests);
+        assert!(bnd.stats.bindings_shipped <= ind.stats.bindings_shipped);
     }
 
     #[test]

@@ -14,26 +14,28 @@
 //! ## Execution model
 //!
 //! Every plan bottoms out in *data requests*: a request carries a
-//! **list** of patterns, is routed to `Hash(routing constant)` of the
-//! first, and is charged as one `Retrieve` — one message per forwarding
-//! edge, one response, one exchange through the retry protocol —
-//! whatever the length of the list
+//! **list** of patterns and, for a bound join, a **binding column**;
+//! it is routed to `Hash(routing constant)` of the first pattern and
+//! charged as one `Retrieve` — one message per forwarding edge, one
+//! response, one exchange through the retry protocol — whatever the
+//! length of the list and of the column
 //! (`GridVineSystem::resolve_patterns`). The peer it lands on answers
 //! every listed pattern whose key lies under its own path, one run of
 //! the store's scan kernel
 //! ([`TripleStore::match_into`](gridvine_rdf::TripleStore::match_into))
-//! per answered pattern, each appending the matching rows of the
-//! peer's indexed `DB_p` to the caller's columnar [`BindingBatch`] —
-//! variable names once per batch, terms row-major — so a destination
-//! ships exactly the terms it matched, builds no per-row map, and
-//! replies once. A pattern lookup, a prefix probe and an un-schema'd
-//! join pattern list one pattern; a closure walk lists every hop the
-//! issuer knows and has not had answered (below). Shipped rows stay
-//! columnar up to the result boundary: all hops of one closure sweep
-//! append to one batch (a reformulation only swaps the predicate
-//! constant, so they share its header), single-pattern plans dedup
-//! straight off the batch's distinguished column, and join plans hand
-//! whole batches to
+//! per answered pattern — per answered pattern *and seed* when there is
+//! a column — each appending the matching rows of the peer's indexed
+//! `DB_p` to the caller's columnar [`BindingBatch`] — variable names
+//! once per batch, terms row-major — so a destination ships exactly
+//! the terms it matched, builds no per-row map, and replies once,
+//! saying how many rows each (pattern, seed) shipped. A pattern lookup,
+//! a prefix probe and an un-schema'd join pattern list one pattern; a
+//! closure walk lists every hop the issuer knows and has not had
+//! answered (below). Shipped rows stay columnar up to the result
+//! boundary: the hops one request answers append to one batch (a
+//! reformulation only swaps the predicate constant, so they share its
+//! header), single-pattern plans dedup straight off the batch's
+//! distinguished column, and join plans hand each reply's batch to
 //! [`TermInterner::encode_batch`](gridvine_rdf::join::TermInterner::encode_batch).
 //! [`Binding`]s are built in one place per plan shape — the session's
 //! row admission — once per admitted *distinct* row, for
@@ -41,6 +43,23 @@
 //! [`QueryOutcome::rows`].
 //! Join plans feed the per-pattern row sets through the
 //! [`hash-join engine`](gridvine_rdf::join) in the planner's order.
+//!
+//! **The binding column.** A pattern of a
+//! [`JoinMode::BoundSubstitution`] join is resolved for every partial
+//! solution at once: the distinct substitutions the partial solutions
+//! make of the pattern's already-bound variables — the *seeds* — travel
+//! as a column on every data request of the pattern's one sweep
+//! (`GridVineSystem::sweep_pattern_network`), beside the pattern list.
+//! The sweep is the pattern's own: its hops route by the pattern's
+//! routing constants, not by what a seed would put into a variable
+//! (the predicate's peer indexes every triple of the predicate, so the
+//! rows are the same), a hop is answered for every seed or for none,
+//! and `subqueries`, `schemas_visited`, `reformulations` and — when a
+//! request fails — `failures` move once per (hop, seed), as if each
+//! instance had been asked on its own. What the column costs is
+//! counted, not hidden: [`ExecStats::bindings_carried`] beside
+//! [`ExecStats::bindings_shipped`]. An independent join runs the same
+//! sweep with no column.
 //!
 //! ## The closure walk
 //!
@@ -77,7 +96,9 @@
 //! listed go out on their own at their turn. A pattern whose routing
 //! constant a [`PlacementPolicy`](super::place::PlacementPolicy) rule
 //! covers is served by a replica holder, which need not lie on the
-//! key's path: it neither rides nor carries.
+//! key's path: it neither rides nor carries. The binding column of a
+//! bound join is on every one of these requests, whole: riding decides
+//! which hops a reply answers, the column for which seeds — all.
 //!
 //! ```
 //! use gridvine_core::{GridVineConfig, GridVineSystem, QueryOptions, QueryPlan, Strategy};
@@ -168,8 +189,11 @@ impl QueryOptions {
 
     /// Keep up to `window` subqueries of this session in flight on the
     /// simulated clock (see [`crate::system::sched`]): independent
-    /// closure hops, prefix probes and bound-join groups pipeline
-    /// instead of serializing, cutting simulated first-result latency.
+    /// closure hops, prefix probes and the pattern sweeps of an
+    /// independent join pipeline instead of serializing, cutting
+    /// simulated first-result latency. (A bound join has nothing to
+    /// overlap: each pattern is one unit that waits for its
+    /// predecessor's rows.)
     /// The row multiset and the total message count are identical for
     /// every window size — only the clock (and event delivery order)
     /// changes. Clamped to at least 1; the default of 1 reproduces the
@@ -181,14 +205,15 @@ impl QueryOptions {
 
     /// Stop after `limit` distinct result rows — **genuine early
     /// termination**: the session stops advancing the closure walk (or
-    /// the bound-join group queue) the moment the cap is reached, so
-    /// the remaining remote subqueries are never issued and a limited
-    /// query sends strictly fewer messages than an unlimited one
-    /// whenever any dissemination remained. The kept rows are the
+    /// the sweep of a bound join's last pattern) the moment the cap is
+    /// reached, so the remaining remote subqueries are never issued and
+    /// a limited query sends strictly fewer messages than an unlimited
+    /// one whenever any dissemination remained. The kept rows are the
     /// first `limit` distinct rows in (deterministic) discovery order —
-    /// request by request, and within one reply hop by hop in the order
-    /// the walk pops them — returned sorted. The reply that reaches the
-    /// cap is charged whole (every pattern it answered, every row it
+    /// request by request, within one reply hop by hop in the order
+    /// the walk pops them, and within a hop of a bound join seed by
+    /// seed — returned sorted. The reply that reaches the cap is
+    /// charged whole (every pattern and seed it answered, every row it
     /// shipped).
     pub fn limit(mut self, limit: usize) -> QueryOptions {
         self.limit = Some(limit);
@@ -218,8 +243,9 @@ pub struct ExecStats {
     /// Patterns resolved at a destination (original patterns,
     /// reformulations and bound-substituted instances all count; prefix
     /// sweeps count one per visited region) — plus the patterns whose
-    /// own request failed. A request that answers several patterns
-    /// counts each; see [`ExecStats::requests`] for the exchanges.
+    /// own request failed. A request that answers several patterns, or
+    /// a pattern for several seeds of a binding column, counts each
+    /// instance; see [`ExecStats::requests`] for the exchanges.
     pub subqueries: usize,
     /// Mapping applications across the whole plan.
     pub reformulations: usize,
@@ -231,6 +257,12 @@ pub struct ExecStats {
     /// Matching bindings returned by destination peers before any join
     /// or dedup — a proxy for result bytes on the wire.
     pub bindings_shipped: usize,
+    /// Seed terms listed on data requests — the request-side twin of
+    /// `bindings_shipped`: a bound-join request carries its pattern's
+    /// binding column, and each request charges one term per seed per
+    /// variable the column binds. 0 for every plan that carries no
+    /// column (lookups, prefix sweeps, closures, independent joins).
+    pub bindings_carried: usize,
     /// High-water mark of simultaneously in-flight subqueries (1 for a
     /// fully serial session; up to [`QueryOptions::window`]).
     pub max_in_flight: usize,
@@ -344,35 +376,6 @@ impl QueryOutcome {
     }
 }
 
-/// One pattern's traversal of the mapping network (the per-pattern
-/// inner loop of join plans; single-pattern closures run the same hops
-/// through the incremental session state instead).
-#[derive(Debug, Clone)]
-pub(crate) struct NetSweep {
-    /// Every hop's shipped rows, request by request in the order the
-    /// replies answered them, under the pattern's one header.
-    pub(crate) batch: BindingBatch,
-    /// Per-hop counters accumulated via [`charge_hop`]
-    /// (`bindings_shipped` stays 0 here — the sweep level charges it
-    /// from `batch`).
-    stats: ExecStats,
-}
-
-impl NetSweep {
-    /// Fold this pattern-level traversal into the plan-level stats.
-    pub(crate) fn charge(&self, stats: &mut ExecStats) {
-        stats.subqueries += self.stats.subqueries;
-        stats.reformulations += self.stats.reformulations;
-        stats.schemas_visited += self.stats.schemas_visited;
-        stats.failures += self.stats.failures;
-        stats.bindings_shipped += self.batch.len();
-        stats.mapping_fetches += self.stats.mapping_fetches;
-        stats.cache_hits += self.stats.cache_hits;
-        stats.cache_misses += self.stats.cache_misses;
-        stats.cache_evictions += self.stats.cache_evictions;
-    }
-}
-
 /// A one-variable solution row.
 pub(crate) fn one_var_row(var: &str, term: Term) -> Binding {
     let mut b = Binding::new();
@@ -397,6 +400,27 @@ pub(crate) struct RoutedBy {
 pub(crate) struct Listed<'a> {
     pub(crate) pattern: &'a TriplePattern,
     pub(crate) routed: &'a RoutedBy,
+}
+
+/// What the destination of one data request answered (see
+/// [`GridVineSystem::resolve_patterns`]).
+#[derive(Default)]
+pub(crate) struct Reply {
+    /// Positions in the request's list of the patterns answered,
+    /// rising; the pattern the request was routed for — position 0 —
+    /// first.
+    pub(crate) answered: Vec<usize>,
+    /// Rows shipped per answered pattern and instance — one instance
+    /// per seed of the request's binding column, a single one when it
+    /// carries none — in the order the rows were appended.
+    pub(crate) shipped: Vec<usize>,
+}
+
+impl Reply {
+    fn clear(&mut self) {
+        self.answered.clear();
+        self.shipped.clear();
+    }
 }
 
 /// A hop a [`ClosureSweep`] knows and has not popped yet.
@@ -447,10 +471,11 @@ struct LiveWalk {
 /// Incremental closure expansion of one schema'd pattern — the single
 /// implementation behind both consumers: the session drives it one
 /// [`ClosureSweep::resolve_next`] per pull (with
-/// [`ClosureSweep::expand_pending`] skipped on early termination), the
-/// bulk join sweep drains it in a loop. Both observe the identical hop
-/// sequence, requests and cache interactions, so their accounting
-/// agrees by construction.
+/// [`ClosureSweep::expand_pending`] skipped on early termination), a
+/// join pattern's sweep (`GridVineSystem::sweep_pattern_network`)
+/// drains it in a loop, one unit for the whole pattern. Both observe
+/// the identical hop sequence, requests and cache interactions, so
+/// their accounting agrees by construction.
 ///
 /// A sweep is a stack of known hops. A **live walk** over DHT-fetched
 /// mapping lists starts from the origin hop, pushes what each expansion
@@ -481,9 +506,8 @@ struct Frontier {
     /// far — a hop that keeps its subject or object constant across a
     /// predicate rewrite shares its entry with the hop it came from.
     keys: Vec<RoutedBy>,
-    /// Per-request scratch, kept for its allocation: what
-    /// [`GridVineSystem::resolve_patterns`] answered.
-    answered: Vec<(usize, usize)>,
+    /// Per-request scratch, kept for its allocation.
+    reply: Reply,
 }
 
 impl Frontier {
@@ -541,20 +565,21 @@ pub(crate) struct Expansion {
     pub(crate) admitted: Vec<SchemaId>,
 }
 
-/// Fold one hop a request resolved — at `depth`, shipping `shipped`
-/// rows, or `None` if the request it was routed for failed — into a
-/// consumer's counters: the one charging rule both the session and the
-/// bulk sweep apply, so their accounting cannot drift.
-/// `bindings_shipped` is charged by the consumer (it decides whether
-/// bindings are shipped per hop or aggregated per sweep).
-pub(crate) fn charge_hop(stats: &mut ExecStats, depth: usize, shipped: Option<usize>) {
-    stats.subqueries += 1;
-    stats.schemas_visited += 1;
+/// Fold one hop a request resolved at `depth` — for `instances`
+/// instances of its pattern: one per seed of the request's binding
+/// column, one when it carried none — into a consumer's counters;
+/// `answered` is false if the request it was routed for failed, which
+/// fails every instance. The one charging rule both the session and
+/// the join sweep apply, so their accounting cannot drift.
+/// `bindings_shipped` is charged by the consumer, per reply.
+pub(crate) fn charge_hop(stats: &mut ExecStats, depth: usize, instances: usize, answered: bool) {
+    stats.subqueries += instances;
+    stats.schemas_visited += instances;
     if depth > 0 {
-        stats.reformulations += 1;
+        stats.reformulations += instances;
     }
-    if shipped.is_none() {
-        stats.failures += 1;
+    if !answered {
+        stats.failures += instances;
     }
 }
 
@@ -627,21 +652,26 @@ impl ClosureSweep {
     /// rows to `out` (expansion deferred to
     /// [`ClosureSweep::expand_pending`], so an early-terminating caller
     /// never pays for discovery it will not use). The request lists the
-    /// popped hop and every queued hop of the same issuer; `resolved`
-    /// is told each hop its destination answered and how many rows it
-    /// shipped, in pop order — the order their rows have in `out` — or
-    /// the popped hop alone with `None` if the request failed (the hops
-    /// it merely listed stay queued and go out on their own). It is
-    /// told nothing when the popped hop of a live walk had ridden an
-    /// earlier request: nothing is sent, and its expansion is pending
-    /// as for any other hop. Every hop's pattern differs from the
-    /// sweep's only in its predicate constant, so all hops share
-    /// `out`'s header. Returns `false` once the sweep is drained.
+    /// popped hop and every queued hop of the same issuer, and carries
+    /// `seeds` (the binding column of a bound join; empty otherwise);
+    /// `resolved` is told each hop its destination answered and how
+    /// many rows it shipped per instance (per seed, or the one count of
+    /// a request without a column), in pop order — the order their rows
+    /// have in `out` — or the popped hop alone with `None` if the
+    /// request failed (the hops it merely listed stay queued and go out
+    /// on their own). So it hears of at least one hop whenever a
+    /// request was sent, and of nothing when the popped hop of a live
+    /// walk had ridden an earlier request: nothing is sent, and its
+    /// expansion is pending as for any other hop. Every hop's pattern
+    /// differs from the sweep's only in its predicate constant, so all
+    /// hops (and all their instances) share `out`'s header. Returns
+    /// `false` once the sweep is drained.
     pub(crate) fn resolve_next(
         &mut self,
         sys: &mut GridVineSystem,
+        seeds: &[Binding],
         out: &mut BindingBatch,
-        mut resolved: impl FnMut(&Hop, Option<usize>),
+        mut resolved: impl FnMut(&Hop, Option<&[usize]>),
     ) -> bool {
         let Some(popped) = self.frontier.hops.pop() else {
             return false;
@@ -654,34 +684,32 @@ impl ClosureSweep {
             live.record.1.push(CachedHop::record(&popped.hop));
         }
         if !popped.answered {
-            let Frontier {
-                hops,
-                keys,
-                answered,
-            } = &mut self.frontier;
+            let Frontier { hops, keys, reply } = &mut self.frontier;
             // In pop order: back to front.
             let rides = |q: &Queued| !q.answered && q.issuer == popped.issuer;
             let riders = hops.iter().rev().filter(|q| rides(q));
             let riders = riders.map(|q| q.listed(keys));
-            answered.clear();
-            match sys.resolve_patterns(popped.issuer, popped.listed(keys), riders, out, answered) {
+            reply.clear();
+            let first = popped.listed(keys);
+            match sys.resolve_patterns(popped.issuer, first, riders, seeds, out, reply) {
                 Ok(()) => {
                     // `answered` names positions in the list, rising:
                     // walk the same riders again beside it.
-                    let mut next = answered.iter().copied().peekable();
-                    if let Some((_, shipped)) = next.next_if(|&(i, _)| i == 0) {
+                    let per_pattern = reply.shipped.chunks(seeds.len().max(1));
+                    let mut next = reply.answered.iter().zip(per_pattern).peekable();
+                    if let Some((_, shipped)) = next.next_if(|&(&i, _)| i == 0) {
                         resolved(&popped.hop, Some(shipped));
                     }
                     let riders = hops.iter_mut().rev().filter(|q| rides(q));
                     for (rider, position) in riders.zip(1..) {
-                        if let Some((_, shipped)) = next.next_if(|&(i, _)| i == position) {
+                        if let Some((_, shipped)) = next.next_if(|&(&i, _)| i == position) {
                             rider.answered = true;
                             resolved(&rider.hop, Some(shipped));
                         } else if next.peek().is_none() {
                             break;
                         }
                     }
-                    if self.live.is_none() && answered.len() > 1 {
+                    if self.live.is_none() && reply.answered.len() > 1 {
                         // Nothing is left to do for a replayed hop
                         // once it is answered.
                         hops.retain(|q| !q.answered);
@@ -832,26 +860,40 @@ impl GridVineSystem {
         }
     }
 
-    /// One data `Retrieve` from `origin`, carrying a list of patterns:
-    /// `first`, then `rest`. It is routed by the key of `first` and
-    /// charged as a `Retrieve` is — one message per forwarding edge,
-    /// one response, one exchange through the retry protocol — however
-    /// many patterns it lists. The peer it lands on answers every
+    /// One data `Retrieve` from `origin`, carrying a list of patterns —
+    /// `first`, then `rest` — and a binding column, `seeds` (empty: no
+    /// column, each pattern stands for itself; otherwise each pattern
+    /// stands for its instances, one [`TriplePattern::substitute`] per
+    /// seed). It is routed by the key of `first` and charged as a
+    /// `Retrieve` is — one message per forwarding edge, one response,
+    /// one exchange through the retry protocol — however many patterns
+    /// it lists and seeds it carries. The peer it lands on answers every
     /// listed pattern whose key lies under its own path, which is all a
     /// destination knows about its responsibility: one scan of its
-    /// `DB_p` per answered pattern, appended to `out` (whose header is
-    /// the patterns' shared variables) in list order. Appends
-    /// `(position in the list, rows shipped)` per answered pattern to
-    /// `answered`, `first` — position 0 — first. On `Err` nothing was
-    /// answered and nothing is appended.
+    /// `DB_p` per answered pattern and instance, appended to `out`
+    /// (whose header is the instances' shared variables) in list order,
+    /// seed by seed, and says in `reply` what it answered and how many
+    /// rows each instance shipped. On `Err` nothing was answered and
+    /// nothing is appended.
     pub(crate) fn resolve_patterns<'a>(
         &mut self,
         origin: PeerId,
         first: Listed<'a>,
         rest: impl Iterator<Item = Listed<'a>>,
+        seeds: &[Binding],
         out: &mut BindingBatch,
-        answered: &mut Vec<(usize, usize)>,
+        reply: &mut Reply,
     ) -> Result<(), SystemError> {
+        let mut answer = |db: &TripleStore, position: usize, pattern: &TriplePattern| {
+            reply.answered.push(position);
+            if seeds.is_empty() {
+                reply.shipped.push(db.match_into(pattern, out));
+            }
+            for seed in seeds {
+                let instance = pattern.substitute(seed);
+                reply.shipped.push(db.match_into(&instance, out));
+            }
+        };
         let Some(key) = &first.routed.key else {
             // Replica-aware path: a placement rule covers this key, so
             // serve from the lowest-expected-latency live holder and
@@ -861,10 +903,7 @@ impl GridVineSystem {
             let dest = self
                 .replica_route(origin, first.routed.term.lexical())
                 .expect("a term without a key is covered by a placement rule")?;
-            answered.push((
-                0,
-                self.local_dbs[dest.index()].match_into(first.pattern, out),
-            ));
+            answer(&self.local_dbs[dest.index()], 0, first.pattern);
             return Ok(());
         };
         let route = self.overlay.route(origin, key, &mut self.rng)?;
@@ -880,7 +919,7 @@ impl GridVineSystem {
                 .as_ref()
                 .is_some_and(|k| view.is_responsible(k))
             {
-                answered.push((i, db.match_into(l.pattern, out)));
+                answer(db, i, l.pattern);
             }
         }
         Ok(())
@@ -916,43 +955,69 @@ impl GridVineSystem {
         }
     }
 
-    /// Resolve a pattern over the mapping network: answer it in its own
-    /// schema, then in every schema reachable through active mappings
-    /// (within the TTL), aggregating bindings. Patterns whose predicate
-    /// is a variable (or does not name a schema) are resolved once,
-    /// without reformulation — there is no schema to translate from.
+    /// Resolve a join pattern over the mapping network: answer it in
+    /// its own schema, then in every schema reachable through active
+    /// mappings (within the TTL) — the [`ClosureSweep`] a closure plan
+    /// runs, drained in a loop, recording and replaying the same cache
+    /// entries. A pattern whose predicate is a variable (or does not
+    /// name a schema) has no schema to translate from and is one
+    /// request, without reformulation.
     ///
-    /// Under the iterative strategy the fully-expanded closure is
-    /// memoized in the system's epoch-keyed
-    /// [`ClosureCache`](gridvine_semantic::ClosureCache): while the
-    /// mapping network is unchanged, a repeated sweep replays the
-    /// recorded hops from the origin — identical resolutions, identical
-    /// result bindings, but no mapping-list retrieves at all. This is
-    /// the bulk (join-pattern) twin of the session's incremental
-    /// closure state; both record and replay the same cache entries.
+    /// Every data request carries `seeds`, the binding column of a
+    /// bound join (empty for an independent one): a hop answered is
+    /// answered for every seed, a hop whose request failed has failed
+    /// for every seed, and the counters move once per (hop, seed). So
+    /// the hops are `pattern`'s — its requests route by *its* routing
+    /// constants, never by what a seed would put into a variable — and
+    /// `pattern` has a closure of its own only while the seeds leave
+    /// its predicate alone, which is the caller's to see to. If it has
+    /// nothing to route by, its instances go out by what the seeds make
+    /// of them (`resolve_instances`).
+    ///
+    /// Replies append to `out`, whose header is the variables an
+    /// instance leaves unbound. After each, `reply` is handed `out` and
+    /// the rows the reply shipped per answered (hop, seed), in row
+    /// order — `shipped[i]` belongs to seed `i % seeds.len()`, and the
+    /// reply's rows are the last `Σ shipped` of `out` — to take them or
+    /// leave them to accumulate; it returns whether to go on: on
+    /// `false` no further request is sent, and the truncated walk
+    /// commits nothing to the closure cache.
+    #[allow(clippy::too_many_arguments)] // one call site per join mode
     pub(crate) fn sweep_pattern_network(
         &mut self,
         origin: PeerId,
         pattern: &TriplePattern,
+        seeds: &[Binding],
         strategy: Strategy,
         ttl: usize,
-    ) -> Result<NetSweep, SystemError> {
-        let mut net = NetSweep {
-            batch: BindingBatch::for_pattern(pattern),
-            stats: ExecStats::default(),
+        stats: &mut ExecStats,
+        out: &mut BindingBatch,
+        mut reply: impl FnMut(&mut BindingBatch, &[usize]) -> bool,
+    ) -> Result<(), SystemError> {
+        let instances = seeds.len().max(1);
+        // What one request lists of the column.
+        let carried: usize = seeds.iter().map(Binding::len).sum();
+        let Some((_, term)) = pattern.routing_constant() else {
+            if seeds.is_empty() {
+                return Err(SystemError::NotRoutable);
+            }
+            return self.resolve_instances(origin, pattern, seeds, stats, out, reply);
         };
         let Ok((origin_schema, attr)) = gridvine_semantic::pattern_schema(pattern) else {
             // Un-schema'd pattern: a request listing it alone.
-            net.stats.subqueries = 1;
-            let (_, term) = pattern.routing_constant().ok_or(SystemError::NotRoutable)?;
             let routed = self.routed_by(term);
             let alone = Listed {
                 pattern,
                 routed: &routed,
             };
+            let mut answered = Reply::default();
             let none = std::iter::empty();
-            self.resolve_patterns(origin, alone, none, &mut net.batch, &mut Vec::new())?;
-            return Ok(net);
+            self.resolve_patterns(origin, alone, none, seeds, out, &mut answered)?;
+            stats.subqueries += instances;
+            stats.bindings_shipped += answered.shipped.iter().sum::<usize>();
+            stats.bindings_carried += carried;
+            reply(out, &answered.shipped);
+            return Ok(());
         };
         let mut sweep = ClosureSweep::open(
             self,
@@ -962,13 +1027,83 @@ impl GridVineSystem {
             attr,
             strategy,
             ttl,
-            &mut net.stats,
+            stats,
         );
-        let NetSweep { batch, stats } = &mut net;
-        while sweep.resolve_next(self, batch, |hop, n| charge_hop(stats, hop.depth, n)) {
+        let mut shipped = Vec::new();
+        loop {
+            let mut hops = 0;
+            shipped.clear();
+            let popped = sweep.resolve_next(self, seeds, out, |hop, rows| {
+                hops += 1;
+                charge_hop(stats, hop.depth, instances, rows.is_some());
+                shipped.extend_from_slice(rows.unwrap_or_default());
+            });
+            if !popped {
+                return Ok(());
+            }
+            if hops > 0 {
+                stats.bindings_shipped += shipped.iter().sum::<usize>();
+                stats.bindings_carried += carried;
+                // Dropping the sweep with its popped hop unexpanded is
+                // `discard_pending`: nothing is committed.
+                if !reply(out, &shipped) {
+                    return Ok(());
+                }
+            }
             sweep.expand_pending(self, origin, strategy, ttl, stats)?;
         }
-        Ok(net)
+    }
+
+    /// The instances of a bound pattern that has no routing constant of
+    /// its own (`(?s, ?p, ?o)` with `?s` bound): no closure — the
+    /// predicate is a variable — and no common key, so each instance
+    /// routes by the constants its seed put in. They are one list: the
+    /// request of the first instance not yet answered lists the others,
+    /// and the peer it lands on answers those under its path. An
+    /// instance with nothing to route by is a recorded failure.
+    fn resolve_instances(
+        &mut self,
+        origin: PeerId,
+        pattern: &TriplePattern,
+        seeds: &[Binding],
+        stats: &mut ExecStats,
+        out: &mut BindingBatch,
+        mut reply: impl FnMut(&mut BindingBatch, &[usize]) -> bool,
+    ) -> Result<(), SystemError> {
+        let instances: Vec<TriplePattern> = seeds.iter().map(|s| pattern.substitute(s)).collect();
+        let routed: Vec<Option<RoutedBy>> = instances
+            .iter()
+            .map(|i| Some(self.routed_by(i.routing_constant()?.1)))
+            .collect();
+        let mut todo: Vec<bool> = routed.iter().map(Option::is_some).collect();
+        stats.failures += todo.iter().filter(|&&routable| !routable).count();
+        let mut answered = Reply::default();
+        loop {
+            // Seed indices, rising, of the instances still to answer.
+            let open: Vec<usize> = (0..seeds.len()).filter(|&i| todo[i]).collect();
+            let Some((&first, rest)) = open.split_first() else {
+                break;
+            };
+            let listed = |&i: &usize| Listed {
+                pattern: &instances[i],
+                routed: routed[i].as_ref().expect("routable instances only"),
+            };
+            answered.clear();
+            let rest = rest.iter().map(listed);
+            self.resolve_patterns(origin, listed(&first), rest, &[], out, &mut answered)?;
+            stats.subqueries += answered.answered.len();
+            stats.bindings_shipped += answered.shipped.iter().sum::<usize>();
+            stats.bindings_carried += open.iter().map(|&i| seeds[i].len()).sum::<usize>();
+            let mut shipped = vec![0; seeds.len()];
+            for (&position, &rows) in answered.answered.iter().zip(&answered.shipped) {
+                shipped[open[position]] = rows;
+                todo[open[position]] = false;
+            }
+            if !reply(out, &shipped) {
+                break;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -1255,5 +1390,208 @@ mod tests {
                 assert_eq!(solo.random_peer(), pooled.random_peer());
             }
         }
+    }
+
+    /// [`star`] plus a join corpus: thirty subjects that all are
+    /// `"many"`, the first three also `"few"`, each with one lab under
+    /// the `a`-attribute of one of the four schemas in turn (so a
+    /// closure over `Apple#a` finds them under four leaves) — the first
+    /// subject's also, a second time, under Guava's — and a city for
+    /// that lab.
+    fn join_star() -> GridVineSystem {
+        join_star_placed(PlacementPolicy::default())
+    }
+
+    fn join_star_placed(placement: PlacementPolicy) -> GridVineSystem {
+        let mut sys = star("a", placement);
+        let mut insert = |s: &str, p: String, o: Term| {
+            sys.insert_triple(ORIGIN, Triple::new(s, p.as_str(), o))
+                .unwrap();
+        };
+        for i in 0..30 {
+            let subject = format!("seq:J{i:02}");
+            insert(&subject, "Apple#b".into(), Term::literal("many"));
+            if i < 3 {
+                insert(&subject, "Apple#b".into(), Term::literal("few"));
+            }
+            let lab = Term::uri(format!("lab:{i:02}"));
+            insert(&subject, format!("{}#a", SCHEMAS[i % 4]), lab);
+        }
+        insert("seq:J00", "Guava#a".into(), Term::uri("lab:00"));
+        insert("lab:00", "Apple#c".into(), Term::literal("Lausanne"));
+        sys
+    }
+
+    /// `(?x, Apple#b, selector) ∧ (?x, Apple#a, ?lab)`, and with
+    /// `chain` `∧ (?lab, Apple#c, ?city)`.
+    fn join_of(selector: &str, chain: bool) -> QueryPlan {
+        let var = PatternTerm::var;
+        let uri = |u: &str| PatternTerm::constant(Term::uri(u));
+        let selector = PatternTerm::constant(Term::literal(selector));
+        let mut patterns = vec![
+            TriplePattern::new(var("x"), uri("Apple#b"), selector),
+            TriplePattern::new(var("x"), uri("Apple#a"), var("lab")),
+        ];
+        let mut distinguished = vec!["x".to_string(), "lab".to_string()];
+        if chain {
+            patterns.push(TriplePattern::new(var("lab"), uri("Apple#c"), var("city")));
+            distinguished.push("city".to_string());
+        }
+        QueryPlan::conjunctive(
+            gridvine_rdf::ConjunctiveQuery::new(distinguished, patterns).unwrap(),
+        )
+    }
+
+    fn bound() -> QueryOptions {
+        QueryOptions::new().join_mode(JoinMode::BoundSubstitution)
+    }
+
+    fn independent() -> QueryOptions {
+        QueryOptions::new().join_mode(JoinMode::Independent)
+    }
+
+    /// The `Stats` delta closing each unit.
+    fn deltas(units: &[Vec<ResultEvent>]) -> Vec<ExecStats> {
+        let stats = units.iter().map(|unit| match unit.last() {
+            Some(ResultEvent::Stats(delta)) => *delta,
+            other => panic!("a unit ends with its Stats, not {other:?}"),
+        });
+        stats.collect()
+    }
+
+    #[test]
+    fn a_bound_pattern_is_one_sweep_however_many_rows_it_is_bound_to() {
+        // Identically seeded twins holding the same corpus: which
+        // selector the first pattern asks for decides how many partial
+        // solutions the second is bound to, and nothing else.
+        let few = join_star().execute(ORIGIN, &join_of("few", false), &bound());
+        let many = join_star().execute(ORIGIN, &join_of("many", false), &bound());
+        let (few, many) = (few.unwrap(), many.unwrap());
+        assert_eq!((few.rows.len(), many.rows.len()), (3, 30));
+        assert_eq!(few.stats.requests, many.stats.requests);
+        assert_eq!(few.stats.messages, many.stats.messages);
+        assert_eq!(few.stats.mapping_fetches, many.stats.mapping_fetches);
+        // One instance per hop and seed.
+        assert_eq!(few.stats.subqueries, 1 + 4 * 3);
+        assert_eq!(many.stats.subqueries, 1 + 4 * 30);
+        assert_eq!(many.stats.reformulations, 3 * 30);
+        // No request more than the sweeps of the unbound patterns.
+        let unbound = join_star().execute(ORIGIN, &join_of("many", false), &independent());
+        let unbound = unbound.unwrap();
+        assert_eq!(unbound.rows, many.rows);
+        assert!(many.stats.requests <= unbound.stats.requests);
+        assert_eq!(many.stats.messages, unbound.stats.messages);
+        assert_eq!(unbound.stats.subqueries, 1 + 4);
+    }
+
+    #[test]
+    fn bindings_carried_counts_the_seed_terms_on_data_requests() {
+        let sys = &mut join_star();
+        for run in ["cold", "warm"] {
+            let (units, out) = units(sys, &join_of("few", false), &bound());
+            let [first, second] = deltas(&units)[..] else {
+                panic!("{run}: one unit per bound pattern, not {}", units.len());
+            };
+            // The first pattern is bound to nothing. Every data request
+            // of the second carries three seeds of one variable.
+            assert_eq!(first.bindings_carried, 0, "{run}");
+            let data_requests = second.requests - second.mapping_fetches;
+            assert_eq!(data_requests, 4, "{run}: four leaves");
+            assert_eq!(second.bindings_carried, 3 * data_requests, "{run}");
+            assert_eq!(out.stats.bindings_carried, second.bindings_carried);
+            assert_eq!(second.bindings_shipped, 3 + 1, "{run}");
+        }
+        let unbound = sys.execute(ORIGIN, &join_of("few", false), &independent());
+        assert_eq!(unbound.unwrap().stats.bindings_carried, 0);
+        let search = sys.execute(ORIGIN, &by_object(), &QueryOptions::default());
+        assert_eq!(search.unwrap().stats.bindings_carried, 0);
+    }
+
+    #[test]
+    fn a_failed_bound_request_fails_its_hop_once_per_seed() {
+        let sys = &mut join_star();
+        let down = leaf_of(sys, "Mango#a");
+        assert_eq!(down, leaf_of(sys, "Mango"), "its discovery lands there too");
+        assert_ne!(down, ORIGIN);
+        sys.crash_peer(down);
+        let plan = join_of("few", false);
+        let out = sys.execute(ORIGIN, &plan, &bound()).unwrap();
+        // Mango's hop fails for each of the three seeds, and its
+        // discovery once; the hops under the other three leaves answer.
+        assert_eq!(out.stats.failures, 3 + 1);
+        assert_eq!(out.stats.subqueries, 1 + 4 * 3);
+        assert_eq!(out.terms("x"), ["seq:J00", "seq:J01"].map(Term::uri));
+        // The first pattern's walk is memoized; the second's is tainted.
+        assert_eq!(sys.cached_closures(), 1);
+
+        sys.recover_peer(down);
+        let healed = sys.execute(ORIGIN, &plan, &bound()).unwrap();
+        assert_eq!(healed.stats.failures, 0);
+        assert_eq!(
+            healed.terms("x"),
+            ["seq:J00", "seq:J01", "seq:J02"].map(Term::uri)
+        );
+        assert_eq!(sys.cached_closures(), 2);
+    }
+
+    #[test]
+    fn a_limit_inside_a_bound_pattern_ends_its_sweep() {
+        let plan = join_of("many", false);
+        let full_sys = &mut join_star();
+        let full = full_sys.execute(ORIGIN, &plan, &bound()).unwrap();
+        assert_eq!(full_sys.cached_closures(), 2);
+
+        let sys = &mut join_star();
+        let limited = sys.execute(ORIGIN, &plan, &bound().limit(2)).unwrap();
+        assert_eq!(limited.rows.len(), 2);
+        assert!(limited.rows.iter().all(|row| full.rows.contains(row)));
+        // The reply of the first hop holds enough rows: no other hop's
+        // request, and no discovery, is sent, and the reply is charged
+        // whole — eight subjects have their lab under Apple.
+        assert!(limited.stats.requests < full.stats.requests);
+        assert_eq!(limited.stats.requests, 2 + 1);
+        assert_eq!(limited.stats.bindings_shipped, 30 + 8);
+        assert_eq!(limited.stats.subqueries, 1 + 30);
+        // The truncated walk is not memoized; the first pattern's is.
+        assert_eq!(sys.cached_closures(), 1);
+        assert_eq!(sys.pending_events(), 0);
+    }
+
+    #[test]
+    fn duplicate_fragments_stay_duplicates_until_the_projection() {
+        let plan = join_of("few", true);
+        let sys = &mut join_star();
+        let (units, out) = units(sys, &plan, &bound());
+        let [_, second, third] = deltas(&units)[..] else {
+            panic!("one unit per bound pattern, not {}", units.len());
+        };
+        // `seq:J00`'s lab comes back through Apple's hop and through
+        // Guava's: four partial rows for three distinct labs, so three
+        // seeds for the third pattern (whose closure is Apple alone).
+        assert_eq!(second.bindings_shipped, 3 + 1);
+        assert_eq!(third.subqueries, 3);
+        assert_eq!(third.bindings_carried, 3);
+        // Both copies complete; the projection keeps one.
+        assert_eq!(third.bindings_shipped, 1);
+        assert_eq!(out.rows.len(), 1);
+        assert_eq!(out.rows[0].get("city"), Some(&Term::literal("Lausanne")));
+        let unbound = join_star().execute(ORIGIN, &plan, &independent()).unwrap();
+        assert_eq!(out.rows, unbound.rows);
+    }
+
+    #[test]
+    fn a_placed_bound_hop_takes_the_whole_column_on_one_exchange() {
+        let plan = join_of("many", false);
+        let free = join_star().execute(ORIGIN, &plan, &bound()).unwrap();
+        let rule = PlacementPolicy::new().replicate("Mango#", 2);
+        let placed = join_star_placed(rule)
+            .execute(ORIGIN, &plan, &bound())
+            .unwrap();
+        assert_eq!(placed.rows, free.rows);
+        // One exchange with a Mango holder for all thirty seeds.
+        assert_eq!((placed.stats.replica_hits, free.stats.replica_hits), (1, 0));
+        assert_eq!(placed.stats.requests, free.stats.requests);
+        assert_eq!(placed.stats.subqueries, free.stats.subqueries);
+        assert_eq!(placed.stats.bindings_carried, free.stats.bindings_carried);
     }
 }

@@ -12,10 +12,12 @@
 //! reply answers every listed pattern the destination is responsible
 //! for (see [`super::exec`]), so a unit may resolve several closure
 //! hops; a hop resolved by another hop's unit never becomes a unit of
-//! its own. Independent closure hops, prefix probes and
-//! bound-join groups pipeline; dependent work (a hop's children wait
-//! for its mapping discovery, a bound pattern waits for its
-//! predecessor's rows) is serialized through per-unit ready times.
+//! its own. A join pattern — its whole sweep of the mapping network,
+//! with the binding column a bound join's requests carry — is one
+//! unit. Independent closure hops, prefix probes and the pattern
+//! sweeps of an independent join pipeline; dependent work (a hop's
+//! children wait for its mapping discovery, a bound pattern waits for
+//! its predecessor's rows) is serialized through per-unit ready times.
 //!
 //! ## Determinism and equivalence, by construction
 //!

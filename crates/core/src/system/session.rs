@@ -28,8 +28,8 @@
 //! message count are therefore identical for every window size, by
 //! construction. Dependencies serialize through per-unit ready times:
 //! a closure hop's request can only be sent once the mapping
-//! discovery that revealed it completed; a bound-join pattern's groups
-//! wait for their predecessor pattern's rows; prefix probes and warm
+//! discovery that revealed it completed; a bound-join pattern's sweep
+//! waits for its predecessor pattern's rows; prefix probes and warm
 //! cache replays are fully independent and pipeline `window`-wide.
 //!
 //! A data request is a pattern *list* (see the
@@ -43,6 +43,18 @@
 //! on to its mapping discovery. It was queued, hence ready, no later
 //! than the hop whose request carried it, so the unit's ready time is
 //! that hop's.
+//!
+//! A join pattern is **one unit**, in either [`JoinMode`]: the whole
+//! sweep of the pattern over the mapping network — every data request
+//! and mapping discovery of its closure walk — is issued by one pull
+//! and completes as one reply. An independent join's sweeps are ready
+//! at session start and overlap; a bound join's wait for each other
+//! through a barrier, because the requests of pattern *n* + 1 carry the
+//! binding column that pattern *n*'s rows make (see the
+//! [executor docs](crate::system::exec)). However many partial
+//! solutions a bound pattern is substituted with, it is one sweep and
+//! one unit: the substitutions ride the requests, they do not multiply
+//! them.
 //!
 //! Early termination is structural, not cosmetic: a subquery is only
 //! issued by a pull, so dropping the session — or hitting the
@@ -74,7 +86,9 @@
 //!
 //! * [`ResultEvent::Rows`] — fresh **distinct** solution rows
 //!   (projected onto the distinguished variables), in discovery order
-//!   (request by request; within a closure reply, hop by hop).
+//!   (request by request; within a closure reply, hop by hop; within a
+//!   hop of a bound join's last pattern, seed by seed — one `Rows` per
+//!   reply that completed any, all inside the pattern's unit).
 //!   A row is never repeated across batches. These are the only
 //!   [`Binding`]s a session builds: destinations ship columnar
 //!   [`BindingBatch`]es, projection and dedup run on their terms (or,
@@ -87,8 +101,8 @@
 //!   Emitted by single-pattern closure plans, one per hop a request
 //!   answered (or failed for), each followed by that hop's `Rows` if
 //!   it had fresh ones — several per unit when hops rode the request;
-//!   join plans run their per-pattern sweeps as whole units and report
-//!   them via `Stats`.
+//!   join plans run each pattern's sweep as a whole unit and report it
+//!   via `Stats`.
 //! * [`ResultEvent::Stats`] — the [`ExecStats`] *delta* of the unit
 //!   (messages, subqueries, reformulations, …) since the previous
 //!   unit. Summing the deltas of a drained session reproduces
@@ -149,7 +163,7 @@
 
 use super::conjunctive::JoinMode;
 use super::exec::{
-    charge_hop, one_var_row, ClosureSweep, ExecStats, Listed, QueryOptions, QueryOutcome,
+    charge_hop, one_var_row, ClosureSweep, ExecStats, Listed, QueryOptions, QueryOutcome, Reply,
 };
 use super::pool::SessionId;
 use super::sched::QueuedReply;
@@ -157,7 +171,7 @@ use super::*;
 use crate::plan::{object_prefix_core, QueryPlan};
 use gridvine_netsim::{SimDuration, SimTime};
 use gridvine_rdf::join::{hash_join_rows, TermInterner, VarTable, UNBOUND};
-use gridvine_rdf::{Binding, BindingBatch, ConjunctiveQuery};
+use gridvine_rdf::{Binding, BindingBatch, ConjunctiveQuery, PatternTerm, TriplePattern};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// One increment of a [`QuerySession`] (see the module docs).
@@ -186,11 +200,23 @@ enum RowOrder {
     ByDisplay,
 }
 
-/// Group queue of one bound-substitution pattern: rows agreeing on the
-/// pattern's already-bound variables share one substituted instance.
-struct Groups {
-    bound_slots: Vec<(usize, String)>,
-    queue: VecDeque<(usize, Vec<usize>)>,
+/// The share of a bound pattern's partial solutions that one sweep of
+/// the mapping network answers: those whose substitutions leave the
+/// pattern the same predicate, hence the same closure.
+struct BoundPart {
+    /// The pattern as every request of the sweep lists it. It is the
+    /// query's pattern unless its predicate is a variable the partial
+    /// solutions bind: then the part's predicate is substituted, which
+    /// is what gives it a schema and a closure of its own.
+    template: TriplePattern,
+    /// The binding column the requests carry: one seed per distinct
+    /// substitution the part's rows make of the template's bound
+    /// variables, in first-seen order.
+    seeds: Vec<Binding>,
+    /// Per seed, the partial rows (indices into [`JoinState::rows`])
+    /// that agree on it — its group: a row shipped for the seed joins
+    /// each of them.
+    members: Vec<Vec<usize>>,
 }
 
 /// Per-pattern progress of a join plan.
@@ -202,15 +228,11 @@ enum JoinPhase {
         next_pattern: usize,
         sets: Vec<Vec<Vec<u64>>>,
     },
-    /// Bound substitution in the planner's order: one substituted-group
-    /// resolution per unit; rows complete at the last pattern. Groups
-    /// of one pattern are independent (they pipeline); each pattern
-    /// waits for its predecessor through the barrier.
-    Bound {
-        oi: usize,
-        groups: Option<Groups>,
-        next: Vec<Vec<u64>>,
-    },
+    /// Bound substitution in the planner's order: one sweep per
+    /// pattern, carrying the partial solutions' binding column, per
+    /// unit; rows complete at the last pattern. Each pattern waits for
+    /// its predecessor's rows through the barrier.
+    Bound { oi: usize },
 }
 
 /// Join-plan execution state: the hash-join binding engine of
@@ -225,14 +247,18 @@ struct JoinState {
     /// Partial solution rows (term-code vectors over the variable slots).
     rows: Vec<Vec<u64>>,
     phase: JoinPhase,
-    /// Scheduler ready time of the current bound pattern's groups: the
-    /// completion instant of the predecessor pattern's last unit.
+    /// Scheduler ready time of the current bound pattern's sweep: the
+    /// completion instant of the predecessor pattern's unit.
     barrier: SimTime,
-    /// π onto the distinguished variables: slots into `rows`' layout and
-    /// the projected table; `seen` dedups on projected codes before any
-    /// term is materialized.
+    projection: Projection,
+}
+
+/// π onto a join's distinguished variables.
+struct Projection {
+    /// Slots into the join rows' layout, and the projected table.
     slots: Vec<usize>,
     proj: VarTable,
+    /// Dedups on projected codes before any term is materialized.
     seen: BTreeSet<Vec<u64>>,
 }
 
@@ -278,7 +304,7 @@ enum Stamp {
     /// A discovery completed: the listed schemas' hops become ready at
     /// this unit's completion instant.
     Schemas(Vec<SchemaId>),
-    /// A bound-join pattern finished: the next pattern's groups become
+    /// A bound-join pattern finished: the next pattern's sweep becomes
     /// ready at the max completion over everything issued so far.
     Barrier,
 }
@@ -488,11 +514,7 @@ impl SessionCore {
                         next_pattern: 0,
                         sets: Vec::with_capacity(query.patterns.len()),
                     },
-                    JoinMode::BoundSubstitution => JoinPhase::Bound {
-                        oi: 0,
-                        groups: None,
-                        next: Vec::new(),
-                    },
+                    JoinMode::BoundSubstitution => JoinPhase::Bound { oi: 0 },
                 };
                 State::Join(Box::new(JoinState {
                     query: query.clone(),
@@ -502,9 +524,11 @@ impl SessionCore {
                     rows,
                     phase,
                     barrier: started_at,
-                    slots,
-                    proj,
-                    seen: BTreeSet::new(),
+                    projection: Projection {
+                        slots,
+                        proj,
+                        seen: BTreeSet::new(),
+                    },
                 }))
             }
         };
@@ -728,6 +752,7 @@ impl SessionCore {
             schemas_visited: cur.schemas_visited - prev.schemas_visited,
             failures: cur.failures - prev.failures,
             bindings_shipped: cur.bindings_shipped - prev.bindings_shipped,
+            bindings_carried: cur.bindings_carried - prev.bindings_carried,
             mapping_fetches: cur.mapping_fetches - prev.mapping_fetches,
             max_in_flight: cur.max_in_flight - prev.max_in_flight,
             cache_hits: cur.cache_hits - prev.cache_hits,
@@ -844,8 +869,9 @@ impl SessionCore {
             routed: &routed,
         };
         let mut shipped = BindingBatch::for_pattern(&query.pattern);
-        let none = std::iter::empty();
-        sys.resolve_patterns(self.origin, alone, none, &mut shipped, &mut Vec::new())?;
+        let (none, no_column) = (std::iter::empty(), &[]);
+        let reply = &mut Reply::default();
+        sys.resolve_patterns(self.origin, alone, none, no_column, &mut shipped, reply)?;
         self.stats.bindings_shipped += shipped.len();
         let var = &query.distinguished;
         let (batch, _) = self.admit_terms(
@@ -925,7 +951,7 @@ impl SessionCore {
         let mut rows = shipped.rows();
         let mut limit_hit = false;
         for hop in answered {
-            charge_hop(&mut self.stats, hop.depth, hop.shipped);
+            charge_hop(&mut self.stats, hop.depth, 1, hop.shipped.is_some());
             let n = hop.shipped.unwrap_or(0);
             self.stats.bindings_shipped += n;
             out.push(ResultEvent::SchemaHop {
@@ -970,12 +996,13 @@ impl SessionCore {
     ) -> Result<StepOutcome, SystemError> {
         if sweep.pending_schema().is_none() {
             let mut answered = Vec::new();
-            let popped = sweep.resolve_next(sys, shipped, |hop, n| {
+            // No column: one count per answered hop.
+            let popped = sweep.resolve_next(sys, &[], shipped, |hop, rows| {
                 answered.push(SweepHop {
                     schema: hop.schema.clone(),
                     depth: hop.depth,
                     quality: hop.quality,
-                    shipped: n,
+                    shipped: rows.map(|per_instance| per_instance.iter().sum()),
                 })
             });
             if !popped {
@@ -1009,33 +1036,9 @@ impl SessionCore {
         })
     }
 
-    /// Project completed join rows onto the distinguished variables,
-    /// dedup on codes, admit fresh rows. Returns `(batch, limit_hit)`.
-    fn admit_join_rows(
-        join: &mut JoinState,
-        completed: &[Vec<u64>],
-        rows: &mut Vec<Binding>,
-        limit: Option<usize>,
-    ) -> (Vec<Binding>, bool) {
-        let mut batch = Vec::new();
-        for row in completed {
-            let projected: Vec<u64> = join.slots.iter().map(|&s| row[s]).collect();
-            if !join.seen.insert(projected.clone()) {
-                continue;
-            }
-            let b = join.interner.decode(&projected, &join.proj);
-            rows.push(b.clone());
-            batch.push(b);
-            if limit.is_some_and(|k| rows.len() >= k) {
-                return (batch, true);
-            }
-        }
-        (batch, false)
-    }
-
-    /// [`QueryPlan::Join`]: one unit of join work — a full pattern
-    /// sweep or the local fold (independent mode), or one
-    /// substituted-group resolution (bound substitution).
+    /// [`QueryPlan::Join`]: one unit of join work — the sweep of one
+    /// pattern over the mapping network, or (independent mode) the
+    /// local fold.
     fn step_join(
         &mut self,
         sys: &mut GridVineSystem,
@@ -1066,6 +1069,7 @@ impl SessionCore {
             vars,
             rows: partial,
             phase,
+            projection,
             ..
         } = &mut *join;
         let JoinPhase::Independent { next_pattern, sets } = phase else {
@@ -1073,9 +1077,22 @@ impl SessionCore {
         };
         if *next_pattern < query.patterns.len() {
             let pattern = &query.patterns[*next_pattern];
-            let net = sys.sweep_pattern_network(self.origin, pattern, self.strategy, self.ttl)?;
-            net.charge(&mut self.stats);
-            sets.push(interner.encode_batch(net.batch, vars));
+            let (strategy, ttl) = (self.strategy, self.ttl);
+            // The bound sweep, with no column; the replies' rows are
+            // left to accumulate into the pattern's one binding set.
+            let mut rows = BindingBatch::for_pattern(pattern);
+            let accumulate = |_: &mut BindingBatch, _: &[usize]| true;
+            sys.sweep_pattern_network(
+                self.origin,
+                pattern,
+                &[],
+                strategy,
+                ttl,
+                &mut self.stats,
+                &mut rows,
+                accumulate,
+            )?;
+            sets.push(interner.encode_batch(rows, vars));
             *next_pattern += 1;
             return Ok(StepOutcome::Unit {
                 ready: self.started_at,
@@ -1093,9 +1110,10 @@ impl SessionCore {
             }
         }
         let ready = self.max_completion;
-        let (batch, _) = Self::admit_join_rows(join, &rows, &mut self.rows, self.limit);
-        if !batch.is_empty() {
-            out.push(ResultEvent::Rows(batch));
+        let mut fresh = Vec::new();
+        projection.admit(interner, &rows, &mut self.rows, self.limit, &mut fresh);
+        if !fresh.is_empty() {
+            out.push(ResultEvent::Rows(fresh));
         }
         Ok(StepOutcome::Unit {
             ready,
@@ -1104,12 +1122,16 @@ impl SessionCore {
         })
     }
 
-    /// Bound substitution: resolve one substituted instance (one group
-    /// of rows agreeing on the pattern's bound variables). Groups of
-    /// one pattern are independent units sharing the pattern's barrier
-    /// ready time; rows complete at the last pattern of the planner's
-    /// order — reaching the result limit there skips every remaining
-    /// group, so the leftover subqueries are never issued.
+    /// Bound substitution: resolve the next pattern of the planner's
+    /// order for every partial solution at once — one sweep of the
+    /// mapping network whose requests carry the binding column (one per
+    /// [`BoundPart`]; a part per substituted predicate, so one unless
+    /// the pattern's predicate is a bound variable). Each reply says
+    /// how many rows it ships per (hop, seed); a row joins every member
+    /// of its seed's group. Rows complete at the last pattern of the
+    /// order, where the result limit is checked after each reply:
+    /// reaching it ends the sweep, so the leftover requests are never
+    /// sent. The whole pattern is one unit, ready at the barrier.
     fn step_join_bound(
         &mut self,
         sys: &mut GridVineSystem,
@@ -1117,137 +1139,184 @@ impl SessionCore {
         out: &mut Vec<ResultEvent>,
     ) -> Result<StepOutcome, SystemError> {
         let ready = join.barrier;
-        // Phase bookkeeping (split out so the phase borrow never
-        // overlaps the interner/row borrows below).
-        let (pattern_index, last) = {
-            let JoinPhase::Bound { oi, .. } = &join.phase else {
-                unreachable!("phase checked by step_join");
-            };
-            (join.order[*oi], *oi + 1 == join.order.len())
+        let JoinState {
+            query,
+            order,
+            interner,
+            vars,
+            rows: partial,
+            phase,
+            projection,
+            ..
+        } = &mut *join;
+        let JoinPhase::Bound { oi } = phase else {
+            unreachable!("phase checked by step_join");
         };
-        let pattern = &join.query.patterns[pattern_index];
-        // Rows agreeing on the pattern's already-bound variables
-        // produce the same substituted instance — group by those codes
-        // so each instance is resolved once.
-        if matches!(&join.phase, JoinPhase::Bound { groups: None, .. }) {
-            let bound_slots: Vec<(usize, String)> = pattern
-                .variables()
-                .iter()
-                .filter_map(|v| {
-                    let slot = join.vars.slot(v)?;
-                    (join.rows[0][slot] != UNBOUND).then(|| (slot, v.to_string()))
-                })
-                .collect();
-            let mut by_key: HashMap<Vec<u64>, usize> = HashMap::new();
-            let mut queue: Vec<(usize, Vec<usize>)> = Vec::new();
-            for (i, row) in join.rows.iter().enumerate() {
-                let key: Vec<u64> = bound_slots.iter().map(|&(s, _)| row[s]).collect();
-                match by_key.get(&key) {
-                    Some(&g) => queue[g].1.push(i),
-                    None => {
-                        by_key.insert(key, queue.len());
-                        queue.push((i, vec![i]));
-                    }
-                }
-            }
-            let JoinPhase::Bound { groups, .. } = &mut join.phase else {
-                unreachable!("phase unchanged");
-            };
-            *groups = Some(Groups {
-                bound_slots,
-                queue: queue.into(),
-            });
-        }
-        let popped = {
-            let JoinPhase::Bound {
-                groups: Some(g), ..
-            } = &mut join.phase
-            else {
-                unreachable!("groups just built");
-            };
-            g.queue.pop_front().map(|(rep, members)| {
-                let mut seed = Binding::new();
-                for (slot, name) in &g.bound_slots {
-                    seed.bind(
-                        name.clone(),
-                        join.interner.term(join.rows[rep][*slot]).clone(),
-                    );
-                }
-                (pattern.substitute(&seed), members)
-            })
-        };
+        let pattern = &query.patterns[order[*oi]];
+        let last = *oi + 1 == order.len();
+        let (strategy, ttl) = (self.strategy, self.ttl);
+        let mut next: Vec<Vec<u64>> = Vec::new();
         let mut limit_hit = false;
-        if let Some((sub, members)) = popped {
-            match sys.sweep_pattern_network(self.origin, &sub, self.strategy, self.ttl) {
-                Ok(net) => {
-                    net.charge(&mut self.stats);
-                    // The substituted instance's matches bind only the
-                    // pattern's remaining variables: merge each into
-                    // every member row.
-                    let fragments = join.interner.encode_batch(net.batch, &join.vars);
-                    let mut appended: Vec<Vec<u64>> = Vec::new();
-                    for &i in &members {
-                        let member = std::slice::from_ref(&join.rows[i]);
-                        let joined = hash_join_rows(member, &fragments);
-                        if last {
-                            let (batch, hit) =
-                                Self::admit_join_rows(join, &joined, &mut self.rows, self.limit);
-                            if !batch.is_empty() {
-                                out.push(ResultEvent::Rows(batch));
-                            }
-                            if hit {
-                                limit_hit = true;
-                                break;
-                            }
-                        } else {
-                            appended.extend(joined);
+        for part in bound_parts(pattern, vars, interner, partial) {
+            let BoundPart {
+                template,
+                seeds,
+                members,
+            } = &part;
+            let stats = &mut self.stats;
+            // What an instance leaves unbound.
+            let header = BindingBatch::for_pattern(&template.substitute(&seeds[0]));
+            let merge = |reply: &mut BindingBatch, shipped: &[usize]| {
+                // A seed's matches bind only the pattern's remaining
+                // variables: merge each into every member row.
+                let reply = std::mem::replace(reply, header.clone());
+                let fragments = interner.encode_batch(reply, vars);
+                let mut fresh = Vec::new();
+                let mut at = 0;
+                'reply: for (i, &n) in shipped.iter().enumerate() {
+                    let fragment = &fragments[at..at + n];
+                    at += n;
+                    if n == 0 {
+                        continue;
+                    }
+                    for &m in &members[i % members.len()] {
+                        let joined = hash_join_rows(std::slice::from_ref(&partial[m]), fragment);
+                        if !last {
+                            next.extend(joined);
+                            continue;
+                        }
+                        let (rows, limit) = (&mut self.rows, self.limit);
+                        if projection.admit(interner, &joined, rows, limit, &mut fresh) {
+                            limit_hit = true;
+                            break 'reply;
                         }
                     }
-                    if !appended.is_empty() {
-                        let JoinPhase::Bound { next, .. } = &mut join.phase else {
-                            unreachable!("phase unchanged");
-                        };
-                        next.extend(appended);
-                    }
                 }
-                Err(SystemError::NotRoutable) => {
-                    self.stats.failures += 1;
+                if !fresh.is_empty() {
+                    out.push(ResultEvent::Rows(fresh));
                 }
-                Err(e) => return Err(e),
+                !limit_hit
+            };
+            let mut rows = header.clone();
+            sys.sweep_pattern_network(
+                self.origin,
+                template,
+                seeds,
+                strategy,
+                ttl,
+                stats,
+                &mut rows,
+                merge,
+            )?;
+            if limit_hit {
+                break;
             }
         }
-        if limit_hit {
-            return Ok(StepOutcome::Unit {
-                ready,
-                stamp: Stamp::None,
-                done: true,
-            });
-        }
-        let JoinPhase::Bound { oi, groups, next } = &mut join.phase else {
-            unreachable!("phase unchanged");
-        };
-        if groups.as_ref().is_some_and(|g| !g.queue.is_empty()) {
-            return Ok(StepOutcome::Unit {
-                ready,
-                stamp: Stamp::None,
-                done: false,
-            });
-        }
-        // Pattern finished: advance (or end — either out of patterns,
-        // or no partial row survived, so no later pattern can produce
-        // rows and their subqueries are skipped, as the monolithic
-        // executor's early-exit did). The barrier stamp makes the next
-        // pattern's groups wait for everything issued so far.
-        join.rows = std::mem::take(next);
-        *groups = None;
+        // Pattern finished: advance, or end — at the limit, out of
+        // patterns, or with no partial row left, when no later pattern
+        // can produce rows and their requests are skipped. The barrier
+        // stamp makes the next pattern wait for this one's rows.
+        *partial = next;
         *oi += 1;
-        let done = *oi >= join.order.len() || join.rows.is_empty();
+        let done = limit_hit || *oi >= order.len() || partial.is_empty();
         Ok(StepOutcome::Unit {
             ready,
             stamp: if done { Stamp::None } else { Stamp::Barrier },
             done,
         })
     }
+}
+
+impl Projection {
+    /// Project completed join rows onto the distinguished variables,
+    /// dedup on codes and admit the fresh ones to `rows` and `fresh` —
+    /// the one place a join plan builds [`Binding`]s. Returns whether
+    /// the result limit was reached.
+    fn admit(
+        &mut self,
+        interner: &TermInterner,
+        completed: &[Vec<u64>],
+        rows: &mut Vec<Binding>,
+        limit: Option<usize>,
+        fresh: &mut Vec<Binding>,
+    ) -> bool {
+        for row in completed {
+            let projected: Vec<u64> = self.slots.iter().map(|&s| row[s]).collect();
+            if !self.seen.insert(projected.clone()) {
+                continue;
+            }
+            let b = interner.decode(&projected, &self.proj);
+            rows.push(b.clone());
+            fresh.push(b);
+            if limit.is_some_and(|k| rows.len() >= k) {
+                return true;
+            }
+        }
+        false
+    }
+}
+
+/// Split the partial solutions `rows` of a bound join by what they
+/// substitute into `pattern`: rows agreeing on the pattern's
+/// already-bound variables make the same instance of it and share a
+/// seed; seeds that leave the pattern the same predicate share a
+/// [`BoundPart`] (every row does unless the predicate itself is a bound
+/// variable). Parts, and seeds within a part, come in first-seen order.
+fn bound_parts(
+    pattern: &TriplePattern,
+    vars: &VarTable,
+    interner: &TermInterner,
+    rows: &[Vec<u64>],
+) -> Vec<BoundPart> {
+    // Every partial row binds the same slots: those of the patterns
+    // already joined.
+    let mut column: Vec<(usize, &str)> = Vec::new();
+    for v in pattern.variables() {
+        let slot = vars.slot(v).expect("the table covers every pattern");
+        if rows[0][slot] != UNBOUND && !column.iter().any(|&(s, _)| s == slot) {
+            column.push((slot, v));
+        }
+    }
+    // A bound variable in predicate position picks the part, and goes
+    // into the part's template rather than into its column.
+    let predicate: Option<(usize, &str)> = match &pattern.predicate {
+        PatternTerm::Var(p) => column
+            .iter()
+            .position(|&(_, v)| v == p)
+            .map(|at| column.remove(at)),
+        PatternTerm::Const(_) => None,
+    };
+    let bind = |row: &[u64], variables: &[(usize, &str)]| {
+        let mut b = Binding::new();
+        for &(slot, v) in variables {
+            b.bind(v.to_string(), interner.term(row[slot]).clone());
+        }
+        b
+    };
+    let mut parts: Vec<BoundPart> = Vec::new();
+    let mut part_of: HashMap<u64, usize> = HashMap::new();
+    let mut group_of: HashMap<Vec<u64>, (usize, usize)> = HashMap::new();
+    for (i, row) in rows.iter().enumerate() {
+        let bound = predicate.iter().chain(&column);
+        let key: Vec<u64> = bound.map(|&(slot, _)| row[slot]).collect();
+        if let Some(&(p, g)) = group_of.get(&key) {
+            parts[p].members[g].push(i);
+            continue;
+        }
+        let predicate_code = predicate.map_or(UNBOUND, |(slot, _)| row[slot]);
+        let p = *part_of.entry(predicate_code).or_insert_with(|| {
+            parts.push(BoundPart {
+                template: pattern.substitute(&bind(row, predicate.as_slice())),
+                seeds: Vec::new(),
+                members: Vec::new(),
+            });
+            parts.len() - 1
+        });
+        group_of.insert(key, (p, parts[p].seeds.len()));
+        parts[p].seeds.push(bind(row, &column));
+        parts[p].members.push(vec![i]);
+    }
+    parts
 }
 
 impl QuerySession<'_> {

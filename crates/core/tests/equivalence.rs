@@ -161,6 +161,7 @@ fn drain(
                 stats_from_deltas.schemas_visited += d.schemas_visited;
                 stats_from_deltas.failures += d.failures;
                 stats_from_deltas.bindings_shipped += d.bindings_shipped;
+                stats_from_deltas.bindings_carried += d.bindings_carried;
                 stats_from_deltas.mapping_fetches += d.mapping_fetches;
                 stats_from_deltas.max_in_flight += d.max_in_flight;
                 stats_from_deltas.cache_hits += d.cache_hits;

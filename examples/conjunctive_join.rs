@@ -140,9 +140,9 @@ fn main() {
     );
 
     // Incremental consumption: pull the same plan through a session.
-    // Bound-substitution rows complete one substituted instance at a
-    // time, so the consumer sees solution rows as they materialize
-    // (and the Stats deltas show where the messages go).
+    // Bound-substitution rows complete one reply of the last pattern's
+    // sweep at a time, so the consumer sees solution rows as they
+    // materialize (and the Stats deltas show where the messages go).
     let options = QueryOptions::new()
         .strategy(Strategy::Iterative)
         .join_mode(JoinMode::BoundSubstitution);
@@ -166,8 +166,8 @@ fn main() {
     assert!(batches > 1, "rows arrived across multiple batches");
 
     // Early termination: cap the session at one row. The remaining
-    // bound-substitution groups are never resolved, so the limited run
-    // sends strictly fewer messages than the full one.
+    // requests of the last pattern's sweep are never sent, so the
+    // limited run sends strictly fewer messages than the full one.
     let first_only = gridvine
         .execute(PeerId(42), &plan, &options.limit(1))
         .expect("resolvable query");

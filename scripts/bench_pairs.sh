@@ -9,11 +9,28 @@
 # with a fresh --seed per pair (2007, 2008, ...). Prints, per host and
 # per simulated metric, every run with the change/parent ratio, each
 # side's median and quartiles and how many pairs the change wins in the
-# metric's `better` direction; then every pair whose rows_digest, failed
-# count or recall differs between the sides. A simulated metric repeats
-# exactly for a given seed, so a pair in which it differs is a change in
-# what the program does, never noise. With `all`, does so for every
-# workload BENCHMARK.json lists, one table after the other.
+# direction BENCHMARK.json calls `better`, and ends the metric's block
+# with a one-word verdict:
+#
+#   gain        the change wins at least 9 in 10 of the pairs run and
+#               the medians differ by more than the distance between
+#               the parent's quartiles;
+#   regression  the change's median is worse than the parent's by more
+#               than the metric's `bound` in BENCHMARK.json;
+#   unresolved  neither, and the parent's quartiles lie further apart
+#               (relative to its median) than the bound, so these runs
+#               could not have shown a regression of that size — unless
+#               every run of the change beats every run of the parent;
+#   no change   otherwise.
+#
+# Then every pair whose rows_digest, failed count or recall differs
+# between the sides. A simulated metric repeats exactly for a given
+# seed, so a pair in which it differs is a change in what the program
+# does, never noise. Last, one `--trace 1` pass per side at seed 2007:
+# every per-layer metric on the simulated clock that differs between
+# the sides, and how many are equal — the "should not move" list of a
+# behaviour-preserving change. With `all`, does so for every workload
+# BENCHMARK.json lists, one table after the other.
 #
 # Everything it writes goes under a fresh directory in ${TMPDIR:-/tmp}
 # (printed at the start, kept for inspection).
@@ -45,6 +62,10 @@ echo "building parent ($rev) and change ..."
 bench parent "$work/parent" --manifest >/dev/null
 bench change "$root" --manifest >/dev/null
 
+# metric, better, bound — one line per end-to-end metric.
+sed -n 's/.*{"name": "\([a-z0-9_]*\)", "unit": "[^"]*", "better": "\([a-z]*\)", "bound": \([0-9.]*\)}.*/\1 \2 \3/p' \
+    "$root/BENCHMARK.json" >"$work/spec.txt"
+
 if [ "$workload" = all ]; then
     workloads=$(sed -n 's/.*{"name": "\([a-z_]*\)", "why".*/\1/p' "$root/BENCHMARK.json")
 else
@@ -54,6 +75,10 @@ fi
 run() { # <side> <tree> <pair>, of $workload into $runs
     bench "$1" "$2" --workload "$workload" --seed $((2007 + $3)) --seconds 15 --trace 0 \
         >"$runs/$1-$3.txt" 2>/dev/null || echo "  $1 pair $3: benchmark exited non-zero" >&2
+}
+traced() { # <side> <tree>: the simulated-clock metrics of one traced pass
+    bench "$1" "$2" --workload "$workload" --seed 2007 --seconds 15 --trace 1 2>/dev/null |
+        awk '$4 == "sim" { print $1, $2 }' >"$runs/traced-$1.txt"
 }
 measure() { # <workload>
     workload=$1
@@ -75,7 +100,7 @@ measure() { # <workload>
     done
 
     # One line per run: side pair metric value.
-    for f in "$runs"/*.txt; do
+    for f in "$runs"/parent-*.txt "$runs"/change-*.txt; do
         name=$(basename "$f" .txt)
         awk -v side="${name%-*}" -v pair="${name##*-}" '
             $1 ~ /^(setup_s|ops_per_s|peak_rss_mb|sim_latency_p50_ms|sim_latency_p99_ms|sim_messages_per_op|recall|rows_digest)$/ {
@@ -90,33 +115,59 @@ measure() { # <workload>
             pos = (n - 1) * q + 1; lo = int(pos); frac = pos - lo
             return lo >= n ? sorted[n] : sorted[lo] + frac * (sorted[lo + 1] - sorted[lo])
         }
-        function summary(side, metric,    n, p, i, j, t) {
+        function has(side, p, metric) { return ((side, p, metric) in v) && v[side, p, metric] != "" }
+        # sorted[1..n]: the runs of one side, rising. Returns n.
+        function load(side, metric,    n, p, i, j, t) {
             n = 0
-            for (p = 0; p < pairs; p++) if ((side, p, metric) in v) sorted[++n] = v[side, p, metric] + 0
+            for (p = 0; p < pairs; p++) if (has(side, p, metric)) sorted[++n] = v[side, p, metric] + 0
             for (i = 2; i <= n; i++) for (j = i; j > 1 && sorted[j - 1] > sorted[j]; j--) {
                 t = sorted[j]; sorted[j] = sorted[j - 1]; sorted[j - 1] = t
             }
+            return n
+        }
+        function summary(side, metric,    n) {
+            n = load(side, metric)
             if (n == 0) return "no runs"
             return sprintf("median %.6g  quartiles %.6g .. %.6g  (n=%d)", quantile(n, 0.5), quantile(n, 0.25), quantile(n, 0.75), n)
         }
+        # The word the block of a metric ends with (see the head of the
+        # script); `both` pairs have a run on either side.
+        function verdict(m, wins, both,    n, p, q, pm, cm, iqr, beats) {
+            if (both == 0) return "no runs"
+            n = load("change", m); cm = quantile(n, 0.5)
+            n = load("parent", m); pm = quantile(n, 0.5)
+            iqr = quantile(n, 0.75) - quantile(n, 0.25)
+            if (wins * 10 >= both * 9 && (cm > pm ? cm - pm : pm - cm) > iqr) return "gain"
+            if ((m in higher) ? cm < pm * (1 - bound[m]) : cm > pm * (1 + bound[m])) return "regression"
+            beats = 1
+            for (p = 0; p < pairs; p++) for (q = 0; q < pairs; q++) if (has("parent", p, m) && has("change", q, m)) {
+                a = v["parent", p, m] + 0; b = v["change", q, m] + 0
+                if ((m in higher) ? b <= a : b >= a) beats = 0
+            }
+            if (pm != 0 && iqr / pm > bound[m] && !beats) return "unresolved"
+            return "no change"
+        }
+        FILENAME == spec { if ($2 == "higher") higher[$1] = 1; bound[$1] = $3; next }
         { v[$1, $2, $3] = $4 }
         END {
             nmetrics = split("ops_per_s setup_s peak_rss_mb sim_messages_per_op sim_latency_p50_ms sim_latency_p99_ms", metrics, " ")
-            higher["ops_per_s"] = 1
             for (h = 1; h <= nmetrics; h++) {
                 m = metrics[h]
                 printf "\n%s, every run (pair: parent change change/parent):\n", m
-                wins = 0; losses = 0
+                wins = 0; losses = 0; both = 0
                 for (p = 0; p < pairs; p++) {
-                    a = v["parent", p, m]; b = v["change", p, m]
+                    a = has("parent", p, m) ? v["parent", p, m] : ""
+                    b = has("change", p, m) ? v["change", p, m] : ""
                     printf "  %d: %s %s %s\n", p, a, b, (a + 0 != 0 && b != "") ? sprintf("%.4f", b / a) : "-"
                     if (a == "" || b == "") continue
+                    both++
                     better = (m in higher) ? (b + 0 > a + 0) : (b + 0 < a + 0)
                     worse = (m in higher) ? (b + 0 < a + 0) : (b + 0 > a + 0)
                     wins += better; losses += worse
                 }
                 printf "  parent  %s\n  change  %s\n", summary("parent", m), summary("change", m)
                 printf "  change better in %d of %d pairs, worse in %d\n", wins, pairs, losses
+                printf "  verdict (%s is better, bound %s): %s\n", (m in higher) ? "higher" : "lower", bound[m], verdict(m, wins, both)
             }
             nexact = split("rows_digest failed recall", exact, " ")
             printf "\nmust be equal per pair (rows_digest, failed, recall; the open_loop digest\n"
@@ -131,7 +182,24 @@ measure() { # <workload>
             }
             if (diffs == 0) print "  all equal"
         }
-    ' "$runs/values.txt"
+    ' spec="$work/spec.txt" "$work/spec.txt" "$runs/values.txt"
+
+    traced parent "$work/parent"
+    traced change "$root"
+    echo
+    echo "traced pass, seed 2007 — per-layer metrics on the simulated clock that differ"
+    echo "(metric: parent change):"
+    awk '
+        NR == FNR { parent[$1] = $2; next }
+        !($1 in parent) { printf "  %s: - %s\n", $1, $2; differ++; next }
+        { seen[$1] = 1 }
+        parent[$1] != $2 { printf "  %s: %s %s\n", $1, parent[$1], $2; differ++; next }
+        { equal++ }
+        END {
+            for (m in parent) if (!(m in seen)) { printf "  %s: %s -\n", m, parent[m]; differ++ }
+            printf "  %d differ, %d equal\n", differ, equal
+        }
+    ' "$runs/traced-parent.txt" "$runs/traced-change.txt"
 }
 for w in $workloads; do
     measure "$w"

@@ -8,12 +8,13 @@
 
 use gridvine_core::{
     GridVineConfig, GridVineSystem, JoinMode, QueryOptions, QueryOutcome, QueryPlan, Strategy,
+    SystemError,
 };
 use gridvine_pgrid::PeerId;
 use gridvine_rdf::{
     parse_query, Binding, ConjunctiveQuery, PatternTerm, Term, Triple, TriplePattern, TripleStore,
 };
-use gridvine_semantic::{MappingKind, Provenance, Schema};
+use gridvine_semantic::{Correspondence, MappingKind, Provenance, Schema};
 use gridvine_workload::{Workload, WorkloadConfig};
 use proptest::prelude::*;
 // `gridvine_core::Strategy` shadows the proptest trait of the same name
@@ -368,54 +369,308 @@ fn generated_conjunctive_queries_reach_ground_truth_recall() {
     );
 }
 
+/// `A#name` ≡ `B#label`, one `"x"` record under each, and a fact in a
+/// third schema whose *object* is the predicate `A#name`.
+fn predicate_as_data() -> GridVineSystem {
+    let mut sys = GridVineSystem::new(GridVineConfig {
+        peers: 32,
+        seed: 5,
+        ..GridVineConfig::default()
+    });
+    let p0 = PeerId(0);
+    sys.insert_schema(p0, Schema::new("A", ["name"])).unwrap();
+    sys.insert_schema(p0, Schema::new("B", ["label"])).unwrap();
+    sys.insert_schema(p0, Schema::new("M", ["pred"])).unwrap();
+    sys.insert_mapping(
+        p0,
+        "A",
+        "B",
+        MappingKind::Equivalence,
+        Provenance::Manual,
+        vec![Correspondence::new("name", "label")],
+    )
+    .unwrap();
+    sys.insert_triple(p0, Triple::new("e:1", "A#name", Term::literal("x")))
+        .unwrap();
+    sys.insert_triple(p0, Triple::new("e:2", "B#label", Term::literal("x")))
+        .unwrap();
+    sys.insert_triple(p0, Triple::new("q:1", "M#pred", Term::uri("A#name")))
+        .unwrap();
+    sys
+}
+
+fn pattern(s: PatternTerm, p: PatternTerm, o: PatternTerm) -> TriplePattern {
+    TriplePattern::new(s, p, o)
+}
+
+fn var(name: &str) -> PatternTerm {
+    PatternTerm::var(name)
+}
+
+fn uri(u: &str) -> PatternTerm {
+    PatternTerm::constant(Term::uri(u))
+}
+
+fn lit(l: &str) -> PatternTerm {
+    PatternTerm::constant(Term::literal(l))
+}
+
+#[test]
+fn bound_predicate_variable_keeps_its_closure() {
+    // `?p` is bound by the first pattern and is the second's predicate:
+    // under bound substitution each substituted predicate is a schema'd
+    // pattern with a closure of its own, so `A#name` is also answered
+    // as `B#label`. (A sweep of the unsubstituted second pattern would
+    // have no schema to reformulate from, and would lose `e:2`.)
+    let q = ConjunctiveQuery::new(
+        vec!["s".into()],
+        vec![
+            pattern(var("q"), uri("M#pred"), var("p")),
+            pattern(var("s"), var("p"), lit("x")),
+        ],
+    )
+    .unwrap();
+    for strategy in ALL_STRATEGIES {
+        let mut sys = predicate_as_data();
+        let out = search_conjunctive(
+            &mut sys,
+            PeerId(7),
+            &q,
+            strategy,
+            JoinMode::BoundSubstitution,
+        );
+        assert_eq!(
+            out.terms("s"),
+            vec![Term::uri("e:1"), Term::uri("e:2")],
+            "{strategy:?}"
+        );
+        assert_eq!(out.stats.reformulations, 1, "{strategy:?}");
+        assert_eq!(out.stats.subqueries, 3, "{strategy:?}");
+        assert_eq!(out.stats.failures, 0, "{strategy:?}");
+        // An independent sweep cannot reformulate a variable predicate:
+        // it answers the pattern as written, in no schema.
+        let ind = search_conjunctive(&mut sys, PeerId(7), &q, strategy, JoinMode::Independent);
+        assert_eq!(ind.terms("s"), vec![Term::uri("e:1")], "{strategy:?}");
+        assert_eq!(ind.stats.reformulations, 0, "{strategy:?}");
+    }
+}
+
+#[test]
+fn a_pattern_with_nothing_to_route_by_goes_out_by_its_instances() {
+    // `(?s, ?p, ?o)` has no constant: it is routable only once `?s` is
+    // bound, instance by instance, by the subject each seed puts in.
+    let q = ConjunctiveQuery::new(
+        vec!["s".into(), "p".into(), "o".into()],
+        vec![
+            pattern(var("s"), uri("S#a0"), lit("x")),
+            pattern(var("s"), var("p"), var("o")),
+        ],
+    )
+    .unwrap();
+    let triples = vec![
+        Triple::new("e:1", "S#a0", Term::literal("x")),
+        Triple::new("e:1", "S#a1", Term::literal("one")),
+        Triple::new("e:2", "S#a0", Term::literal("x")),
+        Triple::new("e:2", "S#a2", Term::uri("e:1")),
+        Triple::new("e:3", "S#a0", Term::literal("y")),
+        Triple::new("e:3", "S#a1", Term::literal("three")),
+    ];
+    let (mut sys, oracle) = single_schema_system(&triples);
+    let expected = oracle_rows(&q, &oracle);
+    assert_eq!(expected.len(), 4, "two facts about each of e:1 and e:2");
+    let leaf = |sys: &GridVineSystem, s: &str| sys.topology().responsible(&sys.key_of(s))[0];
+    assert_eq!(
+        leaf(&sys, "e:1"),
+        leaf(&sys, "e:2"),
+        "the two subjects' keys share a leaf"
+    );
+    for strategy in ALL_STRATEGIES {
+        let bound = search_conjunctive(
+            &mut sys,
+            PeerId(3),
+            &q,
+            strategy,
+            JoinMode::BoundSubstitution,
+        );
+        assert_eq!(rows(&bound), expected, "{strategy:?}");
+        assert_eq!(bound.stats.failures, 0);
+        // Both instances are answered by the request of the first. The
+        // other requests are the first pattern's: run it on its own,
+        // both with its closure memoized by the run above.
+        let bound = search_conjunctive(
+            &mut sys,
+            PeerId(3),
+            &q,
+            strategy,
+            JoinMode::BoundSubstitution,
+        );
+        let first = ConjunctiveQuery::new(vec!["s".into()], vec![q.patterns[0].clone()]).unwrap();
+        let alone = search_conjunctive(
+            &mut sys,
+            PeerId(3),
+            &first,
+            strategy,
+            JoinMode::BoundSubstitution,
+        );
+        assert_eq!(
+            bound.stats.requests,
+            alone.stats.requests + 1,
+            "{strategy:?}"
+        );
+        assert_eq!(bound.stats.subqueries, alone.stats.subqueries + 2);
+        // Each request lists the instances not yet answered: two seeds
+        // of one variable, once.
+        assert_eq!(bound.stats.bindings_carried, 2);
+
+        let independent = sys.execute(
+            PeerId(3),
+            &QueryPlan::conjunctive(q.clone()),
+            &QueryOptions::new()
+                .strategy(strategy)
+                .join_mode(JoinMode::Independent),
+        );
+        assert!(
+            matches!(independent, Err(SystemError::NotRoutable)),
+            "{strategy:?}: {independent:?}"
+        );
+    }
+}
+
+#[test]
+fn a_seed_that_leaves_nothing_to_route_by_is_a_recorded_failure() {
+    // The wildcard object is no routing constant, and neither pattern
+    // binds anything the other could route by.
+    let q = ConjunctiveQuery::new(
+        vec!["s".into()],
+        vec![
+            pattern(var("s"), uri("S#a0"), lit("x")),
+            pattern(var("t"), var("p"), lit("%n%")),
+        ],
+    )
+    .unwrap();
+    let (mut sys, _) = single_schema_system(&[
+        Triple::new("e:1", "S#a0", Term::literal("x")),
+        Triple::new("e:1", "S#a1", Term::literal("one")),
+    ]);
+    let out = search_conjunctive(
+        &mut sys,
+        PeerId(3),
+        &q,
+        Strategy::Iterative,
+        JoinMode::BoundSubstitution,
+    );
+    assert!(out.rows.is_empty(), "the candidate row is dropped");
+    assert_eq!(out.stats.failures, 1);
+}
+
 // ---------------------------------------------------------------------
 // Property: distributed conjunctive evaluation == centralized oracle,
-// for random corpora and a random two-pattern join query.
+// for random corpora and a random join query of a random shape.
 // ---------------------------------------------------------------------
 
 fn arb_triples() -> impl proptest::strategy::Strategy<Value = Vec<Triple>> {
-    // Small pools force joins and collisions.
+    // Small pools force joins and collisions. Objects are literals,
+    // subjects (so a join variable can sit in object position and a
+    // chain can continue) or predicates (so a variable can be bound to
+    // one and then stand in predicate position).
     let subj = prop::sample::select(vec!["e:1", "e:2", "e:3", "e:4", "e:5"]);
     let pred = prop::sample::select(vec!["S#a0", "S#a1", "S#a2", "S#a3"]);
-    let obj = prop::sample::select(vec!["alpha", "beta", "gamma", "delta"]);
-    prop::collection::vec((subj, pred, obj), 1..25).prop_map(|v| {
+    let obj = prop::sample::select(vec![
+        Term::literal("alpha"),
+        Term::literal("beta"),
+        Term::literal("gamma"),
+        Term::uri("e:1"),
+        Term::uri("e:2"),
+        Term::uri("S#a2"),
+        Term::uri("S#a3"),
+    ]);
+    prop::collection::vec((subj, pred, obj), 1..40).prop_map(|v| {
         v.into_iter()
-            .map(|(s, p, o)| Triple::new(s, p, Term::literal(o)))
+            .map(|(s, p, o)| Triple::new(s, p, o))
             .collect()
     })
 }
 
+/// A selective first pattern joined to one of the shapes a second
+/// pattern (or a chain of two) can take.
+fn arb_query() -> impl proptest::strategy::Strategy<Value = ConjunctiveQuery> {
+    let p1 = prop::sample::select(vec!["S#a0", "S#a1"]);
+    let p2 = prop::sample::select(vec!["S#a2", "S#a3", "S#a0"]);
+    let p3 = prop::sample::select(vec!["S#a1", "S#a2"]);
+    let c1 = prop::sample::select(vec!["alpha", "beta"]);
+    let c2 = prop::sample::select(vec!["alpha", "gamma"]);
+    (0usize..6, p1, p2, p3, c1, c2).prop_map(|(shape, p1, p2, p3, c1, c2)| {
+        let selective = pattern(var("x"), uri(p1), lit(c1));
+        let (distinguished, patterns) = match shape {
+            // The join variable is the second pattern's subject …
+            0 => (
+                vec!["x", "v"],
+                vec![selective, pattern(var("x"), uri(p2), var("v"))],
+            ),
+            // … or its object.
+            1 => (
+                vec!["x", "v"],
+                vec![selective, pattern(var("v"), uri(p2), var("x"))],
+            ),
+            // A variable predicate the first pattern binds,
+            2 => (
+                vec!["x", "p", "y"],
+                vec![
+                    pattern(var("x"), uri(p1), var("p")),
+                    pattern(var("y"), var("p"), lit(c2)),
+                ],
+            ),
+            // one nothing binds, beside a constant to route by,
+            3 => (
+                vec!["x", "q"],
+                vec![selective, pattern(var("x"), var("q"), lit(c2))],
+            ),
+            // and one with nothing to route by but what `?x` is bound
+            // to.
+            4 => (
+                vec!["x", "q", "v"],
+                vec![selective, pattern(var("x"), var("q"), var("v"))],
+            ),
+            // A three-pattern chain through an object.
+            _ => (
+                vec!["x", "v"],
+                vec![
+                    selective,
+                    pattern(var("x"), uri(p2), var("y")),
+                    pattern(var("y"), uri(p3), var("v")),
+                ],
+            ),
+        };
+        let distinguished = distinguished.into_iter().map(String::from).collect();
+        ConjunctiveQuery::new(distinguished, patterns).expect("valid query")
+    })
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn distributed_join_matches_centralized_oracle(
         triples in arb_triples(),
-        p1 in prop::sample::select(vec!["S#a0", "S#a1"]),
-        p2 in prop::sample::select(vec!["S#a2", "S#a3", "S#a0"]),
-        constrain_obj in prop::sample::select(vec!["alpha", "beta"]),
+        q in arb_query(),
     ) {
         let (mut sys, oracle) = single_schema_system(&triples);
-        let q = ConjunctiveQuery::new(
-            vec!["x".into(), "v".into()],
-            vec![
-                TriplePattern::new(
-                    PatternTerm::var("x"),
-                    PatternTerm::constant(Term::uri(p1)),
-                    PatternTerm::constant(Term::literal(constrain_obj)),
-                ),
-                TriplePattern::new(
-                    PatternTerm::var("x"),
-                    PatternTerm::constant(Term::uri(p2)),
-                    PatternTerm::var("v"),
-                ),
-            ],
-        ).unwrap();
         let expected = oracle_rows(&q, &oracle);
+        // An independent sweep needs a constant in every pattern; a
+        // bound one only in what the partial solutions make of it.
+        let independent_routes = q.patterns.iter().all(|p| p.routing_constant().is_some());
+        let plan = QueryPlan::conjunctive(q.clone());
         for strategy in ALL_STRATEGIES {
             for mode in ALL_MODES {
-                let out = search_conjunctive(&mut sys, PeerId(3), &q, strategy, mode);
-                prop_assert_eq!(rows(&out), expected.clone(), "{:?}/{:?}", strategy, mode);
+                let options = QueryOptions::new().strategy(strategy).join_mode(mode);
+                let out = sys.execute(PeerId(3), &plan, &options);
+                if mode == JoinMode::Independent && !independent_routes {
+                    prop_assert!(matches!(out, Err(SystemError::NotRoutable)), "{}", q);
+                    continue;
+                }
+                let out = out.expect("routable");
+                prop_assert_eq!(rows(&out), expected.clone(), "{:?}/{:?} {}", strategy, mode, q);
+                prop_assert_eq!(out.stats.failures, 0);
             }
         }
     }
