@@ -9,8 +9,7 @@
 //!
 //! Usage: `exp_a1_hash_balance [peers] [triples] [seed]`
 
-use gridvine_bench::table::f;
-use gridvine_bench::Table;
+use gridvine_bench::{f, Args, Table};
 use gridvine_netsim::rng;
 use gridvine_netsim::rng::Zipf;
 use gridvine_pgrid::{BitString, HashKind, LoadStats, Overlay, PeerId, Topology, UpdateOp};
@@ -51,10 +50,11 @@ fn load_stats(topology: &Topology, keys: &[BitString], seed: u64) -> LoadStats {
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let peers: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(128);
-    let triples: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(30_000);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(1);
+    let mut args = Args::from_env("exp_a1_hash_balance [peers] [triples] [seed]");
+    let peers: usize = args.or(128);
+    let triples: usize = args.or(30_000);
+    let seed: u64 = args.or(1);
+    args.done();
 
     println!("A1: storage balance — {peers} peers, {triples} index entries");
     let mut table = Table::new(&["hash", "tree", "gini", "max/mean", "empty %"]);

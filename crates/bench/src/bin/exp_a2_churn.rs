@@ -13,8 +13,7 @@
 //!
 //! Usage: `exp_a2_churn [queries] [seed]`
 
-use gridvine_bench::table::f;
-use gridvine_bench::Table;
+use gridvine_bench::{f, Args, Table};
 use gridvine_core::MediationItem;
 use gridvine_netsim::churn::ChurnKind;
 use gridvine_netsim::prelude::*;
@@ -111,9 +110,10 @@ fn run(replication: usize, churn: &ChurnConfig, queries: usize, seed: u64) -> (f
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let queries: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(400);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(1);
+    let mut args = Args::from_env("exp_a2_churn [queries] [seed]");
+    let queries: usize = args.or(400);
+    let seed: u64 = args.or(1);
+    args.done();
 
     println!("A2: availability under churn vs replication factor ({queries} queries / hour)");
     let mut table = Table::new(&["churn", "replicas/path", "answered", "failed"]);

@@ -8,15 +8,15 @@
 //!
 //! Usage: `exp_a3_matcher [schemas] [seed]`
 
-use gridvine_bench::table::f;
-use gridvine_bench::Table;
+use gridvine_bench::{f, Args, Table};
 use gridvine_semantic::{match_profiles, MatcherConfig};
 use gridvine_workload::{Workload, WorkloadConfig};
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let schemas: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(20);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(1);
+    let mut args = Args::from_env("exp_a3_matcher [schemas] [seed]");
+    let schemas: usize = args.or(20);
+    let seed: u64 = args.or(1);
+    args.done();
 
     println!("A3: matcher ablation over {schemas} schemas (all unordered pairs)");
     // 40 % of (schema, concept) pairs store values in a non-canonical

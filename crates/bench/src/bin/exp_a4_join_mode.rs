@@ -25,8 +25,7 @@
 //!
 //! Usage: `exp_a4_join_mode [selective_matches] [seed]`
 
-use gridvine_bench::table::f;
-use gridvine_bench::Table;
+use gridvine_bench::{f, Args, Table};
 use gridvine_core::{GridVineConfig, GridVineSystem, JoinMode, QueryOptions, QueryPlan, Strategy};
 use gridvine_pgrid::PeerId;
 use gridvine_rdf::{ConjunctiveQuery, PatternTerm, Term, Triple, TriplePattern};
@@ -127,9 +126,10 @@ fn compare(total: usize, selective: usize, seed: u64) -> Vec<String> {
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let selective: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(8);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(1);
+    let mut args = Args::from_env("exp_a4_join_mode [selective_matches] [seed]");
+    let selective: usize = args.or(8);
+    let seed: u64 = args.or(1);
+    args.done();
     const CORPORA: [usize; 4] = [50, 200, 800, 3200];
     const LARGEST: usize = CORPORA[CORPORA.len() - 1];
     let columns = [

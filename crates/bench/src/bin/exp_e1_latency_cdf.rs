@@ -10,27 +10,32 @@
 //! single-pattern queries and prints the latency CDF with the paper's
 //! two reference points.
 //!
-//! Usage: `exp_e1_latency_cdf [num_queries] [num_peers] [seed]`
+//! Usage: `exp_e1_latency_cdf [num_queries] [num_peers] [seed] [processing_ms] [heterogeneity]`
 
-use gridvine_bench::table::f;
-use gridvine_bench::Table;
+use gridvine_bench::{f, Args, Table};
 use gridvine_core::{Deployment, DeploymentConfig};
 use gridvine_netsim::rng;
 use gridvine_rdf::TriplePatternQuery;
 use gridvine_workload::{QueryConfig, QueryGenerator, Workload, WorkloadConfig};
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let queries: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(23_000);
-    let peers: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(340);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(1);
+    let mut args = Args::from_env(
+        "exp_e1_latency_cdf [num_queries] [num_peers] [seed] [processing_ms] [heterogeneity]",
+    );
+    let queries: usize = args.or(23_000);
+    let peers: usize = args.or(340);
+    let seed: u64 = args.or(1);
     // Calibration overrides (see the experiment index in README.md):
     // per-message processing and node-heterogeneity σ of the 2007
     // testbed model.
-    let processing_ms: Option<u64> = args.next().and_then(|a| a.parse().ok());
-    let heterogeneity: Option<f64> = args.next().and_then(|a| a.parse().ok());
+    let processing_ms: Option<u64> = args.optional();
+    let heterogeneity: Option<f64> = args.optional();
+    args.done();
 
-    println!("E1: latency CDF — {peers} machines, 23k queries (paper: 340 machines, 17k triples)");
+    println!(
+        "E1: latency CDF — {peers} machines, {queries} queries \
+         (paper: 340 machines, 17k triples, 23k queries)"
+    );
     let workload = Workload::generate(WorkloadConfig::paper_scale(seed));
     println!(
         "corpus: {} schemas, {} entities, {} triples",

@@ -11,8 +11,7 @@
 //!
 //! Usage: `exp_e2_routing_cost [trials_per_size] [seed]`
 
-use gridvine_bench::table::f;
-use gridvine_bench::Table;
+use gridvine_bench::{f, Args, Table};
 use gridvine_netsim::rng;
 use gridvine_netsim::Cdf;
 use gridvine_pgrid::{
@@ -35,9 +34,10 @@ fn measure(topology: &Topology, trials: usize, seed: u64) -> (f64, f64, usize) {
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let trials: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(2_000);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(1);
+    let mut args = Args::from_env("exp_e2_routing_cost [trials_per_size] [seed]");
+    let trials: usize = args.or(2_000);
+    let seed: u64 = args.or(1);
+    args.done();
 
     println!("E2: messages per Retrieve vs network size ({trials} trials per size)");
     let mut table = Table::new(&[

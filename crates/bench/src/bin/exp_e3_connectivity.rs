@@ -12,8 +12,7 @@
 //!
 //! Usage: `exp_e3_connectivity [schemas] [trials] [seed]`
 
-use gridvine_bench::table::f;
-use gridvine_bench::Table;
+use gridvine_bench::{f, Args, Table};
 use gridvine_netsim::rng;
 use gridvine_semantic::{
     connectivity_indicator, Correspondence, MappingKind, MappingRegistry, Provenance, Schema,
@@ -21,10 +20,11 @@ use gridvine_semantic::{
 use rand::Rng;
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let schemas: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(50);
-    let trials: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(20);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(1);
+    let mut args = Args::from_env("exp_e3_connectivity [schemas] [trials] [seed]");
+    let schemas: usize = args.or(50);
+    let trials: usize = args.or(20);
+    let seed: u64 = args.or(1);
+    args.done();
 
     println!("E3: connectivity indicator vs giant SCC — {schemas} schemas, {trials} trials");
     let max_mappings = schemas * 2;

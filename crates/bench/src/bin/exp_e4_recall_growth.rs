@@ -12,22 +12,21 @@
 //!
 //! Usage: `exp_e4_recall_growth [rounds] [probe_queries] [schemas] [seed]`
 
-use gridvine_bench::table::f;
-use gridvine_bench::Table;
+use gridvine_bench::{f, fixtures, Args, Table};
 use gridvine_core::{
     GridVineConfig, GridVineSystem, QueryOptions, QueryPlan, SelfOrgConfig, Strategy,
 };
 use gridvine_netsim::rng;
-use gridvine_pgrid::PeerId;
-use gridvine_semantic::{MappingKind, Provenance};
+use gridvine_semantic::Provenance;
 use gridvine_workload::{recall, QueryConfig, QueryGenerator, Workload, WorkloadConfig};
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let rounds: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(10);
-    let probes: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(40);
-    let schemas: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(16);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(1);
+    let mut args = Args::from_env("exp_e4_recall_growth [rounds] [probe_queries] [schemas] [seed]");
+    let rounds: usize = args.or(10);
+    let probes: usize = args.or(40);
+    let schemas: usize = args.or(16);
+    let seed: u64 = args.or(1);
+    args.done();
 
     println!("E4: recall growth — {schemas} schemas, {rounds} self-organization rounds");
     let workload = Workload::generate(WorkloadConfig {
@@ -36,33 +35,15 @@ fn main() {
         export_fraction: 0.35,
         ..WorkloadConfig::default()
     });
-    let mut sys = GridVineSystem::new(GridVineConfig {
+    let config = GridVineConfig {
         peers: 64,
         seed,
         ..GridVineConfig::default()
-    });
-    let p0 = PeerId(0);
-    for s in &workload.schemas {
-        sys.insert_schema(p0, s.clone()).unwrap();
-    }
-    let mut loaded = 0;
-    for s in &workload.schemas {
-        loaded += sys.insert_triples(p0, workload.triples_of(s.id())).unwrap();
-    }
+    };
+    let (mut sys, loaded) = fixtures::publish(config, &workload);
     // Manual seed: a 3-link chain, as entered at schema-insertion time.
     for i in 0..3.min(workload.schemas.len() - 1) {
-        let a = workload.schemas[i].id().clone();
-        let b = workload.schemas[i + 1].id().clone();
-        let corrs = workload.ground_truth.correct_pairs(&a, &b);
-        sys.insert_mapping(
-            p0,
-            a,
-            b,
-            MappingKind::Equivalence,
-            Provenance::Manual,
-            corrs,
-        )
-        .unwrap();
+        fixtures::correct_mapping(&mut sys, &workload, i, i + 1, Provenance::Manual);
     }
     println!(
         "loaded {loaded} triples; {} manual seed mappings",

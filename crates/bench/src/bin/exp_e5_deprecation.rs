@@ -12,8 +12,7 @@
 //!
 //! Usage: `exp_e5_deprecation [bad_mappings] [rounds] [schemas] [seed]`
 
-use gridvine_bench::table::f;
-use gridvine_bench::Table;
+use gridvine_bench::{f, fixtures, Args, Table};
 use gridvine_core::{GridVineConfig, GridVineSystem, SelfOrgConfig};
 use gridvine_pgrid::PeerId;
 use gridvine_semantic::{MappingId, MappingKind, Provenance};
@@ -21,11 +20,12 @@ use gridvine_workload::{Workload, WorkloadConfig};
 use std::collections::BTreeSet;
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let bad_count: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(4);
-    let rounds: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(8);
-    let schemas: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(12);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(1);
+    let mut args = Args::from_env("exp_e5_deprecation [bad_mappings] [rounds] [schemas] [seed]");
+    let bad_count: usize = args.or(4);
+    let rounds: usize = args.or(8);
+    let schemas: usize = args.or(12);
+    let seed: u64 = args.or(1);
+    args.done();
 
     println!(
         "E5: Bayesian deprecation — {schemas} schemas, {bad_count} erroneous mappings injected"
@@ -37,50 +37,24 @@ fn main() {
         seed,
         ..WorkloadConfig::default()
     });
-    let mut sys = GridVineSystem::new(GridVineConfig {
+    let config = GridVineConfig {
         peers: 64,
         seed,
         ..GridVineConfig::default()
-    });
+    };
+    let (mut sys, _) = fixtures::publish(config, &workload);
     let p0 = PeerId(0);
-    for s in &workload.schemas {
-        sys.insert_schema(p0, s.clone()).unwrap();
-    }
-    for s in &workload.schemas {
-        sys.insert_triples(p0, workload.triples_of(s.id())).unwrap();
-    }
     // A trusted manual ring (users enter these at schema-insertion
     // time, §3.1) provides high-confidence cycles for the analysis.
     for i in 0..schemas {
-        let a = workload.schemas[i].id().clone();
-        let b = workload.schemas[(i + 1) % schemas].id().clone();
-        let corrs = workload.ground_truth.correct_pairs(&a, &b);
-        sys.insert_mapping(
-            p0,
-            a,
-            b,
-            MappingKind::Equivalence,
-            Provenance::Manual,
-            corrs,
-        )
-        .unwrap();
+        let next = (i + 1) % schemas;
+        fixtures::correct_mapping(&mut sys, &workload, i, next, Provenance::Manual);
     }
     // Correct automatic chords — these must *survive* the analysis.
     let mut good: BTreeSet<MappingId> = BTreeSet::new();
     for k in 0..bad_count.min(schemas / 3) {
-        let a = workload.schemas[(3 * k + 1) % schemas].id().clone();
-        let b = workload.schemas[(3 * k + 3) % schemas].id().clone();
-        let corrs = workload.ground_truth.correct_pairs(&a, &b);
-        let id = sys
-            .insert_mapping(
-                p0,
-                a,
-                b,
-                MappingKind::Equivalence,
-                Provenance::Automatic,
-                corrs,
-            )
-            .unwrap();
+        let (a, b) = ((3 * k + 1) % schemas, (3 * k + 3) % schemas);
+        let id = fixtures::correct_mapping(&mut sys, &workload, a, b, Provenance::Automatic);
         good.insert(id);
     }
     // Erroneous chords across the ring: each swaps the organism and

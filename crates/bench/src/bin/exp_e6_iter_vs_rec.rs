@@ -13,62 +13,25 @@
 //!
 //! Usage: `exp_e6_iter_vs_rec [repeats] [seed]`
 
-use gridvine_bench::table::f;
-use gridvine_bench::Table;
-use gridvine_core::{GridVineConfig, GridVineSystem, QueryOptions, QueryPlan, Strategy};
-use gridvine_pgrid::PeerId;
-use gridvine_rdf::{PatternTerm, Term, Triple, TriplePattern, TriplePatternQuery};
-use gridvine_semantic::{Correspondence, MappingKind, Provenance, Schema};
+use gridvine_bench::{f, fixtures, Args, Table};
+use gridvine_core::{GridVineConfig, QueryOptions, QueryPlan, Strategy};
 
-fn build_chain(len: usize, seed: u64) -> GridVineSystem {
-    let mut sys = GridVineSystem::new(GridVineConfig {
+fn config(seed: u64) -> GridVineConfig {
+    GridVineConfig {
         peers: 128,
         seed,
         ..GridVineConfig::default()
-    });
-    let p0 = PeerId(0);
-    for i in 0..=len {
-        sys.insert_schema(p0, Schema::new(format!("S{i}").as_str(), [format!("a{i}")]))
-            .unwrap();
-        sys.insert_triple(
-            p0,
-            Triple::new(
-                format!("seq:R{i}").as_str(),
-                format!("S{i}#a{i}").as_str(),
-                Term::literal("target-value"),
-            ),
-        )
-        .unwrap();
     }
-    for i in 0..len {
-        sys.insert_mapping(
-            p0,
-            format!("S{i}").as_str(),
-            format!("S{}", i + 1).as_str(),
-            MappingKind::Equivalence,
-            Provenance::Manual,
-            vec![Correspondence::new(format!("a{i}"), format!("a{}", i + 1))],
-        )
-        .unwrap();
-    }
-    sys
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let repeats: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(30);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(1);
+    let mut args = Args::from_env("exp_e6_iter_vs_rec [repeats] [seed]");
+    let repeats: usize = args.or(30);
+    let seed: u64 = args.or(1);
+    args.done();
 
     println!("E6: iterative vs recursive reformulation ({repeats} repeats per point)");
-    let query = TriplePatternQuery::new(
-        "x",
-        TriplePattern::new(
-            PatternTerm::var("x"),
-            PatternTerm::constant(Term::uri("S0#a0")),
-            PatternTerm::constant(Term::literal("target-value")),
-        ),
-    )
-    .unwrap();
+    let plan = QueryPlan::search(fixtures::chain_query());
 
     let mut table = Table::new(&[
         "chain len",
@@ -81,9 +44,8 @@ fn main() {
         let mut iter_msgs = 0.0;
         let mut rec_msgs = 0.0;
         let mut results = 0usize;
-        let plan = QueryPlan::search(query.clone());
         for rep in 0..repeats {
-            let mut sys = build_chain(len, seed + rep as u64);
+            let mut sys = fixtures::chain(config(seed + rep as u64), len);
             let origin = sys.random_peer();
             let it = sys
                 .execute(
@@ -95,7 +57,7 @@ fn main() {
             iter_msgs += it.stats.messages as f64;
             results = it.rows.len();
 
-            let mut sys = build_chain(len, seed + rep as u64);
+            let mut sys = fixtures::chain(config(seed + rep as u64), len);
             let origin = sys.random_peer();
             let rec = sys
                 .execute(

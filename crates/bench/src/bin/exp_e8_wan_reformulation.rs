@@ -17,19 +17,19 @@
 //!
 //! Usage: `exp_e8_wan_reformulation [queries] [peers] [schemas] [seed]`
 
-use gridvine_bench::table::f;
-use gridvine_bench::Table;
+use gridvine_bench::{f, Args, Table};
 use gridvine_core::{Deployment, DeploymentConfig, QueryPlan, WanBatchOptions};
 use gridvine_pgrid::HashKind;
 use gridvine_rdf::TriplePatternQuery;
 use gridvine_workload::{QueryConfig, QueryGenerator, Workload, WorkloadConfig};
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let queries: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(400);
-    let peers: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(340);
-    let schemas: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(16);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(1);
+    let mut args = Args::from_env("exp_e8_wan_reformulation [queries] [peers] [schemas] [seed]");
+    let queries: usize = args.or(400);
+    let peers: usize = args.or(340);
+    let schemas: usize = args.or(16);
+    let seed: u64 = args.or(1);
+    args.done();
 
     println!(
         "E8: reformulated-query latency over the WAN — {peers} peers, {schemas} schemas, \

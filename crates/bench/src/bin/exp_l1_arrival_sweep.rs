@@ -7,79 +7,25 @@
 //! Poisson stream of reformulated chain queries from 8 origins over the
 //! regional WAN latency model and reports the delivered fraction, the
 //! shed load (queued / rejected) and the completion-latency tail
-//! (p50/p99 from real per-session completion instants). Deterministic
-//! for a fixed seed: CI runs this binary twice and diffs the
-//! transcripts.
+//! (p50/p99 from real per-session completion instants).
 //!
 //! Usage: `exp_l1_arrival_sweep [sessions] [seed]`
 
-use gridvine_bench::table::f;
-use gridvine_bench::Table;
-use gridvine_core::{GridVineConfig, GridVineSystem, QueryPlan};
+use gridvine_bench::{f, fixtures, Args, Table};
+use gridvine_core::{GridVineConfig, QueryPlan};
 use gridvine_load::{run_open_loop, ArrivalProcess, LoadConfig};
 use gridvine_netsim::LatencyConfig;
-use gridvine_pgrid::PeerId;
-use gridvine_rdf::{PatternTerm, Term, Triple, TriplePattern, TriplePatternQuery};
-use gridvine_semantic::{Correspondence, MappingKind, Provenance, Schema};
 
 const CHAIN: usize = 4;
 
-fn build_system(seed: u64) -> GridVineSystem {
-    let mut sys = GridVineSystem::new(GridVineConfig {
-        peers: 64,
-        latency: LatencyConfig::planetlab_2007(),
-        seed,
-        ..GridVineConfig::default()
-    });
-    let p0 = PeerId(0);
-    for i in 0..=CHAIN {
-        sys.insert_schema(p0, Schema::new(format!("S{i}").as_str(), [format!("a{i}")]))
-            .unwrap();
-        sys.insert_triple(
-            p0,
-            Triple::new(
-                format!("seq:R{i}").as_str(),
-                format!("S{i}#a{i}").as_str(),
-                Term::literal("target-value"),
-            ),
-        )
-        .unwrap();
-    }
-    for i in 0..CHAIN {
-        sys.insert_mapping(
-            p0,
-            format!("S{i}").as_str(),
-            format!("S{}", i + 1).as_str(),
-            MappingKind::Equivalence,
-            Provenance::Manual,
-            vec![Correspondence::new(format!("a{i}"), format!("a{}", i + 1))],
-        )
-        .unwrap();
-    }
-    sys
-}
-
-fn plans() -> Vec<QueryPlan> {
-    vec![QueryPlan::search(
-        TriplePatternQuery::new(
-            "x",
-            TriplePattern::new(
-                PatternTerm::var("x"),
-                PatternTerm::constant(Term::uri("S0#a0")),
-                PatternTerm::constant(Term::literal("target-value")),
-            ),
-        )
-        .unwrap(),
-    )]
-}
-
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let sessions: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(200);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(1);
+    let mut args = Args::from_env("exp_l1_arrival_sweep [sessions] [seed]");
+    let sessions: usize = args.or(200);
+    let seed: u64 = args.or(1);
+    args.done();
 
     println!("L1: open-loop arrival rate x admission cap ({sessions} sessions per point)");
-    let plans = plans();
+    let plans = vec![QueryPlan::search(fixtures::chain_query())];
     let mut table = Table::new(&[
         "rate/s",
         "cap",
@@ -100,17 +46,18 @@ fn main() {
                 seed,
                 ..LoadConfig::default()
             };
-            let mut sys = build_system(seed);
+            let config = GridVineConfig {
+                peers: 64,
+                latency: LatencyConfig::planetlab_2007(),
+                seed,
+                ..GridVineConfig::default()
+            };
+            let mut sys = fixtures::chain(config, CHAIN);
             let r = run_open_loop(&mut sys, &plans, &cfg);
             assert_eq!(
-                r.completed
-                    + r.failed
-                    + r.cancelled_deadline
-                    + r.cancelled_budget
-                    + r.rejected
-                    + r.refused,
+                r.resolved(),
                 r.submitted,
-                "every session lands in exactly one bucket"
+                "every session lands in one bucket"
             );
             table.row(&[
                 f(rate, 0),

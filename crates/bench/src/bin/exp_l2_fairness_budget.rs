@@ -8,54 +8,28 @@
 //! deadline and an overlay-message cap, both enforced through the
 //! pool's drop-cancels-replies path — reporting the min/max fairness
 //! index over per-origin completions and the exact cancel accounting.
-//! Deterministic for a fixed seed: CI runs this binary twice and diffs
-//! the transcripts.
 //!
 //! Usage: `exp_l2_fairness_budget [sessions] [seed]`
 
-use gridvine_bench::table::f;
-use gridvine_bench::Table;
+use gridvine_bench::{f, fixtures, Args, Table};
 use gridvine_core::{GridVineConfig, GridVineSystem, QueryPlan};
 use gridvine_load::{run_open_loop, ArrivalProcess, LoadConfig};
 use gridvine_netsim::{LatencyConfig, SimDuration};
 use gridvine_pgrid::PeerId;
-use gridvine_rdf::{PatternTerm, Term, Triple, TriplePattern, TriplePatternQuery};
-use gridvine_semantic::{Correspondence, MappingKind, Provenance, Schema};
+use gridvine_rdf::{Term, Triple};
+use gridvine_semantic::Schema;
 
 const CHAIN: usize = 4;
 
-fn build_system(seed: u64) -> GridVineSystem {
-    let mut sys = GridVineSystem::new(GridVineConfig {
+fn chain_with_island(seed: u64) -> GridVineSystem {
+    let config = GridVineConfig {
         peers: 64,
         latency: LatencyConfig::planetlab_2007(),
         seed,
         ..GridVineConfig::default()
-    });
+    };
+    let mut sys = fixtures::chain(config, CHAIN);
     let p0 = PeerId(0);
-    for i in 0..=CHAIN {
-        sys.insert_schema(p0, Schema::new(format!("S{i}").as_str(), [format!("a{i}")]))
-            .unwrap();
-        sys.insert_triple(
-            p0,
-            Triple::new(
-                format!("seq:R{i}").as_str(),
-                format!("S{i}#a{i}").as_str(),
-                Term::literal("target-value"),
-            ),
-        )
-        .unwrap();
-    }
-    for i in 0..CHAIN {
-        sys.insert_mapping(
-            p0,
-            format!("S{i}").as_str(),
-            format!("S{}", i + 1).as_str(),
-            MappingKind::Equivalence,
-            Provenance::Manual,
-            vec![Correspondence::new(format!("a{i}"), format!("a{}", i + 1))],
-        )
-        .unwrap();
-    }
     // An isolated schema off the mapping chain: queries against it stop
     // after one pattern search (~9 messages vs ~40 for the chain walk).
     sys.insert_schema(p0, Schema::new("T0", ["b0"])).unwrap();
@@ -72,26 +46,15 @@ fn build_system(seed: u64) -> GridVineSystem {
 /// alternated across arrivals: the message budget sits between their
 /// costs, so it trims exactly the deep half.
 fn plans() -> Vec<QueryPlan> {
-    let on = |pred: &str| {
-        QueryPlan::search(
-            TriplePatternQuery::new(
-                "x",
-                TriplePattern::new(
-                    PatternTerm::var("x"),
-                    PatternTerm::constant(Term::uri(pred)),
-                    PatternTerm::constant(Term::literal("target-value")),
-                ),
-            )
-            .unwrap(),
-        )
-    };
+    let on = |predicate| QueryPlan::search(fixtures::search_for(predicate, "target-value"));
     vec![on("S0#a0"), on("T0#b0")]
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let sessions: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(240);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(1);
+    let mut args = Args::from_env("exp_l2_fairness_budget [sessions] [seed]");
+    let sessions: usize = args.or(240);
+    let seed: u64 = args.or(1);
+    args.done();
 
     println!(
         "L2: origin fairness and budget cancels under open-loop WAN load ({sessions} sessions per point)"
@@ -129,17 +92,12 @@ fn main() {
                 seed,
                 ..LoadConfig::default()
             };
-            let mut sys = build_system(seed);
+            let mut sys = chain_with_island(seed);
             let r = run_open_loop(&mut sys, &plans, &cfg);
             assert_eq!(
-                r.completed
-                    + r.failed
-                    + r.cancelled_deadline
-                    + r.cancelled_budget
-                    + r.rejected
-                    + r.refused,
+                r.resolved(),
                 r.submitted,
-                "every session lands in exactly one bucket"
+                "every session lands in one bucket"
             );
             table.row(&[
                 origins.to_string(),
@@ -179,17 +137,12 @@ fn main() {
             seed,
             ..LoadConfig::default()
         };
-        let mut sys = build_system(seed);
+        let mut sys = chain_with_island(seed);
         let r = run_open_loop(&mut sys, &plans, &cfg);
         assert_eq!(
-            r.completed
-                + r.failed
-                + r.cancelled_deadline
-                + r.cancelled_budget
-                + r.rejected
-                + r.refused,
+            r.resolved(),
             r.submitted,
-            "every session lands in exactly one bucket"
+            "every session lands in one bucket"
         );
         if quota.is_some() {
             assert!(

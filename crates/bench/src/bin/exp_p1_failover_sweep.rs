@@ -11,19 +11,15 @@
 //! lowest-index holders, which the flat latency model ranks first —
 //! every crash that can force a failover does), always sparing the
 //! schema-key owners so mediation-layer discovery stays comparable
-//! across cells. Deterministic for a fixed seed: CI runs this binary
-//! twice and diffs the transcripts.
+//! across cells.
 //!
 //! Usage: `exp_p1_failover_sweep [repeats] [seed]`
 
-use gridvine_bench::table::f;
-use gridvine_bench::Table;
-use gridvine_core::{
-    GridVineConfig, GridVineSystem, PlacementPolicy, QueryOptions, QueryPlan, ResultEvent, Strategy,
-};
+use gridvine_bench::{f, fixtures, Args, Table};
+use gridvine_core::{GridVineConfig, GridVineSystem, PlacementPolicy, QueryPlan, ResultEvent};
 use gridvine_netsim::Cdf;
 use gridvine_pgrid::PeerId;
-use gridvine_rdf::{PatternTerm, Term, Triple, TriplePattern, TriplePatternQuery};
+use gridvine_rdf::{Term, Triple};
 use gridvine_semantic::Schema;
 
 const PEERS: usize = 32;
@@ -57,32 +53,18 @@ fn build(factor: usize, seed: u64) -> GridVineSystem {
     sys
 }
 
-fn query() -> TriplePatternQuery {
-    TriplePatternQuery::new(
-        "x",
-        TriplePattern::new(
-            PatternTerm::var("x"),
-            PatternTerm::constant(Term::uri("S0#a0")),
-            PatternTerm::constant(Term::literal("%Aspergillus%")),
-        ),
-    )
-    .unwrap()
-}
-
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let repeats: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(20);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(1);
+    let mut args = Args::from_env("exp_p1_failover_sweep [repeats] [seed]");
+    let repeats: usize = args.or(20);
+    let seed: u64 = args.or(1);
+    args.done();
 
     println!(
         "P1: delivered rows and session latency under replica-holder crashes \
          ({repeats} repeats per point)"
     );
-    let plan = QueryPlan::search(query());
-    let options = QueryOptions::new()
-        .strategy(Strategy::Iterative)
-        .window(4)
-        .max_retries(3);
+    let plan = QueryPlan::search(fixtures::search_for("S0#a0", "%Aspergillus%"));
+    let options = fixtures::options().max_retries(3);
 
     let mut table = Table::new(&[
         "factor",

@@ -8,75 +8,24 @@
 //! against the query protocol's retry budget on a mapping-chain
 //! corpus, and reports the delivered-row fraction relative to the
 //! fault-free run plus the protocol's own accounting (timeouts,
-//! retransmits, exhausted requests). Deterministic for a fixed seed:
-//! CI runs this binary twice and diffs the transcripts.
+//! retransmits, exhausted requests).
 //!
 //! Usage: `exp_r1_loss_sweep [repeats] [seed]`
 
-use gridvine_bench::table::f;
-use gridvine_bench::Table;
-use gridvine_core::{GridVineConfig, GridVineSystem, QueryOptions, QueryPlan, Strategy};
+use gridvine_bench::{f, fixtures, Args, Table};
+use gridvine_core::{GridVineConfig, QueryPlan};
 use gridvine_netsim::FaultConfig;
-use gridvine_pgrid::PeerId;
-use gridvine_rdf::{PatternTerm, Term, Triple, TriplePattern, TriplePatternQuery};
-use gridvine_semantic::{Correspondence, MappingKind, Provenance, Schema};
 
 const CHAIN: usize = 6;
 
-fn build_chain(fault: FaultConfig, seed: u64) -> GridVineSystem {
-    let mut sys = GridVineSystem::new(GridVineConfig {
-        peers: 64,
-        fault,
-        seed,
-        ..GridVineConfig::default()
-    });
-    let p0 = PeerId(0);
-    for i in 0..=CHAIN {
-        sys.insert_schema(p0, Schema::new(format!("S{i}").as_str(), [format!("a{i}")]))
-            .unwrap();
-        sys.insert_triple(
-            p0,
-            Triple::new(
-                format!("seq:R{i}").as_str(),
-                format!("S{i}#a{i}").as_str(),
-                Term::literal("target-value"),
-            ),
-        )
-        .unwrap();
-    }
-    for i in 0..CHAIN {
-        sys.insert_mapping(
-            p0,
-            format!("S{i}").as_str(),
-            format!("S{}", i + 1).as_str(),
-            MappingKind::Equivalence,
-            Provenance::Manual,
-            vec![Correspondence::new(format!("a{i}"), format!("a{}", i + 1))],
-        )
-        .unwrap();
-    }
-    sys
-}
-
-fn query() -> TriplePatternQuery {
-    TriplePatternQuery::new(
-        "x",
-        TriplePattern::new(
-            PatternTerm::var("x"),
-            PatternTerm::constant(Term::uri("S0#a0")),
-            PatternTerm::constant(Term::literal("target-value")),
-        ),
-    )
-    .unwrap()
-}
-
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let repeats: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(20);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(1);
+    let mut args = Args::from_env("exp_r1_loss_sweep [repeats] [seed]");
+    let repeats: usize = args.or(20);
+    let seed: u64 = args.or(1);
+    args.done();
 
     println!("R1: delivered rows under request loss vs retry budget ({repeats} repeats per point)");
-    let plan = QueryPlan::search(query());
+    let plan = QueryPlan::search(fixtures::chain_query());
     let full_rows = (CHAIN + 1) * repeats;
 
     let mut table = Table::new(&[
@@ -94,18 +43,16 @@ fn main() {
             let mut retransmits = 0usize;
             let mut failures = 0usize;
             for rep in 0..repeats {
-                let mut sys = build_chain(FaultConfig::lossy(loss), seed + rep as u64);
+                let config = GridVineConfig {
+                    peers: 64,
+                    fault: FaultConfig::lossy(loss),
+                    seed: seed + rep as u64,
+                    ..GridVineConfig::default()
+                };
+                let mut sys = fixtures::chain(config, CHAIN);
                 let origin = sys.random_peer();
-                let out = sys
-                    .execute(
-                        origin,
-                        &plan,
-                        &QueryOptions::new()
-                            .strategy(Strategy::Iterative)
-                            .window(4)
-                            .max_retries(retries),
-                    )
-                    .unwrap();
+                let options = fixtures::options().max_retries(retries);
+                let out = sys.execute(origin, &plan, &options).unwrap();
                 assert_eq!(
                     out.stats.sends,
                     out.stats.requests + out.stats.retransmits,

@@ -9,71 +9,30 @@
 //!
 //! Usage: `exp_r2_duplication_storm [repeats] [seed]`
 
-use gridvine_bench::table::f;
-use gridvine_bench::Table;
-use gridvine_core::{GridVineConfig, GridVineSystem, QueryOptions, QueryPlan, Strategy};
+use gridvine_bench::{f, fixtures, Args, Table};
+use gridvine_core::{GridVineConfig, QueryPlan};
 use gridvine_netsim::{FaultConfig, SimDuration};
-use gridvine_pgrid::PeerId;
-use gridvine_rdf::{PatternTerm, Term, Triple, TriplePattern, TriplePatternQuery};
-use gridvine_semantic::{Correspondence, MappingKind, Provenance, Schema};
 
 const CHAIN: usize = 6;
 
-fn build_chain(fault: FaultConfig, seed: u64) -> GridVineSystem {
-    let mut sys = GridVineSystem::new(GridVineConfig {
+fn config(fault: FaultConfig, seed: u64) -> GridVineConfig {
+    GridVineConfig {
         peers: 64,
         fault,
         seed,
         ..GridVineConfig::default()
-    });
-    let p0 = PeerId(0);
-    for i in 0..=CHAIN {
-        sys.insert_schema(p0, Schema::new(format!("S{i}").as_str(), [format!("a{i}")]))
-            .unwrap();
-        sys.insert_triple(
-            p0,
-            Triple::new(
-                format!("seq:R{i}").as_str(),
-                format!("S{i}#a{i}").as_str(),
-                Term::literal("target-value"),
-            ),
-        )
-        .unwrap();
     }
-    for i in 0..CHAIN {
-        sys.insert_mapping(
-            p0,
-            format!("S{i}").as_str(),
-            format!("S{}", i + 1).as_str(),
-            MappingKind::Equivalence,
-            Provenance::Manual,
-            vec![Correspondence::new(format!("a{i}"), format!("a{}", i + 1))],
-        )
-        .unwrap();
-    }
-    sys
-}
-
-fn query() -> TriplePatternQuery {
-    TriplePatternQuery::new(
-        "x",
-        TriplePattern::new(
-            PatternTerm::var("x"),
-            PatternTerm::constant(Term::uri("S0#a0")),
-            PatternTerm::constant(Term::literal("target-value")),
-        ),
-    )
-    .unwrap()
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let repeats: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(20);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(1);
+    let mut args = Args::from_env("exp_r2_duplication_storm [repeats] [seed]");
+    let repeats: usize = args.or(20);
+    let seed: u64 = args.or(1);
+    args.done();
 
     println!("R2: reply duplication/reordering storm ({repeats} repeats per point)");
-    let plan = QueryPlan::search(query());
-    let options = QueryOptions::new().strategy(Strategy::Iterative).window(4);
+    let plan = QueryPlan::search(fixtures::chain_query());
+    let options = fixtures::options();
 
     let mut table = Table::new(&[
         "duplication",
@@ -88,14 +47,14 @@ fn main() {
         let mut dropped = 0usize;
         let mut messages = 0u64;
         for rep in 0..repeats {
-            let mut clean = build_chain(FaultConfig::none(), seed + rep as u64);
+            let mut clean = fixtures::chain(config(FaultConfig::none(), seed + rep as u64), CHAIN);
             let origin = clean.random_peer();
             let base = clean.execute(origin, &plan, &options).unwrap();
 
             let mut cfg = FaultConfig::duplicating(duplication);
             cfg.reorder = 0.5;
             cfg.reorder_jitter = SimDuration::from_millis(20);
-            let mut stormy = build_chain(cfg, seed + rep as u64);
+            let mut stormy = fixtures::chain(config(cfg, seed + rep as u64), CHAIN);
             let origin = stormy.random_peer();
             let out = stormy.execute(origin, &plan, &options).unwrap();
 

@@ -12,67 +12,14 @@
 //!
 //! Usage: `exp_r3_reorder_churn [repeats] [seed]`
 
-use gridvine_bench::table::f;
-use gridvine_bench::Table;
-use gridvine_core::{GridVineConfig, GridVineSystem, QueryOptions, QueryPlan, Strategy};
+use gridvine_bench::{f, fixtures, Args, Table};
+use gridvine_core::{GridVineConfig, QueryPlan};
 use gridvine_netsim::churn::{ChurnEvent, ChurnKind};
 use gridvine_netsim::{FaultConfig, NodeId, SimDuration, SimTime};
 use gridvine_pgrid::PeerId;
-use gridvine_rdf::{PatternTerm, Term, Triple, TriplePattern, TriplePatternQuery};
-use gridvine_semantic::{Correspondence, MappingKind, Provenance, Schema};
 
 const CHAIN: usize = 6;
 const PEERS: usize = 64;
-
-fn build_chain(seed: u64) -> GridVineSystem {
-    let mut cfg = FaultConfig::none();
-    cfg.reorder = 0.5;
-    cfg.reorder_jitter = SimDuration::from_millis(10);
-    let mut sys = GridVineSystem::new(GridVineConfig {
-        peers: PEERS,
-        fault: cfg,
-        seed,
-        ..GridVineConfig::default()
-    });
-    let p0 = PeerId(0);
-    for i in 0..=CHAIN {
-        sys.insert_schema(p0, Schema::new(format!("S{i}").as_str(), [format!("a{i}")]))
-            .unwrap();
-        sys.insert_triple(
-            p0,
-            Triple::new(
-                format!("seq:R{i}").as_str(),
-                format!("S{i}#a{i}").as_str(),
-                Term::literal("target-value"),
-            ),
-        )
-        .unwrap();
-    }
-    for i in 0..CHAIN {
-        sys.insert_mapping(
-            p0,
-            format!("S{i}").as_str(),
-            format!("S{}", i + 1).as_str(),
-            MappingKind::Equivalence,
-            Provenance::Manual,
-            vec![Correspondence::new(format!("a{i}"), format!("a{}", i + 1))],
-        )
-        .unwrap();
-    }
-    sys
-}
-
-fn query() -> TriplePatternQuery {
-    TriplePatternQuery::new(
-        "x",
-        TriplePattern::new(
-            PatternTerm::var("x"),
-            PatternTerm::constant(Term::uri("S0#a0")),
-            PatternTerm::constant(Term::literal("target-value")),
-        ),
-    )
-    .unwrap()
-}
 
 fn outage(origin: PeerId, millis: u64) -> Vec<ChurnEvent> {
     (0..PEERS)
@@ -95,13 +42,17 @@ fn outage(origin: PeerId, millis: u64) -> Vec<ChurnEvent> {
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let repeats: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(20);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(1);
+    let mut args = Args::from_env("exp_r3_reorder_churn [repeats] [seed]");
+    let repeats: usize = args.or(20);
+    let seed: u64 = args.or(1);
+    args.done();
 
     println!("R3: bridging an outage with exponential backoff ({repeats} repeats per point)");
-    let plan = QueryPlan::search(query());
+    let plan = QueryPlan::search(fixtures::chain_query());
     let full_rows = (CHAIN + 1) * repeats;
+    let mut fault = FaultConfig::none();
+    fault.reorder = 0.5;
+    fault.reorder_jitter = SimDuration::from_millis(10);
 
     let mut table = Table::new(&[
         "outage ms",
@@ -118,19 +69,17 @@ fn main() {
             let mut retransmits = 0usize;
             let mut failures = 0usize;
             for rep in 0..repeats {
-                let mut sys = build_chain(seed + rep as u64);
+                let config = GridVineConfig {
+                    peers: PEERS,
+                    fault: fault.clone(),
+                    seed: seed + rep as u64,
+                    ..GridVineConfig::default()
+                };
+                let mut sys = fixtures::chain(config, CHAIN);
                 let origin = sys.random_peer();
                 sys.install_churn(&outage(origin, millis));
-                let out = sys
-                    .execute(
-                        origin,
-                        &plan,
-                        &QueryOptions::new()
-                            .strategy(Strategy::Iterative)
-                            .window(4)
-                            .max_retries(retries),
-                    )
-                    .unwrap();
+                let options = fixtures::options().max_retries(retries);
+                let out = sys.execute(origin, &plan, &options).unwrap();
                 rows += out.rows.len();
                 timeouts += out.stats.timeouts;
                 retransmits += out.stats.retransmits;

@@ -11,124 +11,28 @@
 //! the mapping cycles, quarantine the injected copies and restore the
 //! exact fault-free answer. Sweeps the injection rate against the
 //! number of assessment passes.
-//! Deterministic for a fixed seed: CI runs this binary twice and diffs
-//! the transcripts.
 //!
 //! Usage: `exp_s1_stale_gossip [repeats] [seed]`
 
-use gridvine_bench::table::f;
-use gridvine_bench::Table;
-use gridvine_core::{GridVineConfig, GridVineSystem, QueryOptions, QueryPlan, Strategy};
+use gridvine_bench::{f, fixtures, Args, Table};
+use gridvine_core::{GridVineConfig, QueryPlan};
 use gridvine_pgrid::PeerId;
-use gridvine_rdf::{PatternTerm, Term, Triple, TriplePattern, TriplePatternQuery};
-use gridvine_semantic::{
-    BayesConfig, Correspondence, MappingKind, MappingStatus, Provenance, Schema,
-    SemanticFaultConfig,
-};
+use gridvine_semantic::{BayesConfig, SemanticFaultConfig};
 
-const RING: usize = 5;
 const GOSSIP_ROUNDS: usize = 6;
 
-/// The S1/S3 corpus: a 5-schema equivalence ring with two attributes
-/// per schema (so corruption has a permutation to make), one target
-/// triple and one decoy triple per schema, and a deprecated wrong
-/// shortcut edge S0 → S2 (so stale gossip has a candidate to
-/// resurrect that beats the correct two-hop path).
-fn build_ring(semantic: SemanticFaultConfig, seed: u64) -> GridVineSystem {
-    let mut sys = GridVineSystem::new(GridVineConfig {
-        peers: 64,
-        semantic_fault: semantic,
-        seed,
-        ..GridVineConfig::default()
-    });
-    let p0 = PeerId(0);
-    for i in 0..RING {
-        sys.insert_schema(
-            p0,
-            Schema::new(format!("S{i}").as_str(), [format!("a{i}"), format!("b{i}")]),
-        )
-        .unwrap();
-        sys.insert_triple(
-            p0,
-            Triple::new(
-                format!("seq:R{i}").as_str(),
-                format!("S{i}#a{i}").as_str(),
-                Term::literal("target-value"),
-            ),
-        )
-        .unwrap();
-        // Bait for wrong correspondences: a mapping that mistranslates
-        // the query predicate onto the b-attribute picks these up as
-        // wrong rows. Two decoys per attribute keep the damage visible
-        // in the row *count*: a wrong hop shadows one correct row but
-        // pulls in two decoys, so the fraction drifts above 1.000.
-        for d in ["D", "E"] {
-            sys.insert_triple(
-                p0,
-                Triple::new(
-                    format!("seq:{d}{i}").as_str(),
-                    format!("S{i}#b{i}").as_str(),
-                    Term::literal("target-decoy"),
-                ),
-            )
-            .unwrap();
-        }
-    }
-    for i in 0..RING {
-        let j = (i + 1) % RING;
-        sys.insert_mapping(
-            p0,
-            format!("S{i}").as_str(),
-            format!("S{j}").as_str(),
-            MappingKind::Equivalence,
-            Provenance::Manual,
-            vec![
-                Correspondence::new(format!("a{i}"), format!("a{j}")),
-                Correspondence::new(format!("b{i}"), format!("b{j}")),
-            ],
-        )
-        .unwrap();
-    }
-    let decoy = sys
-        .insert_mapping(
-            p0,
-            "S0",
-            "S2",
-            MappingKind::Equivalence,
-            Provenance::Automatic,
-            vec![
-                Correspondence::new("a0", "b2"),
-                Correspondence::new("b0", "a2"),
-            ],
-        )
-        .unwrap();
-    sys.deprecate_mapping(p0, decoy).unwrap();
-    sys
-}
-
-fn ring_query() -> TriplePatternQuery {
-    TriplePatternQuery::new(
-        "x",
-        TriplePattern::new(
-            PatternTerm::var("x"),
-            PatternTerm::constant(Term::uri("S0#a0")),
-            PatternTerm::constant(Term::literal("target%")),
-        ),
-    )
-    .unwrap()
-}
-
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let repeats: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(20);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(1);
+    let mut args = Args::from_env("exp_s1_stale_gossip [repeats] [seed]");
+    let repeats: usize = args.or(20);
+    let seed: u64 = args.or(1);
+    args.done();
 
     println!(
         "S1: rows under stale/corrupted gossip vs assessment passes ({repeats} repeats per point)"
     );
-    let plan = QueryPlan::search(ring_query());
+    let plan = QueryPlan::search(fixtures::ring_query());
     let bayes = BayesConfig::default();
-    let full_rows = RING * repeats;
+    let full_rows = fixtures::RING * repeats;
 
     let mut table = Table::new(&[
         "rate",
@@ -145,14 +49,16 @@ fn main() {
             let mut quarantined = 0usize;
             let mut probes = 0usize;
             for rep in 0..repeats {
-                let mut sys = build_ring(
-                    SemanticFaultConfig {
+                let mut sys = fixtures::ring_with_retired_shortcut(GridVineConfig {
+                    peers: 64,
+                    semantic_fault: SemanticFaultConfig {
                         stale: rate,
                         corrupt: rate,
                         ..SemanticFaultConfig::none()
                     },
-                    seed + rep as u64,
-                );
+                    seed: seed + rep as u64,
+                    ..GridVineConfig::default()
+                });
                 let origin = sys.random_peer();
                 for _ in 0..GOSSIP_ROUNDS {
                     sys.adversary_gossip(PeerId(0)).unwrap();
@@ -161,18 +67,8 @@ fn main() {
                     let report = sys.assessment_pass(origin, &bayes).unwrap();
                     probes += report.cycles_probed;
                 }
-                quarantined += sys
-                    .registry()
-                    .mappings()
-                    .filter(|m| m.status == MappingStatus::Quarantined)
-                    .count();
-                let out = sys
-                    .execute(
-                        origin,
-                        &plan,
-                        &QueryOptions::new().strategy(Strategy::Iterative).window(4),
-                    )
-                    .unwrap();
+                quarantined += fixtures::quarantined(&sys);
+                let out = sys.execute(origin, &plan, &fixtures::options()).unwrap();
                 rows += out.rows.len();
                 let counters = sys.semantic_fault_counters();
                 injected += counters.stale + counters.corrupted;

@@ -3,108 +3,34 @@
 //!
 //! Designated adversarial peers fabricate well-typed equivalence edges
 //! between random schemas each gossip round. Detection never reads the
-//! [`Provenance::Byzantine`] ground-truth label — only cycle evidence
-//! condemns a fabrication — so the sweep measures how many adversaries
-//! the Bayesian analysis tolerates before wrong rows leak. The binary
-//! also pins the accounting contract: every assessment probe is charged
-//! as real overlay messages and simulated latency, exactly like a
-//! subquery.
+//! [`Byzantine`](gridvine_semantic::Provenance::Byzantine) ground-truth
+//! label — only cycle evidence condemns a fabrication — so the sweep
+//! measures how many adversaries the Bayesian analysis tolerates before
+//! wrong rows leak. The binary also pins the accounting contract: every
+//! assessment probe is charged as real overlay messages and simulated
+//! latency, exactly like a subquery.
 //!
 //! Usage: `exp_s2_byzantine_quorum [repeats] [seed]`
 
-use gridvine_bench::table::f;
-use gridvine_bench::Table;
-use gridvine_core::{GridVineConfig, GridVineSystem, QueryOptions, QueryPlan, Strategy};
+use gridvine_bench::{f, fixtures, Args, Table};
+use gridvine_core::{GridVineConfig, QueryPlan};
 use gridvine_netsim::SimDuration;
 use gridvine_pgrid::PeerId;
-use gridvine_rdf::{PatternTerm, Term, Triple, TriplePattern, TriplePatternQuery};
-use gridvine_semantic::{
-    BayesConfig, Correspondence, MappingKind, MappingStatus, Provenance, Schema,
-    SemanticFaultConfig,
-};
+use gridvine_semantic::{BayesConfig, SemanticFaultConfig};
 
-const RING: usize = 5;
 const GOSSIP_ROUNDS: usize = 4;
 const PASSES: usize = 2;
 
-fn build_ring(semantic: SemanticFaultConfig, seed: u64) -> GridVineSystem {
-    let mut sys = GridVineSystem::new(GridVineConfig {
-        peers: 64,
-        semantic_fault: semantic,
-        seed,
-        ..GridVineConfig::default()
-    });
-    let p0 = PeerId(0);
-    for i in 0..RING {
-        sys.insert_schema(
-            p0,
-            Schema::new(format!("S{i}").as_str(), [format!("a{i}"), format!("b{i}")]),
-        )
-        .unwrap();
-        sys.insert_triple(
-            p0,
-            Triple::new(
-                format!("seq:R{i}").as_str(),
-                format!("S{i}#a{i}").as_str(),
-                Term::literal("target-value"),
-            ),
-        )
-        .unwrap();
-        // Bait for wrong correspondences: a fabricated edge that
-        // mistranslates the query predicate onto the b-attribute pulls
-        // these in as wrong rows — two decoys per attribute so a wrong
-        // hop changes the row count, not just the row identities.
-        for d in ["D", "E"] {
-            sys.insert_triple(
-                p0,
-                Triple::new(
-                    format!("seq:{d}{i}").as_str(),
-                    format!("S{i}#b{i}").as_str(),
-                    Term::literal("target-decoy"),
-                ),
-            )
-            .unwrap();
-        }
-    }
-    for i in 0..RING {
-        let j = (i + 1) % RING;
-        sys.insert_mapping(
-            p0,
-            format!("S{i}").as_str(),
-            format!("S{j}").as_str(),
-            MappingKind::Equivalence,
-            Provenance::Manual,
-            vec![
-                Correspondence::new(format!("a{i}"), format!("a{j}")),
-                Correspondence::new(format!("b{i}"), format!("b{j}")),
-            ],
-        )
-        .unwrap();
-    }
-    sys
-}
-
-fn query() -> TriplePatternQuery {
-    TriplePatternQuery::new(
-        "x",
-        TriplePattern::new(
-            PatternTerm::var("x"),
-            PatternTerm::constant(Term::uri("S0#a0")),
-            PatternTerm::constant(Term::literal("target%")),
-        ),
-    )
-    .unwrap()
-}
-
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let repeats: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(20);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(1);
+    let mut args = Args::from_env("exp_s2_byzantine_quorum [repeats] [seed]");
+    let repeats: usize = args.or(20);
+    let seed: u64 = args.or(1);
+    args.done();
 
     println!("S2: Byzantine fabrication vs adversary quorum ({repeats} repeats per point)");
-    let plan = QueryPlan::search(query());
+    let plan = QueryPlan::search(fixtures::ring_query());
     let bayes = BayesConfig::default();
-    let full_rows = RING * repeats;
+    let full_rows = fixtures::RING * repeats;
 
     let mut table = Table::new(&[
         "adversaries",
@@ -121,10 +47,12 @@ fn main() {
             let mut quarantined = 0usize;
             let mut probe_time = SimDuration::ZERO;
             for rep in 0..repeats {
-                let mut sys = build_ring(
-                    SemanticFaultConfig::byzantine(rate, (0..quorum).collect()),
-                    seed + rep as u64,
-                );
+                let mut sys = fixtures::ring(GridVineConfig {
+                    peers: 64,
+                    semantic_fault: SemanticFaultConfig::byzantine(rate, (0..quorum).collect()),
+                    seed: seed + rep as u64,
+                    ..GridVineConfig::default()
+                });
                 let origin = sys.random_peer();
                 for _ in 0..GOSSIP_ROUNDS {
                     sys.adversary_gossip(PeerId(0)).unwrap();
@@ -150,18 +78,8 @@ fn main() {
                     assert!(report.elapsed > SimDuration::ZERO);
                     probe_time += report.elapsed;
                 }
-                quarantined += sys
-                    .registry()
-                    .mappings()
-                    .filter(|m| m.status == MappingStatus::Quarantined)
-                    .count();
-                let out = sys
-                    .execute(
-                        origin,
-                        &plan,
-                        &QueryOptions::new().strategy(Strategy::Iterative).window(4),
-                    )
-                    .unwrap();
+                quarantined += fixtures::quarantined(&sys);
+                let out = sys.execute(origin, &plan, &fixtures::options()).unwrap();
                 rows += out.rows.len();
                 fabricated += sys.semantic_fault_counters().fabricated;
             }

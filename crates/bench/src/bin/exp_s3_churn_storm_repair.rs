@@ -12,123 +12,31 @@
 //!
 //! Usage: `exp_s3_churn_storm_repair [repeats] [seed]`
 
-use gridvine_bench::table::f;
-use gridvine_bench::Table;
-use gridvine_core::{GridVineConfig, GridVineSystem, QueryOptions, QueryPlan, Strategy};
+use gridvine_bench::{f, fixtures, Args, Table};
+use gridvine_core::{GridVineConfig, QueryPlan};
 use gridvine_netsim::churn::{ChurnEvent, ChurnProcess};
 use gridvine_netsim::{SimDuration, SimTime};
 use gridvine_pgrid::PeerId;
-use gridvine_rdf::{PatternTerm, Term, Triple, TriplePattern, TriplePatternQuery};
-use gridvine_semantic::{
-    BayesConfig, Correspondence, MappingKind, MappingStatus, Provenance, Schema,
-    SemanticFaultConfig,
-};
+use gridvine_semantic::{BayesConfig, SemanticFaultConfig};
 
-const RING: usize = 5;
 const PEERS: usize = 64;
 const GOSSIP_ROUNDS: usize = 6;
 const ADVERSARY_RATE: f64 = 0.2;
 const MEAN_OUTAGE: SimDuration = SimDuration::from_millis(4);
 
-fn build_ring(seed: u64) -> GridVineSystem {
-    let mut sys = GridVineSystem::new(GridVineConfig {
-        peers: PEERS,
-        semantic_fault: SemanticFaultConfig {
-            stale: ADVERSARY_RATE,
-            corrupt: ADVERSARY_RATE,
-            ..SemanticFaultConfig::none()
-        },
-        seed,
-        ..GridVineConfig::default()
-    });
-    let p0 = PeerId(0);
-    for i in 0..RING {
-        sys.insert_schema(
-            p0,
-            Schema::new(format!("S{i}").as_str(), [format!("a{i}"), format!("b{i}")]),
-        )
-        .unwrap();
-        sys.insert_triple(
-            p0,
-            Triple::new(
-                format!("seq:R{i}").as_str(),
-                format!("S{i}#a{i}").as_str(),
-                Term::literal("target-value"),
-            ),
-        )
-        .unwrap();
-        // Bait for wrong correspondences: an injected copy that
-        // mistranslates the query predicate onto the b-attribute pulls
-        // these in as wrong rows — two decoys per attribute so a wrong
-        // hop changes the row count, not just the row identities.
-        for d in ["D", "E"] {
-            sys.insert_triple(
-                p0,
-                Triple::new(
-                    format!("seq:{d}{i}").as_str(),
-                    format!("S{i}#b{i}").as_str(),
-                    Term::literal("target-decoy"),
-                ),
-            )
-            .unwrap();
-        }
-    }
-    for i in 0..RING {
-        let j = (i + 1) % RING;
-        sys.insert_mapping(
-            p0,
-            format!("S{i}").as_str(),
-            format!("S{j}").as_str(),
-            MappingKind::Equivalence,
-            Provenance::Manual,
-            vec![
-                Correspondence::new(format!("a{i}"), format!("a{j}")),
-                Correspondence::new(format!("b{i}"), format!("b{j}")),
-            ],
-        )
-        .unwrap();
-    }
-    let decoy = sys
-        .insert_mapping(
-            p0,
-            "S0",
-            "S2",
-            MappingKind::Equivalence,
-            Provenance::Automatic,
-            vec![
-                Correspondence::new("a0", "b2"),
-                Correspondence::new("b0", "a2"),
-            ],
-        )
-        .unwrap();
-    sys.deprecate_mapping(p0, decoy).unwrap();
-    sys
-}
-
-fn query() -> TriplePatternQuery {
-    TriplePatternQuery::new(
-        "x",
-        TriplePattern::new(
-            PatternTerm::var("x"),
-            PatternTerm::constant(Term::uri("S0#a0")),
-            PatternTerm::constant(Term::literal("target%")),
-        ),
-    )
-    .unwrap()
-}
-
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let repeats: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(20);
-    let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(1);
+    let mut args = Args::from_env("exp_s3_churn_storm_repair [repeats] [seed]");
+    let repeats: usize = args.or(20);
+    let seed: u64 = args.or(1);
+    args.done();
 
     println!(
         "S3: re-convergence under a churn storm + semantic adversary at rate {ADVERSARY_RATE} \
          ({repeats} repeats per point)"
     );
-    let plan = QueryPlan::search(query());
+    let plan = QueryPlan::search(fixtures::ring_query());
     let bayes = BayesConfig::default();
-    let full_rows = RING * repeats;
+    let full_rows = fixtures::RING * repeats;
 
     let mut table = Table::new(&[
         "storm",
@@ -145,7 +53,16 @@ fn main() {
             let mut quarantined = 0usize;
             let mut timeouts = 0usize;
             for rep in 0..repeats {
-                let mut sys = build_ring(seed + rep as u64);
+                let mut sys = fixtures::ring_with_retired_shortcut(GridVineConfig {
+                    peers: PEERS,
+                    semantic_fault: SemanticFaultConfig {
+                        stale: ADVERSARY_RATE,
+                        corrupt: ADVERSARY_RATE,
+                        ..SemanticFaultConfig::none()
+                    },
+                    seed: seed + rep as u64,
+                    ..GridVineConfig::default()
+                });
                 let origin = sys.random_peer();
                 let storm = ChurnProcess::storm(
                     PEERS,
@@ -167,21 +84,9 @@ fn main() {
                 for _ in 0..passes {
                     sys.assessment_pass(origin, &bayes).unwrap();
                 }
-                quarantined += sys
-                    .registry()
-                    .mappings()
-                    .filter(|m| m.status == MappingStatus::Quarantined)
-                    .count();
-                let out = sys
-                    .execute(
-                        origin,
-                        &plan,
-                        &QueryOptions::new()
-                            .strategy(Strategy::Iterative)
-                            .window(4)
-                            .max_retries(8),
-                    )
-                    .unwrap();
+                quarantined += fixtures::quarantined(&sys);
+                let options = fixtures::options().max_retries(8);
+                let out = sys.execute(origin, &plan, &options).unwrap();
                 rows += out.rows.len();
                 timeouts += out.stats.timeouts;
                 let counters = sys.semantic_fault_counters();

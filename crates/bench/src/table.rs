@@ -23,14 +23,6 @@ impl Table {
         self
     }
 
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Render with column alignment and a separator rule.
     pub fn render(&self) -> String {
         let cols = self.header.len();

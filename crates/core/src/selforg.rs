@@ -330,9 +330,6 @@ impl GridVineSystem {
 
 #[cfg(test)]
 mod tests {
-    // The legacy shims stay under test here; the equivalence suite
-    // proves they match the executor.
-
     use super::*;
     use crate::system::GridVineConfig;
     use gridvine_workload::{recall, QueryConfig, QueryGenerator, Workload, WorkloadConfig};

@@ -235,99 +235,127 @@ impl QueryOptions {
     }
 }
 
-/// Execution counters shared by every plan shape.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ExecStats {
-    /// Overlay messages consumed.
-    pub messages: u64,
-    /// Patterns resolved at a destination (original patterns,
-    /// reformulations and bound-substituted instances all count; prefix
-    /// sweeps count one per visited region) — plus the patterns whose
-    /// own request failed. A request that answers several patterns, or
-    /// a pattern for several seeds of a binding column, counts each
-    /// instance; see [`ExecStats::requests`] for the exchanges.
-    pub subqueries: usize,
-    /// Mapping applications across the whole plan.
-    pub reformulations: usize,
-    /// Schemas reached, summed over patterns (each pattern's traversal
-    /// counts its own distinct set, including its own schema).
-    pub schemas_visited: usize,
-    /// Resolutions that could not be routed or resolved.
-    pub failures: usize,
-    /// Matching bindings returned by destination peers before any join
-    /// or dedup — a proxy for result bytes on the wire.
-    pub bindings_shipped: usize,
-    /// Seed terms listed on data requests — the request-side twin of
-    /// `bindings_shipped`: a bound-join request carries its pattern's
-    /// binding column, and each request charges one term per seed per
-    /// variable the column binds. 0 for every plan that carries no
-    /// column (lookups, prefix sweeps, closures, independent joins).
-    pub bindings_carried: usize,
-    /// High-water mark of simultaneously in-flight subqueries (1 for a
-    /// fully serial session; up to [`QueryOptions::window`]).
-    pub max_in_flight: usize,
-    /// Mapping-list retrieves performed (closure discovery steps that
-    /// actually went to the network — warm cache replays skip these).
-    pub mapping_fetches: usize,
-    /// Closure-cache lookups served from a coherent entry.
-    pub cache_hits: usize,
-    /// Closure-cache lookups that found no coherent entry.
-    pub cache_misses: usize,
-    /// Closure-cache entries displaced by a capacity bound.
-    pub cache_evictions: usize,
-    /// Routed request/response exchanges driven through the retry
-    /// protocol (see [`crate::system::sched`]); charged at issue. A
-    /// data request is one exchange however many patterns it answers,
-    /// and a mapping discovery is one: under the null placement policy
-    /// `requests <= subqueries + mapping_fetches` as long as every
-    /// discovery is answered (one that is sent and never answered
-    /// counts in `failures`, not in `mapping_fetches`), with equality
-    /// when nothing rode and nothing failed.
-    ///
-    /// A closure session emits one
-    /// [`ResultEvent::Stats`](super::session::ResultEvent) per unit and
-    /// its units are at most one exchange each — a hop that rode
-    /// another's request has no data unit, and no zero-message unit
-    /// stands in for it — so a drained warm replay emits exactly
-    /// `requests` of them. (A live walk also spends a zero-message unit
-    /// on the discovery of a hop at the TTL, which has nothing to
-    /// fetch.)
-    pub requests: usize,
-    /// Protocol-level transmissions: first sends plus retransmits
-    /// (`sends == requests + retransmits` always holds).
-    pub sends: usize,
-    /// Request attempts whose reply never arrived before the retry
-    /// timer fired (lost, or the destination was churn-down).
-    pub timeouts: usize,
-    /// Timed-out requests sent again after backoff.
-    pub retransmits: usize,
-    /// Duplicated unit replies dropped by request-id dedup. Charged at
-    /// *delivery* (unlike every other counter, which charges at
-    /// issue), so duplicates of a session's final units may land after
-    /// the last per-unit `Stats` delta was emitted.
-    pub duplicates_dropped: usize,
-    /// Cycle probes issued by quality-assessment passes
-    /// ([`GridVineSystem::assessment_pass`]): one routed retrieve per
-    /// mapping cycle, driven through the retry protocol, so every probe
-    /// costs messages, requests and simulated latency like any
-    /// subquery. Always 0 for query sessions.
-    pub assessment_probes: usize,
-    /// Mappings moved to
-    /// [`MappingStatus::Quarantined`](gridvine_semantic::MappingStatus)
-    /// by an assessment pass (re-confirmed quarantines of paroled edges
-    /// included). Always 0 for query sessions.
-    pub quarantined_mappings: usize,
-    /// Pattern resolutions served off the replica-aware routing path
-    /// (a placement rule covered the routed key — see
-    /// [`crate::system::place`]). Always 0 under the null policy.
-    pub replica_hits: usize,
-    /// Replica holders skipped because they were down (crashed, or the
-    /// retry budget ran out against a churn-down holder) before a live
-    /// holder served the unit.
-    pub failovers: usize,
-    /// Heat-spike placement changes (replica creations and migrations)
-    /// charged to this session's units.
-    pub migrations: usize,
+/// Declares a counter struct and, from the same field list, its
+/// field-wise `-` (the per-unit delta `cur - prev` of a session) and
+/// `+=` (summing deltas back up): a counter is listed once.
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident { $($(#[$doc:meta])* pub $field:ident: $ty:ty,)* }
+    ) => {
+        $(#[$meta])*
+        pub struct $name { $($(#[$doc])* pub $field: $ty,)* }
+
+        impl std::ops::Sub for $name {
+            type Output = $name;
+            fn sub(self, prev: $name) -> $name {
+                $name { $($field: self.$field - prev.$field,)* }
+            }
+        }
+
+        impl std::ops::AddAssign for $name {
+            fn add_assign(&mut self, delta: $name) {
+                $(self.$field += delta.$field;)*
+            }
+        }
+    };
+}
+
+counters! {
+    /// Execution counters shared by every plan shape.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct ExecStats {
+        /// Overlay messages consumed.
+        pub messages: u64,
+        /// Patterns resolved at a destination (original patterns,
+        /// reformulations and bound-substituted instances all count; prefix
+        /// sweeps count one per visited region) — plus the patterns whose
+        /// own request failed. A request that answers several patterns, or
+        /// a pattern for several seeds of a binding column, counts each
+        /// instance; see [`ExecStats::requests`] for the exchanges.
+        pub subqueries: usize,
+        /// Mapping applications across the whole plan.
+        pub reformulations: usize,
+        /// Schemas reached, summed over patterns (each pattern's traversal
+        /// counts its own distinct set, including its own schema).
+        pub schemas_visited: usize,
+        /// Resolutions that could not be routed or resolved.
+        pub failures: usize,
+        /// Matching bindings returned by destination peers before any join
+        /// or dedup — a proxy for result bytes on the wire.
+        pub bindings_shipped: usize,
+        /// Seed terms listed on data requests — the request-side twin of
+        /// `bindings_shipped`: a bound-join request carries its pattern's
+        /// binding column, and each request charges one term per seed per
+        /// variable the column binds. 0 for every plan that carries no
+        /// column (lookups, prefix sweeps, closures, independent joins).
+        pub bindings_carried: usize,
+        /// High-water mark of simultaneously in-flight subqueries (1 for a
+        /// fully serial session; up to [`QueryOptions::window`]).
+        pub max_in_flight: usize,
+        /// Mapping-list retrieves performed (closure discovery steps that
+        /// actually went to the network — warm cache replays skip these).
+        pub mapping_fetches: usize,
+        /// Closure-cache lookups served from a coherent entry.
+        pub cache_hits: usize,
+        /// Closure-cache lookups that found no coherent entry.
+        pub cache_misses: usize,
+        /// Closure-cache entries displaced by a capacity bound.
+        pub cache_evictions: usize,
+        /// Routed request/response exchanges driven through the retry
+        /// protocol (see [`crate::system::sched`]); charged at issue. A
+        /// data request is one exchange however many patterns it answers,
+        /// and a mapping discovery is one: under the null placement policy
+        /// `requests <= subqueries + mapping_fetches` as long as every
+        /// discovery is answered (one that is sent and never answered
+        /// counts in `failures`, not in `mapping_fetches`), with equality
+        /// when nothing rode and nothing failed.
+        ///
+        /// A closure session emits one
+        /// [`ResultEvent::Stats`](super::session::ResultEvent) per unit and
+        /// its units are at most one exchange each — a hop that rode
+        /// another's request has no data unit, and no zero-message unit
+        /// stands in for it — so a drained warm replay emits exactly
+        /// `requests` of them. (A live walk also spends a zero-message unit
+        /// on the discovery of a hop at the TTL, which has nothing to
+        /// fetch.)
+        pub requests: usize,
+        /// Protocol-level transmissions: first sends plus retransmits
+        /// (`sends == requests + retransmits` always holds).
+        pub sends: usize,
+        /// Request attempts whose reply never arrived before the retry
+        /// timer fired (lost, or the destination was churn-down).
+        pub timeouts: usize,
+        /// Timed-out requests sent again after backoff.
+        pub retransmits: usize,
+        /// Duplicated unit replies dropped by request-id dedup. Charged at
+        /// *delivery* (unlike every other counter, which charges at
+        /// issue), so duplicates of a session's final units may land after
+        /// the last per-unit `Stats` delta was emitted.
+        pub duplicates_dropped: usize,
+        /// Cycle probes issued by quality-assessment passes
+        /// ([`GridVineSystem::assessment_pass`]): one routed retrieve per
+        /// mapping cycle, driven through the retry protocol, so every probe
+        /// costs messages, requests and simulated latency like any
+        /// subquery. Always 0 for query sessions.
+        pub assessment_probes: usize,
+        /// Mappings moved to
+        /// [`MappingStatus::Quarantined`](gridvine_semantic::MappingStatus)
+        /// by an assessment pass (re-confirmed quarantines of paroled edges
+        /// included). Always 0 for query sessions.
+        pub quarantined_mappings: usize,
+        /// Pattern resolutions served off the replica-aware routing path
+        /// (a placement rule covered the routed key — see
+        /// [`crate::system::place`]). Always 0 under the null policy.
+        pub replica_hits: usize,
+        /// Replica holders skipped because they were down (crashed, or the
+        /// retry budget ran out against a churn-down holder) before a live
+        /// holder served the unit.
+        pub failovers: usize,
+        /// Heat-spike placement changes (replica creations and migrations)
+        /// charged to this session's units.
+        pub migrations: usize,
+    }
 }
 
 /// What one [`GridVineSystem::execute`] call produced: solution rows
@@ -1390,6 +1418,38 @@ mod tests {
                 assert_eq!(solo.random_peer(), pooled.random_peer());
             }
         }
+    }
+
+    /// The window moves the clock, never the computation. Guava is the
+    /// hop a serial walk resolves last: a record only it holds reaches
+    /// a `window(1)` session after every other hop's round trips, a
+    /// `window(4)` session after Apple's discovery and one data request.
+    #[test]
+    fn a_wider_window_reaches_the_first_row_at_least_twice_as_soon() {
+        let late = closure_of("Apple#a", PatternTerm::constant(Term::literal("%late%")));
+        let first_row = |window: usize| {
+            let sys = &mut star("a", PlacementPolicy::default());
+            let record = Triple::new("seq:late", "Guava#a", Term::literal("late"));
+            sys.insert_triple(ORIGIN, record).unwrap();
+            let options = QueryOptions::new().window(window);
+            let mut session = sys.open(ORIGIN, &late, &options).unwrap();
+            let mut at = None;
+            while let Some(event) = session.next_event().unwrap() {
+                if matches!(&event, ResultEvent::Rows(rows) if !rows.is_empty()) {
+                    at = at.or(Some(session.sim_elapsed()));
+                }
+            }
+            let out = session.into_outcome();
+            assert_eq!(out.rows.len(), 1);
+            (at.expect("the record is found"), out.stats.messages)
+        };
+        let (serial_at, serial_messages) = first_row(1);
+        let (overlapped_at, overlapped_messages) = first_row(4);
+        assert_eq!(overlapped_messages, serial_messages);
+        assert!(
+            overlapped_at.as_micros() * 2 <= serial_at.as_micros(),
+            "first row at {overlapped_at:?} under window(4), {serial_at:?} under window(1)"
+        );
     }
 
     /// [`star`] plus a join corpus: thirty subjects that all are

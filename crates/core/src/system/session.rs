@@ -744,31 +744,7 @@ impl SessionCore {
         let in_flight = self.inflight + 1;
         self.stats.max_in_flight = self.stats.max_in_flight.max(in_flight);
         let cur = self.stats;
-        let prev = self.issued_reported;
-        let delta = ExecStats {
-            messages: cur.messages - prev.messages,
-            subqueries: cur.subqueries - prev.subqueries,
-            reformulations: cur.reformulations - prev.reformulations,
-            schemas_visited: cur.schemas_visited - prev.schemas_visited,
-            failures: cur.failures - prev.failures,
-            bindings_shipped: cur.bindings_shipped - prev.bindings_shipped,
-            bindings_carried: cur.bindings_carried - prev.bindings_carried,
-            mapping_fetches: cur.mapping_fetches - prev.mapping_fetches,
-            max_in_flight: cur.max_in_flight - prev.max_in_flight,
-            cache_hits: cur.cache_hits - prev.cache_hits,
-            cache_misses: cur.cache_misses - prev.cache_misses,
-            cache_evictions: cur.cache_evictions - prev.cache_evictions,
-            requests: cur.requests - prev.requests,
-            sends: cur.sends - prev.sends,
-            timeouts: cur.timeouts - prev.timeouts,
-            retransmits: cur.retransmits - prev.retransmits,
-            duplicates_dropped: cur.duplicates_dropped - prev.duplicates_dropped,
-            assessment_probes: cur.assessment_probes - prev.assessment_probes,
-            quarantined_mappings: cur.quarantined_mappings - prev.quarantined_mappings,
-            replica_hits: cur.replica_hits - prev.replica_hits,
-            failovers: cur.failovers - prev.failovers,
-            migrations: cur.migrations - prev.migrations,
-        };
+        let delta = cur - self.issued_reported;
         self.issued_reported = cur;
         events.push(ResultEvent::Stats(delta));
         let send = ready.max(self.sim_now);

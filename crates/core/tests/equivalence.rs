@@ -154,25 +154,7 @@ fn drain(
         match ev {
             ResultEvent::Rows(batch) => rows_from_events.extend(batch),
             ResultEvent::SchemaHop { .. } => schema_hops += 1,
-            ResultEvent::Stats(d) => {
-                stats_from_deltas.messages += d.messages;
-                stats_from_deltas.subqueries += d.subqueries;
-                stats_from_deltas.reformulations += d.reformulations;
-                stats_from_deltas.schemas_visited += d.schemas_visited;
-                stats_from_deltas.failures += d.failures;
-                stats_from_deltas.bindings_shipped += d.bindings_shipped;
-                stats_from_deltas.bindings_carried += d.bindings_carried;
-                stats_from_deltas.mapping_fetches += d.mapping_fetches;
-                stats_from_deltas.max_in_flight += d.max_in_flight;
-                stats_from_deltas.cache_hits += d.cache_hits;
-                stats_from_deltas.cache_misses += d.cache_misses;
-                stats_from_deltas.cache_evictions += d.cache_evictions;
-                stats_from_deltas.requests += d.requests;
-                stats_from_deltas.sends += d.sends;
-                stats_from_deltas.timeouts += d.timeouts;
-                stats_from_deltas.retransmits += d.retransmits;
-                stats_from_deltas.duplicates_dropped += d.duplicates_dropped;
-            }
+            ResultEvent::Stats(d) => stats_from_deltas += d,
         }
     }
     assert!(session.is_complete());

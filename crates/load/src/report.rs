@@ -102,6 +102,13 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
+    /// Sessions in a terminal bucket. Every submitted session lands in
+    /// exactly one, so a drained run has `resolved() == submitted`.
+    pub fn resolved(&self) -> usize {
+        let cancelled = self.cancelled_deadline + self.cancelled_budget;
+        self.completed + self.failed + cancelled + self.rejected + self.refused
+    }
+
     /// Fraction of submitted sessions that completed.
     pub fn delivered_fraction(&self) -> f64 {
         if self.submitted == 0 {

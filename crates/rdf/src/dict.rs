@@ -15,16 +15,15 @@
 //! stays a two-load array access and ids remain *almost* dense: the id
 //! space wastes at most the shard skew, which a balanced hash keeps to a
 //! few percent ([`TermDict::id_bound`] is the array-sizing bound).
-//! Sharding buys two things:
+//! Sharding buys **parallel interning**: bulk ingest pre-hashes its
+//! lexicals once and interns them on one scoped thread per shard, each
+//! thread owning its shard exclusively
+//! ([`TermDict::intern_shared_batch`]) — no locks, no CAS retries, just
+//! disjoint ownership.
 //!
-//! * **parallel interning** — bulk ingest pre-hashes its lexicals once
-//!   and interns them on one scoped thread per shard, each thread owning
-//!   its shard exclusively ([`TermDict::intern_shared_batch`]): no locks,
-//!   no CAS retries, just disjoint ownership;
-//! * **shared handles** — [`SharedTermDict`] wraps the same shards in
-//!   per-shard mutexes behind an `Arc`, so the peer stores hosted in one
-//!   process pool their string buffers through one handle while threads
-//!   contend only on the shard they hash to.
+//! [`SharedTermDict`] is the other holder of a shard: one, behind a
+//! mutex and an `Arc`, through which the peer stores hosted in one
+//! process pool their string buffers.
 //!
 //! The string data itself lives in reference-counted `Arc<str>` buffers
 //! shared between the id→string table, the string→id map, the sorted
@@ -370,9 +369,9 @@ impl TermDict {
     }
 }
 
-/// A process-wide, thread-safe string pool: the same hash-sharded
-/// dictionary as [`TermDict`], but with per-shard mutexes behind an
-/// `Arc` so it can be shared between peer stores and interning threads.
+/// A process-wide, thread-safe string pool: one dictionary shard
+/// behind a mutex and an `Arc`, so the peer stores hosted in one
+/// process share it through cheap handle clones.
 ///
 /// Each peer's [`crate::TripleStore`] keeps its own dense id space (ids
 /// are meaningless across stores anyway), so the shared handle pools
@@ -380,73 +379,31 @@ impl TermDict {
 /// `Arc<str>` for a lexical, and a store that interns that buffer
 /// adopts it by reference count. Hosting N peer stores in one process
 /// then stores each distinct lexical once, no matter how many peers'
-/// databases it appears in — and N ingesting threads contend only when
-/// they hash to the same shard.
-#[derive(Debug, Clone)]
+/// databases it appears in.
+#[derive(Debug, Clone, Default)]
 pub struct SharedTermDict {
-    shards: Arc<Vec<Mutex<Shard>>>,
-}
-
-impl Default for SharedTermDict {
-    fn default() -> SharedTermDict {
-        SharedTermDict::with_shards(SHARDS)
-    }
+    pool: Arc<Mutex<Shard>>,
 }
 
 impl SharedTermDict {
-    /// A pool with the default shard count ([`SHARDS`]).
     pub fn new() -> SharedTermDict {
         SharedTermDict::default()
     }
 
-    /// A pool with an explicit power-of-two shard count. `1` degrades to
-    /// a single global lock — the ablation baseline for measuring what
-    /// sharding buys under concurrent ingest.
-    ///
-    /// The requested count is an **upper bound**: lock sharding exists
-    /// to eliminate contention between concurrently interning threads,
-    /// and a host cannot run more interning threads in parallel than it
-    /// has cores — so the pool never allocates more shards than
-    /// [`available_parallelism`](std::thread::available_parallelism)
-    /// (rounded down to a power of two). On a single-core host every
-    /// request degrades to the one-lock pool, routing around the
-    /// sharded pool's pure coordination overhead (8 sparsely-filled
-    /// tables with worse cache locality and zero contention to
-    /// eliminate — the `parallel_ingest_8way` regression on 1-CPU CI).
-    pub fn with_shards(shards: usize) -> SharedTermDict {
-        assert!(
-            shards.is_power_of_two(),
-            "shard count must be a power of two"
-        );
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        // Largest power of two ≤ cores (cores ≥ 1 always).
-        let cap = 1usize << (usize::BITS - 1 - cores.leading_zeros());
-        let shards = shards.min(cap);
-        SharedTermDict {
-            shards: Arc::new((0..shards).map(|_| Mutex::new(Shard::default())).collect()),
-        }
-    }
-
-    /// Number of lock shards actually allocated (the requested count
-    /// capped by the host's available parallelism).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    fn lock(&self) -> std::sync::MutexGuard<'_, Shard> {
+        self.pool.lock().expect("term pool poisoned")
     }
 
     /// The canonical shared buffer for a lexical value, interning it on
-    /// first sight. One lock, scoped to the shard the value hashes to.
+    /// first sight.
     pub fn intern(&self, lexical: &str) -> Arc<str> {
         let hash = hash_lexical(lexical);
-        let mut shard = self.shards[shard_of(hash, self.shards.len())]
-            .lock()
-            .expect("dictionary shard poisoned");
-        match shard.find_or_slot(hash, lexical) {
-            Ok(local) => Arc::clone(&shard.terms[local as usize]),
+        let mut pool = self.lock();
+        match pool.find_or_slot(hash, lexical) {
+            Ok(local) => Arc::clone(&pool.terms[local as usize]),
             Err(slot) => {
                 let arc: Arc<str> = Arc::from(lexical);
-                shard.insert_new(Arc::clone(&arc), slot, hash);
+                pool.insert_new(Arc::clone(&arc), slot, hash);
                 arc
             }
         }
@@ -456,17 +413,13 @@ impl SharedTermDict {
     /// buffer on first sight (no copy), e.g. a term out of a wire
     /// message or another store's dictionary.
     pub fn intern_shared(&self, lexical: &Arc<str>) -> Arc<str> {
+        Self::adopt(&mut self.lock(), lexical)
+    }
+
+    fn adopt(pool: &mut Shard, lexical: &Arc<str>) -> Arc<str> {
         let hash = hash_lexical(lexical);
-        let mut shard = self.shards[shard_of(hash, self.shards.len())]
-            .lock()
-            .expect("dictionary shard poisoned");
-        match shard.find_or_slot(hash, lexical) {
-            Ok(local) => Arc::clone(&shard.terms[local as usize]),
-            Err(slot) => {
-                shard.insert_new(Arc::clone(lexical), slot, hash);
-                Arc::clone(lexical)
-            }
-        }
+        let local = pool.intern_shared(hash, lexical);
+        Arc::clone(&pool.terms[local as usize])
     }
 
     /// Rebuild a triple over the pool's canonical buffers: refcount
@@ -475,23 +428,21 @@ impl SharedTermDict {
     /// buffer per distinct lexical across the whole process.
     pub fn canonical_triple(&self, t: &crate::triple::Triple) -> crate::triple::Triple {
         use crate::term::{Term, Uri};
+        let pool = &mut *self.lock();
         let object = match &t.object {
-            Term::Uri(u) => Term::Uri(Uri::from(self.intern_shared(u.shared()))),
-            Term::Literal(s) => Term::Literal(self.intern_shared(s)),
+            Term::Uri(u) => Term::Uri(Uri::from(Self::adopt(pool, u.shared()))),
+            Term::Literal(s) => Term::Literal(Self::adopt(pool, s)),
         };
         crate::triple::Triple::new(
-            Uri::from(self.intern_shared(t.subject.shared())),
-            Uri::from(self.intern_shared(t.predicate.shared())),
+            Uri::from(Self::adopt(pool, t.subject.shared())),
+            Uri::from(Self::adopt(pool, t.predicate.shared())),
             object,
         )
     }
 
     /// Number of distinct pooled lexicals.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("dictionary shard poisoned").terms.len())
-            .sum()
+        self.lock().terms.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -524,25 +475,6 @@ mod tests {
             assert_eq!(d.lookup(s), Some(id));
         }
         assert_eq!(d.lookup("never seen"), None);
-    }
-
-    #[test]
-    fn shared_pool_caps_shards_at_available_parallelism() {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let pool = SharedTermDict::with_shards(8);
-        assert!(pool.shard_count() >= 1);
-        assert!(pool.shard_count() <= 8);
-        assert!(
-            pool.shard_count() <= cores,
-            "never more lock shards ({}) than cores ({cores})",
-            pool.shard_count()
-        );
-        // An explicit single shard is always honoured (the ablation
-        // baseline), and the cap keeps counts a power of two.
-        assert_eq!(SharedTermDict::with_shards(1).shard_count(), 1);
-        assert!(pool.shard_count().is_power_of_two());
     }
 
     #[test]
@@ -584,8 +516,37 @@ mod tests {
     }
 
     #[test]
+    fn peers_ingesting_through_one_pool_from_threads_lose_nothing() {
+        use crate::{Term, Triple, TripleStore};
+        // Four partitions with disjoint subjects, shared predicates and
+        // objects, each canonicalized and stored on its own thread.
+        let corpus: Vec<Triple> = (0..400)
+            .map(|i| {
+                let object = Term::literal(format!("v{}", i % 7));
+                Triple::new(format!("seq:E{i:03}"), format!("p{}", i % 3), object)
+            })
+            .collect();
+        let pool = SharedTermDict::new();
+        let stored: usize = std::thread::scope(|s| {
+            let ingest = |part: &[Triple]| {
+                let mut db = TripleStore::new();
+                db.insert_batch(part.iter().map(|t| pool.canonical_triple(t)));
+                assert!(part.iter().all(|t| db.contains(t)));
+                db.len()
+            };
+            let peers: Vec<_> = corpus
+                .chunks(100)
+                .map(|part| s.spawn(move || ingest(part)))
+                .collect();
+            peers.into_iter().map(|peer| peer.join().unwrap()).sum()
+        });
+        assert_eq!(stored, corpus.len());
+        assert_eq!(pool.len(), 400 + 3 + 7);
+    }
+
+    #[test]
     fn shared_pool_handles_are_one_pool() {
-        let pool = SharedTermDict::with_shards(2);
+        let pool = SharedTermDict::new();
         let clone = pool.clone();
         let a = pool.intern("x");
         let b = clone.intern("x");
@@ -616,29 +577,6 @@ mod proptests {
                     prop_assert_eq!(ids[i] == ids[j], a == b, "{:?} vs {:?}", a, b);
                 }
             }
-        }
-
-        /// The sharded pool and a single-shard pool agree: same dedup
-        /// structure (two values pool to one buffer iff equal), same
-        /// distinct count — sharding changes placement, never meaning.
-        #[test]
-        fn sharded_pool_equals_single_shard(values in proptest::collection::vec("[ -~]{0,16}", 0..40)) {
-            let sharded = SharedTermDict::with_shards(8);
-            let single = SharedTermDict::with_shards(1);
-            let a: Vec<Arc<str>> = values.iter().map(|v| sharded.intern(v)).collect();
-            let b: Vec<Arc<str>> = values.iter().map(|v| single.intern(v)).collect();
-            for (i, x) in a.iter().enumerate() {
-                prop_assert_eq!(&**x, values[i].as_str());
-                for j in 0..a.len() {
-                    prop_assert_eq!(
-                        Arc::ptr_eq(x, &a[j]),
-                        values[i] == values[j],
-                        "sharded dedup at {} vs {}", i, j
-                    );
-                    prop_assert_eq!(Arc::ptr_eq(x, &a[j]), Arc::ptr_eq(&b[i], &b[j]));
-                }
-            }
-            prop_assert_eq!(sharded.len(), single.len());
         }
     }
 }

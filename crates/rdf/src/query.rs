@@ -276,6 +276,42 @@ mod tests {
         }
     }
 
+    /// A selective head fanning out to two more attributes per subject:
+    /// the streamed hash-join fold agrees with the nested loop over
+    /// `Binding::join`, pattern by pattern.
+    #[test]
+    fn three_pattern_join_matches_the_nested_loop() {
+        const SELECTIVE: usize = 16;
+        let mut db = TripleStore::new();
+        for i in 0..1000 {
+            let genus = if i < SELECTIVE { "Aspergillus" } else { "E." };
+            let facts = [
+                ("EMBL#Organism", Term::literal(format!("{genus} sp. {i}"))),
+                ("EMBL#Length", Term::literal((400 + i % 90).to_string())),
+                ("EMBL#Laboratory", Term::uri(format!("lab:L{:02}", i % 25))),
+            ];
+            for (predicate, object) in facts {
+                db.insert(Triple::new(format!("embl:E{i:04}"), predicate, object));
+            }
+        }
+        let q = crate::parser::parse_query(
+            "SELECT ?x, ?len, ?lab WHERE (?x, <EMBL#Organism>, \"%Aspergillus%\"), \
+             (?x, <EMBL#Length>, ?len), (?x, <EMBL#Laboratory>, ?lab)",
+        )
+        .expect("valid query");
+        let mut nested = vec![Binding::new()];
+        for pattern in &q.patterns {
+            let matches = db.match_pattern(pattern);
+            nested = nested
+                .iter()
+                .flat_map(|acc| matches.iter().filter_map(|m| acc.join(m)))
+                .collect();
+        }
+        nested.sort_by_key(|b| b.to_string());
+        assert_eq!(q.evaluate(&db), nested);
+        assert_eq!(nested.len(), SELECTIVE);
+    }
+
     #[test]
     fn conjunctive_empty_on_unsatisfiable() {
         let q = ConjunctiveQuery::new(

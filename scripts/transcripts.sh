@@ -1,0 +1,97 @@
+#!/bin/sh
+# Transcript determinism of every experiment binary and example.
+#
+#   scripts/transcripts.sh [--parent <rev>]
+#
+# Builds the workspace's binaries and examples once in release, runs
+# every `exp_*` binary of crates/bench and every example twice at its
+# default arguments, straight from the target directory, and compares
+# the two stdouts byte for byte: all of them are seeded, so a program
+# that prints two different transcripts has picked up a source of
+# nondeterminism (hash-map iteration order, wall-clock time, a thread
+# race). The self-asserting ones (exp_r2_duplication_storm,
+# exp_l1_arrival_sweep, exp_a4_join_mode, ...) also fail here when an
+# invariant they check breaks. One `same` / `DIFF` / `FAIL` line per
+# program.
+#
+# With --parent <rev> it also exports <rev> (a `git archive`), builds it
+# the same way and reports, per program, whether this tree's transcript
+# equals the parent's, with the head of the diff where it does not —
+# the "nothing observable moved" check of a behaviour-preserving change.
+# Both sides run on this host: the WAN latency models go through the
+# platform libm, so a transcript blessed on another machine is not a
+# fair oracle, and none is checked in.
+#
+# Exits non-zero on any DIFF or FAIL. Everything it writes goes under a
+# fresh directory in ${TMPDIR:-/tmp} (printed at the start, kept).
+set -eu
+
+parent=
+if [ $# -eq 2 ] && [ "$1" = --parent ]; then
+    parent=$2
+elif [ $# -ne 0 ]; then
+    echo "usage: $0 [--parent <rev>]" >&2
+    exit 2
+fi
+
+root=$(git rev-parse --show-toplevel)
+work=$(mktemp -d "${TMPDIR:-/tmp}/transcripts.XXXXXX")
+echo "work dir: $work"
+
+build() { # <tree> <target dir>
+    (cd "$1" && CARGO_TARGET_DIR="$2" cargo build --release --offline --quiet --workspace --bins --examples)
+}
+# Runs every program of this tree from <target dir> into <out dir>.
+run_all() { # <target dir> <out dir>
+    mkdir -p "$2"
+    for p in $programs; do
+        [ -x "$1/release/$p" ] || continue # not in that tree
+        (cd "$work" && "$1/release/$p" >"$2/$(basename "$p").txt") || echo "$p" >>"$2/failed"
+    done
+}
+
+programs=$(cd "$root" && for f in crates/bench/src/bin/exp_*.rs examples/*.rs; do
+    case $f in
+    examples/*) echo "examples/$(basename "$f" .rs)" ;;
+    *) basename "$f" .rs ;;
+    esac
+done)
+
+target=${CARGO_TARGET_DIR:-$root/target}
+echo "building ..."
+build "$root" "$target"
+run_all "$target" "$work/run-1"
+run_all "$target" "$work/run-2"
+if [ -n "$parent" ]; then
+    mkdir "$work/parent"
+    git -C "$root" archive "$parent" | tar -x -C "$work/parent"
+    echo "building parent ($parent) ..."
+    build "$work/parent" "$work/target-parent"
+    run_all "$work/target-parent" "$work/run-parent"
+fi
+
+status=0
+compare() { # <label> <other run>: one line per program against run-1
+    echo
+    echo "== $1 =="
+    for p in $programs; do
+        name=$(basename "$p")
+        if grep -qx "$p" "$work/run-1/failed" "$2/failed" 2>/dev/null; then
+            echo "FAIL  $p (non-zero exit)"
+            status=1
+        elif [ ! -e "$2/$name.txt" ]; then
+            echo "new   $p"
+        elif cmp -s "$work/run-1/$name.txt" "$2/$name.txt"; then
+            echo "same  $p"
+        else
+            echo "DIFF  $p"
+            diff "$2/$name.txt" "$work/run-1/$name.txt" | head -n 8 | sed 's/^/      /'
+            status=1
+        fi
+    done
+}
+compare "run twice" "$work/run-2"
+if [ -n "$parent" ]; then
+    compare "against $parent (< parent, > this tree)" "$work/run-parent"
+fi
+exit $status

@@ -273,12 +273,7 @@ proptest! {
         };
         let r = run_open_loop(&mut sys, &plans, &cfg);
         prop_assert_eq!(r.submitted, 30);
-        prop_assert_eq!(
-            r.completed + r.failed + r.cancelled_deadline + r.cancelled_budget
-                + r.rejected + r.refused,
-            30,
-            "every session in exactly one bucket: {}", r
-        );
+        prop_assert_eq!(r.resolved(), 30, "every session in exactly one bucket: {}", r);
         prop_assert_eq!(r.messages, sys.messages_sent() - m0);
         prop_assert_eq!(sys.pending_events(), 0);
     }

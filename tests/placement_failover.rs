@@ -178,6 +178,40 @@ proptest! {
     }
 }
 
+/// Failover is paid for on the clock, never refunded: with every unit
+/// on the critical path (`window(1)`), skipping the crashed first-ranked
+/// holder costs the session a failed attempt, so its final reply lands
+/// later than the fault-free twin's — same rows, zero failures.
+#[test]
+fn failover_surcharge_lands_on_the_simulated_clock() {
+    let policy = PlacementPolicy::new().replicate("S0#", 3);
+    let plan = QueryPlan::search(data_query());
+    let run = |crash_primary: bool| {
+        let mut sys = replicated_system(policy.clone(), 7);
+        let holders = sys.replica_holders("S0#a0");
+        let victim = *holders.iter().min_by_key(|p| p.0).unwrap();
+        assert!(
+            !sys.replica_holders("S0").contains(&victim),
+            "the primary data holder must not own the schema key"
+        );
+        if crash_primary {
+            sys.crash_peer(victim);
+        }
+        let origin = outside_origin(&holders);
+        let mut session = sys.open(origin, &plan, &options(1)).unwrap();
+        while session.next_event().unwrap().is_some() {}
+        let elapsed = session.sim_elapsed();
+        let out = session.into_outcome();
+        assert_eq!((out.rows.len(), out.stats.failures), (3, 0));
+        (elapsed, out.stats.failovers)
+    };
+    let (clean, no_failovers) = run(false);
+    let (crashed, failovers) = run(true);
+    assert_eq!(no_failovers, 0);
+    assert!(failovers >= 1, "the crashed primary forces a failover");
+    assert!(crashed > clean, "{crashed:?} crashed, {clean:?} clean");
+}
+
 /// A heat spike on a hot key pulls a replica onto the hot origin: under
 /// the flat latency model the origin itself is the cheapest non-holder
 /// (expected latency zero), so repeated reads replicate the data next
