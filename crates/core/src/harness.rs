@@ -54,7 +54,7 @@
 //! [`gridvine_rdf::join`], as the synchronous engine folds an
 //! independent join's sweeps.
 
-use crate::item::{KeySpace, MediationItem};
+use crate::item::{KeySpace, MediationItem, TripleStage};
 use crate::plan::QueryPlan;
 use gridvine_netsim::rng;
 use gridvine_netsim::{Cdf, Network, NetworkConfig, NodeId, SimDuration, SimTime};
@@ -366,27 +366,22 @@ impl Deployment {
     /// as completed `Update(t)` operations would leave them. Returns the
     /// number of (key, triple) placements.
     ///
-    /// The triples are staged per responsible peer and every `DB_p` is
-    /// bulk-loaded once ([`TripleStore::insert_batch`]); a peer
-    /// responsible for several keys of one triple stores it once.
-    /// Nothing is written into a node's overlay bucket: a data retrieve
-    /// is answered from the `DB_p` of the peer that replies (see the
-    /// module docs).
+    /// The copies are staged and every touched `DB_p` is bulk-loaded
+    /// once, through the routine [`crate::GridVineSystem::insert_triples`]
+    /// stages its routed copies with; a peer responsible for several
+    /// keys of one triple stores it once. Nothing is written into a
+    /// node's overlay bucket: a data retrieve is answered from the
+    /// `DB_p` of the peer that replies (see the module docs).
     pub fn preload(&mut self, triples: impl IntoIterator<Item = Triple>) -> usize {
         let ks = self.keyspace();
+        let mut stage = TripleStage::default();
         let mut placements = 0;
-        let mut staged: Vec<Vec<Triple>> = vec![Vec::new(); self.dbs.len()];
         for t in triples {
-            for key in ks.triple_keys(&t) {
-                for p in self.topology.responsible(&key) {
-                    staged[p.index()].push(t.clone());
-                    placements += 1;
-                }
-            }
+            let keys = ks.triple_keys(&t);
+            let holders = keys.iter().flat_map(|key| self.topology.responsible(key));
+            placements += stage.push(t, holders.copied());
         }
-        for (db, batch) in self.dbs.iter_mut().zip(staged) {
-            db.insert_batch(batch);
-        }
+        stage.flush(&mut self.dbs);
         placements
     }
 

@@ -12,8 +12,8 @@
 //!   in-degree for the §3.1 statistics (see the root `README.md`);
 //! * a **connectivity record** at `Hash(Domain)`.
 
-use gridvine_pgrid::{BitString, KeyHasher};
-use gridvine_rdf::Triple;
+use gridvine_pgrid::{BitString, KeyHasher, PeerId};
+use gridvine_rdf::{Triple, TripleStore};
 use gridvine_semantic::{DegreeRecord, Mapping, MappingKind, Schema};
 use serde::{Deserialize, Serialize};
 
@@ -134,6 +134,56 @@ impl<'a> KeySpace<'a> {
         }
         let hi = self.hasher.hash(&upper, self.depth);
         lo.prefix(lo.common_prefix_len(&hi))
+    }
+}
+
+/// The copies `Update(t)` places, on their way into the peers' `DB_p`s:
+/// both engines decide *who* stores a triple (the synchronous system
+/// by routing each key, the WAN deployment from the topology), stage
+/// the copies here, and [`TripleStage::flush`] bulk-loads every touched
+/// peer once. What is staged costs what is staged — nothing here is
+/// sized by the peer count, so a stage of one triple is cheap.
+#[derive(Default)]
+pub(crate) struct TripleStage {
+    triples: Vec<Triple>,
+    /// One `(peer, index into triples)` per staged copy.
+    copies: Vec<(PeerId, u32)>,
+}
+
+impl TripleStage {
+    /// Stage a copy of `t` for each of `holders`, returning how many. A
+    /// peer named twice (two of the triple's keys are its own) is staged
+    /// twice; its store keeps one row.
+    pub(crate) fn push(&mut self, t: Triple, holders: impl IntoIterator<Item = PeerId>) -> usize {
+        let index = u32::try_from(self.triples.len()).expect("fewer than 2^32 staged triples");
+        self.triples.push(t);
+        let before = self.copies.len();
+        self.copies
+            .extend(holders.into_iter().map(|peer| (peer, index)));
+        self.copies.len() - before
+    }
+
+    /// Load what is staged — one [`TripleStore::insert_batch`] per
+    /// touched peer, its copies in the order they were staged, so each
+    /// `DB_p` ends with the rows, under the row ids, that storing every
+    /// copy on arrival would have given it — and empty the stage.
+    /// Returns the peers that gained a row they did not hold.
+    pub(crate) fn flush(&mut self, dbs: &mut [TripleStore]) -> Vec<PeerId> {
+        // Indexes ascend in staging order, so sorting the pairs groups
+        // them by peer and keeps each group in arrival order.
+        self.copies.sort_unstable();
+        let gained = self
+            .copies
+            .chunk_by(|a, b| a.0 == b.0)
+            .filter_map(|group| {
+                let peer = group[0].0;
+                let batch = group.iter().map(|&(_, i)| self.triples[i as usize].clone());
+                (dbs[peer.index()].insert_batch(batch) > 0).then_some(peer)
+            })
+            .collect();
+        self.triples.clear();
+        self.copies.clear();
+        gained
     }
 }
 

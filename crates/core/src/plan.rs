@@ -2,12 +2,10 @@
 //! from the *how* of its execution.
 //!
 //! The paper's `SearchFor` (§2.3, §3, §4) is one conceptual operation —
-//! route, reformulate across the mapping network, evaluate, join — that
-//! historically surfaced as four monolithic entry points
-//! (`resolve_pattern`, `resolve_object_prefix`, `search`,
-//! `search_conjunctive`). A [`QueryPlan`] names the logical shape of one
-//! such operation; the physical access path (routing keys, reformulation
-//! strategy, join mode, TTL) is supplied at execution time by
+//! route, reformulate across the mapping network, evaluate, join. A
+//! [`QueryPlan`] names the logical shape of one such operation; the
+//! physical access path (routing keys, reformulation strategy, join
+//! mode, TTL) is supplied at execution time by
 //! [`crate::exec::QueryOptions`] and evaluated by
 //! [`crate::GridVineSystem::execute`].
 //!
@@ -20,20 +18,12 @@
 //!   otherwise;
 //! * [`QueryPlan::conjunctive`] picks the **join order** for bound
 //!   substitution: most selective pattern first (more constants, longer
-//!   routing constant, fewer variables), the same order the legacy
-//!   `search_conjunctive` computed inline.
+//!   routing constant, fewer variables).
 
 use gridvine_rdf::{ConjunctiveQuery, Term, TriplePattern, TriplePatternQuery};
 use serde::{Deserialize, Serialize};
 
 /// The logical shape of one `SearchFor` operation.
-///
-/// | Legacy entry point | Plan constructor |
-/// |---|---|
-/// | `resolve_pattern(q)` | [`QueryPlan::pattern`] |
-/// | `resolve_object_prefix(q)` | [`QueryPlan::object_prefix`] |
-/// | `search(q, strategy)` | [`QueryPlan::search`] + [`crate::exec::QueryOptions::strategy`] |
-/// | `search_conjunctive(q, strategy, mode)` | [`QueryPlan::conjunctive`] + [`crate::exec::QueryOptions::join_mode`] |
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum QueryPlan {
     /// One routed lookup: `Hash(routing constant)` → evaluate the
@@ -60,28 +50,26 @@ pub enum QueryPlan {
 }
 
 impl QueryPlan {
-    /// A plain routed lookup with no reformulation (the legacy
-    /// `resolve_pattern`).
+    /// A plain routed lookup with no reformulation.
     pub fn pattern(query: TriplePatternQuery) -> QueryPlan {
         QueryPlan::Pattern { query }
     }
 
-    /// An object-prefix range sweep (the legacy
-    /// `resolve_object_prefix`); requires the order-preserving hash at
-    /// execution time.
+    /// An object-prefix range sweep; requires the order-preserving hash
+    /// at execution time.
     pub fn object_prefix(query: TriplePatternQuery) -> QueryPlan {
         QueryPlan::ObjectPrefix { query }
     }
 
-    /// The full reformulation closure (the legacy `search`).
+    /// The full reformulation closure.
     pub fn search(query: TriplePatternQuery) -> QueryPlan {
         QueryPlan::Closure { query }
     }
 
-    /// Plan a conjunctive query (the legacy `search_conjunctive`),
-    /// fixing the bound-join order: most constants first, then the
-    /// longest routing constant, then the fewest variables — the
-    /// selectivity heuristic of distributed bound joins.
+    /// Plan a conjunctive query, fixing the bound-join order: most
+    /// constants first, then the longest routing constant, then the
+    /// fewest variables — the selectivity heuristic of distributed bound
+    /// joins.
     pub fn conjunctive(query: ConjunctiveQuery) -> QueryPlan {
         let order = bound_join_order(&query.patterns);
         QueryPlan::Join { query, order }

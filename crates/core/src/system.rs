@@ -12,7 +12,7 @@
 //! the event-driven twin in [`crate::harness`] additionally charges
 //! wall-clock latency.
 
-use crate::item::{KeySpace, MediationItem};
+use crate::item::{KeySpace, MediationItem, TripleStage};
 use gridvine_netsim::churn::{ChurnEvent, ChurnKind};
 use gridvine_netsim::{FaultConfig, LatencyConfig, LatencyModel, NodeId, SimDuration, SimTime};
 use gridvine_pgrid::{
@@ -487,11 +487,6 @@ impl GridVineSystem {
         self.crashed.remove(&peer);
     }
 
-    /// Whether failure injection currently has this peer down.
-    pub fn is_peer_up(&self, peer: PeerId) -> bool {
-        !self.crashed.contains(&peer)
-    }
-
     /// Install a pre-generated churn schedule
     /// ([`gridvine_netsim::churn`]) on the query path: a peer whose
     /// timeline marks it down at a request's attempt instant behaves
@@ -603,11 +598,6 @@ impl GridVineSystem {
         &self.local_dbs[peer.index()]
     }
 
-    /// The process-wide string pool shared by every peer database.
-    pub fn lexicon(&self) -> &SharedTermDict {
-        &self.lexicon
-    }
-
     /// Total overlay messages since construction (or the last reset).
     pub fn messages_sent(&self) -> u64 {
         self.overlay.messages_sent()
@@ -636,57 +626,95 @@ impl GridVineSystem {
     // -----------------------------------------------------------------
 
     /// `Update(t)` — index the triple under subject, predicate and
-    /// object keys (three overlay updates). Every peer that receives a
-    /// copy (destination + replicas) indexes it in its local database
-    /// `DB_p`, which is what destination-side resolution evaluates; the
-    /// lexicals are canonicalized through the shared lexicon first so
-    /// all peer databases share one buffer per distinct string.
-    ///
-    /// The routing and replica-propagation messages are charged exactly
-    /// as a bucket-storing `Update` would ([`Overlay::update_placement`]),
-    /// but no `MediationItem::Triple` is written into overlay buckets —
-    /// `DB_p` is the single per-peer copy.
+    /// object keys (three overlay updates): [`GridVineSystem::insert_triples`]
+    /// of one, with the same contract.
     pub fn insert_triple(&mut self, origin: PeerId, t: Triple) -> Result<(), SystemError> {
-        let t = self.lexicon.canonical_triple(&t);
-        let keys = self.keyspace().triple_keys(&t);
-        for key in &keys {
-            let route = self.overlay.update_placement(origin, key, &mut self.rng)?;
-            let dest = route.destination;
-            self.local_dbs[dest.index()].insert(t.clone());
-            for r in self.overlay.view(dest).replicas.clone() {
-                self.local_dbs[r.index()].insert(t.clone());
-            }
-        }
-        // Placement-policy fan-out: keys covered by a rule propagate
-        // the new triple to their registered extras and provision up to
-        // the rule's factor (no-op, and zero cost, under the null
-        // policy) — see [`place`]. Atomic like the mapping commit: a
-        // fan-out cut short rolls its own copies back, and the σ writes
-        // above are undone too, so no holder is ever missing rows its
-        // registry entry promises.
-        if let Err(e) = self.place_triple(origin, &t, &keys) {
-            for key in &keys {
-                for owner in self.topology.responsible(key).to_vec() {
-                    self.local_dbs[owner.index()].remove(&t);
-                }
-            }
-            return Err(e);
-        }
-        Ok(())
+        self.insert_triples(origin, [t]).map(|_| ())
     }
 
-    /// Bulk-load a schema's triples from an origin peer.
+    /// `Update(t)` for each triple in turn, from one origin; returns how
+    /// many were placed.
+    ///
+    /// Each triple's lexicals are canonicalized through the shared
+    /// lexicon (all peer databases share one buffer per distinct
+    /// string) and its three keys are routed in turn, each charged —
+    /// hops plus replica propagation — exactly as a bucket-storing
+    /// `Update` would be ([`Overlay::update_placement`]). No
+    /// `MediationItem::Triple` enters an overlay bucket: every peer that
+    /// receives a copy (each key's destination and its replicas) indexes
+    /// it in its `DB_p`, which is what destination-side resolution
+    /// evaluates.
+    ///
+    /// The copies are staged and every touched `DB_p` is bulk-loaded
+    /// once per call, in arrival order: routes, charges, the routing RNG
+    /// stream and each peer's rows and row ids are those of storing every
+    /// copy as it arrives, however the corpus is cut into calls.
+    ///
+    /// A triple is placed under all three keys or under none. On `Err`
+    /// at some triple, every earlier triple of the call is fully stored,
+    /// that one is stored nowhere it was not already (what its routes
+    /// cost stays charged), and later ones are untouched.
+    ///
+    /// A triple a [`place::PlacementPolicy`] rule covers is loaded
+    /// before its placement hook runs — provisioning copies out of the
+    /// owner's `DB_p` — and the hook fans it out to the key's registered
+    /// extras and provisions up to the rule's factor (see [`place`]).
+    /// Atomic like the mapping commit: a fan-out cut short rolls its own
+    /// copies back and the σ copies this call added are undone too, so
+    /// no holder misses rows its registry entry promises — and none
+    /// loses a copy an earlier call committed.
     pub fn insert_triples(
         &mut self,
         origin: PeerId,
         triples: impl IntoIterator<Item = Triple>,
     ) -> Result<usize, SystemError> {
-        let mut n = 0;
-        for t in triples {
-            self.insert_triple(origin, t)?;
-            n += 1;
+        let mut stage = TripleStage::default();
+        let placed = triples.into_iter().try_fold(0, |n, t| {
+            self.stage_triple(origin, &t, &mut stage).map(|()| n + 1)
+        });
+        stage.flush(&mut self.local_dbs);
+        placed
+    }
+
+    /// One `Update(t)` of [`GridVineSystem::insert_triples`]: route and
+    /// charge the three keys, then stage the copies.
+    fn stage_triple(
+        &mut self,
+        origin: PeerId,
+        t: &Triple,
+        stage: &mut TripleStage,
+    ) -> Result<(), SystemError> {
+        let t = self.lexicon.canonical_triple(t);
+        let keys = self.keyspace().triple_keys(&t);
+        // Every key is routed before any copy is staged: all or nothing.
+        let mut dests = [origin; 3];
+        for (dest, key) in dests.iter_mut().zip(&keys) {
+            *dest = self
+                .overlay
+                .update_placement(origin, key, &mut self.rng)?
+                .destination;
         }
-        Ok(n)
+        let covered = self.place.policy.covers(&t);
+        if covered {
+            // The next flush then reports this triple's copies alone.
+            stage.flush(&mut self.local_dbs);
+        }
+        stage.push(
+            t.clone(),
+            dests.iter().flat_map(|&dest| {
+                std::iter::once(dest).chain(self.overlay.view(dest).replicas.iter().copied())
+            }),
+        );
+        if covered {
+            let gained = stage.flush(&mut self.local_dbs);
+            if let Err(e) = self.place_triple(origin, &t, &keys) {
+                for peer in gained {
+                    self.local_dbs[peer.index()].remove(&t);
+                }
+                return Err(e);
+            }
+        }
+        Ok(())
     }
 
     /// `Update(Schema)` — store the definition at `Hash(Schema Name)`.

@@ -167,6 +167,13 @@ impl PlacementPolicy {
         self.rules.iter().find(|r| lexical.starts_with(&r.prefix))
     }
 
+    /// Whether a rule covers any of the triple's three routed lexicals.
+    pub(crate) fn covers(&self, t: &Triple) -> bool {
+        [t.subject.as_str(), t.predicate.as_str(), t.object.lexical()]
+            .iter()
+            .any(|lexical| self.rule_for(lexical).is_some())
+    }
+
     fn window(&self) -> SimDuration {
         self.heat_window.unwrap_or(DEFAULT_HEAT_WINDOW)
     }
@@ -343,19 +350,16 @@ impl GridVineSystem {
         Some(Err(down.unwrap_or(SystemError::NotRoutable)))
     }
 
-    /// Placement hook of [`GridVineSystem::insert_triple`]: for each of
-    /// the triple's three keys covered by a rule, fan the new triple
-    /// out to the registered extras and provision up to the rule's
-    /// factor. No-op under the null policy.
+    /// Placement hook of [`GridVineSystem::insert_triples`], run once
+    /// the σ owners hold the triple: for each of its three keys covered
+    /// by a rule, fan the new triple out to the registered extras and
+    /// provision up to the rule's factor.
     pub(crate) fn place_triple(
         &mut self,
         origin: PeerId,
         t: &Triple,
         keys: &[BitString; 3],
     ) -> Result<(), SystemError> {
-        if self.place.policy.is_null() {
-            return Ok(());
-        }
         let lexicals = [t.subject.as_str(), t.predicate.as_str(), t.object.lexical()];
         for (key, lexical) in keys.iter().zip(lexicals) {
             let Some(rule) = self.place.policy.rule_for(lexical).cloned() else {
@@ -370,8 +374,9 @@ impl GridVineSystem {
     /// Atomically fan one freshly-placed triple out to the registered
     /// extras of `key`, in the `commit_mapping_copies` style: a down
     /// extra (possibly downed mid-commit by the armed crash hook) rolls
-    /// the already-written copies back and fails the insert, so the
-    /// registry never points at a holder missing rows.
+    /// the copies this fan-out added back and fails the insert, so the
+    /// registry never points at a holder missing rows — and a holder
+    /// that had the triple already keeps it.
     fn fan_out_insert(
         &mut self,
         origin: PeerId,
@@ -379,9 +384,9 @@ impl GridVineSystem {
         t: &Triple,
     ) -> Result<(), SystemError> {
         let extras = self.place.extras_for(key).to_vec();
-        let mut written: Vec<PeerId> = Vec::new();
-        for x in extras {
-            if !written.is_empty() {
+        let mut added: Vec<PeerId> = Vec::new();
+        for (i, x) in extras.into_iter().enumerate() {
+            if i > 0 {
                 // Between the first and later replica writes: the
                 // armed crash hook fires here.
                 if let Some(victim) = self.commit_crash.take() {
@@ -389,14 +394,15 @@ impl GridVineSystem {
                 }
             }
             if self.crashed.contains(&x) {
-                for w in written {
+                for w in added {
                     self.local_dbs[w.index()].remove(t);
                 }
                 return Err(SystemError::PeerDown(x));
             }
-            self.local_dbs[x.index()].insert(t.clone());
+            if self.local_dbs[x.index()].insert(t.clone()) {
+                added.push(x);
+            }
             self.overlay.charge_direct(origin, x, 1);
-            written.push(x);
         }
         Ok(())
     }
@@ -660,16 +666,6 @@ impl GridVineSystem {
             replica_hits: c.replica_hits as u64,
             failovers: c.failovers as u64,
             migrations: c.migrations as u64,
-        }
-    }
-
-    /// Compact every peer's local store in one pass — replica copies
-    /// compact together with their owners, so the scan order a pattern
-    /// match observes stays aligned across all holders of a replicated
-    /// key.
-    pub fn compact_stores(&mut self) {
-        for db in &mut self.local_dbs {
-            db.compact();
         }
     }
 }

@@ -317,15 +317,6 @@ impl SessionPool {
             .map(|c| c.stats())
     }
 
-    /// Rows a session (live or done) has accumulated so far.
-    pub fn session_rows(&self, id: SessionId) -> Option<usize> {
-        self.live
-            .iter()
-            .chain(self.done.iter())
-            .find(|c| c.id == id)
-            .map(|c| c.rows().len())
-    }
-
     /// Number of live sessions.
     pub fn len(&self) -> usize {
         self.live.len()

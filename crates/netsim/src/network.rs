@@ -99,14 +99,6 @@ impl NetworkConfig {
         }
     }
 
-    /// Same topology with a full fault process.
-    pub fn faulty_planetlab(fault: FaultConfig) -> NetworkConfig {
-        NetworkConfig {
-            fault,
-            ..NetworkConfig::planetlab()
-        }
-    }
-
     fn build_latency(&self, seed: u64) -> Box<dyn LatencyModel> {
         match &self.latency {
             LatencyConfig::Constant { micros } => {
@@ -261,11 +253,6 @@ impl<N: Node<M>, M: Clone> Network<N, M> {
         &mut self.slots[id.index()].node
     }
 
-    /// Whether the node is currently up.
-    pub fn is_alive(&self, id: NodeId) -> bool {
-        self.slots[id.index()].alive
-    }
-
     /// Ids of all live nodes.
     pub fn alive_nodes(&self) -> Vec<NodeId> {
         self.slots
@@ -398,15 +385,6 @@ impl<N: Node<M>, M: Clone> Network<N, M> {
         }
         if self.now < deadline {
             self.now = deadline;
-        }
-    }
-
-    /// Run at most `n` events.
-    pub fn run_steps(&mut self, n: usize) {
-        for _ in 0..n {
-            if !self.step() {
-                break;
-            }
         }
     }
 

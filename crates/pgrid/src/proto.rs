@@ -173,11 +173,6 @@ impl<V: Clone + PartialEq> PGridNode<V> {
         std::mem::take(&mut self.completed)
     }
 
-    /// Requests still in flight.
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Start a retrieval for `key` from this node. Returns the request id.
     pub fn start_retrieve(&mut self, ctx: &mut Ctx<'_, PGridMsg<V>>, key: BitString) -> RequestId {
         let id = self.fresh_id();

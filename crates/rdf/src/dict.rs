@@ -7,23 +7,15 @@
 //! string bytes are only touched at ingest (one hash of the lexical) and
 //! at the result boundary (materializing terms for the caller).
 //!
-//! ## Sharding
+//! A [`TermDict`] is one open-addressed `(hash, id)` table over one
+//! id→string column: ids are issued densely from 0 in first-seen order,
+//! so resolving is one array access and an array directly indexed by id
+//! needs exactly [`TermDict::len`] entries. Interning is sequential — a
+//! store is loaded by the one thread that owns it.
 //!
-//! The dictionary is split into [`SHARDS`] independent shards selected
-//! by high hash bits. A [`TermId`] packs the owning shard into its low
-//! [`SHARD_BITS`] bits and the shard-local id above them, so resolving
-//! stays a two-load array access and ids remain *almost* dense: the id
-//! space wastes at most the shard skew, which a balanced hash keeps to a
-//! few percent ([`TermDict::id_bound`] is the array-sizing bound).
-//! Sharding buys **parallel interning**: bulk ingest pre-hashes its
-//! lexicals once and interns them on one scoped thread per shard, each
-//! thread owning its shard exclusively
-//! ([`TermDict::intern_shared_batch`]) — no locks, no CAS retries, just
-//! disjoint ownership.
-//!
-//! [`SharedTermDict`] is the other holder of a shard: one, behind a
-//! mutex and an `Arc`, through which the peer stores hosted in one
-//! process pool their string buffers.
+//! [`SharedTermDict`] is the same structure behind a mutex and an
+//! `Arc`, through which the peer stores hosted in one process pool
+//! their string buffers.
 //!
 //! The string data itself lives in reference-counted `Arc<str>` buffers
 //! shared between the id→string table, the string→id map, the sorted
@@ -37,17 +29,12 @@ use std::fmt;
 use std::hash::Hasher;
 use std::sync::{Arc, Mutex};
 
-/// log2 of the shard count of a [`TermDict`].
-pub const SHARD_BITS: u32 = 3;
-/// Number of independent shards in a [`TermDict`].
-pub const SHARDS: usize = 1 << SHARD_BITS;
-
-/// Dense identifier of an interned lexical value.
+/// Dense identifier of an interned lexical value: its index in the
+/// owning [`TermDict`]'s first-seen order.
 ///
-/// The low [`SHARD_BITS`] bits name the owning shard, the bits above
-/// them the shard-local id. Ids are stable for the lifetime of the
-/// owning [`TermDict`] (a [`crate::TripleStore::compact`] rebuilds the
-/// dictionary and may renumber).
+/// Ids are stable for the lifetime of the dictionary (a
+/// [`crate::TripleStore::compact`] rebuilds the dictionary and may
+/// renumber).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct TermId(pub u32);
 
@@ -55,21 +42,6 @@ impl TermId {
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
-    }
-
-    #[inline]
-    fn assemble(shard: usize, local: u32) -> TermId {
-        TermId((local << SHARD_BITS) | shard as u32)
-    }
-
-    #[inline]
-    fn shard(self) -> usize {
-        (self.0 & (SHARDS as u32 - 1)) as usize
-    }
-
-    #[inline]
-    fn local(self) -> usize {
-        (self.0 >> SHARD_BITS) as usize
     }
 }
 
@@ -80,8 +52,8 @@ impl fmt::Debug for TermId {
 }
 
 /// Hash of a lexical value: Fx over the bytes, with a final avalanche
-/// mix so the table index (low bits), the stored verifier (all 64 bits)
-/// and the shard selector (high bits) are all well distributed.
+/// mix so the table index (low bits) and the stored verifier (all 64
+/// bits) are both well distributed.
 #[inline]
 pub(crate) fn hash_lexical(s: &str) -> u64 {
     let mut h = FxHasher::default();
@@ -89,13 +61,6 @@ pub(crate) fn hash_lexical(s: &str) -> u64 {
     let mut z = h.finish();
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     z ^ (z >> 31)
-}
-
-/// Shard selector: high hash bits, independent of the low bits the
-/// in-shard table indexes with.
-#[inline]
-fn shard_of(hash: u64, shards: usize) -> usize {
-    ((hash >> 48) as usize) & (shards - 1)
 }
 
 const EMPTY: u32 = u32::MAX;
@@ -110,20 +75,46 @@ struct Slot {
 
 const VACANT: Slot = Slot { hash: 0, id: EMPTY };
 
-/// Open-addressed `(hash64, id)` slots. A probe touches one flat array
-/// and compares `u64`s; the interned string itself is only read to
-/// verify a full 64-bit hash match (i.e. almost only on true hits) —
-/// the hot path costs one cache miss, not a bucket walk plus a
-/// scattered key compare.
+/// Bidirectional map between lexical values and [`TermId`]s: an
+/// open-addressed id table plus the id→string column (see the module
+/// docs).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
-struct IdTable {
-    /// Power-of-two length; `id == EMPTY` marks a vacant slot.
+pub struct TermDict {
+    /// Open-addressed `(hash64, id)` slots; power-of-two length, `id ==
+    /// EMPTY` marks a vacant slot. A probe touches one flat array and
+    /// compares `u64`s; the interned string itself is only read to
+    /// verify a full 64-bit hash match (i.e. almost only on true hits) —
+    /// the hot path costs one cache miss, not a bucket walk plus a
+    /// scattered key compare.
     slots: Vec<Slot>,
-    len: usize,
+    /// The id→string column: one entry per occupied slot.
+    terms: Vec<Arc<str>>,
 }
 
-impl IdTable {
-    fn probe(&self, hash: u64, is_match: impl Fn(u32) -> bool) -> Result<u32, usize> {
+impl TermDict {
+    pub fn new() -> TermDict {
+        TermDict::default()
+    }
+
+    /// Number of distinct interned lexical values.
+    pub fn len(&self) -> usize {
+        self.terms.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.terms.is_empty()
+    }
+
+    /// Exclusive upper bound on `TermId::index()` over every id this
+    /// dictionary has issued — the sizing bound for arrays directly
+    /// indexed by id. Ids are dense, so it equals [`TermDict::len`].
+    pub fn id_bound(&self) -> usize {
+        self.terms.len()
+    }
+
+    /// The id of a pre-hashed lexical, or the vacant slot where it
+    /// belongs.
+    fn probe(&self, hash: u64, lexical: &str) -> Result<u32, usize> {
         debug_assert!(!self.slots.is_empty());
         let mask = self.slots.len() - 1;
         let mut i = (hash as usize) & mask;
@@ -132,15 +123,16 @@ impl IdTable {
             if slot.id == EMPTY {
                 return Err(i);
             }
-            if slot.hash == hash && is_match(slot.id) {
+            if slot.hash == hash && &*self.terms[slot.id as usize] == lexical {
                 return Ok(slot.id);
             }
             i = (i + 1) & mask;
         }
     }
 
-    fn grow_to(&mut self, cap: usize) {
-        debug_assert!(cap.is_power_of_two() && cap >= self.slots.len());
+    /// Double the table (16 slots at first) and re-seat every entry.
+    fn grow(&mut self) {
+        let cap = (self.slots.len() * 2).max(16);
         let old = std::mem::replace(&mut self.slots, vec![VACANT; cap]);
         let mask = cap - 1;
         for slot in old {
@@ -155,117 +147,32 @@ impl IdTable {
         }
     }
 
-    fn grow(&mut self) {
-        self.grow_to((self.slots.len() * 2).max(16));
-    }
-}
-
-/// One independent dictionary shard: an open-addressed id table plus the
-/// id→string column. Shard-local ids are dense from 0.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-struct Shard {
-    table: IdTable,
-    terms: Vec<Arc<str>>,
-}
-
-impl Shard {
-    /// Locate a pre-hashed lexical, or the vacant slot where it belongs.
+    /// [`TermDict::probe`] for a value about to be interned.
     fn find_or_slot(&mut self, hash: u64, lexical: &str) -> Result<u32, usize> {
         // Keep load factor under 5/8: linear probing degrades fast past
         // that, and short probe runs matter more than table bytes for
         // the point-lookup path (growing may move the vacant slot, so
         // grow before probing).
-        if (self.table.len + 1) * 8 > self.table.slots.len() * 5 {
-            self.table.grow();
+        if (self.terms.len() + 1) * 8 > self.slots.len() * 5 {
+            self.grow();
         }
-        self.table
-            .probe(hash, |id| &*self.terms[id as usize] == lexical)
+        self.probe(hash, lexical)
     }
 
-    fn insert_new(&mut self, arc: Arc<str>, slot: usize, hash: u64) -> u32 {
-        let local = u32::try_from(self.terms.len()).expect("term dictionary shard overflow");
-        assert!(
-            local < (u32::MAX >> SHARD_BITS),
-            "term dictionary shard overflow"
-        );
-        self.table.slots[slot] = Slot { hash, id: local };
-        self.table.len += 1;
+    fn insert_new(&mut self, arc: Arc<str>, slot: usize, hash: u64) -> TermId {
+        let id = u32::try_from(self.terms.len()).expect("term dictionary overflow");
+        assert!(id < EMPTY, "term dictionary overflow");
+        self.slots[slot] = Slot { hash, id };
         self.terms.push(arc);
-        local
-    }
-
-    /// Intern a pre-hashed shared buffer, returning the shard-local id.
-    fn intern_shared(&mut self, hash: u64, lexical: &Arc<str>) -> u32 {
-        match self.find_or_slot(hash, lexical) {
-            Ok(local) => local,
-            Err(slot) => self.insert_new(Arc::clone(lexical), slot, hash),
-        }
-    }
-
-    fn lookup(&self, hash: u64, lexical: &str) -> Option<u32> {
-        if self.table.slots.is_empty() {
-            return None;
-        }
-        self.table
-            .probe(hash, |id| &*self.terms[id as usize] == lexical)
-            .ok()
-    }
-
-    fn reserve(&mut self, additional: usize) {
-        let needed = (self.terms.len() + additional) * 8 / 5 + 1;
-        if needed > self.table.slots.len() {
-            self.table.grow_to(needed.next_power_of_two().max(16));
-        }
-        self.terms.reserve(additional);
-    }
-}
-
-/// Bidirectional map between lexical values and [`TermId`]s, split into
-/// [`SHARDS`] hash-selected shards (see the module docs).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TermDict {
-    shards: Vec<Shard>,
-}
-
-impl Default for TermDict {
-    fn default() -> TermDict {
-        TermDict {
-            shards: (0..SHARDS).map(|_| Shard::default()).collect(),
-        }
-    }
-}
-
-impl TermDict {
-    pub fn new() -> TermDict {
-        TermDict::default()
-    }
-
-    /// Number of distinct interned lexical values.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.terms.len()).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.terms.is_empty())
-    }
-
-    /// Exclusive upper bound on `TermId::index()` over every id this
-    /// dictionary has issued — the sizing bound for arrays directly
-    /// indexed by id. Exceeds [`TermDict::len`] only by the shard skew.
-    pub fn id_bound(&self) -> usize {
-        self.shards.iter().map(|s| s.terms.len()).max().unwrap_or(0) << SHARD_BITS
+        TermId(id)
     }
 
     /// Intern a lexical value, allocating an id on first sight.
     pub fn intern(&mut self, lexical: &str) -> TermId {
         let hash = hash_lexical(lexical);
-        let shard = shard_of(hash, SHARDS);
-        match self.shards[shard].find_or_slot(hash, lexical) {
-            Ok(local) => TermId::assemble(shard, local),
-            Err(slot) => {
-                let local = self.shards[shard].insert_new(Arc::from(lexical), slot, hash);
-                TermId::assemble(shard, local)
-            }
+        match self.find_or_slot(hash, lexical) {
+            Ok(id) => TermId(id),
+            Err(slot) => self.insert_new(Arc::from(lexical), slot, hash),
         }
     }
 
@@ -273,70 +180,9 @@ impl TermDict {
     /// reference count, with no string copy at all.
     pub fn intern_shared(&mut self, lexical: &Arc<str>) -> TermId {
         let hash = hash_lexical(lexical);
-        let shard = shard_of(hash, SHARDS);
-        TermId::assemble(shard, self.shards[shard].intern_shared(hash, lexical))
-    }
-
-    /// Bulk interning: hash every lexical once, then intern shard-by-
-    /// shard — one scoped thread per shard for large batches, each
-    /// owning its shard exclusively (no locks). Returns one id per
-    /// input, in input order.
-    ///
-    /// This is the parallel half of [`crate::TripleStore::insert_batch`]:
-    /// dictionary work is the string-touching part of ingest, and it
-    /// partitions perfectly by shard.
-    pub fn intern_shared_batch(&mut self, lexicals: &[&Arc<str>]) -> Vec<TermId> {
-        let hashes: Vec<u64> = lexicals.iter().map(|l| hash_lexical(l)).collect();
-        let mut ids: Vec<TermId> = vec![TermId(0); lexicals.len()];
-        // Sequential cutoff: thread spawn + the 8 extra hash-array scans
-        // only pay for themselves on batches with real interning volume
-        // and actual cores to spread over.
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        if cores < 2 || lexicals.len() < 16_384 {
-            for ((id, &hash), lexical) in ids.iter_mut().zip(&hashes).zip(lexicals) {
-                let shard = shard_of(hash, SHARDS);
-                *id = TermId::assemble(shard, self.shards[shard].intern_shared(hash, lexical));
-            }
-            return ids;
-        }
-        let assigned: Vec<Vec<(u32, u32)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .enumerate()
-                .map(|(k, shard)| {
-                    let hashes = &hashes;
-                    scope.spawn(move || {
-                        let mut out: Vec<(u32, u32)> = Vec::new();
-                        for (i, &hash) in hashes.iter().enumerate() {
-                            if shard_of(hash, SHARDS) == k {
-                                out.push((i as u32, shard.intern_shared(hash, lexicals[i])));
-                            }
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for (shard, pairs) in assigned.iter().enumerate() {
-            for &(i, local) in pairs {
-                ids[i as usize] = TermId::assemble(shard, local);
-            }
-        }
-        ids
-    }
-
-    /// Pre-size the table for `additional` more distinct values, so bulk
-    /// interning proceeds without intermediate growth rehashes. Prefer
-    /// accurate estimates: an oversized table costs more in probe cache
-    /// misses than geometric growth would.
-    pub fn reserve(&mut self, additional: usize) {
-        let per_shard = additional.div_ceil(SHARDS);
-        for shard in &mut self.shards {
-            shard.reserve(per_shard);
+        match self.find_or_slot(hash, lexical) {
+            Ok(id) => TermId(id),
+            Err(slot) => self.insert_new(Arc::clone(lexical), slot, hash),
         }
     }
 
@@ -345,11 +191,10 @@ impl TermDict {
     /// the store has never seen is a single hash and no allocation.
     #[inline]
     pub fn lookup(&self, lexical: &str) -> Option<TermId> {
-        let hash = hash_lexical(lexical);
-        let shard = shard_of(hash, SHARDS);
-        self.shards[shard]
-            .lookup(hash, lexical)
-            .map(|local| TermId::assemble(shard, local))
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.probe(hash_lexical(lexical), lexical).ok().map(TermId)
     }
 
     /// The lexical value of an id.
@@ -358,20 +203,20 @@ impl TermDict {
     /// Panics if `id` was not produced by this dictionary.
     #[inline]
     pub fn resolve(&self, id: TermId) -> &str {
-        &self.shards[id.shard()].terms[id.local()]
+        &self.terms[id.index()]
     }
 
     /// Shared handle to the interned buffer (for secondary indexes that
     /// key on the string without copying it).
     #[inline]
     pub(crate) fn shared(&self, id: TermId) -> Arc<str> {
-        Arc::clone(&self.shards[id.shard()].terms[id.local()])
+        Arc::clone(&self.terms[id.index()])
     }
 }
 
-/// A process-wide, thread-safe string pool: one dictionary shard
-/// behind a mutex and an `Arc`, so the peer stores hosted in one
-/// process share it through cheap handle clones.
+/// A process-wide, thread-safe string pool: one [`TermDict`] behind a
+/// mutex and an `Arc`, so the peer stores hosted in one process share
+/// it through cheap handle clones.
 ///
 /// Each peer's [`crate::TripleStore`] keeps its own dense id space (ids
 /// are meaningless across stores anyway), so the shared handle pools
@@ -382,7 +227,7 @@ impl TermDict {
 /// databases it appears in.
 #[derive(Debug, Clone, Default)]
 pub struct SharedTermDict {
-    pool: Arc<Mutex<Shard>>,
+    pool: Arc<Mutex<TermDict>>,
 }
 
 impl SharedTermDict {
@@ -390,23 +235,16 @@ impl SharedTermDict {
         SharedTermDict::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Shard> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, TermDict> {
         self.pool.lock().expect("term pool poisoned")
     }
 
     /// The canonical shared buffer for a lexical value, interning it on
     /// first sight.
     pub fn intern(&self, lexical: &str) -> Arc<str> {
-        let hash = hash_lexical(lexical);
         let mut pool = self.lock();
-        match pool.find_or_slot(hash, lexical) {
-            Ok(local) => Arc::clone(&pool.terms[local as usize]),
-            Err(slot) => {
-                let arc: Arc<str> = Arc::from(lexical);
-                pool.insert_new(Arc::clone(&arc), slot, hash);
-                arc
-            }
-        }
+        let id = pool.intern(lexical);
+        pool.shared(id)
     }
 
     /// Like [`SharedTermDict::intern`] but adopting an already-shared
@@ -416,10 +254,9 @@ impl SharedTermDict {
         Self::adopt(&mut self.lock(), lexical)
     }
 
-    fn adopt(pool: &mut Shard, lexical: &Arc<str>) -> Arc<str> {
-        let hash = hash_lexical(lexical);
-        let local = pool.intern_shared(hash, lexical);
-        Arc::clone(&pool.terms[local as usize])
+    fn adopt(pool: &mut TermDict, lexical: &Arc<str>) -> Arc<str> {
+        let id = pool.intern_shared(lexical);
+        pool.shared(id)
     }
 
     /// Rebuild a triple over the pool's canonical buffers: refcount
@@ -442,7 +279,7 @@ impl SharedTermDict {
 
     /// Number of distinct pooled lexicals.
     pub fn len(&self) -> usize {
-        self.lock().terms.len()
+        self.lock().len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -463,7 +300,9 @@ mod tests {
         assert_eq!(a, a2);
         assert_ne!(a, b);
         assert_eq!(d.len(), 2);
-        assert!(d.id_bound() > a.index().max(b.index()));
+        // Ids are dense, in first-seen order.
+        assert_eq!((a.index(), b.index()), (0, 1));
+        assert_eq!(d.id_bound(), d.len());
     }
 
     #[test]
@@ -484,20 +323,6 @@ mod tests {
         let h1 = d.shared(id);
         let h2 = d.shared(id);
         assert!(Arc::ptr_eq(&h1, &h2));
-    }
-
-    #[test]
-    fn batch_interning_agrees_with_sequential() {
-        let strings: Vec<Arc<str>> = (0..100)
-            .map(|i| Arc::from(format!("term-{}", i % 37).as_str()))
-            .collect();
-        let refs: Vec<&Arc<str>> = strings.iter().collect();
-        let mut seq = TermDict::new();
-        let seq_ids: Vec<TermId> = refs.iter().map(|s| seq.intern_shared(s)).collect();
-        let mut batch = TermDict::new();
-        let batch_ids = batch.intern_shared_batch(&refs);
-        assert_eq!(seq_ids, batch_ids);
-        assert_eq!(seq.len(), batch.len());
     }
 
     #[test]

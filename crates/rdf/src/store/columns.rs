@@ -69,10 +69,6 @@ impl BitColumn {
     pub(crate) fn set(&mut self, i: usize) {
         self.words[i / 64] |= 1 << (i % 64);
     }
-
-    pub(crate) fn reserve(&mut self, additional: usize) {
-        self.words.reserve(additional.div_ceil(64));
-    }
 }
 
 /// The column set of one store: three `TermId` columns, the object-kind
@@ -92,14 +88,6 @@ impl Columns {
     #[inline]
     pub(crate) fn len(&self) -> usize {
         self.s.len()
-    }
-
-    pub(crate) fn reserve(&mut self, additional: usize) {
-        self.s.reserve(additional);
-        self.p.reserve(additional);
-        self.o.reserve(additional);
-        self.o_lit.reserve(additional);
-        self.dead.reserve(additional);
     }
 
     /// Append one live row.

@@ -9,12 +9,16 @@
 //!
 //! ## Layout
 //!
-//! Every lexical value is interned through a hash-sharded [`TermDict`]
+//! Every lexical value is interned through the store's [`TermDict`]
 //! and a stored triple is a *row id* into three per-position `TermId`
-//! columns (`columns.rs`). One access structure sits on top of the
-//! columns — **posting lists**: per position, term id → row ids,
-//! directly indexed by the dense id and split at `csr_end`, the first
-//! row id the CSR head does not cover:
+//! columns (`columns.rs`). Rows enter one way —
+//! [`TripleStore::insert_batch`], which [`TripleStore::insert`] calls
+//! with a batch of one — and its cost is the cost of its rows: a peer
+//! of a 340-peer network receives `Update(t)` about three rows at a
+//! time, so the path carries no per-call set-up. One access structure
+//! sits on top of the columns — **posting lists**: per position, term
+//! id → row ids, directly indexed by the dense id and split at
+//! `csr_end`, the first row id the CSR head does not cover:
 //!
 //! * the **CSR head** holds the rows below `csr_end` in one shared
 //!   *offsets + data* pair (compressed sparse rows: `data` holds every
@@ -28,7 +32,8 @@
 //!
 //! Each position additionally keeps a lazily built sorted key index
 //! (`BTreeMap<Arc<str>, TermId>`, sharing the dictionary's buffers) so
-//! `abc%` prefix patterns run as range scans.
+//! `abc%` prefix patterns run as range scans; a batch drops it only
+//! when it brings the position a term it did not have.
 //!
 //! ```text
 //!            row-id space ───────────────────────────────▶
@@ -114,6 +119,14 @@ struct PostingIndex {
     csr_end: u32,
     /// Per-term spill for rows `>= csr_end`.
     tail: Vec<PostingList>,
+    /// Sorted key index: lexical → id over the terms with a posting at
+    /// this position; backs prefix range scans. Built lazily on first
+    /// use by [`TripleStore::sorted`] (one bulk sort, far cheaper than
+    /// per-insert tree maintenance) and dropped when the position gains
+    /// a term — never for a row over known terms, and never by a
+    /// removal, which tombstones the row and leaves its postings.
+    #[serde(skip)]
+    sorted: OnceLock<BTreeMap<Arc<str>, TermId>>,
 }
 
 impl PostingIndex {
@@ -141,7 +154,7 @@ impl PostingIndex {
     /// Whether term `t` has no posting at this position.
     #[inline]
     fn is_empty_term(&self, t: usize) -> bool {
-        self.head(t).is_empty() && self.tail_of(t).is_empty()
+        self.tail_of(t).is_empty() && self.head(t).is_empty()
     }
 
     /// One past the largest term index that may have a posting.
@@ -152,11 +165,14 @@ impl PostingIndex {
     /// Append a row id (`row >= csr_end`) to term `t`'s tail.
     #[inline]
     fn push(&mut self, term: TermId, row: u32) {
-        if self.tail.len() <= term.index() {
-            self.tail
-                .resize_with(term.index() + 1, PostingList::default);
+        let t = term.index();
+        if self.tail.len() <= t {
+            self.tail.resize_with(t + 1, PostingList::default);
         }
-        self.tail[term.index()].push(row);
+        if self.is_empty_term(t) {
+            self.sorted.take();
+        }
+        self.tail[t].push(row);
     }
 
     /// Rebuild the CSR head to cover all of `col` (one counting pass:
@@ -167,6 +183,11 @@ impl PostingIndex {
         self.offsets.resize(bound + 1, 0);
         for id in col {
             self.offsets[id.index() + 1] += 1;
+        }
+        // Rows the tail never saw may bring terms the key index lacks.
+        let terms = self.offsets.iter().filter(|&&count| count != 0).count();
+        if self.sorted.get().is_some_and(|keys| keys.len() != terms) {
+            self.sorted.take();
         }
         for i in 1..self.offsets.len() {
             self.offsets[i] += self.offsets[i - 1];
@@ -239,22 +260,6 @@ impl PostingList {
     }
 }
 
-/// Append a row id to a position's posting tail. When the term is new
-/// to the position, the position's lazily-built sorted key index is
-/// invalidated (inserting rows over known terms leaves it valid — the
-/// index maps *terms*, not rows).
-fn index_insert(
-    posting: &mut PostingIndex,
-    sorted: &mut OnceLock<BTreeMap<Arc<str>, TermId>>,
-    term: TermId,
-    row: u32,
-) {
-    if posting.is_empty_term(term.index()) {
-        sorted.take();
-    }
-    posting.push(term, row);
-}
-
 /// A borrowed view of one stored triple, for callers that only need to
 /// look, not own (scans, counting, profile building).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -277,17 +282,6 @@ pub struct TripleStore {
     by_subject: PostingIndex,
     by_predicate: PostingIndex,
     by_object: PostingIndex,
-    /// Sorted key index per position: lexical → id, over the terms that
-    /// ever appeared in that position. Backs prefix range scans. Built
-    /// lazily on first use (bulk-sorted, which is far cheaper than
-    /// per-insert tree maintenance) and kept until the position sees a
-    /// new term.
-    #[serde(skip)]
-    sorted_subject: OnceLock<BTreeMap<Arc<str>, TermId>>,
-    #[serde(skip)]
-    sorted_predicate: OnceLock<BTreeMap<Arc<str>, TermId>>,
-    #[serde(skip)]
-    sorted_object: OnceLock<BTreeMap<Arc<str>, TermId>>,
     /// Live rows as a set: O(1) idempotence checks on insert regardless
     /// of how many rows share a subject.
     dedup: FxHashSet<Row>,
@@ -324,13 +318,8 @@ impl TripleStore {
     /// The position's sorted key index, building it on first use: one
     /// bulk sort of the distinct terms, then a sorted-range bulk load.
     fn sorted(&self, pos: Position) -> &BTreeMap<Arc<str>, TermId> {
-        let cell = match pos {
-            Position::Subject => &self.sorted_subject,
-            Position::Predicate => &self.sorted_predicate,
-            Position::Object => &self.sorted_object,
-        };
-        cell.get_or_init(|| {
-            let index = self.index(pos);
+        let index = self.index(pos);
+        index.sorted.get_or_init(|| {
             let mut pairs: Vec<(Arc<str>, TermId)> = (0..index.num_terms())
                 .filter(|&i| !index.is_empty_term(i))
                 .map(|i| (self.dict.shared(TermId(i as u32)), TermId(i as u32)))
@@ -342,163 +331,63 @@ impl TripleStore {
 
     /// Insert a triple; duplicates are ignored (idempotent, like the
     /// overlay store — replica synchronization re-delivers freely).
-    /// Returns whether the triple was new.
+    /// Returns whether the triple was new. A batch of one: see
+    /// [`TripleStore::insert_batch`].
     pub fn insert(&mut self, t: Triple) -> bool {
-        let s = self.dict.intern_shared(t.subject.shared());
-        let p = self.dict.intern_shared(t.predicate.shared());
-        let o = self.dict.intern_shared(t.object.shared_lexical());
-        let row = Row {
-            s,
-            p,
-            o,
-            o_lit: t.object.is_literal(),
-        };
-        if !self.dedup.insert(row) {
-            return false;
-        }
-        let id = self.cols.len() as u32;
-        index_insert(&mut self.by_subject, &mut self.sorted_subject, s, id);
-        index_insert(&mut self.by_predicate, &mut self.sorted_predicate, p, id);
-        index_insert(&mut self.by_object, &mut self.sorted_object, o, id);
-        self.cols.push(row);
-        self.live += 1;
-        if self.tail_rows() >= SEAL_MIN {
-            self.rebuild_posting_csr();
-        }
-        true
-    }
-
-    /// Rows not yet covered by the CSR posting heads (the three
-    /// positions share one `csr_end`).
-    fn tail_rows(&self) -> usize {
-        self.cols.len() - self.by_subject.csr_end as usize
+        self.insert_batch([t]) == 1
     }
 
     /// Rebuild all three CSR posting heads over the whole row space
-    /// (one counting pass per position, position-parallel on multicore
-    /// hosts) and empty the tails.
+    /// (one counting pass per position) and empty the tails.
     fn rebuild_posting_csr(&mut self) {
         let bound = self.dict.id_bound();
-        let TripleStore {
-            cols,
-            by_subject,
-            by_predicate,
-            by_object,
-            ..
-        } = self;
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        if cores >= 2 && cols.len() >= 16_384 {
-            std::thread::scope(|sc| {
-                sc.spawn(|| by_subject.rebuild(&cols.s, bound));
-                sc.spawn(|| by_predicate.rebuild(&cols.p, bound));
-                by_object.rebuild(&cols.o, bound);
-            });
-        } else {
-            by_subject.rebuild(&cols.s, bound);
-            by_predicate.rebuild(&cols.p, bound);
-            by_object.rebuild(&cols.o, bound);
-        }
+        self.by_subject.rebuild(&self.cols.s, bound);
+        self.by_predicate.rebuild(&self.cols.p, bound);
+        self.by_object.rebuild(&self.cols.o, bound);
     }
 
-    /// Bulk insert with the same idempotence semantics as repeated
-    /// [`TripleStore::insert`], returning how many triples were new.
+    /// The one way a row enters the store: append every triple the
+    /// store does not hold yet, in iteration order, and return how many
+    /// were new.
     ///
-    /// The batch path pre-sizes the dedup set and the columns, interns
-    /// the whole batch through the sharded dictionary — one scoped
-    /// thread per shard for large batches ([`TermDict::intern_shared_batch`])
-    /// — and fills the posting lists position-parallel, eliminating the
-    /// per-row growth and reallocation work that dominates one-at-a-time
-    /// ingest.
+    /// One pass interns and deduplicates, one pass per position indexes
+    /// the appended rows — or, when they take the tail to `SEAL_MIN`,
+    /// the CSR rebuild indexes them and the tail fill is skipped. A
+    /// position's sorted key index is dropped only when the batch
+    /// brought that position a term it did not have.
+    ///
+    /// The cost of a call is the cost of its rows: `Update(t)` on a
+    /// 340-peer network hands each peer about three rows at a time, so
+    /// nothing here is per call — no system call, no heap-allocated
+    /// scratch, no pre-sizing (the columns, the dedup set and the
+    /// dictionary grow by amortized doubling; reserving for the batch
+    /// measured no faster at 50 000 rows, and a table sized for a batch
+    /// of mostly known terms only costs probe cache misses).
     pub fn insert_batch(&mut self, triples: impl IntoIterator<Item = Triple>) -> usize {
-        let triples = triples.into_iter();
-        let hint = triples.size_hint().0;
-        // The dictionary is deliberately NOT pre-reserved: the distinct
-        // term count is usually a small fraction of the batch, and an
-        // oversized table costs more in probe cache misses than growth
-        // rehashes do (geometric growth moves ~1 slot per final entry).
-        self.dedup.reserve(hint);
-        self.cols.reserve(hint);
-
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
+        // Bulk feeds are typically grouped by subject (an entity's facts
+        // travel together) over a handful of predicates: remembering the
+        // last subject and the last four predicates by id turns most
+        // interns into one cache-hot compare with the dictionary's own
+        // buffer.
         let first_new = self.cols.len();
-        if cores >= 2 && hint >= 16_384 {
-            self.encode_batch_parallel(triples.collect());
-        } else {
-            self.encode_batch_memoized(triples);
-        }
-        let added = self.cols.len() - first_new;
-        self.live += added;
-
-        // Posting lists: when the batch leaves the tail under the
-        // rebuild threshold, one tail-fill pass per position (the three
-        // positions are independent; large batches fill them on scoped
-        // threads). When a rebuild is due, skip the fill entirely — the
-        // CSR rebuild indexes the new rows anyway.
-        if self.tail_rows() >= SEAL_MIN {
-            self.rebuild_posting_csr();
-        } else {
-            let fill = |index: &mut PostingIndex, ids: &[TermId]| {
-                for (offset, tid) in ids.iter().enumerate() {
-                    index.push(*tid, (first_new + offset) as u32);
-                }
-            };
-            let (s_col, p_col, o_col) = (
-                &self.cols.s[first_new..],
-                &self.cols.p[first_new..],
-                &self.cols.o[first_new..],
-            );
-            if cores >= 2 && added >= 16_384 {
-                std::thread::scope(|s| {
-                    s.spawn(|| fill(&mut self.by_subject, s_col));
-                    s.spawn(|| fill(&mut self.by_predicate, p_col));
-                    fill(&mut self.by_object, o_col);
-                });
-            } else {
-                fill(&mut self.by_subject, s_col);
-                fill(&mut self.by_predicate, p_col);
-                fill(&mut self.by_object, o_col);
-            }
-        }
-        // Conservative invalidation: the batch likely introduced new
-        // terms somewhere; rebuilding the lazy sorted indexes costs one
-        // bulk sort on next use.
-        self.sorted_subject.take();
-        self.sorted_predicate.take();
-        self.sorted_object.take();
-        added
-    }
-
-    /// Sequential encode+dedup for small batches. Bulk feeds are
-    /// typically grouped by subject (an entity's facts travel together),
-    /// so a one-entry subject memo and a short rotating predicate memo
-    /// turn most interns into cache-hot string compares.
-    fn encode_batch_memoized(&mut self, triples: impl Iterator<Item = Triple>) {
-        let mut last_subject: Option<(Arc<str>, TermId)> = None;
-        let mut pred_memo: Vec<(Arc<str>, TermId)> = Vec::with_capacity(4);
+        let mut subject: Option<TermId> = None;
+        let mut predicates: [Option<TermId>; 4] = [None; 4];
+        let mut oldest = 0;
         for t in triples {
-            let s = match &last_subject {
-                Some((memo, id)) if **memo == *t.subject.as_str() => *id,
-                _ => {
-                    let id = self.dict.intern_shared(t.subject.shared());
-                    last_subject = Some((Arc::clone(t.subject.shared()), id));
-                    id
-                }
+            let s = match subject {
+                Some(id) if self.dict.resolve(id) == t.subject.as_str() => id,
+                _ => *subject.insert(self.dict.intern_shared(t.subject.shared())),
             };
-            let p = match pred_memo
+            let known = predicates
                 .iter()
-                .find(|(memo, _)| **memo == *t.predicate.as_str())
-            {
-                Some(&(_, id)) => id,
+                .flatten()
+                .find(|&&id| self.dict.resolve(id) == t.predicate.as_str());
+            let p = match known {
+                Some(&id) => id,
                 None => {
                     let id = self.dict.intern_shared(t.predicate.shared());
-                    if pred_memo.len() == 4 {
-                        pred_memo.remove(0);
-                    }
-                    pred_memo.push((Arc::clone(t.predicate.shared()), id));
+                    predicates[oldest] = Some(id);
+                    oldest = (oldest + 1) % predicates.len();
                     id
                 }
             };
@@ -512,34 +401,24 @@ impl TripleStore {
                 self.cols.push(row);
             }
         }
-    }
+        let added = self.cols.len() - first_new;
+        self.live += added;
 
-    /// Large-batch encode+dedup: hash every lexical once, intern
-    /// shard-parallel, then run the sequential dedup/append pass over
-    /// pre-computed ids.
-    fn encode_batch_parallel(&mut self, triples: Vec<Triple>) {
-        let lexicals: Vec<&Arc<str>> = triples
-            .iter()
-            .flat_map(|t| {
-                [
-                    t.subject.shared(),
-                    t.predicate.shared(),
-                    t.object.shared_lexical(),
-                ]
-            })
-            .collect();
-        let ids = self.dict.intern_shared_batch(&lexicals);
-        for (i, t) in triples.iter().enumerate() {
-            let row = Row {
-                s: ids[3 * i],
-                p: ids[3 * i + 1],
-                o: ids[3 * i + 2],
-                o_lit: t.object.is_literal(),
+        // Rows the CSR heads do not cover (the positions share `csr_end`).
+        let tail_rows = self.cols.len() - self.by_subject.csr_end as usize;
+        if tail_rows >= SEAL_MIN {
+            self.rebuild_posting_csr();
+        } else {
+            let fill = |index: &mut PostingIndex, ids: &[TermId]| {
+                for (row, tid) in (first_new..).zip(&ids[first_new..]) {
+                    index.push(*tid, row as u32);
+                }
             };
-            if self.dedup.insert(row) {
-                self.cols.push(row);
-            }
+            fill(&mut self.by_subject, &self.cols.s);
+            fill(&mut self.by_predicate, &self.cols.p);
+            fill(&mut self.by_object, &self.cols.o);
         }
+        added
     }
 
     /// Remove a triple; returns whether it was present. The row is
@@ -871,58 +750,17 @@ impl TripleStore {
             .collect()
     }
 
-    /// Compact the store: drop tombstoned rows (rebuilding columns,
-    /// dictionary, dedup set and posting lists in one pass over the
-    /// live rows — no materialization, no re-hash through the dedup
-    /// path), then rebuild the CSR posting heads over the whole row
-    /// space.
+    /// Compact the store: drop tombstoned rows — the live rows are
+    /// re-inserted, in order, into a fresh store, so columns, dictionary
+    /// (sharing the old one's buffers), dedup set and posting lists hold
+    /// exactly what is live — then rebuild the CSR posting heads over the
+    /// whole row space.
     pub fn compact(&mut self) {
         if self.cols.any_dead() {
-            let mut dict = TermDict::new();
-            let mut cols = Columns::default();
-            let mut by_subject = PostingIndex::default();
-            let mut by_predicate = PostingIndex::default();
-            let mut by_object = PostingIndex::default();
-
-            for old_id in 0..self.cols.len() as u32 {
-                if self.cols.is_dead(old_id) {
-                    continue;
-                }
-                let old = self.cols.row(old_id);
-                // Re-intern via the old dictionary's buffers (Arc clones
-                // and id-map probes; no string copies for retained
-                // terms).
-                let row = Row {
-                    s: dict.intern_shared(&self.dict.shared(old.s)),
-                    p: dict.intern_shared(&self.dict.shared(old.p)),
-                    o: dict.intern_shared(&self.dict.shared(old.o)),
-                    o_lit: old.o_lit,
-                };
-                let id = cols.len() as u32;
-                by_subject.push(row.s, id);
-                by_predicate.push(row.p, id);
-                by_object.push(row.o, id);
-                cols.push(row);
-            }
-
-            self.live = cols.len();
-            self.dedup = (0..cols.len() as u32).map(|id| cols.row(id)).collect();
-            self.dict = dict;
-            self.cols = cols;
-            self.by_subject = by_subject;
-            self.by_predicate = by_predicate;
-            self.by_object = by_object;
-            self.sorted_subject = OnceLock::new();
-            self.sorted_predicate = OnceLock::new();
-            self.sorted_object = OnceLock::new();
+            let mut live = TripleStore::new();
+            live.insert_batch(self.iter());
+            *self = live;
         }
-        self.rebuild_posting_csr();
-    }
-
-    /// Test hook: rebuild the CSR posting heads regardless of the tail
-    /// length, so small stores exercise the head + tail split.
-    #[cfg(test)]
-    pub(crate) fn seal_log_for_test(&mut self) {
         self.rebuild_posting_csr();
     }
 }
@@ -1092,52 +930,9 @@ mod tests {
     }
 
     #[test]
-    fn insert_batch_matches_sequential_inserts() {
-        let triples: Vec<Triple> = (0..40)
-            .map(|i| {
-                Triple::new(
-                    format!("s{}", i % 7),
-                    format!("p{}", i % 3),
-                    Term::literal(format!("o{}", i % 5)),
-                )
-            })
-            .collect();
-        let mut one_by_one = TripleStore::new();
-        let mut inserted = 0;
-        for t in &triples {
-            inserted += one_by_one.insert(t.clone()) as usize;
-        }
-        let mut batched = TripleStore::new();
-        assert_eq!(batched.insert_batch(triples.iter().cloned()), inserted);
-        assert_eq!(batched.len(), one_by_one.len());
-        let collect = |db: &TripleStore| {
-            let mut v: Vec<Triple> = db.iter().collect();
-            v.sort();
-            v
-        };
-        assert_eq!(collect(&batched), collect(&one_by_one));
-        for pos in Position::ALL {
-            assert_eq!(
-                batched.select_eq_rows(pos, "s1").count(),
-                one_by_one.select_eq_rows(pos, "s1").count()
-            );
-        }
-        // A second batch over the same data inserts nothing.
-        assert_eq!(batched.insert_batch(triples), 0);
-        // Batches interleave correctly with point inserts and removals.
-        assert!(batched.remove(&Triple::new("s1", "p1", Term::literal("o1"))));
-        assert_eq!(
-            batched.insert_batch([Triple::new("s1", "p1", Term::literal("o1"))]),
-            1
-        );
-        assert!(batched.contains(&Triple::new("s1", "p1", Term::literal("o1"))));
-    }
-
-    #[test]
-    fn large_batch_takes_the_parallel_interning_path() {
-        // Past the parallel cutoff and the CSR rebuild threshold: the
-        // sharded batch-interning path (on multicore hosts) and the
-        // rebuilt posting heads must agree with the columns.
+    fn large_batch_rebuilds_the_posting_heads() {
+        // Past the CSR rebuild threshold: the batch skips the tail fill,
+        // and the rebuilt posting heads must agree with the columns.
         let triples: Vec<Triple> = (0..40_000)
             .map(|i| {
                 Triple::new(
@@ -1148,12 +943,16 @@ mod tests {
             })
             .collect();
         let mut db = TripleStore::new();
+        // A prefix read first, so the batch finds a sorted key index to
+        // invalidate on the rebuild path too.
+        assert_eq!(like_count(&db, Position::Subject, "seq:S0000%"), 0);
         assert_eq!(db.insert_batch(triples.iter().cloned()), 40_000);
         assert_eq!(db.len(), 40_000);
         assert_eq!(
             db.by_subject.csr_end, 40_000,
             "batch must have rebuilt the CSR heads"
         );
+        assert_eq!(like_count(&db, Position::Subject, "seq:S0000%"), 30);
         // Spot-check the postings against a column scan.
         for value in ["seq:S00000", "schema#p1", "value 42"] {
             let id = db.dict.lookup(value).unwrap();
@@ -1213,7 +1012,7 @@ mod tests {
     #[test]
     fn cursor_selects_agree_with_full_scan() {
         let mut db = sample();
-        db.seal_log_for_test();
+        db.rebuild_posting_csr();
         db.insert(Triple::new(
             "embl:A78767",
             "EMBL#SequenceLength",
@@ -1240,7 +1039,7 @@ mod tests {
     #[test]
     fn cursor_full_scan_lists_live_rows() {
         let mut db = sample();
-        db.seal_log_for_test();
+        db.rebuild_posting_csr();
         db.remove(&Triple::new(
             "embl:X00001",
             "EMBL#Organism",
@@ -1325,7 +1124,7 @@ mod tests {
                 Term::literal(format!("o{}", i % 11)),
             ));
         }
-        db.seal_log_for_test();
+        db.rebuild_posting_csr();
         for i in 600..800 {
             db.insert(Triple::new(
                 format!("s{}", i % 40),
@@ -1481,7 +1280,7 @@ mod proptests {
             }
         }
         if seal {
-            db.seal_log_for_test();
+            db.rebuild_posting_csr();
         }
         for idx in removals {
             if reference.is_empty() {
@@ -1509,6 +1308,75 @@ mod proptests {
     }
 
     proptest! {
+        /// One batch ≡ random chunks ≡ one `insert` per triple: the same
+        /// rows under the same row ids and the same "new" counts as a
+        /// naive ordered set — with an `abc%` read at every position
+        /// between the writes (and sometimes a CSR rebuild), so each
+        /// write meets a built sorted key index and drops it exactly
+        /// when it brings the position a new term.
+        #[test]
+        fn insert_batch_matches_sequential_inserts(
+            triples in proptest::collection::vec(arb_pooled_triple(), 0..40),
+            cuts in proptest::collection::vec(any::<prop::sample::Index>(), 0..6),
+            prefix in "[a-b]{1,2}",
+            seal in any::<bool>(),
+        ) {
+            let mut model: Vec<Triple> = Vec::new();
+            let prefix_reads_agree = |db: &TripleStore, model: &[Triple]| {
+                Position::ALL.into_iter().all(|pos| {
+                    let naive = model.iter().filter(|t| t.get(pos).lexical().starts_with(&prefix));
+                    like_count(db, pos, &format!("{prefix}%")) == naive.count()
+                })
+            };
+            let mut bounds: Vec<usize> = cuts.iter().map(|c| c.index(triples.len() + 1)).collect();
+            bounds.push(triples.len());
+            bounds.sort_unstable();
+
+            let mut whole = TripleStore::new();
+            let mut chunked = TripleStore::new();
+            let mut single = TripleStore::new();
+            prop_assert!(prefix_reads_agree(&chunked, &model));
+            let mut from = 0;
+            for to in bounds {
+                let chunk = &triples[from..to];
+                from = to;
+                let known = model.clone();
+                for t in chunk {
+                    let fresh = !model.contains(t);
+                    prop_assert_eq!(single.insert(t.clone()), fresh);
+                    if fresh { model.push(t.clone()); }
+                }
+                prop_assert_eq!(chunked.insert_batch(chunk.iter().cloned()), model.len() - known.len());
+                for pos in Position::ALL {
+                    let has = |t: &Triple| known.iter().any(|k| k.get(pos).lexical() == t.get(pos).lexical());
+                    let dropped = chunked.index(pos).sorted.get().is_none();
+                    prop_assert_eq!(dropped, !chunk.iter().all(has), "{:?}", pos);
+                }
+                prop_assert!(prefix_reads_agree(&chunked, &model), "chunked, {:?}%", prefix);
+                prop_assert!(prefix_reads_agree(&single, &model), "single, {:?}%", prefix);
+                if seal { chunked.rebuild_posting_csr(); }
+            }
+            prop_assert_eq!(whole.insert_batch(triples.iter().cloned()), model.len());
+            prop_assert!(prefix_reads_agree(&whole, &model));
+            // A second batch over the same data inserts nothing.
+            prop_assert_eq!(whole.insert_batch(triples.iter().cloned()), 0);
+            for db in [&whole, &chunked, &single] {
+                prop_assert_eq!(db.len(), model.len());
+                prop_assert_eq!(&db.iter().collect::<Vec<_>>(), &model);
+            }
+            // Batches interleave with removals: the row comes back once.
+            if let Some(t) = model.first() {
+                prop_assert!(chunked.remove(t));
+                prop_assert_eq!(chunked.insert_batch([t.clone(), t.clone()]), 1);
+                prop_assert!(chunked.contains(t));
+                for pos in Position::ALL {
+                    let value = t.get(pos);
+                    let rows = |db: &TripleStore| db.select_eq_rows(pos, value.lexical()).count();
+                    prop_assert_eq!(rows(&chunked), rows(&single), "{:?} {}", pos, value);
+                }
+            }
+        }
+
         /// The three indexes agree with a full scan, for every position.
         #[test]
         fn indexes_agree_with_scan(triples in proptest::collection::vec(arb_triple(), 0..40),
@@ -1761,7 +1629,7 @@ mod proptests {
             ops in 0u8..8,
         ) {
             let (mut db, _) = build(&first, ops & 1 != 0, &removals, &second);
-            if ops & 2 != 0 { db.seal_log_for_test(); }
+            if ops & 2 != 0 { db.rebuild_posting_csr(); }
             if ops & 4 != 0 { db.compact(); }
             for pos in Position::ALL {
                 let index = db.index(pos);
@@ -1796,7 +1664,7 @@ mod proptests {
             seal_points in 0u8..4,
         ) {
             let (mut db, reference) = build(&first, seal_points & 1 != 0, &removals, &second);
-            if seal_points & 2 != 0 { db.seal_log_for_test(); }
+            if seal_points & 2 != 0 { db.rebuild_posting_csr(); }
             for pos in Position::ALL {
                 for t in first.iter().chain(&second) {
                     let term = t.get(pos);
@@ -1833,7 +1701,7 @@ mod proptests {
                 let t = reference.remove(idx.index(reference.len()));
                 prop_assert!(db.remove(&t));
             }
-            if ops & 1 != 0 { db.seal_log_for_test(); }
+            if ops & 1 != 0 { db.rebuild_posting_csr(); }
             if ops & 2 != 0 { db.compact(); }
             // Repeated variable: subject must equal predicate.
             let rep = TriplePattern::new(

@@ -57,10 +57,6 @@ impl MappingRegistry {
         self.schemas.values()
     }
 
-    pub fn schema_count(&self) -> usize {
-        self.schemas.len()
-    }
-
     /// The current mapping-network epoch (see the field docs). Two
     /// reads returning the same value bracket a window in which no
     /// mapping was inserted, deprecated, reactivated or repaired.

@@ -7,11 +7,11 @@
 
 use gridvine_core::{
     GridVineConfig, GridVineSystem, MediationItem, QueryOptions, QueryOutcome, QueryPlan,
-    SelfOrgConfig, Strategy,
+    SelfOrgConfig, Strategy, SystemError,
 };
 use gridvine_netsim::prelude::*;
 use gridvine_pgrid::proto::{PGridMsg, PGridNode, Status};
-use gridvine_pgrid::{KeyHasher, OrderPreservingHash, PeerId, Topology};
+use gridvine_pgrid::{KeyHasher, OrderPreservingHash, PeerId, RouteError, Topology};
 use gridvine_rdf::{Term, Triple, TriplePatternQuery};
 use gridvine_semantic::{Correspondence, MappingKind, Provenance, Schema};
 use gridvine_workload::{Workload, WorkloadConfig};
@@ -465,4 +465,76 @@ fn reformulated_dissemination_survives_message_loss() {
         rep.timed_out,
         requests
     );
+}
+
+/// A triple is placed under all three of its keys or under none: when
+/// the origin cannot route one of them, nothing of that triple is
+/// stored (no rollback needed — copies are staged only once every key
+/// routed), the call's earlier triples are stored in full and its later
+/// ones are untouched. The hole is one emptied routing-table level at
+/// the origin, over an otherwise balanced topology.
+#[test]
+fn a_routing_failure_places_a_triple_under_all_its_keys_or_none() {
+    const PEERS: usize = 16;
+    const HOLE: usize = 0;
+    let config = GridVineConfig {
+        peers: PEERS,
+        hash: gridvine_pgrid::HashKind::Uniform,
+        seed: 9,
+        ..GridVineConfig::default()
+    };
+    let origin = PeerId(0);
+    let balanced = GridVineSystem::new(config.clone());
+    let peers = || (0..PEERS).map(PeerId::from_index);
+    let paths = peers().map(|p| balanced.topology().path(p).clone());
+    let mut routing: Vec<Vec<Vec<PeerId>>> =
+        peers().map(|p| balanced.topology().view(p).refs).collect();
+    routing[origin.index()][HOLE].clear();
+    let holed = Topology::from_paths_and_routing(paths.collect(), routing);
+    let mut sys = GridVineSystem::with_topology(config, holed);
+
+    // The hole swallows exactly the keys that leave the origin at its
+    // level; every other key routes (the other peers' tables are whole).
+    let view = sys.topology().view(origin);
+    let (lost, reachable): (Vec<String>, Vec<String>) = (0..64)
+        .map(|i| format!("lex{i}"))
+        .partition(|l| view.forwarding_level(&sys.key_of(l)) == Some(HOLE));
+    assert!(lost.len() >= 2 && reachable.len() >= 9);
+    let triple = |s: &str, p: &str, o: &str| Triple::new(s, p, Term::literal(o));
+    let whole = triple(&reachable[0], &reachable[1], &reachable[2]);
+    let lost_p = triple(&reachable[3], &lost[0], &reachable[4]);
+    let lost_o = triple(&reachable[5], &reachable[6], &lost[1]);
+    let later = triple(&reachable[7], &reachable[8], &reachable[0]);
+
+    let holds = |sys: &GridVineSystem, p: PeerId, t: &Triple| sys.peer_db(p).contains(t);
+    let copies = |sys: &GridVineSystem, t: &Triple| peers().filter(|&p| holds(sys, p, t)).count();
+    let fully_stored = |sys: &GridVineSystem, t: &Triple| {
+        [t.subject.as_str(), t.predicate.as_str(), t.object.lexical()]
+            .iter()
+            .flat_map(|l| sys.topology().responsible(&sys.key_of(l)).to_vec())
+            .all(|p| holds(sys, p, t))
+    };
+    let no_route = SystemError::Route(RouteError::NoRoute {
+        at_peer: origin,
+        level: HOLE,
+    });
+
+    let batch = [whole.clone(), lost_p.clone(), later.clone()];
+    assert_eq!(sys.insert_triples(origin, batch), Err(no_route.clone()));
+    assert!(fully_stored(&sys, &whole), "earlier triples are stored");
+    assert_eq!(copies(&sys, &lost_p), 0, "not even under its subject");
+    assert_eq!(copies(&sys, &later), 0, "later triples are untouched");
+    assert_eq!(
+        sys.insert_triple(origin, lost_o.clone()),
+        Err(no_route.clone())
+    );
+    assert_eq!(copies(&sys, &lost_o), 0);
+
+    // "Nowhere it was not already": a copy another origin committed
+    // survives the failed re-insert.
+    sys.insert_triple(PeerId(1), lost_p.clone()).unwrap();
+    assert!(fully_stored(&sys, &lost_p));
+    let committed = copies(&sys, &lost_p);
+    assert_eq!(sys.insert_triple(origin, lost_p.clone()), Err(no_route));
+    assert_eq!(copies(&sys, &lost_p), committed);
 }

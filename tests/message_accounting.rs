@@ -6,10 +6,14 @@
 //!
 //! All queries run through the plan surface (`QueryPlan` + `execute`).
 
-use gridvine_core::{GridVineConfig, GridVineSystem, QueryOptions, QueryPlan, Strategy};
+use gridvine_core::{
+    GridVineConfig, GridVineSystem, PlacementPolicy, QueryOptions, QueryPlan, Strategy,
+};
 use gridvine_pgrid::PeerId;
 use gridvine_rdf::{PatternTerm, Term, Triple, TriplePattern, TriplePatternQuery};
 use gridvine_semantic::{Correspondence, MappingKind, Provenance, Schema};
+use proptest::prelude::*;
+use proptest::strategy::Strategy as _;
 
 fn sys_with(peers: usize) -> GridVineSystem {
     GridVineSystem::new(GridVineConfig {
@@ -308,4 +312,104 @@ fn a_response_carrying_several_patterns_rows_is_one_message() {
     assert_eq!((closure.stats.requests, lookup.stats.requests), (1, 1));
     assert!(lookup.stats.messages >= 2, "a routed edge and the response");
     assert_eq!(closure.stats.messages, lookup.stats.messages);
+}
+
+/// Two mapped schemas on 24 peers (a balanced 24 has σ groups of one
+/// and of two peers), before any triple.
+fn mapped_pair(placement: PlacementPolicy) -> GridVineSystem {
+    let mut sys = GridVineSystem::new(GridVineConfig {
+        peers: 24,
+        placement,
+        seed: 5,
+        ..GridVineConfig::default()
+    });
+    let p0 = PeerId(0);
+    for (name, attributes) in [("S0", ["a0", "a1"]), ("S1", ["b0", "b1"])] {
+        sys.insert_schema(p0, Schema::new(name, attributes))
+            .unwrap();
+    }
+    sys.insert_mapping(
+        p0,
+        "S0",
+        "S1",
+        MappingKind::Equivalence,
+        Provenance::Manual,
+        vec![Correspondence::new("a0", "b0")],
+    )
+    .unwrap();
+    sys
+}
+
+/// Triples over small pools, so a corpus repeats triples and lexicals.
+fn arb_corpus_triple() -> impl proptest::strategy::Strategy<Value = Triple> {
+    (0usize..6, 0usize..4, 0usize..5).prop_map(|(s, p, o)| {
+        Triple::new(
+            format!("seq:E{s}").as_str(),
+            ["S0#a0", "S0#a1", "S1#b0", "S1#b1"][p],
+            Term::literal(format!("value {o}")),
+        )
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// How a corpus is cut into `Update` calls is unobservable: one
+    /// `insert_triples` call ≡ random chunks ≡ one `insert_triple` per
+    /// triple — the same messages, the same routing-RNG stream, every
+    /// `DB_p` the same rows in the same order, and the same outcome
+    /// (rows and stats) for a closure search afterwards — under the null
+    /// policy and under a replicating one, whose placement hook reads
+    /// the owner's `DB_p` in the middle of a call.
+    #[test]
+    fn chunking_an_ingest_is_unobservable(
+        corpus in proptest::collection::vec(arb_corpus_triple(), 0..40),
+        cuts in proptest::collection::vec(any::<prop::sample::Index>(), 0..5),
+        replicate in any::<bool>(),
+    ) {
+        let policy = if replicate {
+            PlacementPolicy::new().replicate("S0#", 3)
+        } else {
+            PlacementPolicy::default()
+        };
+        let origin = PeerId(3);
+        let mut whole = mapped_pair(policy.clone());
+        prop_assert_eq!(whole.insert_triples(origin, corpus.clone()), Ok(corpus.len()));
+
+        let mut chunked = mapped_pair(policy.clone());
+        let mut bounds: Vec<usize> = cuts.iter().map(|c| c.index(corpus.len() + 1)).collect();
+        bounds.push(corpus.len());
+        bounds.sort_unstable();
+        let mut from = 0;
+        for to in bounds {
+            prop_assert_eq!(chunked.insert_triples(origin, corpus[from..to].to_vec()), Ok(to - from));
+            from = to;
+        }
+
+        let mut single = mapped_pair(policy);
+        for t in &corpus {
+            prop_assert_eq!(single.insert_triple(origin, t.clone()), Ok(()));
+        }
+
+        let query = gridvine_rdf::parse_single("SELECT ?x WHERE (?x, <S0#a0>, ?o)").unwrap();
+        let plan = QueryPlan::search(query);
+        let options = QueryOptions::new().strategy(Strategy::Iterative);
+        for (name, other) in [("chunked", &chunked), ("single", &single)] {
+            prop_assert_eq!(other.messages_sent(), whole.messages_sent(), "{}", name);
+            for p in (0..24).map(PeerId::from_index) {
+                let rows: Vec<Triple> = other.peer_db(p).iter().collect();
+                prop_assert_eq!(rows, whole.peer_db(p).iter().collect::<Vec<_>>(), "{} {:?}", name, p);
+            }
+        }
+        let draw = whole.random_peer();
+        let base = whole.execute(PeerId(7), &plan, &options).unwrap();
+        let answerable = |t: &Triple| ["S0#a0", "S1#b0"].contains(&t.predicate.as_str());
+        prop_assert_eq!(base.rows.is_empty(), !corpus.iter().any(answerable));
+        for (name, other) in [("chunked", &mut chunked), ("single", &mut single)] {
+            prop_assert_eq!(other.random_peer(), draw, "{}", name);
+            let out = other.execute(PeerId(7), &plan, &options).unwrap();
+            prop_assert_eq!(&out.rows, &base.rows, "{}", name);
+            prop_assert_eq!(out.stats, base.stats, "{}", name);
+        }
+    }
 }

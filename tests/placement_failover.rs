@@ -8,7 +8,8 @@
 //! sessions in the open-loop driver.
 
 use gridvine_core::{
-    GridVineConfig, GridVineSystem, PlacementPolicy, QueryOptions, QueryPlan, SpikeAction, Strategy,
+    GridVineConfig, GridVineSystem, PlacementPolicy, QueryOptions, QueryPlan, SpikeAction,
+    Strategy, SystemError,
 };
 use gridvine_load::{run_open_loop, ArrivalProcess, LoadConfig};
 use gridvine_netsim::churn::{ChurnEvent, ChurnProcess};
@@ -254,26 +255,31 @@ fn heat_spike_replicates_toward_hot_origin() {
     );
 }
 
+/// A system whose `S0#` rule asks for two extras beyond the natural σ
+/// group of `S0#a0`, with the key's holders — σ owners first, then the
+/// extras in commit order — and the second extra.
+fn two_extras(seed: u64) -> (GridVineSystem, Vec<PeerId>, PeerId) {
+    // The natural σ-group size, from a null-policy twin (same seed →
+    // same topology).
+    let owners = replicated_system(PlacementPolicy::default(), seed)
+        .replica_holders("S0#a0")
+        .len();
+    let policy = PlacementPolicy::new().replicate("S0#", owners + 2);
+    let sys = replicated_system(policy, seed);
+    let holders = sys.replica_holders("S0#a0");
+    assert_eq!(holders.len(), owners + 2, "provisioned up to the factor");
+    let second_extra = holders[owners + 1];
+    (sys, holders, second_extra)
+}
+
 /// Replica provisioning is atomic in the `commit_mapping_copies` style:
 /// a crash armed to fire mid-fan-out rolls every written copy back —
 /// including the σ-owner writes — so no holder serves rows a failed
 /// insert half-placed.
 #[test]
 fn commit_crash_rolls_back_fan_out() {
-    let seed = 11;
-    // Learn the natural σ-group size from a null-policy twin (same
-    // seed → same topology), then size the factor for two extras.
-    let null = replicated_system(PlacementPolicy::default(), seed);
-    let owners = null.replica_holders("S0#a0");
-    let factor = owners.len() + 2;
-
-    let policy = PlacementPolicy::new().replicate("S0#", factor);
-    let mut sys = replicated_system(policy, seed);
-    let holders = sys.replica_holders("S0#a0");
-    assert_eq!(holders.len(), factor, "provisioned up to the factor");
-    // holders_of lists σ owners first, then extras in commit order:
-    // the second extra crashes after the first already took the write.
-    let victim = holders[owners.len() + 1];
+    // The second extra crashes after the first already took the write.
+    let (mut sys, holders, victim) = two_extras(11);
     let origin = outside_origin(&holders);
 
     sys.arm_commit_crash(victim);
@@ -295,6 +301,43 @@ fn commit_crash_rolls_back_fan_out() {
         .execute(origin, &QueryPlan::search(data_query()), &options(1))
         .unwrap();
     assert_eq!(after.rows.len(), 3);
+}
+
+/// A failed insert takes back only what it wrote: re-inserting a stored
+/// triple while one registered extra is down fails with `PeerDown`, and
+/// the copy the first insert committed stays on every σ owner of its
+/// three keys and on every surviving extra — the registry and the
+/// holders still agree — so a lookup still answers it.
+#[test]
+fn failed_reinsert_keeps_the_committed_copy() {
+    // The fan-out reaches the second extra after the first.
+    let (mut sys, holders, victim) = two_extras(11);
+    let stored = Triple::new("seq:R0", "S0#a0", Term::literal("Aspergillus niger"));
+    let holding = |sys: &GridVineSystem| -> Vec<PeerId> {
+        (0..PEERS as u32)
+            .map(PeerId)
+            .filter(|&p| sys.peer_db(p).contains(&stored))
+            .collect()
+    };
+    let before = holding(&sys);
+    for lexical in ["seq:R0", "S0#a0", "Aspergillus niger"] {
+        let of_key = sys.replica_holders(lexical);
+        assert!(of_key.iter().all(|p| before.contains(p)), "{lexical}");
+    }
+
+    sys.crash_peer(victim);
+    assert_eq!(
+        sys.insert_triple(PeerId(0), stored.clone()),
+        Err(SystemError::PeerDown(victim))
+    );
+    assert_eq!(holding(&sys), before, "no committed copy was taken back");
+
+    let origin = outside_origin(&holders);
+    let out = sys
+        .execute(origin, &QueryPlan::search(data_query()), &options(1))
+        .unwrap();
+    assert_eq!(out.rows.len(), 3, "rows: {:?}", out.rows);
+    assert_eq!(out.stats.failures, 0);
 }
 
 /// A correlated churn storm over a replicated predicate sheds no
