@@ -659,10 +659,11 @@ impl GridVineSystem {
     /// before its placement hook runs — provisioning copies out of the
     /// owner's `DB_p` — and the hook fans it out to the key's registered
     /// extras and provisions up to the rule's factor (see [`place`]).
-    /// Atomic like the mapping commit: a fan-out cut short rolls its own
-    /// copies back and the σ copies this call added are undone too, so
-    /// no holder misses rows its registry entry promises — and none
-    /// loses a copy an earlier call committed.
+    /// Atomic like the mapping commit: a hook cut short under any key
+    /// takes back the copies it made under every key, and the σ copies
+    /// this call added are undone too, so no holder misses rows its
+    /// registry entry promises or serves a row nobody else holds — and
+    /// none loses a copy an earlier call committed.
     pub fn insert_triples(
         &mut self,
         origin: PeerId,
@@ -1209,25 +1210,25 @@ impl GridVineSystem {
     }
 
     /// Fetch the mappings stored at a schema's key space via the
-    /// overlay: `Retrieve(Hash(schema))`.
+    /// overlay: `Retrieve(Hash(schema))`, the iterative discovery.
     pub fn mappings_at_schema(
         &mut self,
         origin: PeerId,
         schema: &SchemaId,
     ) -> Result<Vec<Mapping>, SystemError> {
         let key = self.key_of(schema.as_str());
-        let (items, route) = self.overlay.retrieve(origin, &key, &mut self.rng)?;
-        // The retrieve was routed and charged; the retry protocol
-        // decides whether the mapping list ever comes back.
-        self.proto_request(origin, route.destination)?;
-        // Not `into_iter().filter_map().collect()`: that reuses the
-        // item buffer in place and shrinks it to the smaller element
-        // size, and the few bytes split off its end keep the freed
-        // list from ever being handed to the next retrieve — a hole
-        // per mapping discovery.
-        let mut mappings = Vec::with_capacity(items.len());
-        mappings.extend(items.into_iter().filter_map(MediationItem::into_mapping));
+        let (_, mappings) = self.discover_mappings(origin, &key, Strategy::Iterative)?;
         Ok(mappings)
+    }
+
+    /// The mapping list `peer`'s overlay store holds under a schema key.
+    pub(crate) fn stored_mappings(&self, peer: PeerId, key: &BitString) -> Vec<Mapping> {
+        let items = self.overlay.store(peer).get(key).iter();
+        let mappings = items.filter_map(|item| match item {
+            MediationItem::Mapping { mapping, .. } => Some(mapping.clone()),
+            _ => None,
+        });
+        mappings.collect()
     }
 
     fn items_at(&self, key: &BitString) -> Vec<MediationItem> {

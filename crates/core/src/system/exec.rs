@@ -68,14 +68,16 @@
 //! [`gridvine_semantic::expand_hop`], shared with the registry-local
 //! [`reformulations`](gridvine_semantic::reformulations) and the WAN
 //! driver ([`crate::harness`]). `ClosureSweep` adds what is this
-//! engine's own: mapping lists are *fetched* (one routed discovery per
-//! expanded hop, iterative or recursive), hops are popped depth-first,
-//! one per session pull, with discovery deferred so early termination
-//! never pays for it, and a walk that completes is committed to the
-//! per-peer epoch-keyed [`ClosureCache`](gridvine_semantic::ClosureCache)
-//! — the origin's, or the recursive delegate's — from which repeated
-//! closures are replayed ([`CachedHop::replay`]) with no discovery at
-//! all (see the session docs).
+//! engine's own: each hop below the TTL is expanded with the mapping
+//! list stored at `Hash(S)` of its schema `S` — carried by its data
+//! reply, or else *fetched* by one routed discovery, iterative or
+//! recursive — hops are popped depth-first, one per session pull, and
+//! expanded when popped, so early termination never pays for a
+//! discovery, and a walk that completes is committed to the per-peer
+//! epoch-keyed [`ClosureCache`](gridvine_semantic::ClosureCache) — the
+//! origin's, or the recursive delegate's — from which repeated closures
+//! are replayed ([`CachedHop::replay`]) with no discovery at all (see
+//! the session docs).
 //!
 //! **What rides.** The request a popped hop sends lists, after the
 //! hop's own pattern, every hop of the same issuing peer that is
@@ -87,18 +89,30 @@
 //! URIs under one leaf: the destination is often responsible for
 //! several of them, answers them in the same reply, and they send
 //! nothing of their own — no route, no routing-RNG draw, no message —
-//! when the walk pops them. Riding moves only *when a hop's rows
-//! arrive*. Which hops the walk reaches, the order it pops, records
-//! and expands them in, and what it commits to the cache are those of
-//! a walk in which nothing rides; so are the rows. A request that
-//! fails (crashed destination, retries exhausted) answers nothing: the
-//! hop it was routed for is the recorded failure, the hops it merely
-//! listed go out on their own at their turn. A pattern whose routing
-//! constant a [`PlacementPolicy`](super::place::PlacementPolicy) rule
-//! covers is served by a replica holder, which need not lie on the
-//! key's path: it neither rides nor carries. The binding column of a
-//! bound join is on every one of these requests, whole: riding decides
-//! which hops a reply answers, the column for which seeds — all.
+//! when the walk pops them. **Mapping lists ride the reply too**: the
+//! order-preserving hash puts `S` and its `S#attr` predicates under one
+//! leaf, so the peer that answers a live walk's hop usually holds the
+//! hop's list as well. For every hop it answers that the walk will
+//! expand and whose `Hash(S)` lies under its own path, the reply
+//! carries the list — read from the same overlay store a discovery
+//! routed to `Hash(S)` would read — and the hop keeps it until the walk
+//! pops and expands it: that expansion sends nothing. An iterative walk
+//! expands at the issuer; a recursive one makes the answering peer the
+//! issuer of the hops the list admits (and, at depth 0, the delegate
+//! whose cache is consulted), as a discovery landing there would.
+//! Riding moves only *when a hop's rows and list arrive*. Which hops
+//! the walk reaches, the order it pops, records and expands them in,
+//! and what it commits to the cache are those of a walk in which
+//! nothing rides; so are the rows. A request that fails (crashed
+//! destination, retries exhausted) answers nothing and carries no list:
+//! the hop it was routed for is the recorded failure, the hops it
+//! merely listed go out on their own at their turn. A pattern whose
+//! routing constant a [`PlacementPolicy`](super::place::PlacementPolicy)
+//! rule covers is served by a replica holder, which need not lie on the
+//! key's path: it neither rides nor carries, rows or list. The binding
+//! column of a bound join is on every one of these requests, whole:
+//! riding decides which hops a reply answers, the column for which
+//! seeds — all.
 //!
 //! ```
 //! use gridvine_core::{GridVineConfig, GridVineSystem, QueryOptions, QueryPlan, Strategy};
@@ -293,8 +307,10 @@ counters! {
         /// High-water mark of simultaneously in-flight subqueries (1 for a
         /// fully serial session; up to [`QueryOptions::window`]).
         pub max_in_flight: usize,
-        /// Mapping-list retrieves performed (closure discovery steps that
-        /// actually went to the network — warm cache replays skip these).
+        /// Mapping discoveries that went to the network: one per expanded
+        /// hop whose data reply did not carry its schema's list (see the
+        /// [module docs](self)). Lists that rode a reply and warm cache
+        /// replays fetch nothing.
         pub mapping_fetches: usize,
         /// Closure-cache lookups served from a coherent entry.
         pub cache_hits: usize,
@@ -304,21 +320,22 @@ counters! {
         pub cache_evictions: usize,
         /// Routed request/response exchanges driven through the retry
         /// protocol (see [`crate::system::sched`]); charged at issue. A
-        /// data request is one exchange however many patterns it answers,
-        /// and a mapping discovery is one: under the null placement policy
+        /// data request is one exchange however many patterns it answers
+        /// and mapping lists it carries, and a mapping discovery is one:
+        /// under the null placement policy
         /// `requests <= subqueries + mapping_fetches` as long as every
         /// discovery is answered (one that is sent and never answered
         /// counts in `failures`, not in `mapping_fetches`), with equality
-        /// when nothing rode and nothing failed.
+        /// when no pattern rode and nothing failed.
         ///
         /// A closure session emits one
-        /// [`ResultEvent::Stats`](super::session::ResultEvent) per unit and
-        /// its units are at most one exchange each — a hop that rode
-        /// another's request has no data unit, and no zero-message unit
-        /// stands in for it — so a drained warm replay emits exactly
-        /// `requests` of them. (A live walk also spends a zero-message unit
-        /// on the discovery of a hop at the TTL, which has nothing to
-        /// fetch.)
+        /// [`ResultEvent::Stats`](super::session::ResultEvent) per unit,
+        /// and each unit is one exchange — a hop that rode another's
+        /// request has no data unit, an expansion whose list rode a reply
+        /// or that lies at the TTL has no discovery unit, and no
+        /// zero-message unit stands in for either — so a drained closure
+        /// session emits exactly `requests` of them (a replica-served
+        /// request that fails over adds one per holder it skipped).
         pub requests: usize,
         /// Protocol-level transmissions: first sends plus retransmits
         /// (`sends == requests + retransmits` always holds).
@@ -428,12 +445,18 @@ pub(crate) struct RoutedBy {
 pub(crate) struct Listed<'a> {
     pub(crate) pattern: &'a TriplePattern,
     pub(crate) routed: &'a RoutedBy,
+    /// The key of the schema whose mapping list the reply carries if
+    /// the destination holds it — `Some` for a closure hop the walk
+    /// will expand.
+    pub(crate) schema_key: Option<&'a BitString>,
 }
 
 /// What the destination of one data request answered (see
 /// [`GridVineSystem::resolve_patterns`]).
 #[derive(Default)]
 pub(crate) struct Reply {
+    /// The peer that answered.
+    pub(crate) peer: Option<PeerId>,
     /// Positions in the request's list of the patterns answered,
     /// rising; the pattern the request was routed for — position 0 —
     /// first.
@@ -442,27 +465,42 @@ pub(crate) struct Reply {
     /// per seed of the request's binding column, a single one when it
     /// carries none — in the order the rows were appended.
     pub(crate) shipped: Vec<usize>,
+    /// Per answered pattern, the mapping list the reply carries for it:
+    /// `Some` when the pattern listed a schema key the peer holds.
+    pub(crate) lists: Vec<Option<Vec<Mapping>>>,
 }
 
 impl Reply {
     fn clear(&mut self) {
+        self.peer = None;
         self.answered.clear();
         self.shipped.clear();
+        self.lists.clear();
     }
 }
 
-/// A hop a [`ClosureSweep`] knows and has not popped yet.
+/// A hop a [`ClosureSweep`] knows and has not popped yet — or, in
+/// [`LiveWalk::pending`], has popped and not expanded.
 struct Queued {
     hop: Hop,
     /// The peer that issues its request: the origin, or — recursively —
-    /// the peer that served the discovery which admitted it.
+    /// the peer that handed the walk the mapping list which admitted it.
     issuer: PeerId,
     /// Its routing constant, as an index into [`Frontier::keys`].
     routed: usize,
+    /// `Hash(S)` of its schema `S`, hashed once when the hop is queued,
+    /// for a hop a live walk will expand (depth below the TTL): where
+    /// its discovery routes, and what a peer answering its data request
+    /// checks its own path against.
+    schema_key: Option<BitString>,
     /// An earlier request of the same issuer landed on the peer
     /// responsible for this hop's key and answered it there: the hop
     /// sends nothing at its turn.
     answered: bool,
+    /// The reply that answered the hop also carried `S`'s mapping list:
+    /// the peer that sent it, and the list. Expanding the hop sends
+    /// nothing.
+    ridden: Option<(PeerId, Vec<Mapping>)>,
 }
 
 impl Queued {
@@ -470,21 +508,24 @@ impl Queued {
         Listed {
             pattern: &self.hop.pattern,
             routed: &keys[self.routed],
+            schema_key: self.schema_key.as_ref(),
         }
     }
 }
 
 /// What only a live walk carries, beside the frontier every sweep has.
 struct LiveWalk {
+    origin: PeerId,
+    strategy: Strategy,
+    ttl: usize,
     /// Schemas entered or queued so far (the loop-prevention set of
     /// [`expand_hop`]).
     visited: BTreeSet<SchemaId>,
     /// The hop list accumulated for the closure cache, in pop order.
     record: (ClosureKey, Vec<CachedHop>),
-    /// The hop popped by the last `resolve_next` (with the peer that
-    /// issued it and, recursively, forwards the discovery) whose
-    /// mapping discovery has not run yet.
-    pending: Option<(Hop, PeerId)>,
+    /// The hop popped by the last `resolve_next` that has not been
+    /// expanded yet.
+    pending: Option<Queued>,
     /// The intermediate peer that served the first recursive mapping
     /// discovery — the peer whose cache a completed recursive walk
     /// warms.
@@ -505,7 +546,7 @@ struct LiveWalk {
 /// the identical hop sequence, requests and cache interactions, so
 /// their accounting agrees by construction.
 ///
-/// A sweep is a stack of known hops. A **live walk** over DHT-fetched
+/// A sweep is a stack of known hops. A **live walk** over the DHT's
 /// mapping lists starts from the origin hop, pushes what each expansion
 /// admits (depth-first: each reformulation chain is driven to its TTL
 /// before siblings) and records the hops it pops for the closure cache.
@@ -514,7 +555,9 @@ struct LiveWalk {
 /// by the delegate peer that memoized it (recursive), and discovers
 /// nothing. Either way the request a popped hop sends lists every
 /// queued hop of the same issuer, and those the destination answers
-/// send nothing of their own.
+/// send nothing of their own; on a live walk the reply also carries the
+/// lists the destination holds of the hops it answers, and their
+/// expansions send nothing either.
 ///
 /// The sweep owns its patterns so session state can live in a
 /// [`SessionPool`](super::pool::SessionPool) that outlives the plan
@@ -540,8 +583,9 @@ struct Frontier {
 
 impl Frontier {
     /// Queue `hop`, hashing its routing constant unless a hop queued
-    /// before it routes by the same term.
-    fn push(&mut self, sys: &GridVineSystem, hop: Hop, issuer: PeerId) {
+    /// before it routes by the same term, and — if the walk `expands`
+    /// it — its schema.
+    fn push(&mut self, sys: &GridVineSystem, hop: Hop, issuer: PeerId, expands: bool) {
         let (position, term) = hop
             .pattern
             .routing_constant()
@@ -555,11 +599,14 @@ impl Frontier {
             self.keys.push(sys.routed_by(term));
             self.keys.len() - 1
         });
+        let schema_key = expands.then(|| sys.key_of(hop.schema.as_str()));
         self.hops.push(Queued {
             hop,
             issuer,
             routed,
+            schema_key,
             answered: false,
+            ridden: None,
         });
     }
 
@@ -580,14 +627,14 @@ impl Frontier {
                 depth: h.depth,
                 quality: h.quality,
             };
-            self.push(sys, hop, issuer);
+            self.push(sys, hop, issuer, false);
         }
     }
 }
 
 /// What one [`ClosureSweep::expand_pending`] call did: the schemas it
-/// admitted to the frontier (the session stamps their scheduler ready
-/// times with the expansion's completion instant).
+/// admitted to the frontier (the session makes them ready when the unit
+/// that brought the expanded list completes).
 #[derive(Debug, Default)]
 pub(crate) struct Expansion {
     pub(crate) admitted: Vec<SchemaId>,
@@ -616,7 +663,7 @@ impl ClosureSweep {
     /// strategy consults the *origin* peer's bounded cache here: a
     /// coherent entry means a warm replay (no BFS, no mapping-list
     /// retrieves). The **recursive** strategy cannot know its delegate
-    /// peer before routing the first discovery, so its cache consult
+    /// peer before the origin hop's list arrives, so its cache consult
     /// happens inside [`ClosureSweep::expand_pending`] instead. Either
     /// way exactly one lookup is charged per sweep
     /// (`cache_hits`/`cache_misses`).
@@ -651,13 +698,17 @@ impl ClosureSweep {
             stats.cache_misses += 1;
         }
         let live = Box::new(LiveWalk {
+            origin,
+            strategy,
+            ttl,
             visited: BTreeSet::from([schema.clone()]),
             record: (key, Vec::new()),
             pending: None,
             delegate: None,
             tainted: false,
         });
-        frontier.push(sys, Hop::origin(schema, pattern.clone()), origin);
+        let hop = Hop::origin(schema, pattern.clone());
+        frontier.push(sys, hop, origin, 0 < ttl);
         ClosureSweep {
             frontier,
             live: Some(live),
@@ -669,10 +720,26 @@ impl ClosureSweep {
         self.frontier.hops.is_empty() && self.pending_schema().is_none()
     }
 
+    fn pending(&self) -> Option<&Queued> {
+        self.live.as_ref()?.pending.as_ref()
+    }
+
     /// The schema of the popped hop that is waiting for its expansion.
     pub(crate) fn pending_schema(&self) -> Option<&SchemaId> {
-        let (hop, _) = self.live.as_ref()?.pending.as_ref()?;
-        Some(&hop.schema)
+        Some(&self.pending()?.hop.schema)
+    }
+
+    /// Expanding the pending hop sends a mapping discovery: it lies
+    /// below the TTL and no reply carried its list.
+    pub(crate) fn pending_discovers(&self) -> bool {
+        self.pending()
+            .is_some_and(|q| q.schema_key.is_some() && q.ridden.is_none())
+    }
+
+    /// An earlier request answered the next hop to pop: popping it
+    /// sends nothing.
+    pub(crate) fn next_answered(&self) -> bool {
+        self.frontier.hops.last().is_some_and(|q| q.answered)
     }
 
     /// Pop the next hop and — unless an earlier request already
@@ -690,10 +757,11 @@ impl ClosureSweep {
     /// on their own). So it hears of at least one hop whenever a
     /// request was sent, and of nothing when the popped hop of a live
     /// walk had ridden an earlier request: nothing is sent, and its
-    /// expansion is pending as for any other hop. Every hop's pattern
-    /// differs from the sweep's only in its predicate constant, so all
-    /// hops (and all their instances) share `out`'s header. Returns
-    /// `false` once the sweep is drained.
+    /// expansion is pending as for any other hop. An answered hop the
+    /// walk will expand keeps the mapping list the reply carried for it,
+    /// if any. Every hop's pattern differs from the sweep's only in its
+    /// predicate constant, so all hops (and all their instances) share
+    /// `out`'s header. Returns `false` once the sweep is drained.
     pub(crate) fn resolve_next(
         &mut self,
         sys: &mut GridVineSystem,
@@ -701,7 +769,7 @@ impl ClosureSweep {
         out: &mut BindingBatch,
         mut resolved: impl FnMut(&Hop, Option<&[usize]>),
     ) -> bool {
-        let Some(popped) = self.frontier.hops.pop() else {
+        let Some(mut popped) = self.frontier.hops.pop() else {
             return false;
         };
         if let Some(live) = &mut self.live {
@@ -723,21 +791,33 @@ impl ClosureSweep {
                 Ok(()) => {
                     // `answered` names positions in the list, rising:
                     // walk the same riders again beside it.
-                    let per_pattern = reply.shipped.chunks(seeds.len().max(1));
-                    let mut next = reply.answered.iter().zip(per_pattern).peekable();
-                    if let Some((_, shipped)) = next.next_if(|&(&i, _)| i == 0) {
+                    let Reply {
+                        peer,
+                        answered,
+                        shipped,
+                        lists,
+                    } = reply;
+                    let peer = *peer;
+                    let per_pattern = shipped.chunks(seeds.len().max(1));
+                    let next = answered.iter().zip(per_pattern).zip(lists.drain(..));
+                    let mut next = next.peekable();
+                    if let Some(((_, shipped), list)) = next.next_if(|((&i, _), _)| i == 0) {
+                        popped.ridden = peer.zip(list);
                         resolved(&popped.hop, Some(shipped));
                     }
                     let riders = hops.iter_mut().rev().filter(|q| rides(q));
                     for (rider, position) in riders.zip(1..) {
-                        if let Some((_, shipped)) = next.next_if(|&(&i, _)| i == position) {
+                        if let Some(((_, shipped), list)) =
+                            next.next_if(|((&i, _), _)| i == position)
+                        {
                             rider.answered = true;
+                            rider.ridden = peer.zip(list);
                             resolved(&rider.hop, Some(shipped));
                         } else if next.peek().is_none() {
                             break;
                         }
                     }
-                    if self.live.is_none() && reply.answered.len() > 1 {
+                    if self.live.is_none() && answered.len() > 1 {
                         // Nothing is left to do for a replayed hop
                         // once it is answered.
                         hops.retain(|q| !q.answered);
@@ -747,23 +827,28 @@ impl ClosureSweep {
             }
         }
         if let Some(live) = &mut self.live {
-            live.pending = Some((popped.hop, popped.issuer));
+            live.pending = Some(popped);
         }
         true
     }
 
-    /// Expand the hop the last `resolve_next` popped: discover the
-    /// mappings applicable at its schema (within the TTL) and admit the
-    /// newly reachable schemas (a no-op on warm replays — the recorded
-    /// closure already is the expansion). When the walk exhausts here,
-    /// the recorded closure is committed to a per-peer cache — the
-    /// origin's for iterative walks, the delegate's for recursive ones;
-    /// an early-terminating caller that stops pulling (or calls
-    /// [`ClosureSweep::discard_pending`]) never commits a partial walk.
+    /// Expand the hop the last `resolve_next` popped: take the mappings
+    /// applicable at its schema — from the list its data reply carried,
+    /// or else from a discovery sent for it (within the TTL) — and
+    /// admit the newly reachable schemas (a no-op on warm replays — the
+    /// recorded closure already is the expansion). An iterative walk
+    /// expands at the issuer; a recursive one makes the peer that held
+    /// the list the issuer of the hops it admits. When the walk
+    /// exhausts here, the recorded closure is committed to a per-peer
+    /// cache — the origin's for iterative walks, the delegate's for
+    /// recursive ones; an early-terminating caller that stops pulling
+    /// (or calls [`ClosureSweep::discard_pending`]) never commits a
+    /// partial walk.
     ///
     /// A recursive walk additionally consults the delegate peer's cache
-    /// at its first discovery: on a coherent entry the sweep becomes a
-    /// warm replay of the remaining recorded hops and every deeper
+    /// at its first expansion — the delegate being the peer that held
+    /// the origin schema's list: on a coherent entry the sweep becomes
+    /// a warm replay of the remaining recorded hops and every deeper
     /// mapping-list retrieve is skipped.
     ///
     /// A crashed discovery destination ([`SystemError::PeerDown`]) is
@@ -772,9 +857,6 @@ impl ClosureSweep {
     pub(crate) fn expand_pending(
         &mut self,
         sys: &mut GridVineSystem,
-        origin: PeerId,
-        strategy: Strategy,
-        ttl: usize,
         stats: &mut ExecStats,
     ) -> Result<Expansion, SystemError> {
         let ClosureSweep {
@@ -784,22 +866,31 @@ impl ClosureSweep {
         let Some(live) = walk else {
             return Ok(Expansion::default());
         };
-        let Some((hop, at_peer)) = live.pending.take() else {
+        let Some(popped) = live.pending.take() else {
             return Ok(Expansion::default());
         };
+        let (hop, strategy, ttl) = (popped.hop, live.strategy, live.ttl);
         let mut admitted = Vec::new();
-        if hop.depth < ttl {
-            let (next_peer, mappings) =
-                match sys.discover_mappings(origin, at_peer, &hop.schema, strategy) {
-                    Ok(found) => found,
-                    Err(SystemError::PeerDown(_)) => {
-                        stats.failures += 1;
-                        live.tainted = true;
-                        return Ok(Expansion { admitted });
-                    }
-                    Err(e) => return Err(e),
-                };
-            stats.mapping_fetches += 1;
+        if let Some(schema_key) = &popped.schema_key {
+            let found = match popped.ridden {
+                Some(carried) => Ok(carried),
+                None => sys
+                    .discover_mappings(popped.issuer, schema_key, strategy)
+                    .inspect(|_| stats.mapping_fetches += 1),
+            };
+            let (holder, mappings) = match found {
+                Ok(found) => found,
+                Err(SystemError::PeerDown(_)) => {
+                    stats.failures += 1;
+                    live.tainted = true;
+                    return Ok(Expansion { admitted });
+                }
+                Err(e) => return Err(e),
+            };
+            let next_peer = match strategy {
+                Strategy::Iterative => popped.issuer,
+                Strategy::Recursive => holder,
+            };
             if strategy == Strategy::Recursive && hop.depth == 0 {
                 live.delegate = Some(next_peer);
                 // The delegate may have memoized this closure from an
@@ -825,14 +916,15 @@ impl ClosureSweep {
             }
             expand_hop(&hop, &mappings, &mut live.visited, |reached, _, _| {
                 admitted.push(reached.schema.clone());
-                frontier.push(sys, reached, next_peer);
+                let expands = reached.depth < ttl;
+                frontier.push(sys, reached, next_peer, expands);
             });
         }
         if frontier.hops.is_empty() && !live.tainted {
             let key = live.record.0.clone();
             let hops = std::mem::take(&mut live.record.1);
             let target = match strategy {
-                Strategy::Iterative => Some(origin),
+                Strategy::Iterative => Some(live.origin),
                 Strategy::Recursive => live.delegate,
             };
             if let Some(at) = target {
@@ -900,8 +992,11 @@ impl GridVineSystem {
     /// destination knows about its responsibility: one scan of its
     /// `DB_p` per answered pattern and instance, appended to `out`
     /// (whose header is the instances' shared variables) in list order,
-    /// seed by seed, and says in `reply` what it answered and how many
-    /// rows each instance shipped. On `Err` nothing was answered and
+    /// seed by seed. For an answered pattern that lists a schema key
+    /// under its path too, it adds the mapping list stored there — what
+    /// a discovery routed to that key would read. It says in `reply`
+    /// who answered, what, how many rows each instance shipped and
+    /// which lists it carries. On `Err` nothing was answered and
     /// nothing is appended.
     pub(crate) fn resolve_patterns<'a>(
         &mut self,
@@ -912,8 +1007,9 @@ impl GridVineSystem {
         out: &mut BindingBatch,
         reply: &mut Reply,
     ) -> Result<(), SystemError> {
-        let mut answer = |db: &TripleStore, position: usize, pattern: &TriplePattern| {
+        let mut answer = |db: &TripleStore, position: usize, pattern: &TriplePattern, list| {
             reply.answered.push(position);
+            reply.lists.push(list);
             if seeds.is_empty() {
                 reply.shipped.push(db.match_into(pattern, out));
             }
@@ -927,60 +1023,58 @@ impl GridVineSystem {
             // serve from the lowest-expected-latency live holder and
             // fail over across the replica set before reporting
             // PeerDown. The holder need not lie on the key's path, so
-            // nothing else is asked of it.
+            // nothing else — no mapping list either — is asked of it.
             let dest = self
                 .replica_route(origin, first.routed.term.lexical())
                 .expect("a term without a key is covered by a placement rule")?;
-            answer(&self.local_dbs[dest.index()], 0, first.pattern);
+            answer(&self.local_dbs[dest.index()], 0, first.pattern, None);
+            reply.peer = Some(dest);
             return Ok(());
         };
         let route = self.overlay.route(origin, key, &mut self.rng)?;
-        self.overlay.charge_response(origin, route.destination);
+        let dest = route.destination;
+        self.overlay.charge_response(origin, dest);
         // The request (and the response charge) went out; the retry
         // protocol decides whether a reply ever comes back.
-        self.proto_request(origin, route.destination)?;
-        let db = &self.local_dbs[route.destination.index()];
-        let view = self.overlay.view(route.destination);
+        self.proto_request(origin, dest)?;
+        let db = &self.local_dbs[dest.index()];
+        let view = self.overlay.view(dest);
         for (i, l) in std::iter::once(first).chain(rest).enumerate() {
             if l.routed
                 .key
                 .as_ref()
                 .is_some_and(|k| view.is_responsible(k))
             {
-                answer(db, i, l.pattern);
+                let held = l.schema_key.filter(|k| view.is_responsible(k));
+                let list = held.map(|k| self.stored_mappings(dest, k));
+                answer(db, i, l.pattern, list);
             }
         }
+        reply.peer = Some(dest);
         Ok(())
     }
 
-    /// Fetch the mappings applicable at `schema` per the strategy:
-    /// iterative pulls the list back to the origin (one Retrieve +
-    /// response); recursive forwards the query to the schema-key peer,
-    /// which reads its local list for free and becomes the next hop's
-    /// issuer. Returns `(issuing peer for the next hops, mappings)`.
+    /// Send a mapping discovery for the schema whose key is `schema_key`
+    /// from `issuer` — one routed `Retrieve`, one exchange. Iterative
+    /// pulls the list back to the issuer (the response is charged);
+    /// recursive forwards the query to the schema-key peer, which reads
+    /// its local list for free. Returns the peer that held the list and
+    /// the list.
     pub(crate) fn discover_mappings(
         &mut self,
-        origin: PeerId,
-        at_peer: PeerId,
-        schema: &SchemaId,
+        issuer: PeerId,
+        schema_key: &BitString,
         strategy: Strategy,
     ) -> Result<(PeerId, Vec<Mapping>), SystemError> {
-        match strategy {
-            Strategy::Iterative => Ok((origin, self.mappings_at_schema(origin, schema)?)),
-            Strategy::Recursive => {
-                let schema_key = self.key_of(schema.as_str());
-                let route = self.overlay.route(at_peer, &schema_key, &mut self.rng)?;
-                self.proto_request(at_peer, route.destination)?;
-                let maps = self
-                    .overlay
-                    .store(route.destination)
-                    .get(&schema_key)
-                    .iter()
-                    .filter_map(|i| i.clone().into_mapping())
-                    .collect();
-                Ok((route.destination, maps))
-            }
+        let holder = self
+            .overlay
+            .route(issuer, schema_key, &mut self.rng)?
+            .destination;
+        if strategy == Strategy::Iterative {
+            self.overlay.charge_response(issuer, holder);
         }
+        self.proto_request(issuer, holder)?;
+        Ok((holder, self.stored_mappings(holder, schema_key)))
     }
 
     /// Resolve a join pattern over the mapping network: answer it in
@@ -1037,6 +1131,7 @@ impl GridVineSystem {
             let alone = Listed {
                 pattern,
                 routed: &routed,
+                schema_key: None,
             };
             let mut answered = Reply::default();
             let none = std::iter::empty();
@@ -1078,7 +1173,7 @@ impl GridVineSystem {
                     return Ok(());
                 }
             }
-            sweep.expand_pending(self, origin, strategy, ttl, stats)?;
+            sweep.expand_pending(self, stats)?;
         }
     }
 
@@ -1115,6 +1210,7 @@ impl GridVineSystem {
             let listed = |&i: &usize| Listed {
                 pattern: &instances[i],
                 routed: routed[i].as_ref().expect("routable instances only"),
+                schema_key: None,
             };
             answered.clear();
             let rest = rest.iter().map(listed);
@@ -1252,11 +1348,14 @@ mod tests {
         let mut twin = star("a", PlacementPolicy::default());
         let cold = sys.execute(ORIGIN, &by_object(), &options).unwrap();
         twin.execute(ORIGIN, &by_object(), &options).unwrap();
+        assert_eq!(leaf_of(&sys, OBJECT), leaf_of(&sys, "Mango"));
         // Live walk: the origin hop alone, then the three it admits on
-        // the request of the first one popped; one discovery per hop.
+        // the request of the first one popped. That request lands on
+        // the leaf holding Mango's key, so Mango's list rides its
+        // reply; Apple, Guava and Zebra are discovered.
         assert_eq!(cold.rows.len(), 4);
-        assert_eq!((cold.stats.subqueries, cold.stats.mapping_fetches), (4, 4));
-        assert_eq!(cold.stats.requests, 2 + 4);
+        assert_eq!((cold.stats.subqueries, cold.stats.mapping_fetches), (4, 3));
+        assert_eq!(cold.stats.requests, 2 + 3);
 
         let (units, warm) = units(&mut sys, &by_object(), &options);
         assert_eq!(warm.rows, cold.rows);
@@ -1300,22 +1399,69 @@ mod tests {
     #[test]
     fn requests_never_exceed_patterns_plus_discoveries() {
         for strategy in [Strategy::Iterative, Strategy::Recursive] {
-            let options = QueryOptions::new().strategy(strategy);
-            for plan in [by_object(), closure_of("Apple#a", PatternTerm::var("o"))] {
-                let sys = &mut star("a", PlacementPolicy::default());
-                for run in ["cold", "warm"] {
-                    let (units, out) = units(sys, &plan, &options);
-                    let s = out.stats;
-                    assert!(
-                        s.requests <= s.subqueries + s.mapping_fetches,
-                        "{strategy:?} {plan} {run}: {s:?}"
-                    );
-                    assert_eq!((s.subqueries, s.failures), (4, 0));
-                    // A unit is one request, or the discovery of a hop
-                    // at the TTL — there is none at the default TTL.
-                    assert_eq!(units.len(), s.requests, "{strategy:?} {plan} {run}");
+            // At TTL 1 the three hops Apple admits are at the TTL.
+            for ttl in [None, Some(1)] {
+                let mut options = QueryOptions::new().strategy(strategy);
+                options.ttl = ttl;
+                for plan in [by_object(), closure_of("Apple#a", PatternTerm::var("o"))] {
+                    let sys = &mut star("a", PlacementPolicy::default());
+                    for run in ["cold", "warm"] {
+                        let (units, out) = units(sys, &plan, &options);
+                        let s = out.stats;
+                        let case = format!("{strategy:?} ttl {ttl:?} {plan} {run}");
+                        assert!(
+                            s.requests <= s.subqueries + s.mapping_fetches,
+                            "{case}: {s:?}"
+                        );
+                        assert_eq!((s.subqueries, s.failures), (4, 0), "{case}");
+                        // A unit is one request.
+                        assert_eq!(units.len(), s.requests, "{case}");
+                    }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_cold_walk_by_predicates_sends_no_discovery() {
+        let sys = &mut star("a", PlacementPolicy::default());
+        for s in SCHEMAS {
+            assert_eq!(leaf_of(sys, s), leaf_of(sys, &format!("{s}#a")), "{s}");
+        }
+        // Every hop's data reply carries its list.
+        let by_predicate = closure_of("Apple#a", PatternTerm::var("o"));
+        let cold = sys.execute(ORIGIN, &by_predicate, &QueryOptions::default());
+        let cold = cold.unwrap();
+        assert_eq!(cold.rows.len(), 4);
+        assert_eq!(
+            (cold.stats.cache_misses, cold.stats.mapping_fetches),
+            (1, 0)
+        );
+        assert_eq!(cold.stats.requests, cold.stats.subqueries);
+        assert_eq!(sys.cached_closures(), 1);
+    }
+
+    #[test]
+    fn a_walk_by_an_object_off_every_schema_leaf_discovers_every_expanded_hop() {
+        // Longer than a `Schema#a` predicate, so every hop routes by it.
+        let object = "Quince jelly, no sugar";
+        let plan = closure_of("Apple#a", PatternTerm::constant(Term::literal(object)));
+        for strategy in [Strategy::Iterative, Strategy::Recursive] {
+            let sys = &mut star("a", PlacementPolicy::default());
+            let leaf = leaf_of(sys, object);
+            assert!(SCHEMAS.iter().all(|s| leaf_of(sys, s) != leaf));
+            for s in SCHEMAS {
+                let (subject, predicate) = (format!("seq:Q{s}"), format!("{s}#a"));
+                let record =
+                    Triple::new(subject.as_str(), predicate.as_str(), Term::literal(object));
+                sys.insert_triple(ORIGIN, record).unwrap();
+            }
+            let options = QueryOptions::new().strategy(strategy);
+            let cold = sys.execute(ORIGIN, &plan, &options).unwrap();
+            assert_eq!(cold.rows.len(), 4, "{strategy:?}");
+            // No reply lands where a list is: one discovery per hop.
+            let s = cold.stats;
+            assert_eq!((s.subqueries, s.mapping_fetches), (4, 4), "{strategy:?}");
         }
     }
 
@@ -1605,11 +1751,16 @@ mod tests {
         let limited = sys.execute(ORIGIN, &plan, &bound().limit(2)).unwrap();
         assert_eq!(limited.rows.len(), 2);
         assert!(limited.rows.iter().all(|row| full.rows.contains(row)));
-        // The reply of the first hop holds enough rows: no other hop's
-        // request, and no discovery, is sent, and the reply is charged
-        // whole — eight subjects have their lab under Apple.
+        // The first pattern's walk is one request: `Apple#b` routes to
+        // the leaf holding Apple's key, so Apple's list — the one
+        // discovery that walk would send — rides its reply. The reply
+        // of the second pattern's first hop holds enough rows: no other
+        // hop's request, and no discovery, is sent, and the reply is
+        // charged whole — eight subjects have their lab under Apple.
+        assert_eq!(leaf_of(sys, "Apple#b"), leaf_of(sys, "Apple"));
         assert!(limited.stats.requests < full.stats.requests);
-        assert_eq!(limited.stats.requests, 2 + 1);
+        assert_eq!(limited.stats.requests, 1 + 1);
+        assert_eq!(limited.stats.mapping_fetches, 0);
         assert_eq!(limited.stats.bindings_shipped, 30 + 8);
         assert_eq!(limited.stats.subqueries, 1 + 30);
         // The truncated walk is not memoized; the first pattern's is.
@@ -1648,9 +1799,14 @@ mod tests {
             .execute(ORIGIN, &plan, &bound())
             .unwrap();
         assert_eq!(placed.rows, free.rows);
-        // One exchange with a Mango holder for all thirty seeds.
+        // One exchange with a Mango holder for all thirty seeds. A
+        // replica holder's reply carries no mapping list, so Mango's
+        // is discovered: the placed sweep's extra requests are exactly
+        // the discoveries that could not ride.
         assert_eq!((placed.stats.replica_hits, free.stats.replica_hits), (1, 0));
-        assert_eq!(placed.stats.requests, free.stats.requests);
+        let unridden = placed.stats.mapping_fetches - free.stats.mapping_fetches;
+        assert_eq!(unridden, 1);
+        assert_eq!(placed.stats.requests, free.stats.requests + unridden);
         assert_eq!(placed.stats.subqueries, free.stats.subqueries);
         assert_eq!(placed.stats.bindings_carried, free.stats.bindings_carried);
     }

@@ -353,7 +353,11 @@ impl GridVineSystem {
     /// Placement hook of [`GridVineSystem::insert_triples`], run once
     /// the σ owners hold the triple: for each of its three keys covered
     /// by a rule, fan the new triple out to the registered extras and
-    /// provision up to the rule's factor.
+    /// provision up to the rule's factor. Atomic across the keys: on
+    /// `Err` every peer the hook gave the triple to loses it again — a
+    /// replica provisioned for an earlier key keeps the other rows it
+    /// holds — so no extra serves a triple its σ owners are about to
+    /// give back, and a holder that had the triple already keeps it.
     pub(crate) fn place_triple(
         &mut self,
         origin: PeerId,
@@ -361,30 +365,35 @@ impl GridVineSystem {
         keys: &[BitString; 3],
     ) -> Result<(), SystemError> {
         let lexicals = [t.subject.as_str(), t.predicate.as_str(), t.object.lexical()];
-        for (key, lexical) in keys.iter().zip(lexicals) {
+        let mut gained = Vec::new();
+        let placed = keys.iter().zip(lexicals).try_for_each(|(key, lexical)| {
             let Some(rule) = self.place.policy.rule_for(lexical).cloned() else {
-                continue;
+                return Ok(());
             };
-            self.fan_out_insert(origin, key, t)?;
-            self.ensure_factor(origin, key, &rule)?;
+            self.fan_out_insert(origin, key, t, &mut gained)?;
+            self.ensure_factor(origin, key, &rule, t, &mut gained)
+        });
+        if placed.is_err() {
+            for peer in gained {
+                self.local_dbs[peer.index()].remove(t);
+            }
         }
-        Ok(())
+        placed
     }
 
-    /// Atomically fan one freshly-placed triple out to the registered
-    /// extras of `key`, in the `commit_mapping_copies` style: a down
-    /// extra (possibly downed mid-commit by the armed crash hook) rolls
-    /// the copies this fan-out added back and fails the insert, so the
-    /// registry never points at a holder missing rows — and a holder
-    /// that had the triple already keeps it.
+    /// Fan one freshly-placed triple out to the registered extras of
+    /// `key`, in the `commit_mapping_copies` style: a down extra
+    /// (possibly downed mid-commit by the armed crash hook) fails the
+    /// insert, so the registry never points at a holder missing rows.
+    /// Every extra that gains the triple is added to `gained`.
     fn fan_out_insert(
         &mut self,
         origin: PeerId,
         key: &BitString,
         t: &Triple,
+        gained: &mut Vec<PeerId>,
     ) -> Result<(), SystemError> {
         let extras = self.place.extras_for(key).to_vec();
-        let mut added: Vec<PeerId> = Vec::new();
         for (i, x) in extras.into_iter().enumerate() {
             if i > 0 {
                 // Between the first and later replica writes: the
@@ -394,13 +403,10 @@ impl GridVineSystem {
                 }
             }
             if self.crashed.contains(&x) {
-                for w in added {
-                    self.local_dbs[w.index()].remove(t);
-                }
                 return Err(SystemError::PeerDown(x));
             }
             if self.local_dbs[x.index()].insert(t.clone()) {
-                added.push(x);
+                gained.push(x);
             }
             self.overlay.charge_direct(origin, x, 1);
         }
@@ -408,12 +414,16 @@ impl GridVineSystem {
     }
 
     /// Commit replicas until `key` has `rule.factor` holders (or no
-    /// live non-holder remains).
+    /// live non-holder remains). Every new holder that gains `t` — the
+    /// triple being placed, which the copy includes — is added to
+    /// `gained`.
     fn ensure_factor(
         &mut self,
         origin: PeerId,
         key: &BitString,
         rule: &PlacementRule,
+        t: &Triple,
+        gained: &mut Vec<PeerId>,
     ) -> Result<(), SystemError> {
         loop {
             let holders = self.holders_of(key);
@@ -423,7 +433,11 @@ impl GridVineSystem {
             let Some((_, target)) = self.best_new_holder(origin, &holders) else {
                 return Ok(());
             };
+            let had = self.local_dbs[target.index()].contains(t);
             self.commit_replica(origin, key, target)?;
+            if !had {
+                gained.push(target);
+            }
         }
     }
 

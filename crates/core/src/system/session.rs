@@ -27,8 +27,9 @@
 //! [`ExecStats::max_in_flight`] high-water mark. Row multiset and
 //! message count are therefore identical for every window size, by
 //! construction. Dependencies serialize through per-unit ready times:
-//! a closure hop's request can only be sent once the mapping
-//! discovery that revealed it completed; a bound-join pattern's sweep
+//! a closure hop's request can only be sent once the unit that brought
+//! the mapping list which revealed it — a discovery, or a data reply
+//! that carried the list — completed; a bound-join pattern's sweep
 //! waits for its predecessor pattern's rows; prefix probes and warm
 //! cache replays are fully independent and pipeline `window`-wide.
 //!
@@ -36,13 +37,16 @@
 //! [executor docs](crate::system::exec)): the request of the closure
 //! hop being popped also lists every hop the same issuer already has
 //! queued, and its one reply answers all of them that the destination
-//! is responsible for. A hop answered that way is part of that unit —
-//! its `SchemaHop` and `Rows` are among the unit's events, its counters
-//! in the unit's `Stats` — and has no unit of its own later: when the
-//! walk pops it there is nothing to send, and a live walk goes straight
-//! on to its mapping discovery. It was queued, hence ready, no later
-//! than the hop whose request carried it, so the unit's ready time is
-//! that hop's.
+//! is responsible for — with the mapping list of each it answers whose
+//! schema key the destination holds too. A hop answered that way is
+//! part of that unit — its `SchemaHop` and `Rows` are among the unit's
+//! events, its counters in the unit's `Stats` — and has no unit of its
+//! own later: when the walk pops it there is nothing to send. Every
+//! closure unit is one exchange: a hop has a second unit only for a
+//! discovery, when it lies below the TTL and no reply carried its list;
+//! an expansion that sends nothing is done in the step of the unit
+//! before it. A rider was queued, hence ready, no later than the hop
+//! whose request carried it, so the unit's ready time is that hop's.
 //!
 //! A join pattern is **one unit**, in either [`JoinMode`]: the whole
 //! sweep of the pattern over the mapping network — every data request
@@ -108,7 +112,7 @@
 //!   unit. Summing the deltas of a drained session reproduces
 //!   [`QueryOutcome::stats`]. Every unit emits one, last, so progress
 //!   is observable even while a request returns no rows; a closure
-//!   unit is at most one request ([`ExecStats::requests`]).
+//!   unit is one request ([`ExecStats::requests`]).
 //!
 //! ## The reformulation-closure caches
 //!
@@ -123,10 +127,12 @@
 //! skipping the BFS *and* its per-schema mapping-list retrieves — and
 //! a mapping insert / deprecation / repair invalidates everything at
 //! once. The recursive strategy caches at the **delegate** peer (the
-//! intermediate peer serving the first mapping discovery): a later
-//! recursive walk reaching the same delegate replays the closure tail
-//! and skips every deeper mapping fetch. Early-terminated walks record
-//! nothing (a partial closure must never be replayed as complete).
+//! peer that held the origin schema's mapping list — reached by the
+//! first discovery, or the one that answered the origin hop and carried
+//! the list): a later recursive walk reaching the same delegate replays
+//! the closure tail and skips every deeper mapping fetch.
+//! Early-terminated walks record nothing (a partial closure must never
+//! be replayed as complete).
 //!
 //! ```
 //! use gridvine_core::{GridVineConfig, GridVineSystem, QueryOptions, QueryPlan, ResultEvent};
@@ -301,9 +307,12 @@ struct SweepHop {
 enum Stamp {
     /// Nothing depends on this unit's completion time.
     None,
-    /// A discovery completed: the listed schemas' hops become ready at
-    /// this unit's completion instant.
-    Schemas(Vec<SchemaId>),
+    /// A closure unit: its reply answered these hops (a data request)
+    /// or brought this hop's mapping list (a discovery). A mapping list
+    /// one of them is expanded with reached the issuer no earlier, so
+    /// the hops that expansion admits become ready at this unit's
+    /// completion instant — unless a later discovery brings the list.
+    Heard(Vec<SchemaId>),
     /// A bound-join pattern finished: the next pattern's sweep becomes
     /// ready at the max completion over everything issued so far.
     Barrier,
@@ -373,8 +382,11 @@ pub(crate) struct SessionCore {
     sim_now: SimTime,
     /// Max completion instant over every issued unit.
     max_completion: SimTime,
-    /// Per-schema hop ready times (stamped by discovery completions).
-    ready_of: HashMap<SchemaId, SimTime>,
+    /// Per closure hop, the completion instant of the latest unit that
+    /// [`Stamp::Heard`] it.
+    heard_at: HashMap<SchemaId, SimTime>,
+    /// Per admitted closure hop, the hop whose expansion admitted it.
+    parent_of: HashMap<SchemaId, SchemaId>,
 }
 
 /// A lazily-advancing handle on one executing [`QueryPlan`] — see the
@@ -559,7 +571,8 @@ impl SessionCore {
             started_at,
             sim_now: started_at,
             max_completion: started_at,
-            ready_of: HashMap::new(),
+            heard_at: HashMap::new(),
+            parent_of: HashMap::new(),
         })
     }
 
@@ -757,9 +770,9 @@ impl SessionCore {
         self.max_completion = self.max_completion.max(completion);
         match stamp {
             Stamp::None => {}
-            Stamp::Schemas(list) => {
-                for s in list {
-                    self.ready_of.insert(s, completion);
+            Stamp::Heard(hops) => {
+                for s in hops {
+                    self.heard_at.insert(s, completion);
                 }
             }
             Stamp::Barrier => {
@@ -843,6 +856,7 @@ impl SessionCore {
         let alone = Listed {
             pattern: &query.pattern,
             routed: &routed,
+            schema_key: None,
         };
         let mut shipped = BindingBatch::for_pattern(&query.pattern);
         let (none, no_column) = (std::iter::empty(), &[]);
@@ -900,12 +914,30 @@ impl SessionCore {
     }
 
     /// Scheduler ready time of `schema`'s hop: the completion instant
-    /// of the discovery that admitted it.
+    /// of the unit that brought the mapping list which admitted it —
+    /// a discovery, or the data reply that carried the list. A hop the
+    /// walk started with is ready at session start.
     fn hop_ready(&self, schema: &SchemaId) -> SimTime {
-        self.ready_of
-            .get(schema)
-            .copied()
-            .unwrap_or(self.started_at)
+        let parent = self.parent_of.get(schema);
+        let heard = parent.and_then(|p| self.heard_at.get(p));
+        heard.copied().unwrap_or(self.started_at)
+    }
+
+    /// Expand the closure walk's pending hop, remembering which hop
+    /// admitted each schema it reaches.
+    fn expand(
+        &mut self,
+        sys: &mut GridVineSystem,
+        sweep: &mut ClosureSweep,
+    ) -> Result<(), SystemError> {
+        let parent = sweep.pending_schema().cloned();
+        let expansion = sweep.expand_pending(sys, &mut self.stats)?;
+        if let Some(parent) = parent {
+            for s in expansion.admitted {
+                self.parent_of.insert(s, parent.clone());
+            }
+        }
+        Ok(())
     }
 
     /// Charge and emit the hops one closure reply answered — a
@@ -949,18 +981,21 @@ impl SessionCore {
     }
 
     /// [`QueryPlan::Closure`]: one unit of the reformulation closure —
-    /// either the next hop's data request via the shared
+    /// one exchange, either the next hop's data request via the shared
     /// [`ClosureSweep`], or the popped hop's mapping discovery. The
     /// request emits one `SchemaHop` (+ `Rows`) per hop its destination
     /// answered, the hop it was routed for first and the queued hops
-    /// that rode it after, in the order the walk pops them; a hop that
-    /// rode has no data unit of its own when it is popped, so the same
-    /// step goes on to its discovery. The two units of one hop share a
-    /// ready time (they are independent requests and overlap under a
-    /// window); a discovery's completion stamps the ready times of the
-    /// hops it admits, and a queued hop is never ready later than the
-    /// hop popped before it, whose request it rides. Early termination
-    /// skips the discovery outright, so its messages are never sent.
+    /// that rode it after, in the order the walk pops them. A hop has
+    /// one unit, or two when its expansion needs a discovery — it lies
+    /// below the TTL and its data reply did not carry its list; the two
+    /// share a ready time. Whatever the walk does next without sending
+    /// — an expansion from a carried list or at the TTL, the pop of a
+    /// hop an earlier reply answered — is done in this step, up to the
+    /// next exchange; it is free, and it keeps the clock causal: the
+    /// hops an expansion admits become ready when the unit that brought
+    /// the list completes (see [`SessionCore::hop_ready`]). Early
+    /// termination skips the rest of the walk outright, so its messages
+    /// are never sent.
     fn step_closure(
         &mut self,
         sys: &mut GridVineSystem,
@@ -970,44 +1005,63 @@ impl SessionCore {
         seen: &mut BTreeSet<Term>,
         out: &mut Vec<ResultEvent>,
     ) -> Result<StepOutcome, SystemError> {
-        if sweep.pending_schema().is_none() {
-            let mut answered = Vec::new();
-            // No column: one count per answered hop.
-            let popped = sweep.resolve_next(sys, &[], shipped, |hop, rows| {
-                answered.push(SweepHop {
-                    schema: hop.schema.clone(),
-                    depth: hop.depth,
-                    quality: hop.quality,
-                    shipped: rows.map(|per_instance| per_instance.iter().sum()),
-                })
-            });
-            if !popped {
-                return Ok(StepOutcome::Idle);
+        let (ready, heard) = match sweep.pending_schema() {
+            // Left pending by the previous step for its discovery.
+            Some(schema) => {
+                let schema = schema.clone();
+                let ready = self.hop_ready(&schema);
+                self.expand(sys, sweep)?;
+                (ready, vec![schema])
             }
-            if let Some(routed_for) = answered.first() {
+            None => {
+                let mut answered = Vec::new();
+                // No column: one count per answered hop.
+                let popped = sweep.resolve_next(sys, &[], shipped, |hop, rows| {
+                    answered.push(SweepHop {
+                        schema: hop.schema.clone(),
+                        depth: hop.depth,
+                        quality: hop.quality,
+                        shipped: rows.map(|per_instance| per_instance.iter().sum()),
+                    })
+                });
+                let Some(routed_for) = answered.first() else {
+                    // The previous step popped every hop an earlier
+                    // reply answered.
+                    debug_assert!(!popped, "a popped hop sent its request");
+                    return Ok(StepOutcome::Idle);
+                };
                 let ready = self.hop_ready(&routed_for.schema);
-                let limit_hit = self.admit_hops(query, answered, shipped, seen, out);
-                if limit_hit {
+                let heard = answered.iter().map(|h| h.schema.clone()).collect();
+                if self.admit_hops(query, answered, shipped, seen, out) {
                     // A truncated walk neither expands nor commits to
                     // the cache.
                     sweep.discard_pending();
+                    return Ok(StepOutcome::Unit {
+                        ready,
+                        stamp: Stamp::Heard(heard),
+                        done: true,
+                    });
                 }
-                return Ok(StepOutcome::Unit {
-                    ready,
-                    stamp: Stamp::None,
-                    done: limit_hit || sweep.is_exhausted(),
+                (ready, heard)
+            }
+        };
+        loop {
+            if sweep.pending_schema().is_some() {
+                if sweep.pending_discovers() {
+                    break;
+                }
+                self.expand(sys, sweep)?;
+            } else if sweep.next_answered() {
+                sweep.resolve_next(sys, &[], shipped, |_, _| {
+                    unreachable!("an answered hop sends nothing")
                 });
+            } else {
+                break;
             }
         }
-        // Discovery unit of the popped hop.
-        let ready = sweep
-            .pending_schema()
-            .map_or(self.started_at, |schema| self.hop_ready(schema));
-        let expansion =
-            sweep.expand_pending(sys, self.origin, self.strategy, self.ttl, &mut self.stats)?;
         Ok(StepOutcome::Unit {
             ready,
-            stamp: Stamp::Schemas(expansion.admitted),
+            stamp: Stamp::Heard(heard),
             done: sweep.is_exhausted(),
         })
     }

@@ -512,16 +512,38 @@ proptest! {
     }
 }
 
+/// The peer responsible for `lexical`'s key.
+fn leaf_of(sys: &GridVineSystem, lexical: &str) -> PeerId {
+    sys.topology().responsible(&sys.key_of(lexical))[0]
+}
+
 /// Warm cache replays undercut cold walks on messages — same rows, no
 /// mapping-list retrieves — for the iterative strategy (origin-peer
-/// cache) *and* the recursive strategy (delegate-peer cache).
+/// cache) *and* the recursive strategy (delegate-peer cache). The hops
+/// route by an object constant whose leaf holds no schema key, so no
+/// data reply can carry a mapping list: a cold walk discovers every
+/// one. Where every reply carries its hop's list, the cold walk already
+/// fetches none.
 #[test]
 fn warm_closure_replay_skips_mapping_fetch_messages() {
     let facts: Vec<(u8, u8, u8)> = (0..12).map(|i| (i, i % 4, 0)).collect();
-    let q = organism_query();
+    // Every fact's object; longer than `S0#organism0`, so it is what
+    // every hop routes by.
+    let object = VALUES[0];
+    let q = TriplePatternQuery::new(
+        "x",
+        TriplePattern::new(
+            PatternTerm::var("x"),
+            PatternTerm::constant(Term::uri("S0#organism0")),
+            PatternTerm::constant(Term::literal(object)),
+        ),
+    )
+    .unwrap();
     let plan = QueryPlan::search(q);
     let options = QueryOptions::default();
     let mut sys = build(42, 4, &[], &facts);
+    let data_leaf = leaf_of(&sys, object);
+    assert!((0..4).all(|i| leaf_of(&sys, &format!("S{i}")) != data_leaf));
     assert_eq!(sys.cached_closures(), 0);
     let cold = sys.execute(PeerId(3), &plan, &options).unwrap();
     assert_eq!(sys.cached_closures(), 1);
@@ -573,6 +595,28 @@ fn warm_closure_replay_skips_mapping_fetch_messages() {
         "only the delegate hop fetched"
     );
     assert!(rec_warm.stats.messages <= rec_cold.stats.messages);
+
+    // Routed by their predicates, the hops land where their schemas'
+    // keys are: every data reply carries its hop's list, and the cold
+    // walk sends no discovery for the replay to skip.
+    let by_predicate = QueryPlan::search(organism_query());
+    let mut sys = build(42, 4, &[], &facts);
+    for i in 0..4 {
+        let schema = format!("S{i}");
+        let predicate = format!("S{i}#organism{i}");
+        assert_eq!(leaf_of(&sys, &schema), leaf_of(&sys, &predicate));
+    }
+    let cold = sys.execute(PeerId(3), &by_predicate, &options).unwrap();
+    assert_eq!(cold.terms("x"), warm.terms("x"));
+    assert_eq!(
+        (cold.stats.cache_misses, cold.stats.mapping_fetches),
+        (1, 0)
+    );
+    assert_eq!(cold.stats.requests, cold.stats.subqueries);
+    let warm = sys.execute(PeerId(3), &by_predicate, &options).unwrap();
+    assert_eq!(warm.rows, cold.rows);
+    assert_eq!((warm.stats.cache_hits, warm.stats.mapping_fetches), (1, 0));
+    assert!(warm.stats.messages <= cold.stats.messages);
 }
 
 /// The per-peer caches are capacity-bounded: with room for one closure

@@ -17,13 +17,15 @@
 # With --parent <rev> it also exports <rev> (a `git archive`), builds it
 # the same way and reports, per program, whether this tree's transcript
 # equals the parent's, with the head of the diff where it does not —
-# the "nothing observable moved" check of a behaviour-preserving change.
-# Both sides run on this host: the WAN latency models go through the
-# platform libm, so a transcript blessed on another machine is not a
-# fair oracle, and none is checked in.
+# the "nothing observable moved" check of a behaviour-preserving change,
+# and the list of transcripts a behaviour change moved. Both sides run
+# on this host: the WAN latency models go through the platform libm, so
+# a transcript blessed on another machine is not a fair oracle, and none
+# is checked in. Each comparison ends in a count line.
 #
-# Exits non-zero on any DIFF or FAIL. Everything it writes goes under a
-# fresh directory in ${TMPDIR:-/tmp} (printed at the start, kept).
+# Exits non-zero on a DIFF or FAIL of the run-twice check: a parent
+# comparison only reports. Everything it writes goes under a fresh
+# directory in ${TMPDIR:-/tmp} (printed at the start, kept).
 set -eu
 
 parent=
@@ -71,27 +73,36 @@ if [ -n "$parent" ]; then
 fi
 
 status=0
-compare() { # <label> <other run>: one line per program against run-1
+# One line per program against run-1, then a count line; a DIFF or
+# FAIL sets the exit status when <strict> is 1.
+compare() { # <label> <other run> <strict>
     echo
     echo "== $1 =="
+    same=0 diffs=0 new=0 failed=0
     for p in $programs; do
         name=$(basename "$p")
         if grep -qx "$p" "$work/run-1/failed" "$2/failed" 2>/dev/null; then
             echo "FAIL  $p (non-zero exit)"
-            status=1
+            failed=$((failed + 1))
         elif [ ! -e "$2/$name.txt" ]; then
             echo "new   $p"
+            new=$((new + 1))
         elif cmp -s "$work/run-1/$name.txt" "$2/$name.txt"; then
             echo "same  $p"
+            same=$((same + 1))
         else
             echo "DIFF  $p"
             diff "$2/$name.txt" "$work/run-1/$name.txt" | head -n 8 | sed 's/^/      /'
-            status=1
+            diffs=$((diffs + 1))
         fi
     done
+    echo "$same same, $diffs differ, $new new, $failed failed"
+    if [ "$3" = 1 ] && [ $((diffs + failed)) -gt 0 ]; then
+        status=1
+    fi
 }
-compare "run twice" "$work/run-2"
+compare "run twice" "$work/run-2" 1
 if [ -n "$parent" ]; then
-    compare "against $parent (< parent, > this tree)" "$work/run-parent"
+    compare "against $parent (< parent, > this tree)" "$work/run-parent" 0
 fi
 exit $status

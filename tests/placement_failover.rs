@@ -340,6 +340,61 @@ fn failed_reinsert_keeps_the_committed_copy() {
     assert_eq!(out.stats.failures, 0);
 }
 
+/// A triple covered under two keys whose second fan-out fails is held
+/// by nobody afterwards: the replicas provisioned for its first key
+/// give it back with its σ copies, so no extra serves a row its owners
+/// no longer hold.
+#[test]
+fn a_failed_second_fan_out_takes_back_the_first_keys_copies() {
+    let seed = 11;
+    let object = "Aspergillus niger";
+    let owners = replicated_system(PlacementPolicy::default(), seed)
+        .replica_holders(object)
+        .len();
+    let policy = PlacementPolicy::new()
+        .replicate("seq:", owners + 1)
+        .replicate("Aspergillus", owners + 1);
+    let mut sys = replicated_system(policy, seed);
+    let object_holders = sys.replica_holders(object);
+    assert_eq!(
+        object_holders.len(),
+        owners + 1,
+        "one extra of the object key"
+    );
+    let victim = object_holders[owners];
+    sys.crash_peer(victim);
+
+    let t = Triple::new("seq:R9", "S0#a0", Term::literal(object));
+    assert_eq!(
+        sys.insert_triple(PeerId(0), t.clone()),
+        Err(SystemError::PeerDown(victim))
+    );
+    let subject_holders = sys.replica_holders("seq:R9");
+    assert!(
+        subject_holders.len() > owners,
+        "the subject key was provisioned first"
+    );
+    let holding: Vec<PeerId> = (0..PEERS as u32)
+        .map(PeerId)
+        .filter(|&p| sys.peer_db(p).contains(&t))
+        .collect();
+    assert_eq!(holding, [], "every copy was taken back");
+
+    let by_subject = TriplePatternQuery::new(
+        "o",
+        TriplePattern::new(
+            PatternTerm::constant(Term::uri("seq:R9")),
+            PatternTerm::var("p"),
+            PatternTerm::var("o"),
+        ),
+    )
+    .unwrap();
+    for &origin in &subject_holders {
+        let out = sys.execute(origin, &QueryPlan::pattern(by_subject.clone()), &options(1));
+        assert_eq!(out.unwrap().rows, [], "served from {origin:?}");
+    }
+}
+
 /// A correlated churn storm over a replicated predicate sheds no
 /// sessions in the open-loop driver: every submitted session completes
 /// (the retry protocol and replica failover ride out the outages), and
