@@ -18,7 +18,7 @@ use gridvine_netsim::{FaultConfig, LatencyConfig, LatencyModel, NodeId, SimDurat
 use gridvine_pgrid::{
     BitString, HashKind, KeyHasher, Overlay, PeerId, RouteError, Topology, UpdateOp,
 };
-use gridvine_rdf::{SharedTermDict, Term, Triple, TriplePatternQuery, TripleStore};
+use gridvine_rdf::{Term, TermDict, Triple, TriplePatternQuery, TripleStore};
 use gridvine_semantic::{
     apply_quarantine, assess, BayesConfig, Correspondence, DegreeRecord, Injection, Mapping,
     MappingId, MappingKind, MappingRegistry, MappingStatus, Provenance, Schema, SchemaId,
@@ -321,10 +321,11 @@ pub struct GridVineSystem {
     /// ([`Overlay::update_placement`]); the self-organization matcher
     /// reads these stores too, so per-peer triple memory is paid once.
     local_dbs: Vec<TripleStore>,
-    /// Process-wide string pool shared by all peer databases: each
-    /// distinct lexical is stored once no matter how many peers'
-    /// `DB_p`s hold triples mentioning it.
-    lexicon: SharedTermDict,
+    /// The string pool every triple is canonicalized through before it
+    /// is staged ([`TermDict::canonical_triple`]): each distinct lexical
+    /// is stored once no matter how many peers' `DB_p`s hold triples
+    /// mentioning it.
+    lexicon: TermDict,
     /// The logical mediation state: schemas and mappings as stored in
     /// the DHT (kept in lock-step with the DHT copies by the insert /
     /// deprecate operations below).
@@ -394,7 +395,7 @@ impl GridVineSystem {
         GridVineSystem {
             hasher: config.hash.build(),
             local_dbs: (0..topology.len()).map(|_| TripleStore::new()).collect(),
-            lexicon: SharedTermDict::new(),
+            lexicon: TermDict::new(),
             exec: (0..topology.len())
                 .map(|_| sched::PeerExecState::new(config.closure_cache_capacity))
                 .collect(),

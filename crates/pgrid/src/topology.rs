@@ -308,6 +308,7 @@ impl Topology {
     pub fn rebuild_routing<R: Rng + ?Sized>(&mut self, refs_per_level: usize, rng: &mut R) {
         let n = self.paths.len();
         let mut routing = Vec::with_capacity(n);
+        let mut pool: Vec<PeerId> = Vec::new();
         for i in 0..n {
             let path = &self.paths[i];
             let mut levels = Vec::with_capacity(path.len());
@@ -315,15 +316,17 @@ impl Topology {
                 let sibling = path.sibling_at(l);
                 // Peers whose path starts with (or is a prefix of) the
                 // sibling region.
-                let mut pool: Vec<PeerId> = self
-                    .groups
-                    .iter()
-                    .filter(|(p, _)| sibling.is_prefix_of(p) || p.is_prefix_of(&sibling))
-                    .flat_map(|(_, peers)| peers.iter().copied())
-                    .collect();
+                pool.clear();
+                pool.extend(
+                    self.groups
+                        .iter()
+                        .filter(|(p, _)| sibling.is_prefix_of(p) || p.is_prefix_of(&sibling))
+                        .flat_map(|(_, peers)| peers.iter().copied()),
+                );
                 pool.shuffle(rng);
-                pool.truncate(refs_per_level);
-                levels.push(pool);
+                // A copy of the kept prefix: the region's buffer holds up
+                // to n/2 slots, a level keeps `refs_per_level`.
+                levels.push(pool[..pool.len().min(refs_per_level)].to_vec());
             }
             routing.push(levels);
         }
@@ -504,6 +507,26 @@ mod tests {
                     assert_eq!(v.path.common_prefix_len(tp), l);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn routing_levels_hold_no_more_than_refs_per_level() {
+        // Level 0's sibling region is half the network: a level must not
+        // keep that region's buffer behind its few references.
+        let mut t = Topology::balanced(256, 3, &mut rng());
+        for refs_per_level in [3, 1] {
+            for (i, levels) in t.routing.iter().enumerate() {
+                for (l, refs) in levels.iter().enumerate() {
+                    assert!(
+                        refs.capacity() <= refs_per_level,
+                        "peer {i} level {l}: capacity {} for {} refs",
+                        refs.capacity(),
+                        refs.len()
+                    );
+                }
+            }
+            t.rebuild_routing(1, &mut rng());
         }
     }
 

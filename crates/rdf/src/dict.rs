@@ -7,27 +7,30 @@
 //! string bytes are only touched at ingest (one hash of the lexical) and
 //! at the result boundary (materializing terms for the caller).
 //!
-//! A [`TermDict`] is one open-addressed `(hash, id)` table over one
-//! id→string column: ids are issued densely from 0 in first-seen order,
-//! so resolving is one array access and an array directly indexed by id
-//! needs exactly [`TermDict::len`] entries. Interning is sequential — a
-//! store is loaded by the one thread that owns it.
-//!
-//! [`SharedTermDict`] is the same structure behind a mutex and an
-//! `Arc`, through which the peer stores hosted in one process pool
-//! their string buffers.
+//! A [`TermDict`] is one open-addressed table of 8-byte `(tag, id)`
+//! slots over one id→string column: ids are issued densely from 0 in
+//! first-seen order, so resolving is one array access and an array
+//! directly indexed by id needs exactly [`TermDict::len`] entries.
+//! Interning is sequential — a store is loaded by the one thread that
+//! owns it.
 //!
 //! The string data itself lives in reference-counted `Arc<str>` buffers
-//! shared between the id→string table, the string→id map, the sorted
-//! per-position key indexes and any pooled handles, so each distinct
-//! lexical is stored once regardless of how many rows, indexes or
-//! stores reference it.
+//! shared between the id→string column, the sorted per-position key
+//! indexes and other dictionaries, so each distinct lexical is stored
+//! once regardless of how many rows, indexes or stores reference it.
+//! [`TermDict::canonical_triple`] is how the peer stores hosted in one
+//! process come to share them: a system keeps one dictionary as its
+//! lexicon, rebuilds every incoming triple over the lexicon's buffers,
+//! and each store that interns such a triple adopts the buffers by
+//! reference count (ids stay per store; only buffers are pooled).
 
 use crate::fasthash::FxHasher;
+use crate::term::{Term, Uri};
+use crate::triple::Triple;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::hash::Hasher;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Dense identifier of an interned lexical value: its index in the
 /// owning [`TermDict`]'s first-seen order.
@@ -51,40 +54,44 @@ impl fmt::Debug for TermId {
     }
 }
 
-/// Hash of a lexical value: Fx over the bytes, with a final avalanche
-/// mix so the table index (low bits) and the stored verifier (all 64
-/// bits) are both well distributed.
+/// Tag of a lexical value: Fx over the bytes, then a final avalanche
+/// mix, keeping the high 32 bits — all of which are well distributed,
+/// so the tag both picks the home slot (its low bits) and verifies a
+/// probe (all of it).
 #[inline]
-pub(crate) fn hash_lexical(s: &str) -> u64 {
+fn tag_lexical(s: &str) -> u32 {
     let mut h = FxHasher::default();
     h.write(s.as_bytes());
     let mut z = h.finish();
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z ^ (z >> 31)
+    ((z ^ (z >> 31)) >> 32) as u32
 }
 
 const EMPTY: u32 = u32::MAX;
 
-/// One open-addressing slot: hash verifier + id, interleaved so a probe
-/// touches a single cache line.
+/// One open-addressing slot, 8 bytes: the lexical's 32-bit tag and its
+/// id, interleaved so a probe touches a single cache line. The home
+/// slot is the tag's low bits, so growing the table re-seats every
+/// entry from its tag alone, without reading a string; a full tag match
+/// is verified against the interned string.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 struct Slot {
-    hash: u64,
+    tag: u32,
     id: u32,
 }
 
-const VACANT: Slot = Slot { hash: 0, id: EMPTY };
+const VACANT: Slot = Slot { tag: 0, id: EMPTY };
 
 /// Bidirectional map between lexical values and [`TermId`]s: an
 /// open-addressed id table plus the id→string column (see the module
 /// docs).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TermDict {
-    /// Open-addressed `(hash64, id)` slots; power-of-two length, `id ==
+    /// Open-addressed `(tag32, id)` slots; power-of-two length, `id ==
     /// EMPTY` marks a vacant slot. A probe touches one flat array and
-    /// compares `u64`s; the interned string itself is only read to
-    /// verify a full 64-bit hash match (i.e. almost only on true hits) —
-    /// the hot path costs one cache miss, not a bucket walk plus a
+    /// compares `u32`s; the interned string itself is only read to
+    /// verify a full tag match (i.e. almost only on true hits) — the
+    /// hot path costs one cache miss, not a bucket walk plus a
     /// scattered key compare.
     slots: Vec<Slot>,
     /// The id→string column: one entry per occupied slot.
@@ -112,18 +119,17 @@ impl TermDict {
         self.terms.len()
     }
 
-    /// The id of a pre-hashed lexical, or the vacant slot where it
-    /// belongs.
-    fn probe(&self, hash: u64, lexical: &str) -> Result<u32, usize> {
+    /// The id of a tagged lexical, or the vacant slot where it belongs.
+    fn probe(&self, tag: u32, lexical: &str) -> Result<u32, usize> {
         debug_assert!(!self.slots.is_empty());
         let mask = self.slots.len() - 1;
-        let mut i = (hash as usize) & mask;
+        let mut i = tag as usize & mask;
         loop {
             let slot = self.slots[i];
             if slot.id == EMPTY {
                 return Err(i);
             }
-            if slot.hash == hash && &*self.terms[slot.id as usize] == lexical {
+            if slot.tag == tag && &*self.terms[slot.id as usize] == lexical {
                 return Ok(slot.id);
             }
             i = (i + 1) & mask;
@@ -139,7 +145,7 @@ impl TermDict {
             if slot.id == EMPTY {
                 continue;
             }
-            let mut i = (slot.hash as usize) & mask;
+            let mut i = slot.tag as usize & mask;
             while self.slots[i].id != EMPTY {
                 i = (i + 1) & mask;
             }
@@ -148,7 +154,7 @@ impl TermDict {
     }
 
     /// [`TermDict::probe`] for a value about to be interned.
-    fn find_or_slot(&mut self, hash: u64, lexical: &str) -> Result<u32, usize> {
+    fn find_or_slot(&mut self, tag: u32, lexical: &str) -> Result<u32, usize> {
         // Keep load factor under 5/8: linear probing degrades fast past
         // that, and short probe runs matter more than table bytes for
         // the point-lookup path (growing may move the vacant slot, so
@@ -156,33 +162,33 @@ impl TermDict {
         if (self.terms.len() + 1) * 8 > self.slots.len() * 5 {
             self.grow();
         }
-        self.probe(hash, lexical)
+        self.probe(tag, lexical)
     }
 
-    fn insert_new(&mut self, arc: Arc<str>, slot: usize, hash: u64) -> TermId {
+    fn insert_new(&mut self, arc: Arc<str>, slot: usize, tag: u32) -> TermId {
         let id = u32::try_from(self.terms.len()).expect("term dictionary overflow");
         assert!(id < EMPTY, "term dictionary overflow");
-        self.slots[slot] = Slot { hash, id };
+        self.slots[slot] = Slot { tag, id };
         self.terms.push(arc);
         TermId(id)
     }
 
     /// Intern a lexical value, allocating an id on first sight.
     pub fn intern(&mut self, lexical: &str) -> TermId {
-        let hash = hash_lexical(lexical);
-        match self.find_or_slot(hash, lexical) {
+        let tag = tag_lexical(lexical);
+        match self.find_or_slot(tag, lexical) {
             Ok(id) => TermId(id),
-            Err(slot) => self.insert_new(Arc::from(lexical), slot, hash),
+            Err(slot) => self.insert_new(Arc::from(lexical), slot, tag),
         }
     }
 
     /// Intern an already-shared buffer: a first-seen value is adopted by
     /// reference count, with no string copy at all.
     pub fn intern_shared(&mut self, lexical: &Arc<str>) -> TermId {
-        let hash = hash_lexical(lexical);
-        match self.find_or_slot(hash, lexical) {
+        let tag = tag_lexical(lexical);
+        match self.find_or_slot(tag, lexical) {
             Ok(id) => TermId(id),
-            Err(slot) => self.insert_new(Arc::clone(lexical), slot, hash),
+            Err(slot) => self.insert_new(Arc::clone(lexical), slot, tag),
         }
     }
 
@@ -194,7 +200,7 @@ impl TermDict {
         if self.slots.is_empty() {
             return None;
         }
-        self.probe(hash_lexical(lexical), lexical).ok().map(TermId)
+        self.probe(tag_lexical(lexical), lexical).ok().map(TermId)
     }
 
     /// The lexical value of an id.
@@ -212,78 +218,37 @@ impl TermDict {
     pub(crate) fn shared(&self, id: TermId) -> Arc<str> {
         Arc::clone(&self.terms[id.index()])
     }
-}
 
-/// A process-wide, thread-safe string pool: one [`TermDict`] behind a
-/// mutex and an `Arc`, so the peer stores hosted in one process share
-/// it through cheap handle clones.
-///
-/// Each peer's [`crate::TripleStore`] keeps its own dense id space (ids
-/// are meaningless across stores anyway), so the shared handle pools
-/// *buffers*, not ids: [`SharedTermDict::intern`] returns the canonical
-/// `Arc<str>` for a lexical, and a store that interns that buffer
-/// adopts it by reference count. Hosting N peer stores in one process
-/// then stores each distinct lexical once, no matter how many peers'
-/// databases it appears in.
-#[derive(Debug, Clone, Default)]
-pub struct SharedTermDict {
-    pool: Arc<Mutex<TermDict>>,
-}
-
-impl SharedTermDict {
-    pub fn new() -> SharedTermDict {
-        SharedTermDict::default()
+    /// Heap bytes of the table and the id→string column, by capacity;
+    /// the string buffers are shared with other dictionaries and left
+    /// out.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<Slot>()
+            + self.terms.capacity() * std::mem::size_of::<Arc<str>>()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, TermDict> {
-        self.pool.lock().expect("term pool poisoned")
-    }
-
-    /// The canonical shared buffer for a lexical value, interning it on
+    /// The interned buffer of an already-shared lexical, adopting it on
     /// first sight.
-    pub fn intern(&self, lexical: &str) -> Arc<str> {
-        let mut pool = self.lock();
-        let id = pool.intern(lexical);
-        pool.shared(id)
+    fn canonical(&mut self, lexical: &Arc<str>) -> Arc<str> {
+        let id = self.intern_shared(lexical);
+        self.shared(id)
     }
 
-    /// Like [`SharedTermDict::intern`] but adopting an already-shared
-    /// buffer on first sight (no copy), e.g. a term out of a wire
-    /// message or another store's dictionary.
-    pub fn intern_shared(&self, lexical: &Arc<str>) -> Arc<str> {
-        Self::adopt(&mut self.lock(), lexical)
-    }
-
-    fn adopt(pool: &mut TermDict, lexical: &Arc<str>) -> Arc<str> {
-        let id = pool.intern_shared(lexical);
-        pool.shared(id)
-    }
-
-    /// Rebuild a triple over the pool's canonical buffers: refcount
-    /// bumps for known lexicals, zero-copy adoption for new ones. Peer
-    /// stores that ingest canonicalized triples end up sharing one
-    /// buffer per distinct lexical across the whole process.
-    pub fn canonical_triple(&self, t: &crate::triple::Triple) -> crate::triple::Triple {
-        use crate::term::{Term, Uri};
-        let pool = &mut *self.lock();
+    /// Rebuild a triple over this dictionary's buffers: refcount bumps
+    /// for known lexicals, zero-copy adoption for new ones. Stores that
+    /// ingest triples canonicalized through one dictionary share one
+    /// buffer per distinct lexical (see the module docs).
+    pub fn canonical_triple(&mut self, t: &Triple) -> Triple {
         let object = match &t.object {
-            Term::Uri(u) => Term::Uri(Uri::from(Self::adopt(pool, u.shared()))),
-            Term::Literal(s) => Term::Literal(Self::adopt(pool, s)),
+            Term::Uri(u) => Term::Uri(Uri::from(self.canonical(u.shared()))),
+            Term::Literal(s) => Term::Literal(self.canonical(s)),
         };
-        crate::triple::Triple::new(
-            Uri::from(Self::adopt(pool, t.subject.shared())),
-            Uri::from(Self::adopt(pool, t.predicate.shared())),
+        Triple::new(
+            Uri::from(self.canonical(t.subject.shared())),
+            Uri::from(self.canonical(t.predicate.shared())),
             object,
         )
-    }
-
-    /// Number of distinct pooled lexicals.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -326,57 +291,84 @@ mod tests {
     }
 
     #[test]
-    fn shared_pool_canonicalizes_buffers() {
-        let pool = SharedTermDict::new();
-        let a = pool.intern("EMBL#Organism");
-        let b = pool.intern("EMBL#Organism");
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(pool.len(), 1);
-        // Adopting a pre-shared buffer keeps it canonical.
-        let pre: Arc<str> = Arc::from("embl:A78712");
-        let c = pool.intern_shared(&pre);
-        assert!(Arc::ptr_eq(&pre, &c));
-        assert!(Arc::ptr_eq(&pool.intern("embl:A78712"), &pre));
-        assert_eq!(pool.len(), 2);
+    fn canonical_triple_adopts_buffers_once() {
+        let mut lexicon = TermDict::new();
+        let subject: Arc<str> = Arc::from("embl:A78712");
+        let t = Triple::new(
+            Uri::from(Arc::clone(&subject)),
+            "EMBL#Organism",
+            Term::literal("Aspergillus niger"),
+        );
+        let a = lexicon.canonical_triple(&t);
+        // A first-seen buffer is adopted, not copied.
+        assert!(Arc::ptr_eq(a.subject.shared(), &subject));
+        assert_eq!(a, t);
+        assert_eq!(lexicon.len(), 3);
+        // A second triple maps onto the first one's buffers, and a
+        // literal with the subject's lexical resolves to its buffer.
+        let b = lexicon.canonical_triple(&Triple::new(
+            "embl:A78712",
+            "EMBL#Organism",
+            Term::literal("embl:A78712"),
+        ));
+        assert!(Arc::ptr_eq(b.subject.shared(), &subject));
+        assert!(Arc::ptr_eq(b.predicate.shared(), a.predicate.shared()));
+        let Term::Literal(object) = &b.object else {
+            panic!("the object stays a literal");
+        };
+        assert!(Arc::ptr_eq(object, &subject));
+        assert_eq!(lexicon.len(), 3);
     }
 
     #[test]
-    fn peers_ingesting_through_one_pool_from_threads_lose_nothing() {
-        use crate::{Term, Triple, TripleStore};
-        // Four partitions with disjoint subjects, shared predicates and
-        // objects, each canonicalized and stored on its own thread.
-        let corpus: Vec<Triple> = (0..400)
+    fn interned_and_canonicalized_lexicals_share_one_pool() {
+        let mut lexicon = TermDict::new();
+        let id = lexicon.intern("x");
+        let t = lexicon.canonical_triple(&Triple::new("x", "p", Term::uri("x")));
+        assert!(Arc::ptr_eq(t.subject.shared(), &lexicon.shared(id)));
+        let Term::Uri(object) = &t.object else {
+            panic!("the object stays a URI");
+        };
+        assert!(Arc::ptr_eq(object.shared(), &lexicon.shared(id)));
+        assert_eq!(lexicon.len(), 2);
+    }
+
+    #[test]
+    fn stores_loaded_through_one_lexicon_share_buffers() {
+        use crate::{Position, TripleStore};
+        // Two peers with disjoint subjects and shared predicates and
+        // objects, loaded through one lexicon.
+        let corpus: Vec<Triple> = (0..200)
             .map(|i| {
                 let object = Term::literal(format!("v{}", i % 7));
                 Triple::new(format!("seq:E{i:03}"), format!("p{}", i % 3), object)
             })
             .collect();
-        let pool = SharedTermDict::new();
-        let stored: usize = std::thread::scope(|s| {
-            let ingest = |part: &[Triple]| {
+        let mut lexicon = TermDict::new();
+        let peers: Vec<TripleStore> = corpus
+            .chunks(100)
+            .map(|part| {
                 let mut db = TripleStore::new();
-                db.insert_batch(part.iter().map(|t| pool.canonical_triple(t)));
+                db.insert_batch(part.iter().map(|t| lexicon.canonical_triple(t)));
                 assert!(part.iter().all(|t| db.contains(t)));
-                db.len()
-            };
-            let peers: Vec<_> = corpus
-                .chunks(100)
-                .map(|part| s.spawn(move || ingest(part)))
-                .collect();
-            peers.into_iter().map(|peer| peer.join().unwrap()).sum()
-        });
-        assert_eq!(stored, corpus.len());
-        assert_eq!(pool.len(), 400 + 3 + 7);
-    }
-
-    #[test]
-    fn shared_pool_handles_are_one_pool() {
-        let pool = SharedTermDict::new();
-        let clone = pool.clone();
-        let a = pool.intern("x");
-        let b = clone.intern("x");
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(pool.len(), 1);
+                db
+            })
+            .collect();
+        assert_eq!(peers.iter().map(TripleStore::len).sum::<usize>(), 200);
+        assert_eq!(lexicon.len(), 200 + 3 + 7);
+        // Each peer holds its own ids but the lexicon's buffers.
+        let buffer = |db: &TripleStore, lexical: &str| {
+            let t = db
+                .select_eq_rows(Position::Predicate, lexical)
+                .triples()
+                .next();
+            Arc::clone(t.expect("both peers hold the predicate").predicate.shared())
+        };
+        for lexical in ["p0", "p1", "p2"] {
+            let canonical = lexicon.shared(lexicon.lookup(lexical).expect("interned"));
+            assert!(Arc::ptr_eq(&buffer(&peers[0], lexical), &canonical));
+            assert!(Arc::ptr_eq(&buffer(&peers[1], lexical), &canonical));
+        }
     }
 }
 

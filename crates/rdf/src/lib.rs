@@ -20,7 +20,9 @@
 //!
 //! * **one index** — per position, posting lists directly indexed by
 //!   the dense id: a flat CSR head (offsets + data) over the rows up to
-//!   the last rebuild and a small per-term tail for the rows since.
+//!   the last rebuild and a sparse tail — only the terms that have such
+//!   rows — for the rows since. The columns are the one copy of a row:
+//!   whether a row is live is read off its shortest posting list.
 //!   Probing a value the store has never seen is one dictionary hash,
 //!   no allocation. Each position additionally keeps a lazily built
 //!   sorted key index (`BTreeMap<Arc<str>, TermId>`, sharing the
@@ -75,7 +77,7 @@ pub mod triple;
 /// Glob-import surface.
 pub mod prelude {
     pub use crate::batch::BindingBatch;
-    pub use crate::dict::{SharedTermDict, TermDict, TermId};
+    pub use crate::dict::{TermDict, TermId};
     pub use crate::guid::Guid;
     pub use crate::parser::{parse_query, parse_single, ParseError};
     pub use crate::query::{ConjunctiveQuery, QueryError, TriplePatternQuery};
@@ -85,7 +87,7 @@ pub mod prelude {
 }
 
 pub use batch::BindingBatch;
-pub use dict::{SharedTermDict, TermDict, TermId};
+pub use dict::{TermDict, TermId};
 pub use guid::Guid;
 pub use parser::{parse_query, parse_single, ParseError};
 pub use query::{ConjunctiveQuery, QueryError, TriplePatternQuery};

@@ -19,8 +19,9 @@ use serde::{Deserialize, Serialize};
 /// One logical row as a value: the interned ids plus the object's kind
 /// (URIs and literals with equal lexical share a [`TermId`]; the flag is
 /// what keeps `<x>` and `"x"` distinct triples). Used for encoding,
-/// dedup and row equality — storage itself is columnar.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// row equality and a batch's set of the rows it appended — storage
+/// itself is columnar.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Row {
     pub(crate) s: TermId,
     pub(crate) p: TermId,
@@ -31,7 +32,8 @@ pub(crate) struct Row {
 impl std::hash::Hash for Row {
     /// One packed 128-bit write (two mix rounds under
     /// [`crate::fasthash::FxHashSet`]) instead of four field writes —
-    /// this hash sits on the ingest dedup path.
+    /// this hash sits on the ingest path, in the set of the rows a
+    /// batch appended.
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         let packed = ((self.s.0 as u128) << 65)
             | ((self.p.0 as u128) << 33)
@@ -156,5 +158,13 @@ impl Columns {
     #[inline]
     pub(crate) fn any_dead(&self) -> bool {
         self.dead_count > 0
+    }
+
+    /// Heap bytes of the columns, by capacity.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let ids = self.s.capacity() + self.p.capacity() + self.o.capacity();
+        ids * std::mem::size_of::<TermId>()
+            + (self.o_lit.words.capacity() + self.dead.words.capacity()) * 8
     }
 }

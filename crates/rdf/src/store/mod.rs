@@ -17,18 +17,32 @@
 //! of a 340-peer network receives `Update(t)` about three rows at a
 //! time, so the path carries no per-call set-up. One access structure
 //! sits on top of the columns — **posting lists**: per position, term
-//! id → row ids, directly indexed by the dense id and split at
-//! `csr_end`, the first row id the CSR head does not cover:
+//! id → row ids, split at `csr_end`, the first row id the CSR head does
+//! not cover:
 //!
 //! * the **CSR head** holds the rows below `csr_end` in one shared
 //!   *offsets + data* pair (compressed sparse rows: `data` holds every
 //!   posting of the position back to back, `offsets[t]..offsets[t+1]`
-//!   is term `t`'s span), so the head is two flat arrays — no per-term
-//!   allocation, and a probe touches sequential memory;
-//! * rows appended since the last rebuild spill into a small per-term
-//!   **tail** (up to `INLINE_POSTING` ids inline in the entry). When
-//!   the tail reaches `SEAL_MIN` rows the head is rebuilt over
-//!   the whole row space and the tail emptied.
+//!   is term `t`'s span, directly indexed by the dense id), so the head
+//!   is two flat arrays — no per-term allocation, and a probe touches
+//!   sequential memory;
+//! * rows appended since the last rebuild spill into a sparse
+//!   **tail**: a map from the terms that have such rows to their
+//!   lists (up to `INLINE_POSTING` ids inline in the entry). When the
+//!   tail reaches `SEAL_MIN` rows the head is rebuilt over the whole
+//!   row space and the tail freed.
+//!
+//! What a store holds is sized by its rows, not by its dictionary: the
+//! only per-term structures are the dictionary itself (an 8-byte slot
+//! and a buffer handle per term) and the CSR offsets; the tail has an
+//! entry per term *with tail rows*. There is no row set either — the
+//! columns are the one copy of a row. Whether a row is live (the
+//! idempotence of [`TripleStore::insert_batch`], [`TripleStore::remove`]
+//! and [`TripleStore::contains`]) is answered from the shortest of its
+//! three posting lists; a term the store has never seen has none, so a
+//! row bringing a new term is new at once. A batch's own rows are
+//! indexed when it ends, so a set scoped to the call catches a triple
+//! the batch repeats.
 //!
 //! Each position additionally keeps a lazily built sorted key index
 //! (`BTreeMap<Arc<str>, TermId>`, sharing the dictionary's buffers) so
@@ -40,9 +54,11 @@
 //!            ┌────────────── below csr_end ────────┬─── above ────┐
 //!  columns   │ s[..] p[..] o[..]  (TermId, row id) │   s p o      │
 //!            └──────────────────────────────────────┴──────────────┘
-//!  postings   CSR head (rebuilt at the threshold)    per-term tail
-//!             offsets: [0, 2, 2, 5, …]  ── term t ─┐  t → Inline[≤5]
-//!             data:    [r0 r7 │ r1 r4 r9 │ …]  ◀───┘      or Heap
+//!  postings   CSR head (rebuilt at the threshold)    sparse tail
+//!             offsets: [0, 2, 2, 5, …]  ── term t ─┐  {t → Inline[≤5]
+//!             data:    [r0 r7 │ r1 r4 r9 │ …]  ◀───┘        or Heap}
+//!                                                   terms with tail
+//!                                                   rows only
 //! ```
 //!
 //! ## Operators
@@ -76,7 +92,7 @@ pub(crate) const GRANULE: usize = 256;
 
 use crate::batch::BindingBatch;
 use crate::dict::{TermDict, TermId};
-use crate::fasthash::FxHashSet;
+use crate::fasthash::{FxHashMap, FxHashSet};
 use crate::join::{hash_join_rows, VarTable, UNBOUND};
 use crate::term::{LikePattern, Term};
 use crate::triple::{Binding, PatternTerm, Position, Triple, TriplePattern};
@@ -93,10 +109,8 @@ const INLINE_POSTING: usize = 5;
 /// heads are rebuilt — "sealing" the tail into the head.
 const SEAL_MIN: usize = 32_768;
 
-/// One position's posting index, directly indexed by the dense
-/// [`TermId`] — a probe is an array access, no hashing.
-///
-/// Split at `csr_end` (see the module diagram):
+/// One position's posting index: term id → row ids, split at `csr_end`
+/// (see the module diagram):
 ///
 /// * the **CSR head** covers every row below `csr_end`: `data` is all
 ///   postings of the position concatenated in term order (each span
@@ -105,7 +119,8 @@ const SEAL_MIN: usize = 32_768;
 ///   two sequential loads, and rebuilds are a counting pass, no
 ///   per-term allocation;
 /// * the **tail** holds rows appended since the last rebuild, as small
-///   per-term inline/heap lists. Cleared when the head is rebuilt.
+///   inline/heap lists keyed by term — only the terms that have such
+///   rows. Freed when the head is rebuilt.
 ///
 /// A term's full posting list is `head(t) ++ tail(t)`: both ascending,
 /// every head id below every tail id.
@@ -117,8 +132,8 @@ struct PostingIndex {
     data: Vec<u32>,
     /// First row id NOT covered by the CSR head.
     csr_end: u32,
-    /// Per-term spill for rows `>= csr_end`.
-    tail: Vec<PostingList>,
+    /// Rows `>= csr_end`, for the terms that have any.
+    tail: FxHashMap<TermId, PostingList>,
     /// Sorted key index: lexical → id over the terms with a posting at
     /// this position; backs prefix range scans. Built lazily on first
     /// use by [`TripleStore::sorted`] (one bulk sort, far cheaper than
@@ -139,44 +154,43 @@ impl PostingIndex {
         }
     }
 
-    /// Term `t`'s tail postings (rows `>= csr_end`), ascending.
+    /// Term `term`'s tail postings (rows `>= csr_end`), ascending.
     #[inline]
-    fn tail_of(&self, t: usize) -> &[u32] {
-        self.tail.get(t).map(PostingList::as_slice).unwrap_or(&[])
+    fn tail_of(&self, term: TermId) -> &[u32] {
+        self.tail
+            .get(&term)
+            .map(PostingList::as_slice)
+            .unwrap_or(&[])
     }
 
-    /// Term `t`'s full posting list as its two ascending halves.
+    /// Term `term`'s full posting list as its two ascending halves.
     #[inline]
-    fn parts(&self, t: usize) -> (&[u32], &[u32]) {
-        (self.head(t), self.tail_of(t))
+    fn parts(&self, term: TermId) -> (&[u32], &[u32]) {
+        (self.head(term.index()), self.tail_of(term))
     }
 
-    /// Whether term `t` has no posting at this position.
+    /// Whether term `term` has no posting at this position.
     #[inline]
-    fn is_empty_term(&self, t: usize) -> bool {
-        self.tail_of(t).is_empty() && self.head(t).is_empty()
+    fn is_empty_term(&self, term: TermId) -> bool {
+        self.head(term.index()).is_empty() && self.tail_of(term).is_empty()
     }
 
-    /// One past the largest term index that may have a posting.
-    fn num_terms(&self) -> usize {
-        self.offsets.len().saturating_sub(1).max(self.tail.len())
-    }
-
-    /// Append a row id (`row >= csr_end`) to term `t`'s tail.
+    /// Append a row id (`row >= csr_end`) to term `term`'s tail.
     #[inline]
     fn push(&mut self, term: TermId, row: u32) {
-        let t = term.index();
-        if self.tail.len() <= t {
-            self.tail.resize_with(t + 1, PostingList::default);
-        }
-        if self.is_empty_term(t) {
-            self.sorted.take();
-        }
-        self.tail[t].push(row);
+        let in_head = !self.head(term.index()).is_empty();
+        let list = self.tail.entry(term).or_insert_with(|| {
+            if !in_head {
+                // The position gains a term: the key index lacks it.
+                self.sorted.take();
+            }
+            PostingList::default()
+        });
+        list.push(row);
     }
 
     /// Rebuild the CSR head to cover all of `col` (one counting pass:
-    /// count, prefix-sum, fill) and clear the tail. `bound` is the
+    /// count, prefix-sum, fill) and free the tail. `bound` is the
     /// dictionary's exclusive id-index bound.
     fn rebuild(&mut self, col: &[TermId], bound: usize) {
         self.offsets.clear();
@@ -204,7 +218,26 @@ impl PostingIndex {
         self.offsets.rotate_right(1);
         self.offsets[0] = 0;
         self.csr_end = col.len() as u32;
-        self.tail.clear();
+        self.tail = FxHashMap::default();
+    }
+
+    /// Heap bytes of the head and the tail, by capacity (a hash-map
+    /// entry counted with its control byte). The lazily built key index
+    /// is left out.
+    #[cfg(test)]
+    fn heap_bytes(&self) -> usize {
+        let entry = std::mem::size_of::<(TermId, PostingList)>() + 1;
+        let spilled: usize = self
+            .tail
+            .values()
+            .map(|list| match list {
+                PostingList::Heap(v) => v.capacity() * 4,
+                PostingList::Inline { .. } => 0,
+            })
+            .sum();
+        (self.offsets.capacity() + self.data.capacity()) * 4
+            + self.tail.capacity() * entry
+            + spilled
     }
 }
 
@@ -282,9 +315,6 @@ pub struct TripleStore {
     by_subject: PostingIndex,
     by_predicate: PostingIndex,
     by_object: PostingIndex,
-    /// Live rows as a set: O(1) idempotence checks on insert regardless
-    /// of how many rows share a subject.
-    dedup: FxHashSet<Row>,
     live: usize,
 }
 
@@ -320,9 +350,10 @@ impl TripleStore {
     fn sorted(&self, pos: Position) -> &BTreeMap<Arc<str>, TermId> {
         let index = self.index(pos);
         index.sorted.get_or_init(|| {
-            let mut pairs: Vec<(Arc<str>, TermId)> = (0..index.num_terms())
-                .filter(|&i| !index.is_empty_term(i))
-                .map(|i| (self.dict.shared(TermId(i as u32)), TermId(i as u32)))
+            let mut pairs: Vec<(Arc<str>, TermId)> = (0..self.dict.id_bound() as u32)
+                .map(TermId)
+                .filter(|&id| !index.is_empty_term(id))
+                .map(|id| (self.dict.shared(id), id))
                 .collect();
             pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
             BTreeMap::from_iter(pairs)
@@ -356,13 +387,21 @@ impl TripleStore {
     /// position's sorted key index is dropped only when the batch
     /// brought that position a term it did not have.
     ///
+    /// A triple is new when no live row among the store's rows before
+    /// the call holds it — searched in the shortest of its three
+    /// posting lists, empty for a term this call interned first — and
+    /// no earlier triple of the call appended it, which a set scoped to
+    /// the call remembers. The rows are indexed only once the call
+    /// ends: indexing each as it is appended would fill a tail that a
+    /// sealing batch then throws away.
+    ///
     /// The cost of a call is the cost of its rows: `Update(t)` on a
     /// 340-peer network hands each peer about three rows at a time, so
-    /// nothing here is per call — no system call, no heap-allocated
-    /// scratch, no pre-sizing (the columns, the dedup set and the
-    /// dictionary grow by amortized doubling; reserving for the batch
-    /// measured no faster at 50 000 rows, and a table sized for a batch
-    /// of mostly known terms only costs probe cache misses).
+    /// nothing here is per call — no system call, no pre-sizing (the
+    /// columns, the call's set and the dictionary grow by amortized
+    /// doubling; reserving for the batch measured no faster at 50 000
+    /// rows, and a table sized for a batch of mostly known terms only
+    /// costs probe cache misses).
     pub fn insert_batch(&mut self, triples: impl IntoIterator<Item = Triple>) -> usize {
         // Bulk feeds are typically grouped by subject (an entity's facts
         // travel together) over a handful of predicates: remembering the
@@ -370,6 +409,7 @@ impl TripleStore {
         // interns into one cache-hot compare with the dictionary's own
         // buffer.
         let first_new = self.cols.len();
+        let mut appended: FxHashSet<Row> = FxHashSet::default();
         let mut subject: Option<TermId> = None;
         let mut predicates: [Option<TermId>; 4] = [None; 4];
         let mut oldest = 0;
@@ -397,7 +437,7 @@ impl TripleStore {
                 o: self.dict.intern_shared(t.object.shared_lexical()),
                 o_lit: t.object.is_literal(),
             };
-            if self.dedup.insert(row) {
+            if self.find_row(&row).is_none() && appended.insert(row) {
                 self.cols.push(row);
             }
         }
@@ -425,13 +465,9 @@ impl TripleStore {
     /// tombstoned in place (row ids stay stable for every index and
     /// cursor); [`TripleStore::compact`] reclaims the space.
     pub fn remove(&mut self, t: &Triple) -> bool {
-        let Some(row) = self.encode(t) else {
+        let Some(id) = self.encode(t).and_then(|row| self.find_row(&row)) else {
             return false;
         };
-        if !self.dedup.remove(&row) {
-            return false;
-        }
-        let id = self.find_row(&row).expect("dedup set and rows agree");
         self.cols.kill(id);
         self.live -= 1;
         true
@@ -439,8 +475,7 @@ impl TripleStore {
 
     pub fn contains(&self, t: &Triple) -> bool {
         self.encode(t)
-            .map(|row| self.dedup.contains(&row))
-            .unwrap_or(false)
+            .is_some_and(|row| self.find_row(&row).is_some())
     }
 
     /// Id-encode a caller triple; `None` if any component was never
@@ -454,8 +489,18 @@ impl TripleStore {
         })
     }
 
+    /// The live row id holding `row`, if any — at most one does —
+    /// searched in the shortest of the row's three posting lists. Rows
+    /// appended by a running [`TripleStore::insert_batch`] are not
+    /// indexed yet, so not found.
     fn find_row(&self, row: &Row) -> Option<u32> {
-        let (head, tail) = self.by_subject.parts(row.s.index());
+        let (head, tail) = [
+            self.by_subject.parts(row.s),
+            self.by_predicate.parts(row.p),
+            self.by_object.parts(row.o),
+        ]
+        .into_iter()
+        .min_by_key(|(head, tail)| head.len() + tail.len())?;
         head.iter()
             .chain(tail)
             .copied()
@@ -540,7 +585,7 @@ impl TripleStore {
     /// ascending, every head id below every tail id.
     #[inline]
     fn posting_parts(&self, pos: Position, id: TermId) -> (&[u32], &[u32]) {
-        self.index(pos).parts(id.index())
+        self.index(pos).parts(id)
     }
 
     /// Live row ids for every term in `pos` whose lexical starts with
@@ -752,9 +797,9 @@ impl TripleStore {
 
     /// Compact the store: drop tombstoned rows — the live rows are
     /// re-inserted, in order, into a fresh store, so columns, dictionary
-    /// (sharing the old one's buffers), dedup set and posting lists hold
-    /// exactly what is live — then rebuild the CSR posting heads over the
-    /// whole row space.
+    /// (sharing the old one's buffers) and posting lists hold exactly
+    /// what is live — then rebuild the CSR posting heads over the whole
+    /// row space.
     pub fn compact(&mut self) {
         if self.cols.any_dead() {
             let mut live = TripleStore::new();
@@ -927,6 +972,47 @@ mod tests {
         assert!(db.insert(t.clone()));
         assert!(!db.insert(t));
         assert_eq!(db.len(), 1);
+    }
+
+    /// Heap bytes a store holds for itself, by capacity: columns,
+    /// posting heads and tails, dictionary table and id→string column.
+    /// String buffers (shared through a lexicon) and the lazily built
+    /// key indexes are left out.
+    fn heap_bytes(db: &TripleStore) -> usize {
+        db.cols.heap_bytes()
+            + Position::ALL
+                .iter()
+                .map(|&pos| db.index(pos).heap_bytes())
+                .sum::<usize>()
+            + db.dict.heap_bytes()
+    }
+
+    #[test]
+    fn a_store_pays_per_row_not_per_dictionary_entry() {
+        // 100 000 rows over 65 008 terms (25 000 subjects, 8 predicates,
+        // 40 000 objects) in 1 000-row batches: three seals, then a
+        // 1 000-row tail — the shape of a peer after a bulk load.
+        let rows = 100_000;
+        let mut db = TripleStore::new();
+        let ids: Vec<usize> = (0..rows).collect();
+        for batch in ids.chunks(1_000) {
+            db.insert_batch(batch.iter().map(|&i| {
+                Triple::new(
+                    format!("seq:S{:06}", i / 4),
+                    format!("schema#p{}", i % 8),
+                    Term::literal(format!("value {}", i % 40_000)),
+                )
+            }));
+        }
+        assert_eq!(db.len(), rows);
+        assert_eq!(db.dict().len(), 65_008);
+        assert_eq!(db.by_subject.csr_end, 99_000);
+        // 63.7 bytes per row: 16 in the columns, 27 in the postings, 21
+        // in the dictionary. A second copy of the rows in a hash set
+        // (+19.5), 16-byte dictionary slots (+10.5) or a posting tail
+        // indexed by every term id (+35) each cross the bound.
+        let per_row = heap_bytes(&db) as f64 / rows as f64;
+        assert!(per_row < 72.0, "{per_row:.1} bytes per row");
     }
 
     #[test]
@@ -1239,6 +1325,7 @@ mod proptests {
     use super::*;
     use crate::triple::PatternTerm;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn arb_triple() -> impl Strategy<Value = Triple> {
         ("[a-c]{1,2}", "[p-r]{1,2}", "[x-z]{1,2}")
@@ -1616,41 +1703,6 @@ mod proptests {
             prop_assert_eq!(got, reference);
         }
 
-        /// The CSR posting head plus the tail agree with a brute-force
-        /// per-term row list under interleaved insert/remove/rebuild/compact,
-        /// and honor the layout invariants: both halves strictly
-        /// ascending, every head row below `csr_end`, every tail row at
-        /// or above it.
-        #[test]
-        fn csr_postings_agree_with_reference(
-            first in proptest::collection::vec(arb_triple(), 0..40),
-            removals in proptest::collection::vec(any::<prop::sample::Index>(), 0..10),
-            second in proptest::collection::vec(arb_triple(), 0..20),
-            ops in 0u8..8,
-        ) {
-            let (mut db, _) = build(&first, ops & 1 != 0, &removals, &second);
-            if ops & 2 != 0 { db.rebuild_posting_csr(); }
-            if ops & 4 != 0 { db.compact(); }
-            for pos in Position::ALL {
-                let index = db.index(pos);
-                for t in first.iter().chain(&second) {
-                    let Some(id) = db.dict.lookup(t.get(pos).lexical()) else { continue };
-                    let (head, tail) = index.parts(id.index());
-                    // Postings cover every row of the term, tombstoned
-                    // included (liveness is the cursors' job).
-                    let brute: Vec<u32> = (0..db.cols.len() as u32)
-                        .filter(|&r| db.cols.id_at(r, pos) == id)
-                        .collect();
-                    let merged: Vec<u32> = head.iter().chain(tail).copied().collect();
-                    prop_assert_eq!(&merged, &brute, "{:?} {:?}", pos, t.get(pos));
-                    prop_assert!(head.windows(2).all(|w| w[0] < w[1]), "head ascends");
-                    prop_assert!(tail.windows(2).all(|w| w[0] < w[1]), "tail ascends");
-                    prop_assert!(head.iter().all(|&r| r < index.csr_end), "head under csr_end");
-                    prop_assert!(tail.iter().all(|&r| r >= index.csr_end), "tail over csr_end");
-                }
-            }
-        }
-
         /// Granule batches concatenate to exactly the row-at-a-time
         /// cursor stream — same rows, same order — for both cursor
         /// sources (posting, full scan) under interleaved mutation and
@@ -1726,6 +1778,220 @@ mod proptests {
                 .filter(|t| t.get(Position::Object).matches_like(&like))
                 .count();
             prop_assert_eq!(db.match_pattern(&lp).len(), naive_like, "like {:?}", like);
+        }
+    }
+
+    /// One step of a store's history (see
+    /// [`csr_postings_agree_with_reference`]).
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// `insert_batch`, with copies of earlier triples of the batch
+        /// and a twin of its first triple whose object has the other
+        /// kind (one lexical, one posting list, two rows).
+        Batch(Vec<Triple>),
+        /// `remove` of a live row, picked by its insertion rank.
+        RemoveLive(prop::sample::Index),
+        /// `remove` of any triple, held or not.
+        RemoveAny(Triple),
+        /// `insert` of the triple removed last.
+        Reinsert,
+        Compact,
+        /// A CSR rebuild between writes.
+        Seal,
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        let batch = proptest::collection::vec(arb_mixed_triple(), 0..6);
+        (
+            0u8..10,
+            batch,
+            any::<prop::sample::Index>(),
+            arb_mixed_triple(),
+        )
+            .prop_map(|(kind, mut batch, index, any)| match kind {
+                0..=3 => {
+                    let copies: Vec<Triple> = batch[..index.index(batch.len() + 1)].to_vec();
+                    if let Some(t) = batch.first() {
+                        let lexical = t.object.lexical();
+                        let object = if t.object.is_literal() {
+                            Term::uri(lexical)
+                        } else {
+                            Term::literal(lexical)
+                        };
+                        let twin = Triple::new(t.subject.clone(), t.predicate.clone(), object);
+                        batch.push(twin);
+                    }
+                    batch.extend(copies);
+                    Op::Batch(batch)
+                }
+                4 | 5 => Op::RemoveLive(index),
+                6 => Op::RemoveAny(any),
+                7 => Op::Reinsert,
+                8 => Op::Compact,
+                _ => Op::Seal,
+            })
+    }
+
+    /// The lexical at `pos`, borrowed ([`Triple::get`] clones a term).
+    fn lexical_at(t: &Triple, pos: Position) -> &str {
+        match pos {
+            Position::Subject => t.subject.as_str(),
+            Position::Predicate => t.predicate.as_str(),
+            Position::Object => t.object.lexical(),
+        }
+    }
+
+    /// A borrowed view of a model triple, to compare with
+    /// [`TripleStore::iter_refs`] without materializing the store's.
+    fn triple_ref(t: &Triple) -> TripleRef<'_> {
+        TripleRef {
+            subject: t.subject.as_str(),
+            predicate: t.predicate.as_str(),
+            object: t.object.lexical(),
+            object_is_literal: t.object.is_literal(),
+        }
+    }
+
+    /// `n` distinct triples over terms no generated triple uses.
+    fn filler(n: usize) -> Vec<Triple> {
+        (0..n)
+            .map(|i| {
+                let object = Term::literal(format!("f{}", i % 1_000));
+                Triple::new(format!("f{}", i / 4), format!("f{}", i % 4), object)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// A store agrees with a model — the live triples as a `Vec` in
+        /// insertion order plus a `BTreeSet` — after every step of a
+        /// random history of batches, removals, re-inserts, compactions
+        /// and CSR rebuilds: on `len`, on `iter` order, on `contains`
+        /// and on `select_eq_rows` for every generated triple's terms.
+        /// And its postings — the CSR head plus the tail — agree with a
+        /// brute-force per-term row list and honor the layout
+        /// invariants: both halves strictly ascending, every head row
+        /// below `csr_end`, every tail row at or above it.
+        ///
+        /// One case in eight first fills the tail to just under
+        /// `SEAL_MIN`, so a later batch seals; one in eight loads one
+        /// batch that crosses `SEAL_MIN` with duplicates inside it.
+        #[test]
+        fn csr_postings_agree_with_reference(
+            ops in proptest::collection::vec(arb_op(), 0..16),
+            prelude in 0u8..8,
+        ) {
+            let mut db = TripleStore::new();
+            let mut model: Vec<Triple> = Vec::new();
+            let mut probes: Vec<Triple> = Vec::new();
+            let prefill = match prelude {
+                0 => filler(SEAL_MIN - 4),
+                1 => {
+                    let rows = filler(SEAL_MIN + 4);
+                    let copies = rows[..16].to_vec();
+                    rows.into_iter().chain(copies).collect()
+                }
+                _ => Vec::new(),
+            };
+            if !prefill.is_empty() {
+                let fresh = prefill.len().min(SEAL_MIN + 4);
+                prop_assert_eq!(db.insert_batch(prefill.iter().cloned()), fresh);
+                prop_assert_eq!(db.by_subject.csr_end == 0, prelude == 0, "sealed iff it crossed");
+                model.extend_from_slice(&prefill[..fresh]);
+                probes.extend([prefill[0].clone(), prefill[fresh - 1].clone()]);
+            }
+            for op in &ops {
+                match op {
+                    Op::Batch(batch) => probes.extend(batch.iter().cloned()),
+                    Op::RemoveAny(t) => probes.push(t.clone()),
+                    _ => {}
+                }
+            }
+            let mut live: BTreeSet<Triple> = model.iter().cloned().collect();
+            let mut removed: Option<Triple> = None;
+            for op in &ops {
+                match op {
+                    Op::Batch(batch) => {
+                        let known = model.len();
+                        for t in batch {
+                            if live.insert(t.clone()) {
+                                model.push(t.clone());
+                            }
+                        }
+                        prop_assert_eq!(db.insert_batch(batch.iter().cloned()), model.len() - known);
+                    }
+                    Op::RemoveLive(index) => {
+                        if model.is_empty() {
+                            continue;
+                        }
+                        let t = model.remove(index.index(model.len()));
+                        prop_assert!(db.remove(&t), "{:?}", t);
+                        live.remove(&t);
+                        removed = Some(t);
+                    }
+                    Op::RemoveAny(t) => {
+                        let held = live.remove(t);
+                        prop_assert_eq!(db.remove(t), held, "{:?}", t);
+                        if held {
+                            model.retain(|m| m != t);
+                            removed = Some(t.clone());
+                        }
+                    }
+                    Op::Reinsert => {
+                        let Some(t) = &removed else { continue };
+                        let fresh = live.insert(t.clone());
+                        prop_assert_eq!(db.insert(t.clone()), fresh, "{:?}", t);
+                        if fresh {
+                            model.push(t.clone());
+                        }
+                    }
+                    Op::Compact => db.compact(),
+                    Op::Seal => db.rebuild_posting_csr(),
+                }
+
+                prop_assert_eq!(db.len(), model.len(), "after {:?}", op);
+                prop_assert!(db.iter_refs().eq(model.iter().map(triple_ref)), "iter order after {:?}", op);
+                for t in &probes {
+                    prop_assert_eq!(db.contains(t), live.contains(t), "{:?} after {:?}", t, op);
+                }
+                for pos in Position::ALL {
+                    // The model's rows and the column's row ids of every
+                    // probed lexical, each in one pass.
+                    let mut expected: FxHashMap<&str, Vec<&Triple>> =
+                        probes.iter().map(|t| (lexical_at(t, pos), Vec::new())).collect();
+                    for t in &model {
+                        if let Some(rows) = expected.get_mut(lexical_at(t, pos)) {
+                            rows.push(t);
+                        }
+                    }
+                    let mut brute: FxHashMap<TermId, Vec<u32>> = expected
+                        .keys()
+                        .filter_map(|lexical| Some((db.dict.lookup(lexical)?, Vec::new())))
+                        .collect();
+                    for (row, id) in db.cols.col(pos).iter().enumerate() {
+                        if let Some(rows) = brute.get_mut(id) {
+                            rows.push(row as u32);
+                        }
+                    }
+                    let index = db.index(pos);
+                    for (&lexical, rows) in &expected {
+                        let selected = db.select_eq_rows(pos, lexical).triples();
+                        prop_assert!(selected.eq(rows.iter().copied().cloned()), "{:?} {} after {:?}", pos, lexical, op);
+                        let Some(id) = db.dict.lookup(lexical) else { continue };
+                        let (head, tail) = index.parts(id);
+                        // Postings cover every row of the term, tombstoned
+                        // included (liveness is the cursors' job).
+                        let merged: Vec<u32> = head.iter().chain(tail).copied().collect();
+                        prop_assert_eq!(&merged, &brute[&id], "{:?} {}", pos, lexical);
+                        prop_assert!(head.windows(2).all(|w| w[0] < w[1]), "head ascends");
+                        prop_assert!(tail.windows(2).all(|w| w[0] < w[1]), "tail ascends");
+                        prop_assert!(head.iter().all(|&r| r < index.csr_end), "head under csr_end");
+                        prop_assert!(tail.iter().all(|&r| r >= index.csr_end), "tail over csr_end");
+                    }
+                }
+            }
         }
     }
 }

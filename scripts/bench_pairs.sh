@@ -29,7 +29,10 @@
 # does, never noise. Last, one `--trace 1` pass per side at seed 2007:
 # every per-layer metric on the simulated clock that differs between
 # the sides, and how many are equal — the "should not move" list of a
-# behaviour-preserving change. With `all`, does so for every workload
+# behaviour-preserving change — then every per-layer metric on the host
+# clock, parent and change side by side with their ratio. The host rows
+# are informational: one traced run per side cannot tell a change from
+# the host's noise. With `all`, does so for every workload
 # BENCHMARK.json lists, one table after the other.
 #
 # Everything it writes goes under a fresh directory in ${TMPDIR:-/tmp}
@@ -76,9 +79,9 @@ run() { # <side> <tree> <pair>, of $workload into $runs
     bench "$1" "$2" --workload "$workload" --seed $((2007 + $3)) --seconds 15 --trace 0 \
         >"$runs/$1-$3.txt" 2>/dev/null || echo "  $1 pair $3: benchmark exited non-zero" >&2
 }
-traced() { # <side> <tree>: the simulated-clock metrics of one traced pass
+traced() { # <side> <tree>: the per-layer metrics of one traced pass, by clock
     bench "$1" "$2" --workload "$workload" --seed 2007 --seconds 15 --trace 1 2>/dev/null |
-        awk '$4 == "sim" { print $1, $2 }' >"$runs/traced-$1.txt"
+        awk '$4 == "sim" || $4 == "host" { print $1, $2, $4 }' >"$runs/traced-$1.txt"
 }
 measure() { # <workload>
     workload=$1
@@ -190,6 +193,7 @@ measure() { # <workload>
     echo "traced pass, seed 2007 — per-layer metrics on the simulated clock that differ"
     echo "(metric: parent change):"
     awk '
+        $3 != "sim" { next }
         NR == FNR { parent[$1] = $2; next }
         !($1 in parent) { printf "  %s: - %s\n", $1, $2; differ++; next }
         { seen[$1] = 1 }
@@ -198,6 +202,17 @@ measure() { # <workload>
         END {
             for (m in parent) if (!(m in seen)) { printf "  %s: %s -\n", m, parent[m]; differ++ }
             printf "  %d differ, %d equal\n", differ, equal
+        }
+    ' "$runs/traced-parent.txt" "$runs/traced-change.txt"
+    echo
+    echo "traced pass, seed 2007 — per-layer metrics on the host clock, informational:"
+    echo "one run per side cannot resolve host noise (metric: parent change change/parent):"
+    awk '
+        $3 != "host" { next }
+        NR == FNR { parent[$1] = $2; next }
+        {
+            a = ($1 in parent) ? parent[$1] : "-"
+            printf "  %s: %s %s %s\n", $1, a, $2, (a != "-" && a + 0 != 0) ? sprintf("%.4f", $2 / a) : "-"
         }
     ' "$runs/traced-parent.txt" "$runs/traced-change.txt"
 }
