@@ -11,17 +11,22 @@
 //!   shipped back to the origin, and the origin joins the binding sets
 //!   locally. Simple, one network sweep per pattern, but it pays to ship
 //!   *every* match of *every* pattern even when the join keeps almost
-//!   none of them.
+//!   none of them. The origin at least does not pay to *encode* them:
+//!   its fold interns the smallest set and then only the rows of the
+//!   others whose shared variables name terms it already holds — the
+//!   rows that can join (see the [session docs](super::session)).
 //!
 //! * [`JoinMode::BoundSubstitution`] — patterns are resolved in
 //!   selectivity order; the partial solutions so far are substituted
-//!   into the next pattern *at the data*
-//!   ([`gridvine_rdf::TriplePattern::substitute`]): the pattern is swept
-//!   over the mapping network once, and every request of the sweep
-//!   carries the **binding column** — the distinct substitutions the
-//!   partial solutions make of the pattern's already-bound variables —
-//!   so a destination only ever evaluates, and ships the matches of,
-//!   instances already constrained by earlier answers. This is the
+//!   into the next pattern *at the data*: the pattern is swept over the
+//!   mapping network once, and every request of the sweep carries the
+//!   **binding column** — the distinct substitutions the partial
+//!   solutions make of the pattern's already-bound variables — so a
+//!   destination compiles the pattern once, binds it to each seed
+//!   ([`gridvine_rdf::TripleStore::match_seeds_into`]), and only ever
+//!   evaluates, and ships the matches of, instances already constrained
+//!   by earlier answers. A bound value is matched exactly: a `%` in it
+//!   is no wildcard. This is the
 //!   semi-join/bound-join strategy of distributed query processing: the
 //!   same requests and messages as one independent sweep of the
 //!   pattern, far fewer irrelevant results on the wire — paid for by

@@ -20,11 +20,13 @@
 //! response, one exchange through the retry protocol — whatever the
 //! length of the list and of the column
 //! (`GridVineSystem::resolve_patterns`). The peer it lands on answers
-//! every listed pattern whose key lies under its own path, one run of
-//! the store's scan kernel
-//! ([`TripleStore::match_into`](gridvine_rdf::TripleStore::match_into))
-//! per answered pattern — per answered pattern *and seed* when there is
-//! a column — each appending the matching rows of the peer's indexed
+//! every listed pattern whose key lies under its own path, one call of
+//! the store's scan kernel per answered pattern: the pattern is
+//! compiled once and, when there is a column, bound to each seed in
+//! turn
+//! ([`TripleStore::match_seeds_into`](gridvine_rdf::TripleStore::match_seeds_into);
+//! [`TripleStore::match_into`](gridvine_rdf::TripleStore::match_into)
+//! without one), appending the matching rows of the peer's indexed
 //! `DB_p` to the caller's columnar [`BindingBatch`] — variable names
 //! once per batch, terms row-major — so a destination ships exactly
 //! the terms it matched, builds no per-row map, and replies once,
@@ -35,8 +37,10 @@
 //! boundary: the hops one request answers append to one batch (a
 //! reformulation only swaps the predicate constant, so they share its
 //! header), single-pattern plans dedup straight off the batch's
-//! distinguished column, and join plans hand each reply's batch to
-//! [`TermInterner::encode_batch`](gridvine_rdf::join::TermInterner::encode_batch).
+//! distinguished column, a bound join hands each reply's batch to
+//! [`TermInterner::encode_batch`](gridvine_rdf::join::TermInterner::encode_batch),
+//! and an independent join keeps each pattern's batch until its fold
+//! encodes only the rows that can join (see the session docs).
 //! [`Binding`]s are built in one place per plan shape — the session's
 //! row admission — once per admitted *distinct* row, for
 //! [`ResultEvent::Rows`](super::session::ResultEvent) and
@@ -444,6 +448,11 @@ pub(crate) struct RoutedBy {
 /// [`GridVineSystem::resolve_patterns`]).
 pub(crate) struct Listed<'a> {
     pub(crate) pattern: &'a TriplePattern,
+    /// `Some` when the entry stands for the one instance its seed makes
+    /// of `pattern` — routed by what that seed put in
+    /// (`resolve_instances`) — rather than for the instances the
+    /// request's binding column makes.
+    pub(crate) seed: Option<&'a Binding>,
     pub(crate) routed: &'a RoutedBy,
     /// The key of the schema whose mapping list the reply carries if
     /// the destination holds it — `Some` for a closure hop the walk
@@ -507,6 +516,7 @@ impl Queued {
     fn listed<'a>(&'a self, keys: &'a [RoutedBy]) -> Listed<'a> {
         Listed {
             pattern: &self.hop.pattern,
+            seed: None,
             routed: &keys[self.routed],
             schema_key: self.schema_key.as_ref(),
         }
@@ -982,22 +992,26 @@ impl GridVineSystem {
 
     /// One data `Retrieve` from `origin`, carrying a list of patterns —
     /// `first`, then `rest` — and a binding column, `seeds` (empty: no
-    /// column, each pattern stands for itself; otherwise each pattern
-    /// stands for its instances, one [`TriplePattern::substitute`] per
-    /// seed). It is routed by the key of `first` and charged as a
-    /// `Retrieve` is — one message per forwarding edge, one response,
-    /// one exchange through the retry protocol — however many patterns
-    /// it lists and seeds it carries. The peer it lands on answers every
-    /// listed pattern whose key lies under its own path, which is all a
-    /// destination knows about its responsibility: one scan of its
-    /// `DB_p` per answered pattern and instance, appended to `out`
-    /// (whose header is the instances' shared variables) in list order,
-    /// seed by seed. For an answered pattern that lists a schema key
-    /// under its path too, it adds the mapping list stored there — what
-    /// a discovery routed to that key would read. It says in `reply`
-    /// who answered, what, how many rows each instance shipped and
-    /// which lists it carries. On `Err` nothing was answered and
-    /// nothing is appended.
+    /// column, each pattern stands for itself — or for the one instance
+    /// its [`Listed::seed`] makes; otherwise each pattern stands for its
+    /// instances, one per seed). It is routed by the key of `first` and
+    /// charged as a `Retrieve` is — one message per forwarding edge, one
+    /// response, one exchange through the retry protocol — however many
+    /// patterns it lists and seeds it carries. The peer it lands on
+    /// answers every listed pattern whose key lies under its own path,
+    /// which is all a destination knows about its responsibility: one
+    /// call of its `DB_p`'s scan kernel per answered pattern, which
+    /// compiles the pattern once and binds it to each seed in turn
+    /// ([`TripleStore::match_seeds_into`]; [`TripleStore::match_into`]
+    /// without a seed), appending to `out` (whose header is the
+    /// instances' shared variables) in list order, seed by seed. A value
+    /// a seed binds is matched exactly, and one the peer has never
+    /// stored ships nothing without a scan. For an answered pattern that
+    /// lists a schema key under its path too, it adds the mapping list
+    /// stored there — what a discovery routed to that key would read. It
+    /// says in `reply` who answered, what, how many rows each instance
+    /// shipped and which lists it carries. On `Err` nothing was answered
+    /// and nothing is appended.
     pub(crate) fn resolve_patterns<'a>(
         &mut self,
         origin: PeerId,
@@ -1007,15 +1021,14 @@ impl GridVineSystem {
         out: &mut BindingBatch,
         reply: &mut Reply,
     ) -> Result<(), SystemError> {
-        let mut answer = |db: &TripleStore, position: usize, pattern: &TriplePattern, list| {
+        let mut answer = |db: &TripleStore, position: usize, l: &Listed, list| {
             reply.answered.push(position);
             reply.lists.push(list);
-            if seeds.is_empty() {
-                reply.shipped.push(db.match_into(pattern, out));
-            }
-            for seed in seeds {
-                let instance = pattern.substitute(seed);
-                reply.shipped.push(db.match_into(&instance, out));
+            let column = l.seed.map_or(seeds, std::slice::from_ref);
+            if column.is_empty() {
+                reply.shipped.push(db.match_into(l.pattern, out));
+            } else {
+                db.match_seeds_into(l.pattern, column, out, &mut reply.shipped);
             }
         };
         let Some(key) = &first.routed.key else {
@@ -1027,7 +1040,7 @@ impl GridVineSystem {
             let dest = self
                 .replica_route(origin, first.routed.term.lexical())
                 .expect("a term without a key is covered by a placement rule")?;
-            answer(&self.local_dbs[dest.index()], 0, first.pattern, None);
+            answer(&self.local_dbs[dest.index()], 0, &first, None);
             reply.peer = Some(dest);
             return Ok(());
         };
@@ -1047,7 +1060,7 @@ impl GridVineSystem {
             {
                 let held = l.schema_key.filter(|k| view.is_responsible(k));
                 let list = held.map(|k| self.stored_mappings(dest, k));
-                answer(db, i, l.pattern, list);
+                answer(db, i, &l, list);
             }
         }
         reply.peer = Some(dest);
@@ -1130,6 +1143,7 @@ impl GridVineSystem {
             let routed = self.routed_by(term);
             let alone = Listed {
                 pattern,
+                seed: None,
                 routed: &routed,
                 schema_key: None,
             };
@@ -1182,8 +1196,9 @@ impl GridVineSystem {
     /// predicate is a variable — and no common key, so each instance
     /// routes by the constants its seed put in. They are one list: the
     /// request of the first instance not yet answered lists the others,
-    /// and the peer it lands on answers those under its path. An
-    /// instance with nothing to route by is a recorded failure.
+    /// and the peer it lands on answers those under its path, probing
+    /// `pattern` with each one's seed. An instance with nothing to route
+    /// by is a recorded failure.
     fn resolve_instances(
         &mut self,
         origin: PeerId,
@@ -1193,10 +1208,9 @@ impl GridVineSystem {
         out: &mut BindingBatch,
         mut reply: impl FnMut(&mut BindingBatch, &[usize]) -> bool,
     ) -> Result<(), SystemError> {
-        let instances: Vec<TriplePattern> = seeds.iter().map(|s| pattern.substitute(s)).collect();
-        let routed: Vec<Option<RoutedBy>> = instances
+        let routed: Vec<Option<RoutedBy>> = seeds
             .iter()
-            .map(|i| Some(self.routed_by(i.routing_constant()?.1)))
+            .map(|s| Some(self.routed_by(pattern.instance_routing_constant(s)?.1)))
             .collect();
         let mut todo: Vec<bool> = routed.iter().map(Option::is_some).collect();
         stats.failures += todo.iter().filter(|&&routable| !routable).count();
@@ -1208,7 +1222,8 @@ impl GridVineSystem {
                 break;
             };
             let listed = |&i: &usize| Listed {
-                pattern: &instances[i],
+                pattern,
+                seed: Some(&seeds[i]),
                 routed: routed[i].as_ref().expect("routable instances only"),
                 schema_key: None,
             };

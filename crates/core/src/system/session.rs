@@ -60,6 +60,17 @@
 //! one unit: the substitutions ride the requests, they do not multiply
 //! them.
 //!
+//! An independent join's fold pays for the rows that can join, not for
+//! every row shipped. Each sweep keeps its pattern's batch as it
+//! arrived; the fold interns the smallest batch in full and encodes of
+//! every other one only the rows whose variables shared with the
+//! smallest name terms the interner already holds — a read-only probe,
+//! a semi-join in the sense of distributed query processing. No other
+//! row can join, and the fold still runs left-major, then in right
+//! insertion order, over the sets in written order, so the answer rows
+//! come in the order they would over everything shipped, and a
+//! [`QueryOptions::limit`] keeps the same ones.
+//!
 //! Early termination is structural, not cosmetic: a subquery is only
 //! issued by a pull, so dropping the session — or hitting the
 //! [`QueryOptions::limit`] result cap — stops the dissemination right
@@ -228,11 +239,12 @@ struct BoundPart {
 /// Per-pattern progress of a join plan.
 enum JoinPhase {
     /// Independent mode: one full network sweep per pattern, in written
-    /// order (each sweep an independent scheduler unit); a final local
-    /// fold unit joins + projects once every sweep completed.
+    /// order (each sweep an independent scheduler unit), each keeping
+    /// the rows it shipped as they arrived; a final local fold unit
+    /// encodes, joins and projects them once every sweep completed.
     Independent {
         next_pattern: usize,
-        sets: Vec<Vec<Vec<u64>>>,
+        shipped: Vec<BindingBatch>,
     },
     /// Bound substitution in the planner's order: one sweep per
     /// pattern, carrying the partial solutions' binding column, per
@@ -524,7 +536,7 @@ impl SessionCore {
                 let phase = match options.join_mode {
                     JoinMode::Independent => JoinPhase::Independent {
                         next_pattern: 0,
-                        sets: Vec::with_capacity(query.patterns.len()),
+                        shipped: Vec::with_capacity(query.patterns.len()),
                     },
                     JoinMode::BoundSubstitution => JoinPhase::Bound { oi: 0 },
                 };
@@ -855,6 +867,7 @@ impl SessionCore {
         let routed = sys.routed_by(term);
         let alone = Listed {
             pattern: &query.pattern,
+            seed: None,
             routed: &routed,
             schema_key: None,
         };
@@ -1082,10 +1095,11 @@ impl SessionCore {
     }
 
     /// Independent mode: sweep the next pattern (written order — the
-    /// order its message accounting is defined over). Sweeps are
-    /// mutually independent units, all ready at session start; once the
-    /// last one is issued, a final local fold unit (ready at the max
-    /// sweep completion) joins the binding sets through the hash-join
+    /// order its message accounting is defined over), keeping the batch
+    /// it shipped. Sweeps are mutually independent units, all ready at
+    /// session start; once the last one is issued, a final local fold
+    /// unit (ready at the max sweep completion) encodes the rows that
+    /// can join ([`encode_for_fold`]), joins them through the hash-join
     /// engine and emits the projected rows.
     fn step_join_independent(
         &mut self,
@@ -1102,14 +1116,18 @@ impl SessionCore {
             projection,
             ..
         } = &mut *join;
-        let JoinPhase::Independent { next_pattern, sets } = phase else {
+        let JoinPhase::Independent {
+            next_pattern,
+            shipped,
+        } = phase
+        else {
             unreachable!("phase checked by step_join");
         };
         if *next_pattern < query.patterns.len() {
             let pattern = &query.patterns[*next_pattern];
             let (strategy, ttl) = (self.strategy, self.ttl);
             // The bound sweep, with no column; the replies' rows are
-            // left to accumulate into the pattern's one binding set.
+            // left to accumulate into the pattern's one batch.
             let mut rows = BindingBatch::for_pattern(pattern);
             let accumulate = |_: &mut BindingBatch, _: &[usize]| true;
             sys.sweep_pattern_network(
@@ -1122,7 +1140,7 @@ impl SessionCore {
                 &mut rows,
                 accumulate,
             )?;
-            sets.push(interner.encode_batch(rows, vars));
+            shipped.push(rows);
             *next_pattern += 1;
             return Ok(StepOutcome::Unit {
                 ready: self.started_at,
@@ -1132,8 +1150,9 @@ impl SessionCore {
         }
         // All sweeps issued: fold + project locally once they all
         // completed (a zero-message unit ready at the barrier).
+        let sets = encode_for_fold(interner, vars, std::mem::take(shipped));
         let mut rows = std::mem::take(partial);
-        for set in sets.iter() {
+        for set in &sets {
             rows = hash_join_rows(&rows, set);
             if rows.is_empty() {
                 break;
@@ -1200,7 +1219,7 @@ impl SessionCore {
                 // A seed's matches bind only the pattern's remaining
                 // variables: merge each into every member row.
                 let reply = std::mem::replace(reply, header.clone());
-                let fragments = interner.encode_batch(reply, vars);
+                let fragments = interner.encode_batch(reply, vars, &[]);
                 let mut fresh = Vec::new();
                 let mut at = 0;
                 'reply: for (i, &n) in shipped.iter().enumerate() {
@@ -1284,6 +1303,43 @@ impl Projection {
         }
         false
     }
+}
+
+/// Encode the batches an independent join's sweeps shipped, one per
+/// pattern, into the row sets its fold joins, paying only for the rows
+/// that can join: the smallest batch in full, every other one keyed on
+/// the variables it shares with the smallest
+/// ([`TermInterner::encode_batch`]). A row whose shared terms the
+/// interner does not hold cannot join any row of the smallest set, so
+/// it is in no answer. The sets keep their order and the kept rows
+/// theirs, so the fold — left-major, then right insertion order — emits
+/// the answer rows in the order it would over everything shipped, and a
+/// limit keeps the same rows.
+fn encode_for_fold(
+    interner: &mut TermInterner,
+    vars: &VarTable,
+    mut shipped: Vec<BindingBatch>,
+) -> Vec<Vec<Vec<u64>>> {
+    let Some(smallest) = (0..shipped.len()).min_by_key(|&i| shipped[i].len()) else {
+        return Vec::new();
+    };
+    let head = shipped.remove(smallest);
+    let head_slots: Vec<usize> = head.vars().iter().filter_map(|v| vars.slot(v)).collect();
+    let head_rows = interner.encode_batch(head, vars, &[]);
+    let mut sets: Vec<Vec<Vec<u64>>> = shipped
+        .into_iter()
+        .map(|batch| {
+            if head_rows.is_empty() {
+                // Nothing can join an empty set.
+                return Vec::new();
+            }
+            let slots = batch.vars().iter().filter_map(|v| vars.slot(v));
+            let keys: Vec<usize> = slots.filter(|s| head_slots.contains(s)).collect();
+            interner.encode_batch(batch, vars, &keys)
+        })
+        .collect();
+    sets.insert(smallest, head_rows);
+    sets
 }
 
 /// Split the partial solutions `rows` of a bound join by what they
@@ -1456,5 +1512,85 @@ impl Iterator for QuerySession<'_> {
     /// `Err` once on failure, then ends.
     fn next(&mut self) -> Option<Self::Item> {
         self.next_event().transpose()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gridvine_rdf::Triple;
+    use gridvine_semantic::Schema;
+
+    /// An independent join of an attribute every entity has to a
+    /// selective pattern written after it: the fold interns the
+    /// selective side's terms and the answer's, not the ≈ 200 rows the
+    /// attribute's sweep shipped — and answers as a join over
+    /// everything would.
+    #[test]
+    fn an_independent_fold_interns_only_the_rows_that_can_join() {
+        let mut sys = GridVineSystem::new(GridVineConfig {
+            peers: 16,
+            ..GridVineConfig::default()
+        });
+        let p0 = PeerId(0);
+        sys.insert_schema(p0, Schema::new("S", ["tag", "size"]))
+            .unwrap();
+        let triples = (0..200).flat_map(|i| {
+            let tag = if i % 40 == 0 { "rare" } else { "common" };
+            let e = format!("e:{i}");
+            [
+                Triple::new(e.as_str(), "S#size", Term::literal(format!("{i} kb"))),
+                Triple::new(e.as_str(), "S#tag", Term::literal(tag)),
+            ]
+        });
+        sys.insert_triples(p0, triples).unwrap();
+        let var = PatternTerm::var;
+        let uri = |u: &str| PatternTerm::constant(Term::uri(u));
+        let query = ConjunctiveQuery::new(
+            vec!["x".into(), "n".into()],
+            vec![
+                TriplePattern::new(var("x"), uri("S#size"), var("n")),
+                TriplePattern::new(
+                    var("x"),
+                    uri("S#tag"),
+                    PatternTerm::constant(Term::literal("rare")),
+                ),
+            ],
+        )
+        .unwrap();
+        let plan = QueryPlan::conjunctive(query);
+        let options = QueryOptions::new().join_mode(JoinMode::Independent);
+        let origin = PeerId(3);
+        let mut core = SessionCore::open(&mut sys, origin, &plan, &options, SimTime::ZERO).unwrap();
+        let State::Join(mut join) = std::mem::replace(&mut core.state, State::Done) else {
+            panic!("a join plan");
+        };
+        let mut events = Vec::new();
+        // Two sweeps, then the fold.
+        for _ in 0..3 {
+            core.step_join(&mut sys, &mut join, &mut events).unwrap();
+        }
+        let JoinPhase::Independent { shipped, .. } = &join.phase else {
+            panic!("independent mode");
+        };
+        assert!(shipped.is_empty(), "the fold took the shipped batches");
+
+        let mut answer: Vec<String> = core.rows.iter().map(Binding::to_string).collect();
+        let mut expected: Vec<String> = (0..200)
+            .step_by(40)
+            .map(|i| format!("{{?n=\"{i} kb\", ?x=<e:{i}>}}"))
+            .collect();
+        answer.sort();
+        expected.sort();
+        assert_eq!(answer, expected);
+        assert_eq!(core.stats.bindings_shipped, 200 + 5);
+        // The selective side binds 5 entities; the answer adds their 5
+        // sizes. Interning every shipped row would hold 400 terms.
+        let (head, answer_only) = (5, 5);
+        assert!(
+            join.interner.len() <= head + answer_only,
+            "{} terms interned",
+            join.interner.len()
+        );
     }
 }

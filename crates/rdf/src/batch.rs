@@ -9,11 +9,16 @@
 //! because an all-constant pattern has a zero-width header and its
 //! matches still count.
 //!
-//! [`TripleStore::match_into`](crate::TripleStore::match_into) appends
-//! to a batch, so every destination a query visits for the same
+//! [`TripleStore::match_into`](crate::TripleStore::match_into) and
+//! [`TripleStore::match_seeds_into`](crate::TripleStore::match_seeds_into)
+//! append to a batch, so every destination a query visits for the same
 //! variables (the hops of a reformulation closure only swap the
-//! predicate) fills one batch; [`TermInterner::encode_batch`] turns a
-//! whole batch into join rows with variable → slot resolved once; and
+//! predicate; the seeds of a binding column bind the same variables)
+//! fills one batch; [`TermInterner::encode_batch`] turns a batch into
+//! join rows with variable → slot resolved once — all of it, or only
+//! the rows whose join keys the interner already holds, so an
+//! independent join keeps each pattern's batch as shipped until it
+//! knows which rows can join; and
 //! [`BindingBatch::into_bindings`] is the one place rows become
 //! [`Binding`]s — [`TripleStore::match_pattern`](crate::TripleStore::match_pattern)
 //! is exactly that over one scan.

@@ -14,7 +14,9 @@
 //!   query-scoped [`TermInterner`] (distributed evaluation, where every
 //!   peer ships its matches as a columnar [`BindingBatch`] of terms and
 //!   [`TermInterner::encode_batch`] codes a whole batch, resolving each
-//!   column's slot once);
+//!   column's slot once — or, keyed on the join slots, only the rows
+//!   whose key terms the interner already holds, a semi-join that leaves
+//!   a row which cannot join unencoded);
 //! * [`hash_join_rows`] joins two row sets on their shared bound slots
 //!   by hashing the smaller-keyed side, so a k-row ∧ m-row join costs
 //!   O(k + m + output) `u64` comparisons instead of O(k·m) map merges.
@@ -131,26 +133,57 @@ impl TermInterner {
         &self.terms[code as usize]
     }
 
-    /// Encode a whole [`BindingBatch`] into rows over `vars`, in batch
-    /// order. Each column's slot is looked up once for the batch
-    /// (columns `vars` does not name are skipped); slots the batch does
-    /// not bind stay [`UNBOUND`]. Consumes the batch, so a term seen
-    /// before costs a hash probe and nothing else.
-    pub fn encode_batch(&mut self, batch: BindingBatch, vars: &VarTable) -> Vec<Vec<u64>> {
+    /// Number of distinct terms interned so far.
+    pub fn len(&self) -> usize {
+        self.terms.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.terms.is_empty()
+    }
+
+    /// Encode a [`BindingBatch`] into rows over `vars`, in batch order —
+    /// every row, or with a non-empty `keys` filter (slots of `vars`)
+    /// only the rows whose terms in those slots the interner already
+    /// holds. The filter is a read-only probe, so a dropped row interns
+    /// nothing: when the interner holds every term of one join side,
+    /// the rows of another side that could join it are exactly the ones
+    /// kept (a semi-join). Each column's slot is looked up once for the
+    /// batch (columns `vars` does not name are skipped); slots the batch
+    /// does not bind stay [`UNBOUND`]. Consumes the batch, so a term
+    /// seen before costs a hash probe and nothing else.
+    pub fn encode_batch(
+        &mut self,
+        batch: BindingBatch,
+        vars: &VarTable,
+        keys: &[usize],
+    ) -> Vec<Vec<u64>> {
         let slots: Vec<Option<usize>> = batch.vars().iter().map(|v| vars.slot(v)).collect();
+        let key_columns: Vec<usize> = (0..slots.len())
+            .filter(|&c| slots[c].is_some_and(|s| keys.contains(&s)))
+            .collect();
         let mut terms = batch.terms.into_iter();
-        (0..batch.rows)
-            .map(|_| {
-                let mut row = vars.empty_row();
-                for slot in &slots {
-                    let term = terms.next().expect("rows * width terms");
-                    if let Some(slot) = *slot {
-                        row[slot] = self.code_of(term);
-                    }
+        let mut cells: Vec<Term> = Vec::with_capacity(slots.len());
+        let mut out = Vec::with_capacity(if keys.is_empty() { batch.rows } else { 0 });
+        for _ in 0..batch.rows {
+            cells.clear();
+            cells.extend(terms.by_ref().take(slots.len()));
+            debug_assert_eq!(cells.len(), slots.len(), "rows * width terms");
+            if !key_columns
+                .iter()
+                .all(|&c| self.codes.contains_key(&cells[c]))
+            {
+                continue;
+            }
+            let mut row = vars.empty_row();
+            for (slot, term) in slots.iter().zip(cells.drain(..)) {
+                if let Some(slot) = *slot {
+                    row[slot] = self.code_of(term);
                 }
-                row
-            })
-            .collect()
+            }
+            out.push(row);
+        }
+        out
     }
 
     /// Materialize a row back into a [`Binding`] (unbound slots skipped).
@@ -362,7 +395,7 @@ mod tests {
             batch.rows += 1;
         }
         let mut i = TermInterner::new();
-        let rows = i.encode_batch(batch.clone(), &vars);
+        let rows = i.encode_batch(batch.clone(), &vars, &[]);
         assert_eq!(rows.len(), 2);
         assert!(rows.iter().all(|r| r[1] == UNBOUND));
         assert_eq!(rows[0][0], rows[1][0], "equal terms share a code");
@@ -386,8 +419,38 @@ mod tests {
         );
         let mut batch = BindingBatch::for_pattern(&ground);
         batch.rows = 3;
-        let rows = TermInterner::new().encode_batch(batch, &vars);
+        let rows = TermInterner::new().encode_batch(batch, &vars, &[]);
         assert_eq!(rows, vec![vec![UNBOUND]; 3]);
+    }
+
+    #[test]
+    fn a_key_filter_keeps_the_rows_whose_keys_are_held_and_interns_nothing_else() {
+        // Layout [x, y]; the interner holds <a> and "a" (a literal).
+        let mut vars = VarTable::new();
+        let (x, y) = (vars.slot_of("x"), vars.slot_of("y"));
+        let mut i = TermInterner::new();
+        let a = i.code_of(Term::uri("a"));
+        i.code_of(Term::literal("b"));
+        let pattern = TriplePattern::new(
+            PatternTerm::var("x"),
+            PatternTerm::constant(Term::uri("p")),
+            PatternTerm::var("y"),
+        );
+        let mut batch = BindingBatch::for_pattern(&pattern);
+        for (s, o) in [("a", "1"), ("b", "2"), ("c", "3"), ("a", "4")] {
+            batch.terms.extend([Term::uri(s), Term::literal(o)]);
+            batch.rows += 1;
+        }
+        // Keyed on x: <b> is held only as a literal, <c> not at all.
+        let rows = i.encode_batch(batch.clone(), &vars, &[x]);
+        assert_eq!(rows.len(), 2);
+        assert!(rows.iter().all(|r| r[x] == a));
+        let kept: Vec<&Term> = rows.iter().map(|r| i.term(r[y])).collect();
+        assert_eq!(kept, [&Term::literal("1"), &Term::literal("4")]);
+        assert_eq!(i.len(), 4, "the two dropped rows interned nothing");
+        // No filter: every row.
+        assert_eq!(i.encode_batch(batch, &vars, &[]).len(), 4);
+        assert_eq!(i.len(), 8);
     }
 
     #[test]
@@ -554,8 +617,11 @@ mod proptests {
             // Each side binds its seed's slots that survive the mask.
             let lbound = [lvars[0], lvars[1], false, false];
             let rbound = [false, rvars[1], rvars[2], rvars[3]];
-            let lrows = interner.encode_batch(to_batch(lbound, &left), &vars);
-            let rrows = interner.encode_batch(to_batch(rbound, &right), &vars);
+            // The left side in full, the right one keyed on the shared
+            // slots: a semi-join reduction must not change the join.
+            let lrows = interner.encode_batch(to_batch(lbound, &left), &vars, &[]);
+            let shared: Vec<usize> = (0..4).filter(|&s| lbound[s] && rbound[s]).collect();
+            let rrows = interner.encode_batch(to_batch(rbound, &right), &vars, &shared);
             let joined: Vec<Binding> = hash_join_rows(&lrows, &rrows)
                 .iter()
                 .map(|r| interner.decode(r, &vars))

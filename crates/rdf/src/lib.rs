@@ -28,11 +28,14 @@
 //!   sorted key index (`BTreeMap<Arc<str>, TermId>`, sharing the
 //!   dictionary's buffers), so `abc%` LIKE constants run as range
 //!   scans;
-//! * **one scan (σ, π)** — a pattern is answered by picking an access
-//!   path (the shortest posting list among its exact constants, else a
-//!   prefix range, else every row) and sweeping the residual predicate
-//!   over 256-row granules of row ids. [`TripleStore::match_into`]
-//!   (terms, appended to a columnar [`BindingBatch`]),
+//! * **one scan (σ, π)** — a pattern is compiled once (constants to
+//!   codes, `LIKE`s parsed) and bound per seed, the instance a bound
+//!   join asks for; an instance is answered by picking an access path
+//!   (the shortest posting list among its exact codes, else a prefix
+//!   range, else every row) and sweeping the residual predicate over
+//!   256-row granules of row ids. [`TripleStore::match_seeds_into`]
+//!   (a binding column's instances) and [`TripleStore::match_into`]
+//!   (no seed; terms, appended to a columnar [`BindingBatch`]),
 //!   [`TripleStore::for_each_match_row`] (term codes) and
 //!   [`TripleStore::resolve`] are its output formats;
 //!   [`TripleStore::match_pattern`] is `match_into` materialized;

@@ -63,16 +63,25 @@
 //!
 //! ## Operators
 //!
-//! * **σ / π — one scan.** `TripleStore::pattern_matches` is the only
-//!   thing that walks rows for a pattern: it picks an access path (the
-//!   shortest posting list among the pattern's exact constants, else a
-//!   prefix range over the sorted key index, else every row), then runs
-//!   the residual predicate (every exact constant by kind-tagged code,
-//!   `LIKE`s, repeated variables) as columnar sweeps over 256-row
-//!   granules. [`TripleStore::match_into`] (terms appended to a
-//!   [`BindingBatch`]; [`TripleStore::match_pattern`] materializes it),
+//! * **σ / π — one scan, compiled once, bound per seed.** One kernel
+//!   walks rows for a pattern, in two steps. *Compile*, once per call:
+//!   the pattern's constants become kind-tagged codes (a constant the
+//!   dictionary lacks empties every instance), its `LIKE`s are parsed,
+//!   its variable positions recorded. *Bind*, once per seed — a
+//!   [`Binding`] of some of the pattern's variables, the instance a
+//!   bound join asks for: one dictionary lookup per value the seed
+//!   binds, matched exactly (a bound `"50%"` is a value, not a `LIKE`),
+//!   and a value the store has never seen ends the instance before any
+//!   posting list is touched. Then the scan picks an access path (the
+//!   shortest posting list among the instance's exact codes, else a
+//!   prefix range over the sorted key index, else every row) and runs
+//!   the residual predicate (every exact code, `LIKE`s, repeated
+//!   variables) as columnar sweeps over 256-row granules.
+//!   [`TripleStore::match_seeds_into`] answers a whole binding column
+//!   in one call; [`TripleStore::match_into`] is the same kernel with no
+//!   seed ([`TripleStore::match_pattern`] materializes it), and
 //!   [`TripleStore::for_each_match_row`] and [`TripleStore::resolve`]
-//!   are its three output formats.
+//!   are its other output formats.
 //! * **⋈ — one join.** [`TripleStore::join`] hash-joins two patterns'
 //!   match sets on their shared variables ([`crate::join`]).
 //!
@@ -571,15 +580,6 @@ impl TripleStore {
         self.rows().refs()
     }
 
-    /// Live row ids whose `pos` equals the interned `id`.
-    fn posting(&self, pos: Position, id: TermId) -> impl Iterator<Item = u32> + '_ {
-        let (head, tail) = self.posting_parts(pos, id);
-        head.iter()
-            .chain(tail)
-            .copied()
-            .filter(|&id| !self.cols.is_dead(id))
-    }
-
     /// The raw posting list of a term in a position (may contain
     /// tombstoned row ids), as its CSR-head and tail halves — both
     /// ascending, every head id below every tail id.
@@ -588,80 +588,68 @@ impl TripleStore {
         self.index(pos).parts(id)
     }
 
-    /// Live row ids for every term in `pos` whose lexical starts with
-    /// `prefix` — a range scan of the sorted key index.
+    /// Row ids (tombstoned ones included) of every term in `pos` whose
+    /// lexical starts with `prefix` — a range scan of the sorted key
+    /// index.
     fn prefix_row_ids(&self, pos: Position, prefix: &str) -> Vec<u32> {
         let mut ids: Vec<u32> = self
             .sorted(pos)
             .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
             .take_while(|(k, _)| k.starts_with(prefix))
-            .flat_map(|(_, &tid)| self.posting(pos, tid))
+            .flat_map(|(_, &tid)| {
+                let (head, tail) = self.posting_parts(pos, tid);
+                head.iter().chain(tail).copied()
+            })
             .collect();
         ids.sort_unstable(); // insertion order, like a scan would yield
         ids
     }
 
-    /// The scan operator: lazily yield the live row ids matching
-    /// `pattern`, in insertion order. Picks the most selective access
-    /// path — the shortest posting list among the pattern's exact
-    /// constants, else a wildcard prefix range scan, else a full scan —
-    /// and applies the residual predicate (every exact constant by
-    /// kind-tagged code, `LIKE`s, repeated variables) a granule at a
-    /// time as the consumer pulls.
-    pub(crate) fn pattern_matches<'a>(&'a self, pattern: &'a TriplePattern) -> PatternMatches<'a> {
-        // Compile the constant slots to id-level checks. A constant the
-        // dictionary has never seen cannot match any row.
-        let mut exact: Vec<(Position, u64)> = Vec::new();
-        let mut likes: Vec<(Position, LikePattern<'a>)> = Vec::new();
-        for (pos, term) in pattern.constants() {
-            match term {
-                Term::Literal(p) if p.contains('%') => {
+    /// The compile step of the scan kernel (see the module docs): what
+    /// every instance of `pattern` shares, resolved against this store
+    /// once.
+    fn compile<'a>(&'a self, pattern: &'a TriplePattern) -> Compiled<'a> {
+        let (mut exact, mut absent) = (Vec::new(), false);
+        let mut likes = Vec::new();
+        let mut vars = Vec::new();
+        for pos in Position::ALL {
+            match pattern.slot(pos) {
+                PatternTerm::Var(v) => vars.push((pos, v.as_str())),
+                PatternTerm::Const(Term::Literal(p)) if p.contains('%') => {
                     likes.push((pos, LikePattern::parse(p)));
                 }
-                _ => match self.dict.lookup(term.lexical()) {
-                    Some(id) => {
-                        let lit = term.is_literal();
-                        exact.push((pos, ((id.0 as u64) << 1) | lit as u64));
-                    }
-                    None => return PatternMatches::empty(self),
+                // A constant the dictionary has never seen cannot match
+                // any row.
+                PatternTerm::Const(term) => match self.code_of(term) {
+                    Some(code) => exact.push((pos, code)),
+                    None => absent = true,
                 },
             }
         }
-
-        // Access path.
-        let shortest_posting = exact
-            .iter()
-            .map(|&(pos, code)| self.posting_parts(pos, TermId((code >> 1) as u32)))
-            .min_by_key(|(head, tail)| head.len() + tail.len());
-        let src: MatchSource<'a> = if let Some((head, tail)) = shortest_posting {
-            MatchSource::Cursor(RowCursor::posting(self, head, tail))
-        } else if let Some((pos, like)) = likes
-            .iter()
-            .find(|(_, l)| matches!(l, LikePattern::Prefix(c) if !c.is_empty()))
-            .copied()
-        {
-            MatchSource::Materialized(self.prefix_row_ids(pos, like.core()), 0)
-        } else {
-            MatchSource::Cursor(self.rows())
-        };
-
-        // Residual predicate: remaining constants + repeated variables.
-        let vars: Vec<(Position, &'a str)> = Position::ALL
-            .iter()
-            .filter_map(|&pos| match pattern.slot(pos) {
-                PatternTerm::Var(v) => Some((pos, v.as_str())),
-                PatternTerm::Const(_) => None,
-            })
-            .collect();
-        PatternMatches {
+        let mut repeats = Vec::new();
+        for (k, &(pos, name)) in vars.iter().enumerate() {
+            for &(other, _) in vars[k + 1..].iter().filter(|&&(_, n)| n == name) {
+                repeats.push((pos, other));
+            }
+        }
+        Compiled {
             store: self,
-            src,
             exact,
+            absent,
             likes,
             vars,
+            repeats,
+            bound: Vec::new(),
             buf: Vec::new(),
-            bi: 0,
         }
+    }
+
+    /// The kind-tagged code of a term this store holds — matched
+    /// exactly, whatever its lexical contains.
+    #[inline]
+    fn code_of(&self, term: &Term) -> Option<u64> {
+        let id = self.dict.lookup(term.lexical())?;
+        Some(((id.0 as u64) << 1) | term.is_literal() as u64)
     }
 
     /// Matching rows as term-code rows over `vars` (the hash-join input
@@ -692,12 +680,12 @@ impl TripleStore {
             })
             .collect();
         let mut row = vec![UNBOUND; vars.len()];
-        for id in self.pattern_matches(pattern) {
+        self.compile(pattern).scan(None, |id| {
             for &(pos, slot) in &slots {
                 row[slot] = self.cols.code_at(id, pos);
             }
             f(&row);
-        }
+        });
     }
 
     /// Decode a term code produced by this store's rows (zero-copy).
@@ -721,38 +709,52 @@ impl TripleStore {
         b
     }
 
-    /// The scan kernel behind every shipped row: append one row per
-    /// triple matching `pattern`, in insertion order, to `out` — whose
-    /// header must be `pattern`'s variables
-    /// ([`BindingBatch::for_pattern`] of it, or of a pattern differing
-    /// only in constants) — and return how many were appended. A
-    /// literal constant containing `%` is a LIKE predicate on its
-    /// position; a repeated variable binds its one column; an
-    /// all-constant pattern appends zero-width rows that still count.
+    /// The scan kernel with no seed, behind every shipped row of a
+    /// pattern that stands for itself: append one row per triple
+    /// matching `pattern`, in insertion order, to `out` — whose header
+    /// must be `pattern`'s variables ([`BindingBatch::for_pattern`] of
+    /// it, or of a pattern differing only in constants) — and return
+    /// how many were appended. A literal constant containing `%` is a
+    /// LIKE predicate on its position; a repeated variable binds its one
+    /// column; an all-constant pattern appends zero-width rows that
+    /// still count.
     ///
     /// # Panics
     /// Panics if the header names a variable `pattern` does not have.
     pub fn match_into(&self, pattern: &TriplePattern, out: &mut BindingBatch) -> usize {
         debug_assert_eq!(out.vars(), BindingBatch::for_pattern(pattern).vars());
-        // Each column reads the first position holding its variable.
-        let mut cols = [Position::Subject; 3];
-        let width = out.vars.len();
-        for (col, name) in cols.iter_mut().zip(out.vars.names()) {
-            *col = *Position::ALL
-                .iter()
-                .find(|&&pos| matches!(pattern.slot(pos), PatternTerm::Var(v) if v == name))
-                .expect("batch header names a variable of the pattern");
+        let mut compiled = self.compile(pattern);
+        let cols = compiled.columns(out);
+        compiled.scan_into(None, &cols, out)
+    }
+
+    /// The scan kernel over a binding column: for each seed in turn,
+    /// append to `out` the rows of the instance the seed makes of
+    /// `template` — every variable the seed binds fixed to the seed's
+    /// term, matched exactly (a `%` in a bound value is no wildcard) —
+    /// and push how many that was to `shipped`. `template` is compiled
+    /// once; a seed costs one dictionary lookup per value it binds, and
+    /// a value the store has never seen ships zero rows without a scan.
+    /// Every seed must bind the same variables of `template`, and
+    /// `out`'s header is the ones they leave unbound. For a seed without
+    /// `%`, the rows are [`TripleStore::match_into`]'s of
+    /// `template.substitute(seed)`.
+    ///
+    /// # Panics
+    /// Panics if the header names a variable `template` does not have.
+    pub fn match_seeds_into(
+        &self,
+        template: &TriplePattern,
+        seeds: &[Binding],
+        out: &mut BindingBatch,
+        shipped: &mut Vec<usize>,
+    ) {
+        let mut compiled = self.compile(template);
+        let cols = compiled.columns(out);
+        for seed in seeds {
+            debug_assert!(out.vars().iter().all(|v| seed.get(v).is_none()));
+            shipped.push(compiled.scan_into(Some(seed), &cols, out));
         }
-        let mut appended = 0;
-        for id in self.pattern_matches(pattern) {
-            for &pos in &cols[..width] {
-                out.terms
-                    .push(self.term_of_code(self.cols.code_at(id, pos)));
-            }
-            appended += 1;
-        }
-        out.rows += appended;
-        appended
     }
 
     /// Evaluate a triple pattern against the local database, returning
@@ -810,110 +812,137 @@ impl TripleStore {
     }
 }
 
-/// Row-id source behind a [`PatternMatches`] stream: a lazy cursor
-/// (posting list or full scan) or a range-collected list of live row
-/// ids (with a drain offset).
-enum MatchSource<'a> {
-    Cursor(RowCursor<'a>),
-    Materialized(Vec<u32>, usize),
-}
-
-/// A lazily evaluated pattern scan (see
-/// [`TripleStore::pattern_matches`]): yields live row ids matching the
-/// pattern, in insertion order, evaluated a granule at a time — the
-/// source refills a [`GRANULE`]-row batch and the residual predicate
-/// (remaining constants, `LIKE`s, repeated variables) runs as columnar
-/// `retain` sweeps over the batch, one constraint at a time, instead of
-/// re-dispatching the whole predicate chain per row.
-pub(crate) struct PatternMatches<'a> {
+/// A pattern compiled against one store by [`TripleStore::compile`]:
+/// what every instance of it shares, plus scratch reused from one seed
+/// to the next.
+struct Compiled<'a> {
     store: &'a TripleStore,
-    src: MatchSource<'a>,
-    /// Every exact constant as a kind-tagged code (including the
-    /// access-path constant: the index is kind-insensitive).
+    /// Every exact constant as a kind-tagged code — the access-path
+    /// constant included: the index is kind-insensitive.
     exact: Vec<(Position, u64)>,
+    /// A constant the store lacks: no instance can match.
+    absent: bool,
     likes: Vec<(Position, LikePattern<'a>)>,
+    /// Every variable position, with its variable.
     vars: Vec<(Position, &'a str)>,
-    /// Current granule of admitted row ids, drained front-to-back.
+    /// Position pairs holding one variable: their codes must agree.
+    repeats: Vec<(Position, Position)>,
+    /// A seeded instance's exact codes: `exact`, then what its seed
+    /// binds.
+    bound: Vec<(Position, u64)>,
+    /// The current granule of candidate row ids.
     buf: Vec<u32>,
-    bi: usize,
 }
 
-impl<'a> PatternMatches<'a> {
-    fn empty(store: &'a TripleStore) -> PatternMatches<'a> {
-        PatternMatches {
+impl Compiled<'_> {
+    /// For each column of `out`'s header (at most three), the first
+    /// position holding its variable.
+    fn columns(&self, out: &BindingBatch) -> [Position; 3] {
+        let mut cols = [Position::Subject; 3];
+        for (col, name) in cols.iter_mut().zip(out.vars()) {
+            let first = self.vars.iter().find(|&&(_, v)| v == name);
+            *col = first
+                .expect("batch header names a variable of the pattern")
+                .0;
+        }
+        cols
+    }
+
+    /// Call `f` with every live row id of the instance `seed` makes (the
+    /// pattern itself, for `None`), in insertion order. The bind step
+    /// comes first: one dictionary lookup per variable the seed binds,
+    /// and nothing more when the instance cannot match — a constant or
+    /// a bound value the store lacks. The access path is then the
+    /// shortest posting list among the instance's exact codes, else a
+    /// `LIKE` prefix's range over the sorted key index, else every row;
+    /// the residual predicate runs a granule at a time as columnar
+    /// `retain` sweeps, one constraint at a time, instead of
+    /// re-dispatching the whole predicate chain per row.
+    fn scan(&mut self, seed: Option<&Binding>, mut f: impl FnMut(u32)) {
+        let Compiled {
             store,
-            src: MatchSource::Cursor(RowCursor::empty(store)),
-            exact: Vec::new(),
-            likes: Vec::new(),
-            vars: Vec::new(),
-            buf: Vec::new(),
-            bi: 0,
+            exact,
+            absent,
+            likes,
+            vars,
+            repeats,
+            bound,
+            buf,
+        } = self;
+        let store = *store;
+        if *absent {
+            return;
         }
-    }
-
-    /// Pull the next granule of candidates from the source and run the
-    /// residual sweeps over it; `false` once the source is dry.
-    fn refill(&mut self) -> bool {
-        loop {
-            self.bi = 0;
-            let got = match &mut self.src {
-                MatchSource::Cursor(c) => c.next_block(&mut self.buf),
-                MatchSource::Materialized(ids, next) => {
-                    let chunk = &ids[*next..(*next + GRANULE).min(ids.len())];
-                    self.buf.clear();
-                    self.buf.extend_from_slice(chunk);
-                    *next += chunk.len();
-                    !self.buf.is_empty()
+        let codes: &[(Position, u64)] = match seed {
+            None => exact,
+            Some(seed) => {
+                bound.clear();
+                bound.extend_from_slice(exact);
+                for &(pos, name) in vars.iter() {
+                    if let Some(term) = seed.get(name) {
+                        match store.code_of(term) {
+                            Some(code) => bound.push((pos, code)),
+                            None => return,
+                        }
+                    }
                 }
-            };
-            if !got {
-                return false;
+                bound
             }
-            self.admit_block();
-            if !self.buf.is_empty() {
-                return true;
+        };
+        let shortest = codes
+            .iter()
+            .map(|&(pos, code)| store.posting_parts(pos, TermId((code >> 1) as u32)))
+            .min_by_key(|(head, tail)| head.len() + tail.len());
+        let prefix = || {
+            likes.iter().find_map(|&(pos, like)| match like {
+                LikePattern::Prefix(core) if !core.is_empty() => Some((pos, core)),
+                _ => None,
+            })
+        };
+        let ranged: Vec<u32>;
+        let mut cursor = if let Some((head, tail)) = shortest {
+            RowCursor::posting(store, head, tail)
+        } else if let Some((pos, core)) = prefix() {
+            ranged = store.prefix_row_ids(pos, core);
+            RowCursor::posting(store, &ranged, &[])
+        } else {
+            store.rows()
+        };
+        // The cursor skips tombstones.
+        while cursor.next_block(buf) {
+            for &(pos, code) in codes {
+                buf.retain(|&id| store.cols.code_at(id, pos) == code);
             }
+            for (pos, like) in likes.iter() {
+                buf.retain(|&id| like.matches(store.dict.resolve(store.cols.id_at(id, *pos))));
+            }
+            for &(a, b) in repeats.iter() {
+                buf.retain(|&id| store.cols.code_at(id, a) == store.cols.code_at(id, b));
+            }
+            buf.iter().for_each(|&id| f(id));
         }
     }
 
-    /// Columnar residual predicate over the current granule: one
-    /// `retain` sweep per constraint, each touching only its column.
-    fn admit_block(&mut self) {
+    /// [`Compiled::scan`] into a batch: one row per match, its terms
+    /// read at the [`Compiled::columns`] of `out`'s header, appended to
+    /// `out`. Returns how many rows that was.
+    fn scan_into(
+        &mut self,
+        seed: Option<&Binding>,
+        cols: &[Position; 3],
+        out: &mut BindingBatch,
+    ) -> usize {
         let store = self.store;
-        let buf = &mut self.buf;
-        // Both sources (cursors, prefix range lists) already skip
-        // tombstones.
-        for &(pos, code) in &self.exact {
-            buf.retain(|&id| store.cols.code_at(id, pos) == code);
-        }
-        for (pos, like) in &self.likes {
-            buf.retain(|&id| like.matches(store.dict.resolve(store.cols.id_at(id, *pos))));
-        }
-        // Repeated variables must bind equal codes.
-        for (k, &(pos, name)) in self.vars.iter().enumerate() {
-            for &(p2, n2) in &self.vars[k + 1..] {
-                if n2 == name {
-                    buf.retain(|&id| store.cols.code_at(id, pos) == store.cols.code_at(id, p2));
-                }
+        let cols = &cols[..out.vars.len()];
+        let before = out.rows;
+        self.scan(seed, |id| {
+            for &pos in cols {
+                out.terms
+                    .push(store.term_of_code(store.cols.code_at(id, pos)));
             }
-        }
-    }
-}
-
-impl Iterator for PatternMatches<'_> {
-    type Item = u32;
-
-    fn next(&mut self) -> Option<u32> {
-        loop {
-            if self.bi < self.buf.len() {
-                let id = self.buf[self.bi];
-                self.bi += 1;
-                return Some(id);
-            }
-            if !self.refill() {
-                return None;
-            }
-        }
+            out.rows += 1;
+        });
+        out.rows - before
     }
 }
 
@@ -938,6 +967,13 @@ mod tests {
             slot(Position::Object, "o"),
         ))
         .len()
+    }
+
+    /// The row ids the scan kernel admits for `pattern`, in scan order.
+    fn matching_rows(db: &TripleStore, pattern: &TriplePattern) -> Vec<u32> {
+        let mut ids = Vec::new();
+        db.compile(pattern).scan(None, |id| ids.push(id));
+        ids
     }
 
     fn sample() -> TripleStore {
@@ -1226,7 +1262,7 @@ mod tests {
                 PatternTerm::constant(Term::uri(p)),
                 PatternTerm::var("o"),
             );
-            let fast: Vec<u32> = db.pattern_matches(&pattern).collect();
+            let fast = matching_rows(&db, &pattern);
             let naive: Vec<u32> = db
                 .rows()
                 .filter(|&id| {
@@ -1242,7 +1278,7 @@ mod tests {
             PatternTerm::constant(Term::uri("p5")),
             PatternTerm::constant(Term::literal("o5")),
         );
-        let hits: Vec<u32> = db.pattern_matches(&pattern).collect();
+        let hits = matching_rows(&db, &pattern);
         assert!(!hits.is_empty());
         assert!(db
             .match_pattern(&TriplePattern::new(
@@ -1622,6 +1658,77 @@ mod proptests {
             prop_assert_eq!(batch.len(), 2 * naive.len());
             let twice: Vec<Binding> = naive.iter().chain(&naive).cloned().collect();
             prop_assert_eq!(batch.into_bindings(), twice, "{:?}", pattern);
+        }
+
+        /// The seeded kernel answers a binding column exactly as one
+        /// `match_into` per substituted instance would — the same rows in
+        /// the same order, the same count per seed — on stores across a
+        /// seal, tombstones and a `compact`, for templates with a
+        /// repeated variable, a `LIKE` constant or a constant the store
+        /// lacks, and for seeds (without `%`) that bind none, some or all
+        /// of the template's variables, to stored or unseen terms of
+        /// either kind.
+        #[test]
+        fn match_seeds_into_agrees_with_substituted_instances(
+            first in proptest::collection::vec(arb_pooled_triple(), 0..40),
+            removals in proptest::collection::vec(any::<prop::sample::Index>(), 0..10),
+            second in proptest::collection::vec(arb_pooled_triple(), 0..20),
+            values in proptest::collection::vec(("[a-c]{1,2}", any::<bool>()), 0..24),
+            mask in 0u8..16,
+            core in "[a-b]{0,1}",
+            ops in 0u8..4,
+            shape in 0usize..6,
+        ) {
+            let (mut db, _) = build(&first, ops & 1 != 0, &removals, &second);
+            if ops & 2 != 0 {
+                db.compact();
+            }
+            let (var, uri) = (PatternTerm::var, |u: &str| PatternTerm::constant(Term::uri(u)));
+            let template = match shape {
+                0 => TriplePattern::new(var("x"), var("p"), var("o")),
+                1 => TriplePattern::new(var("x"), var("p"), var("x")),
+                2 => TriplePattern::new(var("x"), uri("a"), var("o")),
+                3 => TriplePattern::new(var("x"), uri("never stored"), var("o")),
+                4 => TriplePattern::new(
+                    var("x"),
+                    var("p"),
+                    PatternTerm::constant(Term::literal(format!("{core}%"))),
+                ),
+                _ => TriplePattern::new(var("x"), var("x"), var("o")),
+            };
+            // Every seed binds the variables `mask` picks — `s` is none
+            // of the template's — to a term over a pool the store only
+            // partly holds (nothing there starts with `c`).
+            let names: Vec<&str> = ["x", "p", "o", "s"]
+                .into_iter()
+                .enumerate()
+                .filter(|&(i, _)| mask & (1 << i) != 0)
+                .map(|(_, v)| v)
+                .collect();
+            let term = |(lexical, lit): &(String, bool)| {
+                if *lit { Term::literal(lexical.as_str()) } else { Term::uri(lexical.as_str()) }
+            };
+            let seeds: Vec<Binding> = values
+                .chunks(4)
+                .map(|chunk| {
+                    let mut seed = Binding::new();
+                    for (name, value) in names.iter().zip(chunk.iter().cycle()) {
+                        seed.bind(name.to_string(), term(value));
+                    }
+                    seed
+                })
+                .collect();
+            let instance = |seed: &Binding| template.substitute(seed);
+            let header = BindingBatch::for_pattern(&instance(seeds.first().unwrap_or(&Binding::new())));
+
+            let mut batch = header.clone();
+            let mut shipped = Vec::new();
+            db.match_seeds_into(&template, &seeds, &mut batch, &mut shipped);
+            let mut expected = header.clone();
+            let counts: Vec<usize> =
+                seeds.iter().map(|s| db.match_into(&instance(s), &mut expected)).collect();
+            prop_assert_eq!(&shipped, &counts, "{:?} {:?}", template, seeds);
+            prop_assert_eq!(batch.into_bindings(), expected.into_bindings(), "{:?}", template);
         }
 
         /// A LIKE constant agrees with a naive scan for every pattern shape

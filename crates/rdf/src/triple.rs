@@ -195,13 +195,30 @@ impl TriplePattern {
     /// does not match any stored key) unless they carry a prefix — a
     /// `x%` pattern can still route via the order-preserving hash.
     pub fn routing_constant(&self) -> Option<(Position, &Term)> {
+        static NO_SEED: Binding = Binding {
+            map: BTreeMap::new(),
+        };
+        self.instance_routing_constant(&NO_SEED)
+    }
+
+    /// The routing constant of the instance `seed` makes of the pattern:
+    /// [`TriplePattern::routing_constant`] of `self.substitute(seed)`,
+    /// except that a value the seed binds is a value even when it
+    /// contains `%` — the instance matches it exactly, so it routes.
+    pub fn instance_routing_constant<'a>(
+        &'a self,
+        seed: &'a Binding,
+    ) -> Option<(Position, &'a Term)> {
         let mut best: Option<(Position, &Term, usize)> = None;
-        for (pos, term) in self.constants() {
-            let lex = term.lexical();
-            let wildcard = term.is_literal() && lex.contains('%');
-            if wildcard {
-                continue;
-            }
+        for pos in Position::ALL {
+            let term = match self.slot(pos) {
+                PatternTerm::Const(t) if t.is_literal() && t.lexical().contains('%') => continue,
+                PatternTerm::Const(t) => t,
+                PatternTerm::Var(v) => match seed.get(v) {
+                    Some(t) => t,
+                    None => continue,
+                },
+            };
             // Prefer predicate > subject > object at equal length; use
             // length as primary specificity signal.
             let tier = match pos {
@@ -209,7 +226,7 @@ impl TriplePattern {
                 Position::Subject => 1,
                 Position::Object => 0,
             };
-            let score = lex.len() * 4 + tier;
+            let score = term.lexical().len() * 4 + tier;
             if best.map(|(_, _, s)| score > s).unwrap_or(true) {
                 best = Some((pos, term, score));
             }
@@ -218,11 +235,13 @@ impl TriplePattern {
     }
 
     /// Replace every variable bound in `binding` with its constant,
-    /// leaving unbound variables in place. This is the *bound-join*
-    /// specialization step of distributed conjunctive evaluation: a
-    /// partial solution row turns the next pattern into a more selective
-    /// (and often more routable) subquery before it is shipped into the
-    /// overlay.
+    /// leaving unbound variables in place — the instance a partial
+    /// solution row makes of the next pattern of a bound join. A
+    /// destination does not substitute: it binds the pattern to each
+    /// seed ([`crate::TripleStore::match_seeds_into`]). The two differ
+    /// only on a bound literal containing `%`: the seed binds it as a
+    /// value, while the substituted pattern holds it as a `LIKE`
+    /// constant.
     pub fn substitute(&self, binding: &Binding) -> TriplePattern {
         let sub = |slot: &PatternTerm| match slot {
             PatternTerm::Var(v) => match binding.get(v) {
@@ -494,6 +513,31 @@ mod tests {
             PatternTerm::var("y"),
         );
         assert_eq!(p.substitute(&Binding::new()), p);
+    }
+
+    #[test]
+    fn an_instance_routes_by_a_bound_value_even_with_a_percent_sign() {
+        let p = TriplePattern::new(
+            PatternTerm::var("s"),
+            PatternTerm::var("p"),
+            PatternTerm::var("o"),
+        );
+        let mut seed = Binding::new();
+        seed.bind("s".into(), Term::uri("e"));
+        seed.bind("o".into(), Term::literal("seq"));
+        // Without `%`, the substituted pattern's routing constant.
+        let routed = p.instance_routing_constant(&seed);
+        assert_eq!(routed, p.substitute(&seed).routing_constant());
+        assert_eq!(routed, Some((Position::Object, &Term::literal("seq"))));
+        // A bound "50%" is a value; substituted, it would be a LIKE.
+        seed.bind("o".into(), Term::literal("50%"));
+        let routed = p.instance_routing_constant(&seed);
+        assert_eq!(routed, Some((Position::Object, &Term::literal("50%"))));
+        let substituted = p.substitute(&seed);
+        assert_eq!(
+            substituted.routing_constant(),
+            Some((Position::Subject, &Term::uri("e")))
+        );
     }
 
     #[test]

@@ -1,20 +1,25 @@
-//! An absolute check of the closure walk: a session's rows and the
-//! hops it reports equal those of a reference walk that knows nothing
-//! of peers, requests, riding or caches — depth-first over the
-//! registry's mappings with `expand_hop`, each pattern evaluated by
-//! `TriplePattern::match_triple` over every triple any peer stores.
+//! An absolute check of the closure walk and of the joins built on it:
+//! a session's rows and the hops it reports equal those of a reference
+//! walk that knows nothing of peers, requests, riding or caches —
+//! depth-first over the registry's mappings with `expand_hop`, each
+//! pattern evaluated by `TriplePattern::match_triple` over every triple
+//! any peer stores — and a conjunctive plan's rows equal a nested loop
+//! over `Binding::join` of each pattern's reference walk.
 //!
 //! Every fixture puts each `Schema#a` predicate under a leaf of its
 //! own, so no data request answers another hop and, at `window(1)`,
 //! the `SchemaHop` events come in the order the walk pops the hops.
 
 use gridvine_core::{
-    GridVineConfig, GridVineSystem, PlacementPolicy, QueryOptions, QueryPlan, ResultEvent, Strategy,
+    GridVineConfig, GridVineSystem, JoinMode, PlacementPolicy, QueryOptions, QueryPlan,
+    ResultEvent, Strategy,
 };
 use gridvine_pgrid::{HashKind, PeerId};
-use gridvine_rdf::{PatternTerm, Term, Triple, TriplePattern, TriplePatternQuery};
+use gridvine_rdf::{
+    Binding, ConjunctiveQuery, PatternTerm, Term, Triple, TriplePattern, TriplePatternQuery,
+};
 use gridvine_semantic::{
-    expand_hop, query_schema, Correspondence, Hop, MappingKind, Provenance, Schema,
+    expand_hop, pattern_schema, Correspondence, Hop, MappingKind, Provenance, Schema,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -23,8 +28,9 @@ const PEERS: usize = 16;
 const SEED: u64 = 11;
 const SCHEMAS: [&str; 5] = ["Apple", "Fig", "Kiwi", "Peach", "Zebra"];
 /// Shorter than every predicate: a pattern holding one routes by its
-/// predicate.
-const VALUES: [&str; 3] = ["red", "green", "blue"];
+/// predicate. A constant `"50%"` is a LIKE that `"500"` satisfies; a
+/// value `"50%"` a join binds is matched exactly.
+const VALUES: [&str; 3] = ["red", "500", "50%"];
 
 /// `(schema, depth, quality)` of one hop.
 type Seen = (String, usize, f64);
@@ -33,25 +39,21 @@ type Seen = (String, usize, f64);
 /// hops depth-first, evaluate each over the union of every peer's
 /// `DB_p`, and expand those below the TTL through the registry's
 /// mappings, entering each schema once. Returns the hops in pop order
-/// and the distinct terms of the distinguished variable.
+/// and every match of every hop.
 fn reference(
     sys: &GridVineSystem,
-    query: &TriplePatternQuery,
+    pattern: &TriplePattern,
     ttl: usize,
-) -> (Vec<Seen>, BTreeSet<Term>) {
+) -> (Vec<Seen>, Vec<Binding>) {
     let triples: Vec<Triple> = (0..PEERS)
         .flat_map(|p| sys.peer_db(PeerId::from_index(p)).iter())
         .collect();
-    let (schema, _) = query_schema(query).expect("a schema'd predicate");
+    let (schema, _) = pattern_schema(pattern).expect("a schema'd predicate");
     let mut visited = BTreeSet::from([schema.clone()]);
-    let mut stack = vec![Hop::origin(schema, query.pattern.clone())];
-    let (mut hops, mut terms) = (Vec::new(), BTreeSet::new());
+    let mut stack = vec![Hop::origin(schema, pattern.clone())];
+    let (mut hops, mut matches) = (Vec::new(), Vec::new());
     while let Some(hop) = stack.pop() {
-        for t in &triples {
-            if let Some(row) = hop.pattern.match_triple(t) {
-                terms.extend(row.get(&query.distinguished).cloned());
-            }
-        }
+        matches.extend(triples.iter().filter_map(|t| hop.pattern.match_triple(t)));
         if hop.depth < ttl {
             let mappings = sys.registry().mappings();
             expand_hop(&hop, mappings, &mut visited, |reached, _, _| {
@@ -60,7 +62,25 @@ fn reference(
         }
         hops.push((hop.schema.to_string(), hop.depth, hop.quality));
     }
-    (hops, terms)
+    (hops, matches)
+}
+
+/// A conjunctive query as §2.3 states it: each pattern's reference
+/// walk, the match sets combined by a nested loop over
+/// `Binding::join`, then projected onto the distinguished variables.
+fn reference_join(sys: &GridVineSystem, query: &ConjunctiveQuery, ttl: usize) -> BTreeSet<String> {
+    let mut rows = vec![Binding::new()];
+    for pattern in &query.patterns {
+        let (_, matches) = reference(sys, pattern, ttl);
+        rows = rows
+            .iter()
+            .flat_map(|l| matches.iter().filter_map(|r| l.join(r)))
+            .collect();
+    }
+    let distinguished: Vec<&str> = query.distinguished.iter().map(String::as_str).collect();
+    rows.iter()
+        .map(|b| b.project(&distinguished).to_string())
+        .collect()
 }
 
 fn leaf_of(sys: &GridVineSystem, lexical: &str) -> PeerId {
@@ -166,8 +186,10 @@ proptest! {
             if let Some(ttl) = ttl {
                 options = options.ttl(ttl);
             }
-            let (expected_hops, expected_terms) =
-                reference(sys, &query, ttl.unwrap_or(GridVineConfig::default().ttl));
+            let (expected_hops, matches) =
+                reference(sys, &query.pattern, ttl.unwrap_or(GridVineConfig::default().ttl));
+            let expected_terms: BTreeSet<Term> =
+                matches.iter().filter_map(|b| b.get("x").cloned()).collect();
             for run in ["cold", "warm"] {
                 let mut session = sys.open(origin, &plan, &options).unwrap();
                 let mut hops = Vec::new();
@@ -182,6 +204,73 @@ proptest! {
                     prop_assert_eq!(&hops, &expected_hops, "{} hops", run);
                 } else {
                     prop_assert_eq!(sorted(hops), sorted(expected_hops.clone()), "{} hops", run);
+                }
+            }
+        }
+    }
+
+    /// `execute` of a conjunctive plan ≡ the nested-loop join of its
+    /// patterns' reference walks, on row sets, for both join modes and
+    /// both strategies, cold and warm, at TTL 1, 2 and the default, with
+    /// and without a replicating placement rule, under both hashes. A
+    /// join on the object binds `"50%"` whenever a fact holds it: the
+    /// bound mode must match it exactly, never as a LIKE that `"500"`
+    /// satisfies.
+    #[test]
+    fn a_join_is_the_join_of_the_reference_walks(
+        edges in proptest::collection::vec((0usize..5, 0usize..5, any::<bool>(), any::<bool>()), 0..10),
+        facts in proptest::collection::vec((0u8..8, 0usize..5, 0usize..3), 1..30),
+        (left, right) in (0usize..5, 0usize..5),
+        (shape, value) in (0usize..3, 0usize..3),
+        origin in 0usize..PEERS,
+        (uniform, placed, window) in (any::<bool>(), any::<bool>(), 1usize..5),
+        // 0: the configured TTL.
+        ttl in 0usize..3,
+    ) {
+        let hash = if uniform { HashKind::Uniform } else { HashKind::OrderPreserving };
+        let attribute = |s: usize| PatternTerm::constant(Term::uri(format!("{}#a", SCHEMAS[s])));
+        let var = PatternTerm::var;
+        let fact = |s, o| TriplePattern::new(var(s), attribute(left), o);
+        let (distinguished, patterns) = match shape {
+            // Entities whose values agree, …
+            0 => (
+                vec!["x", "y", "v"],
+                vec![fact("x", var("v")), TriplePattern::new(var("y"), attribute(right), var("v"))],
+            ),
+            // … one entity's value under a second schema, …
+            1 => (
+                vec!["x", "v"],
+                vec![
+                    fact("x", PatternTerm::constant(Term::literal(VALUES[value]))),
+                    TriplePattern::new(var("x"), attribute(right), var("v")),
+                ],
+            ),
+            // … and a chain through both.
+            _ => (
+                vec!["x", "y", "w"],
+                vec![
+                    fact("x", var("v")),
+                    TriplePattern::new(var("y"), attribute(right), var("v")),
+                    fact("y", var("w")),
+                ],
+            ),
+        };
+        let distinguished = distinguished.iter().map(|v| v.to_string()).collect();
+        let query = ConjunctiveQuery::new(distinguished, patterns).unwrap();
+        let plan = QueryPlan::conjunctive(query.clone());
+        let origin = PeerId::from_index(origin);
+        let sys = &mut federation(hash, placed, &edges, &facts);
+        let expected = reference_join(sys, &query, if ttl > 0 { ttl } else { GridVineConfig::default().ttl });
+        for strategy in [Strategy::Iterative, Strategy::Recursive] {
+            for mode in [JoinMode::Independent, JoinMode::BoundSubstitution] {
+                let mut options = QueryOptions::new().strategy(strategy).join_mode(mode).window(window);
+                if ttl > 0 {
+                    options = options.ttl(ttl);
+                }
+                for run in ["cold", "warm"] {
+                    let out = sys.execute(origin, &plan, &options).unwrap();
+                    let rows: BTreeSet<String> = out.rows.iter().map(Binding::to_string).collect();
+                    prop_assert_eq!(&rows, &expected, "{:?} {:?} {} {}", strategy, mode, run, query);
                 }
             }
         }

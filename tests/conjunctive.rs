@@ -563,6 +563,42 @@ fn a_seed_that_leaves_nothing_to_route_by_is_a_recorded_failure() {
     assert_eq!(out.stats.failures, 1);
 }
 
+#[test]
+fn a_bound_value_with_a_percent_sign_is_matched_exactly() {
+    // `?v` binds the literal "50%": in the next pattern it is a value,
+    // not a LIKE prefix, so "500" must not join it.
+    let (mut sys, oracle) = single_schema_system(&[
+        Triple::new("e:1", "S#a0", Term::literal("50%")),
+        Triple::new("e:2", "S#a1", Term::literal("500")),
+        Triple::new("e:3", "S#a1", Term::literal("50%")),
+    ]);
+    let q = parse_query("SELECT ?x, ?y WHERE (?x, <S#a0>, ?v), (?y, <S#a1>, ?v)").unwrap();
+    let expected = oracle_rows(&q, &oracle);
+    assert_eq!(expected, ["{?x=<e:1>, ?y=<e:3>}"]);
+    for strategy in ALL_STRATEGIES {
+        for mode in ALL_MODES {
+            let out = search_conjunctive(&mut sys, PeerId(4), &q, strategy, mode);
+            assert_eq!(rows(&out), expected, "{strategy:?}/{mode:?}");
+        }
+    }
+    // The same value is what an instance with no constant of its own
+    // routes by: it is a value there too.
+    let q = parse_query("SELECT ?x, ?y, ?p WHERE (?x, <S#a0>, ?v), (?y, ?p, ?v)").unwrap();
+    let expected = oracle_rows(&q, &oracle);
+    assert_eq!(expected.len(), 2, "e:1 and e:3 hold \"50%\"");
+    for strategy in ALL_STRATEGIES {
+        let out = search_conjunctive(
+            &mut sys,
+            PeerId(4),
+            &q,
+            strategy,
+            JoinMode::BoundSubstitution,
+        );
+        assert_eq!(rows(&out), expected, "{strategy:?}");
+        assert_eq!(out.stats.failures, 0, "{strategy:?}");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Property: distributed conjunctive evaluation == centralized oracle,
 // for random corpora and a random join query of a random shape.
