@@ -52,8 +52,8 @@
 //! [`JoinMode::BoundSubstitution`] join is resolved for every partial
 //! solution at once: the distinct substitutions the partial solutions
 //! make of the pattern's already-bound variables — the *seeds* — travel
-//! as a column on every data request of the pattern's one sweep
-//! (`GridVineSystem::sweep_pattern_network`), beside the pattern list.
+//! as a column on every data request of the pattern's one sweep (the
+//! session's, one exchange per unit), beside the pattern list.
 //! The sweep is the pattern's own: its hops route by the pattern's
 //! routing constants, not by what a seed would put into a variable
 //! (the predicate's peer indexes every triple of the predicate, so the
@@ -207,11 +207,12 @@ impl QueryOptions {
 
     /// Keep up to `window` subqueries of this session in flight on the
     /// simulated clock (see [`crate::system::sched`]): independent
-    /// closure hops, prefix probes and the pattern sweeps of an
-    /// independent join pipeline instead of serializing, cutting
-    /// simulated first-result latency. (A bound join has nothing to
-    /// overlap: each pattern is one unit that waits for its
-    /// predecessor's rows.)
+    /// closure hops — a closure plan's, or those of a join pattern's
+    /// sweep — prefix probes and the pattern sweeps of an independent
+    /// join pipeline instead of serializing, cutting simulated
+    /// first-result latency. (A bound join's pattern still waits for
+    /// its predecessor's rows: only the requests within a pattern
+    /// overlap.)
     /// The row multiset and the total message count are identical for
     /// every window size — only the clock (and event delivery order)
     /// changes. Clamped to at least 1; the default of 1 reproduces the
@@ -332,14 +333,18 @@ counters! {
         /// counts in `failures`, not in `mapping_fetches`), with equality
         /// when no pattern rode and nothing failed.
         ///
-        /// A closure session emits one
+        /// A session emits one
         /// [`ResultEvent::Stats`](super::session::ResultEvent) per unit,
-        /// and each unit is one exchange — a hop that rode another's
-        /// request has no data unit, an expansion whose list rode a reply
-        /// or that lies at the TTL has no discovery unit, and no
-        /// zero-message unit stands in for either — so a drained closure
-        /// session emits exactly `requests` of them (a replica-served
-        /// request that fails over adds one per holder it skipped).
+        /// and each unit of a closure walk or a join pattern's sweep is
+        /// one exchange — a hop that rode another's request has no data
+        /// unit, an expansion whose list rode a reply or that lies at the
+        /// TTL has no discovery unit, and no zero-message unit stands in
+        /// for either — so a drained closure session emits exactly
+        /// `requests` of them, a drained join session as many plus one
+        /// for an independent join's local fold (a replica-served request
+        /// that fails over adds one per holder it skipped; a bound
+        /// pattern whose instances have nothing to route by is one
+        /// zero-message unit).
         pub requests: usize,
         /// Protocol-level transmissions: first sends plus retransmits
         /// (`sends == requests + retransmits` always holds).
@@ -449,9 +454,9 @@ pub(crate) struct RoutedBy {
 pub(crate) struct Listed<'a> {
     pub(crate) pattern: &'a TriplePattern,
     /// `Some` when the entry stands for the one instance its seed makes
-    /// of `pattern` — routed by what that seed put in
-    /// (`resolve_instances`) — rather than for the instances the
-    /// request's binding column makes.
+    /// of `pattern` — routed by what that seed put in, for a bound
+    /// pattern with no routing constant of its own — rather than for the
+    /// instances the request's binding column makes.
     pub(crate) seed: Option<&'a Binding>,
     pub(crate) routed: &'a RoutedBy,
     /// The key of the schema whose mapping list the reply carries if
@@ -547,14 +552,13 @@ struct LiveWalk {
     tainted: bool,
 }
 
-/// Incremental closure expansion of one schema'd pattern — the single
-/// implementation behind both consumers: the session drives it one
-/// [`ClosureSweep::resolve_next`] per pull (with
-/// [`ClosureSweep::expand_pending`] skipped on early termination), a
-/// join pattern's sweep (`GridVineSystem::sweep_pattern_network`)
-/// drains it in a loop, one unit for the whole pattern. Both observe
-/// the identical hop sequence, requests and cache interactions, so
-/// their accounting agrees by construction.
+/// Incremental closure expansion of one schema'd pattern, stepped by
+/// the session one exchange per unit — a [`ClosureSweep::resolve_next`]
+/// that sends, or an [`ClosureSweep::expand_pending`] that discovers —
+/// with the expansion skipped on early termination. A closure plan's
+/// walk and a join pattern's are the same walk, the latter carrying its
+/// binding column on every data request, so the two observe the
+/// identical hop sequence, requests and cache interactions.
 ///
 /// A sweep is a stack of known hops. A **live walk** over the DHT's
 /// mapping lists starts from the origin hop, pushes what each expansion
@@ -654,9 +658,9 @@ pub(crate) struct Expansion {
 /// instances of its pattern: one per seed of the request's binding
 /// column, one when it carried none — into a consumer's counters;
 /// `answered` is false if the request it was routed for failed, which
-/// fails every instance. The one charging rule both the session and
-/// the join sweep apply, so their accounting cannot drift.
-/// `bindings_shipped` is charged by the consumer, per reply.
+/// fails every instance. The one charging rule of every walk's hops,
+/// whether a closure plan's or a join pattern's, so their accounting
+/// cannot drift. `bindings_shipped` is charged per reply.
 pub(crate) fn charge_hop(stats: &mut ExecStats, depth: usize, instances: usize, answered: bool) {
     stats.subqueries += instances;
     stats.schemas_visited += instances;
@@ -1088,161 +1092,6 @@ impl GridVineSystem {
         }
         self.proto_request(issuer, holder)?;
         Ok((holder, self.stored_mappings(holder, schema_key)))
-    }
-
-    /// Resolve a join pattern over the mapping network: answer it in
-    /// its own schema, then in every schema reachable through active
-    /// mappings (within the TTL) — the [`ClosureSweep`] a closure plan
-    /// runs, drained in a loop, recording and replaying the same cache
-    /// entries. A pattern whose predicate is a variable (or does not
-    /// name a schema) has no schema to translate from and is one
-    /// request, without reformulation.
-    ///
-    /// Every data request carries `seeds`, the binding column of a
-    /// bound join (empty for an independent one): a hop answered is
-    /// answered for every seed, a hop whose request failed has failed
-    /// for every seed, and the counters move once per (hop, seed). So
-    /// the hops are `pattern`'s — its requests route by *its* routing
-    /// constants, never by what a seed would put into a variable — and
-    /// `pattern` has a closure of its own only while the seeds leave
-    /// its predicate alone, which is the caller's to see to. If it has
-    /// nothing to route by, its instances go out by what the seeds make
-    /// of them (`resolve_instances`).
-    ///
-    /// Replies append to `out`, whose header is the variables an
-    /// instance leaves unbound. After each, `reply` is handed `out` and
-    /// the rows the reply shipped per answered (hop, seed), in row
-    /// order — `shipped[i]` belongs to seed `i % seeds.len()`, and the
-    /// reply's rows are the last `Σ shipped` of `out` — to take them or
-    /// leave them to accumulate; it returns whether to go on: on
-    /// `false` no further request is sent, and the truncated walk
-    /// commits nothing to the closure cache.
-    #[allow(clippy::too_many_arguments)] // one call site per join mode
-    pub(crate) fn sweep_pattern_network(
-        &mut self,
-        origin: PeerId,
-        pattern: &TriplePattern,
-        seeds: &[Binding],
-        strategy: Strategy,
-        ttl: usize,
-        stats: &mut ExecStats,
-        out: &mut BindingBatch,
-        mut reply: impl FnMut(&mut BindingBatch, &[usize]) -> bool,
-    ) -> Result<(), SystemError> {
-        let instances = seeds.len().max(1);
-        // What one request lists of the column.
-        let carried: usize = seeds.iter().map(Binding::len).sum();
-        let Some((_, term)) = pattern.routing_constant() else {
-            if seeds.is_empty() {
-                return Err(SystemError::NotRoutable);
-            }
-            return self.resolve_instances(origin, pattern, seeds, stats, out, reply);
-        };
-        let Ok((origin_schema, attr)) = gridvine_semantic::pattern_schema(pattern) else {
-            // Un-schema'd pattern: a request listing it alone.
-            let routed = self.routed_by(term);
-            let alone = Listed {
-                pattern,
-                seed: None,
-                routed: &routed,
-                schema_key: None,
-            };
-            let mut answered = Reply::default();
-            let none = std::iter::empty();
-            self.resolve_patterns(origin, alone, none, seeds, out, &mut answered)?;
-            stats.subqueries += instances;
-            stats.bindings_shipped += answered.shipped.iter().sum::<usize>();
-            stats.bindings_carried += carried;
-            reply(out, &answered.shipped);
-            return Ok(());
-        };
-        let mut sweep = ClosureSweep::open(
-            self,
-            origin,
-            pattern,
-            origin_schema,
-            attr,
-            strategy,
-            ttl,
-            stats,
-        );
-        let mut shipped = Vec::new();
-        loop {
-            let mut hops = 0;
-            shipped.clear();
-            let popped = sweep.resolve_next(self, seeds, out, |hop, rows| {
-                hops += 1;
-                charge_hop(stats, hop.depth, instances, rows.is_some());
-                shipped.extend_from_slice(rows.unwrap_or_default());
-            });
-            if !popped {
-                return Ok(());
-            }
-            if hops > 0 {
-                stats.bindings_shipped += shipped.iter().sum::<usize>();
-                stats.bindings_carried += carried;
-                // Dropping the sweep with its popped hop unexpanded is
-                // `discard_pending`: nothing is committed.
-                if !reply(out, &shipped) {
-                    return Ok(());
-                }
-            }
-            sweep.expand_pending(self, stats)?;
-        }
-    }
-
-    /// The instances of a bound pattern that has no routing constant of
-    /// its own (`(?s, ?p, ?o)` with `?s` bound): no closure — the
-    /// predicate is a variable — and no common key, so each instance
-    /// routes by the constants its seed put in. They are one list: the
-    /// request of the first instance not yet answered lists the others,
-    /// and the peer it lands on answers those under its path, probing
-    /// `pattern` with each one's seed. An instance with nothing to route
-    /// by is a recorded failure.
-    fn resolve_instances(
-        &mut self,
-        origin: PeerId,
-        pattern: &TriplePattern,
-        seeds: &[Binding],
-        stats: &mut ExecStats,
-        out: &mut BindingBatch,
-        mut reply: impl FnMut(&mut BindingBatch, &[usize]) -> bool,
-    ) -> Result<(), SystemError> {
-        let routed: Vec<Option<RoutedBy>> = seeds
-            .iter()
-            .map(|s| Some(self.routed_by(pattern.instance_routing_constant(s)?.1)))
-            .collect();
-        let mut todo: Vec<bool> = routed.iter().map(Option::is_some).collect();
-        stats.failures += todo.iter().filter(|&&routable| !routable).count();
-        let mut answered = Reply::default();
-        loop {
-            // Seed indices, rising, of the instances still to answer.
-            let open: Vec<usize> = (0..seeds.len()).filter(|&i| todo[i]).collect();
-            let Some((&first, rest)) = open.split_first() else {
-                break;
-            };
-            let listed = |&i: &usize| Listed {
-                pattern,
-                seed: Some(&seeds[i]),
-                routed: routed[i].as_ref().expect("routable instances only"),
-                schema_key: None,
-            };
-            answered.clear();
-            let rest = rest.iter().map(listed);
-            self.resolve_patterns(origin, listed(&first), rest, &[], out, &mut answered)?;
-            stats.subqueries += answered.answered.len();
-            stats.bindings_shipped += answered.shipped.iter().sum::<usize>();
-            stats.bindings_carried += open.iter().map(|&i| seeds[i].len()).sum::<usize>();
-            let mut shipped = vec![0; seeds.len()];
-            for (&position, &rows) in answered.answered.iter().zip(&answered.shipped) {
-                shipped[open[position]] = rows;
-                todo[open[position]] = false;
-            }
-            if !reply(out, &shipped) {
-                break;
-            }
-        }
-        Ok(())
     }
 }
 
@@ -1680,14 +1529,26 @@ mod tests {
         stats.collect()
     }
 
+    /// The sum of consecutive units' deltas.
+    fn total(deltas: &[ExecStats]) -> ExecStats {
+        let mut sum = ExecStats::default();
+        for delta in deltas {
+            sum += *delta;
+        }
+        sum
+    }
+
     #[test]
     fn a_bound_pattern_is_one_sweep_however_many_rows_it_is_bound_to() {
         // Identically seeded twins holding the same corpus: which
         // selector the first pattern asks for decides how many partial
         // solutions the second is bound to, and nothing else.
-        let few = join_star().execute(ORIGIN, &join_of("few", false), &bound());
-        let many = join_star().execute(ORIGIN, &join_of("many", false), &bound());
-        let (few, many) = (few.unwrap(), many.unwrap());
+        let few = units(&mut join_star(), &join_of("few", false), &bound());
+        let many = units(&mut join_star(), &join_of("many", false), &bound());
+        // One unit per exchange, however many seeds it carries.
+        assert_eq!(few.0.len(), few.1.stats.requests);
+        assert_eq!(many.0.len(), many.1.stats.requests);
+        let (few, many) = (few.1, many.1);
         assert_eq!((few.rows.len(), many.rows.len()), (3, 30));
         assert_eq!(few.stats.requests, many.stats.requests);
         assert_eq!(few.stats.messages, many.stats.messages);
@@ -1710,12 +1571,19 @@ mod tests {
         let sys = &mut join_star();
         for run in ["cold", "warm"] {
             let (units, out) = units(sys, &join_of("few", false), &bound());
-            let [first, second] = deltas(&units)[..] else {
-                panic!("{run}: one unit per bound pattern, not {}", units.len());
-            };
+            // One unit per exchange: the first pattern's walk is one
+            // request, every later unit is the second pattern's.
+            let deltas = deltas(&units);
+            assert_eq!(deltas.len(), out.stats.requests, "{run}");
+            let (first, second) = (deltas[0], total(&deltas[1..]));
+            assert_eq!(first.requests, 1, "{run}");
             // The first pattern is bound to nothing. Every data request
             // of the second carries three seeds of one variable.
             assert_eq!(first.bindings_carried, 0, "{run}");
+            for unit in &deltas[1..] {
+                let data_request = unit.requests - unit.mapping_fetches;
+                assert_eq!(unit.bindings_carried, 3 * data_request, "{run}");
+            }
             let data_requests = second.requests - second.mapping_fetches;
             assert_eq!(data_requests, 4, "{run}: four leaves");
             assert_eq!(second.bindings_carried, 3 * data_requests, "{run}");
@@ -1763,7 +1631,8 @@ mod tests {
         assert_eq!(full_sys.cached_closures(), 2);
 
         let sys = &mut join_star();
-        let limited = sys.execute(ORIGIN, &plan, &bound().limit(2)).unwrap();
+        let (units, limited) = units(sys, &plan, &bound().limit(2));
+        assert_eq!(units.len(), limited.stats.requests);
         assert_eq!(limited.rows.len(), 2);
         assert!(limited.rows.iter().all(|row| full.rows.contains(row)));
         // The first pattern's walk is one request: `Apple#b` routes to
@@ -1783,14 +1652,47 @@ mod tests {
         assert_eq!(sys.pending_events(), 0);
     }
 
+    /// The second pattern's walk starts at Apple, whose reply carries
+    /// Apple's list: the three hops it admits are ready at once, and a
+    /// `window(4)` session sends their requests side by side where a
+    /// `window(1)` session sends them one after another. Same rows,
+    /// same messages.
+    #[test]
+    fn a_bound_pattern_overlaps_the_hops_that_are_ready_at_once() {
+        let plan = join_of("many", false);
+        let drained = |window: usize| {
+            let sys = &mut join_star();
+            let mut session = sys.open(ORIGIN, &plan, &bound().window(window)).unwrap();
+            while session.next_event().unwrap().is_some() {}
+            let elapsed = session.sim_elapsed();
+            (session.into_outcome(), elapsed)
+        };
+        let (serial, serial_t) = drained(1);
+        let (overlapped, overlapped_t) = drained(4);
+        assert_eq!(overlapped.rows, serial.rows);
+        assert_eq!(overlapped.stats.messages, serial.stats.messages);
+        assert_eq!(overlapped.stats.mapping_fetches, 0, "every list rides");
+        assert!(
+            overlapped_t < serial_t,
+            "drained in {overlapped_t:?} under window(4), {serial_t:?} under window(1)"
+        );
+    }
+
     #[test]
     fn duplicate_fragments_stay_duplicates_until_the_projection() {
         let plan = join_of("few", true);
         let sys = &mut join_star();
         let (units, out) = units(sys, &plan, &bound());
-        let [_, second, third] = deltas(&units)[..] else {
-            panic!("one unit per bound pattern, not {}", units.len());
+        // One unit per exchange; the first and the third pattern's walks
+        // are one request each — their closures are Apple alone, and
+        // Apple's list rides the reply.
+        let deltas = deltas(&units);
+        assert_eq!(deltas.len(), out.stats.requests);
+        let [first, second @ .., third] = &deltas[..] else {
+            panic!("a unit per exchange, not {}", units.len());
         };
+        assert_eq!((first.requests, third.requests), (1, 1));
+        let second = total(second);
         // `seq:J00`'s lab comes back through Apple's hop and through
         // Guava's: four partial rows for three distinct labs, so three
         // seeds for the third pattern (whose closure is Apple alone).
@@ -1810,14 +1712,19 @@ mod tests {
         let plan = join_of("many", false);
         let free = join_star().execute(ORIGIN, &plan, &bound()).unwrap();
         let rule = PlacementPolicy::new().replicate("Mango#", 2);
-        let placed = join_star_placed(rule)
-            .execute(ORIGIN, &plan, &bound())
-            .unwrap();
+        let (units, placed) = units(&mut join_star_placed(rule), &plan, &bound());
         assert_eq!(placed.rows, free.rows);
-        // One exchange with a Mango holder for all thirty seeds. A
-        // replica holder's reply carries no mapping list, so Mango's
-        // is discovered: the placed sweep's extra requests are exactly
-        // the discoveries that could not ride.
+        assert_eq!(units.len(), placed.stats.requests);
+        // One exchange with a Mango holder for all thirty seeds, a unit
+        // of its own. A replica holder's reply carries no mapping list,
+        // so Mango's is discovered: the placed sweep's extra requests
+        // are exactly the discoveries that could not ride.
+        let served = deltas(&units).into_iter().filter(|d| d.replica_hits > 0);
+        let [holder] = served.collect::<Vec<_>>()[..] else {
+            panic!("one unit served by a replica holder");
+        };
+        assert_eq!((holder.requests, holder.failovers), (1, 0));
+        assert_eq!((holder.subqueries, holder.bindings_carried), (30, 30));
         assert_eq!((placed.stats.replica_hits, free.stats.replica_hits), (1, 0));
         let unridden = placed.stats.mapping_fetches - free.stats.mapping_fetches;
         assert_eq!(unridden, 1);

@@ -12,12 +12,14 @@
 //! reply answers every listed pattern the destination is responsible
 //! for (see [`super::exec`]), so a unit may resolve several closure
 //! hops; a hop resolved by another hop's unit never becomes a unit of
-//! its own. A join pattern — its whole sweep of the mapping network,
-//! with the binding column a bound join's requests carry — is one
-//! unit. Independent closure hops, prefix probes and the pattern
-//! sweeps of an independent join pipeline; dependent work (a hop's
-//! children wait for its mapping discovery, a bound pattern waits for
-//! its predecessor's rows) is serialized through per-unit ready times.
+//! its own. A join pattern's sweep of the mapping network is units the
+//! same way — one per data request or mapping discovery, each request
+//! carrying the binding column of a bound join — so independent closure
+//! hops, a closure plan's or a join pattern's, prefix probes and the
+//! pattern sweeps of an independent join pipeline; dependent work (a
+//! hop's children wait for the unit that brought its mapping list, a
+//! bound pattern waits for its predecessor's rows) is serialized
+//! through per-unit ready times.
 //!
 //! ## Determinism and equivalence, by construction
 //!

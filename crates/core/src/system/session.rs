@@ -29,9 +29,9 @@
 //! construction. Dependencies serialize through per-unit ready times:
 //! a closure hop's request can only be sent once the unit that brought
 //! the mapping list which revealed it — a discovery, or a data reply
-//! that carried the list — completed; a bound-join pattern's sweep
-//! waits for its predecessor pattern's rows; prefix probes and warm
-//! cache replays are fully independent and pipeline `window`-wide.
+//! that carried the list — completed; a bound join's pattern waits for
+//! its predecessor pattern's rows; prefix probes and warm cache replays
+//! are fully independent and pipeline `window`-wide.
 //!
 //! A data request is a pattern *list* (see the
 //! [executor docs](crate::system::exec)): the request of the closure
@@ -48,17 +48,25 @@
 //! before it. A rider was queued, hence ready, no later than the hop
 //! whose request carried it, so the unit's ready time is that hop's.
 //!
-//! A join pattern is **one unit**, in either [`JoinMode`]: the whole
-//! sweep of the pattern over the mapping network — every data request
-//! and mapping discovery of its closure walk — is issued by one pull
-//! and completes as one reply. An independent join's sweeps are ready
-//! at session start and overlap; a bound join's wait for each other
-//! through a barrier, because the requests of pattern *n* + 1 carry the
-//! binding column that pattern *n*'s rows make (see the
-//! [executor docs](crate::system::exec)). However many partial
-//! solutions a bound pattern is substituted with, it is one sweep and
-//! one unit: the substitutions ride the requests, they do not multiply
-//! them.
+//! A join pattern's sweep of the mapping network is issued the same
+//! way, in either [`JoinMode`]: each data request and each mapping
+//! discovery of its closure walk is a unit of its own, ready by the
+//! same rules — the hop a walk starts with when its sweep may start,
+//! every other hop when the unit that brought the list which admitted
+//! it completed. An independent join's sweeps may all start at session
+//! start, so their units overlap; a bound join's pattern *n* + 1 starts
+//! at a barrier — the max completion over every unit issued before it —
+//! because its requests carry the binding column that pattern *n*'s
+//! rows make (see the [executor docs](crate::system::exec)). Within a
+//! pattern the sweeps of its parts — one per predicate the partial
+//! solutions substitute into it — are independent of each other.
+//! However many partial solutions a bound pattern is substituted
+//! with, its walk is one, with the exchanges of an unbound one: the
+//! substitutions ride the requests, they do not multiply them. A
+//! pattern with no closure — no schema, or routed only by what its
+//! seeds put in — is one unit per request too; the requests of a bound
+//! pattern's instances go out one after another, because each lists
+//! what the replies before it left unanswered.
 //!
 //! An independent join's fold pays for the rows that can join, not for
 //! every row shipped. Each sweep keeps its pattern's batch as it
@@ -103,7 +111,7 @@
 //!   (projected onto the distinguished variables), in discovery order
 //!   (request by request; within a closure reply, hop by hop; within a
 //!   hop of a bound join's last pattern, seed by seed — one `Rows` per
-//!   reply that completed any, all inside the pattern's unit).
+//!   reply that completed any, in that reply's unit).
 //!   A row is never repeated across batches. These are the only
 //!   [`Binding`]s a session builds: destinations ship columnar
 //!   [`BindingBatch`]es, projection and dedup run on their terms (or,
@@ -116,14 +124,15 @@
 //!   Emitted by single-pattern closure plans, one per hop a request
 //!   answered (or failed for), each followed by that hop's `Rows` if
 //!   it had fresh ones — several per unit when hops rode the request;
-//!   join plans run each pattern's sweep as a whole unit and report it
-//!   via `Stats`.
+//!   a join plan's units report the hops they resolved through `Stats`
+//!   only.
 //! * [`ResultEvent::Stats`] — the [`ExecStats`] *delta* of the unit
 //!   (messages, subqueries, reformulations, …) since the previous
 //!   unit. Summing the deltas of a drained session reproduces
 //!   [`QueryOutcome::stats`]. Every unit emits one, last, so progress
-//!   is observable even while a request returns no rows; a closure
-//!   unit is one request ([`ExecStats::requests`]).
+//!   is observable even while a request returns no rows; every unit but
+//!   an independent join's local fold is one exchange (see
+//!   [`ExecStats::requests`]).
 //!
 //! ## The reformulation-closure caches
 //!
@@ -181,6 +190,7 @@
 use super::conjunctive::JoinMode;
 use super::exec::{
     charge_hop, one_var_row, ClosureSweep, ExecStats, Listed, QueryOptions, QueryOutcome, Reply,
+    RoutedBy,
 };
 use super::pool::SessionId;
 use super::sched::QueuedReply;
@@ -198,7 +208,9 @@ pub enum ResultEvent {
     /// variables, in discovery order.
     Rows(Vec<Binding>),
     /// The closure walk resolved the query at `schema`, reached over
-    /// `depth` mapping applications with path quality `quality`.
+    /// `depth` mapping applications with path quality `quality`
+    /// (single-pattern closure plans; a join plan's units report their
+    /// hops through `Stats` only).
     SchemaHop {
         schema: SchemaId,
         depth: usize,
@@ -217,9 +229,10 @@ enum RowOrder {
     ByDisplay,
 }
 
-/// The share of a bound pattern's partial solutions that one sweep of
+/// The share of a join pattern's partial solutions that one sweep of
 /// the mapping network answers: those whose substitutions leave the
-/// pattern the same predicate, hence the same closure.
+/// pattern the same predicate, hence the same closure. An independent
+/// join's pattern is one part, bound to nothing.
 struct BoundPart {
     /// The pattern as every request of the sweep lists it. It is the
     /// query's pattern unless its predicate is a variable the partial
@@ -228,7 +241,7 @@ struct BoundPart {
     template: TriplePattern,
     /// The binding column the requests carry: one seed per distinct
     /// substitution the part's rows make of the template's bound
-    /// variables, in first-seen order.
+    /// variables, in first-seen order (none in independent mode).
     seeds: Vec<Binding>,
     /// Per seed, the partial rows (indices into [`JoinState::rows`])
     /// that agree on it — its group: a row shipped for the seed joins
@@ -236,21 +249,73 @@ struct BoundPart {
     members: Vec<Vec<usize>>,
 }
 
+/// The sweep of one [`BoundPart`], issued one exchange per unit.
+struct PatternSweep {
+    part: BoundPart,
+    requests: Requests,
+    /// Rows its replies shipped that the join has not taken, under the
+    /// variables an instance of the template leaves unbound.
+    rows: BindingBatch,
+}
+
+/// How a [`PatternSweep`] reaches the data.
+enum Requests {
+    /// A schema'd template: its closure walk.
+    Walk(Box<Walk>),
+    /// A template with no schema: one request listing it alone, ready
+    /// at `ready` (`routed` is `None` once it is sent).
+    Alone {
+        routed: Option<RoutedBy>,
+        ready: SimTime,
+    },
+    /// A template with no routing constant of its own: its instances,
+    /// one per seed, each routed by what the seed puts in (`None`:
+    /// nothing). `todo` marks those no reply answered yet; `unroutable`
+    /// counts the others until the first unit records them as failures.
+    Instances {
+        routed: Vec<Option<RoutedBy>>,
+        todo: Vec<bool>,
+        unroutable: usize,
+    },
+}
+
+/// A closure walk as the scheduler sees it: the sweep, and what makes
+/// each of its hops ready.
+struct Walk {
+    sweep: ClosureSweep,
+    /// When the hops the walk starts with are ready: session start, or
+    /// a bound join pattern's barrier.
+    start: SimTime,
+    /// Per hop, the completion instant of the latest unit that heard
+    /// it: answered it, or brought its mapping list.
+    heard_at: HashMap<SchemaId, SimTime>,
+    /// Per admitted hop, the hop whose expansion admitted it.
+    parent_of: HashMap<SchemaId, SchemaId>,
+}
+
 /// Per-pattern progress of a join plan.
 enum JoinPhase {
     /// Independent mode: one full network sweep per pattern, in written
-    /// order (each sweep an independent scheduler unit), each keeping
-    /// the rows it shipped as they arrived; a final local fold unit
-    /// encodes, joins and projects them once every sweep completed.
+    /// order, each keeping the rows it shipped as they arrived; a final
+    /// local fold unit encodes, joins and projects them once every
+    /// sweep completed.
     Independent {
         next_pattern: usize,
         shipped: Vec<BindingBatch>,
     },
-    /// Bound substitution in the planner's order: one sweep per
-    /// pattern, carrying the partial solutions' binding column, per
-    /// unit; rows complete at the last pattern. Each pattern waits for
-    /// its predecessor's rows through the barrier.
-    Bound { oi: usize },
+    /// Bound substitution in the planner's order: `oi` patterns of the
+    /// order are opened, the last of them is being swept — its parts
+    /// not opened yet wait in `parts`, last first — and `next` holds the
+    /// partial rows it completed so far. Every request carries its
+    /// part's binding column; rows complete at the last pattern. The
+    /// parts' walks start at `barrier`, when the predecessor's rows are
+    /// all in.
+    Bound {
+        oi: usize,
+        parts: Vec<BoundPart>,
+        next: Vec<Vec<u64>>,
+        barrier: SimTime,
+    },
 }
 
 /// Join-plan execution state: the hash-join binding engine of
@@ -265,9 +330,8 @@ struct JoinState {
     /// Partial solution rows (term-code vectors over the variable slots).
     rows: Vec<Vec<u64>>,
     phase: JoinPhase,
-    /// Scheduler ready time of the current bound pattern's sweep: the
-    /// completion instant of the predecessor pattern's unit.
-    barrier: SimTime,
+    /// The sweep whose units are being issued.
+    sweep: Option<PatternSweep>,
     projection: Projection,
 }
 
@@ -298,11 +362,25 @@ enum State {
     /// is emptied once its rows are admitted.
     Closure {
         query: TriplePatternQuery,
-        sweep: Box<ClosureSweep>,
+        walk: Box<Walk>,
         shipped: BindingBatch,
         seen: BTreeSet<Term>,
     },
     Join(Box<JoinState>),
+}
+
+impl State {
+    /// The closure walk whose unit was issued last, if it was a walk's.
+    fn walk_mut(&mut self) -> Option<&mut Walk> {
+        match self {
+            State::Closure { walk, .. } => Some(walk),
+            State::Join(join) => match join.sweep.as_mut()?.requests {
+                Requests::Walk(ref mut walk) => Some(walk),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
 }
 
 /// One hop of a closure walk as a request resolved it.
@@ -310,24 +388,9 @@ struct SweepHop {
     schema: SchemaId,
     depth: usize,
     quality: f64,
-    /// Rows its destination shipped, or `None` when the request this
-    /// hop was routed for failed.
+    /// Rows its destination shipped, over all instances, or `None` when
+    /// the request this hop was routed for failed.
     shipped: Option<usize>,
-}
-
-/// Scheduler metadata of one issued unit.
-enum Stamp {
-    /// Nothing depends on this unit's completion time.
-    None,
-    /// A closure unit: its reply answered these hops (a data request)
-    /// or brought this hop's mapping list (a discovery). A mapping list
-    /// one of them is expanded with reached the issuer no earlier, so
-    /// the hops that expansion admits become ready at this unit's
-    /// completion instant — unless a later discovery brings the list.
-    Heard(Vec<SchemaId>),
-    /// A bound-join pattern finished: the next pattern's sweep becomes
-    /// ready at the max completion over everything issued so far.
-    Barrier,
 }
 
 /// What one canonical step did.
@@ -335,10 +398,17 @@ enum StepOutcome {
     /// No work left at this state boundary; no unit was issued.
     Idle,
     /// One unit was issued (its messages were charged, its events
-    /// produced); `done` means the plan has no further work.
+    /// produced), which could be sent at `ready`; `done` means the plan
+    /// has no further work.
     Unit {
         ready: SimTime,
-        stamp: Stamp,
+        /// The closure hops the unit's reply answered (a data request)
+        /// or whose mapping list it brought (a discovery). A list one
+        /// of them is expanded with reached the issuer no earlier, so
+        /// the hops that expansion admits become ready at this unit's
+        /// completion instant — unless a later discovery brings the
+        /// list.
+        heard: Vec<SchemaId>,
         done: bool,
     },
 }
@@ -394,11 +464,6 @@ pub(crate) struct SessionCore {
     sim_now: SimTime,
     /// Max completion instant over every issued unit.
     max_completion: SimTime,
-    /// Per closure hop, the completion instant of the latest unit that
-    /// [`Stamp::Heard`] it.
-    heard_at: HashMap<SchemaId, SimTime>,
-    /// Per admitted closure hop, the hop whose expansion admitted it.
-    parent_of: HashMap<SchemaId, SchemaId>,
 }
 
 /// A lazily-advancing handle on one executing [`QueryPlan`] — see the
@@ -514,12 +579,24 @@ impl SessionCore {
                 );
                 State::Closure {
                     query: query.clone(),
-                    sweep: Box::new(sweep),
+                    walk: Box::new(Walk::new(sweep, started_at)),
                     shipped: BindingBatch::for_pattern(&query.pattern),
                     seen: BTreeSet::new(),
                 }
             }
             QueryPlan::Join { query, order } => {
+                // A pattern with nothing to route by goes out by what the
+                // partial solutions bind in it, so only bound mode can
+                // send one — and not as the first pattern of its order,
+                // which nothing is bound to.
+                let unroutable = |&i: &usize| query.patterns[i].routing_constant().is_none();
+                let need_a_constant = match options.join_mode {
+                    JoinMode::Independent => order.len(),
+                    JoinMode::BoundSubstitution => 1,
+                };
+                if order.iter().take(need_a_constant).any(unroutable) {
+                    return Err(SystemError::NotRoutable);
+                }
                 let vars = VarTable::from_patterns(&query.patterns);
                 let mut slots = Vec::with_capacity(query.distinguished.len());
                 let mut proj = VarTable::new();
@@ -538,7 +615,12 @@ impl SessionCore {
                         next_pattern: 0,
                         shipped: Vec::with_capacity(query.patterns.len()),
                     },
-                    JoinMode::BoundSubstitution => JoinPhase::Bound { oi: 0 },
+                    JoinMode::BoundSubstitution => JoinPhase::Bound {
+                        oi: 0,
+                        parts: Vec::new(),
+                        next: Vec::new(),
+                        barrier: started_at,
+                    },
                 };
                 State::Join(Box::new(JoinState {
                     query: query.clone(),
@@ -547,7 +629,7 @@ impl SessionCore {
                     interner: TermInterner::new(),
                     rows,
                     phase,
-                    barrier: started_at,
+                    sweep: None,
                     projection: Projection {
                         slots,
                         proj,
@@ -583,8 +665,6 @@ impl SessionCore {
             started_at,
             sim_now: started_at,
             max_completion: started_at,
-            heard_at: HashMap::new(),
-            parent_of: HashMap::new(),
         })
     }
 
@@ -720,10 +800,10 @@ impl SessionCore {
             } => self.step_prefix(sys, query, probes, seen, &mut out),
             State::Closure {
                 query,
-                sweep,
+                walk,
                 shipped,
                 seen,
-            } => self.step_closure(sys, query, sweep, shipped, seen, &mut out),
+            } => self.step_closure(sys, query, walk, shipped, seen, &mut out),
             State::Join(join) => self.step_join(sys, join, &mut out),
         };
         // Fold the unit's counter movement in on success *and* failure
@@ -740,11 +820,16 @@ impl SessionCore {
         self.stats.migrations += pl.migrations - pl0.migrations;
         match result {
             Ok(StepOutcome::Idle) => Ok(()), // state stays Done
-            Ok(StepOutcome::Unit { ready, stamp, done }) => {
+            Ok(StepOutcome::Unit { ready, heard, done }) => {
+                let completion = self.schedule_unit(sys, ready, out);
                 if !done {
+                    if let Some(walk) = state.walk_mut() {
+                        for schema in heard {
+                            walk.heard_at.insert(schema, completion);
+                        }
+                    }
                     self.state = state;
                 }
-                self.schedule_unit(sys, ready, stamp, out);
                 Ok(())
             }
             Err(e) => {
@@ -756,14 +841,14 @@ impl SessionCore {
         }
     }
 
-    /// Scheduler bookkeeping of one issued unit.
+    /// Scheduler bookkeeping of one issued unit. Returns its completion
+    /// instant.
     fn schedule_unit(
         &mut self,
         sys: &mut GridVineSystem,
         ready: SimTime,
-        stamp: Stamp,
         mut events: Vec<ResultEvent>,
-    ) {
+    ) -> SimTime {
         // The unit is in flight from here: fold the high-water mark in
         // *before* the delta snapshot so delta sums stay exact.
         let in_flight = self.inflight + 1;
@@ -780,19 +865,6 @@ impl SessionCore {
         let completion =
             send + sys.proto.delay + sys.unit_delay(self.origin, delta.messages) + reply_jitter;
         self.max_completion = self.max_completion.max(completion);
-        match stamp {
-            Stamp::None => {}
-            Stamp::Heard(hops) => {
-                for s in hops {
-                    self.heard_at.insert(s, completion);
-                }
-            }
-            Stamp::Barrier => {
-                if let State::Join(join) = &mut self.state {
-                    join.barrier = self.max_completion;
-                }
-            }
-        }
         let request_id = sys.proto.next_request_id();
         let session = self.id;
         let queue = &mut sys.exec_state_mut(self.origin).queue;
@@ -819,6 +891,7 @@ impl SessionCore {
             },
         );
         self.inflight += 1;
+        completion
     }
 
     /// Admit freshly-shipped rows of a single-pattern plan: project
@@ -888,7 +961,7 @@ impl SessionCore {
         }
         Ok(StepOutcome::Unit {
             ready: self.started_at,
-            stamp: Stamp::None,
+            heard: Vec::new(),
             done: true,
         })
     }
@@ -921,44 +994,16 @@ impl SessionCore {
         }
         Ok(StepOutcome::Unit {
             ready: self.started_at,
-            stamp: Stamp::None,
+            heard: Vec::new(),
             done: limit_hit || probes.as_slice().is_empty(),
         })
     }
 
-    /// Scheduler ready time of `schema`'s hop: the completion instant
-    /// of the unit that brought the mapping list which admitted it —
-    /// a discovery, or the data reply that carried the list. A hop the
-    /// walk started with is ready at session start.
-    fn hop_ready(&self, schema: &SchemaId) -> SimTime {
-        let parent = self.parent_of.get(schema);
-        let heard = parent.and_then(|p| self.heard_at.get(p));
-        heard.copied().unwrap_or(self.started_at)
-    }
-
-    /// Expand the closure walk's pending hop, remembering which hop
-    /// admitted each schema it reaches.
-    fn expand(
-        &mut self,
-        sys: &mut GridVineSystem,
-        sweep: &mut ClosureSweep,
-    ) -> Result<(), SystemError> {
-        let parent = sweep.pending_schema().cloned();
-        let expansion = sweep.expand_pending(sys, &mut self.stats)?;
-        if let Some(parent) = parent {
-            for s in expansion.admitted {
-                self.parent_of.insert(s, parent.clone());
-            }
-        }
-        Ok(())
-    }
-
-    /// Charge and emit the hops one closure reply answered — a
-    /// `SchemaHop` each, then its fresh `Rows` — consuming `shipped`,
-    /// which holds their rows in the same order. Returns whether the
-    /// result limit was reached; past it the reply's remaining hops are
-    /// still charged (they were answered and shipped) but admit
-    /// nothing.
+    /// Emit the hops one closure reply answered — a `SchemaHop` each,
+    /// then its fresh `Rows` — consuming `shipped`, which holds their
+    /// rows in the same order. Past the result limit the reply's
+    /// remaining hops admit nothing (they were answered, shipped and
+    /// charged all the same).
     fn admit_hops(
         &mut self,
         query: &TriplePatternQuery,
@@ -966,15 +1011,13 @@ impl SessionCore {
         shipped: &mut BindingBatch,
         seen: &mut BTreeSet<Term>,
         out: &mut Vec<ResultEvent>,
-    ) -> bool {
+    ) {
         let var = &query.distinguished;
         let col = shipped.column(var);
         let mut rows = shipped.rows();
         let mut limit_hit = false;
         for hop in answered {
-            charge_hop(&mut self.stats, hop.depth, 1, hop.shipped.is_some());
             let n = hop.shipped.unwrap_or(0);
-            self.stats.bindings_shipped += n;
             out.push(ResultEvent::SchemaHop {
                 schema: hop.schema,
                 depth: hop.depth,
@@ -990,289 +1033,480 @@ impl SessionCore {
         }
         drop(rows);
         shipped.clear();
-        limit_hit
     }
 
-    /// [`QueryPlan::Closure`]: one unit of the reformulation closure —
-    /// one exchange, either the next hop's data request via the shared
-    /// [`ClosureSweep`], or the popped hop's mapping discovery. The
-    /// request emits one `SchemaHop` (+ `Rows`) per hop its destination
-    /// answered, the hop it was routed for first and the queued hops
-    /// that rode it after, in the order the walk pops them. A hop has
-    /// one unit, or two when its expansion needs a discovery — it lies
-    /// below the TTL and its data reply did not carry its list; the two
-    /// share a ready time. Whatever the walk does next without sending
-    /// — an expansion from a carried list or at the TTL, the pop of a
-    /// hop an earlier reply answered — is done in this step, up to the
-    /// next exchange; it is free, and it keeps the clock causal: the
-    /// hops an expansion admits become ready when the unit that brought
-    /// the list completes (see [`SessionCore::hop_ready`]). Early
-    /// termination skips the rest of the walk outright, so its messages
-    /// are never sent.
-    fn step_closure(
+    /// One exchange of a closure walk — the next hop's data request, or
+    /// the popped hop's mapping discovery — of a closure plan or of a
+    /// join pattern's sweep. A data request carries `seeds`, the binding
+    /// column of a bound join (empty otherwise); the hops it resolved
+    /// are charged once per instance, then handed to `admit` with the
+    /// rows shipped per (hop, seed) and `rows`, which holds those rows
+    /// in the same order.
+    ///
+    /// A hop has one unit, or two when its expansion needs a discovery
+    /// — it lies below the TTL and its data reply did not carry its
+    /// list; the two share a ready time. Whatever the walk does next
+    /// without sending — an expansion from a carried list or at the
+    /// TTL, the pop of a hop an earlier reply answered — is done in this
+    /// step, up to the next exchange; it is free, and it keeps the clock
+    /// causal: the hops an expansion admits become ready when the unit
+    /// that brought the list completes (see [`Walk::hop_ready`]). Once
+    /// the result limit is reached the walk stops where it is: it
+    /// expands nothing more and commits nothing to the cache, so the
+    /// rest of its messages are never sent. `Idle` when the walk has
+    /// nothing left to send; `done` when it is exhausted or stopped.
+    fn step_walk(
         &mut self,
         sys: &mut GridVineSystem,
-        query: &TriplePatternQuery,
-        sweep: &mut ClosureSweep,
-        shipped: &mut BindingBatch,
-        seen: &mut BTreeSet<Term>,
-        out: &mut Vec<ResultEvent>,
+        walk: &mut Walk,
+        seeds: &[Binding],
+        rows: &mut BindingBatch,
+        mut admit: impl FnMut(&mut SessionCore, Vec<SweepHop>, &[usize], &mut BindingBatch),
     ) -> Result<StepOutcome, SystemError> {
-        let (ready, heard) = match sweep.pending_schema() {
+        let (ready, heard) = match walk.sweep.pending_schema() {
             // Left pending by the previous step for its discovery.
             Some(schema) => {
                 let schema = schema.clone();
-                let ready = self.hop_ready(&schema);
-                self.expand(sys, sweep)?;
+                let ready = walk.hop_ready(&schema);
+                walk.expand(sys, &mut self.stats)?;
                 (ready, vec![schema])
             }
             None => {
                 let mut answered = Vec::new();
-                // No column: one count per answered hop.
-                let popped = sweep.resolve_next(sys, &[], shipped, |hop, rows| {
-                    answered.push(SweepHop {
-                        schema: hop.schema.clone(),
-                        depth: hop.depth,
-                        quality: hop.quality,
-                        shipped: rows.map(|per_instance| per_instance.iter().sum()),
-                    })
-                });
+                let mut shipped = Vec::new();
+                let popped = walk
+                    .sweep
+                    .resolve_next(sys, seeds, rows, |hop, per_instance| {
+                        answered.push(SweepHop {
+                            schema: hop.schema.clone(),
+                            depth: hop.depth,
+                            quality: hop.quality,
+                            shipped: per_instance.map(|counts| counts.iter().sum()),
+                        });
+                        shipped.extend_from_slice(per_instance.unwrap_or_default());
+                    });
                 let Some(routed_for) = answered.first() else {
-                    // The previous step popped every hop an earlier
-                    // reply answered.
                     debug_assert!(!popped, "a popped hop sent its request");
                     return Ok(StepOutcome::Idle);
                 };
-                let ready = self.hop_ready(&routed_for.schema);
+                let ready = walk.hop_ready(&routed_for.schema);
                 let heard = answered.iter().map(|h| h.schema.clone()).collect();
-                if self.admit_hops(query, answered, shipped, seen, out) {
-                    // A truncated walk neither expands nor commits to
-                    // the cache.
-                    sweep.discard_pending();
-                    return Ok(StepOutcome::Unit {
-                        ready,
-                        stamp: Stamp::Heard(heard),
-                        done: true,
-                    });
+                let instances = seeds.len().max(1);
+                for hop in &answered {
+                    charge_hop(&mut self.stats, hop.depth, instances, hop.shipped.is_some());
+                }
+                self.stats.bindings_shipped += shipped.iter().sum::<usize>();
+                self.stats.bindings_carried += seeds.iter().map(Binding::len).sum::<usize>();
+                admit(self, answered, &shipped, rows);
+                if self.limit_reached() {
+                    walk.sweep.discard_pending();
+                    let done = true;
+                    return Ok(StepOutcome::Unit { ready, heard, done });
                 }
                 (ready, heard)
             }
         };
         loop {
-            if sweep.pending_schema().is_some() {
-                if sweep.pending_discovers() {
+            if walk.sweep.pending_schema().is_some() {
+                if walk.sweep.pending_discovers() {
                     break;
                 }
-                self.expand(sys, sweep)?;
-            } else if sweep.next_answered() {
-                sweep.resolve_next(sys, &[], shipped, |_, _| {
+                walk.expand(sys, &mut self.stats)?;
+            } else if walk.sweep.next_answered() {
+                walk.sweep.resolve_next(sys, &[], rows, |_, _| {
                     unreachable!("an answered hop sends nothing")
                 });
             } else {
                 break;
             }
         }
-        Ok(StepOutcome::Unit {
-            ready,
-            stamp: Stamp::Heard(heard),
-            done: sweep.is_exhausted(),
+        let done = walk.sweep.is_exhausted();
+        Ok(StepOutcome::Unit { ready, heard, done })
+    }
+
+    /// [`QueryPlan::Closure`]: one unit of the reformulation closure
+    /// ([`SessionCore::step_walk`]). A data request emits one
+    /// `SchemaHop` (+ `Rows`) per hop its destination answered, the hop
+    /// it was routed for first and the queued hops that rode it after,
+    /// in the order the walk pops them.
+    fn step_closure(
+        &mut self,
+        sys: &mut GridVineSystem,
+        query: &TriplePatternQuery,
+        walk: &mut Walk,
+        shipped: &mut BindingBatch,
+        seen: &mut BTreeSet<Term>,
+        out: &mut Vec<ResultEvent>,
+    ) -> Result<StepOutcome, SystemError> {
+        self.step_walk(sys, walk, &[], shipped, |core, answered, _, shipped| {
+            core.admit_hops(query, answered, shipped, seen, out)
         })
     }
 
-    /// [`QueryPlan::Join`]: one unit of join work — the sweep of one
-    /// pattern over the mapping network, or (independent mode) the
-    /// local fold.
+    /// [`QueryPlan::Join`]: one unit of join work — one exchange of the
+    /// sweep in flight ([`SessionCore::step_sweep`]), or (independent
+    /// mode) the local fold. A sweep with nothing left to send hands its
+    /// rows on, and the next sweep opens, in the step of the next unit:
+    /// by then every unit issued before is scheduled, so a bound
+    /// pattern's barrier — the max completion over them — is known.
+    ///
+    /// Independent mode sweeps the patterns in written order (the order
+    /// its message accounting is defined over), each from session start
+    /// and keeping the batch it shipped; once every sweep is issued, a
+    /// final zero-message unit, ready at their max completion, encodes
+    /// the rows that can join ([`encode_for_fold`]), joins them through
+    /// the hash-join engine and emits the projected rows.
+    ///
+    /// Bound substitution resolves the patterns in the planner's order,
+    /// each for every partial solution at once: one sweep per
+    /// [`BoundPart`] (a part per substituted predicate, so one unless
+    /// the pattern's predicate is a bound variable), whose requests
+    /// carry the part's binding column. Each reply says how many rows
+    /// it ships per (hop, seed); a row joins every member of its seed's
+    /// group. Rows complete at the last pattern of the order, where the
+    /// result limit is checked after each reply: reaching it ends the
+    /// plan, so the leftover requests are never sent. The plan also ends
+    /// when a pattern leaves no partial row, and no later pattern's
+    /// requests are sent.
     fn step_join(
         &mut self,
         sys: &mut GridVineSystem,
         join: &mut JoinState,
         out: &mut Vec<ResultEvent>,
     ) -> Result<StepOutcome, SystemError> {
-        match &mut join.phase {
-            JoinPhase::Independent { .. } => self.step_join_independent(sys, join, out),
-            JoinPhase::Bound { .. } => self.step_join_bound(sys, join, out),
-        }
-    }
-
-    /// Independent mode: sweep the next pattern (written order — the
-    /// order its message accounting is defined over), keeping the batch
-    /// it shipped. Sweeps are mutually independent units, all ready at
-    /// session start; once the last one is issued, a final local fold
-    /// unit (ready at the max sweep completion) encodes the rows that
-    /// can join ([`encode_for_fold`]), joins them through the hash-join
-    /// engine and emits the projected rows.
-    fn step_join_independent(
-        &mut self,
-        sys: &mut GridVineSystem,
-        join: &mut JoinState,
-        out: &mut Vec<ResultEvent>,
-    ) -> Result<StepOutcome, SystemError> {
-        let JoinState {
-            query,
-            interner,
-            vars,
-            rows: partial,
-            phase,
-            projection,
-            ..
-        } = &mut *join;
-        let JoinPhase::Independent {
-            next_pattern,
-            shipped,
-        } = phase
-        else {
-            unreachable!("phase checked by step_join");
-        };
-        if *next_pattern < query.patterns.len() {
-            let pattern = &query.patterns[*next_pattern];
-            let (strategy, ttl) = (self.strategy, self.ttl);
-            // The bound sweep, with no column; the replies' rows are
-            // left to accumulate into the pattern's one batch.
-            let mut rows = BindingBatch::for_pattern(pattern);
-            let accumulate = |_: &mut BindingBatch, _: &[usize]| true;
-            sys.sweep_pattern_network(
-                self.origin,
-                pattern,
-                &[],
-                strategy,
-                ttl,
-                &mut self.stats,
-                &mut rows,
-                accumulate,
-            )?;
-            shipped.push(rows);
-            *next_pattern += 1;
-            return Ok(StepOutcome::Unit {
-                ready: self.started_at,
-                stamp: Stamp::None,
-                done: false,
-            });
-        }
-        // All sweeps issued: fold + project locally once they all
-        // completed (a zero-message unit ready at the barrier).
-        let sets = encode_for_fold(interner, vars, std::mem::take(shipped));
-        let mut rows = std::mem::take(partial);
-        for set in &sets {
-            rows = hash_join_rows(&rows, set);
-            if rows.is_empty() {
-                break;
-            }
-        }
-        let ready = self.max_completion;
-        let mut fresh = Vec::new();
-        projection.admit(interner, &rows, &mut self.rows, self.limit, &mut fresh);
-        if !fresh.is_empty() {
-            out.push(ResultEvent::Rows(fresh));
-        }
-        Ok(StepOutcome::Unit {
-            ready,
-            stamp: Stamp::None,
-            done: true,
-        })
-    }
-
-    /// Bound substitution: resolve the next pattern of the planner's
-    /// order for every partial solution at once — one sweep of the
-    /// mapping network whose requests carry the binding column (one per
-    /// [`BoundPart`]; a part per substituted predicate, so one unless
-    /// the pattern's predicate is a bound variable). Each reply says
-    /// how many rows it ships per (hop, seed); a row joins every member
-    /// of its seed's group. Rows complete at the last pattern of the
-    /// order, where the result limit is checked after each reply:
-    /// reaching it ends the sweep, so the leftover requests are never
-    /// sent. The whole pattern is one unit, ready at the barrier.
-    fn step_join_bound(
-        &mut self,
-        sys: &mut GridVineSystem,
-        join: &mut JoinState,
-        out: &mut Vec<ResultEvent>,
-    ) -> Result<StepOutcome, SystemError> {
-        let ready = join.barrier;
         let JoinState {
             query,
             order,
-            interner,
             vars,
+            interner,
             rows: partial,
             phase,
+            sweep,
             projection,
-            ..
-        } = &mut *join;
-        let JoinPhase::Bound { oi } = phase else {
-            unreachable!("phase checked by step_join");
-        };
-        let pattern = &query.patterns[order[*oi]];
-        let last = *oi + 1 == order.len();
-        let (strategy, ttl) = (self.strategy, self.ttl);
-        let mut next: Vec<Vec<u64>> = Vec::new();
-        let mut limit_hit = false;
-        for part in bound_parts(pattern, vars, interner, partial) {
-            let BoundPart {
-                template,
-                seeds,
-                members,
-            } = &part;
-            let stats = &mut self.stats;
-            // What an instance leaves unbound.
-            let header = BindingBatch::for_pattern(&template.substitute(&seeds[0]));
-            let merge = |reply: &mut BindingBatch, shipped: &[usize]| {
-                // A seed's matches bind only the pattern's remaining
-                // variables: merge each into every member row.
-                let reply = std::mem::replace(reply, header.clone());
-                let fragments = interner.encode_batch(reply, vars, &[]);
-                let mut fresh = Vec::new();
-                let mut at = 0;
-                'reply: for (i, &n) in shipped.iter().enumerate() {
-                    let fragment = &fragments[at..at + n];
-                    at += n;
-                    if n == 0 {
+        } = join;
+        loop {
+            if let Some(in_flight) = sweep {
+                let step = match phase {
+                    // The replies' rows accumulate into the sweep's batch.
+                    JoinPhase::Independent { .. } => {
+                        self.step_sweep(sys, in_flight, |_, _, _, _| {})
+                    }
+                    JoinPhase::Bound { oi, next, .. } => {
+                        let last = *oi == order.len();
+                        self.step_sweep(sys, in_flight, |core, part, reply, shipped| {
+                            // A seed's matches bind only the pattern's
+                            // remaining variables: merge each into every
+                            // member row of its group.
+                            let reply = std::mem::replace(reply, part.header());
+                            let fragments = interner.encode_batch(reply, vars, &[]);
+                            let mut fresh = Vec::new();
+                            let mut at = 0;
+                            'reply: for (i, &n) in shipped.iter().enumerate() {
+                                let fragment = &fragments[at..at + n];
+                                at += n;
+                                if n == 0 {
+                                    continue;
+                                }
+                                for &m in &part.members[i % part.members.len()] {
+                                    let row = std::slice::from_ref(&partial[m]);
+                                    let joined = hash_join_rows(row, fragment);
+                                    if !last {
+                                        next.extend(joined);
+                                        continue;
+                                    }
+                                    let (rows, limit) = (&mut core.rows, core.limit);
+                                    let hit = projection
+                                        .admit(interner, &joined, rows, limit, &mut fresh);
+                                    if hit {
+                                        break 'reply;
+                                    }
+                                }
+                            }
+                            if !fresh.is_empty() {
+                                out.push(ResultEvent::Rows(fresh));
+                            }
+                        })
+                    }
+                }?;
+                if let StepOutcome::Unit { ready, heard, .. } = step {
+                    // A sweep's end is not the plan's.
+                    let done = self.limit_reached();
+                    return Ok(StepOutcome::Unit { ready, heard, done });
+                }
+                let finished = sweep.take().expect("a sweep in flight");
+                if let JoinPhase::Independent { shipped, .. } = phase {
+                    shipped.push(finished.rows);
+                }
+            }
+            match phase {
+                JoinPhase::Independent {
+                    next_pattern,
+                    shipped,
+                } => {
+                    if let Some(pattern) = query.patterns.get(*next_pattern) {
+                        *next_pattern += 1;
+                        let part = BoundPart {
+                            template: pattern.clone(),
+                            seeds: Vec::new(),
+                            members: Vec::new(),
+                        };
+                        *sweep = Some(self.open_sweep(sys, part, self.started_at));
                         continue;
                     }
-                    for &m in &members[i % members.len()] {
-                        let joined = hash_join_rows(std::slice::from_ref(&partial[m]), fragment);
-                        if !last {
-                            next.extend(joined);
-                            continue;
-                        }
-                        let (rows, limit) = (&mut self.rows, self.limit);
-                        if projection.admit(interner, &joined, rows, limit, &mut fresh) {
-                            limit_hit = true;
-                            break 'reply;
+                    let sets = encode_for_fold(interner, vars, std::mem::take(shipped));
+                    let mut rows = std::mem::take(partial);
+                    for set in &sets {
+                        rows = hash_join_rows(&rows, set);
+                        if rows.is_empty() {
+                            break;
                         }
                     }
+                    let mut fresh = Vec::new();
+                    projection.admit(interner, &rows, &mut self.rows, self.limit, &mut fresh);
+                    if !fresh.is_empty() {
+                        out.push(ResultEvent::Rows(fresh));
+                    }
+                    return Ok(StepOutcome::Unit {
+                        ready: self.max_completion,
+                        heard: Vec::new(),
+                        done: true,
+                    });
                 }
-                if !fresh.is_empty() {
-                    out.push(ResultEvent::Rows(fresh));
+                JoinPhase::Bound {
+                    oi,
+                    parts,
+                    next,
+                    barrier,
+                } => {
+                    if let Some(part) = parts.pop() {
+                        *sweep = Some(self.open_sweep(sys, part, *barrier));
+                        continue;
+                    }
+                    // The pattern opened last is swept: the rows it
+                    // completed are the partial solutions.
+                    if *oi > 0 {
+                        *partial = std::mem::take(next);
+                    }
+                    if *oi == order.len() || partial.is_empty() {
+                        return Ok(StepOutcome::Idle);
+                    }
+                    let pattern = &query.patterns[order[*oi]];
+                    *parts = bound_parts(pattern, vars, interner, partial);
+                    // Popped from the back, in first-seen order.
+                    parts.reverse();
+                    *barrier = self.max_completion;
+                    *oi += 1;
                 }
-                !limit_hit
-            };
-            let mut rows = header.clone();
-            sys.sweep_pattern_network(
-                self.origin,
-                template,
-                seeds,
-                strategy,
-                ttl,
-                stats,
-                &mut rows,
-                merge,
-            )?;
-            if limit_hit {
-                break;
             }
         }
-        // Pattern finished: advance, or end — at the limit, out of
-        // patterns, or with no partial row left, when no later pattern
-        // can produce rows and their requests are skipped. The barrier
-        // stamp makes the next pattern wait for this one's rows.
-        *partial = next;
-        *oi += 1;
-        let done = limit_hit || *oi >= order.len() || partial.is_empty();
+    }
+
+    /// Open the sweep of `part`, its first units ready at `start`. A
+    /// template with a schema is swept by its closure walk — the walk a
+    /// closure plan of the same pattern takes, consulting and filling
+    /// the same closure caches (the lookup is charged here); one whose
+    /// predicate is a variable, or names no schema, has no schema to
+    /// translate from and is one request, without reformulation. A
+    /// template with nothing to route by goes out by its instances,
+    /// each routed by what its seed puts in.
+    ///
+    /// The hops are the template's: its requests route by *its* routing
+    /// constants, never by what a seed would put into a variable (the
+    /// predicate's peer indexes every triple of the predicate, so the
+    /// rows are the same), and a hop answered is answered for every
+    /// seed, a hop whose request failed has failed for every seed. The
+    /// template has a closure of its own only while the seeds leave its
+    /// predicate alone, which [`bound_parts`] sees to.
+    fn open_sweep(
+        &mut self,
+        sys: &mut GridVineSystem,
+        part: BoundPart,
+        start: SimTime,
+    ) -> PatternSweep {
+        let template = &part.template;
+        let requests = match template.routing_constant() {
+            None => {
+                let routed: Vec<Option<RoutedBy>> = part
+                    .seeds
+                    .iter()
+                    .map(|s| Some(sys.routed_by(template.instance_routing_constant(s)?.1)))
+                    .collect();
+                let todo: Vec<bool> = routed.iter().map(Option::is_some).collect();
+                let unroutable = todo.iter().filter(|&&t| !t).count();
+                Requests::Instances {
+                    routed,
+                    todo,
+                    unroutable,
+                }
+            }
+            Some((_, term)) => match gridvine_semantic::pattern_schema(template) {
+                Err(_) => Requests::Alone {
+                    routed: Some(sys.routed_by(term)),
+                    ready: start,
+                },
+                Ok((schema, attr)) => {
+                    let (origin, strategy, ttl) = (self.origin, self.strategy, self.ttl);
+                    let stats = &mut self.stats;
+                    let sweep = ClosureSweep::open(
+                        sys, origin, template, schema, attr, strategy, ttl, stats,
+                    );
+                    Requests::Walk(Box::new(Walk::new(sweep, start)))
+                }
+            },
+        };
+        PatternSweep {
+            rows: part.header(),
+            part,
+            requests,
+        }
+    }
+
+    /// One exchange of a join pattern's sweep — a closure walk's
+    /// ([`SessionCore::step_walk`]), the request of a template with no
+    /// schema, or the next request of a bound pattern's instances. Its
+    /// rows are handed to `take` with the sweep's part and the rows
+    /// shipped per seed, per (hop, seed) on a walk, in row order —
+    /// `shipped[i]` belongs to seed `i % seeds.len()`. The counters move
+    /// once per (pattern, seed) answered, as if each instance had been
+    /// asked on its own, and the carried column is charged per request.
+    /// `Idle` once the sweep has nothing left to send.
+    fn step_sweep(
+        &mut self,
+        sys: &mut GridVineSystem,
+        sweep: &mut PatternSweep,
+        mut take: impl FnMut(&mut SessionCore, &BoundPart, &mut BindingBatch, &[usize]),
+    ) -> Result<StepOutcome, SystemError> {
+        let PatternSweep {
+            part,
+            requests,
+            rows,
+        } = sweep;
+        let seeds = &part.seeds;
+        let (ready, shipped) = match requests {
+            Requests::Walk(walk) => {
+                return self.step_walk(sys, walk, seeds, rows, |core, _, shipped, rows| {
+                    take(core, part, rows, shipped)
+                });
+            }
+            Requests::Alone { routed, ready } => {
+                let Some(routed) = routed.take() else {
+                    return Ok(StepOutcome::Idle);
+                };
+                let alone = Listed {
+                    pattern: &part.template,
+                    seed: None,
+                    routed: &routed,
+                    schema_key: None,
+                };
+                let mut reply = Reply::default();
+                let none = std::iter::empty();
+                sys.resolve_patterns(self.origin, alone, none, seeds, rows, &mut reply)?;
+                self.stats.subqueries += seeds.len().max(1);
+                self.stats.bindings_carried += seeds.iter().map(Binding::len).sum::<usize>();
+                (*ready, reply.shipped)
+            }
+            Requests::Instances {
+                routed,
+                todo,
+                unroutable,
+            } => {
+                // The instances with nothing to route by fail before
+                // anything is sent.
+                let failed = std::mem::take(unroutable);
+                self.stats.failures += failed;
+                // Each request lists what the replies before it left
+                // unanswered, so it waits for them all.
+                let ready = self.max_completion;
+                // Seed indices, rising, of the instances still to
+                // answer: the request of the first lists the others.
+                let open: Vec<usize> = (0..seeds.len()).filter(|&i| todo[i]).collect();
+                let Some((&first, rest)) = open.split_first() else {
+                    // Recording the failures, if any, is the unit.
+                    return Ok(match failed {
+                        0 => StepOutcome::Idle,
+                        _ => StepOutcome::Unit {
+                            ready,
+                            heard: Vec::new(),
+                            done: false,
+                        },
+                    });
+                };
+                let listed = |&i: &usize| Listed {
+                    pattern: &part.template,
+                    seed: Some(&seeds[i]),
+                    routed: routed[i].as_ref().expect("routable instances only"),
+                    schema_key: None,
+                };
+                let mut reply = Reply::default();
+                let rest = rest.iter().map(listed);
+                sys.resolve_patterns(self.origin, listed(&first), rest, &[], rows, &mut reply)?;
+                self.stats.subqueries += reply.answered.len();
+                self.stats.bindings_carried += open.iter().map(|&i| seeds[i].len()).sum::<usize>();
+                let mut shipped = vec![0; seeds.len()];
+                for (&position, &n) in reply.answered.iter().zip(&reply.shipped) {
+                    shipped[open[position]] = n;
+                    todo[open[position]] = false;
+                }
+                (ready, shipped)
+            }
+        };
+        self.stats.bindings_shipped += shipped.iter().sum::<usize>();
+        take(self, part, rows, &shipped);
         Ok(StepOutcome::Unit {
             ready,
-            stamp: if done { Stamp::None } else { Stamp::Barrier },
-            done,
+            heard: Vec::new(),
+            done: false,
         })
+    }
+}
+
+impl Walk {
+    fn new(sweep: ClosureSweep, start: SimTime) -> Walk {
+        Walk {
+            sweep,
+            start,
+            heard_at: HashMap::new(),
+            parent_of: HashMap::new(),
+        }
+    }
+
+    /// Scheduler ready time of `schema`'s hop: the completion instant
+    /// of the unit that brought the mapping list which admitted it — a
+    /// discovery, or the data reply that carried the list. A hop the
+    /// walk started with (every hop of a warm replay) is ready at its
+    /// start.
+    fn hop_ready(&self, schema: &SchemaId) -> SimTime {
+        let parent = self.parent_of.get(schema);
+        let heard = parent.and_then(|p| self.heard_at.get(p));
+        heard.copied().unwrap_or(self.start)
+    }
+
+    /// Expand the pending hop, remembering which hop admitted each
+    /// schema it reaches.
+    fn expand(
+        &mut self,
+        sys: &mut GridVineSystem,
+        stats: &mut ExecStats,
+    ) -> Result<(), SystemError> {
+        let parent = self.sweep.pending_schema().cloned();
+        let expansion = self.sweep.expand_pending(sys, stats)?;
+        if let Some(parent) = parent {
+            for s in expansion.admitted {
+                self.parent_of.insert(s, parent.clone());
+            }
+        }
+        Ok(())
+    }
+}
+
+impl BoundPart {
+    /// An empty batch for the part's rows: the variables an instance of
+    /// its template leaves unbound.
+    fn header(&self) -> BindingBatch {
+        match self.seeds.first() {
+            Some(seed) => BindingBatch::for_pattern(&self.template.substitute(seed)),
+            None => BindingBatch::for_pattern(&self.template),
+        }
     }
 }
 
@@ -1566,10 +1800,11 @@ mod tests {
             panic!("a join plan");
         };
         let mut events = Vec::new();
-        // Two sweeps, then the fold.
-        for _ in 0..3 {
-            core.step_join(&mut sys, &mut join, &mut events).unwrap();
-        }
+        // The exchanges of two sweeps, then the fold.
+        while !matches!(
+            core.step_join(&mut sys, &mut join, &mut events).unwrap(),
+            StepOutcome::Unit { done: true, .. }
+        ) {}
         let JoinPhase::Independent { shipped, .. } = &join.phase else {
             panic!("independent mode");
         };

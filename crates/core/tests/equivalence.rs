@@ -136,6 +136,8 @@ struct Drained {
     rows_from_events: Vec<Binding>,
     stats_from_deltas: ExecStats,
     schema_hops: usize,
+    /// `Stats` events: one per unit.
+    units: usize,
     outcome: gridvine_core::QueryOutcome,
 }
 
@@ -150,11 +152,15 @@ fn drain(
     let mut rows_from_events = Vec::new();
     let mut stats_from_deltas = ExecStats::default();
     let mut schema_hops = 0usize;
+    let mut units = 0usize;
     while let Some(ev) = session.next_event()? {
         match ev {
             ResultEvent::Rows(batch) => rows_from_events.extend(batch),
             ResultEvent::SchemaHop { .. } => schema_hops += 1,
-            ResultEvent::Stats(d) => stats_from_deltas += d,
+            ResultEvent::Stats(d) => {
+                stats_from_deltas += d;
+                units += 1;
+            }
         }
     }
     assert!(session.is_complete());
@@ -162,6 +168,7 @@ fn drain(
         rows_from_events,
         stats_from_deltas,
         schema_hops,
+        units,
         outcome: session.into_outcome(),
     })
 }
@@ -368,13 +375,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The two closure implementations stay in lock-step: a single-
-    /// pattern independent join runs its sweep through the bulk
-    /// `sweep_pattern_network`, a closure plan through the session's
-    /// incremental hop state — same pattern, so every counter and the
-    /// message count must agree (pinning the duplicated cold-walk +
-    /// cache record/replay logic together), cold and warm, across
-    /// strategies.
+    /// A join pattern's sweep is a closure plan's walk: a single-pattern
+    /// independent join and a closure plan of the same pattern step the
+    /// same walk one exchange per unit, so every counter and the message
+    /// count must agree (cold walk, cache record and replay alike), cold
+    /// and warm, across strategies.
     #[test]
     fn bulk_sweep_accounting_matches_incremental_closure(
         seed in 0u64..1000,
@@ -414,7 +419,9 @@ proptest! {
     /// multiset AND the same total message count (and every other
     /// counter except the in-flight high-water mark) as the serial
     /// `w = 1` run — across plan shapes, strategies and join modes,
-    /// cold and warm.
+    /// cold and warm. And whatever the plan, a unit is one exchange: a
+    /// drained session emits one `Stats` per request, plus one for an
+    /// independent join's local fold.
     #[test]
     fn overlapped_windows_match_serial_execution(
         seed in 0u64..1000,
@@ -438,6 +445,7 @@ proptest! {
             QueryPlan::search(organism_query()),
             QueryPlan::conjunctive(organism_length_query()),
         ] {
+            let fold = usize::from(matches!(plan, QueryPlan::Join { .. }) && !bound);
             let mut serial_sys = build(seed, schemas, &links, &facts);
             let mut serial = Vec::new();
             for _ in 0..2 {
@@ -472,6 +480,10 @@ proptest! {
                     );
                     // Event-protocol invariants hold under overlap too.
                     prop_assert_eq!(d.stats_from_deltas, d.outcome.stats, "w={} delta sum", w);
+                    prop_assert_eq!(
+                        d.units, d.outcome.stats.requests + fold,
+                        "w={} round {}: one unit per exchange", w, round
+                    );
                     prop_assert!(sys.pending_events() == 0, "drained session leaves no events");
                 }
             }

@@ -537,6 +537,47 @@ fn a_pattern_with_nothing_to_route_by_goes_out_by_its_instances() {
 }
 
 #[test]
+fn a_join_that_cannot_route_is_refused_before_anything_is_sent() {
+    let mut sys = GridVineSystem::new(GridVineConfig::default());
+    let p0 = PeerId(0);
+    sys.insert_schema(p0, Schema::new("EMBL", ["Organism"]))
+        .unwrap();
+    let record = Triple::new("seq:A", "EMBL#Organism", Term::literal("Aspergillus niger"));
+    sys.insert_triple(p0, record).unwrap();
+    let refused = |sys: &mut GridVineSystem, plan: &QueryPlan, mode: JoinMode| {
+        let before = sys.messages_sent();
+        let options = QueryOptions::new().join_mode(mode);
+        let opened = sys.open(PeerId(3), plan, &options).map(|_| ());
+        assert!(
+            matches!(opened, Err(SystemError::NotRoutable)),
+            "{mode:?}: {opened:?}"
+        );
+        assert_eq!(sys.messages_sent(), before, "{mode:?}: nothing is sent");
+    };
+    // `(?x, ?p, ?v)` has nothing to route by. An independent sweep
+    // cannot send it; a bound one routes it by the subject the first
+    // pattern binds.
+    let plan = QueryPlan::conjunctive(
+        parse_query("SELECT ?x, ?v WHERE (?x, <EMBL#Organism>, ?o), (?x, ?p, ?v)").unwrap(),
+    );
+    refused(&mut sys, &plan, JoinMode::Independent);
+    let bound = sys.execute(
+        PeerId(3),
+        &plan,
+        &QueryOptions::new().join_mode(JoinMode::BoundSubstitution),
+    );
+    assert_eq!(bound.unwrap().rows.len(), 1);
+    // A wildcard is no routing constant either: the first pattern of
+    // the order has nothing bound to route it by, in either mode.
+    let plan = QueryPlan::conjunctive(
+        parse_query(r#"SELECT ?x WHERE (?x, ?p, ?v), (?x, ?q, "%niger%")"#).unwrap(),
+    );
+    for mode in ALL_MODES {
+        refused(&mut sys, &plan, mode);
+    }
+}
+
+#[test]
 fn a_seed_that_leaves_nothing_to_route_by_is_a_recorded_failure() {
     // The wildcard object is no routing constant, and neither pattern
     // binds anything the other could route by.
