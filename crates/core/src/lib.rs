@@ -13,7 +13,7 @@
 //! (pattern lookup, object-prefix range sweep, reformulation closure,
 //! conjunctive join);
 //! [`GridVineSystem::open`](system::GridVineSystem::open) turns it into
-//! an incremental [`session::QuerySession`] that advances one routed
+//! an incremental [`session::QuerySession`] that advances one
 //! subquery per pull and yields [`session::ResultEvent`]s (row batches,
 //! schema hops with path quality, stats deltas) with genuine early
 //! termination, while

@@ -161,7 +161,11 @@ impl GridVineSystem {
         for attr in attrs {
             let predicate = format!("{schema}#{attr}");
             let key = self.key_of(&predicate);
-            let dest = self.route_retrieve(origin, &key)?;
+            let dest = self.overlay.route(origin, &key, &mut self.rng)?.destination;
+            self.overlay.charge_response(origin, dest);
+            if self.crashed.contains(&dest) {
+                return Err(SystemError::PeerDown(dest));
+            }
             for t in self
                 .peer_db(dest)
                 .select_eq_rows(gridvine_rdf::Position::Predicate, &predicate)
@@ -305,7 +309,7 @@ impl GridVineSystem {
         if error_rate <= 0.0 {
             return c;
         }
-        let roll: f64 = self.rng_mut().gen();
+        let roll: f64 = self.rng.gen();
         if roll >= error_rate {
             return c;
         }
@@ -323,7 +327,7 @@ impl GridVineSystem {
         if attrs.is_empty() {
             return c;
         }
-        let pick = self.rng_mut().gen_range(0..attrs.len());
+        let pick = self.rng.gen_range(0..attrs.len());
         Correspondence::new(c.source_attr, attrs[pick].clone())
     }
 }

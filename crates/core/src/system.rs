@@ -8,9 +8,11 @@
 //! `SearchFor(query)` with iterative or recursive reformulation.
 //!
 //! Every operation is executed as hop-by-hop routing over peer-local
-//! views, so the message counts are those of the distributed protocol;
-//! the event-driven twin in [`crate::harness`] additionally charges
-//! wall-clock latency.
+//! views — or, for a request under a trie leaf whose answering peer
+//! the issuer learned from an earlier reply, as one direct message to
+//! that peer — so the message counts are those of the distributed
+//! protocol; the event-driven twin in [`crate::harness`] additionally
+//! charges wall-clock latency.
 
 use crate::item::{KeySpace, MediationItem, TripleStage};
 use gridvine_netsim::churn::{ChurnEvent, ChurnKind};
@@ -129,6 +131,7 @@ impl Default for GridVineConfig {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct ProtoCounters {
     pub(crate) requests: usize,
+    pub(crate) direct: usize,
     pub(crate) sends: usize,
     pub(crate) timeouts: usize,
     pub(crate) retransmits: usize,
@@ -149,14 +152,26 @@ pub(crate) struct ProtocolState {
     /// The session clock at the unit currently being issued — the
     /// attempt-time base for churn-liveness checks.
     pub(crate) now: SimTime,
+    /// The origin whose clock `now` is read on: the session's origin
+    /// (see [`sched`]'s per-peer state). An instant a learned address
+    /// was learned at floors only units on the same clock.
+    pub(crate) clock: PeerId,
     /// Timeout/backoff delay accumulated by the unit being issued
     /// (reset per issue, folded into the unit's completion instant).
     pub(crate) delay: SimDuration,
     /// Destination of the unit currently being issued: the peer the
-    /// last routed request of this unit went to (reset per issue).
-    /// Non-flat latency models sample the origin→destination link for
-    /// each of the unit's messages.
+    /// last request of this unit went to (reset per issue). Non-flat
+    /// latency models sample the origin→destination link for each of
+    /// the unit's messages.
     pub(crate) unit_dest: Option<PeerId>,
+    /// The earliest instant the unit being issued may be sent: the
+    /// latest instant at which a learned address it used was learned
+    /// (reset per issue).
+    pub(crate) floor: SimTime,
+    /// `(issuer, responder)` of each reply the unit being issued got
+    /// back: learned once the unit's completion instant is known
+    /// ([`GridVineSystem::learn_leaves`]; reset per issue).
+    lessons: Vec<(PeerId, PeerId)>,
     /// Next request id.
     next_request: u64,
     pub(crate) counters: ProtoCounters,
@@ -170,12 +185,26 @@ impl ProtocolState {
             fault: config.fault.clone(),
             max_retries: exec::DEFAULT_MAX_RETRIES,
             now: SimTime::ZERO,
+            clock: PeerId(0),
             delay: SimDuration::ZERO,
             unit_dest: None,
+            floor: SimTime::ZERO,
+            lessons: Vec::new(),
             next_request: 0,
             counters: ProtoCounters::default(),
             rng: gridvine_netsim::rng::derive(config.seed, 0xB0FF),
         }
+    }
+
+    /// Arm the protocol for the next unit, issued at `now` on `clock`'s
+    /// clock: no delay, destination, floor or lessons yet.
+    pub(crate) fn begin_unit(&mut self, now: SimTime, clock: PeerId) {
+        self.now = now;
+        self.clock = clock;
+        self.delay = SimDuration::ZERO;
+        self.unit_dest = None;
+        self.floor = SimTime::ZERO;
+        self.lessons.clear();
     }
 
     /// The effective loss rate from `from` to `to` (directional
@@ -278,7 +307,7 @@ impl From<RouteError> for SystemError {
 /// What one [`GridVineSystem::assessment_pass`] did.
 #[derive(Debug, Clone, Default)]
 pub struct AssessmentReport {
-    /// Mapping cycles found and probed (one routed probe each).
+    /// Mapping cycles found and probed (one probe each).
     pub cycles_probed: usize,
     /// Mappings left quarantined by this pass (fresh quarantines and
     /// re-confirmed paroles alike).
@@ -308,7 +337,7 @@ pub struct GridVineSystem {
     config: GridVineConfig,
     hasher: Box<dyn KeyHasher + Send + Sync>,
     topology: Topology,
-    overlay: Overlay<MediationItem>,
+    pub(crate) overlay: Overlay<MediationItem>,
     /// Per-peer local triple databases `DB_p` (§2.2): every peer
     /// responsible for one of a triple's keys indexes it here, and
     /// destination-side resolution evaluates these indexed stores
@@ -339,7 +368,7 @@ pub struct GridVineSystem {
     /// Peers currently crashed by failure injection: routed requests
     /// whose destination is down are charged but never answered
     /// ([`SystemError::PeerDown`]).
-    crashed: BTreeSet<PeerId>,
+    pub(crate) crashed: BTreeSet<PeerId>,
     /// Request/retry protocol state (fault rates, retry budget,
     /// counters, its own RNG stream) — see [`sched`].
     pub(crate) proto: ProtocolState,
@@ -369,7 +398,7 @@ pub struct GridVineSystem {
     /// Monotone session-id allocator shared by standalone sessions and
     /// pools (ids stay unique when both run against one system).
     next_session: u64,
-    rng: StdRng,
+    pub(crate) rng: StdRng,
 }
 
 impl GridVineSystem {
@@ -456,6 +485,15 @@ impl GridVineSystem {
         total
     }
 
+    /// The peer `issuer` would send a request for `key` to directly,
+    /// without routing: the one that answered for the trie path covering
+    /// `key` in an earlier reply to `issuer`, if any (see the
+    /// [`exec`] module docs). Updates never fill it.
+    pub fn learned_address(&self, issuer: PeerId, key: &BitString) -> Option<PeerId> {
+        let (peer, _) = self.exec[issuer.index()].leaves.lookup(key, issuer)?;
+        Some(peer)
+    }
+
     /// Scheduled-but-undelivered replies across every peer's event
     /// queue. Non-zero only while a session holds subqueries in
     /// flight; dropping a session cancels its queued events, so this
@@ -520,13 +558,95 @@ impl GridVineSystem {
         i > 0 && timeline[i - 1].1
     }
 
+    /// One request/response exchange from `from` about `key`, through
+    /// the retry protocol ([`GridVineSystem::proto_request`]): the
+    /// exchange every data request, mapping discovery, prefix probe and
+    /// cycle probe is. Returns the peer that answered.
+    ///
+    /// * `from`'s own path covers `key`: the exchange is local — no
+    ///   message, and it is never lost.
+    /// * A path `from` learned covers `key`: one direct message to the
+    ///   peer that answered for it, plus the response when `respond`.
+    ///   If `from` learned it on the unit's own clock, the unit is sent
+    ///   no earlier than the instant it learned it
+    ///   (`ProtocolState::floor`), which is also when its attempts meet
+    ///   loss and churn. Counted in `direct`. If that peer
+    ///   is crashed, or the retries run out against it, `from` forgets
+    ///   the path and the same request is routed, both attempts charged
+    ///   — a learned address never costs an answer routing would find.
+    /// * Otherwise it is routed hop by hop: one message per forwarding
+    ///   edge, plus the response when `respond`.
+    ///
+    /// Every peer on a path holds the same copies, so which peer of it
+    /// answers changes no reply. When a reply comes back, `from` learns
+    /// the responder's path, which the reply carries, once the unit's
+    /// completion instant is known ([`GridVineSystem::learn_leaves`]).
+    /// `respond` is false only for a recursive discovery, which the
+    /// holder carries on instead of answering: no reply, so nothing is
+    /// learned.
+    pub(crate) fn exchange(
+        &mut self,
+        from: PeerId,
+        key: &BitString,
+        respond: bool,
+    ) -> Result<PeerId, SystemError> {
+        if self.overlay.view(from).is_responsible(key) {
+            self.proto_request(from, from)?;
+            return Ok(from);
+        }
+        let clock = self.proto.clock;
+        if let Some((peer, learned_at)) = self.exec[from.index()].leaves.lookup(key, clock) {
+            self.proto.counters.direct += 1;
+            // The fault process sees the instant the request leaves.
+            self.proto.floor = self.proto.floor.max(learned_at);
+            self.proto.now = self.proto.now.max(learned_at);
+            self.overlay
+                .charge_direct(from, peer, 1 + u64::from(respond));
+            match self.proto_request(from, peer) {
+                Ok(()) => {
+                    if respond {
+                        self.proto.lessons.push((from, peer));
+                    }
+                    return Ok(peer);
+                }
+                Err(SystemError::PeerDown(_)) => self.exec[from.index()].leaves.forget(key),
+                Err(e) => return Err(e),
+            }
+        }
+        let dest = self.overlay.route(from, key, &mut self.rng)?.destination;
+        if respond {
+            self.overlay.charge_response(from, dest);
+        }
+        // The request (and the response charge) went out; the retry
+        // protocol decides whether a reply ever comes back.
+        self.proto_request(from, dest)?;
+        if respond {
+            self.proto.lessons.push((from, dest));
+        }
+        Ok(dest)
+    }
+
+    /// Teach every issuer of the unit just issued the path of the peer
+    /// that answered it, learned at `at`, the unit's completion instant
+    /// on its origin's clock.
+    pub(crate) fn learn_leaves(&mut self, at: SimTime) {
+        let clock = self.proto.clock;
+        for (issuer, peer) in self.proto.lessons.drain(..) {
+            let path = &self.overlay.view(peer).path;
+            self.exec[issuer.index()]
+                .leaves
+                .learn(path, peer, clock, at);
+        }
+    }
+
     /// Drive one logical request/response exchange with `dest` through
     /// the timeout–retry–backoff protocol (see the [`sched`] module
-    /// docs). The route and its response charge already happened at
-    /// the caller; this decides whether — and after how much retry
-    /// delay — a reply arrives.
+    /// docs). Its messages are charged by the caller; this decides
+    /// whether — and after how much retry delay — a reply arrives.
     ///
-    /// A destination held down by [`GridVineSystem::crash_peer`] fails
+    /// A local exchange (`dest == from`) is answered at once: it sends
+    /// nothing, so nothing can be lost. A destination held down by
+    /// [`GridVineSystem::crash_peer`] fails
     /// immediately (retransmitting to a peer that failure injection
     /// keeps down forever cannot help, and no fault draw is consumed,
     /// so crash-injection runs stay bit-identical to the pre-protocol
@@ -539,6 +659,9 @@ impl GridVineSystem {
         self.proto.counters.requests += 1;
         self.proto.counters.sends += 1;
         self.proto.unit_dest = Some(dest);
+        if dest == from {
+            return Ok(());
+        }
         if self.crashed.contains(&dest) {
             return Err(SystemError::PeerDown(dest));
         }
@@ -577,9 +700,9 @@ impl GridVineSystem {
     /// `PROCESSING + messages × PER_MESSAGE` formula. With a model from
     /// [`GridVineConfig::latency`]: `PROCESSING` plus one sampled
     /// origin→destination delay per message, where the destination is
-    /// the peer the unit's last routed request went to
-    /// (`ProtocolState::unit_dest`; local-only units fall back to the
-    /// origin itself).
+    /// the peer the unit's last request went to, routed or sent to a
+    /// learned address (`ProtocolState::unit_dest`; local-only units
+    /// fall back to the origin itself).
     pub(crate) fn unit_delay(&mut self, origin: PeerId, messages: u64) -> SimDuration {
         let Some(model) = self.latency.as_deref_mut() else {
             return sched::unit_latency(messages);
@@ -967,7 +1090,7 @@ impl GridVineSystem {
 
     /// One periodic quality-assessment pass, run from `origin` as
     /// scheduler units on the simulated clock (see [`sched`]): every
-    /// mapping cycle costs one routed *cycle probe* (a retrieve at the
+    /// mapping cycle costs one *cycle probe* (a retrieve at the
     /// cycle's base schema key, driven through the retry protocol), so
     /// probes are charged as messages, requests and latency in
     /// [`exec::ExecStats`] exactly like subqueries. After probing, the
@@ -1016,20 +1139,17 @@ impl GridVineSystem {
             for cycle in &cycles {
                 let key = self.key_of(cycle.base.as_str());
                 let msgs_before = self.overlay.messages_sent();
-                self.proto.now = clock;
-                self.proto.delay = SimDuration::ZERO;
-                self.proto.unit_dest = None;
+                self.proto.begin_unit(clock, origin);
                 stats.assessment_probes += 1;
-                let probed = self
-                    .route_retrieve(origin, &key)
-                    .and_then(|dest| self.proto_request(origin, dest));
-                match probed {
-                    Ok(()) => {}
+                match self.exchange(origin, &key, true) {
+                    Ok(_) => {}
                     Err(SystemError::PeerDown(_)) => stats.failures += 1,
                     Err(e) => return Err(e),
                 }
                 let delta = self.overlay.messages_sent() - msgs_before;
-                clock = clock + self.proto.delay + self.unit_delay(origin, delta);
+                let send = clock.max(self.proto.floor);
+                clock = send + self.proto.delay + self.unit_delay(origin, delta);
+                self.learn_leaves(clock);
             }
             cycles_probed += cycles.len();
 
@@ -1069,6 +1189,7 @@ impl GridVineSystem {
         stats.messages = self.overlay.messages_sent() - start_messages;
         let c = self.proto.counters;
         stats.requests = c.requests - start_proto.requests;
+        stats.direct = c.direct - start_proto.direct;
         stats.sends = c.sends - start_proto.sends;
         stats.timeouts = c.timeouts - start_proto.timeouts;
         stats.retransmits = c.retransmits - start_proto.retransmits;
@@ -1138,27 +1259,6 @@ impl GridVineSystem {
             }
         }
         Ok(report)
-    }
-
-    /// Internal: route a `Retrieve(key)` and charge its response
-    /// message, returning the destination peer whose local state
-    /// answers it (callers evaluate that peer's `DB_p` themselves; the
-    /// accounting is exactly a bucket `Retrieve`'s).
-    pub(crate) fn route_retrieve(
-        &mut self,
-        origin: PeerId,
-        key: &BitString,
-    ) -> Result<PeerId, SystemError> {
-        let route = self.overlay.route(origin, key, &mut self.rng)?;
-        self.overlay.charge_response(origin, route.destination);
-        if self.crashed.contains(&route.destination) {
-            return Err(SystemError::PeerDown(route.destination));
-        }
-        Ok(route.destination)
-    }
-
-    pub(crate) fn rng_mut(&mut self) -> &mut StdRng {
-        &mut self.rng
     }
 
     /// `Update(Domain Connectivity)` — every schema's responsible peer

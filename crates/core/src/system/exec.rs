@@ -15,10 +15,10 @@
 //!
 //! Every plan bottoms out in *data requests*: a request carries a
 //! **list** of patterns and, for a bound join, a **binding column**;
-//! it is routed to `Hash(routing constant)` of the first pattern and
-//! charged as one `Retrieve` — one message per forwarding edge, one
-//! response, one exchange through the retry protocol — whatever the
-//! length of the list and of the column
+//! it goes to `Hash(routing constant)` of the first pattern, routed or
+//! sent to a learned address (below), and is charged as one `Retrieve`
+//! — its messages, one response, one exchange through the retry
+//! protocol — whatever the length of the list and of the column
 //! (`GridVineSystem::resolve_patterns`). The peer it lands on answers
 //! every listed pattern whose key lies under its own path, one call of
 //! the store's scan kernel per answered pattern: the pattern is
@@ -74,7 +74,7 @@
 //! driver ([`crate::harness`]). `ClosureSweep` adds what is this
 //! engine's own: each hop below the TTL is expanded with the mapping
 //! list stored at `Hash(S)` of its schema `S` — carried by its data
-//! reply, or else *fetched* by one routed discovery, iterative or
+//! reply, or else *fetched* by one discovery, iterative or
 //! recursive — hops are popped depth-first, one per session pull, and
 //! expanded when popped, so early termination never pays for a
 //! discovery, and a walk that completes is committed to the per-peer
@@ -117,6 +117,24 @@
 //! column of a bound join is on every one of these requests, whole:
 //! riding decides which hops a reply answers, the column for which
 //! seeds — all.
+//!
+//! **Learned addresses.** A reply tells its issuer who answered and
+//! for which trie path, and the issuer keeps one entry per leaf (its
+//! `PeerExecState`'s leaf table). Its next request — data request,
+//! discovery, prefix probe or cycle probe — for a key under a learned
+//! path is one direct message to that peer instead of a route, plus
+//! the response wherever one is charged, so a warm replay's remote
+//! requests cost two messages each. Every peer of a path holds the
+//! same copies and lists, so the reply is the one a route would have
+//! reached: rows, riding, discoveries and caches do not move, only the
+//! hop count, the routing-RNG draws and the clock.
+//! [`ExecStats::direct`] counts these requests. A learned peer that is
+//! crashed, or silent until the retries run out, is forgotten and the
+//! request routed within the same unit with a fresh retry budget
+//! (`GridVineSystem::exchange`). Only a reply teaches: a recursive
+//! discovery, which the holder carries on instead of answering,
+//! leaves its issuer's table as it was. Updates neither read nor fill
+//! the table.
 //!
 //! ```
 //! use gridvine_core::{GridVineConfig, GridVineSystem, QueryOptions, QueryPlan, Strategy};
@@ -163,7 +181,7 @@ pub struct QueryOptions {
     pub(crate) max_retries: usize,
 }
 
-/// Default retransmit budget of one routed request (see
+/// Default retransmit budget of one request (see
 /// [`QueryOptions::max_retries`]).
 pub(crate) const DEFAULT_MAX_RETRIES: usize = 3;
 
@@ -239,15 +257,18 @@ impl QueryOptions {
         self
     }
 
-    /// Retransmit budget per routed request: a request whose reply
+    /// Retransmit budget per request: a request whose reply
     /// times out (lost under [`GridVineConfig::fault`](crate::GridVineConfig),
     /// or the destination is churn-down) is retransmitted with
     /// exponential backoff + jitter up to `retries` times before the
     /// unit resolves as a recorded failure — the closure walk
     /// terminates that branch and the session continues with partial
-    /// results (see [`crate::system::sched`]). Irrelevant under the
-    /// default null fault config with no churn, where no request ever
-    /// times out.
+    /// results (see [`crate::system::sched`]). A request sent to a
+    /// learned address that exhausts its budget is first routed again
+    /// with a fresh one, within the same unit (see the
+    /// [module docs](self)), so such a request gets up to
+    /// `2 × (retries + 1)` attempts. Irrelevant under the default null
+    /// fault config with no churn, where no request ever times out.
     pub fn max_retries(mut self, retries: usize) -> QueryOptions {
         self.max_retries = retries;
         self
@@ -323,15 +344,18 @@ counters! {
         pub cache_misses: usize,
         /// Closure-cache entries displaced by a capacity bound.
         pub cache_evictions: usize,
-        /// Routed request/response exchanges driven through the retry
-        /// protocol (see [`crate::system::sched`]); charged at issue. A
-        /// data request is one exchange however many patterns it answers
-        /// and mapping lists it carries, and a mapping discovery is one:
-        /// under the null placement policy
-        /// `requests <= subqueries + mapping_fetches` as long as every
-        /// discovery is answered (one that is sent and never answered
-        /// counts in `failures`, not in `mapping_fetches`), with equality
-        /// when no pattern rode and nothing failed.
+        /// Request/response exchanges driven through the retry protocol
+        /// (see [`crate::system::sched`]), routed or sent to a learned
+        /// address; charged at issue. A data request is one exchange
+        /// however many patterns it answers and mapping lists it carries,
+        /// and a mapping discovery is one: under the null placement
+        /// policy `requests <= subqueries + mapping_fetches` as long as
+        /// every discovery is answered (one that is sent and never
+        /// answered counts in `failures`, not in `mapping_fetches`), with
+        /// equality when no pattern rode and nothing failed. A request
+        /// whose learned address was down and which was then routed
+        /// counts twice, as a replica fail-over counts each holder it
+        /// tried.
         ///
         /// A session emits one
         /// [`ResultEvent::Stats`](super::session::ResultEvent) per unit,
@@ -344,8 +368,17 @@ counters! {
         /// for an independent join's local fold (a replica-served request
         /// that fails over adds one per holder it skipped; a bound
         /// pattern whose instances have nothing to route by is one
-        /// zero-message unit).
+        /// zero-message unit, and a learned address that was down adds
+        /// one).
         pub requests: usize,
+        /// Requests sent straight to a peer whose trie path the issuer
+        /// learned from an earlier reply, one message each instead of a
+        /// route (see the [module docs](self)) — the address-side twin of
+        /// riding, counted among `requests`. Whether a request goes
+        /// direct depends only on what its issuer's earlier requests
+        /// taught it, in issue order: like every other counter, it is
+        /// the same for every window size.
+        pub direct: usize,
         /// Protocol-level transmissions: first sends plus retransmits
         /// (`sends == requests + retransmits` always holds).
         pub sends: usize,
@@ -360,7 +393,7 @@ counters! {
         /// the last per-unit `Stats` delta was emitted.
         pub duplicates_dropped: usize,
         /// Cycle probes issued by quality-assessment passes
-        /// ([`GridVineSystem::assessment_pass`]): one routed retrieve per
+        /// ([`GridVineSystem::assessment_pass`]): one retrieve per
         /// mapping cycle, driven through the retry protocol, so every probe
         /// costs messages, requests and simulated latency like any
         /// subquery. Always 0 for query sessions.
@@ -998,10 +1031,11 @@ impl GridVineSystem {
     /// `first`, then `rest` — and a binding column, `seeds` (empty: no
     /// column, each pattern stands for itself — or for the one instance
     /// its [`Listed::seed`] makes; otherwise each pattern stands for its
-    /// instances, one per seed). It is routed by the key of `first` and
-    /// charged as a `Retrieve` is — one message per forwarding edge, one
-    /// response, one exchange through the retry protocol — however many
-    /// patterns it lists and seeds it carries. The peer it lands on
+    /// instances, one per seed). It goes out by the key of `first` as
+    /// one exchange ([`GridVineSystem::exchange`]: routed, or sent to a
+    /// learned address) and is charged as a `Retrieve` is — the request's
+    /// messages and one response — however many patterns it lists and
+    /// seeds it carries. The peer it lands on
     /// answers every listed pattern whose key lies under its own path,
     /// which is all a destination knows about its responsibility: one
     /// call of its `DB_p`'s scan kernel per answered pattern, which
@@ -1048,12 +1082,7 @@ impl GridVineSystem {
             reply.peer = Some(dest);
             return Ok(());
         };
-        let route = self.overlay.route(origin, key, &mut self.rng)?;
-        let dest = route.destination;
-        self.overlay.charge_response(origin, dest);
-        // The request (and the response charge) went out; the retry
-        // protocol decides whether a reply ever comes back.
-        self.proto_request(origin, dest)?;
+        let dest = self.exchange(origin, key, true)?;
         let db = &self.local_dbs[dest.index()];
         let view = self.overlay.view(dest);
         for (i, l) in std::iter::once(first).chain(rest).enumerate() {
@@ -1072,25 +1101,18 @@ impl GridVineSystem {
     }
 
     /// Send a mapping discovery for the schema whose key is `schema_key`
-    /// from `issuer` — one routed `Retrieve`, one exchange. Iterative
-    /// pulls the list back to the issuer (the response is charged);
-    /// recursive forwards the query to the schema-key peer, which reads
-    /// its local list for free. Returns the peer that held the list and
-    /// the list.
+    /// from `issuer` — one `Retrieve`, one exchange
+    /// ([`GridVineSystem::exchange`]). Iterative pulls the list back to
+    /// the issuer (the response is charged); recursive forwards the
+    /// query to the schema-key peer, which reads its local list for
+    /// free. Returns the peer that held the list and the list.
     pub(crate) fn discover_mappings(
         &mut self,
         issuer: PeerId,
         schema_key: &BitString,
         strategy: Strategy,
     ) -> Result<(PeerId, Vec<Mapping>), SystemError> {
-        let holder = self
-            .overlay
-            .route(issuer, schema_key, &mut self.rng)?
-            .destination;
-        if strategy == Strategy::Iterative {
-            self.overlay.charge_response(issuer, holder);
-        }
-        self.proto_request(issuer, holder)?;
+        let holder = self.exchange(issuer, schema_key, strategy == Strategy::Iterative)?;
         Ok((holder, self.stored_mappings(holder, schema_key)))
     }
 }
@@ -1099,6 +1121,7 @@ impl GridVineSystem {
 mod tests {
     use super::super::place::PlacementPolicy;
     use super::super::pool::SessionPool;
+    use super::super::sched::{unit_latency, LeafTable, PER_MESSAGE};
     use super::super::session::ResultEvent;
     use super::*;
     use gridvine_rdf::{PatternTerm, Triple, TriplePatternQuery};
@@ -1119,12 +1142,24 @@ mod tests {
     /// Apple mapped to each other schema, one record per schema with
     /// [`OBJECT`] as its object. 16 peers: one per leaf, no replicas.
     fn star(mango_attr: &str, placement: PlacementPolicy) -> GridVineSystem {
-        let mut sys = GridVineSystem::new(GridVineConfig {
+        let config = GridVineConfig {
+            placement,
+            ..star_config()
+        };
+        star_on(config, mango_attr)
+    }
+
+    fn star_config() -> GridVineConfig {
+        GridVineConfig {
             peers: 16,
             seed: 11,
-            placement,
             ..GridVineConfig::default()
-        });
+        }
+    }
+
+    /// [`star`] over `config`.
+    fn star_on(config: GridVineConfig, mango_attr: &str) -> GridVineSystem {
+        let mut sys = GridVineSystem::new(config);
         let attr = |s: &str| if s == "Mango" { mango_attr } else { "a" };
         for s in SCHEMAS {
             sys.insert_schema(ORIGIN, Schema::new(s, [attr(s)]))
@@ -1731,5 +1766,224 @@ mod tests {
         assert_eq!(placed.stats.requests, free.stats.requests + unridden);
         assert_eq!(placed.stats.subqueries, free.stats.subqueries);
         assert_eq!(placed.stats.bindings_carried, free.stats.bindings_carried);
+    }
+
+    /// The star on routes that draw nothing from the routing stream that
+    /// decides anything: one reference per level.
+    fn one_route_star() -> GridVineSystem {
+        let config = GridVineConfig {
+            refs_per_level: 1,
+            ..star_config()
+        };
+        star_on(config, "a")
+    }
+
+    #[test]
+    fn a_warm_replay_sends_every_remote_request_to_a_learned_address() {
+        let by_predicate = closure_of("Apple#a", PatternTerm::var("o"));
+        for plan in [by_object(), by_predicate] {
+            let sys = &mut star("a", PlacementPolicy::default());
+            let options = QueryOptions::default();
+            let cold = sys.execute(ORIGIN, &plan, &options).unwrap();
+            let (units, warm) = units(sys, &plan, &options);
+            assert_eq!(warm.rows, cold.rows, "{plan}");
+            assert_eq!(warm.stats.cache_hits, 1);
+            // The origin holds none of the keys: every request is
+            // remote, one direct message and one response.
+            let s = warm.stats;
+            assert!(s.requests > 0);
+            assert_eq!(s.direct, s.requests, "{plan}: {s:?}");
+            assert_eq!(s.messages, 2 * s.requests as u64, "{plan}");
+            assert_eq!(units.len(), s.requests);
+            for delta in deltas(&units) {
+                assert_eq!((delta.direct, delta.messages), (1, 2), "{plan}");
+            }
+            assert!(cold.stats.messages > s.messages);
+        }
+    }
+
+    #[test]
+    fn an_origin_that_learned_nothing_sends_what_a_fresh_system_sends() {
+        let other = PeerId(9);
+        let options = QueryOptions::default();
+        for plan in [by_object(), closure_of("Apple#a", PatternTerm::var("o"))] {
+            let sys = &mut one_route_star();
+            sys.execute(ORIGIN, &plan, &options).unwrap();
+            let second = sys.execute(other, &plan, &options).unwrap();
+            let fresh = one_route_star().execute(other, &plan, &options).unwrap();
+            assert_eq!(second.rows, fresh.rows, "{plan}");
+            assert_eq!(second.stats, fresh.stats, "{plan}");
+        }
+    }
+
+    #[test]
+    fn updates_neither_read_nor_fill_the_learned_leaves() {
+        let by_predicate = closure_of("Apple#a", PatternTerm::var("o"));
+        let warm = &mut one_route_star();
+        warm.execute(ORIGIN, &by_predicate, &QueryOptions::default())
+            .unwrap();
+        for s in SCHEMAS {
+            let key = warm.key_of(&format!("{s}#a"));
+            assert!(warm.learned_address(ORIGIN, &key).is_some(), "{s}");
+        }
+        let learned = warm.exec_state(ORIGIN).leaves.clone();
+        // Every key these writes route by lies under a learned leaf.
+        let update = |sys: &mut GridVineSystem| {
+            let before = sys.messages_sent();
+            let records = SCHEMAS.map(|s| {
+                let predicate = format!("{s}#a");
+                Triple::new("seq:New", predicate.as_str(), Term::literal(OBJECT))
+            });
+            sys.insert_triples(ORIGIN, records).unwrap();
+            sys.insert_schema(ORIGIN, Schema::new("Guavas", ["a"]))
+                .unwrap();
+            let a = vec![Correspondence::new("a", "a")];
+            let (kind, provenance) = (MappingKind::Equivalence, Provenance::Manual);
+            sys.insert_mapping(ORIGIN, "Guavas", "Zebra", kind, provenance, a)
+                .unwrap();
+            sys.messages_sent() - before
+        };
+        let cold = &mut one_route_star();
+        assert_eq!(update(warm), update(cold));
+        assert_eq!(warm.exec_state(ORIGIN).leaves, learned);
+        assert_eq!(cold.exec_state(ORIGIN).leaves, LeafTable::default());
+    }
+
+    /// An independent join's two sweeps may both start at once, and
+    /// their first requests go to one leaf: the second is sent to the
+    /// address the first one's reply teaches. At `window(4)` it leaves
+    /// when that reply lands, not beside the first; at `window(1)` every
+    /// unit leaves when the one before it lands anyway.
+    #[test]
+    fn a_learned_address_is_used_no_earlier_than_it_was_learned() {
+        let plan = join_of("few", false);
+        for window in [1, 4] {
+            let sys = &mut join_star();
+            assert_eq!(leaf_of(sys, "Apple#b"), leaf_of(sys, "Apple#a"));
+            let (landed, out) = landed(sys, &plan, &independent().window(window));
+            assert_eq!(out.rows.len(), 3);
+            // When each unit was sent.
+            let sent = |&(at, d): &(SimTime, ExecStats)| SimTime(at.0 - unit_latency(d.messages).0);
+            let (taught, teacher) = landed[0];
+            assert_eq!((teacher.requests, teacher.direct), (1, 0), "{window}");
+            let direct: Vec<_> = landed.iter().filter(|(_, d)| d.direct > 0).collect();
+            assert!(!direct.is_empty());
+            for unit in direct {
+                assert!(sent(unit) >= taught, "window {window}: {unit:?}");
+            }
+            if window == 1 {
+                let mut at = SimTime::ZERO;
+                for unit in &landed {
+                    assert_eq!(sent(unit), at, "{unit:?}");
+                    at = unit.0;
+                }
+            } else {
+                // The second sweep's first unit would otherwise have
+                // been sent at session start.
+                assert!(landed
+                    .iter()
+                    .any(|u| u.1.direct > 0 && sent(u) > SimTime::ZERO));
+            }
+        }
+    }
+
+    /// Drain a session into the instant each unit's reply landed, with
+    /// the unit's `Stats` delta, and its outcome.
+    fn landed(
+        sys: &mut GridVineSystem,
+        plan: &QueryPlan,
+        options: &QueryOptions,
+    ) -> (Vec<(SimTime, ExecStats)>, QueryOutcome) {
+        let mut session = sys.open(ORIGIN, plan, options).unwrap();
+        let mut landed = Vec::new();
+        while let Some(event) = session.next_event().unwrap() {
+            if let ResultEvent::Stats(delta) = event {
+                landed.push((session.sim_now(), delta));
+            }
+        }
+        (landed, session.into_outcome())
+    }
+
+    /// The join of [`a_learned_address_is_used_no_earlier_than_it_was_learned`]
+    /// at `window(4)`, with the shared leaf's peer down from just after
+    /// the session starts until just after the teaching reply lands: the
+    /// direct unit, issued at the session's start, meets the outage at
+    /// the instant it leaves, times out once and gets through on its
+    /// retransmit. Checked at its issue instant instead, it would find
+    /// the peer up.
+    #[test]
+    fn a_direct_request_meets_churn_when_it_leaves() {
+        let plan = join_of("few", false);
+        let options = independent().window(4);
+        let (calm, calm_out) = landed(&mut join_star(), &plan, &options);
+        let taught = calm[0].0;
+        let first_direct = calm.iter().position(|(_, d)| d.direct > 0).unwrap();
+        assert_eq!(calm[first_direct].1.timeouts, 0);
+
+        let sys = &mut join_star();
+        let node = NodeId::from_index(leaf_of(sys, "Apple#b").index());
+        let churn = [
+            (SimTime(1), ChurnKind::Fail),
+            (taught + PER_MESSAGE, ChurnKind::Recover),
+        ];
+        sys.install_churn(&churn.map(|(at, kind)| ChurnEvent { at, node, kind }));
+        let (stormy, out) = landed(sys, &plan, &options);
+        assert_eq!(out.rows, calm_out.rows);
+        assert_eq!(out.stats.failures, 0, "{:?}", out.stats);
+        let (_, teacher) = stormy[0];
+        assert_eq!((teacher.direct, teacher.timeouts), (0, 0));
+        let unit = stormy[first_direct].1;
+        assert_eq!((unit.direct, unit.timeouts), (1, 1), "{unit:?}");
+    }
+
+    /// Only a reply teaches: a recursive discovery, which its holder
+    /// carries on instead of answering, leaves its issuer's table as it
+    /// was, whether routed or sent to a learned address; an iterative
+    /// one teaches the holder's leaf.
+    #[test]
+    fn a_recursive_discovery_teaches_its_issuer_nothing() {
+        let sys = &mut star("a", PlacementPolicy::default());
+        let key = sys.key_of("Apple");
+        assert_ne!(leaf_of(sys, "Apple"), ORIGIN);
+        let discover = |sys: &mut GridVineSystem, strategy| {
+            sys.proto.begin_unit(SimTime::ZERO, ORIGIN);
+            let direct = sys.proto.counters.direct;
+            let (holder, list) = sys.discover_mappings(ORIGIN, &key, strategy).unwrap();
+            assert_eq!(list.len(), 3);
+            let lessons = sys.proto.lessons.clone();
+            sys.learn_leaves(SimTime(1));
+            (holder, sys.proto.counters.direct > direct, lessons)
+        };
+        let (_, direct, lessons) = discover(sys, Strategy::Recursive);
+        assert_eq!((direct, lessons), (false, vec![]));
+        assert_eq!(sys.exec_state(ORIGIN).leaves, LeafTable::default());
+        let (holder, direct, lessons) = discover(sys, Strategy::Iterative);
+        assert_eq!((direct, lessons), (false, vec![(ORIGIN, holder)]));
+        assert_eq!(sys.learned_address(ORIGIN, &key), Some(holder));
+        let (_, direct, lessons) = discover(sys, Strategy::Recursive);
+        assert_eq!((direct, lessons), (true, vec![]));
+    }
+
+    /// A recursive walk's issuers are delegates, whose tables serve
+    /// sessions from every origin. What one origin's session taught a
+    /// delegate, at an instant on that origin's clock, is known to a
+    /// session from another origin without holding its units back: the
+    /// second origin's walk goes direct and ends long before the first
+    /// origin's clock.
+    #[test]
+    fn a_leaf_learned_on_another_origins_clock_holds_no_unit_back() {
+        let plan = closure_of("Apple#a", PatternTerm::var("o"));
+        let options = QueryOptions::default().strategy(Strategy::Recursive);
+        let sys = &mut star("a", PlacementPolicy::default());
+        let ahead = SimTime(1_000 * unit_latency(100).0);
+        sys.exec_state_mut(ORIGIN).clock = ahead;
+        let first = sys.execute(ORIGIN, &plan, &options).unwrap();
+        let other = PeerId(9);
+        let second = sys.execute(other, &plan, &options).unwrap();
+        assert_eq!(second.rows, first.rows);
+        assert!(second.stats.direct > 0, "{:?}", second.stats);
+        let elapsed = sys.exec_state(ORIGIN).clock.saturating_since(ahead);
+        let clock = sys.exec_state(other).clock;
+        assert!(clock <= SimTime(elapsed.0), "{clock:?} after {elapsed:?}");
     }
 }

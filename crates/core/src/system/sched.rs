@@ -2,11 +2,12 @@
 //! simulated clock.
 //!
 //! A [`QuerySession`](super::session::QuerySession) pull advances
-//! routed requests; this module is what gives them time. It puts the
-//! synchronous executor on the discrete-event substrate of
-//! [`gridvine_netsim`]: every routed request becomes a
-//! *unit* — a `Subquery` message issued at a send instant, answered by
-//! a `Reply` scheduled on an [`EventQueue`] at `send + latency` — and
+//! requests — routed, or sent to a learned address; this module is what
+//! gives them time. It puts the synchronous executor on the
+//! discrete-event substrate of [`gridvine_netsim`]: every request
+//! becomes a *unit* — a `Subquery` message issued at a send instant,
+//! answered by a `Reply` scheduled on an [`EventQueue`] at
+//! `send + latency` — and
 //! one session keeps up to [`QueryOptions::window`](super::exec::QueryOptions::window)
 //! units in flight. A data request carries a pattern list and its
 //! reply answers every listed pattern the destination is responsible
@@ -19,16 +20,19 @@
 //! pattern sweeps of an independent join pipeline; dependent work (a
 //! hop's children wait for the unit that brought its mapping list, a
 //! bound pattern waits for its predecessor's rows) is serialized
-//! through per-unit ready times.
+//! through per-unit ready times — and so is a request to a learned
+//! address, which leaves no earlier than the reply that taught it
+//! landed (below).
 //!
 //! ## Determinism and equivalence, by construction
 //!
 //! Units are *issued* in one canonical order — the `window = 1` order,
-//! where every pull advances exactly one routed request — and issuing
-//! is where all logical state evolves: routing (and its RNG draws), message
-//! charging, row admission and dedup, closure expansion and cache
-//! recording. The window never reorders issues; it only decides how
-//! many replies may be outstanding before the next one must land. The
+//! where every pull advances exactly one request — and issuing is where
+//! all logical state evolves: routing (and its RNG draws), the leaves
+//! each issuer learns, message charging, row admission and dedup,
+//! closure expansion and cache recording. The window never reorders
+//! issues; it only decides how many replies may be outstanding before
+//! the next one must land. The
 //! clock therefore models *when* each reply arrives (event delivery
 //! order, first-result latency, in-flight accounting) while the row
 //! multiset, the message count and the RNG stream are bit-identical
@@ -41,8 +45,11 @@
 //! simulated millisecond per overlay message. This ties the clock to
 //! the same accounting the synchronous system has always reported —
 //! a warm cache replay is faster *because* it sends fewer messages —
-//! and keeps the model deterministic. The WAN harness remains the
-//! place for heavy-tailed regional latency distributions.
+//! and keeps the model deterministic. A non-flat
+//! [`GridVineConfig::latency`](super::GridVineConfig) model (e.g.
+//! `RegionalWan`, heavy-tailed and regional) instead draws one
+//! origin→destination sample per message
+//! ([`GridVineSystem::unit_delay`](super::GridVineSystem)).
 //!
 //! ## The request/response protocol
 //!
@@ -114,7 +121,7 @@
 //!
 //! Semantic defenses run as scheduler work, not magic: an
 //! [`assessment_pass`](super::GridVineSystem::assessment_pass) issues
-//! one routed probe per mapping cycle, charged as messages and latency
+//! one probe per mapping cycle, charged as messages and latency
 //! in [`ExecStats`](super::exec::ExecStats) (`assessment_probes`)
 //! exactly like a subquery, and every status transition bumps the
 //! registry epoch so closure caches self-invalidate rather than replay
@@ -124,9 +131,30 @@
 //!
 //! Each peer owns a `PeerExecState`: a monotone clock (consecutive
 //! sessions from the same origin resume where the last one left off),
-//! the reply queue of the in-flight sessions issued from it, and its
+//! the reply queue of the in-flight sessions issued from it, its
 //! **bounded LRU closure cache** (capacity
-//! [`GridVineConfig::closure_cache_capacity`](super::GridVineConfig)).
+//! [`GridVineConfig::closure_cache_capacity`](super::GridVineConfig))
+//! and its **learned leaves** (`LeafTable`): for each trie path a reply
+//! to one of its requests came from, the peer that answered, the
+//! completion instant of that unit and the origin on whose clock that
+//! instant was read. The peer's later requests for keys under a
+//! learned path go straight to that peer — one message, plus the
+//! response — and a unit on that same origin's clock that does so is
+//! sent no earlier than the instant the path was learned, a ready-time
+//! floor like the one a closure hop's parent sets; its attempts meet
+//! loss and churn at that instant too. Instants on two origins' clocks
+//! are not comparable — each origin's sessions run on its own clock —
+//! so a path that another origin's session taught (a recursive
+//! delegate's table serves sessions from every origin) is known in
+//! issue order, as a closure cache's entries are, and floors nothing:
+//! read against the unit's clock it would hold the unit for as long as
+//! the two clocks happen to have drifted apart. Only replies teach, so
+//! a recursive discovery teaches its issuer nothing. Which requests go
+//! direct depends only on issue order, so rows and messages stay the
+//! same for every window size; within one session at `window(1)` the
+//! floor never binds. The table
+//! needs no capacity: it never holds more entries than the trie has
+//! leaves.
 //! Dropping a session cancels every reply it still has queued —
 //! [`GridVineSystem::pending_events`](super::GridVineSystem::pending_events)
 //! returns to zero — so abandoned queries leave no residue.
@@ -174,6 +202,7 @@
 use super::pool::SessionId;
 use super::session::ResultEvent;
 use gridvine_netsim::{EventQueue, SimDuration, SimTime};
+use gridvine_pgrid::{BitString, PeerId};
 use gridvine_semantic::ClosureCache;
 
 /// Fixed per-unit processing overhead (destination-side evaluation).
@@ -225,6 +254,10 @@ pub(crate) struct PeerExecState {
     /// strategy consults (and fills) the *delegate* peer's — the
     /// intermediate peer that served the first mapping discovery.
     pub(crate) cache: ClosureCache,
+    /// The leaves this peer learned from the replies to its own
+    /// requests: its next request for a key under one of them goes
+    /// straight to the peer that answered.
+    pub(crate) leaves: LeafTable,
 }
 
 impl PeerExecState {
@@ -233,7 +266,90 @@ impl PeerExecState {
             clock: SimTime::ZERO,
             queue: EventQueue::new(),
             cache: ClosureCache::bounded(cache_capacity),
+            leaves: LeafTable::default(),
         }
+    }
+}
+
+/// Trie paths a peer has learned, each with the peer that answered for
+/// it and the instant the learner could first know it — the completion
+/// of the unit whose reply taught it, on that unit's origin's clock
+/// (see the module docs). Paths are prefix-free, so at most one learned
+/// path covers a key: the greatest one not above the key. A table never
+/// holds more entries than the trie has leaves.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct LeafTable {
+    /// In the paths' order.
+    leaves: Vec<Leaf>,
+}
+
+#[derive(Debug, Clone, PartialEq)]
+struct Leaf {
+    path: BitString,
+    /// The peer that answered for `path`.
+    peer: PeerId,
+    /// The origin whose clock `at` is read on.
+    clock: PeerId,
+    /// When the learner could first know it.
+    at: SimTime,
+}
+
+impl LeafTable {
+    /// The learned peer whose path covers `key`, and the earliest
+    /// instant a unit on `clock`'s clock may use it: when it was
+    /// learned, if on the same clock, else any time.
+    pub(crate) fn lookup(&self, key: &BitString, clock: PeerId) -> Option<(PeerId, SimTime)> {
+        let leaf = &self.leaves[self.covering(key)?];
+        let floor = if leaf.clock == clock {
+            leaf.at
+        } else {
+            SimTime::ZERO
+        };
+        Some((leaf.peer, floor))
+    }
+
+    /// Remember that `peer`, whose path is `path`, answered a unit that
+    /// completes at `at` on `clock`'s clock. A path already learned from
+    /// the same peer stays known from when it first was: the earlier
+    /// instant on the same clock, the old entry on another. One learned
+    /// from another replica is replaced.
+    pub(crate) fn learn(&mut self, path: &BitString, peer: PeerId, clock: PeerId, at: SimTime) {
+        let i = self.leaves.partition_point(|l| l.path <= *path);
+        match self.leaves[..i].last_mut() {
+            Some(known) if known.path == *path => {
+                if known.peer != peer {
+                    (known.peer, known.clock, known.at) = (peer, clock, at);
+                } else if known.clock == clock {
+                    known.at = known.at.min(at);
+                }
+            }
+            _ => self.leaves.insert(
+                i,
+                Leaf {
+                    path: path.clone(),
+                    peer,
+                    clock,
+                    at,
+                },
+            ),
+        }
+    }
+
+    /// Forget the learned path covering `key`, if any.
+    pub(crate) fn forget(&mut self, key: &BitString) {
+        if let Some(i) = self.covering(key) {
+            self.leaves.remove(i);
+        }
+    }
+
+    /// Where the learned path covering `key` is: the greatest one not
+    /// above it, if it is a prefix of it.
+    fn covering(&self, key: &BitString) -> Option<usize> {
+        let i = self
+            .leaves
+            .partition_point(|l| l.path <= *key)
+            .checked_sub(1)?;
+        self.leaves[i].path.is_prefix_of(key).then_some(i)
     }
 }
 
@@ -246,5 +362,80 @@ mod tests {
         assert_eq!(unit_latency(0), PROCESSING);
         assert!(unit_latency(3) > unit_latency(1));
         assert_eq!(unit_latency(2).0, PROCESSING.0 + 2 * PER_MESSAGE.0);
+    }
+
+    #[test]
+    fn a_learned_path_covers_exactly_the_keys_under_it() {
+        let bits = BitString::parse;
+        let here = PeerId(0);
+        let mut table = LeafTable::default();
+        // Prefix-free, learned out of order.
+        for (i, path) in ["011", "00", "10", "0101", "111"].into_iter().enumerate() {
+            table.learn(&bits(path), PeerId(i as u32), here, SimTime(i as u64));
+        }
+        for (key, expect) in [
+            ("0110", Some(0)),
+            ("011", Some(0)),
+            ("00", Some(1)),
+            ("001111", Some(1)),
+            ("1011", Some(2)),
+            ("01011", Some(3)),
+            ("0100", None),
+            ("01", None),
+            ("110", None),
+            ("1111", Some(4)),
+            ("", None),
+        ] {
+            let found = table.lookup(&bits(key), here).map(|(peer, _)| peer.0);
+            assert_eq!(found, expect, "{key}");
+        }
+        // A replica of a known leaf replaces it; the same peer again
+        // keeps the earlier instant.
+        table.learn(&bits("10"), PeerId(7), here, SimTime(9));
+        table.learn(&bits("00"), PeerId(1), here, SimTime(8));
+        let lookup = |table: &LeafTable, key| table.lookup(&bits(key), here);
+        assert_eq!(lookup(&table, "100"), Some((PeerId(7), SimTime(9))));
+        assert_eq!(lookup(&table, "000"), Some((PeerId(1), SimTime(1))));
+        assert_eq!(table.leaves.len(), 5);
+        table.forget(&bits("0111"));
+        assert_eq!(lookup(&table, "0110"), None);
+        table.forget(&bits("0100"));
+        assert_eq!(table.leaves.len(), 4);
+        // The root path covers every key; paths past one word that
+        // differ only in their last bit cover only their own keys.
+        let mut root = LeafTable::default();
+        root.learn(&BitString::empty(), PeerId(3), here, SimTime::ZERO);
+        assert_eq!(lookup(&root, "1").map(|(p, _)| p), Some(PeerId(3)));
+        let mut deep = LeafTable::default();
+        let long = |last: &str| bits(&format!("{}{last}", "1".repeat(64)));
+        let peer = |table: &LeafTable, key| table.lookup(&key, here).map(|(p, _)| p);
+        deep.learn(&long("1"), PeerId(4), here, SimTime::ZERO);
+        deep.learn(&long("0"), PeerId(5), here, SimTime::ZERO);
+        assert_eq!(peer(&deep, long("11")), Some(PeerId(4)));
+        assert_eq!(peer(&deep, long("01")), Some(PeerId(5)));
+        assert_eq!(peer(&deep, long("")), None);
+    }
+
+    /// A learned instant is read on the clock of the origin whose unit
+    /// taught it: a unit on another origin's clock finds the path known
+    /// with no floor, and the same peer taught again on another clock
+    /// leaves the entry as it was.
+    #[test]
+    fn a_learned_instant_floors_only_units_on_its_own_clock() {
+        let (a, b) = (PeerId(1), PeerId(2));
+        let path = BitString::parse("01");
+        let key = BitString::parse("011");
+        let mut table = LeafTable::default();
+        table.learn(&path, PeerId(7), a, SimTime(50));
+        assert_eq!(table.lookup(&key, a), Some((PeerId(7), SimTime(50))));
+        assert_eq!(table.lookup(&key, b), Some((PeerId(7), SimTime::ZERO)));
+        table.learn(&path, PeerId(7), b, SimTime(90));
+        table.learn(&path, PeerId(7), a, SimTime(40));
+        assert_eq!(table.lookup(&key, a), Some((PeerId(7), SimTime(40))));
+        assert_eq!(table.lookup(&key, b), Some((PeerId(7), SimTime::ZERO)));
+        // Another replica, taught on `b`'s clock, floors `b`'s units.
+        table.learn(&path, PeerId(8), b, SimTime(90));
+        assert_eq!(table.lookup(&key, b), Some((PeerId(8), SimTime(90))));
+        assert_eq!(table.lookup(&key, a), Some((PeerId(8), SimTime::ZERO)));
     }
 }

@@ -14,15 +14,16 @@
 //! ## The scheduler seam
 //!
 //! The session is **message-driven** (see
-//! [`crate::system::sched`]): each routed request is a unit issued as
-//! a `Subquery` at a send instant and answered by a `Reply` scheduled
+//! [`crate::system::sched`]): each request — routed, or sent to an
+//! address its issuer learned — is a unit issued as a `Subquery` at a
+//! send instant and answered by a `Reply` scheduled
 //! on a per-peer [`EventQueue`](gridvine_netsim::EventQueue) at
 //! `send + latency`, with up to [`QueryOptions::window`] units in
 //! flight at once. Units are issued in one canonical order — the
-//! `window = 1` order, where every pull advances exactly one routed
-//! request — and all logical state (routing and its RNG
-//! draws, message charging, row admission, closure expansion, cache
-//! recording) evolves at issue. The clock models *when* replies land:
+//! `window = 1` order, where every pull advances exactly one request —
+//! and all logical state (routing and its RNG draws, learned leaves,
+//! message charging, row admission, closure expansion, cache recording)
+//! evolves at issue. The clock models *when* replies land:
 //! event delivery order, simulated first-result latency and the
 //! [`ExecStats::max_in_flight`] high-water mark. Row multiset and
 //! message count are therefore identical for every window size, by
@@ -30,8 +31,9 @@
 //! a closure hop's request can only be sent once the unit that brought
 //! the mapping list which revealed it — a discovery, or a data reply
 //! that carried the list — completed; a bound join's pattern waits for
-//! its predecessor pattern's rows; prefix probes and warm cache replays
-//! are fully independent and pipeline `window`-wide.
+//! its predecessor pattern's rows; a request to a learned address
+//! waits for the unit whose reply taught it; prefix probes and warm
+//! cache replays are otherwise independent and pipeline `window`-wide.
 //!
 //! A data request is a pattern *list* (see the
 //! [executor docs](crate::system::exec)): the request of the closure
@@ -776,13 +778,12 @@ impl SessionCore {
             return Ok(());
         }
         // Arm the retry protocol for this unit: this session's budget,
-        // attempts scheduled against its clock, backoff delay and the
-        // latency destination reset per issue. Re-arming every issue is
-        // what lets sessions interleave on the shared protocol state.
+        // attempts scheduled against its clock, and the backoff delay,
+        // latency destination, send floor and learned leaves reset per
+        // issue. Re-arming every issue is what lets sessions interleave
+        // on the shared protocol state.
         sys.proto.max_retries = self.max_retries;
-        sys.proto.now = self.sim_now;
-        sys.proto.delay = SimDuration::ZERO;
-        sys.proto.unit_dest = None;
+        sys.proto.begin_unit(self.sim_now, self.origin);
         // Snapshot the shared counters so exactly this unit's movement
         // is folded into this session's stats.
         let m0 = sys.overlay.messages_sent();
@@ -811,6 +812,7 @@ impl SessionCore {
         self.stats.messages += sys.overlay.messages_sent() - m0;
         let c = sys.proto.counters;
         self.stats.requests += c.requests - p0.requests;
+        self.stats.direct += c.direct - p0.direct;
         self.stats.sends += c.sends - p0.sends;
         self.stats.timeouts += c.timeouts - p0.timeouts;
         self.stats.retransmits += c.retransmits - p0.retransmits;
@@ -821,7 +823,11 @@ impl SessionCore {
         match result {
             Ok(StepOutcome::Idle) => Ok(()), // state stays Done
             Ok(StepOutcome::Unit { ready, heard, done }) => {
+                // A request to a learned address goes out no earlier
+                // than its issuer learned it.
+                let ready = ready.max(sys.proto.floor);
                 let completion = self.schedule_unit(sys, ready, out);
+                sys.learn_leaves(completion);
                 if !done {
                     if let Some(walk) = state.walk_mut() {
                         for schema in heard {
@@ -967,9 +973,10 @@ impl SessionCore {
     }
 
     /// [`QueryPlan::ObjectPrefix`]: probe the next peer region of the
-    /// prefix's bit-region (same regions, routes and response charges
-    /// as a range `Retrieve`). Probes are independent units: they are
-    /// all ready at session start and pipeline `window`-wide.
+    /// prefix's bit-region (same regions and response charges as a
+    /// range `Retrieve`; a region whose path the origin learned is
+    /// probed directly). Probes are independent units: they are all
+    /// ready at session start and pipeline `window`-wide.
     fn step_prefix(
         &mut self,
         sys: &mut GridVineSystem,
@@ -981,8 +988,7 @@ impl SessionCore {
         let Some(probe) = probes.next() else {
             return Ok(StepOutcome::Idle);
         };
-        let dest = sys.route_retrieve(self.origin, &probe)?;
-        sys.proto_request(self.origin, dest)?;
+        let dest = sys.exchange(self.origin, &probe, true)?;
         self.stats.subqueries += 1;
         let mut shipped = BindingBatch::for_pattern(&query.pattern);
         self.stats.bindings_shipped +=

@@ -154,8 +154,10 @@ proptest! {
 
     /// `execute` ≡ the reference on rows, and on the hops reported —
     /// in order at `window(1)`, as a set at `window(4)` — for both
-    /// strategies, cold and warm, at TTL 1, 2 and the default, with and
-    /// without a replicating placement rule, under both hashes.
+    /// strategies, at TTL 1, 2 and the default, with and without a
+    /// replicating placement rule, under both hashes: on one system,
+    /// cold, then warm from the same origin — its closure cache and the
+    /// leaves it learned in use — then from a second origin.
     #[test]
     fn the_walk_is_the_reference_walk(
         edges in proptest::collection::vec((0usize..5, 0usize..5, any::<bool>(), any::<bool>()), 0..10),
@@ -164,6 +166,8 @@ proptest! {
         // `VALUES.len()` leaves the object a variable.
         value in 0usize..4,
         origin in 0usize..PEERS,
+        // How far past `origin` the second origin is.
+        second in 1usize..PEERS,
         (recursive, uniform, placed) in (any::<bool>(), any::<bool>(), any::<bool>()),
         // 0: the configured TTL.
         ttl in 0usize..3,
@@ -179,7 +183,11 @@ proptest! {
         let pattern = TriplePattern::new(PatternTerm::var("x"), predicate, object);
         let query = TriplePatternQuery::new("x", pattern).unwrap();
         let plan = QueryPlan::search(query.clone());
-        let origin = PeerId::from_index(origin);
+        let runs = [
+            (PeerId::from_index(origin), "cold"),
+            (PeerId::from_index(origin), "warm"),
+            (PeerId::from_index((origin + second) % PEERS), "second origin"),
+        ];
         for window in [1, 4] {
             let sys = &mut federation(hash, placed, &edges, &facts);
             let mut options = QueryOptions::new().strategy(strategy).window(window);
@@ -190,7 +198,7 @@ proptest! {
                 reference(sys, &query.pattern, ttl.unwrap_or(GridVineConfig::default().ttl));
             let expected_terms: BTreeSet<Term> =
                 matches.iter().filter_map(|b| b.get("x").cloned()).collect();
-            for run in ["cold", "warm"] {
+            for (origin, run) in runs {
                 let mut session = sys.open(origin, &plan, &options).unwrap();
                 let mut hops = Vec::new();
                 while let Some(event) = session.next_event().unwrap() {
@@ -211,8 +219,9 @@ proptest! {
 
     /// `execute` of a conjunctive plan ≡ the nested-loop join of its
     /// patterns' reference walks, on row sets, for both join modes and
-    /// both strategies, cold and warm, at TTL 1, 2 and the default, with
-    /// and without a replicating placement rule, under both hashes. A
+    /// both strategies, at TTL 1, 2 and the default, with and without a
+    /// replicating placement rule, under both hashes, on one system:
+    /// cold, warm from the same origin, then from a second origin. A
     /// join on the object binds `"50%"` whenever a fact holds it: the
     /// bound mode must match it exactly, never as a LIKE that `"500"`
     /// satisfies.
@@ -222,7 +231,7 @@ proptest! {
         facts in proptest::collection::vec((0u8..8, 0usize..5, 0usize..3), 1..30),
         (left, right) in (0usize..5, 0usize..5),
         (shape, value) in (0usize..3, 0usize..3),
-        origin in 0usize..PEERS,
+        (origin, second) in (0usize..PEERS, 1usize..PEERS),
         (uniform, placed, window) in (any::<bool>(), any::<bool>(), 1usize..5),
         // 0: the configured TTL.
         ttl in 0usize..3,
@@ -258,7 +267,11 @@ proptest! {
         let distinguished = distinguished.iter().map(|v| v.to_string()).collect();
         let query = ConjunctiveQuery::new(distinguished, patterns).unwrap();
         let plan = QueryPlan::conjunctive(query.clone());
-        let origin = PeerId::from_index(origin);
+        let runs = [
+            (PeerId::from_index(origin), "cold"),
+            (PeerId::from_index(origin), "warm"),
+            (PeerId::from_index((origin + second) % PEERS), "second origin"),
+        ];
         let sys = &mut federation(hash, placed, &edges, &facts);
         let expected = reference_join(sys, &query, if ttl > 0 { ttl } else { GridVineConfig::default().ttl });
         for strategy in [Strategy::Iterative, Strategy::Recursive] {
@@ -267,7 +280,7 @@ proptest! {
                 if ttl > 0 {
                     options = options.ttl(ttl);
                 }
-                for run in ["cold", "warm"] {
+                for (origin, run) in runs {
                     let out = sys.execute(origin, &plan, &options).unwrap();
                     let rows: BTreeSet<String> = out.rows.iter().map(Binding::to_string).collect();
                     prop_assert_eq!(&rows, &expected, "{:?} {:?} {} {}", strategy, mode, run, query);

@@ -234,6 +234,80 @@ fn crashed_destination_mid_flight_fails_the_hop_not_the_session() {
     assert_eq!(healed.rows.len(), 4);
 }
 
+/// A peer whose path the origin learned crashes: the request sent to it
+/// fails at once, the origin forgets the address and routes the same
+/// request within the unit, so the replay answers as a healthy one
+/// does while the leaf has a live replica.
+#[test]
+fn a_crashed_learned_address_fails_over_to_routing() {
+    let build = || {
+        let mut sys = GridVineSystem::new(GridVineConfig {
+            // 24 peers: half the leaves have two.
+            peers: 24,
+            hash: gridvine_pgrid::HashKind::Uniform,
+            seed: 7,
+            ..GridVineConfig::default()
+        });
+        let p0 = PeerId(0);
+        for i in 0..4 {
+            sys.insert_schema(p0, Schema::new(format!("S{i}").as_str(), [format!("a{i}")]))
+                .unwrap();
+        }
+        for i in 0..3 {
+            let (from, to) = (format!("S{i}"), format!("S{}", i + 1));
+            let a = vec![Correspondence::new(format!("a{i}"), format!("a{}", i + 1))];
+            let (equivalence, manual) = (MappingKind::Equivalence, Provenance::Manual);
+            sys.insert_mapping(p0, from.as_str(), to.as_str(), equivalence, manual, a)
+                .unwrap();
+        }
+        for i in 0..4 {
+            let predicate = format!("S{i}#a{i}");
+            let record = Triple::new(
+                format!("seq:R{i}").as_str(),
+                predicate.as_str(),
+                Term::literal("Aspergillus niger"),
+            );
+            sys.insert_triple(p0, record).unwrap();
+        }
+        sys
+    };
+    let q = gridvine_rdf::TriplePatternQuery::new(
+        "x",
+        gridvine_rdf::TriplePattern::new(
+            gridvine_rdf::PatternTerm::var("x"),
+            gridvine_rdf::PatternTerm::constant(Term::uri("S0#a0")),
+            gridvine_rdf::PatternTerm::constant(Term::literal("%Aspergillus%")),
+        ),
+    )
+    .unwrap();
+    let origin = PeerId(5);
+    let mut healthy = build();
+    search(&mut healthy, origin, &q);
+    let warm = search(&mut healthy, origin, &q);
+    assert_eq!((warm.rows.len(), warm.stats.failures), (4, 0));
+    assert!(warm.stats.direct > 0, "{:?}", warm.stats);
+
+    let mut sys = build();
+    search(&mut sys, origin, &q);
+    // S1's and S2's predicates share a leaf of two peers; at this seed
+    // the route from the origin lands on the live one.
+    let key = sys.key_of("S1#a1");
+    let learned = sys
+        .learned_address(origin, &key)
+        .expect("the reply taught it");
+    assert_eq!(sys.topology().responsible(&key).len(), 2);
+    sys.crash_peer(learned);
+    let out = search(&mut sys, origin, &q);
+    assert_eq!(out.rows, warm.rows);
+    assert_eq!(out.stats.failures, 0, "{:?}", out.stats);
+    // The request to the dead peer, then the same one routed.
+    assert_eq!(out.stats.requests, warm.stats.requests + 1);
+    assert_eq!(out.stats.direct, warm.stats.direct);
+    assert!(out.stats.messages > warm.stats.messages);
+    let relearned = sys.learned_address(origin, &key);
+    assert!(relearned.is_some() && relearned != Some(learned));
+}
+
 #[test]
 fn failure_truncated_closure_is_never_cached_as_complete() {
     // Crash the peer serving an intermediate schema's mapping list: the

@@ -19,8 +19,13 @@ use proptest::prelude::*;
 /// schema: the closure walk fans out over several routed units, which
 /// is what the retry protocol needs exercising.
 fn chain_system(fault: FaultConfig, seed: u64) -> GridVineSystem {
+    chain_system_of(32, fault, seed)
+}
+
+/// [`chain_system`] on `peers` peers.
+fn chain_system_of(peers: usize, fault: FaultConfig, seed: u64) -> GridVineSystem {
     let mut sys = GridVineSystem::new(GridVineConfig {
-        peers: 32,
+        peers,
         hash: gridvine_pgrid::HashKind::Uniform,
         fault,
         seed,
@@ -121,6 +126,78 @@ fn churned_destination_is_survived_by_retrying_past_recovery() {
         churned.stats.requests + churned.stats.retransmits
     );
     assert_eq!(sys.pending_events(), 0);
+}
+
+/// A request its issuer answers from its own `DB_p` sends nothing, so
+/// no fault can reach it: on a single peer at 90 % loss, every search
+/// returns its row with no message, timeout or failure.
+#[test]
+fn a_local_exchange_is_never_lost() {
+    let mut sys = GridVineSystem::new(GridVineConfig {
+        peers: 1,
+        fault: FaultConfig {
+            loss: 0.9,
+            ..FaultConfig::none()
+        },
+        ..GridVineConfig::default()
+    });
+    let p0 = PeerId(0);
+    sys.insert_schema(p0, Schema::new("EMBL", ["Organism"]))
+        .unwrap();
+    let record = Triple::new(
+        "seq:A78712",
+        "EMBL#Organism",
+        Term::literal("Aspergillus niger"),
+    );
+    sys.insert_triple(p0, record).unwrap();
+    let plan = QueryPlan::search(TriplePatternQuery::example_aspergillus());
+    let options = QueryOptions::new().max_retries(1);
+    for _ in 0..20 {
+        let out = sys.execute(p0, &plan, &options).unwrap();
+        assert_eq!(out.rows.len(), 1, "{:?}", out.stats);
+        let s = out.stats;
+        assert_eq!((s.messages, s.timeouts, s.failures), (0, 0, 0), "{s:?}");
+    }
+}
+
+/// A learned address whose peer is churn-down for the whole query
+/// times out, is forgotten, and the same request is routed within the
+/// unit: with a live replica of the leaf the rows are those of the
+/// undisturbed run and nothing fails.
+#[test]
+fn a_churned_learned_address_fails_over_to_routing() {
+    let (peers, seed, origin) = (24, 7, PeerId(5));
+    let plan = QueryPlan::search(chain_query());
+    let options = QueryOptions::new().max_retries(2);
+    let mut healthy = chain_system_of(peers, FaultConfig::none(), seed);
+    healthy.execute(origin, &plan, &options).unwrap();
+    let warm = healthy.execute(origin, &plan, &options).unwrap();
+    assert_eq!(warm.rows.len(), 4);
+
+    let mut sys = chain_system_of(peers, FaultConfig::none(), seed);
+    sys.execute(origin, &plan, &options).unwrap();
+    // S1's and S2's predicates share a leaf of two peers; at this seed
+    // the route from the origin lands on the live one.
+    let key = sys.key_of("S1#a1");
+    let learned = sys
+        .learned_address(origin, &key)
+        .expect("the reply taught it");
+    assert_eq!(sys.topology().responsible(&key).len(), 2);
+    sys.install_churn(&[ChurnEvent {
+        at: SimTime::ZERO,
+        node: NodeId::from_index(learned.index()),
+        kind: ChurnKind::Fail,
+    }]);
+    let out = sys.execute(origin, &plan, &options).unwrap();
+    assert_eq!(out.rows, warm.rows);
+    assert_eq!(out.stats.failures, 0, "{:?}", out.stats);
+    // Every attempt against the dead peer timed out; the routed retry
+    // of the same request is one request more than the healthy replay.
+    assert_eq!(out.stats.timeouts, 1 + 2, "{:?}", out.stats);
+    assert_eq!(out.stats.requests, warm.stats.requests + 1);
+    assert_eq!(out.stats.direct, warm.stats.direct);
+    let relearned = sys.learned_address(origin, &key);
+    assert!(relearned.is_some() && relearned != Some(learned));
 }
 
 #[test]
