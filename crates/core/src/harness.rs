@@ -514,7 +514,7 @@ impl Deployment {
             }
             _ => None,
         };
-        if let Some(hops) = cached {
+        if let Some((hops, ())) = cached {
             st.cache_hits += 1;
             for hop in hops.iter() {
                 st.tracks[track].visited.insert(hop.schema.clone());
@@ -903,7 +903,7 @@ impl Deployment {
                 track.visited = visited;
                 if track.open_fetches == 0 && !track.timed_out && !track.limited {
                     if let Some((key, hops)) = track.recording.take() {
-                        self.caches[origin].insert(self.mediation_epoch, key, hops);
+                        self.caches[origin].insert(self.mediation_epoch, key, hops, ());
                     }
                 }
                 // Follow-ups whose origin answered locally completed

@@ -16,7 +16,9 @@
 
 use crate::item::{KeySpace, MediationItem, TripleStage};
 use gridvine_netsim::churn::{ChurnEvent, ChurnKind};
-use gridvine_netsim::{FaultConfig, LatencyConfig, LatencyModel, NodeId, SimDuration, SimTime};
+use gridvine_netsim::{
+    EventQueue, FaultConfig, LatencyConfig, LatencyModel, NodeId, SimDuration, SimTime,
+};
 use gridvine_pgrid::{
     BitString, HashKind, KeyHasher, Overlay, PeerId, RouteError, Topology, UpdateOp,
 };
@@ -138,7 +140,7 @@ pub(crate) struct ProtoCounters {
 }
 
 /// State of the subquery request/response protocol: the fault rates,
-/// the active session's retry budget and clock, and the deterministic
+/// the active session's retry budget, the unit being issued, and the deterministic
 /// RNG stream driving loss/duplication/reorder draws — independent
 /// from the routing RNG, so enabling faults never perturbs route
 /// selection (and a null config draws nothing at all).
@@ -149,13 +151,12 @@ pub(crate) struct ProtocolState {
     /// Retransmit budget of the active session's requests (set from
     /// [`exec::QueryOptions::max_retries`] at open).
     pub(crate) max_retries: usize,
-    /// The session clock at the unit currently being issued — the
-    /// attempt-time base for churn-liveness checks.
+    /// The instant the unit being issued is sent: its session's latest
+    /// delivery, raised to its ready time before its first exchange and
+    /// to the stamp of every write it reads
+    /// ([`ProtocolState::floor`]). Its attempts meet loss and churn
+    /// from here.
     pub(crate) now: SimTime,
-    /// The origin whose clock `now` is read on: the session's origin
-    /// (see [`sched`]'s per-peer state). An instant a learned address
-    /// was learned at floors only units on the same clock.
-    pub(crate) clock: PeerId,
     /// Timeout/backoff delay accumulated by the unit being issued
     /// (reset per issue, folded into the unit's completion instant).
     pub(crate) delay: SimDuration,
@@ -164,14 +165,16 @@ pub(crate) struct ProtocolState {
     /// latency models sample the origin→destination link for each of
     /// the unit's messages.
     pub(crate) unit_dest: Option<PeerId>,
-    /// The earliest instant the unit being issued may be sent: the
-    /// latest instant at which a learned address it used was learned
-    /// (reset per issue).
-    pub(crate) floor: SimTime,
-    /// `(issuer, responder)` of each reply the unit being issued got
-    /// back: learned once the unit's completion instant is known
-    /// ([`GridVineSystem::learn_leaves`]; reset per issue).
-    lessons: Vec<(PeerId, PeerId)>,
+    /// What the unit being issued writes for later units to read,
+    /// applied once its completion instant is known
+    /// ([`GridVineSystem::commit_writes`]; reset per issue).
+    pub(crate) writes: Vec<sched::Write>,
+    /// The latest stamp among the writes the unit being issued read,
+    /// collected at the read sites, and the instant of its first
+    /// attempt: what [`ProtocolState::check_send`] holds its send
+    /// instant against.
+    read: SimTime,
+    first_attempt: Option<SimTime>,
     /// Next request id.
     next_request: u64,
     pub(crate) counters: ProtoCounters,
@@ -185,26 +188,58 @@ impl ProtocolState {
             fault: config.fault.clone(),
             max_retries: exec::DEFAULT_MAX_RETRIES,
             now: SimTime::ZERO,
-            clock: PeerId(0),
             delay: SimDuration::ZERO,
             unit_dest: None,
-            floor: SimTime::ZERO,
-            lessons: Vec::new(),
+            writes: Vec::new(),
+            read: SimTime::ZERO,
+            first_attempt: None,
             next_request: 0,
             counters: ProtoCounters::default(),
             rng: gridvine_netsim::rng::derive(config.seed, 0xB0FF),
         }
     }
 
-    /// Arm the protocol for the next unit, issued at `now` on `clock`'s
-    /// clock: no delay, destination, floor or lessons yet.
-    pub(crate) fn begin_unit(&mut self, now: SimTime, clock: PeerId) {
+    /// Arm the protocol for the next unit, sent no earlier than `now`:
+    /// no delay, destination or writes yet.
+    pub(crate) fn begin_unit(&mut self, now: SimTime) {
         self.now = now;
-        self.clock = clock;
         self.delay = SimDuration::ZERO;
         self.unit_dest = None;
-        self.floor = SimTime::ZERO;
-        self.lessons.clear();
+        self.writes.clear();
+        self.read = SimTime::ZERO;
+        self.first_attempt = None;
+    }
+
+    /// The unit being issued is sent no earlier than `at`: its ready
+    /// time, or the stamp of a write it reads.
+    pub(crate) fn floor(&mut self, at: SimTime) {
+        self.now = self.now.max(at);
+    }
+
+    /// The unit being issued read a write stamped `at`.
+    pub(crate) fn note_read(&mut self, at: SimTime) {
+        self.read = self.read.max(at);
+    }
+
+    /// Debug builds: check the causality of the unit just issued, while
+    /// the system clock reads `clock` — it is sent no earlier than the
+    /// clock and than every stamp it read, and no later than any of its
+    /// attempts.
+    pub(crate) fn check_send(&self, clock: SimTime) {
+        let (send, read) = (self.now, self.read);
+        debug_assert!(
+            send >= clock,
+            "unit sent at {send:?}, before now() {clock:?}"
+        );
+        debug_assert!(
+            send >= read,
+            "unit sent at {send:?}, before a stamp {read:?} it read"
+        );
+        debug_assert!(
+            self.first_attempt.is_none_or(|a| send <= a),
+            "unit sent at {send:?}, after its first attempt at {:?}",
+            self.first_attempt
+        );
     }
 
     /// The effective loss rate from `from` to `to` (directional
@@ -319,7 +354,7 @@ pub struct AssessmentReport {
     /// the DHT refreshes of changed mappings
     /// (`assessment_probes` / `quarantined_mappings` included).
     pub stats: exec::ExecStats,
-    /// Simulated time the pass advanced the origin peer's clock by.
+    /// Simulated time the pass advanced the system clock by.
     pub elapsed: SimDuration,
 }
 
@@ -359,11 +394,16 @@ pub struct GridVineSystem {
     /// the DHT (kept in lock-step with the DHT copies by the insert /
     /// deprecate operations below).
     registry: MappingRegistry,
-    /// Per-peer execution state: the simulated clock, the in-flight
-    /// session's reply queue and the peer's bounded LRU
-    /// reformulation-closure cache (see [`sched`]). The iterative
-    /// strategy warms the origin's cache; the recursive strategy warms
-    /// the delegate peer's.
+    /// The one simulated clock (see [`sched`]): the instant of the
+    /// latest reply delivered. Never goes backwards.
+    now: SimTime,
+    /// The replies of every in-flight unit, earliest first, ties in
+    /// schedule order.
+    pub(crate) replies: EventQueue<sched::QueuedReply>,
+    /// Per-peer execution state: the peer's bounded LRU
+    /// reformulation-closure cache and its learned leaves (see
+    /// [`sched`]). The iterative strategy warms the origin's cache; the
+    /// recursive strategy warms the delegate peer's.
     exec: Vec<sched::PeerExecState>,
     /// Peers currently crashed by failure injection: routed requests
     /// whose destination is down are charged but never answered
@@ -425,6 +465,8 @@ impl GridVineSystem {
             hasher: config.hash.build(),
             local_dbs: (0..topology.len()).map(|_| TripleStore::new()).collect(),
             lexicon: TermDict::new(),
+            now: SimTime::ZERO,
+            replies: EventQueue::new(),
             exec: (0..topology.len())
                 .map(|_| sched::PeerExecState::new(config.closure_cache_capacity))
                 .collect(),
@@ -490,25 +532,21 @@ impl GridVineSystem {
     /// `key` in an earlier reply to `issuer`, if any (see the
     /// [`exec`] module docs). Updates never fill it.
     pub fn learned_address(&self, issuer: PeerId, key: &BitString) -> Option<PeerId> {
-        let (peer, _) = self.exec[issuer.index()].leaves.lookup(key, issuer)?;
+        let (peer, _) = self.exec[issuer.index()].leaves.lookup(key)?;
         Some(peer)
     }
 
-    /// Scheduled-but-undelivered replies across every peer's event
-    /// queue. Non-zero only while a session holds subqueries in
-    /// flight; dropping a session cancels its queued events, so this
-    /// returns to zero.
+    /// The system's simulated clock: the instant of the latest reply it
+    /// delivered (see [`sched`]). Never goes backwards.
+    pub fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// Scheduled-but-undelivered replies on the reply queue. Non-zero
+    /// only while a session holds subqueries in flight; dropping a
+    /// session cancels its queued events, so this returns to zero.
     pub fn pending_events(&self) -> usize {
-        self.exec.iter().map(|e| e.queue.len()).sum()
-    }
-
-    /// One peer's execution state (clock, reply queue, closure cache).
-    pub(crate) fn exec_state_mut(&mut self, peer: PeerId) -> &mut sched::PeerExecState {
-        &mut self.exec[peer.index()]
-    }
-
-    pub(crate) fn exec_state(&self, peer: PeerId) -> &sched::PeerExecState {
-        &self.exec[peer.index()]
+        self.replies.len()
     }
 
     /// Failure injection: crash a peer. Requests routed *to* it are
@@ -567,10 +605,9 @@ impl GridVineSystem {
     ///   message, and it is never lost.
     /// * A path `from` learned covers `key`: one direct message to the
     ///   peer that answered for it, plus the response when `respond`.
-    ///   If `from` learned it on the unit's own clock, the unit is sent
-    ///   no earlier than the instant it learned it
-    ///   (`ProtocolState::floor`), which is also when its attempts meet
-    ///   loss and churn. Counted in `direct`. If that peer
+    ///   The unit is sent no earlier than the instant `from` learned it
+    ///   ([`ProtocolState::floor`]), which is also when its attempts
+    ///   meet loss and churn. Counted in `direct`. If that peer
     ///   is crashed, or the retries run out against it, `from` forgets
     ///   the path and the same request is routed, both attempts charged
     ///   — a learned address never costs an answer routing would find.
@@ -580,7 +617,7 @@ impl GridVineSystem {
     /// Every peer on a path holds the same copies, so which peer of it
     /// answers changes no reply. When a reply comes back, `from` learns
     /// the responder's path, which the reply carries, once the unit's
-    /// completion instant is known ([`GridVineSystem::learn_leaves`]).
+    /// completion instant is known ([`GridVineSystem::commit_writes`]).
     /// `respond` is false only for a recursive discovery, which the
     /// holder carries on instead of answering: no reply, so nothing is
     /// learned.
@@ -594,18 +631,17 @@ impl GridVineSystem {
             self.proto_request(from, from)?;
             return Ok(from);
         }
-        let clock = self.proto.clock;
-        if let Some((peer, learned_at)) = self.exec[from.index()].leaves.lookup(key, clock) {
+        if let Some((peer, learned_at)) = self.exec[from.index()].leaves.lookup(key) {
             self.proto.counters.direct += 1;
+            self.proto.note_read(learned_at);
             // The fault process sees the instant the request leaves.
-            self.proto.floor = self.proto.floor.max(learned_at);
-            self.proto.now = self.proto.now.max(learned_at);
+            self.proto.floor(learned_at);
             self.overlay
                 .charge_direct(from, peer, 1 + u64::from(respond));
             match self.proto_request(from, peer) {
                 Ok(()) => {
                     if respond {
-                        self.proto.lessons.push((from, peer));
+                        self.proto.writes.push(sched::Write::Leaf(from, peer));
                     }
                     return Ok(peer);
                 }
@@ -621,22 +657,33 @@ impl GridVineSystem {
         // protocol decides whether a reply ever comes back.
         self.proto_request(from, dest)?;
         if respond {
-            self.proto.lessons.push((from, dest));
+            self.proto.writes.push(sched::Write::Leaf(from, dest));
         }
         Ok(dest)
     }
 
-    /// Teach every issuer of the unit just issued the path of the peer
-    /// that answered it, learned at `at`, the unit's completion instant
-    /// on its origin's clock.
-    pub(crate) fn learn_leaves(&mut self, at: SimTime) {
-        let clock = self.proto.clock;
-        for (issuer, peer) in self.proto.lessons.drain(..) {
-            let path = &self.overlay.view(peer).path;
-            self.exec[issuer.index()]
-                .leaves
-                .learn(path, peer, clock, at);
+    /// Apply what the unit just issued writes for later units to read,
+    /// stamped with `at`, its completion instant: each issuer learns
+    /// the path of the peer that answered it, and a closure its walk
+    /// finished is memoized. Returns the cache entries that displaced.
+    pub(crate) fn commit_writes(&mut self, at: SimTime) -> usize {
+        let mut evictions = 0;
+        for write in std::mem::take(&mut self.proto.writes) {
+            match write {
+                sched::Write::Leaf(issuer, peer) => {
+                    let path = &self.overlay.view(peer).path;
+                    self.exec[issuer.index()].leaves.learn(path, peer, at);
+                }
+                sched::Write::Closure { peer, key, hops } => {
+                    let epoch = self.registry.epoch();
+                    let cache = &mut self.exec[peer.index()].cache;
+                    let before = cache.counters().evictions;
+                    cache.insert(epoch, key, hops, at);
+                    evictions += (cache.counters().evictions - before) as usize;
+                }
+            }
         }
+        evictions
     }
 
     /// Drive one logical request/response exchange with `dest` through
@@ -672,6 +719,7 @@ impl GridVineSystem {
                 self.proto.counters.retransmits += 1;
             }
             let at = self.proto.now + self.proto.delay;
+            self.proto.first_attempt.get_or_insert(at);
             let up = !self.churn_down_at(dest, at);
             let lost = loss > 0.0 && self.proto.rng.gen::<f64>() < loss;
             if up && !lost {
@@ -1089,7 +1137,9 @@ impl GridVineSystem {
     }
 
     /// One periodic quality-assessment pass, run from `origin` as
-    /// scheduler units on the simulated clock (see [`sched`]): every
+    /// scheduler units on the simulated clock (see [`sched`]), from
+    /// [`GridVineSystem::now`] on, one probe after another; the clock
+    /// advances to the pass's end. Every
     /// mapping cycle costs one *cycle probe* (a retrieve at the
     /// cycle's base schema key, driven through the retry protocol), so
     /// probes are charged as messages, requests and latency in
@@ -1107,7 +1157,7 @@ impl GridVineSystem {
     ) -> Result<AssessmentReport, SystemError> {
         let start_messages = self.overlay.messages_sent();
         let start_proto = self.proto.counters;
-        let started_at = self.exec_state(origin).clock;
+        let started_at = self.now;
         let mut clock = started_at;
         let mut stats = exec::ExecStats::default();
 
@@ -1139,17 +1189,17 @@ impl GridVineSystem {
             for cycle in &cycles {
                 let key = self.key_of(cycle.base.as_str());
                 let msgs_before = self.overlay.messages_sent();
-                self.proto.begin_unit(clock, origin);
+                self.proto.begin_unit(clock);
                 stats.assessment_probes += 1;
                 match self.exchange(origin, &key, true) {
                     Ok(_) => {}
                     Err(SystemError::PeerDown(_)) => stats.failures += 1,
                     Err(e) => return Err(e),
                 }
+                self.proto.check_send(self.now);
                 let delta = self.overlay.messages_sent() - msgs_before;
-                let send = clock.max(self.proto.floor);
-                clock = send + self.proto.delay + self.unit_delay(origin, delta);
-                self.learn_leaves(clock);
+                clock = self.proto.now + self.proto.delay + self.unit_delay(origin, delta);
+                self.commit_writes(clock);
             }
             cycles_probed += cycles.len();
 
@@ -1193,7 +1243,7 @@ impl GridVineSystem {
         stats.sends = c.sends - start_proto.sends;
         stats.timeouts = c.timeouts - start_proto.timeouts;
         stats.retransmits = c.retransmits - start_proto.retransmits;
-        self.exec_state_mut(origin).clock = clock;
+        self.now = self.now.max(clock);
         Ok(AssessmentReport {
             cycles_probed,
             quarantined,
@@ -1838,7 +1888,7 @@ mod tests {
     fn assessment_pass_quarantines_and_charges_probes() {
         let (mut sys, bad) = triangle_system();
         let origin = PeerId(5);
-        let clock_before = sys.exec_state(origin).clock;
+        let clock_before = sys.now();
         let cfg = gridvine_semantic::BayesConfig::default();
         let report = sys.assessment_pass(origin, &cfg).unwrap();
         assert!(report.cycles_probed >= 1);
@@ -1850,7 +1900,7 @@ mod tests {
         assert!(report.stats.requests >= report.cycles_probed);
         assert_eq!(report.stats.sends, report.stats.requests);
         assert!(report.elapsed > SimDuration::ZERO);
-        assert!(sys.exec_state(origin).clock > clock_before);
+        assert_eq!(sys.now(), clock_before + report.elapsed);
         assert_eq!(report.quarantined, vec![bad]);
         assert_eq!(report.stats.quarantined_mappings, 1);
         assert_eq!(

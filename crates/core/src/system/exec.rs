@@ -81,7 +81,9 @@
 //! epoch-keyed [`ClosureCache`](gridvine_semantic::ClosureCache) — the
 //! origin's, or the recursive delegate's — from which repeated closures
 //! are replayed ([`CachedHop::replay`]) with no discovery at all (see
-//! the session docs).
+//! the session docs). The entry is committed once the unit whose
+//! expansion finished the walk has a completion instant, stamped with
+//! it, and a replay's hops are ready no earlier (see [`super::sched`]).
 //!
 //! **What rides.** The request a popped hop sends lists, after the
 //! hop's own pattern, every hop of the same issuing peer that is
@@ -162,6 +164,7 @@
 //! ```
 
 use super::conjunctive::JoinMode;
+use super::sched::Write;
 use super::*;
 use crate::plan::QueryPlan;
 use gridvine_rdf::{Binding, BindingBatch, Position, TriplePattern};
@@ -613,6 +616,9 @@ pub(crate) struct ClosureSweep {
     frontier: Frontier,
     /// `None` on a warm replay.
     live: Option<Box<LiveWalk>>,
+    /// The instant the closure a warm replay replays was committed at:
+    /// its hops are sent no earlier. Zero on a live walk.
+    stamp: SimTime,
 }
 
 /// The hops a sweep knows and has not popped, with their routing keys.
@@ -734,12 +740,13 @@ impl ClosureSweep {
         let mut frontier = Frontier::default();
         if strategy == Strategy::Iterative {
             let epoch = sys.registry.epoch();
-            if let Some(hops) = sys.exec_state_mut(origin).cache.lookup(epoch, &key) {
+            if let Some((hops, stamp)) = sys.exec[origin.index()].cache.lookup(epoch, &key) {
                 stats.cache_hits += 1;
                 frontier.replay(sys, pattern, &hops, origin);
                 return ClosureSweep {
                     frontier,
                     live: None,
+                    stamp,
                 };
             }
             stats.cache_misses += 1;
@@ -759,6 +766,7 @@ impl ClosureSweep {
         ClosureSweep {
             frontier,
             live: Some(live),
+            stamp: SimTime::ZERO,
         }
     }
 
@@ -774,6 +782,17 @@ impl ClosureSweep {
     /// The schema of the popped hop that is waiting for its expansion.
     pub(crate) fn pending_schema(&self) -> Option<&SchemaId> {
         Some(&self.pending()?.hop.schema)
+    }
+
+    /// The schema of the hop [`ClosureSweep::resolve_next`] pops next.
+    pub(crate) fn next_schema(&self) -> Option<&SchemaId> {
+        Some(&self.frontier.hops.last()?.hop.schema)
+    }
+
+    /// When the closure a warm replay replays was committed: its hops
+    /// are ready no earlier. Zero on a live walk.
+    pub(crate) fn stamp(&self) -> SimTime {
+        self.stamp
     }
 
     /// Expanding the pending hop sends a mapping discovery: it lies
@@ -827,6 +846,9 @@ impl ClosureSweep {
             live.record.1.push(CachedHop::record(&popped.hop));
         }
         if !popped.answered {
+            if self.live.is_none() {
+                sys.proto.note_read(self.stamp);
+            }
             let Frontier { hops, keys, reply } = &mut self.frontier;
             // In pop order: back to front.
             let rides = |q: &Queued| !q.answered && q.issuer == popped.issuer;
@@ -886,11 +908,12 @@ impl ClosureSweep {
     /// recorded closure already is the expansion). An iterative walk
     /// expands at the issuer; a recursive one makes the peer that held
     /// the list the issuer of the hops it admits. When the walk
-    /// exhausts here, the recorded closure is committed to a per-peer
+    /// exhausts here, the recorded closure is written to a per-peer
     /// cache — the origin's for iterative walks, the delegate's for
-    /// recursive ones; an early-terminating caller that stops pulling
-    /// (or calls [`ClosureSweep::discard_pending`]) never commits a
-    /// partial walk.
+    /// recursive ones — once the unit's completion instant is known
+    /// ([`GridVineSystem::commit_writes`]); an early-terminating caller
+    /// that stops pulling (or calls [`ClosureSweep::discard_pending`])
+    /// never commits a partial walk.
     ///
     /// A recursive walk additionally consults the delegate peer's cache
     /// at its first expansion — the delegate being the peer that held
@@ -909,6 +932,7 @@ impl ClosureSweep {
         let ClosureSweep {
             frontier,
             live: walk,
+            stamp,
         } = self;
         let Some(live) = walk else {
             return Ok(Expansion::default());
@@ -944,13 +968,13 @@ impl ClosureSweep {
                 // earlier recursive walk: replay its tail instead of
                 // chasing deeper mapping lists.
                 let epoch = sys.registry.epoch();
-                let cached = sys
-                    .exec_state_mut(next_peer)
+                let cached = sys.exec[next_peer.index()]
                     .cache
                     .lookup(epoch, &live.record.0);
                 match cached {
-                    Some(hops) => {
+                    Some((hops, committed)) => {
                         stats.cache_hits += 1;
+                        *stamp = committed;
                         // Depth 0 was already resolved live.
                         let tail = hops.get(1..).unwrap_or_default();
                         *walk = None;
@@ -974,12 +998,9 @@ impl ClosureSweep {
                 Strategy::Iterative => Some(live.origin),
                 Strategy::Recursive => live.delegate,
             };
-            if let Some(at) = target {
-                let epoch = sys.registry.epoch();
-                let cache = &mut sys.exec_state_mut(at).cache;
-                let evictions_before = cache.counters().evictions;
-                cache.insert(epoch, key, hops);
-                stats.cache_evictions += (cache.counters().evictions - evictions_before) as usize;
+            if let Some(peer) = target {
+                let write = Write::Closure { peer, key, hops };
+                sys.proto.writes.push(write);
             }
         }
         Ok(Expansion { admitted })
@@ -1826,7 +1847,7 @@ mod tests {
             let key = warm.key_of(&format!("{s}#a"));
             assert!(warm.learned_address(ORIGIN, &key).is_some(), "{s}");
         }
-        let learned = warm.exec_state(ORIGIN).leaves.clone();
+        let learned = warm.exec[ORIGIN.index()].leaves.clone();
         // Every key these writes route by lies under a learned leaf.
         let update = |sys: &mut GridVineSystem| {
             let before = sys.messages_sent();
@@ -1845,8 +1866,8 @@ mod tests {
         };
         let cold = &mut one_route_star();
         assert_eq!(update(warm), update(cold));
-        assert_eq!(warm.exec_state(ORIGIN).leaves, learned);
-        assert_eq!(cold.exec_state(ORIGIN).leaves, LeafTable::default());
+        assert_eq!(warm.exec[ORIGIN.index()].leaves, learned);
+        assert_eq!(cold.exec[ORIGIN.index()].leaves, LeafTable::default());
     }
 
     /// An independent join's two sweeps may both start at once, and
@@ -1904,36 +1925,70 @@ mod tests {
         (landed, session.into_outcome())
     }
 
-    /// The join of [`a_learned_address_is_used_no_earlier_than_it_was_learned`]
-    /// at `window(4)`, with the shared leaf's peer down from just after
-    /// the session starts until just after the teaching reply lands: the
-    /// direct unit, issued at the session's start, meets the outage at
-    /// the instant it leaves, times out once and gets through on its
-    /// retransmit. Checked at its issue instant instead, it would find
-    /// the peer up.
-    #[test]
-    fn a_direct_request_meets_churn_when_it_leaves() {
-        let plan = join_of("few", false);
-        let options = independent().window(4);
-        let (calm, calm_out) = landed(&mut join_star(), &plan, &options);
-        let taught = calm[0].0;
-        let first_direct = calm.iter().position(|(_, d)| d.direct > 0).unwrap();
-        assert_eq!(calm[first_direct].1.timeouts, 0);
-
-        let sys = &mut join_star();
-        let node = NodeId::from_index(leaf_of(sys, "Apple#b").index());
-        let churn = [
+    /// Land `plan` on a system from `build`, then on another with the
+    /// leaves of `down` down from just after the session starts until
+    /// just after its first reply lands. Both runs answer alike and fail
+    /// nothing, and the first unit leaves before the outage. Returns the
+    /// landed units of each.
+    fn stormy(
+        build: impl Fn() -> GridVineSystem,
+        plan: &QueryPlan,
+        options: &QueryOptions,
+        down: &[&str],
+    ) -> [Vec<(SimTime, ExecStats)>; 2] {
+        let (calm, calm_out) = landed(&mut build(), plan, options);
+        let sys = &mut build();
+        let outage = [
             (SimTime(1), ChurnKind::Fail),
-            (taught + PER_MESSAGE, ChurnKind::Recover),
+            (calm[0].0 + PER_MESSAGE, ChurnKind::Recover),
         ];
-        sys.install_churn(&churn.map(|(at, kind)| ChurnEvent { at, node, kind }));
-        let (stormy, out) = landed(sys, &plan, &options);
+        let churn: Vec<ChurnEvent> = down
+            .iter()
+            .map(|lexical| NodeId::from_index(leaf_of(sys, lexical).index()))
+            .flat_map(|node| outage.map(|(at, kind)| ChurnEvent { at, node, kind }))
+            .collect();
+        sys.install_churn(&churn);
+        let (stormy, out) = landed(sys, plan, options);
         assert_eq!(out.rows, calm_out.rows);
         assert_eq!(out.stats.failures, 0, "{:?}", out.stats);
-        let (_, teacher) = stormy[0];
-        assert_eq!((teacher.direct, teacher.timeouts), (0, 0));
+        assert_eq!((stormy[0].1.direct, stormy[0].1.timeouts), (0, 0));
+        [calm, stormy]
+    }
+
+    /// The join of [`a_learned_address_is_used_no_earlier_than_it_was_learned`]
+    /// at `window(4)`, with the shared leaf's peer down until just after
+    /// the teaching reply lands: the direct unit, issued at the
+    /// session's start, meets the outage at the instant it leaves, times
+    /// out once and gets through on its retransmit. Checked at its issue
+    /// instant instead, it would find the peer up.
+    #[test]
+    fn a_direct_request_meets_churn_when_it_leaves() {
+        let options = independent().window(4);
+        let plan = join_of("few", false);
+        let [calm, stormy] = stormy(join_star, &plan, &options, &["Apple#b"]);
+        let first_direct = calm.iter().position(|(_, d)| d.direct > 0).unwrap();
+        assert_eq!(calm[first_direct].1.timeouts, 0);
         let unit = stormy[first_direct].1;
         assert_eq!((unit.direct, unit.timeouts), (1, 1), "{unit:?}");
+    }
+
+    /// The routed twin: a closure by predicates at `window(4)` issues
+    /// the three hops Apple's list admits at the session's start, each
+    /// routed to a leaf of its own and ready only when Apple's reply,
+    /// which carried the list, lands. With those leaves down until just
+    /// after it, each unit meets the outage when it leaves.
+    #[test]
+    fn a_routed_request_meets_churn_when_it_leaves() {
+        let options = QueryOptions::new().window(4);
+        let plan = closure_of("Apple#a", PatternTerm::var("o"));
+        let star = || star("a", PlacementPolicy::default());
+        let down = ["Guava#a", "Mango#a", "Zebra#a"];
+        let [calm, stormy] = stormy(star, &plan, &options, &down);
+        assert_eq!(calm.len(), 4);
+        assert!(calm.iter().all(|(_, d)| d.direct == 0 && d.timeouts == 0));
+        for (_, unit) in &stormy[1..] {
+            assert_eq!((unit.direct, unit.timeouts), (0, 1), "{unit:?}");
+        }
     }
 
     /// Only a reply teaches: a recursive discovery, which its holder
@@ -1946,44 +2001,22 @@ mod tests {
         let key = sys.key_of("Apple");
         assert_ne!(leaf_of(sys, "Apple"), ORIGIN);
         let discover = |sys: &mut GridVineSystem, strategy| {
-            sys.proto.begin_unit(SimTime::ZERO, ORIGIN);
+            sys.proto.begin_unit(SimTime::ZERO);
             let direct = sys.proto.counters.direct;
             let (holder, list) = sys.discover_mappings(ORIGIN, &key, strategy).unwrap();
             assert_eq!(list.len(), 3);
-            let lessons = sys.proto.lessons.clone();
-            sys.learn_leaves(SimTime(1));
+            let lessons = sys.proto.writes.clone();
+            sys.commit_writes(SimTime(1));
             (holder, sys.proto.counters.direct > direct, lessons)
         };
         let (_, direct, lessons) = discover(sys, Strategy::Recursive);
         assert_eq!((direct, lessons), (false, vec![]));
-        assert_eq!(sys.exec_state(ORIGIN).leaves, LeafTable::default());
+        assert_eq!(sys.exec[ORIGIN.index()].leaves, LeafTable::default());
         let (holder, direct, lessons) = discover(sys, Strategy::Iterative);
-        assert_eq!((direct, lessons), (false, vec![(ORIGIN, holder)]));
+        let lesson = Write::Leaf(ORIGIN, holder);
+        assert_eq!((direct, lessons), (false, vec![lesson]));
         assert_eq!(sys.learned_address(ORIGIN, &key), Some(holder));
         let (_, direct, lessons) = discover(sys, Strategy::Recursive);
         assert_eq!((direct, lessons), (true, vec![]));
-    }
-
-    /// A recursive walk's issuers are delegates, whose tables serve
-    /// sessions from every origin. What one origin's session taught a
-    /// delegate, at an instant on that origin's clock, is known to a
-    /// session from another origin without holding its units back: the
-    /// second origin's walk goes direct and ends long before the first
-    /// origin's clock.
-    #[test]
-    fn a_leaf_learned_on_another_origins_clock_holds_no_unit_back() {
-        let plan = closure_of("Apple#a", PatternTerm::var("o"));
-        let options = QueryOptions::default().strategy(Strategy::Recursive);
-        let sys = &mut star("a", PlacementPolicy::default());
-        let ahead = SimTime(1_000 * unit_latency(100).0);
-        sys.exec_state_mut(ORIGIN).clock = ahead;
-        let first = sys.execute(ORIGIN, &plan, &options).unwrap();
-        let other = PeerId(9);
-        let second = sys.execute(other, &plan, &options).unwrap();
-        assert_eq!(second.rows, first.rows);
-        assert!(second.stats.direct > 0, "{:?}", second.stats);
-        let elapsed = sys.exec_state(ORIGIN).clock.saturating_since(ahead);
-        let clock = sys.exec_state(other).clock;
-        assert!(clock <= SimTime(elapsed.0), "{clock:?} after {elapsed:?}");
     }
 }

@@ -1,11 +1,8 @@
 //! The concurrent-session multiplexer: many [`QuerySession`](super::session::QuerySession)-shaped
-//! executions from many origins, interleaved on the shared per-peer
-//! event queues under one simulated clock.
+//! executions from many origins, interleaved on the system's reply
+//! queue under its one simulated clock.
 //!
-//! A standalone [`QuerySession`](super::session::QuerySession) borrows
-//! the system mutably, so only one can run at a time. The
-//! [`SessionPool`] lifts that restriction without forking the
-//! scheduler: it owns the *state* of every in-flight session (a
+//! The [`SessionPool`] owns the *state* of every in-flight session (a
 //! [`SessionCore`](super::session) each — plan progress, window,
 //! per-session stats, in-flight counter) and lends the system to one
 //! session at a time, in a deterministic discipline:
@@ -15,27 +12,25 @@
 //!    units are still issued in its own canonical order — the
 //!    interleaving decides only *whose* unit is issued next, and all
 //!    logical state (routing RNG, message charging, row admission)
-//!    evolves at issue exactly as in the standalone scheduler.
+//!    evolves at issue.
 //! 2. **Reap** sessions with nothing left in flight: a parked unit
 //!    failure surfaces as [`PoolEvent::Failed`], a drained plan as
 //!    [`PoolEvent::Finished`] (its [`QueryOutcome`] becomes available
 //!    through [`SessionPool::take_outcome`]).
-//! 3. **Deliver** the globally earliest scheduled reply across the
-//!    live origins' queues (ties break by origin index, then FIFO
-//!    within a queue) to its owning session — replies carry their
-//!    [`SessionId`], since sessions issuing from the same origin share
-//!    that origin's queue.
+//! 3. **Deliver** the earliest reply on the system's queue to its
+//!    owning session — replies carry their [`SessionId`] — and advance
+//!    the clock ([`GridVineSystem::now`]) to it. Replies due at the
+//!    same instant come out in the order they were scheduled, which is
+//!    issue order.
 //!
-//! A pool holding exactly one session performs the identical
-//! (replenish, deliver) sequence the standalone session loop does, so
-//! rows, messages, per-unit stats deltas and the system RNG stream are
-//! bit-identical — `tests/load_protocol.rs` pins this property for
-//! windows 1 and 4. Cancelling a session
-//! ([`SessionPool::cancel`]) drops exactly its queued replies
-//! (other sessions' survive) and writes its simulated clock back to
-//! the origin peer, so rejected or deadline-cancelled sessions leave
-//! `pending_events() == 0` residue and keep their partial stats
-//! retrievable.
+//! One pool drives a system at a time. A standalone
+//! [`QuerySession`](super::session::QuerySession) is a pool of one, so
+//! a pool holding one session yields its rows, messages, per-unit stats
+//! deltas and system RNG stream — `tests/load_protocol.rs` pins this
+//! for windows 1 and 4. Cancelling a session ([`SessionPool::cancel`])
+//! drops exactly its queued replies (other sessions' survive), so
+//! rejected or deadline-cancelled sessions leave `pending_events() ==
+//! 0` residue and keep their partial stats retrievable.
 //!
 //! See the lifecycle diagram in the [`super::sched`] module docs.
 
@@ -48,7 +43,7 @@ use gridvine_netsim::SimTime;
 
 /// Identity of one pooled session, allocated by the system
 /// monotonically across its lifetime (never reused). Tags every
-/// scheduled reply so sessions sharing an origin queue stay disjoint.
+/// scheduled reply so sessions sharing the reply queue stay disjoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SessionId(pub(crate) u64);
 
@@ -116,8 +111,8 @@ impl SessionPool {
         SessionPool::default()
     }
 
-    /// Admit a session on `plan` from `origin`, starting at the origin
-    /// peer's current clock. Issues no subquery (identical validation
+    /// Admit a session on `plan` from `origin`, starting at
+    /// [`GridVineSystem::now`]. Issues no subquery (identical validation
     /// and laziness to [`GridVineSystem::open`]).
     pub fn open(
         &mut self,
@@ -126,13 +121,13 @@ impl SessionPool {
         plan: &QueryPlan,
         options: &QueryOptions,
     ) -> Result<SessionId, SystemError> {
-        let at = sys.exec_state(origin).clock;
-        self.open_at(sys, origin, plan, options, at)
+        let now = sys.now();
+        self.open_at(sys, origin, plan, options, now)
     }
 
-    /// Admit a session whose scheduler epoch is `at` (an open-loop
-    /// arrival instant): its first units are sent no earlier than
-    /// `max(at, origin clock)`.
+    /// Admit a session arriving at `at` (an open-loop arrival instant):
+    /// it starts at `max(at, now())`, and its first units are sent no
+    /// earlier.
     pub fn open_at(
         &mut self,
         sys: &mut GridVineSystem,
@@ -141,7 +136,7 @@ impl SessionPool {
         options: &QueryOptions,
         at: SimTime,
     ) -> Result<SessionId, SystemError> {
-        let started_at = sys.exec_state(origin).clock.max(at);
+        let started_at = sys.now().max(at);
         let core = SessionCore::open(sys, origin, plan, options, started_at)?;
         let id = core.id;
         self.live.push(core);
@@ -177,21 +172,11 @@ impl SessionPool {
             return None;
         }
         self.replenish_all(sys);
-        let mut best: Option<SimTime> = None;
-        for core in &self.live {
-            // A session with nothing in flight is reaped immediately,
-            // at the instant its last reply was delivered; otherwise
-            // its origin queue holds its next reply.
-            let t = if core.inflight == 0 {
-                Some(core.sim_now())
-            } else {
-                sys.exec_state(core.origin).queue.peek_time()
-            };
-            if let Some(t) = t {
-                best = Some(best.map_or(t, |b| b.min(t)));
-            }
-        }
-        best
+        // A session with nothing in flight is reaped at once, at the
+        // instant its last reply was delivered.
+        let idle = self.live.iter().filter(|c| c.inflight == 0);
+        let reaped = idle.map(SessionCore::sim_now).min();
+        reaped.into_iter().chain(sys.replies.peek_time()).min()
     }
 
     /// Advance the pool by one observable event, or `None` once no
@@ -222,44 +207,27 @@ impl SessionPool {
                     });
                 }
                 if let Some(error) = core.error.take() {
-                    let mut core = self.live.remove(i);
+                    let core = self.live.remove(i);
                     let (session, at) = (core.id, core.sim_now());
-                    core.cancel(sys); // clock writeback; queue already empty
                     self.done.push(core);
                     return Some(PoolEvent::Failed { session, at, error });
                 }
-                if !core.has_work() && core.delivered.is_empty() {
-                    let mut core = self.live.remove(i);
+                if !core.has_work() {
+                    let core = self.live.remove(i);
                     let (session, at) = (core.id, core.sim_now());
-                    core.cancel(sys);
                     self.done.push(core);
                     return Some(PoolEvent::Finished { session, at });
                 }
             }
-            // 3. Deliver the globally earliest reply across the live
-            //    origins' queues; ties break by origin index (within a
-            //    queue, FIFO by schedule order).
-            let mut best: Option<(SimTime, PeerId)> = None;
-            for core in &self.live {
-                if let Some(at) = sys.exec_state(core.origin).queue.peek_time() {
-                    let candidate = (at, core.origin);
-                    if best.is_none_or(|b| (candidate.0, candidate.1.index()) < (b.0, b.1.index()))
-                    {
-                        best = Some(candidate);
-                    }
-                }
-            }
-            let Some((_, origin)) = best else {
+            // 3. Deliver the earliest reply (ties in schedule order),
+            //    advancing the clock.
+            let Some((at, reply)) = sys.replies.pop() else {
                 // Unreachable: after replenish, every live session is
                 // either reaped above or has a scheduled reply.
                 debug_assert!(false, "live sessions with no scheduled replies");
                 return None;
             };
-            let (at, reply) = sys
-                .exec_state_mut(origin)
-                .queue
-                .pop()
-                .expect("peeked queue is non-empty");
+            sys.now = sys.now.max(at);
             let Some(core) = self.live.iter_mut().find(|c| c.id == reply.session) else {
                 debug_assert!(false, "reply for a session no longer live");
                 continue;
@@ -277,9 +245,9 @@ impl SessionPool {
     }
 
     /// Cancel a live session: its still-queued replies are dropped
-    /// (other sessions' survive on the shared queues), its simulated
-    /// clock writes back to the origin peer, and its partial outcome
-    /// moves to the done list. Returns `false` if `id` is not live.
+    /// (other sessions' survive on the reply queue) and its partial
+    /// outcome moves to the done list. Returns `false` if `id` is not
+    /// live.
     pub fn cancel(&mut self, sys: &mut GridVineSystem, id: SessionId) -> bool {
         let Some(i) = self.live.iter().position(|c| c.id == id) else {
             return false;
@@ -310,11 +278,12 @@ impl SessionPool {
 
     /// Cumulative stats of a session, live or done.
     pub fn session_stats(&self, id: SessionId) -> Option<ExecStats> {
-        self.live
-            .iter()
-            .chain(self.done.iter())
-            .find(|c| c.id == id)
-            .map(|c| c.stats())
+        self.core(id).map(SessionCore::stats)
+    }
+
+    /// A session's state, live or done.
+    pub(crate) fn core(&self, id: SessionId) -> Option<&SessionCore> {
+        self.live.iter().chain(&self.done).find(|c| c.id == id)
     }
 
     /// Number of live sessions.

@@ -1,12 +1,12 @@
-//! The session scheduler seam: per-peer execution state on the
-//! simulated clock.
+//! The session scheduler seam: the system's one simulated clock, its
+//! reply queue and per-peer execution state.
 //!
 //! A [`QuerySession`](super::session::QuerySession) pull advances
 //! requests — routed, or sent to a learned address; this module is what
 //! gives them time. It puts the synchronous executor on the
 //! discrete-event substrate of [`gridvine_netsim`]: every request
 //! becomes a *unit* — a `Subquery` message issued at a send instant,
-//! answered by a `Reply` scheduled on an [`EventQueue`] at
+//! answered by a `Reply` scheduled on the system's reply queue at
 //! `send + latency` — and
 //! one session keeps up to [`QueryOptions::window`](super::exec::QueryOptions::window)
 //! units in flight. A data request carries a pattern list and its
@@ -20,9 +20,10 @@
 //! pattern sweeps of an independent join pipeline; dependent work (a
 //! hop's children wait for the unit that brought its mapping list, a
 //! bound pattern waits for its predecessor's rows) is serialized
-//! through per-unit ready times — and so is a request to a learned
-//! address, which leaves no earlier than the reply that taught it
-//! landed (below).
+//! through per-unit ready times — and so is a unit that reads what an
+//! earlier unit wrote: a request to a learned address, or a warm replay
+//! of a memoized closure, leaves no earlier than the unit that wrote it
+//! completed (below).
 //!
 //! ## Determinism and equivalence, by construction
 //!
@@ -127,34 +128,43 @@
 //! registry epoch so closure caches self-invalidate rather than replay
 //! a hop through a quarantined edge.
 //!
-//! ## Per-peer state
+//! ## One clock, per-peer state
 //!
-//! Each peer owns a `PeerExecState`: a monotone clock (consecutive
-//! sessions from the same origin resume where the last one left off),
-//! the reply queue of the in-flight sessions issued from it, its
-//! **bounded LRU closure cache** (capacity
+//! The system keeps one simulated clock,
+//! [`GridVineSystem::now`](super::GridVineSystem::now): the instant of
+//! the latest reply it delivered, which never goes backwards. It also
+//! keeps one reply queue, on which the reply of every in-flight unit
+//! waits. A session opens at `now()` (a pooled arrival at its own
+//! instant, if that is later), and an assessment pass runs from `now()`
+//! and advances the clock to its end; inserts, mapping changes, crashes
+//! and churn installation happen between units, at `now()`, and carry
+//! no stamp. Every instant below is read on that one clock, so any two
+//! compare.
+//!
+//! Each peer owns a `PeerExecState`: its **bounded LRU closure cache**
+//! (capacity
 //! [`GridVineConfig::closure_cache_capacity`](super::GridVineConfig))
 //! and its **learned leaves** (`LeafTable`): for each trie path a reply
-//! to one of its requests came from, the peer that answered, the
-//! completion instant of that unit and the origin on whose clock that
-//! instant was read. The peer's later requests for keys under a
-//! learned path go straight to that peer — one message, plus the
-//! response — and a unit on that same origin's clock that does so is
-//! sent no earlier than the instant the path was learned, a ready-time
-//! floor like the one a closure hop's parent sets; its attempts meet
-//! loss and churn at that instant too. Instants on two origins' clocks
-//! are not comparable — each origin's sessions run on its own clock —
-//! so a path that another origin's session taught (a recursive
-//! delegate's table serves sessions from every origin) is known in
-//! issue order, as a closure cache's entries are, and floors nothing:
-//! read against the unit's clock it would hold the unit for as long as
-//! the two clocks happen to have drifted apart. Only replies teach, so
-//! a recursive discovery teaches its issuer nothing. Which requests go
+//! to one of its requests came from, the peer that answered. The peer's
+//! later requests for keys under a learned path go straight to that
+//! peer — one message, plus the response. Only replies teach, so a
+//! recursive discovery teaches its issuer nothing. Which requests go
 //! direct depends only on issue order, so rows and messages stay the
-//! same for every window size; within one session at `window(1)` the
-//! floor never binds. The table
-//! needs no capacity: it never holds more entries than the trie has
-//! leaves.
+//! same for every window size. The table needs no capacity: it never
+//! holds more entries than the trie has leaves.
+//!
+//! A learned leaf and a closure-cache entry are *writes* a unit makes
+//! for later units to read (`Write`). Each is applied once its unit's
+//! completion instant is known, stamped with that instant, and a unit
+//! that reads one is sent no earlier than its stamp: a request to a
+//! learned address through the protocol's send floor, the hops of a
+//! warm replay through their ready time. A unit's send instant — the
+//! latest of its session's last delivery, its ready time and the stamps
+//! it read — is known before its first exchange, and its attempts meet
+//! loss and churn from there. Debug builds check that causality for
+//! every unit: it is sent no earlier than `now()` at its issue and than
+//! every stamp it read, and no later than any of its attempts. Within
+//! one session at `window(1)` no floor ever binds.
 //! Dropping a session cancels every reply it still has queued —
 //! [`GridVineSystem::pending_events`](super::GridVineSystem::pending_events)
 //! returns to zero — so abandoned queries leave no residue.
@@ -162,13 +172,14 @@
 //! ## Concurrent sessions: the `SessionPool` multiplexer
 //!
 //! Many sessions — typically from many origins — interleave on the
-//! shared per-peer queues under one simulated clock through a
+//! system's reply queue under its one clock through a
 //! [`SessionPool`](super::pool::SessionPool). Each queued reply is
 //! tagged with its owning [`SessionId`]; the
 //! pool replenishes every live session's window round-robin (one unit
 //! per session per round, in admission order — the canonical issue
 //! order of each session is preserved exactly), then delivers the
-//! globally earliest reply across the live origins' queues:
+//! earliest reply on the queue, advancing the clock to it. One pool
+//! drives a system at a time.
 //!
 //! ```text
 //!   open ──► live ──────────────────────────────┐
@@ -178,20 +189,18 @@
 //!             │   2. reap idle sessions ──────► │    drops the
 //!             │      (errored → Failed,         │    session's
 //!             │       drained → Finished)       │    queued replies
-//!             │   3. pop earliest reply         │  · clock writes
-//!             │      (tie-break: time, then     │    back
-//!             │       origin, then FIFO seq)    ▼
+//!             │   3. pop earliest reply         │
+//!             │      (ties in schedule order),  │
+//!             │      advance the clock          ▼
 //!             └────► Delivered{session, events} ──► completed
 //!                                                    │ take_outcome()
 //!                                                    ▼
 //!                                               QueryOutcome
 //! ```
 //!
-//! A pool holding exactly **one** session performs the identical
-//! (replenish, pop) sequence the standalone
-//! [`QuerySession`](super::session::QuerySession) loop does, so its
-//! rows, messages, per-unit events and RNG stream are bit-identical to
-//! the single-session scheduler for every window size — the
+//! A standalone [`QuerySession`](super::session::QuerySession) *is* a
+//! pool of one, so its rows, messages, per-unit events and RNG stream
+//! are those of the same session in a pool for every window size — the
 //! `tests/load_protocol.rs` proptests pin this. Logical work still
 //! evolves only at issue, on the system's single RNG stream, so
 //! interleaving changes *when* replies land, never *what* a session
@@ -201,9 +210,9 @@
 
 use super::pool::SessionId;
 use super::session::ResultEvent;
-use gridvine_netsim::{EventQueue, SimDuration, SimTime};
+use gridvine_netsim::{SimDuration, SimTime};
 use gridvine_pgrid::{BitString, PeerId};
-use gridvine_semantic::ClosureCache;
+use gridvine_semantic::{CachedHop, ClosureCache, ClosureKey};
 
 /// Fixed per-unit processing overhead (destination-side evaluation).
 pub(crate) const PROCESSING: SimDuration = SimDuration::from_micros(250);
@@ -222,15 +231,14 @@ pub(crate) fn unit_latency(messages: u64) -> SimDuration {
     SimDuration(PROCESSING.0 + messages.saturating_mul(PER_MESSAGE.0))
 }
 
-/// The reply of one in-flight unit, scheduled at its completion
-/// instant: the [`ResultEvent`]s the unit produced, delivered when the
-/// simulated clock reaches it.
+/// The reply of one in-flight unit, scheduled on the system's reply
+/// queue at its completion instant: the [`ResultEvent`]s the unit
+/// produced, delivered when the simulated clock reaches it.
 #[derive(Debug)]
 pub(crate) struct QueuedReply {
-    /// The session that issued the unit. Queues are shared by every
-    /// session issuing from the same origin; the pool routes each
-    /// delivered reply to its owner, and cancelling a session retains
-    /// only the other sessions' replies.
+    /// The session that issued the unit. The pool routes each delivered
+    /// reply to its owner, and cancelling a session retains only the
+    /// other sessions' replies.
     pub(crate) session: SessionId,
     /// The issuing request's id. A faulty run may schedule the same
     /// reply twice (reply duplication); the session delivers each id
@@ -242,18 +250,12 @@ pub(crate) struct QueuedReply {
 /// One peer's persistent execution state (see the module docs).
 #[derive(Debug)]
 pub(crate) struct PeerExecState {
-    /// This peer's simulated clock: the completion time of the last
-    /// unit any session from this origin delivered. Monotone.
-    pub(crate) clock: SimTime,
-    /// Replies of the issued units of every in-flight session from
-    /// this origin (empty between sessions; a dropped or cancelled
-    /// session's replies are filtered out, other sessions' survive).
-    pub(crate) queue: EventQueue<QueuedReply>,
-    /// This peer's bounded reformulation-closure cache. The iterative
+    /// This peer's bounded reformulation-closure cache, each entry
+    /// stamped with the instant it was committed. The iterative
     /// strategy consults the *origin* peer's cache; the recursive
     /// strategy consults (and fills) the *delegate* peer's — the
     /// intermediate peer that served the first mapping discovery.
-    pub(crate) cache: ClosureCache,
+    pub(crate) cache: ClosureCache<SimTime>,
     /// The leaves this peer learned from the replies to its own
     /// requests: its next request for a key under one of them goes
     /// straight to the peer that answered.
@@ -263,20 +265,33 @@ pub(crate) struct PeerExecState {
 impl PeerExecState {
     pub(crate) fn new(cache_capacity: usize) -> PeerExecState {
         PeerExecState {
-            clock: SimTime::ZERO,
-            queue: EventQueue::new(),
             cache: ClosureCache::bounded(cache_capacity),
             leaves: LeafTable::default(),
         }
     }
 }
 
+/// A write one unit makes for later units to read (see the module
+/// docs): applied once the unit's completion instant is known, stamped
+/// with it.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Write {
+    /// An issuer learns the path of a peer that answered its request.
+    Leaf(PeerId, PeerId),
+    /// A fully expanded closure, memoized at `peer`.
+    Closure {
+        peer: PeerId,
+        key: ClosureKey,
+        hops: Vec<CachedHop>,
+    },
+}
+
 /// Trie paths a peer has learned, each with the peer that answered for
 /// it and the instant the learner could first know it — the completion
-/// of the unit whose reply taught it, on that unit's origin's clock
-/// (see the module docs). Paths are prefix-free, so at most one learned
-/// path covers a key: the greatest one not above the key. A table never
-/// holds more entries than the trie has leaves.
+/// of the unit whose reply taught it (see the module docs). Paths are
+/// prefix-free, so at most one learned path covers a key: the greatest
+/// one not above the key. A table never holds more entries than the
+/// trie has leaves.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct LeafTable {
     /// In the paths' order.
@@ -288,39 +303,30 @@ struct Leaf {
     path: BitString,
     /// The peer that answered for `path`.
     peer: PeerId,
-    /// The origin whose clock `at` is read on.
-    clock: PeerId,
     /// When the learner could first know it.
     at: SimTime,
 }
 
 impl LeafTable {
-    /// The learned peer whose path covers `key`, and the earliest
-    /// instant a unit on `clock`'s clock may use it: when it was
-    /// learned, if on the same clock, else any time.
-    pub(crate) fn lookup(&self, key: &BitString, clock: PeerId) -> Option<(PeerId, SimTime)> {
+    /// The learned peer whose path covers `key`, and the instant it was
+    /// learned: no unit may use it earlier.
+    pub(crate) fn lookup(&self, key: &BitString) -> Option<(PeerId, SimTime)> {
         let leaf = &self.leaves[self.covering(key)?];
-        let floor = if leaf.clock == clock {
-            leaf.at
-        } else {
-            SimTime::ZERO
-        };
-        Some((leaf.peer, floor))
+        Some((leaf.peer, leaf.at))
     }
 
     /// Remember that `peer`, whose path is `path`, answered a unit that
-    /// completes at `at` on `clock`'s clock. A path already learned from
-    /// the same peer stays known from when it first was: the earlier
-    /// instant on the same clock, the old entry on another. One learned
-    /// from another replica is replaced.
-    pub(crate) fn learn(&mut self, path: &BitString, peer: PeerId, clock: PeerId, at: SimTime) {
+    /// completes at `at`. A path already learned from the same peer
+    /// stays known from the earlier instant; one learned from another
+    /// replica is replaced.
+    pub(crate) fn learn(&mut self, path: &BitString, peer: PeerId, at: SimTime) {
         let i = self.leaves.partition_point(|l| l.path <= *path);
         match self.leaves[..i].last_mut() {
             Some(known) if known.path == *path => {
-                if known.peer != peer {
-                    (known.peer, known.clock, known.at) = (peer, clock, at);
-                } else if known.clock == clock {
+                if known.peer == peer {
                     known.at = known.at.min(at);
+                } else {
+                    (known.peer, known.at) = (peer, at);
                 }
             }
             _ => self.leaves.insert(
@@ -328,7 +334,6 @@ impl LeafTable {
                 Leaf {
                     path: path.clone(),
                     peer,
-                    clock,
                     at,
                 },
             ),
@@ -367,11 +372,10 @@ mod tests {
     #[test]
     fn a_learned_path_covers_exactly_the_keys_under_it() {
         let bits = BitString::parse;
-        let here = PeerId(0);
         let mut table = LeafTable::default();
         // Prefix-free, learned out of order.
         for (i, path) in ["011", "00", "10", "0101", "111"].into_iter().enumerate() {
-            table.learn(&bits(path), PeerId(i as u32), here, SimTime(i as u64));
+            table.learn(&bits(path), PeerId(i as u32), SimTime(i as u64));
         }
         for (key, expect) in [
             ("0110", Some(0)),
@@ -386,14 +390,14 @@ mod tests {
             ("1111", Some(4)),
             ("", None),
         ] {
-            let found = table.lookup(&bits(key), here).map(|(peer, _)| peer.0);
+            let found = table.lookup(&bits(key)).map(|(peer, _)| peer.0);
             assert_eq!(found, expect, "{key}");
         }
         // A replica of a known leaf replaces it; the same peer again
         // keeps the earlier instant.
-        table.learn(&bits("10"), PeerId(7), here, SimTime(9));
-        table.learn(&bits("00"), PeerId(1), here, SimTime(8));
-        let lookup = |table: &LeafTable, key| table.lookup(&bits(key), here);
+        table.learn(&bits("10"), PeerId(7), SimTime(9));
+        table.learn(&bits("00"), PeerId(1), SimTime(8));
+        let lookup = |table: &LeafTable, key| table.lookup(&bits(key));
         assert_eq!(lookup(&table, "100"), Some((PeerId(7), SimTime(9))));
         assert_eq!(lookup(&table, "000"), Some((PeerId(1), SimTime(1))));
         assert_eq!(table.leaves.len(), 5);
@@ -404,38 +408,15 @@ mod tests {
         // The root path covers every key; paths past one word that
         // differ only in their last bit cover only their own keys.
         let mut root = LeafTable::default();
-        root.learn(&BitString::empty(), PeerId(3), here, SimTime::ZERO);
+        root.learn(&BitString::empty(), PeerId(3), SimTime::ZERO);
         assert_eq!(lookup(&root, "1").map(|(p, _)| p), Some(PeerId(3)));
         let mut deep = LeafTable::default();
         let long = |last: &str| bits(&format!("{}{last}", "1".repeat(64)));
-        let peer = |table: &LeafTable, key| table.lookup(&key, here).map(|(p, _)| p);
-        deep.learn(&long("1"), PeerId(4), here, SimTime::ZERO);
-        deep.learn(&long("0"), PeerId(5), here, SimTime::ZERO);
+        let peer = |table: &LeafTable, key| table.lookup(&key).map(|(p, _)| p);
+        deep.learn(&long("1"), PeerId(4), SimTime::ZERO);
+        deep.learn(&long("0"), PeerId(5), SimTime::ZERO);
         assert_eq!(peer(&deep, long("11")), Some(PeerId(4)));
         assert_eq!(peer(&deep, long("01")), Some(PeerId(5)));
         assert_eq!(peer(&deep, long("")), None);
-    }
-
-    /// A learned instant is read on the clock of the origin whose unit
-    /// taught it: a unit on another origin's clock finds the path known
-    /// with no floor, and the same peer taught again on another clock
-    /// leaves the entry as it was.
-    #[test]
-    fn a_learned_instant_floors_only_units_on_its_own_clock() {
-        let (a, b) = (PeerId(1), PeerId(2));
-        let path = BitString::parse("01");
-        let key = BitString::parse("011");
-        let mut table = LeafTable::default();
-        table.learn(&path, PeerId(7), a, SimTime(50));
-        assert_eq!(table.lookup(&key, a), Some((PeerId(7), SimTime(50))));
-        assert_eq!(table.lookup(&key, b), Some((PeerId(7), SimTime::ZERO)));
-        table.learn(&path, PeerId(7), b, SimTime(90));
-        table.learn(&path, PeerId(7), a, SimTime(40));
-        assert_eq!(table.lookup(&key, a), Some((PeerId(7), SimTime(40))));
-        assert_eq!(table.lookup(&key, b), Some((PeerId(7), SimTime::ZERO)));
-        // Another replica, taught on `b`'s clock, floors `b`'s units.
-        table.learn(&path, PeerId(8), b, SimTime(90));
-        assert_eq!(table.lookup(&key, b), Some((PeerId(8), SimTime(90))));
-        assert_eq!(table.lookup(&key, a), Some((PeerId(8), SimTime::ZERO)));
     }
 }

@@ -17,7 +17,7 @@
 //! [`crate::system::sched`]): each request — routed, or sent to an
 //! address its issuer learned — is a unit issued as a `Subquery` at a
 //! send instant and answered by a `Reply` scheduled
-//! on a per-peer [`EventQueue`](gridvine_netsim::EventQueue) at
+//! on the system's reply queue at
 //! `send + latency`, with up to [`QueryOptions::window`] units in
 //! flight at once. Units are issued in one canonical order — the
 //! `window = 1` order, where every pull advances exactly one request —
@@ -32,8 +32,11 @@
 //! the mapping list which revealed it — a discovery, or a data reply
 //! that carried the list — completed; a bound join's pattern waits for
 //! its predecessor pattern's rows; a request to a learned address
-//! waits for the unit whose reply taught it; prefix probes and warm
-//! cache replays are otherwise independent and pipeline `window`-wide.
+//! waits for the unit whose reply taught it, and a warm cache replay's
+//! hops for the unit that committed the closure; prefix probes and
+//! replayed hops are otherwise independent and pipeline `window`-wide.
+//! A unit's ready time is known before its first exchange, so its
+//! attempts meet loss and churn when it leaves.
 //!
 //! A data request is a pattern *list* (see the
 //! [executor docs](crate::system::exec)): the request of the closure
@@ -90,15 +93,13 @@
 //!
 //! ## Concurrency
 //!
-//! A `QuerySession` borrows the system mutably and runs alone, but the
-//! state behind it (`SessionCore`) is owned — it holds no borrow of
-//! the plan or the system — so a
-//! [`SessionPool`](crate::system::pool::SessionPool) can keep many of
-//! them in flight at once, from many origins, interleaved on the
-//! shared per-peer event queues under one clock. See the
-//! [`crate::system::pool`] module docs for the multiplexer lifecycle;
-//! a pool holding one session reproduces this module's standalone loop
-//! bit-for-bit.
+//! A `QuerySession` borrows the system mutably and runs alone: it is a
+//! [`SessionPool`] of one. The state
+//! behind it (`SessionCore`) is owned — it holds no borrow of the plan
+//! or the system — so a pool can keep many of them in flight at once,
+//! from many origins, interleaved on the system's reply queue under its
+//! one clock. See the [`crate::system::pool`] module docs for the
+//! multiplexer lifecycle.
 //!
 //! ## Blocking vs incremental
 //!
@@ -194,7 +195,7 @@ use super::exec::{
     charge_hop, one_var_row, ClosureSweep, ExecStats, Listed, QueryOptions, QueryOutcome, Reply,
     RoutedBy,
 };
-use super::pool::SessionId;
+use super::pool::{PoolEvent, SessionId, SessionPool};
 use super::sched::QueuedReply;
 use super::*;
 use crate::plan::{object_prefix_core, QueryPlan};
@@ -399,11 +400,11 @@ struct SweepHop {
 enum StepOutcome {
     /// No work left at this state boundary; no unit was issued.
     Idle,
-    /// One unit was issued (its messages were charged, its events
-    /// produced), which could be sent at `ready`; `done` means the plan
-    /// has no further work.
+    /// One unit was issued: its send instant was set on the protocol
+    /// before its first exchange (see [`ProtocolState::floor`]), its
+    /// messages were charged and its events produced; `done` means the
+    /// plan has no further work.
     Unit {
-        ready: SimTime,
         /// The closure hops the unit's reply answered (a data request)
         /// or whose mapping list it brought (a discovery). A list one
         /// of them is expanded with reached the issuer no earlier, so
@@ -422,7 +423,7 @@ enum StepOutcome {
 /// lend each one the system in turn.
 pub(crate) struct SessionCore {
     pub(crate) id: SessionId,
-    pub(crate) origin: PeerId,
+    origin: PeerId,
     strategy: Strategy,
     ttl: usize,
     limit: Option<usize>,
@@ -431,9 +432,8 @@ pub(crate) struct SessionCore {
     /// issue (sessions with different budgets interleave correctly).
     max_retries: usize,
     /// Units issued whose reply has not been delivered yet — this
-    /// session's share of the origin queue (which other sessions may
-    /// also occupy). A duplicated reply counts twice, like its two
-    /// queue entries.
+    /// session's share of the system's reply queue. A duplicated reply
+    /// counts twice, like its two queue entries.
     pub(crate) inflight: usize,
     /// Request ids already delivered: a duplicated reply popping a
     /// second time is dropped, never double-charged.
@@ -449,9 +449,6 @@ pub(crate) struct SessionCore {
     /// Accumulated distinct solution rows, discovery order.
     rows: Vec<Binding>,
     order_by: RowOrder,
-    /// Events of delivered replies, handed out one at a time (used by
-    /// the standalone loop; a pool hands out whole reply batches).
-    pub(crate) delivered: VecDeque<ResultEvent>,
     /// Events a failing unit produced before erroring, surfaced after
     /// every queued reply but before the error itself.
     pub(crate) error_events: Vec<ResultEvent>,
@@ -459,10 +456,10 @@ pub(crate) struct SessionCore {
     /// produced has been delivered.
     pub(crate) error: Option<SystemError>,
     state: State,
-    /// The origin peer's clock when the session opened (pools may
-    /// start later arrivals at their submission instant).
+    /// The system clock when the session opened, or its arrival
+    /// instant if that was later.
     started_at: SimTime,
-    /// Simulated time of the latest delivered reply.
+    /// Simulated time of the latest reply delivered to this session.
     sim_now: SimTime,
     /// Max completion instant over every issued unit.
     max_completion: SimTime,
@@ -473,14 +470,17 @@ pub(crate) struct SessionCore {
 /// early-termination guarantees and the closure caches.
 ///
 /// The session borrows the system mutably, so standalone sessions run
-/// one at a time, exactly as they did through `execute` (which is a
-/// drain of this handle); use a
-/// [`SessionPool`](crate::system::pool::SessionPool) to interleave
-/// many sessions. Its scheduled replies live on the origin peer's
-/// event queue; dropping the session cancels them.
+/// one at a time, exactly as they do through `execute` (which is a
+/// drain of this handle). It is a
+/// [`SessionPool`] of one; use a pool
+/// to interleave many sessions. Its scheduled replies wait on the
+/// system's reply queue; dropping the session cancels them.
 pub struct QuerySession<'a> {
     sys: &'a mut GridVineSystem,
-    core: SessionCore,
+    pool: SessionPool,
+    id: SessionId,
+    /// Events of delivered replies not handed out yet.
+    events: VecDeque<ResultEvent>,
 }
 
 impl GridVineSystem {
@@ -491,7 +491,7 @@ impl GridVineSystem {
     /// [`SystemError::NotRoutable`], [`SystemError::NoQuerySchema`])
     /// but issues **no** subquery: all network work happens inside
     /// [`QuerySession::next_event`] pulls, so a dropped session costs
-    /// nothing further.
+    /// nothing further. The session starts at [`GridVineSystem::now`].
     pub fn open<'a>(
         &'a mut self,
         origin: PeerId,
@@ -499,21 +499,25 @@ impl GridVineSystem {
         options: &QueryOptions,
     ) -> Result<QuerySession<'a>, SystemError> {
         debug_assert_eq!(
-            self.exec_state(origin).queue.len(),
+            self.pending_events(),
             0,
-            "standalone sessions own their origin's reply queue; interleave via SessionPool"
+            "one pool or standalone session drives a system at a time"
         );
-        let started_at = self.exec_state(origin).clock;
-        let core = SessionCore::open(self, origin, plan, options, started_at)?;
-        Ok(QuerySession { sys: self, core })
+        let mut pool = SessionPool::new();
+        let id = pool.open(self, origin, plan, options)?;
+        Ok(QuerySession {
+            sys: self,
+            pool,
+            id,
+            events: VecDeque::new(),
+        })
     }
 }
 
 impl SessionCore {
     /// Validate `plan` and build the owned session state. Issues no
-    /// subquery; `started_at` is the session's scheduler epoch (the
-    /// origin clock for standalone sessions, the admission instant for
-    /// pooled ones).
+    /// subquery; `started_at` is the session's scheduler epoch (see
+    /// [`SessionPool::open_at`]).
     pub(crate) fn open(
         sys: &mut GridVineSystem,
         origin: PeerId,
@@ -660,7 +664,6 @@ impl SessionCore {
             issued_reported: ExecStats::default(),
             rows: Vec::new(),
             order_by,
-            delivered: VecDeque::new(),
             error_events: Vec::new(),
             error: None,
             state,
@@ -675,30 +678,21 @@ impl SessionCore {
         self.error.is_none() && !matches!(self.state, State::Done)
     }
 
-    /// Issue canonical units until the window is full or the plan runs
-    /// out of ready work; a unit failure parks the error for delivery.
-    pub(crate) fn replenish(&mut self, sys: &mut GridVineSystem) {
-        while self.issue_one(sys) {}
-    }
-
     /// The session's window has room for another unit.
     pub(crate) fn wants_issue(&self) -> bool {
         self.has_work() && self.inflight < self.window
     }
 
-    /// Issue at most one canonical unit (the pool's round-robin
-    /// replenisher calls this once per session per round, preserving
-    /// each session's canonical issue order). Returns whether the
-    /// window could take further work afterwards.
-    pub(crate) fn issue_one(&mut self, sys: &mut GridVineSystem) -> bool {
-        if !self.wants_issue() {
-            return false;
-        }
+    /// Issue one canonical unit (the pool's round-robin replenisher
+    /// calls this once per session per round while the session
+    /// [`SessionCore::wants_issue`], preserving each session's
+    /// canonical issue order); a unit failure parks the error for
+    /// delivery.
+    pub(crate) fn issue_one(&mut self, sys: &mut GridVineSystem) {
         if let Err(e) = self.issue_step(sys) {
             self.state = State::Done;
             self.error = Some(e);
         }
-        self.wants_issue()
     }
 
     /// Deliver one popped reply to this session: advance its clock,
@@ -719,16 +713,13 @@ impl SessionCore {
     }
 
     /// Cancel the session's remaining scheduled replies (other
-    /// sessions' replies on the shared origin queue survive) and write
-    /// the simulated clock back to the origin peer.
+    /// sessions' replies on the reply queue survive).
     pub(crate) fn cancel(&mut self, sys: &mut GridVineSystem) {
-        let id = self.id;
-        let exec = sys.exec_state_mut(self.origin);
         if self.inflight > 0 {
-            exec.queue.retain(|r| r.session != id);
+            let id = self.id;
+            sys.replies.retain(|r| r.session != id);
             self.inflight = 0;
         }
-        exec.clock = exec.clock.max(self.sim_now);
     }
 
     /// Cumulative execution counters so far. Work is accounted at
@@ -737,16 +728,8 @@ impl SessionCore {
         self.stats
     }
 
-    pub(crate) fn rows(&self) -> &[Binding] {
-        &self.rows
-    }
-
     pub(crate) fn sim_now(&self) -> SimTime {
         self.sim_now
-    }
-
-    pub(crate) fn started_at(&self) -> SimTime {
-        self.started_at
     }
 
     /// Finish: the rows accumulated so far in the canonical sorted
@@ -771,19 +754,20 @@ impl SessionCore {
 
     /// Issue the next canonical unit: run its logical work, charge its
     /// counters, compute its send/completion instants and schedule its
-    /// reply on the origin peer's event queue.
+    /// reply on the system's reply queue.
     fn issue_step(&mut self, sys: &mut GridVineSystem) -> Result<(), SystemError> {
         if self.limit_reached() {
             self.state = State::Done;
             return Ok(());
         }
         // Arm the retry protocol for this unit: this session's budget,
-        // attempts scheduled against its clock, and the backoff delay,
-        // latency destination, send floor and learned leaves reset per
+        // sent no earlier than its last delivery (the step raises that
+        // to the unit's ready time before its first exchange), and the
+        // backoff delay, latency destination and writes reset per
         // issue. Re-arming every issue is what lets sessions interleave
         // on the shared protocol state.
         sys.proto.max_retries = self.max_retries;
-        sys.proto.begin_unit(self.sim_now, self.origin);
+        sys.proto.begin_unit(self.sim_now);
         // Snapshot the shared counters so exactly this unit's movement
         // is folded into this session's stats.
         let m0 = sys.overlay.messages_sent();
@@ -822,12 +806,9 @@ impl SessionCore {
         self.stats.migrations += pl.migrations - pl0.migrations;
         match result {
             Ok(StepOutcome::Idle) => Ok(()), // state stays Done
-            Ok(StepOutcome::Unit { ready, heard, done }) => {
-                // A request to a learned address goes out no earlier
-                // than its issuer learned it.
-                let ready = ready.max(sys.proto.floor);
-                let completion = self.schedule_unit(sys, ready, out);
-                sys.learn_leaves(completion);
+            Ok(StepOutcome::Unit { heard, done }) => {
+                sys.proto.check_send(sys.now());
+                let completion = self.schedule_unit(sys, out);
                 if !done {
                     if let Some(walk) = state.walk_mut() {
                         for schema in heard {
@@ -847,14 +828,20 @@ impl SessionCore {
         }
     }
 
-    /// Scheduler bookkeeping of one issued unit. Returns its completion
-    /// instant.
-    fn schedule_unit(
-        &mut self,
-        sys: &mut GridVineSystem,
-        ready: SimTime,
-        mut events: Vec<ResultEvent>,
-    ) -> SimTime {
+    /// Scheduler bookkeeping of one issued unit, sent at the protocol's
+    /// `now`: stamp what it writes with its completion instant and
+    /// schedule its reply. Returns the completion instant.
+    fn schedule_unit(&mut self, sys: &mut GridVineSystem, mut events: Vec<ResultEvent>) -> SimTime {
+        // The unit's reply lands after its overlay work plus whatever
+        // backoff delay its retried requests accumulated, plus any
+        // reorder jitter the fault process deals the reply itself.
+        let messages = self.stats.messages - self.issued_reported.messages;
+        let (reply_jitter, duplicate) = sys.proto.reply_fate();
+        let completion =
+            sys.proto.now + sys.proto.delay + sys.unit_delay(self.origin, messages) + reply_jitter;
+        self.max_completion = self.max_completion.max(completion);
+        // A closure the unit memoized may displace another.
+        self.stats.cache_evictions += sys.commit_writes(completion);
         // The unit is in flight from here: fold the high-water mark in
         // *before* the delta snapshot so delta sums stay exact.
         let in_flight = self.inflight + 1;
@@ -863,17 +850,9 @@ impl SessionCore {
         let delta = cur - self.issued_reported;
         self.issued_reported = cur;
         events.push(ResultEvent::Stats(delta));
-        let send = ready.max(self.sim_now);
-        // The unit's reply lands after its overlay work plus whatever
-        // backoff delay its retried requests accumulated, plus any
-        // reorder jitter the fault process deals the reply itself.
-        let (reply_jitter, duplicate) = sys.proto.reply_fate();
-        let completion =
-            send + sys.proto.delay + sys.unit_delay(self.origin, delta.messages) + reply_jitter;
-        self.max_completion = self.max_completion.max(completion);
         let request_id = sys.proto.next_request_id();
         let session = self.id;
-        let queue = &mut sys.exec_state_mut(self.origin).queue;
+        let queue = &mut sys.replies;
         if let Some(trailing) = duplicate {
             // The duplicated reply carries the same events under the
             // same request id; delivery-side dedup drops whichever
@@ -966,7 +945,6 @@ impl SessionCore {
             out.push(ResultEvent::Rows(batch));
         }
         Ok(StepOutcome::Unit {
-            ready: self.started_at,
             heard: Vec::new(),
             done: true,
         })
@@ -999,7 +977,6 @@ impl SessionCore {
             out.push(ResultEvent::Rows(batch));
         }
         Ok(StepOutcome::Unit {
-            ready: self.started_at,
             heard: Vec::new(),
             done: limit_hit || probes.as_slice().is_empty(),
         })
@@ -1069,15 +1046,18 @@ impl SessionCore {
         rows: &mut BindingBatch,
         mut admit: impl FnMut(&mut SessionCore, Vec<SweepHop>, &[usize], &mut BindingBatch),
     ) -> Result<StepOutcome, SystemError> {
-        let (ready, heard) = match walk.sweep.pending_schema() {
+        let heard = match walk.sweep.pending_schema() {
             // Left pending by the previous step for its discovery.
             Some(schema) => {
                 let schema = schema.clone();
-                let ready = walk.hop_ready(&schema);
+                sys.proto.floor(walk.hop_ready(&schema));
                 walk.expand(sys, &mut self.stats)?;
-                (ready, vec![schema])
+                vec![schema]
             }
             None => {
+                if let Some(next) = walk.sweep.next_schema() {
+                    sys.proto.floor(walk.hop_ready(next));
+                }
                 let mut answered = Vec::new();
                 let mut shipped = Vec::new();
                 let popped = walk
@@ -1091,11 +1071,10 @@ impl SessionCore {
                         });
                         shipped.extend_from_slice(per_instance.unwrap_or_default());
                     });
-                let Some(routed_for) = answered.first() else {
+                if answered.is_empty() {
                     debug_assert!(!popped, "a popped hop sent its request");
                     return Ok(StepOutcome::Idle);
-                };
-                let ready = walk.hop_ready(&routed_for.schema);
+                }
                 let heard = answered.iter().map(|h| h.schema.clone()).collect();
                 let instances = seeds.len().max(1);
                 for hop in &answered {
@@ -1107,9 +1086,9 @@ impl SessionCore {
                 if self.limit_reached() {
                     walk.sweep.discard_pending();
                     let done = true;
-                    return Ok(StepOutcome::Unit { ready, heard, done });
+                    return Ok(StepOutcome::Unit { heard, done });
                 }
-                (ready, heard)
+                heard
             }
         };
         loop {
@@ -1127,7 +1106,7 @@ impl SessionCore {
             }
         }
         let done = walk.sweep.is_exhausted();
-        Ok(StepOutcome::Unit { ready, heard, done })
+        Ok(StepOutcome::Unit { heard, done })
     }
 
     /// [`QueryPlan::Closure`]: one unit of the reformulation closure
@@ -1234,10 +1213,10 @@ impl SessionCore {
                         })
                     }
                 }?;
-                if let StepOutcome::Unit { ready, heard, .. } = step {
+                if let StepOutcome::Unit { heard, .. } = step {
                     // A sweep's end is not the plan's.
                     let done = self.limit_reached();
-                    return Ok(StepOutcome::Unit { ready, heard, done });
+                    return Ok(StepOutcome::Unit { heard, done });
                 }
                 let finished = sweep.take().expect("a sweep in flight");
                 if let JoinPhase::Independent { shipped, .. } = phase {
@@ -1259,6 +1238,7 @@ impl SessionCore {
                         *sweep = Some(self.open_sweep(sys, part, self.started_at));
                         continue;
                     }
+                    sys.proto.floor(self.max_completion);
                     let sets = encode_for_fold(interner, vars, std::mem::take(shipped));
                     let mut rows = std::mem::take(partial);
                     for set in &sets {
@@ -1273,7 +1253,6 @@ impl SessionCore {
                         out.push(ResultEvent::Rows(fresh));
                     }
                     return Ok(StepOutcome::Unit {
-                        ready: self.max_completion,
                         heard: Vec::new(),
                         done: true,
                     });
@@ -1388,7 +1367,7 @@ impl SessionCore {
             rows,
         } = sweep;
         let seeds = &part.seeds;
-        let (ready, shipped) = match requests {
+        let shipped = match requests {
             Requests::Walk(walk) => {
                 return self.step_walk(sys, walk, seeds, rows, |core, _, shipped, rows| {
                     take(core, part, rows, shipped)
@@ -1406,10 +1385,11 @@ impl SessionCore {
                 };
                 let mut reply = Reply::default();
                 let none = std::iter::empty();
+                sys.proto.floor(*ready);
                 sys.resolve_patterns(self.origin, alone, none, seeds, rows, &mut reply)?;
                 self.stats.subqueries += seeds.len().max(1);
                 self.stats.bindings_carried += seeds.iter().map(Binding::len).sum::<usize>();
-                (*ready, reply.shipped)
+                reply.shipped
             }
             Requests::Instances {
                 routed,
@@ -1422,7 +1402,7 @@ impl SessionCore {
                 self.stats.failures += failed;
                 // Each request lists what the replies before it left
                 // unanswered, so it waits for them all.
-                let ready = self.max_completion;
+                sys.proto.floor(self.max_completion);
                 // Seed indices, rising, of the instances still to
                 // answer: the request of the first lists the others.
                 let open: Vec<usize> = (0..seeds.len()).filter(|&i| todo[i]).collect();
@@ -1431,7 +1411,6 @@ impl SessionCore {
                     return Ok(match failed {
                         0 => StepOutcome::Idle,
                         _ => StepOutcome::Unit {
-                            ready,
                             heard: Vec::new(),
                             done: false,
                         },
@@ -1453,13 +1432,12 @@ impl SessionCore {
                     shipped[open[position]] = n;
                     todo[open[position]] = false;
                 }
-                (ready, shipped)
+                shipped
             }
         };
         self.stats.bindings_shipped += shipped.iter().sum::<usize>();
         take(self, part, rows, &shipped);
         Ok(StepOutcome::Unit {
-            ready,
             heard: Vec::new(),
             done: false,
         })
@@ -1480,11 +1458,11 @@ impl Walk {
     /// of the unit that brought the mapping list which admitted it — a
     /// discovery, or the data reply that carried the list. A hop the
     /// walk started with (every hop of a warm replay) is ready at its
-    /// start.
+    /// start. A replayed hop waits for its closure's commit, too.
     fn hop_ready(&self, schema: &SchemaId) -> SimTime {
         let parent = self.parent_of.get(schema);
         let heard = parent.and_then(|p| self.heard_at.get(p));
-        heard.copied().unwrap_or(self.start)
+        heard.copied().unwrap_or(self.start).max(self.sweep.stamp())
     }
 
     /// Expand the pending hop, remembering which hop admitted each
@@ -1649,78 +1627,63 @@ impl QuerySession<'_> {
     /// Return the next [`ResultEvent`], or `Ok(None)` once the plan is
     /// fully drained or the result limit terminated it.
     ///
-    /// Internally this keeps up to [`QueryOptions::window`] units in
-    /// flight: it issues canonical units until the window is full (or
-    /// the plan runs out of ready work), then delivers the earliest
-    /// scheduled reply, advancing the simulated clock. Errors end the
-    /// session: events already produced (rows that *were* shipped and
-    /// charged) are delivered first, then the error surfaces exactly
-    /// once, then the session reports drained.
+    /// Internally this steps its pool of one: it keeps up to
+    /// [`QueryOptions::window`] units in flight, issuing canonical units
+    /// until the window is full (or the plan runs out of ready work),
+    /// then delivers the earliest scheduled reply, advancing the
+    /// simulated clock. Errors end the session: events already produced
+    /// (rows that *were* shipped and charged) are delivered first, then
+    /// the error surfaces exactly once, then the session reports
+    /// drained.
     pub fn next_event(&mut self) -> Result<Option<ResultEvent>, SystemError> {
         loop {
-            if let Some(ev) = self.core.delivered.pop_front() {
-                return Ok(Some(ev));
+            if let Some(event) = self.events.pop_front() {
+                return Ok(Some(event));
             }
-            // Replenish the window in canonical order.
-            self.core.replenish(self.sys);
-            // Deliver the earliest reply, advancing the clock.
-            if let Some((at, reply)) = self.sys.exec_state_mut(self.core.origin).queue.pop() {
-                debug_assert_eq!(
-                    reply.session, self.core.id,
-                    "standalone sessions own their origin's reply queue"
-                );
-                if let Some(events) = self.core.deliver(at, reply) {
-                    self.core.delivered.extend(events);
-                }
-                continue;
+            match self.pool.step(self.sys) {
+                Some(PoolEvent::Delivered { events, .. }) => self.events.extend(events),
+                Some(PoolEvent::Failed { error, .. }) => return Err(error),
+                Some(PoolEvent::Finished { .. }) | None => return Ok(None),
             }
-            if !self.core.error_events.is_empty() {
-                let stash = std::mem::take(&mut self.core.error_events);
-                self.core.delivered.extend(stash);
-                continue;
-            }
-            if let Some(e) = self.core.error.take() {
-                return Err(e);
-            }
-            return Ok(None);
         }
+    }
+
+    fn core(&self) -> &SessionCore {
+        let core = self.pool.core(self.id);
+        core.expect("the session stays in its pool until taken")
     }
 
     /// Cumulative execution counters so far (messages included). Work
     /// is accounted at *issue*, so in-flight units are already counted.
     pub fn stats(&self) -> ExecStats {
-        self.core.stats()
+        self.core().stats()
     }
 
     /// Distinct solution rows accumulated so far, in discovery order.
     pub fn rows(&self) -> &[Binding] {
-        self.core.rows()
+        &self.core().rows
     }
 
     /// The plan has no work left (drained, limit-terminated or failed)
-    /// and every scheduled reply was delivered.
+    /// and every event was handed out.
     pub fn is_complete(&self) -> bool {
-        matches!(self.core.state, State::Done)
-            && self.core.delivered.is_empty()
-            && self.core.error_events.is_empty()
-            && self.core.error.is_none()
-            && self.core.inflight == 0
+        self.events.is_empty() && self.pool.is_empty()
     }
 
-    /// Simulated time of the latest delivered reply (the origin peer's
-    /// clock resumes from here for the next session).
+    /// Simulated time of the latest reply delivered to this session.
     pub fn sim_now(&self) -> SimTime {
-        self.core.sim_now()
+        self.core().sim_now()
     }
 
     /// Simulated time elapsed since the session opened.
     pub fn sim_elapsed(&self) -> SimDuration {
-        self.core.sim_now().saturating_since(self.core.started_at())
+        let core = self.core();
+        core.sim_now.saturating_since(core.started_at)
     }
 
     /// Units currently in flight (issued, reply not yet delivered).
     pub fn in_flight(&self) -> usize {
-        self.core.inflight
+        self.core().inflight
     }
 
     /// Finish the session: the rows accumulated so far in the canonical
@@ -1729,19 +1692,17 @@ impl QuerySession<'_> {
     /// [`QueryOutcome`] `execute` would have returned; mid-flight it
     /// cancels the remaining scheduled replies.
     pub fn into_outcome(mut self) -> QueryOutcome {
-        // Dropping `self` afterwards cancels any still-queued replies
-        // and writes the clock back to the origin peer's state.
-        self.core.outcome()
+        self.pool.cancel(self.sys, self.id);
+        let outcome = self.pool.take_outcome(self.id);
+        outcome.expect("the session stays in its pool until taken")
     }
 }
 
 impl Drop for QuerySession<'_> {
-    /// Cancel every still-scheduled reply of this session (the origin's
-    /// event queue drops them — `pending_events() == 0` when no other
-    /// session is in flight) and write the simulated clock back to the
-    /// origin peer's execution state.
+    /// Cancel every still-scheduled reply of this session (the reply
+    /// queue drops them — `pending_events() == 0`).
     fn drop(&mut self) {
-        self.core.cancel(self.sys);
+        self.pool.shutdown(self.sys);
     }
 }
 

@@ -85,9 +85,12 @@ struct Track {
 }
 
 /// Drive `plans` through `sys` open-loop under `cfg` (plans are
-/// assigned round-robin when fewer than `cfg.sessions`). Deterministic:
-/// the same system, plans and config produce the identical
-/// [`LoadReport`] transcript.
+/// assigned round-robin when fewer than `cfg.sessions`). Arrival
+/// instants are offsets from the system clock at entry
+/// ([`GridVineSystem::now`]), and the makespan is measured from there,
+/// so the report does not depend on how far earlier work advanced the
+/// clock. Deterministic: the same system, plans and config produce the
+/// identical [`LoadReport`] transcript.
 pub fn run_open_loop(
     sys: &mut GridVineSystem,
     plans: &[QueryPlan],
@@ -103,7 +106,10 @@ pub fn run_open_loop(
     let opts = QueryOptions::new()
         .strategy(cfg.strategy)
         .window(cfg.window);
+    let start = sys.now();
+    let offset = start.saturating_since(SimTime::ZERO);
     let instants = cfg.arrivals.instants(cfg.sessions, cfg.seed);
+    let instants = instants.into_iter().map(|at| at + offset);
 
     let mut pool = SessionPool::new();
     let mut track: HashMap<SessionId, Track> = HashMap::new();
@@ -117,7 +123,7 @@ pub fn run_open_loop(
     let mut origin_submitted = vec![0usize; cfg.origins];
     let mut origin_completed = vec![0usize; cfg.origins];
     let mut origin_latency = vec![SimDuration::ZERO; cfg.origins];
-    let mut makespan = SimTime::ZERO;
+    let mut makespan = start;
 
     // Open one session; on refusal (invalid plan) no session exists.
     let admit = |sys: &mut GridVineSystem,
@@ -215,7 +221,7 @@ pub fn run_open_loop(
     }
 
     // Main merge loop: arrivals and pool events in simulated-time order.
-    for (i, &at) in instants.iter().enumerate() {
+    for (i, at) in instants.enumerate() {
         // Settle everything the pool has scheduled before this arrival.
         while let Some(t) = pool.next_instant(sys) {
             if t > at {
@@ -311,7 +317,7 @@ pub fn run_open_loop(
 
     report.latency = LatencySummary::from_samples(&mut latencies);
     report.queue_wait = LatencySummary::from_samples(&mut waits);
-    report.makespan = makespan.saturating_since(SimTime::ZERO);
+    report.makespan = makespan.saturating_since(start);
     report.per_origin = (0..cfg.origins)
         .map(|o| OriginStats {
             origin: o,
@@ -336,7 +342,11 @@ mod tests {
     use gridvine_semantic::{Correspondence, MappingKind, Provenance, Schema};
 
     fn seeded_system() -> GridVineSystem {
-        let mut sys = GridVineSystem::new(GridVineConfig::default());
+        seeded_system_with(GridVineConfig::default())
+    }
+
+    fn seeded_system_with(config: GridVineConfig) -> GridVineSystem {
+        let mut sys = GridVineSystem::new(config);
         let p = PeerId(0);
         sys.insert_schema(p, Schema::new("EMBL", ["Organism"]))
             .unwrap();
@@ -378,6 +388,30 @@ mod tests {
         assert_eq!(format!("{a}"), format!("{b}"));
         assert_eq!(a.submitted, 40);
         assert_eq!(a.resolved(), 40);
+    }
+
+    /// Arrivals are offsets from the clock: after a closed-loop session
+    /// from a peer that is none of the run's origins has advanced it,
+    /// the run reports what it reports on a fresh system. One reference
+    /// per level, so the earlier session's routing draws steer no route.
+    #[test]
+    fn a_run_does_not_depend_on_how_far_the_clock_had_advanced() {
+        let config = GridVineConfig {
+            refs_per_level: 1,
+            ..GridVineConfig::default()
+        };
+        let cfg = LoadConfig {
+            sessions: 24,
+            ..LoadConfig::default()
+        };
+        let fresh = run_open_loop(&mut seeded_system_with(config.clone()), &plans(), &cfg);
+        let mut sys = seeded_system_with(config);
+        let bystander = PeerId(cfg.origins as u32 + 3);
+        sys.execute(bystander, &plans()[0], &QueryOptions::new())
+            .unwrap();
+        assert!(sys.now() > SimTime::ZERO);
+        let later = run_open_loop(&mut sys, &plans(), &cfg);
+        assert_eq!(format!("{later}"), format!("{fresh}"));
     }
 
     #[test]

@@ -312,14 +312,19 @@ pub struct CacheCounters {
 /// real peer's finite memory: at most `capacity` closures are retained
 /// and inserting past the bound evicts the least-recently-used entry
 /// (lookups refresh recency). Eviction is a linear scan over the
-/// recency stamps — capacities are per-peer and small, so a pointer-
+/// recency ticks — capacities are per-peer and small, so a pointer-
 /// chasing LRU list would cost more than it saves.
+///
+/// Each entry also keeps a stamp `S` its writer gives it and every hit
+/// hands back (the distributed executor stamps an entry with the
+/// simulated instant it was committed at; `()` stamps nothing).
 ///
 /// [`epoch`]: MappingRegistry::epoch
 #[derive(Debug, Clone, Default)]
-pub struct ClosureCache {
+pub struct ClosureCache<S = ()> {
     epoch: u64,
-    entries: HashMap<ClosureKey, (Arc<[CachedHop]>, u64)>,
+    /// Per key: the recorded hops, their stamp and the recency tick.
+    entries: HashMap<ClosureKey, (Arc<[CachedHop]>, S, u64)>,
     /// `None` = unbounded (the pre-PR-5 behaviour, kept for tests).
     capacity: Option<usize>,
     /// Monotone recency stamp; bumped by every lookup hit and insert.
@@ -327,14 +332,14 @@ pub struct ClosureCache {
     counters: CacheCounters,
 }
 
-impl ClosureCache {
-    pub fn new() -> ClosureCache {
+impl<S: Clone + Default> ClosureCache<S> {
+    pub fn new() -> ClosureCache<S> {
         ClosureCache::default()
     }
 
     /// A cache retaining at most `capacity` closures under LRU
     /// eviction. A zero capacity caches nothing (every lookup misses).
-    pub fn bounded(capacity: usize) -> ClosureCache {
+    pub fn bounded(capacity: usize) -> ClosureCache<S> {
         ClosureCache {
             capacity: Some(capacity),
             ..ClosureCache::default()
@@ -346,11 +351,11 @@ impl ClosureCache {
         self.capacity
     }
 
-    /// The hops recorded for `key`, if the cache is coherent with
-    /// `epoch` and holds the entry. A stale cache (any older epoch) is
-    /// cleared on the spot and misses. Hits refresh the entry's
-    /// recency.
-    pub fn lookup(&mut self, epoch: u64, key: &ClosureKey) -> Option<Arc<[CachedHop]>> {
+    /// The hops recorded for `key` and their stamp, if the cache is
+    /// coherent with `epoch` and holds the entry. A stale cache (any
+    /// older epoch) is cleared on the spot and misses. Hits refresh the
+    /// entry's recency.
+    pub fn lookup(&mut self, epoch: u64, key: &ClosureKey) -> Option<(Arc<[CachedHop]>, S)> {
         if self.epoch != epoch {
             self.entries.clear();
             self.epoch = epoch;
@@ -359,10 +364,10 @@ impl ClosureCache {
         }
         self.tick += 1;
         match self.entries.get_mut(key) {
-            Some((hops, stamp)) => {
-                *stamp = self.tick;
+            Some((hops, stamp, tick)) => {
+                *tick = self.tick;
                 self.counters.hits += 1;
-                Some(hops.clone())
+                Some((hops.clone(), stamp.clone()))
             }
             None => {
                 self.counters.misses += 1;
@@ -371,10 +376,11 @@ impl ClosureCache {
         }
     }
 
-    /// Record a fully-expanded closure computed at `epoch`. A stale
-    /// cache is cleared first so entries from different epochs never
-    /// coexist; a full cache evicts its least-recently-used entry.
-    pub fn insert(&mut self, epoch: u64, key: ClosureKey, hops: Vec<CachedHop>) {
+    /// Record a fully-expanded closure computed at `epoch`, stamped
+    /// `stamp`. A stale cache is cleared first so entries from
+    /// different epochs never coexist; a full cache evicts its
+    /// least-recently-used entry.
+    pub fn insert(&mut self, epoch: u64, key: ClosureKey, hops: Vec<CachedHop>, stamp: S) {
         if self.epoch != epoch {
             self.entries.clear();
             self.epoch = epoch;
@@ -390,7 +396,7 @@ impl ClosureCache {
                     let lru = self
                         .entries
                         .iter()
-                        .min_by_key(|(_, (_, stamp))| *stamp)
+                        .min_by_key(|(_, (_, _, tick))| *tick)
                         .map(|(k, _)| k.clone())
                         .expect("len >= cap >= 1 implies an entry");
                     self.entries.remove(&lru);
@@ -398,7 +404,7 @@ impl ClosureCache {
                 }
             }
         }
-        self.entries.insert(key, (hops.into(), self.tick));
+        self.entries.insert(key, (hops.into(), stamp, self.tick));
     }
 
     /// Number of memoized closures (for tests and introspection).
@@ -858,9 +864,9 @@ mod tests {
         let hops = vec![CachedHop::record(&hop_at("EMBL", "Organism"))];
         let mut cache = ClosureCache::new();
         assert!(cache.lookup(reg.epoch(), &key).is_none());
-        cache.insert(reg.epoch(), key.clone(), hops.clone());
-        let hit = cache.lookup(reg.epoch(), &key).expect("same-epoch hit");
-        assert_eq!(&*hit, hops.as_slice());
+        cache.insert(reg.epoch(), key.clone(), hops.clone(), 7);
+        let (hit, stamp) = cache.lookup(reg.epoch(), &key).expect("same-epoch hit");
+        assert_eq!((&*hit, stamp), (hops.as_slice(), 7));
         // Any registry mutation invalidates the whole cache.
         let id = reg.mappings().next().map(|m| m.id).unwrap();
         reg.deprecate(id);
@@ -870,7 +876,7 @@ mod tests {
         );
         assert!(cache.is_empty());
         // Entries recorded at the new epoch are served again.
-        cache.insert(reg.epoch(), key.clone(), hops);
+        cache.insert(reg.epoch(), key.clone(), hops, 8);
         assert_eq!(cache.len(), 1);
         assert!(cache.lookup(reg.epoch(), &key).is_some());
     }
@@ -891,12 +897,12 @@ mod tests {
     fn bounded_cache_evicts_least_recently_used() {
         let mut cache = ClosureCache::bounded(2);
         assert_eq!(cache.capacity(), Some(2));
-        cache.insert(0, key("A"), vec![hop("A")]);
-        cache.insert(0, key("B"), vec![hop("B")]);
+        cache.insert(0, key("A"), vec![hop("A")], ());
+        cache.insert(0, key("B"), vec![hop("B")], ());
         assert_eq!(cache.len(), 2);
         // Touch A so B becomes the LRU entry.
         assert!(cache.lookup(0, &key("A")).is_some());
-        cache.insert(0, key("C"), vec![hop("C")]);
+        cache.insert(0, key("C"), vec![hop("C")], ());
         assert_eq!(cache.len(), 2, "capacity bound respected");
         assert!(cache.lookup(0, &key("A")).is_some(), "A survived (recent)");
         assert!(cache.lookup(0, &key("B")).is_none(), "B evicted (LRU)");
@@ -910,7 +916,7 @@ mod tests {
     #[test]
     fn bounded_cache_still_invalidates_on_epoch_bump() {
         let mut cache = ClosureCache::bounded(4);
-        cache.insert(0, key("A"), vec![hop("A")]);
+        cache.insert(0, key("A"), vec![hop("A")], ());
         assert!(cache.lookup(0, &key("A")).is_some());
         // A newer epoch clears everything — that is an invalidation,
         // not an eviction.
@@ -918,8 +924,8 @@ mod tests {
         assert!(cache.is_empty());
         assert_eq!(cache.counters().evictions, 0);
         // Re-inserting a present key never evicts.
-        cache.insert(1, key("A"), vec![hop("A")]);
-        cache.insert(1, key("A"), vec![hop("A")]);
+        cache.insert(1, key("A"), vec![hop("A")], ());
+        cache.insert(1, key("A"), vec![hop("A")], ());
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.counters().evictions, 0);
     }
@@ -927,7 +933,7 @@ mod tests {
     #[test]
     fn zero_capacity_cache_never_stores() {
         let mut cache = ClosureCache::bounded(0);
-        cache.insert(0, key("A"), vec![hop("A")]);
+        cache.insert(0, key("A"), vec![hop("A")], ());
         assert!(cache.is_empty());
         assert!(cache.lookup(0, &key("A")).is_none());
     }

@@ -5,14 +5,15 @@
 //! interleaved sessions must match their sequential runs wherever
 //! routing is RNG-value-invariant, and cancelled / rejected /
 //! deadline-expired sessions must leave no queued events behind while
-//! charging every overlay message exactly once.
+//! charging every overlay message exactly once. On the system's one
+//! clock, no unit may read a write stamped after it is sent.
 
 use gridvine_core::pool::SessionPool;
 use gridvine_core::{
     GridVineConfig, GridVineSystem, QueryOptions, QueryOutcome, QueryPlan, Strategy,
 };
 use gridvine_load::{run_open_loop, ArrivalProcess, LoadConfig};
-use gridvine_netsim::{FaultConfig, SimDuration};
+use gridvine_netsim::{ChurnConfig, ChurnProcess, FaultConfig, SimDuration, SimTime};
 use gridvine_pgrid::PeerId;
 use gridvine_rdf::{PatternTerm, Term, Triple, TriplePattern, TriplePatternQuery};
 use gridvine_semantic::{Correspondence, MappingKind, Provenance, Schema};
@@ -275,6 +276,92 @@ proptest! {
         prop_assert_eq!(r.submitted, 30);
         prop_assert_eq!(r.resolved(), 30, "every session in exactly one bucket: {}", r);
         prop_assert_eq!(r.messages, sys.messages_sent() - m0);
+        prop_assert_eq!(sys.pending_events(), 0);
+    }
+
+    /// The causality property of the one clock. Every unit is checked
+    /// by the engine's debug assertions (the test profile keeps them):
+    /// it is sent no earlier than the clock at its issue and than the
+    /// stamp of every learned leaf and closure-cache entry it read, and
+    /// no later than its first attempt. A random multi-origin pool run
+    /// under loss and churn makes units read what others wrote: several
+    /// sessions per origin share its leaves and closure cache, recursive
+    /// delegates serve every origin, late arrivals replay closures whose
+    /// writers are still in flight, and windows of 4 issue hops before
+    /// the replies they wait for land. Between steps the case inserts
+    /// records and mappings and deprecates them.
+    #[test]
+    fn no_unit_reads_a_write_stamped_after_it_is_sent(
+        seed in 0u64..200,
+        origins in 2usize..5,
+        strategy in prop_oneof![Just(Strategy::Iterative), Just(Strategy::Recursive)],
+        window in prop_oneof![Just(1usize), Just(4usize)],
+        ops in proptest::collection::vec(0u8..5, 8..24),
+    ) {
+        let mut fault = FaultConfig::none();
+        fault.loss = 0.05;
+        let mut sys = chain_system(2, fault, seed);
+        let churn = ChurnConfig {
+            mean_uptime: SimDuration::from_millis(60),
+            mean_downtime: SimDuration::from_millis(4),
+            churny_fraction: 0.5,
+        };
+        let horizon = SimTime::ZERO + SimDuration::from_secs(10);
+        sys.install_churn(ChurnProcess::generate(&churn, 32, horizon, seed).events());
+        let plans = [
+            QueryPlan::search(chain_query()),
+            QueryPlan::search(TriplePatternQuery::new(
+                "x",
+                TriplePattern::new(
+                    PatternTerm::var("x"),
+                    PatternTerm::constant(Term::uri("S1#a1")),
+                    PatternTerm::var("o"),
+                ),
+            ).unwrap()),
+        ];
+        let opts = options(window).strategy(strategy);
+        let mut pool = SessionPool::new();
+        let mut opened = 0usize;
+        let mut open = |sys: &mut GridVineSystem, pool: &mut SessionPool| {
+            let origin = PeerId(5 + (opened % origins) as u32);
+            pool.open(sys, origin, &plans[opened % plans.len()], &opts).unwrap();
+            opened += 1;
+        };
+        for _ in 0..2 * origins {
+            open(&mut sys, &mut pool);
+        }
+        let mut mappings = Vec::new();
+        for (i, op) in ops.iter().enumerate() {
+            if pool.step(&mut sys).is_none() {
+                open(&mut sys, &mut pool);
+            }
+            let (j, p) = (i % 4, PeerId(i as u32 % 32));
+            match op {
+                0 => {
+                    let record = Triple::new(
+                        format!("seq:N{i}").as_str(),
+                        format!("S{j}#a{j}").as_str(),
+                        Term::literal("Aspergillus niger"),
+                    );
+                    sys.insert_triple(p, record).unwrap();
+                }
+                1 => {
+                    let (from, to) = (format!("S{j}"), format!("S{}", (j + 2) % 4));
+                    let a = vec![Correspondence::new(format!("a{j}"), format!("a{}", (j + 2) % 4))];
+                    let (kind, provenance) = (MappingKind::Equivalence, Provenance::Manual);
+                    mappings.push(sys.insert_mapping(p, from.as_str(), to.as_str(), kind, provenance, a).unwrap());
+                }
+                2 => {
+                    if let Some(id) = mappings.pop() {
+                        sys.deprecate_mapping(p, id).unwrap();
+                    }
+                }
+                _ => open(&mut sys, &mut pool),
+            }
+        }
+        let clock = sys.now();
+        while pool.step(&mut sys).is_some() {}
+        prop_assert!(sys.now() >= clock, "the clock never goes backwards");
         prop_assert_eq!(sys.pending_events(), 0);
     }
 }
