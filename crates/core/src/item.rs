@@ -139,7 +139,7 @@ impl<'a> KeySpace<'a> {
 
 /// The copies `Update(t)` places, on their way into the peers' `DB_p`s:
 /// both engines decide *who* stores a triple (the synchronous system
-/// by routing each key, the WAN deployment from the topology), stage
+/// by a call's update tree, the WAN deployment from the topology), stage
 /// the copies here, and [`TripleStage::flush`] bulk-loads every touched
 /// peer once. What is staged costs what is staged — nothing here is
 /// sized by the peer count, so a stage of one triple is cheap.

@@ -32,7 +32,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 // Child modules so conjunctive evaluation and the plan executor can
 // reuse the system's private overlay/rng state without widening the
@@ -381,8 +381,8 @@ pub struct GridVineSystem {
     /// This is the **only** triple storage: overlay buckets hold no
     /// `MediationItem::Triple` copies (they keep schemas, mappings and
     /// connectivity records). Triple placement still routes through the
-    /// overlay with full `Update` message accounting
-    /// ([`Overlay::update_placement`]); the self-organization matcher
+    /// overlay and is charged: one update tree per insert call
+    /// ([`Overlay::route_updates`]); the self-organization matcher
     /// reads these stores too, so per-peer triple memory is paid once.
     local_dbs: Vec<TripleStore>,
     /// The string pool every triple is canonicalized through before it
@@ -439,6 +439,11 @@ pub struct GridVineSystem {
     /// pools (ids stay unique when both run against one system).
     next_session: u64,
     pub(crate) rng: StdRng,
+    /// The update trees' reference draws
+    /// ([`GridVineSystem::insert_triples`]), apart from the routing
+    /// stream, so what queries draw does not depend on how much was
+    /// inserted or how it was cut into calls.
+    update_rng: StdRng,
 }
 
 impl GridVineSystem {
@@ -484,6 +489,7 @@ impl GridVineSystem {
             overlay,
             registry: MappingRegistry::new(),
             rng,
+            update_rng: gridvine_netsim::rng::derive(config.seed, 0x7EE5),
             config,
         }
     }
@@ -798,34 +804,38 @@ impl GridVineSystem {
     // -----------------------------------------------------------------
 
     /// `Update(t)` — index the triple under subject, predicate and
-    /// object keys (three overlay updates): [`GridVineSystem::insert_triples`]
-    /// of one, with the same contract.
+    /// object keys: [`GridVineSystem::insert_triples`] of one (an update
+    /// tree of up to three keys), with the same contract.
     pub fn insert_triple(&mut self, origin: PeerId, t: Triple) -> Result<(), SystemError> {
         self.insert_triples(origin, [t]).map(|_| ())
     }
 
-    /// `Update(t)` for each triple in turn, from one origin; returns how
-    /// many were placed.
+    /// `Update(t)` for each triple, from one origin; returns how many
+    /// were placed.
     ///
-    /// Each triple's lexicals are canonicalized through the shared
-    /// lexicon (all peer databases share one buffer per distinct
-    /// string) and its three keys are routed in turn, each charged —
-    /// hops plus replica propagation — exactly as a bucket-storing
-    /// `Update` would be ([`Overlay::update_placement`]). No
+    /// The call's keys travel as one update tree
+    /// ([`Overlay::route_updates`]): each peer receives at most one
+    /// message, so a call charges at most `peers - 1`. A route reads
+    /// no more of a key than the deepest peer path, so the tree carries
+    /// each distinct leaf prefix once; its reference draws come from
+    /// their own stream, which leaves the routing stream to queries. No
     /// `MediationItem::Triple` enters an overlay bucket: every peer that
-    /// receives a copy (each key's destination and its replicas) indexes
-    /// it in its `DB_p`, which is what destination-side resolution
-    /// evaluates.
+    /// receives a copy (each key's destination and its replicas)
+    /// indexes it in its `DB_p`, which is what destination-side
+    /// resolution evaluates. Each triple's lexicals are canonicalized
+    /// through the shared lexicon first (all peer databases share one
+    /// buffer per distinct string).
     ///
-    /// The copies are staged and every touched `DB_p` is bulk-loaded
-    /// once per call, in arrival order: routes, charges, the routing RNG
-    /// stream and each peer's rows and row ids are those of storing every
-    /// copy as it arrives, however the corpus is cut into calls.
+    /// The copies are staged in triple order and every touched `DB_p`
+    /// is bulk-loaded once per call: each peer's rows and row ids are
+    /// those of storing every copy as it arrives, however the corpus is
+    /// cut into calls. Only the messages depend on the cut.
     ///
     /// A triple is placed under all three keys or under none. On `Err`
-    /// at some triple, every earlier triple of the call is fully stored,
-    /// that one is stored nowhere it was not already (what its routes
-    /// cost stays charged), and later ones are untouched.
+    /// at some triple — the first with a key the tree could not route —
+    /// every earlier triple of the call is fully stored, that one and
+    /// the later ones are stored nowhere they were not already (what
+    /// the tree cost stays charged), and the error is that key's.
     ///
     /// A triple a [`place::PlacementPolicy`] rule covers is loaded
     /// before its placement hook runs — provisioning copies out of the
@@ -841,53 +851,61 @@ impl GridVineSystem {
         origin: PeerId,
         triples: impl IntoIterator<Item = Triple>,
     ) -> Result<usize, SystemError> {
+        // The call's distinct leaf prefixes, and per triple the slots of
+        // its three keys' prefixes among them. (Collecting the triples
+        // alone reuses a `Vec` argument's buffer.)
+        let depth = self.overlay.max_path_len();
+        let mut prefixes: Vec<BitString> = Vec::new();
+        let mut slot_of: HashMap<BitString, u32> = HashMap::new();
+        let triples = triples.into_iter();
+        let mut slots: Vec<[u32; 3]> = Vec::with_capacity(triples.size_hint().0);
+        let triples: Vec<Triple> = triples
+            .inspect(|t| {
+                slots.push(self.keyspace().triple_keys(t).map(|key| {
+                    let slot = u32::try_from(prefixes.len()).expect("fewer than 2^32 trie leaves");
+                    *slot_of
+                        .entry(key.prefix(depth.min(key.len())))
+                        .or_insert_with_key(|prefix| {
+                            prefixes.push(prefix.clone());
+                            slot
+                        })
+                }));
+            })
+            .collect();
+        let dests = self
+            .overlay
+            .route_updates(origin, &prefixes, &mut self.update_rng);
         let mut stage = TripleStage::default();
-        let placed = triples.into_iter().try_fold(0, |n, t| {
-            self.stage_triple(origin, &t, &mut stage).map(|()| n + 1)
+        let placed = triples.into_iter().zip(slots).try_fold(0, |n, (t, slots)| {
+            // Every key routed, or the triple is stored nowhere.
+            let [s, p, o] = slots.map(|slot| dests[slot as usize].clone());
+            let holders = [s?, p?, o?];
+            let t = self.lexicon.canonical_triple(&t);
+            let covered = self.place.policy.covers(&t);
+            if covered {
+                // The next flush then reports this triple's copies alone.
+                stage.flush(&mut self.local_dbs);
+            }
+            stage.push(
+                t.clone(),
+                holders.iter().flat_map(|&dest| {
+                    std::iter::once(dest).chain(self.overlay.view(dest).replicas.iter().copied())
+                }),
+            );
+            if covered {
+                let gained = stage.flush(&mut self.local_dbs);
+                let keys = self.keyspace().triple_keys(&t);
+                if let Err(e) = self.place_triple(origin, &t, &keys) {
+                    for peer in gained {
+                        self.local_dbs[peer.index()].remove(&t);
+                    }
+                    return Err(e);
+                }
+            }
+            Ok(n + 1)
         });
         stage.flush(&mut self.local_dbs);
         placed
-    }
-
-    /// One `Update(t)` of [`GridVineSystem::insert_triples`]: route and
-    /// charge the three keys, then stage the copies.
-    fn stage_triple(
-        &mut self,
-        origin: PeerId,
-        t: &Triple,
-        stage: &mut TripleStage,
-    ) -> Result<(), SystemError> {
-        let t = self.lexicon.canonical_triple(t);
-        let keys = self.keyspace().triple_keys(&t);
-        // Every key is routed before any copy is staged: all or nothing.
-        let mut dests = [origin; 3];
-        for (dest, key) in dests.iter_mut().zip(&keys) {
-            *dest = self
-                .overlay
-                .update_placement(origin, key, &mut self.rng)?
-                .destination;
-        }
-        let covered = self.place.policy.covers(&t);
-        if covered {
-            // The next flush then reports this triple's copies alone.
-            stage.flush(&mut self.local_dbs);
-        }
-        stage.push(
-            t.clone(),
-            dests.iter().flat_map(|&dest| {
-                std::iter::once(dest).chain(self.overlay.view(dest).replicas.iter().copied())
-            }),
-        );
-        if covered {
-            let gained = stage.flush(&mut self.local_dbs);
-            if let Err(e) = self.place_triple(origin, &t, &keys) {
-                for peer in gained {
-                    self.local_dbs[peer.index()].remove(&t);
-                }
-                return Err(e);
-            }
-        }
-        Ok(())
     }
 
     /// `Update(Schema)` — store the definition at `Hash(Schema Name)`.

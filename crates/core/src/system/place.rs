@@ -414,7 +414,8 @@ impl GridVineSystem {
     }
 
     /// Commit replicas until `key` has `rule.factor` holders (or no
-    /// live non-holder remains). Every new holder that gains `t` — the
+    /// non-holder is live at [`GridVineSystem::now`], the instant the
+    /// insert is made). Every new holder that gains `t` — the
     /// triple being placed, which the copy includes — is added to
     /// `gained`.
     fn ensure_factor(
@@ -430,7 +431,7 @@ impl GridVineSystem {
             if holders.len() >= rule.factor {
                 return Ok(());
             }
-            let Some((_, target)) = self.best_new_holder(origin, &holders) else {
+            let Some((_, target)) = self.best_new_holder(origin, &holders, self.now()) else {
                 return Ok(());
             };
             let had = self.local_dbs[target.index()].contains(t);
@@ -550,7 +551,7 @@ impl GridVineSystem {
         let action = if within_target {
             SpikeAction::Hold
         } else {
-            match self.best_new_holder(origin, &holders) {
+            match self.best_new_holder(origin, &holders, at) {
                 Some((d, to)) if best_current.is_none_or(|b| d < b) => {
                     // Allow at least one heat-driven extra even when the
                     // factor is within the natural σ-group size.
@@ -598,16 +599,16 @@ impl GridVineSystem {
         });
     }
 
-    /// The cheapest live non-holder from `origin`, ties broken by peer
-    /// index. Expected latency is computed for **every** non-holder
-    /// before liveness filtering so the model stream stays independent
-    /// of the crash/churn state.
+    /// The cheapest non-holder from `origin` that is live at `at`, ties
+    /// broken by peer index. Expected latency is computed for **every**
+    /// non-holder before liveness filtering so the model stream stays
+    /// independent of the crash/churn state.
     fn best_new_holder(
         &mut self,
         origin: PeerId,
         holders: &[PeerId],
+        at: SimTime,
     ) -> Option<(SimDuration, PeerId)> {
-        let at = self.proto.now;
         let mut best: Option<(SimDuration, u32)> = None;
         for i in 0..self.config.peers {
             let p = PeerId::from_index(i);

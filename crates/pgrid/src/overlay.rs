@@ -7,7 +7,10 @@
 //! private views — never by consulting global state — so the message
 //! counts reported here are exactly what the distributed protocol in
 //! [`crate::proto`] generates; the event-driven variant additionally
-//! charges wall-clock latency.
+//! charges wall-clock latency. The one exception is
+//! [`Overlay::route_updates`], which routes a batch of keys as one
+//! update tree: it has no twin in [`crate::proto`], whose updates
+//! travel one key per message.
 
 use crate::bits::BitString;
 use crate::store::{Store, UpdateOp};
@@ -98,6 +101,11 @@ impl<V: Clone + PartialEq> Overlay<V> {
         self.views.is_empty()
     }
 
+    /// The longest peer path: a route reads no more bits of a key.
+    pub fn max_path_len(&self) -> usize {
+        self.max_path_len
+    }
+
     /// Total overlay messages consumed by all operations so far.
     pub fn messages_sent(&self) -> u64 {
         self.messages_sent
@@ -183,23 +191,72 @@ impl<V: Clone + PartialEq> Overlay<V> {
         Ok(route)
     }
 
-    /// Route an `Update` to its destination and charge the replica
-    /// propagation messages **without storing anything** — for callers
-    /// that maintain the destination-side state themselves (e.g. the
-    /// mediation layer's indexed per-peer databases). The route taken,
-    /// the destination and the message accounting are exactly those of
-    /// [`Overlay::update`]; only the bucket write is elided.
-    pub fn update_placement<R: Rng + ?Sized>(
+    /// Route a batch of `Update`s issued at `origin` as one update tree
+    /// and charge it, **without storing anything** — for callers that
+    /// keep the destination-side state themselves (the mediation
+    /// layer's per-peer databases). Prefix routing splits the batch
+    /// where its keys part: a peer keeps the keys it is responsible
+    /// for and sends each forwarding level's group on in one message to
+    /// one reference at that level; a peer that keeps keys propagates
+    /// them to each of its replicas in one message. Every edge enters a
+    /// disjoint subtree, so each peer receives at most one message: a
+    /// call charges at most `len() - 1`, one per peer but the origin.
+    ///
+    /// Returns each key's destination. A group that meets a hole (or
+    /// the hop budget) fails its keys alone; the rest of the tree goes
+    /// on, and what it cost stays charged. A batch of one key draws,
+    /// lands and charges exactly as [`Overlay::update`].
+    pub fn route_updates<R: Rng + ?Sized>(
         &mut self,
         origin: PeerId,
-        key: &BitString,
+        keys: &[BitString],
         rng: &mut R,
-    ) -> Result<Route, RouteError> {
-        let route = self.route(origin, key, rng)?;
-        if self.replicate {
-            self.messages_sent += self.views[route.destination.index()].replicas.len() as u64;
+    ) -> Vec<Result<PeerId, RouteError>> {
+        let budget = 2 * self.max_path_len + 8;
+        let mut out = vec![Ok(origin); keys.len()];
+        // (peer, edges walked to reach it, the keys it received)
+        let mut pending = vec![(origin, 0, (0..keys.len()).collect::<Vec<_>>())];
+        while let Some((peer, edges, group)) = pending.pop() {
+            let view = &self.views[peer.index()];
+            let mut by_level = vec![Vec::new(); view.path.len()];
+            let mut kept = false;
+            for i in group {
+                match view.forwarding_level(&keys[i]) {
+                    None => {
+                        out[i] = Ok(peer);
+                        kept = true;
+                    }
+                    Some(level) => by_level[level].push(i),
+                }
+            }
+            if kept && self.replicate {
+                self.messages_sent += view.replicas.len() as u64;
+            }
+            for (level, group) in by_level.into_iter().enumerate() {
+                if group.is_empty() {
+                    continue;
+                }
+                let candidates = view.refs.get(level).map(Vec::as_slice).unwrap_or(&[]);
+                let error = match candidates.choose(rng).copied() {
+                    None => RouteError::NoRoute {
+                        at_peer: peer,
+                        level,
+                    },
+                    Some(next) => {
+                        self.messages_sent += 1;
+                        if edges + 1 < budget {
+                            pending.push((next, edges + 1, group));
+                            continue;
+                        }
+                        RouteError::TooManyHops { budget }
+                    }
+                };
+                for i in group {
+                    out[i] = Err(error.clone());
+                }
+            }
         }
-        Ok(route)
+        out
     }
 
     /// `Retrieve(key)` issued at `origin`: route and return the values
@@ -423,10 +480,10 @@ mod tests {
     }
 
     #[test]
-    fn update_placement_charges_like_update_but_stores_nothing() {
-        // Two identically seeded overlays: `update` and
-        // `update_placement` must consume identical messages and land on
-        // the same destination; only the bucket write differs.
+    fn a_batch_of_one_key_routes_like_update_but_stores_nothing() {
+        // Two identically seeded overlays: `update` and a one-key
+        // `route_updates` must draw, land and charge alike; only the
+        // bucket write differs.
         let mut r1 = rng();
         let mut r2 = rng();
         let topo = Topology::balanced(24, 2, &mut rng());
@@ -438,10 +495,11 @@ mod tests {
             let a = stored
                 .update(PeerId(5), UpdateOp::Insert, key.clone(), "x", &mut r1)
                 .unwrap();
-            let b = routed.update_placement(PeerId(5), &key, &mut r2).unwrap();
-            assert_eq!(a.destination, b.destination);
+            let b = routed.route_updates(PeerId(5), &[key], &mut r2);
+            assert_eq!(b, [Ok(a.destination)]);
+            assert_eq!(stored.messages_sent(), routed.messages_sent());
         }
-        assert_eq!(stored.messages_sent(), routed.messages_sent());
+        assert_eq!(r1.gen::<u64>(), r2.gen::<u64>(), "the same draws");
         assert!((0..24).all(|i| routed.store(PeerId::from_index(i)).is_empty()));
         assert!((0..24).any(|i| !stored.store(PeerId::from_index(i)).is_empty()));
     }
@@ -589,6 +647,33 @@ mod proptests {
             let route = o.route(origin, &key, &mut rng).expect("balanced grid always routes");
             prop_assert!(o.view(route.destination).is_responsible(&key));
             prop_assert!(route.messages() as usize <= topo.depth() + 1);
+        }
+
+        /// An update tree delivers every key to a peer responsible for
+        /// it, and one call charges at most one message per peer other
+        /// than the origin — with or without σ replicas.
+        #[test]
+        fn an_update_tree_reaches_every_key_within_one_message_per_peer(
+            n in prop_oneof![Just(12usize), Just(64usize), Just(340usize)],
+            seed in 0u64..30,
+            words in proptest::collection::vec("[ -~]{0,12}", 0..300),
+            replicate in any::<bool>(),
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let topo = Topology::balanced(n, 2, &mut rng);
+            let mut o: Overlay<u8> = Overlay::new(&topo);
+            if !replicate {
+                o = o.without_replication();
+            }
+            let h = HashKind::Uniform.build();
+            let keys: Vec<BitString> = words.iter().map(|w| h.hash(w, 24)).collect();
+            let origin = PeerId::from_index(seed as usize % n);
+            let out = o.route_updates(origin, &keys, &mut rng);
+            for (key, dest) in keys.iter().zip(&out) {
+                let dest = dest.clone().expect("a balanced grid always routes");
+                prop_assert!(o.view(dest).is_responsible(key));
+            }
+            prop_assert!(o.messages_sent() < n as u64);
         }
 
         /// Insert/retrieve round-trips for arbitrary words across sizes.

@@ -546,7 +546,8 @@ fn reformulated_dissemination_survives_message_loss() {
 /// stored (no rollback needed — copies are staged only once every key
 /// routed), the call's earlier triples are stored in full and its later
 /// ones are untouched. The hole is one emptied routing-table level at
-/// the origin, over an otherwise balanced topology.
+/// the origin, then one at a peer inside the update tree, over an
+/// otherwise balanced topology.
 #[test]
 fn a_routing_failure_places_a_triple_under_all_its_keys_or_none() {
     const PEERS: usize = 16;
@@ -611,4 +612,39 @@ fn a_routing_failure_places_a_triple_under_all_its_keys_or_none() {
     let committed = copies(&sys, &lost_p);
     assert_eq!(sys.insert_triple(origin, lost_p.clone()), Err(no_route));
     assert_eq!(copies(&sys, &lost_p), committed);
+
+    // The same contract with the hole inside the update tree: the
+    // origin's level-0 group goes to one peer, whose level-1 references
+    // are gone. The keys behind it fail; its sibling groups — kept
+    // there or sent on at a deeper level — route in the same call.
+    let mut routing: Vec<Vec<Vec<PeerId>>> =
+        peers().map(|p| balanced.topology().view(p).refs).collect();
+    let inner = routing[origin.index()][HOLE][0];
+    routing[origin.index()][HOLE].truncate(1);
+    routing[inner.index()][1].clear();
+    let paths = peers().map(|p| balanced.topology().path(p).clone());
+    let holed = Topology::from_paths_and_routing(paths.collect(), routing);
+    let mut sys = GridVineSystem::with_topology(balanced.config().clone(), holed);
+    let via_inner =
+        |sys: &GridVineSystem, l: &str| sys.topology().view(inner).forwarding_level(&sys.key_of(l));
+    let (behind, routed): (Vec<String>, Vec<String>) = (0..64)
+        .map(|i| format!("lex{i}"))
+        .partition(|l| via_inner(&sys, l) == Some(1));
+    let siblings: Vec<&String> = routed
+        .iter()
+        .filter(|l| view.forwarding_level(&sys.key_of(l)) == Some(HOLE))
+        .collect();
+    assert!(!behind.is_empty() && siblings.len() >= 4);
+    let whole = triple(siblings[0], &routed[0], siblings[1]);
+    let lost_o = triple(siblings[2], &routed[1], &behind[0]);
+    let later = triple(siblings[3], &routed[2], &routed[3]);
+    let no_route = SystemError::Route(RouteError::NoRoute {
+        at_peer: inner,
+        level: 1,
+    });
+    let batch = [whole.clone(), lost_o.clone(), later.clone()];
+    assert_eq!(sys.insert_triples(origin, batch), Err(no_route));
+    assert!(fully_stored(&sys, &whole), "sibling groups route");
+    assert_eq!(copies(&sys, &lost_o), 0, "not even under its subject");
+    assert_eq!(copies(&sys, &later), 0, "later triples are untouched");
 }

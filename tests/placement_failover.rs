@@ -395,6 +395,45 @@ fn a_failed_second_fan_out_takes_back_the_first_keys_copies() {
     }
 }
 
+/// An insert judges a new replica holder's liveness at `now()`, the
+/// instant it is made — not at the send instant of the last unit a
+/// session issued, which a drained session leaves behind `now()`. The
+/// best candidate churns down in between and is passed over.
+#[test]
+fn an_insert_judges_a_new_holder_live_at_now() {
+    let seed = 11;
+    let subject = "seq:R9";
+    let owners = replicated_system(PlacementPolicy::default(), seed)
+        .replica_holders(subject)
+        .len();
+    let policy = PlacementPolicy::new().replicate("seq:R9", owners + 1);
+    let mut sys = replicated_system(policy, seed);
+    let holders = sys.replica_holders(subject);
+    assert_eq!(holders.len(), owners, "nothing provisioned yet");
+    // Under the flat model every other peer is equally far from an
+    // owner, so the best candidate is the first non-holder.
+    let origin = holders[0];
+    let candidate = outside_origin(&holders);
+
+    sys.execute(origin, &QueryPlan::search(data_query()), &options(1))
+        .unwrap();
+    let now = sys.now();
+    assert!(now > SimTime::ZERO);
+    sys.install_churn(&[ChurnEvent {
+        at: now,
+        node: gridvine_netsim::NodeId::from_index(candidate.index()),
+        kind: gridvine_netsim::churn::ChurnKind::Fail,
+    }]);
+    sys.insert_triple(
+        origin,
+        Triple::new(subject, "S0#a0", Term::literal("Aspergillus oryzae")),
+    )
+    .unwrap();
+    let extra = sys.replica_holders(subject)[owners];
+    assert_ne!(extra, candidate, "the churned candidate was passed over");
+    assert!(!sys.churn_down_at(extra, sys.now()));
+}
+
 /// A correlated churn storm over a replicated predicate sheds no
 /// sessions in the open-loop driver: every submitted session completes
 /// (the retry protocol and replica failover ride out the outages), and
