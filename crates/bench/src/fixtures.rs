@@ -1,18 +1,15 @@
-//! The federations more than one experiment runs on, and their
-//! queries.
+//! The federations the claims run on, and their queries.
 //!
 //! Each builder performs its inserts in one fixed order: every insert
 //! routes through the overlay and draws from the system's routing RNG,
-//! so the order is part of what a seed means. A binary varies a
-//! federation through the [`GridVineConfig`] it passes (peers, seed,
-//! latency model, fault processes), never through the insert sequence.
+//! so the order is part of what a seed means. A claim varies a
+//! federation through the [`GridVineConfig`] it passes (peers, seed),
+//! never through the insert sequence.
 
-use gridvine_core::{GridVineConfig, GridVineSystem, QueryOptions, Strategy};
+use gridvine_core::{GridVineConfig, GridVineSystem};
 use gridvine_pgrid::PeerId;
 use gridvine_rdf::{PatternTerm, Term, Triple, TriplePattern, TriplePatternQuery};
-use gridvine_semantic::{
-    Correspondence, MappingId, MappingKind, MappingStatus, Provenance, Schema,
-};
+use gridvine_semantic::{Correspondence, MappingId, MappingKind, Provenance, Schema};
 use gridvine_workload::Workload;
 
 /// A chain of `len` equivalence mappings `S0 → S1 → … → S{len}`: schema
@@ -51,81 +48,6 @@ fn record(sys: &mut GridVineSystem, subject: String, predicate: String, value: &
     sys.insert_triple(PeerId(0), triple).unwrap();
 }
 
-/// Schemas in a [`ring`].
-pub const RING: usize = 5;
-
-/// A ring of [`RING`] equivalence mappings `S0 → S1 → … → S4 → S0` for
-/// the semantic-adversary experiments. Each schema has two attributes
-/// (so a corrupted copy has a permutation to make), one record under
-/// `a{i}` and two decoys under `b{i}`: a mapping that mistranslates the
-/// query predicate onto the b-attribute shadows one correct row but
-/// pulls in two decoys, so the damage shows in the row *count* of
-/// [`ring_query`] — the fraction drifts above 1.000.
-pub fn ring(config: GridVineConfig) -> GridVineSystem {
-    let mut sys = GridVineSystem::new(config);
-    let p0 = PeerId(0);
-    for i in 0..RING {
-        sys.insert_schema(
-            p0,
-            Schema::new(format!("S{i}").as_str(), [format!("a{i}"), format!("b{i}")]),
-        )
-        .unwrap();
-        record(
-            &mut sys,
-            format!("seq:R{i}"),
-            format!("S{i}#a{i}"),
-            "target-value",
-        );
-        for d in ["D", "E"] {
-            record(
-                &mut sys,
-                format!("seq:{d}{i}"),
-                format!("S{i}#b{i}"),
-                "target-decoy",
-            );
-        }
-    }
-    for i in 0..RING {
-        let j = (i + 1) % RING;
-        sys.insert_mapping(
-            p0,
-            format!("S{i}").as_str(),
-            format!("S{j}").as_str(),
-            MappingKind::Equivalence,
-            Provenance::Manual,
-            vec![
-                Correspondence::new(format!("a{i}"), format!("a{j}")),
-                Correspondence::new(format!("b{i}"), format!("b{j}")),
-            ],
-        )
-        .unwrap();
-    }
-    sys
-}
-
-/// A [`ring`] plus a *deprecated* wrong shortcut `S0 → S2` that swaps
-/// the attributes: stale gossip has a candidate to resurrect, and the
-/// resurrected edge reaches `S2` before the correct two-hop path does.
-pub fn ring_with_retired_shortcut(config: GridVineConfig) -> GridVineSystem {
-    let mut sys = ring(config);
-    let p0 = PeerId(0);
-    let decoy = sys
-        .insert_mapping(
-            p0,
-            "S0",
-            "S2",
-            MappingKind::Equivalence,
-            Provenance::Automatic,
-            vec![
-                Correspondence::new("a0", "b2"),
-                Correspondence::new("b0", "a2"),
-            ],
-        )
-        .unwrap();
-    sys.deprecate_mapping(p0, decoy).unwrap();
-    sys
-}
-
 /// A system holding a generated workload — every schema, then every
 /// schema's triples — and no mapping yet; with the triples stored.
 pub fn publish(config: GridVineConfig, workload: &Workload) -> (GridVineSystem, usize) {
@@ -159,68 +81,33 @@ pub fn correct_mapping(
         .unwrap()
 }
 
-/// `SearchFor(?x : (?x, <predicate>, "object"))`.
-pub fn search_for(predicate: &str, object: &str) -> TriplePatternQuery {
+/// The [`chain`]'s records, asked in `S0`'s vocabulary:
+/// `SearchFor(?x : (?x, <S0#a0>, "target-value"))`.
+pub fn chain_query() -> TriplePatternQuery {
     TriplePatternQuery::new(
         "x",
         TriplePattern::new(
             PatternTerm::var("x"),
-            PatternTerm::constant(Term::uri(predicate)),
-            PatternTerm::constant(Term::literal(object)),
+            PatternTerm::constant(Term::uri("S0#a0")),
+            PatternTerm::constant(Term::literal("target-value")),
         ),
     )
     .unwrap()
 }
 
-/// The [`chain`]'s records, asked in `S0`'s vocabulary.
-pub fn chain_query() -> TriplePatternQuery {
-    search_for("S0#a0", "target-value")
-}
-
-/// The [`ring`]'s records, asked in `S0`'s vocabulary — as a prefix,
-/// so a mistranslated hop matches the decoys too.
-pub fn ring_query() -> TriplePatternQuery {
-    search_for("S0#a0", "target%")
-}
-
-/// What the robustness experiments query with: the origin walks the
-/// mapping network itself, four subqueries in flight. A binary adds its
-/// retry budget.
-pub fn options() -> QueryOptions {
-    QueryOptions::new().strategy(Strategy::Iterative).window(4)
-}
-
-/// Mappings the assessment passes have quarantined so far.
-pub fn quarantined(sys: &GridVineSystem) -> usize {
-    let mappings = sys.registry().mappings();
-    mappings
-        .filter(|m| m.status == MappingStatus::Quarantined)
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridvine_core::QueryPlan;
-
-    fn rows(sys: &mut GridVineSystem, query: TriplePatternQuery) -> usize {
-        let out = sys.execute(PeerId(3), &QueryPlan::search(query), &options());
-        out.unwrap().rows.len()
-    }
+    use gridvine_core::{QueryOptions, QueryPlan, Strategy};
 
     #[test]
-    fn a_query_finds_one_record_per_schema() {
-        let chain = &mut chain(GridVineConfig::default(), 3);
-        assert_eq!(rows(chain, chain_query()), 4);
-        let check = |sys: &mut GridVineSystem, stored: usize| {
-            assert_eq!(rows(sys, ring_query()), RING);
-            assert_eq!(rows(sys, search_for("S0#b0", "target%")), 2 * RING);
-            assert_eq!(sys.registry().active_count(), RING);
-            assert_eq!(sys.registry().mappings().count(), stored);
-            assert_eq!(quarantined(sys), 0);
-        };
-        check(&mut ring(GridVineConfig::default()), RING);
-        let retired = &mut ring_with_retired_shortcut(GridVineConfig::default());
-        check(retired, RING + 1);
+    fn a_chain_query_finds_one_record_per_schema() {
+        let mut sys = chain(GridVineConfig::default(), 3);
+        let plan = QueryPlan::search(chain_query());
+        for strategy in [Strategy::Iterative, Strategy::Recursive] {
+            let options = QueryOptions::new().strategy(strategy);
+            let out = sys.execute(PeerId(3), &plan, &options).unwrap();
+            assert_eq!(out.rows.len(), 4);
+        }
     }
 }

@@ -1,23 +1,12 @@
 //! # gridvine-bench
 //!
-//! Experiment harness for the GridVine reproduction: one `exp_*`
-//! binary per figure or claim of the paper (the root `README.md` holds
-//! the index). A binary owns its sweep axes, its measurement, its table
-//! and its "expected shape" text; what they share lives here:
+//! The paper's claims, checked: the one binary, `paper_claims`, runs
+//! each paper-facing measurement at fixed sizes and seeds and prints
+//! one JSON line per claim — the quoted sentence, the measured value, a
+//! tolerance and a verdict (the root `README.md` lists the claims and
+//! how to read a row). [`fixtures`] holds the federations it builds.
 //!
-//! * [`fixtures`] — the chain and ring federations several experiments
-//!   run on, with their queries;
-//! * [`args`] — positional argument parsing (defaults, usage line,
-//!   exit status 2 on a value that does not parse);
-//! * [`table`] — aligned text tables, so every run prints uniform,
-//!   diff-able output.
-//!
-//! Every binary is deterministic for fixed arguments;
-//! `scripts/transcripts.sh` runs them all twice and compares.
+//! The program is deterministic; `scripts/transcripts.sh` runs it
+//! twice and compares, and fails on its non-zero exit.
 
-pub mod args;
 pub mod fixtures;
-pub mod table;
-
-pub use args::Args;
-pub use table::{f, Table};

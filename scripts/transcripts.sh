@@ -1,18 +1,17 @@
 #!/bin/sh
-# Transcript determinism of every experiment binary and example.
+# Transcript determinism of the claims program and every example.
 #
 #   scripts/transcripts.sh [--parent <rev>]
 #
 # Builds the workspace's binaries and examples once in release, runs
-# every `exp_*` binary of crates/bench and every example twice at its
-# default arguments, straight from the target directory, and compares
-# the two stdouts byte for byte: all of them are seeded, so a program
-# that prints two different transcripts has picked up a source of
-# nondeterminism (hash-map iteration order, wall-clock time, a thread
-# race). The self-asserting ones (exp_r2_duplication_storm,
-# exp_l1_arrival_sweep, exp_a4_join_mode, ...) also fail here when an
-# invariant they check breaks. One `same` / `DIFF` / `FAIL` line per
-# program.
+# `paper_claims` (crates/bench) and every example twice, straight from
+# the target directory, and compares the two stdouts byte for byte: all
+# of them are seeded, so a program that prints two different
+# transcripts has picked up a source of nondeterminism (hash-map
+# iteration order, wall-clock time, a thread race). `paper_claims`
+# exits non-zero when a claim deviates without a recorded reason (or
+# keeps a reason after it holds again), so that fails here too. One
+# `same` / `DIFF` / `FAIL` line per program.
 #
 # With --parent <rev> it also exports <rev> (a `git archive`), builds it
 # the same way and reports, per program, whether this tree's transcript
@@ -52,7 +51,7 @@ run_all() { # <target dir> <out dir>
     done
 }
 
-programs=$(cd "$root" && for f in crates/bench/src/bin/exp_*.rs examples/*.rs; do
+programs=$(cd "$root" && for f in crates/bench/src/bin/*.rs examples/*.rs; do
     case $f in
     examples/*) echo "examples/$(basename "$f" .rs)" ;;
     *) basename "$f" .rs ;;

@@ -640,6 +640,68 @@ fn a_bound_value_with_a_percent_sign_is_matched_exactly() {
     }
 }
 
+/// The two join modes on a selective ∧ unselective pair over `n`
+/// entities, the first `selective` of them Aspergillus: the same rows
+/// in both modes; while the corpus grows, independent ships more and
+/// everything about bound substitution stays flat; and once the
+/// selective side is the whole corpus, what bound's requests carry and
+/// its replies ship outweighs the independent sweep, with one batch
+/// factor (20 terms a message) for both directions.
+#[test]
+fn bound_substitution_stays_flat_until_the_selective_side_is_the_corpus() {
+    let q =
+        parse_query(r#"SELECT ?x, ?len WHERE (?x, <S#a0>, "%Aspergillus%"), (?x, <S#a1>, ?len)"#)
+            .unwrap();
+    let run = |n: usize, selective: usize| {
+        let triples: Vec<Triple> = (0..n)
+            .flat_map(|i| {
+                let subject = format!("e:{i:05}");
+                let organism = if i < selective {
+                    format!("Aspergillus strain {i}")
+                } else {
+                    format!("Escherichia coli K-{i}")
+                };
+                let length = format!("{}", 400 + (i * 37) % 3000);
+                [
+                    Triple::new(subject.as_str(), "S#a0", Term::literal(organism)),
+                    Triple::new(subject.as_str(), "S#a1", Term::literal(length)),
+                ]
+            })
+            .collect();
+        let (mut sys, _) = single_schema_system(&triples);
+        let mut outcome =
+            |mode| search_conjunctive(&mut sys, PeerId(1), &q, Strategy::Iterative, mode);
+        let (ind, bnd) = (
+            outcome(JoinMode::Independent),
+            outcome(JoinMode::BoundSubstitution),
+        );
+        assert_eq!(
+            rows(&ind),
+            rows(&bnd),
+            "{n} entities, {selective} selective"
+        );
+        assert_eq!(ind.rows.len(), selective);
+        assert_eq!(ind.stats.bindings_carried, 0, "no column, nothing carried");
+        let cost = |s: &gridvine_core::ExecStats| {
+            s.messages as f64 + (s.bindings_shipped + s.bindings_carried) as f64 / 20.0
+        };
+        (ind.stats, bnd.stats, cost(&ind.stats) > cost(&bnd.stats))
+    };
+    let (small_ind, small_bnd, bound_wins) = run(50, 8);
+    assert!(bound_wins);
+    let (large_ind, large_bnd, bound_wins) = run(200, 8);
+    assert!(bound_wins);
+    assert!(large_ind.bindings_shipped > small_ind.bindings_shipped);
+    let flat = |s: gridvine_core::ExecStats| (s.messages, s.bindings_shipped, s.bindings_carried);
+    assert_eq!(flat(large_bnd), flat(small_bnd));
+    let (_, all_bnd, bound_wins) = run(200, 200);
+    assert_eq!(all_bnd.messages, large_bnd.messages);
+    assert!(
+        !bound_wins,
+        "the winner flips once every entity is selective"
+    );
+}
+
 // ---------------------------------------------------------------------
 // Property: distributed conjunctive evaluation == centralized oracle,
 // for random corpora and a random join query of a random shape.

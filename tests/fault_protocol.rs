@@ -252,10 +252,11 @@ fn asymmetric_link_faults_only_hit_the_configured_direction() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Reply duplication at rate 1.0: every unit's reply arrives twice,
-    /// the session drops the copies by request id — rows, messages and
-    /// the logical counters are identical to the fault-free run and
-    /// every duplicate is recorded.
+    /// Reply duplication at rate 1.0, in order and with half the
+    /// replies reordered by up to 20 ms: every unit's reply arrives
+    /// twice, the session drops the copies by request id — rows,
+    /// messages and the logical counters are identical to the
+    /// fault-free run and every duplicate is recorded.
     #[test]
     fn duplicate_replies_never_change_rows_or_charges(
         seed in 0u64..500,
@@ -263,14 +264,20 @@ proptest! {
     ) {
         let mut clean = chain_system(FaultConfig::none(), seed);
         let base = run(&mut clean, window, 3);
-        let mut dup = chain_system(FaultConfig::duplicating(1.0), seed);
-        let out = run(&mut dup, window, 3);
-        prop_assert_eq!(&out.rows, &base.rows);
-        prop_assert_eq!(out.stats.messages, base.stats.messages);
-        prop_assert_eq!(out.stats.subqueries, base.stats.subqueries);
-        prop_assert_eq!(out.stats.requests, base.stats.requests);
-        prop_assert!(out.stats.duplicates_dropped > 0, "stats: {:?}", out.stats);
-        prop_assert_eq!(dup.pending_events(), 0);
+        let reordered = FaultConfig {
+            duplication: 1.0,
+            ..FaultConfig::reordering(0.5, SimDuration::from_millis(20))
+        };
+        for cfg in [FaultConfig::duplicating(1.0), reordered] {
+            let mut dup = chain_system(cfg, seed);
+            let out = run(&mut dup, window, 3);
+            prop_assert_eq!(&out.rows, &base.rows);
+            prop_assert_eq!(out.stats.messages, base.stats.messages);
+            prop_assert_eq!(out.stats.subqueries, base.stats.subqueries);
+            prop_assert_eq!(out.stats.requests, base.stats.requests);
+            prop_assert!(out.stats.duplicates_dropped > 0, "stats: {:?}", out.stats);
+            prop_assert_eq!(dup.pending_events(), 0);
+        }
     }
 
     /// Send accounting: every send is the first attempt of a request or

@@ -98,6 +98,48 @@ fn drain(
         .collect()
 }
 
+/// A saturating Poisson stream from 5 origins under each budget and
+/// per-origin quota: every session lands in exactly one bucket, the
+/// report charges what the overlay carried, nothing is left queued, a
+/// budget shorter than some sessions cancels them, and a quota keeps
+/// completions fair across origins.
+#[test]
+fn budgets_and_quotas_leave_every_session_in_one_bucket() {
+    let plans = vec![QueryPlan::search(chain_query())];
+    let cases = [
+        (None, None, None),
+        (Some(SimDuration::from_millis(8)), None, None),
+        (None, Some(16), None),
+        (None, None, Some(2)),
+        (None, None, Some(1)),
+    ];
+    for (deadline, message_budget, origin_quota) in cases {
+        let mut sys = chain_system(2, FaultConfig::none(), 1);
+        let m0 = sys.messages_sent();
+        let cfg = LoadConfig {
+            sessions: 30,
+            arrivals: ArrivalProcess::Poisson { rate: 1000.0 },
+            origins: 5,
+            max_concurrent: 8,
+            origin_quota,
+            queue_capacity: 64,
+            deadline,
+            message_budget,
+            seed: 1,
+            ..LoadConfig::default()
+        };
+        let r = run_open_loop(&mut sys, &plans, &cfg);
+        assert_eq!(r.resolved(), r.submitted, "{r}");
+        assert_eq!(r.messages, sys.messages_sent() - m0);
+        assert_eq!(sys.pending_events(), 0);
+        assert_eq!(r.cancelled_deadline > 0, deadline.is_some(), "{r}");
+        assert_eq!(r.cancelled_budget > 0, message_budget.is_some(), "{r}");
+        if origin_quota.is_some() {
+            assert!(r.fairness() >= 0.95, "{r}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

@@ -213,6 +213,41 @@ fn failover_surcharge_lands_on_the_simulated_clock() {
     assert!(crashed > clean, "{crashed:?} crashed, {clean:?} clean");
 }
 
+/// Crashing a replica set's holders one at a time, lowest index first
+/// (the flat model's serving order) and never a schema-key owner:
+/// while any holder survives every row is delivered with no recorded
+/// failure; once none does, none is. Every send is a request or a
+/// retransmission of one throughout.
+#[test]
+fn every_row_is_served_while_any_holder_survives() {
+    let plan = QueryPlan::search(data_query());
+    for factor in [2, 3, 5] {
+        let policy = PlacementPolicy::new().replicate("S0#", factor);
+        let probe = replicated_system(policy.clone(), 0);
+        let holders = probe.replica_holders("S0#a0");
+        let owners = probe.replica_holders("S0");
+        let crashable: Vec<PeerId> = (holders.iter())
+            .filter(|p| !owners.contains(p))
+            .copied()
+            .collect();
+        let origin = outside_origin(&holders);
+        for down in 0..=crashable.len() {
+            let mut sys = replicated_system(policy.clone(), 0);
+            for &victim in &crashable[..down] {
+                sys.crash_peer(victim);
+            }
+            let out = sys.execute(origin, &plan, &options(4)).unwrap();
+            let s = out.stats;
+            assert_eq!(s.sends, s.requests + s.retransmits, "{s:?}");
+            if down < holders.len() {
+                assert_eq!((out.rows.len(), s.failures), (3, 0), "{down} down: {s:?}");
+            } else {
+                assert!(out.rows.is_empty(), "{s:?}");
+            }
+        }
+    }
+}
+
 /// A heat spike on a hot key pulls a replica onto the hot origin: under
 /// the flat latency model the origin itself is the cheapest non-holder
 /// (expected latency zero), so repeated reads replicate the data next

@@ -17,8 +17,8 @@ use gridvine_netsim::{SimDuration, SimTime};
 use gridvine_pgrid::PeerId;
 use gridvine_rdf::{PatternTerm, Term, Triple, TriplePattern, TriplePatternQuery};
 use gridvine_semantic::{
-    BayesConfig, Correspondence, MappingId, MappingKind, Provenance, Schema, SchemaId,
-    SemanticFaultConfig,
+    BayesConfig, Correspondence, MappingId, MappingKind, MappingStatus, Provenance, Schema,
+    SchemaId, SemanticFaultConfig,
 };
 use proptest::prelude::*;
 
@@ -349,5 +349,93 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// Mappings the assessment passes have quarantined so far.
+fn quarantined(sys: &GridVineSystem) -> usize {
+    let mappings = sys.registry().mappings();
+    mappings
+        .filter(|m| m.status == MappingStatus::Quarantined)
+        .count()
+}
+
+/// Stale and corrupted gossip, then the query after 0, 1 and 3
+/// assessment passes: a fault-free rate leaves exactly the ring's rows
+/// and quarantines nothing, a pass never adds rows, and within the
+/// bounded rate (0.2) a pass after an injection quarantines something.
+/// At that rate a churn storm over half the peers at the start changes
+/// nothing: the retry budget bridges it.
+/// Rows coming back to exactly the ring's is not asserted: past that
+/// rate a wrong copy can survive every pass.
+#[test]
+fn assessment_passes_never_add_rows_and_compose_with_a_storm() {
+    let bayes = BayesConfig::default();
+    for rate in [0.0, 0.2, 0.5] {
+        let trace = |storm: f64| {
+            let adversary = SemanticFaultConfig {
+                stale: rate,
+                corrupt: rate,
+                ..SemanticFaultConfig::none()
+            };
+            let mut sys = ring_system(adversary, 0);
+            let outage = SimDuration::from_millis(4);
+            let storm = ChurnProcess::storm(32, storm, SimTime::ZERO, outage, 0);
+            let events: Vec<ChurnEvent> = (storm.events().iter())
+                .filter(|e| e.node.index() != ORIGIN.index())
+                .copied()
+                .collect();
+            sys.install_churn(&events);
+            for _ in 0..6 {
+                sys.adversary_gossip(PeerId(0)).unwrap();
+            }
+            let counters = sys.semantic_fault_counters();
+            let injected = counters.stale + counters.corrupted;
+            // The query after 0, 1 and 3 passes in all.
+            [0, 1, 2].map(|more| {
+                for _ in 0..more {
+                    sys.assessment_pass(ORIGIN, &bayes).unwrap();
+                }
+                (run(&mut sys, 4).rows.len(), injected, quarantined(&sys))
+            })
+        };
+        let calm = trace(0.0);
+        if rate == 0.2 {
+            assert_eq!(trace(0.5), calm);
+        }
+        let [(none, injected, _), (one, _, isolated), (three, _, _)] = calm;
+        assert!(three <= one && one <= none, "rate {rate}: {calm:?}");
+        if rate == 0.0 {
+            assert_eq!(calm, [(RING, 0, 0); 3]);
+        }
+        if rate <= 0.2 && injected > 0 {
+            assert!(isolated > 0, "rate {rate}: {calm:?}");
+        }
+    }
+}
+
+/// Byzantine fabrication, then assessment passes: every cycle probe is
+/// one routed request, counted as an assessment probe, charged as
+/// overlay messages and paid for on the simulated clock; the rows stay
+/// the ring's.
+#[test]
+fn assessment_probes_are_charged_like_subqueries() {
+    let bayes = BayesConfig::default();
+    for seed in 0..2 {
+        let mut sys = ring_system(SemanticFaultConfig::byzantine(0.5, vec![0, 1]), seed);
+        for _ in 0..4 {
+            sys.adversary_gossip(PeerId(0)).unwrap();
+        }
+        assert!(sys.semantic_fault_counters().fabricated > 0);
+        for _ in 0..2 {
+            let before = sys.messages_sent();
+            let report = sys.assessment_pass(ORIGIN, &bayes).unwrap();
+            assert_eq!(sys.messages_sent() - before, report.stats.messages);
+            assert_eq!(report.stats.requests, report.cycles_probed);
+            let probes = report.stats.assessment_probes as usize;
+            assert_eq!(probes, report.cycles_probed);
+            assert!(report.elapsed > SimDuration::ZERO);
+        }
+        assert_eq!(run(&mut sys, 4).rows.len(), RING, "seed {seed}");
     }
 }
