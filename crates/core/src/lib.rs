@@ -20,9 +20,10 @@
 //! [`GridVineSystem::execute`](system::GridVineSystem::execute) is the
 //! blocking drain of such a session under [`exec::QueryOptions`]
 //! (strategy, join mode, TTL, result limit), returning a uniform
-//! [`exec::QueryOutcome`]. Repeated iterative plans over an unchanged
-//! mapping network replay an epoch-keyed reformulation-closure cache
-//! instead of re-walking the BFS.
+//! [`exec::QueryOutcome`]. Repeated closures over an unchanged mapping
+//! network, from any origin and under either strategy, replay an
+//! epoch-keyed reformulation-closure cache kept at the peer holding the
+//! origin schema's mapping list instead of re-walking the BFS.
 //!
 //! Two execution modes cover the paper's experiments:
 //!

@@ -62,7 +62,8 @@ pub struct GridVineConfig {
     /// Capacity of each peer's bounded LRU reformulation-closure cache
     /// (see [`sched`](self) and `gridvine_semantic::ClosureCache`): at
     /// most this many fully-expanded closures are retained per peer,
-    /// least-recently-used evicted first. Zero disables caching.
+    /// least-recently-used evicted first. A closure is kept by the peer
+    /// holding its origin schema's mapping list. Zero disables caching.
     pub closure_cache_capacity: usize,
     /// Message-fault process applied to the scheduler's
     /// subquery/reply exchanges (see [`sched`]): `loss` makes request
@@ -402,8 +403,8 @@ pub struct GridVineSystem {
     pub(crate) replies: EventQueue<sched::QueuedReply>,
     /// Per-peer execution state: the peer's bounded LRU
     /// reformulation-closure cache and its learned leaves (see
-    /// [`sched`]). The iterative strategy warms the origin's cache; the
-    /// recursive strategy warms the delegate peer's.
+    /// [`sched`]). A closure is cached at the peer holding its origin
+    /// schema's mapping list, for every origin and both strategies.
     exec: Vec<sched::PeerExecState>,
     /// Peers currently crashed by failure injection: routed requests
     /// whose destination is down are charged but never answered

@@ -77,18 +77,24 @@
 //! reply, or else *fetched* by one discovery, iterative or
 //! recursive — hops are popped depth-first, one per session pull, and
 //! expanded when popped, so early termination never pays for a
-//! discovery, and a walk that completes is committed to the per-peer
-//! epoch-keyed [`ClosureCache`](gridvine_semantic::ClosureCache) — the
-//! origin's, or the recursive delegate's — from which repeated closures
-//! are replayed ([`CachedHop::replay`]) with no discovery at all (see
-//! the session docs). The entry is committed once the unit whose
-//! expansion finished the walk has a completion instant, stamped with
-//! it, and a replay's hops are ready no earlier (see [`super::sched`]).
+//! discovery. A walk that completes is committed to the epoch-keyed
+//! [`ClosureCache`](gridvine_semantic::ClosureCache) of the peer that
+//! holds the origin schema's mapping list — the *holder*, which every
+//! walk of that schema reaches when it expands its origin hop — and a
+//! later walk from any origin, under either strategy, that finds the
+//! entry there replays its tail ([`CachedHop::replay`]) with no further
+//! discovery (see the session docs). An iterative origin that is not
+//! the holder sends the record in one direct message; it learned the
+//! holder's address from the reply that brought the list. The entry is
+//! committed once the unit whose expansion finished the walk has a
+//! completion instant, stamped with it, and a replay's hops are ready
+//! no earlier (see [`super::sched`]).
 //!
 //! **What rides.** The request a popped hop sends lists, after the
 //! hop's own pattern, every hop of the same issuing peer that is
-//! already queued: on a warm replay the rest of the recorded closure,
-//! on a live walk the frontier (a recursive walk changes issuer per
+//! already queued: on a warm replay the rest of the recorded tail (the
+//! origin hop went out on its own, before the cache was found), on a
+//! live walk the frontier (a recursive walk changes issuer per
 //! delegate, so only siblings share one). A predicate rewrite leaves a
 //! subject or object constant alone, so hops that route by one keep
 //! their key, and the order-preserving hash puts look-alike predicate
@@ -104,8 +110,9 @@
 //! routed to `Hash(S)` would read — and the hop keeps it until the walk
 //! pops and expands it: that expansion sends nothing. An iterative walk
 //! expands at the issuer; a recursive one makes the answering peer the
-//! issuer of the hops the list admits (and, at depth 0, the delegate
-//! whose cache is consulted), as a discovery landing there would.
+//! issuer of the hops the list admits, as a discovery landing there
+//! would; at depth 0, either way, the answering peer is the holder
+//! whose cache is consulted.
 //! Riding moves only *when a hop's rows and list arrive*. Which hops
 //! the walk reaches, the order it pops, records and expands them in,
 //! and what it commits to the cache are those of a walk in which
@@ -308,7 +315,9 @@ counters! {
     /// Execution counters shared by every plan shape.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
     pub struct ExecStats {
-        /// Overlay messages consumed.
+        /// Overlay messages consumed: every exchange's, plus one per
+        /// closure an iterative origin commits to another peer, the
+        /// holder (see the [module docs](self)), which is no request.
         pub messages: u64,
         /// Patterns resolved at a destination (original patterns,
         /// reformulations and bound-substituted instances all count; prefix
@@ -338,10 +347,12 @@ counters! {
         pub max_in_flight: usize,
         /// Mapping discoveries that went to the network: one per expanded
         /// hop whose data reply did not carry its schema's list (see the
-        /// [module docs](self)). Lists that rode a reply and warm cache
-        /// replays fetch nothing.
+        /// [module docs](self)). Lists that rode a reply fetch nothing,
+        /// and a warm cache replay nothing past the origin hop's list.
         pub mapping_fetches: usize,
-        /// Closure-cache lookups served from a coherent entry.
+        /// Closure-cache lookups served from a coherent entry: one per
+        /// walk that expands its origin hop, at the holder of the
+        /// origin schema's list; none for one that never does.
         pub cache_hits: usize,
         /// Closure-cache lookups that found no coherent entry.
         pub cache_misses: usize,
@@ -358,7 +369,8 @@ counters! {
         /// equality when no pattern rode and nothing failed. A request
         /// whose learned address was down and which was then routed
         /// counts twice, as a replica fail-over counts each holder it
-        /// tried.
+        /// tried. The message that commits a closure to its holder is
+        /// not a request.
         ///
         /// A session emits one
         /// [`ResultEvent::Stats`](super::session::ResultEvent) per unit,
@@ -566,7 +578,6 @@ impl Queued {
 
 /// What only a live walk carries, beside the frontier every sweep has.
 struct LiveWalk {
-    origin: PeerId,
     strategy: Strategy,
     ttl: usize,
     /// Schemas entered or queued so far (the loop-prevention set of
@@ -577,10 +588,12 @@ struct LiveWalk {
     /// The hop popped by the last `resolve_next` that has not been
     /// expanded yet.
     pending: Option<Queued>,
-    /// The intermediate peer that served the first recursive mapping
-    /// discovery — the peer whose cache a completed recursive walk
-    /// warms.
-    delegate: Option<PeerId>,
+    /// Who commits the record and where, known once the origin hop is
+    /// expanded: the peer that expanded it — the origin of an iterative
+    /// walk, the holder itself on a recursive one — and the *holder*,
+    /// the peer that held the origin schema's mapping list, whose cache
+    /// every walk of the schema reads.
+    commit: Option<(PeerId, PeerId)>,
     /// A discovery failed (crashed destination): the walk is missing a
     /// subtree, so the record must never be committed — a partial
     /// closure replayed as complete would silently drop rows even
@@ -600,14 +613,16 @@ struct LiveWalk {
 /// mapping lists starts from the origin hop, pushes what each expansion
 /// admits (depth-first: each reformulation chain is driven to its TTL
 /// before siblings) and records the hops it pops for the closure cache.
-/// A **warm replay** of a memoized closure starts with every recorded
-/// hop queued, in recorded order, issued by the origin (iterative) or
-/// by the delegate peer that memoized it (recursive), and discovers
-/// nothing. Either way the request a popped hop sends lists every
-/// queued hop of the same issuer, and those the destination answers
-/// send nothing of their own; on a live walk the reply also carries the
-/// lists the destination holds of the hops it answers, and their
-/// expansions send nothing either.
+/// When it expands the origin hop it looks in the cache of the peer
+/// holding that list; on a coherent entry the sweep becomes a **warm
+/// replay** of the recorded tail: every recorded hop past the origin's
+/// queued, in recorded order, issued by the origin (iterative) or by
+/// the holder (recursive), and nothing more discovered. Either way the
+/// request a popped hop sends lists every queued hop of the same
+/// issuer, and those the destination answers send nothing of their
+/// own; on a live walk the reply also carries the lists the destination
+/// holds of the hops it answers, and their expansions send nothing
+/// either.
 ///
 /// The sweep owns its patterns so session state can live in a
 /// [`SessionPool`](super::pool::SessionPool) that outlives the plan
@@ -712,55 +727,33 @@ pub(crate) fn charge_hop(stats: &mut ExecStats, depth: usize, instances: usize, 
 }
 
 impl ClosureSweep {
-    /// Start a sweep for one schema'd pattern. The **iterative**
-    /// strategy consults the *origin* peer's bounded cache here: a
-    /// coherent entry means a warm replay (no BFS, no mapping-list
-    /// retrieves). The **recursive** strategy cannot know its delegate
-    /// peer before the origin hop's list arrives, so its cache consult
-    /// happens inside [`ClosureSweep::expand_pending`] instead. Either
-    /// way exactly one lookup is charged per sweep
-    /// (`cache_hits`/`cache_misses`).
-    #[allow(clippy::too_many_arguments)] // one call site per consumer; a
-                                         // params struct would just rename the arguments
+    /// Start a live walk for one schema'd pattern from its origin hop.
+    /// Its cache lookup waits until it expands that hop and so knows
+    /// the holder ([`ClosureSweep::expand_pending`]).
     pub(crate) fn open(
-        sys: &mut GridVineSystem,
+        sys: &GridVineSystem,
         origin: PeerId,
         pattern: &TriplePattern,
         schema: SchemaId,
         attr: String,
         strategy: Strategy,
         ttl: usize,
-        stats: &mut ExecStats,
     ) -> ClosureSweep {
         let key = ClosureKey {
             schema: schema.clone(),
             attr,
             ttl,
         };
-        let mut frontier = Frontier::default();
-        if strategy == Strategy::Iterative {
-            let epoch = sys.registry.epoch();
-            if let Some((hops, stamp)) = sys.exec[origin.index()].cache.lookup(epoch, &key) {
-                stats.cache_hits += 1;
-                frontier.replay(sys, pattern, &hops, origin);
-                return ClosureSweep {
-                    frontier,
-                    live: None,
-                    stamp,
-                };
-            }
-            stats.cache_misses += 1;
-        }
         let live = Box::new(LiveWalk {
-            origin,
             strategy,
             ttl,
             visited: BTreeSet::from([schema.clone()]),
             record: (key, Vec::new()),
             pending: None,
-            delegate: None,
+            commit: None,
             tainted: false,
         });
+        let mut frontier = Frontier::default();
         let hop = Hop::origin(schema, pattern.clone());
         frontier.push(sys, hop, origin, 0 < ttl);
         ClosureSweep {
@@ -907,19 +900,21 @@ impl ClosureSweep {
     /// admit the newly reachable schemas (a no-op on warm replays — the
     /// recorded closure already is the expansion). An iterative walk
     /// expands at the issuer; a recursive one makes the peer that held
-    /// the list the issuer of the hops it admits. When the walk
-    /// exhausts here, the recorded closure is written to a per-peer
-    /// cache — the origin's for iterative walks, the delegate's for
-    /// recursive ones — once the unit's completion instant is known
-    /// ([`GridVineSystem::commit_writes`]); an early-terminating caller
-    /// that stops pulling (or calls [`ClosureSweep::discard_pending`])
-    /// never commits a partial walk.
+    /// the list the issuer of the hops it admits.
     ///
-    /// A recursive walk additionally consults the delegate peer's cache
-    /// at its first expansion — the delegate being the peer that held
-    /// the origin schema's list: on a coherent entry the sweep becomes
-    /// a warm replay of the remaining recorded hops and every deeper
-    /// mapping-list retrieve is skipped.
+    /// Expanding the origin hop, the walk looks in the cache of the
+    /// peer that held the origin schema's list — the holder: on a
+    /// coherent entry, committed by a walk from any origin under either
+    /// strategy, the sweep becomes a warm replay of the recorded tail,
+    /// issued by the peer that would have issued the hops the list
+    /// admits, and every deeper mapping-list retrieve is skipped. When
+    /// the walk exhausts here, the recorded closure is written to the
+    /// holder's cache once the unit's completion instant is known
+    /// ([`GridVineSystem::commit_writes`]), for one direct message
+    /// charged to this unit unless the holder expanded the origin hop
+    /// itself; an early-terminating caller that stops pulling (or calls
+    /// [`ClosureSweep::discard_pending`]) never commits a partial
+    /// walk.
     ///
     /// A crashed discovery destination ([`SystemError::PeerDown`]) is
     /// charged as a failure and the hop is simply not expanded — the
@@ -962,15 +957,13 @@ impl ClosureSweep {
                 Strategy::Iterative => popped.issuer,
                 Strategy::Recursive => holder,
             };
-            if strategy == Strategy::Recursive && hop.depth == 0 {
-                live.delegate = Some(next_peer);
-                // The delegate may have memoized this closure from an
-                // earlier recursive walk: replay its tail instead of
-                // chasing deeper mapping lists.
+            if hop.depth == 0 {
+                live.commit = Some((next_peer, holder));
+                // Any walk of this closure, from any origin, may have
+                // memoized it here: replay its tail instead of chasing
+                // deeper mapping lists.
                 let epoch = sys.registry.epoch();
-                let cached = sys.exec[next_peer.index()]
-                    .cache
-                    .lookup(epoch, &live.record.0);
+                let cached = sys.exec[holder.index()].cache.lookup(epoch, &live.record.0);
                 match cached {
                     Some((hops, committed)) => {
                         stats.cache_hits += 1;
@@ -992,15 +985,13 @@ impl ClosureSweep {
             });
         }
         if frontier.hops.is_empty() && !live.tainted {
-            let key = live.record.0.clone();
-            let hops = std::mem::take(&mut live.record.1);
-            let target = match strategy {
-                Strategy::Iterative => Some(live.origin),
-                Strategy::Recursive => live.delegate,
-            };
-            if let Some(peer) = target {
-                let write = Write::Closure { peer, key, hops };
-                sys.proto.writes.push(write);
+            if let Some((from, peer)) = live.commit {
+                // One direct message, unless the holder expanded the
+                // origin hop itself.
+                sys.overlay.charge_direct(from, peer, 1);
+                let key = live.record.0.clone();
+                let hops = std::mem::take(&mut live.record.1);
+                sys.proto.writes.push(Write::Closure { peer, key, hops });
             }
         }
         Ok(Expansion { admitted })
@@ -1209,6 +1200,26 @@ mod tests {
         sys
     }
 
+    /// The four schemas with the star's records, mapped in a chain:
+    /// Apple → Guava → Mango → Zebra.
+    fn chain() -> GridVineSystem {
+        let mut sys = GridVineSystem::new(star_config());
+        for s in SCHEMAS {
+            sys.insert_schema(ORIGIN, Schema::new(s, ["a"])).unwrap();
+            let predicate = format!("{s}#a");
+            let object = Term::literal(OBJECT);
+            let record = Triple::new(format!("seq:{s}").as_str(), predicate.as_str(), object);
+            sys.insert_triple(ORIGIN, record).unwrap();
+        }
+        for pair in SCHEMAS.windows(2) {
+            let a = vec![Correspondence::new("a", "a")];
+            let (kind, provenance) = (MappingKind::Equivalence, Provenance::Manual);
+            sys.insert_mapping(ORIGIN, pair[0], pair[1], kind, provenance, a)
+                .unwrap();
+        }
+        sys
+    }
+
     fn query_of(predicate: &str, object: PatternTerm) -> TriplePatternQuery {
         let pattern = TriplePattern::new(
             PatternTerm::var("x"),
@@ -1279,19 +1290,25 @@ mod tests {
 
         let (units, warm) = units(&mut sys, &by_object(), &options);
         assert_eq!(warm.rows, cold.rows);
-        assert_eq!(warm.stats.requests, 1);
+        // Warm: the origin hop goes out on its own, Apple's list is
+        // discovered at the peer holding it, whose cache replays the
+        // rest — and the three hops it replays ride one request.
+        assert_eq!(warm.stats.requests, 3);
+        assert_eq!((warm.stats.mapping_fetches, warm.stats.cache_hits), (1, 1));
         assert_eq!((warm.stats.subqueries, warm.stats.schemas_visited), (4, 4));
         assert_eq!(warm.stats.bindings_shipped, 4);
-        // One unit, one `Stats`, every hop's events inside it.
+        // One unit, one `Stats`, per exchange; the replayed hops'
+        // events all inside the last.
         assert_eq!(units.len(), warm.stats.requests);
-        assert_eq!(schema_hops(&units[0]), 4);
-        // Charged as the lookup of one pattern is: the twin's routing
-        // RNG is where this system's was, so it walks the same edges.
+        let hops: Vec<usize> = units.iter().map(|u| schema_hops(u)).collect();
+        assert_eq!(hops, [1, 0, 3]);
+        // That request is charged as the lookup of one pattern is: both
+        // go to the object's leaf, which the cold walks taught.
         let lookup = QueryPlan::pattern(object_query());
         let one = twin.execute(ORIGIN, &lookup, &options).unwrap();
         assert_eq!(one.stats.subqueries, 1);
         assert!(one.stats.messages > 1, "the origin is not the destination");
-        assert_eq!(warm.stats.messages, one.stats.messages);
+        assert_eq!(deltas(&units)[2].messages, one.stats.messages);
     }
 
     #[test]
@@ -1432,18 +1449,28 @@ mod tests {
         );
         let rule = PlacementPolicy::new().replicate("Mango#", 2);
         let placed = &mut star(LONG_ATTR, rule);
-        for plan in [by_object(), from_mango] {
+        // A warm walk sends its origin hop, then replays the rest from
+        // the cache of the peer holding the origin's list. From Apple,
+        // whose hop lands on Mango's leaf, that list is discovered and
+        // the three replayed hops share one request; from Mango, its
+        // list rides the origin hop's reply, and so do the three.
+        // Placed, the Mango hop is one exchange with a Mango holder:
+        // from Apple it leaves the replayed request, from Mango its
+        // reply carries no list, which is discovered — one exchange more
+        // either way.
+        for (plan, free_requests) in [(by_object(), 3), (from_mango, 2)] {
             let rows = free.execute(ORIGIN, &plan, &options).unwrap().rows;
             assert_eq!(rows.len(), 4);
             let warm = free.execute(ORIGIN, &plan, &options).unwrap();
-            assert_eq!((warm.stats.requests, warm.stats.replica_hits), (1, 0));
+            assert_eq!(warm.stats.cache_hits, 1);
+            let free_stats = (warm.stats.requests, warm.stats.replica_hits);
+            assert_eq!(free_stats, (free_requests, 0), "{plan}");
 
             assert_eq!(placed.execute(ORIGIN, &plan, &options).unwrap().rows, rows);
             let warm = placed.execute(ORIGIN, &plan, &options).unwrap();
             assert_eq!(warm.rows, rows, "{plan}");
-            // One exchange with a Mango holder, one routed request for
-            // the three hops that route by the object.
-            assert_eq!(warm.stats.requests, 2, "{plan}");
+            assert_eq!(warm.stats.cache_hits, 1);
+            assert_eq!(warm.stats.requests, free_requests + 1, "{plan}");
             assert_eq!((warm.stats.replica_hits, warm.stats.failovers), (1, 0));
             assert_eq!(warm.stats.subqueries, 4);
         }
@@ -1489,16 +1516,20 @@ mod tests {
     /// The window moves the clock, never the computation. Guava is the
     /// hop a serial walk resolves last: a record only it holds reaches
     /// a `window(1)` session after every other hop's round trips, a
-    /// `window(4)` session after Apple's discovery and one data request.
+    /// `window(4)` session after Apple's request, whose reply carries
+    /// Apple's list, and one more data request. The walk is cold, from
+    /// the peer holding Apple's list, so committing it sends nothing.
     #[test]
     fn a_wider_window_reaches_the_first_row_at_least_twice_as_soon() {
         let late = closure_of("Apple#a", PatternTerm::constant(Term::literal("%late%")));
         let first_row = |window: usize| {
             let sys = &mut star("a", PlacementPolicy::default());
+            let holder = leaf_of(sys, "Apple");
+            assert_eq!(holder, leaf_of(sys, "Apple#a"));
             let record = Triple::new("seq:late", "Guava#a", Term::literal("late"));
             sys.insert_triple(ORIGIN, record).unwrap();
             let options = QueryOptions::new().window(window);
-            let mut session = sys.open(ORIGIN, &late, &options).unwrap();
+            let mut session = sys.open(holder, &late, &options).unwrap();
             let mut at = None;
             while let Some(event) = session.next_event().unwrap() {
                 if matches!(&event, ResultEvent::Rows(rows) if !rows.is_empty()) {
@@ -1823,15 +1854,25 @@ mod tests {
         }
     }
 
+    /// Learned leaves are the issuer's own. The closure cache is every
+    /// origin's, so it is off here: no walk reads another's commit.
     #[test]
     fn an_origin_that_learned_nothing_sends_what_a_fresh_system_sends() {
         let other = PeerId(9);
         let options = QueryOptions::default();
+        let uncached = || {
+            let config = GridVineConfig {
+                refs_per_level: 1,
+                closure_cache_capacity: 0,
+                ..star_config()
+            };
+            star_on(config, "a")
+        };
         for plan in [by_object(), closure_of("Apple#a", PatternTerm::var("o"))] {
-            let sys = &mut one_route_star();
+            let sys = &mut uncached();
             sys.execute(ORIGIN, &plan, &options).unwrap();
             let second = sys.execute(other, &plan, &options).unwrap();
-            let fresh = one_route_star().execute(other, &plan, &options).unwrap();
+            let fresh = uncached().execute(other, &plan, &options).unwrap();
             assert_eq!(second.rows, fresh.rows, "{plan}");
             assert_eq!(second.stats, fresh.stats, "{plan}");
         }
@@ -1988,6 +2029,58 @@ mod tests {
         assert!(calm.iter().all(|(_, d)| d.direct == 0 && d.timeouts == 0));
         for (_, unit) in &stormy[1..] {
             assert_eq!((unit.direct, unit.timeouts), (0, 1), "{unit:?}");
+        }
+    }
+
+    /// Every coherent closure-cache entry under `key`, over all peers.
+    fn committed(sys: &mut GridVineSystem, key: &ClosureKey) -> Vec<Vec<CachedHop>> {
+        let epoch = sys.registry.epoch();
+        let entries = sys.exec.iter_mut();
+        let hops = entries.filter_map(|e| Some(e.cache.lookup(epoch, key)?.0.to_vec()));
+        hops.collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// One entry serves both strategies, so it must not depend on
+        /// which one committed it: a cold iterative and a cold recursive
+        /// walk of the same key commit the same hops, once, and each
+        /// strategy's replay of the other's entry answers the cold rows.
+        /// A walk at TTL 0 expands nothing and commits nothing.
+        #[test]
+        fn the_record_is_strategy_independent(
+            is_chain in proptest::prelude::any::<bool>(),
+            ttl in 0usize..=3,
+            origin in 0u32..16,
+            by_predicate in proptest::prelude::any::<bool>(),
+        ) {
+            let plan = if by_predicate {
+                closure_of("Apple#a", PatternTerm::var("o"))
+            } else {
+                by_object()
+            };
+            let (origin, options) = (PeerId(origin), QueryOptions::new().ttl(ttl));
+            let build = || if is_chain { chain() } else { star("a", PlacementPolicy::default()) };
+            let key = ClosureKey { schema: SchemaId::new("Apple"), attr: "a".into(), ttl };
+            let [(mut iterative, it), (mut recursive, rec)] =
+                [Strategy::Iterative, Strategy::Recursive].map(|strategy| {
+                    let mut sys = build();
+                    let out = sys.execute(origin, &plan, &options.strategy(strategy));
+                    (sys, out.unwrap())
+                });
+            proptest::prop_assert_eq!(&it.rows, &rec.rows);
+            let record = committed(&mut iterative, &key);
+            proptest::prop_assert_eq!(&record, &committed(&mut recursive, &key));
+            proptest::prop_assert_eq!(record.len(), usize::from(ttl > 0));
+            for (sys, strategy) in [
+                (&mut iterative, Strategy::Recursive),
+                (&mut recursive, Strategy::Iterative),
+            ] {
+                let warm = sys.execute(origin, &plan, &options.strategy(strategy)).unwrap();
+                proptest::prop_assert_eq!(&warm.rows, &it.rows, "{:?}", strategy);
+                proptest::prop_assert_eq!(warm.stats.cache_hits, usize::from(ttl > 0));
+            }
         }
     }
 

@@ -143,7 +143,8 @@
 //!
 //! Each peer owns a `PeerExecState`: its **bounded LRU closure cache**
 //! (capacity
-//! [`GridVineConfig::closure_cache_capacity`](super::GridVineConfig))
+//! [`GridVineConfig::closure_cache_capacity`](super::GridVineConfig)),
+//! holding the closures of the schemas whose mapping lists it stores,
 //! and its **learned leaves** (`LeafTable`): for each trie path a reply
 //! to one of its requests came from, the peer that answered. The peer's
 //! later requests for keys under a learned path go straight to that
@@ -251,10 +252,10 @@ pub(crate) struct QueuedReply {
 #[derive(Debug)]
 pub(crate) struct PeerExecState {
     /// This peer's bounded reformulation-closure cache, each entry
-    /// stamped with the instant it was committed. The iterative
-    /// strategy consults the *origin* peer's cache; the recursive
-    /// strategy consults (and fills) the *delegate* peer's — the
-    /// intermediate peer that served the first mapping discovery.
+    /// stamped with the instant it was committed: the closures of the
+    /// schemas whose mapping lists this peer holds. Every walk of such
+    /// a schema, from any origin and under either strategy, consults it
+    /// when it expands its origin hop, and a finished walk fills it.
     pub(crate) cache: ClosureCache<SimTime>,
     /// The leaves this peer learned from the replies to its own
     /// requests: its next request for a key under one of them goes
@@ -278,7 +279,8 @@ impl PeerExecState {
 pub(crate) enum Write {
     /// An issuer learns the path of a peer that answered its request.
     Leaf(PeerId, PeerId),
-    /// A fully expanded closure, memoized at `peer`.
+    /// A fully expanded closure, memoized at `peer`, the holder of its
+    /// origin schema's mapping list.
     Closure {
         peer: PeerId,
         key: ClosureKey,

@@ -139,23 +139,27 @@
 //!
 //! ## The reformulation-closure caches
 //!
-//! Under the iterative strategy, the closure a pattern expands to
-//! depends only on its predicate and the mapping network. Each peer
-//! memoizes the closures it expanded in a **bounded LRU**, epoch-keyed
+//! The closure a pattern expands to depends only on its schema, its
+//! attribute, the TTL and the mapping network — not on the origin, nor
+//! on the strategy. So there is one cache entry per closure, at the
+//! peer holding the origin schema's mapping list (the **holder**),
+//! which every walk of the schema reaches when it expands its origin
+//! hop: the hop's data reply carried the list, or its discovery landed
+//! there. Each peer keeps its entries in a **bounded LRU**, epoch-keyed
 //! [`ClosureCache`](gridvine_semantic::ClosureCache) (capacity
 //! [`GridVineConfig::closure_cache_capacity`](crate::GridVineConfig)):
 //! while the registry
 //! [`epoch`](gridvine_semantic::MappingRegistry::epoch) is unchanged,
-//! a repeated plan from the same origin replays the recorded hops —
-//! skipping the BFS *and* its per-schema mapping-list retrieves — and
-//! a mapping insert / deprecation / repair invalidates everything at
-//! once. The recursive strategy caches at the **delegate** peer (the
-//! peer that held the origin schema's mapping list — reached by the
-//! first discovery, or the one that answered the origin hop and carried
-//! the list): a later recursive walk reaching the same delegate replays
-//! the closure tail and skips every deeper mapping fetch.
-//! Early-terminated walks record nothing (a partial closure must never
-//! be replayed as complete).
+//! a walk that finds a coherent entry replays the recorded tail —
+//! skipping the BFS *and* every deeper mapping-list retrieve — from the
+//! origin (iterative) or the holder (recursive); a mapping insert /
+//! deprecation / repair invalidates everything at once. A finished
+//! walk commits its record to the holder, for one direct message from
+//! an iterative origin that is not the holder, charged in the walk's
+//! last unit. A walk that never expands its origin hop (TTL 0, early
+//! termination, a failed discovery) looks nothing up; a walk cut short
+//! by a limit or a failure commits nothing (a partial closure must
+//! never be replayed as complete).
 //!
 //! ```
 //! use gridvine_core::{GridVineConfig, GridVineSystem, QueryOptions, QueryPlan, ResultEvent};
@@ -531,7 +535,6 @@ impl SessionCore {
         // every issue re-arms it, which is what makes interleaved
         // sessions with different budgets correct.
         sys.proto.max_retries = options.max_retries;
-        let mut stats = ExecStats::default();
         let state = match plan {
             QueryPlan::Pattern { query } => {
                 if query.pattern.routing_constant().is_none() {
@@ -581,7 +584,6 @@ impl SessionCore {
                     attr,
                     options.strategy,
                     ttl,
-                    &mut stats,
                 );
                 State::Closure {
                     query: query.clone(),
@@ -660,7 +662,7 @@ impl SessionCore {
             max_retries: options.max_retries,
             inflight: 0,
             seen_replies: HashSet::new(),
-            stats,
+            stats: ExecStats::default(),
             issued_reported: ExecStats::default(),
             rows: Vec::new(),
             order_by,
@@ -1331,10 +1333,8 @@ impl SessionCore {
                 },
                 Ok((schema, attr)) => {
                     let (origin, strategy, ttl) = (self.origin, self.strategy, self.ttl);
-                    let stats = &mut self.stats;
-                    let sweep = ClosureSweep::open(
-                        sys, origin, template, schema, attr, strategy, ttl, stats,
-                    );
+                    let sweep =
+                        ClosureSweep::open(sys, origin, template, schema, attr, strategy, ttl);
                     Requests::Walk(Box::new(Walk::new(sweep, start)))
                 }
             },

@@ -530,11 +530,13 @@ fn leaf_of(sys: &GridVineSystem, lexical: &str) -> PeerId {
 }
 
 /// Warm cache replays undercut cold walks on messages — same rows, no
-/// mapping-list retrieves — for the iterative strategy (origin-peer
-/// cache) *and* the recursive strategy (delegate-peer cache). The hops
-/// route by an object constant whose leaf holds no schema key, so no
-/// data reply can carry a mapping list: a cold walk discovers every
-/// one. Where every reply carries its hop's list, the cold walk already
+/// mapping-list retrieve past the origin's — for the iterative and the
+/// recursive strategy alike: one cache per schema, at the peer holding
+/// its mapping list, which every walk of the schema reaches when it
+/// expands its origin hop. The hops route by an object constant whose
+/// leaf holds no schema key, so no data reply can carry a mapping
+/// list: a cold walk discovers every one, a warm walk the origin's.
+/// Where every reply carries its hop's list, the cold walk already
 /// fetches none.
 #[test]
 fn warm_closure_replay_skips_mapping_fetch_messages() {
@@ -566,32 +568,40 @@ fn warm_closure_replay_skips_mapping_fetch_messages() {
     assert_eq!(cold.stats.schemas_visited, warm.stats.schemas_visited);
     assert_eq!(cold.stats.subqueries, warm.stats.subqueries);
     assert_eq!(warm.stats.cache_hits, 1);
-    assert!(cold.stats.mapping_fetches > 0);
+    assert_eq!(cold.stats.mapping_fetches, 4);
     assert_eq!(
-        warm.stats.mapping_fetches, 0,
-        "replay fetches no mapping lists"
+        warm.stats.mapping_fetches, 1,
+        "replay fetches no mapping list past the origin's"
     );
     assert!(
         warm.stats.messages < cold.stats.messages,
-        "warm {} must undercut cold {} (4 mapping fetches skipped)",
+        "warm {} must undercut cold {} (3 mapping fetches skipped)",
         warm.stats.messages,
         cold.stats.messages
     );
-    // The iterative cache is per-peer: a different origin is cold again.
+    // The cache is the schema's, not the origin's: a different origin
+    // replays the same entry.
     let elsewhere = sys.execute(PeerId(9), &plan, &options).unwrap();
-    assert_eq!(elsewhere.stats.cache_hits, 0);
-    assert_eq!(elsewhere.stats.cache_misses, 1);
+    assert_eq!(elsewhere.stats.cache_hits, 1);
+    assert_eq!(elsewhere.stats.cache_misses, 0);
+    assert_eq!(elsewhere.stats.mapping_fetches, 1);
     assert_eq!(elsewhere.terms("x"), warm.terms("x"));
-    assert_eq!(sys.cached_closures(), 2, "each origin warms its own cache");
-
-    // The recursive strategy caches at the intermediate (delegate)
-    // peer that serves the first mapping discovery: the first walk
-    // records there, the second replays its tail — identical rows,
-    // strictly fewer mapping-list retrieves.
+    assert_eq!(sys.cached_closures(), 1, "one entry, at the holder");
+    // And so does a recursive walk: the record is the same whichever
+    // strategy committed it.
     let rec_opts = QueryOptions::new().strategy(Strategy::Recursive);
+    let rec_shared = sys.execute(PeerId(3), &plan, &rec_opts).unwrap();
+    assert_eq!(rec_shared.terms("x"), warm.terms("x"));
+    assert_eq!(rec_shared.stats.cache_hits, 1);
+    assert_eq!(rec_shared.stats.mapping_fetches, 1);
+
+    // A recursive walk on a fresh system records at the holder, and the
+    // next replays its tail — identical rows, strictly fewer
+    // mapping-list retrieves.
+    let mut sys = build(42, 4, &[], &facts);
     let rec_cold = sys.execute(PeerId(3), &plan, &rec_opts).unwrap();
     assert_eq!(rec_cold.terms("x"), warm.terms("x"));
-    assert_eq!(sys.cached_closures(), 3, "delegate peer memoized the walk");
+    assert_eq!(sys.cached_closures(), 1, "the holder memoized the walk");
     let rec_warm = sys.execute(PeerId(3), &plan, &rec_opts).unwrap();
     assert_eq!(rec_warm.terms("x"), rec_cold.terms("x"));
     assert_eq!(rec_warm.stats.cache_hits, 1);
@@ -604,7 +614,7 @@ fn warm_closure_replay_skips_mapping_fetch_messages() {
     );
     assert_eq!(
         rec_warm.stats.mapping_fetches, 1,
-        "only the delegate hop fetched"
+        "only the origin's list is fetched"
     );
     assert!(rec_warm.stats.messages <= rec_cold.stats.messages);
 
@@ -892,12 +902,24 @@ fn limit_mid_batch_stops_at_the_same_row() {
             ResultEvent::SchemaHop { .. } => {}
         }
     };
-    assert_eq!(limited.stats, first_unit);
+    // Except for one cache lookup: the twin's unit went on to expand
+    // the origin hop with the list its reply carried, and looked in the
+    // holder's cache; the limited session stopped before it.
+    assert_eq!(
+        (first_unit.cache_misses, limited.stats.cache_misses),
+        (1, 0)
+    );
+    let looked_up = ExecStats {
+        cache_misses: 1,
+        ..limited.stats
+    };
+    assert_eq!(looked_up, first_unit);
 }
 
 /// The executor honours its options: a TTL override stops the closure,
 /// and TTL is part of the cache key (different TTLs never share an
-/// entry).
+/// entry). A walk at TTL 0 expands nothing, so it never learns where
+/// the cache is: it looks nothing up and commits nothing.
 #[test]
 fn options_ttl_is_honoured_and_keyed() {
     let facts: Vec<(u8, u8, u8)> = (0..12).map(|i| (i, i % 3, i % 5)).collect();
@@ -920,7 +942,17 @@ fn options_ttl_is_honoured_and_keyed() {
         .unwrap();
     assert_eq!(capped.stats.reformulations, 0);
     assert_eq!(capped.stats.schemas_visited, 1);
-    // Two distinct cache entries: ttl=default and ttl=0.
+    assert_eq!((capped.stats.cache_hits, capped.stats.cache_misses), (0, 0));
+    assert_eq!(sys.cached_closures(), 1);
+    let one = sys
+        .execute(
+            PeerId(3),
+            &QueryPlan::search(q.clone()),
+            &QueryOptions::new().ttl(1),
+        )
+        .unwrap();
+    assert_eq!((one.stats.cache_hits, one.stats.cache_misses), (0, 1));
+    // Two distinct cache entries: ttl=default and ttl=1.
     assert_eq!(sys.cached_closures(), 2);
 }
 

@@ -393,7 +393,9 @@ mod tests {
     /// Arrivals are offsets from the clock: after a closed-loop session
     /// from a peer that is none of the run's origins has advanced it,
     /// the run reports what it reports on a fresh system. One reference
-    /// per level, so the earlier session's routing draws steer no route.
+    /// per level, so the earlier session's routing draws steer no route;
+    /// a lookup, so it memoizes no closure for the run to replay (the
+    /// closure cache is every origin's).
     #[test]
     fn a_run_does_not_depend_on_how_far_the_clock_had_advanced() {
         let config = GridVineConfig {
@@ -407,7 +409,8 @@ mod tests {
         let fresh = run_open_loop(&mut seeded_system_with(config.clone()), &plans(), &cfg);
         let mut sys = seeded_system_with(config);
         let bystander = PeerId(cfg.origins as u32 + 3);
-        sys.execute(bystander, &plans()[0], &QueryOptions::new())
+        let lookup = QueryPlan::pattern(TriplePatternQuery::example_aspergillus());
+        sys.execute(bystander, &lookup, &QueryOptions::new())
             .unwrap();
         assert!(sys.now() > SimTime::ZERO);
         let later = run_open_loop(&mut sys, &plans(), &cfg);

@@ -116,7 +116,7 @@ fn main() {
     // The blocking form is a drain of the same session — identical
     // rows; and because the mapping network is unchanged, this repeat
     // replays the memoized reformulation closure: no mapping-list
-    // fetches, strictly fewer messages.
+    // fetch past the origin's, strictly fewer messages.
     let drained = gridvine
         .execute(issuer, &plan, &options)
         .expect("search runs");

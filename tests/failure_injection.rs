@@ -312,7 +312,7 @@ fn a_crashed_learned_address_fails_over_to_routing() {
 fn failure_truncated_closure_is_never_cached_as_complete() {
     // Crash the peer serving an intermediate schema's mapping list: the
     // walk loses that subtree (failure recorded), and the truncated
-    // closure must NOT be committed to the origin's cache — after the
+    // closure must NOT be committed to the holder's cache — after the
     // peer recovers, the same query must see the full closure again
     // instead of replaying the amputated one.
     use gridvine_core::QueryPlan;
@@ -385,11 +385,15 @@ fn failure_truncated_closure_is_never_cached_as_complete() {
     assert_eq!(healed.rows.len(), 3, "full closure after recovery");
     assert_eq!(healed.stats.failures, 0);
     assert_eq!(sys.cached_closures(), 1);
-    // And the memoized closure is the complete one.
+    // And the memoized closure is the complete one. The origin hop
+    // lands off the leaf holding T0's list, so the warm walk discovers
+    // that list, where it finds the cache — and nothing deeper.
+    let responsible = |lexical: &str| sys.topology().responsible(&sys.key_of(lexical)).to_vec();
+    assert_ne!(responsible("T0#a0"), responsible("T0"));
     let warm = sys.execute(PeerId(5), &plan, &options).unwrap();
     assert_eq!(warm.rows, healed.rows);
     assert_eq!(warm.stats.cache_hits, 1);
-    assert_eq!(warm.stats.mapping_fetches, 0);
+    assert_eq!(warm.stats.mapping_fetches, 1);
 }
 
 #[test]

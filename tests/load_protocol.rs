@@ -2,7 +2,7 @@
 //! ([`gridvine_core::pool::SessionPool`]) and the open-loop traffic
 //! driver ([`gridvine_load`]): a pool of one session must reproduce the
 //! standalone scheduler bit-for-bit (rows, stats, RNG stream),
-//! interleaved sessions must match their sequential runs wherever
+//! interleaved sessions must match their standalone runs wherever
 //! routing is RNG-value-invariant, and cancelled / rejected /
 //! deadline-expired sessions must leave no queued events behind while
 //! charging every overlay message exactly once. On the system's one
@@ -177,7 +177,10 @@ proptest! {
 
     /// On `refs_per_level: 1` topologies (routes RNG-value-invariant),
     /// N sessions interleaved through one pool yield exactly the rows
-    /// and stats each yields when run sequentially standalone.
+    /// and stats each yields when run standalone on a system of its
+    /// own. No walk reads another's commit: each session expands its
+    /// origin hop, where it looks in the shared closure cache, long
+    /// before any walk of the chain is finished.
     #[test]
     fn interleaved_sessions_match_sequential(
         seed in 0u64..200,
@@ -187,10 +190,12 @@ proptest! {
         let plan = QueryPlan::search(chain_query());
         let origins: Vec<PeerId> = (0..n).map(|k| PeerId(5 + k as u32)).collect();
 
-        let mut seq = chain_system(1, FaultConfig::none(), seed);
-        let sequential: Vec<QueryOutcome> = origins
+        let alone: Vec<QueryOutcome> = origins
             .iter()
-            .map(|&o| seq.execute(o, &plan, &options(window)).unwrap())
+            .map(|&o| {
+                let mut sys = chain_system(1, FaultConfig::none(), seed);
+                sys.execute(o, &plan, &options(window)).unwrap()
+            })
             .collect();
 
         let mut sys = chain_system(1, FaultConfig::none(), seed);
@@ -201,7 +206,8 @@ proptest! {
             .collect();
         let interleaved = drain(&mut sys, &mut pool, &ids);
 
-        for (s, i) in sequential.iter().zip(&interleaved) {
+        for (s, i) in alone.iter().zip(&interleaved) {
+            prop_assert_eq!(i.stats.cache_hits, 0);
             prop_assert_eq!(&s.rows, &i.rows);
             prop_assert_eq!(s.stats, i.stats);
         }
@@ -325,13 +331,8 @@ proptest! {
     /// by the engine's debug assertions (the test profile keeps them):
     /// it is sent no earlier than the clock at its issue and than the
     /// stamp of every learned leaf and closure-cache entry it read, and
-    /// no later than its first attempt. A random multi-origin pool run
-    /// under loss and churn makes units read what others wrote: several
-    /// sessions per origin share its leaves and closure cache, recursive
-    /// delegates serve every origin, late arrivals replay closures whose
-    /// writers are still in flight, and windows of 4 issue hops before
-    /// the replies they wait for land. Between steps the case inserts
-    /// records and mappings and deprecates them.
+    /// no later than its first attempt. See [`shared_pool_run`]: units
+    /// read what others wrote, from their own origin and from others.
     #[test]
     fn no_unit_reads_a_write_stamped_after_it_is_sent(
         seed in 0u64..200,
@@ -340,70 +341,170 @@ proptest! {
         window in prop_oneof![Just(1usize), Just(4usize)],
         ops in proptest::collection::vec(0u8..5, 8..24),
     ) {
-        let mut fault = FaultConfig::none();
-        fault.loss = 0.05;
-        let mut sys = chain_system(2, fault, seed);
-        let churn = ChurnConfig {
-            mean_uptime: SimDuration::from_millis(60),
-            mean_downtime: SimDuration::from_millis(4),
-            churny_fraction: 0.5,
-        };
-        let horizon = SimTime::ZERO + SimDuration::from_secs(10);
-        sys.install_churn(ChurnProcess::generate(&churn, 32, horizon, seed).events());
-        let plans = [
-            QueryPlan::search(chain_query()),
-            QueryPlan::search(TriplePatternQuery::new(
+        shared_pool_run(seed, origins, strategy, window, &ops);
+    }
+}
+
+/// One random multi-origin pool run under loss and churn, in which
+/// units read what others wrote: several sessions per origin share its
+/// leaves, every walk of a schema reads and fills the one closure cache
+/// at the peer holding its mapping list, late arrivals replay closures
+/// whose writers are still in flight, and windows of 4 issue hops
+/// before the replies they wait for land. Between steps the run inserts
+/// records and mappings and deprecates them. Once that pool drains, one
+/// session from each of `origins` peers that never asked anything walks
+/// the chain from `S0` in the same pool: first one alone, then the rest
+/// side by side. Returns how many of those sessions — each its origin's
+/// only one, so whatever it replays another origin committed — found
+/// the closure cached.
+fn shared_pool_run(
+    seed: u64,
+    origins: usize,
+    strategy: Strategy,
+    window: usize,
+    ops: &[u8],
+) -> usize {
+    let mut fault = FaultConfig::none();
+    fault.loss = 0.05;
+    let mut sys = chain_system(2, fault, seed);
+    let churn = ChurnConfig {
+        mean_uptime: SimDuration::from_millis(60),
+        mean_downtime: SimDuration::from_millis(4),
+        churny_fraction: 0.5,
+    };
+    let horizon = SimTime::ZERO + SimDuration::from_secs(10);
+    sys.install_churn(ChurnProcess::generate(&churn, 32, horizon, seed).events());
+    let chain = QueryPlan::search(chain_query());
+    let plans = [
+        chain.clone(),
+        QueryPlan::search(
+            TriplePatternQuery::new(
                 "x",
                 TriplePattern::new(
                     PatternTerm::var("x"),
                     PatternTerm::constant(Term::uri("S1#a1")),
                     PatternTerm::var("o"),
                 ),
-            ).unwrap()),
-        ];
-        let opts = options(window).strategy(strategy);
-        let mut pool = SessionPool::new();
-        let mut opened = 0usize;
-        let mut open = |sys: &mut GridVineSystem, pool: &mut SessionPool| {
-            let origin = PeerId(5 + (opened % origins) as u32);
-            pool.open(sys, origin, &plans[opened % plans.len()], &opts).unwrap();
-            opened += 1;
-        };
-        for _ in 0..2 * origins {
+            )
+            .unwrap(),
+        ),
+    ];
+    let opts = options(window).strategy(strategy);
+    let mut pool = SessionPool::new();
+    let mut opened = 0usize;
+    let mut open = |sys: &mut GridVineSystem, pool: &mut SessionPool| {
+        let origin = PeerId(5 + (opened % origins) as u32);
+        pool.open(sys, origin, &plans[opened % plans.len()], &opts)
+            .unwrap();
+        opened += 1;
+    };
+    for _ in 0..2 * origins {
+        open(&mut sys, &mut pool);
+    }
+    let mut mappings = Vec::new();
+    for (i, op) in ops.iter().enumerate() {
+        if pool.step(&mut sys).is_none() {
             open(&mut sys, &mut pool);
         }
-        let mut mappings = Vec::new();
-        for (i, op) in ops.iter().enumerate() {
-            if pool.step(&mut sys).is_none() {
-                open(&mut sys, &mut pool);
+        let (j, p) = (i % 4, PeerId(i as u32 % 32));
+        match op {
+            0 => {
+                let record = Triple::new(
+                    format!("seq:N{i}").as_str(),
+                    format!("S{j}#a{j}").as_str(),
+                    Term::literal("Aspergillus niger"),
+                );
+                sys.insert_triple(p, record).unwrap();
             }
-            let (j, p) = (i % 4, PeerId(i as u32 % 32));
-            match op {
-                0 => {
-                    let record = Triple::new(
-                        format!("seq:N{i}").as_str(),
-                        format!("S{j}#a{j}").as_str(),
-                        Term::literal("Aspergillus niger"),
-                    );
-                    sys.insert_triple(p, record).unwrap();
+            1 => {
+                let (from, to) = (format!("S{j}"), format!("S{}", (j + 2) % 4));
+                let a = vec![Correspondence::new(
+                    format!("a{j}"),
+                    format!("a{}", (j + 2) % 4),
+                )];
+                let (kind, provenance) = (MappingKind::Equivalence, Provenance::Manual);
+                let id = sys.insert_mapping(p, from.as_str(), to.as_str(), kind, provenance, a);
+                mappings.push(id.unwrap());
+            }
+            2 => {
+                if let Some(id) = mappings.pop() {
+                    sys.deprecate_mapping(p, id).unwrap();
                 }
-                1 => {
-                    let (from, to) = (format!("S{j}"), format!("S{}", (j + 2) % 4));
-                    let a = vec![Correspondence::new(format!("a{j}"), format!("a{}", (j + 2) % 4))];
-                    let (kind, provenance) = (MappingKind::Equivalence, Provenance::Manual);
-                    mappings.push(sys.insert_mapping(p, from.as_str(), to.as_str(), kind, provenance, a).unwrap());
-                }
-                2 => {
-                    if let Some(id) = mappings.pop() {
-                        sys.deprecate_mapping(p, id).unwrap();
-                    }
-                }
-                _ => open(&mut sys, &mut pool),
+            }
+            _ => open(&mut sys, &mut pool),
+        }
+    }
+    let clock = sys.now();
+    while pool.step(&mut sys).is_some() {}
+    assert!(sys.now() >= clock, "the clock never goes backwards");
+    assert_eq!(sys.pending_events(), 0);
+
+    let newcomers: Vec<PeerId> = (0..origins).map(|k| PeerId(20 + k as u32)).collect();
+    let first = pool.open(&mut sys, newcomers[0], &chain, &opts).unwrap();
+    let mut outcomes = drain(&mut sys, &mut pool, &[first]);
+    let rest: Vec<_> = newcomers[1..]
+        .iter()
+        .map(|&o| pool.open(&mut sys, o, &chain, &opts).unwrap())
+        .collect();
+    outcomes.extend(drain(&mut sys, &mut pool, &rest));
+    assert_eq!(sys.pending_events(), 0);
+    outcomes.iter().filter(|o| o.stats.cache_hits > 0).count()
+}
+
+/// [`shared_pool_run`] exercises what it is for: under each strategy,
+/// some of its cases replay a closure another origin committed.
+#[test]
+fn some_shared_pool_run_replays_another_origins_commit() {
+    for strategy in [Strategy::Iterative, Strategy::Recursive] {
+        let replays: usize = (0..8)
+            .map(|seed| {
+                shared_pool_run(
+                    seed,
+                    2 + seed as usize % 3,
+                    strategy,
+                    4,
+                    &[0, 3, 4, 0, 3, 4, 0, 3],
+                )
+            })
+            .sum();
+        assert!(replays > 0, "{strategy:?}");
+    }
+}
+
+/// One cache per schema, read by every origin, and invalidated by the
+/// registry epoch: a second origin replays the first one's walk, unless
+/// a mapping was inserted between the two walks — then it walks cold
+/// and reaches the schema the new mapping admits.
+#[test]
+fn a_mapping_inserted_between_two_origins_walks_makes_the_second_cold() {
+    let plan = QueryPlan::search(chain_query());
+    for strategy in [Strategy::Iterative, Strategy::Recursive] {
+        let opts = options(1).strategy(strategy);
+        for insert in [false, true] {
+            let mut sys = chain_system(1, FaultConfig::none(), 7);
+            let first = sys.execute(PeerId(5), &plan, &opts).unwrap();
+            assert_eq!(first.rows.len(), 4, "{strategy:?}");
+            if insert {
+                let p0 = PeerId(0);
+                sys.insert_schema(p0, Schema::new("S4", ["a4"])).unwrap();
+                let record = Triple::new("seq:R4", "S4#a4", Term::literal("Aspergillus niger"));
+                sys.insert_triple(p0, record).unwrap();
+                let a = vec![Correspondence::new("a3", "a4")];
+                let (kind, provenance) = (MappingKind::Equivalence, Provenance::Manual);
+                sys.insert_mapping(p0, "S3", "S4", kind, provenance, a)
+                    .unwrap();
+            }
+            let second = sys.execute(PeerId(6), &plan, &opts).unwrap();
+            let case = format!("{strategy:?}, insert {insert}");
+            let lookups = (second.stats.cache_hits, second.stats.cache_misses);
+            let rows = second.rows.len();
+            if insert {
+                assert_eq!(lookups, (0, 1), "{case}");
+                assert_eq!(rows, 5, "{case}");
+            } else {
+                assert_eq!(lookups, (1, 0), "{case}");
+                assert_eq!(second.rows, first.rows, "{case}");
             }
         }
-        let clock = sys.now();
-        while pool.step(&mut sys).is_some() {}
-        prop_assert!(sys.now() >= clock, "the clock never goes backwards");
-        prop_assert_eq!(sys.pending_events(), 0);
     }
 }

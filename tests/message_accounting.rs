@@ -7,7 +7,7 @@
 //! All queries run through the plan surface (`QueryPlan` + `execute`).
 
 use gridvine_core::{
-    GridVineConfig, GridVineSystem, PlacementPolicy, QueryOptions, QueryPlan, Strategy,
+    GridVineConfig, GridVineSystem, PlacementPolicy, QueryOptions, QueryPlan, ResultEvent, Strategy,
 };
 use gridvine_pgrid::PeerId;
 use gridvine_rdf::{PatternTerm, Term, Triple, TriplePattern, TriplePatternQuery};
@@ -285,7 +285,7 @@ fn a_response_carrying_several_patterns_rows_is_one_message() {
     let origin = PeerId(9);
     let options = QueryOptions::default();
     let (mut sys, mut twin) = (build(), build());
-    // Warm the origin's closure cache on both (same routing draws).
+    // Warm the closure cache on both (same routing draws).
     let cold = sys
         .execute(origin, &QueryPlan::search(q.clone()), &options)
         .unwrap();
@@ -293,11 +293,21 @@ fn a_response_carrying_several_patterns_rows_is_one_message() {
         .unwrap();
     assert_eq!(cold.rows.len(), 6);
 
-    // The replayed closure is one request; the lookup of its first
-    // pattern alone, from the same routing-RNG state, is the same one.
-    let closure = sys
-        .execute(origin, &QueryPlan::search(q.clone()), &options)
+    // The warm closure sends its origin hop, discovers EMBL's list
+    // (the object's leaf holds no schema key) at the peer whose cache
+    // replays the other two hops — and those two are one request. The
+    // lookup of one pattern, from the same learned leaves, costs what
+    // that request costs.
+    let mut session = sys
+        .open(origin, &QueryPlan::search(q.clone()), &options)
         .unwrap();
+    let mut units = Vec::new();
+    while let Some(event) = session.next_event().unwrap() {
+        if let ResultEvent::Stats(delta) = event {
+            units.push(delta);
+        }
+    }
+    let closure = session.into_outcome();
     let lookup = twin
         .execute(origin, &QueryPlan::pattern(q), &options)
         .unwrap();
@@ -309,9 +319,107 @@ fn a_response_carrying_several_patterns_rows_is_one_message() {
         ),
         (6, 2)
     );
-    assert_eq!((closure.stats.requests, lookup.stats.requests), (1, 1));
-    assert!(lookup.stats.messages >= 2, "a routed edge and the response");
-    assert_eq!(closure.stats.messages, lookup.stats.messages);
+    assert_eq!((closure.stats.requests, closure.stats.cache_hits), (3, 1));
+    let [.., replayed] = units[..] else {
+        panic!("a unit per request, not {units:?}");
+    };
+    assert_eq!((replayed.subqueries, replayed.bindings_shipped), (2, 4));
+    assert_eq!((replayed.requests, lookup.stats.requests), (1, 1));
+    assert!(lookup.stats.messages >= 2, "a request and the response");
+    assert_eq!(replayed.messages, lookup.stats.messages);
+}
+
+/// Apple mapped to three more schemas on 16 peers, one per leaf, a
+/// record under each; the initials are far apart, so each schema's key
+/// and its `#a` predicate share a leaf of their own.
+fn star_of_four() -> GridVineSystem {
+    let mut sys = GridVineSystem::new(GridVineConfig {
+        peers: 16,
+        seed: 11,
+        ..GridVineConfig::default()
+    });
+    let p0 = PeerId(0);
+    let schemas = ["Apple", "Guava", "Mango", "Zebra"];
+    for s in schemas {
+        sys.insert_schema(p0, Schema::new(s, ["a"])).unwrap();
+        let (subject, predicate) = (format!("seq:{s}"), format!("{s}#a"));
+        let record = Triple::new(subject.as_str(), predicate.as_str(), Term::literal("x"));
+        sys.insert_triple(p0, record).unwrap();
+    }
+    for s in &schemas[1..] {
+        let a = vec![Correspondence::new("a", "a")];
+        let (kind, provenance) = (MappingKind::Equivalence, Provenance::Manual);
+        sys.insert_mapping(p0, "Apple", *s, kind, provenance, a)
+            .unwrap();
+    }
+    sys
+}
+
+/// What a finished walk's commit to the holder — the peer holding the
+/// origin schema's mapping list, whose cache every walk of the schema
+/// reads — costs: one direct message from an iterative origin that is
+/// not the holder, nothing from one that is, and nothing on a recursive
+/// walk, whose expansions run at the holder. It is charged in the unit
+/// that finishes the walk, as a message and not as a request. Every
+/// exchange here goes to an address its issuer learned from the same
+/// walk under another TTL, a different cache key: a request and its
+/// response, two messages, or none when local.
+#[test]
+fn a_finished_walk_commits_to_the_holder_for_one_message_at_most() {
+    let q = TriplePatternQuery::new(
+        "x",
+        TriplePattern::new(
+            PatternTerm::var("x"),
+            PatternTerm::constant(Term::uri("Apple#a")),
+            PatternTerm::var("o"),
+        ),
+    )
+    .unwrap();
+    let plan = QueryPlan::search(q);
+    let leaf = |sys: &GridVineSystem, lexical: &str| {
+        let peers = sys.topology().responsible(&sys.key_of(lexical));
+        assert_eq!(peers.len(), 1, "one peer per leaf");
+        peers[0]
+    };
+    let sys = star_of_four();
+    for s in ["Apple", "Guava", "Mango", "Zebra"] {
+        assert_eq!(leaf(&sys, s), leaf(&sys, &format!("{s}#a")), "{s}");
+    }
+    let holder = leaf(&sys, "Apple");
+    let elsewhere = PeerId((holder.0 + 1) % 16);
+    for strategy in [Strategy::Iterative, Strategy::Recursive] {
+        for origin in [holder, elsewhere] {
+            let case = format!("{strategy:?} from {origin:?}");
+            let mut sys = star_of_four();
+            let options = QueryOptions::new().strategy(strategy);
+            sys.execute(origin, &plan, &options.ttl(9)).unwrap();
+            let mut session = sys.open(origin, &plan, &options.ttl(10)).unwrap();
+            let mut units = Vec::new();
+            while let Some(event) = session.next_event().unwrap() {
+                if let ResultEvent::Stats(delta) = event {
+                    units.push(delta);
+                }
+            }
+            let cold = session.into_outcome();
+            assert_eq!(cold.rows.len(), 4, "{case}");
+            assert_eq!((cold.stats.cache_hits, cold.stats.cache_misses), (0, 1));
+            assert_eq!(cold.stats.mapping_fetches, 0, "{case}: every list rides");
+            assert_eq!(units.len(), cold.stats.requests, "{case}");
+            let commit = u64::from(strategy == Strategy::Iterative && origin != holder);
+            let last = units.len() - 1;
+            for (i, unit) in units.iter().enumerate() {
+                let exchange = 2 * unit.direct as u64;
+                let expected = if i == last {
+                    exchange + commit
+                } else {
+                    exchange
+                };
+                assert_eq!(unit.messages, expected, "{case}: unit {i} {unit:?}");
+                assert_eq!(unit.requests, 1, "{case}: unit {i}");
+            }
+            assert_eq!(sys.cached_closures(), 2, "{case}: both keys, at the holder");
+        }
+    }
 }
 
 /// Two mapped schemas on 24 peers (a balanced 24 has σ groups of one

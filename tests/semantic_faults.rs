@@ -326,7 +326,7 @@ proptest! {
         let mut sys = ring_system(SemanticFaultConfig::none(), seed);
         let p0 = PeerId(0);
         let ids: Vec<MappingId> = sys.registry().mappings().map(|m| m.id).collect();
-        // Warm the origin's closure cache so later queries would love
+        // Warm the schema's closure cache so later queries would love
         // to replay it.
         run(&mut sys, 1);
         for op in ops {
