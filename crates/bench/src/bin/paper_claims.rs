@@ -22,8 +22,9 @@
 
 use gridvine_bench::fixtures;
 use gridvine_core::{
-    Deployment, DeploymentConfig, GridVineConfig, GridVineSystem, MediationItem, QueryOptions,
-    QueryPlan, SelfOrgConfig, Strategy, WanBatchOptions,
+    Deployment, DeploymentConfig, ExecStats, GridVineConfig, GridVineSystem, JoinMode,
+    MediationItem, PoolEvent, QueryOptions, QueryPlan, ResultEvent, SelfOrgConfig, SessionPool,
+    Strategy,
 };
 use gridvine_netsim::churn::ChurnKind;
 use gridvine_netsim::prelude::*;
@@ -39,7 +40,7 @@ use gridvine_semantic::{
 };
 use gridvine_workload::{recall, QueryConfig, QueryGenerator, Workload, WorkloadConfig};
 use rand::Rng;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One judged claim: a line of the transcript.
 struct Claim {
@@ -595,18 +596,26 @@ fn e6() -> Vec<Claim> {
     }]
 }
 
-const E8_REASON: &str = "The ≤ 1 s fraction falls from TTL 1 to 2 (0.136 → 0.117), then rises \
-    by 7 and 8 thousandths at TTL 4 and 8: about 3 more of ≈ 370 answered queries, while the \
-    median keeps rising. Not explained. Suspected: the WAN model deals slow machines and delays \
-    from one stream in traffic order (ROADMAP 6(a)), so each TTL re-deals the testbed. ROADMAP \
-    3(c) moves e8 to the engine and re-judges it.";
+/// One e8 row: a batch opened at once in one [`SessionPool`] on a fresh
+/// system, each query from an origin of one seeded stream. A query is
+/// answered once it delivers a row; its latency runs from its open
+/// instant to its last row-carrying delivery, its slowest matched
+/// chain.
+struct E8Batch {
+    answered: usize,
+    latencies: Cdf,
+    /// Solution rows, summed over the queries.
+    rows: usize,
+    stats: ExecStats,
+}
 
-/// §4's reformulation over §2.3's WAN deployment: 400 queries against
-/// 16 schemas on a manual mapping chain, plain and at TTL 1 … 8, plus
-/// 100 conjunctive queries at TTL 4.
+/// §4's reformulation on §2.3's deployment: 340 peers on the 2007 WAN
+/// model, 400 queries against 16 schemas on a manual mapping chain,
+/// plain and at TTL 1 … 8, plus 100 conjunctive queries at TTL 4.
 fn e8() -> Vec<Claim> {
     const SEED: u64 = 1;
     const QUERIES: usize = 400;
+    const PEERS: usize = 340;
     let w = Workload::generate(WorkloadConfig {
         schemas: 16,
         entities: 400,
@@ -615,15 +624,71 @@ fn e8() -> Vec<Claim> {
         ..WorkloadConfig::default()
     });
     let mappings = w.chain_mappings();
-    // A fresh network per batch: no leftover load.
-    let build = || {
-        let mut d = Deployment::new(DeploymentConfig {
+    // A fresh system per batch: no leftover load, learned leaves or
+    // closure caches.
+    let run = |plans: &[QueryPlan], options: &QueryOptions| {
+        let config = GridVineConfig {
+            peers: PEERS,
+            refs_per_level: 3,
             hash: HashKind::OrderPreserving,
-            ..DeploymentConfig::paper(SEED)
-        });
-        d.preload(w.all_triples().into_iter().map(|(_, t)| t));
-        d.preload_mediation(w.schemas.clone(), mappings.iter());
-        d
+            latency: LatencyConfig::planetlab_2007(),
+            seed: SEED,
+            ..GridVineConfig::default()
+        };
+        let (mut sys, _) = fixtures::publish(config, &w);
+        for m in mappings.iter().cloned() {
+            sys.insert_mapping(
+                PeerId(0),
+                m.source,
+                m.target,
+                m.kind,
+                m.provenance,
+                m.correspondences,
+            )
+            .unwrap();
+        }
+        let mut origins = rng::derive(SEED, 0xE8);
+        let mut pool = SessionPool::new();
+        let mut opened = BTreeMap::new();
+        for plan in plans {
+            let origin = PeerId::from_index(origins.gen_range(0..PEERS));
+            let id = pool.open(&mut sys, origin, plan, options).unwrap();
+            opened.insert(id, (sys.now(), None));
+        }
+        let mut batch = E8Batch {
+            answered: 0,
+            latencies: Cdf::new(),
+            rows: 0,
+            stats: ExecStats::default(),
+        };
+        while let Some(event) = pool.step(&mut sys) {
+            match event {
+                PoolEvent::Delivered {
+                    session,
+                    at,
+                    events,
+                } => {
+                    let rows = |e: &ResultEvent| matches!(e, ResultEvent::Rows(r) if !r.is_empty());
+                    if events.iter().any(rows) {
+                        opened.get_mut(&session).unwrap().1 = Some(at);
+                    }
+                }
+                PoolEvent::Finished { session, .. } | PoolEvent::Failed { session, .. } => {
+                    let outcome = pool.take_outcome(session).unwrap();
+                    batch.stats += outcome.stats;
+                    batch.rows += outcome.rows.len();
+                }
+            }
+        }
+        for (open, last) in opened.values() {
+            if let Some(last) = last {
+                batch.answered += 1;
+                batch
+                    .latencies
+                    .record_duration(last.saturating_since(*open));
+            }
+        }
+        batch
     };
     let generator = QueryGenerator::new(&w, QueryConfig::default());
     let mut r = rng::seeded(SEED ^ 0xE8);
@@ -631,46 +696,33 @@ fn e8() -> Vec<Claim> {
         .map(|g| g.query)
         .collect();
     let mut series = Vec::new();
-    let mut row =
-        |mode: &str, answered: usize, mean: f64, lat: &Cdf, lookups: usize, fetches: usize| {
-            let mut lat = lat.clone();
-            let within = printed(lat.fraction_leq(1.0), 3);
-            for (column, value) in [
-                ("answered", answered.to_string()),
-                ("mean", fixed(mean, 2)),
-                ("≤1s", fixed(within, 3)),
-                ("≤5s", fixed(lat.fraction_leq(5.0), 3)),
-                ("median_s", fixed(lat.median(), 2)),
-                ("p95_s", fixed(lat.quantile(0.95), 2)),
-                ("data_lookups", lookups.to_string()),
-                ("mapping_fetches", fetches.to_string()),
-            ] {
-                series.push((format!("{mode} {column}"), value));
-            }
-            within
-        };
-    let plain = build().run_queries(&batch);
-    let lat = &plain.latencies;
-    row("plain", plain.answered, 1.0, lat, plain.answered, 0);
-    let at_once = |ttl| WanBatchOptions {
-        ttl,
-        mean_interarrival: None,
-        limit: None,
+    let mut row = |mode: &str, mean: f64, b: &E8Batch| {
+        let mut lat = b.latencies.clone();
+        let within = printed(lat.fraction_leq(1.0), 3);
+        for (column, value) in [
+            ("answered", b.answered.to_string()),
+            ("mean", fixed(mean, 2)),
+            ("≤1s", fixed(within, 3)),
+            ("≤5s", fixed(lat.fraction_leq(5.0), 3)),
+            ("median_s", fixed(lat.median(), 2)),
+            ("p95_s", fixed(lat.quantile(0.95), 2)),
+            ("subqueries", b.stats.subqueries.to_string()),
+            ("mapping_fetches", b.stats.mapping_fetches.to_string()),
+            ("messages", b.stats.messages.to_string()),
+        ] {
+            series.push((format!("{mode} {column}"), value));
+        }
+        within
     };
+    let iterative = QueryOptions::new().strategy(Strategy::Iterative);
+    let lookups: Vec<QueryPlan> = batch.iter().cloned().map(QueryPlan::pattern).collect();
+    row("plain", 1.0, &run(&lookups, &iterative.ttl(0)));
     let searches: Vec<QueryPlan> = batch.iter().cloned().map(QueryPlan::search).collect();
     let mut within = Vec::new();
     for ttl in [1usize, 2, 4, 8] {
-        let r = build().run_plans(&searches, &at_once(ttl));
-        let (lookups, fetches) = (r.data_lookups, r.mapping_fetches);
-        let mode = format!("ttl={ttl}");
-        within.push(row(
-            &mode,
-            r.answered,
-            r.mean_schemas,
-            &r.latencies,
-            lookups,
-            fetches,
-        ));
+        let b = run(&searches, &iterative.ttl(ttl));
+        let schemas = b.stats.schemas_visited as f64 / QUERIES as f64;
+        within.push(row(&format!("ttl={ttl}"), schemas, &b));
     }
     // Two patterns disseminated in parallel and joined at the origin;
     // its `mean` is solution rows, not schemas.
@@ -678,16 +730,9 @@ fn e8() -> Vec<Claim> {
     let conj: Vec<QueryPlan> = (generator.conjunctive_batch(QUERIES / 4, &mut r).into_iter())
         .map(|g| QueryPlan::conjunctive(g.query))
         .collect();
-    let r = build().run_plans(&conj, &at_once(4));
-    let (lookups, fetches) = (r.data_lookups, r.mapping_fetches);
-    row(
-        "conjunctive ttl=4",
-        r.answered,
-        r.mean_rows,
-        &r.latencies,
-        lookups,
-        fetches,
-    );
+    let independent = iterative.ttl(4).join_mode(JoinMode::Independent);
+    let b = run(&conj, &independent);
+    row("conjunctive ttl=4", b.rows as f64 / b.answered as f64, &b);
     let holds = within.windows(2).all(|w| w[1] <= w[0]);
     vec![Claim {
         claim: "e8_reformulation_costs_round_trips",
@@ -699,7 +744,7 @@ fn e8() -> Vec<Claim> {
         tolerance: "each extra mapping hop adds a sequential fetch and lookup, so the ≤ 1 s \
             fraction never rises from one TTL to the next (1 → 2 → 4 → 8)",
         holds,
-        reason: (!holds).then_some(E8_REASON),
+        reason: None,
     }]
 }
 

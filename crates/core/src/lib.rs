@@ -38,9 +38,9 @@
 //!   repair of deprecated links.
 //! * [`harness::Deployment`] — the *asynchronous* deployment over the
 //!   discrete-event simulator, charging wide-area latency per message;
-//!   one plan-driven loop ([`harness::Deployment::run_plans`])
-//!   reproduces the §2.3 latency CDF claim and disseminates
-//!   reformulated and conjunctive queries over the simulated WAN.
+//!   its lookup driver ([`harness::Deployment::run_queries`])
+//!   reproduces the §2.3 latency CDF claim. Reformulation and joins run
+//!   on the synchronous engine only.
 //!
 //! ```
 //! use gridvine_core::prelude::*;
@@ -77,9 +77,7 @@ pub use system::session;
 
 /// Glob-import surface.
 pub mod prelude {
-    pub use crate::harness::{
-        BatchReport, Deployment, DeploymentConfig, WanBatchOptions, WanBatchReport,
-    };
+    pub use crate::harness::{BatchReport, Deployment, DeploymentConfig};
     pub use crate::item::{KeySpace, MediationItem};
     pub use crate::plan::QueryPlan;
     pub use crate::selforg::{RoundReport, SelfOrgConfig};
@@ -93,7 +91,7 @@ pub mod prelude {
     };
 }
 
-pub use harness::{BatchReport, Deployment, DeploymentConfig, WanBatchOptions, WanBatchReport};
+pub use harness::{BatchReport, Deployment, DeploymentConfig};
 pub use item::{KeySpace, MediationItem};
 pub use plan::QueryPlan;
 pub use selforg::{RoundReport, SelfOrgConfig};

@@ -916,6 +916,29 @@ fn limit_mid_batch_stops_at_the_same_row() {
     assert_eq!(looked_up, first_unit);
 }
 
+/// A result cap counts distinct *answers* — terms of the distinguished
+/// variable. `seq:E00` has two organisms in `S0`: two rows, one answer,
+/// so under `limit 2` the walk may not stop before it has looked into
+/// `S1`, where the second answer is.
+#[test]
+fn a_limit_counts_distinct_answers() {
+    let mut sys = build(2, 2, &[true], &[(0, 0, 0), (0, 0, 1), (1, 1, 3)]);
+    let query = TriplePatternQuery::new(
+        "x",
+        TriplePattern::new(
+            PatternTerm::var("x"),
+            PatternTerm::constant(Term::uri("S0#organism0")),
+            PatternTerm::var("y"),
+        ),
+    )
+    .unwrap();
+    let options = QueryOptions::new().strategy(Strategy::Iterative).limit(2);
+    let out = sys
+        .execute(PeerId(0), &QueryPlan::search(query), &options)
+        .unwrap();
+    assert_eq!(out.terms("x"), [Term::uri("seq:E00"), Term::uri("seq:E01")]);
+}
+
 /// The executor honours its options: a TTL override stops the closure,
 /// and TTL is part of the cache key (different TTLs never share an
 /// entry). A walk at TTL 0 expands nothing, so it never learns where

@@ -488,11 +488,13 @@ fn crashed_majority_still_serves_surviving_keys() {
 }
 
 #[test]
-fn reformulated_dissemination_survives_message_loss() {
-    // 5 % message loss on the WAN: the retry machinery must still let
-    // reformulated queries reach other schemas, with only a small
-    // residue of timed-out chains.
-    use gridvine_core::{Deployment, DeploymentConfig, QueryPlan, WanBatchOptions};
+fn wan_lookups_survive_message_loss() {
+    // 5 % message loss on the WAN: the retry machinery must still get
+    // lookups answered, with only a small residue timing out.
+    // Reformulation under loss is covered on the engine by
+    // `bounded_loss_with_retries_preserves_rows_and_charges`
+    // (`tests/fault_protocol.rs`).
+    use gridvine_core::{Deployment, DeploymentConfig};
     use gridvine_workload::{QueryConfig, QueryGenerator};
 
     let w = Workload::generate(WorkloadConfig::small(31));
@@ -503,7 +505,6 @@ fn reformulated_dissemination_survives_message_loss() {
     });
     let triples: Vec<Triple> = w.all_triples().into_iter().map(|(_, t)| t).collect();
     d.preload(triples);
-    d.preload_mediation(w.schemas.clone(), w.chain_mappings().iter());
     for i in 0..48 {
         d.network_mut()
             .node_mut(gridvine_netsim::NodeId::from_index(i))
@@ -512,36 +513,20 @@ fn reformulated_dissemination_survives_message_loss() {
 
     let gen = QueryGenerator::new(&w, QueryConfig::default());
     let mut r = gridvine_netsim::rng::seeded(8);
-    let plans: Vec<QueryPlan> = gen
-        .batch(30, &mut r)
-        .into_iter()
-        .map(|g| QueryPlan::search(g.query))
-        .collect();
-    let rep = d.run_plans(
-        &plans,
-        &WanBatchOptions {
-            ttl: 6,
-            mean_interarrival: None,
-            limit: None,
-        },
-    );
+    let queries: Vec<_> = gen.batch(60, &mut r).into_iter().map(|g| g.query).collect();
+    let rep = d.run_queries(&queries);
     assert!(
-        rep.answered > 15,
-        "answered {} of 30 under loss",
+        rep.answered >= 21,
+        "answered {} of 60 under loss",
         rep.answered
     );
-    assert!(
-        rep.mean_schemas > 1.5,
-        "dissemination still spreads: {rep:?}"
-    );
     // Retries convert most losses into successes; a residue may still
-    // time out, but it must stay a small fraction of all requests.
-    let requests = rep.mapping_fetches + rep.data_lookups;
+    // time out, but it must stay a small fraction of the lookups.
     assert!(
-        (rep.timed_out as f64) < 0.15 * requests as f64,
-        "{} of {} requests timed out",
+        (rep.timed_out as f64) <= 0.10 * rep.submitted as f64,
+        "{} of {} lookups timed out",
         rep.timed_out,
-        requests
+        rep.submitted
     );
 }
 
