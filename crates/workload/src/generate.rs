@@ -230,7 +230,7 @@ impl Workload {
         let organisms = vocab::ORGANISMS;
         let entities: Vec<Entity> = (0..config.entities)
             .map(|i| {
-                let accession = format!("P{:05}", 10_000 + i * 7 % 90_000);
+                let accession = accession(i);
                 let mut values = BTreeMap::new();
                 for c in CONCEPTS {
                     let v = match vocab::value_pool(c.id) {
@@ -326,16 +326,20 @@ impl Workload {
     /// The value `schema` stores for `concept` of an entity, in the
     /// schema's own format.
     pub fn rendered_value(&self, schema: &SchemaId, concept: usize, entity: &Entity) -> String {
-        let canonical = &entity.values[&concept];
+        self.format_of(schema, concept)
+            .render(&entity.values[&concept])
+    }
+
+    fn format_of(&self, schema: &SchemaId, concept: usize) -> ValueFormat {
         self.formats
             .get(&(schema.clone(), concept))
             .copied()
             .unwrap_or(ValueFormat::Canonical)
-            .render(canonical)
     }
 
     /// The triples one schema contributes: for each exported entity and
-    /// each schema attribute, `(seq:ACC, Schema#Attr, value)`.
+    /// each schema attribute, `(seq:ACC, Schema#Attr, value)`. The
+    /// triples of one call share their subject and predicate buffers.
     pub fn triples_of(&self, schema: &SchemaId) -> Vec<Triple> {
         let Some(s) = self.schemas.iter().find(|s| s.id() == schema) else {
             return Vec::new();
@@ -343,19 +347,27 @@ impl Workload {
         let Some(idx) = self.exports.get(schema) else {
             return Vec::new();
         };
-        let mut out = Vec::new();
-        for &i in idx {
-            let e = &self.entities[i];
-            for attr in s.attributes() {
+        let attrs: Vec<(Uri, usize, ValueFormat)> = s
+            .attributes()
+            .iter()
+            .map(|attr| {
                 let cid = self
                     .ground_truth
                     .concept(schema, attr)
-                    .expect("generated attributes are labelled");
-                let value = self.rendered_value(schema, cid.0, e);
+                    .expect("generated attributes are labelled")
+                    .0;
+                (s.predicate(attr), cid, self.format_of(schema, cid))
+            })
+            .collect();
+        let mut out = Vec::with_capacity(idx.len() * attrs.len());
+        for &i in idx {
+            let e = &self.entities[i];
+            let subject = e.subject();
+            for (predicate, cid, format) in &attrs {
                 out.push(Triple::new(
-                    e.subject(),
-                    s.predicate(attr),
-                    Term::literal(value),
+                    subject.clone(),
+                    predicate.clone(),
+                    Term::literal(format.render(&e.values[cid])),
                 ));
             }
         }
@@ -410,21 +422,6 @@ impl Workload {
         ea.iter().copied().filter(|i| sb.contains(i)).collect()
     }
 
-    /// Ground-truth answer set for "entities of schema `s` whose concept
-    /// `c` value matches `pattern`" — used to compute recall exactly.
-    pub fn true_matches(&self, concept: ConceptId, pattern: &str) -> BTreeSet<String> {
-        self.entities
-            .iter()
-            .filter(|e| {
-                e.values
-                    .get(&concept.0)
-                    .map(|v| gridvine_rdf::like_match(v, pattern))
-                    .unwrap_or(false)
-            })
-            .map(|e| e.accession.clone())
-            .collect()
-    }
-
     /// The manual mapping chain the WAN experiments preload: consecutive
     /// schemas linked by their ground-truth correspondences as
     /// equivalences (a pair sharing no concept is left unlinked), with
@@ -446,6 +443,17 @@ impl Workload {
             }
         }
         chain
+    }
+}
+
+/// The accession of entity `i`. The first 90 000 entities take a
+/// permutation of `P10000` … `P99999`; later ones continue at `P100000`
+/// and up, one digit or more longer, so no two entities share one.
+fn accession(i: usize) -> String {
+    if i < 90_000 {
+        format!("P{}", 10_000 + i * 7 % 90_000)
+    } else {
+        format!("P{}", 10_000 + i)
     }
 }
 
@@ -603,10 +611,15 @@ mod tests {
     }
 
     #[test]
-    fn aspergillus_query_has_true_matches() {
-        let w = small();
-        let truth = w.true_matches(ConceptId(0), "%Aspergillus%");
-        assert!(!truth.is_empty(), "organism pool is Aspergillus-heavy");
+    fn accessions_are_distinct_and_the_first_90_000_keep_their_form() {
+        let mut seen = BTreeSet::new();
+        for i in 0..200_000 {
+            let a = accession(i);
+            if i < 90_000 {
+                assert_eq!(a, format!("P{:05}", 10_000 + i * 7 % 90_000));
+            }
+            assert!(seen.insert(a), "entity {i} repeats an accession");
+        }
     }
 
     #[test]

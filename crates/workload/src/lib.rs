@@ -14,9 +14,13 @@
 //!   variants, hundreds of sequence entities with shared accessions,
 //!   triples per schema, schema profiles for the matcher, and
 //!   [`generate::GroundTruth`] for correspondence correctness;
-//! * [`queries::QueryGenerator`] — Zipf-skewed single-pattern query
-//!   workloads with global ground-truth answer sets, enabling exact
-//!   recall measurements (the §4 storyline).
+//! * [`queries::QueryGenerator`] — Zipf-skewed single-pattern and
+//!   two-pattern join queries with global ground-truth answer sets,
+//!   enabling exact recall measurements (the §4 storyline). Truth is
+//!   computed from the entities' canonical values through an index the
+//!   generator builds once per corpus: entity ids (not accessions) per
+//!   distinct value of each categorical concept, and per concept one
+//!   bit per entity saying whether a schema carrying it exports it.
 //!
 //! ```
 //! use gridvine_workload::prelude::*;

@@ -4,15 +4,22 @@
 //! and the demo issues constrained organism searches (Fig. 2). The
 //! generator produces queries of both shapes against a generated corpus,
 //! with ground-truth answer sets so recall is measurable.
+//!
+//! Truth is read off the corpus' canonical values, not off any store:
+//! [`QueryGenerator::new`] indexes them once, so a query's truth costs
+//! one pass over its concept's distinct values rather than a pass over
+//! every entity.
 
 use crate::generate::Workload;
 use crate::vocab::{self, ConceptId, CONCEPTS};
 use gridvine_netsim::rng::Zipf;
-use gridvine_rdf::{ConjunctiveQuery, PatternTerm, Term, TriplePattern, TriplePatternQuery};
-use gridvine_semantic::SchemaId;
+use gridvine_rdf::{
+    ConjunctiveQuery, LikePattern, PatternTerm, Term, TriplePattern, TriplePatternQuery,
+};
+use gridvine_semantic::{Schema, SchemaId};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A generated query with its provenance and exact answer set.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -48,26 +55,111 @@ impl Default for QueryConfig {
 }
 
 /// Generates queries over one corpus.
+///
+/// Ground truth comes from two tables built in one pass over the corpus
+/// by [`QueryGenerator::new`], both holding entity ids (indices into
+/// [`Workload::entities`]) rather than accessions:
+///
+/// * for each categorical concept (those with a
+///   [`vocab::value_pool`], the only ones a query constrains), every
+///   distinct canonical value with the ascending ids of the entities
+///   holding it — a pattern is evaluated once per distinct value;
+/// * for each concept, one bit per entity: set when some schema that
+///   carries the concept exports the entity (the join side of
+///   [`GeneratedConjunctiveQuery::true_answers`]).
 pub struct QueryGenerator<'a> {
     workload: &'a Workload,
     config: QueryConfig,
     schema_zipf: Zipf,
+    /// Per concept id: distinct canonical value → entity ids, for the
+    /// categorical concepts; `None` for the others.
+    values: Vec<Option<BTreeMap<&'a str, Vec<u32>>>>,
+    /// Per concept id: one bit per entity, set when a schema carrying
+    /// the concept exports it.
+    exported: Vec<Vec<u64>>,
+}
+
+/// One drawn single-pattern query with the ids of its true answers.
+struct Draw<'a> {
+    schema: &'a Schema,
+    concept: ConceptId,
+    query: TriplePatternQuery,
+    ids: Vec<u32>,
 }
 
 impl<'a> QueryGenerator<'a> {
     pub fn new(workload: &'a Workload, config: QueryConfig) -> QueryGenerator<'a> {
         let schema_zipf = Zipf::new(workload.schemas.len(), config.schema_skew);
+        let mut values: Vec<Option<BTreeMap<&'a str, Vec<u32>>>> = CONCEPTS
+            .iter()
+            .map(|c| vocab::value_pool(c.id).map(|_| BTreeMap::new()))
+            .collect();
+        for (i, e) in workload.entities.iter().enumerate() {
+            let id = u32::try_from(i).expect("entity ids fit in u32");
+            for (&c, v) in &e.values {
+                if let Some(Some(index)) = values.get_mut(c) {
+                    index.entry(v.as_str()).or_default().push(id);
+                }
+            }
+        }
+        let words = workload.entities.len().div_ceil(64);
+        let mut exported = vec![vec![0u64; words]; CONCEPTS.len()];
+        for s in &workload.schemas {
+            for a in s.attributes() {
+                let c = workload.ground_truth.concept(s.id(), a).expect("labelled");
+                let bits = &mut exported[c.0];
+                for &i in &workload.exports[s.id()] {
+                    bits[i / 64] |= 1 << (i % 64);
+                }
+            }
+        }
         QueryGenerator {
             workload,
             config,
             schema_zipf,
+            values,
+            exported,
         }
+    }
+
+    /// Ids of the entities whose canonical `concept` value matches the
+    /// `%`-wildcard `pattern`.
+    fn matching(&self, concept: ConceptId, pattern: &str) -> Vec<u32> {
+        let index = self.values[concept.0]
+            .as_ref()
+            .expect("queries constrain categorical concepts only");
+        match LikePattern::parse(pattern) {
+            LikePattern::Exact(value) => index.get(value).cloned().unwrap_or_default(),
+            like => index
+                .iter()
+                .filter(|(value, _)| like.matches(value))
+                .flat_map(|(_, ids)| ids.iter().copied())
+                .collect(),
+        }
+    }
+
+    /// The accessions of the given entities.
+    fn accessions(&self, ids: impl IntoIterator<Item = u32>) -> BTreeSet<String> {
+        ids.into_iter()
+            .map(|i| self.workload.entities[i as usize].accession.clone())
+            .collect()
     }
 
     /// Generate one single-pattern query: pick a schema, a categorical
     /// attribute of it, and a value constraint that has at least one
     /// true answer in the corpus.
     pub fn single<R: Rng + ?Sized>(&self, r: &mut R) -> GeneratedQuery {
+        let d = self.draw(r);
+        GeneratedQuery {
+            schema: d.schema.id().clone(),
+            concept: d.concept.0,
+            query: d.query,
+            true_answers: self.accessions(d.ids),
+        }
+    }
+
+    /// The draws of [`QueryGenerator::single`], its truth kept as ids.
+    fn draw<R: Rng + ?Sized>(&self, r: &mut R) -> Draw<'a> {
         // Try schemas until one has a categorical attribute (organism
         // is always present, so the first try almost always works).
         loop {
@@ -102,12 +194,11 @@ impl<'a> QueryGenerator<'a> {
                 ),
             )
             .expect("x occurs in the pattern");
-            let true_answers = self.workload.true_matches(concept, &pattern_text);
-            return GeneratedQuery {
-                schema: s.id().clone(),
-                concept: concept.0,
+            return Draw {
+                schema: s,
+                concept,
                 query,
-                true_answers,
+                ids: self.matching(concept, &pattern_text),
             };
         }
     }
@@ -124,7 +215,7 @@ impl<'a> QueryGenerator<'a> {
             schema: SchemaId::new("EMBL"),
             concept: 0,
             query,
-            true_answers: self.workload.true_matches(ConceptId(0), "%Aspergillus%"),
+            true_answers: self.accessions(self.matching(ConceptId(0), "%Aspergillus%")),
         }
     }
 }
@@ -154,22 +245,15 @@ impl<'a> QueryGenerator<'a> {
     pub fn conjunctive<R: Rng + ?Sized>(&self, r: &mut R) -> GeneratedConjunctiveQuery {
         loop {
             // Reuse the single-pattern machinery for the selective leg.
-            let head = self.single(r);
-            let Some(s) = self
-                .workload
-                .schemas
-                .iter()
-                .find(|s| *s.id() == head.schema)
-            else {
-                continue;
-            };
+            let head = self.draw(r);
+            let s = head.schema;
             // A second attribute with a *different* concept.
             let others: Vec<(&str, ConceptId)> = s
                 .attributes()
                 .iter()
                 .filter_map(|a| {
                     let c = self.workload.ground_truth.concept(s.id(), a)?;
-                    (c.0 != head.concept).then_some((a.as_str(), c))
+                    (c != head.concept).then_some((a.as_str(), c))
                 })
                 .collect();
             if others.is_empty() {
@@ -179,7 +263,7 @@ impl<'a> QueryGenerator<'a> {
             let query = ConjunctiveQuery::new(
                 vec!["x".into(), "v".into()],
                 vec![
-                    head.query.pattern.clone(),
+                    head.query.pattern,
                     TriplePattern::new(
                         PatternTerm::var("x"),
                         PatternTerm::constant(Term::Uri(s.predicate(join_attr))),
@@ -188,34 +272,18 @@ impl<'a> QueryGenerator<'a> {
                 ],
             )
             .expect("x and v occur in the patterns");
-            // Prune the head's truth to entities some schema can join.
-            let joinable: BTreeSet<String> = self
-                .workload
-                .schemas
-                .iter()
-                .filter(|s2| {
-                    s2.attributes().iter().any(|a| {
-                        self.workload
-                            .ground_truth
-                            .concept(s2.id(), a)
-                            .map(|c| c == join_concept)
-                            .unwrap_or(false)
-                    })
-                })
-                .flat_map(|s2| {
-                    self.workload.exports[s2.id()]
-                        .iter()
-                        .map(|&i| self.workload.entities[i].accession.clone())
-                })
-                .collect();
-            let true_answers: BTreeSet<String> =
-                head.true_answers.intersection(&joinable).cloned().collect();
+            // Keep the head's answers that some schema can join.
+            let bits = &self.exported[join_concept.0];
+            let joinable = head
+                .ids
+                .into_iter()
+                .filter(|&i| bits[i as usize / 64] >> (i % 64) & 1 == 1);
             return GeneratedConjunctiveQuery {
-                schema: head.schema,
-                constrained_concept: head.concept,
+                schema: s.id().clone(),
+                constrained_concept: head.concept.0,
                 join_concept: join_concept.0,
                 query,
-                true_answers,
+                true_answers: self.accessions(joinable),
             };
         }
     }
@@ -357,6 +425,162 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// The scan the index replaces: the accessions of every entity in
+    /// the corpus whose canonical `concept` value matches `pattern`.
+    pub(super) fn scan_matches(
+        w: &Workload,
+        concept: ConceptId,
+        pattern: &str,
+    ) -> BTreeSet<String> {
+        w.entities
+            .iter()
+            .filter(|e| {
+                e.values
+                    .get(&concept.0)
+                    .is_some_and(|v| gridvine_rdf::like_match(v, pattern))
+            })
+            .map(|e| e.accession.clone())
+            .collect()
+    }
+
+    /// `single` as a scan: the same draws, truth from [`scan_matches`].
+    fn reference_single<R: Rng>(g: &QueryGenerator, r: &mut R) -> GeneratedQuery {
+        let w = g.workload;
+        loop {
+            let s = &w.schemas[g.schema_zipf.sample(r)];
+            let categorical: Vec<(&str, ConceptId)> = s
+                .attributes()
+                .iter()
+                .filter_map(|a| {
+                    let c = w.ground_truth.concept(s.id(), a)?;
+                    CONCEPTS[c.0].categorical.then_some((a.as_str(), c))
+                })
+                .collect();
+            let Some(&(attr, concept)) = categorical.get(r.gen_range(0..categorical.len().max(1)))
+            else {
+                continue;
+            };
+            let pool = vocab::value_pool(concept).unwrap();
+            let value = pool[r.gen_range(0..pool.len())];
+            let pattern = if r.gen::<f64>() < g.config.wildcard_probability {
+                format!("%{}%", value.split_whitespace().next().unwrap_or(value))
+            } else {
+                value.to_string()
+            };
+            let query = TriplePatternQuery::new(
+                "x",
+                TriplePattern::new(
+                    PatternTerm::var("x"),
+                    PatternTerm::constant(Term::Uri(s.predicate(attr))),
+                    PatternTerm::constant(Term::literal(pattern.clone())),
+                ),
+            )
+            .unwrap();
+            return GeneratedQuery {
+                schema: s.id().clone(),
+                concept: concept.0,
+                query,
+                true_answers: scan_matches(w, concept, &pattern),
+            };
+        }
+    }
+
+    /// `conjunctive` as a scan: the head's scanned truth intersected
+    /// with the accessions of every schema carrying the join concept.
+    fn reference_conjunctive<R: Rng>(g: &QueryGenerator, r: &mut R) -> GeneratedConjunctiveQuery {
+        let w = g.workload;
+        loop {
+            let head = reference_single(g, r);
+            let s = w.schemas.iter().find(|s| *s.id() == head.schema).unwrap();
+            let others: Vec<(&str, ConceptId)> = s
+                .attributes()
+                .iter()
+                .filter_map(|a| {
+                    let c = w.ground_truth.concept(s.id(), a)?;
+                    (c.0 != head.concept).then_some((a.as_str(), c))
+                })
+                .collect();
+            if others.is_empty() {
+                continue;
+            }
+            let (join_attr, join_concept) = others[r.gen_range(0..others.len())];
+            let query = ConjunctiveQuery::new(
+                vec!["x".into(), "v".into()],
+                vec![
+                    head.query.pattern.clone(),
+                    TriplePattern::new(
+                        PatternTerm::var("x"),
+                        PatternTerm::constant(Term::Uri(s.predicate(join_attr))),
+                        PatternTerm::var("v"),
+                    ),
+                ],
+            )
+            .unwrap();
+            let joinable: BTreeSet<String> = w
+                .schemas
+                .iter()
+                .filter(|s2| {
+                    s2.attributes()
+                        .iter()
+                        .any(|a| w.ground_truth.concept(s2.id(), a) == Some(join_concept))
+                })
+                .flat_map(|s2| w.exports[s2.id()].iter())
+                .map(|&i| w.entities[i].accession.clone())
+                .collect();
+            return GeneratedConjunctiveQuery {
+                schema: head.schema,
+                constrained_concept: head.concept,
+                join_concept: join_concept.0,
+                query,
+                true_answers: head.true_answers.intersection(&joinable).cloned().collect(),
+            };
+        }
+    }
+
+    #[test]
+    fn batches_are_the_scan_references_batches() {
+        use rand::RngCore;
+        for noise in [0.0, 0.4] {
+            let w = Workload::generate(WorkloadConfig {
+                entities: 300,
+                value_noise: noise,
+                ..WorkloadConfig::small(17)
+            });
+            let g = QueryGenerator::new(&w, QueryConfig::default());
+
+            let (mut r, mut reference) = (rng::seeded(8), rng::seeded(8));
+            for q in g.batch(200, &mut r) {
+                let want = reference_single(&g, &mut reference);
+                assert_eq!(
+                    (&q.schema, q.concept, &q.query, &q.true_answers),
+                    (&want.schema, want.concept, &want.query, &want.true_answers)
+                );
+            }
+            assert_eq!(r.next_u64(), reference.next_u64(), "same draws");
+
+            let (mut r, mut reference) = (rng::seeded(9), rng::seeded(9));
+            let mut pruned = 0;
+            for q in g.conjunctive_batch(200, &mut r) {
+                let want = reference_conjunctive(&g, &mut reference);
+                assert_eq!(
+                    (&q.schema, q.constrained_concept, q.join_concept, &q.query),
+                    (
+                        &want.schema,
+                        want.constrained_concept,
+                        want.join_concept,
+                        &want.query
+                    )
+                );
+                assert_eq!(q.true_answers, want.true_answers);
+                let pattern = q.query.patterns[0].object.as_const().unwrap().lexical();
+                let head = scan_matches(&w, ConceptId(q.constrained_concept), pattern);
+                pruned += usize::from(q.true_answers.len() < head.len());
+            }
+            assert_eq!(r.next_u64(), reference.next_u64(), "same draws");
+            assert!(pruned > 0, "some join must prune its head's answers");
+        }
+    }
+
     #[test]
     fn zipf_skew_prefers_popular_schemas() {
         let w = Workload::generate(WorkloadConfig {
@@ -375,5 +599,52 @@ mod tests {
         let first_schema = w.schemas[0].id().clone();
         let hits = qs.iter().filter(|q| q.schema == first_schema).count();
         assert!(hits > 40, "rank-0 schema should dominate: {hits}/400");
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::tests::scan_matches;
+    use super::*;
+    use crate::generate::WorkloadConfig;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// For every categorical concept, the index answers each LIKE
+        /// shape — built from the words of one entity's value — and the
+        /// catch-alls `%`, `%%` and an absent value as the scan does.
+        #[test]
+        fn the_index_answers_every_pattern_as_the_scan_does(
+            seed in 0u64..1_000,
+            noise in prop::sample::select(vec![0.0, 0.4]),
+            pick in 0usize..60,
+        ) {
+            let w = Workload::generate(WorkloadConfig {
+                value_noise: noise,
+                ..WorkloadConfig::small(seed)
+            });
+            let g = QueryGenerator::new(&w, QueryConfig::default());
+            for c in CONCEPTS.iter().filter(|c| c.categorical) {
+                let value = &w.entities[pick % w.entities.len()].values[&c.id.0];
+                let mut patterns = vec![
+                    value.clone(),
+                    "%".to_string(),
+                    "%%".to_string(),
+                    "no such value".to_string(),
+                ];
+                for word in value.split_whitespace() {
+                    patterns.extend([format!("{word}%"), format!("%{word}"), format!("%{word}%")]);
+                }
+                for pattern in &patterns {
+                    prop_assert_eq!(
+                        g.accessions(g.matching(c.id, pattern)),
+                        scan_matches(&w, c.id, pattern),
+                        "concept {} pattern {:?}", c.name, pattern
+                    );
+                }
+            }
+        }
     }
 }

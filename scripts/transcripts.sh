@@ -11,7 +11,9 @@
 # iteration order, wall-clock time, a thread race). `paper_claims`
 # exits non-zero when a claim deviates without a recorded reason (or
 # keeps a reason after it holds again), so that fails here too. One
-# `same` / `DIFF` / `FAIL` line per program.
+# `same` / `DIFF` / `FAIL` line per program, with the program's
+# wall-clock seconds in this tree's first run and, in parentheses, in
+# the run it is compared with (informational: no time fails the step).
 #
 # With --parent <rev> it also exports <rev> (a `git archive`), builds it
 # the same way and reports, per program, whether this tree's transcript
@@ -42,13 +44,25 @@ echo "work dir: $work"
 build() { # <tree> <target dir>
     (cd "$1" && CARGO_TARGET_DIR="$2" cargo build --release --offline --quiet --workspace --bins --examples)
 }
-# Runs every program of this tree from <target dir> into <out dir>.
+# Runs every program of this tree from <target dir> into <out dir>,
+# with its wall-clock milliseconds beside its transcript.
 run_all() { # <target dir> <out dir>
     mkdir -p "$2"
     for p in $programs; do
         [ -x "$1/release/$p" ] || continue # not in that tree
+        start=$(date +%s%N)
         (cd "$work" && "$1/release/$p" >"$2/$(basename "$p").txt") || echo "$p" >>"$2/failed"
+        echo $((($(date +%s%N) - start) / 1000000)) >"$2/$(basename "$p").ms"
     done
+}
+# "<seconds> s" of one program in one run, or "-" if it did not run.
+secs() { # <run dir> <name>
+    if [ -e "$1/$2.ms" ]; then
+        ms=$(cat "$1/$2.ms")
+        printf '%d.%02d s' $((ms / 1000)) $((ms % 1000 / 10))
+    else
+        printf -- -
+    fi
 }
 
 programs=$(cd "$root" && for f in crates/bench/src/bin/*.rs examples/*.rs; do
@@ -80,17 +94,18 @@ compare() { # <label> <other run> <strict>
     same=0 diffs=0 new=0 failed=0
     for p in $programs; do
         name=$(basename "$p")
+        took="$(secs "$work/run-1" "$name") ($(secs "$2" "$name"))"
         if grep -qx "$p" "$work/run-1/failed" "$2/failed" 2>/dev/null; then
-            echo "FAIL  $p (non-zero exit)"
+            echo "FAIL  $p (non-zero exit)  $took"
             failed=$((failed + 1))
         elif [ ! -e "$2/$name.txt" ]; then
-            echo "new   $p"
+            echo "new   $p  $took"
             new=$((new + 1))
         elif cmp -s "$work/run-1/$name.txt" "$2/$name.txt"; then
-            echo "same  $p"
+            echo "same  $p  $took"
             same=$((same + 1))
         else
-            echo "DIFF  $p"
+            echo "DIFF  $p  $took"
             diff "$2/$name.txt" "$work/run-1/$name.txt" | head -n 8 | sed 's/^/      /'
             diffs=$((diffs + 1))
         fi
