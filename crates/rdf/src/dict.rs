@@ -69,6 +69,19 @@ fn tag_lexical(s: &str) -> u32 {
 
 const EMPTY: u32 = u32::MAX;
 
+/// Push onto an append-only column, growing it by half its capacity
+/// (at least 4 slots) when full instead of `Vec`'s doubling: a store
+/// keeps its columns for life, so their slack is paid per row — at
+/// most a third of the capacity here, half with doubling — while the
+/// copies stay amortized O(1) per push.
+#[inline]
+pub(crate) fn push_by_half<T>(column: &mut Vec<T>, value: T) {
+    if column.len() == column.capacity() {
+        column.reserve_exact((column.capacity() / 2).max(4));
+    }
+    column.push(value);
+}
+
 /// One open-addressing slot, 8 bytes: the lexical's 32-bit tag and its
 /// id, interleaved so a probe touches a single cache line. The home
 /// slot is the tag's low bits, so growing the table re-seats every
@@ -169,7 +182,7 @@ impl TermDict {
         let id = u32::try_from(self.terms.len()).expect("term dictionary overflow");
         assert!(id < EMPTY, "term dictionary overflow");
         self.slots[slot] = Slot { tag, id };
-        self.terms.push(arc);
+        push_by_half(&mut self.terms, arc);
         TermId(id)
     }
 

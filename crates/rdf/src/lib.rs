@@ -3,8 +3,8 @@
 //! The data model of GridVine's semantic mediation layer (§2.2–2.3 of
 //! the paper): RDF-style triples, the per-peer local triple database
 //! `DB_p` with the three relational operators (selection σ, projection
-//! π, self-join ⋈), triple patterns and conjunctive queries, an
-//! RDQL-subset parser, and the peer-scoped GUID scheme.
+//! π, self-join ⋈), triple patterns and conjunctive queries, and an
+//! RDQL-subset parser.
 //!
 //! This crate is deliberately free of any networking or overlay
 //! dependency: it is the "what" of GridVine's data, while
@@ -21,7 +21,8 @@
 //! * **one index** — per position, posting lists directly indexed by
 //!   the dense id: a flat CSR head (offsets + data) over the rows up to
 //!   the last rebuild and a sparse tail — only the terms that have such
-//!   rows — for the rows since. The columns are the one copy of a row:
+//!   rows — for the rows since, sealed into the head once it holds a
+//!   quarter as many rows. The columns are the one copy of a row:
 //!   whether a row is live is read off its shortest posting list.
 //!   Probing a value the store has never seen is one dictionary hash,
 //!   no allocation. Each position additionally keeps a lazily built
@@ -69,7 +70,6 @@
 pub mod batch;
 pub mod dict;
 pub mod fasthash;
-pub mod guid;
 pub mod join;
 pub mod parser;
 pub mod query;
@@ -81,7 +81,6 @@ pub mod triple;
 pub mod prelude {
     pub use crate::batch::BindingBatch;
     pub use crate::dict::{TermDict, TermId};
-    pub use crate::guid::Guid;
     pub use crate::parser::{parse_query, parse_single, ParseError};
     pub use crate::query::{ConjunctiveQuery, QueryError, TriplePatternQuery};
     pub use crate::store::{RowCursor, TripleRef, TripleStore};
@@ -91,7 +90,6 @@ pub mod prelude {
 
 pub use batch::BindingBatch;
 pub use dict::{TermDict, TermId};
-pub use guid::Guid;
 pub use parser::{parse_query, parse_single, ParseError};
 pub use query::{ConjunctiveQuery, QueryError, TriplePatternQuery};
 pub use store::{RowCursor, TripleRef, TripleStore};

@@ -12,7 +12,7 @@
 //! term materialization is deferred until a consumer dereferences a row
 //! id.
 
-use crate::dict::TermId;
+use crate::dict::{push_by_half, TermId};
 use crate::triple::Position;
 use serde::{Deserialize, Serialize};
 
@@ -95,9 +95,9 @@ impl Columns {
     /// Append one live row.
     #[inline]
     pub(crate) fn push(&mut self, row: Row) {
-        self.s.push(row.s);
-        self.p.push(row.p);
-        self.o.push(row.o);
+        push_by_half(&mut self.s, row.s);
+        push_by_half(&mut self.p, row.p);
+        push_by_half(&mut self.o, row.o);
         self.o_lit.push(row.o_lit);
         self.dead.push(false);
     }

@@ -29,20 +29,29 @@
 //! * rows appended since the last rebuild spill into a sparse
 //!   **tail**: a map from the terms that have such rows to their
 //!   lists (up to `INLINE_POSTING` ids inline in the entry). When the
-//!   tail reaches `SEAL_MIN` rows the head is rebuilt over the whole
-//!   row space and the tail freed.
+//!   tail reaches a quarter of the rows the head covers (and at least
+//!   `SEAL_FLOOR` rows) the head is rebuilt over the whole row space,
+//!   at exactly the length it needs, and the tail freed. The rebuilds
+//!   fall at geometrically spaced sizes, so each row is counted into a
+//!   head O(1) times over a store's life, a batch of three rows
+//!   rebuilds nothing, and the tail holds fewer than `SEAL_FLOOR` rows
+//!   or less than a fifth of the store, whatever its size.
 //!
 //! What a store holds is sized by its rows, not by its dictionary: the
 //! only per-term structures are the dictionary itself (an 8-byte slot
-//! and a buffer handle per term) and the CSR offsets; the tail has an
-//! entry per term *with tail rows*. There is no row set either — the
-//! columns are the one copy of a row. Whether a row is live (the
-//! idempotence of [`TripleStore::insert_batch`], [`TripleStore::remove`]
-//! and [`TripleStore::contains`]) is answered from the shortest of its
-//! three posting lists; a term the store has never seen has none, so a
-//! row bringing a new term is new at once. A batch's own rows are
-//! indexed when it ends, so a set scoped to the call catches a triple
-//! the batch repeats.
+//! and a buffer handle per term) and the CSR offsets (4 bytes per term
+//! and position); the tail has an entry per term *with tail rows*. A
+//! sealed row costs 12 bytes in the columns and 4 per position in a
+//! head; the heads are allocated at their exact length, and the
+//! columns and the dictionary's id→string column grow by half, not
+//! double, so their slack is at most half what they hold. There is no
+//! row set either — the columns are the one copy of a row. Whether a
+//! row is live (the idempotence of [`TripleStore::insert_batch`],
+//! [`TripleStore::remove`] and [`TripleStore::contains`]) is answered
+//! from the shortest of its three posting lists; a term the store has
+//! never seen has none, so a row bringing a new term is new at once. A
+//! batch's own rows are indexed when it ends, so a set scoped to the
+//! call catches a triple the batch repeats.
 //!
 //! Each position additionally keeps a lazily built sorted key index
 //! (`BTreeMap<Arc<str>, TermId>`, sharing the dictionary's buffers) so
@@ -54,10 +63,10 @@
 //!            ┌────────────── below csr_end ────────┬─── above ────┐
 //!  columns   │ s[..] p[..] o[..]  (TermId, row id) │   s p o      │
 //!            └──────────────────────────────────────┴──────────────┘
-//!  postings   CSR head (rebuilt at the threshold)    sparse tail
-//!             offsets: [0, 2, 2, 5, …]  ── term t ─┐  {t → Inline[≤5]
-//!             data:    [r0 r7 │ r1 r4 r9 │ …]  ◀───┘        or Heap}
-//!                                                   terms with tail
+//!  postings   CSR head (rebuilt when the tail        sparse tail
+//!             reaches a quarter of it)               {t → Inline[≤5]
+//!             offsets: [0, 2, 2, 5, …]  ── term t ─┐        or Heap}
+//!             data:    [r0 r7 │ r1 r4 r9 │ …]  ◀───┘  terms with tail
 //!                                                   rows only
 //! ```
 //!
@@ -114,9 +123,14 @@ use std::sync::{Arc, OnceLock};
 /// Row ids a tail posting entry holds before spilling to the heap.
 const INLINE_POSTING: usize = 5;
 
-/// Tail length (rows at or above `csr_end`) at which the CSR posting
-/// heads are rebuilt — "sealing" the tail into the head.
-const SEAL_MIN: usize = 32_768;
+/// Tail length below which the CSR posting heads are never rebuilt.
+const SEAL_FLOOR: usize = 32;
+
+/// The CSR posting heads are rebuilt — the tail "sealed" into them —
+/// once the tail (rows at or above `csr_end`) holds a quarter of the
+/// rows the heads cover, `csr_end / SEAL_FRACTION`, and at least
+/// [`SEAL_FLOOR`].
+const SEAL_FRACTION: usize = 4;
 
 /// One position's posting index: term id → row ids, split at `csr_end`
 /// (see the module diagram):
@@ -124,15 +138,17 @@ const SEAL_MIN: usize = 32_768;
 /// * the **CSR head** covers every row below `csr_end`: `data` is all
 ///   postings of the position concatenated in term order (each span
 ///   ascending by row id), `offsets[t]..offsets[t+1]` indexes term
-///   `t`'s span. Two flat arrays for the whole position — a probe is
-///   two sequential loads, and rebuilds are a counting pass, no
-///   per-term allocation;
+///   `t`'s span. Two flat arrays for the whole position, allocated at
+///   their exact length — a probe is two sequential loads, and a
+///   rebuild is a counting pass, no per-term allocation;
 /// * the **tail** holds rows appended since the last rebuild, as small
 ///   inline/heap lists keyed by term — only the terms that have such
 ///   rows. Freed when the head is rebuilt.
 ///
 /// A term's full posting list is `head(t) ++ tail(t)`: both ascending,
-/// every head id below every tail id.
+/// every head id below every tail id. A row costs the position 4 bytes
+/// in `data` once sealed; a term costs 4 in `offsets`, and a 41-byte
+/// hash-map slot (the map at most 7/8 full) while it has tail rows.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct PostingIndex {
     /// `offsets[t]..offsets[t+1]` is term `t`'s span in `data`.
@@ -199,42 +215,43 @@ impl PostingIndex {
     }
 
     /// Rebuild the CSR head to cover all of `col` (one counting pass:
-    /// count, prefix-sum, fill) and free the tail. `bound` is the
-    /// dictionary's exclusive id-index bound.
+    /// count, prefix-sum, fill) into arrays of exactly the length it
+    /// needs, and free the tail. `bound` is the dictionary's exclusive
+    /// id-index bound.
     fn rebuild(&mut self, col: &[TermId], bound: usize) {
-        self.offsets.clear();
-        self.offsets.resize(bound + 1, 0);
+        let mut offsets = vec![0u32; bound + 1];
         for id in col {
-            self.offsets[id.index() + 1] += 1;
+            offsets[id.index() + 1] += 1;
         }
         // Rows the tail never saw may bring terms the key index lacks.
-        let terms = self.offsets.iter().filter(|&&count| count != 0).count();
+        let terms = offsets.iter().filter(|&&count| count != 0).count();
         if self.sorted.get().is_some_and(|keys| keys.len() != terms) {
             self.sorted.take();
         }
-        for i in 1..self.offsets.len() {
-            self.offsets[i] += self.offsets[i - 1];
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
         }
-        self.data.clear();
-        self.data.resize(col.len(), 0);
+        let mut data = vec![0u32; col.len()];
         for (row, id) in col.iter().enumerate() {
-            let slot = &mut self.offsets[id.index()];
-            self.data[*slot as usize] = row as u32;
+            let slot = &mut offsets[id.index()];
+            data[*slot as usize] = row as u32;
             *slot += 1;
         }
         // Each offsets[t] advanced to end(t) == start(t+1); rotate the
         // starts back into place.
-        self.offsets.rotate_right(1);
-        self.offsets[0] = 0;
+        offsets.rotate_right(1);
+        offsets[0] = 0;
+        self.offsets = offsets;
+        self.data = data;
         self.csr_end = col.len() as u32;
         self.tail = FxHashMap::default();
     }
 
-    /// Heap bytes of the head and the tail, by capacity (a hash-map
+    /// Heap bytes of the head and of the tail, by capacity (a hash-map
     /// entry counted with its control byte). The lazily built key index
     /// is left out.
     #[cfg(test)]
-    fn heap_bytes(&self) -> usize {
+    fn heap_bytes(&self) -> (usize, usize) {
         let entry = std::mem::size_of::<(TermId, PostingList)>() + 1;
         let spilled: usize = self
             .tail
@@ -244,9 +261,8 @@ impl PostingIndex {
                 PostingList::Inline { .. } => 0,
             })
             .sum();
-        (self.offsets.capacity() + self.data.capacity()) * 4
-            + self.tail.capacity() * entry
-            + spilled
+        let head = (self.offsets.capacity() + self.data.capacity()) * 4;
+        (head, self.tail.capacity() * entry + spilled)
     }
 }
 
@@ -390,11 +406,15 @@ impl TripleStore {
     /// store does not hold yet, in iteration order, and return how many
     /// were new.
     ///
-    /// One pass interns and deduplicates, one pass per position indexes
-    /// the appended rows — or, when they take the tail to `SEAL_MIN`,
-    /// the CSR rebuild indexes them and the tail fill is skipped. A
-    /// position's sorted key index is dropped only when the batch
-    /// brought that position a term it did not have.
+    /// One pass interns and deduplicates. Then, when the appended rows
+    /// take the tail to a quarter of the rows the CSR heads cover (and
+    /// to at least `SEAL_FLOOR`), the heads are rebuilt over every row
+    /// and the tail fill is skipped; otherwise one pass per position
+    /// appends the rows to its tail. Either way a row costs O(1)
+    /// amortized: a rebuild at `n` rows follows at least `n / 5` rows
+    /// appended since the last one. A position's sorted key index is
+    /// dropped only when the batch brought that position a term it did
+    /// not have.
     ///
     /// A triple is new when no live row among the store's rows before
     /// the call holds it — searched in the shortest of its three
@@ -407,7 +427,7 @@ impl TripleStore {
     /// The cost of a call is the cost of its rows: `Update(t)` on a
     /// 340-peer network hands each peer about three rows at a time, so
     /// nothing here is per call — no system call, no pre-sizing (the
-    /// columns, the call's set and the dictionary grow by amortized
+    /// columns and the dictionary grow by half, the call's set by
     /// doubling; reserving for the batch measured no faster at 50 000
     /// rows, and a table sized for a batch of mostly known terms only
     /// costs probe cache misses).
@@ -454,10 +474,10 @@ impl TripleStore {
         self.live += added;
 
         // Rows the CSR heads do not cover (the positions share `csr_end`).
-        let tail_rows = self.cols.len() - self.by_subject.csr_end as usize;
-        if tail_rows >= SEAL_MIN {
+        let csr_end = self.by_subject.csr_end as usize;
+        if self.cols.len() - csr_end >= SEAL_FLOOR.max(csr_end / SEAL_FRACTION) {
             self.rebuild_posting_csr();
-        } else {
+        } else if added > 0 {
             let fill = |index: &mut PostingIndex, ids: &[TermId]| {
                 for (row, tid) in (first_new..).zip(&ids[first_new..]) {
                     index.push(*tid, row as u32);
@@ -800,15 +820,17 @@ impl TripleStore {
     /// Compact the store: drop tombstoned rows — the live rows are
     /// re-inserted, in order, into a fresh store, so columns, dictionary
     /// (sharing the old one's buffers) and posting lists hold exactly
-    /// what is live — then rebuild the CSR posting heads over the whole
-    /// row space.
+    /// what is live — and leave the CSR posting heads covering the whole
+    /// row space: rebuilt once, unless the re-insert already sealed.
     pub fn compact(&mut self) {
         if self.cols.any_dead() {
             let mut live = TripleStore::new();
             live.insert_batch(self.iter());
             *self = live;
         }
-        self.rebuild_posting_csr();
+        if (self.by_subject.csr_end as usize) < self.cols.len() {
+            self.rebuild_posting_csr();
+        }
     }
 }
 
@@ -1010,45 +1032,87 @@ mod tests {
         assert_eq!(db.len(), 1);
     }
 
-    /// Heap bytes a store holds for itself, by capacity: columns,
-    /// posting heads and tails, dictionary table and id→string column.
-    /// String buffers (shared through a lexicon) and the lazily built
-    /// key indexes are left out.
-    fn heap_bytes(db: &TripleStore) -> usize {
-        db.cols.heap_bytes()
-            + Position::ALL
-                .iter()
-                .map(|&pos| db.index(pos).heap_bytes())
-                .sum::<usize>()
-            + db.dict.heap_bytes()
+    /// Heap bytes a store holds for itself, by capacity, per component:
+    /// columns, posting heads, posting tails, and the dictionary's table
+    /// and id→string column. String buffers (shared through a lexicon)
+    /// and the lazily built key indexes are left out.
+    fn footprint(db: &TripleStore) -> [usize; 4] {
+        let (heads, tails) = Position::ALL
+            .iter()
+            .map(|&pos| db.index(pos).heap_bytes())
+            .fold((0, 0), |(h, t), (head, tail)| (h + head, t + tail));
+        [db.cols.heap_bytes(), heads, tails, db.dict.heap_bytes()]
     }
 
-    #[test]
-    fn a_store_pays_per_row_not_per_dictionary_entry() {
-        // 100 000 rows over 65 008 terms (25 000 subjects, 8 predicates,
-        // 40 000 objects) in 1 000-row batches: three seals, then a
-        // 1 000-row tail — the shape of a peer after a bulk load.
-        let rows = 100_000;
+    /// A store of `rows` rows loaded in batches of `batch`: a subject per
+    /// four rows, eight predicates, and an object per 2.5 rows.
+    fn load_shape(rows: usize, batch: usize) -> TripleStore {
         let mut db = TripleStore::new();
         let ids: Vec<usize> = (0..rows).collect();
-        for batch in ids.chunks(1_000) {
-            db.insert_batch(batch.iter().map(|&i| {
+        for chunk in ids.chunks(batch) {
+            db.insert_batch(chunk.iter().map(|&i| {
                 Triple::new(
                     format!("seq:S{:06}", i / 4),
                     format!("schema#p{}", i % 8),
-                    Term::literal(format!("value {}", i % 40_000)),
+                    Term::literal(format!("value {}", i % (rows * 2 / 5))),
                 )
             }));
         }
         assert_eq!(db.len(), rows);
+        assert_eq!(db.dict().len(), rows / 4 + 8 + rows * 2 / 5);
+        db
+    }
+
+    /// Bytes per row of `db`, in total and by component, printed (run
+    /// with `--nocapture` to see them).
+    fn bytes_per_row(db: &TripleStore) -> f64 {
+        let rows = db.len() as f64;
+        let parts = footprint(db).map(|bytes| bytes as f64 / rows);
+        let total = parts.iter().sum::<f64>();
+        println!(
+            "{} rows, csr_end {}: {total:.1} B/row = columns {:.1} + heads {:.1} + tails {:.1} + dictionary {:.1}",
+            db.len(),
+            db.by_subject.csr_end,
+            parts[0],
+            parts[1],
+            parts[2],
+            parts[3],
+        );
+        total
+    }
+
+    #[test]
+    fn a_store_pays_per_row_not_per_dictionary_entry() {
+        // 100 000 rows over 65 008 terms in 1 000-row batches — the shape
+        // of a peer after a bulk load. The heads seal after every batch
+        // up to 5 000 rows, then whenever the tail reaches a quarter of
+        // the rows they cover: at 7 000, 9 000, 12 000, … 60 000, 75 000
+        // and 94 000 rows. The last 6 000 rows are the tail.
+        let db = load_shape(100_000, 1_000);
         assert_eq!(db.dict().len(), 65_008);
-        assert_eq!(db.by_subject.csr_end, 99_000);
-        // 63.7 bytes per row: 16 in the columns, 27 in the postings, 21
+        assert_eq!(db.by_subject.csr_end, 94_000);
+        // 63.8 bytes per row: 16 in the columns, 23 in the postings, 25
         // in the dictionary. A second copy of the rows in a hash set
         // (+19.5), 16-byte dictionary slots (+10.5) or a posting tail
         // indexed by every term id (+35) each cross the bound.
-        let per_row = heap_bytes(&db) as f64 / rows as f64;
-        assert!(per_row < 72.0, "{per_row:.1} bytes per row");
+        let per_row = bytes_per_row(&db);
+        assert!(per_row < 66.0, "{per_row:.1} bytes per row");
+    }
+
+    #[test]
+    fn a_small_store_pays_per_row_too() {
+        // The two shapes the benchmark's peers are loaded in: ≈ 180 rows
+        // in ≈ 50 `Update(t)` calls of 3–4 rows (340 peers), and ≈ 18 400
+        // rows in 50 calls of 368 (32 peers). They come to 67.1 and 68.9
+        // bytes per row. A fixed 32 768-row seal threshold left both all
+        // tail (88.7 and 102.7), and columns that grow by doubling cost
+        // 3.0 and 3.4 more: each crosses the bounds.
+        for (rows, batch, csr_end, bound) in [(180, 4, 160, 69.0), (18_400, 368, 17_664, 71.0)] {
+            let db = load_shape(rows, batch);
+            assert_eq!(db.by_subject.csr_end, csr_end, "{rows} rows");
+            let per_row = bytes_per_row(&db);
+            assert!(per_row < bound, "{rows} rows: {per_row:.1} bytes per row");
+        }
     }
 
     #[test]
@@ -1969,45 +2033,62 @@ mod proptests {
             .collect()
     }
 
+    /// A history that crosses several seal points before the random
+    /// ops run: filler batches of the sizes `cuts` gives (the one a
+    /// `copies` bit picks repeats its first rows inside it), each
+    /// followed by a removal and the re-insert of the removed triple,
+    /// and every third by a compaction.
+    fn prelude(cuts: &[(usize, prop::sample::Index)], copies: u8) -> Vec<Op> {
+        let rows = filler(cuts.iter().map(|&(n, _)| n).sum());
+        let mut ops = Vec::new();
+        let mut from = 0;
+        for (k, &(n, index)) in cuts.iter().enumerate() {
+            let mut batch = rows[from..from + n].to_vec();
+            from += n;
+            if copies & (1 << (k % 8)) != 0 {
+                batch.extend_from_slice(&rows[from - n..from - n / 2]);
+            }
+            ops.extend([Op::Batch(batch), Op::RemoveLive(index), Op::Reinsert]);
+            if k % 3 == 2 {
+                ops.push(Op::Compact);
+            }
+        }
+        ops
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// A store agrees with a model — the live triples as a `Vec` in
         /// insertion order plus a `BTreeSet` — after every step of a
         /// random history of batches, removals, re-inserts, compactions
-        /// and CSR rebuilds: on `len`, on `iter` order, on `contains`
-        /// and on `select_eq_rows` for every generated triple's terms.
-        /// And its postings — the CSR head plus the tail — agree with a
-        /// brute-force per-term row list and honor the layout
-        /// invariants: both halves strictly ascending, every head row
-        /// below `csr_end`, every tail row at or above it.
+        /// and CSR rebuilds: on `len`, on `iter` order, on `contains`,
+        /// on `abc%` reads at every position and on `select_eq_rows` for
+        /// every probed triple's terms. And its postings — the CSR head
+        /// plus the tail — agree with a brute-force per-term row list
+        /// and honor the layout invariants: both halves strictly
+        /// ascending, every head row below `csr_end`, every tail row at
+        /// or above it, the tail under its seal threshold.
         ///
-        /// One case in eight first fills the tail to just under
-        /// `SEAL_MIN`, so a later batch seals; one in eight loads one
-        /// batch that crosses `SEAL_MIN` with duplicates inside it.
+        /// Every write seals iff it takes the tail to the threshold
+        /// (a quarter of `csr_end`, at least `SEAL_FLOOR`), and each case
+        /// opens with a [`prelude`] that crosses at least three seal
+        /// points, with removals, re-inserts, compactions and reads
+        /// between them.
         #[test]
         fn csr_postings_agree_with_reference(
             ops in proptest::collection::vec(arb_op(), 0..16),
-            prelude in 0u8..8,
+            cuts in proptest::collection::vec((8usize..64, any::<prop::sample::Index>()), 8..16),
+            copies in any::<u8>(),
         ) {
             let mut db = TripleStore::new();
             let mut model: Vec<Triple> = Vec::new();
+            let prelude = prelude(&cuts, copies);
             let mut probes: Vec<Triple> = Vec::new();
-            let prefill = match prelude {
-                0 => filler(SEAL_MIN - 4),
-                1 => {
-                    let rows = filler(SEAL_MIN + 4);
-                    let copies = rows[..16].to_vec();
-                    rows.into_iter().chain(copies).collect()
+            for op in &prelude {
+                if let Op::Batch(batch) = op {
+                    probes.extend([batch[0].clone(), batch[batch.len() - 1].clone()]);
                 }
-                _ => Vec::new(),
-            };
-            if !prefill.is_empty() {
-                let fresh = prefill.len().min(SEAL_MIN + 4);
-                prop_assert_eq!(db.insert_batch(prefill.iter().cloned()), fresh);
-                prop_assert_eq!(db.by_subject.csr_end == 0, prelude == 0, "sealed iff it crossed");
-                model.extend_from_slice(&prefill[..fresh]);
-                probes.extend([prefill[0].clone(), prefill[fresh - 1].clone()]);
             }
             for op in &ops {
                 match op {
@@ -2016,9 +2097,11 @@ mod proptests {
                     _ => {}
                 }
             }
-            let mut live: BTreeSet<Triple> = model.iter().cloned().collect();
+            let mut live: BTreeSet<Triple> = BTreeSet::new();
             let mut removed: Option<Triple> = None;
-            for op in &ops {
+            let mut seals = 0;
+            for (step, op) in prelude.iter().chain(&ops).enumerate() {
+                let (rows, csr_end) = (db.cols.len(), db.by_subject.csr_end as usize);
                 match op {
                     Op::Batch(batch) => {
                         let known = model.len();
@@ -2057,6 +2140,20 @@ mod proptests {
                     Op::Compact => db.compact(),
                     Op::Seal => db.rebuild_posting_csr(),
                 }
+                if matches!(op, Op::Batch(_) | Op::Reinsert) {
+                    // Sealed iff the write took the tail to the threshold.
+                    let crossed = db.cols.len() - csr_end >= SEAL_FLOOR.max(csr_end / SEAL_FRACTION);
+                    let expected = if crossed { db.cols.len() } else { csr_end };
+                    prop_assert_eq!(db.by_subject.csr_end as usize, expected, "sealed iff crossed, after {:?}", op);
+                    seals += (crossed && step < prelude.len()) as usize;
+                } else if matches!(op, Op::Compact | Op::Seal) {
+                    prop_assert_eq!(db.by_subject.csr_end as usize, db.cols.len(), "rebuilt by {:?}", op);
+                } else {
+                    prop_assert_eq!((db.cols.len(), db.by_subject.csr_end as usize), (rows, csr_end));
+                }
+                let csr_end = db.by_subject.csr_end;
+                let tail = db.cols.len() - csr_end as usize;
+                prop_assert!(tail < SEAL_FLOOR.max(csr_end as usize / SEAL_FRACTION), "tail {} over {}", tail, csr_end);
 
                 prop_assert_eq!(db.len(), model.len(), "after {:?}", op);
                 prop_assert!(db.iter_refs().eq(model.iter().map(triple_ref)), "iter order after {:?}", op);
@@ -2064,6 +2161,11 @@ mod proptests {
                     prop_assert_eq!(db.contains(t), live.contains(t), "{:?} after {:?}", t, op);
                 }
                 for pos in Position::ALL {
+                    prop_assert_eq!(db.index(pos).csr_end, csr_end, "{:?} shares csr_end", pos);
+                    for prefix in ["a", "f1", "x"] {
+                        let naive = model.iter().filter(|t| lexical_at(t, pos).starts_with(prefix));
+                        prop_assert_eq!(like_count(&db, pos, &format!("{prefix}%")), naive.count(), "{:?} {}% after {:?}", pos, prefix, op);
+                    }
                     // The model's rows and the column's row ids of every
                     // probed lexical, each in one pass.
                     let mut expected: FxHashMap<&str, Vec<&Triple>> =
@@ -2099,6 +2201,7 @@ mod proptests {
                     }
                 }
             }
+            prop_assert!(seals >= 3, "the prelude crossed {} seal points", seals);
         }
     }
 }

@@ -1,7 +1,9 @@
 #!/bin/sh
-# Where one benchmark workload spends its host time, by function.
+# Where one benchmark workload spends its host time, by function — or,
+# with --heap, how much heap it holds live at its peak.
 #
 #   scripts/profile.sh <workload> [seed=2007]
+#   scripts/profile.sh --heap <workload> [seed=2007]
 #
 # Builds the benchmark package with frame pointers
 # (RUSTFLAGS=-Cforce-frame-pointers=yes) into a fresh directory under
@@ -19,13 +21,26 @@
 # out of the inclusive list. Inlined functions count as their caller,
 # and a chain a library cuts short loses the frames above the cut.
 #
-# Needs cc, nm and python3; x86-64 Linux only. Not run by CI: host
-# profiles are for finding where to look, and claims are still made
-# with scripts/bench_pairs.sh.
+# With --heap it preloads scripts/profile/heap.c instead: a thread that
+# reads glibc's mallinfo2() every 5 ms and keeps the largest live heap
+# (bytes malloc has handed out and not had back). It prints that peak,
+# what glibc held from the system at that moment, and VmHWM — the
+# benchmark's `peak_rss_mb` — so a memory claim can tell live bytes
+# from allocator retention: two runs with the same `rows_digest` can
+# differ in VmHWM by MiBs that the peak live heap does not show.
+#
+# Needs cc, nm and python3; x86-64 Linux with glibc >= 2.33. Not run by
+# CI: profiles are for finding where to look, and claims are still
+# made with scripts/bench_pairs.sh.
 set -eu
 
+heap=no
+if [ "${1:-}" = --heap ]; then
+    heap=yes
+    shift
+fi
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
-    echo "usage: $0 <workload> [seed=2007]" >&2
+    echo "usage: $0 [--heap] <workload> [seed=2007]" >&2
     exit 2
 fi
 workload=$1
@@ -34,12 +49,28 @@ root=$(git rev-parse --show-toplevel)
 work=$(mktemp -d "${TMPDIR:-/tmp}/profile.XXXXXX")
 echo "work dir: $work"
 
-cc -O2 -shared -fPIC -o "$work/sampler.so" "$root/scripts/profile/sampler.c"
 RUSTFLAGS="-C force-frame-pointers=yes" CARGO_TARGET_DIR="$work/target" \
     cargo build --release --offline --quiet \
     --manifest-path "$root/benchmarks/Cargo.toml"
 bin="$work/target/release/gridvine-benchmarks"
 
+if [ $heap = yes ]; then
+    cc -O2 -shared -fPIC -pthread -o "$work/heap.so" "$root/scripts/profile/heap.c"
+    (cd "$work" && HEAP_OUT="$work/heap" LD_PRELOAD="$work/heap.so" \
+        "$bin" --workload "$workload" --seed "$seed" --seconds 15 --trace 0 \
+        >"$work/run.txt" 2>&1)
+    awk '{ v[$1] = $2 } END {
+        printf "peak live heap    %8.1f MiB  (at %.1f s, %d samples)\n",
+            v["peak_live_kib"] / 1024, v["peak_at_s"], v["samples"]
+        printf "held by glibc     %8.1f MiB  (at that peak)\n", v["held_at_peak_kib"] / 1024
+        printf "VmHWM             %8.1f MiB  (peak_rss_mb)\n", v["VmHWM_kib"] / 1024
+        printf "VmRSS at exit     %8.1f MiB\n", v["VmRSS_kib"] / 1024
+    }' "$work/heap"
+    grep '^rows_digest' "$work/run.txt" || true
+    exit 0
+fi
+
+cc -O2 -shared -fPIC -o "$work/sampler.so" "$root/scripts/profile/sampler.c"
 (cd "$work" && PROFILE_OUT="$work/samples" LD_PRELOAD="$work/sampler.so" \
     "$bin" --workload "$workload" --seed "$seed" --seconds 15 --trace 0 \
     >"$work/run.txt" 2>&1)
