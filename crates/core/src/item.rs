@@ -38,38 +38,6 @@ pub enum MediationItem {
     Connectivity(DegreeRecord),
 }
 
-impl MediationItem {
-    /// The mapping of a mapping copy; `None` for every other item.
-    pub fn into_mapping(self) -> Option<Mapping> {
-        match self {
-            MediationItem::Mapping { mapping, .. } => Some(mapping),
-            _ => None,
-        }
-    }
-
-    /// Byte estimate for transfer accounting.
-    pub fn approx_size(&self) -> usize {
-        match self {
-            MediationItem::Triple(t) => {
-                t.subject.as_str().len() + t.predicate.as_str().len() + t.object.lexical().len()
-            }
-            MediationItem::Schema(s) => {
-                s.id().as_str().len() + s.attributes().iter().map(String::len).sum::<usize>()
-            }
-            MediationItem::Mapping { mapping, .. } => {
-                mapping.source.as_str().len()
-                    + mapping.target.as_str().len()
-                    + mapping
-                        .correspondences
-                        .iter()
-                        .map(|c| c.source_attr.len() + c.target_attr.len())
-                        .sum::<usize>()
-            }
-            MediationItem::Connectivity(r) => r.schema.as_str().len() + 16,
-        }
-    }
-}
-
 /// Derives overlay keys for mediation items using the configured hash.
 pub struct KeySpace<'a> {
     hasher: &'a (dyn KeyHasher + Send + Sync),
@@ -233,18 +201,6 @@ mod tests {
         assert_eq!(keys.len(), 2);
         assert_eq!(keys[0], (ks.key_of("EMBL"), true));
         assert_eq!(keys[1], (ks.key_of("EMP"), false));
-    }
-
-    #[test]
-    fn approx_size_is_positive_and_ordered() {
-        let t = MediationItem::Triple(Triple::new(
-            "seq:P1",
-            "EMBL#Organism",
-            Term::literal("Aspergillus niger"),
-        ));
-        let tiny = MediationItem::Triple(Triple::new("a", "b", Term::literal("c")));
-        assert!(t.approx_size() > tiny.approx_size());
-        assert!(tiny.approx_size() > 0);
     }
 
     #[test]

@@ -83,7 +83,7 @@ pub mod prelude {
     pub use crate::selforg::{RoundReport, SelfOrgConfig};
     pub use crate::system::conjunctive::JoinMode;
     pub use crate::system::exec::{ExecStats, QueryOptions, QueryOutcome};
-    pub use crate::system::place::{HeatSpike, PlacementPolicy, PlacementRule, SpikeAction};
+    pub use crate::system::place::{PlacementPolicy, PlacementRule};
     pub use crate::system::pool::{PoolEvent, SessionId, SessionPool};
     pub use crate::system::session::{QuerySession, ResultEvent};
     pub use crate::system::{
@@ -97,7 +97,7 @@ pub use plan::QueryPlan;
 pub use selforg::{RoundReport, SelfOrgConfig};
 pub use system::conjunctive::JoinMode;
 pub use system::exec::{ExecStats, QueryOptions, QueryOutcome};
-pub use system::place::{HeatSpike, PlacementPolicy, PlacementRule, SpikeAction};
+pub use system::place::{PlacementPolicy, PlacementRule};
 pub use system::pool::{PoolEvent, SessionId, SessionPool};
 pub use system::session::{QuerySession, ResultEvent};
 pub use system::{

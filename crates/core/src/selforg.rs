@@ -92,7 +92,7 @@ impl GridVineSystem {
     /// carry predicates from two different schemas vote for that pair.
     /// Returns unconnected pairs sorted by decreasing shared-subject
     /// count.
-    pub fn discover_candidates(&self) -> Vec<(SchemaId, SchemaId, usize)> {
+    fn discover_candidates(&self) -> Vec<(SchemaId, SchemaId, usize)> {
         let mut pair_counts: BTreeMap<(SchemaId, SchemaId), BTreeSet<String>> = BTreeMap::new();
         for i in 0..self.topology().len() {
             let peer = PeerId::from_index(i);
@@ -147,7 +147,7 @@ impl GridVineSystem {
     /// responsible for the predicate's key, so its posting list holds
     /// every triple carrying that predicate (and, unlike the old bucket
     /// read, hash collisions with other values never surface).
-    pub fn build_profile(
+    fn build_profile(
         &mut self,
         origin: PeerId,
         schema: &SchemaId,

@@ -99,10 +99,9 @@ pub struct GridVineConfig {
     #[serde(default)]
     pub latency: LatencyConfig,
     /// Replica-placement policy ([`place`]): per-predicate/key-prefix
-    /// replication factors and latency targets, plus the heat-telemetry
-    /// knobs. The default **null policy** keeps exactly-owner placement
-    /// — no registry entries, no heat tracking, no extra RNG draws —
-    /// and is bit-identical to the placement-free scheduler.
+    /// replication factors. The default **null policy** keeps
+    /// exactly-owner placement — no registry entries, no extra RNG
+    /// draws — and is bit-identical to the placement-free scheduler.
     #[serde(default)]
     pub placement: place::PlacementPolicy,
     /// RNG seed.
@@ -432,9 +431,8 @@ pub struct GridVineSystem {
     /// uses the classic per-message formula and draws nothing.
     latency: Option<Box<dyn LatencyModel>>,
     /// Replica-placement runtime state ([`GridVineConfig::placement`]):
-    /// the replica registry (extra holders beyond σ(key)), the windowed
-    /// heat counters and the placement counters diffed per issued unit
-    /// — see [`place`].
+    /// the replica registry (extra holders beyond σ(key)) and the
+    /// placement counters diffed per issued unit — see [`place`].
     pub(crate) place: place::PlacementState,
     /// Monotone session-id allocator shared by standalone sessions and
     /// pools (ids stay unique when both run against one system).

@@ -426,9 +426,6 @@ counters! {
         /// retry budget ran out against a churn-down holder) before a live
         /// holder served the unit.
         pub failovers: usize,
-        /// Heat-spike placement changes (replica creations and migrations)
-        /// charged to this session's units.
-        pub migrations: usize,
     }
 }
 

@@ -1,15 +1,14 @@
-//! Policy-driven replica placement, heat migration and crash failover.
+//! Policy-driven replica placement and crash failover.
 //!
 //! The paper's P-Grid substrate stores each triple at exactly the σ(p)
 //! owner group of its key, so failure injection on an owner turns every
 //! query touching that key into a *recorded failure* — degraded rows,
 //! not degraded latency. This module makes replication a first-class,
 //! policy-driven mechanism layered over the scheduler, retry protocol
-//! and session pool: extra replicas are provisioned per placement rule, reads pick the
-//! lowest-expected-latency live holder, the timeout–retry protocol
-//! fails over past dead holders before resolving
-//! [`PeerDown`](super::SystemError::PeerDown), and windowed heat
-//! telemetry migrates replicas toward hot origins.
+//! and session pool: extra replicas are provisioned per placement rule,
+//! reads pick the lowest-expected-latency live holder, and the
+//! timeout–retry protocol fails over past dead holders before resolving
+//! [`PeerDown`](super::SystemError::PeerDown).
 //!
 //! ## Lifecycle: policy → registry → routing → failover
 //!
@@ -37,23 +36,9 @@
 //!              down does the unit resolve PeerDown
 //! ```
 //!
-//! ## Heat telemetry
+//! ## Counters
 //!
-//! Every replica-path access bumps a windowed per-key counter on the
-//! protocol clock (`ProtocolState::now`).
-//! Reaching [`PlacementPolicy::heat_threshold`] accesses within one
-//! [`PlacementPolicy::heat_window`] raises a [`HeatSpike`], handled
-//! inline in the serving unit so its copies are charged as that unit's
-//! overlay messages and latency:
-//!
-//! * service already within the rule's `latency_target` → [`SpikeAction::Hold`];
-//! * holders below the growth cap → a new replica is committed on the
-//!   cheapest live non-holder ([`SpikeAction::Replicate`]);
-//! * at the cap → the worst-placed extra migrates to the cheaper peer
-//!   ([`SpikeAction::Migrate`]) — σ owners never move, so prefix scans
-//!   and null-policy routing always find the natural copies.
-//!
-//! `replica_hits` / `failovers` / `migrations` join
+//! `replica_hits` / `failovers` join
 //! [`ExecStats`](super::exec::ExecStats) (diffed per issued unit, like
 //! the protocol counters) and surface as
 //! [`gridvine_netsim::ReplicaCounters`] via
@@ -62,9 +47,9 @@
 //! ## Determinism
 //!
 //! A null policy (no rules) takes none of these paths: no registry
-//! entries, no heat tracking, no extra RNG draws — rows, stats and the
-//! routing RNG stream are bit-identical to the PR-8 scheduler (pinned
-//! by proptest for windows 1 and 4). An active policy consumes *no*
+//! entries and no extra RNG draws, so rows, stats and the routing RNG
+//! stream are those of the placement-free scheduler (a proptest pins
+//! this for windows 1 and 4). An active policy consumes *no*
 //! main-stream randomness either: candidate ranking uses the latency
 //! model's deterministic [`expected`](gridvine_netsim::LatencyModel::expected)
 //! and expected-latency scores are computed for **every** candidate
@@ -78,10 +63,6 @@ use gridvine_rdf::Triple;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Heat window used when a policy enables heat telemetry without
-/// picking one.
-pub const DEFAULT_HEAT_WINDOW: SimDuration = SimDuration::from_millis(50);
-
 /// One placement rule: every key whose routed lexical starts with
 /// `prefix` (a predicate URI, a schema name, or any key-prefix) is
 /// held by `factor` peers — the natural σ(key) owners plus committed
@@ -92,13 +73,8 @@ pub struct PlacementRule {
     pub prefix: String,
     /// Desired number of live holders of a matching key. Factors at or
     /// below the natural σ-group size provision nothing up front but
-    /// still enable replica-aware routing and heat migration.
+    /// still enable replica-aware routing.
     pub factor: usize,
-    /// Expected one-way latency target: a heat spike whose best live
-    /// holder already serves within the target holds placement steady
-    /// instead of replicating or migrating. `None` chases every spike.
-    #[serde(default)]
-    pub latency_target: Option<SimDuration>,
 }
 
 impl PlacementRule {
@@ -106,14 +82,7 @@ impl PlacementRule {
         PlacementRule {
             prefix: prefix.into(),
             factor,
-            latency_target: None,
         }
-    }
-
-    /// Set the rule's expected-latency target.
-    pub fn latency_target(mut self, target: SimDuration) -> PlacementRule {
-        self.latency_target = Some(target);
-        self
     }
 }
 
@@ -127,14 +96,6 @@ pub struct PlacementPolicy {
     /// routed lexical governs that key.
     #[serde(default)]
     pub rules: Vec<PlacementRule>,
-    /// Replica-path accesses to one key within one window that raise a
-    /// [`HeatSpike`]. Zero (the default) disables heat telemetry.
-    #[serde(default)]
-    pub heat_threshold: usize,
-    /// Width of the per-key access window on the protocol clock
-    /// (`None` → [`DEFAULT_HEAT_WINDOW`]).
-    #[serde(default)]
-    pub heat_window: Option<SimDuration>,
 }
 
 impl PlacementPolicy {
@@ -146,14 +107,6 @@ impl PlacementPolicy {
     /// holders.
     pub fn replicate(mut self, prefix: impl Into<String>, factor: usize) -> PlacementPolicy {
         self.rules.push(PlacementRule::new(prefix, factor));
-        self
-    }
-
-    /// Enable heat telemetry: `threshold` accesses within `window`
-    /// raise a spike.
-    pub fn heat(mut self, threshold: usize, window: SimDuration) -> PlacementPolicy {
-        self.heat_threshold = threshold;
-        self.heat_window = Some(window);
         self
     }
 
@@ -173,39 +126,6 @@ impl PlacementPolicy {
             .iter()
             .any(|lexical| self.rule_for(lexical).is_some())
     }
-
-    fn window(&self) -> SimDuration {
-        self.heat_window.unwrap_or(DEFAULT_HEAT_WINDOW)
-    }
-}
-
-/// What one heat spike did (see [`GridVineSystem::heat_spikes`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpikeAction {
-    /// A new replica was committed on this peer.
-    Replicate(PeerId),
-    /// The worst-placed extra moved to a cheaper peer.
-    Migrate { from: PeerId, to: PeerId },
-    /// Placement held steady: service already within the latency
-    /// target, no cheaper live peer exists, or the commit failed and
-    /// rolled back.
-    Hold,
-}
-
-/// One detected heat spike: a key whose windowed access count reached
-/// the policy threshold, and the placement change it triggered.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HeatSpike {
-    /// The routed lexical whose key went hot.
-    pub lexical: String,
-    /// The origin whose access tripped the threshold.
-    pub origin: PeerId,
-    /// Protocol-clock instant of the spike.
-    pub at: SimTime,
-    /// Accesses accumulated in the window.
-    pub count: usize,
-    /// What the spike triggered.
-    pub action: SpikeAction,
 }
 
 /// Running placement counters, accumulated system-wide and diffed per
@@ -215,18 +135,11 @@ pub struct HeatSpike {
 pub(crate) struct PlaceCounters {
     pub(crate) replica_hits: usize,
     pub(crate) failovers: usize,
-    pub(crate) migrations: usize,
-}
-
-#[derive(Debug)]
-struct HeatWindow {
-    since: SimTime,
-    count: usize,
 }
 
 /// Runtime placement state: the configured policy, the replica
-/// registry (extra holders per key, beyond the natural σ owners), the
-/// heat windows and the lifetime counters.
+/// registry (extra holders per key, beyond the natural σ owners) and
+/// the lifetime counters.
 #[derive(Debug)]
 pub(crate) struct PlacementState {
     pub(crate) policy: PlacementPolicy,
@@ -234,9 +147,7 @@ pub(crate) struct PlacementState {
     /// registered (a rolled-back commit leaves no entry), and σ owners
     /// never appear here.
     extras: BTreeMap<BitString, Vec<PeerId>>,
-    heat: BTreeMap<BitString, HeatWindow>,
     pub(crate) counters: PlaceCounters,
-    spikes: Vec<HeatSpike>,
 }
 
 impl PlacementState {
@@ -244,9 +155,7 @@ impl PlacementState {
         PlacementState {
             policy,
             extras: BTreeMap::new(),
-            heat: BTreeMap::new(),
             counters: PlaceCounters::default(),
-            spikes: Vec::new(),
         }
     }
 
@@ -258,42 +167,6 @@ impl PlacementState {
         let list = self.extras.entry(key).or_default();
         if !list.contains(&peer) {
             list.push(peer);
-        }
-    }
-
-    fn retire_extra(&mut self, key: &BitString, peer: PeerId) {
-        if let Some(list) = self.extras.get_mut(key) {
-            list.retain(|&p| p != peer);
-            if list.is_empty() {
-                self.extras.remove(key);
-            }
-        }
-    }
-
-    /// Record one replica-path access at `now`; `Some(count)` when the
-    /// windowed count reaches the policy threshold (the window resets).
-    fn record_access(&mut self, key: &BitString, now: SimTime) -> Option<usize> {
-        let threshold = self.policy.heat_threshold;
-        if threshold == 0 {
-            return None;
-        }
-        let window = self.policy.window();
-        let w = self.heat.entry(key.clone()).or_insert(HeatWindow {
-            since: now,
-            count: 0,
-        });
-        if now.saturating_since(w.since) > window {
-            w.since = now;
-            w.count = 0;
-        }
-        w.count += 1;
-        if w.count >= threshold {
-            let count = w.count;
-            w.since = now;
-            w.count = 0;
-            Some(count)
-        } else {
-            None
         }
     }
 }
@@ -312,11 +185,8 @@ impl GridVineSystem {
         if self.place.policy.is_null() {
             return None;
         }
-        let rule = self.place.policy.rule_for(lexical)?.clone();
+        self.place.policy.rule_for(lexical)?;
         let key = self.key_of(lexical);
-        if let Some(count) = self.place.record_access(&key, self.proto.now) {
-            self.heat_spike(origin, &key, lexical, count, &rule);
-        }
         let holders = self.holders_of(&key);
         // Rank every holder before probing liveness: the latency
         // model's placement stream advances identically whether or not
@@ -492,113 +362,6 @@ impl GridVineSystem {
         Ok(())
     }
 
-    /// Move the extra at `from` to `to`: commit the new copy first,
-    /// then retire the old one (never a σ owner, so natural placement
-    /// is untouched).
-    fn migrate_replica(
-        &mut self,
-        origin: PeerId,
-        key: &BitString,
-        from: PeerId,
-        to: PeerId,
-    ) -> Result<(), SystemError> {
-        self.commit_replica(origin, key, to)?;
-        let items: Vec<Triple> = {
-            let ks = self.keyspace();
-            self.local_dbs[from.index()]
-                .iter()
-                .filter(|t| ks.triple_keys(t).contains(key))
-                .collect()
-        };
-        for t in &items {
-            self.local_dbs[from.index()].remove(t);
-        }
-        self.overlay.charge_direct(origin, from, 1);
-        self.place.retire_extra(key, from);
-        Ok(())
-    }
-
-    /// Handle one heat spike inline in the serving unit (its copies
-    /// charge as that unit's messages and latency).
-    fn heat_spike(
-        &mut self,
-        origin: PeerId,
-        key: &BitString,
-        lexical: &str,
-        count: usize,
-        rule: &PlacementRule,
-    ) {
-        let at = self.proto.now;
-        let owners = self.topology.responsible(key).len();
-        let holders = self.holders_of(key);
-        // Score every holder before filtering liveness so the latency
-        // model's call sequence is identical in faulty and fault-free
-        // runs.
-        let mut best_current: Option<SimDuration> = None;
-        for &c in &holders {
-            let d = self.expected_latency(origin, c);
-            if self.crashed.contains(&c) || self.churn_down_at(c, at) {
-                continue;
-            }
-            if best_current.is_none_or(|b| d < b) {
-                best_current = Some(d);
-            }
-        }
-        let within_target = match (rule.latency_target, best_current) {
-            (Some(target), Some(best)) => best <= target,
-            _ => false,
-        };
-        let action = if within_target {
-            SpikeAction::Hold
-        } else {
-            match self.best_new_holder(origin, &holders, at) {
-                Some((d, to)) if best_current.is_none_or(|b| d < b) => {
-                    // Allow at least one heat-driven extra even when the
-                    // factor is within the natural σ-group size.
-                    let cap = rule.factor.max(owners + 1);
-                    if holders.len() < cap {
-                        match self.commit_replica(origin, key, to) {
-                            Ok(()) => {
-                                self.place.counters.migrations += 1;
-                                SpikeAction::Replicate(to)
-                            }
-                            Err(_) => SpikeAction::Hold,
-                        }
-                    } else {
-                        let worst_extra = self
-                            .place
-                            .extras_for(key)
-                            .to_vec()
-                            .into_iter()
-                            .map(|x| (self.expected_latency(origin, x), x.0))
-                            .max();
-                        match worst_extra {
-                            Some((_, from)) => {
-                                let from = PeerId(from);
-                                match self.migrate_replica(origin, key, from, to) {
-                                    Ok(()) => {
-                                        self.place.counters.migrations += 1;
-                                        SpikeAction::Migrate { from, to }
-                                    }
-                                    Err(_) => SpikeAction::Hold,
-                                }
-                            }
-                            None => SpikeAction::Hold,
-                        }
-                    }
-                }
-                _ => SpikeAction::Hold,
-            }
-        };
-        self.place.spikes.push(HeatSpike {
-            lexical: lexical.to_string(),
-            origin,
-            at,
-            count,
-            action,
-        });
-    }
-
     /// The cheapest non-holder from `origin` that is live at `at`, ties
     /// broken by peer index. Expected latency is computed for **every**
     /// non-holder before liveness filtering so the model stream stays
@@ -668,19 +431,13 @@ impl GridVineSystem {
         self.holders_of(&self.key_of(lexical))
     }
 
-    /// Chronological heat-spike log (see [`HeatSpike`]).
-    pub fn heat_spikes(&self) -> &[HeatSpike] {
-        &self.place.spikes
-    }
-
-    /// Lifetime replica-placement counters: replica-path serves,
-    /// failovers past dead holders, heat-driven creations/migrations.
+    /// Lifetime replica-placement counters: replica-path serves and
+    /// failovers past dead holders.
     pub fn replica_counters(&self) -> ReplicaCounters {
         let c = self.place.counters;
         ReplicaCounters {
             replica_hits: c.replica_hits as u64,
             failovers: c.failovers as u64,
-            migrations: c.migrations as u64,
         }
     }
 }
@@ -706,41 +463,7 @@ mod tests {
     }
 
     #[test]
-    fn heat_window_resets_on_spike_and_expiry() {
-        let mut state = PlacementState::new(
-            PlacementPolicy::new()
-                .replicate("k", 2)
-                .heat(3, SimDuration::from_millis(10)),
-        );
-        let key = BitString::parse("0101");
-        let t0 = SimTime::ZERO;
-        assert_eq!(state.record_access(&key, t0), None);
-        assert_eq!(state.record_access(&key, t0), None);
-        assert_eq!(
-            state.record_access(&key, t0),
-            Some(3),
-            "third access spikes"
-        );
-        // The window reset: counting starts over.
-        assert_eq!(state.record_access(&key, t0), None);
-        // Accesses past the window expire the count.
-        let later = t0 + SimDuration::from_millis(20);
-        assert_eq!(state.record_access(&key, later), None);
-        assert_eq!(state.record_access(&key, later), None);
-        assert_eq!(state.record_access(&key, later), Some(3));
-    }
-
-    #[test]
-    fn threshold_zero_disables_heat() {
-        let mut state = PlacementState::new(PlacementPolicy::new().replicate("k", 2));
-        let key = BitString::parse("0101");
-        for _ in 0..100 {
-            assert_eq!(state.record_access(&key, SimTime::ZERO), None);
-        }
-    }
-
-    #[test]
-    fn extras_register_and_retire() {
+    fn extras_register_idempotently() {
         let mut state = PlacementState::new(PlacementPolicy::default());
         let key = BitString::parse("0011");
         assert!(state.extras_for(&key).is_empty());
@@ -748,9 +471,5 @@ mod tests {
         state.register_extra(key.clone(), PeerId(7)); // idempotent
         state.register_extra(key.clone(), PeerId(9));
         assert_eq!(state.extras_for(&key), &[PeerId(7), PeerId(9)]);
-        state.retire_extra(&key, PeerId(7));
-        assert_eq!(state.extras_for(&key), &[PeerId(9)]);
-        state.retire_extra(&key, PeerId(9));
-        assert!(state.extras_for(&key).is_empty());
     }
 }

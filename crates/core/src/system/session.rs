@@ -805,7 +805,6 @@ impl SessionCore {
         let pl = sys.place.counters;
         self.stats.replica_hits += pl.replica_hits - pl0.replica_hits;
         self.stats.failovers += pl.failovers - pl0.failovers;
-        self.stats.migrations += pl.migrations - pl0.migrations;
         match result {
             Ok(StepOutcome::Idle) => Ok(()), // state stays Done
             Ok(StepOutcome::Unit { heard, done }) => {

@@ -14,7 +14,6 @@ use std::collections::BinaryHeap;
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     seq: u64,
-    scheduled_total: u64,
 }
 
 #[derive(Debug)]
@@ -53,7 +52,6 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             seq: 0,
-            scheduled_total: 0,
         }
     }
 
@@ -61,7 +59,6 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, at: SimTime, payload: E) {
         let seq = self.seq;
         self.seq += 1;
-        self.scheduled_total += 1;
         self.heap.push(Entry { at, seq, payload });
     }
 
@@ -81,11 +78,6 @@ impl<E> EventQueue<E> {
 
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Total number of events ever scheduled on this queue.
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
     }
 
     /// Drop every pending event (used when a simulation is aborted).
@@ -161,11 +153,8 @@ mod tests {
         q.schedule(SimTime(41), ());
         assert_eq!(q.peek_time(), Some(SimTime(41)));
         assert_eq!(q.len(), 2);
-        assert_eq!(q.scheduled_total(), 2);
         q.clear();
         assert!(q.is_empty());
-        // scheduled_total is a lifetime counter and survives clear().
-        assert_eq!(q.scheduled_total(), 2);
     }
 
     #[test]

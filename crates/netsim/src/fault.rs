@@ -33,7 +33,6 @@
 use crate::clock::SimDuration;
 use crate::node::NodeId;
 use crate::rng;
-use crate::stats::FaultCounters;
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -181,12 +180,11 @@ pub struct Delivery {
 }
 
 /// Stateful fault process: the config plus its own deterministic RNG
-/// stream and running counters.
+/// stream.
 #[derive(Debug)]
 pub struct FaultModel {
     cfg: FaultConfig,
     rng: StdRng,
-    counters: FaultCounters,
 }
 
 impl FaultModel {
@@ -198,18 +196,12 @@ impl FaultModel {
         FaultModel {
             cfg,
             rng: rng::derive(seed, 0xFA17),
-            counters: FaultCounters::default(),
         }
     }
 
     /// Whether this model can never alter a delivery.
     pub fn is_null(&self) -> bool {
         self.cfg.is_null()
-    }
-
-    /// Fault counts so far.
-    pub fn counters(&self) -> FaultCounters {
-        self.counters
     }
 
     fn rates(&self, from: NodeId, to: NodeId) -> (f64, f64, f64) {
@@ -235,17 +227,14 @@ impl FaultModel {
     pub fn apply(&mut self, from: NodeId, to: NodeId) -> Delivery {
         let (loss, duplication, reorder) = self.rates(from, to);
         if loss > 0.0 && self.rng.gen::<f64>() < loss {
-            self.counters.lost += 1;
             return Delivery::default();
         }
         let mut first = SimDuration::ZERO;
         if reorder > 0.0 && self.rng.gen::<f64>() < reorder {
-            self.counters.reordered += 1;
             first = self.jitter();
         }
         let mut copies = vec![first];
         if duplication > 0.0 && self.rng.gen::<f64>() < duplication {
-            self.counters.duplicated += 1;
             // The duplicate trails the original by its own jitter draw.
             copies.push(first + self.jitter());
         }
@@ -268,7 +257,6 @@ mod tests {
             let d = m.apply(n(0), n(1));
             assert_eq!(d.copies, vec![SimDuration::ZERO]);
         }
-        assert_eq!(m.counters(), FaultCounters::default());
     }
 
     #[test]
@@ -283,7 +271,6 @@ mod tests {
         }
         let rate = lost as f64 / trials as f64;
         assert!((rate - 0.25).abs() < 0.02, "loss rate {rate}");
-        assert_eq!(m.counters().lost, lost as u64);
     }
 
     #[test]
@@ -291,7 +278,6 @@ mod tests {
         let mut m = FaultModel::new(FaultConfig::duplicating(1.0), 5);
         let d = m.apply(n(0), n(1));
         assert_eq!(d.copies.len(), 2);
-        assert_eq!(m.counters().duplicated, 1);
     }
 
     #[test]
@@ -303,7 +289,6 @@ mod tests {
             assert_eq!(d.copies.len(), 1);
             assert!(d.copies[0] <= jitter);
         }
-        assert_eq!(m.counters().reordered, 500);
     }
 
     #[test]

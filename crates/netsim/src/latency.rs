@@ -134,11 +134,6 @@ impl LatencyConfig {
         LatencyConfig::RegionalWan(RegionalWanConfig::planetlab_2007())
     }
 
-    /// True for the null (flat) model.
-    pub fn is_flat(&self) -> bool {
-        matches!(self, LatencyConfig::Flat)
-    }
-
     /// Build the sampler, seeding its private RNG stream from `seed`.
     /// Returns `None` for [`LatencyConfig::Flat`] so the caller can keep
     /// its closed-form cost model without any RNG draws.
@@ -385,7 +380,7 @@ mod tests {
 
     #[test]
     fn latency_config_flat_builds_nothing() {
-        assert!(LatencyConfig::default().is_flat());
+        assert_eq!(LatencyConfig::default(), LatencyConfig::Flat);
         assert!(LatencyConfig::Flat.build(7).is_none());
         let built = LatencyConfig::Constant {
             delay: SimDuration::from_millis(2),

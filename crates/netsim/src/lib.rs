@@ -19,8 +19,8 @@
 //! * a generic actor-style [`network::Network`] in which protocol nodes
 //!   (implementing [`node::Node`]) exchange typed messages and set timers,
 //! * a [`churn`] process injecting node failures and joins,
-//! * [`stats`] utilities (histograms, CDFs, percentiles) used by every
-//!   experiment binary.
+//! * [`stats`]: an exact latency CDF and the replica counters a
+//!   placement layer reports.
 //!
 //! Everything is seeded: running the same experiment twice produces
 //! byte-identical output.
@@ -70,7 +70,7 @@ pub mod prelude {
     pub use crate::latency::{LatencyConfig, LatencyModel, RegionalWan, UniformLatency};
     pub use crate::network::{Network, NetworkConfig, NetworkStats};
     pub use crate::node::{Ctx, Node, NodeId};
-    pub use crate::stats::{Cdf, FaultCounters, Histogram, ReplicaCounters, Summary};
+    pub use crate::stats::{Cdf, ReplicaCounters};
 }
 
 pub use churn::{ChurnConfig, ChurnProcess};
@@ -82,4 +82,4 @@ pub use latency::{
 };
 pub use network::{Network, NetworkConfig, NetworkStats};
 pub use node::{Ctx, Node, NodeId};
-pub use stats::{Cdf, FaultCounters, Histogram, ReplicaCounters, Summary};
+pub use stats::{Cdf, ReplicaCounters};

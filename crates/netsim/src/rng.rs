@@ -34,7 +34,7 @@ pub fn derive_seed(seed: u64, stream: u64) -> u64 {
 }
 
 /// Sample a standard normal via the Box–Muller transform.
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     // Avoid ln(0) by sampling u1 from the half-open interval (0, 1].
     let u1: f64 = 1.0 - rng.gen::<f64>();
     let u2: f64 = rng.gen();

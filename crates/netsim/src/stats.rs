@@ -1,45 +1,13 @@
-//! Measurement utilities: histograms, CDFs and summaries.
-//!
-//! Every experiment binary reports through these types so output
-//! formatting is uniform across the reproduction.
+//! Measurement utilities: an exact CDF and the replica counters a
+//! placement layer reports.
 
 use crate::clock::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Counts of injected message faults (see [`crate::fault::FaultModel`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FaultCounters {
-    /// Messages dropped by the fault process.
-    pub lost: u64,
-    /// Messages delivered with an extra duplicate copy.
-    pub duplicated: u64,
-    /// Message copies delayed by reorder jitter.
-    pub reordered: u64,
-}
-
-impl FaultCounters {
-    /// Accumulate another run's counters into this one.
-    pub fn merge(&mut self, other: &FaultCounters) {
-        self.lost += other.lost;
-        self.duplicated += other.duplicated;
-        self.reordered += other.reordered;
-    }
-}
-
-impl fmt::Display for FaultCounters {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "lost={} duplicated={} reordered={}",
-            self.lost, self.duplicated, self.reordered
-        )
-    }
-}
-
 /// Counts of replica-placement activity (replica-aware routing and
-/// heat-driven migration in a consumer's placement layer). All zero
-/// under a null placement policy.
+/// failover in a consumer's placement layer). All zero under a null
+/// placement policy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReplicaCounters {
     /// Lookups served off a replica-aware routing path instead of the
@@ -48,9 +16,6 @@ pub struct ReplicaCounters {
     /// Replica holders skipped because they were down before a live
     /// one served the request.
     pub failovers: u64,
-    /// Placement changes (replica creations and migrations) triggered
-    /// by heat telemetry.
-    pub migrations: u64,
 }
 
 impl ReplicaCounters {
@@ -58,7 +23,6 @@ impl ReplicaCounters {
     pub fn merge(&mut self, other: &ReplicaCounters) {
         self.replica_hits += other.replica_hits;
         self.failovers += other.failovers;
-        self.migrations += other.migrations;
     }
 }
 
@@ -66,101 +30,8 @@ impl fmt::Display for ReplicaCounters {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "replica_hits={} failovers={} migrations={}",
-            self.replica_hits, self.failovers, self.migrations
-        )
-    }
-}
-
-/// A streaming summary of f64 observations.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Summary {
-    count: u64,
-    sum: f64,
-    sum_sq: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    pub fn new() -> Summary {
-        Summary {
-            count: 0,
-            sum: 0.0,
-            sum_sq: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        self.sum += x;
-        self.sum_sq += x * x;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let m = self.mean();
-        (self.sum_sq / self.count as f64 - m * m).max(0.0).sqrt()
-    }
-
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Merge another summary into this one.
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.sum_sq += other.sum_sq;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-impl fmt::Display for Summary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.3} sd={:.3} min={:.3} max={:.3}",
-            self.count,
-            self.mean(),
-            self.std_dev(),
-            self.min(),
-            self.max()
+            "replica_hits={} failovers={}",
+            self.replica_hits, self.failovers
         )
     }
 }
@@ -240,22 +111,6 @@ impl Cdf {
         self.samples.iter().sum::<f64>() / self.samples.len() as f64
     }
 
-    /// Evenly spaced (x, F(x)) points suitable for plotting.
-    pub fn curve(&mut self, points: usize) -> Vec<(f64, f64)> {
-        if self.samples.is_empty() || points == 0 {
-            return Vec::new();
-        }
-        self.ensure_sorted();
-        let n = self.samples.len();
-        (1..=points)
-            .map(|i| {
-                let q = i as f64 / points as f64;
-                let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
-                (self.samples[rank - 1], q)
-            })
-            .collect()
-    }
-
     /// Merge another CDF's samples into this one.
     pub fn merge(&mut self, other: &Cdf) {
         self.samples.extend_from_slice(&other.samples);
@@ -263,122 +118,9 @@ impl Cdf {
     }
 }
 
-/// A fixed-bucket linear histogram over `[0, max)` with an overflow
-/// bucket, for quick textual display of load distributions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    bucket_width: f64,
-    buckets: Vec<u64>,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// `buckets` equal-width buckets covering `[0, max)`.
-    ///
-    /// # Panics
-    /// Panics if `max <= 0` or `buckets == 0`.
-    pub fn new(max: f64, buckets: usize) -> Histogram {
-        assert!(max > 0.0 && buckets > 0, "invalid histogram shape");
-        Histogram {
-            bucket_width: max / buckets as f64,
-            buckets: vec![0; buckets],
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        if x < 0.0 {
-            // Clamp: negative observations land in the first bucket.
-            self.buckets[0] += 1;
-            return;
-        }
-        let idx = (x / self.bucket_width) as usize;
-        if idx < self.buckets.len() {
-            self.buckets[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// (bucket lower bound, count) pairs.
-    pub fn buckets(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .map(move |(i, &c)| (i as f64 * self.bucket_width, c))
-    }
-
-    /// Simple ASCII rendering for experiment logs.
-    pub fn render(&self, width: usize) -> String {
-        let max = self.buckets.iter().copied().max().unwrap_or(0).max(1);
-        let mut out = String::new();
-        for (lo, c) in self.buckets() {
-            let bar = "#".repeat((c as usize * width / max as usize).min(width));
-            out.push_str(&format!("{lo:>10.3} | {bar} {c}\n"));
-        }
-        if self.overflow > 0 {
-            out.push_str(&format!("{:>10} | {}\n", "overflow", self.overflow));
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn summary_basics() {
-        let mut s = Summary::new();
-        for x in [1.0, 2.0, 3.0, 4.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 4);
-        assert!((s.mean() - 2.5).abs() < 1e-12);
-        assert!((s.std_dev() - (1.25f64).sqrt()).abs() < 1e-12);
-        assert_eq!(s.min(), 1.0);
-        assert_eq!(s.max(), 4.0);
-    }
-
-    #[test]
-    fn summary_empty_is_zeroes() {
-        let s = Summary::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.std_dev(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
-    }
-
-    #[test]
-    fn summary_merge_equals_combined() {
-        let mut a = Summary::new();
-        let mut b = Summary::new();
-        let mut whole = Summary::new();
-        for i in 0..10 {
-            let x = i as f64 * 1.7;
-            if i % 2 == 0 {
-                a.record(x)
-            } else {
-                b.record(x)
-            }
-            whole.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-12);
-        assert!((a.std_dev() - whole.std_dev()).abs() < 1e-12);
-    }
 
     #[test]
     fn cdf_fraction_leq_matches_paper_statistic() {
@@ -405,21 +147,6 @@ mod tests {
     }
 
     #[test]
-    fn cdf_curve_is_monotone() {
-        let mut cdf = Cdf::new();
-        for i in 0..57 {
-            cdf.record((i * 13 % 31) as f64);
-        }
-        let curve = cdf.curve(10);
-        assert_eq!(curve.len(), 10);
-        for w in curve.windows(2) {
-            assert!(w[0].0 <= w[1].0);
-            assert!(w[0].1 < w[1].1);
-        }
-        assert!((curve.last().unwrap().1 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn cdf_merge() {
         let mut a = Cdf::new();
         a.record(1.0);
@@ -428,20 +155,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.len(), 2);
         assert_eq!(a.median(), 1.0);
-    }
-
-    #[test]
-    fn histogram_counts_and_overflow() {
-        let mut h = Histogram::new(10.0, 5);
-        for x in [0.5, 1.0, 3.9, 9.9, 10.0, 25.0, -1.0] {
-            h.record(x);
-        }
-        let counts: Vec<u64> = h.buckets().map(|(_, c)| c).collect();
-        assert_eq!(counts, vec![3, 1, 0, 0, 1]); // -1 clamps into bucket 0
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.count(), 7);
-        let rendering = h.render(20);
-        assert!(rendering.contains("overflow"));
     }
 }
 

@@ -192,21 +192,6 @@ impl BitString {
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.len).map(move |i| self.bit(i))
     }
-
-    /// Interpret the first `min(len, 64)` bits as a big-endian integer
-    /// left-aligned in a 64-bit fraction: useful for mapping keys to
-    /// [0, 1) when reporting load distributions.
-    pub fn as_fraction(&self) -> f64 {
-        let mut acc = 0.0;
-        let mut scale = 0.5;
-        for i in 0..self.len.min(64) {
-            if self.bit(i) {
-                acc += scale;
-            }
-            scale *= 0.5;
-        }
-        acc
-    }
 }
 
 impl PartialOrd for BitString {
@@ -329,14 +314,6 @@ mod tests {
     }
 
     #[test]
-    fn fraction_maps_keys_to_unit_interval() {
-        assert_eq!(BitString::parse("1").as_fraction(), 0.5);
-        assert_eq!(BitString::parse("01").as_fraction(), 0.25);
-        assert_eq!(BitString::parse("11").as_fraction(), 0.75);
-        assert_eq!(BitString::empty().as_fraction(), 0.0);
-    }
-
-    #[test]
     fn child_extends() {
         let root = BitString::empty();
         assert_eq!(root.child(false).to_string(), "0");
@@ -434,19 +411,6 @@ mod proptests {
             prop_assert_eq!(c.len(), b.len() + 1);
             prop_assert_eq!(c.pop(), Some(bit));
             prop_assert_eq!(c, b);
-        }
-
-        /// as_fraction is monotone w.r.t. ordering for equal lengths.
-        #[test]
-        fn fraction_monotone_same_len(bits_a in proptest::collection::vec(any::<bool>(), 16),
-                                      bits_b in proptest::collection::vec(any::<bool>(), 16)) {
-            let mut a = BitString::empty();
-            let mut b = BitString::empty();
-            for x in bits_a { a.push(x); }
-            for x in bits_b { b.push(x); }
-            if a < b {
-                prop_assert!(a.as_fraction() <= b.as_fraction());
-            }
         }
     }
 }

@@ -16,13 +16,10 @@
 //! * [`store::Store`] — the per-peer ordered multimap;
 //! * [`topology::Topology`] — the global trie with validated invariants
 //!   (prefix-free coverage, legal references, replica consistency);
-//! * [`construct::ExchangeBuilder`] — the decentralized construction by
-//!   random pairwise exchanges;
 //! * [`overlay::Overlay`] — synchronous `Retrieve`/`Update` with exact
 //!   message accounting (the mediation layer programs against this);
 //! * [`proto::PGridNode`] — the same protocol as an asynchronous actor
-//!   over [`gridvine_netsim`], charging WAN latency and surviving churn;
-//! * [`balance::LoadStats`] — storage load-balance statistics.
+//!   over [`gridvine_netsim`], charging WAN latency and surviving churn.
 //!
 //! Both operations meet the paper's complexity claim: routing resolves
 //! in `O(log |Π|)` messages for balanced and unbalanced trees alike.
@@ -44,9 +41,7 @@
 //! assert!(route.messages() as usize <= topo.depth() + 1);
 //! ```
 
-pub mod balance;
 pub mod bits;
-pub mod construct;
 pub mod hash;
 pub mod overlay;
 pub mod proto;
@@ -55,9 +50,7 @@ pub mod topology;
 
 /// Glob-import surface.
 pub mod prelude {
-    pub use crate::balance::LoadStats;
     pub use crate::bits::BitString;
-    pub use crate::construct::{ExchangeBuilder, ExchangeConfig};
     pub use crate::hash::{HashKind, KeyHasher, OrderPreservingHash, UniformHash};
     pub use crate::overlay::{Overlay, Route, RouteError};
     pub use crate::proto::{Outcome, PGridMsg, PGridNode, Status};
@@ -65,9 +58,7 @@ pub mod prelude {
     pub use crate::topology::{PeerId, PeerView, Topology, TopologyError};
 }
 
-pub use balance::LoadStats;
 pub use bits::BitString;
-pub use construct::{ExchangeBuilder, ExchangeConfig};
 pub use hash::{HashKind, KeyHasher, OrderPreservingHash, UniformHash};
 pub use overlay::{Overlay, Route, RouteError};
 pub use proto::{Outcome, PGridMsg, PGridNode, Status};

@@ -65,9 +65,6 @@ pub struct Overlay<V> {
     /// built once, in [`Overlay::new`], and never change afterwards.
     max_path_len: usize,
     stores: Vec<Store<V>>,
-    /// Replication degree applied by `update`: the responsible peer plus
-    /// its replicas all store the item (the paper's σ(p) duplication).
-    replicate: bool,
     messages_sent: u64,
 }
 
@@ -82,15 +79,8 @@ impl<V: Clone + PartialEq> Overlay<V> {
             max_path_len: views.iter().map(|v| v.path.len()).max().unwrap_or(0),
             views,
             stores,
-            replicate: true,
             messages_sent: 0,
         }
-    }
-
-    /// Disable replication to σ(p) (ablation runs).
-    pub fn without_replication(mut self) -> Self {
-        self.replicate = false;
-        self
     }
 
     pub fn len(&self) -> usize {
@@ -181,12 +171,10 @@ impl<V: Clone + PartialEq> Overlay<V> {
         let route = self.route(origin, &key, rng)?;
         let dest = route.destination;
         self.stores[dest.index()].apply(op, key.clone(), value.clone());
-        if self.replicate {
-            let replicas = self.views[dest.index()].replicas.clone();
-            for r in replicas {
-                self.messages_sent += 1;
-                self.stores[r.index()].apply(op, key.clone(), value.clone());
-            }
+        let replicas = self.views[dest.index()].replicas.clone();
+        for r in replicas {
+            self.messages_sent += 1;
+            self.stores[r.index()].apply(op, key.clone(), value.clone());
         }
         Ok(route)
     }
@@ -229,7 +217,7 @@ impl<V: Clone + PartialEq> Overlay<V> {
                     Some(level) => by_level[level].push(i),
                 }
             }
-            if kept && self.replicate {
+            if kept {
                 self.messages_sent += view.replicas.len() as u64;
             }
             for (level, group) in by_level.into_iter().enumerate() {
@@ -276,32 +264,6 @@ impl<V: Clone + PartialEq> Overlay<V> {
         Ok((values, route))
     }
 
-    /// Prefix variant of `Retrieve`: all values whose key starts with
-    /// `prefix` *stored at the peer the routing terminates at*. With an
-    /// order-preserving hash and a prefix no shorter than the peer path,
-    /// this is a complete range read.
-    pub fn retrieve_prefix<R: Rng + ?Sized>(
-        &mut self,
-        origin: PeerId,
-        prefix: &BitString,
-        rng: &mut R,
-    ) -> Result<(Vec<V>, Route), RouteError> {
-        let route = self.route(origin, prefix, rng)?;
-        let values = self.stores[route.destination.index()]
-            .scan_prefix(prefix)
-            .map(|(_, v)| v.clone())
-            .collect();
-        if route.destination != origin {
-            self.messages_sent += 1;
-        }
-        Ok((values, route))
-    }
-
-    /// Per-peer stored-item counts (for load-balance statistics).
-    pub fn load_vector(&self) -> Vec<usize> {
-        self.stores.iter().map(Store::len).collect()
-    }
-
     /// Charge one response message if the destination differs from the
     /// origin — the accounting a `Retrieve` adds on top of its route.
     /// Exposed so callers that answer a routed request from peer-local
@@ -326,10 +288,9 @@ impl<V: Clone + PartialEq> Overlay<V> {
     }
 
     /// Distinct peer regions (paths) intersecting a key prefix — the
-    /// replica groups a range scan must visit, sorted. Factored out of
-    /// [`Overlay::retrieve_range`] so range callers that evaluate at
-    /// the destination peers can walk the same regions with the same
-    /// accounting.
+    /// replica groups a range scan must visit, sorted. A range read
+    /// probes each region with one routed request and evaluates at the
+    /// peer it lands on.
     pub fn range_regions(&self, prefix: &BitString) -> Vec<BitString> {
         let mut regions: Vec<BitString> = Vec::new();
         for v in &self.views {
@@ -340,43 +301,6 @@ impl<V: Clone + PartialEq> Overlay<V> {
         }
         regions.sort();
         regions
-    }
-
-    /// Range retrieval: collect every value whose key starts with
-    /// `prefix`, across *all* peer groups whose region intersects the
-    /// prefix. With an order-preserving hash this implements the
-    /// `value%`-style range searches the mediation layer motivates.
-    ///
-    /// Each intersecting replica group is probed by one routed request
-    /// plus one response (messages accounted); the set of intersecting
-    /// regions is derived from the sibling references a real P-Grid
-    /// walks during a range scan.
-    pub fn retrieve_range<R: Rng + ?Sized>(
-        &mut self,
-        origin: PeerId,
-        prefix: &BitString,
-        rng: &mut R,
-    ) -> Result<Vec<V>, RouteError> {
-        let regions = self.range_regions(prefix);
-        let mut out = Vec::new();
-        for region in regions {
-            // Route to the region: the probe key is the deeper of
-            // (region, prefix) so normal prefix routing lands inside it.
-            let probe = if region.len() >= prefix.len() {
-                region.clone()
-            } else {
-                prefix.clone()
-            };
-            let route = self.route(origin, &probe, rng)?;
-            let dest = route.destination;
-            for (_, v) in self.stores[dest.index()].scan_prefix(prefix) {
-                out.push(v.clone());
-            }
-            if dest != origin {
-                self.messages_sent += 1; // response
-            }
-        }
-        Ok(out)
     }
 }
 
@@ -518,80 +442,6 @@ mod tests {
     }
 
     #[test]
-    fn retrieve_prefix_collects_range() {
-        let mut o = overlay(4); // depth 2
-        let mut r = rng();
-        // Keys under "01": should all land on the same peer.
-        for (suffix, val) in [("0100", "a"), ("0101", "b"), ("0111", "c")] {
-            o.update(
-                PeerId(0),
-                UpdateOp::Insert,
-                BitString::parse(suffix),
-                val.to_string(),
-                &mut r,
-            )
-            .unwrap();
-        }
-        let (mut values, _) = o
-            .retrieve_prefix(PeerId(3), &BitString::parse("01"), &mut r)
-            .unwrap();
-        values.sort();
-        assert_eq!(values, vec!["a", "b", "c"]);
-        let (sub, _) = o
-            .retrieve_prefix(PeerId(3), &BitString::parse("010"), &mut r)
-            .unwrap();
-        assert_eq!(sub.len(), 2);
-    }
-
-    #[test]
-    fn retrieve_range_spans_multiple_peers() {
-        // Depth-3 grid (8 peers): keys under "01" live on two distinct
-        // peers ("010…" and "011…"); a range read must visit both.
-        let mut o = overlay(8);
-        let mut r = rng();
-        for (key, val) in [
-            ("0100001", "a"),
-            ("0101111", "b"),
-            ("0110000", "c"),
-            ("0111010", "d"),
-            ("1000000", "elsewhere"),
-        ] {
-            o.update(
-                PeerId(0),
-                UpdateOp::Insert,
-                BitString::parse(key),
-                val.to_string(),
-                &mut r,
-            )
-            .unwrap();
-        }
-        let mut values = o
-            .retrieve_range(PeerId(7), &BitString::parse("01"), &mut r)
-            .unwrap();
-        values.sort();
-        assert_eq!(values, vec!["a", "b", "c", "d"]);
-        // A deeper prefix narrows the range.
-        let narrow = o
-            .retrieve_range(PeerId(7), &BitString::parse("010"), &mut r)
-            .unwrap();
-        assert_eq!(narrow.len(), 2);
-    }
-
-    #[test]
-    fn retrieve_range_counts_messages() {
-        let mut o = overlay(8);
-        let mut r = rng();
-        o.reset_messages();
-        let before = o.messages_sent();
-        let _ = o
-            .retrieve_range(PeerId(0), &BitString::parse("1"), &mut r)
-            .unwrap();
-        // Four leaf regions under "1": at least one probe+response each
-        // unless the origin owns one.
-        assert!(o.messages_sent() - before >= 6);
-    }
-
-    #[test]
     fn message_accounting_counts_request_and_response() {
         let mut o = overlay(16);
         let mut r = rng();
@@ -651,20 +501,16 @@ mod proptests {
 
         /// An update tree delivers every key to a peer responsible for
         /// it, and one call charges at most one message per peer other
-        /// than the origin — with or without σ replicas.
+        /// than the origin, σ replicas included.
         #[test]
         fn an_update_tree_reaches_every_key_within_one_message_per_peer(
             n in prop_oneof![Just(12usize), Just(64usize), Just(340usize)],
             seed in 0u64..30,
             words in proptest::collection::vec("[ -~]{0,12}", 0..300),
-            replicate in any::<bool>(),
         ) {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let topo = Topology::balanced(n, 2, &mut rng);
             let mut o: Overlay<u8> = Overlay::new(&topo);
-            if !replicate {
-                o = o.without_replication();
-            }
             let h = HashKind::Uniform.build();
             let keys: Vec<BitString> = words.iter().map(|w| h.hash(w, 24)).collect();
             let origin = PeerId::from_index(seed as usize % n);

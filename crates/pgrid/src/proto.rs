@@ -18,8 +18,8 @@
 //!   GridVine resolves `q` on the answering peer's triple database —
 //!   reads the store of the replica that actually replied, also after
 //!   a fail-over.
-//! * `Update { key, value }` — routed the same way; the responsible peer
-//!   applies the write and forwards a copy to each replica in σ(p).
+//! * Peers are loaded out of band, through [`PGridNode::store_mut`]:
+//!   the protocol routes reads only.
 //! * Origins set a timeout timer per request; a request with no response
 //!   by the deadline is recorded as failed (churn/loss experiments read
 //!   this).
@@ -28,7 +28,7 @@
 //!   `NotFound` response.
 
 use crate::bits::BitString;
-use crate::store::{Store, UpdateOp};
+use crate::store::Store;
 use crate::topology::{PeerView, Topology};
 use gridvine_netsim::{Ctx, Node, NodeId, SimDuration, SimTime};
 use rand::seq::SliceRandom;
@@ -55,20 +55,6 @@ pub enum PGridMsg<V> {
         hops: u32,
         found: bool,
     },
-    /// Route an update toward the responsible peer.
-    Update {
-        id: RequestId,
-        origin: NodeId,
-        op: UpdateOp,
-        key: BitString,
-        value: V,
-        hops: u32,
-        /// True once the message reached the responsible group and is
-        /// now being copied to replicas (no further routing).
-        replica_copy: bool,
-    },
-    /// Acknowledgement of an applied update to the origin.
-    UpdateAck { id: RequestId, hops: u32 },
 }
 
 /// Outcome of a completed (or timed-out) request at its origin.
@@ -101,21 +87,13 @@ impl<V> Outcome<V> {
     }
 }
 
-#[derive(Debug)]
-enum PendingKind {
-    /// Retrieves carry their key so timeouts can retry through a
-    /// different random path/replica.
-    Retrieve {
-        key: BitString,
-        retries_left: u32,
-    },
-    Update,
-}
-
+/// A retrieve this node originated. It carries its key so a timeout
+/// can retry through a different random path/replica.
 #[derive(Debug)]
 struct Pending {
     issued_at: SimTime,
-    kind: PendingKind,
+    key: BitString,
+    retries_left: u32,
 }
 
 /// A P-Grid peer running the asynchronous protocol.
@@ -180,10 +158,8 @@ impl<V: Clone + PartialEq> PGridNode<V> {
             id,
             Pending {
                 issued_at: ctx.now(),
-                kind: PendingKind::Retrieve {
-                    key: key.clone(),
-                    retries_left: self.retries,
-                },
+                key: key.clone(),
+                retries_left: self.retries,
             },
         );
         ctx.set_timer(self.timeout, id);
@@ -193,37 +169,6 @@ impl<V: Clone + PartialEq> PGridNode<V> {
             origin,
             key,
             hops: 0,
-        };
-        self.route_or_handle(ctx, origin, msg);
-        id
-    }
-
-    /// Start an update from this node. Returns the request id.
-    pub fn start_update(
-        &mut self,
-        ctx: &mut Ctx<'_, PGridMsg<V>>,
-        op: UpdateOp,
-        key: BitString,
-        value: V,
-    ) -> RequestId {
-        let id = self.fresh_id();
-        self.pending.insert(
-            id,
-            Pending {
-                issued_at: ctx.now(),
-                kind: PendingKind::Update,
-            },
-        );
-        ctx.set_timer(self.timeout, id);
-        let origin = ctx.self_id();
-        let msg = PGridMsg::Update {
-            id,
-            origin,
-            op,
-            key,
-            value,
-            hops: 0,
-            replica_copy: false,
         };
         self.route_or_handle(ctx, origin, msg);
         id
@@ -279,57 +224,7 @@ impl<V: Clone + PartialEq> PGridNode<V> {
                     }
                 }
             }
-            PGridMsg::Update {
-                id,
-                origin,
-                op,
-                key,
-                value,
-                hops,
-                replica_copy,
-            } => {
-                if self.view.is_responsible(&key) {
-                    self.store.apply(op, key.clone(), value.clone());
-                    if !replica_copy {
-                        // First responsible peer: fan out to σ(p) and ack.
-                        for r in self.view.replicas.clone() {
-                            ctx.send(
-                                NodeId::from_index(r.index()),
-                                PGridMsg::Update {
-                                    id,
-                                    origin,
-                                    op,
-                                    key: key.clone(),
-                                    value: value.clone(),
-                                    hops: hops + 1,
-                                    replica_copy: true,
-                                },
-                            );
-                        }
-                        self.respond(ctx, origin, PGridMsg::UpdateAck { id, hops });
-                    }
-                    return;
-                }
-                if replica_copy {
-                    return; // stale replica copy after a path change
-                }
-                match self.pick_next_hop(ctx, &key) {
-                    Some(next) => ctx.send(
-                        next,
-                        PGridMsg::Update {
-                            id,
-                            origin,
-                            op,
-                            key,
-                            value,
-                            hops: hops + 1,
-                            replica_copy: false,
-                        },
-                    ),
-                    None => { /* undeliverable update: origin times out */ }
-                }
-            }
-            resp @ (PGridMsg::RetrieveResp { .. } | PGridMsg::UpdateAck { .. }) => {
+            resp @ PGridMsg::RetrieveResp { .. } => {
                 self.consume_response(ctx.now(), from, resp);
             }
         }
@@ -362,19 +257,16 @@ impl<V: Clone + PartialEq> PGridNode<V> {
     }
 
     fn consume_response(&mut self, now: SimTime, responder: NodeId, msg: PGridMsg<V>) {
-        let (id, values, hops, status) = match msg {
-            PGridMsg::RetrieveResp {
-                id,
-                values,
-                hops,
-                found,
-            } => {
-                let status = if found { Status::Ok } else { Status::NotFound };
-                (id, values, hops, status)
-            }
-            PGridMsg::UpdateAck { id, hops } => (id, Vec::new(), hops, Status::Ok),
-            _ => return,
+        let PGridMsg::RetrieveResp {
+            id,
+            values,
+            hops,
+            found,
+        } = msg
+        else {
+            return;
         };
+        let status = if found { Status::Ok } else { Status::NotFound };
         let Some(p) = self.pending.remove(&id) else {
             return; // response after timeout: ignore
         };
@@ -399,57 +291,50 @@ impl<V: Clone + PartialEq> Node<PGridMsg<V>> for PGridNode<V> {
         // Crashing dropped our in-flight timers and any responses sent
         // while we were down. Re-issue pending retrieves (a client
         // process restarting does exactly this) and re-arm the timers.
-        let pending: Vec<(RequestId, Option<BitString>)> = self
+        let pending: Vec<(RequestId, BitString)> = self
             .pending
             .iter()
-            .map(|(id, p)| match &p.kind {
-                PendingKind::Retrieve { key, .. } => (*id, Some(key.clone())),
-                PendingKind::Update => (*id, None),
-            })
+            .map(|(id, p)| (*id, p.key.clone()))
             .collect();
         for (id, key) in pending {
             ctx.set_timer(self.timeout, id);
-            if let Some(key) = key {
-                let origin = ctx.self_id();
-                self.route_or_handle(
-                    ctx,
+            let origin = ctx.self_id();
+            self.route_or_handle(
+                ctx,
+                origin,
+                PGridMsg::Retrieve {
+                    id,
                     origin,
-                    PGridMsg::Retrieve {
-                        id,
-                        origin,
-                        key,
-                        hops: 0,
-                    },
-                );
-            }
+                    key,
+                    hops: 0,
+                },
+            );
         }
     }
 
     fn handle_timer(&mut self, ctx: &mut Ctx<'_, PGridMsg<V>>, token: u64) {
         // Timers carry the request id; if it is still pending, this
-        // attempt failed — retry retrievals through a fresh random
-        // path, give up otherwise.
+        // attempt failed — retry through a fresh random path while
+        // retries are left, give up otherwise.
         let Some(p) = self.pending.get_mut(&token) else {
             return;
         };
-        if let PendingKind::Retrieve { key, retries_left } = &mut p.kind {
-            if *retries_left > 0 {
-                *retries_left -= 1;
-                let key = key.clone();
-                ctx.set_timer(self.timeout, token);
-                let origin = ctx.self_id();
-                self.route_or_handle(
-                    ctx,
+        if p.retries_left > 0 {
+            p.retries_left -= 1;
+            let key = p.key.clone();
+            ctx.set_timer(self.timeout, token);
+            let origin = ctx.self_id();
+            self.route_or_handle(
+                ctx,
+                origin,
+                PGridMsg::Retrieve {
+                    id: token,
                     origin,
-                    PGridMsg::Retrieve {
-                        id: token,
-                        origin,
-                        key,
-                        hops: 0,
-                    },
-                );
-                return;
-            }
+                    key,
+                    hops: 0,
+                },
+            );
+            return;
         }
         let p = self.pending.remove(&token).expect("checked above");
         self.completed.push(Outcome {
@@ -488,19 +373,22 @@ mod tests {
         (net, topo)
     }
 
+    /// Store `value` under `key` at every peer of its σ group, out of
+    /// band, as a harness loads data.
+    fn preload(net: &mut Net, topo: &Topology, key: &BitString, value: &str) {
+        for p in topo.responsible(key) {
+            net.node_mut(NodeId::from_index(p.index()))
+                .store_mut()
+                .insert(key.clone(), value.to_string());
+        }
+    }
+
     #[test]
-    fn update_then_retrieve_over_the_wire() {
+    fn retrieve_over_the_wire() {
         let (mut net, topo) = build(32, NetworkConfig::lan(), 1);
         let h = OrderPreservingHash::default();
         let key = h.hash("EMBL#Organism", 24);
-        let origin = NodeId::from_index(0);
-        net.invoke(origin, |node, ctx| {
-            node.start_update(ctx, UpdateOp::Insert, key.clone(), "Aspergillus".into())
-        });
-        net.run_until_quiescent();
-        let done = net.node_mut(origin).drain_completed();
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].status, Status::Ok);
+        preload(&mut net, &topo, &key, "Aspergillus");
 
         let asker = NodeId::from_index(17);
         net.invoke(asker, |node, ctx| node.start_retrieve(ctx, key.clone()));
@@ -547,25 +435,6 @@ mod tests {
                     topo.depth()
                 );
             }
-        }
-    }
-
-    #[test]
-    fn update_reaches_all_replicas() {
-        let (mut net, topo) = replicated_net(4);
-        let h = OrderPreservingHash::default();
-        let key = h.hash("replicated-item", 24);
-        net.invoke(NodeId::from_index(0), |node, ctx| {
-            node.start_update(ctx, UpdateOp::Insert, key.clone(), "v".into())
-        });
-        net.run_until_quiescent();
-        let holders: Vec<usize> = (0..8)
-            .filter(|i| !net.node(NodeId::from_index(*i)).store().is_empty())
-            .collect();
-        let responsible = topo.responsible(&key);
-        assert_eq!(holders.len(), responsible.len());
-        for p in responsible {
-            assert!(holders.contains(&p.index()));
         }
     }
 
@@ -618,19 +487,11 @@ mod tests {
 
     #[test]
     fn replica_survives_primary_crash() {
-        // Write, crash one holder, read: the σ(p) replica must answer.
+        // Load, crash one holder, read: the σ(p) replica must answer.
         let (mut net, topo) = replicated_net(6);
         let h = OrderPreservingHash::default();
         let key = h.hash("durable", 24);
-        net.invoke(NodeId::from_index(0), |node, ctx| {
-            node.start_update(ctx, UpdateOp::Insert, key.clone(), "kept".into())
-        });
-        net.run_until_quiescent();
-        // The update's own `Ok` must not pass for a retrieve's below.
-        assert_eq!(
-            net.node_mut(NodeId::from_index(0)).drain_completed().len(),
-            1
-        );
+        preload(&mut net, &topo, &key, "kept");
         let group = topo.responsible(&key).to_vec();
         assert!(group.len() >= 2);
         net.crash(NodeId::from_index(group[0].index()));
@@ -659,14 +520,10 @@ mod tests {
 
     #[test]
     fn wan_latency_is_charged() {
-        let (mut net, _) = build(64, NetworkConfig::planetlab(), 7);
+        let (mut net, topo) = build(64, NetworkConfig::planetlab(), 7);
         let h = OrderPreservingHash::default();
         let key = h.hash("wan-item", 24);
-        net.invoke(NodeId::from_index(0), |node, ctx| {
-            node.start_update(ctx, UpdateOp::Insert, key.clone(), "x".into())
-        });
-        net.run_until_quiescent();
-        net.node_mut(NodeId::from_index(0)).drain_completed();
+        preload(&mut net, &topo, &key, "x");
         net.invoke(NodeId::from_index(33), |node, ctx| {
             node.start_retrieve(ctx, key.clone())
         });

@@ -1,10 +1,9 @@
 //! Per-peer key/value storage.
 //!
 //! Each P-Grid peer maintains the data items whose binary keys fall under
-//! its path. The store is an ordered multimap (`BTreeMap<BitString,
-//! Vec<V>>`): ordered so the order-preserving hash can support prefix/range
-//! scans, a multimap because GridVine indexes every triple under three
-//! different keys and distinct triples may collide on a key.
+//! its path. The store is a multimap (`BTreeMap<BitString, Vec<V>>`)
+//! because GridVine indexes every triple under three different keys and
+//! distinct triples may collide on a key.
 
 use crate::bits::BitString;
 use serde::{Deserialize, Serialize};
@@ -40,11 +39,6 @@ impl<V: Clone + PartialEq> Store<V> {
 
     pub fn is_empty(&self) -> bool {
         self.items == 0
-    }
-
-    /// Number of distinct keys.
-    pub fn key_count(&self) -> usize {
-        self.map.len()
     }
 
     /// Apply an update. Inserting an identical (key, value) pair twice is
@@ -88,39 +82,11 @@ impl<V: Clone + PartialEq> Store<V> {
         self.map.get(key).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// All (key, value) pairs whose key starts with `prefix`, in key
-    /// order. This is the primitive behind range/`%substring%`-style
-    /// constrained searches over the order-preserving hash.
-    pub fn scan_prefix(&self, prefix: &BitString) -> impl Iterator<Item = (&BitString, &V)> + '_ {
-        let prefix = prefix.clone();
-        self.map
-            .range(prefix.clone()..)
-            .take_while(move |(k, _)| prefix.is_prefix_of(k))
-            .flat_map(|(k, vs)| vs.iter().map(move |v| (k, v)))
-    }
-
     /// Iterate over everything.
     pub fn iter(&self) -> impl Iterator<Item = (&BitString, &V)> {
         self.map
             .iter()
             .flat_map(|(k, vs)| vs.iter().map(move |v| (k, v)))
-    }
-
-    /// Retain only entries whose key satisfies the predicate; returns the
-    /// evicted pairs. Used when a peer splits its path and hands half its
-    /// data to the new sibling.
-    pub fn partition_keys<F: Fn(&BitString) -> bool>(&mut self, keep: F) -> Vec<(BitString, V)> {
-        let mut evicted = Vec::new();
-        let keys: Vec<BitString> = self.map.keys().cloned().collect();
-        for k in keys {
-            if !keep(&k) {
-                if let Some(vs) = self.map.remove(&k) {
-                    self.items -= vs.len();
-                    evicted.extend(vs.into_iter().map(|v| (k.clone(), v)));
-                }
-            }
-        }
-        evicted
     }
 
     pub fn clear(&mut self) {
@@ -153,7 +119,6 @@ mod tests {
         assert_eq!(s.get(&k("10")), &["c"]);
         assert_eq!(s.get(&k("11")), &[] as &[&str]);
         assert_eq!(s.len(), 3);
-        assert_eq!(s.key_count(), 2);
     }
 
     #[test]
@@ -174,7 +139,6 @@ mod tests {
         assert!(!s.remove(&k("01"), &"a"));
         assert_eq!(s.get(&k("01")), &["b"]);
         assert!(s.remove(&k("01"), &"b"));
-        assert_eq!(s.key_count(), 0);
         assert!(s.is_empty());
     }
 
@@ -185,38 +149,6 @@ mod tests {
         s.apply(UpdateOp::Insert, k("0"), 2);
         s.apply(UpdateOp::Delete, k("0"), 1);
         assert_eq!(s.get(&k("0")), &[2]);
-    }
-
-    #[test]
-    fn prefix_scan_returns_subtree_in_order() {
-        let mut s = Store::new();
-        for key in ["000", "001", "010", "011", "100", "110"] {
-            s.insert(k(key), key.to_string());
-        }
-        let under_0: Vec<&str> = s.scan_prefix(&k("0")).map(|(_, v)| v.as_str()).collect();
-        assert_eq!(under_0, vec!["000", "001", "010", "011"]);
-        let under_01: Vec<&str> = s.scan_prefix(&k("01")).map(|(_, v)| v.as_str()).collect();
-        assert_eq!(under_01, vec!["010", "011"]);
-        let all: Vec<&str> = s
-            .scan_prefix(&BitString::empty())
-            .map(|(_, v)| v.as_str())
-            .collect();
-        assert_eq!(all.len(), 6);
-    }
-
-    #[test]
-    fn partition_keys_splits_data() {
-        let mut s = Store::new();
-        for key in ["00", "01", "10", "11"] {
-            s.insert(k(key), key.to_string());
-        }
-        let zero = k("0");
-        let evicted = s.partition_keys(|key| zero.is_prefix_of(key));
-        assert_eq!(evicted.len(), 2);
-        assert!(evicted.iter().all(|(key, _)| !zero.is_prefix_of(key)));
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.get(&k("00")), &["00".to_string()]);
-        assert!(s.get(&k("10")).is_empty());
     }
 }
 
@@ -242,20 +174,6 @@ mod proptests {
                 }
             }
             prop_assert_eq!(s.len(), s.iter().count());
-        }
-
-        /// scan_prefix returns exactly the pairs whose key has the prefix.
-        #[test]
-        fn scan_prefix_complete(pairs in proptest::collection::vec((arb_key(), 0u8..20), 0..40),
-                                prefix in "[01]{0,4}") {
-            let mut s = Store::new();
-            for (key, val) in &pairs {
-                s.insert(key.clone(), *val);
-            }
-            let p = BitString::parse(&prefix);
-            let scanned: usize = s.scan_prefix(&p).count();
-            let expected: usize = s.iter().filter(|(k, _)| p.is_prefix_of(k)).count();
-            prop_assert_eq!(scanned, expected);
         }
     }
 }

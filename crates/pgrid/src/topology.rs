@@ -265,10 +265,9 @@ impl Topology {
         Topology::from_paths(assignment, refs_per_level, rng)
     }
 
-    /// Build from explicit paths *and* explicit routing tables, as
-    /// produced by the decentralized construction in [`crate::construct`].
-    /// Illegal references (wrong side, wrong level) are dropped rather
-    /// than trusted.
+    /// Build from explicit paths *and* explicit routing tables — a trie
+    /// with hand-made routing holes, say. Illegal references (wrong side,
+    /// wrong level) are dropped rather than trusted.
     pub fn from_paths_and_routing(
         paths: Vec<BitString>,
         routing: Vec<Vec<Vec<PeerId>>>,
@@ -305,7 +304,7 @@ impl Topology {
 
     /// Re-sample all routing tables with `refs_per_level` entries per
     /// level.
-    pub fn rebuild_routing<R: Rng + ?Sized>(&mut self, refs_per_level: usize, rng: &mut R) {
+    fn rebuild_routing<R: Rng + ?Sized>(&mut self, refs_per_level: usize, rng: &mut R) {
         let n = self.paths.len();
         let mut routing = Vec::with_capacity(n);
         let mut pool: Vec<PeerId> = Vec::new();

@@ -186,15 +186,6 @@ impl TermDict {
         TermId(id)
     }
 
-    /// Intern a lexical value, allocating an id on first sight.
-    pub fn intern(&mut self, lexical: &str) -> TermId {
-        let tag = tag_lexical(lexical);
-        match self.find_or_slot(tag, lexical) {
-            Ok(id) => TermId(id),
-            Err(slot) => self.insert_new(Arc::from(lexical), slot, tag),
-        }
-    }
-
     /// Intern an already-shared buffer: a first-seen value is adopted by
     /// reference count, with no string copy at all.
     pub fn intern_shared(&mut self, lexical: &Arc<str>) -> TermId {
@@ -206,7 +197,7 @@ impl TermDict {
     }
 
     /// Id of an already-interned value, if any. The read-only half of
-    /// [`TermDict::intern`]: selections use it so probing for a value
+    /// [`TermDict::intern_shared`]: selections use it so probing for a value
     /// the store has never seen is a single hash and no allocation.
     #[inline]
     pub fn lookup(&self, lexical: &str) -> Option<TermId> {
@@ -272,9 +263,9 @@ mod tests {
     #[test]
     fn intern_is_idempotent() {
         let mut d = TermDict::new();
-        let a = d.intern("EMBL#Organism");
-        let b = d.intern("embl:A78712");
-        let a2 = d.intern("EMBL#Organism");
+        let a = d.intern_shared(&Arc::from("EMBL#Organism"));
+        let b = d.intern_shared(&Arc::from("embl:A78712"));
+        let a2 = d.intern_shared(&Arc::from("EMBL#Organism"));
         assert_eq!(a, a2);
         assert_ne!(a, b);
         assert_eq!(d.len(), 2);
@@ -287,7 +278,7 @@ mod tests {
     fn resolve_round_trips() {
         let mut d = TermDict::new();
         for s in ["", "a", "Aspergillus niger", "seq:A78712", "100%"] {
-            let id = d.intern(s);
+            let id = d.intern_shared(&Arc::from(s));
             assert_eq!(d.resolve(id), s);
             assert_eq!(d.lookup(s), Some(id));
         }
@@ -297,7 +288,7 @@ mod tests {
     #[test]
     fn shared_buffers_are_refcounted_not_copied() {
         let mut d = TermDict::new();
-        let id = d.intern("EMBL#Organism");
+        let id = d.intern_shared(&Arc::from("EMBL#Organism"));
         let h1 = d.shared(id);
         let h2 = d.shared(id);
         assert!(Arc::ptr_eq(&h1, &h2));
@@ -336,7 +327,7 @@ mod tests {
     #[test]
     fn interned_and_canonicalized_lexicals_share_one_pool() {
         let mut lexicon = TermDict::new();
-        let id = lexicon.intern("x");
+        let id = lexicon.intern_shared(&Arc::from("x"));
         let t = lexicon.canonical_triple(&Triple::new("x", "p", Term::uri("x")));
         assert!(Arc::ptr_eq(t.subject.shared(), &lexicon.shared(id)));
         let Term::Uri(object) = &t.object else {
@@ -396,7 +387,7 @@ mod proptests {
         #[test]
         fn round_trip_lossless(values in proptest::collection::vec("[ -~]{0,24}", 0..40)) {
             let mut d = TermDict::new();
-            let ids: Vec<TermId> = values.iter().map(|v| d.intern(v)).collect();
+            let ids: Vec<TermId> = values.iter().map(|v| d.intern_shared(&Arc::from(v.as_str()))).collect();
             for (v, id) in values.iter().zip(&ids) {
                 prop_assert_eq!(d.resolve(*id), v.as_str());
                 prop_assert_eq!(d.lookup(v), Some(*id));

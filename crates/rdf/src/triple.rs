@@ -107,7 +107,7 @@ impl PatternTerm {
 
     /// Match against a concrete term, extending `binding` on success.
     /// Returns false on mismatch (including conflicting variable reuse).
-    pub fn unify(&self, value: &Term, binding: &mut Binding) -> bool {
+    fn unify(&self, value: &Term, binding: &mut Binding) -> bool {
         match self {
             PatternTerm::Var(name) => match binding.get(name) {
                 Some(bound) => bound == value,

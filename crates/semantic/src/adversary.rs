@@ -77,15 +77,6 @@ impl SemanticFaultConfig {
         }
     }
 
-    /// Correspondence permutation at probability `p`, other dimensions
-    /// off.
-    pub fn corrupting(p: f64) -> SemanticFaultConfig {
-        SemanticFaultConfig {
-            corrupt: p,
-            ..SemanticFaultConfig::none()
-        }
-    }
-
     /// Byzantine fabrication at probability `p` from the given peers.
     pub fn byzantine(p: f64, adversaries: Vec<usize>) -> SemanticFaultConfig {
         SemanticFaultConfig {
@@ -408,7 +399,13 @@ mod tests {
     #[test]
     fn corrupted_copy_permutes_but_still_type_checks() {
         let mut reg = registry(3, 2);
-        let mut adv = SemanticAdversary::new(SemanticFaultConfig::corrupting(1.0), 5);
+        let mut adv = SemanticAdversary::new(
+            SemanticFaultConfig {
+                corrupt: 1.0,
+                ..SemanticFaultConfig::none()
+            },
+            5,
+        );
         let injected = adv.gossip_round(&mut reg);
         assert_eq!(injected.len(), 1);
         let copy = reg.mapping(injected[0].id).unwrap().clone();

@@ -61,7 +61,7 @@ fn effective(m: &Mapping, dir: Direction) -> Option<(SchemaId, SchemaId, Vec<Cor
 
 /// Compose two effective correspondence lists: `x ↦ z` exists iff some
 /// middle attribute `y` has both `x ↦ y` and `y ↦ z`.
-pub fn compose_correspondences(
+fn compose_correspondences(
     first: &[Correspondence],
     second: &[Correspondence],
 ) -> Vec<Correspondence> {

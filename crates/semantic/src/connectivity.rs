@@ -34,7 +34,7 @@ impl DegreeDistribution {
     }
 
     /// Aggregate from the records published under `Hash(Domain)`.
-    pub fn from_records(records: &[DegreeRecord]) -> DegreeDistribution {
+    fn from_records(records: &[DegreeRecord]) -> DegreeDistribution {
         let mut d = DegreeDistribution::new();
         for r in records {
             d.add(r.in_degree, r.out_degree);
@@ -61,32 +61,6 @@ impl DegreeDistribution {
         *self.counts.get(&(j, k)).unwrap_or(&0) as f64 / self.total as f64
     }
 
-    /// Mean in-degree E\[j\].
-    pub fn mean_in(&self) -> f64 {
-        self.moment(|j, _| j as f64)
-    }
-
-    /// Mean out-degree E\[k\].
-    pub fn mean_out(&self) -> f64 {
-        self.moment(|_, k| k as f64)
-    }
-
-    /// E[j·k] — the in/out degree correlation term.
-    pub fn mean_product(&self) -> f64 {
-        self.moment(|j, k| (j * k) as f64)
-    }
-
-    fn moment<F: Fn(usize, usize) -> f64>(&self, f: F) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        self.counts
-            .iter()
-            .map(|(&(j, k), &c)| f(j, k) * c as f64)
-            .sum::<f64>()
-            / self.total as f64
-    }
-
     /// The paper's connectivity indicator:
     /// `ci = Σ_{j,k} (jk − k) p_{jk} = E[jk] − E[k]`.
     pub fn connectivity_indicator(&self) -> f64 {
@@ -95,11 +69,6 @@ impl DegreeDistribution {
             .map(|(&(j, k), &c)| ((j * k) as f64 - k as f64) * c as f64)
             .sum::<f64>()
             / self.total.max(1) as f64
-    }
-
-    /// `ci ≥ 0` — the giant-SCC emergence condition.
-    pub fn predicts_giant_component(&self) -> bool {
-        self.total > 0 && self.connectivity_indicator() >= 0.0
     }
 }
 
@@ -127,7 +96,6 @@ mod tests {
     fn empty_distribution_is_zero() {
         let d = DegreeDistribution::new();
         assert_eq!(d.connectivity_indicator(), 0.0);
-        assert!(!d.predicts_giant_component());
         assert_eq!(d.p(0, 0), 0.0);
     }
 
@@ -137,7 +105,6 @@ mod tests {
         // ci = [(1·1 − 1) + (0·2 − 2)] / 2 = (0 − 2)/2 = −1.
         let d = DegreeDistribution::from_records(&[record("a", 1, 1), record("b", 0, 2)]);
         assert!((d.connectivity_indicator() - (-1.0)).abs() < 1e-12);
-        assert!(!d.predicts_giant_component());
     }
 
     #[test]
@@ -150,7 +117,6 @@ mod tests {
             record("c", 1, 1),
         ]);
         assert_eq!(d.connectivity_indicator(), 0.0);
-        assert!(d.predicts_giant_component());
     }
 
     #[test]
@@ -170,11 +136,9 @@ mod tests {
     }
 
     #[test]
-    fn moments_are_consistent() {
+    fn indicator_is_the_moment_difference() {
+        // E[jk] = (8 + 0) / 2 = 4, E[k] = (4 + 2) / 2 = 3.
         let d = DegreeDistribution::from_records(&[record("a", 2, 4), record("b", 0, 2)]);
-        assert!((d.mean_in() - 1.0).abs() < 1e-12);
-        assert!((d.mean_out() - 3.0).abs() < 1e-12);
-        assert!((d.mean_product() - 4.0).abs() < 1e-12);
         // ci = E[jk] − E[k].
         assert!((d.connectivity_indicator() - (4.0 - 3.0)).abs() < 1e-12);
     }
@@ -237,7 +201,10 @@ mod proptests {
                 })
                 .collect();
             let d = DegreeDistribution::from_records(&records);
-            let expected = d.mean_product() - d.mean_out();
+            let n = recs.len() as f64;
+            let mean_product = recs.iter().map(|&(j, k)| (j * k) as f64).sum::<f64>() / n;
+            let mean_out = recs.iter().map(|&(_, k)| k as f64).sum::<f64>() / n;
+            let expected = mean_product - mean_out;
             prop_assert!((d.connectivity_indicator() - expected).abs() < 1e-9);
         }
 

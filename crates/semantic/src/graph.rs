@@ -240,7 +240,7 @@ impl MappingRegistry {
 
     /// Strongly connected components (Tarjan, iterative). Isolated
     /// schemas form singleton components.
-    pub fn strongly_connected_components(&self) -> Vec<Vec<SchemaId>> {
+    fn strongly_connected_components(&self) -> Vec<Vec<SchemaId>> {
         let nodes: Vec<SchemaId> = self.schemas.keys().cloned().collect();
         let index_of: HashMap<&SchemaId, usize> =
             nodes.iter().enumerate().map(|(i, s)| (s, i)).collect();

@@ -53,19 +53,16 @@ pub mod prelude {
     pub use crate::bayes::{
         apply_assessment, apply_quarantine, assess, Assessment, BayesConfig, CycleOutcome,
     };
-    pub use crate::compose::{compose_correspondences, compose_path, find_path, Composed};
+    pub use crate::compose::{compose_path, find_path, Composed};
     pub use crate::connectivity::{connectivity_indicator, DegreeDistribution};
     pub use crate::graph::{DegreeRecord, MappingRegistry};
     pub use crate::mapping::{
         Correspondence, Direction, Mapping, MappingId, MappingKind, MappingStatus, Provenance,
     };
-    pub use crate::matcher::{
-        lexical_similarity, match_profiles, MatcherConfig, SchemaProfile, ScoredCorrespondence,
-    };
+    pub use crate::matcher::{match_profiles, MatcherConfig, SchemaProfile, ScoredCorrespondence};
     pub use crate::reformulate::{
-        expand_hop, pattern_schema, query_schema, reformulate_pattern, reformulate_step,
-        reformulations, CacheCounters, CachedHop, ClosureCache, ClosureKey, Hop, ReformulateError,
-        Reformulation, Step,
+        expand_hop, pattern_schema, query_schema, reformulations, CacheCounters, CachedHop,
+        ClosureCache, ClosureKey, Hop, ReformulateError, Reformulation, Step,
     };
     pub use crate::schema::{Schema, SchemaId};
 }
@@ -76,18 +73,15 @@ pub use adversary::{
 pub use bayes::{
     apply_assessment, apply_quarantine, assess, Assessment, BayesConfig, CycleOutcome,
 };
-pub use compose::{compose_correspondences, compose_path, find_path, Composed};
+pub use compose::{compose_path, find_path, Composed};
 pub use connectivity::{connectivity_indicator, DegreeDistribution};
 pub use graph::{DegreeRecord, MappingRegistry};
 pub use mapping::{
     Correspondence, Direction, Mapping, MappingId, MappingKind, MappingStatus, Provenance,
 };
-pub use matcher::{
-    lexical_similarity, match_profiles, MatcherConfig, SchemaProfile, ScoredCorrespondence,
-};
+pub use matcher::{match_profiles, MatcherConfig, SchemaProfile, ScoredCorrespondence};
 pub use reformulate::{
-    expand_hop, pattern_schema, query_schema, reformulate_pattern, reformulate_step,
-    reformulations, CacheCounters, CachedHop, ClosureCache, ClosureKey, Hop, ReformulateError,
-    Reformulation, Step,
+    expand_hop, pattern_schema, query_schema, reformulations, CacheCounters, CachedHop,
+    ClosureCache, ClosureKey, Hop, ReformulateError, Reformulation, Step,
 };
 pub use schema::{Schema, SchemaId};

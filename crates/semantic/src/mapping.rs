@@ -134,7 +134,7 @@ impl Mapping {
     }
 
     /// Translate an attribute of the source schema to the target schema.
-    pub fn map_forward(&self, source_attr: &str) -> Option<&str> {
+    fn map_forward(&self, source_attr: &str) -> Option<&str> {
         self.correspondences
             .iter()
             .find(|c| c.source_attr == source_attr)
@@ -143,7 +143,7 @@ impl Mapping {
 
     /// Translate backwards (target → source); only legal for
     /// equivalence mappings.
-    pub fn map_backward(&self, target_attr: &str) -> Option<&str> {
+    fn map_backward(&self, target_attr: &str) -> Option<&str> {
         if self.kind != MappingKind::Equivalence {
             return None;
         }

@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, BTreeSet};
 // ---------------------------------------------------------------------
 
 /// Levenshtein edit distance (iterative two-row DP).
-pub fn levenshtein(a: &str, b: &str) -> usize {
+fn levenshtein(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
     if a.is_empty() {
@@ -48,7 +48,7 @@ pub fn levenshtein(a: &str, b: &str) -> usize {
 }
 
 /// Levenshtein similarity normalized to [0, 1]: `1 − d/max_len`.
-pub fn levenshtein_similarity(a: &str, b: &str) -> f64 {
+fn levenshtein_similarity(a: &str, b: &str) -> f64 {
     let max = a.chars().count().max(b.chars().count());
     if max == 0 {
         return 1.0;
@@ -66,7 +66,7 @@ fn trigrams(s: &str) -> BTreeSet<[char; 3]> {
 }
 
 /// Dice coefficient over character trigrams, in [0, 1].
-pub fn trigram_dice(a: &str, b: &str) -> f64 {
+fn trigram_dice(a: &str, b: &str) -> f64 {
     let ta = trigrams(a);
     let tb = trigrams(b);
     if ta.is_empty() && tb.is_empty() {
@@ -82,7 +82,7 @@ pub fn trigram_dice(a: &str, b: &str) -> f64 {
 /// Split an attribute name into lowercase tokens on underscores, dashes
 /// and camel-case boundaries: `SystematicName` → `["systematic",
 /// "name"]`, `seq_length` → `["seq", "length"]`.
-pub fn tokenize(name: &str) -> Vec<String> {
+fn tokenize(name: &str) -> Vec<String> {
     let mut tokens = Vec::new();
     let mut cur = String::new();
     let chars: Vec<char> = name.chars().collect();
@@ -106,7 +106,7 @@ pub fn tokenize(name: &str) -> Vec<String> {
 }
 
 /// Jaccard similarity of the token sets.
-pub fn token_overlap(a: &str, b: &str) -> f64 {
+fn token_overlap(a: &str, b: &str) -> f64 {
     let ta: BTreeSet<String> = tokenize(a).into_iter().collect();
     let tb: BTreeSet<String> = tokenize(b).into_iter().collect();
     if ta.is_empty() && tb.is_empty() {
@@ -119,7 +119,7 @@ pub fn token_overlap(a: &str, b: &str) -> f64 {
 
 /// The combined lexicographic score: the strongest of the three signals
 /// (names match if *any* view of them matches well).
-pub fn lexical_similarity(a: &str, b: &str) -> f64 {
+fn lexical_similarity(a: &str, b: &str) -> f64 {
     levenshtein_similarity(a, b)
         .max(trigram_dice(a, b))
         .max(token_overlap(a, b))
@@ -181,7 +181,7 @@ impl SchemaProfile {
 /// Jaccard similarity between the value sets of two attributes,
 /// restricted to the given shared instances. Returns `None` when fewer
 /// than `min_support` shared instances carry both attributes.
-pub fn instance_similarity(
+fn instance_similarity(
     a: &BTreeMap<String, String>,
     b: &BTreeMap<String, String>,
     shared: &BTreeSet<String>,

@@ -12,7 +12,7 @@
 //! enter every schema at most once, stop at the TTL — is spelled out
 //! once, in two functions of this module:
 //!
-//! * [`reformulate_pattern`] applies one mapping to one pattern (view
+//! * `reformulate_pattern` applies one mapping to one pattern (view
 //!   unfolding of a single predicate correspondence); nothing else in
 //!   the workspace builds a reformulated pattern from a mapping.
 //! * [`expand_hop`] is one step of the closure walk: given a [`Hop`],
@@ -125,7 +125,7 @@ pub fn query_schema(query: &TriplePatternQuery) -> Result<(SchemaId, String), Re
 /// correspondence), keeping the subject and object slots. Returns
 /// `None` if the mapping is inactive, does not apply from the
 /// pattern's schema in `direction`, or does not cover the attribute.
-pub fn reformulate_pattern(
+fn reformulate_pattern(
     pattern: &TriplePattern,
     mapping: &Mapping,
     direction: Direction,
@@ -149,19 +149,6 @@ fn with_predicate(pattern: &TriplePattern, predicate: Uri) -> TriplePattern {
         PatternTerm::Const(Term::Uri(predicate)),
         pattern.object.clone(),
     )
-}
-
-/// [`reformulate_pattern`] for a registered mapping and a whole query —
-/// the one-step rule the *recursive* strategy executes at each
-/// intermediate peer.
-pub fn reformulate_step(
-    registry: &MappingRegistry,
-    query: &TriplePatternQuery,
-    mapping: MappingId,
-    direction: Direction,
-) -> Option<TriplePatternQuery> {
-    let pattern = reformulate_pattern(&query.pattern, registry.mapping(mapping)?, direction)?;
-    TriplePatternQuery::new(query.distinguished.clone(), pattern).ok()
 }
 
 /// One hop of a closure walk: `pattern` posed against `schema` — the
@@ -325,7 +312,7 @@ pub struct ClosureCache<S = ()> {
     epoch: u64,
     /// Per key: the recorded hops, their stamp and the recency tick.
     entries: HashMap<ClosureKey, (Arc<[CachedHop]>, S, u64)>,
-    /// `None` = unbounded (the pre-PR-5 behaviour, kept for tests).
+    /// `None` = unbounded, as [`ClosureCache::new`] builds it.
     capacity: Option<usize>,
     /// Monotone recency stamp; bumped by every lookup hit and insert.
     tick: u64,

@@ -271,7 +271,7 @@ pub const ORGANISMS: &[&str] = &[
 ];
 
 /// Value pools for the other categorical concepts.
-pub const KEYWORD_POOL: &[&str] = &[
+const KEYWORD_POOL: &[&str] = &[
     "hydrolase",
     "transferase",
     "oxidoreductase",
@@ -289,9 +289,9 @@ pub const KEYWORD_POOL: &[&str] = &[
     "isomerase",
 ];
 
-pub const MOLECULE_TYPES: &[&str] = &["protein", "mRNA", "genomic DNA", "rRNA", "tRNA", "cDNA"];
+const MOLECULE_TYPES: &[&str] = &["protein", "mRNA", "genomic DNA", "rRNA", "tRNA", "cDNA"];
 
-pub const FUNCTIONS: &[&str] = &[
+const FUNCTIONS: &[&str] = &[
     "catalysis",
     "transport",
     "signaling",
@@ -304,7 +304,7 @@ pub const FUNCTIONS: &[&str] = &[
     "replication",
 ];
 
-pub const DATABASES: &[&str] = &["EBI", "NCBI", "DDBJ-Center", "ExPASy", "Sanger"];
+const DATABASES: &[&str] = &["EBI", "NCBI", "DDBJ-Center", "ExPASy", "Sanger"];
 
 /// The categorical value pool for a concept, if it has one.
 pub fn value_pool(concept: ConceptId) -> Option<&'static [&'static str]> {

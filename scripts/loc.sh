@@ -2,6 +2,7 @@
 # Lines of tracked Rust, the number ROADMAP aim 2 tracks.
 #
 #   scripts/loc.sh [--parent <rev>]
+#   scripts/loc.sh --unused
 #
 # One row per crate under crates/, one for the root package's
 # src/ tests/ examples/, one for benchmarks/, one for vendor/, and the
@@ -13,17 +14,69 @@
 # Counts the working tree's copy of every tracked file. With
 # --parent <rev> a second column gives the same rows for a `git archive`
 # of <rev>, exported under ${TMPDIR:-/tmp} and removed afterwards.
+#
+# --unused lists, instead, every `pub` fn / struct / enum / trait /
+# const / type / static / union declared under crates/ whose name no
+# tracked .rs file under crates/, src/, tests/, examples/ or benchmarks/
+# spells as a whole word, apart from the file declaring it and its
+# crate's lib.rs (re-exports do not count as use). The test is lexical:
+# a method whose name is common elsewhere (`new`, `len`) never shows.
+# scripts/loc-unused.allow keeps the survivors, one
+# `<path> <name> <reason>` line each; the scan prints every listed item
+# the file does not name, every line of the file without a reason, and
+# every line naming an item the scan no longer lists, and exits 1 if it
+# printed anything.
 set -eu
 
+root=$(git rev-parse --show-toplevel)
+
+unused() {
+    work=$(mktemp -d "${TMPDIR:-/tmp}/loc.XXXXXX")
+    trap 'rm -rf "$work"' EXIT
+    cd "$root"
+    git ls-files '*.rs' | grep -E '^(crates|src|tests|examples|benchmarks)/' >"$work/files"
+    # "<path> <line> <kind> <name>" per declaration.
+    decl='pub[[:space:]]+((const|async|unsafe)[[:space:]]+)*(fn|struct|enum|trait|type|static|const|union)[[:space:]]+(mut[[:space:]]+)?[A-Za-z_][A-Za-z0-9_]*'
+    grep '^crates/' "$work/files" | xargs grep -nE "^[[:space:]]*$decl" |
+        sed -E "s/^([^:]*):([0-9]+):[[:space:]]*pub[[:space:]]+((const|async|unsafe)[[:space:]]+)*(fn|struct|enum|trait|type|static|const|union)[[:space:]]+(mut[[:space:]]+)?([A-Za-z_][A-Za-z0-9_]*).*/\1 \2 \5 \7/" \
+        >"$work/decls"
+    # "<path> <word>" once per identifier a file spells.
+    xargs grep -oHE '[A-Za-z_][A-Za-z0-9_]*' <"$work/files" | sort -u | tr ':' ' ' >"$work/words"
+    awk '
+        FILENAME == ARGV[1] { files[$2] = files[$2] " " $1; next }
+        FILENAME == ARGV[2] {
+            if ($0 ~ /^[[:space:]]*(#|$)/) next
+            if (NF < 3) { print "scripts/loc-unused.allow:" FNR ": no reason: " $0; bad = 1 }
+            allowed[$1 " " $2] = FNR
+            next
+        }
+        {
+            split($1, part, "/")
+            lib = part[1] "/" part[2] "/src/lib.rs"
+            n = split(files[$4], in_file, " ")
+            for (i = 1; i <= n; i++) if (in_file[i] != $1 && in_file[i] != lib) next
+            listed[$1 " " $4] = 1
+            if (!(($1 " " $4) in allowed)) { print $1 ":" $2 " " $3 " " $4; bad = 1 }
+        }
+        END {
+            for (item in allowed) if (!(item in listed)) {
+                print "scripts/loc-unused.allow:" allowed[item] ": not listed by the scan: " item
+                bad = 1
+            }
+            exit bad
+        }' "$work/words" "$root/scripts/loc-unused.allow" "$work/decls"
+}
+
 parent=
-if [ $# -eq 2 ] && [ "$1" = --parent ]; then
+if [ $# -eq 1 ] && [ "$1" = --unused ]; then
+    unused
+    exit
+elif [ $# -eq 2 ] && [ "$1" = --parent ]; then
     parent=$2
 elif [ $# -ne 0 ]; then
-    echo "usage: $0 [--parent <rev>]" >&2
+    echo "usage: $0 [--parent <rev> | --unused]" >&2
     exit 2
 fi
-
-root=$(git rev-parse --show-toplevel)
 
 # "<row> <lines>" per row, for the .rs paths on stdin, read under <tree>.
 tally() { # <tree>

@@ -1,4 +1,4 @@
-//! Integration tests of the PR-6 request/response protocol: the
+//! Integration tests of the request/response protocol: the
 //! scheduler's timeout–retry–backoff machinery over the fault model
 //! ([`gridvine_netsim::fault`]) must degrade gracefully — duplicate
 //! replies never double-charge, bounded retries never hang, lossless
@@ -11,66 +11,29 @@ use gridvine_core::{
 use gridvine_netsim::churn::{ChurnEvent, ChurnKind};
 use gridvine_netsim::{FaultConfig, LinkFault, NodeId, SimDuration, SimTime};
 use gridvine_pgrid::PeerId;
-use gridvine_rdf::{PatternTerm, Term, Triple, TriplePattern, TriplePatternQuery};
-use gridvine_semantic::{Correspondence, MappingKind, Provenance, Schema};
+use gridvine_rdf::{Term, Triple, TriplePatternQuery};
+use gridvine_semantic::Schema;
 use proptest::prelude::*;
 
-/// A 4-schema equivalence chain with one Aspergillus triple per
-/// schema: the closure walk fans out over several routed units, which
-/// is what the retry protocol needs exercising.
+mod common;
+use common::chain_query;
+
+/// [`common::chain_system`] on 32 peers: the closure walk fans out
+/// over several routed units, which is what the retry protocol needs
+/// exercising.
 fn chain_system(fault: FaultConfig, seed: u64) -> GridVineSystem {
     chain_system_of(32, fault, seed)
 }
 
 /// [`chain_system`] on `peers` peers.
 fn chain_system_of(peers: usize, fault: FaultConfig, seed: u64) -> GridVineSystem {
-    let mut sys = GridVineSystem::new(GridVineConfig {
+    common::chain_system(GridVineConfig {
         peers,
         hash: gridvine_pgrid::HashKind::Uniform,
         fault,
         seed,
         ..GridVineConfig::default()
-    });
-    let p0 = PeerId(0);
-    for i in 0..4 {
-        sys.insert_schema(p0, Schema::new(format!("S{i}").as_str(), [format!("a{i}")]))
-            .unwrap();
-    }
-    for i in 0..3 {
-        sys.insert_mapping(
-            p0,
-            format!("S{i}").as_str(),
-            format!("S{}", i + 1).as_str(),
-            MappingKind::Equivalence,
-            Provenance::Manual,
-            vec![Correspondence::new(format!("a{i}"), format!("a{}", i + 1))],
-        )
-        .unwrap();
-    }
-    for i in 0..4 {
-        sys.insert_triple(
-            p0,
-            Triple::new(
-                format!("seq:R{i}").as_str(),
-                format!("S{i}#a{i}").as_str(),
-                Term::literal("Aspergillus niger"),
-            ),
-        )
-        .unwrap();
-    }
-    sys
-}
-
-fn chain_query() -> TriplePatternQuery {
-    TriplePatternQuery::new(
-        "x",
-        TriplePattern::new(
-            PatternTerm::var("x"),
-            PatternTerm::constant(Term::uri("S0#a0")),
-            PatternTerm::constant(Term::literal("%Aspergillus%")),
-        ),
-    )
-    .unwrap()
+    })
 }
 
 fn run(sys: &mut GridVineSystem, window: usize, max_retries: usize) -> QueryOutcome {

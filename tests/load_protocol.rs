@@ -1,4 +1,4 @@
-//! Integration tests of the PR-8 concurrent-session multiplexer
+//! Integration tests of the concurrent-session multiplexer
 //! ([`gridvine_core::pool::SessionPool`]) and the open-loop traffic
 //! driver ([`gridvine_load`]): a pool of one session must reproduce the
 //! standalone scheduler bit-for-bit (rows, stats, RNG stream),
@@ -19,60 +19,23 @@ use gridvine_rdf::{PatternTerm, Term, Triple, TriplePattern, TriplePatternQuery}
 use gridvine_semantic::{Correspondence, MappingKind, Provenance, Schema};
 use proptest::prelude::*;
 
-/// The 4-schema equivalence chain of `fault_protocol.rs`, with the
-/// reference-density knob exposed: `refs_per_level: 1` topologies have
-/// exactly one routing candidate per trie level, which makes routes
-/// independent of the values the shared RNG yields — the contract the
-/// interleaving proptests lean on.
+mod common;
+use common::chain_query;
+
+/// [`common::chain_system`] on 32 peers, with the reference-density
+/// knob exposed: `refs_per_level: 1` topologies have exactly one
+/// routing candidate per trie level, which makes routes independent of
+/// the values the shared RNG yields — the contract the interleaving
+/// proptests lean on.
 fn chain_system(refs_per_level: usize, fault: FaultConfig, seed: u64) -> GridVineSystem {
-    let mut sys = GridVineSystem::new(GridVineConfig {
+    common::chain_system(GridVineConfig {
         peers: 32,
         refs_per_level,
         hash: gridvine_pgrid::HashKind::Uniform,
         fault,
         seed,
         ..GridVineConfig::default()
-    });
-    let p0 = PeerId(0);
-    for i in 0..4 {
-        sys.insert_schema(p0, Schema::new(format!("S{i}").as_str(), [format!("a{i}")]))
-            .unwrap();
-    }
-    for i in 0..3 {
-        sys.insert_mapping(
-            p0,
-            format!("S{i}").as_str(),
-            format!("S{}", i + 1).as_str(),
-            MappingKind::Equivalence,
-            Provenance::Manual,
-            vec![Correspondence::new(format!("a{i}"), format!("a{}", i + 1))],
-        )
-        .unwrap();
-    }
-    for i in 0..4 {
-        sys.insert_triple(
-            p0,
-            Triple::new(
-                format!("seq:R{i}").as_str(),
-                format!("S{i}#a{i}").as_str(),
-                Term::literal("Aspergillus niger"),
-            ),
-        )
-        .unwrap();
-    }
-    sys
-}
-
-fn chain_query() -> TriplePatternQuery {
-    TriplePatternQuery::new(
-        "x",
-        TriplePattern::new(
-            PatternTerm::var("x"),
-            PatternTerm::constant(Term::uri("S0#a0")),
-            PatternTerm::constant(Term::literal("%Aspergillus%")),
-        ),
-    )
-    .unwrap()
+    })
 }
 
 fn options(window: usize) -> QueryOptions {
@@ -143,7 +106,7 @@ fn budgets_and_quotas_leave_every_session_in_one_bucket() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The PR-8 acceptance bar: a pool containing exactly one session
+    /// The pool's acceptance bar: a pool containing exactly one session
     /// is bit-identical to the standalone scheduler for windows 1 and
     /// 4 — same rows, same stats, and the shared RNG is left in the
     /// same state (witnessed by the next draws matching).

@@ -1,15 +1,13 @@
-//! Integration tests of the PR-9 placement subsystem
+//! Integration tests of the placement subsystem
 //! ([`gridvine_core::place`]): a null (or inert) `PlacementPolicy`
 //! reproduces the placement-free scheduler bit-for-bit (rows, stats,
 //! RNG stream), a crashed replica owner degrades to a failover with
-//! identical rows and zero recorded failures, heat spikes pull replicas
-//! toward hot origins, mid-commit crashes roll provisioning back
-//! atomically, and a churn storm over replicated predicates sheds no
-//! sessions in the open-loop driver.
+//! identical rows and zero recorded failures, mid-commit crashes roll
+//! provisioning back atomically, and a churn storm over replicated
+//! predicates sheds no sessions in the open-loop driver.
 
 use gridvine_core::{
-    GridVineConfig, GridVineSystem, PlacementPolicy, QueryOptions, QueryPlan, SpikeAction,
-    Strategy, SystemError,
+    GridVineConfig, GridVineSystem, PlacementPolicy, QueryOptions, QueryPlan, Strategy, SystemError,
 };
 use gridvine_load::{run_open_loop, ArrivalProcess, LoadConfig};
 use gridvine_netsim::churn::{ChurnEvent, ChurnProcess};
@@ -85,8 +83,8 @@ proptest! {
     /// The null-policy acceptance bar, for windows 1 and 4: a policy
     /// whose rules match nothing in the workload takes the replica
     /// path exactly never, so rows, stats and the shared RNG stream
-    /// are bit-identical to the default (null) policy — which is
-    /// itself the PR-8 scheduler unchanged.
+    /// are bit-identical to the default (null) policy, which engages
+    /// no placement machinery at all.
     #[test]
     fn inert_policy_is_bit_identical_to_null(seed in 0u64..500) {
         for window in [1usize, 4] {
@@ -246,48 +244,6 @@ fn every_row_is_served_while_any_holder_survives() {
             }
         }
     }
-}
-
-/// A heat spike on a hot key pulls a replica onto the hot origin: under
-/// the flat latency model the origin itself is the cheapest non-holder
-/// (expected latency zero), so repeated reads replicate the data next
-/// to the reader and later reads serve locally.
-#[test]
-fn heat_spike_replicates_toward_hot_origin() {
-    let policy = PlacementPolicy::new()
-        .replicate("S0#", 1)
-        .heat(3, SimDuration::from_secs(5));
-    let mut sys = replicated_system(policy, 7);
-    let origin = outside_origin(&sys.replica_holders("S0#a0"));
-    let plan = QueryPlan::search(data_query());
-
-    assert!(sys.heat_spikes().is_empty());
-    let mut outs = Vec::new();
-    for _ in 0..4 {
-        outs.push(sys.execute(origin, &plan, &options(1)).unwrap());
-    }
-    for o in &outs {
-        assert_eq!(o.rows.len(), 3);
-    }
-    let spikes = sys.heat_spikes();
-    assert!(!spikes.is_empty(), "three reads within the window spike");
-    assert_eq!(
-        spikes[0].action,
-        SpikeAction::Replicate(origin),
-        "the hot origin is the cheapest non-holder"
-    );
-    assert!(sys.replica_holders("S0#a0").contains(&origin));
-    assert!(sys.replica_counters().migrations >= 1);
-    let migrated: u64 = outs.iter().map(|o| o.stats.migrations as u64).sum();
-    assert!(migrated >= 1, "the spike charged to a serving unit");
-    // Once local, the read is free of response messages: the last
-    // query moves fewer messages than the first.
-    let first = outs.first().unwrap().stats.messages;
-    let last = outs.last().unwrap().stats.messages;
-    assert!(
-        last < first,
-        "local replica serves cheaper: {first} -> {last}"
-    );
 }
 
 /// A system whose `S0#` rule asks for two extras beyond the natural σ

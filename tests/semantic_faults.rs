@@ -1,4 +1,4 @@
-//! Integration tests of the PR-7 semantic fault matrix: the
+//! Integration tests of the semantic fault matrix: the
 //! mediation-layer adversary ([`gridvine_semantic::adversary`]) gossips
 //! stale, corrupted and Byzantine mappings into the network, Bayesian
 //! assessment passes quarantine them, mediation commits are atomic
@@ -225,8 +225,8 @@ proptest! {
 
     /// A null `SemanticFaultConfig` — even spelled out field by field,
     /// with null gossip rounds interleaved between queries — reproduces
-    /// the PR-6 scheduler bit-for-bit: same rows, same stats, no
-    /// randomness consumed.
+    /// a system on the default (null) config bit-for-bit: same rows,
+    /// same stats, no randomness consumed.
     #[test]
     fn null_semantic_fault_config_is_bit_identical(seed in 0u64..300) {
         for window in [1usize, 4] {
