@@ -134,24 +134,15 @@ impl TripleStage {
     /// Load what is staged — one [`TripleStore::insert_batch`] per
     /// touched peer, its copies in the order they were staged, so each
     /// `DB_p` ends with the rows, under the row ids, that storing every
-    /// copy on arrival would have given it — and empty the stage.
-    /// Returns the peers that gained a row they did not hold.
-    pub(crate) fn flush(&mut self, dbs: &mut [TripleStore]) -> Vec<PeerId> {
+    /// copy on arrival would have given it.
+    pub(crate) fn flush(mut self, dbs: &mut [TripleStore]) {
         // Indexes ascend in staging order, so sorting the pairs groups
         // them by peer and keeps each group in arrival order.
         self.copies.sort_unstable();
-        let gained = self
-            .copies
-            .chunk_by(|a, b| a.0 == b.0)
-            .filter_map(|group| {
-                let peer = group[0].0;
-                let batch = group.iter().map(|&(_, i)| self.triples[i as usize].clone());
-                (dbs[peer.index()].insert_batch(batch) > 0).then_some(peer)
-            })
-            .collect();
-        self.triples.clear();
-        self.copies.clear();
-        gained
+        for group in self.copies.chunk_by(|a, b| a.0 == b.0) {
+            let batch = group.iter().map(|&(_, i)| self.triples[i as usize].clone());
+            dbs[group[0].0.index()].insert_batch(batch);
+        }
     }
 }
 

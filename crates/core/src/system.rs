@@ -39,7 +39,6 @@ use std::collections::{BTreeSet, HashMap};
 // public surface.
 pub mod conjunctive;
 pub mod exec;
-pub mod place;
 pub mod pool;
 pub mod sched;
 pub mod session;
@@ -98,12 +97,6 @@ pub struct GridVineConfig {
     /// scheduler.
     #[serde(default)]
     pub latency: LatencyConfig,
-    /// Replica-placement policy ([`place`]): per-predicate/key-prefix
-    /// replication factors. The default **null policy** keeps
-    /// exactly-owner placement — no registry entries, no extra RNG
-    /// draws — and is bit-identical to the placement-free scheduler.
-    #[serde(default)]
-    pub placement: place::PlacementPolicy,
     /// RNG seed.
     pub seed: u64,
 }
@@ -121,7 +114,6 @@ impl Default for GridVineConfig {
             fault: FaultConfig::none(),
             semantic_fault: SemanticFaultConfig::none(),
             latency: LatencyConfig::Flat,
-            placement: place::PlacementPolicy::default(),
             seed: 0x6B1D,
         }
     }
@@ -430,10 +422,6 @@ pub struct GridVineSystem {
     /// under the flat default — [`GridVineSystem::unit_delay`] then
     /// uses the classic per-message formula and draws nothing.
     latency: Option<Box<dyn LatencyModel>>,
-    /// Replica-placement runtime state ([`GridVineConfig::placement`]):
-    /// the replica registry (extra holders beyond σ(key)) and the
-    /// placement counters diffed per issued unit — see [`place`].
-    pub(crate) place: place::PlacementState,
     /// Monotone session-id allocator shared by standalone sessions and
     /// pools (ids stay unique when both run against one system).
     next_session: u64,
@@ -482,7 +470,6 @@ impl GridVineSystem {
             latency: config
                 .latency
                 .build(gridvine_netsim::rng::derive_seed(config.seed, 0x1A7E)),
-            place: place::PlacementState::new(config.placement.clone()),
             next_session: 0,
             topology,
             overlay,
@@ -595,7 +582,7 @@ impl GridVineSystem {
     /// Whether the installed churn schedule has `peer` down at `at`
     /// (down iff the latest transition at or before `at` is a
     /// failure; peers start up).
-    pub fn churn_down_at(&self, peer: PeerId, at: SimTime) -> bool {
+    fn churn_down_at(&self, peer: PeerId, at: SimTime) -> bool {
         let timeline = &self.churn[peer.index()];
         let i = timeline.partition_point(|&(ev_at, _)| ev_at <= at);
         i > 0 && timeline[i - 1].1
@@ -835,16 +822,6 @@ impl GridVineSystem {
     /// every earlier triple of the call is fully stored, that one and
     /// the later ones are stored nowhere they were not already (what
     /// the tree cost stays charged), and the error is that key's.
-    ///
-    /// A triple a [`place::PlacementPolicy`] rule covers is loaded
-    /// before its placement hook runs — provisioning copies out of the
-    /// owner's `DB_p` — and the hook fans it out to the key's registered
-    /// extras and provisions up to the rule's factor (see [`place`]).
-    /// Atomic like the mapping commit: a hook cut short under any key
-    /// takes back the copies it made under every key, and the σ copies
-    /// this call added are undone too, so no holder misses rows its
-    /// registry entry promises or serves a row nobody else holds — and
-    /// none loses a copy an earlier call committed.
     pub fn insert_triples(
         &mut self,
         origin: PeerId,
@@ -879,28 +856,12 @@ impl GridVineSystem {
             // Every key routed, or the triple is stored nowhere.
             let [s, p, o] = slots.map(|slot| dests[slot as usize].clone());
             let holders = [s?, p?, o?];
-            let t = self.lexicon.canonical_triple(&t);
-            let covered = self.place.policy.covers(&t);
-            if covered {
-                // The next flush then reports this triple's copies alone.
-                stage.flush(&mut self.local_dbs);
-            }
             stage.push(
-                t.clone(),
+                self.lexicon.canonical_triple(&t),
                 holders.iter().flat_map(|&dest| {
                     std::iter::once(dest).chain(self.overlay.view(dest).replicas.iter().copied())
                 }),
             );
-            if covered {
-                let gained = stage.flush(&mut self.local_dbs);
-                let keys = self.keyspace().triple_keys(&t);
-                if let Err(e) = self.place_triple(origin, &t, &keys) {
-                    for peer in gained {
-                        self.local_dbs[peer.index()].remove(&t);
-                    }
-                    return Err(e);
-                }
-            }
             Ok(n + 1)
         });
         stage.flush(&mut self.local_dbs);

@@ -119,10 +119,7 @@
 //! nothing rides; so are the rows. A request that fails (crashed
 //! destination, retries exhausted) answers nothing and carries no list:
 //! the hop it was routed for is the recorded failure, the hops it
-//! merely listed go out on their own at their turn. A pattern whose
-//! routing constant a [`PlacementPolicy`](super::place::PlacementPolicy)
-//! rule covers is served by a replica holder, which need not lie on the
-//! key's path: it neither rides nor carries, rows or list. The binding
+//! merely listed go out on their own at their turn. The binding
 //! column of a bound join is on every one of these requests, whole:
 //! riding decides which hops a reply answers, the column for which
 //! seeds — all.
@@ -362,15 +359,13 @@ counters! {
         /// (see [`crate::system::sched`]), routed or sent to a learned
         /// address; charged at issue. A data request is one exchange
         /// however many patterns it answers and mapping lists it carries,
-        /// and a mapping discovery is one: under the null placement
-        /// policy `requests <= subqueries + mapping_fetches` as long as
-        /// every discovery is answered (one that is sent and never
-        /// answered counts in `failures`, not in `mapping_fetches`), with
-        /// equality when no pattern rode and nothing failed. A request
-        /// whose learned address was down and which was then routed
-        /// counts twice, as a replica fail-over counts each holder it
-        /// tried. The message that commits a closure to its holder is
-        /// not a request.
+        /// and a mapping discovery is one: `requests <= subqueries +
+        /// mapping_fetches` as long as every discovery is answered (one
+        /// that is sent and never answered counts in `failures`, not in
+        /// `mapping_fetches`), with equality when no pattern rode and
+        /// nothing failed. A request whose learned address was down and
+        /// which was then routed counts twice. The message that commits a
+        /// closure to its holder is not a request.
         ///
         /// A session emits one
         /// [`ResultEvent::Stats`](super::session::ResultEvent) per unit,
@@ -380,11 +375,9 @@ counters! {
         /// TTL has no discovery unit, and no zero-message unit stands in
         /// for either — so a drained closure session emits exactly
         /// `requests` of them, a drained join session as many plus one
-        /// for an independent join's local fold (a replica-served request
-        /// that fails over adds one per holder it skipped; a bound
-        /// pattern whose instances have nothing to route by is one
-        /// zero-message unit, and a learned address that was down adds
-        /// one).
+        /// for an independent join's local fold (a bound pattern whose
+        /// instances have nothing to route by is one zero-message unit,
+        /// and a learned address that was down adds one).
         pub requests: usize,
         /// Requests sent straight to a peer whose trie path the issuer
         /// learned from an earlier reply, one message each instead of a
@@ -418,14 +411,6 @@ counters! {
         /// by an assessment pass (re-confirmed quarantines of paroled edges
         /// included). Always 0 for query sessions.
         pub quarantined_mappings: usize,
-        /// Pattern resolutions served off the replica-aware routing path
-        /// (a placement rule covered the routed key — see
-        /// [`crate::system::place`]). Always 0 under the null policy.
-        pub replica_hits: usize,
-        /// Replica holders skipped because they were down (crashed, or the
-        /// retry budget ran out against a churn-down holder) before a live
-        /// holder served the unit.
-        pub failovers: usize,
     }
 }
 
@@ -487,11 +472,7 @@ pub(crate) fn one_var_row(var: &str, term: Term) -> Binding {
 /// key is a pure function of the term).
 pub(crate) struct RoutedBy {
     term: Term,
-    /// `None` when a [`PlacementPolicy`](super::place::PlacementPolicy)
-    /// rule covers the term: such a pattern is served off the
-    /// replica-aware path (`replica_route`) and neither rides another
-    /// pattern's request nor carries one.
-    key: Option<BitString>,
+    key: BitString,
 }
 
 /// One pattern listed on a data request (see
@@ -1029,10 +1010,9 @@ impl GridVineSystem {
 
     /// Hash a routing constant for [`GridVineSystem::resolve_patterns`].
     pub(crate) fn routed_by(&self, term: &Term) -> RoutedBy {
-        let placed = self.place.policy.rule_for(term.lexical()).is_some();
         RoutedBy {
             term: term.clone(),
-            key: (!placed).then(|| self.key_of(term.lexical())),
+            key: self.key_of(term.lexical()),
         }
     }
 
@@ -1068,41 +1048,23 @@ impl GridVineSystem {
         out: &mut BindingBatch,
         reply: &mut Reply,
     ) -> Result<(), SystemError> {
-        let mut answer = |db: &TripleStore, position: usize, l: &Listed, list| {
-            reply.answered.push(position);
-            reply.lists.push(list);
+        let dest = self.exchange(origin, &first.routed.key, true)?;
+        let db = &self.local_dbs[dest.index()];
+        let view = self.overlay.view(dest);
+        for (i, l) in std::iter::once(first).chain(rest).enumerate() {
+            if !view.is_responsible(&l.routed.key) {
+                continue;
+            }
+            let held = l.schema_key.filter(|k| view.is_responsible(k));
+            reply.answered.push(i);
+            reply
+                .lists
+                .push(held.map(|k| self.stored_mappings(dest, k)));
             let column = l.seed.map_or(seeds, std::slice::from_ref);
             if column.is_empty() {
                 reply.shipped.push(db.match_into(l.pattern, out));
             } else {
                 db.match_seeds_into(l.pattern, column, out, &mut reply.shipped);
-            }
-        };
-        let Some(key) = &first.routed.key else {
-            // Replica-aware path: a placement rule covers this key, so
-            // serve from the lowest-expected-latency live holder and
-            // fail over across the replica set before reporting
-            // PeerDown. The holder need not lie on the key's path, so
-            // nothing else — no mapping list either — is asked of it.
-            let dest = self
-                .replica_route(origin, first.routed.term.lexical())
-                .expect("a term without a key is covered by a placement rule")?;
-            answer(&self.local_dbs[dest.index()], 0, &first, None);
-            reply.peer = Some(dest);
-            return Ok(());
-        };
-        let dest = self.exchange(origin, key, true)?;
-        let db = &self.local_dbs[dest.index()];
-        let view = self.overlay.view(dest);
-        for (i, l) in std::iter::once(first).chain(rest).enumerate() {
-            if l.routed
-                .key
-                .as_ref()
-                .is_some_and(|k| view.is_responsible(k))
-            {
-                let held = l.schema_key.filter(|k| view.is_responsible(k));
-                let list = held.map(|k| self.stored_mappings(dest, k));
-                answer(db, i, &l, list);
             }
         }
         reply.peer = Some(dest);
@@ -1128,7 +1090,6 @@ impl GridVineSystem {
 
 #[cfg(test)]
 mod tests {
-    use super::super::place::PlacementPolicy;
     use super::super::pool::SessionPool;
     use super::super::sched::{unit_latency, LeafTable, PER_MESSAGE};
     use super::super::session::ResultEvent;
@@ -1150,12 +1111,8 @@ mod tests {
 
     /// Apple mapped to each other schema, one record per schema with
     /// [`OBJECT`] as its object. 16 peers: one per leaf, no replicas.
-    fn star(mango_attr: &str, placement: PlacementPolicy) -> GridVineSystem {
-        let config = GridVineConfig {
-            placement,
-            ..star_config()
-        };
-        star_on(config, mango_attr)
+    fn star(mango_attr: &str) -> GridVineSystem {
+        star_on(star_config(), mango_attr)
     }
 
     fn star_config() -> GridVineConfig {
@@ -1272,8 +1229,8 @@ mod tests {
     #[test]
     fn hops_under_one_key_ride_one_request() {
         let options = QueryOptions::default();
-        let mut sys = star("a", PlacementPolicy::default());
-        let mut twin = star("a", PlacementPolicy::default());
+        let mut sys = star("a");
+        let mut twin = star("a");
         let cold = sys.execute(ORIGIN, &by_object(), &options).unwrap();
         twin.execute(ORIGIN, &by_object(), &options).unwrap();
         assert_eq!(leaf_of(&sys, OBJECT), leaf_of(&sys, "Mango"));
@@ -1310,7 +1267,7 @@ mod tests {
 
     #[test]
     fn hops_under_different_paths_are_separate_requests() {
-        let sys = &mut star("a", PlacementPolicy::default());
+        let sys = &mut star("a");
         let mut leaves: Vec<PeerId> = SCHEMAS
             .iter()
             .map(|s| leaf_of(sys, &format!("{s}#a")))
@@ -1338,7 +1295,7 @@ mod tests {
                 let mut options = QueryOptions::new().strategy(strategy);
                 options.ttl = ttl;
                 for plan in [by_object(), closure_of("Apple#a", PatternTerm::var("o"))] {
-                    let sys = &mut star("a", PlacementPolicy::default());
+                    let sys = &mut star("a");
                     for run in ["cold", "warm"] {
                         let (units, out) = units(sys, &plan, &options);
                         let s = out.stats;
@@ -1358,7 +1315,7 @@ mod tests {
 
     #[test]
     fn a_cold_walk_by_predicates_sends_no_discovery() {
-        let sys = &mut star("a", PlacementPolicy::default());
+        let sys = &mut star("a");
         for s in SCHEMAS {
             assert_eq!(leaf_of(sys, s), leaf_of(sys, &format!("{s}#a")), "{s}");
         }
@@ -1381,7 +1338,7 @@ mod tests {
         let object = "Quince jelly, no sugar";
         let plan = closure_of("Apple#a", PatternTerm::constant(Term::literal(object)));
         for strategy in [Strategy::Iterative, Strategy::Recursive] {
-            let sys = &mut star("a", PlacementPolicy::default());
+            let sys = &mut star("a");
             let leaf = leaf_of(sys, object);
             assert!(SCHEMAS.iter().all(|s| leaf_of(sys, s) != leaf));
             for s in SCHEMAS {
@@ -1401,7 +1358,7 @@ mod tests {
 
     #[test]
     fn a_failed_request_answers_only_the_hop_it_was_routed_for() {
-        let sys = &mut star("a", PlacementPolicy::default());
+        let sys = &mut star("a");
         let down = leaf_of(sys, OBJECT);
         assert_eq!(down, leaf_of(sys, "Mango"));
         assert!(!SCHEMAS
@@ -1431,52 +1388,38 @@ mod tests {
     }
 
     #[test]
-    fn a_placed_pattern_neither_rides_nor_carries() {
+    fn a_hop_under_the_objects_leaf_rides_the_warm_replay() {
         let from_mango = closure_of(
             &format!("Mango#{LONG_ATTR}"),
             PatternTerm::constant(Term::literal(OBJECT)),
         );
         let options = QueryOptions::default();
         // Mango's hop routes by its predicate, to the leaf the object's
-        // key lies under: with no rule it rides (or carries) the rest.
-        let free = &mut star(LONG_ATTR, PlacementPolicy::default());
+        // key lies under, so it rides (or carries) the rest.
+        let sys = &mut star(LONG_ATTR);
         assert_eq!(
-            leaf_of(free, &format!("Mango#{LONG_ATTR}")),
-            leaf_of(free, OBJECT)
+            leaf_of(sys, &format!("Mango#{LONG_ATTR}")),
+            leaf_of(sys, OBJECT)
         );
-        let rule = PlacementPolicy::new().replicate("Mango#", 2);
-        let placed = &mut star(LONG_ATTR, rule);
         // A warm walk sends its origin hop, then replays the rest from
         // the cache of the peer holding the origin's list. From Apple,
         // whose hop lands on Mango's leaf, that list is discovered and
         // the three replayed hops share one request; from Mango, its
         // list rides the origin hop's reply, and so do the three.
-        // Placed, the Mango hop is one exchange with a Mango holder:
-        // from Apple it leaves the replayed request, from Mango its
-        // reply carries no list, which is discovered — one exchange more
-        // either way.
-        for (plan, free_requests) in [(by_object(), 3), (from_mango, 2)] {
-            let rows = free.execute(ORIGIN, &plan, &options).unwrap().rows;
+        for (plan, warm_requests) in [(by_object(), 3), (from_mango, 2)] {
+            let rows = sys.execute(ORIGIN, &plan, &options).unwrap().rows;
             assert_eq!(rows.len(), 4);
-            let warm = free.execute(ORIGIN, &plan, &options).unwrap();
-            assert_eq!(warm.stats.cache_hits, 1);
-            let free_stats = (warm.stats.requests, warm.stats.replica_hits);
-            assert_eq!(free_stats, (free_requests, 0), "{plan}");
-
-            assert_eq!(placed.execute(ORIGIN, &plan, &options).unwrap().rows, rows);
-            let warm = placed.execute(ORIGIN, &plan, &options).unwrap();
+            let warm = sys.execute(ORIGIN, &plan, &options).unwrap();
             assert_eq!(warm.rows, rows, "{plan}");
             assert_eq!(warm.stats.cache_hits, 1);
-            assert_eq!(warm.stats.requests, free_requests + 1, "{plan}");
-            assert_eq!((warm.stats.replica_hits, warm.stats.failovers), (1, 0));
-            assert_eq!(warm.stats.subqueries, 4);
+            assert_eq!(warm.stats.requests, warm_requests, "{plan}");
         }
     }
 
     #[test]
     fn riding_is_window_and_pool_invariant() {
         let plan = by_object();
-        let serial = &mut star("a", PlacementPolicy::default());
+        let serial = &mut star("a");
         let expected: Vec<QueryOutcome> = (0..2)
             .map(|_| {
                 serial
@@ -1487,8 +1430,8 @@ mod tests {
         assert!(expected[1].stats.requests < expected[1].stats.subqueries);
         for window in [1, 2, 4, 8] {
             let options = QueryOptions::new().window(window);
-            let solo = &mut star("a", PlacementPolicy::default());
-            let pooled = &mut star("a", PlacementPolicy::default());
+            let solo = &mut star("a");
+            let pooled = &mut star("a");
             // Cold, then warm.
             for expect in &expected {
                 let out = solo.execute(ORIGIN, &plan, &options).unwrap();
@@ -1520,7 +1463,7 @@ mod tests {
     fn a_wider_window_reaches_the_first_row_at_least_twice_as_soon() {
         let late = closure_of("Apple#a", PatternTerm::constant(Term::literal("%late%")));
         let first_row = |window: usize| {
-            let sys = &mut star("a", PlacementPolicy::default());
+            let sys = &mut star("a");
             let holder = leaf_of(sys, "Apple");
             assert_eq!(holder, leaf_of(sys, "Apple#a"));
             let record = Triple::new("seq:late", "Guava#a", Term::literal("late"));
@@ -1553,11 +1496,7 @@ mod tests {
     /// subject's also, a second time, under Guava's — and a city for
     /// that lab.
     fn join_star() -> GridVineSystem {
-        join_star_placed(PlacementPolicy::default())
-    }
-
-    fn join_star_placed(placement: PlacementPolicy) -> GridVineSystem {
-        let mut sys = star("a", placement);
+        let mut sys = star("a");
         let mut insert = |s: &str, p: String, o: Term| {
             sys.insert_triple(ORIGIN, Triple::new(s, p.as_str(), o))
                 .unwrap();
@@ -1791,32 +1730,6 @@ mod tests {
         assert_eq!(out.rows, unbound.rows);
     }
 
-    #[test]
-    fn a_placed_bound_hop_takes_the_whole_column_on_one_exchange() {
-        let plan = join_of("many", false);
-        let free = join_star().execute(ORIGIN, &plan, &bound()).unwrap();
-        let rule = PlacementPolicy::new().replicate("Mango#", 2);
-        let (units, placed) = units(&mut join_star_placed(rule), &plan, &bound());
-        assert_eq!(placed.rows, free.rows);
-        assert_eq!(units.len(), placed.stats.requests);
-        // One exchange with a Mango holder for all thirty seeds, a unit
-        // of its own. A replica holder's reply carries no mapping list,
-        // so Mango's is discovered: the placed sweep's extra requests
-        // are exactly the discoveries that could not ride.
-        let served = deltas(&units).into_iter().filter(|d| d.replica_hits > 0);
-        let [holder] = served.collect::<Vec<_>>()[..] else {
-            panic!("one unit served by a replica holder");
-        };
-        assert_eq!((holder.requests, holder.failovers), (1, 0));
-        assert_eq!((holder.subqueries, holder.bindings_carried), (30, 30));
-        assert_eq!((placed.stats.replica_hits, free.stats.replica_hits), (1, 0));
-        let unridden = placed.stats.mapping_fetches - free.stats.mapping_fetches;
-        assert_eq!(unridden, 1);
-        assert_eq!(placed.stats.requests, free.stats.requests + unridden);
-        assert_eq!(placed.stats.subqueries, free.stats.subqueries);
-        assert_eq!(placed.stats.bindings_carried, free.stats.bindings_carried);
-    }
-
     /// The star on routes that draw nothing from the routing stream that
     /// decides anything: one reference per level.
     fn one_route_star() -> GridVineSystem {
@@ -1831,7 +1744,7 @@ mod tests {
     fn a_warm_replay_sends_every_remote_request_to_a_learned_address() {
         let by_predicate = closure_of("Apple#a", PatternTerm::var("o"));
         for plan in [by_object(), by_predicate] {
-            let sys = &mut star("a", PlacementPolicy::default());
+            let sys = &mut star("a");
             let options = QueryOptions::default();
             let cold = sys.execute(ORIGIN, &plan, &options).unwrap();
             let (units, warm) = units(sys, &plan, &options);
@@ -2019,7 +1932,7 @@ mod tests {
     fn a_routed_request_meets_churn_when_it_leaves() {
         let options = QueryOptions::new().window(4);
         let plan = closure_of("Apple#a", PatternTerm::var("o"));
-        let star = || star("a", PlacementPolicy::default());
+        let star = || star("a");
         let down = ["Guava#a", "Mango#a", "Zebra#a"];
         let [calm, stormy] = stormy(star, &plan, &options, &down);
         assert_eq!(calm.len(), 4);
@@ -2058,7 +1971,7 @@ mod tests {
                 by_object()
             };
             let (origin, options) = (PeerId(origin), QueryOptions::new().ttl(ttl));
-            let build = || if is_chain { chain() } else { star("a", PlacementPolicy::default()) };
+            let build = || if is_chain { chain() } else { star("a") };
             let key = ClosureKey { schema: SchemaId::new("Apple"), attr: "a".into(), ttl };
             let [(mut iterative, it), (mut recursive, rec)] =
                 [Strategy::Iterative, Strategy::Recursive].map(|strategy| {
@@ -2087,7 +2000,7 @@ mod tests {
     /// one teaches the holder's leaf.
     #[test]
     fn a_recursive_discovery_teaches_its_issuer_nothing() {
-        let sys = &mut star("a", PlacementPolicy::default());
+        let sys = &mut star("a");
         let key = sys.key_of("Apple");
         assert_ne!(leaf_of(sys, "Apple"), ORIGIN);
         let discover = |sys: &mut GridVineSystem, strategy| {

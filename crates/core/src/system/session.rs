@@ -774,7 +774,6 @@ impl SessionCore {
         // is folded into this session's stats.
         let m0 = sys.overlay.messages_sent();
         let p0 = sys.proto.counters;
-        let pl0 = sys.place.counters;
         let mut state = std::mem::replace(&mut self.state, State::Done);
         let mut out: Vec<ResultEvent> = Vec::new();
         let result = match &mut state {
@@ -802,9 +801,6 @@ impl SessionCore {
         self.stats.sends += c.sends - p0.sends;
         self.stats.timeouts += c.timeouts - p0.timeouts;
         self.stats.retransmits += c.retransmits - p0.retransmits;
-        let pl = sys.place.counters;
-        self.stats.replica_hits += pl.replica_hits - pl0.replica_hits;
-        self.stats.failovers += pl.failovers - pl0.failovers;
         match result {
             Ok(StepOutcome::Idle) => Ok(()), // state stays Done
             Ok(StepOutcome::Unit { heard, done }) => {

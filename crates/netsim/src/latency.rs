@@ -26,18 +26,6 @@ pub trait LatencyModel: Send {
 
     /// Called when a node joins so region-aware models can place it.
     fn on_node_added(&mut self, _node: NodeId) {}
-
-    /// The *expected* (deterministic, draw-free) one-way delay from
-    /// `from` to `to` — the ranking statistic replica-aware routing
-    /// uses to prefer nearby copies. Unlike [`LatencyModel::sample`]
-    /// this must never consume distributional randomness, so calling
-    /// it leaves the sample stream untouched; models without a
-    /// meaningful expectation return [`SimDuration::ZERO`] and let the
-    /// caller fall back to its flat cost formula.
-    fn expected(&mut self, from: NodeId, to: NodeId) -> SimDuration {
-        let _ = (from, to);
-        SimDuration::ZERO
-    }
 }
 
 /// Every message takes exactly the same time.
@@ -54,10 +42,6 @@ impl ConstantLatency {
 
 impl LatencyModel for ConstantLatency {
     fn sample(&mut self, _from: NodeId, _to: NodeId) -> SimDuration {
-        self.delay
-    }
-
-    fn expected(&mut self, _from: NodeId, _to: NodeId) -> SimDuration {
         self.delay
     }
 }
@@ -89,11 +73,6 @@ impl LatencyModel for UniformLatency {
             return self.min;
         }
         SimDuration(self.rng.gen_range(self.min.0..=self.max.0))
-    }
-
-    fn expected(&mut self, _from: NodeId, _to: NodeId) -> SimDuration {
-        // Midpoint of the range: the distribution mean, draw-free.
-        SimDuration(self.min.0 + (self.max.0 - self.min.0) / 2)
     }
 }
 
@@ -285,29 +264,6 @@ impl LatencyModel for RegionalWan {
 
     fn on_node_added(&mut self, node: NodeId) {
         self.ensure_placed(node);
-    }
-
-    fn expected(&mut self, from: NodeId, to: NodeId) -> SimDuration {
-        // Deterministic summary of `sample`: the log-normal median for
-        // the region pair, plus the receiver's (fixed once placed)
-        // processing cost. Placement itself may draw the per-node
-        // slowdown factor from the model's private stream on first
-        // sight of a node, but that draw happens at most once per node
-        // and never perturbs the sample sequence for placed nodes.
-        self.ensure_placed(from);
-        self.ensure_placed(to);
-        let ra = self.region_of[from.index()];
-        let rb = self.region_of[to.index()];
-        let dist = self.region_distance(ra, rb);
-        let median = if dist == 0 {
-            self.cfg.intra_median
-        } else {
-            SimDuration::from_secs_f64(
-                self.cfg.inter_median_base.as_secs_f64()
-                    + self.cfg.inter_median_per_hop.as_secs_f64() * (dist - 1) as f64,
-            )
-        };
-        median + self.cfg.processing.mul_f64(self.slowdown_of[to.index()])
     }
 }
 

@@ -19,8 +19,7 @@
 //! * a generic actor-style [`network::Network`] in which protocol nodes
 //!   (implementing [`node::Node`]) exchange typed messages and set timers,
 //! * a [`churn`] process injecting node failures and joins,
-//! * [`stats`]: an exact latency CDF and the replica counters a
-//!   placement layer reports.
+//! * [`stats`]: an exact latency CDF.
 //!
 //! Everything is seeded: running the same experiment twice produces
 //! byte-identical output.
@@ -70,7 +69,7 @@ pub mod prelude {
     pub use crate::latency::{LatencyConfig, LatencyModel, RegionalWan, UniformLatency};
     pub use crate::network::{Network, NetworkConfig, NetworkStats};
     pub use crate::node::{Ctx, Node, NodeId};
-    pub use crate::stats::{Cdf, ReplicaCounters};
+    pub use crate::stats::Cdf;
 }
 
 pub use churn::{ChurnConfig, ChurnProcess};
@@ -82,4 +81,4 @@ pub use latency::{
 };
 pub use network::{Network, NetworkConfig, NetworkStats};
 pub use node::{Ctx, Node, NodeId};
-pub use stats::{Cdf, ReplicaCounters};
+pub use stats::Cdf;

@@ -1,40 +1,7 @@
-//! Measurement utilities: an exact CDF and the replica counters a
-//! placement layer reports.
+//! Measurement utilities: an exact latency CDF.
 
 use crate::clock::SimDuration;
 use serde::{Deserialize, Serialize};
-use std::fmt;
-
-/// Counts of replica-placement activity (replica-aware routing and
-/// failover in a consumer's placement layer). All zero under a null
-/// placement policy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ReplicaCounters {
-    /// Lookups served off a replica-aware routing path instead of the
-    /// single canonical key owner.
-    pub replica_hits: u64,
-    /// Replica holders skipped because they were down before a live
-    /// one served the request.
-    pub failovers: u64,
-}
-
-impl ReplicaCounters {
-    /// Accumulate another run's counters into this one.
-    pub fn merge(&mut self, other: &ReplicaCounters) {
-        self.replica_hits += other.replica_hits;
-        self.failovers += other.failovers;
-    }
-}
-
-impl fmt::Display for ReplicaCounters {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "replica_hits={} failovers={}",
-            self.replica_hits, self.failovers
-        )
-    }
-}
 
 /// An exact empirical CDF: stores all samples (experiments here are small
 /// enough that exactness beats the complexity of a sketch).

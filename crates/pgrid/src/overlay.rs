@@ -276,9 +276,10 @@ impl<V: Clone + PartialEq> Overlay<V> {
     }
 
     /// Charge `n` messages for a *direct* exchange between two peers
-    /// that bypasses prefix routing entirely — replica-aware lookups
-    /// and replica provisioning ship to a known holder address, so
-    /// they pay per message exchanged rather than per routing hop.
+    /// that bypasses prefix routing entirely — a request to an address
+    /// the sender learned from an earlier reply, or a closure committed
+    /// to the peer holding its schema's mapping list — so it pays per
+    /// message exchanged rather than per routing hop.
     /// Local exchanges (`from == to`) are free, like everywhere else
     /// in the accounting.
     pub fn charge_direct(&mut self, from: PeerId, to: PeerId, n: u64) {

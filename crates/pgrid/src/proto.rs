@@ -290,12 +290,15 @@ impl<V: Clone + PartialEq> Node<PGridMsg<V>> for PGridNode<V> {
     fn on_recover(&mut self, ctx: &mut Ctx<'_, PGridMsg<V>>) {
         // Crashing dropped our in-flight timers and any responses sent
         // while we were down. Re-issue pending retrieves (a client
-        // process restarting does exactly this) and re-arm the timers.
-        let pending: Vec<(RequestId, BitString)> = self
+        // process restarting does exactly this) and re-arm the timers,
+        // in request order: each re-issue draws the network's RNG, so
+        // the map's iteration order would make the run irreproducible.
+        let mut pending: Vec<(RequestId, BitString)> = self
             .pending
             .iter()
             .map(|(id, p)| (*id, p.key.clone()))
             .collect();
+        pending.sort_unstable_by_key(|&(id, _)| id);
         for (id, key) in pending {
             ctx.set_timer(self.timeout, id);
             let origin = ctx.self_id();
@@ -463,6 +466,35 @@ mod tests {
         assert_eq!(done[0].responder, None);
         // Initial attempt + one retry, 30 s timeout each.
         assert_eq!(done[0].latency(), SimDuration::from_secs(60));
+    }
+
+    #[test]
+    fn a_recovered_node_reissues_its_retrieves_in_request_order() {
+        let run = || {
+            let (mut net, _) = build(64, NetworkConfig::planetlab(), 1);
+            let h = OrderPreservingHash::default();
+            let origin = NodeId::from_index(3);
+            for i in 0..8 {
+                let key = h.hash(&format!("probe-{i}"), 24);
+                net.invoke(origin, |node, ctx| node.start_retrieve(ctx, key));
+            }
+            net.crash(origin);
+            net.recover(origin);
+            net.run_until_quiescent();
+            let mut done: Vec<_> = net
+                .node_mut(origin)
+                .drain_completed()
+                .into_iter()
+                .map(|o| (o.id, o.hops, o.completed_at))
+                .collect();
+            done.sort();
+            done
+        };
+        let first = run();
+        assert_eq!(first.len(), 8);
+        for _ in 0..4 {
+            assert_eq!(run(), first);
+        }
     }
 
     /// 8 peers over 4 depth-2 paths: every path has exactly 2 replicas.

@@ -11,8 +11,7 @@
 //! the `SchemaHop` events come in the order the walk pops the hops.
 
 use gridvine_core::{
-    GridVineConfig, GridVineSystem, JoinMode, PlacementPolicy, QueryOptions, QueryPlan,
-    ResultEvent, Strategy,
+    GridVineConfig, GridVineSystem, JoinMode, QueryOptions, QueryPlan, ResultEvent, Strategy,
 };
 use gridvine_pgrid::{HashKind, PeerId};
 use gridvine_rdf::{
@@ -88,23 +87,16 @@ fn leaf_of(sys: &GridVineSystem, lexical: &str) -> PeerId {
 }
 
 /// One `a` attribute per schema; `edges` are `(from, to, equivalence,
-/// manual)`, `facts` `(entity, schema, value)`. A placed federation
-/// replicates Kiwi's predicate, whose hops then go to replica holders.
+/// manual)`, `facts` `(entity, schema, value)`.
 fn federation(
     hash: HashKind,
-    placed: bool,
     edges: &[(usize, usize, bool, bool)],
     facts: &[(u8, usize, usize)],
 ) -> GridVineSystem {
-    let placement = match placed {
-        true => PlacementPolicy::new().replicate("Kiwi#", 3),
-        false => PlacementPolicy::default(),
-    };
     let mut sys = GridVineSystem::new(GridVineConfig {
         peers: PEERS,
         seed: SEED,
         hash,
-        placement,
         ..GridVineConfig::default()
     });
     let p0 = PeerId(0);
@@ -154,9 +146,8 @@ proptest! {
 
     /// `execute` ≡ the reference on rows, and on the hops reported —
     /// in order at `window(1)`, as a set at `window(4)` — for both
-    /// strategies, at TTL 1, 2 and the default, with and without a
-    /// replicating placement rule, under both hashes: on one system,
-    /// cold, then warm from the same origin — its closure cache and the
+    /// strategies, at TTL 1, 2 and the default, under both hashes: on
+    /// one system, cold, then warm from the same origin — its closure cache and the
     /// leaves it learned in use — then from a second origin.
     #[test]
     fn the_walk_is_the_reference_walk(
@@ -168,7 +159,7 @@ proptest! {
         origin in 0usize..PEERS,
         // How far past `origin` the second origin is.
         second in 1usize..PEERS,
-        (recursive, uniform, placed) in (any::<bool>(), any::<bool>(), any::<bool>()),
+        (recursive, uniform) in (any::<bool>(), any::<bool>()),
         // 0: the configured TTL.
         ttl in 0usize..3,
     ) {
@@ -189,7 +180,7 @@ proptest! {
             (PeerId::from_index((origin + second) % PEERS), "second origin"),
         ];
         for window in [1, 4] {
-            let sys = &mut federation(hash, placed, &edges, &facts);
+            let sys = &mut federation(hash, &edges, &facts);
             let mut options = QueryOptions::new().strategy(strategy).window(window);
             if let Some(ttl) = ttl {
                 options = options.ttl(ttl);
@@ -219,9 +210,8 @@ proptest! {
 
     /// `execute` of a conjunctive plan ≡ the nested-loop join of its
     /// patterns' reference walks, on row sets, for both join modes and
-    /// both strategies, at TTL 1, 2 and the default, with and without a
-    /// replicating placement rule, under both hashes, on one system:
-    /// cold, warm from the same origin, then from a second origin. A
+    /// both strategies, at TTL 1, 2 and the default, under both hashes,
+    /// on one system: cold, warm from the same origin, then from a second origin. A
     /// join on the object binds `"50%"` whenever a fact holds it: the
     /// bound mode must match it exactly, never as a LIKE that `"500"`
     /// satisfies.
@@ -232,7 +222,7 @@ proptest! {
         (left, right) in (0usize..5, 0usize..5),
         (shape, value) in (0usize..3, 0usize..3),
         (origin, second) in (0usize..PEERS, 1usize..PEERS),
-        (uniform, placed, window) in (any::<bool>(), any::<bool>(), 1usize..5),
+        (uniform, window) in (any::<bool>(), 1usize..5),
         // 0: the configured TTL.
         ttl in 0usize..3,
     ) {
@@ -272,7 +262,7 @@ proptest! {
             (PeerId::from_index(origin), "warm"),
             (PeerId::from_index((origin + second) % PEERS), "second origin"),
         ];
-        let sys = &mut federation(hash, placed, &edges, &facts);
+        let sys = &mut federation(hash, &edges, &facts);
         let expected = reference_join(sys, &query, if ttl > 0 { ttl } else { GridVineConfig::default().ttl });
         for strategy in [Strategy::Iterative, Strategy::Recursive] {
             for mode in [JoinMode::Independent, JoinMode::BoundSubstitution] {

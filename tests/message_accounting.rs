@@ -7,9 +7,9 @@
 //! All queries run through the plan surface (`QueryPlan` + `execute`).
 
 use gridvine_core::{
-    GridVineConfig, GridVineSystem, PlacementPolicy, QueryOptions, QueryPlan, ResultEvent, Strategy,
+    GridVineConfig, GridVineSystem, QueryOptions, QueryPlan, ResultEvent, Strategy,
 };
-use gridvine_pgrid::PeerId;
+use gridvine_pgrid::{HashKind, PeerId};
 use gridvine_rdf::{PatternTerm, Term, Triple, TriplePattern, TriplePatternQuery};
 use gridvine_semantic::{Correspondence, MappingKind, Provenance, Schema};
 use proptest::prelude::*;
@@ -424,10 +424,10 @@ fn a_finished_walk_commits_to_the_holder_for_one_message_at_most() {
 
 /// Two mapped schemas on 24 peers (a balanced 24 has σ groups of one
 /// and of two peers), before any triple.
-fn mapped_pair(placement: PlacementPolicy) -> GridVineSystem {
+fn mapped_pair(hash: HashKind) -> GridVineSystem {
     let mut sys = GridVineSystem::new(GridVineConfig {
         peers: 24,
-        placement,
+        hash,
         seed: 5,
         ..GridVineConfig::default()
     });
@@ -448,6 +448,29 @@ fn mapped_pair(placement: PlacementPolicy) -> GridVineSystem {
     sys
 }
 
+/// P-Grid's placement (§2.1): a peer stores a triple only if it is in
+/// the σ group of one of the triple's three keys, and every peer of
+/// each of those groups stores it.
+fn assert_placement_consistent(sys: &GridVineSystem) {
+    let topology = sys.topology();
+    for p in (0..topology.len()).map(PeerId::from_index) {
+        for t in sys.peer_db(p).iter() {
+            let lexicals = [t.subject.as_str(), t.predicate.as_str(), t.object.lexical()];
+            let groups = lexicals.map(|l| topology.responsible(&sys.key_of(l)));
+            assert!(
+                groups.iter().any(|g| g.contains(&p)),
+                "{p:?} holds {t:?} outside its keys' σ groups {groups:?}"
+            );
+            for owner in groups.into_iter().flatten() {
+                assert!(
+                    sys.peer_db(*owner).contains(&t),
+                    "σ owner {owner:?} misses {t:?}, which {p:?} holds"
+                );
+            }
+        }
+    }
+}
+
 /// Triples over small pools, so a corpus repeats triples and lexicals.
 fn arb_corpus_triple() -> impl proptest::strategy::Strategy<Value = Triple> {
     (0usize..6, 0usize..4, 0usize..5).prop_map(|(s, p, o)| {
@@ -466,34 +489,28 @@ proptest! {
     /// one `insert_triples` call, random chunks and one `insert_triple`
     /// per triple leave every `DB_p` the same rows in the same order,
     /// the routing-RNG stream where it was, and the same outcome (rows
-    /// and stats) for a closure search afterwards — under the null
-    /// policy and under a replicating one, whose placement hook reads
-    /// the owner's `DB_p` in the middle of a call. Each call is one
-    /// update tree: under the null policy it charges at most one
-    /// message per peer other than the origin.
+    /// and stats) for a closure search afterwards, and every copy at
+    /// its keys' σ groups after every call. Each call is one update
+    /// tree: it charges at most one message per peer other than the
+    /// origin.
     #[test]
     fn chunking_an_ingest_moves_only_its_messages(
         corpus in proptest::collection::vec(arb_corpus_triple(), 0..40),
         cuts in proptest::collection::vec(any::<prop::sample::Index>(), 0..5),
-        replicate in any::<bool>(),
     ) {
-        let policy = if replicate {
-            PlacementPolicy::new().replicate("S0#", 3)
-        } else {
-            PlacementPolicy::default()
-        };
         let origin = PeerId(3);
         // Inserts `triples` in one call: its outcome, and whether the
         // call charged what one update tree may.
         let insert = |sys: &mut GridVineSystem, triples: &[Triple]| {
             let before = sys.messages_sent();
             let placed = sys.insert_triples(origin, triples.to_vec());
-            (placed, replicate || sys.messages_sent() - before < 24)
+            assert_placement_consistent(sys);
+            (placed, sys.messages_sent() - before < 24)
         };
-        let mut whole = mapped_pair(policy.clone());
+        let mut whole = mapped_pair(HashKind::OrderPreserving);
         prop_assert_eq!(insert(&mut whole, &corpus), (Ok(corpus.len()), true));
 
-        let mut chunked = mapped_pair(policy.clone());
+        let mut chunked = mapped_pair(HashKind::OrderPreserving);
         let mut bounds: Vec<usize> = cuts.iter().map(|c| c.index(corpus.len() + 1)).collect();
         bounds.push(corpus.len());
         bounds.sort_unstable();
@@ -504,9 +521,10 @@ proptest! {
             from = to;
         }
 
-        let mut single = mapped_pair(policy);
+        let mut single = mapped_pair(HashKind::OrderPreserving);
         for t in &corpus {
             prop_assert_eq!(single.insert_triple(origin, t.clone()), Ok(()));
+            assert_placement_consistent(&single);
         }
 
         let query = gridvine_rdf::parse_single("SELECT ?x WHERE (?x, <S0#a0>, ?o)").unwrap();
@@ -527,6 +545,33 @@ proptest! {
             let out = other.execute(PeerId(7), &plan, &options).unwrap();
             prop_assert_eq!(&out.rows, &base.rows, "{}", name);
             prop_assert_eq!(out.stats, base.stats, "{}", name);
+        }
+    }
+
+    /// Every copy an ingest makes lives at its keys' σ groups, and at
+    /// every peer of each, after every call — under both hashes, from
+    /// any origin, however the corpus is cut. Under the order-preserving
+    /// hash every key of this fixture lies under a σ group of one, so
+    /// only the uniform arm sees whether a destination's replicas get
+    /// their copies.
+    #[test]
+    fn every_copy_lives_at_its_keys_sigma_groups(
+        corpus in proptest::collection::vec(arb_corpus_triple(), 0..40),
+        cuts in proptest::collection::vec(any::<prop::sample::Index>(), 0..5),
+        uniform in any::<bool>(),
+        origin in 0usize..24,
+    ) {
+        let hash = if uniform { HashKind::Uniform } else { HashKind::OrderPreserving };
+        let sys = &mut mapped_pair(hash);
+        let mut bounds: Vec<usize> = cuts.iter().map(|c| c.index(corpus.len() + 1)).collect();
+        bounds.push(corpus.len());
+        bounds.sort_unstable();
+        let mut from = 0;
+        for to in bounds {
+            let chunk = corpus[from..to].to_vec();
+            prop_assert_eq!(sys.insert_triples(PeerId::from_index(origin), chunk), Ok(to - from));
+            assert_placement_consistent(sys);
+            from = to;
         }
     }
 }
