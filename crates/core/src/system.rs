@@ -16,12 +16,11 @@
 
 use crate::item::{KeySpace, MediationItem, TripleStage};
 use gridvine_netsim::churn::{ChurnEvent, ChurnKind};
-use gridvine_netsim::{
-    EventQueue, FaultConfig, LatencyConfig, LatencyModel, NodeId, SimDuration, SimTime,
-};
+use gridvine_netsim::{EventQueue, LatencyConfig, LatencyModel, NodeId, SimDuration, SimTime};
 use gridvine_pgrid::{
     BitString, HashKind, KeyHasher, Overlay, PeerId, RouteError, Topology, UpdateOp,
 };
+use gridvine_rdf::fasthash::FxHashMap;
 use gridvine_rdf::{Term, TermDict, Triple, TriplePatternQuery, TripleStore};
 use gridvine_semantic::{
     apply_quarantine, assess, BayesConfig, Correspondence, DegreeRecord, Injection, Mapping,
@@ -32,7 +31,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 // Child modules so conjunctive evaluation and the plan executor can
 // reuse the system's private overlay/rng state without widening the
@@ -64,17 +63,6 @@ pub struct GridVineConfig {
     /// least-recently-used evicted first. A closure is kept by the peer
     /// holding its origin schema's mapping list. Zero disables caching.
     pub closure_cache_capacity: usize,
-    /// Message-fault process applied to the scheduler's
-    /// subquery/reply exchanges (see [`sched`]): `loss` makes request
-    /// attempts time out and retransmit with backoff, `duplication`
-    /// delivers a unit's reply twice (deduplicated by request id),
-    /// `reorder` adds reply delivery jitter. Per-link overrides are
-    /// keyed by peer index (`from` = issuing peer, `to` =
-    /// destination). Null by default — a null config consumes no
-    /// fault randomness and is bit-identical to the fault-free
-    /// scheduler.
-    #[serde(default)]
-    pub fault: FaultConfig,
     /// Mediation-layer fault process
     /// ([`gridvine_semantic::adversary`]): at the configured rates,
     /// each [`GridVineSystem::adversary_gossip`] round injects stale
@@ -111,7 +99,6 @@ impl Default for GridVineConfig {
             ttl: 10,
             domain: "protein-sequences".to_string(),
             closure_cache_capacity: 64,
-            fault: FaultConfig::none(),
             semantic_fault: SemanticFaultConfig::none(),
             latency: LatencyConfig::Flat,
             seed: 0x6B1D,
@@ -119,35 +106,19 @@ impl Default for GridVineConfig {
     }
 }
 
-/// Running counters of the request/retry protocol (see the [`sched`]
-/// module docs): accumulated system-wide, diffed per session into
-/// [`exec::ExecStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct ProtoCounters {
-    pub(crate) requests: usize,
-    pub(crate) direct: usize,
-    pub(crate) sends: usize,
-    pub(crate) timeouts: usize,
-    pub(crate) retransmits: usize,
-}
-
-/// State of the subquery request/response protocol: the fault rates,
-/// the active session's retry budget, the unit being issued, and the deterministic
-/// RNG stream driving loss/duplication/reorder draws — independent
-/// from the routing RNG, so enabling faults never perturbs route
-/// selection (and a null config draws nothing at all).
+/// State of the subquery request/response protocol: the active
+/// session's retry budget, the unit being issued, and the deterministic
+/// RNG stream driving backoff jitter — independent from the routing
+/// RNG, so a timeout never perturbs route selection (and a run in
+/// which no request times out draws nothing at all).
 pub(crate) struct ProtocolState {
-    /// Fault process for subquery/reply exchanges
-    /// ([`GridVineConfig::fault`]).
-    pub(crate) fault: FaultConfig,
     /// Retransmit budget of the active session's requests (set from
     /// [`exec::QueryOptions::max_retries`] at open).
     pub(crate) max_retries: usize,
     /// The instant the unit being issued is sent: its session's latest
     /// delivery, raised to its ready time before its first exchange and
     /// to the stamp of every write it reads
-    /// ([`ProtocolState::floor`]). Its attempts meet loss and churn
-    /// from here.
+    /// ([`ProtocolState::floor`]). Its attempts meet churn from here.
     pub(crate) now: SimTime,
     /// Timeout/backoff delay accumulated by the unit being issued
     /// (reset per issue, folded into the unit's completion instant).
@@ -167,17 +138,17 @@ pub(crate) struct ProtocolState {
     /// instant against.
     read: SimTime,
     first_attempt: Option<SimTime>,
-    /// Next request id.
-    next_request: u64,
-    pub(crate) counters: ProtoCounters,
+    /// Running counters of the retry protocol — `requests`, `direct`,
+    /// `sends`, `timeouts` and `retransmits`; every other field stays
+    /// 0 — accumulated system-wide and diffed per unit into a
+    /// session's [`exec::ExecStats`].
+    pub(crate) counters: exec::ExecStats,
     rng: StdRng,
 }
 
 impl ProtocolState {
     fn new(config: &GridVineConfig) -> ProtocolState {
-        config.fault.validate();
         ProtocolState {
-            fault: config.fault.clone(),
             max_retries: exec::DEFAULT_MAX_RETRIES,
             now: SimTime::ZERO,
             delay: SimDuration::ZERO,
@@ -185,8 +156,7 @@ impl ProtocolState {
             writes: Vec::new(),
             read: SimTime::ZERO,
             first_attempt: None,
-            next_request: 0,
-            counters: ProtoCounters::default(),
+            counters: exec::ExecStats::default(),
             rng: gridvine_netsim::rng::derive(config.seed, 0xB0FF),
         }
     }
@@ -234,57 +204,12 @@ impl ProtocolState {
         );
     }
 
-    /// The effective loss rate from `from` to `to` (directional
-    /// per-link overrides first, then the base rate).
-    fn loss_rate(&self, from: PeerId, to: PeerId) -> f64 {
-        for l in &self.fault.links {
-            if l.from == from.index() && l.to == to.index() {
-                return l.loss;
-            }
-        }
-        self.fault.loss
-    }
-
-    /// One jitter draw, bounded by the config's `reorder_jitter`.
-    fn jitter(&mut self) -> SimDuration {
-        let max = self.fault.reorder_jitter.0;
-        if max == 0 {
-            return SimDuration::ZERO;
-        }
-        SimDuration(self.rng.gen_range(0..=max))
-    }
-
     /// Backoff delay charged after the timeout of attempt `attempt`
     /// (0-based): `RETRY_TIMEOUT << attempt` plus jitter up to half
     /// that.
     fn backoff(&mut self, attempt: usize) -> SimDuration {
         let base = sched::RETRY_TIMEOUT.0 << attempt.min(10);
         SimDuration(base + self.rng.gen_range(0..=base / 2))
-    }
-
-    /// Reply-side fault draws for one completed unit: extra reorder
-    /// jitter on the reply's delivery, and — when the duplication draw
-    /// hits — the trailing delay of a duplicate copy. Draws are gated
-    /// on non-zero rates so the null config consumes no randomness.
-    pub(crate) fn reply_fate(&mut self) -> (SimDuration, Option<SimDuration>) {
-        let mut jitter = SimDuration::ZERO;
-        if self.fault.reorder > 0.0 && self.rng.gen::<f64>() < self.fault.reorder {
-            jitter = self.jitter();
-        }
-        let duplicate =
-            if self.fault.duplication > 0.0 && self.rng.gen::<f64>() < self.fault.duplication {
-                Some(self.jitter())
-            } else {
-                None
-            };
-        (jitter, duplicate)
-    }
-
-    /// Allocate the next request id.
-    pub(crate) fn next_request_id(&mut self) -> u64 {
-        let id = self.next_request;
-        self.next_request += 1;
-        id
     }
 }
 
@@ -594,12 +519,12 @@ impl GridVineSystem {
     /// cycle probe is. Returns the peer that answered.
     ///
     /// * `from`'s own path covers `key`: the exchange is local — no
-    ///   message, and it is never lost.
+    ///   message, so no churn or crash can reach it.
     /// * A path `from` learned covers `key`: one direct message to the
     ///   peer that answered for it, plus the response when `respond`.
     ///   The unit is sent no earlier than the instant `from` learned it
     ///   ([`ProtocolState::floor`]), which is also when its attempts
-    ///   meet loss and churn. Counted in `direct`. If that peer
+    ///   meet churn. Counted in `direct`. If that peer
     ///   is crashed, or the retries run out against it, `from` forgets
     ///   the path and the same request is routed, both attempts charged
     ///   — a learned address never costs an answer routing would find.
@@ -626,7 +551,7 @@ impl GridVineSystem {
         if let Some((peer, learned_at)) = self.exec[from.index()].leaves.lookup(key) {
             self.proto.counters.direct += 1;
             self.proto.note_read(learned_at);
-            // The fault process sees the instant the request leaves.
+            // Churn sees the instant the request leaves.
             self.proto.floor(learned_at);
             self.overlay
                 .charge_direct(from, peer, 1 + u64::from(respond));
@@ -684,13 +609,13 @@ impl GridVineSystem {
     /// whether — and after how much retry delay — a reply arrives.
     ///
     /// A local exchange (`dest == from`) is answered at once: it sends
-    /// nothing, so nothing can be lost. A destination held down by
-    /// [`GridVineSystem::crash_peer`] fails
-    /// immediately (retransmitting to a peer that failure injection
-    /// keeps down forever cannot help, and no fault draw is consumed,
-    /// so crash-injection runs stay bit-identical to the pre-protocol
-    /// scheduler). A churn-down destination times out per attempt and
-    /// succeeds on the first attempt scheduled after its recovery.
+    /// nothing, so no churn or crash can reach it. A destination held
+    /// down by [`GridVineSystem::crash_peer`] fails immediately
+    /// (retransmitting to a peer that failure injection keeps down
+    /// forever cannot help, and no backoff draw is consumed). A
+    /// churn-down destination times out per attempt — each timeout
+    /// draws its backoff jitter — and succeeds on the first attempt
+    /// scheduled after its recovery.
     /// Exhausting the retry budget surfaces as
     /// [`SystemError::PeerDown`] — the same recorded failure the
     /// closure walks already survive.
@@ -704,7 +629,6 @@ impl GridVineSystem {
         if self.crashed.contains(&dest) {
             return Err(SystemError::PeerDown(dest));
         }
-        let loss = self.proto.loss_rate(from, dest);
         for attempt in 0..=self.proto.max_retries {
             if attempt > 0 {
                 self.proto.counters.sends += 1;
@@ -712,9 +636,7 @@ impl GridVineSystem {
             }
             let at = self.proto.now + self.proto.delay;
             self.proto.first_attempt.get_or_insert(at);
-            let up = !self.churn_down_at(dest, at);
-            let lost = loss > 0.0 && self.proto.rng.gen::<f64>() < loss;
-            if up && !lost {
+            if !self.churn_down_at(dest, at) {
                 return Ok(());
             }
             self.proto.counters.timeouts += 1;
@@ -832,7 +754,7 @@ impl GridVineSystem {
         // alone reuses a `Vec` argument's buffer.)
         let depth = self.overlay.max_path_len();
         let mut prefixes: Vec<BitString> = Vec::new();
-        let mut slot_of: HashMap<BitString, u32> = HashMap::new();
+        let mut slot_of: FxHashMap<BitString, u32> = FxHashMap::default();
         let triples = triples.into_iter();
         let mut slots: Vec<[u32; 3]> = Vec::with_capacity(triples.size_hint().0);
         let triples: Vec<Triple> = triples
@@ -1215,12 +1137,7 @@ impl GridVineSystem {
         }
 
         stats.messages = self.overlay.messages_sent() - start_messages;
-        let c = self.proto.counters;
-        stats.requests = c.requests - start_proto.requests;
-        stats.direct = c.direct - start_proto.direct;
-        stats.sends = c.sends - start_proto.sends;
-        stats.timeouts = c.timeouts - start_proto.timeouts;
-        stats.retransmits = c.retransmits - start_proto.retransmits;
+        stats += self.proto.counters - start_proto;
         self.now = self.now.max(clock);
         Ok(AssessmentReport {
             cycles_probed,

@@ -264,18 +264,18 @@ impl QueryOptions {
         self
     }
 
-    /// Retransmit budget per request: a request whose reply
-    /// times out (lost under [`GridVineConfig::fault`](crate::GridVineConfig),
-    /// or the destination is churn-down) is retransmitted with
-    /// exponential backoff + jitter up to `retries` times before the
-    /// unit resolves as a recorded failure — the closure walk
-    /// terminates that branch and the session continues with partial
-    /// results (see [`crate::system::sched`]). A request sent to a
-    /// learned address that exhausts its budget is first routed again
-    /// with a fresh one, within the same unit (see the
-    /// [module docs](self)), so such a request gets up to
-    /// `2 × (retries + 1)` attempts. Irrelevant under the default null
-    /// fault config with no churn, where no request ever times out.
+    /// Retransmit budget per request: a request whose reply times out
+    /// — its destination is down on the churn timeline installed by
+    /// [`GridVineSystem::install_churn`](crate::GridVineSystem::install_churn)
+    /// — is retransmitted with exponential backoff + jitter up to
+    /// `retries` times before the unit resolves as a recorded failure:
+    /// the closure walk terminates that branch and the session
+    /// continues with partial results (see [`crate::system::sched`]). A
+    /// request sent to a learned address that exhausts its budget is
+    /// first routed again with a fresh one, within the same unit (see
+    /// the [module docs](self)), so such a request gets up to
+    /// `2 × (retries + 1)` attempts. Irrelevant without churn, where no
+    /// request ever times out.
     pub fn max_retries(mut self, retries: usize) -> QueryOptions {
         self.max_retries = retries;
         self
@@ -391,15 +391,10 @@ counters! {
         /// (`sends == requests + retransmits` always holds).
         pub sends: usize,
         /// Request attempts whose reply never arrived before the retry
-        /// timer fired (lost, or the destination was churn-down).
+        /// timer fired (the destination was churn-down).
         pub timeouts: usize,
         /// Timed-out requests sent again after backoff.
         pub retransmits: usize,
-        /// Duplicated unit replies dropped by request-id dedup. Charged at
-        /// *delivery* (unlike every other counter, which charges at
-        /// issue), so duplicates of a session's final units may land after
-        /// the last per-unit `Stats` delta was emitted.
-        pub duplicates_dropped: usize,
         /// Cycle probes issued by quality-assessment passes
         /// ([`GridVineSystem::assessment_pass`]): one retrieve per
         /// mapping cycle, driven through the retry protocol, so every probe

@@ -183,65 +183,63 @@ impl SessionPool {
     /// session is live. Drive to completion with
     /// `while pool.step(&mut sys).is_some() {}`.
     pub fn step(&mut self, sys: &mut GridVineSystem) -> Option<PoolEvent> {
-        loop {
-            if self.live.is_empty() {
-                return None;
-            }
-            // 1. Replenish windows round-robin, one unit per session
-            //    per round, admission order.
-            self.replenish_all(sys);
-            // 2. Reap sessions with nothing in flight, admission order.
-            for i in 0..self.live.len() {
-                let core = &mut self.live[i];
-                if core.inflight > 0 {
-                    continue;
-                }
-                if !core.error_events.is_empty() {
-                    // Events a failing unit produced before erroring
-                    // surface before the failure itself.
-                    let events = std::mem::take(&mut core.error_events);
-                    return Some(PoolEvent::Delivered {
-                        session: core.id,
-                        at: core.sim_now(),
-                        events,
-                    });
-                }
-                if let Some(error) = core.error.take() {
-                    let core = self.live.remove(i);
-                    let (session, at) = (core.id, core.sim_now());
-                    self.done.push(core);
-                    return Some(PoolEvent::Failed { session, at, error });
-                }
-                if !core.has_work() {
-                    let core = self.live.remove(i);
-                    let (session, at) = (core.id, core.sim_now());
-                    self.done.push(core);
-                    return Some(PoolEvent::Finished { session, at });
-                }
-            }
-            // 3. Deliver the earliest reply (ties in schedule order),
-            //    advancing the clock.
-            let Some((at, reply)) = sys.replies.pop() else {
-                // Unreachable: after replenish, every live session is
-                // either reaped above or has a scheduled reply.
-                debug_assert!(false, "live sessions with no scheduled replies");
-                return None;
-            };
-            sys.now = sys.now.max(at);
-            let Some(core) = self.live.iter_mut().find(|c| c.id == reply.session) else {
-                debug_assert!(false, "reply for a session no longer live");
+        if self.live.is_empty() {
+            return None;
+        }
+        // 1. Replenish windows round-robin, one unit per session per
+        //    round, admission order.
+        self.replenish_all(sys);
+        // 2. Reap sessions with nothing in flight, admission order.
+        for i in 0..self.live.len() {
+            let core = &mut self.live[i];
+            if core.inflight > 0 {
                 continue;
-            };
-            let session = core.id;
-            if let Some(events) = core.deliver(at, reply) {
+            }
+            if !core.error_events.is_empty() {
+                // Events a failing unit produced before erroring
+                // surface before the failure itself.
+                let events = std::mem::take(&mut core.error_events);
                 return Some(PoolEvent::Delivered {
-                    session,
-                    at,
+                    session: core.id,
+                    at: core.sim_now(),
                     events,
                 });
             }
-            // A duplicated reply's second copy: dropped, go around.
+            if let Some(error) = core.error.take() {
+                let core = self.live.remove(i);
+                let (session, at) = (core.id, core.sim_now());
+                self.done.push(core);
+                return Some(PoolEvent::Failed { session, at, error });
+            }
+            if !core.has_work() {
+                let core = self.live.remove(i);
+                let (session, at) = (core.id, core.sim_now());
+                self.done.push(core);
+                return Some(PoolEvent::Finished { session, at });
+            }
         }
+        // 3. Deliver the earliest reply (ties in schedule order),
+        //    advancing the clock.
+        let Some((at, reply)) = sys.replies.pop() else {
+            // Unreachable: after replenish, every live session is
+            // either reaped above or has a scheduled reply.
+            debug_assert!(false, "live sessions with no scheduled replies");
+            return None;
+        };
+        sys.now = sys.now.max(at);
+        // A session leaves `live` only with nothing in flight, or
+        // cancelled, which drops its queued replies.
+        let core = self
+            .live
+            .iter_mut()
+            .find(|c| c.id == reply.session)
+            .expect("every queued reply belongs to a live session");
+        let events = core.deliver(at, reply);
+        Some(PoolEvent::Delivered {
+            session: core.id,
+            at,
+            events,
+        })
     }
 
     /// Cancel a live session: its still-queued replies are dropped

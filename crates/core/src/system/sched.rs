@@ -54,14 +54,13 @@
 //!
 //! ## The request/response protocol
 //!
-//! A unit is a *real* request/response exchange riding the system's
-//! fault process ([`GridVineConfig::fault`](super::GridVineConfig)):
-//! each routed request may be lost (it times out and is retransmitted
-//! with exponential backoff + jitter, up to
-//! [`QueryOptions::max_retries`](super::exec::QueryOptions::max_retries)),
-//! each reply carries a request id and may be duplicated (the session
-//! deduplicates by id — rows, messages and accounting are never
-//! double-charged) or reordered (extra delivery jitter). A unit's
+//! A unit is a *real* request/response exchange that meets the
+//! system's churn timeline
+//! ([`GridVineSystem::install_churn`](super::GridVineSystem::install_churn)):
+//! a request to a destination that is down when an attempt leaves
+//! times out and is retransmitted with exponential backoff + jitter, up
+//! to [`QueryOptions::max_retries`](super::exec::QueryOptions::max_retries).
+//! Its reply is scheduled once, on the system's reply queue. A unit's
 //! lifecycle:
 //!
 //! ```text
@@ -70,9 +69,9 @@
 //!             ▼
 //!  ┌──► in flight ───reply───► completed (delivered once, with the
 //!  │          │                rows of every listed pattern the
-//!  │       timeout             destination answered; any duplicate
-//!  │          ▼                reply with the same request id is
-//!  └── retransmit              dropped)
+//!  │       timeout             destination answered)
+//!  │          ▼
+//!  └── retransmit
 //!      (backoff RETRY_TIMEOUT·2^k + jitter)
 //!             │
 //!      retries exhausted, or destination crashed
@@ -87,9 +86,10 @@
 //! accumulates are folded into the unit's completion instant — so the
 //! canonical issue order, the routing RNG stream and the row multiset
 //! stay bit-identical to the fault-free run whenever every request
-//! eventually gets through; a null fault config consumes no fault
-//! randomness at all and reproduces the pre-protocol scheduler
-//! exactly. Failure injection ([`GridVineSystem::crash_peer`](super::GridVineSystem::crash_peer))
+//! eventually gets through. Only a timeout draws from the protocol's
+//! own RNG stream (`0xB0FF`, the backoff jitter), so a run without
+//! churn draws nothing from it. Failure injection
+//! ([`GridVineSystem::crash_peer`](super::GridVineSystem::crash_peer))
 //! fails a request immediately — retransmitting to a peer held down
 //! forever cannot help — while churn-driven downtime
 //! ([`GridVineSystem::install_churn`](super::GridVineSystem::install_churn))
@@ -98,27 +98,24 @@
 //!
 //! ## The fault matrix
 //!
-//! Two adversaries attack the PDMS at different layers, and the
-//! experiment suite is organised around them. The **network adversary**
-//! (`GridVineConfig::fault`, RNG stream `0xFA17`; the `exp_r*` bench
-//! series) perturbs message delivery; the **semantic adversary**
-//! (`GridVineConfig::semantic_fault`, RNG stream `0x5EED_0BAD`; the
-//! `exp_s*` series) perturbs the *content* of the mapping layer itself.
-//! Both are null by default, draw from their own derived RNG streams
-//! (a null config consumes no randomness and reproduces the fault-free
-//! scheduler bit-for-bit), and compose with each other and with churn.
+//! Two adversaries attack the PDMS at different layers. The **network
+//! adversary** is peers that come and go (§2.1), met by the retry
+//! protocol above (RNG stream `0xB0FF`); message loss, duplication and
+//! reorder are the message-level network's
+//! ([`gridvine_netsim::FaultConfig`], stream `0xFA17`), which the WAN
+//! deployment ([`crate::harness`]) runs on. The **semantic adversary**
+//! (`GridVineConfig::semantic_fault`, stream `0x5EED_0BAD`) perturbs
+//! the *content* of the mapping layer itself. Both are absent by
+//! default, draw from their own streams, and compose.
 //!
-//! | Series | Fault                | Injected by                        | Defended by                                  |
-//! |--------|----------------------|------------------------------------|----------------------------------------------|
-//! | r      | request loss         | `FaultConfig::loss`                | timeout + retransmit with backoff            |
-//! | r      | reply duplication    | `FaultConfig::duplication`         | request-id dedup in the session              |
-//! | r      | reply reordering     | `FaultConfig::reorder`             | event-queue delivery, order-insensitive merge|
-//! | r      | churn / crash        | `install_churn`, `crash_peer`      | per-attempt retry; fail fast on crash        |
-//! | r      | mass-churn storm     | `ChurnProcess::storm`              | self-organization repair after recovery      |
-//! | s      | stale gossip         | `SemanticFaultConfig::stale_rate`  | Bayesian cycle analysis quarantine           |
-//! | s      | corrupted mappings   | `SemanticFaultConfig::corrupt_rate`| Bayesian cycle analysis quarantine           |
-//! | s      | Byzantine fabrication| `SemanticFaultConfig::byzantine_*` | quarantine; provenance tracks ground truth   |
-//! | s      | crash mid-commit     | `arm_commit_crash`                 | atomic commit rollback + recovery scan       |
+//! | Layer    | Fault                | Injected by                        | Defended by                                  |
+//! |----------|----------------------|------------------------------------|----------------------------------------------|
+//! | network  | churn / crash        | `install_churn`, `crash_peer`      | per-attempt retry; fail fast on crash        |
+//! | network  | mass-churn storm     | `ChurnProcess::storm`              | self-organization repair after recovery      |
+//! | semantic | stale gossip         | `SemanticFaultConfig::stale_rate`  | Bayesian cycle analysis quarantine           |
+//! | semantic | corrupted mappings   | `SemanticFaultConfig::corrupt_rate`| Bayesian cycle analysis quarantine           |
+//! | semantic | Byzantine fabrication| `SemanticFaultConfig::byzantine_*` | quarantine; provenance tracks ground truth   |
+//! | semantic | crash mid-commit     | `arm_commit_crash`                 | atomic commit rollback + recovery scan       |
 //!
 //! Semantic defenses run as scheduler work, not magic: an
 //! [`assessment_pass`](super::GridVineSystem::assessment_pass) issues
@@ -162,7 +159,7 @@
 //! warm replay through their ready time. A unit's send instant — the
 //! latest of its session's last delivery, its ready time and the stamps
 //! it read — is known before its first exchange, and its attempts meet
-//! loss and churn from there. Debug builds check that causality for
+//! churn from there. Debug builds check that causality for
 //! every unit: it is sent no earlier than `now()` at its issue and than
 //! every stamp it read, and no later than any of its attempts. Within
 //! one session at `window(1)` no floor ever binds.
@@ -241,10 +238,6 @@ pub(crate) struct QueuedReply {
     /// reply to its owner, and cancelling a session retains only the
     /// other sessions' replies.
     pub(crate) session: SessionId,
-    /// The issuing request's id. A faulty run may schedule the same
-    /// reply twice (reply duplication); the session delivers each id
-    /// once and drops later copies.
-    pub(crate) request_id: u64,
     pub(crate) events: Vec<ResultEvent>,
 }
 

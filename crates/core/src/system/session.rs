@@ -36,7 +36,7 @@
 //! hops for the unit that committed the closure; prefix probes and
 //! replayed hops are otherwise independent and pipeline `window`-wide.
 //! A unit's ready time is known before its first exchange, so its
-//! attempts meet loss and churn when it leaves.
+//! attempts meet churn when it leaves.
 //!
 //! A data request is a pattern *list* (see the
 //! [executor docs](crate::system::exec)): the request of the closure
@@ -204,9 +204,10 @@ use super::sched::QueuedReply;
 use super::*;
 use crate::plan::{object_prefix_core, QueryPlan};
 use gridvine_netsim::{SimDuration, SimTime};
+use gridvine_rdf::fasthash::FxHashMap;
 use gridvine_rdf::join::{hash_join_rows, TermInterner, VarTable, UNBOUND};
 use gridvine_rdf::{Binding, BindingBatch, ConjunctiveQuery, PatternTerm, TriplePattern};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// One increment of a [`QuerySession`] (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
@@ -295,9 +296,9 @@ struct Walk {
     start: SimTime,
     /// Per hop, the completion instant of the latest unit that heard
     /// it: answered it, or brought its mapping list.
-    heard_at: HashMap<SchemaId, SimTime>,
+    heard_at: FxHashMap<SchemaId, SimTime>,
     /// Per admitted hop, the hop whose expansion admitted it.
-    parent_of: HashMap<SchemaId, SchemaId>,
+    parent_of: FxHashMap<SchemaId, SchemaId>,
 }
 
 /// Per-pattern progress of a join plan.
@@ -436,16 +437,11 @@ pub(crate) struct SessionCore {
     /// issue (sessions with different budgets interleave correctly).
     max_retries: usize,
     /// Units issued whose reply has not been delivered yet — this
-    /// session's share of the system's reply queue. A duplicated reply
-    /// counts twice, like its two queue entries.
+    /// session's share of the system's reply queue.
     pub(crate) inflight: usize,
-    /// Request ids already delivered: a duplicated reply popping a
-    /// second time is dropped, never double-charged.
-    seen_replies: HashSet<u64>,
     /// Cumulative counters, folded in per issue (messages and protocol
     /// counters as deltas of the shared system counters around each
-    /// issue, so concurrent sessions never charge each other's work)
-    /// and at delivery (`duplicates_dropped`).
+    /// issue, so concurrent sessions never charge each other's work).
     stats: ExecStats,
     /// The cumulative state already folded into per-unit `Stats`
     /// deltas.
@@ -661,7 +657,6 @@ impl SessionCore {
             window: options.window.max(1),
             max_retries: options.max_retries,
             inflight: 0,
-            seen_replies: HashSet::new(),
             stats: ExecStats::default(),
             issued_reported: ExecStats::default(),
             rows: Vec::new(),
@@ -697,21 +692,13 @@ impl SessionCore {
         }
     }
 
-    /// Deliver one popped reply to this session: advance its clock,
-    /// drop duplicate request ids. Returns the reply's events, or
-    /// `None` for a dropped duplicate.
-    pub(crate) fn deliver(&mut self, at: SimTime, reply: QueuedReply) -> Option<Vec<ResultEvent>> {
+    /// Deliver one popped reply to this session: advance its clock.
+    /// Returns the reply's events.
+    pub(crate) fn deliver(&mut self, at: SimTime, reply: QueuedReply) -> Vec<ResultEvent> {
         debug_assert_eq!(reply.session, self.id, "reply routed to the wrong session");
         self.inflight = self.inflight.saturating_sub(1);
         self.sim_now = self.sim_now.max(at);
-        if !self.seen_replies.insert(reply.request_id) {
-            // A duplicated reply: this unit was already delivered and
-            // folded in — drop the copy so rows, messages and
-            // accounting are never double-charged.
-            self.stats.duplicates_dropped += 1;
-            return None;
-        }
-        Some(reply.events)
+        reply.events
     }
 
     /// Cancel the session's remaining scheduled replies (other
@@ -773,7 +760,7 @@ impl SessionCore {
         // Snapshot the shared counters so exactly this unit's movement
         // is folded into this session's stats.
         let m0 = sys.overlay.messages_sent();
-        let p0 = sys.proto.counters;
+        let c0 = sys.proto.counters;
         let mut state = std::mem::replace(&mut self.state, State::Done);
         let mut out: Vec<ResultEvent> = Vec::new();
         let result = match &mut state {
@@ -795,12 +782,7 @@ impl SessionCore {
         // Fold the unit's counter movement in on success *and* failure
         // (a failing unit's messages were still sent and charged).
         self.stats.messages += sys.overlay.messages_sent() - m0;
-        let c = sys.proto.counters;
-        self.stats.requests += c.requests - p0.requests;
-        self.stats.direct += c.direct - p0.direct;
-        self.stats.sends += c.sends - p0.sends;
-        self.stats.timeouts += c.timeouts - p0.timeouts;
-        self.stats.retransmits += c.retransmits - p0.retransmits;
+        self.stats += sys.proto.counters - c0;
         match result {
             Ok(StepOutcome::Idle) => Ok(()), // state stays Done
             Ok(StepOutcome::Unit { heard, done }) => {
@@ -830,12 +812,9 @@ impl SessionCore {
     /// schedule its reply. Returns the completion instant.
     fn schedule_unit(&mut self, sys: &mut GridVineSystem, mut events: Vec<ResultEvent>) -> SimTime {
         // The unit's reply lands after its overlay work plus whatever
-        // backoff delay its retried requests accumulated, plus any
-        // reorder jitter the fault process deals the reply itself.
+        // backoff delay its retried requests accumulated.
         let messages = self.stats.messages - self.issued_reported.messages;
-        let (reply_jitter, duplicate) = sys.proto.reply_fate();
-        let completion =
-            sys.proto.now + sys.proto.delay + sys.unit_delay(self.origin, messages) + reply_jitter;
+        let completion = sys.proto.now + sys.proto.delay + sys.unit_delay(self.origin, messages);
         self.max_completion = self.max_completion.max(completion);
         // A closure the unit memoized may displace another.
         self.stats.cache_evictions += sys.commit_writes(completion);
@@ -847,31 +826,9 @@ impl SessionCore {
         let delta = cur - self.issued_reported;
         self.issued_reported = cur;
         events.push(ResultEvent::Stats(delta));
-        let request_id = sys.proto.next_request_id();
         let session = self.id;
-        let queue = &mut sys.replies;
-        if let Some(trailing) = duplicate {
-            // The duplicated reply carries the same events under the
-            // same request id; delivery-side dedup drops whichever
-            // copy lands second.
-            queue.schedule(
-                completion + trailing,
-                QueuedReply {
-                    session,
-                    request_id,
-                    events: events.clone(),
-                },
-            );
-            self.inflight += 1;
-        }
-        queue.schedule(
-            completion,
-            QueuedReply {
-                session,
-                request_id,
-                events,
-            },
-        );
+        sys.replies
+            .schedule(completion, QueuedReply { session, events });
         self.inflight += 1;
         completion
     }
@@ -1444,8 +1401,8 @@ impl Walk {
         Walk {
             sweep,
             start,
-            heard_at: HashMap::new(),
-            parent_of: HashMap::new(),
+            heard_at: FxHashMap::default(),
+            parent_of: FxHashMap::default(),
         }
     }
 
@@ -1593,8 +1550,8 @@ fn bound_parts(
         b
     };
     let mut parts: Vec<BoundPart> = Vec::new();
-    let mut part_of: HashMap<u64, usize> = HashMap::new();
-    let mut group_of: HashMap<Vec<u64>, (usize, usize)> = HashMap::new();
+    let mut part_of: FxHashMap<u64, usize> = FxHashMap::default();
+    let mut group_of: FxHashMap<Vec<u64>, (usize, usize)> = FxHashMap::default();
     for (i, row) in rows.iter().enumerate() {
         let bound = predicate.iter().chain(&column);
         let key: Vec<u64> = bound.map(|&(slot, _)| row[slot]).collect();

@@ -20,8 +20,9 @@ use gridvine_core::pool::{PoolEvent, SessionId, SessionPool};
 use gridvine_core::{GridVineSystem, QueryOptions, QueryPlan, Strategy};
 use gridvine_netsim::{SimDuration, SimTime};
 use gridvine_pgrid::PeerId;
+use gridvine_rdf::fasthash::FxHashMap;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Tunables of one open-loop run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -112,7 +113,7 @@ pub fn run_open_loop(
     let instants = instants.into_iter().map(|at| at + offset);
 
     let mut pool = SessionPool::new();
-    let mut track: HashMap<SessionId, Track> = HashMap::new();
+    let mut track: FxHashMap<SessionId, Track> = FxHashMap::default();
     // (submit instant, origin index, plan index) of arrivals waiting
     // behind the admission cap.
     let mut waiting: VecDeque<(SimTime, usize, usize)> = VecDeque::new();
@@ -128,7 +129,7 @@ pub fn run_open_loop(
     // Open one session; on refusal (invalid plan) no session exists.
     let admit = |sys: &mut GridVineSystem,
                  pool: &mut SessionPool,
-                 track: &mut HashMap<SessionId, Track>,
+                 track: &mut FxHashMap<SessionId, Track>,
                  report: &mut LoadReport,
                  submit: SimTime,
                  origin: usize,
@@ -145,7 +146,7 @@ pub fn run_open_loop(
 
     // True when `origin` may take another live session under the
     // per-origin quota (always true without one).
-    let under_quota = |pool: &SessionPool, track: &HashMap<SessionId, Track>, origin: usize| {
+    let under_quota = |pool: &SessionPool, track: &FxHashMap<SessionId, Track>, origin: usize| {
         cfg.origin_quota.is_none_or(|q| {
             pool.live_sessions()
                 .filter(|id| track[id].origin == origin)
@@ -162,7 +163,7 @@ pub fn run_open_loop(
         sys: &mut GridVineSystem,
         pool: &mut SessionPool,
         cfg: &LoadConfig,
-        track: &HashMap<SessionId, Track>,
+        track: &FxHashMap<SessionId, Track>,
         report: &mut LoadReport,
         latencies: &mut Vec<SimDuration>,
         origin_completed: &mut [usize],

@@ -137,10 +137,8 @@ impl FaultConfig {
     }
 
     /// Panic unless every rate is in range (loss in `[0, 1)`, the
-    /// rest in `[0, 1]`). [`FaultModel::new`] calls this; consumers
-    /// embedding a `FaultConfig` in their own protocol state (e.g. the
-    /// core scheduler's retry protocol) should too.
-    pub fn validate(&self) {
+    /// rest in `[0, 1]`), as [`FaultModel::new`] does.
+    fn validate(&self) {
         assert!(
             (0.0..1.0).contains(&self.loss),
             "fault loss probability must be in [0, 1)"

@@ -1,10 +1,10 @@
 //! Message latency models.
 //!
 //! The simulator charges each message a one-way delay drawn from a
-//! [`LatencyModel`]. Three models are provided:
+//! [`LatencyModel`], chosen by a [`LatencyConfig`]. Two models are
+//! provided:
 //!
-//! * [`ConstantLatency`] — fixed delay, useful in unit tests;
-//! * [`UniformLatency`] — uniform in a range, a simple LAN stand-in;
+//! * [`LatencyConfig::Constant`] — fixed delay, the LAN of unit tests;
 //! * [`RegionalWan`] — the model behind experiment E1. Nodes are assigned
 //!   to geographic regions; one-way delay is log-normal with a median
 //!   that depends on whether the two endpoints share a region, plus a
@@ -16,7 +16,6 @@ use crate::clock::SimDuration;
 use crate::node::NodeId;
 use crate::rng;
 use rand::rngs::StdRng;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Strategy for sampling the one-way delay of a message.
@@ -30,77 +29,34 @@ pub trait LatencyModel: Send {
 
 /// Every message takes exactly the same time.
 #[derive(Debug, Clone)]
-pub struct ConstantLatency {
-    pub delay: SimDuration,
-}
-
-impl ConstantLatency {
-    pub fn new(delay: SimDuration) -> Self {
-        ConstantLatency { delay }
-    }
-}
+struct ConstantLatency(SimDuration);
 
 impl LatencyModel for ConstantLatency {
     fn sample(&mut self, _from: NodeId, _to: NodeId) -> SimDuration {
-        self.delay
+        self.0
     }
 }
 
-/// Uniformly distributed delay in `[min, max]`.
-#[derive(Debug)]
-pub struct UniformLatency {
-    min: SimDuration,
-    max: SimDuration,
-    rng: StdRng,
-}
-
-impl UniformLatency {
-    /// # Panics
-    /// Panics if `min > max`.
-    pub fn new(min: SimDuration, max: SimDuration, seed: u64) -> Self {
-        assert!(min <= max, "min latency must not exceed max");
-        UniformLatency {
-            min,
-            max,
-            rng: rng::seeded(seed),
-        }
-    }
-}
-
-impl LatencyModel for UniformLatency {
-    fn sample(&mut self, _from: NodeId, _to: NodeId) -> SimDuration {
-        if self.min == self.max {
-            return self.min;
-        }
-        SimDuration(self.rng.gen_range(self.min.0..=self.max.0))
-    }
-}
-
-/// Serializable choice of latency model, for embedding in system-level
-/// configuration (e.g. `gridvine-core`'s `GridVineConfig`).
+/// Serializable choice of latency model: what a
+/// [`NetworkConfig`](crate::network::NetworkConfig) and
+/// `gridvine-core`'s `GridVineConfig` embed.
 ///
 /// [`LatencyConfig::Flat`] is the null model: it builds **no** sampler
 /// ([`LatencyConfig::build`] returns `None`) so consumers keep their
 /// built-in deterministic cost formula and draw **zero** randomness — a
 /// run with the default config is bit-identical to one that predates
 /// this enum, mirroring the null-config discipline of
-/// [`crate::fault::FaultConfig`].
+/// [`crate::fault::FaultConfig`]. A [`Network`](crate::network::Network)
+/// has no such formula and rejects it.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub enum LatencyConfig {
     /// No sampled latency: the consumer's flat per-message cost model.
     #[default]
     Flat,
-    /// Every message takes exactly `delay` ([`ConstantLatency`]).
+    /// Every message takes exactly `delay`.
     Constant {
         /// Fixed one-way delay.
         delay: SimDuration,
-    },
-    /// Uniform in `[min, max]` ([`UniformLatency`]).
-    Uniform {
-        /// Lower bound of the one-way delay.
-        min: SimDuration,
-        /// Upper bound of the one-way delay.
-        max: SimDuration,
     },
     /// Region-aware log-normal wide-area model ([`RegionalWan`]).
     RegionalWan(RegionalWanConfig),
@@ -119,10 +75,7 @@ impl LatencyConfig {
     pub fn build(&self, seed: u64) -> Option<Box<dyn LatencyModel>> {
         match self {
             LatencyConfig::Flat => None,
-            LatencyConfig::Constant { delay } => Some(Box::new(ConstantLatency::new(*delay))),
-            LatencyConfig::Uniform { min, max } => {
-                Some(Box::new(UniformLatency::new(*min, *max, seed)))
-            }
+            LatencyConfig::Constant { delay } => Some(Box::new(ConstantLatency(*delay))),
             LatencyConfig::RegionalWan(cfg) => Some(Box::new(RegionalWan::new(cfg.clone(), seed))),
         }
     }
@@ -277,27 +230,9 @@ mod tests {
 
     #[test]
     fn constant_is_constant() {
-        let mut m = ConstantLatency::new(SimDuration::from_millis(3));
+        let mut m = ConstantLatency(SimDuration::from_millis(3));
         assert_eq!(m.sample(n(0), n(1)), SimDuration::from_millis(3));
         assert_eq!(m.sample(n(5), n(9)), SimDuration::from_millis(3));
-    }
-
-    #[test]
-    fn uniform_stays_in_range() {
-        let lo = SimDuration::from_millis(1);
-        let hi = SimDuration::from_millis(9);
-        let mut m = UniformLatency::new(lo, hi, 11);
-        for _ in 0..1000 {
-            let d = m.sample(n(0), n(1));
-            assert!(d >= lo && d <= hi);
-        }
-    }
-
-    #[test]
-    fn uniform_degenerate_range_ok() {
-        let d = SimDuration::from_millis(4);
-        let mut m = UniformLatency::new(d, d, 1);
-        assert_eq!(m.sample(n(0), n(1)), d);
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub mod prelude {
     pub use crate::churn::{ChurnConfig, ChurnProcess};
     pub use crate::clock::{SimDuration, SimTime};
     pub use crate::fault::{FaultConfig, FaultModel, LinkFault};
-    pub use crate::latency::{LatencyConfig, LatencyModel, RegionalWan, UniformLatency};
+    pub use crate::latency::{LatencyConfig, LatencyModel, RegionalWan};
     pub use crate::network::{Network, NetworkConfig, NetworkStats};
     pub use crate::node::{Ctx, Node, NodeId};
     pub use crate::stats::Cdf;
@@ -76,9 +76,7 @@ pub use churn::{ChurnConfig, ChurnProcess};
 pub use clock::{SimDuration, SimTime};
 pub use event::EventQueue;
 pub use fault::{FaultConfig, FaultModel, LinkFault};
-pub use latency::{
-    ConstantLatency, LatencyConfig, LatencyModel, RegionalWan, RegionalWanConfig, UniformLatency,
-};
+pub use latency::{LatencyConfig, LatencyModel, RegionalWan, RegionalWanConfig};
 pub use network::{Network, NetworkConfig, NetworkStats};
 pub use node::{Ctx, Node, NodeId};
 pub use stats::Cdf;

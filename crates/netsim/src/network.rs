@@ -9,44 +9,18 @@
 use crate::clock::{SimDuration, SimTime};
 use crate::event::EventQueue;
 use crate::fault::{FaultConfig, FaultModel};
-use crate::latency::{
-    ConstantLatency, LatencyModel, RegionalWan, RegionalWanConfig, UniformLatency,
-};
+use crate::latency::{LatencyConfig, LatencyModel, RegionalWanConfig};
 use crate::node::{Action, Ctx, Node, NodeId};
 use crate::rng;
 use rand::rngs::StdRng;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
-
-/// Which latency model to instantiate.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum LatencyConfig {
-    /// Fixed delay per message.
-    Constant { micros: u64 },
-    /// Uniform delay in `[min, max]` microseconds.
-    Uniform { min_micros: u64, max_micros: u64 },
-    /// The PlanetLab-like regional WAN model (see [`RegionalWan`]).
-    RegionalWan {
-        regions: usize,
-        intra_median_ms: u64,
-        inter_median_base_ms: u64,
-        inter_median_per_hop_ms: u64,
-        sigma: f64,
-        processing_ms: u64,
-        /// σ of the per-node processing slowdown (0 = homogeneous).
-        node_heterogeneity: f64,
-    },
-}
 
 /// Simulation-wide configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NetworkConfig {
+    /// The one-way delay of every message. Must build a sampler:
+    /// [`LatencyConfig::Flat`] is rejected by [`Network::new`].
     pub latency: LatencyConfig,
-    /// Independent probability that any message is silently lost.
-    ///
-    /// This is the legacy uniform-loss knob; it draws from the network's
-    /// own RNG stream and composes with (applies before) `fault`.
-    pub loss_probability: f64,
     /// Message fault process: loss, duplication and reorder, with
     /// optional asymmetric per-link overrides (see [`crate::fault`]).
     #[serde(default)]
@@ -57,80 +31,27 @@ impl NetworkConfig {
     /// A fast, lossless LAN: constant 1 ms. Good default for unit tests.
     pub fn lan() -> NetworkConfig {
         NetworkConfig {
-            latency: LatencyConfig::Constant { micros: 1_000 },
-            loss_probability: 0.0,
+            latency: LatencyConfig::Constant {
+                delay: SimDuration::from_millis(1),
+            },
             fault: FaultConfig::none(),
         }
     }
 
     /// A wide-area model with homogeneous, modern machines.
     pub fn planetlab() -> NetworkConfig {
-        NetworkConfig::from_wan(RegionalWanConfig::default())
+        NetworkConfig {
+            latency: LatencyConfig::RegionalWan(RegionalWanConfig::default()),
+            fault: FaultConfig::none(),
+        }
     }
 
     /// The wide-area model of experiment E1: 2007-era PlanetLab-like
     /// machines (slow Java processing, heavy node heterogeneity).
     pub fn planetlab_2007() -> NetworkConfig {
-        NetworkConfig::from_wan(RegionalWanConfig::planetlab_2007())
-    }
-
-    fn from_wan(d: RegionalWanConfig) -> NetworkConfig {
         NetworkConfig {
-            latency: LatencyConfig::RegionalWan {
-                regions: d.regions,
-                intra_median_ms: d.intra_median.as_millis(),
-                inter_median_base_ms: d.inter_median_base.as_millis(),
-                inter_median_per_hop_ms: d.inter_median_per_hop.as_millis(),
-                sigma: d.sigma,
-                processing_ms: d.processing.as_millis(),
-                node_heterogeneity: d.node_heterogeneity,
-            },
-            loss_probability: 0.0,
+            latency: LatencyConfig::planetlab_2007(),
             fault: FaultConfig::none(),
-        }
-    }
-
-    /// Same topology with message loss, for resilience experiments.
-    pub fn lossy_planetlab(loss_probability: f64) -> NetworkConfig {
-        NetworkConfig {
-            loss_probability,
-            ..NetworkConfig::planetlab()
-        }
-    }
-
-    fn build_latency(&self, seed: u64) -> Box<dyn LatencyModel> {
-        match &self.latency {
-            LatencyConfig::Constant { micros } => {
-                Box::new(ConstantLatency::new(SimDuration::from_micros(*micros)))
-            }
-            LatencyConfig::Uniform {
-                min_micros,
-                max_micros,
-            } => Box::new(UniformLatency::new(
-                SimDuration::from_micros(*min_micros),
-                SimDuration::from_micros(*max_micros),
-                seed ^ 0xA5A5,
-            )),
-            LatencyConfig::RegionalWan {
-                regions,
-                intra_median_ms,
-                inter_median_base_ms,
-                inter_median_per_hop_ms,
-                sigma,
-                processing_ms,
-                node_heterogeneity,
-            } => Box::new(RegionalWan::new(
-                RegionalWanConfig {
-                    regions: *regions,
-                    intra_median: SimDuration::from_millis(*intra_median_ms),
-                    inter_median_base: SimDuration::from_millis(*inter_median_base_ms),
-                    inter_median_per_hop: SimDuration::from_millis(*inter_median_per_hop_ms),
-                    sigma: *sigma,
-                    processing: SimDuration::from_millis(*processing_ms),
-                    node_heterogeneity: *node_heterogeneity,
-                },
-                seed ^ 0x5A5A,
-            )),
         }
     }
 }
@@ -169,26 +90,27 @@ pub struct Network<N, M> {
     fault: FaultModel,
     now: SimTime,
     rng: StdRng,
-    loss_probability: f64,
     stats: NetworkStats,
     actions: Vec<Action<M>>,
 }
 
 impl<N: Node<M>, M: Clone> Network<N, M> {
     /// Create an empty network with the given configuration and seed.
+    ///
+    /// # Panics
+    /// Panics if `config.latency` is [`LatencyConfig::Flat`] or a fault
+    /// rate is out of range.
     pub fn new(config: NetworkConfig, seed: u64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&config.loss_probability),
-            "loss probability must be in [0, 1)"
-        );
         Network {
             slots: Vec::new(),
-            latency: config.build_latency(seed),
+            latency: config
+                .latency
+                .build(seed ^ 0x5A5A)
+                .expect("a network samples every message's delay: Flat builds no model"),
             fault: FaultModel::new(config.fault, seed),
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             rng: rng::derive(seed, 0xC0FFEE),
-            loss_probability: config.loss_probability,
             stats: NetworkStats::default(),
             actions: Vec::new(),
         }
@@ -423,10 +345,6 @@ impl<N: Node<M>, M: Clone> Network<N, M> {
 
     fn enqueue_send(&mut self, from: NodeId, to: NodeId, msg: M) {
         self.stats.sent += 1;
-        if self.loss_probability > 0.0 && self.rng.gen::<f64>() < self.loss_probability {
-            self.stats.lost += 1;
-            return;
-        }
         if self.fault.is_null() {
             // Fast path: null fault model, bit-identical to the
             // pre-fault-layer simulator (no extra RNG draws).
@@ -495,6 +413,24 @@ mod tests {
 
     fn lan() -> Network<Echo, Msg> {
         Network::new(NetworkConfig::lan(), 1)
+    }
+
+    /// A constant `micros` delay under `fault`.
+    fn constant(micros: u64, fault: FaultConfig) -> NetworkConfig {
+        NetworkConfig {
+            latency: LatencyConfig::Constant {
+                delay: SimDuration::from_micros(micros),
+            },
+            fault,
+        }
+    }
+
+    /// The homogeneous WAN under `fault`.
+    fn wan(fault: FaultConfig) -> NetworkConfig {
+        NetworkConfig {
+            fault,
+            ..NetworkConfig::planetlab()
+        }
     }
 
     #[test]
@@ -587,36 +523,9 @@ mod tests {
     }
 
     #[test]
-    fn loss_drops_roughly_the_configured_fraction() {
-        let cfg = NetworkConfig {
-            latency: LatencyConfig::Constant { micros: 10 },
-            loss_probability: 0.3,
-            fault: FaultConfig::none(),
-        };
-        let mut net: Network<Echo, Msg> = Network::new(cfg, 3);
-        let a = net.add_node(Echo::default());
-        let b = net.add_node(Echo::default());
-        for i in 0..5_000 {
-            net.send_external(a, b, Msg::Ping(i));
-        }
-        net.run_until_quiescent();
-        let s = net.stats();
-        let loss_rate = s.lost as f64 / s.sent as f64;
-        assert!((loss_rate - 0.3).abs() < 0.03, "loss rate {loss_rate}");
-    }
-
-    #[test]
     fn identical_seeds_identical_runs() {
         let run = |seed| {
-            let cfg = NetworkConfig {
-                latency: LatencyConfig::Uniform {
-                    min_micros: 100,
-                    max_micros: 50_000,
-                },
-                loss_probability: 0.1,
-                fault: FaultConfig::none(),
-            };
-            let mut net: Network<Echo, Msg> = Network::new(cfg, seed);
+            let mut net: Network<Echo, Msg> = Network::new(wan(FaultConfig::lossy(0.1)), seed);
             let a = net.add_node(Echo::default());
             let b = net.add_node(Echo::default());
             for i in 0..200 {
@@ -631,11 +540,7 @@ mod tests {
 
     #[test]
     fn fault_duplication_delivers_extra_copies() {
-        let cfg = NetworkConfig {
-            latency: LatencyConfig::Constant { micros: 10 },
-            loss_probability: 0.0,
-            fault: FaultConfig::duplicating(1.0),
-        };
+        let cfg = constant(10, FaultConfig::duplicating(1.0));
         let mut net: Network<Echo, Msg> = Network::new(cfg, 8);
         let a = net.add_node(Echo::default());
         let b = net.add_node(Echo::default());
@@ -651,11 +556,7 @@ mod tests {
 
     #[test]
     fn fault_loss_is_counted_in_network_stats() {
-        let cfg = NetworkConfig {
-            latency: LatencyConfig::Constant { micros: 10 },
-            loss_probability: 0.0,
-            fault: FaultConfig::lossy(0.5),
-        };
+        let cfg = constant(10, FaultConfig::lossy(0.5));
         let mut net: Network<Echo, Msg> = Network::new(cfg, 21);
         let a = net.add_node(Echo::default());
         let b = net.add_node(Echo::default());
@@ -666,18 +567,16 @@ mod tests {
         let s = net.stats();
         assert!(s.lost > 0);
         assert_eq!(s.sent, s.delivered + s.lost);
-        // `loss_probability` is zero: every loss is the fault model's.
         let rate = s.lost as f64 / s.sent as f64;
         assert!((rate - 0.5).abs() < 0.05, "fault loss rate {rate}");
     }
 
     #[test]
     fn fault_reorder_lets_later_messages_overtake() {
-        let cfg = NetworkConfig {
-            latency: LatencyConfig::Constant { micros: 1_000 },
-            loss_probability: 0.0,
-            fault: FaultConfig::reordering(0.5, SimDuration::from_millis(20)),
-        };
+        let cfg = constant(
+            1_000,
+            FaultConfig::reordering(0.5, SimDuration::from_millis(20)),
+        );
         let mut net: Network<Echo, Msg> = Network::new(cfg, 5);
         let a = net.add_node(Echo::default());
         let b = net.add_node(Echo::default());
@@ -695,15 +594,7 @@ mod tests {
     #[test]
     fn null_fault_config_is_bit_identical_to_legacy_runs() {
         let run = |fault: FaultConfig| {
-            let cfg = NetworkConfig {
-                latency: LatencyConfig::Uniform {
-                    min_micros: 100,
-                    max_micros: 50_000,
-                },
-                loss_probability: 0.1,
-                fault,
-            };
-            let mut net: Network<Echo, Msg> = Network::new(cfg, 44);
+            let mut net: Network<Echo, Msg> = Network::new(wan(fault), 44);
             let a = net.add_node(Echo::default());
             let b = net.add_node(Echo::default());
             for i in 0..300 {
@@ -727,11 +618,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "loss probability")]
-    fn rejects_invalid_loss() {
+    #[should_panic(expected = "Flat builds no model")]
+    fn rejects_a_flat_latency_config() {
         let cfg = NetworkConfig {
-            latency: LatencyConfig::Constant { micros: 1 },
-            loss_probability: 1.5,
+            latency: LatencyConfig::Flat,
             fault: FaultConfig::none(),
         };
         let _: Network<Echo, Msg> = Network::new(cfg, 0);

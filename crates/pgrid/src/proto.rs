@@ -33,7 +33,7 @@ use crate::topology::{PeerView, Topology};
 use gridvine_netsim::{Ctx, Node, NodeId, SimDuration, SimTime};
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Correlates a request with its response at the origin.
 pub type RequestId = u64;
@@ -102,7 +102,7 @@ pub struct PGridNode<V> {
     view: PeerView,
     store: Store<V>,
     /// Requests this node originated and is still waiting on.
-    pending: HashMap<RequestId, Pending>,
+    pending: BTreeMap<RequestId, Pending>,
     /// Finished requests, for the harness to drain.
     completed: Vec<Outcome<V>>,
     next_id: RequestId,
@@ -119,7 +119,7 @@ impl<V: Clone + PartialEq> PGridNode<V> {
         PGridNode {
             view: topology.view(crate::topology::PeerId::from_index(index)),
             store: Store::new(),
-            pending: HashMap::new(),
+            pending: BTreeMap::new(),
             completed: Vec::new(),
             next_id: (index as u64) << 40, // per-origin id spaces stay disjoint
             timeout,
@@ -291,14 +291,13 @@ impl<V: Clone + PartialEq> Node<PGridMsg<V>> for PGridNode<V> {
         // Crashing dropped our in-flight timers and any responses sent
         // while we were down. Re-issue pending retrieves (a client
         // process restarting does exactly this) and re-arm the timers,
-        // in request order: each re-issue draws the network's RNG, so
-        // the map's iteration order would make the run irreproducible.
-        let mut pending: Vec<(RequestId, BitString)> = self
+        // in request order — the map's order: each re-issue draws the
+        // network's RNG, so any other order would change the run.
+        let pending: Vec<(RequestId, BitString)> = self
             .pending
             .iter()
             .map(|(id, p)| (*id, p.key.clone()))
             .collect();
-        pending.sort_unstable_by_key(|&(id, _)| id);
         for (id, key) in pending {
             ctx.set_timer(self.timeout, id);
             let origin = ctx.self_id();

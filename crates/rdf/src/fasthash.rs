@@ -8,6 +8,10 @@
 //! in-process hash maps keyed by ids or interned strings. Not DoS
 //! resistant — do not expose to untrusted keys across a trust boundary.
 
+// The one place std's maps are named: every other crate under
+// `crates/` is barred from them (`crates/clippy.toml`) and reaches them
+// through these aliases, whose hasher is fixed and unkeyed.
+#[allow(clippy::disallowed_types)]
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -69,7 +73,9 @@ impl Hasher for FxHasher {
 }
 
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+#[allow(clippy::disallowed_types)] // std's map with the fixed Fx hasher
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
+#[allow(clippy::disallowed_types)] // std's set with the fixed Fx hasher
 pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
 #[cfg(test)]

@@ -7,12 +7,12 @@
 //! similar manner, by iteratively resolving each triple pattern contained
 //! in the query and aggregating the sets of results retrieved."
 
+use crate::fasthash::FxHashSet;
 use crate::join::{HashJoiner, VarTable};
 use crate::store::TripleStore;
 use crate::term::Term;
 use crate::triple::{Binding, PatternTerm, TriplePattern};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::fmt;
 
 /// `SearchFor(x? : (s, p, o))` — one pattern, one distinguished variable.
@@ -168,7 +168,8 @@ impl ConjunctiveQuery {
                 proj.slot_of(d);
             }
         }
-        let mut seen: HashSet<Vec<u64>> = HashSet::with_capacity(rows.len());
+        let mut seen: FxHashSet<Vec<u64>> =
+            FxHashSet::with_capacity_and_hasher(rows.len(), Default::default());
         let mut out: Vec<Binding> = Vec::new();
         for row in &rows {
             let projected: Vec<u64> = slots.iter().map(|&s| row[s]).collect();

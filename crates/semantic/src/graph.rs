@@ -11,8 +11,9 @@ use crate::mapping::{
     Correspondence, Direction, Mapping, MappingId, MappingKind, MappingStatus, Provenance,
 };
 use crate::schema::{Schema, SchemaId};
+use gridvine_rdf::fasthash::FxHashMap;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Degree record a schema-responsible peer publishes under
 /// `Hash(Domain)` (§3.1): `{Schema, InDegree, OutDegree}`.
@@ -230,8 +231,8 @@ impl MappingRegistry {
         seen
     }
 
-    fn adjacency(&self) -> HashMap<SchemaId, Vec<SchemaId>> {
-        let mut adj: HashMap<SchemaId, Vec<SchemaId>> = HashMap::new();
+    fn adjacency(&self) -> FxHashMap<SchemaId, Vec<SchemaId>> {
+        let mut adj: FxHashMap<SchemaId, Vec<SchemaId>> = FxHashMap::default();
         for (from, to) in self.edges() {
             adj.entry(from).or_default().push(to);
         }
@@ -242,7 +243,7 @@ impl MappingRegistry {
     /// schemas form singleton components.
     fn strongly_connected_components(&self) -> Vec<Vec<SchemaId>> {
         let nodes: Vec<SchemaId> = self.schemas.keys().cloned().collect();
-        let index_of: HashMap<&SchemaId, usize> =
+        let index_of: FxHashMap<&SchemaId, usize> =
             nodes.iter().enumerate().map(|(i, s)| (s, i)).collect();
         let mut adj: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
         for (from, to) in self.edges() {

@@ -33,9 +33,10 @@
 use crate::graph::MappingRegistry;
 use crate::mapping::{Direction, Mapping, MappingId};
 use crate::schema::{Schema, SchemaId};
+use gridvine_rdf::fasthash::FxHashMap;
 use gridvine_rdf::{PatternTerm, Term, TriplePattern, TriplePatternQuery, Uri};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// One application of a mapping along a reformulation path.
@@ -295,8 +296,8 @@ pub struct CacheCounters {
 /// BFS (and, in the distributed executor, its per-schema mapping-list
 /// retrieves) entirely.
 ///
-/// A bounded cache ([`ClosureCache::bounded`]) additionally models a
-/// real peer's finite memory: at most `capacity` closures are retained
+/// The cache ([`ClosureCache::bounded`]) also models a real peer's
+/// finite memory: at most `capacity` closures are retained
 /// and inserting past the bound evicts the least-recently-used entry
 /// (lookups refresh recency). Eviction is a linear scan over the
 /// recency ticks — capacities are per-peer and small, so a pointer-
@@ -307,35 +308,28 @@ pub struct CacheCounters {
 /// simulated instant it was committed at; `()` stamps nothing).
 ///
 /// [`epoch`]: MappingRegistry::epoch
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ClosureCache<S = ()> {
     epoch: u64,
     /// Per key: the recorded hops, their stamp and the recency tick.
-    entries: HashMap<ClosureKey, (Arc<[CachedHop]>, S, u64)>,
-    /// `None` = unbounded, as [`ClosureCache::new`] builds it.
-    capacity: Option<usize>,
+    entries: FxHashMap<ClosureKey, (Arc<[CachedHop]>, S, u64)>,
+    capacity: usize,
     /// Monotone recency stamp; bumped by every lookup hit and insert.
     tick: u64,
     counters: CacheCounters,
 }
 
-impl<S: Clone + Default> ClosureCache<S> {
-    pub fn new() -> ClosureCache<S> {
-        ClosureCache::default()
-    }
-
+impl<S: Clone> ClosureCache<S> {
     /// A cache retaining at most `capacity` closures under LRU
     /// eviction. A zero capacity caches nothing (every lookup misses).
     pub fn bounded(capacity: usize) -> ClosureCache<S> {
         ClosureCache {
-            capacity: Some(capacity),
-            ..ClosureCache::default()
+            epoch: 0,
+            entries: FxHashMap::default(),
+            capacity,
+            tick: 0,
+            counters: CacheCounters::default(),
         }
-    }
-
-    /// The configured capacity bound (`None` = unbounded).
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
     }
 
     /// The hops recorded for `key` and their stamp, if the cache is
@@ -372,23 +366,21 @@ impl<S: Clone + Default> ClosureCache<S> {
             self.entries.clear();
             self.epoch = epoch;
         }
-        if self.capacity == Some(0) {
+        if self.capacity == 0 {
             return;
         }
         self.tick += 1;
         let fresh = !self.entries.contains_key(&key);
         if fresh {
-            if let Some(cap) = self.capacity {
-                while self.entries.len() >= cap {
-                    let lru = self
-                        .entries
-                        .iter()
-                        .min_by_key(|(_, (_, _, tick))| *tick)
-                        .map(|(k, _)| k.clone())
-                        .expect("len >= cap >= 1 implies an entry");
-                    self.entries.remove(&lru);
-                    self.counters.evictions += 1;
-                }
+            while self.entries.len() >= self.capacity {
+                let lru = self
+                    .entries
+                    .iter()
+                    .min_by_key(|(_, (_, _, tick))| *tick)
+                    .map(|(k, _)| k.clone())
+                    .expect("len >= cap >= 1 implies an entry");
+                self.entries.remove(&lru);
+                self.counters.evictions += 1;
             }
         }
         self.entries.insert(key, (hops.into(), stamp, self.tick));
@@ -849,7 +841,7 @@ mod tests {
             ttl: 10,
         };
         let hops = vec![CachedHop::record(&hop_at("EMBL", "Organism"))];
-        let mut cache = ClosureCache::new();
+        let mut cache = ClosureCache::bounded(4);
         assert!(cache.lookup(reg.epoch(), &key).is_none());
         cache.insert(reg.epoch(), key.clone(), hops.clone(), 7);
         let (hit, stamp) = cache.lookup(reg.epoch(), &key).expect("same-epoch hit");
@@ -883,7 +875,6 @@ mod tests {
     #[test]
     fn bounded_cache_evicts_least_recently_used() {
         let mut cache = ClosureCache::bounded(2);
-        assert_eq!(cache.capacity(), Some(2));
         cache.insert(0, key("A"), vec![hop("A")], ());
         cache.insert(0, key("B"), vec![hop("B")], ());
         assert_eq!(cache.len(), 2);

@@ -1,6 +1,7 @@
 //! Fixtures shared by the integration tests.
 
 use gridvine_core::{GridVineConfig, GridVineSystem};
+use gridvine_netsim::{ChurnConfig, ChurnProcess, SimDuration, SimTime};
 use gridvine_pgrid::PeerId;
 use gridvine_rdf::{PatternTerm, Term, Triple, TriplePattern, TriplePatternQuery};
 use gridvine_semantic::{Correspondence, MappingKind, Provenance, Schema};
@@ -54,4 +55,18 @@ pub fn chain_query() -> TriplePatternQuery {
         ),
     )
     .unwrap()
+}
+
+/// Install a random churn timeline on the first `peers` peers of
+/// `sys`, drawn from `seed`: half of them churn, up 60 ms and down 4 ms
+/// on average, over the first 10 simulated seconds — often enough that
+/// some attempts of a chain walk time out and are retransmitted.
+pub fn install_random_churn(sys: &mut GridVineSystem, peers: usize, seed: u64) {
+    let churn = ChurnConfig {
+        mean_uptime: SimDuration::from_millis(60),
+        mean_downtime: SimDuration::from_millis(4),
+        churny_fraction: 0.5,
+    };
+    let horizon = SimTime::ZERO + SimDuration::from_secs(10);
+    sys.install_churn(ChurnProcess::generate(&churn, peers, horizon, seed).events());
 }

@@ -13,26 +13,25 @@ use gridvine_core::{
     GridVineConfig, GridVineSystem, QueryOptions, QueryOutcome, QueryPlan, Strategy,
 };
 use gridvine_load::{run_open_loop, ArrivalProcess, LoadConfig};
-use gridvine_netsim::{ChurnConfig, ChurnProcess, FaultConfig, SimDuration, SimTime};
+use gridvine_netsim::SimDuration;
 use gridvine_pgrid::PeerId;
 use gridvine_rdf::{PatternTerm, Term, Triple, TriplePattern, TriplePatternQuery};
 use gridvine_semantic::{Correspondence, MappingKind, Provenance, Schema};
 use proptest::prelude::*;
 
 mod common;
-use common::chain_query;
+use common::{chain_query, install_random_churn};
 
 /// [`common::chain_system`] on 32 peers, with the reference-density
 /// knob exposed: `refs_per_level: 1` topologies have exactly one
 /// routing candidate per trie level, which makes routes independent of
 /// the values the shared RNG yields — the contract the interleaving
 /// proptests lean on.
-fn chain_system(refs_per_level: usize, fault: FaultConfig, seed: u64) -> GridVineSystem {
+fn chain_system(refs_per_level: usize, seed: u64) -> GridVineSystem {
     common::chain_system(GridVineConfig {
         peers: 32,
         refs_per_level,
         hash: gridvine_pgrid::HashKind::Uniform,
-        fault,
         seed,
         ..GridVineConfig::default()
     })
@@ -77,7 +76,7 @@ fn budgets_and_quotas_leave_every_session_in_one_bucket() {
         (None, None, Some(1)),
     ];
     for (deadline, message_budget, origin_quota) in cases {
-        let mut sys = chain_system(2, FaultConfig::none(), 1);
+        let mut sys = chain_system(2, 1);
         let m0 = sys.messages_sent();
         let cfg = LoadConfig {
             sessions: 30,
@@ -114,12 +113,12 @@ proptest! {
     fn pool_of_one_is_bit_identical_to_standalone(seed in 0u64..500) {
         for window in [1usize, 4] {
             let plan = QueryPlan::search(chain_query());
-            let mut solo = chain_system(2, FaultConfig::none(), seed);
+            let mut solo = chain_system(2, seed);
             let base = solo
                 .execute(PeerId(5), &plan, &options(window))
                 .unwrap();
 
-            let mut pooled = chain_system(2, FaultConfig::none(), seed);
+            let mut pooled = chain_system(2, seed);
             let mut pool = SessionPool::new();
             let id = pool
                 .open(&mut pooled, PeerId(5), &plan, &options(window))
@@ -156,12 +155,12 @@ proptest! {
         let alone: Vec<QueryOutcome> = origins
             .iter()
             .map(|&o| {
-                let mut sys = chain_system(1, FaultConfig::none(), seed);
+                let mut sys = chain_system(1, seed);
                 sys.execute(o, &plan, &options(window)).unwrap()
             })
             .collect();
 
-        let mut sys = chain_system(1, FaultConfig::none(), seed);
+        let mut sys = chain_system(1, seed);
         let mut pool = SessionPool::new();
         let ids: Vec<_> = origins
             .iter()
@@ -189,7 +188,7 @@ proptest! {
     ) {
         let plan = QueryPlan::search(chain_query());
         let run = |seed: u64| {
-            let mut sys = chain_system(2, FaultConfig::none(), seed);
+            let mut sys = chain_system(2, seed);
             let mut pool = SessionPool::new();
             let ids: Vec<_> = (0..n)
                 .map(|k| {
@@ -214,21 +213,20 @@ proptest! {
         }
     }
 
-    /// Cancelling a session mid-flight — under reply duplication, so
-    /// queued copies exist — drops exactly its replies: the survivors
-    /// finish, the event queues end empty, and the sum of per-session
-    /// message charges equals the overlay's own counter (no session is
-    /// double-charged, cancelled work stays charged once).
+    /// Cancelling a session mid-flight — under a random churn
+    /// timeline, so some units were retransmitted — drops exactly its
+    /// replies: the survivors finish, the event queues end empty, and
+    /// the sum of per-session message charges equals the overlay's own
+    /// counter (no session is double-charged, cancelled work stays
+    /// charged once).
     #[test]
     fn cancel_conserves_messages_and_leaves_no_residue(
         seed in 0u64..200,
-        dup in 0.0f64..1.0,
         steps in 0usize..6,
     ) {
-        let mut cfg = FaultConfig::none();
-        cfg.duplication = dup;
         let plan = QueryPlan::search(chain_query());
-        let mut sys = chain_system(2, cfg, seed);
+        let mut sys = chain_system(2, seed);
+        install_random_churn(&mut sys, 32, seed);
         let m0 = sys.messages_sent();
 
         let mut pool = SessionPool::new();
@@ -268,7 +266,7 @@ proptest! {
         gap_us in 1u64..40,
         deadline_ms in 1u64..20,
     ) {
-        let mut sys = chain_system(2, FaultConfig::none(), seed);
+        let mut sys = chain_system(2, seed);
         let m0 = sys.messages_sent();
         let plans = vec![QueryPlan::search(chain_query())];
         let cfg = LoadConfig {
@@ -308,7 +306,7 @@ proptest! {
     }
 }
 
-/// One random multi-origin pool run under loss and churn, in which
+/// One random multi-origin pool run under churn, in which
 /// units read what others wrote: several sessions per origin share its
 /// leaves, every walk of a schema reads and fills the one closure cache
 /// at the peer holding its mapping list, late arrivals replay closures
@@ -327,16 +325,8 @@ fn shared_pool_run(
     window: usize,
     ops: &[u8],
 ) -> usize {
-    let mut fault = FaultConfig::none();
-    fault.loss = 0.05;
-    let mut sys = chain_system(2, fault, seed);
-    let churn = ChurnConfig {
-        mean_uptime: SimDuration::from_millis(60),
-        mean_downtime: SimDuration::from_millis(4),
-        churny_fraction: 0.5,
-    };
-    let horizon = SimTime::ZERO + SimDuration::from_secs(10);
-    sys.install_churn(ChurnProcess::generate(&churn, 32, horizon, seed).events());
+    let mut sys = chain_system(2, seed);
+    install_random_churn(&mut sys, 32, seed);
     let chain = QueryPlan::search(chain_query());
     let plans = [
         chain.clone(),
@@ -444,7 +434,7 @@ fn a_mapping_inserted_between_two_origins_walks_makes_the_second_cold() {
     for strategy in [Strategy::Iterative, Strategy::Recursive] {
         let opts = options(1).strategy(strategy);
         for insert in [false, true] {
-            let mut sys = chain_system(1, FaultConfig::none(), 7);
+            let mut sys = chain_system(1, 7);
             let first = sys.execute(PeerId(5), &plan, &opts).unwrap();
             assert_eq!(first.rows.len(), 4, "{strategy:?}");
             if insert {
