@@ -11,8 +11,9 @@
 //! views — or, for a request under a trie leaf whose answering peer
 //! the issuer learned from an earlier reply, as one direct message to
 //! that peer — so the message counts are those of the distributed
-//! protocol; the event-driven twin in [`crate::harness`] additionally
-//! charges wall-clock latency.
+//! protocol. Latency is simulated: this engine charges it on its own
+//! clock ([`GridVineConfig::latency`]), the lookup driver in
+//! [`crate::harness`] on the netsim event clock.
 
 use crate::item::{KeySpace, MediationItem, TripleStage};
 use gridvine_netsim::churn::{ChurnEvent, ChurnKind};
@@ -23,9 +24,8 @@ use gridvine_pgrid::{
 use gridvine_rdf::fasthash::FxHashMap;
 use gridvine_rdf::{Term, TermDict, Triple, TriplePatternQuery, TripleStore};
 use gridvine_semantic::{
-    apply_quarantine, assess, BayesConfig, Correspondence, DegreeRecord, Injection, Mapping,
-    MappingId, MappingKind, MappingRegistry, MappingStatus, Provenance, Schema, SchemaId,
-    SemanticAdversary, SemanticFaultConfig, SemanticFaultCounters,
+    apply_quarantine, assess, BayesConfig, Correspondence, DegreeRecord, Mapping, MappingId,
+    MappingKind, MappingRegistry, MappingStatus, Provenance, Schema, SchemaId,
 };
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -63,16 +63,6 @@ pub struct GridVineConfig {
     /// least-recently-used evicted first. A closure is kept by the peer
     /// holding its origin schema's mapping list. Zero disables caching.
     pub closure_cache_capacity: usize,
-    /// Mediation-layer fault process
-    /// ([`gridvine_semantic::adversary`]): at the configured rates,
-    /// each [`GridVineSystem::adversary_gossip`] round injects stale
-    /// (epoch-lagged deprecated), corrupted (correspondence-permuted)
-    /// or Byzantine (fabricated, from designated adversarial peers)
-    /// mappings into the registry and publishes their DHT copies.
-    /// Null by default — a null config consumes no adversary
-    /// randomness and is bit-identical to the adversary-free system.
-    #[serde(default)]
-    pub semantic_fault: SemanticFaultConfig,
     /// Latency model of the session scheduler's subquery/reply
     /// exchanges ([`gridvine_netsim::latency`]): with a non-flat model
     /// a unit's latency is `PROCESSING` plus one origin→destination
@@ -99,7 +89,6 @@ impl Default for GridVineConfig {
             ttl: 10,
             domain: "protein-sequences".to_string(),
             closure_cache_capacity: 64,
-            semantic_fault: SemanticFaultConfig::none(),
             latency: LatencyConfig::Flat,
             seed: 0x6B1D,
         }
@@ -333,10 +322,6 @@ pub struct GridVineSystem {
     /// [`GridVineSystem::install_churn`]: sorted `(instant, down)`
     /// transitions; empty timelines mean always up.
     churn: Vec<Vec<(SimTime, bool)>>,
-    /// The mediation-layer adversary
-    /// ([`GridVineConfig::semantic_fault`]): its own RNG stream, so a
-    /// null config leaves every other stream untouched.
-    adversary: SemanticAdversary,
     /// One-shot failure-injection hook armed by
     /// [`GridVineSystem::arm_commit_crash`]: the named peer is crashed
     /// *between* the key-space writes of the next mapping commit,
@@ -369,8 +354,8 @@ impl GridVineSystem {
         GridVineSystem::assemble(config, topology, rng)
     }
 
-    /// Build over an explicit topology (e.g. one produced by the
-    /// decentralized construction).
+    /// Build over an explicit topology (e.g. one with routing holes,
+    /// as the failure-injection tests build).
     pub fn with_topology(config: GridVineConfig, topology: Topology) -> GridVineSystem {
         let rng = StdRng::seed_from_u64(config.seed);
         GridVineSystem::assemble(config, topology, rng)
@@ -390,7 +375,6 @@ impl GridVineSystem {
             crashed: BTreeSet::new(),
             proto: ProtocolState::new(&config),
             churn: vec![Vec::new(); topology.len()],
-            adversary: SemanticAdversary::new(config.semantic_fault.clone(), config.seed),
             commit_crash: None,
             latency: config
                 .latency
@@ -1005,35 +989,6 @@ impl GridVineSystem {
     /// Internal access for the self-organization driver.
     pub(crate) fn registry_mut(&mut self) -> &mut MappingRegistry {
         &mut self.registry
-    }
-
-    /// Lifetime injection counts of the semantic adversary
-    /// ([`GridVineConfig::semantic_fault`]).
-    pub fn semantic_fault_counters(&self) -> SemanticFaultCounters {
-        self.adversary.counters()
-    }
-
-    /// One adversarial gossip round ([`GridVineConfig::semantic_fault`]):
-    /// each fault dimension fires at its configured rate, registering
-    /// injected mappings *and* publishing their DHT copies from
-    /// `origin` — an injected edge is indistinguishable from an honest
-    /// one to query reformulation until the Bayesian assessment
-    /// quarantines it. A null config injects nothing, consumes no
-    /// randomness and sends no messages.
-    pub fn adversary_gossip(&mut self, origin: PeerId) -> Result<Vec<Injection>, SystemError> {
-        let injected = self.adversary.gossip_round(&mut self.registry);
-        for inj in &injected {
-            let mapping = self
-                .registry
-                .mapping(inj.id)
-                .expect("just injected")
-                .clone();
-            if let Err(e) = self.commit_mapping_copies(origin, &mapping) {
-                self.registry.retract(inj.id);
-                return Err(e);
-            }
-        }
-        Ok(injected)
     }
 
     /// One periodic quality-assessment pass, run from `origin` as
@@ -1838,55 +1793,6 @@ mod tests {
             .unwrap();
         assert!(report.reactivated.contains(&good), "{report:?}");
         assert!(sys.registry().mapping(good).unwrap().is_active());
-    }
-
-    #[test]
-    fn adversary_gossip_publishes_dht_copies() {
-        let mut sys = GridVineSystem::new(GridVineConfig {
-            peers: 32,
-            semantic_fault: gridvine_semantic::SemanticFaultConfig::stale(1.0),
-            ..GridVineConfig::default()
-        });
-        let p0 = PeerId(0);
-        sys.insert_schema(p0, Schema::new("EMBL", ["Organism"]))
-            .unwrap();
-        sys.insert_schema(p0, Schema::new("EMP", ["SystematicName"]))
-            .unwrap();
-        let id = sys
-            .insert_mapping(
-                p0,
-                "EMBL",
-                "EMP",
-                MappingKind::Equivalence,
-                Provenance::Manual,
-                vec![Correspondence::new("Organism", "SystematicName")],
-            )
-            .unwrap();
-        sys.deprecate_mapping(p0, id).unwrap();
-        let injected = sys.adversary_gossip(p0).unwrap();
-        assert_eq!(injected.len(), 1, "stale rate 1.0 with a candidate");
-        assert_eq!(sys.semantic_fault_counters().stale, 1);
-        // The injected copy is visible through the DHT, so query
-        // reformulation would use it like any honest mapping.
-        let maps = sys
-            .mappings_at_schema(PeerId(1), &SchemaId::new("EMBL"))
-            .unwrap();
-        assert!(
-            maps.iter().any(|m| m.id == injected[0].id && m.is_active()),
-            "{maps:?}"
-        );
-    }
-
-    #[test]
-    fn null_adversary_gossip_is_free() {
-        let mut sys = fig2_system();
-        let before = sys.messages_sent();
-        let epoch = sys.registry().epoch();
-        for _ in 0..10 {
-            assert!(sys.adversary_gossip(PeerId(0)).unwrap().is_empty());
-        }
-        assert_eq!(sys.messages_sent(), before);
-        assert_eq!(sys.registry().epoch(), epoch);
     }
 
     #[test]

@@ -98,24 +98,22 @@
 //!
 //! ## The fault matrix
 //!
-//! Two adversaries attack the PDMS at different layers. The **network
-//! adversary** is peers that come and go (§2.1), met by the retry
-//! protocol above (RNG stream `0xB0FF`); message loss, duplication and
-//! reorder are the message-level network's
-//! ([`gridvine_netsim::FaultConfig`], stream `0xFA17`), which the WAN
-//! deployment ([`crate::harness`]) runs on. The **semantic adversary**
-//! (`GridVineConfig::semantic_fault`, stream `0x5EED_0BAD`) perturbs
-//! the *content* of the mapping layer itself. Both are absent by
-//! default, draw from their own streams, and compose.
+//! One adversary attacks the overlay: peers that come and go (§2.1),
+//! met by the retry protocol above (RNG stream `0xB0FF`). Message loss
+//! belongs to the message-level network
+//! (`gridvine_netsim::NetworkConfig::loss`, stream `0xFA17`), which the
+//! WAN lookup driver ([`crate::harness`]) runs on. At the mediation
+//! layer the faults are wrong mappings, and they come from the
+//! automatic matchers (§3.1) themselves. Every fault is off by
+//! default, and each one that draws randomness has its own stream.
 //!
-//! | Layer    | Fault                | Injected by                        | Defended by                                  |
-//! |----------|----------------------|------------------------------------|----------------------------------------------|
-//! | network  | churn / crash        | `install_churn`, `crash_peer`      | per-attempt retry; fail fast on crash        |
-//! | network  | mass-churn storm     | `ChurnProcess::storm`              | self-organization repair after recovery      |
-//! | semantic | stale gossip         | `SemanticFaultConfig::stale_rate`  | Bayesian cycle analysis quarantine           |
-//! | semantic | corrupted mappings   | `SemanticFaultConfig::corrupt_rate`| Bayesian cycle analysis quarantine           |
-//! | semantic | Byzantine fabrication| `SemanticFaultConfig::byzantine_*` | quarantine; provenance tracks ground truth   |
-//! | semantic | crash mid-commit     | `arm_commit_crash`                 | atomic commit rollback + recovery scan       |
+//! | Layer    | Fault                   | Injected by                      | Defended by                              |
+//! |----------|-------------------------|----------------------------------|------------------------------------------|
+//! | network  | churn / crash           | `install_churn`, `crash_peer`    | per-attempt retry; fail fast on crash    |
+//! | network  | mass-churn storm        | `ChurnProcess::storm`            | self-organization repair after recovery  |
+//! | network  | message loss (WAN only) | `NetworkConfig::loss`            | `pgrid::proto` timeouts and retries      |
+//! | semantic | wrong automatic mapping | `SelfOrgConfig::error_rate`      | Bayesian cycle analysis quarantine       |
+//! | semantic | crash mid-commit        | `arm_commit_crash`               | atomic commit rollback + recovery scan   |
 //!
 //! Semantic defenses run as scheduler work, not magic: an
 //! [`assessment_pass`](super::GridVineSystem::assessment_pass) issues

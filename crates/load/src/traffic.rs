@@ -37,14 +37,6 @@ pub struct LoadConfig {
     pub origins: usize,
     /// Admission cap: at most this many sessions live in the pool.
     pub max_concurrent: usize,
-    /// Per-origin cap on concurrently live sessions beside the global
-    /// `max_concurrent` cap (`None` = no per-origin limit). An arrival
-    /// whose origin is at quota waits in the FIFO queue even when
-    /// global slots are free, and promotion skips entries whose origin
-    /// is still at quota — so one hot origin cannot monopolize the
-    /// admission slots.
-    #[serde(default)]
-    pub origin_quota: Option<usize>,
     /// Bounded FIFO wait queue behind the cap; an arrival finding the
     /// queue full is rejected outright (0 = queue-or-reject degenerates
     /// to plain reject).
@@ -68,7 +60,6 @@ impl Default for LoadConfig {
             arrivals: ArrivalProcess::Poisson { rate: 50.0 },
             origins: 8,
             max_concurrent: 16,
-            origin_quota: None,
             queue_capacity: 32,
             message_budget: None,
             deadline: None,
@@ -99,10 +90,6 @@ pub fn run_open_loop(
 ) -> LoadReport {
     assert!(cfg.origins >= 1, "need at least one origin");
     assert!(cfg.max_concurrent >= 1, "need at least one admission slot");
-    assert!(
-        cfg.origin_quota.is_none_or(|q| q >= 1),
-        "per-origin quota must admit at least one session"
-    );
     assert!(!plans.is_empty(), "need at least one plan");
     let opts = QueryOptions::new()
         .strategy(cfg.strategy)
@@ -142,17 +129,6 @@ pub fn run_open_loop(
             }
             Err(_) => report.refused += 1,
         }
-    };
-
-    // True when `origin` may take another live session under the
-    // per-origin quota (always true without one).
-    let under_quota = |pool: &SessionPool, track: &FxHashMap<SessionId, Track>, origin: usize| {
-        cfg.origin_quota.is_none_or(|q| {
-            pool.live_sessions()
-                .filter(|id| track[id].origin == origin)
-                .count()
-                < q
-        })
     };
 
     // Settle one pool event plus the budget/deadline scans and waiting
@@ -241,16 +217,11 @@ pub fn run_open_loop(
                 &mut origin_latency,
             );
             makespan = makespan.max(t);
-            // Freed capacity promotes waiting arrivals, FIFO among the
-            // origins currently under quota.
+            // Freed capacity promotes waiting arrivals, FIFO.
             while pool.len() < cfg.max_concurrent {
-                let Some(pos) = waiting
-                    .iter()
-                    .position(|&(_, o, _)| under_quota(&pool, &track, o))
-                else {
+                let Some((submit, origin, plan)) = waiting.pop_front() else {
                     break;
                 };
-                let (submit, origin, plan) = waiting.remove(pos).expect("position is in range");
                 report.queued += 1;
                 waits.push(t.saturating_since(submit));
                 admit(
@@ -269,7 +240,7 @@ pub fn run_open_loop(
         let origin = i % cfg.origins;
         report.submitted += 1;
         origin_submitted[origin] += 1;
-        if pool.len() < cfg.max_concurrent && under_quota(&pool, &track, origin) {
+        if pool.len() < cfg.max_concurrent {
             report.admitted += 1;
             admit(sys, &mut pool, &mut track, &mut report, at, origin, i, at);
         } else if waiting.len() < cfg.queue_capacity {
@@ -294,13 +265,9 @@ pub fn run_open_loop(
         );
         makespan = makespan.max(t);
         while pool.len() < cfg.max_concurrent {
-            let Some(pos) = waiting
-                .iter()
-                .position(|&(_, o, _)| under_quota(&pool, &track, o))
-            else {
+            let Some((submit, origin, plan)) = waiting.pop_front() else {
                 break;
             };
-            let (submit, origin, plan) = waiting.remove(pos).expect("position is in range");
             report.queued += 1;
             waits.push(t.saturating_since(submit));
             admit(
@@ -502,36 +469,6 @@ mod tests {
         let r = run_open_loop(&mut sys, &plans(), &cfg);
         assert!(r.cancelled_budget > 0, "1-message budget must cancel: {r}");
         assert_eq!(sys.pending_events(), 0);
-    }
-
-    #[test]
-    fn origin_quota_queues_and_conserves() {
-        let base = LoadConfig {
-            sessions: 48,
-            origins: 4,
-            max_concurrent: 8,
-            queue_capacity: 48,
-            arrivals: ArrivalProcess::Deterministic {
-                gap: SimDuration::from_micros(1),
-            },
-            ..LoadConfig::default()
-        };
-        let quota = LoadConfig {
-            origin_quota: Some(1),
-            ..base.clone()
-        };
-        let r = run_open_loop(&mut seeded_system(), &plans(), &quota);
-        // The quota forces queueing even while global slots are free,
-        // and every session still lands in exactly one bucket.
-        let free = run_open_loop(&mut seeded_system(), &plans(), &base);
-        assert!(r.queued > free.queued, "quota must queue: {r} vs {free}");
-        assert_eq!(r.resolved(), 48);
-        assert_eq!(r.completed, 48, "generous queue completes everything: {r}");
-        assert!(
-            (r.fairness() - 1.0).abs() < 1e-12,
-            "round-robin under quota stays fair: {}",
-            r.fairness()
-        );
     }
 
     #[test]

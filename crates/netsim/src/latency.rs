@@ -45,9 +45,8 @@ impl LatencyModel for ConstantLatency {
 /// ([`LatencyConfig::build`] returns `None`) so consumers keep their
 /// built-in deterministic cost formula and draw **zero** randomness — a
 /// run with the default config is bit-identical to one that predates
-/// this enum, mirroring the null-config discipline of
-/// [`crate::fault::FaultConfig`]. A [`Network`](crate::network::Network)
-/// has no such formula and rejects it.
+/// this enum. A [`Network`](crate::network::Network) has no such formula
+/// and rejects it.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub enum LatencyConfig {
     /// No sampled latency: the consumer's flat per-message cost model.

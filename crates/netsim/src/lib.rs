@@ -18,6 +18,8 @@
 //!   log-normally distributed inter-region delays,
 //! * a generic actor-style [`network::Network`] in which protocol nodes
 //!   (implementing [`node::Node`]) exchange typed messages and set timers,
+//!   optionally losing each message independently
+//!   ([`network::NetworkConfig::loss`]),
 //! * a [`churn`] process injecting node failures and joins,
 //! * [`stats`]: an exact latency CDF.
 //!
@@ -54,7 +56,6 @@
 pub mod churn;
 pub mod clock;
 pub mod event;
-pub mod fault;
 pub mod latency;
 pub mod network;
 pub mod node;
@@ -65,7 +66,6 @@ pub mod stats;
 pub mod prelude {
     pub use crate::churn::{ChurnConfig, ChurnProcess};
     pub use crate::clock::{SimDuration, SimTime};
-    pub use crate::fault::{FaultConfig, FaultModel, LinkFault};
     pub use crate::latency::{LatencyConfig, LatencyModel, RegionalWan};
     pub use crate::network::{Network, NetworkConfig, NetworkStats};
     pub use crate::node::{Ctx, Node, NodeId};
@@ -75,7 +75,6 @@ pub mod prelude {
 pub use churn::{ChurnConfig, ChurnProcess};
 pub use clock::{SimDuration, SimTime};
 pub use event::EventQueue;
-pub use fault::{FaultConfig, FaultModel, LinkFault};
 pub use latency::{LatencyConfig, LatencyModel, RegionalWan, RegionalWanConfig};
 pub use network::{Network, NetworkConfig, NetworkStats};
 pub use node::{Ctx, Node, NodeId};

@@ -8,11 +8,11 @@
 
 use crate::clock::{SimDuration, SimTime};
 use crate::event::EventQueue;
-use crate::fault::{FaultConfig, FaultModel};
 use crate::latency::{LatencyConfig, LatencyModel, RegionalWanConfig};
 use crate::node::{Action, Ctx, Node, NodeId};
 use crate::rng;
 use rand::rngs::StdRng;
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Simulation-wide configuration.
@@ -21,10 +21,12 @@ pub struct NetworkConfig {
     /// The one-way delay of every message. Must build a sampler:
     /// [`LatencyConfig::Flat`] is rejected by [`Network::new`].
     pub latency: LatencyConfig,
-    /// Message fault process: loss, duplication and reorder, with
-    /// optional asymmetric per-link overrides (see [`crate::fault`]).
+    /// Independent probability that a sent message is dropped, in
+    /// `[0, 1)`. Drawn at send time from the network's own loss
+    /// stream, so a lossless network draws nothing and a lossy run is
+    /// reproducible from its seed.
     #[serde(default)]
-    pub fault: FaultConfig,
+    pub loss: f64,
 }
 
 impl NetworkConfig {
@@ -34,7 +36,7 @@ impl NetworkConfig {
             latency: LatencyConfig::Constant {
                 delay: SimDuration::from_millis(1),
             },
-            fault: FaultConfig::none(),
+            loss: 0.0,
         }
     }
 
@@ -42,7 +44,7 @@ impl NetworkConfig {
     pub fn planetlab() -> NetworkConfig {
         NetworkConfig {
             latency: LatencyConfig::RegionalWan(RegionalWanConfig::default()),
-            fault: FaultConfig::none(),
+            loss: 0.0,
         }
     }
 
@@ -51,7 +53,7 @@ impl NetworkConfig {
     pub fn planetlab_2007() -> NetworkConfig {
         NetworkConfig {
             latency: LatencyConfig::planetlab_2007(),
-            fault: FaultConfig::none(),
+            loss: 0.0,
         }
     }
 }
@@ -87,27 +89,35 @@ pub struct Network<N, M> {
     slots: Vec<Slot<N>>,
     queue: EventQueue<Event<M>>,
     latency: Box<dyn LatencyModel>,
-    fault: FaultModel,
+    loss: f64,
+    /// The loss draws ([`NetworkConfig::loss`]), apart from latency
+    /// sampling and the nodes' own randomness.
+    loss_rng: StdRng,
     now: SimTime,
     rng: StdRng,
     stats: NetworkStats,
     actions: Vec<Action<M>>,
 }
 
-impl<N: Node<M>, M: Clone> Network<N, M> {
+impl<N: Node<M>, M> Network<N, M> {
     /// Create an empty network with the given configuration and seed.
     ///
     /// # Panics
-    /// Panics if `config.latency` is [`LatencyConfig::Flat`] or a fault
-    /// rate is out of range.
+    /// Panics if `config.latency` is [`LatencyConfig::Flat`] or
+    /// `config.loss` is outside `[0, 1)`.
     pub fn new(config: NetworkConfig, seed: u64) -> Self {
+        assert!(
+            (0.0..1.0).contains(&config.loss),
+            "loss probability must be in [0, 1)"
+        );
         Network {
             slots: Vec::new(),
             latency: config
                 .latency
                 .build(seed ^ 0x5A5A)
                 .expect("a network samples every message's delay: Flat builds no model"),
-            fault: FaultModel::new(config.fault, seed),
+            loss: config.loss,
+            loss_rng: rng::derive(seed, 0xFA17),
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             rng: rng::derive(seed, 0xC0FFEE),
@@ -345,33 +355,13 @@ impl<N: Node<M>, M: Clone> Network<N, M> {
 
     fn enqueue_send(&mut self, from: NodeId, to: NodeId, msg: M) {
         self.stats.sent += 1;
-        if self.fault.is_null() {
-            // Fast path: null fault model, bit-identical to the
-            // pre-fault-layer simulator (no extra RNG draws).
-            let delay = self.latency.sample(from, to);
-            self.queue
-                .schedule(self.now + delay, Event::Deliver { from, to, msg });
-            return;
-        }
-        let delivery = self.fault.apply(from, to);
-        if delivery.copies.is_empty() {
+        if self.loss > 0.0 && self.loss_rng.gen::<f64>() < self.loss {
             self.stats.lost += 1;
             return;
         }
-        // One latency sample per message (not per copy): duplicates and
-        // reordered copies offset the same base delay by fault jitter, so
-        // the latency stream advances exactly as in a fault-free run.
         let delay = self.latency.sample(from, to);
-        for extra in delivery.copies {
-            self.queue.schedule(
-                self.now + delay + extra,
-                Event::Deliver {
-                    from,
-                    to,
-                    msg: msg.clone(),
-                },
-            );
-        }
+        self.queue
+            .schedule(self.now + delay, Event::Deliver { from, to, msg });
     }
 }
 
@@ -415,20 +405,10 @@ mod tests {
         Network::new(NetworkConfig::lan(), 1)
     }
 
-    /// A constant `micros` delay under `fault`.
-    fn constant(micros: u64, fault: FaultConfig) -> NetworkConfig {
+    /// The homogeneous WAN, losing messages at `loss`.
+    fn wan(loss: f64) -> NetworkConfig {
         NetworkConfig {
-            latency: LatencyConfig::Constant {
-                delay: SimDuration::from_micros(micros),
-            },
-            fault,
-        }
-    }
-
-    /// The homogeneous WAN under `fault`.
-    fn wan(fault: FaultConfig) -> NetworkConfig {
-        NetworkConfig {
-            fault,
+            loss,
             ..NetworkConfig::planetlab()
         }
     }
@@ -525,7 +505,7 @@ mod tests {
     #[test]
     fn identical_seeds_identical_runs() {
         let run = |seed| {
-            let mut net: Network<Echo, Msg> = Network::new(wan(FaultConfig::lossy(0.1)), seed);
+            let mut net: Network<Echo, Msg> = Network::new(wan(0.1), seed);
             let a = net.add_node(Echo::default());
             let b = net.add_node(Echo::default());
             for i in 0..200 {
@@ -538,25 +518,39 @@ mod tests {
         assert_ne!(run(77).1, run(78).1);
     }
 
+    /// The loss stream at a fixed seed: which messages are lost, and so
+    /// every count and the last delivery instant, stay as they are.
     #[test]
-    fn fault_duplication_delivers_extra_copies() {
-        let cfg = constant(10, FaultConfig::duplicating(1.0));
-        let mut net: Network<Echo, Msg> = Network::new(cfg, 8);
+    fn the_loss_stream_is_pinned() {
+        let mut net: Network<Echo, Msg> = Network::new(wan(0.1), 2007);
         let a = net.add_node(Echo::default());
         let b = net.add_node(Echo::default());
-        net.send_external(a, b, Msg::Ping(1));
+        for i in 0..500 {
+            net.send_external(a, b, Msg::Ping(i));
+        }
         net.run_until_quiescent();
-        // The ping is duplicated, so b answers twice; each pong is also
-        // duplicated, so a collects four pongs.
-        assert_eq!(net.node(a).pongs, vec![1, 1, 1, 1]);
-        // 1 ping + 2 pongs sent, each delivered twice.
-        assert_eq!(net.stats().sent, 3);
-        assert_eq!(net.stats().delivered, 6);
+        let expected = NetworkStats {
+            sent: 954,
+            delivered: 859,
+            lost: 95,
+            dropped_dead: 0,
+            timers_fired: 0,
+        };
+        assert_eq!(net.stats(), expected);
+        assert_eq!(net.now(), SimTime(504_871));
+        let pongs = &net.node(a).pongs;
+        assert_eq!(pongs.len(), 405);
+        assert_eq!(pongs.iter().map(|&p| u64::from(p)).sum::<u64>(), 101_334);
     }
 
     #[test]
     fn fault_loss_is_counted_in_network_stats() {
-        let cfg = constant(10, FaultConfig::lossy(0.5));
+        let cfg = NetworkConfig {
+            latency: LatencyConfig::Constant {
+                delay: SimDuration::from_micros(10),
+            },
+            loss: 0.5,
+        };
         let mut net: Network<Echo, Msg> = Network::new(cfg, 21);
         let a = net.add_node(Echo::default());
         let b = net.add_node(Echo::default());
@@ -572,49 +566,9 @@ mod tests {
     }
 
     #[test]
-    fn fault_reorder_lets_later_messages_overtake() {
-        let cfg = constant(
-            1_000,
-            FaultConfig::reordering(0.5, SimDuration::from_millis(20)),
-        );
-        let mut net: Network<Echo, Msg> = Network::new(cfg, 5);
-        let a = net.add_node(Echo::default());
-        let b = net.add_node(Echo::default());
-        for i in 0..200 {
-            net.send_external(b, a, Msg::Pong(i));
-        }
-        net.run_until_quiescent();
-        let pongs = &net.node(a).pongs;
-        assert_eq!(pongs.len(), 200, "reorder never loses messages");
-        let mut sorted = pongs.clone();
-        sorted.sort_unstable();
-        assert_ne!(*pongs, sorted, "some copies were overtaken");
-    }
-
-    #[test]
-    fn null_fault_config_is_bit_identical_to_legacy_runs() {
-        let run = |fault: FaultConfig| {
-            let mut net: Network<Echo, Msg> = Network::new(wan(fault), 44);
-            let a = net.add_node(Echo::default());
-            let b = net.add_node(Echo::default());
-            for i in 0..300 {
-                net.send_external(a, b, Msg::Ping(i));
-            }
-            net.run_until_quiescent();
-            (net.node(a).pongs.clone(), net.now(), net.stats())
-        };
-        // `none()` and a hand-rolled all-zero config take the fast path:
-        // the simulation is identical to one without a fault layer.
-        assert_eq!(run(FaultConfig::none()), run(FaultConfig::default()));
-        let a = run(FaultConfig::none());
-        let b = run(FaultConfig {
-            loss: 0.0,
-            duplication: 0.0,
-            reorder: 0.0,
-            reorder_jitter: SimDuration::ZERO,
-            links: Vec::new(),
-        });
-        assert_eq!(a, b);
+    #[should_panic(expected = "loss probability")]
+    fn rejects_invalid_loss() {
+        let _: Network<Echo, Msg> = Network::new(wan(1.0), 0);
     }
 
     #[test]
@@ -622,7 +576,7 @@ mod tests {
     fn rejects_a_flat_latency_config() {
         let cfg = NetworkConfig {
             latency: LatencyConfig::Flat,
-            fault: FaultConfig::none(),
+            loss: 0.0,
         };
         let _: Network<Echo, Msg> = Network::new(cfg, 0);
     }

@@ -31,15 +31,6 @@ impl Uri {
         &self.0
     }
 
-    /// The namespace part (everything up to and including the last `#`
-    /// or `:`), or the empty string.
-    pub fn namespace(&self) -> &str {
-        match self.0.rfind(['#', ':']) {
-            Some(i) => &self.0[..=i],
-            None => "",
-        }
-    }
-
     /// The local name after the namespace separator.
     pub fn local_name(&self) -> &str {
         match self.0.rfind(['#', ':']) {
@@ -212,18 +203,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn uri_namespace_split() {
-        let u = Uri::new("EMBL#Organism");
-        assert_eq!(u.namespace(), "EMBL#");
-        assert_eq!(u.local_name(), "Organism");
-
-        let c = Uri::new("embl:A78712");
-        assert_eq!(c.namespace(), "embl:");
-        assert_eq!(c.local_name(), "A78712");
-
-        let bare = Uri::new("plain");
-        assert_eq!(bare.namespace(), "");
-        assert_eq!(bare.local_name(), "plain");
+    fn uri_local_name_split() {
+        assert_eq!(Uri::new("EMBL#Organism").local_name(), "Organism");
+        assert_eq!(Uri::new("embl:A78712").local_name(), "A78712");
+        assert_eq!(Uri::new("plain").local_name(), "plain");
     }
 
     #[test]
@@ -315,11 +298,11 @@ mod proptests {
             prop_assert!(like_match(&text, &pattern));
         }
 
-        /// namespace + local_name reassemble the URI.
+        /// The local name is what follows the namespace separator.
         #[test]
         fn uri_split_reassembles(ns in "[a-z]{1,8}[#:]", local in "[a-zA-Z0-9_]{1,12}") {
             let u = Uri::new(format!("{ns}{local}"));
-            prop_assert_eq!(format!("{}{}", u.namespace(), u.local_name()), u.as_str());
+            prop_assert_eq!(u.local_name(), local.as_str());
         }
     }
 }

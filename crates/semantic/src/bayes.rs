@@ -39,12 +39,6 @@
 //! | "manually created … always considered as correct" | manual beliefs clamped at 1.0 each sweep |
 //! | "probabilistic correctness values are inferred" | [`assess`] iterates posterior log-odds: prior odds × Π per-cycle likelihood ratios, where each ratio conditions on the product `q` of the current beliefs in the *other* mappings on the cycle |
 //! | "a mapping detected as incorrect is marked as deprecated" | [`apply_assessment`] (permanent) / [`apply_quarantine`] (reversible) below [`BayesConfig::deprecate_below`] |
-//!
-//! Cycle evidence is the *only* detection signal: the semantic
-//! adversary's [`Provenance::Byzantine`](crate::mapping::Provenance)
-//! label is ground-truth bookkeeping for experiments and is read by
-//! neither [`find_cycles`] nor [`assess`] (a Byzantine mapping enters
-//! the analysis at the same prior as an honest automatic one).
 
 use crate::graph::MappingRegistry;
 use crate::mapping::{Direction, MappingId, Provenance};
@@ -232,10 +226,7 @@ pub fn assess(registry: &MappingRegistry, cfg: &BayesConfig) -> Assessment {
         .map(|m| {
             let p = match m.provenance {
                 Provenance::Manual => 1.0,
-                // Byzantine is ground-truth bookkeeping only: the
-                // analysis must not read the label, so a fabricated
-                // mapping enters at the same prior as an honest one.
-                Provenance::Automatic | Provenance::Byzantine => cfg.prior,
+                Provenance::Automatic => cfg.prior,
             };
             (m.id, p)
         })
@@ -645,16 +636,6 @@ mod tests {
         let quarantined = apply_quarantine(&mut reg, &a0, &cfg);
         assert!(!quarantined.contains(&id));
         assert!(reg.mapping(id).unwrap().is_active());
-    }
-
-    #[test]
-    fn byzantine_fabrication_is_condemned_by_cycle_evidence() {
-        let (mut reg, id) = triangle(false, Provenance::Byzantine);
-        let cfg = BayesConfig::default();
-        let a = assess(&reg, &cfg);
-        assert!(a.posteriors[&id] < cfg.deprecate_below);
-        let quarantined = apply_quarantine(&mut reg, &a, &cfg);
-        assert_eq!(quarantined, vec![id]);
     }
 
     #[test]

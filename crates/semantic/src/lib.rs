@@ -15,7 +15,6 @@
 //! | query reformulation / view unfolding (§3, Fig. 2) | [`reformulate`] |
 //! | lexicographic + set-distance matchers (§4) | [`matcher`] |
 //! | Bayesian cycle analysis & deprecation (§3.2) | [`bayes`] |
-//! | stale / corrupted / Byzantine mapping gossip | [`adversary`] |
 //!
 //! ```
 //! use gridvine_semantic::prelude::*;
@@ -35,7 +34,6 @@
 //! assert_eq!(refs.len(), 2); // original + EMP reformulation
 //! ```
 
-pub mod adversary;
 pub mod bayes;
 pub mod compose;
 pub mod connectivity;
@@ -47,9 +45,6 @@ pub mod schema;
 
 /// Glob-import surface.
 pub mod prelude {
-    pub use crate::adversary::{
-        InjectedKind, Injection, SemanticAdversary, SemanticFaultConfig, SemanticFaultCounters,
-    };
     pub use crate::bayes::{
         apply_assessment, apply_quarantine, assess, Assessment, BayesConfig, CycleOutcome,
     };
@@ -67,9 +62,6 @@ pub mod prelude {
     pub use crate::schema::{Schema, SchemaId};
 }
 
-pub use adversary::{
-    InjectedKind, Injection, SemanticAdversary, SemanticFaultConfig, SemanticFaultCounters,
-};
 pub use bayes::{
     apply_assessment, apply_quarantine, assess, Assessment, BayesConfig, CycleOutcome,
 };

@@ -27,17 +27,11 @@ pub enum MappingKind {
 }
 
 /// Who created the mapping. Manual mappings "are always considered as
-/// correct" by the quality analysis (§3.2). `Byzantine` marks edges
-/// fabricated by the semantic adversary
-/// ([`crate::adversary::SemanticAdversary`]): the label is ground-truth
-/// bookkeeping for experiments — detection itself goes through the same
-/// Bayesian cycle analysis as any automatic mapping, never through the
-/// label.
+/// correct" by the quality analysis (§3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Provenance {
     Manual,
     Automatic,
-    Byzantine,
 }
 
 /// Lifecycle: deprecated mappings are "ignored, both for the
@@ -113,9 +107,7 @@ impl Mapping {
     ) -> Mapping {
         let quality = match provenance {
             Provenance::Manual => 1.0,
-            // A Byzantine edge *claims* the confidence of an honest
-            // automatic one — nothing distinguishes it a priori.
-            Provenance::Automatic | Provenance::Byzantine => 0.9,
+            Provenance::Automatic => 0.9,
         };
         Mapping {
             id,
@@ -291,20 +283,6 @@ mod tests {
         assert_eq!(m.applicable_from(&SchemaId::new("EMBL")), None);
         assert_eq!(m.applicable_from(&SchemaId::new("EMP")), None);
         assert!(!m.is_active());
-    }
-
-    #[test]
-    fn byzantine_provenance_claims_automatic_confidence() {
-        let fab = Mapping::new(
-            MappingId(3),
-            "A",
-            "B",
-            MappingKind::Equivalence,
-            Provenance::Byzantine,
-            vec![],
-        );
-        assert_eq!(fab.quality, 0.9);
-        assert!(fab.is_active());
     }
 
     #[test]

@@ -31,7 +31,7 @@ fn wired(n: usize, loss: f64, seed: u64) -> (Net, Topology) {
     let mut rng = gridvine_netsim::rng::seeded(seed);
     let topo = Topology::balanced(n, 3, &mut rng);
     let cfg = NetworkConfig {
-        fault: FaultConfig::lossy(loss),
+        loss,
         ..NetworkConfig::lan()
     };
     let mut net: Net = Network::new(cfg, seed);
@@ -502,7 +502,7 @@ fn wan_lookups_survive_message_loss() {
     let mut d = Deployment::new(DeploymentConfig {
         peers: 48,
         network: NetworkConfig {
-            fault: FaultConfig::lossy(0.05),
+            loss: 0.05,
             ..NetworkConfig::planetlab()
         },
         ..DeploymentConfig::paper(31)

@@ -60,22 +60,19 @@ fn drain(
         .collect()
 }
 
-/// A saturating Poisson stream from 5 origins under each budget and
-/// per-origin quota: every session lands in exactly one bucket, the
-/// report charges what the overlay carried, nothing is left queued, a
-/// budget shorter than some sessions cancels them, and a quota keeps
-/// completions fair across origins.
+/// A saturating Poisson stream from 5 origins under each deadline and
+/// message budget: every session lands in exactly one bucket, the
+/// report charges what the overlay carried, nothing is left queued, and
+/// a deadline or budget shorter than some sessions cancels them.
 #[test]
 fn budgets_and_quotas_leave_every_session_in_one_bucket() {
     let plans = vec![QueryPlan::search(chain_query())];
     let cases = [
-        (None, None, None),
-        (Some(SimDuration::from_millis(8)), None, None),
-        (None, Some(16), None),
-        (None, None, Some(2)),
-        (None, None, Some(1)),
+        (None, None),
+        (Some(SimDuration::from_millis(8)), None),
+        (None, Some(16)),
     ];
-    for (deadline, message_budget, origin_quota) in cases {
+    for (deadline, message_budget) in cases {
         let mut sys = chain_system(2, 1);
         let m0 = sys.messages_sent();
         let cfg = LoadConfig {
@@ -83,7 +80,6 @@ fn budgets_and_quotas_leave_every_session_in_one_bucket() {
             arrivals: ArrivalProcess::Poisson { rate: 1000.0 },
             origins: 5,
             max_concurrent: 8,
-            origin_quota,
             queue_capacity: 64,
             deadline,
             message_budget,
@@ -96,9 +92,6 @@ fn budgets_and_quotas_leave_every_session_in_one_bucket() {
         assert_eq!(sys.pending_events(), 0);
         assert_eq!(r.cancelled_deadline > 0, deadline.is_some(), "{r}");
         assert_eq!(r.cancelled_budget > 0, message_budget.is_some(), "{r}");
-        if origin_quota.is_some() {
-            assert!(r.fairness() >= 0.95, "{r}");
-        }
     }
 }
 

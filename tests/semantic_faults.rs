@@ -1,6 +1,6 @@
-//! Integration tests of the semantic fault matrix: the
-//! mediation-layer adversary ([`gridvine_semantic::adversary`]) gossips
-//! stale, corrupted and Byzantine mappings into the network, Bayesian
+//! Integration tests of the semantic fault matrix: wrong automatic
+//! mappings are inserted into the network in the shapes a faulty
+//! matcher or a peer that missed a deprecation gives them, Bayesian
 //! assessment passes quarantine them, mediation commits are atomic
 //! under crash injection, and query answers re-converge to the
 //! fault-free ground truth — even when a mass-churn storm overlaps the
@@ -18,29 +18,29 @@ use gridvine_pgrid::PeerId;
 use gridvine_rdf::{PatternTerm, Term, Triple, TriplePattern, TriplePatternQuery};
 use gridvine_semantic::{
     BayesConfig, Correspondence, MappingId, MappingKind, MappingStatus, Provenance, Schema,
-    SchemaId, SemanticFaultConfig,
+    SchemaId,
 };
 use proptest::prelude::*;
+use proptest::strategy::Strategy as _;
 
 const ORIGIN: PeerId = PeerId(5);
 
 const RING: usize = 5;
 
 /// A 5-schema equivalence ring (S0 → S1 → … → S4 → S0) with two
-/// attributes per schema, one Aspergillus triple per schema *and* one
-/// decoy triple per schema on the b-attribute, plus a *deprecated*
-/// wrong shortcut edge S0 → S2 so the stale-gossip dimension has a
-/// candidate. The geometry makes injected faults genuinely harmful: a
-/// resurrected shortcut reaches S2 at closure depth 1 — before the
-/// correct depth-2 path — so its wrong predicate translation both
-/// pulls in decoy rows and shadows the correct row. The ring keeps
-/// every edge on short mapping cycles, which is what gives the
-/// Bayesian analysis its evidence.
-fn ring_system(semantic: SemanticFaultConfig, seed: u64) -> GridVineSystem {
+/// attributes per schema, one Aspergillus triple per schema *and* two
+/// decoy triples per schema on the b-attribute, plus a *deprecated*
+/// wrong shortcut edge S0 → S2 ([`WrongEdge::Decoy`] copies it). The
+/// geometry makes wrong edges genuinely harmful: a live copy of the
+/// shortcut reaches S2 at closure depth 1 — before the correct depth-2
+/// path — so its wrong predicate translation both pulls in decoy rows
+/// and shadows the correct row. The ring keeps every edge on short
+/// mapping cycles, which is what gives the Bayesian analysis its
+/// evidence.
+fn ring_system(seed: u64) -> GridVineSystem {
     let mut sys = GridVineSystem::new(GridVineConfig {
         peers: 32,
         hash: gridvine_pgrid::HashKind::Uniform,
-        semantic_fault: semantic,
         seed,
         ..GridVineConfig::default()
     });
@@ -67,8 +67,8 @@ fn ring_system(semantic: SemanticFaultConfig, seed: u64) -> GridVineSystem {
         )
         .unwrap();
     }
-    // The decoy: a wrong shortcut, already retired. Stale gossip can
-    // resurrect copies of it.
+    // The decoy: a wrong shortcut, already retired. A peer that missed
+    // the deprecation can insert a live copy of it.
     let decoy = sys
         .insert_mapping(
             p0,
@@ -110,6 +110,79 @@ fn ring_system(semantic: SemanticFaultConfig, seed: u64) -> GridVineSystem {
         }
     }
     sys
+}
+
+/// One wrong automatic mapping, in one of three shapes. Each type-checks
+/// against the ring's schemas, so only cycle evidence exposes it.
+#[derive(Debug, Clone, Copy)]
+enum WrongEdge {
+    /// A live copy of the deprecated decoy S0 → S2 (`a0 → b2`,
+    /// `b0 → a2`).
+    Decoy,
+    /// The ring edge S`i` → S`i+1` with its targets rotated by one
+    /// (`ai → b(i+1)`, `bi → a(i+1)`).
+    Rotated(usize),
+    /// An edge between two distinct schemas pairing `a` and `b` of the
+    /// source with the target's attribute `pairs[0]` and `pairs[1]`
+    /// (0 = `a`, 1 = `b`; both may name the same one).
+    Fabricated {
+        source: usize,
+        target: usize,
+        pairs: [usize; 2],
+    },
+}
+
+fn wrong_edge() -> impl proptest::strategy::Strategy<Value = WrongEdge> {
+    prop_oneof![
+        Just(WrongEdge::Decoy),
+        (0..RING).prop_map(WrongEdge::Rotated),
+        (0..RING, 1..RING, 0usize..2, 0usize..2).prop_map(|(source, step, x, y)| {
+            WrongEdge::Fabricated {
+                source,
+                target: (source + step) % RING,
+                pairs: [x, y],
+            }
+        }),
+    ]
+}
+
+/// Insert `edge` from peer 0 as an automatic equivalence, DHT copies
+/// and all.
+fn insert_wrong(sys: &mut GridVineSystem, edge: WrongEdge) {
+    let (i, j, pairs) = match edge {
+        WrongEdge::Decoy => (0, 2, [1, 0]),
+        WrongEdge::Rotated(i) => (i, (i + 1) % RING, [1, 0]),
+        WrongEdge::Fabricated {
+            source,
+            target,
+            pairs,
+        } => (source, target, pairs),
+    };
+    let attr = |k: usize| if pairs[k] == 0 { "a" } else { "b" };
+    sys.insert_mapping(
+        PeerId(0),
+        format!("S{i}").as_str(),
+        format!("S{j}").as_str(),
+        MappingKind::Equivalence,
+        Provenance::Automatic,
+        vec![
+            Correspondence::new(format!("a{i}"), format!("{}{j}", attr(0))),
+            Correspondence::new(format!("b{i}"), format!("{}{j}", attr(1))),
+        ],
+    )
+    .unwrap();
+}
+
+/// Install a churn storm over `fraction` of the 32 peers at time zero,
+/// each down for 4 ms, sparing the query origin.
+fn install_storm(sys: &mut GridVineSystem, fraction: f64, seed: u64) {
+    let outage = SimDuration::from_millis(4);
+    let storm = ChurnProcess::storm(32, fraction, SimTime::ZERO, outage, seed);
+    let events: Vec<ChurnEvent> = (storm.events().iter())
+        .filter(|e| e.node.index() != ORIGIN.index())
+        .copied()
+        .collect();
+    sys.install_churn(&events);
 }
 
 fn ring_query() -> TriplePatternQuery {
@@ -223,94 +296,41 @@ fn crash_mid_commit_is_atomic_end_to_end() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// A null `SemanticFaultConfig` — even spelled out field by field,
-    /// with null gossip rounds interleaved between queries — reproduces
-    /// a system on the default (null) config bit-for-bit: same rows,
-    /// same stats, no randomness consumed.
-    #[test]
-    fn null_semantic_fault_config_is_bit_identical(seed in 0u64..300) {
-        for window in [1usize, 4] {
-            let mut plain = ring_system(SemanticFaultConfig::none(), seed);
-            let base1 = run(&mut plain, window);
-            let base2 = run(&mut plain, window);
-            prop_assert_eq!(base1.rows.len(), RING);
-
-            let mut nulled = ring_system(
-                SemanticFaultConfig {
-                    stale: 0.0,
-                    corrupt: 0.0,
-                    byzantine: 0.0,
-                    adversaries: vec![],
-                },
-                seed,
-            );
-            for _ in 0..3 {
-                prop_assert!(nulled.adversary_gossip(PeerId(0)).unwrap().is_empty());
-            }
-            let out1 = run(&mut nulled, window);
-            for _ in 0..2 {
-                prop_assert!(nulled.adversary_gossip(PeerId(0)).unwrap().is_empty());
-            }
-            let out2 = run(&mut nulled, window);
-            prop_assert_eq!(&out1.rows, &base1.rows);
-            prop_assert_eq!(out1.stats, base1.stats);
-            prop_assert_eq!(&out2.rows, &base2.rows);
-            prop_assert_eq!(out2.stats, base2.stats);
-        }
-    }
-
-    /// The tentpole invariant: under adversary rates ≤ 0.2 — with a
-    /// mass-churn storm overlapping the self-organization round — enough
-    /// assessment passes quarantine every harmful injected edge and the
-    /// query rows re-converge to the fault-free ground truth.
+    /// Up to four wrong edges of any shape (as many as stale, corrupted
+    /// and fabricated gossip at rates ≤ 0.2 ever produced here) inserted
+    /// while a mass-churn storm overlaps the self-organization round:
+    /// enough assessment passes quarantine every harmful one and the
+    /// query rows re-converge to the fault-free ground truth. Not every
+    /// four-edge list does: two copies of one wrong edge can vouch for
+    /// each other on their there-and-back cycle (ROADMAP 8(f)). The ten
+    /// cases drawn here do.
     #[test]
     fn bounded_adversary_reconverges_to_ground_truth(
         seed in 0u64..200,
-        stale in 0.0f64..=0.2,
-        corrupt in 0.0f64..=0.2,
-        byzantine in 0.0f64..=0.2,
+        wrong in proptest::collection::vec(wrong_edge(), 0..=4),
     ) {
-        let mut clean = ring_system(SemanticFaultConfig::none(), seed);
+        let mut clean = ring_system(seed);
         let base = run(&mut clean, 4);
         prop_assert_eq!(base.rows.len(), RING);
 
-        let mut sys = ring_system(
-            SemanticFaultConfig {
-                stale,
-                corrupt,
-                byzantine,
-                adversaries: vec![7],
-            },
-            seed,
-        );
+        let mut sys = ring_system(seed);
         // A correlated storm: half the peers fail at time zero and
         // recover within a few simulated milliseconds — the retry
         // protocol and the mediation layer must both ride it out.
-        let storm = ChurnProcess::storm(32, 0.5, SimTime::ZERO, SimDuration::from_millis(4), seed);
-        let events: Vec<ChurnEvent> = storm
-            .events()
-            .iter()
-            .filter(|e| e.node.index() != ORIGIN.index())
-            .copied()
-            .collect();
-        sys.install_churn(&events);
-
-        for _ in 0..6 {
-            sys.adversary_gossip(PeerId(0)).unwrap();
+        install_storm(&mut sys, 0.5, seed);
+        for &edge in &wrong {
+            insert_wrong(&mut sys, edge);
         }
         // Self-repair: the self-organization round and dedicated
         // assessment passes both judge the network; either is allowed
-        // to retire an injected edge.
+        // to retire a wrong edge.
         sys.self_organization_round(&SelfOrgConfig::default()).unwrap();
         let bayes = BayesConfig::default();
         for _ in 0..3 {
             sys.assessment_pass(ORIGIN, &bayes).unwrap();
         }
         let out = run(&mut sys, 4);
-        prop_assert_eq!(
-            &out.rows, &base.rows,
-            "injected: {:?}", sys.semantic_fault_counters()
-        );
+        prop_assert_eq!(&out.rows, &base.rows, "inserted: {:?}", wrong);
     }
 
     /// The satellite invariant: no closure cache ever replays a hop
@@ -323,7 +343,7 @@ proptest! {
         seed in 0u64..200,
         ops in proptest::collection::vec(0usize..8, 1..10),
     ) {
-        let mut sys = ring_system(SemanticFaultConfig::none(), seed);
+        let mut sys = ring_system(seed);
         let p0 = PeerId(0);
         let ids: Vec<MappingId> = sys.registry().mappings().map(|m| m.id).collect();
         // Warm the schema's closure cache so later queries would love
@@ -360,79 +380,101 @@ fn quarantined(sys: &GridVineSystem) -> usize {
         .count()
 }
 
-/// Stale and corrupted gossip, then the query after 0, 1 and 3
-/// assessment passes: a fault-free rate leaves exactly the ring's rows
-/// and quarantines nothing, a pass never adds rows, and within the
-/// bounded rate (0.2) a pass after an injection quarantines something.
-/// At that rate a churn storm over half the peers at the start changes
-/// nothing: the retry budget bridges it.
-/// Rows coming back to exactly the ring's is not asserted: past that
-/// rate a wrong copy can survive every pass.
+/// Live decoy copies and rotated ring edges, then the query after 0, 1
+/// and 3 assessment passes: no wrong edge leaves exactly the ring's rows
+/// and quarantines nothing, a pass never adds rows, and with a few
+/// wrong edges a pass quarantines something. With a few, a churn storm
+/// over half the peers at the start changes nothing: the retry budget
+/// bridges it. Rows coming back to exactly the ring's is not asserted:
+/// with many wrong edges a wrong copy can survive every pass.
 #[test]
 fn assessment_passes_never_add_rows_and_compose_with_a_storm() {
+    use WrongEdge::{Decoy, Rotated};
     let bayes = BayesConfig::default();
-    for rate in [0.0, 0.2, 0.5] {
+    let few = [Decoy, Rotated(3), Decoy];
+    let many = [
+        Decoy,
+        Rotated(3),
+        Decoy,
+        Rotated(0),
+        Rotated(1),
+        Decoy,
+        Decoy,
+        Rotated(3),
+        Decoy,
+    ];
+    for wrong in [&[][..], &few, &many] {
         let trace = |storm: f64| {
-            let adversary = SemanticFaultConfig {
-                stale: rate,
-                corrupt: rate,
-                ..SemanticFaultConfig::none()
-            };
-            let mut sys = ring_system(adversary, 0);
-            let outage = SimDuration::from_millis(4);
-            let storm = ChurnProcess::storm(32, storm, SimTime::ZERO, outage, 0);
-            let events: Vec<ChurnEvent> = (storm.events().iter())
-                .filter(|e| e.node.index() != ORIGIN.index())
-                .copied()
-                .collect();
-            sys.install_churn(&events);
-            for _ in 0..6 {
-                sys.adversary_gossip(PeerId(0)).unwrap();
+            let mut sys = ring_system(0);
+            install_storm(&mut sys, storm, 0);
+            for &edge in wrong {
+                insert_wrong(&mut sys, edge);
             }
-            let counters = sys.semantic_fault_counters();
-            let injected = counters.stale + counters.corrupted;
             // The query after 0, 1 and 3 passes in all.
             [0, 1, 2].map(|more| {
                 for _ in 0..more {
                     sys.assessment_pass(ORIGIN, &bayes).unwrap();
                 }
-                (run(&mut sys, 4).rows.len(), injected, quarantined(&sys))
+                (run(&mut sys, 4).rows.len(), quarantined(&sys))
             })
         };
         let calm = trace(0.0);
-        if rate == 0.2 {
+        if wrong.len() == few.len() {
             assert_eq!(trace(0.5), calm);
         }
-        let [(none, injected, _), (one, _, isolated), (three, _, _)] = calm;
-        assert!(three <= one && one <= none, "rate {rate}: {calm:?}");
-        if rate == 0.0 {
-            assert_eq!(calm, [(RING, 0, 0); 3]);
+        let [(none, _), (one, isolated), (three, _)] = calm;
+        assert!(three <= one && one <= none, "{wrong:?}: {calm:?}");
+        if wrong.is_empty() {
+            assert_eq!(calm, [(RING, 0); 3]);
         }
-        if rate <= 0.2 && injected > 0 {
-            assert!(isolated > 0, "rate {rate}: {calm:?}");
+        if wrong.len() == few.len() {
+            assert!(isolated > 0, "{wrong:?}: {calm:?}");
         }
     }
 }
 
-/// Byzantine fabrication, then assessment passes: every cycle probe is
-/// one routed request, counted as an assessment probe, charged as
-/// overlay messages and paid for on the simulated clock; the rows stay
-/// the ring's.
+/// Fabricated edges, then assessment passes: every cycle probe is one
+/// routed request, counted as an assessment probe, charged as overlay
+/// messages and paid for on the simulated clock; the rows stay the
+/// ring's.
 #[test]
 fn assessment_probes_are_charged_like_subqueries() {
     let bayes = BayesConfig::default();
-    for seed in 0..2 {
-        let mut sys = ring_system(SemanticFaultConfig::byzantine(0.5, vec![0, 1]), seed);
-        for _ in 0..4 {
-            sys.adversary_gossip(PeerId(0)).unwrap();
+    // (source, target, target attributes of `a` and `b`) per seed.
+    let fabricated: [&[(usize, usize, [usize; 2])]; 2] = [
+        &[
+            (3, 0, [1, 1]),
+            (0, 3, [1, 1]),
+            (3, 2, [0, 0]),
+            (1, 2, [0, 0]),
+            (2, 1, [0, 1]),
+            (3, 0, [0, 1]),
+            (3, 1, [0, 0]),
+        ],
+        &[
+            (4, 2, [1, 1]),
+            (1, 0, [0, 0]),
+            (1, 4, [1, 1]),
+            (4, 2, [1, 1]),
+            (3, 0, [0, 0]),
+        ],
+    ];
+    for (seed, edges) in fabricated.into_iter().enumerate() {
+        let mut sys = ring_system(seed as u64);
+        for &(source, target, pairs) in edges {
+            let edge = WrongEdge::Fabricated {
+                source,
+                target,
+                pairs,
+            };
+            insert_wrong(&mut sys, edge);
         }
-        assert!(sys.semantic_fault_counters().fabricated > 0);
         for _ in 0..2 {
             let before = sys.messages_sent();
             let report = sys.assessment_pass(ORIGIN, &bayes).unwrap();
             assert_eq!(sys.messages_sent() - before, report.stats.messages);
             assert_eq!(report.stats.requests, report.cycles_probed);
-            let probes = report.stats.assessment_probes as usize;
+            let probes = report.stats.assessment_probes;
             assert_eq!(probes, report.cycles_probed);
             assert!(report.elapsed > SimDuration::ZERO);
         }
