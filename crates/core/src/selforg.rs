@@ -20,16 +20,19 @@
 //!    sequence co-located at the subject-key peer), their attribute
 //!    profiles are fetched from the DHT and matched with the combined
 //!    lexical + instance matcher;
-//! 4. the Bayesian cycle analysis runs and condemned automatic mappings
-//!    are deprecated (their DHT copies refreshed).
+//! 4. one [`GridVineSystem::assessment_pass`] runs the Bayesian cycle
+//!    analysis: each mapping cycle is probed as a charged request, and
+//!    condemned automatic mappings are deprecated (their DHT copies
+//!    refreshed);
+//! 5. optionally, deprecated mappings are replaced by compositions of
+//!    surviving paths.
 
 use crate::system::{GridVineSystem, SystemError};
 use gridvine_pgrid::PeerId;
 use gridvine_semantic::{
-    apply_assessment, assess, compose_path, find_path, match_profiles, BayesConfig, Correspondence,
-    MappingId, MappingKind, MatcherConfig, Provenance, Schema, SchemaId, SchemaProfile,
+    compose_path, find_path, match_profiles, BayesConfig, Correspondence, MappingId, MappingKind,
+    MatcherConfig, Provenance, Schema, SchemaId, SchemaProfile,
 };
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -40,9 +43,6 @@ pub struct SelfOrgConfig {
     pub bayes: BayesConfig,
     /// Cap on new automatic mappings per round.
     pub max_new_mappings: usize,
-    /// Probability that a created correspondence is corrupted (models
-    /// matcher noise; drives the deprecation experiment E5).
-    pub error_rate: f64,
     /// When a mapping is deprecated and an alternative active path
     /// between its endpoints exists, register the composition of that
     /// path as a direct replacement mapping — the §4 "deprecated …
@@ -58,7 +58,6 @@ impl Default for SelfOrgConfig {
             matcher: MatcherConfig::default(),
             bayes: BayesConfig::default(),
             max_new_mappings: 4,
-            error_rate: 0.0,
             repair_with_composition: false,
         }
     }
@@ -203,10 +202,8 @@ impl GridVineSystem {
                 if scored.is_empty() {
                     continue;
                 }
-                let correspondences: Vec<Correspondence> = scored
-                    .into_iter()
-                    .map(|s| self.maybe_corrupt(&b, s.correspondence, cfg.error_rate))
-                    .collect();
+                let correspondences: Vec<Correspondence> =
+                    scored.into_iter().map(|s| s.correspondence).collect();
                 let id = self.insert_mapping(
                     monitor,
                     a,
@@ -219,26 +216,8 @@ impl GridVineSystem {
             }
         }
 
-        // 4: Bayesian assessment + deprecation (DHT copies refreshed).
-        let old: BTreeMap<MappingId, gridvine_semantic::Mapping> = self
-            .registry()
-            .active_mappings()
-            .map(|m| (m.id, m.clone()))
-            .collect();
-        let assessment = assess(self.registry(), &cfg.bayes);
-        let deprecated = apply_assessment(self.registry_mut(), &assessment, &cfg.bayes);
-        for (id, old_mapping) in old {
-            let changed = self
-                .registry()
-                .mapping(id)
-                .map(|m| {
-                    m.status != old_mapping.status || (m.quality - old_mapping.quality).abs() > 1e-3
-                })
-                .unwrap_or(false);
-            if changed {
-                self.refresh_mapping(monitor, id, &old_mapping)?;
-            }
-        }
+        // 4: one charged assessment pass deprecates condemned mappings.
+        let deprecated = self.assessment_pass(monitor, &cfg.bayes)?.deprecated;
 
         // 5 (optional): replace deprecated mappings by composing the
         // surviving path between their endpoints. All deprecated
@@ -295,40 +274,6 @@ impl GridVineSystem {
             messages: self.messages_sent() - before,
             active_mappings: self.registry().active_count(),
         })
-    }
-
-    /// With probability `error_rate`, corrupt a correspondence by
-    /// retargeting it to a random different attribute of the target
-    /// schema — the "erroneous mapping" injection of the demo script.
-    fn maybe_corrupt(
-        &mut self,
-        target: &SchemaId,
-        c: Correspondence,
-        error_rate: f64,
-    ) -> Correspondence {
-        if error_rate <= 0.0 {
-            return c;
-        }
-        let roll: f64 = self.rng.gen();
-        if roll >= error_rate {
-            return c;
-        }
-        let attrs: Vec<String> = self
-            .registry()
-            .schema(target)
-            .map(|s| {
-                s.attributes()
-                    .iter()
-                    .filter(|a| **a != c.target_attr)
-                    .cloned()
-                    .collect()
-            })
-            .unwrap_or_default();
-        if attrs.is_empty() {
-            return c;
-        }
-        let pick = self.rng.gen_range(0..attrs.len());
-        Correspondence::new(c.source_attr, attrs[pick].clone())
     }
 }
 

@@ -24,8 +24,8 @@ use gridvine_pgrid::{
 use gridvine_rdf::fasthash::FxHashMap;
 use gridvine_rdf::{Term, TermDict, Triple, TriplePatternQuery, TripleStore};
 use gridvine_semantic::{
-    apply_quarantine, assess, BayesConfig, Correspondence, DegreeRecord, Mapping, MappingId,
-    MappingKind, MappingRegistry, MappingStatus, Provenance, Schema, SchemaId,
+    apply_assessment, assess, BayesConfig, Correspondence, DegreeRecord, Mapping, MappingId,
+    MappingKind, MappingRegistry, Provenance, Schema, SchemaId,
 };
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -250,15 +250,12 @@ impl From<RouteError> for SystemError {
 pub struct AssessmentReport {
     /// Mapping cycles found and probed (one probe each).
     pub cycles_probed: usize,
-    /// Mappings left quarantined by this pass (fresh quarantines and
-    /// re-confirmed paroles alike).
-    pub quarantined: Vec<MappingId>,
-    /// Previously quarantined mappings the cycle evidence cleared:
-    /// paroled into this assessment and left active.
-    pub reactivated: Vec<MappingId>,
-    /// The pass's charged work: probe messages/requests/latency plus
-    /// the DHT refreshes of changed mappings
-    /// (`assessment_probes` / `quarantined_mappings` included).
+    /// Automatic mappings this pass condemned and deprecated, in id
+    /// order.
+    pub deprecated: Vec<MappingId>,
+    /// The pass's charged work: probe messages, requests and latency
+    /// (`assessment_probes` counts the probes) plus the DHT refreshes
+    /// of changed mappings.
     pub stats: exec::ExecStats,
     /// Simulated time the pass advanced the system clock by.
     pub elapsed: SimDuration,
@@ -902,44 +899,10 @@ impl GridVineSystem {
         origin: PeerId,
         id: MappingId,
     ) -> Result<bool, SystemError> {
-        self.transition_mapping(origin, id, MappingRegistry::deprecate)
-    }
-
-    /// Move a mapping to `Quarantined` (reversible containment — see
-    /// [`MappingStatus`]), refreshing its DHT copies. Returns `false`
-    /// for unknown ids.
-    pub fn quarantine_mapping(
-        &mut self,
-        origin: PeerId,
-        id: MappingId,
-    ) -> Result<bool, SystemError> {
-        self.transition_mapping(origin, id, MappingRegistry::quarantine)
-    }
-
-    /// Return a deprecated or quarantined mapping to `Active`,
-    /// refreshing its DHT copies. Returns `false` for unknown ids.
-    pub fn reactivate_mapping(
-        &mut self,
-        origin: PeerId,
-        id: MappingId,
-    ) -> Result<bool, SystemError> {
-        self.transition_mapping(origin, id, MappingRegistry::reactivate)
-    }
-
-    /// Apply one registry status transition and replace the mapping's
-    /// DHT copies with its new state.
-    fn transition_mapping(
-        &mut self,
-        origin: PeerId,
-        id: MappingId,
-        transition: fn(&mut MappingRegistry, MappingId) -> bool,
-    ) -> Result<bool, SystemError> {
         let Some(old) = self.registry.mapping(id).cloned() else {
             return Ok(false);
         };
-        if !transition(&mut self.registry, id) {
-            return Ok(false);
-        }
+        self.registry.deprecate(id);
         self.refresh_mapping(origin, id, &old)?;
         Ok(true)
     }
@@ -991,20 +954,18 @@ impl GridVineSystem {
         &mut self.registry
     }
 
-    /// One periodic quality-assessment pass, run from `origin` as
+    /// One periodic quality-assessment pass (§3.2), run from `origin` as
     /// scheduler units on the simulated clock (see [`sched`]), from
     /// [`GridVineSystem::now`] on, one probe after another; the clock
-    /// advances to the pass's end. Every
-    /// mapping cycle costs one *cycle probe* (a retrieve at the
-    /// cycle's base schema key, driven through the retry protocol), so
-    /// probes are charged as messages, requests and latency in
-    /// [`exec::ExecStats`] exactly like subqueries. After probing, the
-    /// Bayesian analysis (§3.2) runs and condemned non-manual mappings
-    /// are **quarantined** — reversibly: previously quarantined edges
-    /// are paroled into this assessment and stay active if the cycle
-    /// evidence now clears them (`reactivated`). Changed mappings'
-    /// DHT copies are refreshed, and every status transition bumps the
-    /// registry epoch, so all closure caches self-invalidate.
+    /// advances to the pass's end. The Bayesian analysis enumerates the
+    /// mapping cycles once, and every cycle costs one *cycle probe* (a
+    /// retrieve at the cycle's base schema key, driven through the
+    /// retry protocol), so probes are charged as messages, requests and
+    /// latency in [`exec::ExecStats`] exactly like subqueries. Condemned
+    /// automatic mappings are **deprecated** through [`apply_assessment`].
+    /// Changed mappings' DHT copies are refreshed, and every status
+    /// transition bumps the registry epoch, so all closure caches
+    /// self-invalidate.
     pub fn assessment_pass(
         &mut self,
         origin: PeerId,
@@ -1015,63 +976,28 @@ impl GridVineSystem {
         let started_at = self.now;
         let mut clock = started_at;
         let mut stats = exec::ExecStats::default();
-
-        // Parole quarantined edges so the fresh cycle evidence judges
-        // them again; snapshot everything for the DHT refresh diff.
         let before: Vec<Mapping> = self.registry.mappings().cloned().collect();
-        let paroled: Vec<MappingId> = before
-            .iter()
-            .filter(|m| m.status == MappingStatus::Quarantined)
-            .map(|m| m.id)
-            .collect();
-        for &id in &paroled {
-            self.registry.reactivate(id);
-        }
 
         // One cycle probe per mapping cycle: fetch the evidence at the
         // cycle's base schema key. A crashed destination is a recorded
-        // failure, not an aborted pass. The pass cascades to a fixpoint:
-        // identical wrong copies lend each other consistent
-        // there-and-back cycles, so a single judgment can leave part of
-        // a copy swarm standing — but once the weakest copies are
-        // quarantined they drop out of the active evidence pool, and
-        // re-probing the shrunken cycle set condemns the rest. Iterate
-        // until a judgment condemns nothing new.
-        let mut cycles_probed = 0usize;
-        let mut quarantined: Vec<MappingId> = Vec::new();
-        loop {
-            let cycles = gridvine_semantic::bayes::find_cycles(&self.registry, cfg.max_cycle_len);
-            for cycle in &cycles {
-                let key = self.key_of(cycle.base.as_str());
-                let msgs_before = self.overlay.messages_sent();
-                self.proto.begin_unit(clock);
-                stats.assessment_probes += 1;
-                match self.exchange(origin, &key, true) {
-                    Ok(_) => {}
-                    Err(SystemError::PeerDown(_)) => stats.failures += 1,
-                    Err(e) => return Err(e),
-                }
-                self.proto.check_send(self.now);
-                let delta = self.overlay.messages_sent() - msgs_before;
-                clock = self.proto.now + self.proto.delay + self.unit_delay(origin, delta);
-                self.commit_writes(clock);
+        // failure, not an aborted pass.
+        let assessment = assess(&self.registry, cfg);
+        for cycle in &assessment.cycles {
+            let key = self.key_of(cycle.base.as_str());
+            let msgs_before = self.overlay.messages_sent();
+            self.proto.begin_unit(clock);
+            stats.assessment_probes += 1;
+            match self.exchange(origin, &key, true) {
+                Ok(_) => {}
+                Err(SystemError::PeerDown(_)) => stats.failures += 1,
+                Err(e) => return Err(e),
             }
-            cycles_probed += cycles.len();
-
-            let assessment = assess(&self.registry, cfg);
-            let newly = apply_quarantine(&mut self.registry, &assessment, cfg);
-            if newly.is_empty() {
-                break;
-            }
-            quarantined.extend(newly);
+            self.proto.check_send(self.now);
+            let delta = self.overlay.messages_sent() - msgs_before;
+            clock = self.proto.now + self.proto.delay + self.unit_delay(origin, delta);
+            self.commit_writes(clock);
         }
-        quarantined.sort();
-        let reactivated: Vec<MappingId> = paroled
-            .iter()
-            .copied()
-            .filter(|id| !quarantined.contains(id))
-            .collect();
-        stats.quarantined_mappings = quarantined.len();
+        let deprecated = apply_assessment(&mut self.registry, &assessment, cfg);
 
         // Refresh the DHT copies of every mapping the pass changed
         // (status or posterior): each refresh is more charged work.
@@ -1095,9 +1021,8 @@ impl GridVineSystem {
         stats += self.proto.counters - start_proto;
         self.now = self.now.max(clock);
         Ok(AssessmentReport {
-            cycles_probed,
-            quarantined,
-            reactivated,
+            cycles_probed: assessment.cycles.len(),
+            deprecated,
             stats,
             elapsed: clock.saturating_since(started_at),
         })
@@ -1247,6 +1172,7 @@ mod tests {
     use super::*;
     use crate::plan::QueryPlan;
     use gridvine_rdf::{PatternTerm, TriplePattern};
+    use gridvine_semantic::MappingStatus;
 
     /// The reformulated `SearchFor` as most tests drive it: a closure
     /// plan drained through `execute`.
@@ -1735,7 +1661,7 @@ mod tests {
     }
 
     #[test]
-    fn assessment_pass_quarantines_and_charges_probes() {
+    fn assessment_pass_deprecates_and_charges_probes() {
         let (mut sys, bad) = triangle_system();
         let origin = PeerId(5);
         let clock_before = sys.now();
@@ -1751,48 +1677,45 @@ mod tests {
         assert_eq!(report.stats.sends, report.stats.requests);
         assert!(report.elapsed > SimDuration::ZERO);
         assert_eq!(sys.now(), clock_before + report.elapsed);
-        assert_eq!(report.quarantined, vec![bad]);
-        assert_eq!(report.stats.quarantined_mappings, 1);
+        assert_eq!(report.deprecated, vec![bad]);
         assert_eq!(
             sys.registry().mapping(bad).unwrap().status,
-            MappingStatus::Quarantined
+            MappingStatus::Deprecated
         );
-        // The DHT copies reflect the quarantine.
+        // The DHT copies reflect the deprecation.
         let maps = sys
             .mappings_at_schema(PeerId(1), &SchemaId::new("C"))
             .unwrap();
         assert!(maps.iter().all(|m| !m.is_active()));
-        // A second pass paroles and re-confirms: same quarantine set,
-        // nothing reactivated, statuses unchanged.
+        // A second pass deprecates nothing: the bad mapping is
+        // inactive, so it is outside the new assessment.
         let again = sys.assessment_pass(origin, &cfg).unwrap();
-        assert_eq!(again.quarantined, vec![bad]);
-        assert!(again.reactivated.is_empty());
+        assert!(again.deprecated.is_empty(), "{again:?}");
         assert_eq!(
             sys.registry().mapping(bad).unwrap().status,
-            MappingStatus::Quarantined
+            MappingStatus::Deprecated
         );
     }
 
     #[test]
-    fn assessment_pass_reactivates_a_cleared_quarantine() {
+    fn the_rounds_assessment_is_the_pass() {
         let (mut sys, bad) = triangle_system();
-        let p0 = PeerId(0);
-        // Quarantine a *good* manual edge by hand, and retire the bad
-        // closure so the remaining evidence is clean.
-        sys.deprecate_mapping(p0, bad).unwrap();
-        let good = sys
-            .registry()
-            .mappings()
-            .find(|m| m.is_active())
-            .map(|m| m.id)
+        let clock_before = sys.now();
+        let cfg = crate::selforg::SelfOrgConfig {
+            max_new_mappings: 0,
+            ..Default::default()
+        };
+        let report = sys.self_organization_round(&cfg).unwrap();
+        assert_eq!(report.deprecated, vec![bad]);
+        assert_eq!(
+            sys.registry().mapping(bad).unwrap().status,
+            MappingStatus::Deprecated
+        );
+        let maps = sys
+            .mappings_at_schema(PeerId(1), &SchemaId::new("C"))
             .unwrap();
-        assert!(sys.quarantine_mapping(p0, good).unwrap());
-        assert!(!sys.registry().mapping(good).unwrap().is_active());
-        let report = sys
-            .assessment_pass(p0, &gridvine_semantic::BayesConfig::default())
-            .unwrap();
-        assert!(report.reactivated.contains(&good), "{report:?}");
-        assert!(sys.registry().mapping(good).unwrap().is_active());
+        assert!(maps.iter().all(|m| !m.is_active()));
+        assert!(sys.now() > clock_before, "the probes advance the clock");
     }
 
     #[test]

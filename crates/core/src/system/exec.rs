@@ -401,11 +401,6 @@ counters! {
         /// costs messages, requests and simulated latency like any
         /// subquery. Always 0 for query sessions.
         pub assessment_probes: usize,
-        /// Mappings moved to
-        /// [`MappingStatus::Quarantined`](gridvine_semantic::MappingStatus)
-        /// by an assessment pass (re-confirmed quarantines of paroled edges
-        /// included). Always 0 for query sessions.
-        pub quarantined_mappings: usize,
     }
 }
 

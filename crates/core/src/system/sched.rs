@@ -112,7 +112,7 @@
 //! | network  | churn / crash           | `install_churn`, `crash_peer`    | per-attempt retry; fail fast on crash    |
 //! | network  | mass-churn storm        | `ChurnProcess::storm`            | self-organization repair after recovery  |
 //! | network  | message loss (WAN only) | `NetworkConfig::loss`            | `pgrid::proto` timeouts and retries      |
-//! | semantic | wrong automatic mapping | `SelfOrgConfig::error_rate`      | Bayesian cycle analysis quarantine       |
+//! | semantic | wrong automatic mapping | hand-inserted automatic mappings | Bayesian cycle analysis deprecation      |
 //! | semantic | crash mid-commit        | `arm_commit_crash`               | atomic commit rollback + recovery scan   |
 //!
 //! Semantic defenses run as scheduler work, not magic: an
@@ -121,7 +121,7 @@
 //! in [`ExecStats`](super::exec::ExecStats) (`assessment_probes`)
 //! exactly like a subquery, and every status transition bumps the
 //! registry epoch so closure caches self-invalidate rather than replay
-//! a hop through a quarantined edge.
+//! a hop through a deprecated edge.
 //!
 //! ## One clock, per-peer state
 //!

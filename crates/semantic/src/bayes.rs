@@ -17,31 +17,33 @@
 //!    every attribute that survives the full composition returns to
 //!    itself the cycle is *consistent* (evidence the mappings on it are
 //!    correct); if any attribute returns as a different attribute the
-//!    cycle is *inconsistent* (at least one mapping on it is wrong);
+//!    cycle is *inconsistent* (at least one mapping on it is wrong); a
+//!    cycle through two copies of one mapping observes nothing, since
+//!    a copy composed there and back returns every attribute;
 //! 3. runs iterative **belief updates**: for each mapping, each cycle
 //!    contributes a likelihood ratio computed from the current beliefs
 //!    about the *other* mappings on the cycle; manual mappings are
 //!    clamped at probability 1;
-//! 4. mappings whose posterior falls below the deprecation threshold are
-//!    deprecated via [`apply_assessment`] — or reversibly quarantined
-//!    via [`apply_quarantine`], the containment the periodic
-//!    query-serving assessment pass uses.
+//! 4. automatic mappings whose posterior falls below the deprecation
+//!    threshold are deprecated via [`apply_assessment`], the one
+//!    condemnation path; the periodic assessment pass of the
+//!    self-organization round applies it.
 //!
 //! ## Correspondence to the paper's model
 //!
 //! | paper (§3.2 / ICDE'06) | here |
 //! |---|---|
-//! | "transitive closures of mappings" compared around loops | [`find_cycles`] enumerates simple mapping cycles up to [`BayesConfig::max_cycle_len`]; `compose_cycle` runs the closed-loop attribute composition |
+//! | "transitive closures of mappings" compared around loops | `find_cycles` enumerates simple mapping cycles up to [`BayesConfig::max_cycle_len`]; `compose_cycle` runs the closed-loop attribute composition |
 //! | a closure that returns an attribute to itself | [`CycleOutcome::Consistent`] |
 //! | a closure that returns a *different* attribute | [`CycleOutcome::Inconsistent`] |
 //! | probability an error cancels out by accident | [`BayesConfig::delta`] — P(consistent given some mapping wrong) |
 //! | noise from partial correspondences | [`BayesConfig::epsilon`] — P(inconsistent given all correct) |
 //! | "manually created … always considered as correct" | manual beliefs clamped at 1.0 each sweep |
 //! | "probabilistic correctness values are inferred" | [`assess`] iterates posterior log-odds: prior odds × Π per-cycle likelihood ratios, where each ratio conditions on the product `q` of the current beliefs in the *other* mappings on the cycle |
-//! | "a mapping detected as incorrect is marked as deprecated" | [`apply_assessment`] (permanent) / [`apply_quarantine`] (reversible) below [`BayesConfig::deprecate_below`] |
+//! | "a mapping detected as incorrect is marked as deprecated" | [`apply_assessment`] below [`BayesConfig::deprecate_below`] |
 
 use crate::graph::MappingRegistry;
-use crate::mapping::{Direction, MappingId, Provenance};
+use crate::mapping::{Direction, Mapping, MappingId, Provenance};
 use crate::schema::SchemaId;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -123,7 +125,7 @@ impl Assessment {
 /// once except the base) up to `max_len` steps, starting from every
 /// schema. Each undirected cycle is reported once, keyed by its mapping
 /// set.
-pub fn find_cycles(registry: &MappingRegistry, max_len: usize) -> Vec<Cycle> {
+fn find_cycles(registry: &MappingRegistry, max_len: usize) -> Vec<Cycle> {
     let mut seen: BTreeSet<Vec<MappingId>> = BTreeSet::new();
     let mut cycles = Vec::new();
     let schemas: Vec<SchemaId> = registry.schemas().map(|s| s.id().clone()).collect();
@@ -176,7 +178,10 @@ pub fn find_cycles(registry: &MappingRegistry, max_len: usize) -> Vec<Cycle> {
 }
 
 /// Compose a cycle's correspondences over every attribute of the base
-/// schema and classify the outcome.
+/// schema and classify the outcome. A cycle through two copies of one
+/// mapping (equal source, target, kind and correspondences) is
+/// unobservable: a copy composed there and back is consistent by
+/// construction, so the copies would vouch for each other.
 fn compose_cycle(
     registry: &MappingRegistry,
     base: &SchemaId,
@@ -185,15 +190,29 @@ fn compose_cycle(
     let Some(schema) = registry.schema(base) else {
         return CycleOutcome::Unobservable;
     };
+    let Some(mappings) = steps
+        .iter()
+        .map(|(id, _)| registry.mapping(*id))
+        .collect::<Option<Vec<&Mapping>>>()
+    else {
+        return CycleOutcome::Unobservable;
+    };
+    let same = |a: &Mapping, b: &Mapping| {
+        (&a.source, &a.target, a.kind, &a.correspondences)
+            == (&b.source, &b.target, b.kind, &b.correspondences)
+    };
+    if mappings
+        .iter()
+        .enumerate()
+        .any(|(i, a)| mappings[i + 1..].iter().any(|b| same(a, b)))
+    {
+        return CycleOutcome::Unobservable;
+    }
     let mut observed = false;
     for attr in schema.attributes() {
         let mut cur = attr.clone();
         let mut alive = true;
-        for (id, dir) in steps {
-            let Some(m) = registry.mapping(*id) else {
-                alive = false;
-                break;
-            };
+        for ((_, dir), m) in steps.iter().zip(&mappings) {
             match m.translate(&cur, *dir) {
                 Some(next) => cur = next.to_string(),
                 None => {
@@ -302,40 +321,6 @@ pub fn apply_assessment(
         }
     }
     deprecated
-}
-
-/// Write posteriors back into the registry and *quarantine* condemned
-/// non-manual mappings — the reversible variant of [`apply_assessment`]
-/// used by the periodic query-serving assessment pass. A quarantined
-/// mapping is excluded from reformulation and connectivity exactly like
-/// a deprecated one, but a later assessment may
-/// [`reactivate`](MappingRegistry::reactivate) it; manual mappings are
-/// never quarantined (their belief is clamped at 1.0 anyway). Returns
-/// the newly quarantined ids. Idempotent: a mapping already quarantined
-/// is inactive, therefore absent from the assessment's posteriors, and
-/// is never reported twice.
-pub fn apply_quarantine(
-    registry: &mut MappingRegistry,
-    assessment: &Assessment,
-    cfg: &BayesConfig,
-) -> Vec<MappingId> {
-    let mut quarantined = Vec::new();
-    for (&id, &p) in &assessment.posteriors {
-        if let Some(m) = registry.mapping_mut(id) {
-            m.quality = p;
-        }
-    }
-    for id in assessment.condemned(cfg.deprecate_below) {
-        if registry
-            .mapping(id)
-            .map(|m| m.provenance != Provenance::Manual && m.is_active())
-            .unwrap_or(false)
-            && registry.quarantine(id)
-        {
-            quarantined.push(id);
-        }
-    }
-    quarantined
 }
 
 #[cfg(test)]
@@ -540,7 +525,7 @@ mod tests {
     #[test]
     fn empty_cycle_set_condemns_nothing() {
         // A pure chain has no cycles: every posterior stays at the
-        // prior, and neither apply variant touches any status.
+        // prior, and applying the assessment touches no status.
         let mut reg = MappingRegistry::new();
         for s in ["A", "B", "C"] {
             reg.add_schema(Schema::new(s, ["x"]));
@@ -558,14 +543,13 @@ mod tests {
         let a = assess(&reg, &cfg);
         assert!(a.cycles.is_empty());
         assert!(apply_assessment(&mut reg, &a, &cfg).is_empty());
-        assert!(apply_quarantine(&mut reg, &a, &cfg).is_empty());
         assert_eq!(reg.active_count(), 2);
     }
 
     #[test]
     fn all_mappings_condemned_when_threshold_exceeds_every_posterior() {
         // With the threshold above every posterior, every automatic
-        // mapping is condemned; apply_quarantine contains them all and
+        // mapping is condemned; apply_assessment deprecates them all and
         // only the manual ones survive as active.
         let (mut reg, _) = triangle(false, Provenance::Automatic);
         let cfg = BayesConfig {
@@ -582,12 +566,12 @@ mod tests {
         for id in &autos {
             assert!(condemned.contains(id), "{id} must be condemned");
         }
-        let quarantined = apply_quarantine(&mut reg, &a, &cfg);
-        assert_eq!(quarantined, autos);
+        let deprecated = apply_assessment(&mut reg, &a, &cfg);
+        assert_eq!(deprecated, autos);
         for m in reg.mappings() {
             match m.provenance {
                 Provenance::Manual => assert!(m.is_active()),
-                _ => assert_eq!(m.status, MappingStatus::Quarantined),
+                _ => assert_eq!(m.status, MappingStatus::Deprecated),
             }
         }
     }
@@ -604,38 +588,52 @@ mod tests {
     }
 
     #[test]
-    fn assessment_is_idempotent_on_a_quarantined_registry() {
-        // First pass quarantines the bad closure; a second
-        // assess+apply_quarantine over the already-quarantined registry
-        // must change nothing (the quarantined mapping is inactive, so
+    fn assessment_is_idempotent_on_a_deprecated_registry() {
+        // First pass deprecates the bad closure; a second
+        // assess+apply_assessment over the already-deprecated registry
+        // must change nothing (the deprecated mapping is inactive, so
         // it is outside the new assessment entirely).
         let (mut reg, id) = triangle(false, Provenance::Automatic);
         let cfg = BayesConfig::default();
         let a0 = assess(&reg, &cfg);
-        let first = apply_quarantine(&mut reg, &a0, &cfg);
+        let first = apply_assessment(&mut reg, &a0, &cfg);
         assert_eq!(first, vec![id]);
-        assert_eq!(reg.mapping(id).unwrap().status, MappingStatus::Quarantined);
+        assert_eq!(reg.mapping(id).unwrap().status, MappingStatus::Deprecated);
 
         let statuses: Vec<MappingStatus> = reg.mappings().map(|m| m.status).collect();
         let again = assess(&reg, &cfg);
         assert!(!again.posteriors.contains_key(&id), "inactive: unassessed");
-        let second = apply_quarantine(&mut reg, &again, &cfg);
+        let second = apply_assessment(&mut reg, &again, &cfg);
         assert!(second.is_empty(), "second pass must be a no-op: {second:?}");
         let statuses_after: Vec<MappingStatus> = reg.mappings().map(|m| m.status).collect();
         assert_eq!(statuses, statuses_after);
     }
 
-    #[test]
-    fn quarantine_spares_manual_mappings() {
-        let (mut reg, id) = triangle(false, Provenance::Manual);
-        let cfg = BayesConfig {
-            deprecate_below: 0.999,
-            ..BayesConfig::default()
-        };
-        let a0 = assess(&reg, &cfg);
-        let quarantined = apply_quarantine(&mut reg, &a0, &cfg);
-        assert!(!quarantined.contains(&id));
-        assert!(reg.mapping(id).unwrap().is_active());
+    /// A ring of `n` schemas S0 … S`n-1` with two attributes each,
+    /// joined by correct automatic equivalences `a_i ↔ a_j`,
+    /// `b_i ↔ b_j`; returns the ring's mapping ids.
+    fn ring(reg: &mut MappingRegistry, n: usize) -> Vec<MappingId> {
+        for i in 0..n {
+            reg.add_schema(Schema::new(
+                format!("S{i}").as_str(),
+                [format!("a{i}"), format!("b{i}")],
+            ));
+        }
+        (0..n)
+            .map(|i| {
+                let j = (i + 1) % n;
+                reg.add_mapping(
+                    format!("S{i}").as_str(),
+                    format!("S{j}").as_str(),
+                    MappingKind::Equivalence,
+                    Provenance::Automatic,
+                    vec![
+                        Correspondence::new(format!("a{i}"), format!("a{j}")),
+                        Correspondence::new(format!("b{i}"), format!("b{j}")),
+                    ],
+                )
+            })
+            .collect()
     }
 
     #[test]
@@ -643,28 +641,7 @@ mod tests {
         // Ring of 5 schemas with one extra chord; one automatic mapping
         // is wrong. Only that mapping should be condemned.
         let mut reg = MappingRegistry::new();
-        let n = 5;
-        for i in 0..n {
-            reg.add_schema(Schema::new(
-                format!("S{i}").as_str(),
-                [format!("a{i}"), format!("b{i}")],
-            ));
-        }
-        let mut ids = Vec::new();
-        for i in 0..n {
-            let j = (i + 1) % n;
-            // The ring: correct equivalences a_i ↔ a_j, b_i ↔ b_j.
-            ids.push(reg.add_mapping(
-                format!("S{i}").as_str(),
-                format!("S{j}").as_str(),
-                MappingKind::Equivalence,
-                Provenance::Automatic,
-                vec![
-                    Correspondence::new(format!("a{i}"), format!("a{j}")),
-                    Correspondence::new(format!("b{i}"), format!("b{j}")),
-                ],
-            ));
-        }
+        let ids = ring(&mut reg, 5);
         // Chord S0→S2, wrong: maps a0 to b2.
         let bad = reg.add_mapping(
             "S0",
@@ -690,5 +667,48 @@ mod tests {
                 a.posteriors[&id]
             );
         }
+    }
+
+    #[test]
+    fn two_copies_of_one_wrong_chord_do_not_vouch_for_each_other() {
+        // The same ring with two identical copies of a wrong chord
+        // S0 → S2. Composing them there and back closes a 2-cycle
+        // that is consistent by construction; it is no evidence, so
+        // both copies are condemned as a lone copy would be.
+        let mut reg = MappingRegistry::new();
+        let ids = ring(&mut reg, 5);
+        let chord = || {
+            vec![
+                Correspondence::new("a0", "b2"),
+                Correspondence::new("b0", "a2"),
+            ]
+        };
+        let copies: Vec<MappingId> = (0..2)
+            .map(|_| {
+                reg.add_mapping(
+                    "S0",
+                    "S2",
+                    MappingKind::Equivalence,
+                    Provenance::Automatic,
+                    chord(),
+                )
+            })
+            .collect();
+        let cfg = BayesConfig {
+            max_cycle_len: 5,
+            ..BayesConfig::default()
+        };
+        let a = assess(&reg, &cfg);
+        let condemned = a.condemned(cfg.deprecate_below);
+        assert_eq!(condemned, copies, "{:?}", a.posteriors);
+        for id in ids {
+            assert!(!condemned.contains(&id));
+        }
+        let there_and_back = a
+            .cycles
+            .iter()
+            .find(|c| c.steps.len() == 2)
+            .expect("the copies close a 2-cycle");
+        assert_eq!(there_and_back.outcome, CycleOutcome::Unobservable);
     }
 }

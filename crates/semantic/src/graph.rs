@@ -31,9 +31,9 @@ pub struct MappingRegistry {
     mappings: Vec<Mapping>,
     next_id: u32,
     /// Monotone counter of mapping-network mutations: bumped by every
-    /// mapping insert, deprecation, reactivation and mutable mapping
-    /// access (quality/status repair). Consumers key derived state on
-    /// it — most importantly the reformulation-closure cache
+    /// mapping insert, deprecation and mutable mapping access
+    /// (quality/status repair). Consumers key derived state on it —
+    /// most importantly the reformulation-closure cache
     /// ([`crate::reformulate::ClosureCache`]): as long as the epoch is
     /// unchanged, any previously computed closure over this registry is
     /// still valid.
@@ -60,7 +60,7 @@ impl MappingRegistry {
 
     /// The current mapping-network epoch (see the field docs). Two
     /// reads returning the same value bracket a window in which no
-    /// mapping was inserted, deprecated, reactivated or repaired.
+    /// mapping was inserted, deprecated or repaired.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -125,32 +125,6 @@ impl MappingRegistry {
         match self.mapping_mut(id) {
             Some(m) => {
                 m.status = MappingStatus::Deprecated;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Reactivate a previously deprecated or quarantined mapping.
-    pub fn reactivate(&mut self, id: MappingId) -> bool {
-        match self.mapping_mut(id) {
-            Some(m) => {
-                m.status = MappingStatus::Active;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Quarantine a mapping: like deprecation it disappears from
-    /// reformulation and connectivity, but reversibly — a later
-    /// assessment pass may [`reactivate`](Self::reactivate) it. Routed
-    /// through [`mapping_mut`](Self::mapping_mut), so the epoch bumps
-    /// and every closure cache self-invalidates.
-    pub fn quarantine(&mut self, id: MappingId) -> bool {
-        match self.mapping_mut(id) {
-            Some(m) => {
-                m.status = MappingStatus::Quarantined;
                 true
             }
             None => false,
@@ -392,30 +366,6 @@ mod tests {
         assert_eq!(reg.reachable(&SchemaId::new("S0")).len(), 2);
         assert_eq!(reg.active_count(), 1);
         assert_eq!(reg.mapping_count(), 2);
-        // Reactivation restores connectivity.
-        assert!(reg.reactivate(cut));
-        assert!(reg.is_strongly_connected());
-    }
-
-    #[test]
-    fn quarantine_cuts_the_graph_and_is_reversible() {
-        let mut reg = chain(3, MappingKind::Equivalence);
-        let cut = reg
-            .mappings()
-            .find(|m| m.source == SchemaId::new("S1"))
-            .map(|m| m.id)
-            .expect("exists");
-        let e0 = reg.epoch();
-        assert!(reg.quarantine(cut));
-        assert!(reg.epoch() > e0, "quarantine must bump the epoch");
-        assert!(!reg.is_strongly_connected());
-        assert_eq!(reg.mapping(cut).unwrap().status, MappingStatus::Quarantined);
-        assert_eq!(reg.active_count(), 1);
-        let e1 = reg.epoch();
-        assert!(reg.reactivate(cut));
-        assert!(reg.epoch() > e1, "reactivation must bump the epoch");
-        assert!(reg.is_strongly_connected());
-        assert!(!reg.quarantine(MappingId(99)));
     }
 
     #[test]

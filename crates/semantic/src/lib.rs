@@ -45,9 +45,7 @@ pub mod schema;
 
 /// Glob-import surface.
 pub mod prelude {
-    pub use crate::bayes::{
-        apply_assessment, apply_quarantine, assess, Assessment, BayesConfig, CycleOutcome,
-    };
+    pub use crate::bayes::{apply_assessment, assess, Assessment, BayesConfig, CycleOutcome};
     pub use crate::compose::{compose_path, find_path, Composed};
     pub use crate::connectivity::{connectivity_indicator, DegreeDistribution};
     pub use crate::graph::{DegreeRecord, MappingRegistry};
@@ -62,9 +60,7 @@ pub mod prelude {
     pub use crate::schema::{Schema, SchemaId};
 }
 
-pub use bayes::{
-    apply_assessment, apply_quarantine, assess, Assessment, BayesConfig, CycleOutcome,
-};
+pub use bayes::{apply_assessment, assess, Assessment, BayesConfig, CycleOutcome};
 pub use compose::{compose_path, find_path, Composed};
 pub use connectivity::{connectivity_indicator, DegreeDistribution};
 pub use graph::{DegreeRecord, MappingRegistry};

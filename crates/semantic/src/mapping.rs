@@ -36,15 +36,13 @@ pub enum Provenance {
 
 /// Lifecycle: deprecated mappings are "ignored, both for the
 /// reformulation of the queries and for the connectivity analysis" (§3.2).
-/// Quarantined mappings are equally invisible to reformulation and
-/// connectivity, but the state is *reversible*: the periodic
-/// quality-assessment pass may reactivate a quarantined edge once the
-/// cycle evidence clears it, whereas deprecation is permanent retirement.
+/// An automatic mapping the periodic quality assessment condemns is
+/// deprecated, and deprecation is permanent: a pair it disconnects is
+/// healed by a new mapping, not by reviving the old one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum MappingStatus {
     Active,
     Deprecated,
-    Quarantined,
 }
 
 /// A single attribute correspondence `source.attr ↦ target.attr`.
@@ -272,14 +270,6 @@ mod tests {
     fn deprecated_mapping_is_inapplicable() {
         let mut m = embl_emp();
         m.status = MappingStatus::Deprecated;
-        assert_eq!(m.applicable_from(&SchemaId::new("EMBL")), None);
-        assert!(!m.is_active());
-    }
-
-    #[test]
-    fn quarantined_mapping_is_inapplicable() {
-        let mut m = embl_emp();
-        m.status = MappingStatus::Quarantined;
         assert_eq!(m.applicable_from(&SchemaId::new("EMBL")), None);
         assert_eq!(m.applicable_from(&SchemaId::new("EMP")), None);
         assert!(!m.is_active());

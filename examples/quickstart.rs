@@ -160,7 +160,7 @@ fn main() {
     // 8. The mediation layer defends itself. A wrong — but well-typed —
     //    mapping slips into the registry; a Bayesian assessment pass
     //    probes the mapping cycle it closes, finds the composition
-    //    inconsistent, and quarantines it. The probes are charged as
+    //    inconsistent, and deprecates it. The probes are charged as
     //    real overlay traffic in the same ExecStats as any query.
     let wrong = gridvine
         .insert_mapping(
@@ -175,13 +175,13 @@ fn main() {
     let report = gridvine
         .assessment_pass(issuer, &BayesConfig::default())
         .expect("assessment runs");
-    assert_eq!(report.quarantined, vec![wrong], "the bad copy is caught");
+    assert_eq!(report.deprecated, vec![wrong], "the bad copy is caught");
     println!(
         "assessed:  {} cycle probes charged as {} overlay messages; \
-         {} mapping quarantined in {}",
+         {} mapping deprecated in {}",
         report.stats.assessment_probes,
         report.stats.messages,
-        report.stats.quarantined_mappings,
+        report.deprecated.len(),
         report.elapsed,
     );
 

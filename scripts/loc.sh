@@ -3,6 +3,7 @@
 #
 #   scripts/loc.sh [--parent <rev>]
 #   scripts/loc.sh --unused
+#   scripts/loc.sh --test-only
 #
 # One row per crate under crates/, one for the root package's
 # src/ tests/ examples/, one for benchmarks/, one for vendor/, and the
@@ -26,6 +27,14 @@
 # the file does not name, every line of the file without a reason, and
 # every line naming an item the scan no longer lists, and exits 1 if it
 # printed anything.
+#
+# --test-only lists every `pub` item declared in program code under
+# crates/ that test code names but no program code names outside the
+# item's own file and its crate's lib.rs: the items only tests keep
+# alive, which --unused counts as used. Test code is every file under a
+# tests/ directory and everything from a file's first `#[cfg(test)]`
+# on; program code is the rest of crates/*/src, src/, examples/ and
+# benchmarks/src. The same lexical test as --unused; it always exits 0.
 set -eu
 
 root=$(git rev-parse --show-toplevel)
@@ -67,14 +76,60 @@ unused() {
         }' "$work/words" "$root/scripts/loc-unused.allow" "$work/decls"
 }
 
+test_only() {
+    work=$(mktemp -d "${TMPDIR:-/tmp}/loc.XXXXXX")
+    trap 'rm -rf "$work"' EXIT
+    cd "$root"
+    git ls-files '*.rs' | grep -E '^(crates|src|tests|examples|benchmarks)/' >"$work/files"
+    # "w <path> <p|t> <word>" once per identifier a file's program (p)
+    # or test (t) part spells, and "d <path> <line> <kind> <name>" per
+    # declaration in a crate's program part.
+    xargs awk '
+        FNR == 1 {
+            part = FILENAME ~ /(^|\/)tests\// ? "t" : "p"
+            decl = part == "p" && FILENAME ~ /^crates\//
+        }
+        part == "p" && /^[[:space:]]*#\[cfg\(test\)\]/ { part = "t"; decl = 0 }
+        decl && match($0, /^[[:space:]]*pub[[:space:]]+((const|async|unsafe)[[:space:]]+)*(fn|struct|enum|trait|type|static|const|union)[[:space:]]+(mut[[:space:]]+)?[A-Za-z_][A-Za-z0-9_]*/) {
+            n = split(substr($0, RSTART, RLENGTH), w, /[[:space:]]+/)
+            print "d", FILENAME, FNR, w[n - 1] == "mut" ? w[n - 2] : w[n - 1], w[n]
+        }
+        {
+            line = $0
+            while (match(line, /[A-Za-z_][A-Za-z0-9_]*/)) {
+                print "w", FILENAME, part, substr(line, RSTART, RLENGTH)
+                line = substr(line, RSTART + RLENGTH)
+            }
+        }' <"$work/files" | sort -u >"$work/scan"
+    awk '
+        $1 == "w" && $3 == "t" { tested[$4] = 1 }
+        $1 == "w" && $3 == "p" { prog[$4] = prog[$4] " " $2 }
+        $1 == "d" { decls[++n] = $2 " " $3 " " $4 " " $5 }
+        END {
+            for (i = 1; i <= n; i++) {
+                split(decls[i], d, " ")
+                if (!(d[4] in tested)) continue
+                split(d[1], part, "/")
+                lib = part[1] "/" part[2] "/src/lib.rs"
+                m = split(prog[d[4]], in_file, " ")
+                named = 0
+                for (j = 1; j <= m; j++) if (in_file[j] != d[1] && in_file[j] != lib) named = 1
+                if (!named) print d[1] ":" d[2] " " d[3] " " d[4]
+            }
+        }' "$work/scan" | sort -t: -k1,1 -k2,2n
+}
+
 parent=
 if [ $# -eq 1 ] && [ "$1" = --unused ]; then
     unused
     exit
+elif [ $# -eq 1 ] && [ "$1" = --test-only ]; then
+    test_only
+    exit 0
 elif [ $# -eq 2 ] && [ "$1" = --parent ]; then
     parent=$2
 elif [ $# -ne 0 ]; then
-    echo "usage: $0 [--parent <rev> | --unused]" >&2
+    echo "usage: $0 [--parent <rev> | --unused | --test-only]" >&2
     exit 2
 fi
 

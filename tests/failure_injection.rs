@@ -423,9 +423,26 @@ fn self_organization_with_noisy_matcher_still_terminates() {
             .correct_pairs(w.schemas[0].id(), w.schemas[1].id()),
     )
     .unwrap();
+    // A noisy matcher's output: automatic mappings whose correct
+    // correspondences have their target attributes swapped.
+    for (i, j) in [(1, 2), (0, 3)] {
+        let (a, b) = (w.schemas[i].id(), w.schemas[j].id());
+        let mut corrs = w.ground_truth.correct_pairs(a, b);
+        assert!(corrs.len() >= 2, "need two correspondences to swap");
+        let first = corrs[0].target_attr.clone();
+        corrs[0].target_attr = std::mem::replace(&mut corrs[1].target_attr, first);
+        sys.insert_mapping(
+            p0,
+            a.clone(),
+            b.clone(),
+            MappingKind::Equivalence,
+            Provenance::Automatic,
+            corrs,
+        )
+        .unwrap();
+    }
 
     let cfg = SelfOrgConfig {
-        error_rate: 0.5, // every other created correspondence corrupted
         max_new_mappings: 4,
         ..SelfOrgConfig::default()
     };

@@ -1,7 +1,7 @@
 //! Integration tests of the semantic fault matrix: wrong automatic
 //! mappings are inserted into the network in the shapes a faulty
 //! matcher or a peer that missed a deprecation gives them, Bayesian
-//! assessment passes quarantine them, mediation commits are atomic
+//! assessment passes deprecate them, mediation commits are atomic
 //! under crash injection, and query answers re-converge to the
 //! fault-free ground truth — even when a mass-churn storm overlaps the
 //! self-organization loop.
@@ -15,10 +15,9 @@ use gridvine_core::{
 use gridvine_netsim::churn::{ChurnEvent, ChurnProcess};
 use gridvine_netsim::{SimDuration, SimTime};
 use gridvine_pgrid::PeerId;
-use gridvine_rdf::{PatternTerm, Term, Triple, TriplePattern, TriplePatternQuery};
+use gridvine_rdf::{Binding, PatternTerm, Term, Triple, TriplePattern, TriplePatternQuery};
 use gridvine_semantic::{
-    BayesConfig, Correspondence, MappingId, MappingKind, MappingStatus, Provenance, Schema,
-    SchemaId,
+    BayesConfig, Correspondence, MappingId, MappingKind, Provenance, Schema, SchemaId,
 };
 use proptest::prelude::*;
 use proptest::strategy::Strategy as _;
@@ -299,45 +298,30 @@ proptest! {
     /// Up to four wrong edges of any shape (as many as stale, corrupted
     /// and fabricated gossip at rates ≤ 0.2 ever produced here) inserted
     /// while a mass-churn storm overlaps the self-organization round:
-    /// enough assessment passes quarantine every harmful one and the
+    /// enough assessment passes deprecate every harmful one and the
     /// query rows re-converge to the fault-free ground truth. Not every
-    /// four-edge list does: two copies of one wrong edge can vouch for
-    /// each other on their there-and-back cycle (ROADMAP 8(f)). The ten
-    /// cases drawn here do.
+    /// four-edge list does: a few mixes of the decoy with rotated and
+    /// fabricated edges keep wrong rows after three passes, seed 32 with
+    /// `[Rotated(3), Decoy, Fabricated { source: 4, target: 2, pairs:
+    /// [1, 0] }, Rotated(0)]` among them (ROADMAP 8(f)). The ten cases
+    /// drawn here do.
     #[test]
     fn bounded_adversary_reconverges_to_ground_truth(
         seed in 0u64..200,
         wrong in proptest::collection::vec(wrong_edge(), 0..=4),
     ) {
-        let mut clean = ring_system(seed);
-        let base = run(&mut clean, 4);
-        prop_assert_eq!(base.rows.len(), RING);
-
-        let mut sys = ring_system(seed);
-        // A correlated storm: half the peers fail at time zero and
-        // recover within a few simulated milliseconds — the retry
-        // protocol and the mediation layer must both ride it out.
-        install_storm(&mut sys, 0.5, seed);
-        for &edge in &wrong {
-            insert_wrong(&mut sys, edge);
-        }
-        // Self-repair: the self-organization round and dedicated
-        // assessment passes both judge the network; either is allowed
-        // to retire a wrong edge.
-        sys.self_organization_round(&SelfOrgConfig::default()).unwrap();
-        let bayes = BayesConfig::default();
-        for _ in 0..3 {
-            sys.assessment_pass(ORIGIN, &bayes).unwrap();
-        }
-        let out = run(&mut sys, 4);
-        prop_assert_eq!(&out.rows, &base.rows, "inserted: {:?}", wrong);
+        let (rows, base) = repaired_rows(seed, &wrong);
+        prop_assert_eq!(base.len(), RING);
+        prop_assert_eq!(&rows, &base, "inserted: {:?}", wrong);
     }
 
     /// The satellite invariant: no closure cache ever replays a hop
-    /// through a non-active mapping. Random quarantine / reactivate
-    /// flips (every one bumps the registry epoch) interleave with
-    /// queries; every `SchemaHop` the session reports must stay within
-    /// the schemas reachable over currently-active mappings.
+    /// through a non-active mapping. Random deprecations and fresh
+    /// copies of mappings, deprecated ones included (every one bumps
+    /// the registry epoch, and the active network shrinks and grows),
+    /// interleave with queries; every `SchemaHop` the session reports
+    /// must stay within the schemas reachable over currently-active
+    /// mappings.
     #[test]
     fn closure_cache_never_replays_an_inactive_hop(
         seed in 0u64..200,
@@ -345,16 +329,18 @@ proptest! {
     ) {
         let mut sys = ring_system(seed);
         let p0 = PeerId(0);
-        let ids: Vec<MappingId> = sys.registry().mappings().map(|m| m.id).collect();
         // Warm the schema's closure cache so later queries would love
         // to replay it.
         run(&mut sys, 1);
         for op in ops {
+            let ids: Vec<MappingId> = sys.registry().mappings().map(|m| m.id).collect();
             let id = ids[op % ids.len()];
             if op < 4 {
-                sys.quarantine_mapping(p0, id).unwrap();
+                sys.deprecate_mapping(p0, id).unwrap();
             } else {
-                sys.reactivate_mapping(p0, id).unwrap();
+                let m = sys.registry().mapping(id).unwrap().clone();
+                sys.insert_mapping(p0, m.source, m.target, m.kind, m.provenance, m.correspondences)
+                    .unwrap();
             }
             let reachable = active_reachable(&sys, &SchemaId::new("S0"));
             let plan = QueryPlan::search(ring_query());
@@ -372,18 +358,45 @@ proptest! {
     }
 }
 
-/// Mappings the assessment passes have quarantined so far.
-fn quarantined(sys: &GridVineSystem) -> usize {
-    let mappings = sys.registry().mappings();
-    mappings
-        .filter(|m| m.status == MappingStatus::Quarantined)
-        .count()
+/// The ring at `seed` with `wrong` inserted while a churn storm over
+/// half the peers overlaps one self-organization round and three
+/// assessment passes: the query's rows then, and the fault-free ring's.
+fn repaired_rows(seed: u64, wrong: &[WrongEdge]) -> (Vec<Binding>, Vec<Binding>) {
+    let base = run(&mut ring_system(seed), 4).rows;
+    let mut sys = ring_system(seed);
+    // A correlated storm: half the peers fail at time zero and
+    // recover within a few simulated milliseconds — the retry
+    // protocol and the mediation layer must both ride it out.
+    install_storm(&mut sys, 0.5, seed);
+    for &edge in wrong {
+        insert_wrong(&mut sys, edge);
+    }
+    // Self-repair: the self-organization round's assessment pass and
+    // three more judge the network.
+    sys.self_organization_round(&SelfOrgConfig::default())
+        .unwrap();
+    let bayes = BayesConfig::default();
+    for _ in 0..3 {
+        sys.assessment_pass(ORIGIN, &bayes).unwrap();
+    }
+    (run(&mut sys, 4).rows, base)
+}
+
+/// Four live copies of the decoy: each pair of copies closes a
+/// there-and-back 2-cycle that is consistent by construction. Such a
+/// cycle is no evidence, so the copies cannot vouch for each other and
+/// the rows re-converge.
+#[test]
+fn copies_of_one_wrong_edge_do_not_vouch_for_each_other() {
+    use WrongEdge::Decoy;
+    let (rows, base) = repaired_rows(69, &[Decoy, Decoy, Decoy, Decoy]);
+    assert_eq!(rows, base);
 }
 
 /// Live decoy copies and rotated ring edges, then the query after 0, 1
 /// and 3 assessment passes: no wrong edge leaves exactly the ring's rows
-/// and quarantines nothing, a pass never adds rows, and with a few
-/// wrong edges a pass quarantines something. With a few, a churn storm
+/// and deprecates nothing, a pass never adds rows, and with a few
+/// wrong edges a pass deprecates something. With a few, a churn storm
 /// over half the peers at the start changes nothing: the retry budget
 /// bridges it. Rows coming back to exactly the ring's is not asserted:
 /// with many wrong edges a wrong copy can survive every pass.
@@ -410,12 +423,19 @@ fn assessment_passes_never_add_rows_and_compose_with_a_storm() {
             for &edge in wrong {
                 insert_wrong(&mut sys, edge);
             }
-            // The query after 0, 1 and 3 passes in all.
+            // The query after 0, 1 and 3 passes in all, and the
+            // mappings the passes have deprecated so far (the fixture's
+            // hand-deprecated decoy is not one of them).
+            let mut deprecated = 0;
             [0, 1, 2].map(|more| {
                 for _ in 0..more {
-                    sys.assessment_pass(ORIGIN, &bayes).unwrap();
+                    deprecated += sys
+                        .assessment_pass(ORIGIN, &bayes)
+                        .unwrap()
+                        .deprecated
+                        .len();
                 }
-                (run(&mut sys, 4).rows.len(), quarantined(&sys))
+                (run(&mut sys, 4).rows.len(), deprecated)
             })
         };
         let calm = trace(0.0);
