@@ -38,7 +38,7 @@ use gridvine_netsim::rng;
 use gridvine_netsim::{Cdf, Network, NetworkConfig, NodeId, SimDuration, SimTime};
 use gridvine_pgrid::proto::{PGridMsg, PGridNode, Status};
 use gridvine_pgrid::{BitString, HashKind, KeyHasher, PeerId, Topology};
-use gridvine_rdf::{Binding, Triple, TriplePatternQuery, TripleStore};
+use gridvine_rdf::{Binding, TaggedTriple, Triple, TriplePatternQuery, TripleStore};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -186,12 +186,12 @@ impl Deployment {
     /// `DB_p` of the peer that replies (see the module docs).
     pub fn preload(&mut self, triples: impl IntoIterator<Item = Triple>) -> usize {
         let ks = self.keyspace();
-        let mut stage = TripleStage::default();
+        let mut stage = TripleStage::new(triples.into_iter().map(TaggedTriple::new).collect());
         let mut placements = 0;
-        for t in triples {
-            let keys = ks.triple_keys(&t);
+        for i in 0..stage.triples().len() {
+            let keys = ks.triple_keys(stage.triples()[i].triple());
             let holders = keys.iter().flat_map(|key| self.topology.responsible(key));
-            placements += stage.push(t, holders.copied());
+            placements += stage.place(i, holders.copied());
         }
         stage.flush(&mut self.dbs);
         placements

@@ -13,7 +13,7 @@
 //! * a **connectivity record** at `Hash(Domain)`.
 
 use gridvine_pgrid::{BitString, KeyHasher, PeerId};
-use gridvine_rdf::{Triple, TripleStore};
+use gridvine_rdf::{TaggedTriple, Triple, TripleStore};
 use gridvine_semantic::{DegreeRecord, Mapping, MappingKind, Schema};
 use serde::{Deserialize, Serialize};
 
@@ -109,39 +109,75 @@ impl<'a> KeySpace<'a> {
 /// both engines decide *who* stores a triple (the synchronous system
 /// by a call's update tree, the WAN deployment from the topology), stage
 /// the copies here, and [`TripleStage::flush`] bulk-loads every touched
-/// peer once. What is staged costs what is staged — nothing here is
-/// sized by the peer count, so a stage of one triple is cheap.
-#[derive(Default)]
+/// peer once. What is staged costs what is staged, plus one counter per
+/// peer when it is flushed, so a stage of one triple is cheap.
+///
+/// A stage holds a call's triples once, each with its lexicals'
+/// dictionary tags (12 B, held while the call runs), and a copy is a
+/// `(peer, triple index)` pair: every copy is handed to its store by
+/// reference, so no copy clones a triple and no store hashes its
+/// strings again. A triple with no copies is stored nowhere.
 pub(crate) struct TripleStage {
-    triples: Vec<Triple>,
-    /// One `(peer, index into triples)` per staged copy.
+    triples: Vec<TaggedTriple>,
+    /// One `(peer, index into triples)` per placed copy.
     copies: Vec<(PeerId, u32)>,
 }
 
 impl TripleStage {
-    /// Stage a copy of `t` for each of `holders`, returning how many. A
-    /// peer named twice (two of the triple's keys are its own) is staged
-    /// twice; its store keeps one row.
-    pub(crate) fn push(&mut self, t: Triple, holders: impl IntoIterator<Item = PeerId>) -> usize {
-        let index = u32::try_from(self.triples.len()).expect("fewer than 2^32 staged triples");
-        self.triples.push(t);
+    pub(crate) fn new(triples: Vec<TaggedTriple>) -> TripleStage {
+        assert!(
+            u32::try_from(triples.len()).is_ok(),
+            "fewer than 2^32 staged triples"
+        );
+        TripleStage {
+            triples,
+            copies: Vec::new(),
+        }
+    }
+
+    pub(crate) fn triples(&self) -> &[TaggedTriple] {
+        &self.triples
+    }
+
+    /// Place a copy of triple `index` at each of `holders`, returning
+    /// how many. A peer named twice (two of the triple's keys are its
+    /// own) is named twice; its store keeps one row.
+    pub(crate) fn place(
+        &mut self,
+        index: usize,
+        holders: impl IntoIterator<Item = PeerId>,
+    ) -> usize {
         let before = self.copies.len();
         self.copies
-            .extend(holders.into_iter().map(|peer| (peer, index)));
+            .extend(holders.into_iter().map(|peer| (peer, index as u32)));
         self.copies.len() - before
     }
 
-    /// Load what is staged — one [`TripleStore::insert_batch`] per
-    /// touched peer, its copies in the order they were staged, so each
+    /// Load what is placed — one [`TripleStore::insert_batch`] per
+    /// touched peer, its copies in the order they were placed, so each
     /// `DB_p` ends with the rows, under the row ids, that storing every
     /// copy on arrival would have given it.
-    pub(crate) fn flush(mut self, dbs: &mut [TripleStore]) {
-        // Indexes ascend in staging order, so sorting the pairs groups
-        // them by peer and keeps each group in arrival order.
-        self.copies.sort_unstable();
-        for group in self.copies.chunk_by(|a, b| a.0 == b.0) {
-            let batch = group.iter().map(|&(_, i)| self.triples[i as usize].clone());
-            dbs[group[0].0.index()].insert_batch(batch);
+    pub(crate) fn flush(self, dbs: &mut [TripleStore]) {
+        // Group the copies by peer, each group in placing order: a
+        // counting sort, stable, in two passes over the copies.
+        let mut start = vec![0usize; dbs.len() + 1];
+        for &(peer, _) in &self.copies {
+            start[peer.index() + 1] += 1;
+        }
+        for p in 1..start.len() {
+            start[p] += start[p - 1];
+        }
+        let mut next = start.clone();
+        let mut grouped = vec![0u32; self.copies.len()];
+        for &(peer, i) in &self.copies {
+            grouped[next[peer.index()]] = i;
+            next[peer.index()] += 1;
+        }
+        for (db, group) in dbs.iter_mut().zip(start.windows(2)) {
+            if group[0] < group[1] {
+                let batch = grouped[group[0]..group[1]].iter();
+                db.insert_batch(batch.map(|&i| &self.triples[i as usize]));
+            }
         }
     }
 }

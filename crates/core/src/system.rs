@@ -24,8 +24,8 @@ use gridvine_pgrid::{
 use gridvine_rdf::fasthash::FxHashMap;
 use gridvine_rdf::{Term, TermDict, Triple, TriplePatternQuery, TripleStore};
 use gridvine_semantic::{
-    apply_assessment, assess, BayesConfig, Correspondence, DegreeRecord, Mapping, MappingId,
-    MappingKind, MappingRegistry, Provenance, Schema, SchemaId,
+    apply_assessment, assess_cycles, find_cycles, BayesConfig, Correspondence, CycleOutcome,
+    DegreeRecord, Mapping, MappingId, MappingKind, MappingRegistry, Provenance, Schema, SchemaId,
 };
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -713,7 +713,11 @@ impl GridVineSystem {
     /// indexes it in its `DB_p`, which is what destination-side
     /// resolution evaluates. Each triple's lexicals are canonicalized
     /// through the shared lexicon first (all peer databases share one
-    /// buffer per distinct string).
+    /// buffer per distinct string), and the lexicon's tags travel with
+    /// every copy ([`gridvine_rdf::TaggedTriple`]): a call reads each
+    /// lexical's bytes in the lexicon and in one key hash, and no copy
+    /// reads them again. The lexicon pools the buffers of every triple
+    /// of the call, placed or not.
     ///
     /// The copies are staged in triple order and every touched `DB_p`
     /// is bulk-loaded once per call: each peer's rows and row ids are
@@ -730,37 +734,52 @@ impl GridVineSystem {
         origin: PeerId,
         triples: impl IntoIterator<Item = Triple>,
     ) -> Result<usize, SystemError> {
+        // Every triple is rebuilt over the lexicon's buffers first, with
+        // its tags: the lexicon reads each lexical's bytes, and nothing
+        // after it does.
+        let mut stage = TripleStage::new(
+            triples
+                .into_iter()
+                .map(|t| self.lexicon.canonical_triple(&t))
+                .collect(),
+        );
         // The call's distinct leaf prefixes, and per triple the slots of
-        // its three keys' prefixes among them. (Collecting the triples
-        // alone reuses a `Vec` argument's buffer.)
+        // its three keys' prefixes among them. A canonical buffer is one
+        // distinct lexical, so each is keyed once per call.
         let depth = self.overlay.max_path_len();
+        let ks = self.keyspace();
         let mut prefixes: Vec<BitString> = Vec::new();
         let mut slot_of: FxHashMap<BitString, u32> = FxHashMap::default();
-        let triples = triples.into_iter();
-        let mut slots: Vec<[u32; 3]> = Vec::with_capacity(triples.size_hint().0);
-        let triples: Vec<Triple> = triples
-            .inspect(|t| {
-                slots.push(self.keyspace().triple_keys(t).map(|key| {
-                    let slot = u32::try_from(prefixes.len()).expect("fewer than 2^32 trie leaves");
-                    *slot_of
-                        .entry(key.prefix(depth.min(key.len())))
-                        .or_insert_with_key(|prefix| {
-                            prefixes.push(prefix.clone());
-                            slot
-                        })
-                }));
+        let mut slot_of_buffer: FxHashMap<*const u8, u32> = FxHashMap::default();
+        let slots: Vec<[u32; 3]> = stage
+            .triples()
+            .iter()
+            .map(|t| {
+                let t = t.triple();
+                [t.subject.as_str(), t.predicate.as_str(), t.object.lexical()].map(|lexical| {
+                    *slot_of_buffer.entry(lexical.as_ptr()).or_insert_with(|| {
+                        let key = ks.key_of(lexical);
+                        let slot =
+                            u32::try_from(prefixes.len()).expect("fewer than 2^32 trie leaves");
+                        *slot_of
+                            .entry(key.prefix(depth.min(key.len())))
+                            .or_insert_with_key(|prefix| {
+                                prefixes.push(prefix.clone());
+                                slot
+                            })
+                    })
+                })
             })
             .collect();
         let dests = self
             .overlay
             .route_updates(origin, &prefixes, &mut self.update_rng);
-        let mut stage = TripleStage::default();
-        let placed = triples.into_iter().zip(slots).try_fold(0, |n, (t, slots)| {
+        let placed = slots.into_iter().enumerate().try_fold(0, |n, (i, slots)| {
             // Every key routed, or the triple is stored nowhere.
             let [s, p, o] = slots.map(|slot| dests[slot as usize].clone());
             let holders = [s?, p?, o?];
-            stage.push(
-                self.lexicon.canonical_triple(&t),
+            stage.place(
+                i,
                 holders.iter().flat_map(|&dest| {
                     std::iter::once(dest).chain(self.overlay.view(dest).replicas.iter().copied())
                 }),
@@ -961,7 +980,10 @@ impl GridVineSystem {
     /// mapping cycles once, and every cycle costs one *cycle probe* (a
     /// retrieve at the cycle's base schema key, driven through the
     /// retry protocol), so probes are charged as messages, requests and
-    /// latency in [`exec::ExecStats`] exactly like subqueries. Condemned
+    /// latency in [`exec::ExecStats`] exactly like subqueries. The reply
+    /// decides its cycle: a probe that meets a down peer (`PeerDown`)
+    /// makes the cycle unobservable for this pass, and the posteriors
+    /// are swept without it; a routing error aborts the pass. Condemned
     /// automatic mappings are **deprecated** through [`apply_assessment`].
     /// Changed mappings' DHT copies are refreshed, and every status
     /// transition bumps the registry epoch, so all closure caches
@@ -979,17 +1001,21 @@ impl GridVineSystem {
         let before: Vec<Mapping> = self.registry.mappings().cloned().collect();
 
         // One cycle probe per mapping cycle: fetch the evidence at the
-        // cycle's base schema key. A crashed destination is a recorded
-        // failure, not an aborted pass.
-        let assessment = assess(&self.registry, cfg);
-        for cycle in &assessment.cycles {
+        // cycle's base schema key. A probe that meets a down peer is a
+        // recorded failure, not an aborted pass, and its cycle is no
+        // evidence in this pass.
+        let mut cycles = find_cycles(&self.registry, cfg.max_cycle_len);
+        for cycle in &mut cycles {
             let key = self.key_of(cycle.base.as_str());
             let msgs_before = self.overlay.messages_sent();
             self.proto.begin_unit(clock);
             stats.assessment_probes += 1;
             match self.exchange(origin, &key, true) {
                 Ok(_) => {}
-                Err(SystemError::PeerDown(_)) => stats.failures += 1,
+                Err(SystemError::PeerDown(_)) => {
+                    stats.failures += 1;
+                    cycle.outcome = CycleOutcome::Unobservable;
+                }
                 Err(e) => return Err(e),
             }
             self.proto.check_send(self.now);
@@ -997,6 +1023,7 @@ impl GridVineSystem {
             clock = self.proto.now + self.proto.delay + self.unit_delay(origin, delta);
             self.commit_writes(clock);
         }
+        let assessment = assess_cycles(&self.registry, cycles, cfg);
         let deprecated = apply_assessment(&mut self.registry, &assessment, cfg);
 
         // Refresh the DHT copies of every mapping the pass changed
@@ -1695,6 +1722,43 @@ mod tests {
             sys.registry().mapping(bad).unwrap().status,
             MappingStatus::Deprecated
         );
+    }
+
+    #[test]
+    fn a_probe_that_meets_a_down_peer_leaves_its_cycle_out() {
+        let (mut sys, bad) = triangle_system();
+        let cfg = gridvine_semantic::BayesConfig::default();
+        let cycles = find_cycles(sys.registry(), cfg.max_cycle_len);
+        let [cycle] = &cycles[..] else {
+            panic!("the triangle is one cycle: {cycles:?}");
+        };
+        assert_eq!(cycle.outcome, CycleOutcome::Inconsistent);
+        // Every peer holding the cycle's base key is down, and the
+        // origin is not one of them.
+        let key = sys.key_of(cycle.base.as_str());
+        let holders: Vec<PeerId> = (0..32)
+            .map(PeerId)
+            .filter(|&p| sys.overlay.view(p).is_responsible(&key))
+            .collect();
+        let origin = (0..32).map(PeerId).find(|p| !holders.contains(p)).unwrap();
+        holders.iter().for_each(|&p| sys.crash_peer(p));
+
+        let report = sys.assessment_pass(origin, &cfg).unwrap();
+        assert_eq!(report.cycles_probed, 1);
+        assert_eq!(report.stats.failures, 1);
+        // Without its one cycle the wrong mapping has no evidence against
+        // it: it keeps the prior and stays active.
+        assert!(report.deprecated.is_empty(), "{report:?}");
+        let m = sys.registry().mapping(bad).unwrap();
+        assert_eq!(m.quality, cfg.prior);
+        assert_eq!(m.status, MappingStatus::Active);
+
+        // With the holders back, the probe answers and the cycle
+        // condemns it.
+        holders.iter().for_each(|&p| sys.recover_peer(p));
+        let report = sys.assessment_pass(origin, &cfg).unwrap();
+        assert_eq!(report.stats.failures, 0);
+        assert_eq!(report.deprecated, vec![bad]);
     }
 
     #[test]

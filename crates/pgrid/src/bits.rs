@@ -71,6 +71,17 @@ impl BitString {
         }
     }
 
+    /// The first `len` bits of a stream of MSB-first words (which must
+    /// yield at least `len.div_ceil(64)` of them).
+    pub(crate) fn from_words(words: impl IntoIterator<Item = u64>, len: usize) -> BitString {
+        let mut words: Vec<u64> = words.into_iter().take(len.div_ceil(WORD_BITS)).collect();
+        assert_eq!(words.len(), len.div_ceil(WORD_BITS), "too few words");
+        if let (Some(last), tail @ 1..) = (words.last_mut(), len % WORD_BITS) {
+            *last &= !0 << (WORD_BITS - tail);
+        }
+        BitString { words, len }
+    }
+
     /// Pre-allocate for `bits` bits.
     pub fn with_capacity(bits: usize) -> BitString {
         BitString {

@@ -11,6 +11,17 @@
 //! `a <= b` (byte-wise, after clamping to the alphabet) implies
 //! `hash(a) <= hash(b)` as bit strings of equal length.
 //!
+//! The fraction is fixed-point over `2^100`: character `i` (from 1)
+//! adds its digit times the interval width `w_i = ⌊w_{i-1} / radix⌋`,
+//! `w_0 = 2^100`, and characters stop counting once the width reaches
+//! 0. Since `⌊⌊a/b⌋/c⌋ = ⌊a/(bc)⌋`, `w_i = ⌊2^100 / radix^i⌋` exactly:
+//! the widths depend on the radix alone, so they are divided out once,
+//! into a table, when the hasher is built, and a key costs one multiply
+//! and add per character. The sum stays below `2^100`, and the key is
+//! its top `depth` of 100 bits, taken by a shift; the bits past the
+//! 100th are ones (the binary expansion of the last unit, as the long
+//! division emitting one bit per halving of the unit produced).
+//!
 //! [`UniformHash`] (FNV-1a) is the classic DHT choice and serves as the
 //! ablation baseline in experiment A1: it balances load perfectly on
 //! skewed key sets but destroys locality.
@@ -40,28 +51,40 @@ impl HashKind {
     }
 }
 
+/// Fixed-point unit of [`OrderPreservingHash`]'s fraction: `2^FRACTION_BITS`.
+const FRACTION_BITS: u32 = 100;
+
 /// Order-preserving hash over the printable-ASCII alphabet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OrderPreservingHash {
     /// Alphabet size; characters are clamped into `[0, radix)` after
     /// subtracting the offset. 96 covers printable ASCII (0x20..0x7F).
     radix: u32,
     offset: u32,
+    /// The non-zero interval widths `⌊2^100 / radix^i⌋`, `i = 1, 2, …`
+    /// (see the module docs): character `i` is weighted by entry `i - 1`,
+    /// and characters past the table do not count.
+    widths: Box<[u128]>,
 }
 
 impl Default for OrderPreservingHash {
     fn default() -> Self {
-        OrderPreservingHash {
-            radix: 96,
-            offset: 0x20,
-        }
+        OrderPreservingHash::new(96, 0x20)
     }
 }
 
 impl OrderPreservingHash {
     pub fn new(radix: u32, offset: u32) -> Self {
         assert!(radix >= 2, "radix must be at least 2");
-        OrderPreservingHash { radix, offset }
+        let r = radix as u128;
+        let widths = std::iter::successors(Some((1u128 << FRACTION_BITS) / r), |w| Some(w / r))
+            .take_while(|&w| w != 0)
+            .collect();
+        OrderPreservingHash {
+            radix,
+            offset,
+            widths,
+        }
     }
 
     #[inline]
@@ -74,35 +97,23 @@ impl OrderPreservingHash {
 
 impl KeyHasher for OrderPreservingHash {
     fn hash(&self, data: &str, depth: usize) -> BitString {
-        // Long-division style binary expansion of the fraction
-        //   sum_i digit_i / radix^(i+1)
-        // We keep the current interval [lo, hi) over u128 to avoid
-        // floating-point rounding breaking the order-preserving property.
-        const ONE: u128 = 1 << 100; // fixed-point unit
-        let mut lo: u128 = 0;
-        let mut width: u128 = ONE;
-        for &b in data.as_bytes() {
-            let d = self.digit(b) as u128;
-            width /= self.radix as u128;
-            if width == 0 {
-                break; // interval exhausted: further characters don't matter
-            }
-            lo += d * width;
-        }
-        // Emit `depth` bits of lo as a fraction of ONE.
-        let mut key = BitString::with_capacity(depth);
-        let mut acc = lo;
-        let mut unit = ONE;
-        for _ in 0..depth {
-            unit /= 2;
-            if acc >= unit {
-                key.push(true);
-                acc -= unit;
-            } else {
-                key.push(false);
-            }
-        }
-        key
+        // The fraction's numerator over 2^100; exact in u128, so rounding
+        // cannot break the order-preserving property.
+        let lo: u128 = data
+            .as_bytes()
+            .iter()
+            .zip(self.widths.iter())
+            .map(|(&b, &w)| self.digit(b) as u128 * w)
+            .sum();
+        // Left-align the 100 bits, then ones: the key's first 128 bits.
+        let spare = 128 - FRACTION_BITS;
+        let head = (lo << spare) | ((1 << spare) - 1);
+        BitString::from_words(
+            [(head >> 64) as u64, head as u64]
+                .into_iter()
+                .chain(std::iter::repeat(u64::MAX)),
+            depth,
+        )
     }
 }
 
@@ -244,6 +255,32 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The hash by long division: the interval width divided by the
+    /// radix at every character, one key bit per halving of the unit.
+    fn long_division(radix: u32, offset: u32, data: &str, depth: usize) -> BitString {
+        let h = OrderPreservingHash::new(radix, offset);
+        const ONE: u128 = 1 << 100;
+        let mut lo: u128 = 0;
+        let mut width: u128 = ONE;
+        for &b in data.as_bytes() {
+            width /= radix as u128;
+            if width == 0 {
+                break;
+            }
+            lo += h.digit(b) as u128 * width;
+        }
+        let mut key = BitString::with_capacity(depth);
+        let mut unit = ONE;
+        for _ in 0..depth {
+            unit /= 2;
+            key.push(lo >= unit);
+            if lo >= unit {
+                lo -= unit;
+            }
+        }
+        key
+    }
+
     proptest! {
         /// The defining property: string order implies key order.
         #[test]
@@ -273,6 +310,27 @@ mod proptests {
             let ones = seed_strings.iter().filter(|s| h.hash(s, 16).bit(0)).count();
             // Binomial(64, 0.5): reject only wildly unbalanced outcomes.
             prop_assert!((12..=52).contains(&ones), "ones = {ones}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The table-and-shift hash is bit-identical to the long
+        /// division, for any bytes (control characters, multi-byte
+        /// UTF-8, strings longer than the table), radix and depth.
+        #[test]
+        fn op_hash_is_the_long_division(
+            bytes in proptest::collection::vec(any::<u8>(), 0..120),
+            radix in proptest::sample::select(vec![2u32, 3, 96, 255]),
+            offset in proptest::sample::select(vec![0u32, 0x20]),
+        ) {
+            let data: String = bytes.iter().map(|&b| char::from(b)).collect();
+            let h = OrderPreservingHash::new(radix, offset);
+            for depth in [0, 1, 24, 64, 65, 100, 101, 130] {
+                prop_assert_eq!(h.hash(&data, depth), long_division(radix, offset, &data, depth),
+                    "{:?} radix {} depth {}", data, radix, depth);
+            }
         }
     }
 }

@@ -23,6 +23,15 @@
 //! lexicon, rebuilds every incoming triple over the lexicon's buffers,
 //! and each store that interns such a triple adopts the buffers by
 //! reference count (ids stay per store; only buffers are pooled).
+//!
+//! A lexical's bytes are read once per ingest, in the lexicon. The
+//! rebuilt triple is a [`TaggedTriple`]: it carries the tag the lexicon
+//! computed for each of its three lexicals, and a store interns it with
+//! those tags instead of hashing again. A probe whose tag matches then
+//! accepts the slot on pointer equality (the interned buffer *is* the
+//! carried one, same address and length) before comparing bytes, and
+//! every copy of a canonical triple passes that check. Only this module
+//! builds a `TaggedTriple`, so a tag never disagrees with its lexical.
 
 use crate::fasthash::FxHasher;
 use crate::term::{Term, Uri};
@@ -68,6 +77,78 @@ fn tag_lexical(s: &str) -> u32 {
 }
 
 const EMPTY: u32 = u32::MAX;
+
+/// Whether two lexicals are equal, accepting one shared buffer (same
+/// address, same length) before reading bytes.
+#[inline]
+pub(crate) fn same_lexical(a: &str, b: &str) -> bool {
+    std::ptr::eq(a, b) || a == b
+}
+
+/// A triple with the dictionary tag of each of its lexicals (subject,
+/// predicate, object), as [`TermDict::canonical_triple`] or
+/// [`TaggedTriple::new`] computed them, so that every store interning a
+/// copy skips hashing them (see the module docs).
+/// [`crate::TripleStore::insert_batch`] takes it by value or by
+/// reference.
+#[derive(Debug)]
+pub struct TaggedTriple {
+    triple: Triple,
+    tags: [u32; 3],
+}
+
+impl TaggedTriple {
+    /// Tag a triple's lexicals, reading each once.
+    pub fn new(triple: Triple) -> TaggedTriple {
+        let tags = [
+            tag_lexical(triple.subject.as_str()),
+            tag_lexical(triple.predicate.as_str()),
+            tag_lexical(triple.object.lexical()),
+        ];
+        TaggedTriple { triple, tags }
+    }
+
+    pub fn triple(&self) -> &Triple {
+        &self.triple
+    }
+}
+
+/// What [`crate::TripleStore::insert_batch`] takes: a [`Triple`], whose
+/// lexicals the store hashes, or a [`TaggedTriple`], by value or by
+/// reference, whose carried tags it interns with. Sealed: only this
+/// module implements it.
+pub trait Insertable: sealed::Parts {}
+
+pub(crate) mod sealed {
+    use super::{TaggedTriple, Triple};
+
+    /// The triple, and its lexicals' tags if they are carried.
+    pub trait Parts {
+        fn parts(&self) -> (&Triple, Option<[u32; 3]>);
+    }
+
+    impl Parts for Triple {
+        fn parts(&self) -> (&Triple, Option<[u32; 3]>) {
+            (self, None)
+        }
+    }
+
+    impl Parts for TaggedTriple {
+        fn parts(&self) -> (&Triple, Option<[u32; 3]>) {
+            (&self.triple, Some(self.tags))
+        }
+    }
+
+    impl Parts for &TaggedTriple {
+        fn parts(&self) -> (&Triple, Option<[u32; 3]>) {
+            (*self).parts()
+        }
+    }
+}
+
+impl Insertable for Triple {}
+impl Insertable for TaggedTriple {}
+impl Insertable for &TaggedTriple {}
 
 /// Push onto an append-only column, growing it by half its capacity
 /// (at least 4 slots) when full instead of `Vec`'s doubling: a store
@@ -142,7 +223,7 @@ impl TermDict {
             if slot.id == EMPTY {
                 return Err(i);
             }
-            if slot.tag == tag && &*self.terms[slot.id as usize] == lexical {
+            if slot.tag == tag && same_lexical(&self.terms[slot.id as usize], lexical) {
                 return Ok(slot.id);
             }
             i = (i + 1) & mask;
@@ -187,9 +268,11 @@ impl TermDict {
     }
 
     /// Intern an already-shared buffer: a first-seen value is adopted by
-    /// reference count, with no string copy at all.
-    pub fn intern_shared(&mut self, lexical: &Arc<str>) -> TermId {
-        let tag = tag_lexical(lexical);
+    /// reference count, with no string copy at all. The lexical is
+    /// hashed only when its tag is not carried (by a [`TaggedTriple`]).
+    pub(crate) fn intern(&mut self, lexical: &Arc<str>, tag: Option<u32>) -> TermId {
+        let tag = tag.unwrap_or_else(|| tag_lexical(lexical));
+        debug_assert_eq!(tag, tag_lexical(lexical), "a carried tag is its lexical's");
         match self.find_or_slot(tag, lexical) {
             Ok(id) => TermId(id),
             Err(slot) => self.insert_new(Arc::clone(lexical), slot, tag),
@@ -197,8 +280,8 @@ impl TermDict {
     }
 
     /// Id of an already-interned value, if any. The read-only half of
-    /// [`TermDict::intern_shared`]: selections use it so probing for a value
-    /// the store has never seen is a single hash and no allocation.
+    /// interning: selections use it so probing for a value the store
+    /// has never seen is a single hash and no allocation.
     #[inline]
     pub fn lookup(&self, lexical: &str) -> Option<TermId> {
         if self.slots.is_empty() {
@@ -233,26 +316,30 @@ impl TermDict {
     }
 
     /// The interned buffer of an already-shared lexical, adopting it on
-    /// first sight.
-    fn canonical(&mut self, lexical: &Arc<str>) -> Arc<str> {
-        let id = self.intern_shared(lexical);
-        self.shared(id)
+    /// first sight, and its tag.
+    fn canonical(&mut self, lexical: &Arc<str>) -> (Arc<str>, u32) {
+        let tag = tag_lexical(lexical);
+        let id = self.intern(lexical, Some(tag));
+        (self.shared(id), tag)
     }
 
     /// Rebuild a triple over this dictionary's buffers: refcount bumps
-    /// for known lexicals, zero-copy adoption for new ones. Stores that
-    /// ingest triples canonicalized through one dictionary share one
-    /// buffer per distinct lexical (see the module docs).
-    pub fn canonical_triple(&mut self, t: &Triple) -> Triple {
-        let object = match &t.object {
-            Term::Uri(u) => Term::Uri(Uri::from(self.canonical(u.shared()))),
-            Term::Literal(s) => Term::Literal(self.canonical(s)),
+    /// for known lexicals, zero-copy adoption for new ones, with the
+    /// tags hashing them took. Stores that ingest triples canonicalized
+    /// through one dictionary share one buffer per distinct lexical, and
+    /// read none of its bytes (see the module docs).
+    pub fn canonical_triple(&mut self, t: &Triple) -> TaggedTriple {
+        let (object, o) = self.canonical(t.object.shared_lexical());
+        let object = match t.object {
+            Term::Uri(_) => Term::Uri(Uri::from(object)),
+            Term::Literal(_) => Term::Literal(object),
         };
-        Triple::new(
-            Uri::from(self.canonical(t.subject.shared())),
-            Uri::from(self.canonical(t.predicate.shared())),
-            object,
-        )
+        let (subject, s) = self.canonical(t.subject.shared());
+        let (predicate, p) = self.canonical(t.predicate.shared());
+        TaggedTriple {
+            triple: Triple::new(Uri::from(subject), Uri::from(predicate), object),
+            tags: [s, p, o],
+        }
     }
 }
 
@@ -263,9 +350,9 @@ mod tests {
     #[test]
     fn intern_is_idempotent() {
         let mut d = TermDict::new();
-        let a = d.intern_shared(&Arc::from("EMBL#Organism"));
-        let b = d.intern_shared(&Arc::from("embl:A78712"));
-        let a2 = d.intern_shared(&Arc::from("EMBL#Organism"));
+        let a = d.intern(&Arc::from("EMBL#Organism"), None);
+        let b = d.intern(&Arc::from("embl:A78712"), None);
+        let a2 = d.intern(&Arc::from("EMBL#Organism"), None);
         assert_eq!(a, a2);
         assert_ne!(a, b);
         assert_eq!(d.len(), 2);
@@ -278,7 +365,7 @@ mod tests {
     fn resolve_round_trips() {
         let mut d = TermDict::new();
         for s in ["", "a", "Aspergillus niger", "seq:A78712", "100%"] {
-            let id = d.intern_shared(&Arc::from(s));
+            let id = d.intern(&Arc::from(s), None);
             assert_eq!(d.resolve(id), s);
             assert_eq!(d.lookup(s), Some(id));
         }
@@ -288,7 +375,7 @@ mod tests {
     #[test]
     fn shared_buffers_are_refcounted_not_copied() {
         let mut d = TermDict::new();
-        let id = d.intern_shared(&Arc::from("EMBL#Organism"));
+        let id = d.intern(&Arc::from("EMBL#Organism"), None);
         let h1 = d.shared(id);
         let h2 = d.shared(id);
         assert!(Arc::ptr_eq(&h1, &h2));
@@ -303,18 +390,21 @@ mod tests {
             "EMBL#Organism",
             Term::literal("Aspergillus niger"),
         );
-        let a = lexicon.canonical_triple(&t);
+        let a = lexicon.canonical_triple(&t).triple().clone();
         // A first-seen buffer is adopted, not copied.
         assert!(Arc::ptr_eq(a.subject.shared(), &subject));
         assert_eq!(a, t);
         assert_eq!(lexicon.len(), 3);
         // A second triple maps onto the first one's buffers, and a
         // literal with the subject's lexical resolves to its buffer.
-        let b = lexicon.canonical_triple(&Triple::new(
-            "embl:A78712",
-            "EMBL#Organism",
-            Term::literal("embl:A78712"),
-        ));
+        let b = lexicon
+            .canonical_triple(&Triple::new(
+                "embl:A78712",
+                "EMBL#Organism",
+                Term::literal("embl:A78712"),
+            ))
+            .triple()
+            .clone();
         assert!(Arc::ptr_eq(b.subject.shared(), &subject));
         assert!(Arc::ptr_eq(b.predicate.shared(), a.predicate.shared()));
         let Term::Literal(object) = &b.object else {
@@ -327,8 +417,11 @@ mod tests {
     #[test]
     fn interned_and_canonicalized_lexicals_share_one_pool() {
         let mut lexicon = TermDict::new();
-        let id = lexicon.intern_shared(&Arc::from("x"));
-        let t = lexicon.canonical_triple(&Triple::new("x", "p", Term::uri("x")));
+        let id = lexicon.intern(&Arc::from("x"), None);
+        let t = lexicon
+            .canonical_triple(&Triple::new("x", "p", Term::uri("x")))
+            .triple()
+            .clone();
         assert!(Arc::ptr_eq(t.subject.shared(), &lexicon.shared(id)));
         let Term::Uri(object) = &t.object else {
             panic!("the object stays a URI");
@@ -387,7 +480,7 @@ mod proptests {
         #[test]
         fn round_trip_lossless(values in proptest::collection::vec("[ -~]{0,24}", 0..40)) {
             let mut d = TermDict::new();
-            let ids: Vec<TermId> = values.iter().map(|v| d.intern_shared(&Arc::from(v.as_str()))).collect();
+            let ids: Vec<TermId> = values.iter().map(|v| d.intern(&Arc::from(v.as_str()), None)).collect();
             for (v, id) in values.iter().zip(&ids) {
                 prop_assert_eq!(d.resolve(*id), v.as_str());
                 prop_assert_eq!(d.lookup(v), Some(*id));
@@ -396,6 +489,46 @@ mod proptests {
             for (i, a) in values.iter().enumerate() {
                 for (j, b) in values.iter().enumerate() {
                     prop_assert_eq!(ids[i] == ids[j], a == b, "{:?} vs {:?}", a, b);
+                }
+            }
+        }
+
+        /// Interning the lexicals of tagged triples — rebuilt over a
+        /// lexicon's buffers, or tagged over buffers of their own, so
+        /// equal lexicals arrive both in one buffer and in different
+        /// ones — issues the ids, length and lookups interning them by
+        /// string does.
+        #[test]
+        fn carried_tags_intern_as_strings_do(
+            triples in proptest::collection::vec(
+                ("[a-c]{0,2}", "[a-c]{1}", "[a-c]{0,2}", any::<bool>(), any::<bool>()),
+                0..60,
+            ),
+        ) {
+            let (mut lexicon, mut by_string, mut tagged) = (TermDict::new(), TermDict::new(), TermDict::new());
+            for (s, p, o, literal, canonical) in &triples {
+                // Fresh buffers for every triple.
+                let object = if *literal { Term::literal(o.as_str()) } else { Term::uri(o.as_str()) };
+                let t = Triple::new(s.as_str(), p.as_str(), object);
+                let staged = if *canonical {
+                    lexicon.canonical_triple(&t)
+                } else {
+                    TaggedTriple::new(t.clone())
+                };
+                prop_assert_eq!(staged.tags, TaggedTriple::new(t.clone()).tags);
+                let copy = staged.triple();
+                let lexicals = [copy.subject.shared(), copy.predicate.shared(), copy.object.shared_lexical()];
+                for (k, lexical) in lexicals.into_iter().enumerate() {
+                    let id = tagged.intern(lexical, Some(staged.tags[k]));
+                    prop_assert_eq!(id, by_string.intern(&Arc::from(&**lexical), None));
+                }
+            }
+            prop_assert_eq!(tagged.len(), by_string.len());
+            for (s, p, o, ..) in &triples {
+                for lexical in [s, p, o] {
+                    prop_assert_eq!(tagged.lookup(lexical), by_string.lookup(lexical));
+                    let id = tagged.lookup(lexical).expect("interned");
+                    prop_assert_eq!(tagged.resolve(id), lexical.as_str());
                 }
             }
         }

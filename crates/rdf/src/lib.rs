@@ -89,7 +89,7 @@ pub mod prelude {
 }
 
 pub use batch::BindingBatch;
-pub use dict::{TermDict, TermId};
+pub use dict::{Insertable, TaggedTriple, TermDict, TermId};
 pub use parser::{parse_query, parse_single, ParseError};
 pub use query::{ConjunctiveQuery, QueryError, TriplePatternQuery};
 pub use store::{RowCursor, TripleRef, TripleStore};

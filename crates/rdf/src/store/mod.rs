@@ -15,7 +15,12 @@
 //! [`TripleStore::insert_batch`], which [`TripleStore::insert`] calls
 //! with a batch of one — and its cost is the cost of its rows: a peer
 //! of a 340-peer network receives `Update(t)` about three rows at a
-//! time, so the path carries no per-call set-up. One access structure
+//! time, so the path carries no per-call set-up. It takes owned
+//! [`Triple`]s, or [`crate::TaggedTriple`]s by value or by reference:
+//! a tagged triple's carried tags spare the dictionary its hashes, and
+//! a copy rebuilt over a lexicon's buffers (as every copy a system
+//! stages is) is matched to the dictionary's terms on pointer equality,
+//! so ingesting it reads none of its string bytes. One access structure
 //! sits on top of the columns — **posting lists**: per position, term
 //! id → row ids, split at `csr_end`, the first row id the CSR head does
 //! not cover:
@@ -109,7 +114,7 @@ pub use cursor::RowCursor;
 pub(crate) const GRANULE: usize = 256;
 
 use crate::batch::BindingBatch;
-use crate::dict::{TermDict, TermId};
+use crate::dict::{same_lexical, Insertable, TermDict, TermId};
 use crate::fasthash::{FxHashMap, FxHashSet};
 use crate::join::{hash_join_rows, VarTable, UNBOUND};
 use crate::term::{LikePattern, Term};
@@ -404,7 +409,8 @@ impl TripleStore {
 
     /// The one way a row enters the store: append every triple the
     /// store does not hold yet, in iteration order, and return how many
-    /// were new.
+    /// were new. A [`crate::TaggedTriple`] is interned with its carried
+    /// tags (see the module docs).
     ///
     /// One pass interns and deduplicates. Then, when the appended rows
     /// take the tail to a quarter of the rows the CSR heads cover (and
@@ -431,30 +437,32 @@ impl TripleStore {
     /// doubling; reserving for the batch measured no faster at 50 000
     /// rows, and a table sized for a batch of mostly known terms only
     /// costs probe cache misses).
-    pub fn insert_batch(&mut self, triples: impl IntoIterator<Item = Triple>) -> usize {
+    pub fn insert_batch<T: Insertable>(&mut self, triples: impl IntoIterator<Item = T>) -> usize {
         // Bulk feeds are typically grouped by subject (an entity's facts
         // travel together) over a handful of predicates: remembering the
         // last subject and the last four predicates by id turns most
         // interns into one cache-hot compare with the dictionary's own
-        // buffer.
+        // buffer — a pointer compare for a canonical triple.
         let first_new = self.cols.len();
         let mut appended: FxHashSet<Row> = FxHashSet::default();
         let mut subject: Option<TermId> = None;
         let mut predicates: [Option<TermId>; 4] = [None; 4];
         let mut oldest = 0;
         for t in triples {
+            let (t, tags) = t.parts();
+            let tag = |k: usize| tags.map(|tags| tags[k]);
             let s = match subject {
-                Some(id) if self.dict.resolve(id) == t.subject.as_str() => id,
-                _ => *subject.insert(self.dict.intern_shared(t.subject.shared())),
+                Some(id) if same_lexical(self.dict.resolve(id), t.subject.as_str()) => id,
+                _ => *subject.insert(self.dict.intern(t.subject.shared(), tag(0))),
             };
             let known = predicates
                 .iter()
                 .flatten()
-                .find(|&&id| self.dict.resolve(id) == t.predicate.as_str());
+                .find(|&&id| same_lexical(self.dict.resolve(id), t.predicate.as_str()));
             let p = match known {
                 Some(&id) => id,
                 None => {
-                    let id = self.dict.intern_shared(t.predicate.shared());
+                    let id = self.dict.intern(t.predicate.shared(), tag(1));
                     predicates[oldest] = Some(id);
                     oldest = (oldest + 1) % predicates.len();
                     id
@@ -463,7 +471,7 @@ impl TripleStore {
             let row = Row {
                 s,
                 p,
-                o: self.dict.intern_shared(t.object.shared_lexical()),
+                o: self.dict.intern(t.object.shared_lexical(), tag(2)),
                 o_lit: t.object.is_literal(),
             };
             if self.find_row(&row).is_none() && appended.insert(row) {
@@ -930,13 +938,27 @@ impl Compiled<'_> {
         } else {
             store.rows()
         };
+        // `LIKE` verdicts by (pattern, term id), direct-mapped over 64
+        // slots: a residual `LIKE` meets each distinct term of a scan a
+        // few times over (tens of ids behind hundreds of rows), and a
+        // verdict costs a pass over the term's bytes. On the stack, so a
+        // scan of a few dozen rows allocates nothing.
+        let mut verdicts = [u64::MAX; 64];
         // The cursor skips tombstones.
         while cursor.next_block(buf) {
             for &(pos, code) in codes {
                 buf.retain(|&id| store.cols.code_at(id, pos) == code);
             }
-            for (pos, like) in likes.iter() {
-                buf.retain(|&id| like.matches(store.dict.resolve(store.cols.id_at(id, *pos))));
+            for (k, (pos, like)) in likes.iter().enumerate() {
+                buf.retain(|&id| {
+                    let term = store.cols.id_at(id, *pos);
+                    let key = (term.0 as u64) << 2 | k as u64;
+                    let slot = &mut verdicts[(term.0 as usize ^ k) & 63];
+                    if *slot >> 1 != key {
+                        *slot = key << 1 | like.matches(store.dict.resolve(term)) as u64;
+                    }
+                    *slot & 1 == 1
+                });
             }
             for &(a, b) in repeats.iter() {
                 buf.retain(|&id| store.cols.code_at(id, a) == store.cols.code_at(id, b));
@@ -1672,9 +1694,20 @@ mod proptests {
             probe in arb_pooled_triple(),
             stored in any::<prop::sample::Index>(),
             core in "[a-b]{0,2}",
-            seal in any::<bool>(),
+            (seal, wide) in (any::<bool>(), any::<bool>()),
             shape in 0usize..9,
         ) {
+            // A wide tail: 200 rows over 80 distinct objects, each met
+            // two or three times, so the `LIKE` verdict memo's 64 slots
+            // collide and are re-filled within one granule.
+            let mut second = second;
+            if wide {
+                second.extend((0..200).map(|i: usize| {
+                    let j = i * 37 % 80;
+                    let object = format!("{}{j}", ["a", "b", "ab", "ba"][j % 4]);
+                    Triple::new(["a", "b", "ab"][i % 3], "ab", Term::literal(object))
+                }));
+            }
             let (db, reference) = build(&first, seal, &removals, &second);
             let var = PatternTerm::var;
             // Ground patterns take a stored triple when there is one.

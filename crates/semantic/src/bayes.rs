@@ -124,8 +124,8 @@ impl Assessment {
 /// Enumerate simple cycles (no mapping reused, schemas visited at most
 /// once except the base) up to `max_len` steps, starting from every
 /// schema. Each undirected cycle is reported once, keyed by its mapping
-/// set.
-fn find_cycles(registry: &MappingRegistry, max_len: usize) -> Vec<Cycle> {
+/// set, with the outcome composing it gives.
+pub fn find_cycles(registry: &MappingRegistry, max_len: usize) -> Vec<Cycle> {
     let mut seen: BTreeSet<Vec<MappingId>> = BTreeSet::new();
     let mut cycles = Vec::new();
     let schemas: Vec<SchemaId> = registry.schemas().map(|s| s.id().clone()).collect();
@@ -237,8 +237,17 @@ fn compose_cycle(
 
 /// Run the iterative Bayesian analysis over all active mappings.
 pub fn assess(registry: &MappingRegistry, cfg: &BayesConfig) -> Assessment {
-    let cycles = find_cycles(registry, cfg.max_cycle_len);
+    assess_cycles(registry, find_cycles(registry, cfg.max_cycle_len), cfg)
+}
 
+/// The iterative Bayesian analysis over `cycles` (as [`find_cycles`]
+/// gives them; an `Unobservable` cycle is no evidence, whatever made it
+/// so).
+pub fn assess_cycles(
+    registry: &MappingRegistry,
+    cycles: Vec<Cycle>,
+    cfg: &BayesConfig,
+) -> Assessment {
     // Initial beliefs.
     let mut belief: BTreeMap<MappingId, f64> = registry
         .active_mappings()

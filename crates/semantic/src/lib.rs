@@ -60,7 +60,9 @@ pub mod prelude {
     pub use crate::schema::{Schema, SchemaId};
 }
 
-pub use bayes::{apply_assessment, assess, Assessment, BayesConfig, CycleOutcome};
+pub use bayes::{
+    apply_assessment, assess, assess_cycles, find_cycles, Assessment, BayesConfig, CycleOutcome,
+};
 pub use compose::{compose_path, find_path, Composed};
 pub use connectivity::{connectivity_indicator, DegreeDistribution};
 pub use graph::{DegreeRecord, MappingRegistry};

@@ -2,7 +2,7 @@
 # Where one benchmark workload spends its host time, by function — or,
 # with --heap, how much heap it holds live at its peak.
 #
-#   scripts/profile.sh <workload> [seed=2007]
+#   scripts/profile.sh [--callees <function>] <workload> [seed=2007]
 #   scripts/profile.sh --heap <workload> [seed=2007]
 #
 # Builds the benchmark package with frame pointers
@@ -21,6 +21,14 @@
 # out of the inclusive list. Inlined functions count as their caller,
 # and a chain a library cuts short loses the frames above the cut.
 #
+# Every sampled stack is also written, folded, to stacks.folded in the
+# work directory (one `root;…;leaf count` line per distinct stack, the
+# input flame-graph tools read), and its path printed. With
+# --callees <function> the script then prints, for the samples whose
+# stack holds a frame whose name contains <function> (its outermost
+# such frame), the share each direct callee of that frame takes, and
+# the share the frame takes itself ("(self)").
+#
 # With --heap it preloads scripts/profile/heap.c instead: a thread that
 # reads glibc's mallinfo2() every 5 ms and keeps the largest live heap
 # (bytes malloc has handed out and not had back). It prints that peak,
@@ -35,12 +43,16 @@
 set -eu
 
 heap=no
+callees=
 if [ "${1:-}" = --heap ]; then
     heap=yes
     shift
+elif [ "${1:-}" = --callees ] && [ $# -ge 2 ]; then
+    callees=$2
+    shift 2
 fi
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
-    echo "usage: $0 [--heap] <workload> [seed=2007]" >&2
+    echo "usage: $0 [--heap | --callees <function>] <workload> [seed=2007]" >&2
     exit 2
 fi
 workload=$1
@@ -76,10 +88,10 @@ cc -O2 -shared -fPIC -o "$work/sampler.so" "$root/scripts/profile/sampler.c"
     >"$work/run.txt" 2>&1)
 nm -C -n --defined-only "$bin" >"$work/symbols"
 
-python3 - "$work/samples" "$work/symbols" "$bin" <<'EOF'
+python3 - "$work/samples" "$work/symbols" "$bin" "$work/stacks.folded" "$callees" <<'EOF'
 import bisect, collections, os, re, struct, sys
 
-samples_path, symbols_path, exe = sys.argv[1:]
+samples_path, symbols_path, exe, folded_path, callees = sys.argv[1:]
 stacks, maps = [], []
 for line in open(samples_path):
     if line.startswith("S "):
@@ -121,10 +133,19 @@ def name(addr):
     i = bisect.bisect_right(addrs, addr - bias) - 1
     return names[i] if i >= 0 else "[unknown]"
 
-own, on = collections.Counter(), collections.Counter()
+own, on, folded = collections.Counter(), collections.Counter(), collections.Counter()
+under, callee = 0, collections.Counter()
 for stack in stacks:
     # A return address is just past its call: step back into it.
     frames = [name(stack[0])] + [name(a - 1) for a in stack[1:]]
+    folded[";".join(reversed(frames))] += 1
+    if callees:
+        # Outermost frame naming the function; the frame below it (one
+        # step toward the leaf) is its direct callee.
+        at = [i for i, f in enumerate(frames) if callees in f]
+        if at:
+            under += 1
+            callee[frames[at[-1] - 1] if at[-1] > 0 else "(self)"] += 1
     ours = [f for f in frames if not f.startswith("[")]
     leaf = frames[0]
     if leaf.startswith("[") and ours:
@@ -137,4 +158,13 @@ for title, counts in (("self", own), ("inclusive", on)):
     print(f"\n{title}:")
     for fn, n in counts.most_common(25):
         print(f"{100 * n / total:6.1f} %  {fn[:150]}")
+with open(folded_path, "w") as out:
+    for stack, n in sorted(folded.items()):
+        out.write(f"{stack} {n}\n")
+print(f"\nfolded stacks: {folded_path}")
+if callees:
+    print(f"\ndirect callees of '{callees}' ({under} samples, "
+          f"{100 * under / max(total, 1):.1f} % of all):")
+    for fn, n in callee.most_common(25):
+        print(f"{100 * n / max(under, 1):6.1f} %  {fn[:150]}")
 EOF
