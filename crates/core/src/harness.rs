@@ -20,9 +20,10 @@
 //! like any other request, and when its reply lands the driver
 //! resolves `q` against the `DB_p` of the peer that answered
 //! (`Results = π σ (DB_dest)`, §2.3) with the scan kernel both engines
-//! share ([`TripleStore::match_into`], here through
-//! [`TripleStore::match_pattern`]), materialising a [`Binding`] only for
-//! rows that match.
+//! share, here through [`TripleStore::match_pattern`], which decodes
+//! the rows through the peer store's own dictionary (the driver's
+//! stores are fed plain triples, so they ship their own ids),
+//! materialising a [`Binding`] only for rows that match.
 //!
 //! The driver is **fully event-driven on the netsim clock**:
 //! the network is pumped one event at a time

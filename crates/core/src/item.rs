@@ -113,10 +113,12 @@ impl<'a> KeySpace<'a> {
 /// peer when it is flushed, so a stage of one triple is cheap.
 ///
 /// A stage holds a call's triples once, each with its lexicals'
-/// dictionary tags (12 B, held while the call runs), and a copy is a
-/// `(peer, triple index)` pair: every copy is handed to its store by
-/// reference, so no copy clones a triple and no store hashes its
-/// strings again. A triple with no copies is stored nowhere.
+/// dictionary tags and — when a lexicon rebuilt it — their lexicon ids
+/// (24 B, held while the call runs), and a copy is a `(peer, triple
+/// index)` pair: every copy is handed to its store by reference, so no
+/// copy clones a triple, no store hashes its strings again, and every
+/// store keeps the lexicon's ids, which is what it ships rows as. A
+/// triple with no copies is stored nowhere.
 pub(crate) struct TripleStage {
     triples: Vec<TaggedTriple>,
     /// One `(peer, index into triples)` per placed copy.

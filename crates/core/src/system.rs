@@ -291,7 +291,11 @@ pub struct GridVineSystem {
     /// The string pool every triple is canonicalized through before it
     /// is staged ([`TermDict::canonical_triple`]): each distinct lexical
     /// is stored once no matter how many peers' `DB_p`s hold triples
-    /// mentioning it.
+    /// mentioning it, and numbered once — every `DB_p` ships its rows as
+    /// codes over these ids, so a session joins and dedups rows from
+    /// many peers on codes and reads a term here only for an admitted
+    /// answer ([`TermDict::term_of_code`]), and a bound join's seeds go
+    /// out as codes with their tags.
     lexicon: TermDict,
     /// The logical mediation state: schemas and mappings as stored in
     /// the DHT (kept in lock-step with the DHT copies by the insert /
@@ -713,11 +717,12 @@ impl GridVineSystem {
     /// indexes it in its `DB_p`, which is what destination-side
     /// resolution evaluates. Each triple's lexicals are canonicalized
     /// through the shared lexicon first (all peer databases share one
-    /// buffer per distinct string), and the lexicon's tags travel with
-    /// every copy ([`gridvine_rdf::TaggedTriple`]): a call reads each
-    /// lexical's bytes in the lexicon and in one key hash, and no copy
-    /// reads them again. The lexicon pools the buffers of every triple
-    /// of the call, placed or not.
+    /// buffer per distinct string), and the lexicon's tags and ids travel
+    /// with every copy ([`gridvine_rdf::TaggedTriple`]): a call reads
+    /// each lexical's bytes in the lexicon and in one key hash, no copy
+    /// reads them again, and each store keeps the lexicon id of every
+    /// term it holds. The lexicon pools the buffers of every triple of
+    /// the call, placed or not.
     ///
     /// The copies are staged in triple order and every touched `DB_p`
     /// is bulk-loaded once per call: each peer's rows and row ids are

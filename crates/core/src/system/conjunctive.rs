@@ -11,10 +11,11 @@
 //!   shipped back to the origin, and the origin joins the binding sets
 //!   locally. Simple, one network sweep per pattern, but it pays to ship
 //!   *every* match of *every* pattern even when the join keeps almost
-//!   none of them. The origin at least does not pay to *encode* them:
-//!   its fold interns the smallest set and then only the rows of the
-//!   others whose shared variables name terms it already holds — the
-//!   rows that can join (see the [session docs](super::session)).
+//!   none of them. The origin at least does not pay to *place* them:
+//!   its fold places the smallest set into join rows and then only the
+//!   rows of the others whose shared variables carry codes the smallest
+//!   holds there — the rows that can join (see the
+//!   [session docs](super::session)).
 //!
 //! * [`JoinMode::BoundSubstitution`] — patterns are resolved in
 //!   selectivity order; the partial solutions so far are substituted

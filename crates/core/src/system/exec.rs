@@ -28,22 +28,28 @@
 //! [`TripleStore::match_into`](gridvine_rdf::TripleStore::match_into)
 //! without one), appending the matching rows of the peer's indexed
 //! `DB_p` to the caller's columnar [`BindingBatch`] — variable names
-//! once per batch, terms row-major — so a destination ships exactly
-//! the terms it matched, builds no per-row map, and replies once,
-//! saying how many rows each (pattern, seed) shipped. A pattern lookup,
-//! a prefix probe and an un-schema'd join pattern list one pattern; a
-//! closure walk lists every hop the issuer knows and has not had
-//! answered (below). Shipped rows stay columnar up to the result
-//! boundary: the hops one request answers append to one batch (a
-//! reformulation only swaps the predicate constant, so they share its
-//! header), single-pattern plans dedup straight off the batch's
-//! distinguished column, a bound join hands each reply's batch to
-//! [`TermInterner::encode_batch`](gridvine_rdf::join::TermInterner::encode_batch),
-//! and an independent join keeps each pattern's batch until its fold
-//! encodes only the rows that can join (see the session docs).
-//! [`Binding`]s are built in one place per plan shape — the session's
-//! row admission — once per admitted *distinct* row, for
-//! [`ResultEvent::Rows`](super::session::ResultEvent) and
+//! once per batch, rows as term *codes* — so a destination ships
+//! exactly the terms it matched, builds no per-row map, and replies
+//! once, saying how many rows each (pattern, seed) shipped. Every
+//! `DB_p` is loaded through the system's lexicon
+//! ([`TermDict::canonical_triple`](gridvine_rdf::TermDict::canonical_triple)),
+//! so a code is the term's lexicon id with its kind bit, one code per
+//! term whichever peer ships it (see [`gridvine_rdf::dict`]). A pattern
+//! lookup, a prefix probe and an un-schema'd join pattern list one
+//! pattern; a closure walk lists every hop the issuer knows and has not
+//! had answered (below). Shipped rows stay columnar, and coded, up to
+//! the result boundary: the hops one request answers append to one
+//! batch (a reformulation only swaps the predicate constant, so they
+//! share its header), single-pattern plans dedup straight off the
+//! codes of the batch's distinguished column, a bound join places each
+//! reply's codes into join rows
+//! ([`batch_rows`](gridvine_rdf::join::batch_rows)), and an independent
+//! join keeps each pattern's batch until its fold places only the rows
+//! that can join (see the session docs). No string is read between a
+//! destination's scan and the origin's row admission: [`Binding`]s are
+//! built in one place per plan shape — the session's row admission —
+//! once per admitted *distinct* row, their terms read through the
+//! lexicon, for [`ResultEvent::Rows`](super::session::ResultEvent) and
 //! [`QueryOutcome::rows`].
 //! Join plans feed the per-pattern row sets through the
 //! [`hash-join engine`](gridvine_rdf::join) in the planner's order.
@@ -53,7 +59,11 @@
 //! solution at once: the distinct substitutions the partial solutions
 //! make of the pattern's already-bound variables — the *seeds* — travel
 //! as a column on every data request of the pattern's one sweep (the
-//! session's, one exchange per unit), beside the pattern list.
+//! session's, one exchange per unit), beside the pattern list. The
+//! column is a [`SeedColumn`]: the seeds' codes, each with its
+//! lexical's dictionary tag, computed once when the column is built,
+//! so a destination binds a seed by probing its dictionary with the
+//! tag and the lexicon's buffer — no value is hashed per hop.
 //! The sweep is the pattern's own: its hops route by the pattern's
 //! routing constants, not by what a seed would put into a variable
 //! (the predicate's peer indexes every triple of the predicate, so the
@@ -171,7 +181,7 @@ use super::conjunctive::JoinMode;
 use super::sched::Write;
 use super::*;
 use crate::plan::QueryPlan;
-use gridvine_rdf::{Binding, BindingBatch, Position, TriplePattern};
+use gridvine_rdf::{Binding, BindingBatch, Position, SeedColumn, TriplePattern};
 use gridvine_semantic::{expand_hop, CachedHop, ClosureKey, Hop, Mapping};
 
 /// Physical execution knobs for one [`GridVineSystem::execute`] /
@@ -473,7 +483,7 @@ pub(crate) struct Listed<'a> {
     /// of `pattern` — routed by what that seed put in, for a bound
     /// pattern with no routing constant of its own — rather than for the
     /// instances the request's binding column makes.
-    pub(crate) seed: Option<&'a Binding>,
+    pub(crate) seed: Option<&'a SeedColumn>,
     pub(crate) routed: &'a RoutedBy,
     /// The key of the schema whose mapping list the reply carries if
     /// the destination holds it — `Some` for a closure hop the walk
@@ -792,7 +802,7 @@ impl ClosureSweep {
     pub(crate) fn resolve_next(
         &mut self,
         sys: &mut GridVineSystem,
-        seeds: &[Binding],
+        seeds: &SeedColumn,
         out: &mut BindingBatch,
         mut resolved: impl FnMut(&Hop, Option<&[usize]>),
     ) -> bool {
@@ -1034,7 +1044,7 @@ impl GridVineSystem {
         origin: PeerId,
         first: Listed<'a>,
         rest: impl Iterator<Item = Listed<'a>>,
-        seeds: &[Binding],
+        seeds: &SeedColumn,
         out: &mut BindingBatch,
         reply: &mut Reply,
     ) -> Result<(), SystemError> {
@@ -1050,11 +1060,12 @@ impl GridVineSystem {
             reply
                 .lists
                 .push(held.map(|k| self.stored_mappings(dest, k)));
-            let column = l.seed.map_or(seeds, std::slice::from_ref);
+            let column = l.seed.unwrap_or(seeds);
             if column.is_empty() {
                 reply.shipped.push(db.match_into(l.pattern, out));
             } else {
-                db.match_seeds_into(l.pattern, column, out, &mut reply.shipped);
+                let lexicon = &self.lexicon;
+                db.match_seeds_into(l.pattern, column, lexicon, out, &mut reply.shipped);
             }
         }
         reply.peer = Some(dest);

@@ -73,15 +73,24 @@
 //! pattern's instances go out one after another, because each lists
 //! what the replies before it left unanswered.
 //!
+//! Rows travel as codes: every peer store is loaded through the
+//! system's lexicon and ships each term as its lexicon id with its kind
+//! bit (see [`gridvine_rdf::dict`]), so equal terms from different
+//! peers arrive as equal `u64`s. Join rows are those codes placed into
+//! variable slots; dedup compares codes; a bound join's binding column
+//! goes out as codes with their dictionary tags ([`SeedColumn`], built
+//! once per part); and a string is read only when an admitted answer
+//! becomes a [`Binding`], through the lexicon.
+//!
 //! An independent join's fold pays for the rows that can join, not for
 //! every row shipped. Each sweep keeps its pattern's batch as it
-//! arrived; the fold interns the smallest batch in full and encodes of
-//! every other one only the rows whose variables shared with the
-//! smallest name terms the interner already holds — a read-only probe,
-//! a semi-join in the sense of distributed query processing. No other
-//! row can join, and the fold still runs left-major, then in right
-//! insertion order, over the sets in written order, so the answer rows
-//! come in the order they would over everything shipped, and a
+//! arrived; the fold places the smallest batch in full and of every
+//! other one only the rows whose variables shared with the smallest
+//! carry codes the smallest holds there — a probe of a set of its key
+//! codes, a semi-join in the sense of distributed query processing. No
+//! other row can join, and the fold still runs left-major, then in
+//! right insertion order, over the sets in written order, so the answer
+//! rows come in the order they would over everything shipped, and a
 //! [`QueryOptions::limit`] keeps the same ones.
 //!
 //! Early termination is structural, not cosmetic: a subquery is only
@@ -117,9 +126,9 @@
 //!   reply that completed any, in that reply's unit).
 //!   A row is never repeated across batches. These are the only
 //!   [`Binding`]s a session builds: destinations ship columnar
-//!   [`BindingBatch`]es, projection and dedup run on their terms (or,
-//!   for joins, on term codes), and a row becomes a `Binding` when —
-//!   and only if — it is admitted here.
+//!   [`BindingBatch`]es of codes, projection and dedup run on the
+//!   codes, and a row becomes a `Binding` when — and only if — it is
+//!   admitted here.
 //! * [`ResultEvent::SchemaHop`] — the closure walk resolved the query
 //!   at a schema: mapping-path depth and path quality (the minimum
 //!   mapping quality along the path, the confidence proxy of
@@ -204,9 +213,11 @@ use super::sched::QueuedReply;
 use super::*;
 use crate::plan::{object_prefix_core, QueryPlan};
 use gridvine_netsim::{SimDuration, SimTime};
-use gridvine_rdf::fasthash::FxHashMap;
-use gridvine_rdf::join::{hash_join_rows, TermInterner, VarTable, UNBOUND};
-use gridvine_rdf::{Binding, BindingBatch, ConjunctiveQuery, PatternTerm, TriplePattern};
+use gridvine_rdf::fasthash::{FxHashMap, FxHashSet};
+use gridvine_rdf::join::{batch_rows, hash_join_rows, VarTable, UNBOUND};
+use gridvine_rdf::{
+    Binding, BindingBatch, ConjunctiveQuery, PatternTerm, SeedColumn, TermDict, TriplePattern,
+};
 use std::collections::VecDeque;
 
 /// One increment of a [`QuerySession`] (see the module docs).
@@ -250,7 +261,7 @@ struct BoundPart {
     /// The binding column the requests carry: one seed per distinct
     /// substitution the part's rows make of the template's bound
     /// variables, in first-seen order (none in independent mode).
-    seeds: Vec<Binding>,
+    seeds: SeedColumn,
     /// Per seed, the partial rows (indices into [`JoinState::rows`])
     /// that agree on it — its group: a row shipped for the seed joins
     /// each of them.
@@ -277,11 +288,13 @@ enum Requests {
         ready: SimTime,
     },
     /// A template with no routing constant of its own: its instances,
-    /// one per seed, each routed by what the seed puts in (`None`:
-    /// nothing). `todo` marks those no reply answered yet; `unroutable`
-    /// counts the others until the first unit records them as failures.
+    /// one per seed — `alone` holds each seed as a column of its own —
+    /// each routed by what the seed puts in (`None`: nothing). `todo`
+    /// marks those no reply answered yet; `unroutable` counts the others
+    /// until the first unit records them as failures.
     Instances {
         routed: Vec<Option<RoutedBy>>,
+        alone: Vec<SeedColumn>,
         todo: Vec<bool>,
         unroutable: usize,
     },
@@ -334,7 +347,6 @@ struct JoinState {
     query: ConjunctiveQuery,
     order: Vec<usize>,
     vars: VarTable,
-    interner: TermInterner,
     /// Partial solution rows (term-code vectors over the variable slots).
     rows: Vec<Vec<u64>>,
     phase: JoinPhase,
@@ -349,7 +361,7 @@ struct Projection {
     slots: Vec<usize>,
     proj: VarTable,
     /// Dedups on projected codes before any term is materialized.
-    seen: BTreeSet<Vec<u64>>,
+    seen: FxHashSet<Vec<u64>>,
 }
 
 enum State {
@@ -362,7 +374,7 @@ enum State {
     Prefix {
         query: TriplePatternQuery,
         probes: std::vec::IntoIter<BitString>,
-        seen: BTreeSet<Term>,
+        seen: FxHashSet<u64>,
     },
     /// One request of the closure walk — a data request, answering
     /// every hop its destination is responsible for, or a mapping
@@ -372,7 +384,7 @@ enum State {
         query: TriplePatternQuery,
         walk: Box<Walk>,
         shipped: BindingBatch,
-        seen: BTreeSet<Term>,
+        seen: FxHashSet<u64>,
     },
     Join(Box<JoinState>),
 }
@@ -563,7 +575,7 @@ impl SessionCore {
                 State::Prefix {
                     query: query.clone(),
                     probes: probes.into_iter(),
-                    seen: BTreeSet::new(),
+                    seen: FxHashSet::default(),
                 }
             }
             QueryPlan::Closure { query } => {
@@ -585,7 +597,7 @@ impl SessionCore {
                     query: query.clone(),
                     walk: Box::new(Walk::new(sweep, started_at)),
                     shipped: BindingBatch::for_pattern(&query.pattern),
-                    seen: BTreeSet::new(),
+                    seen: FxHashSet::default(),
                 }
             }
             QueryPlan::Join { query, order } => {
@@ -630,14 +642,13 @@ impl SessionCore {
                     query: query.clone(),
                     order: order.clone(),
                     vars,
-                    interner: TermInterner::new(),
                     rows,
                     phase,
                     sweep: None,
                     projection: Projection {
                         slots,
                         proj,
-                        seen: BTreeSet::new(),
+                        seen: FxHashSet::default(),
                     },
                 }))
             }
@@ -835,26 +846,28 @@ impl SessionCore {
 
     /// Admit freshly-shipped rows of a single-pattern plan: project
     /// onto the distinguished variable (`col`, its column in the
-    /// shipped batch), dedup against `seen`, append to the session rows
-    /// — the one place such a plan builds [`Binding`]s, one per
-    /// admitted distinct row. Returns `(batch, limit_hit)`.
+    /// shipped batch), dedup its codes against `seen`, append to the
+    /// session rows — the one place such a plan builds [`Binding`]s,
+    /// one per admitted distinct row, its term read through the
+    /// `lexicon`. Returns `(batch, limit_hit)`.
     fn admit_terms<'r>(
         &mut self,
-        seen: &mut BTreeSet<Term>,
+        seen: &mut FxHashSet<u64>,
         var: &str,
         col: Option<usize>,
-        shipped: impl Iterator<Item = &'r [Term]>,
+        shipped: impl Iterator<Item = &'r [u64]>,
+        lexicon: &TermDict,
     ) -> (Vec<Binding>, bool) {
         let mut batch = Vec::new();
         let Some(col) = col else {
             return (batch, false);
         };
         for shipped_row in shipped {
-            let t = &shipped_row[col];
-            if !seen.insert(t.clone()) {
+            let code = shipped_row[col];
+            if !seen.insert(code) {
                 continue;
             }
-            let row = one_var_row(var, t.clone());
+            let row = one_var_row(var, lexicon.term_of_code(code));
             self.rows.push(row.clone());
             batch.push(row);
             if self.limit_reached() {
@@ -884,16 +897,17 @@ impl SessionCore {
             schema_key: None,
         };
         let mut shipped = BindingBatch::for_pattern(&query.pattern);
-        let (none, no_column) = (std::iter::empty(), &[]);
+        let (none, no_column) = (std::iter::empty(), &SeedColumn::default());
         let reply = &mut Reply::default();
         sys.resolve_patterns(self.origin, alone, none, no_column, &mut shipped, reply)?;
         self.stats.bindings_shipped += shipped.len();
         let var = &query.distinguished;
         let (batch, _) = self.admit_terms(
-            &mut BTreeSet::new(),
+            &mut FxHashSet::default(),
             var,
             shipped.column(var),
             shipped.rows(),
+            &sys.lexicon,
         );
         if !batch.is_empty() {
             out.push(ResultEvent::Rows(batch));
@@ -914,7 +928,7 @@ impl SessionCore {
         sys: &mut GridVineSystem,
         query: &TriplePatternQuery,
         probes: &mut std::vec::IntoIter<BitString>,
-        seen: &mut BTreeSet<Term>,
+        seen: &mut FxHashSet<u64>,
         out: &mut Vec<ResultEvent>,
     ) -> Result<StepOutcome, SystemError> {
         let Some(probe) = probes.next() else {
@@ -926,7 +940,8 @@ impl SessionCore {
         self.stats.bindings_shipped +=
             sys.local_dbs[dest.index()].match_into(&query.pattern, &mut shipped);
         let var = &query.distinguished;
-        let (batch, limit_hit) = self.admit_terms(seen, var, shipped.column(var), shipped.rows());
+        let col = shipped.column(var);
+        let (batch, limit_hit) = self.admit_terms(seen, var, col, shipped.rows(), &sys.lexicon);
         if !batch.is_empty() {
             out.push(ResultEvent::Rows(batch));
         }
@@ -946,8 +961,9 @@ impl SessionCore {
         query: &TriplePatternQuery,
         answered: Vec<SweepHop>,
         shipped: &mut BindingBatch,
-        seen: &mut BTreeSet<Term>,
+        seen: &mut FxHashSet<u64>,
         out: &mut Vec<ResultEvent>,
+        lexicon: &TermDict,
     ) {
         let var = &query.distinguished;
         let col = shipped.column(var);
@@ -961,7 +977,8 @@ impl SessionCore {
                 quality: hop.quality,
             });
             if !limit_hit {
-                let (batch, hit) = self.admit_terms(seen, var, col, rows.by_ref().take(n));
+                let rows = rows.by_ref().take(n);
+                let (batch, hit) = self.admit_terms(seen, var, col, rows, lexicon);
                 limit_hit = hit;
                 if !batch.is_empty() {
                     out.push(ResultEvent::Rows(batch));
@@ -996,9 +1013,9 @@ impl SessionCore {
         &mut self,
         sys: &mut GridVineSystem,
         walk: &mut Walk,
-        seeds: &[Binding],
+        seeds: &SeedColumn,
         rows: &mut BindingBatch,
-        mut admit: impl FnMut(&mut SessionCore, Vec<SweepHop>, &[usize], &mut BindingBatch),
+        mut admit: impl FnMut(&mut SessionCore, Vec<SweepHop>, &[usize], &mut BindingBatch, &TermDict),
     ) -> Result<StepOutcome, SystemError> {
         let heard = match walk.sweep.pending_schema() {
             // Left pending by the previous step for its discovery.
@@ -1035,8 +1052,8 @@ impl SessionCore {
                     charge_hop(&mut self.stats, hop.depth, instances, hop.shipped.is_some());
                 }
                 self.stats.bindings_shipped += shipped.iter().sum::<usize>();
-                self.stats.bindings_carried += seeds.iter().map(Binding::len).sum::<usize>();
-                admit(self, answered, &shipped, rows);
+                self.stats.bindings_carried += seeds.values();
+                admit(self, answered, &shipped, rows, &sys.lexicon);
                 if self.limit_reached() {
                     walk.sweep.discard_pending();
                     let done = true;
@@ -1052,9 +1069,10 @@ impl SessionCore {
                 }
                 walk.expand(sys, &mut self.stats)?;
             } else if walk.sweep.next_answered() {
-                walk.sweep.resolve_next(sys, &[], rows, |_, _| {
-                    unreachable!("an answered hop sends nothing")
-                });
+                walk.sweep
+                    .resolve_next(sys, &SeedColumn::default(), rows, |_, _| {
+                        unreachable!("an answered hop sends nothing")
+                    });
             } else {
                 break;
             }
@@ -1074,12 +1092,19 @@ impl SessionCore {
         query: &TriplePatternQuery,
         walk: &mut Walk,
         shipped: &mut BindingBatch,
-        seen: &mut BTreeSet<Term>,
+        seen: &mut FxHashSet<u64>,
         out: &mut Vec<ResultEvent>,
     ) -> Result<StepOutcome, SystemError> {
-        self.step_walk(sys, walk, &[], shipped, |core, answered, _, shipped| {
-            core.admit_hops(query, answered, shipped, seen, out)
-        })
+        let no_column = &SeedColumn::default();
+        self.step_walk(
+            sys,
+            walk,
+            no_column,
+            shipped,
+            |core, answered, _, rows, lexicon| {
+                core.admit_hops(query, answered, rows, seen, out, lexicon)
+            },
+        )
     }
 
     /// [`QueryPlan::Join`]: one unit of join work — one exchange of the
@@ -1092,8 +1117,8 @@ impl SessionCore {
     /// Independent mode sweeps the patterns in written order (the order
     /// its message accounting is defined over), each from session start
     /// and keeping the batch it shipped; once every sweep is issued, a
-    /// final zero-message unit, ready at their max completion, encodes
-    /// the rows that can join ([`encode_for_fold`]), joins them through
+    /// final zero-message unit, ready at their max completion, places
+    /// the rows that can join ([`place_for_fold`]), joins them through
     /// the hash-join engine and emits the projected rows.
     ///
     /// Bound substitution resolves the patterns in the planner's order,
@@ -1117,7 +1142,6 @@ impl SessionCore {
             query,
             order,
             vars,
-            interner,
             rows: partial,
             phase,
             sweep,
@@ -1128,16 +1152,16 @@ impl SessionCore {
                 let step = match phase {
                     // The replies' rows accumulate into the sweep's batch.
                     JoinPhase::Independent { .. } => {
-                        self.step_sweep(sys, in_flight, |_, _, _, _| {})
+                        self.step_sweep(sys, in_flight, |_, _, _, _, _| {})
                     }
                     JoinPhase::Bound { oi, next, .. } => {
                         let last = *oi == order.len();
-                        self.step_sweep(sys, in_flight, |core, part, reply, shipped| {
+                        self.step_sweep(sys, in_flight, |core, part, reply, shipped, lexicon| {
                             // A seed's matches bind only the pattern's
                             // remaining variables: merge each into every
                             // member row of its group.
-                            let reply = std::mem::replace(reply, part.header());
-                            let fragments = interner.encode_batch(reply, vars, &[]);
+                            let fragments = batch_rows(reply, vars, &[]);
+                            reply.clear();
                             let mut fresh = Vec::new();
                             let mut at = 0;
                             'reply: for (i, &n) in shipped.iter().enumerate() {
@@ -1154,8 +1178,8 @@ impl SessionCore {
                                         continue;
                                     }
                                     let (rows, limit) = (&mut core.rows, core.limit);
-                                    let hit = projection
-                                        .admit(interner, &joined, rows, limit, &mut fresh);
+                                    let hit =
+                                        projection.admit(lexicon, &joined, rows, limit, &mut fresh);
                                     if hit {
                                         break 'reply;
                                     }
@@ -1186,14 +1210,14 @@ impl SessionCore {
                         *next_pattern += 1;
                         let part = BoundPart {
                             template: pattern.clone(),
-                            seeds: Vec::new(),
+                            seeds: SeedColumn::default(),
                             members: Vec::new(),
                         };
                         *sweep = Some(self.open_sweep(sys, part, self.started_at));
                         continue;
                     }
                     sys.proto.floor(self.max_completion);
-                    let sets = encode_for_fold(interner, vars, std::mem::take(shipped));
+                    let sets = place_for_fold(vars, std::mem::take(shipped));
                     let mut rows = std::mem::take(partial);
                     for set in &sets {
                         rows = hash_join_rows(&rows, set);
@@ -1202,7 +1226,8 @@ impl SessionCore {
                         }
                     }
                     let mut fresh = Vec::new();
-                    projection.admit(interner, &rows, &mut self.rows, self.limit, &mut fresh);
+                    let lexicon = &sys.lexicon;
+                    projection.admit(lexicon, &rows, &mut self.rows, self.limit, &mut fresh);
                     if !fresh.is_empty() {
                         out.push(ResultEvent::Rows(fresh));
                     }
@@ -1230,7 +1255,7 @@ impl SessionCore {
                         return Ok(StepOutcome::Idle);
                     }
                     let pattern = &query.patterns[order[*oi]];
-                    *parts = bound_parts(pattern, vars, interner, partial);
+                    *parts = bound_parts(pattern, vars, &sys.lexicon, partial);
                     // Popped from the back, in first-seen order.
                     parts.reverse();
                     *barrier = self.max_completion;
@@ -1265,15 +1290,20 @@ impl SessionCore {
         let template = &part.template;
         let requests = match template.routing_constant() {
             None => {
-                let routed: Vec<Option<RoutedBy>> = part
-                    .seeds
-                    .iter()
-                    .map(|s| Some(sys.routed_by(template.instance_routing_constant(s)?.1)))
+                let seeds = &part.seeds;
+                let routed: Vec<Option<RoutedBy>> = (0..seeds.len())
+                    .map(|i| {
+                        let seed = seeds.binding(i, &sys.lexicon);
+                        let (_, term) = template.instance_routing_constant(&seed)?;
+                        Some(sys.routed_by(term))
+                    })
                     .collect();
+                let alone = (0..seeds.len()).map(|i| seeds.one(i)).collect();
                 let todo: Vec<bool> = routed.iter().map(Option::is_some).collect();
                 let unroutable = todo.iter().filter(|&&t| !t).count();
                 Requests::Instances {
                     routed,
+                    alone,
                     todo,
                     unroutable,
                 }
@@ -1311,7 +1341,7 @@ impl SessionCore {
         &mut self,
         sys: &mut GridVineSystem,
         sweep: &mut PatternSweep,
-        mut take: impl FnMut(&mut SessionCore, &BoundPart, &mut BindingBatch, &[usize]),
+        mut take: impl FnMut(&mut SessionCore, &BoundPart, &mut BindingBatch, &[usize], &TermDict),
     ) -> Result<StepOutcome, SystemError> {
         let PatternSweep {
             part,
@@ -1321,9 +1351,13 @@ impl SessionCore {
         let seeds = &part.seeds;
         let shipped = match requests {
             Requests::Walk(walk) => {
-                return self.step_walk(sys, walk, seeds, rows, |core, _, shipped, rows| {
-                    take(core, part, rows, shipped)
-                });
+                return self.step_walk(
+                    sys,
+                    walk,
+                    seeds,
+                    rows,
+                    |core, _, shipped, rows, lexicon| take(core, part, rows, shipped, lexicon),
+                );
             }
             Requests::Alone { routed, ready } => {
                 let Some(routed) = routed.take() else {
@@ -1340,11 +1374,12 @@ impl SessionCore {
                 sys.proto.floor(*ready);
                 sys.resolve_patterns(self.origin, alone, none, seeds, rows, &mut reply)?;
                 self.stats.subqueries += seeds.len().max(1);
-                self.stats.bindings_carried += seeds.iter().map(Binding::len).sum::<usize>();
+                self.stats.bindings_carried += seeds.values();
                 reply.shipped
             }
             Requests::Instances {
                 routed,
+                alone,
                 todo,
                 unroutable,
             } => {
@@ -1370,15 +1405,24 @@ impl SessionCore {
                 };
                 let listed = |&i: &usize| Listed {
                     pattern: &part.template,
-                    seed: Some(&seeds[i]),
+                    seed: Some(&alone[i]),
                     routed: routed[i].as_ref().expect("routable instances only"),
                     schema_key: None,
                 };
                 let mut reply = Reply::default();
                 let rest = rest.iter().map(listed);
-                sys.resolve_patterns(self.origin, listed(&first), rest, &[], rows, &mut reply)?;
+                let no_column = &SeedColumn::default();
+                sys.resolve_patterns(
+                    self.origin,
+                    listed(&first),
+                    rest,
+                    no_column,
+                    rows,
+                    &mut reply,
+                )?;
                 self.stats.subqueries += reply.answered.len();
-                self.stats.bindings_carried += open.iter().map(|&i| seeds[i].len()).sum::<usize>();
+                self.stats.bindings_carried +=
+                    open.iter().map(|&i| alone[i].values()).sum::<usize>();
                 let mut shipped = vec![0; seeds.len()];
                 for (&position, &n) in reply.answered.iter().zip(&reply.shipped) {
                     shipped[open[position]] = n;
@@ -1388,7 +1432,7 @@ impl SessionCore {
             }
         };
         self.stats.bindings_shipped += shipped.iter().sum::<usize>();
-        take(self, part, rows, &shipped);
+        take(self, part, rows, &shipped, &sys.lexicon);
         Ok(StepOutcome::Unit {
             heard: Vec::new(),
             done: false,
@@ -1439,21 +1483,19 @@ impl BoundPart {
     /// An empty batch for the part's rows: the variables an instance of
     /// its template leaves unbound.
     fn header(&self) -> BindingBatch {
-        match self.seeds.first() {
-            Some(seed) => BindingBatch::for_pattern(&self.template.substitute(seed)),
-            None => BindingBatch::for_pattern(&self.template),
-        }
+        BindingBatch::for_instances(&self.template, &self.seeds)
     }
 }
 
 impl Projection {
     /// Project completed join rows onto the distinguished variables,
     /// dedup on codes and admit the fresh ones to `rows` and `fresh` —
-    /// the one place a join plan builds [`Binding`]s. Returns whether
-    /// the result limit was reached.
+    /// the one place a join plan builds [`Binding`]s, reading their
+    /// terms through the `lexicon`. Returns whether the result limit was
+    /// reached.
     fn admit(
         &mut self,
-        interner: &TermInterner,
+        lexicon: &TermDict,
         completed: &[Vec<u64>],
         rows: &mut Vec<Binding>,
         limit: Option<usize>,
@@ -1464,7 +1506,7 @@ impl Projection {
             if !self.seen.insert(projected.clone()) {
                 continue;
             }
-            let b = interner.decode(&projected, &self.proj);
+            let b = lexicon.decode_row(&projected, &self.proj);
             rows.push(b.clone());
             fresh.push(b);
             if limit.is_some_and(|k| rows.len() >= k) {
@@ -1475,37 +1517,43 @@ impl Projection {
     }
 }
 
-/// Encode the batches an independent join's sweeps shipped, one per
+/// Place the batches an independent join's sweeps shipped, one per
 /// pattern, into the row sets its fold joins, paying only for the rows
-/// that can join: the smallest batch in full, every other one keyed on
-/// the variables it shares with the smallest
-/// ([`TermInterner::encode_batch`]). A row whose shared terms the
-/// interner does not hold cannot join any row of the smallest set, so
-/// it is in no answer. The sets keep their order and the kept rows
-/// theirs, so the fold — left-major, then right insertion order — emits
-/// the answer rows in the order it would over everything shipped, and a
-/// limit keeps the same rows.
-fn encode_for_fold(
-    interner: &mut TermInterner,
-    vars: &VarTable,
-    mut shipped: Vec<BindingBatch>,
-) -> Vec<Vec<Vec<u64>>> {
+/// that can join: the smallest batch in full, every other one filtered
+/// on the variables it shares with the smallest, keeping a row only if
+/// its code in each is one the smallest batch holds there
+/// ([`batch_rows`], probing a set of the smallest batch's key codes). A
+/// row that fails cannot join any row of the smallest set, so it is in
+/// no answer. The sets keep their order and the kept rows theirs, so
+/// the fold — left-major, then right insertion order — emits the answer
+/// rows in the order it would over everything shipped, and a limit
+/// keeps the same rows.
+fn place_for_fold(vars: &VarTable, mut shipped: Vec<BindingBatch>) -> Vec<Vec<Vec<u64>>> {
     let Some(smallest) = (0..shipped.len()).min_by_key(|&i| shipped[i].len()) else {
         return Vec::new();
     };
     let head = shipped.remove(smallest);
-    let head_slots: Vec<usize> = head.vars().iter().filter_map(|v| vars.slot(v)).collect();
-    let head_rows = interner.encode_batch(head, vars, &[]);
+    let head_rows = batch_rows(&head, vars, &[]);
+    // The smallest batch's codes per slot it binds, built on first use.
+    let mut keys: FxHashMap<usize, FxHashSet<u64>> = FxHashMap::default();
     let mut sets: Vec<Vec<Vec<u64>>> = shipped
-        .into_iter()
+        .iter()
         .map(|batch| {
             if head_rows.is_empty() {
                 // Nothing can join an empty set.
                 return Vec::new();
             }
             let slots = batch.vars().iter().filter_map(|v| vars.slot(v));
-            let keys: Vec<usize> = slots.filter(|s| head_slots.contains(s)).collect();
-            interner.encode_batch(batch, vars, &keys)
+            let shared: Vec<usize> = slots
+                .filter(|&s| head.column(&vars.names()[s]).is_some())
+                .collect();
+            for &s in &shared {
+                keys.entry(s)
+                    .or_insert_with(|| head_rows.iter().map(|r| r[s]).collect());
+            }
+            let held: Vec<(usize, &FxHashSet<u64>)> =
+                shared.iter().map(|s| (*s, &keys[s])).collect();
+            batch_rows(batch, vars, &held)
         })
         .collect();
     sets.insert(smallest, head_rows);
@@ -1518,10 +1566,13 @@ fn encode_for_fold(
 /// seed; seeds that leave the pattern the same predicate share a
 /// [`BoundPart`] (every row does unless the predicate itself is a bound
 /// variable). Parts, and seeds within a part, come in first-seen order.
+/// A part's seed column holds the rows' codes, each tagged once as the
+/// column is built ([`SeedColumn::push`]); only a bound predicate is
+/// read as a term, once per part, to substitute it into the template.
 fn bound_parts(
     pattern: &TriplePattern,
     vars: &VarTable,
-    interner: &TermInterner,
+    lexicon: &TermDict,
     rows: &[Vec<u64>],
 ) -> Vec<BoundPart> {
     // Every partial row binds the same slots: those of the patterns
@@ -1542,13 +1593,7 @@ fn bound_parts(
             .map(|at| column.remove(at)),
         PatternTerm::Const(_) => None,
     };
-    let bind = |row: &[u64], variables: &[(usize, &str)]| {
-        let mut b = Binding::new();
-        for &(slot, v) in variables {
-            b.bind(v.to_string(), interner.term(row[slot]).clone());
-        }
-        b
-    };
+    let names: Vec<&str> = column.iter().map(|&(_, v)| v).collect();
     let mut parts: Vec<BoundPart> = Vec::new();
     let mut part_of: FxHashMap<u64, usize> = FxHashMap::default();
     let mut group_of: FxHashMap<Vec<u64>, (usize, usize)> = FxHashMap::default();
@@ -1561,15 +1606,20 @@ fn bound_parts(
         }
         let predicate_code = predicate.map_or(UNBOUND, |(slot, _)| row[slot]);
         let p = *part_of.entry(predicate_code).or_insert_with(|| {
+            let mut substituted = Binding::new();
+            if let Some((slot, v)) = predicate {
+                substituted.bind(v.to_string(), lexicon.term_of_code(row[slot]));
+            }
             parts.push(BoundPart {
-                template: pattern.substitute(&bind(row, predicate.as_slice())),
-                seeds: Vec::new(),
+                template: pattern.substitute(&substituted),
+                seeds: SeedColumn::new(names.iter().copied()),
                 members: Vec::new(),
             });
             parts.len() - 1
         });
-        group_of.insert(key, (p, parts[p].seeds.len()));
-        parts[p].seeds.push(bind(row, &column));
+        let seed = &key[predicate.is_some() as usize..];
+        parts[p].seeds.push(seed, lexicon);
+        group_of.insert(key, (p, parts[p].members.len()));
         parts[p].members.push(vec![i]);
     }
     parts
@@ -1675,12 +1725,12 @@ mod tests {
     use gridvine_semantic::Schema;
 
     /// An independent join of an attribute every entity has to a
-    /// selective pattern written after it: the fold interns the
-    /// selective side's terms and the answer's, not the ≈ 200 rows the
-    /// attribute's sweep shipped — and answers as a join over
-    /// everything would.
+    /// selective pattern written after it: the fold places the
+    /// selective side's rows and the answer's, holding their codes, not
+    /// the ≈ 200 rows the attribute's sweep shipped — and answers as a
+    /// join over everything would.
     #[test]
-    fn an_independent_fold_interns_only_the_rows_that_can_join() {
+    fn an_independent_fold_places_only_the_rows_that_can_join() {
         let mut sys = GridVineSystem::new(GridVineConfig {
             peers: 16,
             ..GridVineConfig::default()
@@ -1719,15 +1769,27 @@ mod tests {
             panic!("a join plan");
         };
         let mut events = Vec::new();
-        // The exchanges of two sweeps, then the fold.
-        while !matches!(
-            core.step_join(&mut sys, &mut join, &mut events).unwrap(),
-            StepOutcome::Unit { done: true, .. }
-        ) {}
+        // The exchanges of two sweeps, then the fold. Before each step,
+        // what the fold would take if the step folded: the batches of
+        // the finished sweeps and the one in flight.
+        let mut folded: Vec<BindingBatch>;
+        loop {
+            let JoinPhase::Independent { shipped, .. } = &join.phase else {
+                panic!("independent mode");
+            };
+            folded = shipped.clone();
+            folded.extend(join.sweep.as_ref().map(|s| s.rows.clone()));
+            let step = core.step_join(&mut sys, &mut join, &mut events).unwrap();
+            if matches!(step, StepOutcome::Unit { done: true, .. }) {
+                break;
+            }
+        }
         let JoinPhase::Independent { shipped, .. } = &join.phase else {
             panic!("independent mode");
         };
         assert!(shipped.is_empty(), "the fold took the shipped batches");
+        assert_eq!(folded.iter().map(BindingBatch::len).sum::<usize>(), 200 + 5);
+        let sets = place_for_fold(&join.vars, folded);
 
         let mut answer: Vec<String> = core.rows.iter().map(Binding::to_string).collect();
         let mut expected: Vec<String> = (0..200)
@@ -1739,12 +1801,11 @@ mod tests {
         assert_eq!(answer, expected);
         assert_eq!(core.stats.bindings_shipped, 200 + 5);
         // The selective side binds 5 entities; the answer adds their 5
-        // sizes. Interning every shipped row would hold 400 terms.
+        // sizes. Placing every shipped row would hold 400 codes.
         let (head, answer_only) = (5, 5);
-        assert!(
-            join.interner.len() <= head + answer_only,
-            "{} terms interned",
-            join.interner.len()
-        );
+        let held: FxHashSet<u64> = sets.iter().flatten().flatten().copied().collect();
+        let held = held.len() - held.contains(&UNBOUND) as usize;
+        assert!(held <= head + answer_only, "{held} codes placed");
+        assert_eq!(sets.iter().map(Vec::len).sum::<usize>(), 5 + 5);
     }
 }

@@ -22,20 +22,37 @@
 //! process come to share them: a system keeps one dictionary as its
 //! lexicon, rebuilds every incoming triple over the lexicon's buffers,
 //! and each store that interns such a triple adopts the buffers by
-//! reference count (ids stay per store; only buffers are pooled).
+//! reference count.
 //!
 //! A lexical's bytes are read once per ingest, in the lexicon. The
-//! rebuilt triple is a [`TaggedTriple`]: it carries the tag the lexicon
-//! computed for each of its three lexicals, and a store interns it with
-//! those tags instead of hashing again. A probe whose tag matches then
-//! accepts the slot on pointer equality (the interned buffer *is* the
-//! carried one, same address and length) before comparing bytes, and
-//! every copy of a canonical triple passes that check. Only this module
-//! builds a `TaggedTriple`, so a tag never disagrees with its lexical.
+//! rebuilt triple is a [`TaggedTriple`]: it carries, for each of its
+//! three lexicals, the tag the lexicon computed and the lexicon's id,
+//! and a store interns it with those tags instead of hashing again. A
+//! probe whose tag matches then accepts the slot on pointer equality
+//! (the interned buffer *is* the carried one, same address and length)
+//! before comparing bytes, and every copy of a canonical triple passes
+//! that check. Only this module builds a `TaggedTriple`, so a tag never
+//! disagrees with its lexical.
+//!
+//! **Codes.** A term's *code* is `id << 1 | literal`: the id of its
+//! lexical and its kind, so `<x>` and `"x"` share an id and differ in
+//! code. Ids stay per store, but each dictionary also answers, per id,
+//! its **lexicon id** ([`TermDict::lexicon_id`]): the id the lexicon
+//! carried for it, or the id itself when none was carried. A store
+//! ships rows as codes over lexicon ids, so every store loaded through
+//! one lexicon ships one code per term and the origin of a query joins
+//! and dedups codes from many stores without reading a string; a store
+//! fed plain triples ships its own ids, which its own dictionary
+//! decodes. The lexicon ids are a `u32` column beside the id→string
+//! column, kept only from the first carried id on (an id below its
+//! length is its own lexicon id, so a store fed plain triples keeps
+//! none). [`TermDict::term_of_code`] decodes a code of the dictionary's
+//! own ids — at the origin, the lexicon's.
 
 use crate::fasthash::FxHasher;
+use crate::join::{VarTable, UNBOUND};
 use crate::term::{Term, Uri};
-use crate::triple::Triple;
+use crate::triple::{Binding, Triple};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::hash::Hasher;
@@ -68,7 +85,7 @@ impl fmt::Debug for TermId {
 /// so the tag both picks the home slot (its low bits) and verifies a
 /// probe (all of it).
 #[inline]
-fn tag_lexical(s: &str) -> u32 {
+pub(crate) fn tag_lexical(s: &str) -> u32 {
     let mut h = FxHasher::default();
     h.write(s.as_bytes());
     let mut z = h.finish();
@@ -88,24 +105,40 @@ pub(crate) fn same_lexical(a: &str, b: &str) -> bool {
 /// A triple with the dictionary tag of each of its lexicals (subject,
 /// predicate, object), as [`TermDict::canonical_triple`] or
 /// [`TaggedTriple::new`] computed them, so that every store interning a
-/// copy skips hashing them (see the module docs).
-/// [`crate::TripleStore::insert_batch`] takes it by value or by
+/// copy skips hashing them — and, when a lexicon rebuilt it, the
+/// lexicon ids of the three, which the store keeps (see the module
+/// docs). [`crate::TripleStore::insert_batch`] takes it by value or by
 /// reference.
 #[derive(Debug)]
 pub struct TaggedTriple {
     triple: Triple,
     tags: [u32; 3],
+    ids: Option<[u32; 3]>,
 }
 
 impl TaggedTriple {
-    /// Tag a triple's lexicals, reading each once.
+    /// Tag a triple's lexicals, reading each once. It carries no
+    /// lexicon ids: a store interning it ships its own.
     pub fn new(triple: Triple) -> TaggedTriple {
         let tags = [
             tag_lexical(triple.subject.as_str()),
             tag_lexical(triple.predicate.as_str()),
             tag_lexical(triple.object.lexical()),
         ];
-        TaggedTriple { triple, tags }
+        TaggedTriple {
+            triple,
+            tags,
+            ids: None,
+        }
+    }
+
+    /// Tag a triple's lexicals and carry `ids` as their lexicon ids
+    /// (a store re-inserting its own rows keeps its codes this way).
+    pub(crate) fn with_lexicon_ids(triple: Triple, ids: [u32; 3]) -> TaggedTriple {
+        TaggedTriple {
+            ids: Some(ids),
+            ..TaggedTriple::new(triple)
+        }
     }
 
     pub fn triple(&self) -> &Triple {
@@ -115,32 +148,36 @@ impl TaggedTriple {
 
 /// What [`crate::TripleStore::insert_batch`] takes: a [`Triple`], whose
 /// lexicals the store hashes, or a [`TaggedTriple`], by value or by
-/// reference, whose carried tags it interns with. Sealed: only this
-/// module implements it.
+/// reference, whose carried tags (and lexicon ids) it interns with.
+/// Sealed: only this module implements it.
 pub trait Insertable: sealed::Parts {}
 
-pub(crate) mod sealed {
-    use super::{TaggedTriple, Triple};
+/// What an [`Insertable`] carries beside its triple: per lexical, its
+/// tag, and its lexicon id if a lexicon rebuilt it.
+pub(crate) type Carried = Option<([u32; 3], Option<[u32; 3]>)>;
 
-    /// The triple, and its lexicals' tags if they are carried.
+pub(crate) mod sealed {
+    use super::{Carried, TaggedTriple, Triple};
+
+    /// The triple, and what it carries.
     pub trait Parts {
-        fn parts(&self) -> (&Triple, Option<[u32; 3]>);
+        fn parts(&self) -> (&Triple, Carried);
     }
 
     impl Parts for Triple {
-        fn parts(&self) -> (&Triple, Option<[u32; 3]>) {
+        fn parts(&self) -> (&Triple, Carried) {
             (self, None)
         }
     }
 
     impl Parts for TaggedTriple {
-        fn parts(&self) -> (&Triple, Option<[u32; 3]>) {
-            (&self.triple, Some(self.tags))
+        fn parts(&self) -> (&Triple, Carried) {
+            (&self.triple, Some((self.tags, self.ids)))
         }
     }
 
     impl Parts for &TaggedTriple {
-        fn parts(&self) -> (&Triple, Option<[u32; 3]>) {
+        fn parts(&self) -> (&Triple, Carried) {
             (*self).parts()
         }
     }
@@ -190,6 +227,9 @@ pub struct TermDict {
     slots: Vec<Slot>,
     /// The id→string column: one entry per occupied slot.
     terms: Vec<Arc<str>>,
+    /// The lexicon id of each id below its length; an id at or past it
+    /// is its own (see the module docs). Empty until an id is carried.
+    lexicon_ids: Vec<u32>,
 }
 
 impl TermDict {
@@ -269,13 +309,37 @@ impl TermDict {
 
     /// Intern an already-shared buffer: a first-seen value is adopted by
     /// reference count, with no string copy at all. The lexical is
-    /// hashed only when its tag is not carried (by a [`TaggedTriple`]).
-    pub(crate) fn intern(&mut self, lexical: &Arc<str>, tag: Option<u32>) -> TermId {
+    /// hashed only when its tag is not carried (by a [`TaggedTriple`]);
+    /// a first-seen value records its carried lexicon id, if any.
+    pub(crate) fn intern(
+        &mut self,
+        lexical: &Arc<str>,
+        tag: Option<u32>,
+        lexicon_id: Option<u32>,
+    ) -> TermId {
         let tag = tag.unwrap_or_else(|| tag_lexical(lexical));
         debug_assert_eq!(tag, tag_lexical(lexical), "a carried tag is its lexical's");
         match self.find_or_slot(tag, lexical) {
-            Ok(id) => TermId(id),
-            Err(slot) => self.insert_new(Arc::clone(lexical), slot, tag),
+            Ok(id) => {
+                debug_assert!(
+                    lexicon_id.is_none_or(|l| l == self.lexicon_id(TermId(id))),
+                    "a store is loaded through one lexicon"
+                );
+                TermId(id)
+            }
+            Err(slot) => {
+                let id = self.insert_new(Arc::clone(lexical), slot, tag);
+                if lexicon_id.is_some() || !self.lexicon_ids.is_empty() {
+                    // Ids interned before the first carried one are
+                    // their own.
+                    while self.lexicon_ids.len() < id.index() {
+                        let own = self.lexicon_ids.len() as u32;
+                        push_by_half(&mut self.lexicon_ids, own);
+                    }
+                    push_by_half(&mut self.lexicon_ids, lexicon_id.unwrap_or(id.0));
+                }
+                id
+            }
         }
     }
 
@@ -284,10 +348,64 @@ impl TermDict {
     /// has never seen is a single hash and no allocation.
     #[inline]
     pub fn lookup(&self, lexical: &str) -> Option<TermId> {
+        self.lookup_tagged(tag_lexical(lexical), lexical)
+    }
+
+    /// [`TermDict::lookup`] with the lexical's tag already computed: no
+    /// byte of `lexical` is read to hash it, and a slot holding the very
+    /// buffer `lexical` points into is accepted without comparing bytes.
+    #[inline]
+    pub(crate) fn lookup_tagged(&self, tag: u32, lexical: &str) -> Option<TermId> {
         if self.slots.is_empty() {
             return None;
         }
-        self.probe(tag_lexical(lexical), lexical).ok().map(TermId)
+        self.probe(tag, lexical).ok().map(TermId)
+    }
+
+    /// The code of a term this dictionary holds (see the module docs).
+    #[inline]
+    pub fn code_of(&self, term: &Term) -> Option<u64> {
+        let id = self.lookup(term.lexical())?;
+        Some(((id.0 as u64) << 1) | term.is_literal() as u64)
+    }
+
+    /// The lexicon id of an id: the one a lexicon carried for it, or
+    /// the id itself (see the module docs).
+    #[inline]
+    pub fn lexicon_id(&self, id: TermId) -> u32 {
+        self.lexicon_ids.get(id.index()).copied().unwrap_or(id.0)
+    }
+
+    /// Whether any id was interned with a carried lexicon id.
+    pub(crate) fn carries_lexicon_ids(&self) -> bool {
+        !self.lexicon_ids.is_empty()
+    }
+
+    /// The term behind a code of this dictionary's ids (zero-copy: a
+    /// refcount bump on the interned buffer).
+    ///
+    /// # Panics
+    /// Panics if the code's id was not produced by this dictionary.
+    pub fn term_of_code(&self, code: u64) -> Term {
+        debug_assert_ne!(code, UNBOUND);
+        let lexical = self.shared(TermId((code >> 1) as u32));
+        if code & 1 == 1 {
+            Term::literal(lexical)
+        } else {
+            Term::uri(lexical)
+        }
+    }
+
+    /// A row of codes over `vars` as a [`Binding`] (unbound slots
+    /// skipped): the result boundary of a join.
+    pub fn decode_row(&self, row: &[u64], vars: &VarTable) -> Binding {
+        let mut b = Binding::new();
+        for (slot, &code) in row.iter().enumerate() {
+            if code != UNBOUND {
+                b.bind(vars.names()[slot].clone(), self.term_of_code(code));
+            }
+        }
+        b
     }
 
     /// The lexical value of an id.
@@ -306,39 +424,48 @@ impl TermDict {
         Arc::clone(&self.terms[id.index()])
     }
 
-    /// Heap bytes of the table and the id→string column, by capacity;
-    /// the string buffers are shared with other dictionaries and left
-    /// out.
+    /// Heap bytes of the table, the id→string column and the lexicon
+    /// ids, by capacity; the string buffers are shared with other
+    /// dictionaries and left out.
     #[cfg(test)]
     pub(crate) fn heap_bytes(&self) -> usize {
         self.slots.capacity() * std::mem::size_of::<Slot>()
             + self.terms.capacity() * std::mem::size_of::<Arc<str>>()
+            + self.lexicon_ids.capacity() * std::mem::size_of::<u32>()
+    }
+
+    /// Heap bytes of the lexicon ids alone, by capacity.
+    #[cfg(test)]
+    pub(crate) fn lexicon_id_bytes(&self) -> usize {
+        self.lexicon_ids.capacity() * std::mem::size_of::<u32>()
     }
 
     /// The interned buffer of an already-shared lexical, adopting it on
-    /// first sight, and its tag.
-    fn canonical(&mut self, lexical: &Arc<str>) -> (Arc<str>, u32) {
+    /// first sight, its tag and its id.
+    fn canonical(&mut self, lexical: &Arc<str>) -> (Arc<str>, u32, u32) {
         let tag = tag_lexical(lexical);
-        let id = self.intern(lexical, Some(tag));
-        (self.shared(id), tag)
+        let id = self.intern(lexical, Some(tag), None);
+        (self.shared(id), tag, self.lexicon_id(id))
     }
 
     /// Rebuild a triple over this dictionary's buffers: refcount bumps
     /// for known lexicals, zero-copy adoption for new ones, with the
-    /// tags hashing them took. Stores that ingest triples canonicalized
-    /// through one dictionary share one buffer per distinct lexical, and
-    /// read none of its bytes (see the module docs).
+    /// tags hashing them took and the lexicon ids they have here. Stores
+    /// that ingest triples canonicalized through one dictionary share
+    /// one buffer per distinct lexical, read none of its bytes, and ship
+    /// one code per term (see the module docs).
     pub fn canonical_triple(&mut self, t: &Triple) -> TaggedTriple {
-        let (object, o) = self.canonical(t.object.shared_lexical());
+        let (object, o, oid) = self.canonical(t.object.shared_lexical());
         let object = match t.object {
             Term::Uri(_) => Term::Uri(Uri::from(object)),
             Term::Literal(_) => Term::Literal(object),
         };
-        let (subject, s) = self.canonical(t.subject.shared());
-        let (predicate, p) = self.canonical(t.predicate.shared());
+        let (subject, s, sid) = self.canonical(t.subject.shared());
+        let (predicate, p, pid) = self.canonical(t.predicate.shared());
         TaggedTriple {
             triple: Triple::new(Uri::from(subject), Uri::from(predicate), object),
             tags: [s, p, o],
+            ids: Some([sid, pid, oid]),
         }
     }
 }
@@ -350,9 +477,9 @@ mod tests {
     #[test]
     fn intern_is_idempotent() {
         let mut d = TermDict::new();
-        let a = d.intern(&Arc::from("EMBL#Organism"), None);
-        let b = d.intern(&Arc::from("embl:A78712"), None);
-        let a2 = d.intern(&Arc::from("EMBL#Organism"), None);
+        let a = d.intern(&Arc::from("EMBL#Organism"), None, None);
+        let b = d.intern(&Arc::from("embl:A78712"), None, None);
+        let a2 = d.intern(&Arc::from("EMBL#Organism"), None, None);
         assert_eq!(a, a2);
         assert_ne!(a, b);
         assert_eq!(d.len(), 2);
@@ -365,7 +492,7 @@ mod tests {
     fn resolve_round_trips() {
         let mut d = TermDict::new();
         for s in ["", "a", "Aspergillus niger", "seq:A78712", "100%"] {
-            let id = d.intern(&Arc::from(s), None);
+            let id = d.intern(&Arc::from(s), None, None);
             assert_eq!(d.resolve(id), s);
             assert_eq!(d.lookup(s), Some(id));
         }
@@ -375,7 +502,7 @@ mod tests {
     #[test]
     fn shared_buffers_are_refcounted_not_copied() {
         let mut d = TermDict::new();
-        let id = d.intern(&Arc::from("EMBL#Organism"), None);
+        let id = d.intern(&Arc::from("EMBL#Organism"), None, None);
         let h1 = d.shared(id);
         let h2 = d.shared(id);
         assert!(Arc::ptr_eq(&h1, &h2));
@@ -417,7 +544,7 @@ mod tests {
     #[test]
     fn interned_and_canonicalized_lexicals_share_one_pool() {
         let mut lexicon = TermDict::new();
-        let id = lexicon.intern(&Arc::from("x"), None);
+        let id = lexicon.intern(&Arc::from("x"), None, None);
         let t = lexicon
             .canonical_triple(&Triple::new("x", "p", Term::uri("x")))
             .triple()
@@ -480,7 +607,7 @@ mod proptests {
         #[test]
         fn round_trip_lossless(values in proptest::collection::vec("[ -~]{0,24}", 0..40)) {
             let mut d = TermDict::new();
-            let ids: Vec<TermId> = values.iter().map(|v| d.intern(&Arc::from(v.as_str()), None)).collect();
+            let ids: Vec<TermId> = values.iter().map(|v| d.intern(&Arc::from(v.as_str()), None, None)).collect();
             for (v, id) in values.iter().zip(&ids) {
                 prop_assert_eq!(d.resolve(*id), v.as_str());
                 prop_assert_eq!(d.lookup(v), Some(*id));
@@ -519,8 +646,8 @@ mod proptests {
                 let copy = staged.triple();
                 let lexicals = [copy.subject.shared(), copy.predicate.shared(), copy.object.shared_lexical()];
                 for (k, lexical) in lexicals.into_iter().enumerate() {
-                    let id = tagged.intern(lexical, Some(staged.tags[k]));
-                    prop_assert_eq!(id, by_string.intern(&Arc::from(&**lexical), None));
+                    let id = tagged.intern(lexical, Some(staged.tags[k]), None);
+                    prop_assert_eq!(id, by_string.intern(&Arc::from(&**lexical), None, None));
                 }
             }
             prop_assert_eq!(tagged.len(), by_string.len());

@@ -10,25 +10,25 @@
 //! * a solution row is a `Vec<u64>` of *term codes*, one slot per query
 //!   variable (see [`VarTable`]), [`UNBOUND`] where the variable is not
 //!   yet bound;
-//! * codes come from the store's term dictionary (local evaluation) or a
-//!   query-scoped [`TermInterner`] (distributed evaluation, where every
-//!   peer ships its matches as a columnar [`BindingBatch`] of terms and
-//!   [`TermInterner::encode_batch`] codes a whole batch, resolving each
-//!   column's slot once — or, keyed on the join slots, only the rows
-//!   whose key terms the interner already holds, a semi-join that leaves
-//!   a row which cannot join unencoded);
+//! * codes come from the store's term dictionary (local evaluation) or,
+//!   in distributed evaluation, straight off the [`BindingBatch`]es the
+//!   peers ship: their cells are codes over one lexicon's ids (see
+//!   [`crate::dict`]), so equal terms from different stores carry equal
+//!   codes and [`batch_rows`] only places each column's codes into its
+//!   variable's slot — every row, or, filtered on the join slots, only
+//!   the rows whose key codes are in a set, a semi-join that leaves a
+//!   row which cannot join unplaced;
 //! * [`hash_join_rows`] joins two row sets on their shared bound slots
 //!   by hashing the smaller-keyed side, so a k-row ∧ m-row join costs
 //!   O(k + m + output) `u64` comparisons instead of O(k·m) map merges.
 //!
 //! Strings are only touched again when the surviving rows are
-//! materialized back into [`crate::Binding`]s at the result boundary.
+//! materialized back into [`crate::Binding`]s at the result boundary
+//! ([`crate::TermDict::decode_row`]).
 
 use crate::batch::BindingBatch;
-use crate::fasthash::FxHashMap;
-use crate::term::Term;
-use crate::triple::{Binding, TriplePattern};
-use std::collections::hash_map::Entry;
+use crate::fasthash::{FxHashMap, FxHashSet};
+use crate::triple::TriplePattern;
 
 /// Code marking a variable slot not yet bound in a row.
 pub const UNBOUND: u64 = u64::MAX;
@@ -93,109 +93,39 @@ impl VarTable {
     }
 }
 
-/// Query-scoped interner mapping full [`Term`]s (kind + lexical) to
-/// codes. Used where rows arrive as materialized terms from many peers,
-/// each with its own store dictionary, so a shared coding space is
-/// needed for the join.
-#[derive(Debug, Clone, Default)]
-pub struct TermInterner {
-    codes: FxHashMap<Term, u64>,
-    terms: Vec<Term>,
-}
-
-impl TermInterner {
-    pub fn new() -> TermInterner {
-        TermInterner::default()
-    }
-
-    /// The code of `term`, assigning the next free one on first sight
-    /// — one hash either way, and the term is only cloned when it is
-    /// new (the interner keeps it twice: as map key and for
-    /// [`TermInterner::term`]).
-    pub fn code_of(&mut self, term: Term) -> u64 {
-        match self.codes.entry(term) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
-                let c = self.terms.len() as u64;
-                assert!(c < UNBOUND, "term interner overflow");
-                self.terms.push(e.key().clone());
-                e.insert(c);
-                c
+/// A batch's rows as join rows over `vars`, in batch order: each
+/// column's codes placed into its variable's slot (a column `vars` does
+/// not name is dropped; a slot the batch does not bind stays
+/// [`UNBOUND`]) — every row, or with a non-empty `held` only the rows
+/// whose code in each listed slot is in that slot's set. When the sets
+/// hold a join side's key codes, the rows of another side that could
+/// join it are among the ones kept (a semi-join), and a dropped row
+/// costs no row allocation.
+pub fn batch_rows(
+    batch: &BindingBatch,
+    vars: &VarTable,
+    held: &[(usize, &FxHashSet<u64>)],
+) -> Vec<Vec<u64>> {
+    let slots: Vec<Option<usize>> = batch.vars().iter().map(|v| vars.slot(v)).collect();
+    // Each filter as (column, set).
+    let filters: Vec<(usize, &FxHashSet<u64>)> = held
+        .iter()
+        .filter_map(|&(slot, set)| Some((slots.iter().position(|&s| s == Some(slot))?, set)))
+        .collect();
+    let mut out = Vec::with_capacity(if held.is_empty() { batch.rows } else { 0 });
+    for cells in batch.rows() {
+        if !filters.iter().all(|(c, set)| set.contains(&cells[*c])) {
+            continue;
+        }
+        let mut row = vars.empty_row();
+        for (slot, &code) in slots.iter().zip(cells) {
+            if let Some(slot) = *slot {
+                row[slot] = code;
             }
         }
+        out.push(row);
     }
-
-    /// The term behind a code.
-    ///
-    /// # Panics
-    /// Panics on codes not produced by this interner (incl. [`UNBOUND`]).
-    pub fn term(&self, code: u64) -> &Term {
-        &self.terms[code as usize]
-    }
-
-    /// Number of distinct terms interned so far.
-    pub fn len(&self) -> usize {
-        self.terms.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
-    }
-
-    /// Encode a [`BindingBatch`] into rows over `vars`, in batch order —
-    /// every row, or with a non-empty `keys` filter (slots of `vars`)
-    /// only the rows whose terms in those slots the interner already
-    /// holds. The filter is a read-only probe, so a dropped row interns
-    /// nothing: when the interner holds every term of one join side,
-    /// the rows of another side that could join it are exactly the ones
-    /// kept (a semi-join). Each column's slot is looked up once for the
-    /// batch (columns `vars` does not name are skipped); slots the batch
-    /// does not bind stay [`UNBOUND`]. Consumes the batch, so a term
-    /// seen before costs a hash probe and nothing else.
-    pub fn encode_batch(
-        &mut self,
-        batch: BindingBatch,
-        vars: &VarTable,
-        keys: &[usize],
-    ) -> Vec<Vec<u64>> {
-        let slots: Vec<Option<usize>> = batch.vars().iter().map(|v| vars.slot(v)).collect();
-        let key_columns: Vec<usize> = (0..slots.len())
-            .filter(|&c| slots[c].is_some_and(|s| keys.contains(&s)))
-            .collect();
-        let mut terms = batch.terms.into_iter();
-        let mut cells: Vec<Term> = Vec::with_capacity(slots.len());
-        let mut out = Vec::with_capacity(if keys.is_empty() { batch.rows } else { 0 });
-        for _ in 0..batch.rows {
-            cells.clear();
-            cells.extend(terms.by_ref().take(slots.len()));
-            debug_assert_eq!(cells.len(), slots.len(), "rows * width terms");
-            if !key_columns
-                .iter()
-                .all(|&c| self.codes.contains_key(&cells[c]))
-            {
-                continue;
-            }
-            let mut row = vars.empty_row();
-            for (slot, term) in slots.iter().zip(cells.drain(..)) {
-                if let Some(slot) = *slot {
-                    row[slot] = self.code_of(term);
-                }
-            }
-            out.push(row);
-        }
-        out
-    }
-
-    /// Materialize a row back into a [`Binding`] (unbound slots skipped).
-    pub fn decode(&self, row: &[u64], vars: &VarTable) -> Binding {
-        let mut b = Binding::new();
-        for (slot, &code) in row.iter().enumerate() {
-            if code != UNBOUND {
-                b.bind(vars.names()[slot].clone(), self.term(code).clone());
-            }
-        }
-        b
-    }
+    out
 }
 
 /// Slots bound in a row set (all rows of one set share a bound-slot
@@ -311,7 +241,7 @@ impl<'r> HashJoiner<'r> {
 
 /// Hash-join two row sets on their shared bound slots.
 ///
-/// Produces exactly the rows the nested loop over [`Binding::join`]
+/// Produces exactly the rows the nested loop over [`crate::Binding::join`]
 /// would (same multiset, same order: left-major, then right insertion
 /// order), at O(|left| + |right| + |output|). With no shared slots this
 /// degenerates to the cartesian product, as binding merge semantics
@@ -346,10 +276,11 @@ pub fn hash_join_rows(left: &[Vec<u64>], right: &[Vec<u64>]) -> Vec<Vec<u64>> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::dict::TermDict;
     use crate::term::Term;
-    use crate::triple::PatternTerm;
+    use crate::triple::{Binding, PatternTerm};
 
     #[test]
     fn var_table_assigns_dense_slots_in_first_seen_order() {
@@ -362,19 +293,39 @@ mod tests {
         assert_eq!(t.empty_row(), vec![UNBOUND, UNBOUND]);
     }
 
-    #[test]
-    fn interner_codes_are_kind_sensitive() {
-        let mut i = TermInterner::new();
-        let u = i.code_of(Term::uri("x"));
-        let l = i.code_of(Term::literal("x"));
-        assert_eq!(i.code_of(Term::uri("x")), u, "a seen term keeps its code");
-        assert_ne!(u, l, "uri and literal with equal lexical must differ");
-        assert_eq!(i.term(u), &Term::uri("x"));
-        assert_eq!(i.term(l), &Term::literal("x"));
+    /// The code of `term` in `dict`, interning it on first sight.
+    pub(crate) fn code(dict: &mut TermDict, term: &Term) -> u64 {
+        let id = dict.intern(term.shared_lexical(), None, None);
+        ((id.0 as u64) << 1) | term.is_literal() as u64
+    }
+
+    /// A batch over `pattern`'s variables holding `rows` of terms.
+    fn batch_of(dict: &mut TermDict, pattern: &TriplePattern, rows: &[Vec<Term>]) -> BindingBatch {
+        let mut batch = BindingBatch::for_pattern(pattern);
+        for row in rows {
+            batch.codes.extend(row.iter().map(|t| code(dict, t)));
+            batch.rows += 1;
+        }
+        batch
     }
 
     #[test]
-    fn encode_decode_round_trip() {
+    fn codes_are_kind_sensitive() {
+        let mut d = TermDict::new();
+        let u = code(&mut d, &Term::uri("x"));
+        let l = code(&mut d, &Term::literal("x"));
+        assert_eq!(
+            code(&mut d, &Term::uri("x")),
+            u,
+            "a seen term keeps its code"
+        );
+        assert_ne!(u, l, "uri and literal with equal lexical must differ");
+        assert_eq!(d.term_of_code(u), Term::uri("x"));
+        assert_eq!(d.term_of_code(l), Term::literal("x"));
+    }
+
+    #[test]
+    fn placed_rows_decode_to_the_batch_bindings() {
         // Query layout [x, y, z]; the batch binds (z, x) — columns land
         // in their query slots, y stays unbound, and a column the query
         // does not name is dropped.
@@ -387,21 +338,19 @@ mod tests {
             PatternTerm::var("other"),
             PatternTerm::var("x"),
         );
-        let mut batch = BindingBatch::for_pattern(&pattern);
-        for (z, x) in [("a", "u"), ("b", "u")] {
-            batch
-                .terms
-                .extend([Term::uri(z), Term::uri("p"), Term::literal(x)]);
-            batch.rows += 1;
-        }
-        let mut i = TermInterner::new();
-        let rows = i.encode_batch(batch.clone(), &vars, &[]);
-        assert_eq!(rows.len(), 2);
-        assert!(rows.iter().all(|r| r[1] == UNBOUND));
-        assert_eq!(rows[0][0], rows[1][0], "equal terms share a code");
-        let decoded: Vec<Binding> = rows.iter().map(|r| i.decode(r, &vars)).collect();
+        let mut d = TermDict::new();
+        let rows: Vec<Vec<Term>> = [("a", "u"), ("b", "u")]
+            .iter()
+            .map(|(z, x)| vec![Term::uri(*z), Term::uri("p"), Term::literal(*x)])
+            .collect();
+        let batch = batch_of(&mut d, &pattern, &rows);
+        let placed = batch_rows(&batch, &vars, &[]);
+        assert_eq!(placed.len(), 2);
+        assert!(placed.iter().all(|r| r[1] == UNBOUND));
+        assert_eq!(placed[0][0], placed[1][0], "equal terms share a code");
+        let decoded: Vec<Binding> = placed.iter().map(|r| d.decode_row(r, &vars)).collect();
         let expected: Vec<Binding> = batch
-            .into_bindings()
+            .bindings(&d)
             .iter()
             .map(|b| b.project(&["x", "z"]))
             .collect();
@@ -409,7 +358,7 @@ mod tests {
     }
 
     #[test]
-    fn zero_width_batch_encodes_one_unbound_row_per_match() {
+    fn zero_width_batch_places_one_unbound_row_per_match() {
         let mut vars = VarTable::new();
         vars.slot_of("x");
         let ground = TriplePattern::new(
@@ -419,38 +368,40 @@ mod tests {
         );
         let mut batch = BindingBatch::for_pattern(&ground);
         batch.rows = 3;
-        let rows = TermInterner::new().encode_batch(batch, &vars, &[]);
-        assert_eq!(rows, vec![vec![UNBOUND]; 3]);
+        assert_eq!(batch_rows(&batch, &vars, &[]), vec![vec![UNBOUND]; 3]);
     }
 
     #[test]
     fn a_key_filter_keeps_the_rows_whose_keys_are_held_and_interns_nothing_else() {
-        // Layout [x, y]; the interner holds <a> and "a" (a literal).
+        // Layout [x, y]; the key set holds <a> and "b" (a literal).
         let mut vars = VarTable::new();
         let (x, y) = (vars.slot_of("x"), vars.slot_of("y"));
-        let mut i = TermInterner::new();
-        let a = i.code_of(Term::uri("a"));
-        i.code_of(Term::literal("b"));
+        let mut d = TermDict::new();
+        let a = code(&mut d, &Term::uri("a"));
+        let held: FxHashSet<u64> = [a, code(&mut d, &Term::literal("b"))].into_iter().collect();
         let pattern = TriplePattern::new(
             PatternTerm::var("x"),
             PatternTerm::constant(Term::uri("p")),
             PatternTerm::var("y"),
         );
-        let mut batch = BindingBatch::for_pattern(&pattern);
-        for (s, o) in [("a", "1"), ("b", "2"), ("c", "3"), ("a", "4")] {
-            batch.terms.extend([Term::uri(s), Term::literal(o)]);
-            batch.rows += 1;
-        }
+        let rows: Vec<Vec<Term>> = [("a", "1"), ("b", "2"), ("c", "3"), ("a", "4")]
+            .iter()
+            .map(|(s, o)| vec![Term::uri(*s), Term::literal(*o)])
+            .collect();
+        let batch = batch_of(&mut d, &pattern, &rows);
         // Keyed on x: <b> is held only as a literal, <c> not at all.
-        let rows = i.encode_batch(batch.clone(), &vars, &[x]);
-        assert_eq!(rows.len(), 2);
-        assert!(rows.iter().all(|r| r[x] == a));
-        let kept: Vec<&Term> = rows.iter().map(|r| i.term(r[y])).collect();
-        assert_eq!(kept, [&Term::literal("1"), &Term::literal("4")]);
-        assert_eq!(i.len(), 4, "the two dropped rows interned nothing");
+        let placed = batch_rows(&batch, &vars, &[(x, &held)]);
+        assert_eq!(placed.len(), 2);
+        assert!(placed.iter().all(|r| r[x] == a));
+        let kept: Vec<Term> = placed.iter().map(|r| d.term_of_code(r[y])).collect();
+        assert_eq!(kept, [Term::literal("1"), Term::literal("4")]);
+        assert_eq!(held.len(), 2, "the two dropped rows added no key");
         // No filter: every row.
-        assert_eq!(i.encode_batch(batch, &vars, &[]).len(), 4);
-        assert_eq!(i.len(), 8);
+        assert_eq!(batch_rows(&batch, &vars, &[]).len(), 4);
+        // A filter on a slot the batch does not bind constrains nothing.
+        let mut wider = vars.clone();
+        let z = wider.slot_of("z");
+        assert_eq!(batch_rows(&batch, &wider, &[(z, &held)]).len(), 4);
     }
 
     #[test]
@@ -520,7 +471,9 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::dict::TermDict;
     use crate::term::Term;
+    use crate::triple::Binding;
     use proptest::prelude::*;
 
     /// Random binding sets over a small var/value pool, as (slot, value)
@@ -554,19 +507,19 @@ mod proptests {
     /// One side as the batch a scan would have shipped: the side's
     /// bound variables as header (every row of a side binds the same
     /// ones), rows in order.
-    fn to_batch(bound: [bool; 4], rows: &[Vec<(usize, u8)>]) -> BindingBatch {
+    fn to_batch(dict: &mut TermDict, bound: [bool; 4], rows: &[Vec<(usize, u8)>]) -> BindingBatch {
         let mut vars = VarTable::new();
         for s in (0..4).filter(|&s| bound[s]) {
             vars.slot_of(VAR_NAMES[s]);
         }
-        let terms = rows
+        let codes = rows
             .iter()
             .flatten()
-            .map(|&(_, v)| Term::literal(format!("v{v}")))
+            .map(|&(_, v)| super::tests::code(dict, &Term::literal(format!("v{v}"))))
             .collect();
         BindingBatch {
             vars,
-            terms,
+            codes,
             rows: rows.len(),
         }
     }
@@ -613,18 +566,22 @@ mod proptests {
             for n in VAR_NAMES {
                 vars.slot_of(n);
             }
-            let mut interner = TermInterner::new();
+            let mut dict = TermDict::new();
             // Each side binds its seed's slots that survive the mask.
             let lbound = [lvars[0], lvars[1], false, false];
             let rbound = [false, rvars[1], rvars[2], rvars[3]];
             // The left side in full, the right one keyed on the shared
-            // slots: a semi-join reduction must not change the join.
-            let lrows = interner.encode_batch(to_batch(lbound, &left), &vars, &[]);
+            // slots, each holding the left side's codes there: a
+            // semi-join reduction must not change the join.
+            let lrows = batch_rows(&to_batch(&mut dict, lbound, &left), &vars, &[]);
             let shared: Vec<usize> = (0..4).filter(|&s| lbound[s] && rbound[s]).collect();
-            let rrows = interner.encode_batch(to_batch(rbound, &right), &vars, &shared);
+            let keys: Vec<FxHashSet<u64>> =
+                shared.iter().map(|&s| lrows.iter().map(|r| r[s]).collect()).collect();
+            let held: Vec<(usize, &FxHashSet<u64>)> = shared.iter().copied().zip(&keys).collect();
+            let rrows = batch_rows(&to_batch(&mut dict, rbound, &right), &vars, &held);
             let joined: Vec<Binding> = hash_join_rows(&lrows, &rrows)
                 .iter()
-                .map(|r| interner.decode(r, &vars))
+                .map(|r| dict.decode_row(r, &vars))
                 .collect();
 
             prop_assert_eq!(joined, expected);

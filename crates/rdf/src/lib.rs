@@ -30,29 +30,31 @@
 //!   dictionary's buffers), so `abc%` LIKE constants run as range
 //!   scans;
 //! * **one scan (σ, π)** — a pattern is compiled once (constants to
-//!   codes, `LIKE`s parsed) and bound per seed, the instance a bound
-//!   join asks for; an instance is answered by picking an access path
-//!   (the shortest posting list among its exact codes, else a prefix
-//!   range, else every row) and sweeping the residual predicate over
-//!   256-row granules of row ids. [`TripleStore::match_seeds_into`]
-//!   (a binding column's instances) and [`TripleStore::match_into`]
-//!   (no seed; terms, appended to a columnar [`BindingBatch`]),
-//!   [`TripleStore::for_each_match_row`] (term codes) and
-//!   [`TripleStore::resolve`] are its output formats;
-//!   [`TripleStore::match_pattern`] is `match_into` materialized;
+//!   codes, the shortest of their posting lists picked, `LIKE`s parsed)
+//!   and bound per seed, the instance a bound join asks for; an
+//!   instance is answered by picking an access path (the shortest
+//!   posting list among its exact codes, else a prefix range, else
+//!   every row) and sweeping the residual predicate over 256-row
+//!   granules of row ids. [`TripleStore::match_seeds_into`] (a
+//!   [`SeedColumn`]'s instances) and [`TripleStore::match_into`] (no
+//!   seed) append the codes a store ships to a columnar
+//!   [`BindingBatch`]; [`TripleStore::for_each_match_row`] (codes of
+//!   the store's own ids), [`TripleStore::match_pattern`] (its rows
+//!   decoded) and [`TripleStore::resolve`] are its other output
+//!   formats;
 //! * **one join (⋈)** — conjunctive evaluation runs in the hash-join
 //!   binding engine ([`join`]): solution rows are `Vec<u64>` term codes
 //!   over the query's variable slots ([`join::VarTable`]), merged by
 //!   hashing the shared variables ([`join::hash_join_rows`]). The
-//!   distributed engine in `gridvine-core` reuses the same kernel with
-//!   a query-scoped [`join::TermInterner`], since rows arriving from
-//!   remote peers — as [`BindingBatch`]es ([`batch`]) — are coded
-//!   against the origin's interner rather than any one store's
-//!   dictionary;
+//!   distributed engine in `gridvine-core` reuses the same kernel on
+//!   the codes remote peers ship: every peer store is loaded through
+//!   one lexicon ([`TermDict::canonical_triple`]) and ships codes over
+//!   the lexicon's ids, so the origin places them into join rows
+//!   ([`join::batch_rows`]) as they arrive;
 //! * **result boundary** — a [`Binding`] (one string-keyed map per
 //!   row) is built only for rows that survive selection, join,
-//!   projection and dedup; in between, rows are batches of [`Term`]s or
-//!   vectors of codes.
+//!   projection and dedup, its terms read through the dictionary the
+//!   codes belong to; in between, rows are batches or vectors of codes.
 //!
 //! ```
 //! use gridvine_rdf::prelude::*;
@@ -79,7 +81,7 @@ pub mod triple;
 
 /// Glob-import surface.
 pub mod prelude {
-    pub use crate::batch::BindingBatch;
+    pub use crate::batch::{BindingBatch, SeedColumn};
     pub use crate::dict::{TermDict, TermId};
     pub use crate::parser::{parse_query, parse_single, ParseError};
     pub use crate::query::{ConjunctiveQuery, QueryError, TriplePatternQuery};
@@ -88,7 +90,7 @@ pub mod prelude {
     pub use crate::triple::{Binding, PatternTerm, Position, Triple, TriplePattern};
 }
 
-pub use batch::BindingBatch;
+pub use batch::{BindingBatch, SeedColumn};
 pub use dict::{Insertable, TaggedTriple, TermDict, TermId};
 pub use parser::{parse_query, parse_single, ParseError};
 pub use query::{ConjunctiveQuery, QueryError, TriplePatternQuery};

@@ -174,7 +174,7 @@ impl ConjunctiveQuery {
         for row in &rows {
             let projected: Vec<u64> = slots.iter().map(|&s| row[s]).collect();
             if seen.insert(projected.clone()) {
-                out.push(db.decode_row(&projected, &proj));
+                out.push(db.dict().decode_row(&projected, &proj));
             }
         }
         out.sort_by_key(|b| format!("{b}"));

@@ -44,8 +44,9 @@
 //!
 //! What a store holds is sized by its rows, not by its dictionary: the
 //! only per-term structures are the dictionary itself (an 8-byte slot
-//! and a buffer handle per term) and the CSR offsets (4 bytes per term
-//! and position); the tail has an entry per term *with tail rows*. A
+//! and a buffer handle per term, plus a 4-byte lexicon id in a store
+//! loaded through a lexicon) and the CSR offsets (4 bytes per term and
+//! position); the tail has an entry per term *with tail rows*. A
 //! sealed row costs 12 bytes in the columns and 4 per position in a
 //! head; the heads are allocated at their exact length, and the
 //! columns and the dictionary's id→string column grow by half, not
@@ -80,22 +81,31 @@
 //! * **σ / π — one scan, compiled once, bound per seed.** One kernel
 //!   walks rows for a pattern, in two steps. *Compile*, once per call:
 //!   the pattern's constants become kind-tagged codes (a constant the
-//!   dictionary lacks empties every instance), its `LIKE`s are parsed,
-//!   its variable positions recorded. *Bind*, once per seed — a
-//!   [`Binding`] of some of the pattern's variables, the instance a
-//!   bound join asks for: one dictionary lookup per value the seed
-//!   binds, matched exactly (a bound `"50%"` is a value, not a `LIKE`),
-//!   and a value the store has never seen ends the instance before any
-//!   posting list is touched. Then the scan picks an access path (the
-//!   shortest posting list among the instance's exact codes, else a
-//!   prefix range over the sorted key index, else every row) and runs
-//!   the residual predicate (every exact code, `LIKE`s, repeated
-//!   variables) as columnar sweeps over 256-row granules.
-//!   [`TripleStore::match_seeds_into`] answers a whole binding column
-//!   in one call; [`TripleStore::match_into`] is the same kernel with no
-//!   seed ([`TripleStore::match_pattern`] materializes it), and
-//!   [`TripleStore::for_each_match_row`] and [`TripleStore::resolve`]
-//!   are its other output formats.
+//!   dictionary lacks, or a literal at subject or predicate position,
+//!   empties every instance) and the shortest of their posting lists
+//!   is picked, its `LIKE`s are parsed, its variable positions
+//!   recorded. *Bind*, once per seed — one row of a [`SeedColumn`], the
+//!   instance a bound join asks for: one dictionary probe per value the
+//!   seed binds, with the tag the column carries and the lexicon's
+//!   buffer, so no value is hashed and a shared buffer is accepted on
+//!   pointer equality; a value is matched exactly (a bound `"50%"` is a
+//!   value, not a `LIKE`), and a value the store has never seen ends
+//!   the instance before any posting list is touched. Then the scan
+//!   picks an access path (the shortest posting list among the
+//!   instance's exact codes, else a prefix range over the sorted key
+//!   index, else every row) and runs the residual predicate (every
+//!   other exact code, the kind bit of an object the access path
+//!   names, `LIKE`s, repeated variables) as columnar sweeps over
+//!   256-row granules. [`TripleStore::match_seeds_into`] answers a
+//!   whole binding column in one call; [`TripleStore::match_into`] is
+//!   the same kernel with no seed. Both append to a [`BindingBatch`]
+//!   the codes the store *ships*: each term's lexicon id, shifted, with
+//!   its kind bit (see [`crate::dict`]), so a shipped cell is a `u64`
+//!   read off two columns and touches no reference count.
+//!   [`TripleStore::for_each_match_row`] (codes of the store's own
+//!   ids), [`TripleStore::match_pattern`] (those rows decoded through
+//!   the store's dictionary) and [`TripleStore::resolve`] are its other
+//!   output formats.
 //! * **⋈ — one join.** [`TripleStore::join`] hash-joins two patterns'
 //!   match sets on their shared variables ([`crate::join`]).
 //!
@@ -104,6 +114,10 @@
 //! lazy row-id iterators that defer term materialization until the
 //! consumer asks. Selections and joins compare `u64` term codes;
 //! strings are materialized only at the API boundary.
+//!
+//! [`TripleStore::compact`] re-inserts the live rows with each term's
+//! lexicon id, so a store loaded through a lexicon ships the same codes
+//! after it.
 
 mod columns;
 mod cursor;
@@ -113,8 +127,8 @@ pub use cursor::RowCursor;
 /// Rows per evaluation granule: the batch size of the pattern scan.
 pub(crate) const GRANULE: usize = 256;
 
-use crate::batch::BindingBatch;
-use crate::dict::{same_lexical, Insertable, TermDict, TermId};
+use crate::batch::{BindingBatch, SeedColumn};
+use crate::dict::{same_lexical, Insertable, TaggedTriple, TermDict, TermId};
 use crate::fasthash::{FxHashMap, FxHashSet};
 use crate::join::{hash_join_rows, VarTable, UNBOUND};
 use crate::term::{LikePattern, Term};
@@ -449,11 +463,12 @@ impl TripleStore {
         let mut predicates: [Option<TermId>; 4] = [None; 4];
         let mut oldest = 0;
         for t in triples {
-            let (t, tags) = t.parts();
-            let tag = |k: usize| tags.map(|tags| tags[k]);
+            let (t, carried) = t.parts();
+            let tag = |k: usize| carried.map(|(tags, _)| tags[k]);
+            let id = |k: usize| carried.and_then(|(_, ids)| Some(ids?[k]));
             let s = match subject {
                 Some(id) if same_lexical(self.dict.resolve(id), t.subject.as_str()) => id,
-                _ => *subject.insert(self.dict.intern(t.subject.shared(), tag(0))),
+                _ => *subject.insert(self.dict.intern(t.subject.shared(), tag(0), id(0))),
             };
             let known = predicates
                 .iter()
@@ -462,7 +477,7 @@ impl TripleStore {
             let p = match known {
                 Some(&id) => id,
                 None => {
-                    let id = self.dict.intern(t.predicate.shared(), tag(1));
+                    let id = self.dict.intern(t.predicate.shared(), tag(1), id(1));
                     predicates[oldest] = Some(id);
                     oldest = (oldest + 1) % predicates.len();
                     id
@@ -471,7 +486,7 @@ impl TripleStore {
             let row = Row {
                 s,
                 p,
-                o: self.dict.intern(t.object.shared_lexical(), tag(2)),
+                o: self.dict.intern(t.object.shared_lexical(), tag(2), id(2)),
                 o_lit: t.object.is_literal(),
             };
             if self.find_row(&row).is_none() && appended.insert(row) {
@@ -646,11 +661,14 @@ impl TripleStore {
                 PatternTerm::Const(Term::Literal(p)) if p.contains('%') => {
                     likes.push((pos, LikePattern::parse(p)));
                 }
-                // A constant the dictionary has never seen cannot match
-                // any row.
-                PatternTerm::Const(term) => match self.code_of(term) {
-                    Some(code) => exact.push((pos, code)),
-                    None => absent = true,
+                // Subjects and predicates are URIs: a literal there
+                // matches no row, and neither does a constant the
+                // dictionary has never seen.
+                PatternTerm::Const(term) => match self.dict.code_of(term) {
+                    Some(code) if pos == Position::Object || !term.is_literal() => {
+                        exact.push((pos, code));
+                    }
+                    _ => absent = true,
                 },
             }
         }
@@ -660,24 +678,37 @@ impl TripleStore {
                 repeats.push((pos, other));
             }
         }
+        // The constants' shortest posting list, picked once per call.
+        let mut access = None;
+        for (k, &(pos, code)) in exact.iter().enumerate() {
+            access = shorter(
+                access,
+                k,
+                self.posting_parts(pos, TermId((code >> 1) as u32)),
+            );
+        }
         Compiled {
             store: self,
             exact,
+            access,
             absent,
             likes,
             vars,
             repeats,
+            seeded: Vec::new(),
             bound: Vec::new(),
             buf: Vec::new(),
         }
     }
 
-    /// The kind-tagged code of a term this store holds — matched
-    /// exactly, whatever its lexical contains.
+    /// The code a shipped row carries for one position of a stored row:
+    /// the term's lexicon id, shifted, with the kind bit (see
+    /// [`crate::dict`]).
     #[inline]
-    fn code_of(&self, term: &Term) -> Option<u64> {
-        let id = self.dict.lookup(term.lexical())?;
-        Some(((id.0 as u64) << 1) | term.is_literal() as u64)
+    fn shipped_code(&self, id: u32, pos: Position) -> u64 {
+        let local = self.cols.code_at(id, pos);
+        let lexicon_id = self.dict.lexicon_id(TermId((local >> 1) as u32));
+        ((lexicon_id as u64) << 1) | (local & 1)
     }
 
     /// Matching rows as term-code rows over `vars` (the hash-join input
@@ -716,36 +747,16 @@ impl TripleStore {
         });
     }
 
-    /// Decode a term code produced by this store's rows (zero-copy).
-    pub(crate) fn term_of_code(&self, code: u64) -> Term {
-        debug_assert_ne!(code, UNBOUND);
-        let lex = self.dict.shared(TermId((code >> 1) as u32));
-        if code & 1 == 1 {
-            Term::literal(lex)
-        } else {
-            Term::uri(lex)
-        }
-    }
-
-    pub(crate) fn decode_row(&self, row: &[u64], vars: &VarTable) -> Binding {
-        let mut b = Binding::new();
-        for (slot, &code) in row.iter().enumerate() {
-            if code != UNBOUND {
-                b.bind(vars.names()[slot].to_string(), self.term_of_code(code));
-            }
-        }
-        b
-    }
-
     /// The scan kernel with no seed, behind every shipped row of a
     /// pattern that stands for itself: append one row per triple
     /// matching `pattern`, in insertion order, to `out` — whose header
     /// must be `pattern`'s variables ([`BindingBatch::for_pattern`] of
     /// it, or of a pattern differing only in constants) — and return
-    /// how many were appended. A literal constant containing `%` is a
-    /// LIKE predicate on its position; a repeated variable binds its one
-    /// column; an all-constant pattern appends zero-width rows that
-    /// still count.
+    /// how many were appended. Each cell is the term's code over this
+    /// store's lexicon ids (see [`crate::dict`]). A literal constant
+    /// containing `%` is a LIKE predicate on its position; a repeated
+    /// variable binds its one column; an all-constant pattern appends
+    /// zero-width rows that still count.
     ///
     /// # Panics
     /// Panics if the header names a variable `pattern` does not have.
@@ -760,38 +771,67 @@ impl TripleStore {
     /// append to `out` the rows of the instance the seed makes of
     /// `template` — every variable the seed binds fixed to the seed's
     /// term, matched exactly (a `%` in a bound value is no wildcard) —
-    /// and push how many that was to `shipped`. `template` is compiled
-    /// once; a seed costs one dictionary lookup per value it binds, and
-    /// a value the store has never seen ships zero rows without a scan.
-    /// Every seed must bind the same variables of `template`, and
-    /// `out`'s header is the ones they leave unbound. For a seed without
-    /// `%`, the rows are [`TripleStore::match_into`]'s of
-    /// `template.substitute(seed)`.
+    /// and push how many that was to `shipped`. The seeds' codes are
+    /// over `lexicon`'s ids: the lexicon this store was loaded through,
+    /// or for a store fed plain triples its own dictionary.
+    /// `template` is compiled once; a seed costs one dictionary probe
+    /// per value it binds, with the value's carried tag and the
+    /// lexicon's buffer, so no value is hashed and a value this store
+    /// shares the buffer of is accepted on pointer equality. A value the
+    /// store has never seen ships zero rows without a scan. `out`'s
+    /// header is the variables of `template` the seeds leave unbound
+    /// ([`BindingBatch::for_instances`]). For a seed without `%`, the
+    /// rows are [`TripleStore::match_into`]'s of the substituted
+    /// instance.
     ///
     /// # Panics
     /// Panics if the header names a variable `template` does not have.
     pub fn match_seeds_into(
         &self,
         template: &TriplePattern,
-        seeds: &[Binding],
+        seeds: &SeedColumn,
+        lexicon: &TermDict,
         out: &mut BindingBatch,
         shipped: &mut Vec<usize>,
     ) {
+        debug_assert!(out.vars().iter().all(|v| seeds.column(v).is_none()));
         let mut compiled = self.compile(template);
         let cols = compiled.columns(out);
-        for seed in seeds {
-            debug_assert!(out.vars().iter().all(|v| seed.get(v).is_none()));
+        compiled.seeded = compiled
+            .vars
+            .iter()
+            .filter_map(|&(pos, name)| Some((pos, seeds.column(name)?)))
+            .collect();
+        for i in 0..seeds.len() {
+            let (codes, tags) = seeds.seed(i);
+            let seed = Seed {
+                codes,
+                tags,
+                lexicon,
+            };
             shipped.push(compiled.scan_into(Some(seed), &cols, out));
         }
     }
 
     /// Evaluate a triple pattern against the local database, returning
-    /// one binding per matching triple, in insertion order: the rows of
-    /// [`TripleStore::match_into`], materialized.
+    /// one binding per matching triple, in insertion order: the rows
+    /// [`TripleStore::match_into`] ships, decoded through this store's
+    /// own dictionary.
     pub fn match_pattern(&self, pattern: &TriplePattern) -> Vec<Binding> {
-        let mut batch = BindingBatch::for_pattern(pattern);
-        self.match_into(pattern, &mut batch);
-        batch.into_bindings()
+        let header = BindingBatch::for_pattern(pattern);
+        let mut compiled = self.compile(pattern);
+        let cols = compiled.columns(&header);
+        let columns: Vec<(&String, Position)> = header.vars().iter().zip(cols).collect();
+        let mut out = Vec::new();
+        compiled.scan(None, |id| {
+            let mut b = Binding::new();
+            for &(name, pos) in &columns {
+                let term = self.dict.term_of_code(self.cols.code_at(id, pos));
+                b.bind(name.clone(), term);
+            }
+            out.push(b);
+        });
+        out
     }
 
     /// The destination-peer resolution of §2.3:
@@ -806,7 +846,10 @@ impl TripleStore {
         self.for_each_match_row(pattern, &vars, |row| codes.push(row[slot]));
         codes.sort_unstable();
         codes.dedup();
-        let mut out: Vec<Term> = codes.into_iter().map(|c| self.term_of_code(c)).collect();
+        let mut out: Vec<Term> = codes
+            .into_iter()
+            .map(|c| self.dict.term_of_code(c))
+            .collect();
         out.sort();
         out
     }
@@ -821,19 +864,29 @@ impl TripleStore {
         let r = self.match_codes(right, &vars);
         hash_join_rows(&l, &r)
             .iter()
-            .map(|row| self.decode_row(row, &vars))
+            .map(|row| self.dict.decode_row(row, &vars))
             .collect()
     }
 
     /// Compact the store: drop tombstoned rows — the live rows are
     /// re-inserted, in order, into a fresh store, so columns, dictionary
     /// (sharing the old one's buffers) and posting lists hold exactly
-    /// what is live — and leave the CSR posting heads covering the whole
-    /// row space: rebuilt once, unless the re-insert already sealed.
+    /// what is live, and each term keeps its lexicon id, so the store
+    /// ships the codes it shipped before — and leave the CSR posting
+    /// heads covering the whole row space: rebuilt once, unless the
+    /// re-insert already sealed.
     pub fn compact(&mut self) {
         if self.cols.any_dead() {
             let mut live = TripleStore::new();
-            live.insert_batch(self.iter());
+            if self.dict.carries_lexicon_ids() {
+                live.insert_batch(self.rows().map(|id| {
+                    let row = self.cols.row(id);
+                    let ids = [row.s, row.p, row.o].map(|t| self.dict.lexicon_id(t));
+                    TaggedTriple::with_lexicon_ids(self.materialize(&row), ids)
+                }));
+            } else {
+                live.insert_batch(self.iter());
+            }
             *self = live;
         }
         if (self.by_subject.csr_end as usize) < self.cols.len() {
@@ -842,21 +895,50 @@ impl TripleStore {
     }
 }
 
+/// The shortest posting list found so far among an instance's exact
+/// codes: the code's index, and the list's two halves.
+type Access<'a> = Option<(usize, &'a [u32], &'a [u32])>;
+
+/// `best`, or code `k`'s posting list `parts` if it is strictly
+/// shorter (the first of equal lists wins).
+#[inline]
+fn shorter<'a>(best: Access<'a>, k: usize, parts: (&'a [u32], &'a [u32])) -> Access<'a> {
+    let len = parts.0.len() + parts.1.len();
+    match best {
+        Some((_, head, tail)) if head.len() + tail.len() <= len => best,
+        _ => Some((k, parts.0, parts.1)),
+    }
+}
+
+/// One seed of a binding column as the scan kernel binds it: its codes
+/// over `lexicon`'s ids, and their tags.
+#[derive(Clone, Copy)]
+struct Seed<'s> {
+    codes: &'s [u64],
+    tags: &'s [u32],
+    lexicon: &'s TermDict,
+}
+
 /// A pattern compiled against one store by [`TripleStore::compile`]:
 /// what every instance of it shares, plus scratch reused from one seed
 /// to the next.
 struct Compiled<'a> {
     store: &'a TripleStore,
-    /// Every exact constant as a kind-tagged code — the access-path
-    /// constant included: the index is kind-insensitive.
+    /// Every exact constant as a kind-tagged code of this store's ids.
     exact: Vec<(Position, u64)>,
-    /// A constant the store lacks: no instance can match.
+    /// The shortest posting list among `exact`'s.
+    access: Access<'a>,
+    /// A constant the store lacks, or a literal at subject or predicate
+    /// position: no instance can match.
     absent: bool,
     likes: Vec<(Position, LikePattern<'a>)>,
     /// Every variable position, with its variable.
     vars: Vec<(Position, &'a str)>,
     /// Position pairs holding one variable: their codes must agree.
     repeats: Vec<(Position, Position)>,
+    /// For a binding column: each variable position its seeds bind,
+    /// with the seed column holding the value.
+    seeded: Vec<(Position, usize)>,
     /// A seeded instance's exact codes: `exact`, then what its seed
     /// binds.
     bound: Vec<(Position, u64)>,
@@ -880,22 +962,30 @@ impl Compiled<'_> {
 
     /// Call `f` with every live row id of the instance `seed` makes (the
     /// pattern itself, for `None`), in insertion order. The bind step
-    /// comes first: one dictionary lookup per variable the seed binds,
-    /// and nothing more when the instance cannot match — a constant or
-    /// a bound value the store lacks. The access path is then the
-    /// shortest posting list among the instance's exact codes, else a
-    /// `LIKE` prefix's range over the sorted key index, else every row;
-    /// the residual predicate runs a granule at a time as columnar
-    /// `retain` sweeps, one constraint at a time, instead of
-    /// re-dispatching the whole predicate chain per row.
-    fn scan(&mut self, seed: Option<&Binding>, mut f: impl FnMut(u32)) {
+    /// comes first: one dictionary probe per variable the seed binds,
+    /// with the value's carried tag and the lexicon's buffer, and
+    /// nothing more when the instance cannot match — a constant or a
+    /// bound value the store lacks, or a literal bound at subject or
+    /// predicate position. The access path is then the shortest posting
+    /// list among the instance's exact codes (the constants' was picked
+    /// at compile time), else a `LIKE` prefix's range over the sorted
+    /// key index, else every row; the residual predicate runs a granule
+    /// at a time as columnar `retain` sweeps, one constraint at a time,
+    /// instead of re-dispatching the whole predicate chain per row. A
+    /// candidate from the access path's posting list holds that term at
+    /// that position, so its constraint is not re-checked — except for
+    /// the kind bit at object position, where a URI and a literal share
+    /// the list.
+    fn scan(&mut self, seed: Option<Seed<'_>>, mut f: impl FnMut(u32)) {
         let Compiled {
             store,
             exact,
+            access,
             absent,
             likes,
-            vars,
+            vars: _,
             repeats,
+            seeded,
             bound,
             buf,
         } = self;
@@ -903,26 +993,28 @@ impl Compiled<'_> {
         if *absent {
             return;
         }
-        let codes: &[(Position, u64)] = match seed {
-            None => exact,
+        let (codes, access): (&[(Position, u64)], Access<'_>) = match seed {
+            None => (exact, *access),
             Some(seed) => {
                 bound.clear();
                 bound.extend_from_slice(exact);
-                for &(pos, name) in vars.iter() {
-                    if let Some(term) = seed.get(name) {
-                        match store.code_of(term) {
-                            Some(code) => bound.push((pos, code)),
-                            None => return,
-                        }
+                let mut best = *access;
+                for &(pos, col) in seeded.iter() {
+                    let code = seed.codes[col];
+                    let literal = code & 1;
+                    if pos != Position::Object && literal == 1 {
+                        return;
                     }
+                    let lexical = seed.lexicon.resolve(TermId((code >> 1) as u32));
+                    let Some(id) = store.dict.lookup_tagged(seed.tags[col], lexical) else {
+                        return;
+                    };
+                    best = shorter(best, bound.len(), store.posting_parts(pos, id));
+                    bound.push((pos, ((id.0 as u64) << 1) | literal));
                 }
-                bound
+                (bound, best)
             }
         };
-        let shortest = codes
-            .iter()
-            .map(|&(pos, code)| store.posting_parts(pos, TermId((code >> 1) as u32)))
-            .min_by_key(|(head, tail)| head.len() + tail.len());
         let prefix = || {
             likes.iter().find_map(|&(pos, like)| match like {
                 LikePattern::Prefix(core) if !core.is_empty() => Some((pos, core)),
@@ -930,7 +1022,7 @@ impl Compiled<'_> {
             })
         };
         let ranged: Vec<u32>;
-        let mut cursor = if let Some((head, tail)) = shortest {
+        let mut cursor = if let Some((_, head, tail)) = access {
             RowCursor::posting(store, head, tail)
         } else if let Some((pos, core)) = prefix() {
             ranged = store.prefix_row_ids(pos, core);
@@ -938,6 +1030,7 @@ impl Compiled<'_> {
         } else {
             store.rows()
         };
+        let via = access.map(|(k, ..)| k);
         // `LIKE` verdicts by (pattern, term id), direct-mapped over 64
         // slots: a residual `LIKE` meets each distinct term of a scan a
         // few times over (tens of ids behind hundreds of rows), and a
@@ -946,8 +1039,12 @@ impl Compiled<'_> {
         let mut verdicts = [u64::MAX; 64];
         // The cursor skips tombstones.
         while cursor.next_block(buf) {
-            for &(pos, code) in codes {
-                buf.retain(|&id| store.cols.code_at(id, pos) == code);
+            for (k, &(pos, code)) in codes.iter().enumerate() {
+                if Some(k) != via {
+                    buf.retain(|&id| store.cols.code_at(id, pos) == code);
+                } else if pos == Position::Object {
+                    buf.retain(|&id| store.cols.code_at(id, pos) & 1 == code & 1);
+                }
             }
             for (k, (pos, like)) in likes.iter().enumerate() {
                 buf.retain(|&id| {
@@ -967,12 +1064,12 @@ impl Compiled<'_> {
         }
     }
 
-    /// [`Compiled::scan`] into a batch: one row per match, its terms
-    /// read at the [`Compiled::columns`] of `out`'s header, appended to
+    /// [`Compiled::scan`] into a batch: one row per match, the codes it
+    /// ships at the [`Compiled::columns`] of `out`'s header appended to
     /// `out`. Returns how many rows that was.
     fn scan_into(
         &mut self,
-        seed: Option<&Binding>,
+        seed: Option<Seed<'_>>,
         cols: &[Position; 3],
         out: &mut BindingBatch,
     ) -> usize {
@@ -981,8 +1078,7 @@ impl Compiled<'_> {
         let before = out.rows;
         self.scan(seed, |id| {
             for &pos in cols {
-                out.terms
-                    .push(store.term_of_code(store.cols.code_at(id, pos)));
+                out.codes.push(store.shipped_code(id, pos));
             }
             out.rows += 1;
         });
@@ -1439,6 +1535,106 @@ mod tests {
         assert!(db.insert(Triple::new("s", "p", Term::literal("new"))));
         assert_eq!(db.len(), 4);
     }
+
+    /// Every row of `db`, as the codes it ships for `(?s ?p ?o)`.
+    fn shipped(db: &TripleStore) -> Vec<u64> {
+        let all = TriplePattern::new(
+            PatternTerm::var("s"),
+            PatternTerm::var("p"),
+            PatternTerm::var("o"),
+        );
+        let mut batch = BindingBatch::for_pattern(&all);
+        db.match_into(&all, &mut batch);
+        batch.codes
+    }
+
+    #[test]
+    fn compact_keeps_the_lexicon_ids() {
+        // The lexicon numbers the store's terms in another order than the
+        // store does: it saw other terms first.
+        let mut lexicon = TermDict::new();
+        lexicon.canonical_triple(&Triple::new("z", "y", Term::literal("x")));
+        let mut db = TripleStore::new();
+        let triples = [
+            Triple::new("embl:A78712", "EMBL#Organism", Term::literal("niger")),
+            Triple::new("embl:X00001", "EMBL#Organism", Term::literal("chrysogenum")),
+            Triple::new("embl:A78712", "EMBL#Length", Term::literal("1042")),
+        ];
+        db.insert_batch(triples.iter().map(|t| lexicon.canonical_triple(t)));
+        db.remove(&triples[1]);
+        let before = shipped(&db);
+        let dict_before = db.dict().len();
+        db.compact();
+        assert!(db.dict().len() < dict_before, "the removed row's terms go");
+        assert_eq!(shipped(&db), before);
+        let decoded = |codes: &[u64]| -> Vec<Term> {
+            codes.iter().map(|&c| lexicon.term_of_code(c)).collect()
+        };
+        assert_eq!(
+            decoded(&before),
+            [&triples[0], &triples[2]]
+                .iter()
+                .flat_map(|t| {
+                    let t = (*t).clone();
+                    [Term::Uri(t.subject), Term::Uri(t.predicate), t.object]
+                })
+                .collect::<Vec<Term>>()
+        );
+    }
+
+    #[test]
+    fn a_literal_subject_or_predicate_constant_matches_no_row() {
+        // "a" and "p" are stored — as a subject and a predicate URI, and
+        // as literal objects — so a literal constant finds its id.
+        let mut db = TripleStore::new();
+        db.insert(Triple::new("a", "p", Term::literal("a")));
+        db.insert(Triple::new("a", "p", Term::literal("p")));
+        let (var, c) = (PatternTerm::var, PatternTerm::constant);
+        for (pattern, rows) in [
+            (
+                TriplePattern::new(c(Term::literal("a")), var("p"), var("o")),
+                0,
+            ),
+            (
+                TriplePattern::new(var("s"), c(Term::literal("p")), var("o")),
+                0,
+            ),
+            (
+                TriplePattern::new(c(Term::uri("a")), c(Term::uri("p")), var("o")),
+                2,
+            ),
+            (
+                TriplePattern::new(var("s"), var("p"), c(Term::literal("p"))),
+                1,
+            ),
+            (TriplePattern::new(var("s"), var("p"), c(Term::uri("p"))), 0),
+        ] {
+            assert_eq!(db.match_pattern(&pattern).len(), rows, "{pattern:?}");
+            let mut batch = BindingBatch::for_pattern(&pattern);
+            assert_eq!(db.match_into(&pattern, &mut batch), rows, "{pattern:?}");
+        }
+    }
+
+    #[test]
+    fn a_lexicon_fed_store_pays_four_bytes_per_term_for_its_ids() {
+        // The 18 400-row shape of `a_small_store_pays_per_row_too`, fed
+        // through a lexicon: the lexicon-id column is the only addition.
+        let (rows, batch) = (18_400, 368);
+        let plain = load_shape(rows, batch);
+        let mut lexicon = TermDict::new();
+        let mut db = TripleStore::new();
+        for part in plain.iter().collect::<Vec<Triple>>().chunks(batch) {
+            db.insert_batch(part.iter().map(|t| lexicon.canonical_triple(t)));
+        }
+        let extra = footprint(&db)[3] - footprint(&plain)[3];
+        assert_eq!(extra, db.dict().lexicon_id_bytes());
+        let terms = db.dict().len();
+        let per_row = extra as f64 / rows as f64;
+        println!("lexicon ids: {extra} B for {terms} terms, {per_row:.2} B/row");
+        // Four bytes per term, growing by half.
+        assert!(extra <= terms * 4 * 3 / 2, "{extra} B for {terms} terms");
+        assert_eq!(shipped(&db).len(), 3 * rows);
+    }
 }
 
 #[cfg(test)]
@@ -1481,10 +1677,25 @@ mod proptests {
         removals: &[prop::sample::Index],
         second: &[Triple],
     ) -> (TripleStore, Vec<Triple>) {
+        build_through(None, first, seal, removals, second)
+    }
+
+    /// [`build`], every triple rebuilt through `lexicon` if there is one.
+    fn build_through(
+        mut lexicon: Option<&mut TermDict>,
+        first: &[Triple],
+        seal: bool,
+        removals: &[prop::sample::Index],
+        second: &[Triple],
+    ) -> (TripleStore, Vec<Triple>) {
         let mut db = TripleStore::new();
+        let mut insert = |db: &mut TripleStore, t: &Triple| match lexicon.as_deref_mut() {
+            Some(lexicon) => db.insert_batch([lexicon.canonical_triple(t)]) == 1,
+            None => db.insert(t.clone()),
+        };
         let mut reference: Vec<Triple> = Vec::new();
         for t in first {
-            if db.insert(t.clone()) {
+            if insert(&mut db, t) {
                 reference.push(t.clone());
             }
         }
@@ -1499,11 +1710,16 @@ mod proptests {
             assert!(db.remove(&t));
         }
         for t in second {
-            if db.insert(t.clone()) {
+            if insert(&mut db, t) {
                 reference.push(t.clone());
             }
         }
         (db, reference)
+    }
+
+    /// The code of `term` in `lexicon`, interning it on first sight.
+    fn lexicon_code(lexicon: &mut TermDict, term: &Term) -> u64 {
+        crate::join::tests::code(lexicon, term)
     }
 
     /// Drain a cursor granule-at-a-time and concatenate the batches.
@@ -1749,12 +1965,12 @@ mod proptests {
             let mut batch = BindingBatch::for_pattern(&pattern);
             prop_assert_eq!(db.match_into(&pattern, &mut batch), naive.len(), "{:?}", pattern);
             prop_assert_eq!(batch.len(), naive.len());
-            prop_assert_eq!(&batch.clone().into_bindings(), &naive, "{:?}", pattern);
+            prop_assert_eq!(&batch.bindings(db.dict()), &naive, "{:?}", pattern);
             // Appending: a second scan lands after the first.
             prop_assert_eq!(db.match_into(&pattern, &mut batch), naive.len());
             prop_assert_eq!(batch.len(), 2 * naive.len());
             let twice: Vec<Binding> = naive.iter().chain(&naive).cloned().collect();
-            prop_assert_eq!(batch.into_bindings(), twice, "{:?}", pattern);
+            prop_assert_eq!(batch.bindings(db.dict()), twice, "{:?}", pattern);
         }
 
         /// The seeded kernel answers a binding column exactly as one
@@ -1776,7 +1992,9 @@ mod proptests {
             ops in 0u8..4,
             shape in 0usize..6,
         ) {
-            let (mut db, _) = build(&first, ops & 1 != 0, &removals, &second);
+            let mut lexicon = TermDict::new();
+            let (mut db, _) =
+                build_through(Some(&mut lexicon), &first, ops & 1 != 0, &removals, &second);
             if ops & 2 != 0 {
                 db.compact();
             }
@@ -1815,17 +2033,109 @@ mod proptests {
                     seed
                 })
                 .collect();
+            // The column carries the seeds' codes in the lexicon, which
+            // numbers the values the store lacks too.
+            let mut column = SeedColumn::new(names.iter().copied());
+            for seed in &seeds {
+                let codes: Vec<u64> = names
+                    .iter()
+                    .map(|&v| lexicon_code(&mut lexicon, seed.get(v).expect("bound")))
+                    .collect();
+                column.push(&codes, &lexicon);
+            }
             let instance = |seed: &Binding| template.substitute(seed);
-            let header = BindingBatch::for_pattern(&instance(seeds.first().unwrap_or(&Binding::new())));
+            let header = BindingBatch::for_instances(&template, &column);
+            if let Some(first) = seeds.first() {
+                prop_assert_eq!(header.vars(), BindingBatch::for_pattern(&instance(first)).vars());
+            }
 
             let mut batch = header.clone();
             let mut shipped = Vec::new();
-            db.match_seeds_into(&template, &seeds, &mut batch, &mut shipped);
+            db.match_seeds_into(&template, &column, &lexicon, &mut batch, &mut shipped);
             let mut expected = header.clone();
             let counts: Vec<usize> =
                 seeds.iter().map(|s| db.match_into(&instance(s), &mut expected)).collect();
             prop_assert_eq!(&shipped, &counts, "{:?} {:?}", template, seeds);
-            prop_assert_eq!(batch.into_bindings(), expected.into_bindings(), "{:?}", template);
+            prop_assert_eq!(&batch.codes, &expected.codes, "{:?}", template);
+            prop_assert_eq!(batch.bindings(&lexicon), expected.bindings(&lexicon), "{:?}", template);
+        }
+
+        /// Two stores loaded through one lexicon ship one code per term:
+        /// equal terms ship equal codes across the stores, a URI and a
+        /// literal with one lexical ship distinct ones, and the shipped
+        /// batches decode through the lexicon to `match_pattern`'s rows
+        /// — unseeded, and seeded with a column of both stores' terms
+        /// and a value neither holds — across a seal, tombstones and a
+        /// `compact` of the first store.
+        #[test]
+        fn stores_loaded_through_one_lexicon_ship_one_code_per_term(
+            first in proptest::collection::vec(arb_pooled_triple(), 0..40),
+            removals in proptest::collection::vec(any::<prop::sample::Index>(), 0..10),
+            second in proptest::collection::vec(arb_pooled_triple(), 0..20),
+            other in proptest::collection::vec(arb_pooled_triple(), 0..30),
+            ops in 0u8..4,
+            shape in 0usize..3,
+        ) {
+            let mut lexicon = TermDict::new();
+            // A value no store holds, numbered first.
+            let unseen = lexicon_code(&mut lexicon, &Term::uri("c"));
+            let (mut a, _) =
+                build_through(Some(&mut lexicon), &first, ops & 1 != 0, &removals, &second);
+            if ops & 2 != 0 {
+                a.compact();
+            }
+            let mut b = TripleStore::new();
+            b.insert_batch(other.iter().map(|t| lexicon.canonical_triple(t)));
+            let var = PatternTerm::var;
+            let all = TriplePattern::new(var("s"), var("p"), var("o"));
+            let mut cells: Vec<(u64, Term)> = Vec::new();
+            for db in [&a, &b] {
+                let mut batch = BindingBatch::for_pattern(&all);
+                db.match_into(&all, &mut batch);
+                let rows = db.match_pattern(&all);
+                prop_assert_eq!(&batch.bindings(&lexicon), &rows);
+                for (codes, row) in batch.rows().zip(&rows) {
+                    for (&code, name) in codes.iter().zip(["s", "p", "o"]) {
+                        cells.push((code, row.get(name).expect("bound").clone()));
+                    }
+                }
+            }
+            for (code, term) in &cells {
+                prop_assert_eq!(Some(*code), lexicon.code_of(term), "{}", term);
+            }
+            for (i, (c1, t1)) in cells.iter().enumerate() {
+                for (c2, t2) in &cells[i + 1..] {
+                    prop_assert_eq!(c1 == c2, t1 == t2, "{} vs {}", t1, t2);
+                }
+            }
+
+            // Seeded: a column over the distinct shipped terms and the
+            // unseen value, at the variable `shape` picks.
+            let name = ["s", "p", "o"][shape];
+            let mut column = SeedColumn::new([name]);
+            let mut codes: Vec<u64> = cells.iter().map(|(c, _)| *c).collect();
+            codes.sort_unstable();
+            codes.dedup();
+            codes.truncate(12);
+            codes.push(unseen);
+            for code in &codes {
+                column.push(&[*code], &lexicon);
+            }
+            for db in [&a, &b] {
+                let mut batch = BindingBatch::for_instances(&all, &column);
+                let mut shipped = Vec::new();
+                db.match_seeds_into(&all, &column, &lexicon, &mut batch, &mut shipped);
+                let mut expected = Vec::new();
+                for (i, n) in shipped.iter().enumerate() {
+                    let instance = all.substitute(&column.binding(i, &lexicon));
+                    let rows = db.match_pattern(&instance);
+                    prop_assert_eq!(rows.len(), *n, "{:?}", instance);
+                    expected.extend(rows);
+                }
+                prop_assert_eq!(shipped.len(), codes.len());
+                prop_assert_eq!(shipped.last(), Some(&0), "the unseen value ships nothing");
+                prop_assert_eq!(batch.bindings(&lexicon), expected);
+            }
         }
 
         /// A LIKE constant agrees with a naive scan for every pattern shape

@@ -24,8 +24,15 @@
 # a transcript blessed on another machine is not a fair oracle, and none
 # is checked in. Each comparison ends in a count line.
 #
-# Exits non-zero on a DIFF or FAIL of the run-twice check: a parent
-# comparison only reports. Everything it writes goes under a fresh
+# With --parent it also builds the benchmark package (`benchmarks/`, its
+# own workspace) in both trees, runs `--all --quick` once in each, and
+# reports per workload whether the lines that must not move for a
+# behaviour-preserving change are equal: `rows_digest` and every metric
+# line on the simulated clock (host-clock lines are left out: they are
+# noise at this size). Report-only, like the transcript comparison.
+#
+# Exits non-zero on a DIFF or FAIL of the run-twice check: the parent
+# comparisons only report. Everything it writes goes under a fresh
 # directory in ${TMPDIR:-/tmp} (printed at the start, kept).
 set -eu
 
@@ -85,6 +92,25 @@ if [ -n "$parent" ]; then
     run_all "$work/target-parent" "$work/run-parent"
 fi
 
+# The benchmark package's `--all --quick` run of a tree into <out>; a
+# non-zero exit leaves <out>.failed.
+bench_all() { # <tree> <target dir> <out>
+    (cd "$1" && CARGO_TARGET_DIR="$2" cargo run --release --offline --quiet \
+        --manifest-path benchmarks/Cargo.toml -- --all --quick) >"$3" 2>/dev/null ||
+        touch "$3.failed"
+}
+# The lines of <workload>'s blocks in <out> that must not move:
+# rows_digest and every metric on the simulated clock.
+sim_lines() { # <out> <workload>
+    awk -v w="$2" '$1 == "workload" { on = ($2 == w) }
+        on && ($1 == "rows_digest" || $NF == "sim")' "$1"
+}
+if [ -n "$parent" ]; then
+    echo "running the benchmark package (--all --quick) in both trees ..."
+    bench_all "$root" "${CARGO_TARGET_DIR:-$root/benchmarks/target}" "$work/bench-change.txt"
+    bench_all "$work/parent" "$work/target-parent" "$work/bench-parent.txt"
+fi
+
 status=0
 # One line per program against run-1, then a count line; a DIFF or
 # FAIL sets the exit status when <strict> is 1.
@@ -118,5 +144,29 @@ compare() { # <label> <other run> <strict>
 compare "run twice" "$work/run-2" 1
 if [ -n "$parent" ]; then
     compare "against $parent (< parent, > this tree)" "$work/run-parent" 0
+
+    echo
+    echo "== benchmark --all --quick: rows_digest and sim metrics against $parent (< parent, > this tree) =="
+    same=0 diffs=0 failed=0
+    workloads=$(sed -n 's/.*{"name": "\([a-z_]*\)", "why".*/\1/p' "$root/BENCHMARK.json")
+    for w in $workloads; do
+        if [ -e "$work/bench-change.txt.failed" ] || [ -e "$work/bench-parent.txt.failed" ]; then
+            echo "FAIL  $w (a benchmark run exited non-zero)"
+            failed=$((failed + 1))
+            continue
+        fi
+        sim_lines "$work/bench-parent.txt" "$w" >"$work/sim-parent-$w.txt"
+        sim_lines "$work/bench-change.txt" "$w" >"$work/sim-change-$w.txt"
+        lines=$(wc -l <"$work/sim-change-$w.txt")
+        if [ "$lines" -gt 0 ] && cmp -s "$work/sim-parent-$w.txt" "$work/sim-change-$w.txt"; then
+            echo "same  $w ($lines lines)"
+            same=$((same + 1))
+        else
+            echo "DIFF  $w"
+            diff "$work/sim-parent-$w.txt" "$work/sim-change-$w.txt" | head -n 8 | sed 's/^/      /'
+            diffs=$((diffs + 1))
+        fi
+    done
+    echo "$same same, $diffs differ, $failed failed"
 fi
 exit $status
