@@ -23,10 +23,11 @@
 //!   mapping network once, and every request of the sweep carries the
 //!   **binding column** — the distinct substitutions the partial
 //!   solutions make of the pattern's already-bound variables — so a
-//!   destination compiles the pattern once, binds it to each seed
-//!   ([`gridvine_rdf::TripleStore::match_seeds_into`]), and only ever
-//!   evaluates, and ships the matches of, instances already constrained
-//!   by earlier answers. A bound value is matched exactly: a `%` in it
+//!   destination compiles the pattern once, answers it for each seed
+//!   ([`gridvine_rdf::TripleStore::match_seeds_into`]: one bound scan
+//!   per seed, or one scan of the pattern matched to the seeds by code
+//!   when that walks fewer rows), and only ever ships the matches of
+//!   instances already constrained by earlier answers. A bound value is matched exactly: a `%` in it
 //!   is no wildcard. This is the
 //!   semi-join/bound-join strategy of distributed query processing: the
 //!   same requests and messages as one independent sweep of the

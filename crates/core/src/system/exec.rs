@@ -22,11 +22,13 @@
 //! (`GridVineSystem::resolve_patterns`). The peer it lands on answers
 //! every listed pattern whose key lies under its own path, one call of
 //! the store's scan kernel per answered pattern: the pattern is
-//! compiled once and, when there is a column, bound to each seed in
-//! turn
+//! compiled once and, when there is a column, answered for each seed
+//! — by one scan of the pattern whose rows are matched to the seeds by
+//! code when its posting list is shorter than what the seeds would
+//! walk, else by a bound scan per seed
 //! ([`TripleStore::match_seeds_into`](gridvine_rdf::TripleStore::match_seeds_into);
 //! [`TripleStore::match_into`](gridvine_rdf::TripleStore::match_into)
-//! without one), appending the matching rows of the peer's indexed
+//! without one) — appending the matching rows of the peer's indexed
 //! `DB_p` to the caller's columnar [`BindingBatch`] — variable names
 //! once per batch, rows as term *codes* — so a destination ships
 //! exactly the terms it matched, builds no per-row map, and replies
@@ -61,9 +63,12 @@
 //! as a column on every data request of the pattern's one sweep (the
 //! session's, one exchange per unit), beside the pattern list. The
 //! column is a [`SeedColumn`]: the seeds' codes, each with its
-//! lexical's dictionary tag, computed once when the column is built,
-//! so a destination binds a seed by probing its dictionary with the
-//! tag and the lexicon's buffer — no value is hashed per hop.
+//! lexical's dictionary tag, computed once when the column is built.
+//! A destination whose pattern has a short posting list scans it once
+//! and matches each row to its seeds by the codes it ships, without a
+//! dictionary probe; otherwise it binds each seed by probing its
+//! dictionary with the tag and the lexicon's buffer. Either way no
+//! value is hashed per hop.
 //! The sweep is the pattern's own: its hops route by the pattern's
 //! routing constants, not by what a seed would put into a variable
 //! (the predicate's peer indexes every triple of the predicate, so the
@@ -1028,12 +1033,12 @@ impl GridVineSystem {
     /// answers every listed pattern whose key lies under its own path,
     /// which is all a destination knows about its responsibility: one
     /// call of its `DB_p`'s scan kernel per answered pattern, which
-    /// compiles the pattern once and binds it to each seed in turn
-    /// ([`TripleStore::match_seeds_into`]; [`TripleStore::match_into`]
-    /// without a seed), appending to `out` (whose header is the
-    /// instances' shared variables) in list order, seed by seed. A value
-    /// a seed binds is matched exactly, and one the peer has never
-    /// stored ships nothing without a scan. For an answered pattern that
+    /// compiles the pattern once and answers it for each seed
+    /// ([`TripleStore::match_seeds_into`]: one scan matched to the seeds
+    /// by code, or one bound scan per seed, whichever walks fewer rows;
+    /// [`TripleStore::match_into`] without a seed), appending to `out`
+    /// (whose header is the instances' shared variables) in list order,
+    /// seed by seed. A value a seed binds is matched exactly. For an answered pattern that
     /// lists a schema key under its path too, it adds the mapping list
     /// stored there — what a discovery routed to that key would read. It
     /// says in `reply` who answered, what, how many rows each instance

@@ -362,6 +362,8 @@ struct Projection {
     proj: VarTable,
     /// Dedups on projected codes before any term is materialized.
     seen: FxHashSet<Vec<u64>>,
+    /// A row's projected codes, reused from row to row.
+    key: Vec<u64>,
 }
 
 enum State {
@@ -649,6 +651,7 @@ impl SessionCore {
                         slots,
                         proj,
                         seen: FxHashSet::default(),
+                        key: Vec::new(),
                     },
                 }))
             }
@@ -739,7 +742,7 @@ impl SessionCore {
         let mut rows = std::mem::take(&mut self.rows);
         match &self.order_by {
             RowOrder::ByTerm(var) => rows.sort_by(|a, b| a.get(var).cmp(&b.get(var))),
-            RowOrder::ByDisplay => rows.sort_by_cached_key(|b| b.to_string()),
+            RowOrder::ByDisplay => rows.sort_by(Binding::cmp_display),
         }
         QueryOutcome {
             rows,
@@ -1163,6 +1166,7 @@ impl SessionCore {
                             let fragments = batch_rows(reply, vars, &[]);
                             reply.clear();
                             let mut fresh = Vec::new();
+                            let mut joined = Vec::new();
                             let mut at = 0;
                             'reply: for (i, &n) in shipped.iter().enumerate() {
                                 let fragment = &fragments[at..at + n];
@@ -1171,17 +1175,18 @@ impl SessionCore {
                                     continue;
                                 }
                                 for &m in &part.members[i % part.members.len()] {
-                                    let row = std::slice::from_ref(&partial[m]);
-                                    let joined = hash_join_rows(row, fragment);
-                                    if !last {
-                                        next.extend(joined);
-                                        continue;
-                                    }
-                                    let (rows, limit) = (&mut core.rows, core.limit);
-                                    let hit =
-                                        projection.admit(lexicon, &joined, rows, limit, &mut fresh);
-                                    if hit {
-                                        break 'reply;
+                                    for f in fragment {
+                                        merge_fragment(&partial[m], f, &mut joined);
+                                        if !last {
+                                            next.push(joined.clone());
+                                            continue;
+                                        }
+                                        let (rows, limit) = (&mut core.rows, core.limit);
+                                        if projection
+                                            .admit(lexicon, &joined, rows, limit, &mut fresh)
+                                        {
+                                            break 'reply;
+                                        }
                                     }
                                 }
                             }
@@ -1227,7 +1232,11 @@ impl SessionCore {
                     }
                     let mut fresh = Vec::new();
                     let lexicon = &sys.lexicon;
-                    projection.admit(lexicon, &rows, &mut self.rows, self.limit, &mut fresh);
+                    for row in &rows {
+                        if projection.admit(lexicon, row, &mut self.rows, self.limit, &mut fresh) {
+                            break;
+                        }
+                    }
                     if !fresh.is_empty() {
                         out.push(ResultEvent::Rows(fresh));
                     }
@@ -1488,33 +1497,48 @@ impl BoundPart {
 }
 
 impl Projection {
-    /// Project completed join rows onto the distinguished variables,
-    /// dedup on codes and admit the fresh ones to `rows` and `fresh` —
+    /// Project a completed join row onto the distinguished variables,
+    /// dedup on codes and admit it to `rows` and `fresh` if it is fresh —
     /// the one place a join plan builds [`Binding`]s, reading their
-    /// terms through the `lexicon`. Returns whether the result limit was
-    /// reached.
+    /// terms through the `lexicon`. The projected codes are probed in a
+    /// reused slice, so a duplicate row allocates nothing. Returns
+    /// whether admitting it reached the result limit.
     fn admit(
         &mut self,
         lexicon: &TermDict,
-        completed: &[Vec<u64>],
+        row: &[u64],
         rows: &mut Vec<Binding>,
         limit: Option<usize>,
         fresh: &mut Vec<Binding>,
     ) -> bool {
-        for row in completed {
-            let projected: Vec<u64> = self.slots.iter().map(|&s| row[s]).collect();
-            if !self.seen.insert(projected.clone()) {
-                continue;
-            }
-            let b = lexicon.decode_row(&projected, &self.proj);
-            rows.push(b.clone());
-            fresh.push(b);
-            if limit.is_some_and(|k| rows.len() >= k) {
-                return true;
-            }
+        self.key.clear();
+        self.key.extend(self.slots.iter().map(|&s| row[s]));
+        if self.seen.contains(self.key.as_slice()) {
+            return false;
         }
-        false
+        self.seen.insert(self.key.clone());
+        let b = lexicon.decode_row(&self.key, &self.proj);
+        rows.push(b.clone());
+        fresh.push(b);
+        limit.is_some_and(|k| rows.len() >= k)
     }
+}
+
+/// Merge a bound join's partial row with one fragment its seed's
+/// instance shipped, into `out`. The seed binds every slot the partial
+/// row binds among the pattern's variables, and the fragment binds only
+/// the others, so no slot is bound on both sides and there is nothing to
+/// compare.
+fn merge_fragment(row: &[u64], fragment: &[u64], out: &mut Vec<u64>) {
+    out.clear();
+    out.extend(row.iter().zip(fragment).map(|(&l, &r)| {
+        debug_assert!(l == UNBOUND || r == UNBOUND, "slot {l} bound twice");
+        if l != UNBOUND {
+            l
+        } else {
+            r
+        }
+    }));
 }
 
 /// Place the batches an independent join's sweeps shipped, one per

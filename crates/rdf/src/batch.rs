@@ -29,9 +29,10 @@
 //! join's request carries to a destination — the bound variables once,
 //! each seed's values as codes, and with each code the dictionary tag
 //! of its lexical, computed once when the column is built. A
-//! destination binds a seed by probing its dictionary with that tag and
-//! the lexicon's buffer, so no seed value is hashed or compared byte by
-//! byte per hop.
+//! destination either matches the rows of one scan to the seeds by
+//! code, or binds each seed by probing its dictionary with that tag and
+//! the lexicon's buffer; either way no seed value is hashed or compared
+//! byte by byte per hop.
 
 use crate::dict::{tag_lexical, TermDict, TermId};
 use crate::join::VarTable;

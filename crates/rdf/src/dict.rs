@@ -230,6 +230,10 @@ pub struct TermDict {
     /// The lexicon id of each id below its length; an id at or past it
     /// is its own (see the module docs). Empty until an id is carried.
     lexicon_ids: Vec<u32>,
+    /// Whether some id is its own lexicon id while another was carried:
+    /// then one of this dictionary's lexicon ids and a lexicon's equal
+    /// id may name different lexicals.
+    mixed: bool,
 }
 
 impl TermDict {
@@ -330,6 +334,7 @@ impl TermDict {
             Err(slot) => {
                 let id = self.insert_new(Arc::clone(lexical), slot, tag);
                 if lexicon_id.is_some() || !self.lexicon_ids.is_empty() {
+                    self.mixed |= lexicon_id.is_none() || self.lexicon_ids.len() < id.index();
                     // Ids interned before the first carried one are
                     // their own.
                     while self.lexicon_ids.len() < id.index() {
@@ -379,6 +384,26 @@ impl TermDict {
     /// Whether any id was interned with a carried lexicon id.
     pub(crate) fn carries_lexicon_ids(&self) -> bool {
         !self.lexicon_ids.is_empty()
+    }
+
+    /// Whether a code of this dictionary's lexicon ids names the term
+    /// the equal code of `lexicon` names — so the two compare as codes.
+    /// It does when every id carried its lexicon id (from `lexicon`, the
+    /// one a store is loaded through), or when none did and `lexicon` is
+    /// this dictionary; not when a store was fed both plain triples and
+    /// triples rebuilt over a lexicon.
+    pub(crate) fn codes_are_over(&self, lexicon: &TermDict) -> bool {
+        if self.carries_lexicon_ids() {
+            !self.mixed
+        } else {
+            std::ptr::eq(self, lexicon)
+        }
+    }
+
+    /// Mark this dictionary's lexicon ids as no longer comparable with a
+    /// lexicon's if `other`'s were not ([`TermDict::codes_are_over`]).
+    pub(crate) fn inherit_mixed(&mut self, other: &TermDict) {
+        self.mixed |= other.mixed;
     }
 
     /// The term behind a code of this dictionary's ids (zero-copy: a

@@ -31,7 +31,9 @@
 //!   scans;
 //! * **one scan (σ, π)** — a pattern is compiled once (constants to
 //!   codes, the shortest of their posting lists picked, `LIKE`s parsed)
-//!   and bound per seed, the instance a bound join asks for; an
+//!   and bound per seed, the instance a bound join asks for — or, when
+//!   that posting list is shorter than what the seeds would walk,
+//!   scanned once and its rows matched to the seeds by code; an
 //!   instance is answered by picking an access path (the shortest
 //!   posting list among its exact codes, else a prefix range, else
 //!   every row) and sweeping the residual predicate over 256-row

@@ -78,27 +78,33 @@
 //!
 //! ## Operators
 //!
-//! * **σ / π — one scan, compiled once, bound per seed.** One kernel
-//!   walks rows for a pattern, in two steps. *Compile*, once per call:
-//!   the pattern's constants become kind-tagged codes (a constant the
-//!   dictionary lacks, or a literal at subject or predicate position,
-//!   empties every instance) and the shortest of their posting lists
-//!   is picked, its `LIKE`s are parsed, its variable positions
-//!   recorded. *Bind*, once per seed — one row of a [`SeedColumn`], the
-//!   instance a bound join asks for: one dictionary probe per value the
-//!   seed binds, with the tag the column carries and the lexicon's
+//! * **σ / π — one scan, compiled once, bound per seed or swept
+//!   once.** One kernel walks rows for a pattern. *Compile*, once per
+//!   call: the pattern's constants become kind-tagged codes (a constant
+//!   the dictionary lacks, or a literal at subject or predicate
+//!   position, empties every instance) and the shortest of their
+//!   posting lists is picked, its `LIKE`s are parsed, its variable
+//!   positions recorded. Then the scan picks an access path (the
+//!   shortest posting list among the instance's exact codes, else a
+//!   prefix range over the sorted key index, else every row) and runs
+//!   the residual predicate (every other exact code, the kind bit of an
+//!   object the access path names, `LIKE`s, repeated variables) as
+//!   columnar sweeps over 256-row granules.
+//!   [`TripleStore::match_seeds_into`] answers a whole binding column
+//!   — a [`SeedColumn`], one row per instance a bound join asks for —
+//!   in one call, one of two ways, by a cost rule over counts the store
+//!   holds (the constants' posting length against the seeds times the
+//!   mean posting length at the seeded position). *Swept*: the
+//!   pattern is scanned once and each row it admits matched to its
+//!   seeds by the codes it ships at the seeded positions, with no
+//!   dictionary probe. *Bound per seed*: one dictionary probe per value
+//!   the seed binds, with the tag the column carries and the lexicon's
 //!   buffer, so no value is hashed and a shared buffer is accepted on
-//!   pointer equality; a value is matched exactly (a bound `"50%"` is a
-//!   value, not a `LIKE`), and a value the store has never seen ends
-//!   the instance before any posting list is touched. Then the scan
-//!   picks an access path (the shortest posting list among the
-//!   instance's exact codes, else a prefix range over the sorted key
-//!   index, else every row) and runs the residual predicate (every
-//!   other exact code, the kind bit of an object the access path
-//!   names, `LIKE`s, repeated variables) as columnar sweeps over
-//!   256-row granules. [`TripleStore::match_seeds_into`] answers a
-//!   whole binding column in one call; [`TripleStore::match_into`] is
-//!   the same kernel with no seed. Both append to a [`BindingBatch`]
+//!   pointer equality, and a value the store has never seen ends the
+//!   instance before any posting list is touched; then the instance is
+//!   scanned. Either way a value is matched exactly (a bound `"50%"` is
+//!   a value, not a `LIKE`). [`TripleStore::match_into`] is the same
+//!   kernel with no seed. Both append to a [`BindingBatch`]
 //!   the codes the store *ships*: each term's lexicon id, shifted, with
 //!   its kind bit (see [`crate::dict`]), so a shipped cell is a `u64`
 //!   read off two columns and touches no reference count.
@@ -178,6 +184,10 @@ struct PostingIndex {
     csr_end: u32,
     /// Rows `>= csr_end`, for the terms that have any.
     tail: FxHashMap<TermId, PostingList>,
+    /// Terms with a posting at this position (tombstoned rows count):
+    /// with the row count, the mean posting length the scan kernel's
+    /// cost rule reads.
+    terms: usize,
     /// Sorted key index: lexical → id over the terms with a posting at
     /// this position; backs prefix range scans. Built lazily on first
     /// use by [`TripleStore::sorted`] (one bulk sort, far cheaper than
@@ -227,6 +237,7 @@ impl PostingIndex {
             if !in_head {
                 // The position gains a term: the key index lacks it.
                 self.sorted.take();
+                self.terms += 1;
             }
             PostingList::default()
         });
@@ -264,6 +275,7 @@ impl PostingIndex {
         self.data = data;
         self.csr_end = col.len() as u32;
         self.tail = FxHashMap::default();
+        self.terms = terms;
     }
 
     /// Heap bytes of the head and of the tail, by capacity (a hash-map
@@ -773,16 +785,33 @@ impl TripleStore {
     /// term, matched exactly (a `%` in a bound value is no wildcard) —
     /// and push how many that was to `shipped`. The seeds' codes are
     /// over `lexicon`'s ids: the lexicon this store was loaded through,
-    /// or for a store fed plain triples its own dictionary.
-    /// `template` is compiled once; a seed costs one dictionary probe
-    /// per value it binds, with the value's carried tag and the
-    /// lexicon's buffer, so no value is hashed and a value this store
-    /// shares the buffer of is accepted on pointer equality. A value the
-    /// store has never seen ships zero rows without a scan. `out`'s
+    /// or for a store fed plain triples its own dictionary. `out`'s
     /// header is the variables of `template` the seeds leave unbound
     /// ([`BindingBatch::for_instances`]). For a seed without `%`, the
     /// rows are [`TripleStore::match_into`]'s of the substituted
-    /// instance.
+    /// instance, in its order.
+    ///
+    /// `template` is compiled once; then the column is answered one of
+    /// two ways, whichever walks fewer postings — an index nested-loop
+    /// join or a hash semi-join, picked by input size:
+    ///
+    /// * **one sweep**, when the template has an exact constant whose
+    ///   posting list, of length M, is no longer than what N seeds
+    ///   would walk, N times the mean posting length at the seeded
+    ///   position (the shortest mean, if the seeds bind several): the
+    ///   list is scanned once with the template's own filters, and each
+    ///   row is matched to its seeds by the codes it ships at the seeded
+    ///   positions, in a hash map of the column. No dictionary is
+    ///   probed and no string read. It runs only when this store's codes
+    ///   compare with `lexicon`'s (not for a store fed both plain
+    ///   triples and triples rebuilt over a lexicon);
+    /// * **per seed**, otherwise: one dictionary probe per value the
+    ///   seed binds, with the value's carried tag and the lexicon's
+    ///   buffer, so no value is hashed and a value this store shares the
+    ///   buffer of is accepted on pointer equality; a value the store
+    ///   has never seen ships zero rows without a scan, and the instance
+    ///   is scanned through the shortest posting list among its exact
+    ///   codes.
     ///
     /// # Panics
     /// Panics if the header names a variable `template` does not have.
@@ -794,23 +823,56 @@ impl TripleStore {
         out: &mut BindingBatch,
         shipped: &mut Vec<usize>,
     ) {
+        self.match_seeds_by(None, template, seeds, lexicon, out, shipped);
+    }
+
+    /// [`TripleStore::match_seeds_into`] along `path`, or along the one
+    /// its cost rule picks for `None`.
+    pub(crate) fn match_seeds_by(
+        &self,
+        path: Option<SeedPath>,
+        template: &TriplePattern,
+        seeds: &SeedColumn,
+        lexicon: &TermDict,
+        out: &mut BindingBatch,
+        shipped: &mut Vec<usize>,
+    ) {
         debug_assert!(out.vars().iter().all(|v| seeds.column(v).is_none()));
-        let mut compiled = self.compile(template);
+        let mut compiled = self.compile_seeded(template, seeds);
         let cols = compiled.columns(out);
+        match path.unwrap_or_else(|| compiled.path(seeds.len(), lexicon)) {
+            SeedPath::Sweep => {
+                debug_assert!(self.dict.codes_are_over(lexicon));
+                compiled.sweep_into(seeds, &cols, out, shipped);
+            }
+            SeedPath::Probe => {
+                for i in 0..seeds.len() {
+                    let (codes, tags) = seeds.seed(i);
+                    let seed = Seed {
+                        codes,
+                        tags,
+                        lexicon,
+                    };
+                    shipped.push(compiled.scan_into(Some(seed), &cols, out));
+                }
+            }
+        }
+    }
+
+    /// [`TripleStore::compile`], with each variable position `seeds`
+    /// bind recorded.
+    fn compile_seeded<'a>(
+        &'a self,
+        template: &'a TriplePattern,
+        seeds: &SeedColumn,
+    ) -> Compiled<'a> {
+        let mut compiled = self.compile(template);
         compiled.seeded = compiled
             .vars
             .iter()
             .filter_map(|&(pos, name)| Some((pos, seeds.column(name)?)))
             .collect();
-        for i in 0..seeds.len() {
-            let (codes, tags) = seeds.seed(i);
-            let seed = Seed {
-                codes,
-                tags,
-                lexicon,
-            };
-            shipped.push(compiled.scan_into(Some(seed), &cols, out));
-        }
+        compiled
     }
 
     /// Evaluate a triple pattern against the local database, returning
@@ -884,6 +946,7 @@ impl TripleStore {
                     let ids = [row.s, row.p, row.o].map(|t| self.dict.lexicon_id(t));
                     TaggedTriple::with_lexicon_ids(self.materialize(&row), ids)
                 }));
+                live.dict.inherit_mixed(&self.dict);
             } else {
                 live.insert_batch(self.iter());
             }
@@ -908,6 +971,15 @@ fn shorter<'a>(best: Access<'a>, k: usize, parts: (&'a [u32], &'a [u32])) -> Acc
         Some((_, head, tail)) if head.len() + tail.len() <= len => best,
         _ => Some((k, parts.0, parts.1)),
     }
+}
+
+/// How [`TripleStore::match_seeds_into`] answers a binding column.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SeedPath {
+    /// Bind and scan each seed's instance in turn.
+    Probe,
+    /// Scan the template once and match its rows to the seeds.
+    Sweep,
 }
 
 /// One seed of a binding column as the scan kernel binds it: its codes
@@ -1064,6 +1136,99 @@ impl Compiled<'_> {
         }
     }
 
+    /// The cost rule of [`TripleStore::match_seeds_into`] for a column
+    /// of `seeds` seeds: sweep when the constants' shortest posting list
+    /// walks no more rows than the seeds would — for every seeded
+    /// position, M ≤ N × rows / terms there, the position's mean posting
+    /// length — and the store's codes compare with `lexicon`'s; probe
+    /// per seed otherwise, and always for a template without an exact
+    /// constant.
+    fn path(&self, seeds: usize, lexicon: &TermDict) -> SeedPath {
+        let store = self.store;
+        let Some((_, head, tail)) = self.access else {
+            return SeedPath::Probe;
+        };
+        let (m, n) = ((head.len() + tail.len()) as u128, seeds as u128);
+        let rows = store.cols.len() as u128;
+        let cheaper = self
+            .seeded
+            .iter()
+            .all(|&(pos, _)| m * store.index(pos).terms as u128 <= n * rows);
+        if cheaper && store.dict.codes_are_over(lexicon) {
+            SeedPath::Sweep
+        } else {
+            SeedPath::Probe
+        }
+    }
+
+    /// The sweep of [`TripleStore::match_seeds_into`]: one
+    /// [`Compiled::scan`] of the template, each row it admits matched to
+    /// every seed whose codes at the seeded positions are the ones the
+    /// row ships there (duplicate seeds chain in a hash map of the
+    /// column), then the rows appended seed by seed — a stable counting
+    /// sort, so they stay ascending within a seed — and each seed's
+    /// count pushed to `shipped`.
+    fn sweep_into(
+        &mut self,
+        seeds: &SeedColumn,
+        cols: &[Position; 3],
+        out: &mut BindingBatch,
+        shipped: &mut Vec<usize>,
+    ) {
+        const END: u32 = u32::MAX;
+        let store = self.store;
+        let seeded = self.seeded.clone();
+        // The first seed of each key, and each seed's next of its key.
+        let mut first: FxHashMap<[u64; 3], u32> = FxHashMap::default();
+        first.reserve(seeds.len());
+        let mut next = vec![END; seeds.len()];
+        for i in (0..seeds.len()).rev() {
+            let codes = seeds.seed(i).0;
+            let mut key = [0; 3];
+            for (k, &(_, col)) in seeded.iter().enumerate() {
+                key[k] = codes[col];
+            }
+            if let Some(later) = first.insert(key, i as u32) {
+                next[i] = later;
+            }
+        }
+        // (seed, row) in row order; `start[s + 1]` counts seed `s`'s.
+        let mut hits: Vec<(u32, u32)> = Vec::new();
+        let mut start = vec![0usize; seeds.len() + 1];
+        self.scan(None, |id| {
+            let mut key = [0; 3];
+            for (k, &(pos, _)) in seeded.iter().enumerate() {
+                key[k] = store.shipped_code(id, pos);
+            }
+            let mut seed = first.get(&key).copied().unwrap_or(END);
+            while seed != END {
+                hits.push((seed, id));
+                start[seed as usize + 1] += 1;
+                seed = next[seed as usize];
+            }
+        });
+        for s in 1..start.len() {
+            start[s] += start[s - 1];
+        }
+        let mut fill = start.clone();
+        let mut rows = vec![0u32; hits.len()];
+        for &(seed, id) in &hits {
+            rows[fill[seed as usize]] = id;
+            fill[seed as usize] += 1;
+        }
+        let cols = &cols[..out.vars.len()];
+        for span in start.windows(2) {
+            let rows = &rows[span[0]..span[1]];
+            for &id in rows {
+                for &pos in cols {
+                    out.codes.push(store.shipped_code(id, pos));
+                }
+            }
+            out.rows += rows.len();
+            shipped.push(rows.len());
+        }
+    }
+
     /// [`Compiled::scan`] into a batch: one row per match, the codes it
     /// ships at the [`Compiled::columns`] of `out`'s header appended to
     /// `out`. Returns how many rows that was.
@@ -1114,6 +1279,70 @@ mod tests {
         let mut ids = Vec::new();
         db.compile(pattern).scan(None, |id| ids.push(id));
         ids
+    }
+
+    /// The cost rule on a store of 20 rows, two per subject over ten
+    /// subjects, all of one predicate: the template's posting list walks
+    /// 20 rows, a seed's subject list 2 on average, so ten seeds sweep
+    /// and nine probe. A store fed plain triples beside rebuilt ones,
+    /// or one asked in a dictionary it was not loaded through, never
+    /// sweeps.
+    #[test]
+    fn the_cost_rule_sweeps_when_the_seeds_would_walk_as_far() {
+        let mut lexicon = TermDict::new();
+        let triples: Vec<Triple> = (0..20)
+            .map(|i| {
+                Triple::new(
+                    format!("s{}", i / 2),
+                    "p",
+                    Term::literal(format!("o{}", i % 2)),
+                )
+            })
+            .collect();
+        let mut db = TripleStore::new();
+        db.insert_batch(triples.iter().map(|t| lexicon.canonical_triple(t)));
+        let mut plain = TripleStore::new();
+        plain.insert_batch(triples.iter().cloned());
+        let template = TriplePattern::new(
+            PatternTerm::var("x"),
+            PatternTerm::constant(Term::uri("p")),
+            PatternTerm::var("o"),
+        );
+        let column = |n: usize, lexicon: &mut TermDict| {
+            let mut column = SeedColumn::new(["x"]);
+            for i in 0..n {
+                let code = crate::join::tests::code(lexicon, &Term::uri(format!("s{i}")));
+                column.push(&[code], lexicon);
+            }
+            column
+        };
+        let path = |db: &TripleStore, n: usize, lexicon: &mut TermDict| {
+            let seeds = column(n, lexicon);
+            db.compile_seeded(&template, &seeds)
+                .path(seeds.len(), lexicon)
+        };
+        assert_eq!(path(&db, 10, &mut lexicon), SeedPath::Sweep);
+        assert_eq!(path(&db, 9, &mut lexicon), SeedPath::Probe);
+        // Asked in its own dictionary, a plain store sweeps; asked in a
+        // lexicon, it cannot compare codes.
+        let own = plain.dict().clone();
+        let seeds = SeedColumn::new(["x"]);
+        let compiled = plain.compile_seeded(&template, &seeds);
+        assert_eq!(compiled.path(10, plain.dict()), SeedPath::Sweep);
+        assert_eq!(compiled.path(10, &own), SeedPath::Probe);
+        assert_eq!(compiled.path(10, &lexicon), SeedPath::Probe);
+        // A plain triple with a new term makes the lexicon-fed store
+        // mixed: 21 rows over 11 subjects, so 20 seeds would sweep.
+        db.insert(Triple::new("t", "p", Term::literal("o0")));
+        assert_eq!(path(&db, 20, &mut lexicon), SeedPath::Probe);
+        // Compacting re-inserts every row with its lexicon id.
+        assert!(db.remove(&triples[0]));
+        db.compact();
+        assert_eq!(
+            path(&db, 20, &mut lexicon),
+            SeedPath::Probe,
+            "compact keeps it mixed"
+        );
     }
 
     fn sample() -> TripleStore {
@@ -1659,6 +1888,15 @@ mod proptests {
         })
     }
 
+    /// Like [`arb_pooled_triple`], over a pool whose lexicals may hold
+    /// a `%`.
+    fn arb_percent_triple() -> impl Strategy<Value = Triple> {
+        ("[a%]{1,2}", "[a%]{1,2}", "[a%]{1,2}", any::<bool>()).prop_map(|(s, p, o, lit)| {
+            let object = if lit { Term::literal(o) } else { Term::uri(o) };
+            Triple::new(s.as_str(), p.as_str(), object)
+        })
+    }
+
     /// Subject, predicate and object over one two-letter pool (objects
     /// of either kind), so repeated-variable patterns find matches.
     fn arb_pooled_triple() -> impl Strategy<Value = Triple> {
@@ -2058,6 +2296,96 @@ mod proptests {
             prop_assert_eq!(&shipped, &counts, "{:?} {:?}", template, seeds);
             prop_assert_eq!(&batch.codes, &expected.codes, "{:?}", template);
             prop_assert_eq!(batch.bindings(&lexicon), expected.bindings(&lexicon), "{:?}", template);
+        }
+
+        /// The two ways of answering a binding column ship the same
+        /// codes in the same order and the same count per seed: one
+        /// sweep of the template matched to the seeds by code, and one
+        /// bound scan per seed. On stores loaded through a lexicon
+        /// across a seal, tombstones and a `compact`, or fed plain
+        /// triples and asked in their own dictionary; for templates with
+        /// an exact constant, a repeated variable, a `LIKE` constant or a
+        /// constant the store lacks; for columns with duplicate seeds,
+        /// literals bound at subject position, values the store lacks
+        /// and values holding a `%`.
+        #[test]
+        fn a_swept_column_ships_what_its_probes_ship(
+            first in proptest::collection::vec(arb_percent_triple(), 0..40),
+            removals in proptest::collection::vec(any::<prop::sample::Index>(), 0..10),
+            second in proptest::collection::vec(arb_percent_triple(), 0..20),
+            values in proptest::collection::vec(("[ac%]{1,2}", any::<bool>()), 0..24),
+            copies in proptest::collection::vec(any::<prop::sample::Index>(), 0..4),
+            (mask, shape) in (1u8..8, 0usize..8),
+            core in "[a%]{0,1}",
+            ops in 0u8..8,
+        ) {
+            let plain = ops & 4 != 0;
+            let mut lexicon = TermDict::new();
+            let (mut db, _) = if plain {
+                build(&first, ops & 1 != 0, &removals, &second)
+            } else {
+                build_through(Some(&mut lexicon), &first, ops & 1 != 0, &removals, &second)
+            };
+            if ops & 2 != 0 {
+                db.compact();
+            }
+            let (var, uri) = (PatternTerm::var, |u: &str| PatternTerm::constant(Term::uri(u)));
+            let like = || PatternTerm::constant(Term::literal(format!("{core}%")));
+            let template = match shape {
+                0 => TriplePattern::new(var("x"), uri("a"), var("o")),
+                1 => TriplePattern::new(var("x"), uri("a"), var("x")),
+                2 => TriplePattern::new(var("x"), uri("a%"), like()),
+                3 => TriplePattern::new(var("x"), uri("never stored"), var("o")),
+                4 => TriplePattern::new(var("x"), var("p"), PatternTerm::constant(Term::uri("a"))),
+                5 => TriplePattern::new(var("x"), var("p"), like()),
+                6 => TriplePattern::new(var("x"), var("x"), var("o")),
+                _ => TriplePattern::new(var("x"), var("p"), var("o")),
+            };
+            let names: Vec<&str> = ["x", "p", "o"]
+                .into_iter()
+                .enumerate()
+                .filter(|&(i, _)| mask & (1 << i) != 0)
+                .map(|(_, v)| v)
+                .collect();
+            let term = |(lexical, lit): &(String, bool)| {
+                if *lit { Term::literal(lexical.as_str()) } else { Term::uri(lexical.as_str()) }
+            };
+            // Seeds over a pool the store partly holds (nothing there
+            // holds a `c`), then copies of some of them.
+            let mut seeds: Vec<Vec<Term>> = values
+                .chunks(3)
+                .map(|chunk| names.iter().zip(chunk.iter().cycle()).map(|(_, v)| term(v)).collect())
+                .collect();
+            for copy in &copies {
+                if !seeds.is_empty() {
+                    seeds.push(seeds[copy.index(seeds.len())].clone());
+                }
+            }
+            // A plain store is asked in its own dictionary, which can
+            // code only the values it holds.
+            let mut column = SeedColumn::new(names.iter().copied());
+            for seed in &seeds {
+                let codes: Option<Vec<u64>> = if plain {
+                    seed.iter().map(|t| db.dict().code_of(t)).collect()
+                } else {
+                    Some(seed.iter().map(|t| lexicon_code(&mut lexicon, t)).collect())
+                };
+                if let Some(codes) = codes {
+                    column.push(&codes, if plain { db.dict() } else { &lexicon });
+                }
+            }
+            let dict = if plain { db.dict() } else { &lexicon };
+            prop_assert!(db.dict.codes_are_over(dict));
+            let header = BindingBatch::for_instances(&template, &column);
+            let answer = |path| {
+                let (mut batch, mut shipped) = (header.clone(), Vec::new());
+                db.match_seeds_by(path, &template, &column, dict, &mut batch, &mut shipped);
+                (batch.codes, shipped)
+            };
+            let probed = answer(Some(SeedPath::Probe));
+            prop_assert_eq!(probed.1.len(), column.len());
+            prop_assert_eq!(&answer(Some(SeedPath::Sweep)), &probed, "{:?} {:?}", template, seeds);
+            prop_assert_eq!(&answer(None), &probed, "{:?}", template);
         }
 
         /// Two stores loaded through one lexicon ship one code per term:
@@ -2505,6 +2833,8 @@ mod proptests {
                 }
                 for pos in Position::ALL {
                     prop_assert_eq!(db.index(pos).csr_end, csr_end, "{:?} shares csr_end", pos);
+                    let terms: FxHashSet<&TermId> = db.cols.col(pos).iter().collect();
+                    prop_assert_eq!(db.index(pos).terms, terms.len(), "{:?} counts its terms", pos);
                     for prefix in ["a", "f1", "x"] {
                         let naive = model.iter().filter(|t| lexical_at(t, pos).starts_with(prefix));
                         prop_assert_eq!(like_count(&db, pos, &format!("{prefix}%")), naive.count(), "{:?} {}% after {:?}", pos, prefix, op);

@@ -7,6 +7,7 @@
 
 use crate::term::{Term, Uri};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -237,9 +238,9 @@ impl TriplePattern {
     /// Replace every variable bound in `binding` with its constant,
     /// leaving unbound variables in place — the instance a partial
     /// solution row makes of the next pattern of a bound join. A
-    /// destination does not substitute: it binds the pattern to each
+    /// destination does not substitute: it answers the pattern for each
     /// seed ([`crate::TripleStore::match_seeds_into`]). The two differ
-    /// only on a bound literal containing `%`: the seed binds it as a
+    /// only on a bound literal containing `%`: the seed matches it as a
     /// value, while the substituted pattern holds it as a `LIKE`
     /// constant.
     pub fn substitute(&self, binding: &Binding) -> TriplePattern {
@@ -335,6 +336,85 @@ impl Binding {
             }
         }
         Some(out)
+    }
+
+    /// The order of the two bindings' [`Display`](fmt::Display) strings,
+    /// compared over the bytes `Display` writes, without building either
+    /// string. Rows of one query bind the same variables, so the common
+    /// case compares value against value; anything else walks both
+    /// strings piece by piece.
+    pub fn cmp_display(&self, other: &Binding) -> Ordering {
+        self.cmp_values(other)
+            .unwrap_or_else(|| self.cmp_pieces(other))
+    }
+
+    /// [`Binding::cmp_display`] while both bind the same variables to
+    /// terms of the same kinds, so the strings differ first inside a
+    /// value or where one value ends (its closing `>` or `"` against the
+    /// other's next byte); `None` where that does not decide.
+    fn cmp_values(&self, other: &Binding) -> Option<Ordering> {
+        for ((ka, va), (kb, vb)) in self.map.iter().zip(&other.map) {
+            if ka != kb || va.is_literal() != vb.is_literal() {
+                return None;
+            }
+            let (a, b) = (va.lexical().as_bytes(), vb.lexical().as_bytes());
+            let n = a.len().min(b.len());
+            match a[..n].cmp(&b[..n]) {
+                Ordering::Equal if a.len() == b.len() => {}
+                Ordering::Equal => {
+                    let close = if va.is_literal() { b'"' } else { b'>' };
+                    let (x, y) = if a.len() < b.len() {
+                        (close, b[n])
+                    } else {
+                        (a[n], close)
+                    };
+                    return (x != y).then(|| x.cmp(&y));
+                }
+                unequal => return Some(unequal),
+            }
+        }
+        (self.map.len() == other.map.len()).then_some(Ordering::Equal)
+    }
+
+    /// [`Binding::cmp_display`] over every piece `Display` writes.
+    fn cmp_pieces(&self, other: &Binding) -> Ordering {
+        let (mut a, mut b) = (self.display_pieces(), other.display_pieces());
+        let (mut x, mut y): (&[u8], &[u8]) = (&[], &[]);
+        loop {
+            while x.is_empty() {
+                let Some(piece) = a.next() else { break };
+                x = piece;
+            }
+            while y.is_empty() {
+                let Some(piece) = b.next() else { break };
+                y = piece;
+            }
+            if x.is_empty() || y.is_empty() {
+                // A string that ends first is the smaller.
+                return (!x.is_empty()).cmp(&!y.is_empty());
+            }
+            let n = x.len().min(y.len());
+            match x[..n].cmp(&y[..n]) {
+                Ordering::Equal => (x, y) = (&x[n..], &y[n..]),
+                unequal => return unequal,
+            }
+        }
+    }
+
+    /// The bytes `Display` writes, piece by piece:
+    /// `{?k=<uri>, ?k="lit"}`.
+    fn display_pieces(&self) -> impl Iterator<Item = &[u8]> {
+        let entries = self.map.iter().enumerate().flat_map(|(i, (k, v))| {
+            let (open, close) = match v {
+                Term::Uri(_) => ("<", ">"),
+                Term::Literal(_) => ("\"", "\""),
+            };
+            let sep = if i > 0 { ", " } else { "" };
+            [sep, "?", k, "=", open, v.lexical(), close].map(str::as_bytes)
+        });
+        std::iter::once(&b"{"[..])
+            .chain(entries)
+            .chain(std::iter::once(&b"}"[..]))
     }
 
     /// Keep only the named variables (the projection π of §2.3).
@@ -615,6 +695,40 @@ mod proptests {
             let ground = pat.substitute(&b);
             prop_assert!(ground.is_ground());
             prop_assert!(ground.match_triple(&t).is_some());
+        }
+
+        /// `cmp_display` orders two bindings as their `Display` strings
+        /// do, over variables and values whose bytes sit around the
+        /// delimiters (`!` below `"`, `<` and `>`, which sort below the
+        /// letters) and the empty string, and with one binding often a
+        /// prefix of the other.
+        #[test]
+        fn cmp_display_is_the_order_of_the_strings(
+            a in proptest::collection::vec(("[ab=]{1,2}", "[a!>\"<,} ]{0,3}", any::<bool>()), 0..4),
+            b in proptest::collection::vec(("[ab=]{1,2}", "[a!>\"<,} ]{0,3}", any::<bool>()), 0..4),
+            (shared, values) in (0usize..4, proptest::collection::vec("[a!>\"<,} ]{0,3}", 0..4)),
+        ) {
+            let binding = |entries: &[(String, String, bool)]| {
+                let mut b = Binding::new();
+                for (k, v, lit) in entries {
+                    let term = if *lit { Term::literal(v.as_str()) } else { Term::uri(v.as_str()) };
+                    b.bind(k.clone(), term);
+                }
+                b
+            };
+            // The second binding starts with some of the first's
+            // entries; a twin of the first binds its variables to terms
+            // of the same kinds, some of other values.
+            let b: Vec<_> = a.iter().take(shared).chain(&b).cloned().collect();
+            let mut twin = a.clone();
+            for (entry, value) in twin.iter_mut().zip(&values) {
+                entry.1 = value.clone();
+            }
+            let (a, b, twin) = (binding(&a), binding(&b), binding(&twin));
+            for (x, y) in [(&a, &b), (&b, &a), (&a, &twin), (&twin, &a)] {
+                prop_assert_eq!(x.cmp_display(y), x.to_string().cmp(&y.to_string()), "{} vs {}", x, y);
+            }
+            prop_assert_eq!(a.cmp_display(&a), Ordering::Equal);
         }
 
         /// join is commutative on success.

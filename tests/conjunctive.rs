@@ -141,6 +141,39 @@ fn three_pattern_chain_join() {
     }
 }
 
+/// `execute` hands a join plan's rows back in the order of their
+/// `Display` strings, in both modes and both strategies: `<e:10>` sorts
+/// before `<e:1>` because `0` is below `>`, which a comparison that
+/// skipped the brackets around a URI would get the other way round.
+#[test]
+fn a_join_plan_returns_its_rows_in_display_order() {
+    let mut triples = Vec::new();
+    for (e, lab) in [
+        ("e:2", "lab:b"),
+        ("e:1", "lab:a"),
+        ("e:11", "lab:a"),
+        ("e:10", "lab:c"),
+    ] {
+        triples.push(Triple::new(e, "S#a0", Term::literal("Aspergillus niger")));
+        triples.push(Triple::new(e, "S#a1", Term::uri(lab)));
+    }
+    let (mut sys, oracle) = single_schema_system(&triples);
+    let q = parse_query("SELECT ?e, ?lab WHERE (?e, <S#a0>, ?v), (?e, <S#a1>, ?lab)").unwrap();
+    let expected = [
+        "{?e=<e:10>, ?lab=<lab:c>}",
+        "{?e=<e:11>, ?lab=<lab:a>}",
+        "{?e=<e:1>, ?lab=<lab:a>}",
+        "{?e=<e:2>, ?lab=<lab:b>}",
+    ];
+    assert_eq!(oracle_rows(&q, &oracle), expected);
+    for strategy in ALL_STRATEGIES {
+        for mode in ALL_MODES {
+            let out = search_conjunctive(&mut sys, PeerId(3), &q, strategy, mode);
+            assert_eq!(rows(&out), expected, "{strategy:?}/{mode:?}");
+        }
+    }
+}
+
 #[test]
 fn conjunctive_query_crosses_mappings_on_every_pattern() {
     // Two-schema federation: organism + length facts exist only in the
