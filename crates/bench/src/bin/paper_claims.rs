@@ -17,7 +17,8 @@
 //!   otherwise.
 //!
 //! The program exits with status 1 when a row deviates without a
-//! reason, or holds while it still carries one (the reason is stale).
+//! reason, holds while it still carries one (the reason is stale), or
+//! an experiment's final system fails `GridVineSystem::check`.
 //! A deviation is recorded, never hidden by widening its tolerance.
 
 use gridvine_bench::fixtures;
@@ -119,6 +120,15 @@ fn unexplained(claims: &[Claim]) -> Vec<&'static str> {
         .filter(|c| c.unexplained())
         .map(|c| c.claim)
         .collect()
+}
+
+/// An experiment's final system must pass [`GridVineSystem::check`]:
+/// a broken invariant fails the run, whatever its claims read.
+fn checked(experiment: &str, sys: &GridVineSystem) {
+    if let Err(broken) = sys.check() {
+        eprintln!("{experiment}: the final system breaks an invariant: {broken:?}");
+        std::process::exit(1);
+    }
 }
 
 fn main() {
@@ -421,6 +431,7 @@ fn e4() -> Vec<Claim> {
         sys.self_organization_round(&cfg).unwrap();
         recalls.push(mean_recall(&mut sys));
     }
+    checked("e4", &sys);
     let last = recalls[recalls.len() - 1];
     let holds = recalls.windows(2).all(|w| w[1] >= w[0]) && last > recalls[0];
     vec![Claim {
@@ -514,6 +525,7 @@ fn e5() -> Vec<Claim> {
     for _ in 0..2 {
         composed.extend(sys.self_organization_round(&repair).unwrap().composed);
     }
+    checked("e5", &sys);
     let correct = (composed.iter())
         .map(|id| sys.registry().mapping(*id).unwrap())
         .filter(|m| {
@@ -562,7 +574,9 @@ fn e6() -> Vec<Claim> {
         let mut sys = fixtures::chain(config, len);
         let origin = sys.random_peer();
         let options = QueryOptions::new().strategy(strategy);
-        sys.execute(origin, &plan, &options).unwrap()
+        let outcome = sys.execute(origin, &plan, &options).unwrap();
+        checked("e6", &sys);
+        outcome
     };
     let (mut series, mut worst, mut agree) = (Vec::new(), 0.0f64, true);
     for len in 1..=8 {
@@ -680,6 +694,7 @@ fn e8() -> Vec<Claim> {
                 }
             }
         }
+        checked("e8", &sys);
         for (open, last) in opened.values() {
             if let Some(last) = last {
                 batch.answered += 1;

@@ -85,7 +85,7 @@ pub mod prelude {
     pub use crate::system::pool::{PoolEvent, SessionId, SessionPool};
     pub use crate::system::session::{QuerySession, ResultEvent};
     pub use crate::system::{
-        AssessmentReport, CommitRecovery, GridVineConfig, GridVineSystem, Strategy, SystemError,
+        AssessmentReport, Broken, GridVineConfig, GridVineSystem, Strategy, SystemError,
     };
 }
 
@@ -97,6 +97,4 @@ pub use system::conjunctive::JoinMode;
 pub use system::exec::{ExecStats, QueryOptions, QueryOutcome};
 pub use system::pool::{PoolEvent, SessionId, SessionPool};
 pub use system::session::{QuerySession, ResultEvent};
-pub use system::{
-    AssessmentReport, CommitRecovery, GridVineConfig, GridVineSystem, Strategy, SystemError,
-};
+pub use system::{AssessmentReport, Broken, GridVineConfig, GridVineSystem, Strategy, SystemError};

@@ -252,14 +252,11 @@ impl GridVineSystem {
                     Provenance::Automatic,
                     c.correspondences,
                 )?;
-                // Carry the composite's degraded confidence into the
-                // registry and its DHT copies.
-                let old = self.registry().mapping(new_id).expect("just added").clone();
-                self.registry_mut()
-                    .mapping_mut(new_id)
-                    .expect("exists")
-                    .quality = c.quality;
-                self.refresh_mapping(monitor, new_id, &old)?;
+                // Carry the composite's degraded confidence into its DHT
+                // copies and the registry.
+                let mut rated = self.registry().mapping(new_id).expect("just added").clone();
+                rated.quality = c.quality;
+                self.refresh_mapping(monitor, rated)?;
                 composed.push(new_id);
             }
         }

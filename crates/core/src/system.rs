@@ -25,7 +25,8 @@ use gridvine_rdf::fasthash::FxHashMap;
 use gridvine_rdf::{Term, TermDict, Triple, TriplePatternQuery, TripleStore};
 use gridvine_semantic::{
     apply_assessment, assess_cycles, find_cycles, BayesConfig, Correspondence, CycleOutcome,
-    DegreeRecord, Mapping, MappingId, MappingKind, MappingRegistry, Provenance, Schema, SchemaId,
+    DegreeRecord, Mapping, MappingId, MappingKind, MappingRegistry, MappingStatus, Provenance,
+    Schema, SchemaId,
 };
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -261,13 +262,37 @@ pub struct AssessmentReport {
     pub elapsed: SimDuration,
 }
 
-/// What one [`GridVineSystem::recover_mapping_commits`] scan repaired.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CommitRecovery {
-    /// Missing DHT copies re-inserted for live registry mappings.
-    pub repaired_copies: usize,
-    /// Orphaned DHT copies (retracted registry entries) deleted.
-    pub orphans_removed: usize,
+/// The first invariant [`GridVineSystem::check`] found broken, naming
+/// what a person needs to find it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Broken {
+    /// `peer` stores `triple` in its `DB_p` but is in no σ group of the
+    /// triple's three keys.
+    Misplaced { peer: PeerId, triple: Triple },
+    /// `owner`, in the σ group of one of `triple`'s keys, lacks the
+    /// triple `peer` stores.
+    Unreplicated { owner: PeerId, triple: Triple },
+    /// Holder `peer` of `key`, one of registry mapping `id`'s key
+    /// spaces, keeps `copies` of it there, not exactly one equal to the
+    /// registry's entry.
+    MappingCopies {
+        id: MappingId,
+        key: BitString,
+        peer: PeerId,
+        copies: Vec<Mapping>,
+    },
+    /// Holder `peer` of registry schema `schema`'s key lacks its
+    /// definition.
+    MissingSchema { schema: SchemaId, peer: PeerId },
+    /// `peer` keeps a copy of mapping `id` under `key`, where no
+    /// registry entry places one.
+    Orphan {
+        id: MappingId,
+        key: BitString,
+        peer: PeerId,
+    },
+    /// A queued reply is due at `at`, before the clock's `now`.
+    LateReply { at: SimTime, now: SimTime },
 }
 
 /// The synchronous GridVine PDMS.
@@ -323,11 +348,6 @@ pub struct GridVineSystem {
     /// [`GridVineSystem::install_churn`]: sorted `(instant, down)`
     /// transitions; empty timelines mean always up.
     churn: Vec<Vec<(SimTime, bool)>>,
-    /// One-shot failure-injection hook armed by
-    /// [`GridVineSystem::arm_commit_crash`]: the named peer is crashed
-    /// *between* the key-space writes of the next mapping commit,
-    /// exercising the atomic-commit rollback path.
-    commit_crash: Option<PeerId>,
     /// The scheduler's latency model ([`GridVineConfig::latency`]),
     /// built once at construction with its own derived seed. `None`
     /// under the flat default — [`GridVineSystem::unit_delay`] then
@@ -376,7 +396,6 @@ impl GridVineSystem {
             crashed: BTreeSet::new(),
             proto: ProtocolState::new(&config),
             churn: vec![Vec::new(); topology.len()],
-            commit_crash: None,
             latency: config
                 .latency
                 .build(gridvine_netsim::rng::derive_seed(config.seed, 0x1A7E)),
@@ -796,15 +815,12 @@ impl GridVineSystem {
     }
 
     /// `Update(Schema)` — store the definition at `Hash(Schema Name)`.
+    /// A down holder refuses it ([`SystemError::PeerDown`]) and the
+    /// registry does not learn the schema.
     pub fn insert_schema(&mut self, origin: PeerId, schema: Schema) -> Result<(), SystemError> {
         let key = self.keyspace().schema_key(&schema);
-        self.overlay.update(
-            origin,
-            UpdateOp::Insert,
-            key,
-            MediationItem::Schema(schema.clone()),
-            &mut self.rng,
-        )?;
+        let item = MediationItem::Schema(schema.clone());
+        self.mediation_update(origin, UpdateOp::Insert, key, item)?;
         self.registry.add_schema(schema);
         Ok(())
     }
@@ -812,17 +828,13 @@ impl GridVineSystem {
     /// `Update(Schema Mapping)` — store at the source key space (and
     /// the target's, see [`KeySpace::mapping_keys`]).
     ///
-    /// The commit is **atomic** across the mapping's key spaces: either
-    /// every DHT copy is written and the registry keeps the entry, or —
-    /// when any key-space write fails (its responsible peer is crashed,
-    /// possibly mid-commit via [`GridVineSystem::arm_commit_crash`]) —
-    /// the already-written copies are deleted, the registry entry is
-    /// [retracted](MappingRegistry::retract) and `Err` is returned. A
-    /// crash during commit can therefore never leave a mapping visible
-    /// from one schema's key space but not the other's (the seed's
-    /// one-way `mapping_keys` bug class); if even the rollback is cut
-    /// short by the crash, [`GridVineSystem::recover_mapping_commits`]
-    /// detects and repairs the half-committed item.
+    /// The registry keeps the entry only if every DHT copy was written:
+    /// a down holder of either key space
+    /// refuses the commit before anything is sent, a route error rolls
+    /// back the copies already written, and either way the entry is
+    /// [retracted](MappingRegistry::retract) and `Err` returned. No
+    /// query can observe the mapping from one schema's key space but
+    /// not the other's.
     pub fn insert_mapping(
         &mut self,
         origin: PeerId,
@@ -836,27 +848,27 @@ impl GridVineSystem {
             .registry
             .add_mapping(source, target, kind, provenance, correspondences);
         let mapping = self.registry.mapping(id).expect("just added").clone();
-        if let Err(e) = self.commit_mapping_copies(origin, &mapping) {
+        if let Err(e) = self.write_mapping_copies(origin, None, &mapping) {
             self.registry.retract(id);
             return Err(e);
         }
         Ok(id)
     }
 
-    /// Arm the one-shot commit-crash hook: the named peer is crashed
-    /// between the key-space writes of the *next* multi-key mapping
-    /// commit (failure injection for the atomic-commit tests; a real
-    /// deployment's analogue is the committing peer failing mid-write).
-    pub fn arm_commit_crash(&mut self, peer: PeerId) {
-        self.commit_crash = Some(peer);
+    /// The liveness rule of every mediation write: the first σ holder
+    /// of `key` must be up, for a down peer can never acknowledge the
+    /// update. The refusal sends nothing and draws nothing.
+    fn holder_up(&self, key: &BitString) -> Result<(), SystemError> {
+        match self.topology.responsible(key).first() {
+            Some(&dest) if self.crashed.contains(&dest) => Err(SystemError::PeerDown(dest)),
+            _ => Ok(()),
+        }
     }
 
-    /// Store or delete one mediation-item copy. A write whose
-    /// responsible destination peer is crashed fails with
-    /// [`SystemError::PeerDown`] *before* any state lands — a down peer
-    /// can never acknowledge the update (the failed attempt's wire cost
-    /// is not modeled; the success path is bit-identical to a plain
-    /// overlay update).
+    /// Store or delete one mediation-item copy, under
+    /// [`GridVineSystem::holder_up`]'s rule: a write whose holder is
+    /// down fails with [`SystemError::PeerDown`] before any state lands
+    /// (the success path is bit-identical to a plain overlay update).
     fn mediation_update(
         &mut self,
         origin: PeerId,
@@ -864,118 +876,80 @@ impl GridVineSystem {
         key: BitString,
         item: MediationItem,
     ) -> Result<(), SystemError> {
-        if let Some(&dest) = self.topology.responsible(&key).first() {
-            if self.crashed.contains(&dest) {
-                return Err(SystemError::PeerDown(dest));
-            }
-        }
+        self.holder_up(&key)?;
         self.overlay.update(origin, op, key, item, &mut self.rng)?;
         Ok(())
     }
 
-    /// Write all DHT copies of `mapping`, atomically: on any failed
-    /// write the already-written copies are deleted (best effort — a
-    /// rollback write to a crashed peer is skipped and left to the
-    /// recovery scan) and the error is returned.
-    fn commit_mapping_copies(
+    /// The one writer of mapping copies: at each of `new`'s key spaces
+    /// delete `old`'s copy (none for an insert) and insert `new`'s, all
+    /// or nothing. Every key's holder is checked first, so a down one
+    /// refuses the whole write before anything is sent. After that only
+    /// a route error can fail a write; the writes already made are then
+    /// undone in reverse (best effort: an undo that meets a routing hole
+    /// too is left for [`GridVineSystem::check`] to name), and the error
+    /// is returned. The registry is the caller's to change, on `Ok`.
+    fn write_mapping_copies(
         &mut self,
         origin: PeerId,
-        mapping: &Mapping,
+        old: Option<&Mapping>,
+        new: &Mapping,
     ) -> Result<(), SystemError> {
-        let mut written: Vec<(BitString, bool)> = Vec::new();
-        for (key, at_source) in self.keyspace().mapping_keys(mapping) {
-            if !written.is_empty() {
-                // Between the first and second key-space writes: the
-                // armed crash hook fires here.
-                if let Some(victim) = self.commit_crash.take() {
-                    self.crash_peer(victim);
-                }
-            }
-            let item = MediationItem::Mapping {
+        let keys = self.keyspace().mapping_keys(new);
+        for (key, _) in &keys {
+            self.holder_up(key)?;
+        }
+        let mut done: Vec<(UpdateOp, BitString, MediationItem)> = Vec::new();
+        for (key, at_source) in keys {
+            let copy = |mapping: &Mapping| MediationItem::Mapping {
                 mapping: mapping.clone(),
                 at_source,
             };
-            match self.mediation_update(origin, UpdateOp::Insert, key.clone(), item) {
-                Ok(()) => written.push((key, at_source)),
-                Err(e) => {
-                    for (k, at_src) in written {
-                        let _ = self.mediation_update(
-                            origin,
-                            UpdateOp::Delete,
-                            k,
-                            MediationItem::Mapping {
-                                mapping: mapping.clone(),
-                                at_source: at_src,
-                            },
-                        );
+            // (write, its undo, the copy)
+            let delete_old = old.map(|old| (UpdateOp::Delete, UpdateOp::Insert, copy(old)));
+            let insert_new = (UpdateOp::Insert, UpdateOp::Delete, copy(new));
+            for (op, undo, item) in delete_old.into_iter().chain([insert_new]) {
+                if let Err(e) = self.mediation_update(origin, op, key.clone(), item.clone()) {
+                    for (undo, key, item) in done.into_iter().rev() {
+                        let _ = self.mediation_update(origin, undo, key, item);
                     }
                     return Err(e);
                 }
+                done.push((undo, key.clone(), item));
             }
         }
         Ok(())
     }
 
-    /// Mark a mapping deprecated, refreshing its DHT copies. Returns
-    /// `false` for unknown ids.
+    /// Mark a mapping deprecated, copies first: on `Err` (a down holder,
+    /// or a route error rolled back) its registry entry and its DHT
+    /// copies still say what they said. Returns `false` for unknown
+    /// ids.
     pub fn deprecate_mapping(
         &mut self,
         origin: PeerId,
         id: MappingId,
     ) -> Result<bool, SystemError> {
-        let Some(old) = self.registry.mapping(id).cloned() else {
+        let Some(mut new) = self.registry.mapping(id).cloned() else {
             return Ok(false);
         };
-        self.registry.deprecate(id);
-        self.refresh_mapping(origin, id, &old)?;
+        new.status = MappingStatus::Deprecated;
+        self.refresh_mapping(origin, new)?;
         Ok(true)
     }
 
-    /// Push updated mapping state (quality/status) to its DHT copies.
-    pub fn refresh_mapping(
+    /// Replace a registered mapping's state (quality, status) by `new`,
+    /// the DHT copies first: the registry entry changes only if every
+    /// copy did.
+    pub(crate) fn refresh_mapping(
         &mut self,
         origin: PeerId,
-        id: MappingId,
-        old: &Mapping,
+        new: Mapping,
     ) -> Result<(), SystemError> {
-        let Some(new) = self.registry.mapping(id).cloned() else {
-            return Ok(());
-        };
-        self.replace_mapping_copies(origin, old, &new)
-    }
-
-    fn replace_mapping_copies(
-        &mut self,
-        origin: PeerId,
-        old: &Mapping,
-        new: &Mapping,
-    ) -> Result<(), SystemError> {
-        for (key, at_source) in self.keyspace().mapping_keys(old) {
-            self.mediation_update(
-                origin,
-                UpdateOp::Delete,
-                key.clone(),
-                MediationItem::Mapping {
-                    mapping: old.clone(),
-                    at_source,
-                },
-            )?;
-            self.mediation_update(
-                origin,
-                UpdateOp::Insert,
-                key,
-                MediationItem::Mapping {
-                    mapping: new.clone(),
-                    at_source,
-                },
-            )?;
-        }
+        let old = self.registry.mapping(new.id).expect("registered").clone();
+        self.write_mapping_copies(origin, Some(&old), &new)?;
+        *self.registry.mapping_mut(old.id).expect("registered") = new;
         Ok(())
-    }
-
-    /// Internal access for the self-organization driver.
-    pub(crate) fn registry_mut(&mut self) -> &mut MappingRegistry {
-        &mut self.registry
     }
 
     /// One periodic quality-assessment pass (§3.2), run from `origin` as
@@ -990,9 +964,11 @@ impl GridVineSystem {
     /// makes the cycle unobservable for this pass, and the posteriors
     /// are swept without it; a routing error aborts the pass. Condemned
     /// automatic mappings are **deprecated** through [`apply_assessment`].
-    /// Changed mappings' DHT copies are refreshed, and every status
-    /// transition bumps the registry epoch, so all closure caches
-    /// self-invalidate.
+    /// Changed mappings' DHT copies are refreshed; a mapping whose
+    /// refresh fails (a down holder, or a route error rolled back) keeps
+    /// its old registry entry, is left out of `deprecated` and counts
+    /// one `failures`, and the pass goes on. Every status transition
+    /// bumps the registry epoch, so all closure caches self-invalidate.
     pub fn assessment_pass(
         &mut self,
         origin: PeerId,
@@ -1029,24 +1005,24 @@ impl GridVineSystem {
             self.commit_writes(clock);
         }
         let assessment = assess_cycles(&self.registry, cycles, cfg);
-        let deprecated = apply_assessment(&mut self.registry, &assessment, cfg);
+        let mut deprecated = apply_assessment(&mut self.registry, &assessment, cfg);
 
         // Refresh the DHT copies of every mapping the pass changed
         // (status or posterior): each refresh is more charged work.
         for old in &before {
-            let changed = self
-                .registry
-                .mapping(old.id)
-                .map(|new| new != old)
-                .unwrap_or(false);
-            if changed {
-                let msgs_before = self.overlay.messages_sent();
-                self.proto.unit_dest = None;
-                self.refresh_mapping(origin, old.id, old)?;
-                let delta = self.overlay.messages_sent() - msgs_before;
-                let d = self.unit_delay(origin, delta);
-                clock += d;
+            let Some(new) = self.registry.mapping(old.id).filter(|new| *new != old) else {
+                continue;
+            };
+            let new = new.clone();
+            let msgs_before = self.overlay.messages_sent();
+            self.proto.unit_dest = None;
+            if self.write_mapping_copies(origin, Some(old), &new).is_err() {
+                // The copies still hold `old`, and so does the registry.
+                *self.registry.mapping_mut(old.id).expect("registered") = old.clone();
+                deprecated.retain(|&id| id != old.id);
+                stats.failures += 1;
             }
+            clock += self.unit_delay(origin, self.overlay.messages_sent() - msgs_before);
         }
 
         stats.messages = self.overlay.messages_sent() - start_messages;
@@ -1060,64 +1036,6 @@ impl GridVineSystem {
         })
     }
 
-    /// Recovery scan for half-committed mediation items: repairs
-    /// registry mappings missing a DHT copy at one of their key spaces
-    /// (re-inserting the current state) and deletes orphaned DHT
-    /// mapping copies whose registry entry was retracted. Run it after
-    /// recovering crashed peers; with the atomic commit path this is a
-    /// no-op unless a crash cut a commit's rollback short.
-    pub fn recover_mapping_commits(
-        &mut self,
-        origin: PeerId,
-    ) -> Result<CommitRecovery, SystemError> {
-        let mut report = CommitRecovery::default();
-        // Direction 1: registry entries missing a DHT copy.
-        let mappings: Vec<Mapping> = self.registry.mappings().cloned().collect();
-        for m in &mappings {
-            for (key, at_source) in self.keyspace().mapping_keys(m) {
-                let present = self.items_at(&key).iter().any(|i| {
-                    matches!(i, MediationItem::Mapping { mapping, at_source: a }
-                        if mapping.id == m.id && *a == at_source)
-                });
-                if !present {
-                    self.mediation_update(
-                        origin,
-                        UpdateOp::Insert,
-                        key,
-                        MediationItem::Mapping {
-                            mapping: m.clone(),
-                            at_source,
-                        },
-                    )?;
-                    report.repaired_copies += 1;
-                }
-            }
-        }
-        // Direction 2: DHT copies whose registry entry is gone. Every
-        // mapping copy lives at a schema's key space, so scanning the
-        // registered schemas' keys covers all commit sites.
-        let live: BTreeSet<MappingId> = self.registry.mappings().map(|m| m.id).collect();
-        let schema_keys: Vec<BitString> = self
-            .registry
-            .schemas()
-            .map(|s| self.key_of(s.id().as_str()))
-            .collect();
-        for key in schema_keys {
-            let orphans: Vec<MediationItem> = self
-                .items_at(&key)
-                .into_iter()
-                .filter(|i| {
-                    matches!(i, MediationItem::Mapping { mapping, .. } if !live.contains(&mapping.id))
-                })
-                .collect();
-            for item in orphans {
-                self.mediation_update(origin, UpdateOp::Delete, key.clone(), item)?;
-                report.orphans_removed += 1;
-            }
-        }
-        Ok(report)
-    }
-
     /// `Update(Domain Connectivity)` — every schema's responsible peer
     /// publishes `{Schema, InDegree, OutDegree}` under `Hash(Domain)`,
     /// replacing its previous record (§3.1). Returns records published.
@@ -1125,31 +1043,100 @@ impl GridVineSystem {
         let records = self.registry.degree_records();
         let domain_key = self.keyspace().domain_key(&self.config.domain);
         // Remove stale records for the same schemas, then insert fresh.
-        let stale: Vec<MediationItem> = self
-            .items_at(&domain_key)
-            .into_iter()
-            .filter(|i| matches!(i, MediationItem::Connectivity(_)))
+        let holder = self.topology.responsible(&domain_key).first();
+        let stale = holder.map_or(&[][..], |&p| self.overlay.store(p).get(&domain_key));
+        let mut writes: Vec<(UpdateOp, MediationItem)> = (stale.iter())
+            .filter(|item| matches!(item, MediationItem::Connectivity(_)))
+            .map(|item| (UpdateOp::Delete, item.clone()))
             .collect();
-        for s in stale {
-            self.overlay.update(
-                origin,
-                UpdateOp::Delete,
-                domain_key.clone(),
-                s,
-                &mut self.rng,
-            )?;
-        }
         let n = records.len();
-        for r in records {
-            self.overlay.update(
-                origin,
-                UpdateOp::Insert,
-                domain_key.clone(),
-                MediationItem::Connectivity(r),
-                &mut self.rng,
-            )?;
+        let fresh = records.into_iter().map(MediationItem::Connectivity);
+        writes.extend(fresh.map(|item| (UpdateOp::Insert, item)));
+        for (op, item) in writes {
+            self.mediation_update(origin, op, domain_key.clone(), item)?;
         }
         Ok(n)
+    }
+
+    /// Check the invariants the engine's state keeps, reading state
+    /// only (no message, no draw), and return the first one broken:
+    ///
+    /// 1. every `DB_p` row lies in a σ group of one of its three keys,
+    ///    and every peer of each of those groups holds it (§2.1);
+    /// 2. the registry agrees with the DHT: every registry mapping has
+    ///    exactly one copy, equal to its entry, at each of its key
+    ///    spaces at every σ holder; every registry schema has its
+    ///    definition at every holder of its key; and no mapping copy
+    ///    lies where no registry entry places it;
+    /// 3. no queued reply is due before [`GridVineSystem::now`].
+    pub fn check(&self) -> Result<(), Broken> {
+        let ks = self.keyspace();
+        for (i, db) in self.local_dbs.iter().enumerate() {
+            let peer = PeerId::from_index(i);
+            for triple in db.iter() {
+                let t = &triple;
+                let groups = [t.subject.as_str(), t.predicate.as_str(), t.object.lexical()]
+                    .map(|lexical| self.topology.responsible(&ks.key_of(lexical)));
+                if !groups.iter().any(|g| g.contains(&peer)) {
+                    return Err(Broken::Misplaced { peer, triple });
+                }
+                let mut owners = groups.into_iter().flatten();
+                if let Some(&owner) = owners.find(|o| !self.peer_db(**o).contains(t)) {
+                    return Err(Broken::Unreplicated { owner, triple });
+                }
+            }
+        }
+        for m in self.registry.mappings() {
+            for (key, at_source) in ks.mapping_keys(m) {
+                for &peer in self.topology.responsible(&key) {
+                    let copies: Vec<Mapping> = (self.overlay.store(peer).get(&key).iter())
+                        .filter_map(|item| match item {
+                            MediationItem::Mapping {
+                                mapping,
+                                at_source: a,
+                            } if mapping.id == m.id && *a == at_source => Some(mapping.clone()),
+                            _ => None,
+                        })
+                        .collect();
+                    if copies != [m.clone()] {
+                        let (id, key) = (m.id, key.clone());
+                        return Err(Broken::MappingCopies {
+                            id,
+                            key,
+                            peer,
+                            copies,
+                        });
+                    }
+                }
+            }
+        }
+        for s in self.registry.schemas() {
+            let key = ks.schema_key(s);
+            let definition = MediationItem::Schema(s.clone());
+            for &peer in self.topology.responsible(&key) {
+                if !self.overlay.store(peer).get(&key).contains(&definition) {
+                    let schema = s.id().clone();
+                    return Err(Broken::MissingSchema { schema, peer });
+                }
+            }
+        }
+        for peer in (0..self.topology.len()).map(PeerId::from_index) {
+            for (key, item) in self.overlay.store(peer).iter() {
+                let MediationItem::Mapping { mapping, at_source } = item else {
+                    continue;
+                };
+                let placed = (self.registry.mapping(mapping.id))
+                    .is_some_and(|m| ks.mapping_keys(m).contains(&(key.clone(), *at_source)));
+                if !placed {
+                    let (id, key) = (mapping.id, key.clone());
+                    return Err(Broken::Orphan { id, key, peer });
+                }
+            }
+        }
+        match self.replies.peek_time() {
+            Some(at) if at < self.now => Err(Broken::LateReply { at, now: self.now }),
+            _ => Ok(()),
+        }
     }
 
     /// Ask the domain peer for the connectivity indicator: one
@@ -1188,14 +1175,6 @@ impl GridVineSystem {
         });
         mappings.collect()
     }
-
-    fn items_at(&self, key: &BitString) -> Vec<MediationItem> {
-        let peers = self.topology.responsible(key);
-        peers
-            .first()
-            .map(|p| self.overlay.store(*p).get(key).to_vec())
-            .unwrap_or_default()
-    }
 }
 
 #[cfg(test)]
@@ -1221,7 +1200,26 @@ mod tests {
         )
     }
 
+    /// Figure 2's EMBL ≡ EMP mapping, inserted from peer 0.
+    fn fig2_mapping(sys: &mut GridVineSystem) -> Result<MappingId, SystemError> {
+        sys.insert_mapping(
+            PeerId(0),
+            "EMBL",
+            "EMP",
+            MappingKind::Equivalence,
+            Provenance::Manual,
+            vec![Correspondence::new("Organism", "SystematicName")],
+        )
+    }
+
     fn fig2_system() -> GridVineSystem {
+        let mut sys = fig2_unmapped();
+        fig2_mapping(&mut sys).unwrap();
+        sys
+    }
+
+    /// Figure 2's schemas and data, without the mapping.
+    fn fig2_unmapped() -> GridVineSystem {
         let mut sys = GridVineSystem::new(GridVineConfig {
             peers: 32,
             ..GridVineConfig::default()
@@ -1231,15 +1229,6 @@ mod tests {
             .unwrap();
         sys.insert_schema(p0, Schema::new("EMP", ["SystematicName"]))
             .unwrap();
-        sys.insert_mapping(
-            p0,
-            "EMBL",
-            "EMP",
-            MappingKind::Equivalence,
-            Provenance::Manual,
-            vec![Correspondence::new("Organism", "SystematicName")],
-        )
-        .unwrap();
         // Figure 2 data: two EMBL records, one EMP record.
         for (s, p, o) in [
             ("seq:A78712", "EMBL#Organism", "Aspergillus niger"),
@@ -1297,22 +1286,6 @@ mod tests {
             );
             assert!(out.stats.messages > 0);
         }
-    }
-
-    #[test]
-    fn deprecated_mapping_stops_reformulation() {
-        let mut sys = fig2_system();
-        let id = sys.registry().mappings().next().map(|m| m.id).unwrap();
-        sys.deprecate_mapping(PeerId(0), id).unwrap();
-        let q = TriplePatternQuery::example_aspergillus();
-        let out = search(&mut sys, PeerId(3), &q, Strategy::Iterative).unwrap();
-        assert_eq!(out.rows.len(), 2, "EMP record must be unreachable");
-        assert_eq!(out.stats.reformulations, 0);
-        // The DHT copies must reflect the deprecation too.
-        let maps = sys
-            .mappings_at_schema(PeerId(1), &SchemaId::new("EMBL"))
-            .unwrap();
-        assert!(maps.iter().all(|m| !m.is_active()));
     }
 
     #[test]
@@ -1532,47 +1505,29 @@ mod tests {
 
     #[test]
     fn crash_during_commit_never_leaves_a_half_committed_mapping() {
-        let mut sys = GridVineSystem::new(GridVineConfig {
-            peers: 32,
-            ..GridVineConfig::default()
-        });
-        let p0 = PeerId(0);
-        sys.insert_schema(p0, Schema::new("EMBL", ["Organism"]))
-            .unwrap();
-        sys.insert_schema(p0, Schema::new("EMP", ["SystematicName"]))
-            .unwrap();
-        for (s, p, o) in [
-            ("seq:A78712", "EMBL#Organism", "Aspergillus niger"),
-            ("seq:A78767", "EMBL#Organism", "Aspergillus nidulans"),
-            (
-                "seq:NEN94295-05",
-                "EMP#SystematicName",
-                "Aspergillus oryzae",
-            ),
-        ] {
-            sys.insert_triple(p0, Triple::new(s, p, Term::literal(o)))
-                .unwrap();
-        }
-        // Crash the target key space's responsible peer between the two
-        // key-space writes: the commit must roll back entirely.
-        let target_key = sys.key_of("EMP");
-        let victim = *sys.topology().responsible(&target_key).first().unwrap();
-        sys.arm_commit_crash(victim);
-        let res = sys.insert_mapping(
-            p0,
-            "EMBL",
-            "EMP",
-            MappingKind::Equivalence,
-            Provenance::Manual,
-            vec![Correspondence::new("Organism", "SystematicName")],
+        let mut sys = fig2_unmapped();
+        // The target key space's holder is down before the commit: the
+        // commit is refused before anything is sent.
+        let victim = sys.topology().responsible(&sys.key_of("EMP"))[0];
+        sys.crash_peer(victim);
+        let messages = sys.messages_sent();
+        assert_eq!(fig2_mapping(&mut sys), Err(SystemError::PeerDown(victim)));
+        assert_eq!(
+            sys.messages_sent(),
+            messages,
+            "a refused commit sends nothing"
         );
-        assert!(matches!(res, Err(SystemError::PeerDown(_))), "{res:?}");
-        assert_eq!(sys.registry().mapping_count(), 0, "registry rolled back");
-        // After recovery + scan, no copy survives at either key space
-        // (the scan sweeps up whatever a cut-short rollback left).
+        assert_eq!(sys.registry().mappings().count(), 0, "registry rolled back");
+        // A schema under a down holder is refused too, and not registered.
+        let (emp2, key) = (Schema::new("EMP2", ["Other"]), sys.key_of("EMP2"));
+        assert_eq!(sys.topology().responsible(&key)[0], victim);
+        assert_eq!(
+            sys.insert_schema(PeerId(0), emp2),
+            Err(SystemError::PeerDown(victim))
+        );
+        assert!(sys.registry().schema(&SchemaId::new("EMP2")).is_none());
+        assert_eq!(sys.check(), Ok(()));
         sys.recover_peer(victim);
-        let rec = sys.recover_mapping_commits(p0).unwrap();
-        assert_eq!(rec.repaired_copies, 0, "nothing half-live to repair");
         for schema in ["EMBL", "EMP"] {
             let maps = sys
                 .mappings_at_schema(PeerId(1), &SchemaId::new(schema))
@@ -1586,63 +1541,122 @@ mod tests {
         assert_eq!(out.rows.len(), 2);
         assert_eq!(out.stats.reformulations, 0);
         // Rerunning the insert now commits both key spaces.
-        sys.insert_mapping(
-            p0,
-            "EMBL",
-            "EMP",
-            MappingKind::Equivalence,
-            Provenance::Manual,
-            vec![Correspondence::new("Organism", "SystematicName")],
-        )
-        .unwrap();
+        fig2_mapping(&mut sys).unwrap();
+        assert_eq!(sys.check(), Ok(()));
         let out = search(&mut sys, PeerId(3), &q, Strategy::Iterative).unwrap();
         assert_eq!(out.rows.len(), 3);
     }
 
     #[test]
-    fn recovery_scan_repairs_a_manufactured_half_commit() {
+    fn a_deprecation_refused_by_a_down_holder_changes_nothing() {
         let mut sys = fig2_system();
-        let m = sys.registry().mappings().next().unwrap().clone();
-        // Manufacture the seed's one-way bug: delete the target-side
-        // copy behind the commit path's back.
-        let keys = sys.keyspace().mapping_keys(&m);
-        assert_eq!(keys.len(), 2, "equivalence writes both key spaces");
-        let (key, at_source) = keys[1].clone();
+        let id = sys.registry().mappings().next().map(|m| m.id).unwrap();
+        let keys = [sys.key_of("EMBL"), sys.key_of("EMP")];
+        let holder = sys.topology().responsible(&keys[0])[0];
+        assert_eq!(sys.topology().responsible(&keys[1])[0], holder);
+        let q = TriplePatternQuery::example_aspergillus();
+        sys.crash_peer(holder);
+        let refused = sys.deprecate_mapping(PeerId(0), id);
+        assert_eq!(refused, Err(SystemError::PeerDown(holder)));
+        let status = |sys: &GridVineSystem| sys.registry().mapping(id).unwrap().status;
+        assert_eq!(status(&sys), MappingStatus::Active);
+        assert_eq!(sys.check(), Ok(()));
+        sys.recover_peer(holder);
+        let out = search(&mut sys, PeerId(3), &q, Strategy::Iterative).unwrap();
+        assert_eq!(out.stats.reformulations, 1, "the mapping is still live");
+
+        // One retry leaves one deprecated copy per key space, and the
+        // EMP record is unreachable.
+        assert_eq!(sys.deprecate_mapping(PeerId(0), id), Ok(true));
+        assert_eq!(status(&sys), MappingStatus::Deprecated);
+        for key in &keys {
+            let copies = sys.stored_mappings(holder, key);
+            let statuses: Vec<MappingStatus> = copies.iter().map(|m| m.status).collect();
+            assert_eq!(statuses, [MappingStatus::Deprecated]);
+        }
+        assert_eq!(sys.check(), Ok(()));
+        let out = search(&mut sys, PeerId(3), &q, Strategy::Iterative).unwrap();
+        assert_eq!((out.rows.len(), out.stats.reformulations), (2, 0));
+    }
+
+    /// Write a target-side copy of `mapping` under `key` by hand, behind
+    /// the write path's back, and check the system.
+    fn write_behind(
+        sys: &mut GridVineSystem,
+        op: UpdateOp,
+        key: &BitString,
+        mapping: &Mapping,
+    ) -> Result<(), Broken> {
+        let item = MediationItem::Mapping {
+            mapping: mapping.clone(),
+            at_source: false,
+        };
+        let rng = &mut sys.rng;
         sys.overlay
-            .update(
-                PeerId(0),
-                UpdateOp::Delete,
-                key,
-                MediationItem::Mapping {
-                    mapping: m.clone(),
-                    at_source,
-                },
-                &mut sys.rng,
-            )
+            .update(PeerId(0), op, key.clone(), item, rng)
             .unwrap();
-        assert!(sys
-            .mappings_at_schema(PeerId(1), &SchemaId::new("EMP"))
-            .unwrap()
-            .is_empty());
-        let rec = sys.recover_mapping_commits(PeerId(0)).unwrap();
-        assert_eq!(
-            rec,
-            CommitRecovery {
-                repaired_copies: 1,
-                orphans_removed: 0
-            }
-        );
-        assert_eq!(
-            sys.mappings_at_schema(PeerId(1), &SchemaId::new("EMP"))
-                .unwrap()
-                .len(),
-            1
-        );
-        // Idempotent: a second scan finds nothing.
-        assert_eq!(
-            sys.recover_mapping_commits(PeerId(0)).unwrap(),
-            CommitRecovery::default()
-        );
+        sys.check()
+    }
+
+    #[test]
+    fn check_names_a_manufactured_half_commit() {
+        let mut sys = fig2_system();
+        assert_eq!(sys.check(), Ok(()));
+        let m = sys.registry().mappings().next().unwrap().clone();
+        let holder = |sys: &GridVineSystem, key| sys.topology().responsible(key)[0];
+        // The one-way bug: the target-side copy is gone.
+        let key = sys.key_of("EMP");
+        let (id, peer) = (m.id, holder(&sys, &key));
+        let at = key.clone();
+        let broken = move |copies| {
+            let key = at.clone();
+            Err(Broken::MappingCopies {
+                id,
+                key,
+                peer,
+                copies,
+            })
+        };
+        let missing = write_behind(&mut sys, UpdateOp::Delete, &key, &m);
+        assert_eq!(missing, broken(vec![]));
+        // A stale copy beside the right one.
+        write_behind(&mut sys, UpdateOp::Insert, &key, &m).unwrap();
+        let mut stale = m.clone();
+        stale.status = MappingStatus::Deprecated;
+        let twice = write_behind(&mut sys, UpdateOp::Insert, &key, &stale);
+        assert_eq!(twice, broken(vec![m.clone(), stale.clone()]));
+        write_behind(&mut sys, UpdateOp::Delete, &key, &stale).unwrap();
+        // A copy where no registry entry places one.
+        let elsewhere = sys.key_of("EMBL#Organism");
+        let peer = holder(&sys, &elsewhere);
+        let orphan = write_behind(&mut sys, UpdateOp::Insert, &elsewhere, &m);
+        let key = elsewhere.clone();
+        assert_eq!(orphan, Err(Broken::Orphan { id, key, peer }));
+        write_behind(&mut sys, UpdateOp::Delete, &elsewhere, &m).unwrap();
+        // A schema whose holder lost its definition.
+        let schema = SchemaId::new("EMP");
+        let emp = sys.registry().schema(&schema).unwrap().clone();
+        let (key, item) = (sys.key_of("EMP"), MediationItem::Schema(emp));
+        let peer = holder(&sys, &key);
+        let rng = &mut sys.rng;
+        sys.overlay
+            .update(PeerId(0), UpdateOp::Delete, key, item, rng)
+            .unwrap();
+        assert_eq!(sys.check(), Err(Broken::MissingSchema { schema, peer }));
+        // A row outside its keys' σ groups.
+        let t = Triple::new("seq:Z1", "EMBL#Organism", Term::literal("Zea mays"));
+        let keys = sys.keyspace().triple_keys(&t);
+        let owners: Vec<&PeerId> = keys
+            .iter()
+            .flat_map(|k| sys.topology().responsible(k))
+            .collect();
+        let stray = (0..32).map(PeerId).find(|p| !owners.contains(&p)).unwrap();
+        sys.local_dbs[stray.index()].insert(t.clone());
+        let misplaced = Broken::Misplaced {
+            peer: stray,
+            triple: t,
+        };
+        assert_eq!(sys.check(), Err(misplaced));
     }
 
     /// Three schemas with a correct Manual chain and one wrong
@@ -1764,6 +1778,31 @@ mod tests {
         let report = sys.assessment_pass(origin, &cfg).unwrap();
         assert_eq!(report.stats.failures, 0);
         assert_eq!(report.deprecated, vec![bad]);
+    }
+
+    #[test]
+    fn a_refresh_that_meets_a_down_holder_keeps_its_registry_entry() {
+        let (mut sys, bad) = triangle_system();
+        let cfg = gridvine_semantic::BayesConfig::default();
+        let cycles = find_cycles(sys.registry(), cfg.max_cycle_len);
+        let base = sys.key_of(cycles[0].base.as_str());
+        // The wrong mapping C → A lives at C's key space only.
+        let holder = sys.topology().responsible(&sys.key_of("C"))[0];
+        assert!(!sys.topology().responsible(&base).contains(&holder));
+        let origin = PeerId(5);
+        assert_ne!(origin, holder);
+        sys.crash_peer(holder);
+        let report = sys.assessment_pass(origin, &cfg).unwrap();
+        assert!(report.deprecated.is_empty(), "{report:?}");
+        assert!(report.stats.failures >= 1, "{report:?}");
+        let m = sys.registry().mapping(bad).unwrap();
+        assert_eq!(m.status, MappingStatus::Active);
+        assert_eq!(sys.check(), Ok(()));
+
+        sys.recover_peer(holder);
+        let report = sys.assessment_pass(origin, &cfg).unwrap();
+        assert_eq!(report.deprecated, vec![bad]);
+        assert_eq!(sys.check(), Ok(()));
     }
 
     #[test]

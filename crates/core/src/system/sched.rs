@@ -113,7 +113,7 @@
 //! | network  | mass-churn storm        | `ChurnProcess::storm`            | self-organization repair after recovery  |
 //! | network  | message loss (WAN only) | `NetworkConfig::loss`            | `pgrid::proto` timeouts and retries      |
 //! | semantic | wrong automatic mapping | hand-inserted automatic mappings | Bayesian cycle analysis deprecation      |
-//! | semantic | crash mid-commit        | `arm_commit_crash`               | atomic commit rollback + recovery scan   |
+//! | semantic | holder down at a write  | `crash_peer`                     | write refused whole; registry unchanged  |
 //!
 //! Semantic defenses run as scheduler work, not magic: an
 //! [`assessment_pass`](super::GridVineSystem::assessment_pass) issues

@@ -227,7 +227,7 @@ mod tests {
             q.pattern.object.as_const().map(|t| t.lexical()),
             Some("%Aspergillus%")
         );
-        assert!(q.pattern.subject.is_var());
+        assert!(matches!(q.pattern.subject, PatternTerm::Var(_)));
     }
 
     #[test]

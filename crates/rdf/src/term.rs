@@ -30,14 +30,6 @@ impl Uri {
     pub(crate) fn shared(&self) -> &Arc<str> {
         &self.0
     }
-
-    /// The local name after the namespace separator.
-    pub fn local_name(&self) -> &str {
-        match self.0.rfind(['#', ':']) {
-            Some(i) => &self.0[i + 1..],
-            None => &self.0,
-        }
-    }
 }
 
 impl fmt::Display for Uri {
@@ -203,19 +195,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn uri_local_name_split() {
-        assert_eq!(Uri::new("EMBL#Organism").local_name(), "Organism");
-        assert_eq!(Uri::new("embl:A78712").local_name(), "A78712");
-        assert_eq!(Uri::new("plain").local_name(), "plain");
-    }
-
-    #[test]
-    fn uri_picks_last_separator() {
-        let u = Uri::new("http://ebi.ac.uk/embl#Organism");
-        assert_eq!(u.local_name(), "Organism");
-    }
-
-    #[test]
     fn term_lexical() {
         assert_eq!(Term::uri("a#b").lexical(), "a#b");
         assert_eq!(Term::literal("x").lexical(), "x");
@@ -296,13 +275,6 @@ mod proptests {
             let text = format!("{pre}{core}{post}");
             let pattern = format!("%{core}%");
             prop_assert!(like_match(&text, &pattern));
-        }
-
-        /// The local name is what follows the namespace separator.
-        #[test]
-        fn uri_split_reassembles(ns in "[a-z]{1,8}[#:]", local in "[a-zA-Z0-9_]{1,12}") {
-            let u = Uri::new(format!("{ns}{local}"));
-            prop_assert_eq!(u.local_name(), local.as_str());
         }
     }
 }

@@ -95,10 +95,6 @@ impl PatternTerm {
         PatternTerm::Const(t.into())
     }
 
-    pub fn is_var(&self) -> bool {
-        matches!(self, PatternTerm::Var(_))
-    }
-
     pub fn as_const(&self) -> Option<&Term> {
         match self {
             PatternTerm::Const(t) => Some(t),
@@ -256,11 +252,6 @@ impl TriplePattern {
             predicate: sub(&self.predicate),
             object: sub(&self.object),
         }
-    }
-
-    /// True if the pattern contains no variables at all.
-    pub fn is_ground(&self) -> bool {
-        self.variables().is_empty()
     }
 
     /// Try to match a concrete triple, producing a binding.
@@ -580,9 +571,9 @@ mod tests {
         assert_eq!(s.subject, PatternTerm::constant(Term::uri("embl:A78712")));
         assert_eq!(s.predicate, p.predicate, "constants untouched");
         assert_eq!(s.object, PatternTerm::var("o"), "unbound variable kept");
-        assert!(!s.is_ground());
+        assert!(!s.variables().is_empty());
         b.bind("o".into(), Term::literal("Aspergillus niger"));
-        assert!(p.substitute(&b).is_ground());
+        assert!(p.substitute(&b).variables().is_empty());
     }
 
     #[test]
@@ -693,7 +684,7 @@ mod proptests {
             );
             let b = pat.match_triple(&t).expect("matches");
             let ground = pat.substitute(&b);
-            prop_assert!(ground.is_ground());
+            prop_assert!(ground.variables().is_empty());
             prop_assert!(ground.match_triple(&t).is_some());
         }
 

@@ -111,10 +111,6 @@ impl MappingRegistry {
         self.mappings.iter().filter(|m| m.is_active())
     }
 
-    pub fn mapping_count(&self) -> usize {
-        self.mappings.len()
-    }
-
     pub fn active_count(&self) -> usize {
         self.active_mappings().count()
     }
@@ -131,10 +127,12 @@ impl MappingRegistry {
         }
     }
 
-    /// Remove a mapping from the registry entirely (bumps the epoch).
-    /// This is the rollback half of the atomic mediation commit: a
-    /// mapping whose DHT writes could not all be applied must not stay
-    /// registered, or queries would observe the half-committed state.
+    /// Remove a mapping from the registry entirely (bumps the epoch; its
+    /// id is not reused). A mapping is registered before its DHT copies
+    /// are written, to take its id; when the write is refused (a down
+    /// holder) or rolled back (a route error), the mediation layer
+    /// retracts it, so the registry never names a mapping the DHT does
+    /// not hold.
     pub fn retract(&mut self, id: MappingId) -> bool {
         let before = self.mappings.len();
         self.mappings.retain(|m| m.id != id);
@@ -365,7 +363,7 @@ mod tests {
         assert!(!reg.is_strongly_connected());
         assert_eq!(reg.reachable(&SchemaId::new("S0")).len(), 2);
         assert_eq!(reg.active_count(), 1);
-        assert_eq!(reg.mapping_count(), 2);
+        assert_eq!(reg.mappings().count(), 2);
     }
 
     #[test]
@@ -376,7 +374,7 @@ mod tests {
         assert!(reg.retract(id));
         assert!(reg.epoch() > e0);
         assert!(reg.mapping(id).is_none());
-        assert_eq!(reg.mapping_count(), 0);
+        assert_eq!(reg.mappings().count(), 0);
         assert!(!reg.retract(id), "second retract is a no-op");
     }
 

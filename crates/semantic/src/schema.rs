@@ -85,7 +85,7 @@ impl Schema {
         self.attributes.is_empty()
     }
 
-    pub fn has_attribute(&self, attr: &str) -> bool {
+    fn has_attribute(&self, attr: &str) -> bool {
         self.attributes.iter().any(|a| a == attr)
     }
 

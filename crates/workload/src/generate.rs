@@ -527,9 +527,9 @@ mod tests {
             .iter()
             .find(|s| s.id().as_str() == "EMBL")
             .unwrap();
-        assert!(embl.has_attribute("Organism"));
+        assert!(embl.attributes().contains(&"Organism".to_string()));
         let emp = w.schemas.iter().find(|s| s.id().as_str() == "EMP").unwrap();
-        assert!(emp.has_attribute("SystematicName"));
+        assert!(emp.attributes().contains(&"SystematicName".to_string()));
         // Ground truth links them to the same concept.
         let c1 = w
             .ground_truth
@@ -693,8 +693,8 @@ mod proptests {
         fn triples_are_labelled(seed in 0u64..50) {
             let w = Workload::generate(WorkloadConfig::small(seed));
             for (schema, t) in w.all_triples() {
-                let attr = t.predicate.local_name().to_string();
-                prop_assert!(w.ground_truth.concept(&schema, &attr).is_some());
+                let (_, attr) = Schema::split_predicate(&t.predicate).unwrap();
+                prop_assert!(w.ground_truth.concept(&schema, attr).is_some());
                 prop_assert!(t.subject.as_str().starts_with("seq:"));
             }
         }

@@ -337,7 +337,7 @@ mod tests {
         let mut r = rng::seeded(2);
         for q in g.batch(30, &mut r) {
             assert_eq!(q.query.distinguished, "x");
-            assert!(q.query.pattern.subject.is_var());
+            assert!(matches!(q.query.pattern.subject, PatternTerm::Var(_)));
             let pred = q
                 .query
                 .pattern

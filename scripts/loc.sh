@@ -32,12 +32,40 @@
 # crates/ that test code names but no program code names outside the
 # item's own file and its crate's lib.rs: the items only tests keep
 # alive, which --unused counts as used. Test code is every file under a
-# tests/ directory and everything from a file's first `#[cfg(test)]`
-# on; program code is the rest of crates/*/src, src/, examples/ and
-# benchmarks/src. The same lexical test as --unused; it always exits 0.
+# tests/ directory, everything from a file's first top-level
+# `#[cfg(test)]` on, and each item an indented `#[cfg(test)]` marks (to
+# the close of the braces it opens); program code is the rest of
+# crates/*/src, src/, examples/ and benchmarks/src. The same lexical
+# test as --unused, vetted the same way against
+# scripts/loc-test-only.allow; it exits 1 if it printed anything.
 set -eu
 
 root=$(git rev-parse --show-toplevel)
+
+# Reads "<path> <line> <kind> <name>" per listed item on stdin and
+# prints, against the allow file <allow>, every item it gives no
+# reason for, every line of it without a reason and every line naming
+# an item no longer listed; exits 1 if it printed anything.
+vet() { # <allow>
+    awk '
+        FILENAME == ARGV[1] {
+            if ($0 ~ /^[[:space:]]*(#|$)/) next
+            if (NF < 3) { print ARGV[1] ":" FNR ": no reason: " $0; bad = 1 }
+            allowed[$1 " " $2] = FNR
+            next
+        }
+        {
+            listed[$1 " " $4] = 1
+            if (!(($1 " " $4) in allowed)) { print $1 ":" $2 " " $3 " " $4; bad = 1 }
+        }
+        END {
+            for (item in allowed) if (!(item in listed)) {
+                print ARGV[1] ":" allowed[item] ": not listed by the scan: " item
+                bad = 1
+            }
+            exit bad
+        }' "$1" -
+}
 
 unused() {
     work=$(mktemp -d "${TMPDIR:-/tmp}/loc.XXXXXX")
@@ -53,27 +81,13 @@ unused() {
     xargs grep -oHE '[A-Za-z_][A-Za-z0-9_]*' <"$work/files" | sort -u | tr ':' ' ' >"$work/words"
     awk '
         FILENAME == ARGV[1] { files[$2] = files[$2] " " $1; next }
-        FILENAME == ARGV[2] {
-            if ($0 ~ /^[[:space:]]*(#|$)/) next
-            if (NF < 3) { print "scripts/loc-unused.allow:" FNR ": no reason: " $0; bad = 1 }
-            allowed[$1 " " $2] = FNR
-            next
-        }
         {
             split($1, part, "/")
             lib = part[1] "/" part[2] "/src/lib.rs"
             n = split(files[$4], in_file, " ")
             for (i = 1; i <= n; i++) if (in_file[i] != $1 && in_file[i] != lib) next
-            listed[$1 " " $4] = 1
-            if (!(($1 " " $4) in allowed)) { print $1 ":" $2 " " $3 " " $4; bad = 1 }
-        }
-        END {
-            for (item in allowed) if (!(item in listed)) {
-                print "scripts/loc-unused.allow:" allowed[item] ": not listed by the scan: " item
-                bad = 1
-            }
-            exit bad
-        }' "$work/words" "$root/scripts/loc-unused.allow" "$work/decls"
+            print
+        }' "$work/words" "$work/decls" | vet scripts/loc-unused.allow
 }
 
 test_only() {
@@ -87,10 +101,12 @@ test_only() {
     xargs awk '
         FNR == 1 {
             part = FILENAME ~ /(^|\/)tests\// ? "t" : "p"
-            decl = part == "p" && FILENAME ~ /^crates\//
+            crate = FILENAME ~ /^crates\//
+            item = 0
         }
-        part == "p" && /^[[:space:]]*#\[cfg\(test\)\]/ { part = "t"; decl = 0 }
-        decl && match($0, /^[[:space:]]*pub[[:space:]]+((const|async|unsafe)[[:space:]]+)*(fn|struct|enum|trait|type|static|const|union)[[:space:]]+(mut[[:space:]]+)?[A-Za-z_][A-Za-z0-9_]*/) {
+        part == "p" && /^#\[cfg\(test\)\]/ { part = "t" }
+        part == "p" && /^[[:space:]]+#\[cfg\(test\)\]/ { part = "t"; item = 1; depth = 0; opened = 0 }
+        part == "p" && crate && match($0, /^[[:space:]]*pub[[:space:]]+((const|async|unsafe)[[:space:]]+)*(fn|struct|enum|trait|type|static|const|union)[[:space:]]+(mut[[:space:]]+)?[A-Za-z_][A-Za-z0-9_]*/) {
             n = split(substr($0, RSTART, RLENGTH), w, /[[:space:]]+/)
             print "d", FILENAME, FNR, w[n - 1] == "mut" ? w[n - 2] : w[n - 1], w[n]
         }
@@ -100,6 +116,15 @@ test_only() {
                 print "w", FILENAME, part, substr(line, RSTART, RLENGTH)
                 line = substr(line, RSTART + RLENGTH)
             }
+        }
+        # An indented #[cfg(test)] marks one item: test code until the
+        # braces it opens close again.
+        item {
+            line = $0
+            opens = gsub(/\{/, "", line)
+            depth += opens - gsub(/\}/, "", line)
+            if (opens) opened = 1
+            if (opened && depth <= 0) { part = "p"; item = 0 }
         }' <"$work/files" | sort -u >"$work/scan"
     awk '
         $1 == "w" && $3 == "t" { tested[$4] = 1 }
@@ -114,9 +139,9 @@ test_only() {
                 m = split(prog[d[4]], in_file, " ")
                 named = 0
                 for (j = 1; j <= m; j++) if (in_file[j] != d[1] && in_file[j] != lib) named = 1
-                if (!named) print d[1] ":" d[2] " " d[3] " " d[4]
+                if (!named) print d[1], d[2], d[3], d[4]
             }
-        }' "$work/scan" | sort -t: -k1,1 -k2,2n
+        }' "$work/scan" | sort -k1,1 -k2,2n | vet scripts/loc-test-only.allow
 }
 
 parent=
@@ -125,7 +150,7 @@ if [ $# -eq 1 ] && [ "$1" = --unused ]; then
     exit
 elif [ $# -eq 1 ] && [ "$1" = --test-only ]; then
     test_only
-    exit 0
+    exit
 elif [ $# -eq 2 ] && [ "$1" = --parent ]; then
     parent=$2
 elif [ $# -ne 0 ]; then

@@ -448,29 +448,6 @@ fn mapped_pair(hash: HashKind) -> GridVineSystem {
     sys
 }
 
-/// P-Grid's placement (§2.1): a peer stores a triple only if it is in
-/// the σ group of one of the triple's three keys, and every peer of
-/// each of those groups stores it.
-fn assert_placement_consistent(sys: &GridVineSystem) {
-    let topology = sys.topology();
-    for p in (0..topology.len()).map(PeerId::from_index) {
-        for t in sys.peer_db(p).iter() {
-            let lexicals = [t.subject.as_str(), t.predicate.as_str(), t.object.lexical()];
-            let groups = lexicals.map(|l| topology.responsible(&sys.key_of(l)));
-            assert!(
-                groups.iter().any(|g| g.contains(&p)),
-                "{p:?} holds {t:?} outside its keys' σ groups {groups:?}"
-            );
-            for owner in groups.into_iter().flatten() {
-                assert!(
-                    sys.peer_db(*owner).contains(&t),
-                    "σ owner {owner:?} misses {t:?}, which {p:?} holds"
-                );
-            }
-        }
-    }
-}
-
 /// Triples over small pools, so a corpus repeats triples and lexicals.
 fn arb_corpus_triple() -> impl proptest::strategy::Strategy<Value = Triple> {
     (0usize..6, 0usize..4, 0usize..5).prop_map(|(s, p, o)| {
@@ -504,7 +481,7 @@ proptest! {
         let insert = |sys: &mut GridVineSystem, triples: &[Triple]| {
             let before = sys.messages_sent();
             let placed = sys.insert_triples(origin, triples.to_vec());
-            assert_placement_consistent(sys);
+            assert_eq!(sys.check(), Ok(()));
             (placed, sys.messages_sent() - before < 24)
         };
         let mut whole = mapped_pair(HashKind::OrderPreserving);
@@ -524,7 +501,7 @@ proptest! {
         let mut single = mapped_pair(HashKind::OrderPreserving);
         for t in &corpus {
             prop_assert_eq!(single.insert_triple(origin, t.clone()), Ok(()));
-            assert_placement_consistent(&single);
+            prop_assert_eq!(single.check(), Ok(()));
         }
 
         let query = gridvine_rdf::parse_single("SELECT ?x WHERE (?x, <S0#a0>, ?o)").unwrap();
@@ -570,7 +547,7 @@ proptest! {
         for to in bounds {
             let chunk = corpus[from..to].to_vec();
             prop_assert_eq!(sys.insert_triples(PeerId::from_index(origin), chunk), Ok(to - from));
-            assert_placement_consistent(sys);
+            prop_assert_eq!(sys.check(), Ok(()));
             from = to;
         }
     }

@@ -1,10 +1,11 @@
 //! Integration tests of the semantic fault matrix: wrong automatic
 //! mappings are inserted into the network in the shapes a faulty
 //! matcher or a peer that missed a deprecation gives them, Bayesian
-//! assessment passes deprecate them, mediation commits are atomic
-//! under crash injection, and query answers re-converge to the
+//! assessment passes deprecate them, a mapping commit whose holder is
+//! down is refused whole, and query answers re-converge to the
 //! fault-free ground truth — even when a mass-churn storm overlaps the
-//! self-organization loop.
+//! self-organization loop. `GridVineSystem::check` is the oracle after
+//! each operation: the registry and every DHT copy agree.
 
 use std::collections::BTreeSet;
 
@@ -232,11 +233,10 @@ fn active_reachable(sys: &GridVineSystem, from: &SchemaId) -> BTreeSet<SchemaId>
 
 #[test]
 fn crash_mid_commit_is_atomic_end_to_end() {
-    // Build the mapping chain one edge at a time and crash the target
-    // key space's responsible peer in the middle of the last commit:
-    // the commit must roll back entirely, queries must keep answering
-    // from the committed prefix, and the recovery scan must find
-    // nothing half-live to repair.
+    // Build the mapping chain one edge at a time, with the target key
+    // space's holder down for the last commit: the commit is refused
+    // before anything is sent, the registry and the DHT still agree,
+    // and queries keep answering from the committed prefix.
     let mut sys = GridVineSystem::new(GridVineConfig {
         peers: 32,
         hash: gridvine_pgrid::HashKind::Uniform,
@@ -269,16 +269,19 @@ fn crash_mid_commit_is_atomic_end_to_end() {
     };
     edge(&mut sys, 0).unwrap();
     edge(&mut sys, 1).unwrap();
-    let target_key = sys.key_of("S3");
-    let victim = *sys.topology().responsible(&target_key).first().unwrap();
-    sys.arm_commit_crash(victim);
-    let res = edge(&mut sys, 2);
-    assert!(matches!(res, Err(SystemError::PeerDown(_))), "{res:?}");
-    assert_eq!(sys.registry().mapping_count(), 2, "failed commit retracted");
+    let holder = |sys: &GridVineSystem, schema| sys.topology().responsible(&sys.key_of(schema))[0];
+    // The source side is up, so only the check before the first write
+    // keeps that write (and its undo) off the wire.
+    let victim = holder(&sys, "S3");
+    assert_ne!(holder(&sys, "S2"), victim);
+    sys.crash_peer(victim);
+    let messages = sys.messages_sent();
+    assert_eq!(edge(&mut sys, 2), Err(SystemError::PeerDown(victim)));
+    assert_eq!(sys.messages_sent(), messages, "nothing sent");
+    assert_eq!(sys.registry().mappings().count(), 2, "retracted");
+    assert_eq!(sys.check(), Ok(()));
 
     sys.recover_peer(victim);
-    let recovery = sys.recover_mapping_commits(p0).unwrap();
-    assert_eq!(recovery.repaired_copies, 0, "no half-live copy to repair");
     let at_s3 = sys
         .mappings_at_schema(PeerId(1), &SchemaId::new("S3"))
         .unwrap();
@@ -288,6 +291,7 @@ fn crash_mid_commit_is_atomic_end_to_end() {
 
     // The retry commits cleanly and the full chain answers.
     edge(&mut sys, 2).unwrap();
+    assert_eq!(sys.check(), Ok(()));
     let out = run(&mut sys, 4);
     assert_eq!(out.rows.len(), 4);
 }
@@ -342,6 +346,7 @@ proptest! {
                 sys.insert_mapping(p0, m.source, m.target, m.kind, m.provenance, m.correspondences)
                     .unwrap();
             }
+            prop_assert_eq!(sys.check(), Ok(()));
             let reachable = active_reachable(&sys, &SchemaId::new("S0"));
             let plan = QueryPlan::search(ring_query());
             let options = QueryOptions::new().strategy(Strategy::Iterative);
@@ -370,16 +375,21 @@ fn repaired_rows(seed: u64, wrong: &[WrongEdge]) -> (Vec<Binding>, Vec<Binding>)
     install_storm(&mut sys, 0.5, seed);
     for &edge in wrong {
         insert_wrong(&mut sys, edge);
+        assert_eq!(sys.check(), Ok(()));
     }
     // Self-repair: the self-organization round's assessment pass and
     // three more judge the network.
     sys.self_organization_round(&SelfOrgConfig::default())
         .unwrap();
+    assert_eq!(sys.check(), Ok(()));
     let bayes = BayesConfig::default();
     for _ in 0..3 {
         sys.assessment_pass(ORIGIN, &bayes).unwrap();
+        assert_eq!(sys.check(), Ok(()));
     }
-    (run(&mut sys, 4).rows, base)
+    let rows = run(&mut sys, 4).rows;
+    assert_eq!(sys.check(), Ok(()));
+    (rows, base)
 }
 
 /// Four live copies of the decoy: each pair of copies closes a
