@@ -688,9 +688,9 @@ fn e8() -> Vec<Claim> {
                     }
                 }
                 PoolEvent::Finished { session, .. } | PoolEvent::Failed { session, .. } => {
-                    let outcome = pool.take_outcome(session).unwrap();
-                    batch.stats += outcome.stats;
-                    batch.rows += outcome.rows.len();
+                    let (rows, stats) = pool.take_counts(session).unwrap();
+                    batch.stats += stats;
+                    batch.rows += rows;
                 }
             }
         }

@@ -14,7 +14,7 @@
 
 use gridvine_pgrid::{BitString, KeyHasher, PeerId};
 use gridvine_rdf::{TaggedTriple, Triple, TripleStore};
-use gridvine_semantic::{DegreeRecord, Mapping, MappingKind, Schema};
+use gridvine_semantic::{DegreeRecord, Mapping, MappingKind, Schema, SchemaId};
 use serde::{Deserialize, Serialize};
 
 /// A value stored in the overlay by the mediation layer.
@@ -69,16 +69,22 @@ impl<'a> KeySpace<'a> {
         self.key_of(schema.id().as_str())
     }
 
-    /// Keys a mapping is stored under: always the source schema key;
-    /// bidirectional (equivalence) mappings and in-degree records also
-    /// at the target.
-    pub fn mapping_keys(&self, m: &Mapping) -> Vec<(BitString, bool)> {
-        let mut keys = vec![(self.key_of(m.source.as_str()), true)];
-        if m.kind == MappingKind::Equivalence {
+    /// Keys a mapping of `kind` from `source` to `target` is stored
+    /// under: always the source schema key; bidirectional (equivalence)
+    /// mappings and in-degree records also at the target. Known before
+    /// the mapping is registered.
+    pub fn mapping_keys(
+        &self,
+        source: &SchemaId,
+        target: &SchemaId,
+        kind: MappingKind,
+    ) -> Vec<(BitString, bool)> {
+        let mut keys = vec![(self.key_of(source.as_str()), true)];
+        if kind == MappingKind::Equivalence {
             // §3: "at the key spaces corresponding to both schemas if the
             // mapping is bidirectional"; one-way subsumption mappings are
             // only discoverable from their source schema.
-            keys.push((self.key_of(m.target.as_str()), false));
+            keys.push((self.key_of(target.as_str()), false));
         }
         keys
     }
@@ -226,7 +232,7 @@ mod tests {
             Provenance::Manual,
             vec![Correspondence::new("Organism", "SystematicName")],
         );
-        let keys = ks.mapping_keys(&m);
+        let keys = ks.mapping_keys(&m.source, &m.target, m.kind);
         assert_eq!(keys.len(), 2);
         assert_eq!(keys[0], (ks.key_of("EMBL"), true));
         assert_eq!(keys[1], (ks.key_of("EMP"), false));

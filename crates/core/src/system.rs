@@ -828,12 +828,13 @@ impl GridVineSystem {
     /// `Update(Schema Mapping)` — store at the source key space (and
     /// the target's, see [`KeySpace::mapping_keys`]).
     ///
-    /// The registry keeps the entry only if every DHT copy was written:
-    /// a down holder of either key space
-    /// refuses the commit before anything is sent, a route error rolls
-    /// back the copies already written, and either way the entry is
-    /// [retracted](MappingRegistry::retract) and `Err` returned. No
-    /// query can observe the mapping from one schema's key space but
+    /// The registry keeps the entry only if every DHT copy was written.
+    /// A down holder of either key space refuses the insert before the
+    /// registry hears of the mapping and before anything is sent, so
+    /// the registry's epoch — and with it every closure cache — stays
+    /// as it was. A route error rolls back the copies already written,
+    /// [retracts](MappingRegistry::retract) the entry and returns `Err`.
+    /// No query can observe the mapping from one schema's key space but
     /// not the other's.
     pub fn insert_mapping(
         &mut self,
@@ -844,11 +845,13 @@ impl GridVineSystem {
         provenance: Provenance,
         correspondences: Vec<Correspondence>,
     ) -> Result<MappingId, SystemError> {
+        let (source, target) = (source.into(), target.into());
+        let keys = self.writable_mapping_keys(&source, &target, kind)?;
         let id = self
             .registry
             .add_mapping(source, target, kind, provenance, correspondences);
         let mapping = self.registry.mapping(id).expect("just added").clone();
-        if let Err(e) = self.write_mapping_copies(origin, None, &mapping) {
+        if let Err(e) = self.write_mapping_copies(origin, keys, None, &mapping) {
             self.registry.retract(id);
             return Err(e);
         }
@@ -881,24 +884,39 @@ impl GridVineSystem {
         Ok(())
     }
 
-    /// The one writer of mapping copies: at each of `new`'s key spaces
-    /// delete `old`'s copy (none for an insert) and insert `new`'s, all
-    /// or nothing. Every key's holder is checked first, so a down one
-    /// refuses the whole write before anything is sent. After that only
-    /// a route error can fail a write; the writes already made are then
-    /// undone in reverse (best effort: an undo that meets a routing hole
-    /// too is left for [`GridVineSystem::check`] to name), and the error
-    /// is returned. The registry is the caller's to change, on `Ok`.
-    fn write_mapping_copies(
-        &mut self,
-        origin: PeerId,
-        old: Option<&Mapping>,
-        new: &Mapping,
-    ) -> Result<(), SystemError> {
-        let keys = self.keyspace().mapping_keys(new);
+    /// The keys of a mapping of `kind` from `source` to `target`
+    /// ([`KeySpace::mapping_keys`]), each key's holder checked up
+    /// ([`GridVineSystem::holder_up`]), so that a down one refuses a
+    /// whole write before anything is sent — and, for an insert, before
+    /// the registry hears of the mapping.
+    fn writable_mapping_keys(
+        &self,
+        source: &SchemaId,
+        target: &SchemaId,
+        kind: MappingKind,
+    ) -> Result<Vec<(BitString, bool)>, SystemError> {
+        let keys = self.keyspace().mapping_keys(source, target, kind);
         for (key, _) in &keys {
             self.holder_up(key)?;
         }
+        Ok(keys)
+    }
+
+    /// The one writer of mapping copies: at each of `new`'s key spaces
+    /// (`keys`, from [`GridVineSystem::writable_mapping_keys`], so every
+    /// holder is up) delete `old`'s copy (none for an insert) and insert
+    /// `new`'s, all or nothing. Only a route error can fail a write; the
+    /// writes already made are then undone in reverse (best effort: an
+    /// undo that meets a routing hole too is left for
+    /// [`GridVineSystem::check`] to name), and the error is returned.
+    /// The registry is the caller's to change, on `Ok`.
+    fn write_mapping_copies(
+        &mut self,
+        origin: PeerId,
+        keys: Vec<(BitString, bool)>,
+        old: Option<&Mapping>,
+        new: &Mapping,
+    ) -> Result<(), SystemError> {
         let mut done: Vec<(UpdateOp, BitString, MediationItem)> = Vec::new();
         for (key, at_source) in keys {
             let copy = |mapping: &Mapping| MediationItem::Mapping {
@@ -947,7 +965,8 @@ impl GridVineSystem {
         new: Mapping,
     ) -> Result<(), SystemError> {
         let old = self.registry.mapping(new.id).expect("registered").clone();
-        self.write_mapping_copies(origin, Some(&old), &new)?;
+        let keys = self.writable_mapping_keys(&new.source, &new.target, new.kind)?;
+        self.write_mapping_copies(origin, keys, Some(&old), &new)?;
         *self.registry.mapping_mut(old.id).expect("registered") = new;
         Ok(())
     }
@@ -1016,7 +1035,9 @@ impl GridVineSystem {
             let new = new.clone();
             let msgs_before = self.overlay.messages_sent();
             self.proto.unit_dest = None;
-            if self.write_mapping_copies(origin, Some(old), &new).is_err() {
+            let written = (self.writable_mapping_keys(&new.source, &new.target, new.kind))
+                .and_then(|keys| self.write_mapping_copies(origin, keys, Some(old), &new));
+            if written.is_err() {
                 // The copies still hold `old`, and so does the registry.
                 *self.registry.mapping_mut(old.id).expect("registered") = old.clone();
                 deprecated.retain(|&id| id != old.id);
@@ -1087,7 +1108,7 @@ impl GridVineSystem {
             }
         }
         for m in self.registry.mappings() {
-            for (key, at_source) in ks.mapping_keys(m) {
+            for (key, at_source) in ks.mapping_keys(&m.source, &m.target, m.kind) {
                 for &peer in self.topology.responsible(&key) {
                     let copies: Vec<Mapping> = (self.overlay.store(peer).get(&key).iter())
                         .filter_map(|item| match item {
@@ -1125,8 +1146,10 @@ impl GridVineSystem {
                 let MediationItem::Mapping { mapping, at_source } = item else {
                     continue;
                 };
-                let placed = (self.registry.mapping(mapping.id))
-                    .is_some_and(|m| ks.mapping_keys(m).contains(&(key.clone(), *at_source)));
+                let placed = (self.registry.mapping(mapping.id)).is_some_and(|m| {
+                    let keys = ks.mapping_keys(&m.source, &m.target, m.kind);
+                    keys.contains(&(key.clone(), *at_source))
+                });
                 if !placed {
                     let (id, key) = (mapping.id, key.clone());
                     return Err(Broken::Orphan { id, key, peer });
@@ -1577,6 +1600,24 @@ mod tests {
         assert_eq!(sys.check(), Ok(()));
         let out = search(&mut sys, PeerId(3), &q, Strategy::Iterative).unwrap();
         assert_eq!((out.rows.len(), out.stats.reformulations), (2, 0));
+    }
+
+    /// A refused mapping insert leaves the registry's epoch, hence every
+    /// closure cache, as it found them: the holders are checked before
+    /// the registry takes the mapping.
+    #[test]
+    fn a_refused_mapping_insert_keeps_the_closure_caches() {
+        let mut sys = fig2_unmapped();
+        let q = TriplePatternQuery::example_aspergillus();
+        search(&mut sys, PeerId(3), &q, Strategy::Iterative).unwrap();
+        let state = |sys: &GridVineSystem| (sys.cached_closures(), sys.registry().epoch());
+        assert_eq!(state(&sys), (1, 0), "one warm closure");
+        let holder = sys.topology().responsible(&sys.key_of("EMP"))[0];
+        sys.crash_peer(holder);
+        assert_eq!(fig2_mapping(&mut sys), Err(SystemError::PeerDown(holder)));
+        assert_eq!(state(&sys), (1, 0));
+        assert_eq!(sys.registry().mappings().count(), 0);
+        assert_eq!(sys.check(), Ok(()));
     }
 
     /// Write a target-side copy of `mapping` under `key` by hand, behind

@@ -48,11 +48,14 @@
 //! ([`batch_rows`](gridvine_rdf::join::batch_rows)), and an independent
 //! join keeps each pattern's batch until its fold places only the rows
 //! that can join (see the session docs). No string is read between a
-//! destination's scan and the origin's row admission: [`Binding`]s are
-//! built in one place per plan shape — the session's row admission —
-//! once per admitted *distinct* row, their terms read through the
-//! lexicon, for [`ResultEvent::Rows`](super::session::ResultEvent) and
-//! [`QueryOutcome::rows`].
+//! destination's scan and the caller taking the answer: the session
+//! admits each *distinct* row as codes, into its rows and into a
+//! [`ResultEvent::Rows`](super::session::ResultEvent) batch that shares
+//! their header, and [`Binding`]s are built in one place — the
+//! session's outcome, which puts the rows in the canonical order and
+//! decodes each row once through the lexicon for
+//! [`QueryOutcome::rows`] (an event is decoded only when a caller asks,
+//! [`QuerySession::decode`](super::session::QuerySession::decode)).
 //! Join plans feed the per-pattern row sets through the
 //! [`hash-join engine`](gridvine_rdf::join) in the planner's order.
 //!
@@ -62,13 +65,13 @@
 //! make of the pattern's already-bound variables — the *seeds* — travel
 //! as a column on every data request of the pattern's one sweep (the
 //! session's, one exchange per unit), beside the pattern list. The
-//! column is a [`SeedColumn`]: the seeds' codes, each with its
-//! lexical's dictionary tag, computed once when the column is built.
-//! A destination whose pattern has a short posting list scans it once
-//! and matches each row to its seeds by the codes it ships, without a
-//! dictionary probe; otherwise it binds each seed by probing its
-//! dictionary with the tag and the lexicon's buffer. Either way no
-//! value is hashed per hop.
+//! column is a [`SeedColumn`]: the seeds' codes. A destination whose
+//! pattern has a short posting list scans it once and matches each row
+//! to its seeds by the codes it ships, without a dictionary probe;
+//! otherwise it binds each seed by probing its dictionary with the
+//! lexical's dictionary tag and the lexicon's buffer, the column's tags
+//! computed on its first probe and kept. Either way no value is hashed
+//! per hop.
 //! The sweep is the pattern's own: its hops route by the pattern's
 //! routing constants, not by what a seed would put into a variable
 //! (the predicate's peer indexes every triple of the predicate, so the
@@ -463,13 +466,6 @@ impl QueryOutcome {
     pub fn len(&self) -> usize {
         self.rows.len()
     }
-}
-
-/// A one-variable solution row.
-pub(crate) fn one_var_row(var: &str, term: Term) -> Binding {
-    let mut b = Binding::new();
-    b.bind(var.to_string(), term);
-    b
 }
 
 /// A routing constant and the overlay key its data requests route by,
@@ -1449,7 +1445,7 @@ mod tests {
                 let mut pool = SessionPool::new();
                 let id = pool.open(pooled, ORIGIN, &plan, &options).unwrap();
                 while pool.step(pooled).is_some() {}
-                let via_pool = pool.take_outcome(id).unwrap();
+                let via_pool = pool.take_outcome(pooled, id).unwrap();
                 assert_eq!(via_pool.rows, out.rows, "window {window}");
                 assert_eq!(via_pool.stats, out.stats, "window {window}");
             }

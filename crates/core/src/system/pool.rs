@@ -16,7 +16,9 @@
 //! 2. **Reap** sessions with nothing left in flight: a parked unit
 //!    failure surfaces as [`PoolEvent::Failed`], a drained plan as
 //!    [`PoolEvent::Finished`] (its [`QueryOutcome`] becomes available
-//!    through [`SessionPool::take_outcome`]).
+//!    through [`SessionPool::take_outcome`], which decodes its rows, or
+//!    its row count and stats through [`SessionPool::take_counts`],
+//!    which does not).
 //! 3. **Deliver** the earliest reply on the system's queue to its
 //!    owning session — replies carry their [`SessionId`] — and advance
 //!    the clock ([`GridVineSystem::now`]) to it. Replies due at the
@@ -267,11 +269,24 @@ impl SessionPool {
     /// Remove a finished / failed / cancelled session and return its
     /// [`QueryOutcome`] — rows in the canonical sorted order plus
     /// cumulative stats, exactly what `execute` returns for a drained
-    /// single session.
-    pub fn take_outcome(&mut self, id: SessionId) -> Option<QueryOutcome> {
+    /// single session. Its rows are decoded here, through `sys`'s
+    /// lexicon.
+    pub fn take_outcome(&mut self, sys: &GridVineSystem, id: SessionId) -> Option<QueryOutcome> {
+        let core = self.take_done(id)?;
+        Some(core.outcome(&sys.lexicon))
+    }
+
+    /// Remove a finished / failed / cancelled session and return how
+    /// many rows it admitted and its cumulative stats, without sorting
+    /// or decoding its rows.
+    pub fn take_counts(&mut self, id: SessionId) -> Option<(usize, ExecStats)> {
+        let core = self.take_done(id)?;
+        Some((core.row_count(), core.stats()))
+    }
+
+    fn take_done(&mut self, id: SessionId) -> Option<SessionCore> {
         let i = self.done.iter().position(|c| c.id == id)?;
-        let mut core = self.done.remove(i);
-        Some(core.outcome())
+        Some(self.done.remove(i))
     }
 
     /// Cumulative stats of a session, live or done.
@@ -348,7 +363,7 @@ mod tests {
             let mut pool = SessionPool::new();
             let id = pool.open(&mut b, PeerId(3), &plan, &opts).unwrap();
             while pool.step(&mut b).is_some() {}
-            let got = pool.take_outcome(id).expect("session finished");
+            let got = pool.take_outcome(&b, id).expect("session finished");
 
             assert_eq!(expected.rows, got.rows);
             assert_eq!(expected.stats, got.stats);
@@ -371,8 +386,8 @@ mod tests {
             }
         }
         assert_eq!(finished.len(), 2);
-        let o1 = pool.take_outcome(s1).unwrap();
-        let o2 = pool.take_outcome(s2).unwrap();
+        let o1 = pool.take_outcome(&sys, s1).unwrap();
+        let o2 = pool.take_outcome(&sys, s2).unwrap();
         assert_eq!(o1.rows.len(), 1);
         assert_eq!(o1.rows, o2.rows);
         assert_eq!(sys.pending_events(), 0);
@@ -393,7 +408,7 @@ mod tests {
         // still completes with the full result.
         assert!(pool.session_stats(s1).is_some());
         while pool.step(&mut sys).is_some() {}
-        let o2 = pool.take_outcome(s2).unwrap();
+        let o2 = pool.take_outcome(&sys, s2).unwrap();
         assert_eq!(o2.rows.len(), 1);
         assert_eq!(sys.pending_events(), 0);
     }

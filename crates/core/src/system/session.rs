@@ -78,9 +78,12 @@
 //! bit (see [`gridvine_rdf::dict`]), so equal terms from different
 //! peers arrive as equal `u64`s. Join rows are those codes placed into
 //! variable slots; dedup compares codes; a bound join's binding column
-//! goes out as codes with their dictionary tags ([`SeedColumn`], built
-//! once per part); and a string is read only when an admitted answer
-//! becomes a [`Binding`], through the lexicon.
+//! goes out as codes ([`SeedColumn`], built once per part, tagged only
+//! if a destination probes with it); the admitted answers stay codes, in
+//! the session's rows and in its `Rows` events ([`CodedRows`]); and a
+//! string is read only when a caller takes the outcome, which sorts the
+//! codes into the canonical order and decodes each row once through the
+//! lexicon, or decodes an event ([`QuerySession::decode`]).
 //!
 //! An independent join's fold pays for the rows that can join, not for
 //! every row shipped. Each sweep keeps its pattern's batch as it
@@ -115,7 +118,9 @@
 //! Draining a session and calling [`GridVineSystem::execute`] are the
 //! same thing — `execute` *is* `open` + drain (+ the canonical result
 //! sort) — so callers that want blocking behaviour use `execute` and
-//! get identical results and message accounting.
+//! get identical results and message accounting. The outcome is where
+//! the answers become [`Binding`]s: the session's coded rows are sorted
+//! into the canonical order and each decoded once.
 //!
 //! ## Events
 //!
@@ -124,11 +129,12 @@
 //!   (request by request; within a closure reply, hop by hop; within a
 //!   hop of a bound join's last pattern, seed by seed — one `Rows` per
 //!   reply that completed any, in that reply's unit).
-//!   A row is never repeated across batches. These are the only
-//!   [`Binding`]s a session builds: destinations ship columnar
-//!   [`BindingBatch`]es of codes, projection and dedup run on the
-//!   codes, and a row becomes a `Binding` when — and only if — it is
-//!   admitted here.
+//!   A row is never repeated across batches. A batch is
+//!   [`CodedRows`]: destinations ship columnar [`BindingBatch`]es of
+//!   codes, projection and dedup run on the codes, and the admitted rows
+//!   stay codes under a header the session shares with every batch, so
+//!   building or dropping one builds no [`Binding`] and no `String`;
+//!   [`QuerySession::decode`] reads one through the lexicon.
 //! * [`ResultEvent::SchemaHop`] — the closure walk resolved the query
 //!   at a schema: mapping-path depth and path quality (the minimum
 //!   mapping quality along the path, the confidence proxy of
@@ -193,7 +199,11 @@
 //!         ResultEvent::SchemaHop { schema, depth, quality } => {
 //!             println!("answering in {schema} at depth {depth} (quality {quality})");
 //!         }
-//!         ResultEvent::Rows(batch) => println!("{} new rows", batch.len()),
+//!         ResultEvent::Rows(batch) => {
+//!             for row in session.decode(&batch) {
+//!                 println!("new row {row}");
+//!             }
+//!         }
 //!         ResultEvent::Stats(delta) => println!("+{} messages", delta.messages),
 //!     }
 //! }
@@ -205,8 +215,7 @@
 
 use super::conjunctive::JoinMode;
 use super::exec::{
-    charge_hop, one_var_row, ClosureSweep, ExecStats, Listed, QueryOptions, QueryOutcome, Reply,
-    RoutedBy,
+    charge_hop, ClosureSweep, ExecStats, Listed, QueryOptions, QueryOutcome, Reply, RoutedBy,
 };
 use super::pool::{PoolEvent, SessionId, SessionPool};
 use super::sched::QueuedReply;
@@ -216,7 +225,8 @@ use gridvine_netsim::{SimDuration, SimTime};
 use gridvine_rdf::fasthash::{FxHashMap, FxHashSet};
 use gridvine_rdf::join::{batch_rows, hash_join_rows, VarTable, UNBOUND};
 use gridvine_rdf::{
-    Binding, BindingBatch, ConjunctiveQuery, PatternTerm, SeedColumn, TermDict, TriplePattern,
+    Binding, BindingBatch, CodedRows, ConjunctiveQuery, PatternTerm, RowOrder, SeedColumn,
+    TermDict, TriplePattern,
 };
 use std::collections::VecDeque;
 
@@ -224,8 +234,9 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone, PartialEq)]
 pub enum ResultEvent {
     /// Fresh distinct solution rows, projected onto the distinguished
-    /// variables, in discovery order.
-    Rows(Vec<Binding>),
+    /// variables, in discovery order, as lexicon codes
+    /// ([`QuerySession::decode`] reads them).
+    Rows(CodedRows),
     /// The closure walk resolved the query at `schema`, reached over
     /// `depth` mapping applications with path quality `quality`
     /// (single-pattern closure plans; a join plan's units report their
@@ -237,15 +248,6 @@ pub enum ResultEvent {
     },
     /// Counter movement since the previous event.
     Stats(ExecStats),
-}
-
-/// How the accumulated rows are ordered by [`QuerySession::into_outcome`]
-/// (the canonical order the drained `execute` promises).
-enum RowOrder {
-    /// Single-pattern plans: by the distinguished variable's term.
-    ByTerm(String),
-    /// Join plans: by the row's display form.
-    ByDisplay,
 }
 
 /// The share of a join pattern's partial solutions that one sweep of
@@ -357,10 +359,10 @@ struct JoinState {
 
 /// π onto a join's distinguished variables.
 struct Projection {
-    /// Slots into the join rows' layout, and the projected table.
+    /// Slots into the join rows' layout, in the order of the session
+    /// rows' header.
     slots: Vec<usize>,
-    proj: VarTable,
-    /// Dedups on projected codes before any term is materialized.
+    /// Dedups on projected codes.
     seen: FxHashSet<Vec<u64>>,
     /// A row's projected codes, reused from row to row.
     key: Vec<u64>,
@@ -460,8 +462,13 @@ pub(crate) struct SessionCore {
     /// The cumulative state already folded into per-unit `Stats`
     /// deltas.
     issued_reported: ExecStats,
-    /// Accumulated distinct solution rows, discovery order.
-    rows: Vec<Binding>,
+    /// Accumulated distinct solution rows, discovery order, as codes
+    /// over the projected variables; every `Rows` event shares their
+    /// header.
+    rows: CodedRows,
+    /// How [`SessionCore::outcome`] sorts them: single-pattern plans by
+    /// the distinguished variable's term, join plans by display form
+    /// (the canonical order the drained `execute` promises).
     order_by: RowOrder,
     /// Events a failing unit produced before erroring, surfaced after
     /// every queued reply but before the error itself.
@@ -545,6 +552,8 @@ impl SessionCore {
         // every issue re-arms it, which is what makes interleaved
         // sessions with different budgets correct.
         sys.proto.max_retries = options.max_retries;
+        // The header of the session's rows: the projected variables.
+        let mut proj = VarTable::new();
         let state = match plan {
             QueryPlan::Pattern { query } => {
                 if query.pattern.routing_constant().is_none() {
@@ -617,12 +626,12 @@ impl SessionCore {
                 }
                 let vars = VarTable::from_patterns(&query.patterns);
                 let mut slots = Vec::with_capacity(query.distinguished.len());
-                let mut proj = VarTable::new();
-                // `slots` and `proj` share one filtered name set so a
-                // distinguished variable absent from every pattern is
-                // skipped rather than misaligning names.
+                // `slots` and the rows' header share one filtered name
+                // set so a distinguished variable absent from every
+                // pattern, or named twice, is skipped rather than
+                // misaligning names.
                 for d in &query.distinguished {
-                    if let Some(s) = vars.slot(d) {
+                    if let (Some(s), None) = (vars.slot(d), proj.slot(d)) {
                         slots.push(s);
                         proj.slot_of(d);
                     }
@@ -649,7 +658,6 @@ impl SessionCore {
                     sweep: None,
                     projection: Projection {
                         slots,
-                        proj,
                         seen: FxHashSet::default(),
                         key: Vec::new(),
                     },
@@ -658,9 +666,13 @@ impl SessionCore {
         };
         let order_by = match plan {
             QueryPlan::Join { .. } => RowOrder::ByDisplay,
+            // The distinguished variable is the header's one column.
             QueryPlan::Pattern { query }
             | QueryPlan::ObjectPrefix { query }
-            | QueryPlan::Closure { query } => RowOrder::ByTerm(query.distinguished.clone()),
+            | QueryPlan::Closure { query } => {
+                proj.slot_of(&query.distinguished);
+                RowOrder::ByTerm(0)
+            }
         };
         Ok(SessionCore {
             id: sys.alloc_session_id(),
@@ -673,7 +685,7 @@ impl SessionCore {
             inflight: 0,
             stats: ExecStats::default(),
             issued_reported: ExecStats::default(),
-            rows: Vec::new(),
+            rows: CodedRows::new(proj),
             order_by,
             error_events: Vec::new(),
             error: None,
@@ -737,17 +749,19 @@ impl SessionCore {
 
     /// Finish: the rows accumulated so far in the canonical sorted
     /// order plus cumulative stats (exactly what `execute` returns
-    /// after a full drain).
-    pub(crate) fn outcome(&mut self) -> QueryOutcome {
-        let mut rows = std::mem::take(&mut self.rows);
-        match &self.order_by {
-            RowOrder::ByTerm(var) => rows.sort_by(|a, b| a.get(var).cmp(&b.get(var))),
-            RowOrder::ByDisplay => rows.sort_by(Binding::cmp_display),
-        }
+    /// after a full drain). Each row is decoded through the `lexicon`
+    /// once ([`CodedRows::sorted_bindings`]): the one place a session
+    /// builds [`Binding`]s.
+    pub(crate) fn outcome(self, lexicon: &TermDict) -> QueryOutcome {
         QueryOutcome {
-            rows,
+            rows: self.rows.sorted_bindings(lexicon, self.order_by),
             stats: self.stats,
         }
+    }
+
+    /// Rows admitted so far.
+    pub(crate) fn row_count(&self) -> usize {
+        self.rows.len()
     }
 
     /// The result cap has been reached.
@@ -849,35 +863,38 @@ impl SessionCore {
 
     /// Admit freshly-shipped rows of a single-pattern plan: project
     /// onto the distinguished variable (`col`, its column in the
-    /// shipped batch), dedup its codes against `seen`, append to the
-    /// session rows — the one place such a plan builds [`Binding`]s,
-    /// one per admitted distinct row, its term read through the
-    /// `lexicon`. Returns `(batch, limit_hit)`.
+    /// shipped batch), dedup its codes against `seen`, and append each
+    /// fresh code to the session rows and to the `Rows` event it goes
+    /// out in, pushed onto `out` if it holds any. Reads no string.
+    /// Returns whether the result limit was reached.
     fn admit_terms<'r>(
         &mut self,
         seen: &mut FxHashSet<u64>,
-        var: &str,
         col: Option<usize>,
         shipped: impl Iterator<Item = &'r [u64]>,
-        lexicon: &TermDict,
-    ) -> (Vec<Binding>, bool) {
-        let mut batch = Vec::new();
+        out: &mut Vec<ResultEvent>,
+    ) -> bool {
         let Some(col) = col else {
-            return (batch, false);
+            return false;
         };
+        let mut fresh = self.rows.empty_like();
+        let mut limit_hit = false;
         for shipped_row in shipped {
-            let code = shipped_row[col];
-            if !seen.insert(code) {
+            let code = &shipped_row[col..=col];
+            if !seen.insert(code[0]) {
                 continue;
             }
-            let row = one_var_row(var, lexicon.term_of_code(code));
-            self.rows.push(row.clone());
-            batch.push(row);
+            self.rows.push(code);
+            fresh.push(code);
             if self.limit_reached() {
-                return (batch, true);
+                limit_hit = true;
+                break;
             }
         }
-        (batch, false)
+        if !fresh.is_empty() {
+            out.push(ResultEvent::Rows(fresh));
+        }
+        limit_hit
     }
 
     /// [`QueryPlan::Pattern`]: the single routed lookup.
@@ -904,17 +921,8 @@ impl SessionCore {
         let reply = &mut Reply::default();
         sys.resolve_patterns(self.origin, alone, none, no_column, &mut shipped, reply)?;
         self.stats.bindings_shipped += shipped.len();
-        let var = &query.distinguished;
-        let (batch, _) = self.admit_terms(
-            &mut FxHashSet::default(),
-            var,
-            shipped.column(var),
-            shipped.rows(),
-            &sys.lexicon,
-        );
-        if !batch.is_empty() {
-            out.push(ResultEvent::Rows(batch));
-        }
+        let col = shipped.column(&query.distinguished);
+        self.admit_terms(&mut FxHashSet::default(), col, shipped.rows(), out);
         Ok(StepOutcome::Unit {
             heard: Vec::new(),
             done: true,
@@ -942,12 +950,8 @@ impl SessionCore {
         let mut shipped = BindingBatch::for_pattern(&query.pattern);
         self.stats.bindings_shipped +=
             sys.local_dbs[dest.index()].match_into(&query.pattern, &mut shipped);
-        let var = &query.distinguished;
-        let col = shipped.column(var);
-        let (batch, limit_hit) = self.admit_terms(seen, var, col, shipped.rows(), &sys.lexicon);
-        if !batch.is_empty() {
-            out.push(ResultEvent::Rows(batch));
-        }
+        let col = shipped.column(&query.distinguished);
+        let limit_hit = self.admit_terms(seen, col, shipped.rows(), out);
         Ok(StepOutcome::Unit {
             heard: Vec::new(),
             done: limit_hit || probes.as_slice().is_empty(),
@@ -966,10 +970,8 @@ impl SessionCore {
         shipped: &mut BindingBatch,
         seen: &mut FxHashSet<u64>,
         out: &mut Vec<ResultEvent>,
-        lexicon: &TermDict,
     ) {
-        let var = &query.distinguished;
-        let col = shipped.column(var);
+        let col = shipped.column(&query.distinguished);
         let mut rows = shipped.rows();
         let mut limit_hit = false;
         for hop in answered {
@@ -980,12 +982,7 @@ impl SessionCore {
                 quality: hop.quality,
             });
             if !limit_hit {
-                let rows = rows.by_ref().take(n);
-                let (batch, hit) = self.admit_terms(seen, var, col, rows, lexicon);
-                limit_hit = hit;
-                if !batch.is_empty() {
-                    out.push(ResultEvent::Rows(batch));
-                }
+                limit_hit = self.admit_terms(seen, col, rows.by_ref().take(n), out);
             }
         }
         drop(rows);
@@ -1018,7 +1015,7 @@ impl SessionCore {
         walk: &mut Walk,
         seeds: &SeedColumn,
         rows: &mut BindingBatch,
-        mut admit: impl FnMut(&mut SessionCore, Vec<SweepHop>, &[usize], &mut BindingBatch, &TermDict),
+        mut admit: impl FnMut(&mut SessionCore, Vec<SweepHop>, &[usize], &mut BindingBatch),
     ) -> Result<StepOutcome, SystemError> {
         let heard = match walk.sweep.pending_schema() {
             // Left pending by the previous step for its discovery.
@@ -1056,7 +1053,7 @@ impl SessionCore {
                 }
                 self.stats.bindings_shipped += shipped.iter().sum::<usize>();
                 self.stats.bindings_carried += seeds.values();
-                admit(self, answered, &shipped, rows, &sys.lexicon);
+                admit(self, answered, &shipped, rows);
                 if self.limit_reached() {
                     walk.sweep.discard_pending();
                     let done = true;
@@ -1099,15 +1096,9 @@ impl SessionCore {
         out: &mut Vec<ResultEvent>,
     ) -> Result<StepOutcome, SystemError> {
         let no_column = &SeedColumn::default();
-        self.step_walk(
-            sys,
-            walk,
-            no_column,
-            shipped,
-            |core, answered, _, rows, lexicon| {
-                core.admit_hops(query, answered, rows, seen, out, lexicon)
-            },
-        )
+        self.step_walk(sys, walk, no_column, shipped, |core, answered, _, rows| {
+            core.admit_hops(query, answered, rows, seen, out)
+        })
     }
 
     /// [`QueryPlan::Join`]: one unit of join work — one exchange of the
@@ -1155,17 +1146,17 @@ impl SessionCore {
                 let step = match phase {
                     // The replies' rows accumulate into the sweep's batch.
                     JoinPhase::Independent { .. } => {
-                        self.step_sweep(sys, in_flight, |_, _, _, _, _| {})
+                        self.step_sweep(sys, in_flight, |_, _, _, _| {})
                     }
                     JoinPhase::Bound { oi, next, .. } => {
                         let last = *oi == order.len();
-                        self.step_sweep(sys, in_flight, |core, part, reply, shipped, lexicon| {
+                        self.step_sweep(sys, in_flight, |core, part, reply, shipped| {
                             // A seed's matches bind only the pattern's
                             // remaining variables: merge each into every
                             // member row of its group.
                             let fragments = batch_rows(reply, vars, &[]);
                             reply.clear();
-                            let mut fresh = Vec::new();
+                            let mut fresh = core.rows.empty_like();
                             let mut joined = Vec::new();
                             let mut at = 0;
                             'reply: for (i, &n) in shipped.iter().enumerate() {
@@ -1182,9 +1173,7 @@ impl SessionCore {
                                             continue;
                                         }
                                         let (rows, limit) = (&mut core.rows, core.limit);
-                                        if projection
-                                            .admit(lexicon, &joined, rows, limit, &mut fresh)
-                                        {
+                                        if projection.admit(&joined, rows, limit, &mut fresh) {
                                             break 'reply;
                                         }
                                     }
@@ -1230,10 +1219,9 @@ impl SessionCore {
                             break;
                         }
                     }
-                    let mut fresh = Vec::new();
-                    let lexicon = &sys.lexicon;
+                    let mut fresh = self.rows.empty_like();
                     for row in &rows {
-                        if projection.admit(lexicon, row, &mut self.rows, self.limit, &mut fresh) {
+                        if projection.admit(row, &mut self.rows, self.limit, &mut fresh) {
                             break;
                         }
                     }
@@ -1350,7 +1338,7 @@ impl SessionCore {
         &mut self,
         sys: &mut GridVineSystem,
         sweep: &mut PatternSweep,
-        mut take: impl FnMut(&mut SessionCore, &BoundPart, &mut BindingBatch, &[usize], &TermDict),
+        mut take: impl FnMut(&mut SessionCore, &BoundPart, &mut BindingBatch, &[usize]),
     ) -> Result<StepOutcome, SystemError> {
         let PatternSweep {
             part,
@@ -1360,13 +1348,9 @@ impl SessionCore {
         let seeds = &part.seeds;
         let shipped = match requests {
             Requests::Walk(walk) => {
-                return self.step_walk(
-                    sys,
-                    walk,
-                    seeds,
-                    rows,
-                    |core, _, shipped, rows, lexicon| take(core, part, rows, shipped, lexicon),
-                );
+                return self.step_walk(sys, walk, seeds, rows, |core, _, shipped, rows| {
+                    take(core, part, rows, shipped)
+                });
             }
             Requests::Alone { routed, ready } => {
                 let Some(routed) = routed.take() else {
@@ -1441,7 +1425,7 @@ impl SessionCore {
             }
         };
         self.stats.bindings_shipped += shipped.iter().sum::<usize>();
-        take(self, part, rows, &shipped, &sys.lexicon);
+        take(self, part, rows, &shipped);
         Ok(StepOutcome::Unit {
             heard: Vec::new(),
             done: false,
@@ -1498,18 +1482,17 @@ impl BoundPart {
 
 impl Projection {
     /// Project a completed join row onto the distinguished variables,
-    /// dedup on codes and admit it to `rows` and `fresh` if it is fresh —
-    /// the one place a join plan builds [`Binding`]s, reading their
-    /// terms through the `lexicon`. The projected codes are probed in a
-    /// reused slice, so a duplicate row allocates nothing. Returns
-    /// whether admitting it reached the result limit.
+    /// dedup on codes and, if it is fresh, append its projected codes to
+    /// the session `rows` and to the `fresh` event batch; no string is
+    /// read. The projected codes are probed in a reused slice, so a
+    /// duplicate row allocates nothing. Returns whether admitting it
+    /// reached the result limit.
     fn admit(
         &mut self,
-        lexicon: &TermDict,
         row: &[u64],
-        rows: &mut Vec<Binding>,
+        rows: &mut CodedRows,
         limit: Option<usize>,
-        fresh: &mut Vec<Binding>,
+        fresh: &mut CodedRows,
     ) -> bool {
         self.key.clear();
         self.key.extend(self.slots.iter().map(|&s| row[s]));
@@ -1517,9 +1500,8 @@ impl Projection {
             return false;
         }
         self.seen.insert(self.key.clone());
-        let b = lexicon.decode_row(&self.key, &self.proj);
-        rows.push(b.clone());
-        fresh.push(b);
+        rows.push(&self.key);
+        fresh.push(&self.key);
         limit.is_some_and(|k| rows.len() >= k)
     }
 }
@@ -1590,9 +1572,10 @@ fn place_for_fold(vars: &VarTable, mut shipped: Vec<BindingBatch>) -> Vec<Vec<Ve
 /// seed; seeds that leave the pattern the same predicate share a
 /// [`BoundPart`] (every row does unless the predicate itself is a bound
 /// variable). Parts, and seeds within a part, come in first-seen order.
-/// A part's seed column holds the rows' codes, each tagged once as the
-/// column is built ([`SeedColumn::push`]); only a bound predicate is
-/// read as a term, once per part, to substitute it into the template.
+/// A part's seed column holds the rows' codes as they are, untagged (a
+/// destination that probes tags the column once); only a bound
+/// predicate is read as a term, once per part, to substitute it into
+/// the template.
 fn bound_parts(
     pattern: &TriplePattern,
     vars: &VarTable,
@@ -1642,7 +1625,7 @@ fn bound_parts(
             parts.len() - 1
         });
         let seed = &key[predicate.is_some() as usize..];
-        parts[p].seeds.push(seed, lexicon);
+        parts[p].seeds.push(seed);
         group_of.insert(key, (p, parts[p].members.len()));
         parts[p].members.push(vec![i]);
     }
@@ -1685,9 +1668,10 @@ impl QuerySession<'_> {
         self.core().stats()
     }
 
-    /// Distinct solution rows accumulated so far, in discovery order.
-    pub fn rows(&self) -> &[Binding] {
-        &self.core().rows
+    /// A `Rows` event's batch as [`Binding`]s, in discovery order,
+    /// decoded through the lexicon every peer store is loaded through.
+    pub fn decode(&self, rows: &CodedRows) -> Vec<Binding> {
+        rows.bindings(&self.sys.lexicon)
     }
 
     /// The plan has no work left (drained, limit-terminated or failed)
@@ -1719,7 +1703,7 @@ impl QuerySession<'_> {
     /// cancels the remaining scheduled replies.
     pub fn into_outcome(mut self) -> QueryOutcome {
         self.pool.cancel(self.sys, self.id);
-        let outcome = self.pool.take_outcome(self.id);
+        let outcome = self.pool.take_outcome(self.sys, self.id);
         outcome.expect("the session stays in its pool until taken")
     }
 }
@@ -1815,7 +1799,8 @@ mod tests {
         assert_eq!(folded.iter().map(BindingBatch::len).sum::<usize>(), 200 + 5);
         let sets = place_for_fold(&join.vars, folded);
 
-        let mut answer: Vec<String> = core.rows.iter().map(Binding::to_string).collect();
+        let rows = core.rows.bindings(&sys.lexicon);
+        let mut answer: Vec<String> = rows.iter().map(Binding::to_string).collect();
         let mut expected: Vec<String> = (0..200)
             .step_by(40)
             .map(|i| format!("{{?n=\"{i} kb\", ?x=<e:{i}>}}"))

@@ -155,7 +155,7 @@ fn drain(
     let mut units = 0usize;
     while let Some(ev) = session.next_event()? {
         match ev {
-            ResultEvent::Rows(batch) => rows_from_events.extend(batch),
+            ResultEvent::Rows(batch) => rows_from_events.extend(session.decode(&batch)),
             ResultEvent::SchemaHop { .. } => schema_hops += 1,
             ResultEvent::Stats(d) => {
                 stats_from_deltas += d;
@@ -873,8 +873,11 @@ fn limit_mid_batch_stops_at_the_same_row() {
     let mut session = sys
         .open(PeerId(9), &plan, &QueryOptions::new().limit(K))
         .unwrap();
-    let mut events = Vec::new();
+    let (mut events, mut decoded) = (Vec::new(), Vec::new());
     while let Some(ev) = session.next_event().unwrap() {
+        if let ResultEvent::Rows(batch) = &ev {
+            decoded.push(session.decode(batch));
+        }
         events.push(ev);
     }
     let limited = session.into_outcome();
@@ -882,9 +885,13 @@ fn limit_mid_batch_stops_at_the_same_row() {
     assert_eq!(sys.cached_closures(), 0, "a truncated walk records nothing");
     assert!(matches!(
         events.as_slice(),
-        [ResultEvent::SchemaHop { depth: 0, .. }, ResultEvent::Rows(batch), ResultEvent::Stats(_)]
-            if *batch == first_k
+        [
+            ResultEvent::SchemaHop { depth: 0, .. },
+            ResultEvent::Rows(_),
+            ResultEvent::Stats(_)
+        ]
     ));
+    assert_eq!(decoded, std::slice::from_ref(&first_k));
     let mut sorted = first_k.clone();
     sorted.sort_by(|a, b| a.get("x").cmp(&b.get("x")));
     assert_eq!(limited.rows, sorted);

@@ -154,8 +154,8 @@ pub fn run_open_loop(
                         .is_some_and(|s| s.messages > budget);
                     if over && pool.cancel(sys, session) {
                         report.cancelled_budget += 1;
-                        if let Some(o) = pool.take_outcome(session) {
-                            report.messages += o.stats.messages;
+                        if let Some((_, stats)) = pool.take_counts(session) {
+                            report.messages += stats.messages;
                         }
                     }
                 }
@@ -167,15 +167,15 @@ pub fn run_open_loop(
                 latencies.push(latency);
                 origin_completed[tr.origin] += 1;
                 origin_latency[tr.origin] += latency;
-                if let Some(o) = pool.take_outcome(session) {
-                    report.rows += o.rows.len();
-                    report.messages += o.stats.messages;
+                if let Some((rows, stats)) = pool.take_counts(session) {
+                    report.rows += rows;
+                    report.messages += stats.messages;
                 }
             }
             PoolEvent::Failed { session, .. } => {
                 report.failed += 1;
-                if let Some(o) = pool.take_outcome(session) {
-                    report.messages += o.stats.messages;
+                if let Some((_, stats)) = pool.take_counts(session) {
+                    report.messages += stats.messages;
                 }
             }
         }
@@ -188,8 +188,8 @@ pub fn run_open_loop(
             for id in expired {
                 if pool.cancel(sys, id) {
                     report.cancelled_deadline += 1;
-                    if let Some(o) = pool.take_outcome(id) {
-                        report.messages += o.stats.messages;
+                    if let Some((_, stats)) = pool.take_counts(id) {
+                        report.messages += stats.messages;
                     }
                 }
             }

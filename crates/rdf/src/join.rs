@@ -38,7 +38,7 @@ pub const UNBOUND: u64 = u64::MAX;
 ///
 /// Names are owned so a `VarTable` can outlive the query text it was
 /// built from — session state (which owns its plan) stores one directly.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VarTable {
     names: Vec<String>,
 }

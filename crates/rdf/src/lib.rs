@@ -83,7 +83,7 @@ pub mod triple;
 
 /// Glob-import surface.
 pub mod prelude {
-    pub use crate::batch::{BindingBatch, SeedColumn};
+    pub use crate::batch::{BindingBatch, CodedRows, RowOrder, SeedColumn};
     pub use crate::dict::{TermDict, TermId};
     pub use crate::parser::{parse_query, parse_single, ParseError};
     pub use crate::query::{ConjunctiveQuery, QueryError, TriplePatternQuery};
@@ -92,7 +92,7 @@ pub mod prelude {
     pub use crate::triple::{Binding, PatternTerm, Position, Triple, TriplePattern};
 }
 
-pub use batch::{BindingBatch, SeedColumn};
+pub use batch::{BindingBatch, CodedRows, RowOrder, SeedColumn};
 pub use dict::{Insertable, TaggedTriple, TermDict, TermId};
 pub use parser::{parse_query, parse_single, ParseError};
 pub use query::{ConjunctiveQuery, QueryError, TriplePatternQuery};

@@ -158,12 +158,13 @@ impl ConjunctiveQuery {
         // materialize and sort for a stable, readable output order.
         // `slots` and `proj` are built from the same filtered name set,
         // so a distinguished variable that occurs in no pattern (only
-        // reachable by constructing the struct directly) is skipped —
-        // like the seed's projection — rather than misaligning names.
+        // reachable by constructing the struct directly), or is named
+        // twice, is skipped — like the session's projection — rather
+        // than misaligning names.
         let mut slots: Vec<usize> = Vec::with_capacity(self.distinguished.len());
         let mut proj = VarTable::new();
         for d in &self.distinguished {
-            if let Some(s) = vars.slot(d) {
+            if let (Some(s), None) = (vars.slot(d), proj.slot(d)) {
                 slots.push(s);
                 proj.slot_of(d);
             }

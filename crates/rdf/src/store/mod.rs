@@ -89,7 +89,9 @@
 //!   prefix range over the sorted key index, else every row) and runs
 //!   the residual predicate (every other exact code, the kind bit of an
 //!   object the access path names, `LIKE`s, repeated variables) as
-//!   columnar sweeps over 256-row granules.
+//!   columnar sweeps over 256-row granules; a residual `LIKE` is judged
+//!   once per distinct term, in a direct-mapped verdict table with a
+//!   slot per candidate row (64 to 4 096).
 //!   [`TripleStore::match_seeds_into`] answers a whole binding column
 //!   — a [`SeedColumn`], one row per instance a bound join asks for —
 //!   in one call, one of two ways, by a cost rule over counts the store
@@ -98,7 +100,8 @@
 //!   pattern is scanned once and each row it admits matched to its
 //!   seeds by the codes it ships at the seeded positions, with no
 //!   dictionary probe. *Bound per seed*: one dictionary probe per value
-//!   the seed binds, with the tag the column carries and the lexicon's
+//!   the seed binds, with the value's tag (computed for the whole
+//!   column on its first probe, [`SeedColumn`]) and the lexicon's
 //!   buffer, so no value is hashed and a shared buffer is accepted on
 //!   pointer equality, and a value the store has never seen ends the
 //!   instance before any posting list is touched; then the instance is
@@ -847,10 +850,9 @@ impl TripleStore {
             }
             SeedPath::Probe => {
                 for i in 0..seeds.len() {
-                    let (codes, tags) = seeds.seed(i);
                     let seed = Seed {
-                        codes,
-                        tags,
+                        codes: seeds.seed(i),
+                        tags: seeds.tags(i, lexicon),
                         lexicon,
                     };
                     shipped.push(compiled.scan_into(Some(seed), &cols, out));
@@ -957,6 +959,11 @@ impl TripleStore {
         }
     }
 }
+
+/// The most slots a scan's `LIKE` verdict table takes: 32 KiB, an L1
+/// data cache's worth, so filling the table of a scan over a whole
+/// store costs a small part of the scan.
+const MAX_VERDICTS: usize = 4096;
 
 /// The shortest posting list found so far among an instance's exact
 /// codes: the code's index, and the list's two halves.
@@ -1094,21 +1101,29 @@ impl Compiled<'_> {
             })
         };
         let ranged: Vec<u32>;
-        let mut cursor = if let Some((_, head, tail)) = access {
-            RowCursor::posting(store, head, tail)
+        let (mut cursor, candidates) = if let Some((_, head, tail)) = access {
+            let len = head.len() + tail.len();
+            (RowCursor::posting(store, head, tail), len)
         } else if let Some((pos, core)) = prefix() {
             ranged = store.prefix_row_ids(pos, core);
-            RowCursor::posting(store, &ranged, &[])
+            (RowCursor::posting(store, &ranged, &[]), ranged.len())
         } else {
-            store.rows()
+            (store.rows(), store.cols.len())
         };
         let via = access.map(|(k, ..)| k);
-        // `LIKE` verdicts by (pattern, term id), direct-mapped over 64
-        // slots: a residual `LIKE` meets each distinct term of a scan a
-        // few times over (tens of ids behind hundreds of rows), and a
-        // verdict costs a pass over the term's bytes. On the stack, so a
-        // scan of a few dozen rows allocates nothing.
-        let mut verdicts = [u64::MAX; 64];
+        // `LIKE` verdicts by (pattern, term id), direct-mapped: a
+        // residual `LIKE` meets each distinct term of a scan a few times
+        // over, and a verdict costs a pass over the term's bytes. The
+        // table has a slot per candidate row, a power of two from 64 to
+        // `MAX_VERDICTS`, so a long posting list's terms do not evict
+        // each other; a pattern without a `LIKE` allocates none.
+        let slots = candidates.next_power_of_two().clamp(64, MAX_VERDICTS);
+        let mut verdicts = if likes.is_empty() {
+            Vec::new()
+        } else {
+            vec![u64::MAX; slots]
+        };
+        let mask = verdicts.len().wrapping_sub(1);
         // The cursor skips tombstones.
         while cursor.next_block(buf) {
             for (k, &(pos, code)) in codes.iter().enumerate() {
@@ -1122,7 +1137,7 @@ impl Compiled<'_> {
                 buf.retain(|&id| {
                     let term = store.cols.id_at(id, *pos);
                     let key = (term.0 as u64) << 2 | k as u64;
-                    let slot = &mut verdicts[(term.0 as usize ^ k) & 63];
+                    let slot = &mut verdicts[(term.0 as usize ^ k) & mask];
                     if *slot >> 1 != key {
                         *slot = key << 1 | like.matches(store.dict.resolve(term)) as u64;
                     }
@@ -1183,7 +1198,7 @@ impl Compiled<'_> {
         first.reserve(seeds.len());
         let mut next = vec![END; seeds.len()];
         for i in (0..seeds.len()).rev() {
-            let codes = seeds.seed(i).0;
+            let codes = seeds.seed(i);
             let mut key = [0; 3];
             for (k, &(_, col)) in seeded.iter().enumerate() {
                 key[k] = codes[col];
@@ -1312,7 +1327,7 @@ mod tests {
             let mut column = SeedColumn::new(["x"]);
             for i in 0..n {
                 let code = crate::join::tests::code(lexicon, &Term::uri(format!("s{i}")));
-                column.push(&[code], lexicon);
+                column.push(&[code]);
             }
             column
         };
@@ -1588,6 +1603,45 @@ mod tests {
         let db = sample();
         assert_eq!(like_count(&db, Position::Object, "%Aspergillus%"), 2);
         assert_eq!(like_count(&db, Position::Object, "1042"), 1);
+    }
+
+    /// A scan's `LIKE` verdict table has a slot per candidate row, but
+    /// term ids run past it: a 100-row posting list's 50 objects sit
+    /// among 1 000 other terms, so some two share a slot of the 128, and
+    /// a verdict is reused only for the term it was computed for.
+    #[test]
+    fn like_verdicts_that_share_a_slot_stay_apart() {
+        let mut db = TripleStore::new();
+        let value = |i: usize| Term::literal(format!("v{i}"));
+        db.insert_batch(
+            (0..1000).map(|i| Triple::new(format!("f{i}").as_str(), "filler", value(i))),
+        );
+        // Each object twice, 50 rows apart.
+        let objects: Vec<usize> = (0..100).map(|r| (r % 50) * 37 % 1000).collect();
+        db.insert_batch(
+            objects
+                .iter()
+                .enumerate()
+                .map(|(r, &i)| Triple::new(format!("e{r}").as_str(), "p", value(i))),
+        );
+        let slot = |i: &usize| db.dict().lookup(&format!("v{i}")).unwrap().index() & 127;
+        let slots: FxHashSet<usize> = objects.iter().map(slot).collect();
+        assert!(slots.len() < 50, "some two objects share a slot");
+        let pattern = TriplePattern::new(
+            PatternTerm::var("s"),
+            PatternTerm::constant(Term::uri("p")),
+            PatternTerm::constant(Term::literal("%1%")),
+        );
+        let naive: Vec<String> = (0..100)
+            .filter(|&r| format!("v{}", objects[r]).contains('1'))
+            .map(|r| format!("e{r}"))
+            .collect();
+        let matched: Vec<String> = db
+            .match_pattern(&pattern)
+            .iter()
+            .map(|b| b.get("s").unwrap().lexical().to_string())
+            .collect();
+        assert_eq!(matched, naive);
     }
 
     #[test]
@@ -2152,8 +2206,9 @@ mod proptests {
             shape in 0usize..9,
         ) {
             // A wide tail: 200 rows over 80 distinct objects, each met
-            // two or three times, so the `LIKE` verdict memo's 64 slots
-            // collide and are re-filled within one granule.
+            // two or three times, so the `LIKE` verdict memo answers
+            // from its slots within one granule (slots that two terms
+            // share: `like_verdicts_that_share_a_slot_stay_apart`).
             let mut second = second;
             if wide {
                 second.extend((0..200).map(|i: usize| {
@@ -2279,7 +2334,7 @@ mod proptests {
                     .iter()
                     .map(|&v| lexicon_code(&mut lexicon, seed.get(v).expect("bound")))
                     .collect();
-                column.push(&codes, &lexicon);
+                column.push(&codes);
             }
             let instance = |seed: &Binding| template.substitute(seed);
             let header = BindingBatch::for_instances(&template, &column);
@@ -2371,7 +2426,7 @@ mod proptests {
                     Some(seed.iter().map(|t| lexicon_code(&mut lexicon, t)).collect())
                 };
                 if let Some(codes) = codes {
-                    column.push(&codes, if plain { db.dict() } else { &lexicon });
+                    column.push(&codes);
                 }
             }
             let dict = if plain { db.dict() } else { &lexicon };
@@ -2447,7 +2502,7 @@ mod proptests {
             codes.truncate(12);
             codes.push(unseen);
             for code in &codes {
-                column.push(&[*code], &lexicon);
+                column.push(&[*code]);
             }
             for db in [&a, &b] {
                 let mut batch = BindingBatch::for_instances(&all, &column);

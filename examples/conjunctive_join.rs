@@ -94,7 +94,7 @@ fn main() {
         match event {
             ResultEvent::Rows(batch) => {
                 batches += 1;
-                for row in &batch {
+                for row in session.decode(&batch) {
                     println!("streamed: {row}");
                 }
             }

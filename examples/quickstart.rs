@@ -92,7 +92,7 @@ fn main() {
                 quality,
             } => println!("hop:       {schema} (depth {depth}, path quality {quality:.2})"),
             ResultEvent::Rows(batch) => {
-                for row in &batch {
+                for row in session.decode(&batch) {
                     println!("result:    {}", row.get("x").expect("bound"));
                 }
             }

@@ -2,8 +2,8 @@
 # Where one benchmark workload spends its host time, by function — or,
 # with --heap, how much heap it holds live at its peak.
 #
-#   scripts/profile.sh [--callees <function>] <workload> [seed=2007]
-#   scripts/profile.sh --heap <workload> [seed=2007]
+#   scripts/profile.sh [--callees <function>] <workload> [seed=2007] [seconds=15]
+#   scripts/profile.sh --heap <workload> [seed=2007] [seconds=15]
 #
 # Builds the benchmark package with frame pointers
 # (RUSTFLAGS=-Cforce-frame-pointers=yes) into a fresh directory under
@@ -12,7 +12,8 @@
 # chain above it, at up to 1 kHz of CPU time (the kernel's tick rate
 # caps it, 250 Hz on many hosts), and dumps the samples and
 # /proc/self/maps at exit. Runs the BENCHMARK.json command form
-# (`--workload <w> --seed <seed> --seconds 15 --trace 0`) with the
+# (`--workload <w> --seed <seed> --seconds <seconds> --trace 0`, 15 s by
+# default, 1 to 60) with the
 # sampler preloaded, then prints the functions with the most samples of
 # their own ("self") and on the most stacks ("inclusive"), symbolized
 # with `nm -C`, as shares of all samples — set-up included. A sample in
@@ -37,6 +38,10 @@
 # from allocator retention: two runs with the same `rows_digest` can
 # differ in VmHWM by MiBs that the peak live heap does not show.
 #
+# A longer run buys samples, not precision per sample: at 15 s,
+# join_heavy's run_op gets about 250 of its 728 samples, too few to
+# split a 3 % component from the noise; 60 s gives four times as many.
+#
 # Needs cc, nm and python3; x86-64 Linux with glibc >= 2.33. Not run by
 # CI: profiles are for finding where to look, and claims are still
 # made with scripts/bench_pairs.sh.
@@ -51,12 +56,21 @@ elif [ "${1:-}" = --callees ] && [ $# -ge 2 ]; then
     callees=$2
     shift 2
 fi
-if [ $# -lt 1 ] || [ $# -gt 2 ]; then
-    echo "usage: $0 [--heap | --callees <function>] <workload> [seed=2007]" >&2
+usage="usage: $0 [--heap | --callees <function>] <workload> [seed=2007] [seconds=15]"
+if [ $# -lt 1 ] || [ $# -gt 3 ]; then
+    echo "$usage" >&2
     exit 2
 fi
 workload=$1
 seed=${2:-2007}
+seconds=${3:-15}
+case $seconds in
+    '' | *[!0-9]*) echo "$usage: seconds is a whole number from 1 to 60" >&2; exit 2 ;;
+esac
+if [ "$seconds" -lt 1 ] || [ "$seconds" -gt 60 ]; then
+    echo "$usage: seconds is a whole number from 1 to 60" >&2
+    exit 2
+fi
 root=$(git rev-parse --show-toplevel)
 work=$(mktemp -d "${TMPDIR:-/tmp}/profile.XXXXXX")
 echo "work dir: $work"
@@ -69,7 +83,7 @@ bin="$work/target/release/gridvine-benchmarks"
 if [ $heap = yes ]; then
     cc -O2 -shared -fPIC -pthread -o "$work/heap.so" "$root/scripts/profile/heap.c"
     (cd "$work" && HEAP_OUT="$work/heap" LD_PRELOAD="$work/heap.so" \
-        "$bin" --workload "$workload" --seed "$seed" --seconds 15 --trace 0 \
+        "$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 \
         >"$work/run.txt" 2>&1)
     awk '{ v[$1] = $2 } END {
         printf "peak live heap    %8.1f MiB  (at %.1f s, %d samples)\n",
@@ -84,7 +98,7 @@ fi
 
 cc -O2 -shared -fPIC -o "$work/sampler.so" "$root/scripts/profile/sampler.c"
 (cd "$work" && PROFILE_OUT="$work/samples" LD_PRELOAD="$work/sampler.so" \
-    "$bin" --workload "$workload" --seed "$seed" --seconds 15 --trace 0 \
+    "$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 \
     >"$work/run.txt" 2>&1)
 nm -C -n --defined-only "$bin" >"$work/symbols"
 

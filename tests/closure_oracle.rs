@@ -4,7 +4,9 @@
 //! depth-first over the registry's mappings with `expand_hop`, each
 //! pattern evaluated by `TriplePattern::match_triple` over every triple
 //! any peer stores — and a conjunctive plan's rows equal a nested loop
-//! over `Binding::join` of each pattern's reference walk.
+//! over `Binding::join` of each pattern's reference walk. Each outcome's
+//! rows are in the canonical order, and the rows its `Rows` events
+//! carried, decoded, are the outcome's rows.
 //!
 //! Every fixture puts each `Schema#a` predicate under a leaf of its
 //! own, so no data request answers another hop and, at `window(1)`,
@@ -43,6 +45,13 @@ fn fact_value(v: usize) -> Term {
 
 /// `(schema, depth, quality)` of one hop.
 type Seen = (String, usize, f64);
+
+/// Rows as a multiset: their display strings, sorted.
+fn multiset(rows: &[Binding]) -> Vec<String> {
+    let mut shown: Vec<String> = rows.iter().map(Binding::to_string).collect();
+    shown.sort();
+    shown
+}
 
 /// The closure walk as §3–§4 state it, with nothing distributed: pop
 /// hops depth-first, evaluate each over the union of every peer's
@@ -202,12 +211,22 @@ proptest! {
             for (origin, run) in runs {
                 let mut session = sys.open(origin, &plan, &options).unwrap();
                 let mut hops = Vec::new();
+                let mut streamed = Vec::new();
                 while let Some(event) = session.next_event().unwrap() {
-                    if let ResultEvent::SchemaHop { schema, depth, quality } = event {
-                        hops.push((schema.to_string(), depth, quality));
+                    match event {
+                        ResultEvent::SchemaHop { schema, depth, quality } => {
+                            hops.push((schema.to_string(), depth, quality));
+                        }
+                        ResultEvent::Rows(batch) => streamed.extend(session.decode(&batch)),
+                        ResultEvent::Stats(_) => {}
                     }
                 }
-                let terms: BTreeSet<Term> = session.into_outcome().terms("x").into_iter().collect();
+                let outcome = session.into_outcome();
+                prop_assert_eq!(multiset(&streamed), multiset(&outcome.rows), "{} events", run);
+                // The canonical order: by the distinguished term, each once.
+                let x = |b: &Binding| b.get("x").cloned();
+                prop_assert!(outcome.rows.windows(2).all(|w| x(&w[0]) < x(&w[1])), "{} order", run);
+                let terms: BTreeSet<Term> = outcome.terms("x").into_iter().collect();
                 prop_assert_eq!(&terms, &expected_terms, "window {} {} rows", window, run);
                 if window == 1 {
                     prop_assert_eq!(&hops, &expected_hops, "{} hops", run);
@@ -282,8 +301,20 @@ proptest! {
                     options = options.ttl(ttl);
                 }
                 for (origin, run) in runs {
-                    let out = sys.execute(origin, &plan, &options).unwrap();
-                    let rows: BTreeSet<String> = out.rows.iter().map(Binding::to_string).collect();
+                    // `execute`, drained by hand to read the events.
+                    let mut session = sys.open(origin, &plan, &options).unwrap();
+                    let mut streamed = Vec::new();
+                    while let Some(event) = session.next_event().unwrap() {
+                        if let ResultEvent::Rows(batch) = event {
+                            streamed.extend(session.decode(&batch));
+                        }
+                    }
+                    let out = session.into_outcome();
+                    prop_assert_eq!(multiset(&streamed), multiset(&out.rows), "{} events", run);
+                    // The canonical order: by display form, each row once.
+                    let shown: Vec<String> = out.rows.iter().map(Binding::to_string).collect();
+                    prop_assert!(shown.windows(2).all(|w| w[0] < w[1]), "{} order: {:?}", run, shown);
+                    let rows: BTreeSet<String> = shown.into_iter().collect();
                     prop_assert_eq!(&rows, &expected, "{:?} {:?} {} {}", strategy, mode, run, query);
                 }
             }

@@ -94,6 +94,32 @@ fn parsed_rdql_conjunction_matches_oracle() {
     }
 }
 
+/// A variable the SELECT names twice is projected once: the rows are
+/// those of the query that names it once, locally and distributed in
+/// both join modes.
+#[test]
+fn a_variable_selected_twice_is_projected_once() {
+    let triples = vec![
+        Triple::new("e:1", "S#a0", Term::literal("Aspergillus niger")),
+        Triple::new("e:1", "S#a1", Term::literal("1042")),
+        Triple::new("e:2", "S#a0", Term::literal("Aspergillus oryzae")),
+        Triple::new("e:2", "S#a1", Term::literal("2210")),
+    ];
+    let (mut sys, oracle) = single_schema_system(&triples);
+    let once =
+        parse_query(r#"SELECT ?x, ?len WHERE (?x, <S#a0>, "%Aspergillus%"), (?x, <S#a1>, ?len)"#)
+            .unwrap();
+    let mut twice = once.clone();
+    twice.distinguished.insert(1, "x".into());
+    let expected = oracle_rows(&once, &oracle);
+    assert_eq!(expected.len(), 2);
+    assert_eq!(oracle_rows(&twice, &oracle), expected);
+    for mode in ALL_MODES {
+        let out = search_conjunctive(&mut sys, PeerId(9), &twice, Strategy::Iterative, mode);
+        assert_eq!(rows(&out), expected, "{mode:?}");
+    }
+}
+
 #[test]
 fn three_pattern_chain_join() {
     // x --a0--> organism, x --a1--> len, len appears as a2-subject link:

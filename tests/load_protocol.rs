@@ -54,7 +54,7 @@ fn drain(
     while pool.step(sys).is_some() {}
     ids.iter()
         .map(|&id| {
-            pool.take_outcome(id)
+            pool.take_outcome(sys, id)
                 .expect("drained session has an outcome")
         })
         .collect()
