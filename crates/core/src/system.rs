@@ -819,6 +819,7 @@ impl GridVineSystem {
     /// registry does not learn the schema.
     pub fn insert_schema(&mut self, origin: PeerId, schema: Schema) -> Result<(), SystemError> {
         let key = self.keyspace().schema_key(&schema);
+        self.holders_up(&key)?;
         let item = MediationItem::Schema(schema.clone());
         self.mediation_update(origin, UpdateOp::Insert, key, item)?;
         self.registry.add_schema(schema);
@@ -858,20 +859,23 @@ impl GridVineSystem {
         Ok(id)
     }
 
-    /// The liveness rule of every mediation write: the first σ holder
-    /// of `key` must be up, for a down peer can never acknowledge the
-    /// update. The refusal sends nothing and draws nothing.
-    fn holder_up(&self, key: &BitString) -> Result<(), SystemError> {
-        match self.topology.responsible(key).first() {
-            Some(&dest) if self.crashed.contains(&dest) => Err(SystemError::PeerDown(dest)),
-            _ => Ok(()),
+    /// The liveness rule of every mediation write, checked once per key
+    /// before anything is sent: every peer of `key`'s σ group must be
+    /// up, for the update must reach each of them and a down peer can
+    /// never acknowledge it. A down one refuses the write with
+    /// [`SystemError::PeerDown`] naming it (the first in the group); the
+    /// refusal sends nothing and draws nothing.
+    fn holders_up(&self, key: &BitString) -> Result<(), SystemError> {
+        let group = self.topology.responsible(key);
+        match group.iter().find(|p| self.crashed.contains(p)) {
+            Some(&down) => Err(SystemError::PeerDown(down)),
+            None => Ok(()),
         }
     }
 
-    /// Store or delete one mediation-item copy, under
-    /// [`GridVineSystem::holder_up`]'s rule: a write whose holder is
-    /// down fails with [`SystemError::PeerDown`] before any state lands
-    /// (the success path is bit-identical to a plain overlay update).
+    /// Store or delete one mediation-item copy at `key`, whose σ group
+    /// the caller has checked up ([`GridVineSystem::holders_up`]); the
+    /// update is a plain overlay update.
     fn mediation_update(
         &mut self,
         origin: PeerId,
@@ -879,14 +883,13 @@ impl GridVineSystem {
         key: BitString,
         item: MediationItem,
     ) -> Result<(), SystemError> {
-        self.holder_up(&key)?;
         self.overlay.update(origin, op, key, item, &mut self.rng)?;
         Ok(())
     }
 
     /// The keys of a mapping of `kind` from `source` to `target`
-    /// ([`KeySpace::mapping_keys`]), each key's holder checked up
-    /// ([`GridVineSystem::holder_up`]), so that a down one refuses a
+    /// ([`KeySpace::mapping_keys`]), each key's σ group checked up
+    /// ([`GridVineSystem::holders_up`]), so that a down peer refuses a
     /// whole write before anything is sent — and, for an insert, before
     /// the registry hears of the mapping.
     fn writable_mapping_keys(
@@ -897,7 +900,7 @@ impl GridVineSystem {
     ) -> Result<Vec<(BitString, bool)>, SystemError> {
         let keys = self.keyspace().mapping_keys(source, target, kind);
         for (key, _) in &keys {
-            self.holder_up(key)?;
+            self.holders_up(key)?;
         }
         Ok(keys)
     }
@@ -1063,6 +1066,7 @@ impl GridVineSystem {
     pub fn publish_connectivity(&mut self, origin: PeerId) -> Result<usize, SystemError> {
         let records = self.registry.degree_records();
         let domain_key = self.keyspace().domain_key(&self.config.domain);
+        self.holders_up(&domain_key)?;
         // Remove stale records for the same schemas, then insert fresh.
         let holder = self.topology.responsible(&domain_key).first();
         let stale = holder.map_or(&[][..], |&p| self.overlay.store(p).get(&domain_key));
@@ -1617,6 +1621,66 @@ mod tests {
         assert_eq!(fig2_mapping(&mut sys), Err(SystemError::PeerDown(holder)));
         assert_eq!(state(&sys), (1, 0));
         assert_eq!(sys.registry().mappings().count(), 0);
+        assert_eq!(sys.check(), Ok(()));
+    }
+
+    /// A mediation write reaches every peer of its key's σ group, so a
+    /// down member refuses it wherever it stands in the group, not only
+    /// first: `insert_schema` and `insert_mapping` return `PeerDown`
+    /// naming it, the registry is unchanged, and no member of the group
+    /// holds a copy.
+    #[test]
+    fn a_down_replica_refuses_a_mediation_write() {
+        let mut sys = GridVineSystem::new(GridVineConfig {
+            peers: 24,
+            hash: HashKind::Uniform,
+            ..GridVineConfig::default()
+        });
+        let p0 = PeerId(0);
+        let group = |sys: &GridVineSystem, name: &str| {
+            sys.topology().responsible(&sys.key_of(name)).to_vec()
+        };
+        // A schema whose key's σ group has a second member.
+        let name = (0..)
+            .map(|i| format!("S{i}"))
+            .find(|name| group(&sys, name).len() > 1)
+            .unwrap();
+        let (key, members) = (sys.key_of(&name), group(&sys, &name));
+        let down = members[1];
+        let schema = Schema::new(name.as_str(), ["a"]);
+        sys.crash_peer(down);
+        assert_eq!(
+            sys.insert_schema(p0, schema.clone()),
+            Err(SystemError::PeerDown(down))
+        );
+        assert!(sys
+            .registry()
+            .schema(&SchemaId::new(name.as_str()))
+            .is_none());
+        for &p in &members {
+            assert!(sys.overlay().store(p).get(&key).is_empty(), "{p}");
+        }
+
+        // The mapping's source key space is the schema's.
+        sys.recover_peer(down);
+        sys.insert_schema(p0, schema).unwrap();
+        sys.insert_schema(p0, Schema::new("T", ["b"])).unwrap();
+        sys.crash_peer(down);
+        let refused = sys.insert_mapping(
+            p0,
+            name.as_str(),
+            "T",
+            MappingKind::Equivalence,
+            Provenance::Manual,
+            vec![Correspondence::new("a", "b")],
+        );
+        assert_eq!(refused, Err(SystemError::PeerDown(down)));
+        assert_eq!(sys.registry().mappings().count(), 0);
+        for (key, members) in [(key, members), (sys.key_of("T"), group(&sys, "T"))] {
+            for p in members {
+                assert!(sys.stored_mappings(p, &key).is_empty(), "{p}");
+            }
+        }
         assert_eq!(sys.check(), Ok(()));
     }
 

@@ -29,8 +29,8 @@
 //! ([`TripleStore::match_seeds_into`](gridvine_rdf::TripleStore::match_seeds_into);
 //! [`TripleStore::match_into`](gridvine_rdf::TripleStore::match_into)
 //! without one) — appending the matching rows of the peer's indexed
-//! `DB_p` to the caller's columnar [`BindingBatch`] — variable names
-//! once per batch, rows as term *codes* — so a destination ships
+//! `DB_p` to the caller's [`CodedRows`] table — variable names
+//! once per table, rows as term *codes* — so a destination ships
 //! exactly the terms it matched, builds no per-row map, and replies
 //! once, saying how many rows each (pattern, seed) shipped. Every
 //! `DB_p` is loaded through the system's lexicon
@@ -41,16 +41,16 @@
 //! pattern; a closure walk lists every hop the issuer knows and has not
 //! had answered (below). Shipped rows stay columnar, and coded, up to
 //! the result boundary: the hops one request answers append to one
-//! batch (a reformulation only swaps the predicate constant, so they
+//! table (a reformulation only swaps the predicate constant, so they
 //! share its header), single-pattern plans dedup straight off the
-//! codes of the batch's distinguished column, a bound join places each
-//! reply's codes into join rows
+//! codes of the table's distinguished column, a bound join places each
+//! reply's codes into a table of join rows
 //! ([`batch_rows`](gridvine_rdf::join::batch_rows)), and an independent
-//! join keeps each pattern's batch until its fold places only the rows
+//! join keeps each pattern's table until its fold places only the rows
 //! that can join (see the session docs). No string is read between a
 //! destination's scan and the caller taking the answer: the session
 //! admits each *distinct* row as codes, into its rows and into a
-//! [`ResultEvent::Rows`](super::session::ResultEvent) batch that shares
+//! [`ResultEvent::Rows`](super::session::ResultEvent) table that shares
 //! their header, and [`Binding`]s are built in one place — the
 //! session's outcome, which puts the rows in the canonical order and
 //! decodes each row once through the lexicon for
@@ -65,9 +65,10 @@
 //! make of the pattern's already-bound variables — the *seeds* — travel
 //! as a column on every data request of the pattern's one sweep (the
 //! session's, one exchange per unit), beside the pattern list. The
-//! column is a [`SeedColumn`]: the seeds' codes. A destination whose
-//! pattern has a short posting list scans it once and matches each row
-//! to its seeds by the codes it ships, without a dictionary probe;
+//! column is a [`SeedColumn`]: a table of the seeds' codes. A
+//! destination whose pattern has a short posting list scans it once and
+//! matches each row to its seeds by the codes it ships, without a
+//! dictionary probe;
 //! otherwise it binds each seed by probing its dictionary with the
 //! lexical's dictionary tag and the lexicon's buffer, the column's tags
 //! computed on its first probe and kept. Either way no value is hashed
@@ -189,7 +190,7 @@ use super::conjunctive::JoinMode;
 use super::sched::Write;
 use super::*;
 use crate::plan::QueryPlan;
-use gridvine_rdf::{Binding, BindingBatch, Position, SeedColumn, TriplePattern};
+use gridvine_rdf::{Binding, CodedRows, Position, SeedColumn, TriplePattern};
 use gridvine_semantic::{expand_hop, CachedHop, ClosureKey, Hop, Mapping};
 
 /// Physical execution knobs for one [`GridVineSystem::execute`] /
@@ -804,7 +805,7 @@ impl ClosureSweep {
         &mut self,
         sys: &mut GridVineSystem,
         seeds: &SeedColumn,
-        out: &mut BindingBatch,
+        out: &mut CodedRows,
         mut resolved: impl FnMut(&Hop, Option<&[usize]>),
     ) -> bool {
         let Some(mut popped) = self.frontier.hops.pop() else {
@@ -1046,7 +1047,7 @@ impl GridVineSystem {
         first: Listed<'a>,
         rest: impl Iterator<Item = Listed<'a>>,
         seeds: &SeedColumn,
-        out: &mut BindingBatch,
+        out: &mut CodedRows,
         reply: &mut Reply,
     ) -> Result<(), SystemError> {
         let dest = self.exchange(origin, &first.routed.key, true)?;

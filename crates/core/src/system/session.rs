@@ -76,25 +76,28 @@
 //! Rows travel as codes: every peer store is loaded through the
 //! system's lexicon and ships each term as its lexicon id with its kind
 //! bit (see [`gridvine_rdf::dict`]), so equal terms from different
-//! peers arrive as equal `u64`s. Join rows are those codes placed into
-//! variable slots; dedup compares codes; a bound join's binding column
-//! goes out as codes ([`SeedColumn`], built once per part, tagged only
-//! if a destination probes with it); the admitted answers stay codes, in
-//! the session's rows and in its `Rows` events ([`CodedRows`]); and a
-//! string is read only when a caller takes the outcome, which sorts the
-//! codes into the canonical order and decodes each row once through the
-//! lexicon, or decodes an event ([`QuerySession::decode`]).
+//! peers arrive as equal `u64`s. Every set of rows a session holds is
+//! one [`CodedRows`] table: the rows a sweep's replies shipped; the
+//! join rows, those codes placed into the query's variable slots; a
+//! bound join's binding column ([`SeedColumn`], built once per part,
+//! tagged only if a destination probes with it); and the admitted
+//! answers, in the session's rows and in its `Rows` events. Dedup
+//! compares codes, and a string is read only when a caller takes the
+//! outcome, which sorts the codes into the canonical order and decodes
+//! each row once through the lexicon, or decodes an event
+//! ([`QuerySession::decode`]).
 //!
 //! An independent join's fold pays for the rows that can join, not for
-//! every row shipped. Each sweep keeps its pattern's batch as it
-//! arrived; the fold places the smallest batch in full and of every
+//! every row shipped. Each sweep keeps its pattern's table as it
+//! arrived; the fold places the smallest table in full and of every
 //! other one only the rows whose variables shared with the smallest
 //! carry codes the smallest holds there — a probe of a set of its key
 //! codes, a semi-join in the sense of distributed query processing. No
-//! other row can join, and the fold still runs left-major, then in
-//! right insertion order, over the sets in written order, so the answer
-//! rows come in the order they would over everything shipped, and a
-//! [`QueryOptions::limit`] keeps the same ones.
+//! other row can join, and the fold, starting from the first placed
+//! set, runs left-major, then in right insertion order, over the sets
+//! in written order, so the answer rows come in the order they would
+//! over everything shipped, and a [`QueryOptions::limit`] keeps the
+//! same ones.
 //!
 //! Early termination is structural, not cosmetic: a subquery is only
 //! issued by a pull, so dropping the session — or hitting the
@@ -129,10 +132,10 @@
 //!   (request by request; within a closure reply, hop by hop; within a
 //!   hop of a bound join's last pattern, seed by seed — one `Rows` per
 //!   reply that completed any, in that reply's unit).
-//!   A row is never repeated across batches. A batch is
-//!   [`CodedRows`]: destinations ship columnar [`BindingBatch`]es of
-//!   codes, projection and dedup run on the codes, and the admitted rows
-//!   stay codes under a header the session shares with every batch, so
+//!   A row is never repeated across batches. A batch is a
+//!   [`CodedRows`] table: destinations ship tables of codes,
+//!   projection and dedup run on the codes, and the admitted rows stay
+//!   codes under a header the session shares with every batch, so
 //!   building or dropping one builds no [`Binding`] and no `String`;
 //!   [`QuerySession::decode`] reads one through the lexicon.
 //! * [`ResultEvent::SchemaHop`] — the closure walk resolved the query
@@ -225,10 +228,11 @@ use gridvine_netsim::{SimDuration, SimTime};
 use gridvine_rdf::fasthash::{FxHashMap, FxHashSet};
 use gridvine_rdf::join::{batch_rows, hash_join_rows, VarTable, UNBOUND};
 use gridvine_rdf::{
-    Binding, BindingBatch, CodedRows, ConjunctiveQuery, PatternTerm, RowOrder, SeedColumn,
-    TermDict, TriplePattern,
+    Binding, CodedRows, ConjunctiveQuery, PatternTerm, RowOrder, SeedColumn, TermDict,
+    TriplePattern,
 };
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// One increment of a [`QuerySession`] (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
@@ -276,7 +280,7 @@ struct PatternSweep {
     requests: Requests,
     /// Rows its replies shipped that the join has not taken, under the
     /// variables an instance of the template leaves unbound.
-    rows: BindingBatch,
+    rows: CodedRows,
 }
 
 /// How a [`PatternSweep`] reaches the data.
@@ -324,19 +328,21 @@ enum JoinPhase {
     /// sweep completed.
     Independent {
         next_pattern: usize,
-        shipped: Vec<BindingBatch>,
+        shipped: Vec<CodedRows>,
     },
     /// Bound substitution in the planner's order: `oi` patterns of the
     /// order are opened, the last of them is being swept — its parts
-    /// not opened yet wait in `parts`, last first — and `next` holds the
-    /// partial rows it completed so far. Every request carries its
-    /// part's binding column; rows complete at the last pattern. The
-    /// parts' walks start at `barrier`, when the predecessor's rows are
-    /// all in.
+    /// not opened yet wait in `parts`, last first — `partial` holds the
+    /// partial solutions the patterns before it completed (one row
+    /// binding nothing before the first), and `next` the partial rows
+    /// it completed so far. Every request carries its part's binding
+    /// column; rows complete at the last pattern. The parts' walks
+    /// start at `barrier`, when the predecessor's rows are all in.
     Bound {
         oi: usize,
         parts: Vec<BoundPart>,
-        next: Vec<Vec<u64>>,
+        partial: CodedRows,
+        next: CodedRows,
         barrier: SimTime,
     },
 }
@@ -348,9 +354,8 @@ enum JoinPhase {
 struct JoinState {
     query: ConjunctiveQuery,
     order: Vec<usize>,
-    vars: VarTable,
-    /// Partial solution rows (term-code vectors over the variable slots).
-    rows: Vec<Vec<u64>>,
+    /// The header of every join row: the query's variables.
+    vars: Arc<VarTable>,
     phase: JoinPhase,
     /// The sweep whose units are being issued.
     sweep: Option<PatternSweep>,
@@ -378,7 +383,6 @@ enum State {
     Prefix {
         query: TriplePatternQuery,
         probes: std::vec::IntoIter<BitString>,
-        seen: FxHashSet<u64>,
     },
     /// One request of the closure walk — a data request, answering
     /// every hop its destination is responsible for, or a mapping
@@ -387,8 +391,7 @@ enum State {
     Closure {
         query: TriplePatternQuery,
         walk: Box<Walk>,
-        shipped: BindingBatch,
-        seen: FxHashSet<u64>,
+        shipped: CodedRows,
     },
     Join(Box<JoinState>),
 }
@@ -466,6 +469,9 @@ pub(crate) struct SessionCore {
     /// over the projected variables; every `Rows` event shares their
     /// header.
     rows: CodedRows,
+    /// A single-pattern plan's admitted codes of the distinguished
+    /// variable, which dedup what its requests ship.
+    seen: FxHashSet<u64>,
     /// How [`SessionCore::outcome`] sorts them: single-pattern plans by
     /// the distinguished variable's term, join plans by display form
     /// (the canonical order the drained `execute` promises).
@@ -586,7 +592,6 @@ impl SessionCore {
                 State::Prefix {
                     query: query.clone(),
                     probes: probes.into_iter(),
-                    seen: FxHashSet::default(),
                 }
             }
             QueryPlan::Closure { query } => {
@@ -607,8 +612,7 @@ impl SessionCore {
                 State::Closure {
                     query: query.clone(),
                     walk: Box::new(Walk::new(sweep, started_at)),
-                    shipped: BindingBatch::for_pattern(&query.pattern),
-                    seen: FxHashSet::default(),
+                    shipped: CodedRows::for_pattern(&query.pattern),
                 }
             }
             QueryPlan::Join { query, order } => {
@@ -624,7 +628,7 @@ impl SessionCore {
                 if order.iter().take(need_a_constant).any(unroutable) {
                     return Err(SystemError::NotRoutable);
                 }
-                let vars = VarTable::from_patterns(&query.patterns);
+                let vars = Arc::new(VarTable::from_patterns(&query.patterns));
                 let mut slots = Vec::with_capacity(query.distinguished.len());
                 // `slots` and the rows' header share one filtered name
                 // set so a distinguished variable absent from every
@@ -636,24 +640,27 @@ impl SessionCore {
                         proj.slot_of(d);
                     }
                 }
-                let rows = vec![vars.empty_row()];
                 let phase = match options.join_mode {
                     JoinMode::Independent => JoinPhase::Independent {
                         next_pattern: 0,
                         shipped: Vec::with_capacity(query.patterns.len()),
                     },
-                    JoinMode::BoundSubstitution => JoinPhase::Bound {
-                        oi: 0,
-                        parts: Vec::new(),
-                        next: Vec::new(),
-                        barrier: started_at,
-                    },
+                    JoinMode::BoundSubstitution => {
+                        let mut partial = CodedRows::new(Arc::clone(&vars));
+                        partial.push(&vars.empty_row());
+                        JoinPhase::Bound {
+                            oi: 0,
+                            parts: Vec::new(),
+                            next: partial.empty_like(),
+                            partial,
+                            barrier: started_at,
+                        }
+                    }
                 };
                 State::Join(Box::new(JoinState {
                     query: query.clone(),
                     order: order.clone(),
                     vars,
-                    rows,
                     phase,
                     sweep: None,
                     projection: Projection {
@@ -686,6 +693,7 @@ impl SessionCore {
             stats: ExecStats::default(),
             issued_reported: ExecStats::default(),
             rows: CodedRows::new(proj),
+            seen: FxHashSet::default(),
             order_by,
             error_events: Vec::new(),
             error: None,
@@ -794,17 +802,12 @@ impl SessionCore {
         let result = match &mut state {
             State::Done => Ok(StepOutcome::Idle),
             State::Pattern { query } => self.step_pattern(sys, query, &mut out),
-            State::Prefix {
-                query,
-                probes,
-                seen,
-            } => self.step_prefix(sys, query, probes, seen, &mut out),
+            State::Prefix { query, probes } => self.step_prefix(sys, query, probes, &mut out),
             State::Closure {
                 query,
                 walk,
                 shipped,
-                seen,
-            } => self.step_closure(sys, query, walk, shipped, seen, &mut out),
+            } => self.step_closure(sys, query, walk, shipped, &mut out),
             State::Join(join) => self.step_join(sys, join, &mut out),
         };
         // Fold the unit's counter movement in on success *and* failure
@@ -863,13 +866,13 @@ impl SessionCore {
 
     /// Admit freshly-shipped rows of a single-pattern plan: project
     /// onto the distinguished variable (`col`, its column in the
-    /// shipped batch), dedup its codes against `seen`, and append each
+    /// shipped table), dedup its codes against the ones admitted before
+    /// ([`SessionCore::seen`]), and append each
     /// fresh code to the session rows and to the `Rows` event it goes
     /// out in, pushed onto `out` if it holds any. Reads no string.
     /// Returns whether the result limit was reached.
     fn admit_terms<'r>(
         &mut self,
-        seen: &mut FxHashSet<u64>,
         col: Option<usize>,
         shipped: impl Iterator<Item = &'r [u64]>,
         out: &mut Vec<ResultEvent>,
@@ -881,7 +884,7 @@ impl SessionCore {
         let mut limit_hit = false;
         for shipped_row in shipped {
             let code = &shipped_row[col..=col];
-            if !seen.insert(code[0]) {
+            if !self.seen.insert(code[0]) {
                 continue;
             }
             self.rows.push(code);
@@ -916,13 +919,13 @@ impl SessionCore {
             routed: &routed,
             schema_key: None,
         };
-        let mut shipped = BindingBatch::for_pattern(&query.pattern);
+        let mut shipped = CodedRows::for_pattern(&query.pattern);
         let (none, no_column) = (std::iter::empty(), &SeedColumn::default());
         let reply = &mut Reply::default();
         sys.resolve_patterns(self.origin, alone, none, no_column, &mut shipped, reply)?;
         self.stats.bindings_shipped += shipped.len();
         let col = shipped.column(&query.distinguished);
-        self.admit_terms(&mut FxHashSet::default(), col, shipped.rows(), out);
+        self.admit_terms(col, shipped.rows(), out);
         Ok(StepOutcome::Unit {
             heard: Vec::new(),
             done: true,
@@ -939,7 +942,6 @@ impl SessionCore {
         sys: &mut GridVineSystem,
         query: &TriplePatternQuery,
         probes: &mut std::vec::IntoIter<BitString>,
-        seen: &mut FxHashSet<u64>,
         out: &mut Vec<ResultEvent>,
     ) -> Result<StepOutcome, SystemError> {
         let Some(probe) = probes.next() else {
@@ -947,11 +949,11 @@ impl SessionCore {
         };
         let dest = sys.exchange(self.origin, &probe, true)?;
         self.stats.subqueries += 1;
-        let mut shipped = BindingBatch::for_pattern(&query.pattern);
+        let mut shipped = CodedRows::for_pattern(&query.pattern);
         self.stats.bindings_shipped +=
             sys.local_dbs[dest.index()].match_into(&query.pattern, &mut shipped);
         let col = shipped.column(&query.distinguished);
-        let limit_hit = self.admit_terms(seen, col, shipped.rows(), out);
+        let limit_hit = self.admit_terms(col, shipped.rows(), out);
         Ok(StepOutcome::Unit {
             heard: Vec::new(),
             done: limit_hit || probes.as_slice().is_empty(),
@@ -967,8 +969,7 @@ impl SessionCore {
         &mut self,
         query: &TriplePatternQuery,
         answered: Vec<SweepHop>,
-        shipped: &mut BindingBatch,
-        seen: &mut FxHashSet<u64>,
+        shipped: &mut CodedRows,
         out: &mut Vec<ResultEvent>,
     ) {
         let col = shipped.column(&query.distinguished);
@@ -982,7 +983,7 @@ impl SessionCore {
                 quality: hop.quality,
             });
             if !limit_hit {
-                limit_hit = self.admit_terms(seen, col, rows.by_ref().take(n), out);
+                limit_hit = self.admit_terms(col, rows.by_ref().take(n), out);
             }
         }
         drop(rows);
@@ -1014,8 +1015,8 @@ impl SessionCore {
         sys: &mut GridVineSystem,
         walk: &mut Walk,
         seeds: &SeedColumn,
-        rows: &mut BindingBatch,
-        mut admit: impl FnMut(&mut SessionCore, Vec<SweepHop>, &[usize], &mut BindingBatch),
+        rows: &mut CodedRows,
+        mut admit: impl FnMut(&mut SessionCore, Vec<SweepHop>, &[usize], &mut CodedRows),
     ) -> Result<StepOutcome, SystemError> {
         let heard = match walk.sweep.pending_schema() {
             // Left pending by the previous step for its discovery.
@@ -1091,13 +1092,12 @@ impl SessionCore {
         sys: &mut GridVineSystem,
         query: &TriplePatternQuery,
         walk: &mut Walk,
-        shipped: &mut BindingBatch,
-        seen: &mut FxHashSet<u64>,
+        shipped: &mut CodedRows,
         out: &mut Vec<ResultEvent>,
     ) -> Result<StepOutcome, SystemError> {
         let no_column = &SeedColumn::default();
         self.step_walk(sys, walk, no_column, shipped, |core, answered, _, rows| {
-            core.admit_hops(query, answered, rows, seen, out)
+            core.admit_hops(query, answered, rows, out)
         })
     }
 
@@ -1136,7 +1136,6 @@ impl SessionCore {
             query,
             order,
             vars,
-            rows: partial,
             phase,
             sweep,
             projection,
@@ -1144,39 +1143,42 @@ impl SessionCore {
         loop {
             if let Some(in_flight) = sweep {
                 let step = match phase {
-                    // The replies' rows accumulate into the sweep's batch.
+                    // The replies' rows accumulate into the sweep's table.
                     JoinPhase::Independent { .. } => {
                         self.step_sweep(sys, in_flight, |_, _, _, _| {})
                     }
-                    JoinPhase::Bound { oi, next, .. } => {
+                    JoinPhase::Bound {
+                        oi, partial, next, ..
+                    } => {
                         let last = *oi == order.len();
                         self.step_sweep(sys, in_flight, |core, part, reply, shipped| {
                             // A seed's matches bind only the pattern's
                             // remaining variables: merge each into every
-                            // member row of its group.
-                            let fragments = batch_rows(reply, vars, &[]);
+                            // member row of its group — a partial row of
+                            // the next pattern, or at the last an answer.
+                            let mut fragments = partial.empty_like();
+                            batch_rows(reply, &[], &mut fragments);
                             reply.clear();
-                            let mut fresh = core.rows.empty_like();
-                            let mut joined = Vec::new();
+                            let mut completed = partial.empty_like();
+                            let joined = if last { &mut completed } else { &mut *next };
                             let mut at = 0;
-                            'reply: for (i, &n) in shipped.iter().enumerate() {
-                                let fragment = &fragments[at..at + n];
+                            for (i, &n) in shipped.iter().enumerate() {
+                                let seed_rows = at..at + n;
                                 at += n;
                                 if n == 0 {
                                     continue;
                                 }
                                 for &m in &part.members[i % part.members.len()] {
-                                    for f in fragment {
-                                        merge_fragment(&partial[m], f, &mut joined);
-                                        if !last {
-                                            next.push(joined.clone());
-                                            continue;
-                                        }
-                                        let (rows, limit) = (&mut core.rows, core.limit);
-                                        if projection.admit(&joined, rows, limit, &mut fresh) {
-                                            break 'reply;
-                                        }
+                                    for f in seed_rows.clone() {
+                                        joined.push_merge(partial.row(m), fragments.row(f));
                                     }
+                                }
+                            }
+                            let mut fresh = core.rows.empty_like();
+                            for row in completed.rows() {
+                                let (rows, limit) = (&mut core.rows, core.limit);
+                                if projection.admit(row, rows, limit, &mut fresh) {
+                                    break;
                                 }
                             }
                             if !fresh.is_empty() {
@@ -1211,16 +1213,17 @@ impl SessionCore {
                         continue;
                     }
                     sys.proto.floor(self.max_completion);
-                    let sets = place_for_fold(vars, std::mem::take(shipped));
-                    let mut rows = std::mem::take(partial);
-                    for set in &sets {
-                        rows = hash_join_rows(&rows, set);
+                    // The fold starts from the first placed set.
+                    let mut sets = place_for_fold(vars, std::mem::take(shipped)).into_iter();
+                    let mut rows = sets.next().unwrap_or_default();
+                    for set in sets {
                         if rows.is_empty() {
                             break;
                         }
+                        rows = hash_join_rows(&rows, &set);
                     }
                     let mut fresh = self.rows.empty_like();
-                    for row in &rows {
+                    for row in rows.rows() {
                         if projection.admit(row, &mut self.rows, self.limit, &mut fresh) {
                             break;
                         }
@@ -1236,6 +1239,7 @@ impl SessionCore {
                 JoinPhase::Bound {
                     oi,
                     parts,
+                    partial,
                     next,
                     barrier,
                 } => {
@@ -1246,7 +1250,7 @@ impl SessionCore {
                     // The pattern opened last is swept: the rows it
                     // completed are the partial solutions.
                     if *oi > 0 {
-                        *partial = std::mem::take(next);
+                        *partial = std::mem::replace(next, partial.empty_like());
                     }
                     if *oi == order.len() || partial.is_empty() {
                         return Ok(StepOutcome::Idle);
@@ -1338,7 +1342,7 @@ impl SessionCore {
         &mut self,
         sys: &mut GridVineSystem,
         sweep: &mut PatternSweep,
-        mut take: impl FnMut(&mut SessionCore, &BoundPart, &mut BindingBatch, &[usize]),
+        mut take: impl FnMut(&mut SessionCore, &BoundPart, &mut CodedRows, &[usize]),
     ) -> Result<StepOutcome, SystemError> {
         let PatternSweep {
             part,
@@ -1473,10 +1477,10 @@ impl Walk {
 }
 
 impl BoundPart {
-    /// An empty batch for the part's rows: the variables an instance of
+    /// An empty table for the part's rows: the variables an instance of
     /// its template leaves unbound.
-    fn header(&self) -> BindingBatch {
-        BindingBatch::for_instances(&self.template, &self.seeds)
+    fn header(&self) -> CodedRows {
+        CodedRows::for_instances(&self.template, &self.seeds)
     }
 }
 
@@ -1506,48 +1510,33 @@ impl Projection {
     }
 }
 
-/// Merge a bound join's partial row with one fragment its seed's
-/// instance shipped, into `out`. The seed binds every slot the partial
-/// row binds among the pattern's variables, and the fragment binds only
-/// the others, so no slot is bound on both sides and there is nothing to
-/// compare.
-fn merge_fragment(row: &[u64], fragment: &[u64], out: &mut Vec<u64>) {
-    out.clear();
-    out.extend(row.iter().zip(fragment).map(|(&l, &r)| {
-        debug_assert!(l == UNBOUND || r == UNBOUND, "slot {l} bound twice");
-        if l != UNBOUND {
-            l
-        } else {
-            r
-        }
-    }));
-}
-
-/// Place the batches an independent join's sweeps shipped, one per
-/// pattern, into the row sets its fold joins, paying only for the rows
-/// that can join: the smallest batch in full, every other one filtered
-/// on the variables it shares with the smallest, keeping a row only if
-/// its code in each is one the smallest batch holds there
-/// ([`batch_rows`], probing a set of the smallest batch's key codes). A
+/// Place the tables an independent join's sweeps shipped, one per
+/// pattern, into the tables of join rows its fold joins, paying only for
+/// the rows that can join: the smallest table in full, every other one
+/// filtered on the variables it shares with the smallest, keeping a row
+/// only if its code in each is one the smallest table holds there
+/// ([`batch_rows`], probing a set of the smallest table's key codes). A
 /// row that fails cannot join any row of the smallest set, so it is in
 /// no answer. The sets keep their order and the kept rows theirs, so
 /// the fold — left-major, then right insertion order — emits the answer
 /// rows in the order it would over everything shipped, and a limit
 /// keeps the same rows.
-fn place_for_fold(vars: &VarTable, mut shipped: Vec<BindingBatch>) -> Vec<Vec<Vec<u64>>> {
+fn place_for_fold(vars: &Arc<VarTable>, mut shipped: Vec<CodedRows>) -> Vec<CodedRows> {
     let Some(smallest) = (0..shipped.len()).min_by_key(|&i| shipped[i].len()) else {
         return Vec::new();
     };
     let head = shipped.remove(smallest);
-    let head_rows = batch_rows(&head, vars, &[]);
-    // The smallest batch's codes per slot it binds, built on first use.
+    let mut head_rows = CodedRows::new(Arc::clone(vars));
+    batch_rows(&head, &[], &mut head_rows);
+    // The smallest table's codes per slot it binds, built on first use.
     let mut keys: FxHashMap<usize, FxHashSet<u64>> = FxHashMap::default();
-    let mut sets: Vec<Vec<Vec<u64>>> = shipped
+    let mut sets: Vec<CodedRows> = shipped
         .iter()
         .map(|batch| {
+            let mut set = head_rows.empty_like();
             if head_rows.is_empty() {
                 // Nothing can join an empty set.
-                return Vec::new();
+                return set;
             }
             let slots = batch.vars().iter().filter_map(|v| vars.slot(v));
             let shared: Vec<usize> = slots
@@ -1555,11 +1544,12 @@ fn place_for_fold(vars: &VarTable, mut shipped: Vec<BindingBatch>) -> Vec<Vec<Ve
                 .collect();
             for &s in &shared {
                 keys.entry(s)
-                    .or_insert_with(|| head_rows.iter().map(|r| r[s]).collect());
+                    .or_insert_with(|| head_rows.rows().map(|r| r[s]).collect());
             }
             let held: Vec<(usize, &FxHashSet<u64>)> =
                 shared.iter().map(|s| (*s, &keys[s])).collect();
-            batch_rows(batch, vars, &held)
+            batch_rows(batch, &held, &mut set);
+            set
         })
         .collect();
     sets.insert(smallest, head_rows);
@@ -1580,14 +1570,14 @@ fn bound_parts(
     pattern: &TriplePattern,
     vars: &VarTable,
     lexicon: &TermDict,
-    rows: &[Vec<u64>],
+    rows: &CodedRows,
 ) -> Vec<BoundPart> {
     // Every partial row binds the same slots: those of the patterns
     // already joined.
     let mut column: Vec<(usize, &str)> = Vec::new();
     for v in pattern.variables() {
         let slot = vars.slot(v).expect("the table covers every pattern");
-        if rows[0][slot] != UNBOUND && !column.iter().any(|&(s, _)| s == slot) {
+        if rows.row(0)[slot] != UNBOUND && !column.iter().any(|&(s, _)| s == slot) {
             column.push((slot, v));
         }
     }
@@ -1604,7 +1594,7 @@ fn bound_parts(
     let mut parts: Vec<BoundPart> = Vec::new();
     let mut part_of: FxHashMap<u64, usize> = FxHashMap::default();
     let mut group_of: FxHashMap<Vec<u64>, (usize, usize)> = FxHashMap::default();
-    for (i, row) in rows.iter().enumerate() {
+    for (i, row) in rows.rows().enumerate() {
         let bound = predicate.iter().chain(&column);
         let key: Vec<u64> = bound.map(|&(slot, _)| row[slot]).collect();
         if let Some(&(p, g)) = group_of.get(&key) {
@@ -1780,7 +1770,7 @@ mod tests {
         // The exchanges of two sweeps, then the fold. Before each step,
         // what the fold would take if the step folded: the batches of
         // the finished sweeps and the one in flight.
-        let mut folded: Vec<BindingBatch>;
+        let mut folded: Vec<CodedRows>;
         loop {
             let JoinPhase::Independent { shipped, .. } = &join.phase else {
                 panic!("independent mode");
@@ -1796,7 +1786,7 @@ mod tests {
             panic!("independent mode");
         };
         assert!(shipped.is_empty(), "the fold took the shipped batches");
-        assert_eq!(folded.iter().map(BindingBatch::len).sum::<usize>(), 200 + 5);
+        assert_eq!(folded.iter().map(CodedRows::len).sum::<usize>(), 200 + 5);
         let sets = place_for_fold(&join.vars, folded);
 
         let rows = core.rows.bindings(&sys.lexicon);
@@ -1812,9 +1802,13 @@ mod tests {
         // The selective side binds 5 entities; the answer adds their 5
         // sizes. Placing every shipped row would hold 400 codes.
         let (head, answer_only) = (5, 5);
-        let held: FxHashSet<u64> = sets.iter().flatten().flatten().copied().collect();
+        let held: FxHashSet<u64> = sets
+            .iter()
+            .flat_map(|set| set.rows().flatten())
+            .copied()
+            .collect();
         let held = held.len() - held.contains(&UNBOUND) as usize;
         assert!(held <= head + answer_only, "{held} codes placed");
-        assert_eq!(sets.iter().map(Vec::len).sum::<usize>(), 5 + 5);
+        assert_eq!(sets.iter().map(CodedRows::len).sum::<usize>(), 5 + 5);
     }
 }

@@ -1,146 +1,59 @@
-//! Columnar binding batches: the row currency between a destination
+//! The one table of term codes: every row set between a destination
 //! scan and the result boundary.
 //!
 //! A [`Binding`] is a `BTreeMap<String, Term>` — one map node and one
-//! `String` per variable *per row*. Every match of one pattern binds
-//! the same variables, so a [`BindingBatch`] states them once, in its
-//! header, and keeps the rows as one flat row-major `Vec<u64>` of term
-//! **codes** (`lexicon id << 1 | literal`, see [`crate::dict`]): `width`
-//! codes per row, in header order. The row count is explicit, because
-//! an all-constant pattern has a zero-width header and its matches
-//! still count.
+//! `String` per variable *per row*. A set of rows binds the same
+//! variables, so a [`CodedRows`] states them once, in a header shared by
+//! reference count, and keeps the rows as one flat row-major `Vec<u64>`
+//! of term **codes** (`id << 1 | literal`, see [`crate::dict`]), one per
+//! header variable, [`UNBOUND`] where a row binds none. The row count is
+//! explicit, because an all-constant pattern has a zero-width header and
+//! its matches still count. Only this module knows that layout.
 //!
-//! [`TripleStore::match_into`](crate::TripleStore::match_into) and
-//! [`TripleStore::match_seeds_into`](crate::TripleStore::match_seeds_into)
-//! append to a batch, so every destination a query visits for the same
-//! variables (the hops of a reformulation closure only swap the
-//! predicate; the seeds of a binding column bind the same variables)
-//! fills one batch. A cell is a code over the store's lexicon ids, so
-//! the stores loaded through one lexicon ship equal codes for equal
-//! terms, and shipping a cell touches no string and no reference count.
-//! [`batch_rows`](crate::join::batch_rows) places a batch's codes into
-//! join rows — all of it, or only the rows whose join keys are in a
-//! set, so an independent join keeps each pattern's batch as shipped
-//! until it knows which rows can join — and [`BindingBatch::bindings`]
-//! decodes rows into [`Binding`]s through the dictionary whose ids the
-//! codes are (the lexicon, or a store fed plain triples itself).
+//! One table serves every row set:
 //!
-//! [`CodedRows`] is the answer side: the distinct rows a query admitted,
-//! as codes over the projected variables, behind a header shared by
-//! reference count, so a batch of them is built, moved and dropped
-//! without a [`Binding`] or a `String`. A caller that reads a batch
-//! decodes it through the lexicon ([`CodedRows::bindings`]);
+//! * **shipped rows** — [`TripleStore::match_into`](crate::TripleStore::match_into)
+//!   and [`TripleStore::match_seeds_into`](crate::TripleStore::match_seeds_into)
+//!   append to a table over a pattern's variables
+//!   ([`CodedRows::for_pattern`], [`CodedRows::for_instances`]), so every
+//!   destination a query visits for the same variables (the hops of a
+//!   reformulation closure only swap the predicate; the seeds of a
+//!   binding column bind the same variables) fills one table. A cell is
+//!   a code over the store's lexicon ids, so the stores loaded through
+//!   one lexicon ship equal codes for equal terms, and shipping a cell
+//!   touches no string and no reference count;
+//! * **join rows** — a table over a conjunctive query's variables:
+//!   [`batch_rows`](crate::join::batch_rows) places a shipped table's
+//!   columns into it, all of it or only the rows whose join keys are in
+//!   a set, and the hash join ([`crate::join`]) merges two such tables
+//!   into a third ([`CodedRows::push_merge`]);
+//! * **answers** — the distinct rows a query admitted, over its
+//!   projected variables, built, moved and dropped without a
+//!   [`Binding`] or a `String`;
+//! * **seeds** — a [`SeedColumn`] is a table of the values a bound
+//!   join's request carries to a destination, plus their dictionary
+//!   tags, computed the first time a destination probes, once per
+//!   column, so a column every destination sweeps is never tagged and
+//!   no seed value is hashed or compared byte by byte per hop.
+//!
+//! A table is decoded through the dictionary whose ids its codes are
+//! (the lexicon, or a store fed plain triples itself) by
+//! [`CodedRows::bindings`], one [`TermDict::decode_row`] per row;
 //! [`CodedRows::sorted_bindings`] puts the rows in a query's canonical
-//! order and decodes each row once.
-//!
-//! A [`SeedColumn`] is the other way round: the binding column a bound
-//! join's request carries to a destination — the bound variables once,
-//! each seed's values as codes. A destination either matches the rows
-//! of one scan to the seeds by code, or binds each seed by probing its
-//! dictionary with the dictionary tag of each value's lexical and the
-//! lexicon's buffer; the tags are computed the first time a destination
-//! probes, once per column, so a column every destination sweeps is
-//! never tagged, and no seed value is hashed or compared byte by byte
-//! per hop.
+//! order first and decodes each row once.
 
 use crate::dict::{tag_lexical, TermDict, TermId};
 use crate::join::{VarTable, UNBOUND};
 use crate::triple::{Binding, TriplePattern};
 use std::cell::OnceCell;
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
-/// The matches of one pattern shape: variable names once, codes
-/// row-major (see the module docs).
-#[derive(Debug, Clone)]
-pub struct BindingBatch {
-    /// The header: distinct variable names, in slot order of first
-    /// appearance — a variable's slot is its column.
-    pub(crate) vars: VarTable,
-    /// `rows * vars.len()` codes, row after row.
-    pub(crate) codes: Vec<u64>,
-    pub(crate) rows: usize,
-}
-
-impl BindingBatch {
-    /// An empty batch whose header is `pattern`'s distinct variables
-    /// (a repeated variable gets one column).
-    pub fn for_pattern(pattern: &TriplePattern) -> BindingBatch {
-        BindingBatch {
-            vars: VarTable::from_patterns([pattern]),
-            codes: Vec::new(),
-            rows: 0,
-        }
-    }
-
-    /// An empty batch for the instances `seeds` makes of `pattern`: its
-    /// header is the pattern's variables the seeds leave unbound, in
-    /// the pattern's order.
-    pub fn for_instances(pattern: &TriplePattern, seeds: &SeedColumn) -> BindingBatch {
-        let mut vars = VarTable::new();
-        for v in pattern.variables() {
-            if seeds.vars.slot(v).is_none() {
-                vars.slot_of(v);
-            }
-        }
-        BindingBatch {
-            vars,
-            codes: Vec::new(),
-            rows: 0,
-        }
-    }
-
-    /// The header: one name per column.
-    pub fn vars(&self) -> &[String] {
-        self.vars.names()
-    }
-
-    /// Column of a variable, if the header names it.
-    pub fn column(&self, var: &str) -> Option<usize> {
-        self.vars.slot(var)
-    }
-
-    /// Number of rows (matches), independent of the header width.
-    pub fn len(&self) -> usize {
-        self.rows
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0
-    }
-
-    /// The rows in append order, each `vars().len()` codes wide.
-    pub fn rows(&self) -> impl Iterator<Item = &[u64]> {
-        let width = self.vars.len();
-        (0..self.rows).map(move |i| &self.codes[i * width..(i + 1) * width])
-    }
-
-    /// Drop the rows, keeping the header and the allocation.
-    pub fn clear(&mut self) {
-        self.codes.clear();
-        self.rows = 0;
-    }
-
-    /// Every row as a [`Binding`], in append order, its codes decoded
-    /// through `dict` — the dictionary whose ids they are.
-    pub fn bindings(&self, dict: &TermDict) -> Vec<Binding> {
-        self.rows()
-            .map(|row| {
-                let mut b = Binding::new();
-                for (name, &code) in self.vars.names().iter().zip(row) {
-                    b.bind(name.clone(), dict.term_of_code(code));
-                }
-                b
-            })
-            .collect()
-    }
-}
-
-/// A query's answer rows as codes over its projected variables: the
-/// header once, shared by reference count, and the rows row-major (see
-/// the module docs). The codes are over the lexicon's ids, so only the
-/// lexicon decodes them.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Rows of term codes under one header (see the module docs).
+#[derive(Debug, Clone, PartialEq)]
 pub struct CodedRows {
+    /// The header: distinct variable names, in slot order — a
+    /// variable's slot is its column.
     vars: Arc<VarTable>,
     /// `rows * vars.len()` codes, row after row.
     codes: Vec<u64>,
@@ -159,29 +72,58 @@ pub enum RowOrder {
     ByDisplay,
 }
 
+impl Default for CodedRows {
+    /// No rows over no variables. Every such table shares one header,
+    /// so an empty binding column — the one a request without seeds
+    /// carries — allocates nothing.
+    fn default() -> CodedRows {
+        static NO_VARS: OnceLock<Arc<VarTable>> = OnceLock::new();
+        CodedRows::new(Arc::clone(NO_VARS.get_or_init(Arc::default)))
+    }
+}
+
 impl CodedRows {
     /// No rows yet, over `vars`.
-    pub fn new(vars: VarTable) -> CodedRows {
+    pub fn new(vars: impl Into<Arc<VarTable>>) -> CodedRows {
         CodedRows {
-            vars: Arc::new(vars),
-            ..CodedRows::default()
+            vars: vars.into(),
+            codes: Vec::new(),
+            rows: 0,
         }
     }
 
-    /// No rows, over this batch's header: a reference count, no copy.
+    /// No rows yet, over `pattern`'s distinct variables (a repeated
+    /// variable gets one column).
+    pub fn for_pattern(pattern: &TriplePattern) -> CodedRows {
+        CodedRows::new(VarTable::from_patterns([pattern]))
+    }
+
+    /// No rows yet, for the instances `seeds` make of `pattern`: over
+    /// the pattern's variables the seeds leave unbound, in the
+    /// pattern's order.
+    pub fn for_instances(pattern: &TriplePattern, seeds: &SeedColumn) -> CodedRows {
+        let mut vars = VarTable::new();
+        for v in pattern.variables() {
+            if seeds.column(v).is_none() {
+                vars.slot_of(v);
+            }
+        }
+        CodedRows::new(vars)
+    }
+
+    /// No rows, over this table's header: a reference count, no copy.
     pub fn empty_like(&self) -> CodedRows {
-        CodedRows {
-            vars: Arc::clone(&self.vars),
-            ..CodedRows::default()
-        }
+        CodedRows::new(Arc::clone(&self.vars))
     }
 
-    /// Append a row: one code per header variable, [`UNBOUND`] for none.
-    pub fn push(&mut self, row: &[u64]) {
-        // A row of another width would shift every row after it.
-        assert_eq!(row.len(), self.vars.len(), "one code per variable");
-        self.codes.extend_from_slice(row);
-        self.rows += 1;
+    /// The header: one name per column.
+    pub fn vars(&self) -> &[String] {
+        self.vars.names()
+    }
+
+    /// Column of a variable, if the header names it.
+    pub fn column(&self, var: &str) -> Option<usize> {
+        self.vars.slot(var)
     }
 
     /// Number of rows, independent of the header width.
@@ -193,17 +135,56 @@ impl CodedRows {
         self.rows == 0
     }
 
-    /// Row `i`'s codes.
-    fn row(&self, i: usize) -> &[u64] {
+    /// Append a row: one code per header variable, [`UNBOUND`] for none.
+    pub fn push(&mut self, row: &[u64]) {
+        // A row of another width would shift every row after it.
+        assert_eq!(row.len(), self.vars.len(), "one code per variable");
+        self.codes.extend_from_slice(row);
+        self.rows += 1;
+    }
+
+    /// Append the slot-wise merge of two rows over this header: `left`'s
+    /// code where it binds one, `right`'s elsewhere. Where both bind a
+    /// slot — a join key — they carry the same code.
+    pub fn push_merge(&mut self, left: &[u64], right: &[u64]) {
+        assert!(
+            left.len() == self.vars.len() && right.len() == self.vars.len(),
+            "one code per variable"
+        );
+        let merged = left.iter().zip(right);
+        (self.codes).extend(merged.map(|(&l, &r)| if l != UNBOUND { l } else { r }));
+        self.rows += 1;
+    }
+
+    /// Where row `i`'s codes lie in the row-major layout; a column
+    /// beside the codes (a [`SeedColumn`]'s tags) shares it.
+    fn span(&self, i: usize) -> Range<usize> {
         let width = self.vars.len();
-        &self.codes[i * width..(i + 1) * width]
+        i * width..(i + 1) * width
+    }
+
+    /// Row `i`'s codes, in header order.
+    pub fn row(&self, i: usize) -> &[u64] {
+        &self.codes[self.span(i)]
+    }
+
+    /// The rows in append order.
+    pub fn rows(&self) -> impl Iterator<Item = &[u64]> {
+        (0..self.rows).map(|i| self.row(i))
+    }
+
+    /// Drop the rows, keeping the header and the allocation.
+    pub fn clear(&mut self) {
+        self.codes.clear();
+        self.rows = 0;
     }
 
     /// Every row as a [`Binding`], in append order, decoded through
-    /// `lexicon` (an unbound slot binds nothing).
-    pub fn bindings(&self, lexicon: &TermDict) -> Vec<Binding> {
-        (0..self.rows)
-            .map(|i| lexicon.decode_row(self.row(i), &self.vars))
+    /// `dict` — the dictionary whose ids the codes are (an unbound slot
+    /// binds nothing).
+    pub fn bindings(&self, dict: &TermDict) -> Vec<Binding> {
+        self.rows()
+            .map(|row| dict.decode_row(row, &self.vars))
             .collect()
     }
 
@@ -233,18 +214,15 @@ impl CodedRows {
     }
 }
 
-/// The binding column of a bound join's pattern: the variables its
-/// seeds bind, once, and per seed one code per variable; each value's
-/// dictionary tag is computed on the first probe (see the module docs).
+/// The binding column of a bound join's pattern: a table of the values
+/// its seeds bind, one row per seed, and each value's dictionary tag,
+/// computed on the first probe (see the module docs).
 #[derive(Debug, Clone, Default)]
 pub struct SeedColumn {
-    vars: VarTable,
-    /// `rows * vars.len()` codes, seed after seed.
-    codes: Vec<u64>,
-    /// The dictionary tag of each code's lexical, beside `codes`, once
-    /// a destination has probed with them.
+    seeds: CodedRows,
+    /// The dictionary tag of each code's lexical, laid out as the codes
+    /// are, once a destination has probed with them.
     tags: OnceCell<Vec<u32>>,
-    rows: usize,
 }
 
 impl SeedColumn {
@@ -255,44 +233,41 @@ impl SeedColumn {
             table.slot_of(v);
         }
         SeedColumn {
-            vars: table,
-            ..SeedColumn::default()
+            seeds: CodedRows::new(table),
+            tags: OnceCell::new(),
         }
     }
 
     /// Append a seed: one code of the lexicon's ids per variable, in
     /// header order.
     pub fn push(&mut self, codes: &[u64]) {
-        assert_eq!(codes.len(), self.vars.len(), "one code per variable");
-        self.codes.extend_from_slice(codes);
+        self.seeds.push(codes);
         // A tag computed before this seed would not cover it.
         self.tags.take();
-        self.rows += 1;
     }
 
     /// Column of a variable, if the seeds bind it.
     pub fn column(&self, var: &str) -> Option<usize> {
-        self.vars.slot(var)
+        self.seeds.column(var)
     }
 
     /// Number of seeds.
     pub fn len(&self) -> usize {
-        self.rows
+        self.seeds.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.rows == 0
+        self.seeds.is_empty()
     }
 
     /// Values carried in all: seeds times variables.
     pub fn values(&self) -> usize {
-        self.codes.len()
+        self.seeds.codes.len()
     }
 
     /// Seed `i`'s codes.
     pub(crate) fn seed(&self, i: usize) -> &[u64] {
-        let width = self.vars.len();
-        &self.codes[i * width..(i + 1) * width]
+        self.seeds.row(i)
     }
 
     /// Seed `i`'s tags: the dictionary tag of each value's lexical in
@@ -301,29 +276,28 @@ impl SeedColumn {
     pub(crate) fn tags(&self, i: usize, lexicon: &TermDict) -> &[u32] {
         let tags = self.tags.get_or_init(|| {
             let lexical = |&code: &u64| lexicon.resolve(TermId((code >> 1) as u32));
-            self.codes.iter().map(|c| tag_lexical(lexical(c))).collect()
+            self.seeds
+                .codes
+                .iter()
+                .map(|c| tag_lexical(lexical(c)))
+                .collect()
         });
-        let width = self.vars.len();
-        &tags[i * width..(i + 1) * width]
+        &tags[self.seeds.span(i)]
     }
 
     /// A column of seed `i` alone.
     pub fn one(&self, i: usize) -> SeedColumn {
+        let mut seeds = self.seeds.empty_like();
+        seeds.push(self.seed(i));
         SeedColumn {
-            vars: self.vars.clone(),
-            codes: self.seed(i).to_vec(),
+            seeds,
             tags: OnceCell::new(),
-            rows: 1,
         }
     }
 
     /// Seed `i` as a [`Binding`], its codes decoded through `lexicon`.
     pub fn binding(&self, i: usize, lexicon: &TermDict) -> Binding {
-        let mut b = Binding::new();
-        for (name, &code) in self.vars.names().iter().zip(self.seed(i)) {
-            b.bind(name.clone(), lexicon.term_of_code(code));
-        }
-        b
+        lexicon.decode_row(self.seed(i), &self.seeds.vars)
     }
 }
 
@@ -340,13 +314,13 @@ mod tests {
             PatternTerm::var("p"),
             PatternTerm::var("x"),
         );
-        let b = BindingBatch::for_pattern(&p);
+        let b = CodedRows::for_pattern(&p);
         assert_eq!(b.vars(), ["x".to_string(), "p".to_string()]);
         assert_eq!(b.column("p"), Some(1));
         assert_eq!(b.column("nope"), None);
         assert!(b.is_empty());
         // The instances of a column binding x leave p alone.
-        let seeded = BindingBatch::for_instances(&p, &SeedColumn::new(["x"]));
+        let seeded = CodedRows::for_instances(&p, &SeedColumn::new(["x"]));
         assert_eq!(seeded.vars(), ["p".to_string()]);
     }
 
@@ -357,8 +331,9 @@ mod tests {
             PatternTerm::constant(Term::uri("p")),
             PatternTerm::constant(Term::uri("o")),
         );
-        let mut b = BindingBatch::for_pattern(&ground);
-        b.rows = 2;
+        let mut b = CodedRows::for_pattern(&ground);
+        b.push(&[]);
+        b.push(&[]);
         assert_eq!(b.bindings(&TermDict::new()), vec![Binding::new(); 2]);
         assert_eq!(b.len(), 2);
         assert_eq!(b.rows().count(), 2);

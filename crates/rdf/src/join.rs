@@ -1,32 +1,27 @@
-//! The hash-join binding engine.
+//! The hash-join binding engine: conjunctive evaluation, local
+//! ([`crate::ConjunctiveQuery::evaluate`], [`crate::TripleStore::join`])
+//! and distributed (`gridvine-core`'s join sessions), on rows of term
+//! codes.
 //!
-//! Conjunctive evaluation — local ([`crate::ConjunctiveQuery::evaluate`],
-//! [`crate::TripleStore::join`]) and distributed (`gridvine-core`'s
-//! `search_conjunctive`) — used to merge binding sets with a nested loop
-//! over [`crate::Binding::join`]: O(n·m) string-keyed map merges per
-//! pattern. This module replaces that with a columnar representation and
-//! a hash join:
+//! * A join row is a row of a [`CodedRows`] table over the query's
+//!   variables ([`VarTable`], one slot per distinct variable), holding
+//!   a term code per slot and [`UNBOUND`] where the row binds none.
+//! * [`batch_rows`] places a table of one pattern's matches — shipped
+//!   by a peer as codes over one lexicon's ids (see [`crate::dict`]),
+//!   so equal terms from different stores carry equal codes — into join
+//!   rows: every row, or, filtered on the join slots, only the rows
+//!   whose key codes are in a set, a semi-join that leaves a row which
+//!   cannot join unplaced.
+//! * [`hash_join_rows`] joins two tables on their shared bound slots by
+//!   hashing the right side, so a k-row ∧ m-row join costs
+//!   O(k + m + output) `u64` comparisons, and emits the rows the nested
+//!   loop over [`crate::Binding::join`] would, in its order.
 //!
-//! * a solution row is a `Vec<u64>` of *term codes*, one slot per query
-//!   variable (see [`VarTable`]), [`UNBOUND`] where the variable is not
-//!   yet bound;
-//! * codes come from the store's term dictionary (local evaluation) or,
-//!   in distributed evaluation, straight off the [`BindingBatch`]es the
-//!   peers ship: their cells are codes over one lexicon's ids (see
-//!   [`crate::dict`]), so equal terms from different stores carry equal
-//!   codes and [`batch_rows`] only places each column's codes into its
-//!   variable's slot — every row, or, filtered on the join slots, only
-//!   the rows whose key codes are in a set, a semi-join that leaves a
-//!   row which cannot join unplaced;
-//! * [`hash_join_rows`] joins two row sets on their shared bound slots
-//!   by hashing the smaller-keyed side, so a k-row ∧ m-row join costs
-//!   O(k + m + output) `u64` comparisons instead of O(k·m) map merges.
-//!
-//! Strings are only touched again when the surviving rows are
-//! materialized back into [`crate::Binding`]s at the result boundary
+//! Strings are read again only when the surviving rows are decoded into
+//! [`crate::Binding`]s at the result boundary
 //! ([`crate::TermDict::decode_row`]).
 
-use crate::batch::BindingBatch;
+use crate::batch::CodedRows;
 use crate::fasthash::{FxHashMap, FxHashSet};
 use crate::triple::TriplePattern;
 
@@ -93,72 +88,54 @@ impl VarTable {
     }
 }
 
-/// A batch's rows as join rows over `vars`, in batch order: each
-/// column's codes placed into its variable's slot (a column `vars` does
-/// not name is dropped; a slot the batch does not bind stays
-/// [`UNBOUND`]) — every row, or with a non-empty `held` only the rows
-/// whose code in each listed slot is in that slot's set. When the sets
-/// hold a join side's key codes, the rows of another side that could
-/// join it are among the ones kept (a semi-join), and a dropped row
-/// costs no row allocation.
-pub fn batch_rows(
-    batch: &BindingBatch,
-    vars: &VarTable,
-    held: &[(usize, &FxHashSet<u64>)],
-) -> Vec<Vec<u64>> {
-    let slots: Vec<Option<usize>> = batch.vars().iter().map(|v| vars.slot(v)).collect();
+/// Append `batch`'s rows to `out` as join rows over `out`'s header, in
+/// batch order: each column's codes placed into its variable's slot (a
+/// column the header does not name is dropped; a slot the batch does not
+/// bind stays [`UNBOUND`]) — every row, or with a non-empty `held` only
+/// the rows whose code in each listed slot is in that slot's set. When
+/// the sets hold a join side's key codes, the rows of another side that
+/// could join it are among the ones kept (a semi-join).
+pub fn batch_rows(batch: &CodedRows, held: &[(usize, &FxHashSet<u64>)], out: &mut CodedRows) {
+    let slots: Vec<Option<usize>> = batch.vars().iter().map(|v| out.column(v)).collect();
     // Each filter as (column, set).
     let filters: Vec<(usize, &FxHashSet<u64>)> = held
         .iter()
         .filter_map(|&(slot, set)| Some((slots.iter().position(|&s| s == Some(slot))?, set)))
         .collect();
-    let mut out = Vec::with_capacity(if held.is_empty() { batch.rows } else { 0 });
+    // Every row of a batch fills the same slots, so one scratch row,
+    // unbound elsewhere, serves them all.
+    let mut row = vec![UNBOUND; out.vars().len()];
     for cells in batch.rows() {
         if !filters.iter().all(|(c, set)| set.contains(&cells[*c])) {
             continue;
         }
-        let mut row = vars.empty_row();
         for (slot, &code) in slots.iter().zip(cells) {
             if let Some(slot) = *slot {
                 row[slot] = code;
             }
         }
-        out.push(row);
+        out.push(&row);
     }
-    out
 }
 
-/// Slots bound in a row set (all rows of one set share a bound-slot
-/// layout: every match of a pattern binds exactly the pattern's
-/// variables, and accumulated solutions bind the union of the processed
-/// patterns' variables).
-fn bound_slots(rows: &[Vec<u64>]) -> Vec<usize> {
-    rows.first()
-        .map(|r| {
-            r.iter()
-                .enumerate()
-                .filter(|(_, &c)| c != UNBOUND)
-                .map(|(i, _)| i)
-                .collect()
-        })
-        .unwrap_or_default()
+/// Slots bound in a table of join rows (all rows of one table share a
+/// bound-slot layout: every match of a pattern binds exactly the
+/// pattern's variables, and accumulated solutions bind the union of the
+/// processed patterns' variables).
+fn bound_slots(rows: &CodedRows) -> Vec<usize> {
+    let Some(row) = rows.rows().next() else {
+        return Vec::new();
+    };
+    (0..row.len()).filter(|&i| row[i] != UNBOUND).collect()
 }
 
-/// Merge two rows slot-wise, left winning on doubly-bound slots (the
-/// join key slots, where both sides carry the same code).
-fn merge_rows(left: &[u64], right: &[u64]) -> Vec<u64> {
-    left.iter()
-        .zip(right)
-        .map(|(&l, &r)| if l != UNBOUND { l } else { r })
-        .collect()
-}
-
-/// Hash table of a built join side, specialized by shared-slot count:
-/// the overwhelmingly common one-shared-variable join keys the map on
-/// the bare `u64` code — no key `Vec` is ever allocated, at build or
-/// probe — while multi-variable joins fall back to composite keys.
+/// The hash table over a join's right side, specialized by shared-slot
+/// count: the overwhelmingly common one-shared-variable join keys the
+/// map on the bare `u64` code — no key `Vec` is ever allocated, at build
+/// or probe — while multi-variable joins fall back to composite keys.
+/// Each key lists the right rows holding it, in insertion order.
 enum Table {
-    /// No shared slots: every probe merges with every inner row.
+    /// No shared slots: every probe merges with every right row.
     Cartesian,
     /// One shared slot: bare-code keys.
     One(usize, FxHashMap<u64, Vec<usize>>),
@@ -166,111 +143,75 @@ enum Table {
     Many(Vec<usize>, FxHashMap<Vec<u64>, Vec<usize>>),
 }
 
-/// A built (inner) side of a hash join, ready to be probed with rows
-/// streamed one at a time — e.g. straight out of
-/// [`crate::TripleStore::for_each_match_row`] — without ever
-/// collecting the probe side.
-///
-/// The inner rows are hashed once on the slots they share with the
-/// probe side's bound-slot layout; [`HashJoiner::probe`] then emits the
-/// merged rows a single probe row joins with, in inner insertion order.
-/// With no shared slots every probe row merges with every inner row
-/// (the cartesian product binding merge semantics require).
-pub struct HashJoiner<'r> {
-    inner: &'r [Vec<u64>],
-    table: Table,
-}
-
-impl<'r> HashJoiner<'r> {
-    /// Hash `inner` on the slots it shares with a probe side whose
-    /// bound slots are `probe_bound`.
-    pub fn new(inner: &'r [Vec<u64>], probe_bound: &[usize]) -> HashJoiner<'r> {
-        let shared: Vec<usize> = bound_slots(inner)
+impl Table {
+    /// Hash `right` on the slots it shares with a left side whose bound
+    /// slots are `left_bound`.
+    fn build(right: &CodedRows, left_bound: &[usize]) -> Table {
+        let shared: Vec<usize> = bound_slots(right)
             .into_iter()
-            .filter(|s| probe_bound.contains(s))
+            .filter(|s| left_bound.contains(s))
             .collect();
-        let table = match shared.as_slice() {
+        match shared.as_slice() {
             [] => Table::Cartesian,
             &[slot] => {
                 let mut map: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
-                map.reserve(inner.len());
-                for (i, r) in inner.iter().enumerate() {
+                map.reserve(right.len());
+                for (i, r) in right.rows().enumerate() {
                     map.entry(r[slot]).or_default().push(i);
                 }
                 Table::One(slot, map)
             }
             _ => {
                 let mut map: FxHashMap<Vec<u64>, Vec<usize>> = FxHashMap::default();
-                map.reserve(inner.len());
-                for (i, r) in inner.iter().enumerate() {
+                map.reserve(right.len());
+                for (i, r) in right.rows().enumerate() {
                     let key: Vec<u64> = shared.iter().map(|&s| r[s]).collect();
                     map.entry(key).or_default().push(i);
                 }
                 Table::Many(shared, map)
             }
-        };
-        HashJoiner { inner, table }
+        }
     }
 
-    /// Append to `out` the merged rows `probe` joins with.
-    pub fn probe(&self, probe: &[u64], out: &mut Vec<Vec<u64>>) {
-        match &self.table {
+    /// Append to `out` the merges of `left` with the rows of `right` it
+    /// joins, in `right`'s order.
+    fn probe(&self, right: &CodedRows, left: &[u64], out: &mut CodedRows) {
+        let matches = match self {
             Table::Cartesian => {
-                for r in self.inner {
-                    out.push(merge_rows(probe, r));
+                for r in right.rows() {
+                    out.push_merge(left, r);
                 }
+                return;
             }
-            Table::One(slot, map) => {
-                if let Some(matches) = map.get(&probe[*slot]) {
-                    for &i in matches {
-                        out.push(merge_rows(probe, &self.inner[i]));
-                    }
-                }
-            }
+            Table::One(slot, map) => map.get(&left[*slot]),
             Table::Many(slots, map) => {
-                let key: Vec<u64> = slots.iter().map(|&s| probe[s]).collect();
-                if let Some(matches) = map.get(&key) {
-                    for &i in matches {
-                        out.push(merge_rows(probe, &self.inner[i]));
-                    }
-                }
+                let key: Vec<u64> = slots.iter().map(|&s| left[s]).collect();
+                map.get(&key)
             }
+        };
+        for &i in matches.into_iter().flatten() {
+            out.push_merge(left, right.row(i));
         }
     }
 }
 
-/// Hash-join two row sets on their shared bound slots.
+/// Hash-join two tables of join rows over one header on their shared
+/// bound slots.
 ///
 /// Produces exactly the rows the nested loop over [`crate::Binding::join`]
 /// would (same multiset, same order: left-major, then right insertion
 /// order), at O(|left| + |right| + |output|). With no shared slots this
 /// degenerates to the cartesian product, as binding merge semantics
-/// require. Implemented as a [`HashJoiner`] built over `right` and
-/// probed with each `left` row in order — except for a single-row left
-/// side (the executor's bound-join groups substitute one member at a
-/// time), which filters `right` directly on the shared slots: same
-/// rows, same order, no table build at all.
-pub fn hash_join_rows(left: &[Vec<u64>], right: &[Vec<u64>]) -> Vec<Vec<u64>> {
+/// require.
+pub fn hash_join_rows(left: &CodedRows, right: &CodedRows) -> CodedRows {
+    debug_assert_eq!(left.vars(), right.vars(), "one header");
+    let mut out = left.empty_like();
     if left.is_empty() || right.is_empty() {
-        return Vec::new();
-    }
-    if let [l] = left {
-        let shared: Vec<usize> = bound_slots(right)
-            .into_iter()
-            .filter(|&s| l[s] != UNBOUND)
-            .collect();
-        let mut out = Vec::new();
-        for r in right {
-            if shared.iter().all(|&s| r[s] == l[s]) {
-                out.push(merge_rows(l, r));
-            }
-        }
         return out;
     }
-    let joiner = HashJoiner::new(right, &bound_slots(left));
-    let mut out = Vec::new();
-    for l in left {
-        joiner.probe(l, &mut out);
+    let table = Table::build(right, &bound_slots(left));
+    for l in left.rows() {
+        table.probe(right, l, &mut out);
     }
     out
 }
@@ -299,14 +240,39 @@ pub(crate) mod tests {
         ((id.0 as u64) << 1) | term.is_literal() as u64
     }
 
-    /// A batch over `pattern`'s variables holding `rows` of terms.
-    fn batch_of(dict: &mut TermDict, pattern: &TriplePattern, rows: &[Vec<Term>]) -> BindingBatch {
-        let mut batch = BindingBatch::for_pattern(pattern);
+    /// A table over `pattern`'s variables holding `rows` of terms.
+    fn batch_of(dict: &mut TermDict, pattern: &TriplePattern, rows: &[Vec<Term>]) -> CodedRows {
+        let mut batch = CodedRows::for_pattern(pattern);
         for row in rows {
-            batch.codes.extend(row.iter().map(|t| code(dict, t)));
-            batch.rows += 1;
+            let codes: Vec<u64> = row.iter().map(|t| code(dict, t)).collect();
+            batch.push(&codes);
         }
         batch
+    }
+
+    /// A table over `width` variables `v0`, `v1`, … holding `rows`.
+    fn table(width: usize, rows: &[&[u64]]) -> CodedRows {
+        let mut vars = VarTable::new();
+        for i in 0..width {
+            vars.slot_of(&format!("v{i}"));
+        }
+        let mut t = CodedRows::new(vars);
+        for row in rows {
+            t.push(row);
+        }
+        t
+    }
+
+    /// A table's rows, each as its own vector.
+    fn rows_of(t: &CodedRows) -> Vec<Vec<u64>> {
+        t.rows().map(<[u64]>::to_vec).collect()
+    }
+
+    /// A table over `vars` with `batch`'s rows placed into it.
+    fn placed(batch: &CodedRows, vars: &VarTable, held: &[(usize, &FxHashSet<u64>)]) -> CodedRows {
+        let mut out = CodedRows::new(vars.clone());
+        batch_rows(batch, held, &mut out);
+        out
     }
 
     #[test]
@@ -344,17 +310,20 @@ pub(crate) mod tests {
             .map(|(z, x)| vec![Term::uri(*z), Term::uri("p"), Term::literal(*x)])
             .collect();
         let batch = batch_of(&mut d, &pattern, &rows);
-        let placed = batch_rows(&batch, &vars, &[]);
+        let placed = placed(&batch, &vars, &[]);
         assert_eq!(placed.len(), 2);
-        assert!(placed.iter().all(|r| r[1] == UNBOUND));
-        assert_eq!(placed[0][0], placed[1][0], "equal terms share a code");
-        let decoded: Vec<Binding> = placed.iter().map(|r| d.decode_row(r, &vars)).collect();
+        assert!(placed.rows().all(|r| r[1] == UNBOUND));
+        assert_eq!(
+            placed.row(0)[0],
+            placed.row(1)[0],
+            "equal terms share a code"
+        );
         let expected: Vec<Binding> = batch
             .bindings(&d)
             .iter()
             .map(|b| b.project(&["x", "z"]))
             .collect();
-        assert_eq!(decoded, expected);
+        assert_eq!(placed.bindings(&d), expected);
     }
 
     #[test]
@@ -366,9 +335,11 @@ pub(crate) mod tests {
             PatternTerm::constant(Term::uri("p")),
             PatternTerm::constant(Term::uri("o")),
         );
-        let mut batch = BindingBatch::for_pattern(&ground);
-        batch.rows = 3;
-        assert_eq!(batch_rows(&batch, &vars, &[]), vec![vec![UNBOUND]; 3]);
+        let mut batch = CodedRows::for_pattern(&ground);
+        for _ in 0..3 {
+            batch.push(&[]);
+        }
+        assert_eq!(rows_of(&placed(&batch, &vars, &[])), vec![vec![UNBOUND]; 3]);
     }
 
     #[test]
@@ -390,81 +361,65 @@ pub(crate) mod tests {
             .collect();
         let batch = batch_of(&mut d, &pattern, &rows);
         // Keyed on x: <b> is held only as a literal, <c> not at all.
-        let placed = batch_rows(&batch, &vars, &[(x, &held)]);
-        assert_eq!(placed.len(), 2);
-        assert!(placed.iter().all(|r| r[x] == a));
-        let kept: Vec<Term> = placed.iter().map(|r| d.term_of_code(r[y])).collect();
+        let kept = placed(&batch, &vars, &[(x, &held)]);
+        assert_eq!(kept.len(), 2);
+        assert!(kept.rows().all(|r| r[x] == a));
+        let kept: Vec<Term> = kept.rows().map(|r| d.term_of_code(r[y])).collect();
         assert_eq!(kept, [Term::literal("1"), Term::literal("4")]);
         assert_eq!(held.len(), 2, "the two dropped rows added no key");
         // No filter: every row.
-        assert_eq!(batch_rows(&batch, &vars, &[]).len(), 4);
+        assert_eq!(placed(&batch, &vars, &[]).len(), 4);
         // A filter on a slot the batch does not bind constrains nothing.
         let mut wider = vars.clone();
         let z = wider.slot_of("z");
-        assert_eq!(batch_rows(&batch, &wider, &[(z, &held)]).len(), 4);
+        assert_eq!(placed(&batch, &wider, &[(z, &held)]).len(), 4);
     }
 
     #[test]
     fn join_on_shared_slot_filters_and_merges() {
         // vars: [x, a, b]; left binds (x, a), right binds (x, b).
-        let left = vec![vec![1, 10, UNBOUND], vec![2, 20, UNBOUND]];
-        let right = vec![
-            vec![1, UNBOUND, 100],
-            vec![3, UNBOUND, 300],
-            vec![1, UNBOUND, 101],
-        ];
+        let left = table(3, &[&[1, 10, UNBOUND], &[2, 20, UNBOUND]]);
+        let right = table(
+            3,
+            &[&[1, UNBOUND, 100], &[3, UNBOUND, 300], &[1, UNBOUND, 101]],
+        );
         let out = hash_join_rows(&left, &right);
-        assert_eq!(out, vec![vec![1, 10, 100], vec![1, 10, 101]]);
+        assert_eq!(rows_of(&out), vec![vec![1, 10, 100], vec![1, 10, 101]]);
     }
 
     #[test]
     fn join_without_shared_slots_is_cartesian() {
-        let left = vec![vec![1, UNBOUND], vec![2, UNBOUND]];
-        let right = vec![vec![UNBOUND, 7], vec![UNBOUND, 8]];
+        let left = table(2, &[&[1, UNBOUND], &[2, UNBOUND]]);
+        let right = table(2, &[&[UNBOUND, 7], &[UNBOUND, 8]]);
         let out = hash_join_rows(&left, &right);
         assert_eq!(out.len(), 4);
-        assert_eq!(out[0], vec![1, 7]);
-        assert_eq!(out[3], vec![2, 8]);
+        assert_eq!(out.row(0), [1, 7]);
+        assert_eq!(out.row(3), [2, 8]);
     }
 
     #[test]
     fn empty_sides_yield_empty_join() {
-        let rows = vec![vec![1u64]];
-        assert!(hash_join_rows(&[], &rows).is_empty());
-        assert!(hash_join_rows(&rows, &[]).is_empty());
-    }
-
-    #[test]
-    fn single_row_left_takes_the_build_free_path_with_identical_output() {
-        // One left row (the executor's bound-join member shape): output
-        // must be exactly what the table path would emit, both on the
-        // matching and the cartesian shape.
-        let right = vec![
-            vec![1, UNBOUND, 100],
-            vec![3, UNBOUND, 300],
-            vec![1, UNBOUND, 101],
-        ];
-        let l = vec![vec![1u64, 10, UNBOUND]];
-        assert_eq!(
-            hash_join_rows(&l, &right),
-            vec![vec![1, 10, 100], vec![1, 10, 101]]
-        );
-        let unshared = vec![vec![UNBOUND, 10, UNBOUND]];
-        assert_eq!(hash_join_rows(&unshared, &right).len(), 3);
+        let rows = table(1, &[&[1]]);
+        let none = rows.empty_like();
+        assert!(hash_join_rows(&none, &rows).is_empty());
+        assert!(hash_join_rows(&rows, &none).is_empty());
     }
 
     #[test]
     fn multi_shared_slot_join_uses_composite_keys() {
         // Two shared slots force the composite-key table; both slots
         // must participate in the match.
-        let left = vec![
-            vec![1, 5, UNBOUND, 10],
-            vec![1, 6, UNBOUND, 11],
-            vec![2, 5, UNBOUND, 12],
-        ];
-        let right = vec![vec![1, 5, 100, UNBOUND], vec![2, 6, 200, UNBOUND]];
+        let left = table(
+            4,
+            &[
+                &[1, 5, UNBOUND, 10],
+                &[1, 6, UNBOUND, 11],
+                &[2, 5, UNBOUND, 12],
+            ],
+        );
+        let right = table(4, &[&[1, 5, 100, UNBOUND], &[2, 6, 200, UNBOUND]]);
         let out = hash_join_rows(&left, &right);
-        assert_eq!(out, vec![vec![1, 5, 100, 10]]);
+        assert_eq!(rows_of(&out), vec![vec![1, 5, 100, 10]]);
     }
 }
 
@@ -504,24 +459,23 @@ mod proptests {
         b
     }
 
-    /// One side as the batch a scan would have shipped: the side's
+    /// One side as the table a scan would have shipped: the side's
     /// bound variables as header (every row of a side binds the same
     /// ones), rows in order.
-    fn to_batch(dict: &mut TermDict, bound: [bool; 4], rows: &[Vec<(usize, u8)>]) -> BindingBatch {
+    fn to_batch(dict: &mut TermDict, bound: [bool; 4], rows: &[Vec<(usize, u8)>]) -> CodedRows {
         let mut vars = VarTable::new();
         for s in (0..4).filter(|&s| bound[s]) {
             vars.slot_of(VAR_NAMES[s]);
         }
-        let codes = rows
-            .iter()
-            .flatten()
-            .map(|&(_, v)| super::tests::code(dict, &Term::literal(format!("v{v}"))))
-            .collect();
-        BindingBatch {
-            vars,
-            codes,
-            rows: rows.len(),
+        let mut batch = CodedRows::new(vars);
+        for row in rows {
+            let codes: Vec<u64> = row
+                .iter()
+                .map(|&(_, v)| super::tests::code(dict, &Term::literal(format!("v{v}"))))
+                .collect();
+            batch.push(&codes);
         }
+        batch
     }
 
     proptest! {
@@ -573,16 +527,15 @@ mod proptests {
             // The left side in full, the right one keyed on the shared
             // slots, each holding the left side's codes there: a
             // semi-join reduction must not change the join.
-            let lrows = batch_rows(&to_batch(&mut dict, lbound, &left), &vars, &[]);
+            let mut lrows = CodedRows::new(vars);
+            batch_rows(&to_batch(&mut dict, lbound, &left), &[], &mut lrows);
             let shared: Vec<usize> = (0..4).filter(|&s| lbound[s] && rbound[s]).collect();
             let keys: Vec<FxHashSet<u64>> =
-                shared.iter().map(|&s| lrows.iter().map(|r| r[s]).collect()).collect();
+                shared.iter().map(|&s| lrows.rows().map(|r| r[s]).collect()).collect();
             let held: Vec<(usize, &FxHashSet<u64>)> = shared.iter().copied().zip(&keys).collect();
-            let rrows = batch_rows(&to_batch(&mut dict, rbound, &right), &vars, &held);
-            let joined: Vec<Binding> = hash_join_rows(&lrows, &rrows)
-                .iter()
-                .map(|r| dict.decode_row(r, &vars))
-                .collect();
+            let mut rrows = lrows.empty_like();
+            batch_rows(&to_batch(&mut dict, rbound, &right), &held, &mut rrows);
+            let joined = hash_join_rows(&lrows, &rrows).bindings(&dict);
 
             prop_assert_eq!(joined, expected);
         }

@@ -39,24 +39,26 @@
 //!   every row) and sweeping the residual predicate over 256-row
 //!   granules of row ids. [`TripleStore::match_seeds_into`] (a
 //!   [`SeedColumn`]'s instances) and [`TripleStore::match_into`] (no
-//!   seed) append the codes a store ships to a columnar
-//!   [`BindingBatch`]; [`TripleStore::for_each_match_row`] (codes of
-//!   the store's own ids), [`TripleStore::match_pattern`] (its rows
-//!   decoded) and [`TripleStore::resolve`] are its other output
-//!   formats;
+//!   seed) append the codes a store ships to a [`CodedRows`] table;
+//!   [`TripleStore::match_pattern`] (its rows decoded) and
+//!   [`TripleStore::resolve`] are its other output formats;
+//! * **one table** — every set of rows between a scan and the result
+//!   boundary is a [`CodedRows`] ([`batch`]): a shared header of
+//!   variable names and flat row-major term codes — shipped rows, join
+//!   rows, seed columns and answers alike;
 //! * **one join (⋈)** — conjunctive evaluation runs in the hash-join
-//!   binding engine ([`join`]): solution rows are `Vec<u64>` term codes
-//!   over the query's variable slots ([`join::VarTable`]), merged by
-//!   hashing the shared variables ([`join::hash_join_rows`]). The
-//!   distributed engine in `gridvine-core` reuses the same kernel on
-//!   the codes remote peers ship: every peer store is loaded through
-//!   one lexicon ([`TermDict::canonical_triple`]) and ships codes over
-//!   the lexicon's ids, so the origin places them into join rows
+//!   binding engine ([`join`]): join rows are tables over the query's
+//!   variable slots ([`join::VarTable`]), merged by hashing the shared
+//!   variables ([`join::hash_join_rows`]). The distributed engine in
+//!   `gridvine-core` reuses the same kernel on the codes remote peers
+//!   ship: every peer store is loaded through one lexicon
+//!   ([`TermDict::canonical_triple`]) and ships codes over the
+//!   lexicon's ids, so the origin places them into join rows
 //!   ([`join::batch_rows`]) as they arrive;
 //! * **result boundary** — a [`Binding`] (one string-keyed map per
 //!   row) is built only for rows that survive selection, join,
 //!   projection and dedup, its terms read through the dictionary the
-//!   codes belong to; in between, rows are batches or vectors of codes.
+//!   codes belong to; in between, rows are tables of codes.
 //!
 //! ```
 //! use gridvine_rdf::prelude::*;
@@ -83,7 +85,7 @@ pub mod triple;
 
 /// Glob-import surface.
 pub mod prelude {
-    pub use crate::batch::{BindingBatch, CodedRows, RowOrder, SeedColumn};
+    pub use crate::batch::{CodedRows, RowOrder, SeedColumn};
     pub use crate::dict::{TermDict, TermId};
     pub use crate::parser::{parse_query, parse_single, ParseError};
     pub use crate::query::{ConjunctiveQuery, QueryError, TriplePatternQuery};
@@ -92,7 +94,7 @@ pub mod prelude {
     pub use crate::triple::{Binding, PatternTerm, Position, Triple, TriplePattern};
 }
 
-pub use batch::{BindingBatch, CodedRows, RowOrder, SeedColumn};
+pub use batch::{CodedRows, RowOrder, SeedColumn};
 pub use dict::{Insertable, TaggedTriple, TermDict, TermId};
 pub use parser::{parse_query, parse_single, ParseError};
 pub use query::{ConjunctiveQuery, QueryError, TriplePatternQuery};

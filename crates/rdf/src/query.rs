@@ -7,13 +7,15 @@
 //! similar manner, by iteratively resolving each triple pattern contained
 //! in the query and aggregating the sets of results retrieved."
 
+use crate::batch::{CodedRows, RowOrder};
 use crate::fasthash::FxHashSet;
-use crate::join::{HashJoiner, VarTable};
+use crate::join::{hash_join_rows, VarTable};
 use crate::store::TripleStore;
 use crate::term::Term;
 use crate::triple::{Binding, PatternTerm, TriplePattern};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// `SearchFor(x? : (s, p, o))` — one pattern, one distinguished variable.
 #[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -128,39 +130,32 @@ impl ConjunctiveQuery {
     /// Evaluate against one local database: iterative pattern resolution
     /// over the id-level indexes, hash joins on the shared variables
     /// ([`crate::join`]), then projection onto the distinguished
-    /// variables. Each pattern's matches are *streamed* off the store's
-    /// granule-batched pattern pipeline through one reused scratch row
-    /// ([`TripleStore::for_each_match_row`]) straight into a
-    /// [`HashJoiner`] built over the accumulated solutions, so a match
-    /// set is never materialized as a whole — and no code row is ever
-    /// allocated for a match that joins with nothing; terms are
-    /// materialized only for the surviving rows.
+    /// variables. Each pattern's matches are collected into a table of
+    /// codes over the query's variables, and the tables are folded in
+    /// written order, stopping at the first empty join — a later
+    /// pattern is then not scanned; terms are decoded only for the
+    /// distinct projected rows, which come sorted by their display form
+    /// ([`Binding::cmp_display`]).
     pub fn evaluate(&self, db: &TripleStore) -> Vec<Binding> {
-        let vars = VarTable::from_patterns(&self.patterns);
-        let mut rows: Vec<Vec<u64>> = vec![vars.empty_row()];
-        for pattern in &self.patterns {
-            let probe_bound: Vec<usize> = pattern
-                .variables()
-                .iter()
-                .filter_map(|v| vars.slot(v))
-                .collect();
-            let joiner = HashJoiner::new(&rows, &probe_bound);
-            let mut next = Vec::new();
-            db.for_each_match_row(pattern, &vars, |m| {
-                joiner.probe(m, &mut next);
-            });
-            rows = next;
+        let vars = Arc::new(VarTable::from_patterns(&self.patterns));
+        let mut tables = self.patterns.iter().map(|pattern| {
+            let mut matches = CodedRows::new(Arc::clone(&vars));
+            db.match_codes(pattern, &mut matches);
+            matches
+        });
+        let mut rows = tables.next().unwrap_or_default();
+        for matches in tables {
             if rows.is_empty() {
                 break;
             }
+            rows = hash_join_rows(&rows, &matches);
         }
         // π onto the distinguished variables, dedup on codes, then
-        // materialize and sort for a stable, readable output order.
-        // `slots` and `proj` are built from the same filtered name set,
-        // so a distinguished variable that occurs in no pattern (only
-        // reachable by constructing the struct directly), or is named
-        // twice, is skipped — like the session's projection — rather
-        // than misaligning names.
+        // decode and sort. `slots` and `proj` are built from the same
+        // filtered name set, so a distinguished variable that occurs in
+        // no pattern (only reachable by constructing the struct
+        // directly), or is named twice, is skipped — like the session's
+        // projection — rather than misaligning names.
         let mut slots: Vec<usize> = Vec::with_capacity(self.distinguished.len());
         let mut proj = VarTable::new();
         for d in &self.distinguished {
@@ -169,17 +164,17 @@ impl ConjunctiveQuery {
                 proj.slot_of(d);
             }
         }
+        let mut answers = CodedRows::new(proj);
         let mut seen: FxHashSet<Vec<u64>> =
             FxHashSet::with_capacity_and_hasher(rows.len(), Default::default());
-        let mut out: Vec<Binding> = Vec::new();
-        for row in &rows {
+        for row in rows.rows() {
             let projected: Vec<u64> = slots.iter().map(|&s| row[s]).collect();
-            if seen.insert(projected.clone()) {
-                out.push(db.dict().decode_row(&projected, &proj));
+            if !seen.contains(&projected) {
+                answers.push(&projected);
+                seen.insert(projected);
             }
         }
-        out.sort_by_key(|b| format!("{b}"));
-        out
+        answers.sorted_bindings(db.dict(), RowOrder::ByDisplay)
     }
 }
 
@@ -279,7 +274,7 @@ mod tests {
     }
 
     /// A selective head fanning out to two more attributes per subject:
-    /// the streamed hash-join fold agrees with the nested loop over
+    /// the hash-join fold agrees with the nested loop over
     /// `Binding::join`, pattern by pattern.
     #[test]
     fn three_pattern_join_matches_the_nested_loop() {

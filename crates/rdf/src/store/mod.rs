@@ -107,14 +107,14 @@
 //!   instance before any posting list is touched; then the instance is
 //!   scanned. Either way a value is matched exactly (a bound `"50%"` is
 //!   a value, not a `LIKE`). [`TripleStore::match_into`] is the same
-//!   kernel with no seed. Both append to a [`BindingBatch`]
+//!   kernel with no seed. Both append to a [`CodedRows`] table
 //!   the codes the store *ships*: each term's lexicon id, shifted, with
 //!   its kind bit (see [`crate::dict`]), so a shipped cell is a `u64`
-//!   read off two columns and touches no reference count.
-//!   [`TripleStore::for_each_match_row`] (codes of the store's own
-//!   ids), [`TripleStore::match_pattern`] (those rows decoded through
-//!   the store's dictionary) and [`TripleStore::resolve`] are its other
-//!   output formats.
+//!   read off two columns and touches no reference count. Local
+//!   evaluation's join rows (codes of the store's own ids, over a
+//!   query's variables), [`TripleStore::match_pattern`] (rows decoded
+//!   through the store's dictionary) and [`TripleStore::resolve`] are
+//!   its other output formats.
 //! * **⋈ — one join.** [`TripleStore::join`] hash-joins two patterns'
 //!   match sets on their shared variables ([`crate::join`]).
 //!
@@ -136,7 +136,7 @@ pub use cursor::RowCursor;
 /// Rows per evaluation granule: the batch size of the pattern scan.
 pub(crate) const GRANULE: usize = 256;
 
-use crate::batch::{BindingBatch, SeedColumn};
+use crate::batch::{CodedRows, SeedColumn};
 use crate::dict::{same_lexical, Insertable, TaggedTriple, TermDict, TermId};
 use crate::fasthash::{FxHashMap, FxHashSet};
 use crate::join::{hash_join_rows, VarTable, UNBOUND};
@@ -726,46 +726,45 @@ impl TripleStore {
         ((lexicon_id as u64) << 1) | (local & 1)
     }
 
-    /// Matching rows as term-code rows over `vars` (the hash-join input
-    /// format of [`crate::join`]).
-    fn match_codes(&self, pattern: &TriplePattern, vars: &VarTable) -> Vec<Vec<u64>> {
-        let mut out = Vec::new();
-        self.for_each_match_row(pattern, vars, |row| out.push(row.to_vec()));
-        out
-    }
-
-    /// Stream matching rows as term-code rows over `vars` through one
-    /// reused scratch row, for consumers that probe or copy per row
-    /// (e.g. [`crate::ConjunctiveQuery::evaluate`]'s hash-join probe
-    /// loop). The slice handed to `f` is valid only for the duration of
-    /// the call; slots the pattern does not bind stay [`UNBOUND`],
-    /// bound slots are overwritten on every match.
-    pub fn for_each_match_row(
-        &self,
-        pattern: &TriplePattern,
-        vars: &VarTable,
-        mut f: impl FnMut(&[u64]),
-    ) {
+    /// Append the rows matching `pattern` to `out`, in insertion order,
+    /// as codes of this store's own ids over `out`'s header — the join
+    /// rows of local evaluation ([`crate::join`]): a variable the header
+    /// does not name is dropped, a slot the pattern does not bind stays
+    /// [`UNBOUND`].
+    pub(crate) fn match_codes(&self, pattern: &TriplePattern, out: &mut CodedRows) {
         let slots: Vec<(Position, usize)> = Position::ALL
             .iter()
             .filter_map(|&pos| match pattern.slot(pos) {
-                PatternTerm::Var(v) => Some((pos, vars.slot(v).expect("pattern var registered"))),
+                PatternTerm::Var(v) => Some((pos, out.column(v)?)),
                 PatternTerm::Const(_) => None,
             })
             .collect();
-        let mut row = vec![UNBOUND; vars.len()];
+        // Every match fills the same slots.
+        let mut row = vec![UNBOUND; out.vars().len()];
         self.compile(pattern).scan(None, |id| {
             for &(pos, slot) in &slots {
                 row[slot] = self.cols.code_at(id, pos);
             }
-            f(&row);
+            out.push(&row);
         });
+    }
+
+    /// Append to `out` the row a match ships: the code of row `id` at
+    /// each of `cols`, one per column of `out`'s header.
+    #[inline]
+    fn ship_row(&self, id: u32, cols: &[Position; 3], out: &mut CodedRows) {
+        let mut row = [0; 3];
+        let width = out.vars().len();
+        for (code, &pos) in row.iter_mut().zip(&cols[..width]) {
+            *code = self.shipped_code(id, pos);
+        }
+        out.push(&row[..width]);
     }
 
     /// The scan kernel with no seed, behind every shipped row of a
     /// pattern that stands for itself: append one row per triple
     /// matching `pattern`, in insertion order, to `out` — whose header
-    /// must be `pattern`'s variables ([`BindingBatch::for_pattern`] of
+    /// must be `pattern`'s variables ([`CodedRows::for_pattern`] of
     /// it, or of a pattern differing only in constants) — and return
     /// how many were appended. Each cell is the term's code over this
     /// store's lexicon ids (see [`crate::dict`]). A literal constant
@@ -775,8 +774,8 @@ impl TripleStore {
     ///
     /// # Panics
     /// Panics if the header names a variable `pattern` does not have.
-    pub fn match_into(&self, pattern: &TriplePattern, out: &mut BindingBatch) -> usize {
-        debug_assert_eq!(out.vars(), BindingBatch::for_pattern(pattern).vars());
+    pub fn match_into(&self, pattern: &TriplePattern, out: &mut CodedRows) -> usize {
+        debug_assert_eq!(out.vars(), CodedRows::for_pattern(pattern).vars());
         let mut compiled = self.compile(pattern);
         let cols = compiled.columns(out);
         compiled.scan_into(None, &cols, out)
@@ -790,7 +789,7 @@ impl TripleStore {
     /// over `lexicon`'s ids: the lexicon this store was loaded through,
     /// or for a store fed plain triples its own dictionary. `out`'s
     /// header is the variables of `template` the seeds leave unbound
-    /// ([`BindingBatch::for_instances`]). For a seed without `%`, the
+    /// ([`CodedRows::for_instances`]). For a seed without `%`, the
     /// rows are [`TripleStore::match_into`]'s of the substituted
     /// instance, in its order.
     ///
@@ -823,7 +822,7 @@ impl TripleStore {
         template: &TriplePattern,
         seeds: &SeedColumn,
         lexicon: &TermDict,
-        out: &mut BindingBatch,
+        out: &mut CodedRows,
         shipped: &mut Vec<usize>,
     ) {
         self.match_seeds_by(None, template, seeds, lexicon, out, shipped);
@@ -837,7 +836,7 @@ impl TripleStore {
         template: &TriplePattern,
         seeds: &SeedColumn,
         lexicon: &TermDict,
-        out: &mut BindingBatch,
+        out: &mut CodedRows,
         shipped: &mut Vec<usize>,
     ) {
         debug_assert!(out.vars().iter().all(|v| seeds.column(v).is_none()));
@@ -882,7 +881,7 @@ impl TripleStore {
     /// [`TripleStore::match_into`] ships, decoded through this store's
     /// own dictionary.
     pub fn match_pattern(&self, pattern: &TriplePattern) -> Vec<Binding> {
-        let header = BindingBatch::for_pattern(pattern);
+        let header = CodedRows::for_pattern(pattern);
         let mut compiled = self.compile(pattern);
         let cols = compiled.columns(&header);
         let columns: Vec<(&String, Position)> = header.vars().iter().zip(cols).collect();
@@ -902,12 +901,14 @@ impl TripleStore {
     /// `Results = π_pos(x) σ_pos(const)=const (DB_dest)`.
     /// Returns the terms bound to `var`, sorted and deduplicated.
     pub fn resolve(&self, pattern: &TriplePattern, var: &str) -> Vec<Term> {
-        let vars = VarTable::from_patterns([pattern]);
-        let Some(slot) = vars.slot(var) else {
+        if !pattern.variables().contains(&var) {
             return Vec::new();
-        };
-        let mut codes: Vec<u64> = Vec::new();
-        self.for_each_match_row(pattern, &vars, |row| codes.push(row[slot]));
+        }
+        let mut vars = VarTable::new();
+        vars.slot_of(var);
+        let mut rows = CodedRows::new(vars);
+        self.match_codes(pattern, &mut rows);
+        let mut codes: Vec<u64> = rows.rows().map(|row| row[0]).collect();
         codes.sort_unstable();
         codes.dedup();
         let mut out: Vec<Term> = codes
@@ -923,13 +924,11 @@ impl TripleStore {
     /// conjunctive queries (§2.3: "iteratively resolving each triple
     /// pattern … and aggregating").
     pub fn join(&self, left: &TriplePattern, right: &TriplePattern) -> Vec<Binding> {
-        let vars = VarTable::from_patterns([left, right]);
-        let l = self.match_codes(left, &vars);
-        let r = self.match_codes(right, &vars);
-        hash_join_rows(&l, &r)
-            .iter()
-            .map(|row| self.dict.decode_row(row, &vars))
-            .collect()
+        let mut l = CodedRows::new(VarTable::from_patterns([left, right]));
+        let mut r = l.empty_like();
+        self.match_codes(left, &mut l);
+        self.match_codes(right, &mut r);
+        hash_join_rows(&l, &r).bindings(&self.dict)
     }
 
     /// Compact the store: drop tombstoned rows — the live rows are
@@ -1028,7 +1027,7 @@ struct Compiled<'a> {
 impl Compiled<'_> {
     /// For each column of `out`'s header (at most three), the first
     /// position holding its variable.
-    fn columns(&self, out: &BindingBatch) -> [Position; 3] {
+    fn columns(&self, out: &CodedRows) -> [Position; 3] {
         let mut cols = [Position::Subject; 3];
         for (col, name) in cols.iter_mut().zip(out.vars()) {
             let first = self.vars.iter().find(|&&(_, v)| v == name);
@@ -1187,7 +1186,7 @@ impl Compiled<'_> {
         &mut self,
         seeds: &SeedColumn,
         cols: &[Position; 3],
-        out: &mut BindingBatch,
+        out: &mut CodedRows,
         shipped: &mut Vec<usize>,
     ) {
         const END: u32 = u32::MAX;
@@ -1231,38 +1230,28 @@ impl Compiled<'_> {
             rows[fill[seed as usize]] = id;
             fill[seed as usize] += 1;
         }
-        let cols = &cols[..out.vars.len()];
         for span in start.windows(2) {
             let rows = &rows[span[0]..span[1]];
             for &id in rows {
-                for &pos in cols {
-                    out.codes.push(store.shipped_code(id, pos));
-                }
+                store.ship_row(id, cols, out);
             }
-            out.rows += rows.len();
             shipped.push(rows.len());
         }
     }
 
-    /// [`Compiled::scan`] into a batch: one row per match, the codes it
+    /// [`Compiled::scan`] into a table: one row per match, the codes it
     /// ships at the [`Compiled::columns`] of `out`'s header appended to
     /// `out`. Returns how many rows that was.
     fn scan_into(
         &mut self,
         seed: Option<Seed<'_>>,
         cols: &[Position; 3],
-        out: &mut BindingBatch,
+        out: &mut CodedRows,
     ) -> usize {
         let store = self.store;
-        let cols = &cols[..out.vars.len()];
-        let before = out.rows;
-        self.scan(seed, |id| {
-            for &pos in cols {
-                out.codes.push(store.shipped_code(id, pos));
-            }
-            out.rows += 1;
-        });
-        out.rows - before
+        let before = out.len();
+        self.scan(seed, |id| store.ship_row(id, cols, out));
+        out.len() - before
     }
 }
 
@@ -1826,9 +1815,9 @@ mod tests {
             PatternTerm::var("p"),
             PatternTerm::var("o"),
         );
-        let mut batch = BindingBatch::for_pattern(&all);
+        let mut batch = CodedRows::for_pattern(&all);
         db.match_into(&all, &mut batch);
-        batch.codes
+        batch.rows().flatten().copied().collect()
     }
 
     #[test]
@@ -1893,7 +1882,7 @@ mod tests {
             (TriplePattern::new(var("s"), var("p"), c(Term::uri("p"))), 0),
         ] {
             assert_eq!(db.match_pattern(&pattern).len(), rows, "{pattern:?}");
-            let mut batch = BindingBatch::for_pattern(&pattern);
+            let mut batch = CodedRows::for_pattern(&pattern);
             assert_eq!(db.match_into(&pattern, &mut batch), rows, "{pattern:?}");
         }
     }
@@ -2255,7 +2244,7 @@ mod proptests {
                 reference.iter().filter_map(|t| pattern.match_triple(t)).collect();
             prop_assert_eq!(&db.match_pattern(&pattern), &naive, "{:?}", pattern);
 
-            let mut batch = BindingBatch::for_pattern(&pattern);
+            let mut batch = CodedRows::for_pattern(&pattern);
             prop_assert_eq!(db.match_into(&pattern, &mut batch), naive.len(), "{:?}", pattern);
             prop_assert_eq!(batch.len(), naive.len());
             prop_assert_eq!(&batch.bindings(db.dict()), &naive, "{:?}", pattern);
@@ -2337,9 +2326,9 @@ mod proptests {
                 column.push(&codes);
             }
             let instance = |seed: &Binding| template.substitute(seed);
-            let header = BindingBatch::for_instances(&template, &column);
+            let header = CodedRows::for_instances(&template, &column);
             if let Some(first) = seeds.first() {
-                prop_assert_eq!(header.vars(), BindingBatch::for_pattern(&instance(first)).vars());
+                prop_assert_eq!(header.vars(), CodedRows::for_pattern(&instance(first)).vars());
             }
 
             let mut batch = header.clone();
@@ -2349,7 +2338,7 @@ mod proptests {
             let counts: Vec<usize> =
                 seeds.iter().map(|s| db.match_into(&instance(s), &mut expected)).collect();
             prop_assert_eq!(&shipped, &counts, "{:?} {:?}", template, seeds);
-            prop_assert_eq!(&batch.codes, &expected.codes, "{:?}", template);
+            prop_assert_eq!(&batch, &expected, "{:?}", template);
             prop_assert_eq!(batch.bindings(&lexicon), expected.bindings(&lexicon), "{:?}", template);
         }
 
@@ -2431,11 +2420,11 @@ mod proptests {
             }
             let dict = if plain { db.dict() } else { &lexicon };
             prop_assert!(db.dict.codes_are_over(dict));
-            let header = BindingBatch::for_instances(&template, &column);
+            let header = CodedRows::for_instances(&template, &column);
             let answer = |path| {
                 let (mut batch, mut shipped) = (header.clone(), Vec::new());
                 db.match_seeds_by(path, &template, &column, dict, &mut batch, &mut shipped);
-                (batch.codes, shipped)
+                (batch, shipped)
             };
             let probed = answer(Some(SeedPath::Probe));
             prop_assert_eq!(probed.1.len(), column.len());
@@ -2473,7 +2462,7 @@ mod proptests {
             let all = TriplePattern::new(var("s"), var("p"), var("o"));
             let mut cells: Vec<(u64, Term)> = Vec::new();
             for db in [&a, &b] {
-                let mut batch = BindingBatch::for_pattern(&all);
+                let mut batch = CodedRows::for_pattern(&all);
                 db.match_into(&all, &mut batch);
                 let rows = db.match_pattern(&all);
                 prop_assert_eq!(&batch.bindings(&lexicon), &rows);
@@ -2505,7 +2494,7 @@ mod proptests {
                 column.push(&[*code]);
             }
             for db in [&a, &b] {
-                let mut batch = BindingBatch::for_instances(&all, &column);
+                let mut batch = CodedRows::for_instances(&all, &column);
                 let mut shipped = Vec::new();
                 db.match_seeds_into(&all, &column, &lexicon, &mut batch, &mut shipped);
                 let mut expected = Vec::new();

@@ -12,9 +12,11 @@
 #   git ls-files '*.rs' | grep -E '^(crates|src|tests|examples|vendor)/' | xargs wc -l
 #
 # (benchmarks/ is its own workspace and is not part of that total).
-# Counts the working tree's copy of every tracked file. With
-# --parent <rev> a second column gives the same rows for a `git archive`
-# of <rev>, exported under ${TMPDIR:-/tmp} and removed afterwards.
+# Counts the working tree's copy of every tracked file. Beside each
+# total, "program" counts the lines outside test code, as --test-only
+# tells them apart (below). With --parent <rev> further columns give
+# the same rows for a `git archive` of <rev>, exported under
+# ${TMPDIR:-/tmp} and removed afterwards, and the differences.
 #
 # --unused lists, instead, every `pub` fn / struct / enum / trait /
 # const / type / static / union declared under crates/ whose name no
@@ -41,6 +43,28 @@
 set -eu
 
 root=$(git rev-parse --show-toplevel)
+
+# Awk rules that keep `part` at "t" on a line of test code and "p" on
+# a line of program code: test code is every file under a tests/
+# directory, everything from a file's first top-level #[cfg(test)] on,
+# and each item an indented #[cfg(test)] marks. A program reads a line
+# between $test_part and $test_part_end.
+test_part='
+    FNR == 1 { part = FILENAME ~ /(^|\/)tests\// ? "t" : "p"; item = 0 }
+    part == "p" && /^#\[cfg\(test\)\]/ { part = "t" }
+    part == "p" && /^[[:space:]]+#\[cfg\(test\)\]/ { part = "t"; item = 1; depth = 0; opened = 0 }
+'
+# An indented #[cfg(test)] marks one item: test code until the braces
+# it opens close again.
+test_part_end='
+    item {
+        line = $0
+        opens = gsub(/\{/, "", line)
+        depth += opens - gsub(/\}/, "", line)
+        if (opens) opened = 1
+        if (opened && depth <= 0) { part = "p"; item = 0 }
+    }
+'
 
 # Reads "<path> <line> <kind> <name>" per listed item on stdin and
 # prints, against the allow file <allow>, every item it gives no
@@ -98,14 +122,8 @@ test_only() {
     # "w <path> <p|t> <word>" once per identifier a file's program (p)
     # or test (t) part spells, and "d <path> <line> <kind> <name>" per
     # declaration in a crate's program part.
-    xargs awk '
-        FNR == 1 {
-            part = FILENAME ~ /(^|\/)tests\// ? "t" : "p"
-            crate = FILENAME ~ /^crates\//
-            item = 0
-        }
-        part == "p" && /^#\[cfg\(test\)\]/ { part = "t" }
-        part == "p" && /^[[:space:]]+#\[cfg\(test\)\]/ { part = "t"; item = 1; depth = 0; opened = 0 }
+    xargs awk "$test_part"'
+        FNR == 1 { crate = FILENAME ~ /^crates\// }
         part == "p" && crate && match($0, /^[[:space:]]*pub[[:space:]]+((const|async|unsafe)[[:space:]]+)*(fn|struct|enum|trait|type|static|const|union)[[:space:]]+(mut[[:space:]]+)?[A-Za-z_][A-Za-z0-9_]*/) {
             n = split(substr($0, RSTART, RLENGTH), w, /[[:space:]]+/)
             print "d", FILENAME, FNR, w[n - 1] == "mut" ? w[n - 2] : w[n - 1], w[n]
@@ -116,16 +134,7 @@ test_only() {
                 print "w", FILENAME, part, substr(line, RSTART, RLENGTH)
                 line = substr(line, RSTART + RLENGTH)
             }
-        }
-        # An indented #[cfg(test)] marks one item: test code until the
-        # braces it opens close again.
-        item {
-            line = $0
-            opens = gsub(/\{/, "", line)
-            depth += opens - gsub(/\}/, "", line)
-            if (opens) opened = 1
-            if (opened && depth <= 0) { part = "p"; item = 0 }
-        }' <"$work/files" | sort -u >"$work/scan"
+        }'"$test_part_end" <"$work/files" | sort -u >"$work/scan"
     awk '
         $1 == "w" && $3 == "t" { tested[$4] = 1 }
         $1 == "w" && $3 == "p" { prog[$4] = prog[$4] " " $2 }
@@ -158,20 +167,24 @@ elif [ $# -ne 0 ]; then
     exit 2
 fi
 
-# "<row> <lines>" per row, for the .rs paths on stdin, read under <tree>.
+# "<row> <lines> <program lines>" per row, for the .rs paths on stdin,
+# read under <tree>.
 tally() { # <tree>
-    (cd "$1" && xargs wc -l) | awk '
-        $2 == "total" { next }
+    (cd "$1" && xargs awk "$test_part"'
+        { lines[FILENAME]++; if (part == "p") program[FILENAME]++ }
+        '"$test_part_end"'
+        END { for (f in lines) print f, lines[f], 0 + program[f] }') | awk '
         {
-            split($2, part, "/")
+            split($1, part, "/")
             if (part[1] == "crates") row = "crates/" part[2]
             else if (part[1] ~ /^(src|tests|examples)$/) row = "src+tests+examples"
             else if (part[1] == "benchmarks" || part[1] == "vendor") row = part[1]
             else next
-            lines[row] += $1
-            if (row != "benchmarks") lines["total"] += $1
+            lines[row] += $2
+            program[row] += $3
+            if (row != "benchmarks") { lines["total"] += $2; program["total"] += $3 }
         }
-        END { for (row in lines) print row, lines[row] }'
+        END { for (row in lines) print row, lines[row], program[row] }'
 }
 
 work=$(mktemp -d "${TMPDIR:-/tmp}/loc.XXXXXX")
@@ -187,8 +200,8 @@ fi
 
 # Rows in a fixed order: crates by name, then the rest, the total last.
 awk -v parent="$parent" '
-    FNR == NR { tree[$1] = $2; rows[$1]; next }
-    { old[$1] = $2; rows[$1] }
+    FNR == NR { tree[$1] = $2; prog[$1] = $3; rows[$1]; next }
+    { old[$1] = $2; old_prog[$1] = $3; rows[$1] }
     END {
         n = 0
         for (row in rows) if (row ~ /^crates\//) name[n++] = row
@@ -197,14 +210,17 @@ awk -v parent="$parent" '
         }
         name[n++] = "src+tests+examples"; name[n++] = "benchmarks"
         name[n++] = "vendor"; name[n++] = "total"
-        printf "%-22s %8s", "lines of tracked Rust", "tree"
-        if (parent != "") printf " %8s %7s", parent, "diff"
+        printf "%-22s %8s %8s", "lines of tracked Rust", "tree", "program"
+        if (parent != "") printf " %8s %8s %7s %8s", parent, "program", "diff", "program"
         printf "\n"
         for (i = 0; i < n; i++) {
             row = name[i]
             label = row == "total" ? "total (no benchmarks)" : row
-            printf "%-22s %8d", label, tree[row]
-            if (parent != "") printf " %8d %+7d", old[row], tree[row] - old[row]
+            printf "%-22s %8d %8d", label, tree[row], prog[row]
+            if (parent != "") {
+                printf " %8d %8d", old[row], old_prog[row]
+                printf " %+7d %+8d", tree[row] - old[row], prog[row] - old_prog[row]
+            }
             printf "\n"
         }
     }' "$work/tree.txt" "$work/parent.txt"

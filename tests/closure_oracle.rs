@@ -244,17 +244,21 @@ proptest! {
     /// join on the object binds `"50%"` whenever a fact holds it: the
     /// bound mode must match it exactly, never as a LIKE that `"500"`
     /// satisfies. Facts hold `<red>` beside `"red"`: a join on the
-    /// object that confused the two kinds would join them.
+    /// object that confused the two kinds would join them. The shapes
+    /// join on one variable, on two at once (a composite key) and on
+    /// none (a cartesian product). Per mode, a run capped at `limit`
+    /// rows returns that many of the reference's, or all of them.
     #[test]
     fn a_join_is_the_join_of_the_reference_walks(
         edges in proptest::collection::vec((0usize..5, 0usize..5, any::<bool>(), any::<bool>()), 0..10),
         facts in proptest::collection::vec((0u8..8, 0usize..5, 0usize..=VALUES.len()), 1..30),
         (left, right) in (0usize..5, 0usize..5),
-        (shape, value) in (0usize..3, 0usize..3),
+        (shape, value) in (0usize..5, 0usize..3),
         (origin, second) in (0usize..PEERS, 1usize..PEERS),
         (uniform, window) in (any::<bool>(), 1usize..5),
         // 0: the configured TTL.
         ttl in 0usize..3,
+        limit in 1usize..5,
     ) {
         let hash = if uniform { HashKind::Uniform } else { HashKind::OrderPreserving };
         let attribute = |s: usize| PatternTerm::constant(Term::uri(format!("{}#a", SCHEMAS[s])));
@@ -274,14 +278,27 @@ proptest! {
                     TriplePattern::new(var("x"), attribute(right), var("v")),
                 ],
             ),
-            // … and a chain through both.
-            _ => (
+            // … a chain through both, …
+            2 => (
                 vec!["x", "y", "w"],
                 vec![
                     fact("x", var("v")),
                     TriplePattern::new(var("y"), attribute(right), var("v")),
                     fact("y", var("w")),
                 ],
+            ),
+            // … one entity's value beside any other fact, …
+            3 => (
+                vec!["x", "y", "v"],
+                vec![
+                    fact("x", PatternTerm::constant(Term::literal(VALUES[value]))),
+                    TriplePattern::new(var("y"), attribute(right), var("v")),
+                ],
+            ),
+            // … and entities holding one value under both schemas.
+            _ => (
+                vec!["x", "v"],
+                vec![fact("x", var("v")), TriplePattern::new(var("x"), attribute(right), var("v"))],
             ),
         };
         let distinguished = distinguished.iter().map(|v| v.to_string()).collect();
@@ -317,6 +334,10 @@ proptest! {
                     let rows: BTreeSet<String> = shown.into_iter().collect();
                     prop_assert_eq!(&rows, &expected, "{:?} {:?} {} {}", strategy, mode, run, query);
                 }
+                let capped = sys.execute(runs[0].0, &plan, &options.limit(limit)).unwrap();
+                let rows: BTreeSet<String> = capped.rows.iter().map(Binding::to_string).collect();
+                prop_assert_eq!(capped.rows.len(), limit.min(expected.len()), "{:?} {:?}", strategy, mode);
+                prop_assert!(rows.is_subset(&expected), "{:?} {:?} {:?}", strategy, mode, rows);
             }
         }
     }
